@@ -6,9 +6,7 @@
 //! parallel across OS threads), and reports the differential impact of each
 //! context against the baseline snapshot.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use mfv_emulator::pool::run_indexed;
 use mfv_types::{IpSet, LinkId};
 use mfv_verify::{
     deliverability_changes, differential_reachability_with, ClassCache, DiffFinding,
@@ -81,7 +79,8 @@ impl CutVerdict {
 pub enum SweepError {
     /// The backend could not produce a dataplane for this context.
     Backend(BackendError),
-    /// The worker panicked while processing this context.
+    /// The worker panicked while processing this context (or the pool
+    /// lost it); the pool's message, which says which.
     Panic(String),
 }
 
@@ -89,7 +88,7 @@ impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SweepError::Backend(e) => write!(f, "{e}"),
-            SweepError::Panic(msg) => write!(f, "worker panicked: {msg}"),
+            SweepError::Panic(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -105,16 +104,6 @@ pub struct SweepReport {
     /// and every variant analysis. Variants differ from the baseline at
     /// only the nodes adjacent to the cuts, so hits dominate.
     pub class_cache: (usize, usize),
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_string()
-    }
 }
 
 /// Runs one emulation per cut context and diffs each against the baseline
@@ -135,83 +124,34 @@ pub fn verify_link_cuts_detailed(
     let cache = ClassCache::new();
     let fa_baseline = ForwardingAnalysis::with_cache(&baseline.dataplane, &cache);
 
-    let n = contexts.len();
-    let mut results: Vec<Option<Result<CutVerdict, SweepError>>> = Vec::new();
-    results.resize_with(n, || None);
-
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            handles.push(s.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let Some(cuts) = contexts.get(i) else { break };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let variant = snapshot.without_links(cuts);
-                        backend.compute(&variant).map(|result| {
-                            let fa_after =
-                                ForwardingAnalysis::with_cache(&result.dataplane, &cache);
-                            let findings =
-                                differential_reachability_with(&fa_baseline, &fa_after, scope);
-                            let lost = deliverability_changes(&findings)
-                                .into_iter()
-                                .filter(|f| f.before.is_delivered())
-                                .count();
-                            CutVerdict {
-                                cuts: cuts.clone(),
-                                findings,
-                                lost_reachability: lost,
-                            }
-                        })
-                    }));
-                    local.push((
-                        i,
-                        match outcome {
-                            Ok(Ok(v)) => Ok(v),
-                            Ok(Err(e)) => Err(SweepError::Backend(e)),
-                            Err(payload) => Err(SweepError::Panic(panic_message(payload))),
-                        },
-                    ));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            // Workers catch per-task panics, so join only fails on a panic
-            // outside catch_unwind (e.g. in the scheduler itself). Even
-            // then the sweep degrades: the lost worker's contexts stay
-            // `None` and are reported as per-context failures below.
-            if let Ok(local) = h.join() {
-                for (i, verdict) in local {
-                    if let Some(slot) = results.get_mut(i) {
-                        *slot = Some(verdict);
-                    }
-                }
-            }
-        }
-    });
+    // One context per job on the shared pool: results come back in
+    // context order, and a panic is confined to its context.
+    let verdicts = run_indexed(0, contexts.len(), |i| {
+        let cuts = contexts
+            .get(i)
+            .ok_or_else(|| BackendError(format!("no cut context {i}")))?;
+        let result = backend.compute(&snapshot.without_links(cuts))?;
+        let fa_after = ForwardingAnalysis::with_cache(&result.dataplane, &cache);
+        let findings = differential_reachability_with(&fa_baseline, &fa_after, scope);
+        let lost_reachability = deliverability_changes(&findings)
+            .into_iter()
+            .filter(|f| f.before.is_delivered())
+            .count();
+        Ok(CutVerdict {
+            cuts: cuts.clone(),
+            findings,
+            lost_reachability,
+        })
+    })
+    .into_iter()
+    .map(|outcome| match outcome {
+        Ok(verdict) => verdict.map_err(SweepError::Backend),
+        Err(message) => Err(SweepError::Panic(message)),
+    })
+    .collect();
 
     Ok(SweepReport {
-        verdicts: results
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(SweepError::Panic(
-                        "worker thread lost before reporting this context".to_string(),
-                    ))
-                })
-            })
-            .collect(),
+        verdicts,
         class_cache: cache.stats(),
     })
 }
@@ -230,7 +170,7 @@ pub fn verify_link_cuts(
         .map(|r| {
             r.map_err(|e| match e {
                 SweepError::Backend(b) => b,
-                SweepError::Panic(msg) => BackendError(format!("worker panicked: {msg}")),
+                SweepError::Panic(msg) => BackendError(msg),
             })
         })
         .collect()

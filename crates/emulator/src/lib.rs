@@ -10,13 +10,15 @@
 //! - [`chaos`] — seeded fault-injection schedules and convergence verdicts
 //! - [`engine`] — the discrete-event emulation itself
 //! - [`parallel`] — multi-seed parallel runs for the non-determinism study
+//! - [`pool`] — the one bounded, panic-confining worker pool every fan-out
+//!   (seeds here, cut contexts in `mfv-core`) runs on
 
 pub mod chaos;
 pub mod cluster;
 pub mod engine;
 pub mod inject;
 pub mod parallel;
-mod pool;
+pub mod pool;
 mod shard;
 pub mod topology;
 

@@ -1,6 +1,7 @@
-//! Shared worker-pool plumbing for every place the emulator spawns
-//! threads: the sharded engine's window workers ([`with_workers`]) and the
-//! multi-seed fan-out ([`run_indexed`]). One spawn/bounding implementation,
+//! Shared worker-pool plumbing for every place the workspace spawns
+//! threads: the sharded engine's window workers ([`with_workers`]), the
+//! multi-seed fan-out and `mfv-core`'s what-if sweep ([`run_indexed`],
+//! the one public item). One spawn/bounding implementation,
 //! so thread-count clamping, panic confinement, and lock-poison recovery
 //! behave identically everywhere.
 //!
@@ -65,9 +66,10 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs `job(i)` for every `i in 0..count` across a bounded worker pool,
 /// returning per-index outcomes in index order regardless of which worker
-/// ran what. Panics are confined to their item (`Err(message)`); a slot
+/// ran what (`requested_threads == 0` means the host's parallelism).
+/// Panics are confined to their item (`Err(message)`); a slot
 /// that somehow never ran reports an error rather than aborting the batch.
-pub(crate) fn run_indexed<T: Send>(
+pub fn run_indexed<T: Send>(
     requested_threads: usize,
     count: usize,
     job: impl Fn(usize) -> T + Sync,

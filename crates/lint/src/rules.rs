@@ -93,16 +93,26 @@ impl RuleId {
             // Wire decoders must reject malformed input through
             // `DecodeError`, never a panic.
             RuleId::W1 => crate_name == "wire",
-            // Same scope as D1: in these crates a relaxed atomic can
-            // reorder cross-thread observations, and draining a channel
-            // with `try_iter` yields arrival order — both let thread
-            // scheduling leak into event schedules or verdicts. The
+            // D1's scope less serve, plus core. In these crates a relaxed
+            // atomic can reorder cross-thread observations, and draining a
+            // channel with `try_iter` yields arrival order — both let
+            // thread scheduling leak into event schedules or verdicts. The
             // sharded engine's worker pool is Relaxed-free by design;
             // cross-shard results travel through mutex-held outboxes and
-            // are merge-sorted by content-derived keys before use.
+            // are merge-sorted by content-derived keys before use. core's
+            // what-if sweep fans contexts out across threads and must hand
+            // verdicts back in context order, so it runs on that same pool
+            // rather than a private relaxed cursor.
             RuleId::D3 => matches!(
                 crate_name,
-                "emulator" | "routing" | "vrouter" | "verify" | "obs" | "mgmt" | "conflint"
+                "emulator"
+                    | "routing"
+                    | "vrouter"
+                    | "verify"
+                    | "obs"
+                    | "mgmt"
+                    | "conflint"
+                    | "core"
             ),
         }
     }

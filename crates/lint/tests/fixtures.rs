@@ -95,8 +95,18 @@ fn serve_fixture_covers_query_front_end_scope() {
 }
 
 #[test]
+fn core_fixture_covers_sweep_scope() {
+    // core is in scope for D3 (the what-if sweep's fan-out must not let
+    // scheduling order reach its verdicts): the hand-rolled relaxed work
+    // cursor fires; the annotated counter and the mutex cursor stay quiet.
+    let report = scan_fixture("core");
+    assert_eq!(lines_for(&report, RuleId::D3), vec![8]);
+    assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
+}
+
+#[test]
 fn fixture_reports_are_deterministic() {
-    for name in ["d1", "d2", "d3", "p1", "w1", "watch", "serve"] {
+    for name in ["d1", "d2", "d3", "p1", "w1", "watch", "serve", "core"] {
         let a = scan_fixture(name);
         let b = scan_fixture(name);
         let key = |r: &Report| -> Vec<(String, usize, usize)> {

@@ -22,7 +22,7 @@
 //! # Metric naming
 //!
 //! Names are `&'static str` in `<stage>.<subsystem>.<what>` form
-//! (`engine.events.deliver_bgp`, `mgmt.rpc.retries`, `verify.memo.hits`).
+//! (`engine.events.deliver_bgp`, `mgmt.rpc.retries`, `verify.index.lookups`).
 //! Static names keep the hot path allocation-free and the BTreeMap-backed
 //! registry keeps dump order stable without a sort pass.
 //!

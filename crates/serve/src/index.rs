@@ -2,17 +2,18 @@
 //!
 //! One [`QueryIndex`] is built per served snapshot and shared (via `Arc`)
 //! by every server worker. All query handling is `&self`: the underlying
-//! [`ForwardingAnalysis`] memoises per-(source, scope) class partitions
-//! internally, so concurrent workers race only on a cache that returns
-//! identical values for identical keys — answers are a pure function of
-//! the request, whichever worker handles it.
+//! [`ForwardingAnalysis`] builds its class index exactly once (the first
+//! query builds it, concurrent ones wait) and never mutates it after, so
+//! workers share plain reads — answers are a pure function of the
+//! request, whichever worker handles it and whether or not the index was
+//! warmed first.
 
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use mfv_dataplane::Dataplane;
 use mfv_types::{IpSet, NodeId};
-use mfv_verify::{differential_reachability_with, reachability, ForwardingAnalysis};
+use mfv_verify::{differential_reachability_with, reachability, ForwardingAnalysis, IndexStats};
 
 /// Outcome of one request line.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -45,8 +46,8 @@ pub fn encode(reply: &Reply) -> Vec<u8> {
 }
 
 /// A snapshot loaded for serving: the verified dataplane's forwarding
-/// analysis (whose memo is the class-lookup index) plus an optional
-/// baseline analysis for differential queries.
+/// analysis (which owns the class index) plus an optional baseline
+/// analysis for differential queries.
 pub struct QueryIndex {
     fa: ForwardingAnalysis,
     baseline: Option<ForwardingAnalysis>,
@@ -70,21 +71,14 @@ impl QueryIndex {
         }
     }
 
-    /// Precomputes the full-destination-space class partition for every
-    /// entry node, so steady-state point queries never pay the symbolic
-    /// exploration. Returns the total number of packet classes indexed.
+    /// Builds the class index (and the baseline's) now rather than on the
+    /// first query. Returns the total number of packet classes indexed:
+    /// the rows of every entry node's full-space partition.
     pub fn warm(&self) -> usize {
-        let full = IpSet::full();
-        let mut classes = 0usize;
-        for src in self.fa.node_names() {
-            classes += self.fa.dispositions_from_shared(&src, &full).len();
-        }
         if let Some(base) = &self.baseline {
-            for src in base.node_names() {
-                base.dispositions_from_shared(&src, &full);
-            }
+            base.warm();
         }
-        classes
+        self.fa.warm()
     }
 
     /// Entry nodes the index can answer for.
@@ -92,9 +86,14 @@ impl QueryIndex {
         self.fa.node_names()
     }
 
-    /// `(hits, misses)` of the shared class-partition memo.
-    pub fn memo_stats(&self) -> (usize, usize) {
-        self.fa.memo_stats()
+    /// Shape of the class index and the number of lookups it answered.
+    pub fn index_stats(&self) -> IndexStats {
+        self.fa.index_stats()
+    }
+
+    /// Folds the class index's counters into `obs` (`verify.index.*`).
+    pub fn observe_into(&self, obs: &mut mfv_obs::Obs) {
+        self.fa.observe_into(obs, None);
     }
 
     /// Dispatches one request line. Answers are deterministic: the same
@@ -156,9 +155,8 @@ impl QueryIndex {
     }
 
     /// `FATE <src> <dst-ip> [dst-ip ...]` — the disposition of each
-    /// destination for packets entering at `src`. Any number of addresses
-    /// batch into the same class-partition lookup: the partition is
-    /// computed (or memo-served) once, each address is then a row scan.
+    /// destination for packets entering at `src`. Each address is one
+    /// binary search for its class plus one fate-table read.
     fn cmd_fate<'a>(&self, it: &mut impl Iterator<Item = &'a str>) -> Reply {
         let src = match self.node_arg(it.next(), "source") {
             Ok(n) => n,

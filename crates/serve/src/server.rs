@@ -8,13 +8,23 @@
 //! any client sees byte-identical answers at any `workers` setting, a
 //! contract the crate's determinism tests pin.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::index::{encode, QueryIndex, Reply};
+
+/// Longest request line accepted, newline included. A worker buffers one
+/// line at a time, so this bounds its memory per connection.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// How long a connection may sit between requests before the server
+/// closes it. A connection owns its worker for as long as it is open, so
+/// without a deadline `workers` silent clients would park every worker.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How the server binds and scales.
 #[derive(Clone, Debug)]
@@ -70,15 +80,13 @@ impl ServerHandle {
         )
     }
 
-    /// Folds the server's counters and the index's memo stats into `obs`.
+    /// Folds the server's counters and the class index's into `obs`.
     pub fn observe_into(&self, obs: &mut mfv_obs::Obs) {
         let (conns, queries, errors) = self.stats();
         obs.metrics.inc("serve.connections", conns);
         obs.metrics.inc("serve.queries", queries);
         obs.metrics.inc("serve.errors", errors);
-        let (hits, misses) = self.index.memo_stats();
-        obs.metrics.inc("serve.memo.hits", hits as u64);
-        obs.metrics.inc("serve.memo.misses", misses as u64);
+        self.index.observe_into(obs);
     }
 
     /// Blocks until the worker threads exit — i.e. forever, unless
@@ -91,8 +99,9 @@ impl ServerHandle {
     }
 
     /// Stops accepting, wakes every worker parked in `accept`, and joins
-    /// them. Workers finish their in-flight connection first, so callers
-    /// should close client connections before shutting down.
+    /// them. Workers finish their in-flight connection first — at most
+    /// [`IDLE_TIMEOUT`] after its last request — so callers should close
+    /// client connections before shutting down.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         // One self-connection per worker: each wakes exactly one accept
@@ -158,17 +167,31 @@ fn worker_loop(listener: &TcpListener, stop: &AtomicBool, index: &QueryIndex, co
 }
 
 /// Serves one connection: one request line in, one length-prefixed reply
-/// out, until `QUIT` or EOF.
+/// out, until `QUIT`, EOF, [`IDLE_TIMEOUT`] without a request, or a line
+/// over [`MAX_REQUEST_BYTES`] (answered with `ERR`, then closed: what
+/// follows an unterminated line cannot be framed).
 fn serve_connection(conn: TcpStream, index: &QueryIndex, counters: &Counters) -> io::Result<()> {
+    conn.set_read_timeout(Some(IDLE_TIMEOUT))?;
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = BufWriter::new(conn);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // One byte past the cap, so an over-long line is told from a full one.
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
             return Ok(()); // client closed
         }
-        let trimmed = line.trim();
+        if line.len() > MAX_REQUEST_BYTES {
+            counters.queries.fetch_add(1, Ordering::SeqCst);
+            counters.errors.fetch_add(1, Ordering::SeqCst);
+            let reply = Reply::Err(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"));
+            writer.write_all(&encode(&reply))?;
+            return writer.flush();
+        }
+        let trimmed = std::str::from_utf8(&line)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "request is not UTF-8"))?
+            .trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -176,19 +199,23 @@ fn serve_connection(conn: TcpStream, index: &QueryIndex, counters: &Counters) ->
         let reply = if trimmed == "STATS" {
             // Served here, not in the index: stats are server state and
             // deliberately outside the deterministic-answer contract.
-            let mut out = String::new();
             let (conns, queries, errors) = (
                 counters.connections.load(Ordering::SeqCst),
                 counters.queries.load(Ordering::SeqCst),
                 counters.errors.load(Ordering::SeqCst),
             );
-            let (hits, misses) = index.memo_stats();
-            out.push_str(&format!(
+            let stats = index.index_stats();
+            Reply::Ok(format!(
                 "connections {conns}\nqueries {queries}\nerrors {errors}\n\
-                 memo_hits {hits}\nmemo_misses {misses}\nnodes {}",
+                 atoms {}\nclasses {}\ncyclic_classes {}\nfates_computed {}\n\
+                 lookups {}\nnodes {}",
+                stats.atoms,
+                stats.classes,
+                stats.cyclic_classes,
+                stats.fates_computed,
+                stats.lookups,
                 index.node_names().len()
-            ));
-            Reply::Ok(out)
+            ))
         } else {
             index.handle(trimmed)
         };

@@ -188,3 +188,121 @@ fn concurrent_clients_get_identical_answers_at_any_worker_count() {
         handle.shutdown();
     }
 }
+
+/// A fresh index answers correctly with no `warm()`: eight threads
+/// released together race to build it, exactly one does, and all eight
+/// transcripts equal a single-threaded evaluation byte for byte.
+#[test]
+fn cold_index_gives_identical_answers_to_concurrent_first_queries() {
+    let n = 5;
+    let dp = line_dp(n);
+    let reqs = batch(n);
+    let run = |index: &QueryIndex| -> Vec<Reply> { reqs.iter().map(|r| index.handle(r)).collect() };
+    let reference = run(&QueryIndex::new(&dp));
+
+    let index = QueryIndex::new(&dp);
+    let start = std::sync::Barrier::new(8);
+    let transcripts: Vec<Vec<Reply>> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    run(&index)
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("query thread"))
+            .collect()
+    });
+    for transcript in &transcripts {
+        assert_eq!(transcript, &reference);
+    }
+    // One build, every lookup counted: 8 threads × the batch's lookups.
+    let solo = QueryIndex::new(&dp);
+    run(&solo);
+    let (stats, solo) = (index.index_stats(), solo.index_stats());
+    assert!(stats.classes > 0);
+    assert_eq!(stats.lookups, 8 * solo.lookups);
+    assert_eq!(stats.fates_computed, solo.fates_computed);
+}
+
+/// Long enough for the server's idle timeout to fire, short enough that a
+/// server without one fails the test instead of hanging it.
+const CLIENT_PATIENCE: std::time::Duration = std::time::Duration::from_secs(20);
+
+/// A request line with no end must not grow the worker's buffer without
+/// bound: past 64 KiB the server answers `ERR` and closes.
+#[test]
+fn oversized_request_line_is_refused_and_the_connection_closed() {
+    use std::io::{Read, Write};
+    let index = Arc::new(QueryIndex::new(&line_dp(3)));
+    let cfg = ServerConfig {
+        port: 0,
+        workers: 1,
+    };
+    let handle = Server::start(index, &cfg).expect("bind");
+
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    conn.set_read_timeout(Some(CLIENT_PATIENCE))
+        .expect("timeout");
+    conn.write_all(&vec![b'A'; 64 * 1024 + 1]).expect("send");
+    let mut reply = Vec::new();
+    conn.read_to_end(&mut reply)
+        .expect("server must answer and close, not wait for a newline");
+    let reply = String::from_utf8(reply).expect("utf-8 reply");
+    assert!(reply.starts_with("ERR "), "{reply}");
+    assert!(
+        reply.ends_with("request line exceeds 65536 bytes"),
+        "{reply}"
+    );
+
+    // The one worker is free again, and a line of exactly 64 KiB is fine.
+    let mut padded = "NODES".to_string();
+    padded.push_str(&" ".repeat(64 * 1024 - 1 - padded.len()));
+    let answers = run_batch(handle.addr(), &[padded]);
+    assert_eq!(answers, vec![(true, "r00\nr01\nr02".to_string())]);
+    let (_, _, errors) = handle.stats();
+    assert_eq!(errors, 1);
+    handle.shutdown();
+}
+
+/// `workers` clients that connect and say nothing must not starve the
+/// next one: idle connections are closed after the server's timeout.
+#[test]
+fn idle_connections_are_closed_so_workers_come_back() {
+    use std::io::Read;
+    let index = Arc::new(QueryIndex::new(&line_dp(3)));
+    let cfg = ServerConfig {
+        port: 0,
+        workers: 2,
+    };
+    let handle = Server::start(index, &cfg).expect("bind");
+
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+
+    // Both workers are parked on the silent connections; this request
+    // waits in the accept queue until one of them gives up.
+    let conn = TcpStream::connect(handle.addr()).expect("connect");
+    conn.set_read_timeout(Some(CLIENT_PATIENCE))
+        .expect("timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(conn);
+    let (ok, nodes) = query_once(&mut reader, &mut writer, "NODES")
+        .expect("a worker must come back from an idle connection");
+    assert!(ok);
+    assert_eq!(nodes, "r00\nr01\nr02");
+
+    // The silent clients were hung up on, not answered.
+    for mut conn in idle {
+        conn.set_read_timeout(Some(CLIENT_PATIENCE))
+            .expect("timeout");
+        let mut rest = Vec::new();
+        assert_eq!(conn.read_to_end(&mut rest).expect("closed by server"), 0);
+    }
+    drop((reader, writer));
+    handle.shutdown();
+}

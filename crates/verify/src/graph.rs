@@ -1,24 +1,28 @@
 //! Symbolic forwarding analysis over a dataplane snapshot.
 //!
-//! The engine propagates *sets of destination addresses* (packet classes)
-//! hop by hop: at each node the remaining class is partitioned by the FIB's
-//! longest-prefix-match structure, each partition follows its next hops, and
-//! every packet ends in exactly one [`Disposition`]. Because classes are
-//! exact [`IpSet`]s, a query covers **all 2³² destinations at once** — the
-//! exhaustive-search property that distinguishes verification from probing
-//! (§3: "identifying specific routes that do not satisfy a desired invariant
-//! or concluding no such routes exist").
+//! The engine reasons about *sets of destination addresses* (packet
+//! classes): each node's FIB partitions the destination space by its
+//! longest-prefix-match structure, each partition follows its next hops,
+//! and every packet ends in exactly one [`Disposition`]. Because classes
+//! are exact [`IpSet`]s, a query covers **all 2³² destinations at once** —
+//! the exhaustive-search property that distinguishes verification from
+//! probing (§3: "identifying specific routes that do not satisfy a desired
+//! invariant or concluding no such routes exist").
+//!
+//! All propagation happens once per analysis, inside the class index
+//! (`crate::index`); every query here is a lookup into it.
 
-// mfv-lint: allow-file(D3, relaxed atomics here are monotonic hit/miss diagnostics; RMW totals are exact under any ordering and never feed a schedule or verdict)
-// mfv-lint: allow(D1, HashMap here backs digest-keyed caches that are only probed, never iterated)
+// mfv-lint: allow(D1, HashMap here backs a digest-keyed cache that is only probed, never iterated)
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_routing::rib::{Fib, FibEntry};
 use mfv_types::{IfaceId, IpSet, NodeId, PrefixTrie};
+
+use crate::index::{ClassIndex, IndexStats, NodeInput};
 
 /// The fate of a packet class.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -94,10 +98,9 @@ pub struct Trace {
 pub struct NodeClasses {
     /// Disjoint effective match classes: (class, entry) where `class` is
     /// exactly the set of destinations this entry forwards (its prefix
-    /// minus all more-specific prefixes in the same FIB).
+    /// minus all more-specific prefixes in the same FIB). Destinations in
+    /// no class have no route.
     pub classes: Vec<(IpSet, FibEntry)>,
-    /// Union of all matched destinations (complement = NoRoute).
-    pub covered: IpSet,
 }
 
 /// Cross-snapshot cache of per-FIB effective classes, keyed by
@@ -124,8 +127,8 @@ impl ClassCache {
     /// baseline's classes for unchanged nodes shows up as a high hit count.
     pub fn stats(&self) -> (usize, usize) {
         (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
+            self.hits.load(Ordering::SeqCst),
+            self.misses.load(Ordering::SeqCst),
         )
     }
 
@@ -140,13 +143,13 @@ impl ClassCache {
             .unwrap_or_else(PoisonError::into_inner)
             .get(&digest)
         {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::SeqCst);
             return Arc::clone(hit);
         }
         // Build outside the lock: class computation is the expensive part,
         // and a rare duplicate build is cheaper than serialising all misses.
         let built = Arc::new(effective_classes(&node.fib()));
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::SeqCst);
         self.by_digest
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -159,38 +162,29 @@ impl ClassCache {
 struct NodeState {
     fib: Fib,
     classes: Arc<NodeClasses>,
-    addresses: IpSet,
-    up: bool,
 }
 
 /// A disposition partition of some scope: disjoint packet classes, each
-/// with the fate packets in it meet.
+/// with the fate packets in it meet, in disposition order.
 pub type DispositionRows = Vec<(IpSet, Disposition)>;
 
-/// The nodes an exploration's answer was derived from: every node whose
-/// FIB, liveness, or addresses the verdict depends on. If none of these
-/// change between snapshots (and no adjacent link does), the answer is
-/// still valid — the invariant the standing-query layer's pair-level
-/// incrementality rests on.
+/// The nodes an answer was derived from: every node whose FIB, liveness,
+/// or addresses the verdict depends on. If none of these change between
+/// snapshots (and no adjacent link does), the answer is still valid — the
+/// invariant the standing-query layer's pair-level incrementality rests on.
 pub type DepSet = BTreeSet<NodeId>;
 
-/// A memoised exploration result: the disposition partition plus the
-/// dependency set its exploration touched.
-type MemoEntry = (Arc<DispositionRows>, Arc<DepSet>);
-
-/// The analysis context: a dataplane with per-node match classes
-/// precomputed.
+/// The analysis context: a dataplane, its per-node match classes, and the
+/// forwarding-equivalence-class index built from them on first use.
 pub struct ForwardingAnalysis {
     nodes: BTreeMap<NodeId, NodeState>,
     dp: Dataplane,
-    /// Memoised disposition partitions per (entry node, scope), each with
-    /// the dependency set its exploration touched. The baseline side of a
-    /// differential sweep asks the same question once per variant;
-    /// computing it once amortises the whole sweep.
-    // mfv-lint: allow(D1, probed by (node, scope) key only; iteration order never observed)
-    memo: Mutex<HashMap<(NodeId, IpSet), MemoEntry>>,
-    memo_hits: AtomicUsize,
-    memo_misses: AtomicUsize,
+    /// Built once, by whichever query arrives first; immutable after, so
+    /// any number of threads read it without synchronisation.
+    index: OnceLock<ClassIndex>,
+    /// Queries answered from the index. `SeqCst`: a cross-thread total
+    /// that lands in deterministic dumps.
+    lookups: AtomicUsize,
     /// Classes computed locally (not served by a [`ClassCache`]).
     classes_built: usize,
 }
@@ -204,19 +198,17 @@ fn effective_classes(fib: &Fib) -> NodeClasses {
     for e in &entries {
         trie.insert(e.prefix, ());
     }
-    let mut covered = IpSet::empty();
     let mut classes = Vec::with_capacity(entries.len());
     for e in &entries {
         let mut eff = IpSet::from_prefix(&e.prefix);
         for hole in trie.max_descendants(&e.prefix) {
             eff = eff.subtract(&IpSet::from_prefix(&hole));
         }
-        covered = covered.union(&IpSet::from_prefix(&e.prefix));
         if !eff.is_empty() {
             classes.push((eff, (*e).clone()));
         }
     }
-    NodeClasses { classes, covered }
+    NodeClasses { classes }
 }
 
 impl ForwardingAnalysis {
@@ -241,37 +233,72 @@ impl ForwardingAnalysis {
                     Arc::new(effective_classes(&node.fib()))
                 }
             };
-            let mut addresses = IpSet::empty();
-            for a in &node.addresses {
-                addresses = addresses.union(&IpSet::single(*a));
-            }
             nodes.insert(
                 name.clone(),
                 NodeState {
                     fib: node.fib(),
                     classes,
-                    addresses,
-                    up: node.up,
                 },
             );
         }
         ForwardingAnalysis {
             nodes,
             dp: dp.clone(),
-            // mfv-lint: allow(D1, memo is probed by key only; iteration order never observed)
-            memo: Mutex::new(HashMap::new()),
-            memo_hits: AtomicUsize::new(0),
-            memo_misses: AtomicUsize::new(0),
+            index: OnceLock::new(),
+            lookups: AtomicUsize::new(0),
             classes_built,
         }
     }
 
-    /// `(hits, misses)` of the per-(entry, scope) disposition memo.
+    /// The class index, built on first use. Threads that arrive during
+    /// the build wait for it; every later call is a plain read.
+    fn index(&self) -> &ClassIndex {
+        self.index.get_or_init(|| {
+            let inputs = self
+                .dp
+                .nodes
+                .iter()
+                .filter_map(|(name, node)| {
+                    let state = self.nodes.get(name)?;
+                    Some((
+                        name.clone(),
+                        NodeInput {
+                            classes: &state.classes,
+                            addresses: &node.addresses,
+                            up: node.up,
+                        },
+                    ))
+                })
+                .collect();
+            ClassIndex::build(&inputs, &self.dp.links)
+        })
+    }
+
+    fn lookup(&self) -> &ClassIndex {
+        self.lookups.fetch_add(1, Ordering::SeqCst);
+        self.index()
+    }
+
+    /// Forces the index build (a no-op once built) and returns the number
+    /// of packet classes it answers for: the rows of every entry node's
+    /// full-destination-space partition.
+    pub fn warm(&self) -> usize {
+        self.index().partition_rows()
+    }
+
+    /// The class index's shape (all zero until something builds it) and
+    /// the number of queries answered from it.
+    pub fn index_stats(&self) -> IndexStats {
+        IndexStats {
+            lookups: self.lookups.load(Ordering::SeqCst),
+            ..self.index.get().map(ClassIndex::stats).unwrap_or_default()
+        }
+    }
+
+    /// `(lookups answered from the built index, class fates computed)`.
     pub fn memo_stats(&self) -> (usize, usize) {
-        (
-            self.memo_hits.load(Ordering::Relaxed),
-            self.memo_misses.load(Ordering::Relaxed),
-        )
+        let stats = self.index_stats();
+        (stats.lookups, stats.fates_computed)
     }
 
     /// Flushes this analysis' counters into `obs`. Pass the [`ClassCache`]
@@ -279,9 +306,15 @@ impl ForwardingAnalysis {
     pub fn observe_into(&self, obs: &mut mfv_obs::Obs, cache: Option<&ClassCache>) {
         let m = &mut obs.metrics;
         m.inc("verify.classes.built", self.classes_built as u64);
-        let (mh, mm) = self.memo_stats();
-        m.inc("verify.memo.hits", mh as u64);
-        m.inc("verify.memo.misses", mm as u64);
+        let stats = self.index_stats();
+        m.inc("verify.index.atoms", stats.atoms as u64);
+        m.inc("verify.index.classes", stats.classes as u64);
+        m.inc("verify.index.cyclic_classes", stats.cyclic_classes as u64);
+        m.inc("verify.index.fates_computed", stats.fates_computed as u64);
+        m.inc("verify.index.lookups", stats.lookups as u64);
+        if let Some(index) = self.index.get() {
+            obs.wall.add_phase("verify.index.build", index.build_micros);
+        }
         if let Some(c) = cache {
             let (ch, cm) = c.stats();
             m.inc("verify.classes.cache_hits", ch as u64);
@@ -297,144 +330,26 @@ impl ForwardingAnalysis {
         self.nodes.keys().cloned().collect()
     }
 
-    /// Exhaustively computes the fate of every destination in `dst`,
-    /// for packets entering the network at `from`.
-    pub fn dispositions_from(&self, from: &NodeId, dst: &IpSet) -> Vec<(IpSet, Disposition)> {
-        self.dispositions_from_shared(from, dst).as_ref().clone()
+    /// Exhaustively computes the fate of every destination in `dst`, for
+    /// packets entering the network at `from`: the node's partition of
+    /// the full destination space, restricted to `dst`.
+    pub fn dispositions_from(&self, from: &NodeId, dst: &IpSet) -> DispositionRows {
+        self.lookup().rows(from, dst)
     }
 
-    /// Memoised variant of [`ForwardingAnalysis::dispositions_from`]
-    /// returning a shared handle; repeated queries for the same
-    /// (entry, scope) pair are computed once per analysis.
-    pub fn dispositions_from_shared(&self, from: &NodeId, dst: &IpSet) -> Arc<DispositionRows> {
-        self.dispositions_from_deps(from, dst).0
-    }
-
-    /// Like [`ForwardingAnalysis::dispositions_from_shared`], but also
-    /// returns the dependency set: every node the exploration consulted
+    /// Like [`ForwardingAnalysis::dispositions_from`], but also returns
+    /// the dependency set: every node the answer was derived from
     /// (including the entry node and any down/missing node encountered).
     /// The standing-query layer keys verdict reuse on this set.
-    pub fn dispositions_from_deps(
-        &self,
-        from: &NodeId,
-        dst: &IpSet,
-    ) -> (Arc<DispositionRows>, Arc<DepSet>) {
-        let key = (from.clone(), dst.clone());
-        // Same poison-recovery rationale as `ClassCache::classes_for`.
-        if let Some((rows, deps)) = self
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(rows), Arc::clone(deps));
-        }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let mut visited = Vec::new();
-        let mut deps = DepSet::new();
-        // The entry node is always a dependency, even for an empty scope.
-        deps.insert(from.clone());
-        let mut out = self.explore(from, dst.clone(), &mut visited, &mut deps);
-        // Canonical order for stable comparison.
-        out.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.ranges().cmp(b.0.ranges())));
-        let rows = Arc::new(coalesce(out));
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert((rows, Arc::new(deps)))
-            .clone()
+    pub fn dispositions_from_deps(&self, from: &NodeId, dst: &IpSet) -> (DispositionRows, DepSet) {
+        let index = self.lookup();
+        (index.rows(from, dst), index.deps(from, dst))
     }
 
-    /// Point query: the fate of one packet `(from, dst)`, answered by a
-    /// class lookup in the memoised full-space partition for `from`. The
-    /// first query per entry node computes the partition; every subsequent
-    /// point query for that node is a scan over its O(classes) rows rather
-    /// than a fresh graph walk — the batching idiom the serve front end
-    /// relies on.
+    /// Point query: the fate of one packet `(from, dst)` — a binary
+    /// search for the address's class, then one table read.
     pub fn fate_of(&self, from: &NodeId, dst: Ipv4Addr) -> Disposition {
-        let rows = self.dispositions_from_shared(from, &IpSet::full());
-        for (set, disp) in rows.iter() {
-            if set.contains(dst) {
-                return disp.clone();
-            }
-        }
-        // Unreachable: the partition covers the full space. Conservative
-        // fallback rather than a panic (P1).
-        Disposition::NoRoute(from.clone())
-    }
-
-    fn explore(
-        &self,
-        node: &NodeId,
-        dst: IpSet,
-        visited: &mut Vec<NodeId>,
-        deps: &mut DepSet,
-    ) -> Vec<(IpSet, Disposition)> {
-        if dst.is_empty() {
-            return Vec::new();
-        }
-        deps.insert(node.clone());
-        let Some(state) = self.nodes.get(node) else {
-            return vec![(dst, Disposition::NodeDown(node.clone()))];
-        };
-        if !state.up {
-            return vec![(dst, Disposition::NodeDown(node.clone()))];
-        }
-        let mut out = Vec::new();
-
-        // Local delivery first.
-        let accepted = dst.intersect(&state.addresses);
-        if !accepted.is_empty() {
-            out.push((accepted.clone(), Disposition::Accepted(node.clone())));
-        }
-        let mut rest = dst.subtract(&accepted);
-        if rest.is_empty() {
-            return out;
-        }
-
-        // Loop check: transit through an already-visited node.
-        if visited.contains(node) {
-            out.push((rest, Disposition::Loop(node.clone())));
-            return out;
-        }
-        visited.push(node.clone());
-
-        // Unrouted remainder.
-        let unrouted = rest.subtract(&state.classes.covered);
-        if !unrouted.is_empty() {
-            out.push((unrouted.clone(), Disposition::NoRoute(node.clone())));
-            rest = rest.subtract(&unrouted);
-        }
-
-        for (eff, entry) in &state.classes.classes {
-            let cls = rest.intersect(eff);
-            if cls.is_empty() {
-                continue;
-            }
-            if entry.next_hops.is_empty() {
-                out.push((cls, Disposition::NullRoute(node.clone())));
-                continue;
-            }
-            // Explore every ECMP branch; merge their verdicts per subclass.
-            let mut branch_results: Vec<Vec<(IpSet, Disposition)>> = Vec::new();
-            for nh in &entry.next_hops {
-                match self.dp.peer_of(node, &nh.iface) {
-                    Some((peer, _)) => {
-                        let peer = peer.clone();
-                        branch_results.push(self.explore(&peer, cls.clone(), visited, deps));
-                    }
-                    None => {
-                        branch_results
-                            .push(vec![(cls.clone(), Disposition::ExitsNetwork(node.clone()))]);
-                    }
-                }
-            }
-            out.extend(merge_branches(node, branch_results));
-        }
-        visited.pop();
-        out
+        self.lookup().fate_of(from, dst)
     }
 
     /// Single-packet trace with full hop recording (ECMP: first next hop,
@@ -444,7 +359,8 @@ impl ForwardingAnalysis {
         let mut node = from.clone();
         let mut seen: Vec<NodeId> = Vec::new();
         loop {
-            let Some(state) = self.nodes.get(&node) else {
+            let live = self.dp.nodes.get(&node).filter(|n| n.up);
+            let (Some(state), Some(live)) = (self.nodes.get(&node), live) else {
                 hops.push(TraceHop {
                     node: node.clone(),
                     egress: None,
@@ -454,17 +370,7 @@ impl ForwardingAnalysis {
                     disposition: Disposition::NodeDown(node),
                 };
             };
-            if !state.up {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NodeDown(node),
-                };
-            }
-            if state.addresses.contains(dst) {
+            if live.addresses.contains(&dst) {
                 hops.push(TraceHop {
                     node: node.clone(),
                     egress: None,
@@ -522,61 +428,6 @@ impl ForwardingAnalysis {
             }
         }
     }
-}
-
-/// Are two fates equivalent for ECMP purposes? Delivery must land at the
-/// same node; failures of the same kind are equivalent wherever they occur
-/// (flow hashing picks one branch — the *observable* fate class matters).
-fn equivalent(a: &Disposition, b: &Disposition) -> bool {
-    match (a, b) {
-        (Disposition::Accepted(x), Disposition::Accepted(y)) => x == y,
-        (Disposition::NoRoute(_), Disposition::NoRoute(_))
-        | (Disposition::NullRoute(_), Disposition::NullRoute(_))
-        | (Disposition::ExitsNetwork(_), Disposition::ExitsNetwork(_))
-        | (Disposition::NodeDown(_), Disposition::NodeDown(_))
-        | (Disposition::Loop(_), Disposition::Loop(_))
-        | (Disposition::EcmpDivergent(_), Disposition::EcmpDivergent(_)) => true,
-        _ => false,
-    }
-}
-
-/// Merges per-branch verdicts: where branches agree the verdict stands;
-/// where they disagree the class is ECMP-divergent.
-fn merge_branches(
-    node: &NodeId,
-    mut branches: Vec<Vec<(IpSet, Disposition)>>,
-) -> Vec<(IpSet, Disposition)> {
-    let Some(mut acc) = branches.pop() else {
-        return Vec::new();
-    };
-    while let Some(next) = branches.pop() {
-        let mut merged = Vec::new();
-        for (set_a, disp_a) in &acc {
-            for (set_b, disp_b) in &next {
-                let inter = set_a.intersect(set_b);
-                if inter.is_empty() {
-                    continue;
-                }
-                if equivalent(disp_a, disp_b) {
-                    merged.push((inter, disp_a.clone()));
-                } else {
-                    merged.push((inter, Disposition::EcmpDivergent(node.clone())));
-                }
-            }
-        }
-        acc = merged;
-    }
-    acc
-}
-
-/// Coalesces adjacent result rows with the same disposition.
-fn coalesce(rows: Vec<(IpSet, Disposition)>) -> Vec<(IpSet, Disposition)> {
-    let mut by_disp: BTreeMap<Disposition, IpSet> = BTreeMap::new();
-    for (set, disp) in rows {
-        let entry = by_disp.entry(disp).or_insert_with(IpSet::empty);
-        *entry = entry.union(&set);
-    }
-    by_disp.into_iter().map(|(d, s)| (s, d)).collect()
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! which is precisely what lets the paper compare the two worlds with one
 //! Differential Reachability query.
 //!
-//! - [`graph`] — symbolic packet-class propagation ([`ForwardingAnalysis`])
+//! - [`graph`] — symbolic packet-class analysis ([`ForwardingAnalysis`])
+//! - `index` — the forwarding-equivalence-class index every query reads:
+//!   atoms → classes → one next-hop graph walk per class
 //! - [`queries`] — the query library (differential reachability,
 //!   reachability, loops, black holes, multipath consistency, traceroute)
 //! - [`coverage`] — coverage-qualified answers over partially-extracted
@@ -18,6 +20,7 @@
 
 pub mod coverage;
 pub mod graph;
+mod index;
 pub mod queries;
 pub mod standing;
 
@@ -38,6 +41,7 @@ pub use graph::{
     ClassCache, DepSet, Disposition, DispositionRows, ForwardingAnalysis, NodeClasses, Trace,
     TraceHop,
 };
+pub use index::IndexStats;
 pub use queries::{
     blackholes_from_with_deps, deliverability_changes, detect_blackholes, detect_blackholes_with,
     detect_loops, detect_loops_with, detect_multipath_inconsistency, differential_reachability,

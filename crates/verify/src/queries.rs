@@ -7,12 +7,11 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use mfv_dataplane::Dataplane;
 use mfv_types::{IpSet, NodeId};
 
-use crate::graph::{DepSet, Disposition, ForwardingAnalysis, Trace};
+use crate::graph::{DepSet, Disposition, DispositionRows, ForwardingAnalysis, Trace};
 
 /// One row of a differential-reachability report: a class of packets whose
 /// fate differs between the two snapshots, for traffic entering at `src`.
@@ -53,8 +52,8 @@ pub fn differential_reachability(
 
 /// [`differential_reachability`] over prebuilt analyses. A what-if sweep
 /// builds the baseline analysis once and passes it here for every variant,
-/// so the baseline's dispositions (memoised inside [`ForwardingAnalysis`])
-/// and per-node classes are computed a single time for the whole sweep.
+/// so the baseline's class index and per-node classes are computed a
+/// single time for the whole sweep.
 pub fn differential_reachability_with(
     fa_before: &ForwardingAnalysis,
     fa_after: &ForwardingAnalysis,
@@ -68,8 +67,8 @@ pub fn differential_reachability_with(
         if !fa_after.dataplane().nodes.contains_key(&src) {
             continue;
         }
-        let rows_before = fa_before.dispositions_from_shared(&src, scope);
-        let rows_after = fa_after.dispositions_from_shared(&src, scope);
+        let rows_before = fa_before.dispositions_from(&src, scope);
+        let rows_after = fa_after.dispositions_from(&src, scope);
         // Pairwise intersect the two partitions; differing fates are
         // findings.
         for (set_b, disp_b) in rows_before.iter() {
@@ -127,10 +126,11 @@ pub fn reachability(
     src: &NodeId,
     dst_node: &NodeId,
 ) -> ReachabilityReport {
-    reachability_with_deps(fa, src, dst_node).0
+    let rows = fa.dispositions_from(src, &addresses_of(fa, dst_node));
+    reachability_report(src, dst_node, rows)
 }
 
-/// [`reachability`] plus the dependency set of the exploration. The
+/// [`reachability`] plus the dependency set of the answer. The
 /// answer is valid until one of the returned nodes (or `dst_node` itself,
 /// whose addresses define the query's scope, or a link adjacent to a
 /// dependency) changes — the reuse contract of the standing-query layer.
@@ -138,33 +138,40 @@ pub fn reachability_with_deps(
     fa: &ForwardingAnalysis,
     src: &NodeId,
     dst_node: &NodeId,
-) -> (ReachabilityReport, Arc<DepSet>) {
-    let mut dst_set = IpSet::empty();
-    if let Some(node) = fa.dataplane().nodes.get(dst_node) {
-        for a in &node.addresses {
-            dst_set = dst_set.union(&IpSet::single(*a));
-        }
-    }
-    let (rows, deps) = fa.dispositions_from_deps(src, &dst_set);
+) -> (ReachabilityReport, DepSet) {
+    let (rows, deps) = fa.dispositions_from_deps(src, &addresses_of(fa, dst_node));
+    (reachability_report(src, dst_node, rows), deps)
+}
+
+/// The addresses `node` owns (none if the snapshot lacks it).
+fn addresses_of(fa: &ForwardingAnalysis, node: &NodeId) -> IpSet {
+    let owned = fa.dataplane().nodes.get(node).map(|n| &n.addresses);
+    address_set(owned.into_iter().flatten())
+}
+
+fn address_set<'a>(addresses: impl Iterator<Item = &'a Ipv4Addr>) -> IpSet {
+    IpSet::from_ranges(addresses.map(|a| (u32::from(*a), u32::from(*a))))
+}
+
+fn reachability_report(
+    src: &NodeId,
+    dst_node: &NodeId,
+    rows: DispositionRows,
+) -> ReachabilityReport {
     let mut delivered = IpSet::empty();
     let mut failed = Vec::new();
-    for (set, disp) in rows.iter() {
-        match disp {
-            Disposition::Accepted(node) if node == dst_node => {
-                delivered = delivered.union(set);
-            }
-            _ => failed.push((set.clone(), disp.clone())),
+    for (set, disp) in rows {
+        match &disp {
+            Disposition::Accepted(node) if node == dst_node => delivered = set,
+            _ => failed.push((set, disp)),
         }
     }
-    (
-        ReachabilityReport {
-            src: src.clone(),
-            dst_node: dst_node.clone(),
-            delivered,
-            failed,
-        },
-        deps,
-    )
+    ReachabilityReport {
+        src: src.clone(),
+        dst_node: dst_node.clone(),
+        delivered,
+        failed,
+    }
 }
 
 /// All-pairs reachability over node loopback/owned addresses. Returns the
@@ -206,35 +213,34 @@ pub fn detect_loops(dp: &Dataplane) -> Vec<LoopFinding> {
     detect_loops_with(&ForwardingAnalysis::new(dp))
 }
 
-/// [`detect_loops`] over a prebuilt analysis (standing-query path). Each
-/// per-source walk goes through the shared class index
-/// ([`ForwardingAnalysis::dispositions_from_deps`]) so repeated and
-/// incremental callers share one partition per source.
+/// [`detect_loops`] over a prebuilt analysis (standing-query path).
 pub fn detect_loops_with(fa: &ForwardingAnalysis) -> Vec<LoopFinding> {
     let mut out = Vec::new();
     for src in fa.node_names() {
-        out.extend(loops_from_with_deps(fa, &src).0);
+        let rows = fa.dispositions_from(&src, &IpSet::full());
+        out.extend(loop_findings(&src, rows));
     }
     out
 }
 
-/// The looping classes for one entry node, with the walk's dependency set.
-pub fn loops_from_with_deps(
-    fa: &ForwardingAnalysis,
-    src: &NodeId,
-) -> (Vec<LoopFinding>, Arc<DepSet>) {
+/// The looping classes for one entry node, with their dependency set.
+pub fn loops_from_with_deps(fa: &ForwardingAnalysis, src: &NodeId) -> (Vec<LoopFinding>, DepSet) {
     let (rows, deps) = fa.dispositions_from_deps(src, &IpSet::full());
+    (loop_findings(src, rows), deps)
+}
+
+fn loop_findings(src: &NodeId, rows: DispositionRows) -> Vec<LoopFinding> {
     let mut out = Vec::new();
-    for (set, disp) in rows.iter() {
+    for (dsts, disp) in rows {
         if let Disposition::Loop(at) = disp {
             out.push(LoopFinding {
                 src: src.clone(),
-                dsts: set.clone(),
-                at: at.clone(),
+                dsts,
+                at,
             });
         }
     }
-    (out, deps)
+    out
 }
 
 /// A black hole: traffic toward an address some node *owns* is dropped
@@ -256,51 +262,44 @@ pub fn detect_blackholes(dp: &Dataplane) -> Vec<BlackHoleFinding> {
 /// layer compares it across snapshots because a scope change invalidates
 /// every per-source black-hole answer at once.
 pub fn owned_address_scope(fa: &ForwardingAnalysis) -> IpSet {
-    let mut owned = IpSet::empty();
-    for node in fa.dataplane().nodes.values() {
-        if !node.up {
-            continue;
-        }
-        for a in &node.addresses {
-            owned = owned.union(&IpSet::single(*a));
-        }
-    }
-    owned
+    let up = fa.dataplane().nodes.values().filter(|n| n.up);
+    address_set(up.flat_map(|n| &n.addresses))
 }
 
-/// [`detect_blackholes`] over a prebuilt analysis (standing-query path),
-/// routed through the shared class index per source.
+/// [`detect_blackholes`] over a prebuilt analysis (standing-query path).
 pub fn detect_blackholes_with(fa: &ForwardingAnalysis) -> Vec<BlackHoleFinding> {
     let owned = owned_address_scope(fa);
     let mut out = Vec::new();
     for src in fa.node_names() {
-        out.extend(blackholes_from_with_deps(fa, &src, &owned).0);
+        let rows = fa.dispositions_from(&src, &owned);
+        out.extend(blackhole_findings(&src, rows));
     }
     out
 }
 
 /// The black-hole classes for one entry node over the `owned` scope, with
-/// the walk's dependency set.
+/// their dependency set.
 pub fn blackholes_from_with_deps(
     fa: &ForwardingAnalysis,
     src: &NodeId,
     owned: &IpSet,
-) -> (Vec<BlackHoleFinding>, Arc<DepSet>) {
+) -> (Vec<BlackHoleFinding>, DepSet) {
     let (rows, deps) = fa.dispositions_from_deps(src, owned);
+    (blackhole_findings(src, rows), deps)
+}
+
+fn blackhole_findings(src: &NodeId, rows: DispositionRows) -> Vec<BlackHoleFinding> {
     let mut out = Vec::new();
-    for (set, disp) in rows.iter() {
-        match disp {
-            Disposition::NoRoute(at) | Disposition::NullRoute(at) => {
-                out.push(BlackHoleFinding {
-                    src: src.clone(),
-                    dsts: set.clone(),
-                    dropped_at: at.clone(),
-                });
-            }
-            _ => {}
+    for (dsts, disp) in rows {
+        if let Disposition::NoRoute(dropped_at) | Disposition::NullRoute(dropped_at) = disp {
+            out.push(BlackHoleFinding {
+                src: src.clone(),
+                dsts,
+                dropped_at,
+            });
         }
     }
-    (out, deps)
+    out
 }
 
 /// Classes whose fate depends on which ECMP branch a flow hashes to.

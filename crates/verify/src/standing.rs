@@ -15,7 +15,7 @@
 //!
 //! - **Pair level:** each (src, dst) reachability pair and each per-source
 //!   loop/black-hole walk keeps its last answer together with the
-//!   dependency set its exploration touched ([`crate::graph::DepSet`]).
+//!   dependency set it was derived from ([`crate::graph::DepSet`]).
 //!   On the next tick the layer diffs per-node `(fib digest, up,
 //!   addresses)` keys plus the link set, and re-evaluates only the pairs
 //!   whose dependencies intersect the changed nodes. A quiet tick does
@@ -30,7 +30,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use mfv_dataplane::Dataplane;
 use mfv_types::{IpSet, LinkId, NodeId, SimTime};
@@ -89,14 +88,14 @@ struct NodeKey {
 
 /// Cached answer for one (src, dst) reachability pair.
 struct PairState {
-    deps: Arc<DepSet>,
+    deps: DepSet,
     /// `Some` iff the pair was not fully reachable at last evaluation.
     failed: Option<ReachabilityReport>,
 }
 
 /// Cached per-source answer for a loop or black-hole walk.
 struct SrcState<T> {
-    deps: Arc<DepSet>,
+    deps: DepSet,
     findings: Vec<T>,
 }
 

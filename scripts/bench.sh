@@ -29,18 +29,3 @@ echo "==> running engine scenario suite"
 echo "==> BENCH_emulator.json"
 cat BENCH_emulator.json
 
-# The query front end rides the same gate: only the --smoke flag carries
-# over (engine_bench's other flags don't apply to the load generator).
-query_flags=()
-for f in "$@"; do
-  [ "$f" = "--smoke" ] && query_flags+=(--smoke)
-done
-
-echo "==> building query_bench (release)"
-cargo build -q --release -p mfv-bench --bin query_bench
-
-echo "==> running query front-end load generator"
-./target/release/query_bench --out BENCH_queries.json "${query_flags[@]+"${query_flags[@]}"}"
-
-echo "==> BENCH_queries.json"
-cat BENCH_queries.json

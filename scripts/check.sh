@@ -98,4 +98,7 @@ cmp tests/fixtures/serve_smoke.golden "$obs_tmp/serve_answers.txt" || {
   exit 1
 }
 
+echo "==> pipeline-smoke: every benchmark workload's checks and pinned answers at seconds scale"
+cargo run --release --offline --quiet --manifest-path pipeline_bench/Cargo.toml -- --all --smoke >/dev/null
+
 echo "==> all checks passed"

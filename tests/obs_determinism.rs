@@ -7,11 +7,12 @@
 
 use model_free_verification::core::{observed_query, scenarios, EmulationBackend};
 use model_free_verification::obs::Obs;
-use model_free_verification::verify::unreachable_pairs;
+use model_free_verification::verify::{unreachable_pairs_with, ForwardingAnalysis};
 
 /// One observed pipeline run: a seeded six-node emulation with a flaky
 /// management plane (so retry/backoff tallies are non-trivial), extraction,
-/// and one observed verification query.
+/// and one observed verification query whose analysis flushes its class
+/// index counters.
 fn observed_run(seed: u64) -> Obs {
     let mut obs = Obs::new();
     let mut backend = EmulationBackend::with_seed(seed);
@@ -22,10 +23,12 @@ fn observed_run(seed: u64) -> Obs {
         .compute_observed(&snapshot, &mut obs)
         .expect("six-node scenario converges");
     assert!(result.meta.converged);
+    let fa = ForwardingAnalysis::new(&result.dataplane);
     let reports = observed_query(&mut obs, "verify.query.unreachable_pairs", || {
-        unreachable_pairs(&result.dataplane)
+        unreachable_pairs_with(&fa)
     });
     assert!(reports.is_empty(), "six-node scenario is fully reachable");
+    fa.observe_into(&mut obs, None);
     obs
 }
 
@@ -51,9 +54,12 @@ fn wall_section_is_present_and_separated() {
     assert!(full.contains("\"wall\""));
     // Including wall only *appends*: the deterministic prefix is unchanged.
     assert!(full.starts_with(bare.trim_end_matches("\n}\n")));
-    // The pipeline charged wall time to its stages.
+    // The pipeline charged wall time to its stages — the class index
+    // build among them, and only there.
     assert!(obs.wall.phase_micros("converge").is_some());
     assert!(obs.wall.phase_micros("extract").is_some());
+    assert!(obs.wall.phase_micros("verify.index.build").is_some());
+    assert!(!bare.contains("verify.index.build"));
 }
 
 #[test]
@@ -71,6 +77,16 @@ fn pipeline_phases_and_metrics_are_populated() {
     assert!(obs.metrics.counter("mgmt.rpc.attempts") > 0);
     assert!(obs.metrics.counter("mgmt.rpc.retries") > 0);
     assert_eq!(obs.metrics.counter("verify.query.unreachable_pairs"), 1);
+    // The index's shape and use: 6 nodes × 5 destinations looked up once
+    // each, every (class, node) fate computed at build time.
+    assert_eq!(obs.metrics.counter("verify.index.lookups"), 30);
+    let classes = obs.metrics.counter("verify.index.classes");
+    assert!(classes > 0 && classes <= obs.metrics.counter("verify.index.atoms"));
+    assert_eq!(
+        obs.metrics.counter("verify.index.fates_computed"),
+        classes * 6
+    );
+    assert_eq!(obs.metrics.counter("verify.index.cyclic_classes"), 0);
     assert!(obs.metrics.hist("engine.wake_depth").is_some());
     // The flaky collector's backoff waits land in the extract sim span.
     let extract = obs.phases.get("extract").expect("extract span");
