@@ -1,6 +1,6 @@
-//! The experiment harness: one runner per paper artifact (§5 results E1–E6,
+//! The experiment harness: one runner per paper artifact (§5 results E1–E7,
 //! §6 ablations A1–A3). The `experiments` binary prints their outputs as
-//! paper-vs-measured tables; the Criterion benches time their hot paths.
+//! paper-vs-measured tables.
 
 use std::collections::BTreeMap;
 
@@ -9,11 +9,9 @@ use mfv_core::{
     BackendMeta, DiffFinding, EmulationBackend, ModelBackend, Snapshot,
 };
 use mfv_dataplane::Dataplane;
-use mfv_emulator::{
-    outcome_distribution, run_seeds, Cluster, Emulation, EmulationConfig, ShardMode,
-};
+use mfv_emulator::{outcome_distribution, run_seeds, Cluster, EmulationConfig, SeedRun};
 use mfv_model::UnrecognizedKind;
-use mfv_types::{IpSet, NodeId, SimDuration};
+use mfv_types::{NodeId, SimDuration};
 use mfv_vrouter::{VendorBugs, VendorProfile};
 
 // ---------------------------------------------------------------------------
@@ -258,7 +256,10 @@ pub fn run_a1(seeds: &[u64]) -> A1Result {
     // process, so the oldest-path tiebreak picks whichever arrived first.
     let snapshot = a1_topology();
     let cfg = EmulationConfig::default();
-    let runs = run_seeds(&snapshot.topology, Cluster::single_node, &cfg, seeds);
+    let runs: Vec<SeedRun> = run_seeds(&snapshot.topology, Cluster::single_node, &cfg, seeds)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("every seed runs");
     let distribution = outcome_distribution(&runs);
     // Consistency at the *service* level: the anycast address is delivered in
     // every run — which replica wins is exactly the ordering-dependent part.
@@ -423,254 +424,6 @@ pub fn run_a3(seed: u64) -> A3Result {
 }
 
 // ---------------------------------------------------------------------------
-// Engine performance rig — the emulation engine's own hot path (message
-// dispatch, polling, convergence detection), measured as wall time plus the
-// engine's work counters so every future change has a perf trajectory to
-// answer to. `scripts/bench.sh` runs these via the `engine_bench` binary and
-// emits `BENCH_emulator.json`.
-// ---------------------------------------------------------------------------
-
-/// One engine scenario run: wall time plus the engine's own work counters.
-#[derive(Clone, Debug)]
-pub struct EngineRunStats {
-    pub wall: std::time::Duration,
-    pub converged: bool,
-    pub events_processed: u64,
-    /// Events pushed onto the engine's priority queue — the scheduling-cost
-    /// metric the demand-driven scheduler is judged on (wake-set polls
-    /// never enter the heap).
-    pub events_scheduled: u64,
-    pub messages_delivered: u64,
-    /// Full observability snapshot of the run (metrics, phases, journal,
-    /// wall) — the `--obs-json` payload of `engine_bench`.
-    pub obs: mfv_obs::Obs,
-}
-
-/// The engine-bench scenario suite: a micro fan-out workload (a line where
-/// every LSP floods end to end), the a2/e1 verification topologies, and the
-/// §5 60-router grid. Smoke mode shrinks the grid so CI can run the rig in
-/// seconds.
-pub fn engine_scenarios(smoke: bool) -> Vec<(&'static str, Snapshot)> {
-    let mut suite = vec![
-        ("fanout_line16", scenarios::isis_line(16)),
-        ("a2_six_node", scenarios::six_node()),
-        ("e1_line3", scenarios::three_node_line_fig3()),
-    ];
-    if smoke {
-        suite.push(("grid_3x2", scenarios::isis_grid(3, 2)));
-    } else {
-        suite.push(("grid60", scenarios::isis_grid(10, 6)));
-    }
-    suite
-}
-
-/// Boots the scenario on a single-machine cluster and runs it to
-/// convergence, timing only the event loop (construction and validation are
-/// not the hot path under measurement).
-pub fn run_engine_scenario(snapshot: &Snapshot, seed: u64) -> EngineRunStats {
-    let cfg = EmulationConfig {
-        seed,
-        ..Default::default()
-    };
-    let mut emu = Emulation::new(snapshot.topology.clone(), Cluster::single_node(), cfg)
-        .expect("bench scenario validates");
-    let t = std::time::Instant::now();
-    let report = emu.run_until_converged();
-    EngineRunStats {
-        wall: t.elapsed(),
-        converged: report.converged,
-        events_processed: report.events_processed,
-        events_scheduled: report.events_scheduled,
-        messages_delivered: report.messages_delivered,
-        obs: emu.export_obs(),
-    }
-}
-
-/// One sharded-engine run: the usual stats plus the converged dataplane
-/// digest (for cross-thread-count byte-identity checks) and the shard
-/// count the partitioner actually produced.
-pub struct ShardedRunStats {
-    pub stats: EngineRunStats,
-    pub digest: u64,
-    pub shards: usize,
-}
-
-/// The sharded-engine scaling suite, each entry `(name, snapshot,
-/// machines)`. `cluster1000` is the paper's 1,000-router deployment,
-/// modelled as a 20-region WAN (50 routers per region: IS-IS + route
-/// reflection inside each region, an eBGP ring between them) packed onto a
-/// 17-machine cluster; `grid60_sharded` is the §5 grid cut across four
-/// machines so the thread matrix has a mid-size point. Smoke mode swaps in
-/// a 12-router three-region slice on two machines so CI boots the same
-/// code path — region partitioning, cross-shard eBGP, policed
-/// redistribution — in seconds.
-pub fn sharded_scenarios(smoke: bool) -> Vec<(&'static str, Snapshot, usize, ShardMode)> {
-    // A machine packs 64 router pods, so the small scenarios would collapse
-    // to one placement-derived shard; they pin a Fixed cut instead so the
-    // matrix exercises the barrier pool. `cluster1000` overflows 16
-    // machines and uses the honest placement partition.
-    if smoke {
-        vec![(
-            "cluster12",
-            scenarios::regional_wan(3, 4),
-            2,
-            ShardMode::Fixed(2),
-        )]
-    } else {
-        vec![
-            (
-                "grid60_sharded",
-                scenarios::isis_grid(10, 6),
-                4,
-                ShardMode::Fixed(4),
-            ),
-            (
-                "cluster1000",
-                scenarios::regional_wan(20, 50),
-                17,
-                ShardMode::Auto,
-            ),
-        ]
-    }
-}
-
-/// Like [`run_engine_scenario`], but on an `machines`-machine cluster with
-/// the engine's worker pool sized to `threads` (shards follow the cluster
-/// placement). Thread count is an execution knob, never a behaviour knob,
-/// so callers assert the returned digest is identical across the matrix.
-pub fn run_engine_scenario_sharded(
-    snapshot: &Snapshot,
-    seed: u64,
-    machines: usize,
-    threads: usize,
-    shards: ShardMode,
-) -> ShardedRunStats {
-    let cfg = EmulationConfig {
-        seed,
-        threads,
-        shards,
-        ..Default::default()
-    };
-    let cluster = if machines <= 1 {
-        Cluster::single_node()
-    } else {
-        Cluster::of_size(machines)
-    };
-    let mut emu =
-        Emulation::new(snapshot.topology.clone(), cluster, cfg).expect("bench scenario validates");
-    let t = std::time::Instant::now();
-    let report = emu.run_until_converged();
-    let stats = EngineRunStats {
-        wall: t.elapsed(),
-        converged: report.converged,
-        events_processed: report.events_processed,
-        events_scheduled: report.events_scheduled,
-        messages_delivered: report.messages_delivered,
-        obs: emu.export_obs(),
-    };
-    ShardedRunStats {
-        stats,
-        digest: emu.dataplane().digest(),
-        shards: emu.shard_count(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Continuous-verification rig — the watcher + standing-query loop under a
-// fixed chaos schedule (link flap, routing kill, machine failure). Measures
-// wall time plus the robustness counters the watcher is judged on: verdict
-// latency (device change → re-verified verdict, in sim time), gap/resync
-// totals, and whether coverage recovered by the end of the window.
-// ---------------------------------------------------------------------------
-
-/// One continuous-verification run: wall time plus watcher/verdict counters.
-#[derive(Clone, Debug)]
-pub struct WatchRunStats {
-    pub wall: std::time::Duration,
-    pub converged: bool,
-    /// Did every stream end the window fully covered?
-    pub recovered: bool,
-    pub verdict_updates: u64,
-    pub gaps: u64,
-    pub resyncs: u64,
-    pub session_losses: u64,
-    /// Raw sim-time verdict latencies (ms), one per delta-triggered
-    /// evaluation — exact percentiles, not histogram buckets.
-    pub latencies_ms: Vec<u64>,
-    pub obs: mfv_obs::Obs,
-}
-
-/// The watch-bench scenario: the §5 60-router grid watched for 60 s of sim
-/// time (smoke: a 3×2 grid for 30 s). Chaos hits all three fault classes.
-pub fn watch_scenario(smoke: bool) -> (&'static str, Snapshot) {
-    if smoke {
-        ("watch_3x2", scenarios::isis_grid(3, 2))
-    } else {
-        ("watch60", scenarios::isis_grid(10, 6))
-    }
-}
-
-/// Runs the continuous-verification loop over `snapshot` with a fixed
-/// three-fault chaos schedule and a mildly lossy telemetry stream.
-pub fn run_watch_scenario(snapshot: &Snapshot, seed: u64, smoke: bool) -> WatchRunStats {
-    use mfv_emulator::ChaosPlan;
-    use mfv_types::SimTime;
-
-    let link = snapshot.topology.links[0].id();
-    let victim = snapshot.topology.nodes[snapshot.topology.nodes.len() / 2]
-        .name
-        .clone();
-    // Two machines so a machine failure degrades the network instead of
-    // erasing it; node-1 hosts the later-scheduled half of the pods.
-    let cfg = mfv_core::WatchRunConfig {
-        backend: EmulationBackend {
-            cluster_machines: 2,
-            seed,
-            ..Default::default()
-        },
-        watch: mfv_mgmt::WatchConfig {
-            seed,
-            faults: mfv_mgmt::StreamFaultModel {
-                drop_pct: 10,
-                session_loss_pct: 2,
-            },
-            ..Default::default()
-        },
-        chaos: ChaosPlan::new()
-            .link_flap(link, SimTime(5_000), SimDuration::from_secs(8))
-            .kill_routing(victim, SimTime(20_000))
-            .fail_machine("node-1", SimTime(35_000)),
-        tick: SimDuration::from_secs(1),
-        duration: SimDuration::from_secs(if smoke { 30 } else { 60 }),
-    };
-    let mut obs = mfv_obs::Obs::new();
-    let t = std::time::Instant::now();
-    let report = mfv_core::run_watch(snapshot, &cfg, &mut obs).expect("watch scenario runs");
-    WatchRunStats {
-        wall: t.elapsed(),
-        converged: report.converged,
-        recovered: report.final_coverage.is_complete(),
-        verdict_updates: report.verdict_updates.len() as u64,
-        gaps: report.stats.gaps,
-        resyncs: report.stats.resyncs,
-        session_losses: report.stats.session_losses,
-        latencies_ms: report.verdict_latencies_ms,
-        obs,
-    }
-}
-
-/// Exact percentile over raw samples (nearest-rank); 0 for an empty set.
-pub fn percentile_ms(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-// ---------------------------------------------------------------------------
 // E7 — static analysis cross-validated against emulation (mfv-conflint)
 // ---------------------------------------------------------------------------
 
@@ -728,11 +481,6 @@ pub fn run_e7(seed: u64) -> Vec<E7Row> {
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
-
-/// The full destination scope used by reachability summaries.
-pub fn loopback_scope() -> IpSet {
-    IpSet::from_prefix(&"2.2.2.0/24".parse().unwrap())
-}
 
 /// Prints a two-column "paper vs measured" comparison row.
 pub fn paper_row(label: &str, paper: &str, measured: &str) {

@@ -18,7 +18,7 @@ use mfv_model::CoverageReport;
 use mfv_types::{ExtractionStatus, NodeId, SimDuration};
 use mfv_vrouter::VendorProfile;
 
-use crate::extract::extract_snapshot_observed;
+use crate::extract::extract_snapshot;
 use crate::snapshot::Snapshot;
 
 /// Why a backend could not produce a dataplane.
@@ -242,7 +242,7 @@ impl EmulationBackend {
         // The extraction step of §4.1: dump per-device AFTs through the
         // management plane and rebuild the network dataplane from them —
         // we deliberately do NOT shortcut via the emulator's internal state.
-        let extracted = extract_snapshot_observed(&emu, &self.collector, obs);
+        let extracted = extract_snapshot(&emu, &self.collector, obs);
         if self.collector.failures.is_noop() && extracted.is_complete() {
             debug_assert_eq!(
                 extracted.dataplane.digest(),

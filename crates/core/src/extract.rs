@@ -40,14 +40,11 @@ impl ExtractedSnapshot {
 /// rescheduled — report `Missing("no router instance")`; nodes whose RPC
 /// path fails past the collector's retry budget report `Missing` with the
 /// exhaustion reason. Never panics, never aborts the sweep.
-pub fn extract_snapshot(emu: &Emulation, collector: &Collector) -> ExtractedSnapshot {
-    extract_snapshot_observed(emu, collector, &mut mfv_obs::Obs::new())
-}
-
-/// Like [`extract_snapshot`], but flushes collector tallies (`mgmt.*`
-/// metrics) and the `extract` phase span — sim time from the emulation's
-/// current clock, wall time from a local stopwatch — into `obs`.
-pub fn extract_snapshot_observed(
+///
+/// Flushes collector tallies (`mgmt.*` metrics) and the `extract` phase
+/// span — sim time from the emulation's current clock, wall time from a
+/// local stopwatch — into `obs`.
+pub fn extract_snapshot(
     emu: &Emulation,
     collector: &Collector,
     obs: &mut mfv_obs::Obs,

@@ -41,12 +41,12 @@ pub use backend::{
     Backend, BackendError, BackendMeta, BackendResult, ConflintGate, ConflintSummary,
     EmulationBackend, ModelBackend,
 };
-pub use extract::{extract_snapshot, extract_snapshot_observed, ExtractedSnapshot};
+pub use extract::{extract_snapshot, ExtractedSnapshot};
 pub use snapshot::Snapshot;
 pub use watch::{run_watch, WatchReport, WatchRunConfig};
 pub use whatif::{
-    link_cut_context_count, link_cut_contexts, verify_link_cuts, verify_link_cuts_detailed,
-    CutVerdict, SweepError, SweepReport,
+    link_cut_context_count, link_cut_contexts, verify_link_cuts_detailed, CutVerdict, SweepError,
+    SweepReport,
 };
 
 // Re-export the observability sink so pipeline callers need only `mfv-core`.
@@ -55,7 +55,7 @@ pub use mfv_obs as obs;
 // Re-export the query surface so downstream users need only `mfv-core`.
 pub use mfv_verify::observed_query;
 pub use mfv_verify::{
-    deliverability_changes, detect_blackholes, detect_loops, detect_multipath_inconsistency,
+    deliverability_changes, detect_loops, detect_multipath_inconsistency,
     differential_reachability, differential_reachability_with, disposition_summary,
     qualified_reachability, qualified_unreachable_pairs, reachability, traceroute,
     unreachable_pairs, ClassCache, Coverage, DiffFinding, Disposition, ForwardingAnalysis,

@@ -991,7 +991,8 @@ mod extension_tests {
             "customer prefix of region 2 must be reachable from region 0"
         );
         assert!(
-            r.fib().lookup(super::loopback(1 * 4 + 2 + 1)).is_some(),
+            // loopback(r * per_region + i + 1) at r = 1, per_region = 4, i = 2.
+            r.fib().lookup(super::loopback(4 + 2 + 1)).is_some(),
             "region 1 loopbacks must be exported around the ring"
         );
     }

@@ -257,8 +257,7 @@ mod tests {
         let last = a
             .verdict_updates
             .iter()
-            .filter(|u| u.query == "reachability")
-            .next_back()
+            .rfind(|u| u.query == "reachability")
             .unwrap();
         assert!(last.verdict.holds, "{}", a.journal_text);
 

@@ -156,26 +156,6 @@ pub fn verify_link_cuts_detailed(
     })
 }
 
-/// [`verify_link_cuts_detailed`] with the original all-or-nothing shape:
-/// the first failed context aborts the result.
-pub fn verify_link_cuts(
-    snapshot: &Snapshot,
-    backend: &EmulationBackend,
-    contexts: Vec<Vec<LinkId>>,
-    scope: Option<&IpSet>,
-) -> Result<Vec<CutVerdict>, BackendError> {
-    verify_link_cuts_detailed(snapshot, backend, contexts, scope)?
-        .verdicts
-        .into_iter()
-        .map(|r| {
-            r.map_err(|e| match e {
-                SweepError::Backend(b) => b,
-                SweepError::Panic(msg) => BackendError(msg),
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,22 +183,6 @@ mod tests {
         for c in &contexts {
             assert_eq!(c.len(), 2);
             assert!(seen.insert(c.clone()), "duplicate context {c:?}");
-        }
-    }
-
-    #[test]
-    fn detailed_sweep_matches_plain_sweep() {
-        let s = scenarios::six_node();
-        let backend = EmulationBackend::default();
-        let contexts = link_cut_contexts(&s, 1);
-        let plain = verify_link_cuts(&s, &backend, contexts.clone(), None).unwrap();
-        let detailed = verify_link_cuts_detailed(&s, &backend, contexts, None).unwrap();
-        assert_eq!(plain.len(), detailed.verdicts.len());
-        for (p, d) in plain.iter().zip(&detailed.verdicts) {
-            let d = d.as_ref().expect("context verified");
-            assert_eq!(p.cuts, d.cuts);
-            assert_eq!(p.findings, d.findings);
-            assert_eq!(p.lost_reachability, d.lost_reachability);
         }
     }
 

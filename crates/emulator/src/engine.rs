@@ -62,8 +62,9 @@ pub enum ShardMode {
     /// single-heap engine.
     Auto,
     /// Exactly `n` shards of contiguous, equally-sized node ranges (in
-    /// interned name order). Used by benches to scale the thread matrix
-    /// independently of the cluster model.
+    /// interned name order). The reference partition of
+    /// `tests/shard_determinism.rs`, which cuts networks too small to
+    /// overflow one machine so their runs still cross shard boundaries.
     Fixed(usize),
 }
 

@@ -45,7 +45,7 @@ impl std::error::Error for SeedError {}
 /// parallelism), returning per-seed outcomes in seed order. A panic or
 /// setup error in one run is caught and reported as that seed's [`SeedError`]
 /// instead of aborting the whole sweep.
-pub fn run_seeds_detailed(
+pub fn run_seeds(
     topology: &Topology,
     make_cluster: impl Fn() -> Cluster + Sync,
     base_cfg: &EmulationConfig,
@@ -76,21 +76,6 @@ pub fn run_seeds_detailed(
         }
     })
     .collect()
-}
-
-/// [`run_seeds_detailed`] with the original infallible shape: panics if any
-/// seed failed (callers that can tolerate partial results should use the
-/// detailed variant).
-pub fn run_seeds(
-    topology: &Topology,
-    make_cluster: impl Fn() -> Cluster + Sync,
-    base_cfg: &EmulationConfig,
-    seeds: &[u64],
-) -> Vec<SeedRun> {
-    run_seeds_detailed(topology, make_cluster, base_cfg, seeds)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
 }
 
 /// Groups runs by converged-dataplane digest: the observable distribution of

@@ -4,8 +4,8 @@ use std::net::Ipv4Addr;
 
 use mfv_config::{IfaceSpec, RouterSpec, Vendor};
 use mfv_emulator::{
-    outcome_distribution, run_seeds, run_seeds_detailed, Cluster, Emulation, EmulationConfig,
-    ExternalPeerSpec, NodeSpec, Topology,
+    outcome_distribution, run_seeds, Cluster, Emulation, EmulationConfig, ExternalPeerSpec,
+    NodeSpec, SeedRun, Topology,
 };
 use mfv_types::{AsNum, LinkId, NodeId, RouteProtocol};
 use mfv_vrouter::{VendorBugs, VendorProfile};
@@ -309,7 +309,10 @@ fn cli_works_against_running_emulation() {
 #[test]
 fn parallel_seed_runs_produce_consistent_reachability() {
     let topo = line3_topology();
-    let runs = run_seeds(&topo, Cluster::single_node, &quick_cfg(0), &[1, 2, 3, 4]);
+    let runs: Vec<SeedRun> = run_seeds(&topo, Cluster::single_node, &quick_cfg(0), &[1, 2, 3, 4])
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("every seed runs");
     assert_eq!(runs.len(), 4);
     for run in &runs {
         assert!(run.report.converged, "seed {}: {:?}", run.seed, run.report);
@@ -323,15 +326,17 @@ fn parallel_seed_runs_produce_consistent_reachability() {
 }
 
 #[test]
-fn detailed_seed_runs_match_plain_and_stay_in_order() {
+fn seed_runs_replay_identically_and_stay_in_order() {
     let topo = line3_topology();
-    let plain = run_seeds(&topo, Cluster::single_node, &quick_cfg(0), &[5, 6, 7]);
-    let detailed = run_seeds_detailed(&topo, Cluster::single_node, &quick_cfg(0), &[5, 6, 7]);
-    assert_eq!(detailed.len(), 3);
-    for (p, d) in plain.iter().zip(&detailed) {
-        let d = d.as_ref().expect("seed run succeeds");
-        assert_eq!(p.seed, d.seed);
-        assert_eq!(p.dataplane.digest(), d.dataplane.digest());
+    let seeds = [5, 6, 7];
+    let first = run_seeds(&topo, Cluster::single_node, &quick_cfg(0), &seeds);
+    let second = run_seeds(&topo, Cluster::single_node, &quick_cfg(0), &seeds);
+    assert_eq!(first.len(), 3);
+    for ((a, b), seed) in first.iter().zip(&second).zip(seeds) {
+        let a = a.as_ref().expect("seed run succeeds");
+        let b = b.as_ref().expect("seed run succeeds");
+        assert_eq!((a.seed, b.seed), (seed, seed));
+        assert_eq!(a.dataplane.digest(), b.dataplane.digest());
     }
 }
 
@@ -341,7 +346,7 @@ fn seed_worker_panic_is_confined_to_its_seed() {
     // A cluster factory that panics poisons every run that calls it — but
     // each failure must surface as that seed's error, not tear down the
     // sweep or the test harness.
-    let results = run_seeds_detailed(
+    let results = run_seeds(
         &topo,
         || panic!("cluster provisioning exploded"),
         &quick_cfg(0),

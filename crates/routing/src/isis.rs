@@ -733,11 +733,13 @@ mod tests {
         IsisEngine::new(cfg)
     }
 
+    /// One end of a test link: (engine index, iface).
+    type End = (usize, IfaceId);
+
     /// A tiny in-test harness wiring engines over named links.
     struct Net {
         engines: Vec<IsisEngine>,
-        /// (engine index, iface) <-> (engine index, iface)
-        links: Vec<((usize, IfaceId), (usize, IfaceId))>,
+        links: Vec<(End, End)>,
         now: SimTime,
     }
 
@@ -790,11 +792,7 @@ mod tests {
         }
     }
 
-    fn peer_of(
-        links: &[((usize, IfaceId), (usize, IfaceId))],
-        node: usize,
-        iface: &IfaceId,
-    ) -> Option<(usize, IfaceId)> {
+    fn peer_of(links: &[(End, End)], node: usize, iface: &IfaceId) -> Option<End> {
         for ((a, ai), (b, bi)) in links {
             if *a == node && ai == iface {
                 return Some((*b, bi.clone()));

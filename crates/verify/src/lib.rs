@@ -43,8 +43,8 @@ pub use graph::{
 };
 pub use index::IndexStats;
 pub use queries::{
-    blackholes_from_with_deps, deliverability_changes, detect_blackholes, detect_blackholes_with,
-    detect_loops, detect_loops_with, detect_multipath_inconsistency, differential_reachability,
+    blackholes_from_with_deps, deliverability_changes, detect_blackholes_with, detect_loops,
+    detect_loops_with, detect_multipath_inconsistency, differential_reachability,
     differential_reachability_with, disposition_summary, loops_from_with_deps, owned_address_scope,
     reachability, reachability_with_deps, traceroute, unreachable_pairs, unreachable_pairs_with,
     BlackHoleFinding, DiffFinding, LoopFinding, ReachabilityReport,

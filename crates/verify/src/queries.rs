@@ -252,11 +252,6 @@ pub struct BlackHoleFinding {
     pub dropped_at: NodeId,
 }
 
-/// Searches for black holes toward owned addresses.
-pub fn detect_blackholes(dp: &Dataplane) -> Vec<BlackHoleFinding> {
-    detect_blackholes_with(&ForwardingAnalysis::new(dp))
-}
-
 /// The "should be reachable" space: every address owned by an up node.
 /// This is the scope black-hole detection checks; the standing-query
 /// layer compares it across snapshots because a scope change invalidates
@@ -266,7 +261,7 @@ pub fn owned_address_scope(fa: &ForwardingAnalysis) -> IpSet {
     address_set(up.flat_map(|n| &n.addresses))
 }
 
-/// [`detect_blackholes`] over a prebuilt analysis (standing-query path).
+/// Searches a prebuilt analysis for black holes toward owned addresses.
 pub fn detect_blackholes_with(fa: &ForwardingAnalysis) -> Vec<BlackHoleFinding> {
     let owned = owned_address_scope(fa);
     let mut out = Vec::new();
@@ -473,7 +468,7 @@ mod tests {
         // But r1/r2 traffic to r3's address loops (not a blackhole), while
         // any *other* owned address... give r1 an owned address that r2
         // lacks a route to:
-        let blackholes = detect_blackholes(&dp);
+        let blackholes = detect_blackholes_with(&ForwardingAnalysis::new(&dp));
         // r1→9.9.9.9 loops, so not a blackhole; r2 has no route to nothing
         // else. r3 has no route toward anything → drops at r3.
         assert!(blackholes

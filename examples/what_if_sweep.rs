@@ -12,7 +12,8 @@
 //! combinatorial wall for larger k.
 
 use mfv_core::{
-    link_cut_context_count, link_cut_contexts, scenarios, verify_link_cuts, EmulationBackend,
+    link_cut_context_count, link_cut_contexts, scenarios, verify_link_cuts_detailed, CutVerdict,
+    EmulationBackend,
 };
 
 fn main() {
@@ -36,7 +37,12 @@ fn main() {
     let backend = EmulationBackend::default();
     let contexts = link_cut_contexts(&snapshot, 1);
     let t = std::time::Instant::now();
-    let verdicts = verify_link_cuts(&snapshot, &backend, contexts, None).expect("sweep runs");
+    let verdicts: Vec<CutVerdict> = verify_link_cuts_detailed(&snapshot, &backend, contexts, None)
+        .expect("baseline computes")
+        .verdicts
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("every context verified");
     println!("swept {} contexts in {:?}\n", verdicts.len(), t.elapsed());
 
     for v in &verdicts {

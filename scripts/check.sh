@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy (default members, deny warnings)"
-cargo clippy -- -D warnings
+echo "==> cargo clippy (every crate and target, test code included, deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> mfv-lint (determinism & panic-safety rules + suppression inventory)"
 cargo run -q -p mfv-lint
@@ -20,14 +20,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> obs-smoke: same-seed double run must dump byte-identical obs JSON"
-cargo build --release -q -p mfv-bench
+echo "==> obs-smoke: same-seed chaos run, twice, must dump byte-identical obs JSON"
+cargo build --release -q --example chaos_run --example watch_run
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
 for run in a b; do
-  target/release/engine_bench --smoke \
-    --out "$obs_tmp/bench_$run.json" \
-    --obs-json "$obs_tmp/obs_$run.json" --obs-exclude-wall 2>/dev/null
+  target/release/examples/chaos_run \
+    --obs-json "$obs_tmp/obs_$run.json" --obs-exclude-wall >/dev/null
 done
 cmp "$obs_tmp/obs_a.json" "$obs_tmp/obs_b.json" || {
   echo "obs-smoke FAILED: deterministic obs dumps differ between same-seed runs" >&2
@@ -35,23 +34,7 @@ cmp "$obs_tmp/obs_a.json" "$obs_tmp/obs_b.json" || {
   exit 1
 }
 
-echo "==> shard-smoke: obs dumps must be byte-identical across worker-thread counts"
-# The smoke suite's sharded scenario (a three-region WAN slice on two
-# shards) runs once per thread count; worker threads are an execution
-# knob, never a behaviour knob, so the full obs dump must not move.
-for t in 1 2; do
-  target/release/engine_bench --smoke --threads "$t" \
-    --out "$obs_tmp/bench_t$t.json" \
-    --obs-json "$obs_tmp/obs_t$t.json" --obs-exclude-wall 2>/dev/null
-done
-cmp "$obs_tmp/obs_t1.json" "$obs_tmp/obs_t2.json" || {
-  echo "shard-smoke FAILED: obs dumps differ between 1- and 2-thread runs" >&2
-  diff "$obs_tmp/obs_t1.json" "$obs_tmp/obs_t2.json" >&2 || true
-  exit 1
-}
-
 echo "==> watch-smoke: same-seed chaos watch must replay byte-identically"
-cargo build --release -q --example watch_run
 for run in a b; do
   target/release/examples/watch_run \
     --seed 7 --grid 4x3 --duration-secs 45 --drop-pct 20 \
@@ -100,5 +83,11 @@ cmp tests/fixtures/serve_smoke.golden "$obs_tmp/serve_answers.txt" || {
 
 echo "==> pipeline-smoke: every benchmark workload's checks and pinned answers at seconds scale"
 cargo run --release --offline --quiet --manifest-path pipeline_bench/Cargo.toml -- --all --smoke >/dev/null
+
+echo "==> lock files: nothing above may have rewritten a committed (or staged) lock"
+git diff --exit-code -- Cargo.lock pipeline_bench/Cargo.lock || {
+  echo "lock check FAILED: a build rewrote a stale lock file; stage or commit it with the dependency edit" >&2
+  exit 1
+}
 
 echo "==> all checks passed"

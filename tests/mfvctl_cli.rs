@@ -107,3 +107,25 @@ fn missing_file_is_a_clean_error() {
     assert!(!ok);
     assert!(err.contains("cannot read"), "{err}");
 }
+
+/// Worker threads are an execution knob, never a behaviour knob: two
+/// separate processes differing only in `--threads` print the same bytes.
+/// (Six routers pack onto one machine, so this pins the flag's plumbing;
+/// multi-shard byte-identity is `tests/shard_determinism.rs`.)
+#[test]
+fn run_output_is_identical_across_thread_counts() {
+    let run = |threads: &str| {
+        let (out, err, ok) = mfvctl(&[
+            "run",
+            "examples/topologies/six-node.json",
+            "--machines",
+            "2",
+            "--threads",
+            threads,
+        ]);
+        assert!(ok, "{err}");
+        assert!(out.contains("converged:   true"), "{out}");
+        out
+    };
+    assert_eq!(run("1"), run("2"));
+}
