@@ -196,12 +196,13 @@ struct Global {
     /// processed (`Σ shard.chaos_processed` catches up) — a fault applied
     /// to the canonical state but not yet felt by its shard is in flight.
     chaos_injected: u64,
-    /// Scheduled-but-unfired PodReady instants per node (the coordinator
-    /// schedules every one itself, so boot completion is detected at exact
-    /// sim instants regardless of shard layout). A node evicted by a
-    /// machine failure keeps any already-scheduled future instant — the
-    /// stale event still boots a fresh router, as it did on one heap.
-    pending_ready: BTreeMap<NodeRef, BTreeSet<SimTime>>,
+    /// Scheduled-but-unfired PodReady `(instant, node)` pairs in firing
+    /// order (the coordinator schedules every one itself, so boot
+    /// completion is detected at exact sim instants regardless of shard
+    /// layout). A node evicted by a machine failure keeps any
+    /// already-scheduled future instant — the stale event still boots a
+    /// fresh router, as it did on one heap.
+    pending_ready: BTreeSet<(SimTime, NodeRef)>,
     /// Mirror of the shards' ready marks.
     ready: BTreeSet<NodeRef>,
     now: SimTime,
@@ -389,7 +390,7 @@ impl Emulation {
             oseq: 0,
             chaos_pending: 0,
             chaos_injected: 0,
-            pending_ready: BTreeMap::new(),
+            pending_ready: BTreeSet::new(),
             ready: BTreeSet::new(),
             now: SimTime::ZERO,
             t_max: SimTime::ZERO,
@@ -471,9 +472,7 @@ impl Emulation {
                     machine_of[node_ref.index()] = Some(placement.machine.clone());
                     self.glob
                         .pending_ready
-                        .entry(node_ref)
-                        .or_default()
-                        .insert(placement.ready_at);
+                        .insert((placement.ready_at, node_ref));
                 }
                 Err(e) => {
                     self.glob.unschedulable.push(e);
@@ -543,13 +542,8 @@ impl Emulation {
             .map(|id| Shard::new(id, &self.net, link_state.clone()))
             .collect();
         // Inject boot events.
-        let pending: Vec<(NodeRef, SimTime)> = self
-            .glob
-            .pending_ready
-            .iter()
-            .flat_map(|(&n, etas)| etas.iter().map(move |&e| (n, e)))
-            .collect();
-        for (node, eta) in pending {
+        let pending: Vec<(SimTime, NodeRef)> = self.glob.pending_ready.iter().copied().collect();
+        for (eta, node) in pending {
             self.inject_global(node, eta, EventKind::PodReady(node));
         }
         // External peers.
@@ -787,7 +781,7 @@ impl Emulation {
         {
             router.apply_config(parsed.config);
             for addr in router.addresses() {
-                self.net.ip_owner.insert(addr, Owner::Node(node_ref));
+                self.net.ip_owner.insert(*addr, Owner::Node(node_ref));
             }
             shard.last_activity = shard.last_activity.max(now);
             shard.schedule_poll(node_ref, SimTime(now.0 + 1));
@@ -868,7 +862,7 @@ impl Emulation {
             dp.add_node(
                 name.clone(),
                 router.fib(),
-                router.addresses(),
+                router.addresses().clone(),
                 router.is_running(),
             );
         }
@@ -956,6 +950,10 @@ impl Emulation {
         let mut rib_resyncs = 0u64;
         let mut full_refreshes = 0u64;
         let mut fib_patches = 0u64;
+        let mut spf_runs = 0u64;
+        let mut igp_delta_prefixes = 0u64;
+        let mut prefixes_resolved = 0u64;
+        let mut prefix_decisions = 0u64;
         let mut bgp_transitions = 0u64;
         let mut isis_transitions = 0u64;
         let mut running = 0i64;
@@ -971,8 +969,12 @@ impl Emulation {
             decode_errors += router.decode_errors;
             encode_errors += router.encode_errors;
             rib_resyncs += router.rib_resyncs;
-            full_refreshes += router.full_fib_refreshes;
+            full_refreshes += router.full_rebuilds;
             fib_patches += router.fib_patches;
+            spf_runs += router.spf_runs;
+            igp_delta_prefixes += router.igp_delta_prefixes;
+            prefixes_resolved += router.fib_prefixes_resolved;
+            prefix_decisions += router.bgp_prefix_decisions;
             bgp_transitions += router.bgp_session_transitions();
             isis_transitions += router.isis_adjacency_transitions();
             if router.is_running() {
@@ -984,6 +986,10 @@ impl Emulation {
         m.inc("vrouter.rib.resyncs", rib_resyncs);
         m.inc("vrouter.fib.full_refreshes", full_refreshes);
         m.inc("vrouter.fib.patches", fib_patches);
+        m.inc("vrouter.fib.prefixes_resolved", prefixes_resolved);
+        m.inc("vrouter.spf.runs", spf_runs);
+        m.inc("vrouter.igp.delta_prefixes", igp_delta_prefixes);
+        m.inc("bgp.prefix_decisions", prefix_decisions);
         m.inc("vrouter.bgp.session_transitions", bgp_transitions);
         m.inc("vrouter.isis.adjacency_transitions", isis_transitions);
         m.gauge("vrouter.running", running);
@@ -1331,10 +1337,8 @@ fn plan(
         let next_glob = glob_due.map(|g| g.0).unwrap_or(u64::MAX);
         let boot_cut = if glob.boot_complete_at.is_none() {
             glob.pending_ready
-                .values()
-                .filter_map(|etas| etas.iter().next())
-                .min()
-                .map(|e| e.0.saturating_add(1))
+                .first()
+                .map(|(eta, _)| eta.0.saturating_add(1))
                 .unwrap_or(u64::MAX)
         } else {
             u64::MAX
@@ -1483,10 +1487,7 @@ fn apply_global(
                     .schedule(&req, t, profile.boot_time, &mut glob.cluster_rng)
                 {
                     Ok(placement) => {
-                        glob.pending_ready
-                            .entry(node)
-                            .or_default()
-                            .insert(placement.ready_at);
+                        glob.pending_ready.insert((placement.ready_at, node));
                         inject(glob, sid, placement.ready_at, EventKind::PodReady(node));
                     }
                     Err(e) => {
@@ -1533,22 +1534,23 @@ fn settle(
         glob.last_ext_done = glob.last_ext_done.max(done_at);
     }
     // Boot readiness: every scheduled PodReady instant inside its shard's
-    // processed horizon has fired. Mark in (instant, node) order so boot
-    // completion lands on the exact completing instant.
-    let mut fired: Vec<(SimTime, NodeRef)> = Vec::new();
-    for (&node, etas) in glob.pending_ready.iter_mut() {
-        let sid = net.node_shard.get(node.index()).copied().unwrap_or(0);
-        let end = ends.get(sid).copied().unwrap_or(SimTime::ZERO);
-        let (done, still): (BTreeSet<SimTime>, BTreeSet<SimTime>) =
-            etas.iter().partition(|e| **e < end);
-        for e in done {
-            fired.push((e, node));
-        }
-        *etas = still;
-    }
-    glob.pending_ready.retain(|_, etas| !etas.is_empty());
-    fired.sort();
+    // processed horizon has fired. Only the instants before the furthest
+    // window end are looked at, so a barrier costs what fired, not what is
+    // still pending. Mark in (instant, node) order so boot completion lands
+    // on the exact completing instant.
+    let horizon = ends.iter().max().copied().unwrap_or(SimTime::ZERO);
+    let fired: Vec<(SimTime, NodeRef)> = glob
+        .pending_ready
+        .iter()
+        .take_while(|(eta, _)| *eta < horizon)
+        .filter(|(eta, node)| {
+            let sid = net.node_shard.get(node.index()).copied().unwrap_or(0);
+            *eta < ends.get(sid).copied().unwrap_or(SimTime::ZERO)
+        })
+        .copied()
+        .collect();
     for (eta, node) in fired {
+        glob.pending_ready.remove(&(eta, node));
         glob.ready.insert(node);
         if glob.ready.len() == glob.node_total && glob.boot_complete_at.is_none() {
             glob.boot_complete_at = Some(eta);

@@ -609,7 +609,7 @@ mod subscribe_tests {
         let r = router();
         let t = Telemetry::from_router(&r).unwrap();
         assert!(t.is_up());
-        assert_eq!(t.addresses(), r.addresses());
+        assert_eq!(&t.addresses(), r.addresses());
     }
 
     #[test]

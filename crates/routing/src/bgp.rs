@@ -19,7 +19,7 @@ use mfv_types::{AsNum, Origin, Prefix, RouteProtocol, RouterId, SimDuration, Sim
 use mfv_wire::bgp::{BgpMsg, NotificationMsg, OpenMsg, PathAttr, UpdateMsg};
 
 use crate::policy::{eval_route_map, BgpAttrs, PolicyResult};
-use crate::rib::{NextHop, RibRoute};
+use crate::rib::{keyed_inside, NextHop, RibRoute};
 
 /// Resolves protocol next hops against the IGP/connected routing state.
 /// Implemented by the router shell over its current RIB.
@@ -111,6 +111,9 @@ struct Session {
     /// When Idle: next time we may retry the OPEN.
     retry_at: SimTime,
     rib_in: BTreeMap<Prefix, RibInEntry>,
+    /// `(next hop, prefix)` for every Adj-RIB-In entry: which prefixes'
+    /// decisions an IGP change at some address can move.
+    by_next_hop: BTreeSet<(Ipv4Addr, Prefix)>,
     rib_out: BTreeMap<Prefix, BgpAttrs>,
     /// FSM state changes since the engine was built — the per-session churn
     /// signal the observability layer aggregates.
@@ -138,6 +141,7 @@ impl Session {
             last_keepalive_tx: SimTime::ZERO,
             retry_at: SimTime::ZERO,
             rib_in: BTreeMap::new(),
+            by_next_hop: BTreeSet::new(),
             rib_out: BTreeMap::new(),
             transitions: 0,
             open_seen: false,
@@ -153,12 +157,34 @@ impl Session {
         self.state = new;
     }
 
-    fn reset(&mut self, now: SimTime, retry_after: SimDuration) {
+    /// Back to Idle; returns the prefixes whose routes from this peer were
+    /// just lost (their decisions must be re-run).
+    fn reset(&mut self, now: SimTime, retry_after: SimDuration) -> Vec<Prefix> {
         self.set_state(SessionState::Idle);
-        self.rib_in.clear();
-        self.rib_out.clear();
         self.early_keepalive = false;
         self.retry_at = now + retry_after;
+        self.flush()
+    }
+
+    /// Empties both Adj-RIBs; returns the prefixes that had a route in.
+    fn flush(&mut self) -> Vec<Prefix> {
+        self.rib_out.clear();
+        self.by_next_hop.clear();
+        std::mem::take(&mut self.rib_in).into_keys().collect()
+    }
+
+    fn learn(&mut self, prefix: Prefix, entry: RibInEntry) {
+        let next_hop = entry.attrs.next_hop;
+        if let Some(old) = self.rib_in.insert(prefix, entry) {
+            self.by_next_hop.remove(&(old.attrs.next_hop, prefix));
+        }
+        self.by_next_hop.insert((next_hop, prefix));
+    }
+
+    fn forget(&mut self, prefix: &Prefix) {
+        if let Some(old) = self.rib_in.remove(prefix) {
+            self.by_next_hop.remove(&(old.attrs.next_hop, *prefix));
+        }
     }
 }
 
@@ -173,15 +199,6 @@ struct Candidate {
     peer_router_id: u32,
 }
 
-/// What changed in the engine's selection since the owner last asked.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SelectionDelta {
-    /// Everything may have changed (full recomputation ran).
-    All,
-    /// Exactly these prefixes changed selection (may be empty).
-    Prefixes(BTreeSet<Prefix>),
-}
-
 /// A route selected by the decision process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SelectedRoute {
@@ -193,6 +210,24 @@ pub struct SelectedRoute {
     pub ebgp: bool,
     /// All ECMP protocol next hops (best path's first).
     pub next_hops: Vec<Ipv4Addr>,
+}
+
+/// A selection as the RIB sees it; local originations offer nothing (the
+/// route they stand for is already there).
+fn as_rib_route(s: &SelectedRoute) -> Option<RibRoute> {
+    s.learned_from?;
+    let proto = if s.ebgp {
+        RouteProtocol::EbgpLearned
+    } else {
+        RouteProtocol::IbgpLearned
+    };
+    Some(RibRoute {
+        prefix: s.prefix,
+        proto,
+        admin_distance: mfv_types::AdminDistance::default_for(proto),
+        metric: s.attrs.med.unwrap_or(0),
+        next_hops: s.next_hops.iter().map(|nh| NextHop::Via(*nh)).collect(),
+    })
 }
 
 /// Summary of one neighbor, for `show bgp summary` and tests.
@@ -224,14 +259,15 @@ pub struct BgpEngine {
     arrival_counter: u64,
     /// Result of the last decision run.
     selected: BTreeMap<Prefix, SelectedRoute>,
-    /// Prefixes whose candidates changed since the last decision run.
-    /// Incremental recomputation keeps a million-route table from being
-    /// rescanned on every poll.
+    /// Prefixes whose candidates (or a candidate's IGP cost) changed since
+    /// the last decision run — the only ones it looks at, which keeps a
+    /// million-route table from being rescanned on every poll.
     dirty: BTreeSet<Prefix>,
-    /// Recompute everything (session churn, IGP change, first run).
-    full_dirty: bool,
-    /// Selection changes accumulated for the owner (FIB patching).
-    selection_delta: SelectionDelta,
+    /// Prefixes whose selection changed, accumulated for the owner (RIB
+    /// and FIB patching).
+    selection_delta: BTreeSet<Prefix>,
+    /// Per-prefix decisions run since the engine was built.
+    prefix_decisions: u64,
     /// Peers whose sessions (re-)established: they need the full table
     /// advertised, without forcing a global recomputation.
     full_advert_peers: BTreeSet<Ipv4Addr>,
@@ -286,8 +322,8 @@ impl BgpEngine {
             arrival_counter: 0,
             selected: BTreeMap::new(),
             dirty: BTreeSet::new(),
-            full_dirty: true,
-            selection_delta: SelectionDelta::All,
+            selection_delta: BTreeSet::new(),
+            prefix_decisions: 0,
             full_advert_peers: BTreeSet::new(),
         }
     }
@@ -311,10 +347,16 @@ impl BgpEngine {
         self.originated = new;
     }
 
-    /// Forces a full decision recomputation on the next poll (the owner
-    /// calls this when the IGP view feeding next-hop resolution changed).
-    pub fn mark_all_dirty(&mut self) {
-        self.full_dirty = true;
+    /// Tells the engine the IGP view changed at `prefixes`: what
+    /// [`NextHopResolver::igp_metric`] answers can differ only for
+    /// addresses inside one of them, so exactly the prefixes with a
+    /// received route whose next hop lies there are decided again.
+    pub fn next_hops_moved<'a>(&mut self, prefixes: impl IntoIterator<Item = &'a Prefix>) {
+        for moved in prefixes {
+            for session in self.sessions.values() {
+                self.dirty.extend(keyed_inside(&session.by_next_hop, moved));
+            }
+        }
     }
 
     /// Administratively removes a session (used by failure injection).
@@ -331,9 +373,8 @@ impl BgpEngine {
                     }),
                 ));
             }
-            let lost: Vec<Prefix> = s.rib_in.keys().copied().collect();
-            s.reset(now, SimDuration::from_secs(u64::MAX / 2_000));
-            self.dirty.extend(lost);
+            self.dirty
+                .extend(s.reset(now, SimDuration::from_secs(u64::MAX / 2_000)));
         }
     }
 
@@ -360,9 +401,8 @@ impl BgpEngine {
                             data: bytes::Bytes::new(),
                         }),
                     ));
-                    let lost: Vec<Prefix> = session.rib_in.keys().copied().collect();
-                    session.reset(now, SimDuration::from_secs(5));
-                    self.dirty.extend(lost);
+                    self.dirty
+                        .extend(session.reset(now, SimDuration::from_secs(5)));
                     return;
                 }
                 session.open_seen = true;
@@ -412,10 +452,7 @@ impl BgpEngine {
                         // A fresh OPEN on an established session means the
                         // peer restarted: drop the old session state and
                         // re-handshake so the full table is re-sent.
-                        let lost: Vec<Prefix> = session.rib_in.keys().copied().collect();
-                        session.rib_in.clear();
-                        session.rib_out.clear();
-                        self.dirty.extend(lost);
+                        self.dirty.extend(session.flush());
                         self.full_advert_peers.insert(from);
                         let our_open = OpenMsg::new(
                             self.local_as,
@@ -462,9 +499,8 @@ impl BgpEngine {
                 self.apply_update(now, from, update);
             }
             BgpMsg::Notification(_) => {
-                let lost: Vec<Prefix> = session.rib_in.keys().copied().collect();
-                session.reset(now, SimDuration::from_secs(5));
-                self.dirty.extend(lost);
+                self.dirty
+                    .extend(session.reset(now, SimDuration::from_secs(5)));
             }
         }
     }
@@ -472,7 +508,7 @@ impl BgpEngine {
     fn apply_update(&mut self, _now: SimTime, from: Ipv4Addr, update: UpdateMsg) {
         let session = self.sessions.get_mut(&from).expect("session exists");
         for p in &update.withdrawn {
-            session.rib_in.remove(p);
+            session.forget(p);
             self.dirty.insert(*p);
         }
         if update.nlri.is_empty() {
@@ -483,7 +519,7 @@ impl BgpEngine {
         // eBGP loop prevention: our AS in the path means discard.
         if ebgp && as_path.contains(self.local_as) {
             for p in &update.nlri {
-                session.rib_in.remove(p);
+                session.forget(p);
             }
             return;
         }
@@ -539,7 +575,7 @@ impl BgpEngine {
         }
         let session = self.sessions.get_mut(&from).expect("session exists");
         for (i, (prefix, attrs)) in accepted.into_iter().enumerate() {
-            session.rib_in.insert(
+            session.learn(
                 prefix,
                 RibInEntry {
                     attrs,
@@ -571,9 +607,7 @@ impl BgpEngine {
             if s.state != SessionState::Idle {
                 let hold_expired = now.since(s.last_rx) > s.hold_time;
                 if hold_expired || !peer_reachable {
-                    let lost: Vec<Prefix> = s.rib_in.keys().copied().collect();
-                    s.reset(now, self.retry);
-                    self.dirty.extend(lost);
+                    self.dirty.extend(s.reset(now, self.retry));
                     continue;
                 }
                 if s.state == SessionState::Established
@@ -606,27 +640,18 @@ impl BgpEngine {
             if matches!(s.state, SessionState::OpenSent | SessionState::OpenConfirm)
                 && now.since(s.last_rx) > self.retry.saturating_mul(5)
             {
-                let lost: Vec<Prefix> = s.rib_in.keys().copied().collect();
-                s.reset(now, self.retry);
-                self.dirty.extend(lost);
+                self.dirty.extend(s.reset(now, self.retry));
             }
         }
 
         // 2 + 3. Decision process and update generation, scoped to the
-        // prefixes whose inputs changed (None = everything).
-        let scope: Option<BTreeSet<Prefix>> = if self.full_dirty {
-            None
-        } else {
-            Some(std::mem::take(&mut self.dirty))
-        };
+        // prefixes whose inputs changed.
+        let scope = std::mem::take(&mut self.dirty);
         let full_advert = std::mem::take(&mut self.full_advert_peers);
-        let nothing_dirty = matches!(&scope, Some(s) if s.is_empty()) && full_advert.is_empty();
-        if !nothing_dirty {
-            self.run_decision(resolver, scope.as_ref());
-            self.generate_updates(scope.as_ref(), &full_advert);
+        if !scope.is_empty() || !full_advert.is_empty() {
+            self.run_decision(resolver, &scope);
+            self.generate_updates(&scope, &full_advert);
         }
-        self.full_dirty = false;
-        self.dirty.clear();
 
         self.out.drain(..).collect()
     }
@@ -666,24 +691,13 @@ impl BgpEngine {
 
     /// The currently selected BGP routes, as RIB candidates.
     pub fn rib_routes(&self) -> Vec<RibRoute> {
-        self.selected
-            .values()
-            .filter(|s| s.learned_from.is_some())
-            .map(|s| {
-                let proto = if s.ebgp {
-                    RouteProtocol::EbgpLearned
-                } else {
-                    RouteProtocol::IbgpLearned
-                };
-                RibRoute {
-                    prefix: s.prefix,
-                    proto,
-                    admin_distance: mfv_types::AdminDistance::default_for(proto),
-                    metric: s.attrs.med.unwrap_or(0),
-                    next_hops: s.next_hops.iter().map(|nh| NextHop::Via(*nh)).collect(),
-                }
-            })
-            .collect()
+        self.selected.values().filter_map(as_rib_route).collect()
+    }
+
+    /// The RIB candidate for one prefix: its selected route if that was
+    /// learned from a peer.
+    pub fn rib_route(&self, prefix: &Prefix) -> Option<RibRoute> {
+        self.selected.get(prefix).and_then(as_rib_route)
     }
 
     /// Introspection: the full selection (including local originations).
@@ -836,45 +850,51 @@ impl BgpEngine {
         })
     }
 
-    /// Recomputes the decision for `scope` prefixes (None = every prefix
-    /// with any candidate).
-    fn run_decision(&mut self, resolver: &dyn NextHopResolver, scope: Option<&BTreeSet<Prefix>>) {
-        let prefixes: Vec<Prefix> = match scope {
-            Some(set) => set.iter().copied().collect(),
-            None => {
-                self.selection_delta = SelectionDelta::All;
-                let mut all: BTreeSet<Prefix> = self.originated.keys().copied().collect();
-                for session in self.sessions.values() {
-                    if session.state == SessionState::Established {
-                        all.extend(session.rib_in.keys().copied());
-                    }
+    /// Recomputes the decision for the `scope` prefixes.
+    fn run_decision(&mut self, resolver: &dyn NextHopResolver, scope: &BTreeSet<Prefix>) {
+        self.prefix_decisions += scope.len() as u64;
+        for prefix in scope {
+            let cands = self.gather_candidates(prefix, resolver);
+            let changed = match self.select_best(*prefix, cands) {
+                Some(route) if self.selected.get(prefix) == Some(&route) => false,
+                Some(route) => {
+                    self.selected.insert(*prefix, route);
+                    true
                 }
-                // Previously-selected prefixes may need removal too.
-                all.extend(self.selected.keys().copied());
-                all.into_iter().collect()
-            }
-        };
-        for prefix in prefixes {
-            let cands = self.gather_candidates(&prefix, resolver);
-            let changed = match self.select_best(prefix, cands) {
-                Some(route) => self.selected.insert(prefix, route.clone()) != Some(route),
-                None => self.selected.remove(&prefix).is_some(),
+                None => self.selected.remove(prefix).is_some(),
             };
             if changed {
-                if let SelectionDelta::Prefixes(set) = &mut self.selection_delta {
-                    set.insert(prefix);
-                }
+                self.selection_delta.insert(*prefix);
             }
         }
     }
 
-    /// Hands the accumulated selection changes to the owner and resets the
-    /// accumulator.
-    pub fn take_selection_delta(&mut self) -> SelectionDelta {
-        std::mem::replace(
-            &mut self.selection_delta,
-            SelectionDelta::Prefixes(BTreeSet::new()),
-        )
+    /// The decision over every prefix with any candidate, from scratch:
+    /// the reference [`selected`](Self::selected) — maintained per dirty
+    /// prefix — is held to.
+    pub fn decide_all(&self, resolver: &dyn NextHopResolver) -> BTreeMap<Prefix, SelectedRoute> {
+        let mut all: BTreeSet<Prefix> = self.originated.keys().copied().collect();
+        for session in self.sessions.values() {
+            all.extend(session.rib_in.keys().copied());
+        }
+        all.into_iter()
+            .filter_map(|p| {
+                let route = self.select_best(p, self.gather_candidates(&p, resolver))?;
+                Some((p, route))
+            })
+            .collect()
+    }
+
+    /// Hands the prefixes whose selection changed since the last call to
+    /// the owner.
+    pub fn take_selection_delta(&mut self) -> BTreeSet<Prefix> {
+        std::mem::take(&mut self.selection_delta)
+    }
+
+    /// Per-prefix decisions run since the engine was built (the work
+    /// counter behind `bgp.prefix_decisions`).
+    pub fn prefix_decisions(&self) -> u64 {
+        self.prefix_decisions
     }
 
     /// The attributes this session should advertise for `route`, or `None`
@@ -939,26 +959,12 @@ impl BgpEngine {
 
     /// Diffs the desired advertisements against each session's Adj-RIB-Out
     /// and queues UPDATE messages, scoped to the changed prefixes.
-    fn generate_updates(
-        &mut self,
-        scope: Option<&BTreeSet<Prefix>>,
-        full_advert: &BTreeSet<Ipv4Addr>,
-    ) {
+    fn generate_updates(&mut self, scope: &BTreeSet<Prefix>, full_advert: &BTreeSet<Ipv4Addr>) {
         let local_as = self.local_as;
         let route_maps = std::mem::take(&mut self.route_maps);
         let prefix_lists = std::mem::take(&mut self.prefix_lists);
 
-        // Prefix universe for the incremental diff.
-        let prefixes: Vec<Prefix> = match scope {
-            Some(set) => set.iter().copied().collect(),
-            None => {
-                let mut all: BTreeSet<Prefix> = self.selected.keys().copied().collect();
-                for session in self.sessions.values() {
-                    all.extend(session.rib_out.keys().copied());
-                }
-                all.into_iter().collect()
-            }
-        };
+        let prefixes: Vec<Prefix> = scope.iter().copied().collect();
 
         // RR-client provenance resolver (cheap per-route lookup).
         let rr_clients: BTreeSet<Ipv4Addr> = self

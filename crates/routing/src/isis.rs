@@ -5,6 +5,7 @@
 //! Poll-based like [`crate::bgp::BgpEngine`]: PDUs in via
 //! [`IsisEngine::push_pdu`], PDUs out via [`IsisEngine::poll`].
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -113,11 +114,8 @@ pub struct IsisEngine {
     /// caller can encode the PDU once and fan the bytes out, instead of
     /// re-encoding per interface.
     out: VecDeque<(Vec<IfaceId>, IsisPdu)>,
-    /// SPF result cache, invalidated on any LSDB/adjacency change.
-    routes_cache: Option<Vec<RibRoute>>,
-    /// Bumped on every cache invalidation; callers can skip re-reading
-    /// (and re-installing) routes when the version is unchanged.
-    routes_version: u64,
+    /// The LSDB or an adjacency changed since SPF last ran.
+    routes_stale: bool,
 }
 
 impl IsisEngine {
@@ -134,8 +132,7 @@ impl IsisEngine {
             lsdb: BTreeMap::new(),
             own_seq: 0,
             out: VecDeque::new(),
-            routes_cache: None,
-            routes_version: 0,
+            routes_stale: false,
         };
         engine.regenerate_own_lsp();
         engine
@@ -201,7 +198,7 @@ impl IsisEngine {
             ],
         };
         self.lsdb.insert(lsp.lsp_id, lsp.clone());
-        self.invalidate_routes();
+        self.routes_stale = true;
         // Flood to all Up adjacencies.
         let up_ifaces: Vec<IfaceId> = self
             .adjacencies
@@ -366,7 +363,7 @@ impl IsisEngine {
                     checksum: lsp.checksum(),
                 };
                 self.lsdb.insert(lsp.lsp_id, lsp.clone());
-                self.invalidate_routes();
+                self.routes_stale = true;
                 self.out.push_back((
                     vec![iface.clone()],
                     IsisPdu::Psnp(Psnp {
@@ -531,152 +528,175 @@ impl IsisEngine {
             .collect()
     }
 
-    /// Drops the SPF cache and bumps the version callers key off.
-    fn invalidate_routes(&mut self) {
-        self.routes_cache = None;
-        self.routes_version = self.routes_version.wrapping_add(1);
+    /// True when the next [`take_route_changes`](Self::take_route_changes)
+    /// will run SPF: an LSP or adjacency moved since the last one.
+    pub fn routes_stale(&self) -> bool {
+        self.routes_stale
     }
 
-    /// Monotone stamp of the SPF result: unchanged version means `routes()`
-    /// would return exactly what it returned last time, so the caller can
-    /// skip the call (and the RIB churn) entirely.
-    pub fn routes_version(&self) -> u64 {
-        self.routes_version
-    }
-
-    /// Runs SPF and returns IS-IS routes for the RIB. Cached until the LSDB
-    /// or adjacency set changes.
-    pub fn routes(&mut self) -> Vec<RibRoute> {
-        if let Some(cached) = &self.routes_cache {
-            return cached.clone();
+    /// Runs SPF if its inputs moved and returns how the result differs from
+    /// `installed` — the IS-IS routes the owner's RIB holds, in prefix
+    /// order — as `(prefix, Some(route))` to install or replace and
+    /// `(prefix, None)` to withdraw, in prefix order. The engine keeps no
+    /// copy of its last result: the RIB's is the one there is.
+    pub fn take_route_changes<'a>(
+        &mut self,
+        installed: impl Iterator<Item = (&'a Prefix, &'a RibRoute)>,
+    ) -> Vec<(Prefix, Option<RibRoute>)> {
+        if !std::mem::take(&mut self.routes_stale) {
+            return Vec::new();
         }
-        let routes = self.spf();
-        self.routes_cache = Some(routes.clone());
-        routes
+        let (first_hops, table) = self.spf();
+        let mut installed = installed.peekable();
+        let mut changes = Vec::new();
+        for (prefix, (metric, hops)) in &table {
+            while let Some((gone, _)) = installed.next_if(|(p, _)| *p < prefix) {
+                changes.push((*gone, None));
+            }
+            // Compared hop by hop so an unchanged route (the common case:
+            // one LSP moves a handful of prefixes) allocates nothing.
+            let unchanged = installed
+                .next_if(|(p, _)| *p == prefix)
+                .is_some_and(|(_, old)| {
+                    old.metric == *metric
+                        && old.next_hops.len() == hops.len()
+                        && old.next_hops.iter().zip(hops).all(|(nh, h)| {
+                            let hop = &first_hops[usize::from(*h)];
+                            matches!(nh, NextHop::ViaIface(addr, iface)
+                            if *addr == hop.addr && iface == hop.iface)
+                        })
+                });
+            if !unchanged {
+                let route = rib_route(*prefix, *metric, hops, &first_hops);
+                changes.push((*prefix, Some(route)));
+            }
+        }
+        changes.extend(installed.map(|(gone, _)| (*gone, None)));
+        changes
+    }
+
+    /// A fresh SPF's IS-IS routes for the RIB, in prefix order, whatever
+    /// is installed: the from-scratch reference for
+    /// [`take_route_changes`](Self::take_route_changes).
+    pub fn routes(&self) -> Vec<RibRoute> {
+        let (first_hops, table) = self.spf();
+        table
+            .iter()
+            .map(|(prefix, (metric, hops))| rib_route(*prefix, *metric, hops, &first_hops))
+            .collect()
     }
 
     /// Dijkstra over the LSDB with a bidirectional connectivity check.
-    fn spf(&self) -> Vec<RibRoute> {
-        // Adjacency edges from each system, via its LSP.
-        let neighbors_of = |sys: SystemId| -> Vec<IsNeighbor> {
-            self.lsdb
-                .get(&LspId::of(sys))
-                .map(|l| l.is_neighbors())
-                .unwrap_or_default()
-        };
-        let bidirectional =
-            |a: SystemId, b: SystemId| -> bool { neighbors_of(b).iter().any(|n| n.neighbor == a) };
-
-        // First hops: our Up adjacencies.
-        let first_hops: Vec<(SystemId, IfaceId, Ipv4Addr, u32)> = self
+    /// Returns the first hops (our Up adjacencies) and, per reachable
+    /// prefix, its metric and the equal-cost first hops as indices into
+    /// that list.
+    fn spf(&self) -> (Vec<FirstHop<'_>>, SpfTable) {
+        let first_hops: Vec<FirstHop> = self
             .adjacencies
             .iter()
             .filter_map(
                 |(iface, adj)| match (adj.state, adj.neighbor, adj.neighbor_addr) {
-                    (AdjState::Up, Some(n), Some(addr)) => {
-                        let metric = self.iface_cfg(iface).map(|c| c.metric).unwrap_or(10);
-                        Some((n, iface.clone(), addr, metric))
-                    }
+                    (AdjState::Up, Some(neighbor), Some(addr)) => Some(FirstHop {
+                        neighbor,
+                        iface,
+                        addr,
+                        metric: self.iface_cfg(iface).map(|c| c.metric).unwrap_or(10),
+                    }),
                     _ => None,
                 },
             )
             .collect();
 
-        // Dijkstra: distance + set of equal-cost first hops per system.
-        #[derive(PartialEq, Eq)]
-        struct QueueItem(u32, SystemId);
-        impl Ord for QueueItem {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other.0.cmp(&self.0).then_with(|| other.1.cmp(&self.1))
-            }
-        }
-        impl PartialOrd for QueueItem {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
+        // One pass over the LSDB: systems in id order (so a dense index
+        // orders like a `SystemId`), each with its LSP and its adjacency
+        // edges by index. An edge to a system without an LSP could never
+        // pass the bidirectional check, so it is dropped here.
+        let lsps: Vec<&Lsp> = self
+            .lsdb
+            .iter()
+            .filter(|(id, _)| **id == LspId::of(id.system))
+            .map(|(_, lsp)| lsp)
+            .collect();
+        let index_of = |sys: SystemId| lsps.binary_search_by_key(&sys, |l| l.lsp_id.system).ok();
+        let edges: Vec<Vec<(usize, u32)>> = lsps
+            .iter()
+            .map(|lsp| {
+                lsp.is_neighbors()
+                    .filter_map(|n| Some((index_of(n.neighbor)?, n.metric)))
+                    .collect()
+            })
+            .collect();
+        let bidirectional = |a: usize, b: usize| edges[b].iter().any(|(n, _)| *n == a);
+        // Our own LSP is installed at construction and never leaves.
+        let Some(me) = index_of(self.cfg.system_id) else {
+            return (first_hops, SpfTable::new());
+        };
 
-        let me = self.cfg.system_id;
-        let mut dist: BTreeMap<SystemId, u32> = BTreeMap::new();
-        let mut hops: BTreeMap<SystemId, Vec<(IfaceId, Ipv4Addr)>> = BTreeMap::new();
-        let mut heap = BinaryHeap::new();
-
-        dist.insert(me, 0);
-        heap.push(QueueItem(0, me));
-        for (n, iface, addr, metric) in &first_hops {
-            if !bidirectional(me, *n) {
+        // Dijkstra: distance + equal-cost first hops (in discovery order)
+        // per system.
+        let mut dist: Vec<u32> = vec![u32::MAX; lsps.len()];
+        let mut hops: Vec<Vec<u16>> = vec![Vec::new(); lsps.len()];
+        let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+        dist[me] = 0;
+        for (h, fh) in first_hops.iter().enumerate() {
+            let Some(n) = index_of(fh.neighbor) else {
+                continue;
+            };
+            if !bidirectional(me, n) {
                 continue;
             }
-            let d = *metric;
-            let entry = dist.entry(*n).or_insert(u32::MAX);
-            if d < *entry {
-                *entry = d;
-                hops.insert(*n, vec![(iface.clone(), *addr)]);
-                heap.push(QueueItem(d, *n));
-            } else if d == *entry {
-                hops.entry(*n).or_default().push((iface.clone(), *addr));
+            let h = u16::try_from(h).expect("fewer than 65,536 adjacencies");
+            if fh.metric < dist[n] {
+                dist[n] = fh.metric;
+                hops[n] = vec![h];
+                heap.push(Reverse((fh.metric, n)));
+            } else if fh.metric == dist[n] {
+                hops[n].push(h);
             }
         }
-
-        while let Some(QueueItem(d, sys)) = heap.pop() {
-            if dist.get(&sys).copied().unwrap_or(u32::MAX) < d {
+        while let Some(Reverse((d, sys))) = heap.pop() {
+            if dist[sys] < d {
                 continue;
             }
-            if sys == me {
-                continue;
-            }
-            for edge in neighbors_of(sys) {
-                let next = edge.neighbor;
-                if next == me || !bidirectional(sys, next) {
+            for &(next, metric) in &edges[sys] {
+                // A system listing itself can improve nothing.
+                if next == me || next == sys || !bidirectional(sys, next) {
                     continue;
                 }
-                let nd = d.saturating_add(edge.metric);
-                let cur = dist.get(&next).copied().unwrap_or(u32::MAX);
-                if nd < cur {
-                    dist.insert(next, nd);
-                    hops.insert(next, hops.get(&sys).cloned().unwrap_or_default());
-                    heap.push(QueueItem(nd, next));
-                } else if nd == cur && nd != u32::MAX {
-                    let via_sys = hops.get(&sys).cloned().unwrap_or_default();
-                    let entry = hops.entry(next).or_default();
-                    for h in via_sys {
-                        if !entry.contains(&h) {
-                            entry.push(h);
-                        }
-                    }
+                let nd = d.saturating_add(metric);
+                if nd < dist[next] {
+                    dist[next] = nd;
+                    hops[next] = hops[sys].clone();
+                    heap.push(Reverse((nd, next)));
+                } else if nd == dist[next] && nd != u32::MAX {
+                    let via_sys = std::mem::take(&mut hops[sys]);
+                    merge_hops(&mut hops[next], &via_sys);
+                    hops[sys] = via_sys;
                 }
             }
         }
 
         // Routes: prefixes advertised by reachable systems.
         let my_prefixes: Vec<Prefix> = self.cfg.ifaces.iter().map(|i| i.addr.subnet()).collect();
-        let mut best: BTreeMap<Prefix, (u32, Vec<(IfaceId, Ipv4Addr)>)> = BTreeMap::new();
-        for (sys, d) in &dist {
-            if *sys == me {
+        let mut best = SpfTable::new();
+        for (sys, lsp) in lsps.iter().enumerate() {
+            // Reached systems are exactly those with a first hop.
+            let first = &hops[sys];
+            if sys == me || first.is_empty() {
                 continue;
             }
-            let Some(lsp) = self.lsdb.get(&LspId::of(*sys)) else {
-                continue;
-            };
-            let Some(first) = hops.get(sys) else { continue };
             for reach in lsp.ip_reaches() {
                 // Skip prefixes we own (connected beats IGP anyway, and
                 // shared link subnets would otherwise flap).
                 if my_prefixes.contains(&reach.prefix) {
                     continue;
                 }
-                let total = d.saturating_add(reach.metric);
+                let total = dist[sys].saturating_add(reach.metric);
                 match best.get_mut(&reach.prefix) {
-                    Some((m, nh)) if *m == total => {
-                        for h in first {
-                            if !nh.contains(h) {
-                                nh.push(h.clone());
-                            }
-                        }
-                    }
+                    Some((m, nh)) if *m == total => merge_hops(nh, first),
                     Some((m, nh)) if *m > total => {
                         *m = total;
-                        *nh = first.clone();
+                        nh.clone_from(first);
                     }
                     Some(_) => {}
                     None => {
@@ -685,19 +705,45 @@ impl IsisEngine {
                 }
             }
         }
+        (first_hops, best)
+    }
+}
 
-        best.into_iter()
-            .map(|(prefix, (metric, nhs))| RibRoute {
-                prefix,
-                proto: RouteProtocol::Isis,
-                admin_distance: mfv_types::AdminDistance::default_for(RouteProtocol::Isis),
-                metric,
-                next_hops: nhs
-                    .into_iter()
-                    .map(|(iface, addr)| NextHop::ViaIface(addr, iface))
-                    .collect(),
+/// One Up adjacency as SPF sees it: the neighbour it leads to and the
+/// next hop a route through it installs.
+struct FirstHop<'a> {
+    neighbor: SystemId,
+    iface: &'a IfaceId,
+    addr: Ipv4Addr,
+    metric: u32,
+}
+
+/// Per prefix: metric and equal-cost first hops (indices into the run's
+/// first-hop list, in discovery order).
+type SpfTable = BTreeMap<Prefix, (u32, Vec<u16>)>;
+
+/// Appends the hops of `from` that `into` lacks, keeping discovery order.
+fn merge_hops(into: &mut Vec<u16>, from: &[u16]) {
+    for h in from {
+        if !into.contains(h) {
+            into.push(*h);
+        }
+    }
+}
+
+fn rib_route(prefix: Prefix, metric: u32, hops: &[u16], first_hops: &[FirstHop]) -> RibRoute {
+    RibRoute {
+        prefix,
+        proto: RouteProtocol::Isis,
+        admin_distance: mfv_types::AdminDistance::default_for(RouteProtocol::Isis),
+        metric,
+        next_hops: hops
+            .iter()
+            .map(|h| {
+                let hop = &first_hops[usize::from(*h)];
+                NextHop::ViaIface(hop.addr, hop.iface.clone())
             })
-            .collect()
+            .collect(),
     }
 }
 
@@ -905,6 +951,40 @@ mod tests {
     }
 
     #[test]
+    fn route_changes_accumulate_to_a_fresh_spf() {
+        let table = |e: &IsisEngine| -> BTreeMap<Prefix, RibRoute> {
+            e.routes().into_iter().map(|r| (r.prefix, r)).collect()
+        };
+        let mut applied: BTreeMap<Prefix, RibRoute> = BTreeMap::new();
+        let apply = |e: &mut IsisEngine, applied: &mut BTreeMap<Prefix, RibRoute>| {
+            let changes = e.take_route_changes(applied.iter());
+            assert!(!e.routes_stale());
+            for (p, r) in &changes {
+                // Only real differences are reported.
+                assert_ne!(applied.get(p), r.as_ref(), "{p} reported unchanged");
+                match r {
+                    Some(r) => applied.insert(*p, r.clone()),
+                    None => applied.remove(p),
+                };
+            }
+            changes.len()
+        };
+        let mut net = line3();
+        net.settle();
+        assert!(net.engines[0].routes_stale());
+        assert!(apply(&mut net.engines[0], &mut applied) > 0);
+        assert_eq!(applied, table(&net.engines[0]));
+        assert!(net.engines[0].take_route_changes(applied.iter()).is_empty());
+        // Cutting r2–r3 withdraws what lay behind it and nothing else.
+        net.engines[1].set_link(&"eth1".into(), false);
+        net.engines[2].set_link(&"eth0".into(), false);
+        net.settle();
+        let n = apply(&mut net.engines[0], &mut applied);
+        assert_eq!(applied, table(&net.engines[0]));
+        assert_eq!(n, 1, "only r3's loopback lay behind the cut");
+    }
+
+    #[test]
     fn adjacency_expires_without_hellos() {
         let mut net = line3();
         net.settle();
@@ -997,7 +1077,6 @@ mod tests {
         let own = e.lsdb.get(&LspId::of(sys(1))).unwrap();
         assert!(own
             .ip_reaches()
-            .iter()
             .any(|r| r.prefix == "2.2.2.1/32".parse().unwrap()));
     }
 

@@ -16,7 +16,7 @@ pub mod isis;
 pub mod policy;
 pub mod rib;
 
-pub use bgp::{BgpEngine, DecisionQuirks, NextHopResolver, SelectionDelta, SessionState};
+pub use bgp::{BgpEngine, DecisionQuirks, NextHopResolver, SessionState};
 pub use isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig};
 pub use policy::{BgpAttrs, PolicyResult};
 pub use rib::{Fib, FibEntry, FibNextHop, NextHop, Rib, RibRoute};

@@ -2,9 +2,11 @@
 //!
 //! Every protocol engine contributes candidate [`RibRoute`]s; the RIB picks
 //! per-prefix winners by administrative distance then metric, and the FIB is
-//! computed from the winners with recursive next-hop resolution (a BGP route
-//! whose next hop is a loopback resolves through the IGP route covering that
-//! loopback).
+//! computed from the winners with recursive next-hop resolution through the
+//! IGP view (a BGP route whose next hop is a loopback resolves through the
+//! connected / static / IS-IS route covering that loopback). [`Rib::resolve`]
+//! is the one place a FIB entry is built; [`Rib::to_fib`] applies it to every
+//! prefix, routers apply it to the prefixes a change can have touched.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -12,6 +14,8 @@ use std::net::Ipv4Addr;
 use serde::{Deserialize, Serialize};
 
 use mfv_types::{AdminDistance, IfaceId, Prefix, PrefixTrie, RouteProtocol};
+
+use crate::bgp::NextHopResolver;
 
 /// How a route reaches its destination.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -70,12 +74,52 @@ pub struct FibEntry {
     pub next_hops: Vec<FibNextHop>,
 }
 
+/// The protocols whose winners form the IGP view: every `Via` gateway and
+/// every BGP next hop resolves through these and nothing else.
+pub const IGP_PROTOS: [RouteProtocol; 3] = [
+    RouteProtocol::Connected,
+    RouteProtocol::Static,
+    RouteProtocol::Isis,
+];
+
+/// Reads an `(address, prefix)` index — who depends on the IGP view's answer
+/// for which address — for the prefixes keyed by an address inside `moved`:
+/// the only ones a change of the view at `moved` can concern, since a longest
+/// match moves only for addresses the changed prefix contains.
+pub fn keyed_inside<'a>(
+    index: &'a BTreeSet<(Ipv4Addr, Prefix)>,
+    moved: &Prefix,
+) -> impl Iterator<Item = Prefix> + 'a {
+    let span = (Ipv4Addr::from(moved.first()), Prefix::DEFAULT)
+        ..=(
+            Ipv4Addr::from(moved.last()),
+            Prefix::host(Ipv4Addr::BROADCAST),
+        );
+    index.range(span).map(|(_, p)| *p)
+}
+
+/// The IGP view's entry for one prefix: which IGP protocol wins there and
+/// at what metric. Kept this small because every router holds a trie of
+/// them; the winner's next hops are read from its protocol's route map.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct IgpWinner {
+    metric: u32,
+    proto: RouteProtocol,
+}
+
 /// The full RIB: candidate routes, stored per protocol so that a protocol
 /// engine can swap its contribution in O(its own size) rather than O(table)
-/// — essential when a small IGP coexists with a million-route BGP table.
+/// — essential when a small IGP coexists with a million-route BGP table —
+/// plus the IGP view (winners among [`IGP_PROTOS`]), patched per prefix as
+/// IGP routes come and go.
 #[derive(Clone, Debug, Default)]
 pub struct Rib {
     per_proto: BTreeMap<RouteProtocol, BTreeMap<Prefix, RibRoute>>,
+    igp: PrefixTrie<IgpWinner>,
+}
+
+fn preference(r: &RibRoute) -> (AdminDistance, u32, RouteProtocol) {
+    (r.admin_distance, r.metric, r.proto)
 }
 
 impl Rib {
@@ -83,22 +127,103 @@ impl Rib {
         Rib::default()
     }
 
-    /// Replaces all routes contributed by `proto` with `routes`.
-    ///
-    /// Protocol engines recompute their full route set on each convergence
-    /// step; swap semantics keep the RIB consistent without per-route
-    /// add/remove bookkeeping.
-    pub fn set_protocol_routes(&mut self, proto: RouteProtocol, routes: Vec<RibRoute>) {
-        let map: BTreeMap<Prefix, RibRoute> = routes
+    /// Replaces all routes contributed by `proto` with `routes` and returns
+    /// the prefixes whose `proto` route was added, removed or altered, in
+    /// prefix order.
+    pub fn set_protocol_routes(
+        &mut self,
+        proto: RouteProtocol,
+        routes: Vec<RibRoute>,
+    ) -> Vec<Prefix> {
+        let new: BTreeMap<Prefix, RibRoute> = routes
             .into_iter()
             .inspect(|r| debug_assert_eq!(r.proto, proto))
             .map(|r| (r.prefix, r))
             .collect();
-        if map.is_empty() {
-            self.per_proto.remove(&proto);
-        } else {
-            self.per_proto.insert(proto, map);
+        let old = self.per_proto.remove(&proto).unwrap_or_default();
+        let mut changed: Vec<Prefix> = old
+            .iter()
+            .filter(|(p, r)| new.get(p) != Some(r))
+            .map(|(p, _)| *p)
+            .chain(new.keys().filter(|p| !old.contains_key(p)).copied())
+            .collect();
+        changed.sort_unstable();
+        if !new.is_empty() {
+            self.per_proto.insert(proto, new);
         }
+        if IGP_PROTOS.contains(&proto) {
+            for p in &changed {
+                self.refresh_igp(*p);
+            }
+        }
+        changed
+    }
+
+    /// Installs (`Some`) or withdraws (`None`) `proto`'s route for one
+    /// prefix; returns whether anything changed.
+    pub fn set_route(
+        &mut self,
+        proto: RouteProtocol,
+        prefix: Prefix,
+        route: Option<RibRoute>,
+    ) -> bool {
+        let changed = match route {
+            Some(r) => {
+                debug_assert_eq!((r.proto, r.prefix), (proto, prefix));
+                let map = self.per_proto.entry(proto).or_default();
+                if map.get(&prefix) == Some(&r) {
+                    false
+                } else {
+                    map.insert(prefix, r);
+                    true
+                }
+            }
+            None => match self.per_proto.get_mut(&proto) {
+                Some(map) => {
+                    let removed = map.remove(&prefix).is_some();
+                    if map.is_empty() {
+                        self.per_proto.remove(&proto);
+                    }
+                    removed
+                }
+                None => false,
+            },
+        };
+        if changed && IGP_PROTOS.contains(&proto) {
+            self.refresh_igp(prefix);
+        }
+        changed
+    }
+
+    /// Re-picks the IGP view's winner at `prefix` from the current routes.
+    fn refresh_igp(&mut self, prefix: Prefix) {
+        let winner = IGP_PROTOS
+            .iter()
+            .filter_map(|proto| self.route(*proto, &prefix))
+            .min_by_key(|r| preference(r))
+            .map(|r| IgpWinner {
+                metric: r.metric,
+                proto: r.proto,
+            });
+        match winner {
+            Some(w) => {
+                self.igp.insert(prefix, w);
+            }
+            None => {
+                self.igp.remove(&prefix);
+            }
+        }
+    }
+
+    /// `proto`'s route for exactly `prefix`.
+    pub fn route(&self, proto: RouteProtocol, prefix: &Prefix) -> Option<&RibRoute> {
+        self.per_proto.get(&proto)?.get(prefix)
+    }
+
+    /// The IGP view's winner for exactly `prefix`: the best of the
+    /// connected / static / IS-IS routes there, whatever BGP offers.
+    pub fn igp_winner(&self, prefix: &Prefix) -> Option<&RibRoute> {
+        self.route(self.igp.get(prefix)?.proto, prefix)
     }
 
     /// All candidates for a prefix (one per contributing protocol), in
@@ -114,19 +239,19 @@ impl Rib {
         self.per_proto
             .values()
             .filter_map(|m| m.get(prefix))
-            .min_by_key(|r| (r.admin_distance, r.metric, r.proto))
+            .min_by_key(|r| preference(r))
     }
 
-    /// Iterates (prefix, winner) pairs, in prefix order.
+    /// Every prefix with at least one candidate, in prefix order.
+    fn universe(&self) -> BTreeSet<&Prefix> {
+        self.per_proto.values().flat_map(|m| m.keys()).collect()
+    }
+
+    /// Iterates (prefix, winner) pairs, in prefix order. The all-prefixes
+    /// scan is inherent to a full-table walk; incremental paths avoid
+    /// calling this.
     pub fn winners(&self) -> impl Iterator<Item = (&Prefix, &RibRoute)> {
-        // Merge the per-protocol maps: collect the prefix universe, then
-        // resolve each. The all-prefixes scan is inherent to a full-table
-        // walk; incremental paths avoid calling this.
-        let mut universe: BTreeSet<&Prefix> = BTreeSet::new();
-        for m in self.per_proto.values() {
-            universe.extend(m.keys());
-        }
-        universe
+        self.universe()
             .into_iter()
             .filter_map(|p| Some((p, self.best(p)?)))
     }
@@ -144,125 +269,118 @@ impl Rib {
 
     /// Total number of prefixes with at least one candidate.
     pub fn len(&self) -> usize {
-        let mut universe: BTreeSet<&Prefix> = BTreeSet::new();
-        for m in self.per_proto.values() {
-            universe.extend(m.keys());
-        }
-        universe.len()
+        self.universe().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.per_proto.is_empty()
     }
 
-    /// Resolves the RIB into a FIB.
+    /// The FIB entry `prefix` should have: its winner's next hops made
+    /// concrete. `Via` gateways resolve recursively (up to a depth bound)
+    /// through the IGP view only — the same view the BGP decision process
+    /// judges next-hop reachability by, so a route BGP selected is a route
+    /// the FIB can install, and a BGP-learned route never carries another
+    /// route's traffic. A winner whose next hops do not resolve yields
+    /// `None`: a route to an unreachable gateway must not be installed.
     ///
-    /// `Via` next hops resolve recursively (up to a depth bound) through the
-    /// winners; routes whose next hop cannot be resolved are dropped — a
-    /// route to an unreachable gateway must not be installed.
-    pub fn to_fib(&self) -> Fib {
-        // Build a winner trie once for recursive resolution.
-        let mut winner_trie: PrefixTrie<&RibRoute> = PrefixTrie::new();
-        for (p, r) in self.winners() {
-            winner_trie.insert(*p, r);
-        }
-
-        let mut fib = Fib::new();
-        for (prefix, route) in self.winners() {
-            let (resolved, discard) = resolve_next_hops(&winner_trie, &route.next_hops);
-            if !resolved.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    proto: route.proto,
-                    next_hops: resolved,
-                });
-            } else if discard {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    proto: route.proto,
-                    next_hops: Vec::new(),
-                });
+    /// Every gateway address looked up on the way is appended to
+    /// `gateways`: the entry stays valid until the IGP view changes at a
+    /// prefix containing one of them (or `prefix`'s own winner changes).
+    pub fn resolve(&self, prefix: &Prefix, gateways: &mut Vec<Ipv4Addr>) -> Option<FibEntry> {
+        let route = self.best(prefix)?;
+        let mut next_hops: Vec<FibNextHop> = Vec::with_capacity(route.next_hops.len());
+        let mut discard = false;
+        for nh in &route.next_hops {
+            match nh {
+                NextHop::Connected(iface) => next_hops.push(FibNextHop {
+                    iface: iface.clone(),
+                    via: None,
+                }),
+                NextHop::ViaIface(gw, iface) => next_hops.push(FibNextHop {
+                    iface: iface.clone(),
+                    via: Some(*gw),
+                }),
+                NextHop::Via(gw) => self.resolve_via(*gw, 0, gateways, &mut next_hops),
+                NextHop::Discard => discard = true,
             }
-            // else: unresolvable — not installed.
+        }
+        next_hops.sort();
+        next_hops.dedup();
+        // Every router keeps one of these per FIB entry: no spare capacity.
+        next_hops.shrink_to_fit();
+        (discard || !next_hops.is_empty()).then_some(FibEntry {
+            prefix: *prefix,
+            proto: route.proto,
+            next_hops,
+        })
+    }
+
+    /// Recursively resolves a gateway address to concrete (iface, via)
+    /// pairs through the IGP view.
+    fn resolve_via(
+        &self,
+        gw: Ipv4Addr,
+        depth: usize,
+        gateways: &mut Vec<Ipv4Addr>,
+        out: &mut Vec<FibNextHop>,
+    ) {
+        // Recursion bound: real implementations bound recursive resolution;
+        // 8 levels is far beyond any sane design.
+        if depth > 8 {
+            return;
+        }
+        gateways.push(gw);
+        let Some((covering, winner)) = self.igp.lookup(gw) else {
+            return;
+        };
+        // A default route cannot resolve a BGP next hop (standard behaviour:
+        // next-hop resolution ignores the default route).
+        if covering.is_default() && depth == 0 {
+            return;
+        }
+        let Some(route) = self.route(winner.proto, &covering) else {
+            return;
+        };
+        for nh in &route.next_hops {
+            match nh {
+                // Gateway is on a connected subnet: forward directly to it.
+                NextHop::Connected(iface) => out.push(FibNextHop {
+                    iface: iface.clone(),
+                    via: Some(gw),
+                }),
+                NextHop::ViaIface(via, iface) => out.push(FibNextHop {
+                    iface: iface.clone(),
+                    via: Some(*via),
+                }),
+                NextHop::Via(next_gw) => self.resolve_via(*next_gw, depth + 1, gateways, out),
+                NextHop::Discard => {}
+            }
+        }
+    }
+
+    /// Resolves the whole RIB into a FIB from scratch ([`Rib::resolve`] on
+    /// every prefix): the reference the routers' per-prefix FIB patching is
+    /// held to.
+    pub fn to_fib(&self) -> Fib {
+        let mut fib = Fib::new();
+        let mut gateways = Vec::new();
+        for prefix in self.universe() {
+            if let Some(entry) = self.resolve(prefix, &mut gateways) {
+                fib.insert(entry);
+            }
         }
         fib
     }
 }
 
-/// Resolves a route's next hops against a winner trie, returning the
-/// concrete (iface, via) pairs plus whether a discard action was present.
-/// Shared by [`Rib::to_fib`] and incremental FIB patching in router shells.
-pub fn resolve_next_hops(
-    winners: &PrefixTrie<&RibRoute>,
-    next_hops: &[NextHop],
-) -> (Vec<FibNextHop>, bool) {
-    let mut resolved: Vec<FibNextHop> = Vec::new();
-    let mut discard = false;
-    for nh in next_hops {
-        match nh {
-            NextHop::Connected(iface) => {
-                resolved.push(FibNextHop {
-                    iface: iface.clone(),
-                    via: None,
-                });
-            }
-            NextHop::ViaIface(gw, iface) => {
-                resolved.push(FibNextHop {
-                    iface: iface.clone(),
-                    via: Some(*gw),
-                });
-            }
-            NextHop::Via(gw) => {
-                resolved.extend(resolve_via(winners, *gw, 0));
-            }
-            NextHop::Discard => {
-                discard = true;
-            }
-        }
+/// The IGP cost to a BGP next hop is the IGP view's metric at its longest
+/// match (the default route does not count).
+impl NextHopResolver for Rib {
+    fn igp_metric(&self, ip: Ipv4Addr) -> Option<u32> {
+        let (covering, winner) = self.igp.lookup(ip)?;
+        (!covering.is_default()).then_some(winner.metric)
     }
-    resolved.sort();
-    resolved.dedup();
-    (resolved, discard)
-}
-
-/// Recursively resolves a gateway address to concrete (iface, via) pairs.
-fn resolve_via(winners: &PrefixTrie<&RibRoute>, gw: Ipv4Addr, depth: usize) -> Vec<FibNextHop> {
-    // Recursion bound: real implementations bound recursive resolution; 8
-    // levels is far beyond any sane design.
-    if depth > 8 {
-        return Vec::new();
-    }
-    let Some((covering, route)) = winners.lookup(gw) else {
-        return Vec::new();
-    };
-    // A default route cannot resolve a BGP next hop (standard behaviour:
-    // next-hop resolution ignores the default route).
-    if covering.is_default() && depth == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for nh in &route.next_hops {
-        match nh {
-            NextHop::Connected(iface) => {
-                // Gateway is on a connected subnet: forward directly to it.
-                out.push(FibNextHop {
-                    iface: iface.clone(),
-                    via: Some(gw),
-                });
-            }
-            NextHop::ViaIface(via, iface) => {
-                out.push(FibNextHop {
-                    iface: iface.clone(),
-                    via: Some(*via),
-                });
-            }
-            NextHop::Via(next_gw) => {
-                out.extend(resolve_via(winners, *next_gw, depth + 1));
-            }
-            NextHop::Discard => {}
-        }
-    }
-    out
 }
 
 /// The FIB: longest-prefix-match forwarding state.
@@ -509,6 +627,114 @@ mod tests {
                 via: Some(ip("100.64.0.1"))
             }]
         );
+    }
+
+    /// The one FIB rule, on the case where the two former builders
+    /// disagreed: a BGP next hop covered by a /24 IGP route and by a more
+    /// specific BGP-learned /32. Gateways resolve through the IGP view
+    /// only, so the /32 (which would pull the traffic out of eth1) is not
+    /// consulted.
+    #[test]
+    fn via_next_hops_resolve_through_igp_routes_only() {
+        let mut rib = Rib::new();
+        rib.set_protocol_routes(
+            RouteProtocol::Connected,
+            vec![
+                connected("100.64.0.0/31", "eth0"),
+                connected("100.64.1.0/31", "eth1"),
+            ],
+        );
+        rib.set_protocol_routes(
+            RouteProtocol::Isis,
+            vec![RibRoute::new(
+                p("10.0.0.0/24"),
+                RouteProtocol::Isis,
+                10,
+                NextHop::ViaIface(ip("100.64.0.1"), "eth0".into()),
+            )],
+        );
+        rib.set_protocol_routes(
+            RouteProtocol::EbgpLearned,
+            vec![RibRoute::new(
+                p("10.0.0.5/32"),
+                RouteProtocol::EbgpLearned,
+                0,
+                NextHop::Via(ip("100.64.1.1")),
+            )],
+        );
+        rib.set_protocol_routes(
+            RouteProtocol::IbgpLearned,
+            vec![RibRoute::new(
+                p("203.0.113.0/24"),
+                RouteProtocol::IbgpLearned,
+                0,
+                NextHop::Via(ip("10.0.0.5")),
+            )],
+        );
+        let fib = rib.to_fib();
+        assert_eq!(
+            fib.get(&p("203.0.113.0/24")).unwrap().next_hops,
+            vec![FibNextHop {
+                iface: "eth0".into(),
+                via: Some(ip("100.64.0.1"))
+            }]
+        );
+        // The /32 itself is installed (its own gateway is connected) and
+        // the IGP metric BGP sees for the next hop is the /24's.
+        assert_eq!(
+            fib.get(&p("10.0.0.5/32")).unwrap().proto,
+            RouteProtocol::EbgpLearned
+        );
+        assert_eq!(rib.igp_metric(ip("10.0.0.5")), Some(10));
+        let mut gateways = Vec::new();
+        rib.resolve(&p("203.0.113.0/24"), &mut gateways);
+        assert_eq!(gateways, vec![ip("10.0.0.5")]);
+    }
+
+    #[test]
+    fn route_changes_are_reported_and_patch_the_igp_view() {
+        let mut rib = Rib::new();
+        let lo = |metric| {
+            RibRoute::new(
+                p("2.2.2.2/32"),
+                RouteProtocol::Isis,
+                metric,
+                NextHop::ViaIface(ip("100.64.0.1"), "eth0".into()),
+            )
+        };
+        let far = RibRoute::new(
+            p("2.2.2.3/32"),
+            RouteProtocol::Isis,
+            20,
+            NextHop::ViaIface(ip("100.64.0.1"), "eth0".into()),
+        );
+        assert_eq!(
+            rib.set_protocol_routes(RouteProtocol::Isis, vec![lo(10), far.clone()]),
+            vec![p("2.2.2.2/32"), p("2.2.2.3/32")]
+        );
+        // A swap reports only what differs: one metric moved, one route
+        // stayed, one appeared.
+        let third = RibRoute::new(p("2.2.2.4/32"), RouteProtocol::Isis, 30, NextHop::Discard);
+        assert_eq!(
+            rib.set_protocol_routes(RouteProtocol::Isis, vec![lo(15), far, third]),
+            vec![p("2.2.2.2/32"), p("2.2.2.4/32")]
+        );
+        assert_eq!(rib.igp_metric(ip("2.2.2.2")), Some(15));
+        // Per-prefix edits: a no-op, a withdrawal, and a better protocol
+        // taking the prefix over in the IGP view.
+        assert!(!rib.set_route(RouteProtocol::Isis, p("2.2.2.2/32"), Some(lo(15))));
+        assert!(rib.set_route(RouteProtocol::Isis, p("2.2.2.4/32"), None));
+        assert!(!rib.set_route(RouteProtocol::Isis, p("2.2.2.4/32"), None));
+        assert_eq!(rib.igp_metric(ip("2.2.2.4")), None);
+        let st = RibRoute::new(p("2.2.2.2/32"), RouteProtocol::Static, 0, NextHop::Discard);
+        assert!(rib.set_route(RouteProtocol::Static, p("2.2.2.2/32"), Some(st)));
+        assert_eq!(rib.igp_metric(ip("2.2.2.2")), Some(0));
+        assert_eq!(
+            rib.igp_winner(&p("2.2.2.2/32")).unwrap().proto,
+            RouteProtocol::Static
+        );
+        assert!(rib.set_route(RouteProtocol::Static, p("2.2.2.2/32"), None));
+        assert_eq!(rib.igp_metric(ip("2.2.2.2")), Some(15));
     }
 
     #[test]

@@ -11,11 +11,11 @@ use std::net::Ipv4Addr;
 use bytes::Bytes;
 
 use mfv_config::{DeviceConfig, Redistribute};
-use mfv_routing::bgp::{BgpEngine, NextHopResolver};
+use mfv_routing::bgp::BgpEngine;
 use mfv_routing::isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig};
 use mfv_routing::policy::{eval_route_map, BgpAttrs, PolicyResult};
-use mfv_routing::rib::{Fib, NextHop, Rib, RibRoute};
-use mfv_types::{IfaceId, NodeId, Prefix, PrefixTrie, RouteProtocol, RouterId, SimTime};
+use mfv_routing::rib::{keyed_inside, Fib, NextHop, Rib, RibRoute};
+use mfv_types::{IfaceId, NodeId, Prefix, RouteProtocol, RouterId, SimTime};
 use mfv_wire::bgp::{BgpMsg, PathAttr};
 use mfv_wire::isis::{net_area_bytes, net_system_id, IsisPdu, SystemId};
 
@@ -53,14 +53,24 @@ pub struct VirtualRouter {
     state: RouterState,
     isis: Option<IsisEngine>,
     bgp: Option<BgpEngine>,
+    /// Candidate routes from every source and the IGP view over them.
+    /// Persistent: each poll applies only what its sources changed.
     rib: Rib,
+    /// Always `rib.to_fib()`, maintained by re-resolving the prefixes a
+    /// poll's changes can have touched.
     fib: Fib,
+    /// Which FIB prefixes looked which gateway addresses up in the IGP
+    /// view; an IGP change re-resolves exactly the dependents inside it.
+    gateways: GatewayIndex,
+    /// Prefixes currently originated into BGP.
+    originated: BTreeSet<Prefix>,
+    /// L3 addresses owned under the current config.
+    addresses: BTreeSet<Ipv4Addr>,
     /// Physical link state per interface (loopbacks are always up).
     link_up: BTreeMap<IfaceId, bool>,
     /// Monotone counter bumped whenever the FIB content changes; the
     /// emulator's convergence detector watches it.
     fib_version: u64,
-    last_fib_digest: u64,
     /// Prefixes whose FIB entries changed since the last
     /// [`take_changed_prefixes`](Self::take_changed_prefixes) — the
     /// emulator's convergence watchdog uses these to tell oscillation
@@ -69,43 +79,60 @@ pub struct VirtualRouter {
     pending_crash: Option<String>,
     /// Events queued outside poll (e.g. session teardowns on config push).
     pending_out: Vec<RouterEvent>,
-    /// Digest of the IGP view last handed to BGP next-hop resolution; a
-    /// change forces a full BGP decision recomputation.
-    last_igp_digest: u64,
     /// True when connected/static route sources may have changed (link
     /// events, config pushes, restarts); cleared after the RIB resync.
     rib_sources_dirty: bool,
-    /// IS-IS SPF version last installed in the RIB; unchanged version means
-    /// the IS-IS contribution is already current.
-    last_isis_version: Option<u64>,
-    /// IGP next-hop resolver reused across polls while the IGP is stable.
-    cached_resolver: Option<IgpResolver>,
     /// Count of messages that failed vendor decoding (dropped).
     pub decode_errors: u64,
     /// Count of outbound messages that failed encoding (dropped rather
     /// than silently truncated — see `mfv_wire::EncodeError`).
     pub encode_errors: u64,
-    /// RIB resyncs from the connected/static/IS-IS sources (the `igp_dirty`
-    /// path in `poll`).
+    /// Polls that found a route source (connected/static/IS-IS) flagged
+    /// as moved and synced it into the RIB.
     pub rib_resyncs: u64,
-    /// Full O(table) FIB rebuilds.
-    pub full_fib_refreshes: u64,
-    /// Incremental FIB patches (changed-prefix path).
+    /// Rebuilds of every table from empty state: one per boot, restart
+    /// and config push.
+    pub full_rebuilds: u64,
+    /// Polls that re-resolved at least one FIB prefix.
     pub fib_patches: u64,
+    /// IS-IS SPF runs.
+    pub spf_runs: u64,
+    /// Prefixes whose connected/static/IS-IS route changed, summed over
+    /// polls.
+    pub igp_delta_prefixes: u64,
+    /// FIB prefixes re-resolved, summed over polls.
+    pub fib_prefixes_resolved: u64,
+    /// Per-prefix BGP decisions run (across routing-process restarts).
+    pub bgp_prefix_decisions: u64,
 }
 
-/// IGP view for BGP next-hop resolution: winners of connected/static/IS-IS.
-struct IgpResolver {
-    trie: PrefixTrie<u32>,
+/// `(gateway, prefix)` pairs, indexed both ways: the FIB entry at `prefix`
+/// was resolved by looking `gateway` up in the IGP view.
+#[derive(Default)]
+struct GatewayIndex {
+    by_gateway: BTreeSet<(Ipv4Addr, Prefix)>,
+    by_prefix: BTreeSet<(Prefix, Ipv4Addr)>,
 }
 
-impl NextHopResolver for IgpResolver {
-    fn igp_metric(&self, ip: Ipv4Addr) -> Option<u32> {
-        let (covering, metric) = self.trie.lookup(ip)?;
-        if covering.is_default() {
-            return None;
+impl GatewayIndex {
+    /// Replaces the gateways recorded for `prefix`.
+    fn set(&mut self, prefix: Prefix, gateways: &[Ipv4Addr]) {
+        let span = (prefix, Ipv4Addr::UNSPECIFIED)..=(prefix, Ipv4Addr::BROADCAST);
+        let old: Vec<Ipv4Addr> = self.by_prefix.range(span).map(|(_, g)| *g).collect();
+        for g in old {
+            self.by_prefix.remove(&(prefix, g));
+            self.by_gateway.remove(&(g, prefix));
         }
-        Some(*metric)
+        for g in gateways {
+            self.by_prefix.insert((prefix, *g));
+            self.by_gateway.insert((*g, prefix));
+        }
+    }
+
+    /// The prefixes resolved through a gateway inside `moved`: the only
+    /// ones whose resolution an IGP change at `moved` can alter.
+    fn dependents_inside<'a>(&'a self, moved: &Prefix) -> impl Iterator<Item = Prefix> + 'a {
+        keyed_inside(&self.by_gateway, moved)
     }
 }
 
@@ -123,26 +150,29 @@ impl VirtualRouter {
             bgp: None,
             rib: Rib::new(),
             fib: Fib::new(),
+            gateways: GatewayIndex::default(),
+            originated: BTreeSet::new(),
+            addresses: BTreeSet::new(),
             link_up: BTreeMap::new(),
             fib_version: 0,
-            last_fib_digest: 0,
             changed_prefixes: BTreeSet::new(),
             pending_crash: None,
             pending_out: Vec::new(),
-            last_igp_digest: 0,
             rib_sources_dirty: true,
-            last_isis_version: None,
-            cached_resolver: None,
             decode_errors: 0,
             encode_errors: 0,
             rib_resyncs: 0,
-            full_fib_refreshes: 0,
+            full_rebuilds: 0,
             fib_patches: 0,
+            spf_runs: 0,
+            igp_delta_prefixes: 0,
+            fib_prefixes_resolved: 0,
+            bgp_prefix_decisions: 0,
         };
         for iface in &router.config.interfaces {
             router.link_up.insert(iface.name.clone(), true);
         }
-        router.build_engines();
+        router.boot();
         router
     }
 
@@ -189,13 +219,40 @@ impl VirtualRouter {
     }
 
     /// All L3 addresses owned by this router.
-    pub fn addresses(&self) -> BTreeSet<Ipv4Addr> {
-        self.config
-            .interfaces
-            .iter()
-            .filter(|i| i.is_l3())
-            .filter_map(|i| i.addr.map(|a| a.addr))
-            .collect()
+    pub fn addresses(&self) -> &BTreeSet<Ipv4Addr> {
+        &self.addresses
+    }
+
+    /// The router's RIB: every source's candidate routes as of the last
+    /// poll.
+    pub fn rib(&self) -> &Rib {
+        &self.rib
+    }
+
+    /// A RIB rebuilt from the route sources as they stand now — connected
+    /// and static routes, a fresh SPF, the whole BGP selection — and empty
+    /// while crashed. After any poll, [`rib`](Self::rib) must equal it
+    /// route for route and [`fib`](Self::fib) must equal its `to_fib()`;
+    /// tests hold the per-prefix maintenance to exactly that.
+    pub fn reference_rib(&self) -> Rib {
+        let mut rib = Rib::new();
+        if !self.is_running() {
+            return rib;
+        }
+        rib.set_protocol_routes(RouteProtocol::Connected, self.connected_routes());
+        rib.set_protocol_routes(RouteProtocol::Static, self.static_routes());
+        if let Some(isis) = &self.isis {
+            rib.set_protocol_routes(RouteProtocol::Isis, isis.routes());
+        }
+        if let Some(bgp) = &self.bgp {
+            let (ebgp, ibgp): (Vec<RibRoute>, Vec<RibRoute>) = bgp
+                .rib_routes()
+                .into_iter()
+                .partition(|r| r.proto == RouteProtocol::EbgpLearned);
+            rib.set_protocol_routes(RouteProtocol::EbgpLearned, ebgp);
+            rib.set_protocol_routes(RouteProtocol::IbgpLearned, ibgp);
+        }
+        rib
     }
 
     /// Loopback address (management identity).
@@ -246,18 +303,33 @@ impl VirtualRouter {
                 (i.name.clone(), prev)
             })
             .collect();
-        self.build_engines();
-        self.rib = Rib::new();
-        self.fib = Fib::new();
-        self.mark_rib_sources_dirty();
+        self.boot();
     }
 
-    /// Invalidates everything derived from the route sources: the next poll
-    /// resyncs the RIB and rebuilds the cached IGP resolver.
-    fn mark_rib_sources_dirty(&mut self) {
+    /// Starts the control plane from empty state under the current config:
+    /// fresh engines, empty tables. The next poll finds every route source
+    /// new, so every prefix is a changed prefix — cold start, restart and
+    /// config push are the ordinary delta path with nothing to carry over.
+    fn boot(&mut self) {
+        self.addresses = self
+            .config
+            .interfaces
+            .iter()
+            .filter(|i| i.is_l3())
+            .filter_map(|i| i.addr.map(|a| a.addr))
+            .collect();
+        self.build_engines();
+        self.flush_tables();
         self.rib_sources_dirty = true;
-        self.last_isis_version = None;
-        self.cached_resolver = None;
+        self.full_rebuilds += 1;
+    }
+
+    /// Empties the RIB, the FIB and everything indexed over them.
+    fn flush_tables(&mut self) {
+        self.rib = Rib::new();
+        self.fib = Fib::new();
+        self.gateways = GatewayIndex::default();
+        self.originated.clear();
     }
 
     /// (Re)constructs protocol engines from the current config.
@@ -341,7 +413,7 @@ impl VirtualRouter {
     /// Marks a physical link up/down (failure injection / topology events).
     pub fn set_link(&mut self, iface: &IfaceId, up: bool) {
         self.link_up.insert(iface.clone(), up);
-        self.mark_rib_sources_dirty();
+        self.rib_sources_dirty = true;
         if let Some(isis) = &mut self.isis {
             isis.set_link(iface, up);
         }
@@ -378,7 +450,7 @@ impl VirtualRouter {
         if !self.is_running() {
             return;
         }
-        if !self.addresses().contains(&dst) {
+        if !self.addresses.contains(&dst) {
             return; // not ours — emulator misdelivery or stale address
         }
         let mut buf = payload;
@@ -407,51 +479,6 @@ impl VirtualRouter {
         if let Some(bgp) = &mut self.bgp {
             bgp.push_msg(now, src, msg);
         }
-    }
-
-    const IGP_PROTOS: [RouteProtocol; 3] = [
-        RouteProtocol::Connected,
-        RouteProtocol::Static,
-        RouteProtocol::Isis,
-    ];
-
-    /// Digest of the IGP routes (connected/static/IS-IS): BGP next-hop
-    /// resolution depends on exactly this state. Walks only the (small) IGP
-    /// protocol maps, never the BGP table.
-    fn igp_digest(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        for proto in Self::IGP_PROTOS {
-            for (prefix, route) in self.rib.protocol_routes(proto) {
-                prefix.hash(&mut h);
-                route.proto.hash(&mut h);
-                route.metric.hash(&mut h);
-                route.next_hops.hash(&mut h);
-            }
-        }
-        h.finish()
-    }
-
-    /// Builds the IGP-only resolver for BGP next hops. Admin distance picks
-    /// the winner when several IGP protocols offer the same prefix.
-    fn igp_resolver(&self) -> IgpResolver {
-        let mut best: BTreeMap<Prefix, (mfv_types::AdminDistance, u32)> = BTreeMap::new();
-        for proto in Self::IGP_PROTOS {
-            for (prefix, route) in self.rib.protocol_routes(proto) {
-                match best.get(prefix) {
-                    Some((ad, m)) if (*ad, *m) <= (route.admin_distance, route.metric) => {}
-                    _ => {
-                        best.insert(*prefix, (route.admin_distance, route.metric));
-                    }
-                }
-            }
-        }
-        let mut trie = PrefixTrie::new();
-        for (prefix, (_, metric)) in best {
-            trie.insert(prefix, metric);
-        }
-        IgpResolver { trie }
     }
 
     /// Connected routes from operational L3 interfaces.
@@ -488,61 +515,58 @@ impl VirtualRouter {
             .collect()
     }
 
-    /// Prefixes this router should originate into BGP.
-    fn bgp_originated(&self) -> Vec<Prefix> {
+    /// Whether this router originates `prefix` into BGP. Reads the IGP
+    /// routes only: a BGP-learned route never satisfies a `network`
+    /// statement or feeds redistribution, so originations move with the
+    /// IGP delta and a selection change cannot flip them back.
+    fn originates(&self, prefix: &Prefix) -> bool {
         let Some(bgp_cfg) = &self.config.bgp else {
-            return Vec::new();
+            return false;
         };
-        let mut out = Vec::new();
-        for p in &bgp_cfg.networks {
-            // `network` statements require the route to exist in the RIB.
-            if self.rib.best(p).is_some() {
-                out.push(*p);
-            }
+        // `network` statements require the route to exist in the RIB.
+        if bgp_cfg.networks.contains(prefix) && self.rib.igp_winner(prefix).is_some() {
+            return true;
         }
-        for r in &bgp_cfg.redistribute {
-            let mut candidates = Vec::new();
-            match r.proto {
+        bgp_cfg.redistribute.iter().any(|r| {
+            let offered = match r.proto {
                 Redistribute::Connected => {
-                    for route in self.connected_routes() {
-                        candidates.push(route.prefix);
-                    }
+                    self.rib.route(RouteProtocol::Connected, prefix).is_some()
                 }
-                Redistribute::Static => {
-                    for route in self.static_routes() {
-                        candidates.push(route.prefix);
-                    }
-                }
-                Redistribute::Isis => {
-                    for (prefix, route) in self.rib.winners() {
-                        if route.proto == RouteProtocol::Isis {
-                            candidates.push(*prefix);
-                        }
-                    }
-                }
-            }
-            match &r.route_map {
-                None => out.extend(candidates),
-                // A redistribution route-map acts as an origination
-                // filter; set-clauses on origination are not modelled.
-                // Referencing a missing route-map denies everything
-                // (matching the import-path EOS behaviour).
-                Some(rm_name) => {
-                    if let Some(rm) = self.config.route_maps.get(rm_name) {
+                Redistribute::Static => self.rib.route(RouteProtocol::Static, prefix).is_some(),
+                Redistribute::Isis => self
+                    .rib
+                    .igp_winner(prefix)
+                    .is_some_and(|w| w.proto == RouteProtocol::Isis),
+            };
+            offered
+                && match &r.route_map {
+                    None => true,
+                    // A redistribution route-map acts as an origination
+                    // filter; set-clauses on origination are not modelled.
+                    // Referencing a missing route-map denies everything
+                    // (matching the import-path EOS behaviour).
+                    Some(name) => self.config.route_maps.get(name).is_some_and(|rm| {
                         let attrs = BgpAttrs::originated(Ipv4Addr::UNSPECIFIED);
-                        out.extend(candidates.into_iter().filter(|p| {
-                            matches!(
-                                eval_route_map(rm, &self.config.prefix_lists, p, &attrs),
-                                PolicyResult::Permit(_)
-                            )
-                        }));
-                    }
+                        matches!(
+                            eval_route_map(rm, &self.config.prefix_lists, prefix, &attrs),
+                            PolicyResult::Permit(_)
+                        )
+                    }),
                 }
-            }
+        })
+    }
+
+    /// Re-evaluates [`originates`](Self::originates) for the prefixes of an
+    /// IGP delta; returns whether the originated set moved.
+    fn sync_originations(&mut self, igp_delta: &BTreeSet<Prefix>) -> bool {
+        let mut moved = false;
+        for prefix in igp_delta {
+            moved |= match self.originates(prefix) {
+                true => self.originated.insert(*prefix),
+                false => self.originated.remove(prefix),
+            };
         }
-        out.sort();
-        out.dedup();
-        out
+        moved
     }
 
     /// Advances the control plane; returns frames/segments to transmit and
@@ -552,12 +576,12 @@ impl VirtualRouter {
             self.state = RouterState::Crashed(now);
             self.isis = None;
             self.bgp = None;
-            self.rib = Rib::new();
-            for e in self.fib.entries() {
-                self.changed_prefixes.insert(e.prefix);
+            let lost: Vec<Prefix> = self.fib.entries().map(|e| e.prefix).collect();
+            self.flush_tables();
+            if !lost.is_empty() {
+                self.changed_prefixes.extend(lost);
+                self.fib_version += 1;
             }
-            self.fib = Fib::new();
-            self.bump_fib_version();
             return vec![RouterEvent::Crashed { reason }];
         }
         if !self.is_running() {
@@ -581,226 +605,145 @@ impl VirtualRouter {
             }
         }
 
-        // 2. IGP + static + connected into the RIB — only when a source
-        // actually changed. Connected/static routes move on config or link
-        // events (tracked by `rib_sources_dirty`); IS-IS routes move when
-        // its SPF inputs change (tracked by `routes_version`). Most polls
-        // on a converged network skip this entirely.
-        let isis_version = self.isis.as_ref().map(|i| i.routes_version());
-        let igp_dirty = self.rib_sources_dirty || isis_version != self.last_isis_version;
-        if igp_dirty {
+        // 2. Route sources into the RIB — only the ones that moved, and of
+        // those only the routes that differ. Connected/static routes move
+        // on config or link events (`rib_sources_dirty`); IS-IS routes move
+        // when an SPF input changed. `igp_delta` collects every prefix
+        // whose connected, static or IS-IS route changed; it is empty on
+        // most polls of a converged network, and everything below is then
+        // driven by BGP's own changes alone.
+        let mut igp_delta: BTreeSet<Prefix> = BTreeSet::new();
+        let isis_stale = self.isis.as_ref().is_some_and(|i| i.routes_stale());
+        if self.rib_sources_dirty || isis_stale {
             self.rib_resyncs += 1;
-            self.rib
-                .set_protocol_routes(RouteProtocol::Connected, self.connected_routes());
-            self.rib
-                .set_protocol_routes(RouteProtocol::Static, self.static_routes());
-            let isis_routes = self.isis.as_mut().map(|i| i.routes()).unwrap_or_default();
-            self.rib
-                .set_protocol_routes(RouteProtocol::Isis, isis_routes);
-            self.rib_sources_dirty = false;
-            self.last_isis_version = isis_version;
+        }
+        if std::mem::take(&mut self.rib_sources_dirty) {
+            let connected = self.connected_routes();
+            igp_delta.extend(
+                self.rib
+                    .set_protocol_routes(RouteProtocol::Connected, connected),
+            );
+            let statics = self.static_routes();
+            igp_delta.extend(self.rib.set_protocol_routes(RouteProtocol::Static, statics));
+        }
+        if let Some(isis) = self.isis.as_mut().filter(|_| isis_stale) {
+            self.spf_runs += 1;
+            let installed = self.rib.protocol_routes(RouteProtocol::Isis);
+            for (prefix, route) in isis.take_route_changes(installed) {
+                if self.rib.set_route(RouteProtocol::Isis, prefix, route) {
+                    igp_delta.insert(prefix);
+                }
+            }
+        }
+        self.igp_delta_prefixes += igp_delta.len() as u64;
+
+        // 3. BGP: originations follow the IGP delta, decisions re-run for
+        // prefixes with a candidate whose next hop sits inside it, and the
+        // RIB's eBGP/iBGP contribution follows the selection delta.
+        let mut selection_delta = BTreeSet::new();
+        let mut msgs = Vec::new();
+        let originations_moved = self.sync_originations(&igp_delta);
+        if let Some(bgp) = &mut self.bgp {
+            if originations_moved {
+                bgp.set_originated(self.originated.iter().copied());
+            }
+            bgp.next_hops_moved(&igp_delta);
+            let decisions_before = bgp.prefix_decisions();
+            msgs = bgp.poll(now, &self.rib);
+            self.bgp_prefix_decisions += bgp.prefix_decisions() - decisions_before;
+            selection_delta = bgp.take_selection_delta();
+            for prefix in &selection_delta {
+                let learned = bgp.rib_route(prefix);
+                let (ebgp, ibgp) = match &learned {
+                    Some(r) if r.proto == RouteProtocol::EbgpLearned => (learned, None),
+                    _ => (None, learned),
+                };
+                self.rib
+                    .set_route(RouteProtocol::EbgpLearned, *prefix, ebgp);
+                self.rib
+                    .set_route(RouteProtocol::IbgpLearned, *prefix, ibgp);
+            }
         }
 
-        // 3. BGP. The digest (and hence `igp_changed`) can only move when
-        // the RIB's IGP sources were just rewritten, so both the digest
-        // hash and the resolver trie rebuild are gated on `igp_dirty`.
-        if self.bgp.is_some() {
-            let originated = self.bgp_originated();
-            let igp_changed = igp_dirty && {
-                let digest = self.igp_digest();
-                let changed = digest != self.last_igp_digest;
-                if changed {
-                    self.last_igp_digest = digest;
-                }
-                changed
-            };
-            if igp_changed || self.cached_resolver.is_none() {
-                self.cached_resolver = Some(self.igp_resolver());
-            }
-            let bgp = self.bgp.as_mut().unwrap();
-            if igp_changed {
-                bgp.mark_all_dirty();
-            }
-            bgp.set_originated(originated);
-            let msgs = match &self.cached_resolver {
-                Some(resolver) => bgp.poll(now, resolver),
-                None => Vec::new(),
-            };
+        // 4. FIB: re-resolve the prefixes whose winner can have changed
+        // (both deltas) and the ones resolved through a gateway inside a
+        // changed IGP prefix. Nothing else can differ from `rib.to_fib()`.
+        let mut stale = selection_delta;
+        for moved in &igp_delta {
+            stale.extend(self.gateways.dependents_inside(moved));
+        }
+        stale.extend(igp_delta);
+        self.resolve(&stale);
 
-            // 4. FIB maintenance. A full rebuild costs O(table); at
-            // production-route scale (E5) most polls change only a handful
-            // of prefixes, so patch those directly instead.
-            match bgp.take_selection_delta() {
-                _ if igp_changed => self.full_fib_refresh(),
-                mfv_routing::SelectionDelta::All => self.full_fib_refresh(),
-                mfv_routing::SelectionDelta::Prefixes(set) if set.is_empty() => {}
-                mfv_routing::SelectionDelta::Prefixes(set) => self.patch_fib(&set),
+        // Encode each distinct message once per poll. Fan-out to N
+        // peers (keepalives, iBGP update floods) produces runs of equal
+        // messages; a small ring memo catches them without hashing.
+        let mut memo: Vec<(BgpMsg, Bytes)> = Vec::new();
+        for (peer, msg) in msgs {
+            let msg = self.apply_emit_bug(msg);
+            let src = self.session_local_addr_for(peer);
+            // Transport: we must have a route to the peer (or share a
+            // subnet) for the segment to leave the box.
+            if !self.can_reach(peer) {
+                continue;
             }
-
-            // Encode each distinct message once per poll. Fan-out to N
-            // peers (keepalives, iBGP update floods) produces runs of equal
-            // messages; a small ring memo catches them without hashing.
-            let mut memo: Vec<(BgpMsg, Bytes)> = Vec::new();
-            for (peer, msg) in msgs {
-                let msg = self.apply_emit_bug(msg);
-                let src = self.session_local_addr_for(peer);
-                // Transport: we must have a route to the peer (or share a
-                // subnet) for the segment to leave the box.
-                if !self.can_reach(peer) {
-                    continue;
-                }
-                let payload = match memo.iter().find(|(m, _)| *m == msg) {
-                    Some((_, bytes)) => bytes.clone(),
-                    None => match msg.encode() {
-                        Ok(bytes) => {
-                            if memo.len() >= 8 {
-                                memo.remove(0);
-                            }
-                            memo.push((msg, bytes.clone()));
-                            bytes
+            let payload = match memo.iter().find(|(m, _)| *m == msg) {
+                Some((_, bytes)) => bytes.clone(),
+                None => match msg.encode() {
+                    Ok(bytes) => {
+                        if memo.len() >= 8 {
+                            memo.remove(0);
                         }
-                        // A message that exceeds a wire length field is
-                        // dropped (and counted) instead of truncated into
-                        // a corrupt frame the peer would choke on.
-                        Err(_) => {
-                            self.encode_errors += 1;
-                            continue;
-                        }
-                    },
-                };
-                events.push(RouterEvent::BgpSegment {
-                    src,
-                    dst: peer,
-                    payload,
-                });
-            }
-        } else if igp_dirty {
-            let digest = self.igp_digest();
-            if digest != self.last_igp_digest {
-                self.last_igp_digest = digest;
-                self.full_fib_refresh();
-            }
+                        memo.push((msg, bytes.clone()));
+                        bytes
+                    }
+                    // A message that exceeds a wire length field is
+                    // dropped (and counted) instead of truncated into
+                    // a corrupt frame the peer would choke on.
+                    Err(_) => {
+                        self.encode_errors += 1;
+                        continue;
+                    }
+                },
+            };
+            events.push(RouterEvent::BgpSegment {
+                src,
+                dst: peer,
+                payload,
+            });
         }
 
         events
     }
 
-    /// Full FIB rebuild: sync BGP routes into the RIB and resolve.
-    fn full_fib_refresh(&mut self) {
-        self.full_fib_refreshes += 1;
-        let bgp_routes = self
-            .bgp
-            .as_ref()
-            .map(|b| b.rib_routes())
-            .unwrap_or_default();
-        let (ebgp, ibgp): (Vec<RibRoute>, Vec<RibRoute>) = bgp_routes
-            .into_iter()
-            .partition(|r| r.proto == RouteProtocol::EbgpLearned);
-        self.rib
-            .set_protocol_routes(RouteProtocol::EbgpLearned, ebgp);
-        self.rib
-            .set_protocol_routes(RouteProtocol::IbgpLearned, ibgp);
-        self.refresh_fib();
-    }
-
-    /// Patches the FIB for a small set of changed BGP selections without
-    /// touching the rest of the table. Sound because BGP next hops resolve
-    /// exclusively through the IGP view, which is unchanged on this path
-    /// (IGP changes force a full rebuild above).
-    fn patch_fib(&mut self, prefixes: &std::collections::BTreeSet<Prefix>) {
-        use mfv_routing::rib::{resolve_next_hops, FibEntry};
-        self.fib_patches += 1;
-        // IGP-only winner trie for resolution (small; walked per patch).
-        let mut winners: PrefixTrie<&RibRoute> = PrefixTrie::new();
-        for proto in Self::IGP_PROTOS {
-            for (p, r) in self.rib.protocol_routes(proto) {
-                match winners.get(p) {
-                    Some(prev)
-                        if (prev.admin_distance, prev.metric) <= (r.admin_distance, r.metric) => {}
-                    _ => {
-                        winners.insert(*p, r);
-                    }
-                }
-            }
+    /// Brings the FIB entries at `prefixes` in line with the RIB, recording
+    /// which ones actually changed.
+    fn resolve(&mut self, prefixes: &BTreeSet<Prefix>) {
+        if prefixes.is_empty() {
+            return;
         }
-        let bgp = self.bgp.as_ref().expect("patch path implies bgp");
+        self.fib_patches += 1;
+        self.fib_prefixes_resolved += prefixes.len() as u64;
         let mut changed = false;
+        let mut gateways = Vec::new();
         for prefix in prefixes {
-            // The IGP may own this prefix at a better administrative
-            // distance; BGP changes must not clobber it.
-            let igp_best = self
-                .rib
-                .candidates(prefix)
-                .filter(|r| Self::IGP_PROTOS.contains(&r.proto))
-                .min_by_key(|r| (r.admin_distance, r.metric, r.proto));
-
-            let bgp_sel = bgp
-                .selected()
-                .get(prefix)
-                .filter(|s| s.learned_from.is_some());
-            let bgp_ad = bgp_sel.map(|s| {
-                if s.ebgp {
-                    mfv_types::AdminDistance::default_for(RouteProtocol::EbgpLearned)
-                } else {
-                    mfv_types::AdminDistance::default_for(RouteProtocol::IbgpLearned)
-                }
-            });
-
-            let use_bgp = match (bgp_ad, igp_best) {
-                (Some(ad), Some(igp)) => ad < igp.admin_distance,
-                (Some(_), None) => true,
-                _ => false,
-            };
-
-            let new_entry = if use_bgp {
-                let sel = bgp_sel.expect("use_bgp implies selection");
-                let nhs: Vec<NextHop> = sel.next_hops.iter().map(|nh| NextHop::Via(*nh)).collect();
-                let (resolved, _) = resolve_next_hops(&winners, &nhs);
-                if resolved.is_empty() {
-                    None
-                } else {
-                    Some(FibEntry {
-                        prefix: *prefix,
-                        proto: if sel.ebgp {
-                            RouteProtocol::EbgpLearned
-                        } else {
-                            RouteProtocol::IbgpLearned
-                        },
-                        next_hops: resolved,
-                    })
-                }
-            } else if let Some(igp) = igp_best {
-                let (resolved, discard) = resolve_next_hops(&winners, &igp.next_hops);
-                if resolved.is_empty() && !discard {
-                    None
-                } else {
-                    Some(FibEntry {
-                        prefix: *prefix,
-                        proto: igp.proto,
-                        next_hops: resolved,
-                    })
-                }
-            } else {
-                None
-            };
-
-            let old = self.fib.get(prefix);
-            if old != new_entry.as_ref() {
-                changed = true;
-                self.changed_prefixes.insert(*prefix);
-                match new_entry {
-                    Some(e) => {
-                        self.fib.insert(e);
-                    }
-                    None => {
-                        self.fib.remove(prefix);
-                    }
+            gateways.clear();
+            let entry = self.rib.resolve(prefix, &mut gateways);
+            self.gateways.set(*prefix, &gateways);
+            if self.fib.get(prefix) == entry.as_ref() {
+                continue;
+            }
+            changed = true;
+            self.changed_prefixes.insert(*prefix);
+            match entry {
+                Some(e) => self.fib.insert(e),
+                None => {
+                    self.fib.remove(prefix);
                 }
             }
         }
         if changed {
             self.fib_version += 1;
-            self.last_fib_digest = 0; // stale; next full refresh recomputes
         }
     }
 
@@ -815,7 +758,7 @@ impl VirtualRouter {
     }
 
     fn can_reach(&self, dst: Ipv4Addr) -> bool {
-        if self.addresses().contains(&dst) {
+        if self.addresses.contains(&dst) {
             return true;
         }
         self.fib
@@ -848,43 +791,12 @@ impl VirtualRouter {
         }
     }
 
-    fn refresh_fib(&mut self) {
-        let fib = self.rib.to_fib();
-        if !fib.same_as(&self.fib) {
-            self.fib_version += 1;
-            // Symmetric difference old↔new for the churn tracker.
-            for e in self.fib.entries() {
-                match fib.get(&e.prefix) {
-                    Some(n) if n == e => {}
-                    _ => {
-                        self.changed_prefixes.insert(e.prefix);
-                    }
-                }
-            }
-            for e in fib.entries() {
-                if self.fib.get(&e.prefix).is_none() {
-                    self.changed_prefixes.insert(e.prefix);
-                }
-            }
-        }
-        self.last_fib_digest = fib.digest();
-        self.fib = fib;
-    }
-
-    fn bump_fib_version(&mut self) {
-        self.fib_version += 1;
-        self.last_fib_digest = self.fib.digest();
-    }
-
     /// Restarts a crashed routing process (watchdog). State comes back
     /// empty, as after a real daemon restart.
     pub fn restart(&mut self, _now: SimTime) {
         self.state = RouterState::Running;
-        self.build_engines();
-        self.rib = Rib::new();
-        self.fib = Fib::new();
         self.decode_errors = 0;
-        self.mark_rib_sources_dirty();
+        self.boot();
     }
 
     /// Earliest instant the router needs a poll for its timers, or `None`
@@ -1176,6 +1088,45 @@ mod tests {
         // Injecting into an already-crashed process is a no-op.
         r1.inject_crash("again");
         assert!(r1.poll(SimTime(now.0 + 200)).is_empty());
+    }
+
+    /// A router with neither BGP nor IS-IS has the same connected/static
+    /// routes before and after a crash; it must still reinstall them.
+    #[test]
+    fn restarted_router_reinstalls_its_fib() {
+        let mut cfg = RouterSpec::new("r1", AsNum(65001), Ipv4Addr::new(2, 2, 2, 1))
+            .iface(IfaceSpec::new(
+                "Ethernet1",
+                "100.64.0.0/31".parse().unwrap(),
+            ))
+            .build();
+        cfg.bgp = None;
+        cfg.isis = None;
+        cfg.static_routes.push(mfv_config::StaticRoute {
+            prefix: "198.51.100.0/24".parse().unwrap(),
+            next_hop: Ipv4Addr::new(100, 64, 0, 1),
+            distance: None,
+        });
+        let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), cfg);
+        let _ = r.poll(SimTime(100));
+        let booted: Vec<_> = r.fib().entries().cloned().collect();
+        assert!(
+            booted.len() >= 3,
+            "loopback, link subnet, static: {booted:?}"
+        );
+
+        r.inject_crash("chaos: routing process killed");
+        let _ = r.poll(SimTime(200));
+        assert!(r.fib().is_empty(), "crashed process loses its FIB");
+        let _ = r.take_changed_prefixes();
+        let crashed_at = r.fib_version();
+
+        r.restart(SimTime(300));
+        let _ = r.poll(SimTime(400));
+        let back: Vec<_> = r.fib().entries().cloned().collect();
+        assert_eq!(back, booted, "a restarted router must not stay black");
+        assert!(r.fib_version() > crashed_at);
+        assert_eq!(r.take_changed_prefixes().len(), booted.len());
     }
 
     #[test]

@@ -481,24 +481,18 @@ impl Lsp {
         })
     }
 
-    pub fn is_neighbors(&self) -> Vec<IsNeighbor> {
-        self.tlvs
-            .iter()
-            .flat_map(|t| match t {
-                Tlv::ExtIsReach(v) => v.clone(),
-                _ => Vec::new(),
-            })
-            .collect()
+    pub fn is_neighbors(&self) -> impl Iterator<Item = &IsNeighbor> {
+        self.tlvs.iter().flat_map(|t| match t {
+            Tlv::ExtIsReach(v) => v.as_slice(),
+            _ => &[],
+        })
     }
 
-    pub fn ip_reaches(&self) -> Vec<IpReach> {
-        self.tlvs
-            .iter()
-            .flat_map(|t| match t {
-                Tlv::ExtIpReach(v) => v.clone(),
-                _ => Vec::new(),
-            })
-            .collect()
+    pub fn ip_reaches(&self) -> impl Iterator<Item = &IpReach> {
+        self.tlvs.iter().flat_map(|t| match t {
+            Tlv::ExtIpReach(v) => v.as_slice(),
+            _ => &[],
+        })
     }
 
     /// Fletcher checksum over the canonical encoding of the LSP body.
@@ -892,9 +886,9 @@ mod tests {
             IsisPdu::Lsp(got) => {
                 assert_eq!(got, lsp);
                 assert_eq!(got.hostname(), Some("r1"));
-                assert_eq!(got.is_neighbors().len(), 2);
-                assert_eq!(got.ip_reaches().len(), 2);
-                assert!(got.ip_reaches()[1].down);
+                assert_eq!(got.is_neighbors().count(), 2);
+                assert_eq!(got.ip_reaches().count(), 2);
+                assert!(got.ip_reaches().nth(1).unwrap().down);
             }
             other => panic!("{other:?}"),
         }
@@ -966,7 +960,7 @@ mod tests {
         };
         match roundtrip(IsisPdu::Lsp(lsp)) {
             IsisPdu::Lsp(got) => {
-                assert_eq!(got.is_neighbors()[0].metric, 0xff_ffff);
+                assert_eq!(got.is_neighbors().next().unwrap().metric, 0xff_ffff);
             }
             other => panic!("{other:?}"),
         }
