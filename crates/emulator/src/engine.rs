@@ -817,31 +817,6 @@ impl Emulation {
         self.glob.last_activity = self.glob.last_activity.max(now);
     }
 
-    /// Administratively shuts a BGP session on a node.
-    pub fn shutdown_bgp(&mut self, node: &NodeId, peer: Ipv4Addr) {
-        let Some(node_ref) = self.net.interner.resolve_node(node) else {
-            return;
-        };
-        let Some(sid) = self.net.node_shard.get(node_ref.index()).copied() else {
-            return;
-        };
-        let now = self.glob.now;
-        let Some(shard) = self.shards.get_mut(sid) else {
-            return;
-        };
-        shard.advance_clock(now);
-        if let Some(router) = shard
-            .routers
-            .get_mut(node_ref.index())
-            .and_then(|s| s.as_mut())
-        {
-            router.shutdown_bgp_session(peer, now);
-            shard.last_activity = shard.last_activity.max(now);
-            shard.schedule_poll(node_ref, SimTime(now.0 + 1));
-            self.glob.last_activity = self.glob.last_activity.max(now);
-        }
-    }
-
     /// Extracts the current dataplane snapshot (the AFT dump step).
     /// `NodeRef` order is name order, so the walk matches the old
     /// string-keyed map's iteration byte for byte — at any shard layout.
@@ -1148,41 +1123,25 @@ fn drive(
     if shards.is_empty() {
         return false;
     }
-    let threads = effective_threads(glob.cfg.threads, shards.len());
+    // One thread means a pool of zero workers: the lead runs every due
+    // shard itself and no barrier is ever crossed.
+    let workers = match effective_threads(glob.cfg.threads, shards.len()) {
+        1 => 0,
+        n => n,
+    };
     let cells: Vec<Mutex<&mut Shard>> = shards.iter_mut().map(Mutex::new).collect();
-    if threads <= 1 {
-        loop {
-            match plan(glob, net, &cells, deadline, converge) {
-                Plan::Run(ends) => {
-                    for (i, cell) in cells.iter().enumerate() {
-                        let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-                        lock_or_recover(cell).run_window(net, end);
-                    }
-                    settle(glob, net, &cells, &ends, deadline);
-                    if let Some(wp) = wall.as_deref_mut() {
-                        mark_wall(glob, wp);
-                    }
-                }
-                Plan::Converged(at) => {
-                    glob.now = glob.now.max(at);
-                    return true;
-                }
-                Plan::Done => return false,
-            }
-        }
-    }
     // Persistent worker pool: one command + two barriers per dispatched
     // window. Workers take shards round-robin by index; shard state lives
     // behind per-shard mutexes that are only ever locked by one side of a
     // barrier at a time.
     let cmd: Mutex<Cmd> = Mutex::new(Cmd::Window);
     let ends_shared: Mutex<Vec<SimTime>> = Mutex::new(Vec::new());
-    let start = Barrier::new(threads + 1);
-    let finish = Barrier::new(threads + 1);
+    let start = Barrier::new(workers + 1);
+    let finish = Barrier::new(workers + 1);
     let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
     let cells_ref = &cells;
     with_workers(
-        threads,
+        workers,
         |w| loop {
             start.wait();
             let c = *lock_or_recover(&cmd);
@@ -1194,7 +1153,7 @@ fn drive(
                     // the barrier — the worker must always reach it, or
                     // the coordinator would deadlock.
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        for i in (w..cells_ref.len()).step_by(threads) {
+                        for i in (w..cells_ref.len()).step_by(workers) {
                             let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
                             lock_or_recover(&cells_ref[i]).run_window(net, end);
                         }
@@ -1210,23 +1169,23 @@ fn drive(
             let lead = catch_unwind(AssertUnwindSafe(|| loop {
                 match plan(glob, net, cells_ref, deadline, converge) {
                     Plan::Run(ends) => {
-                        // Fast path: when only one shard has due work in
-                        // this window, run it inline — no barrier round
-                        // trip for the whole pool.
-                        let mut active = 0usize;
-                        let mut only = 0usize;
-                        for (i, cell) in cells_ref.iter().enumerate() {
-                            let due = lock_or_recover(cell).next_due();
-                            let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-                            if due.map(|d| d < end).unwrap_or(false) {
-                                active += 1;
-                                only = i;
-                            }
-                        }
-                        if active <= 1 {
-                            if active == 1 {
-                                let end = ends.get(only).copied().unwrap_or(SimTime::ZERO);
-                                lock_or_recover(&cells_ref[only]).run_window(net, end);
+                        // A shard with nothing due before its window end
+                        // has nothing to run. A lone due shard is run
+                        // inline — no barrier round trip for the whole
+                        // pool — and so is every due shard when there are
+                        // no workers.
+                        let due: Vec<usize> = (0..cells_ref.len())
+                            .filter(|i| {
+                                let end = ends.get(*i).copied().unwrap_or(SimTime::ZERO);
+                                lock_or_recover(&cells_ref[*i])
+                                    .next_due()
+                                    .is_some_and(|d| d < end)
+                            })
+                            .collect();
+                        if due.len() <= 1 || workers == 0 {
+                            for i in due {
+                                let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
+                                lock_or_recover(&cells_ref[i]).run_window(net, end);
                             }
                         } else {
                             *lock_or_recover(&ends_shared) = ends.clone();

@@ -119,7 +119,7 @@ impl QueryIndex {
             return Err(Reply::Err(format!("missing {what} node")));
         };
         let node = NodeId::from(name);
-        if !self.fa.dataplane().nodes.contains_key(&node) {
+        if !self.fa.nodes().contains_key(&node) {
             return Err(Reply::Err(format!("unknown {what} node '{name}'")));
         }
         Ok(node)

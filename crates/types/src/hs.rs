@@ -4,12 +4,11 @@
 //! individual probes, which is what makes its search exhaustive (the paper's
 //! Differential Reachability query "exhaustively compares network paths for
 //! all possible packets"). [`IpSet`] is an exact set of IPv4 addresses
-//! represented as sorted, disjoint, inclusive ranges; [`PacketClass`] is a
-//! rectangle over (dst, src) address space.
+//! represented as sorted, disjoint, inclusive ranges.
 //!
-//! Since every FIB in this system forwards on destination address only, the
-//! per-hop transformation partitions the *destination* dimension; the source
-//! dimension is carried through for query filtering.
+//! Every FIB in this system forwards on destination address only, so the
+//! per-hop transformation partitions the *destination* dimension and a
+//! packet class is just an [`IpSet`] of destinations.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -199,11 +198,6 @@ impl IpSet {
         IpSet::full().subtract(self)
     }
 
-    /// A representative address from the set (the lowest), if nonempty.
-    pub fn sample(&self) -> Option<Ipv4Addr> {
-        self.ranges.first().map(|r| Ipv4Addr::from(r.lo))
-    }
-
     /// Decomposes the set into a minimal list of CIDR prefixes. Useful for
     /// reporting ("these destinations lost reachability") in config-speak.
     pub fn to_prefixes(&self) -> Vec<Prefix> {
@@ -255,85 +249,6 @@ impl fmt::Display for IpSet {
 impl From<Prefix> for IpSet {
     fn from(p: Prefix) -> Self {
         IpSet::from_prefix(&p)
-    }
-}
-
-/// A rectangle of packets: a destination set × source set.
-///
-/// Forwarding decisions partition `dst`; `src` is constrained only by query
-/// scoping (e.g. "packets entering at R5's loopback").
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub struct PacketClass {
-    pub dst: IpSet,
-    pub src: IpSet,
-}
-
-impl PacketClass {
-    /// All packets.
-    pub fn full() -> PacketClass {
-        PacketClass {
-            dst: IpSet::full(),
-            src: IpSet::full(),
-        }
-    }
-
-    /// All packets toward destinations in `dst`, any source.
-    pub fn to_dst(dst: impl Into<IpSet>) -> PacketClass {
-        PacketClass {
-            dst: dst.into(),
-            src: IpSet::full(),
-        }
-    }
-
-    /// Packets from `src` to `dst`.
-    pub fn flow(src: impl Into<IpSet>, dst: impl Into<IpSet>) -> PacketClass {
-        PacketClass {
-            src: src.into(),
-            dst: dst.into(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.dst.is_empty() || self.src.is_empty()
-    }
-
-    /// Number of (src, dst) packet combinations in the class.
-    pub fn count(&self) -> u128 {
-        self.dst.count() as u128 * self.src.count() as u128
-    }
-
-    pub fn intersect(&self, other: &PacketClass) -> PacketClass {
-        PacketClass {
-            dst: self.dst.intersect(&other.dst),
-            src: self.src.intersect(&other.src),
-        }
-    }
-
-    /// Restricts the class to destinations in `dst`.
-    pub fn with_dst(&self, dst: &IpSet) -> PacketClass {
-        PacketClass {
-            dst: self.dst.intersect(dst),
-            src: self.src.clone(),
-        }
-    }
-
-    /// Removes destinations in `dst` from the class.
-    pub fn without_dst(&self, dst: &IpSet) -> PacketClass {
-        PacketClass {
-            dst: self.dst.subtract(dst),
-            src: self.src.clone(),
-        }
-    }
-
-    /// A representative (src, dst) pair, if the class is nonempty.
-    pub fn sample(&self) -> Option<(Ipv4Addr, Ipv4Addr)> {
-        Some((self.src.sample()?, self.dst.sample()?))
-    }
-}
-
-impl fmt::Display for PacketClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "src={} dst={}", self.src, self.dst)
     }
 }
 
@@ -439,27 +354,5 @@ mod tests {
         assert_eq!(s.count(), 2);
         assert_eq!(s.complement().count(), (1u64 << 32) - 2);
         assert!(s.contains(Ipv4Addr::from(u32::MAX)));
-    }
-
-    #[test]
-    fn packet_class_algebra() {
-        let cls = PacketClass::flow(p("1.0.0.0/8"), p("2.0.0.0/8"));
-        assert!(!cls.is_empty());
-        let narrowed = cls.with_dst(&IpSet::from_prefix(&p("2.5.0.0/16")));
-        assert_eq!(narrowed.dst.count(), 1 << 16);
-        let emptied = cls.with_dst(&IpSet::from_prefix(&p("3.0.0.0/8")));
-        assert!(emptied.is_empty());
-        let holed = cls.without_dst(&IpSet::from_prefix(&p("2.5.0.0/16")));
-        assert_eq!(holed.dst.count(), (1u64 << 24) - (1u64 << 16));
-    }
-
-    #[test]
-    fn packet_class_sample_and_count() {
-        let cls = PacketClass::flow(p("1.2.3.4/32"), p("9.9.9.0/30"));
-        assert_eq!(cls.count(), 4);
-        let (s, d) = cls.sample().unwrap();
-        assert_eq!(s, Ipv4Addr::new(1, 2, 3, 4));
-        assert_eq!(d, Ipv4Addr::new(9, 9, 9, 0));
-        assert!(PacketClass::flow(IpSet::empty(), IpSet::full()).is_empty());
     }
 }

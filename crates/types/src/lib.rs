@@ -10,8 +10,8 @@
 //! - routing attribute types shared across protocol implementations
 //!   ([`AsPath`], [`Community`], [`Origin`], [`AdminDistance`], …)
 //! - a longest-prefix-match trie ([`trie::PrefixTrie`])
-//! - a header-space algebra over IPv4 ranges ([`hs::IpSet`],
-//!   [`hs::PacketClass`]) used by the exhaustive verification engine
+//! - a header-space algebra over IPv4 ranges ([`hs::IpSet`]) used by the
+//!   exhaustive verification engine
 //! - simulated-time primitives ([`time::SimTime`], [`time::SimDuration`])
 //! - extraction provenance shared by the management plane and the verifier
 //!   ([`status::ExtractionStatus`])
@@ -27,7 +27,7 @@ pub mod trie;
 
 pub use addr::{IfaceAddr, Prefix, PrefixParseError};
 pub use attrs::{AdminDistance, AsPath, AsPathSegment, Community, Origin, RouteProtocol};
-pub use hs::{IpSet, PacketClass};
+pub use hs::IpSet;
 pub use ids::{AsNum, IfaceId, LinkId, NodeId, RouterId};
 pub use intern::{IfaceRef, Interner, NodeRef};
 pub use status::ExtractionStatus;

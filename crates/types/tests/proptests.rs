@@ -6,7 +6,7 @@ use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
-use mfv_types::{IpSet, PacketClass, Prefix, PrefixTrie};
+use mfv_types::{IpSet, Prefix, PrefixTrie};
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(bits, len)| Prefix::from_bits(bits, len))
@@ -129,14 +129,6 @@ proptest! {
         prop_assert_eq!(a.intersect(&b).contains(ip), in_a && in_b);
         prop_assert_eq!(a.subtract(&b).contains(ip), in_a && !in_b);
         prop_assert_eq!(a.complement().contains(ip), !in_a);
-    }
-
-    #[test]
-    fn packet_class_intersect_counts(a in arb_ipset(), b in arb_ipset()) {
-        let cls = PacketClass::flow(a.clone(), b.clone());
-        prop_assert_eq!(cls.count(), a.count() as u128 * b.count() as u128);
-        let inter = cls.intersect(&PacketClass::full());
-        prop_assert_eq!(inter, cls);
     }
 
     #[test]

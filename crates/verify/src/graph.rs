@@ -18,11 +18,11 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use mfv_dataplane::{Dataplane, NodeDataplane};
-use mfv_routing::rib::{Fib, FibEntry};
-use mfv_types::{IfaceId, IpSet, NodeId, PrefixTrie};
+use mfv_dataplane::Dataplane;
+use mfv_routing::rib::FibEntry;
+use mfv_types::{IfaceId, IpSet, LinkId, NodeId, PrefixTrie};
 
-use crate::index::{ClassIndex, IndexStats, NodeInput};
+use crate::index::{ClassIndex, IndexStats};
 
 /// The fate of a packet class.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -104,7 +104,7 @@ pub struct NodeClasses {
 }
 
 /// Cross-snapshot cache of per-FIB effective classes, keyed by
-/// [`NodeDataplane::fib_digest`].
+/// [`mfv_dataplane::NodeDataplane::fib_digest`].
 ///
 /// What-if sweeps analyse hundreds of variant dataplanes that differ from
 /// the baseline at only a few nodes; sharing the unchanged nodes' classes
@@ -132,8 +132,7 @@ impl ClassCache {
         )
     }
 
-    fn classes_for(&self, node: &NodeDataplane) -> Arc<NodeClasses> {
-        let digest = node.fib_digest();
+    fn classes_for(&self, digest: u64, entries: &[FibEntry]) -> Arc<NodeClasses> {
         // Poisoning cannot corrupt the cache (insertions are atomic via the
         // entry API), so recover the guard instead of propagating a panic
         // from an unrelated worker thread into this sweep.
@@ -148,7 +147,7 @@ impl ClassCache {
         }
         // Build outside the lock: class computation is the expensive part,
         // and a rare duplicate build is cheaper than serialising all misses.
-        let built = Arc::new(effective_classes(&node.fib()));
+        let built = Arc::new(effective_classes(entries));
         self.misses.fetch_add(1, Ordering::SeqCst);
         self.by_digest
             .lock()
@@ -159,9 +158,19 @@ impl ClassCache {
     }
 }
 
-struct NodeState {
-    fib: Fib,
-    classes: Arc<NodeClasses>,
+/// What an analysis keeps of one dataplane node.
+pub struct NodeView {
+    /// Shared with every analysis that saw the same FIB through one
+    /// [`ClassCache`].
+    pub classes: Arc<NodeClasses>,
+    /// Addresses the node owns (packets to these are *accepted*).
+    pub addresses: BTreeSet<Ipv4Addr>,
+    /// A node that is not up drops everything and consults nothing.
+    pub up: bool,
+    /// [`mfv_dataplane::NodeDataplane::fib_digest`] of the FIB `classes`
+    /// were derived from: the cache key, and the standing-query layer's
+    /// change-detection key.
+    pub fib_digest: u64,
 }
 
 /// A disposition partition of some scope: disjoint packet classes, each
@@ -174,11 +183,12 @@ pub type DispositionRows = Vec<(IpSet, Disposition)>;
 /// invariant the standing-query layer's pair-level incrementality rests on.
 pub type DepSet = BTreeSet<NodeId>;
 
-/// The analysis context: a dataplane, its per-node match classes, and the
-/// forwarding-equivalence-class index built from them on first use.
+/// The analysis context: per-node match classes, addresses and liveness,
+/// the links between them, and the forwarding-equivalence-class index
+/// built from those on first use.
 pub struct ForwardingAnalysis {
-    nodes: BTreeMap<NodeId, NodeState>,
-    dp: Dataplane,
+    nodes: BTreeMap<NodeId, NodeView>,
+    links: Vec<LinkId>,
     /// Built once, by whichever query arrives first; immutable after, so
     /// any number of threads read it without synchronisation.
     index: OnceLock<ClassIndex>,
@@ -189,19 +199,19 @@ pub struct ForwardingAnalysis {
     classes_built: usize,
 }
 
-fn effective_classes(fib: &Fib) -> NodeClasses {
-    let entries: Vec<&FibEntry> = fib.entries().collect();
-    // LPM holes are exactly the topmost more-specific prefixes present in
-    // the same FIB; the trie walk finds them directly instead of scanning
-    // all prefix pairs.
+fn effective_classes(entries: &[FibEntry]) -> NodeClasses {
+    // One slot per prefix: a repeated prefix keeps its last entry, as
+    // `Fib::insert` does. LPM holes are exactly the topmost more-specific
+    // prefixes present in the same FIB; the trie walk finds them directly
+    // instead of scanning all prefix pairs.
     let mut trie = PrefixTrie::new();
-    for e in &entries {
-        trie.insert(e.prefix, ());
+    for e in entries {
+        trie.insert(e.prefix, e);
     }
-    let mut classes = Vec::with_capacity(entries.len());
-    for e in &entries {
-        let mut eff = IpSet::from_prefix(&e.prefix);
-        for hole in trie.max_descendants(&e.prefix) {
+    let mut classes = Vec::with_capacity(trie.len());
+    for (prefix, e) in trie.iter() {
+        let mut eff = IpSet::from_prefix(&prefix);
+        for hole in trie.max_descendants(&prefix) {
             eff = eff.subtract(&IpSet::from_prefix(&hole));
         }
         if !eff.is_empty() {
@@ -226,24 +236,27 @@ impl ForwardingAnalysis {
         let mut nodes = BTreeMap::new();
         let mut classes_built = 0usize;
         for (name, node) in &dp.nodes {
+            let fib_digest = node.fib_digest();
             let classes = match cache {
-                Some(c) => c.classes_for(node),
+                Some(c) => c.classes_for(fib_digest, &node.entries),
                 None => {
                     classes_built += 1;
-                    Arc::new(effective_classes(&node.fib()))
+                    Arc::new(effective_classes(&node.entries))
                 }
             };
             nodes.insert(
                 name.clone(),
-                NodeState {
-                    fib: node.fib(),
+                NodeView {
                     classes,
+                    addresses: node.addresses.clone(),
+                    up: node.up,
+                    fib_digest,
                 },
             );
         }
         ForwardingAnalysis {
             nodes,
-            dp: dp.clone(),
+            links: dp.links.clone(),
             index: OnceLock::new(),
             lookups: AtomicUsize::new(0),
             classes_built,
@@ -253,25 +266,8 @@ impl ForwardingAnalysis {
     /// The class index, built on first use. Threads that arrive during
     /// the build wait for it; every later call is a plain read.
     fn index(&self) -> &ClassIndex {
-        self.index.get_or_init(|| {
-            let inputs = self
-                .dp
-                .nodes
-                .iter()
-                .filter_map(|(name, node)| {
-                    let state = self.nodes.get(name)?;
-                    Some((
-                        name.clone(),
-                        NodeInput {
-                            classes: &state.classes,
-                            addresses: &node.addresses,
-                            up: node.up,
-                        },
-                    ))
-                })
-                .collect();
-            ClassIndex::build(&inputs, &self.dp.links)
-        })
+        self.index
+            .get_or_init(|| ClassIndex::build(&self.nodes, &self.links))
     }
 
     fn lookup(&self) -> &ClassIndex {
@@ -322,8 +318,9 @@ impl ForwardingAnalysis {
         }
     }
 
-    pub fn dataplane(&self) -> &Dataplane {
-        &self.dp
+    /// Every dataplane node the analysis was built over, by name.
+    pub fn nodes(&self) -> &BTreeMap<NodeId, NodeView> {
+        &self.nodes
     }
 
     pub fn node_names(&self) -> Vec<NodeId> {
@@ -353,89 +350,18 @@ impl ForwardingAnalysis {
     }
 
     /// Single-packet trace with full hop recording (ECMP: first next hop,
-    /// as a hashing dataplane would pick deterministically for one flow).
+    /// as a hashing dataplane would pick deterministically for one flow):
+    /// a first-branch walk over the address's class in the index.
     pub fn trace(&self, from: &NodeId, dst: Ipv4Addr) -> Trace {
-        let mut hops = Vec::new();
-        let mut node = from.clone();
-        let mut seen: Vec<NodeId> = Vec::new();
-        loop {
-            let live = self.dp.nodes.get(&node).filter(|n| n.up);
-            let (Some(state), Some(live)) = (self.nodes.get(&node), live) else {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NodeDown(node),
-                };
-            };
-            if live.addresses.contains(&dst) {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::Accepted(node),
-                };
-            }
-            if seen.contains(&node) {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::Loop(node),
-                };
-            }
-            seen.push(node.clone());
-            let Some(entry) = state.fib.lookup(dst) else {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NoRoute(node),
-                };
-            };
-            let Some(nh) = entry.next_hops.first() else {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NullRoute(node),
-                };
-            };
-            hops.push(TraceHop {
-                node: node.clone(),
-                egress: Some(nh.iface.clone()),
-            });
-            match self.dp.peer_of(&node, &nh.iface) {
-                Some((peer, _)) => {
-                    node = peer.clone();
-                }
-                None => {
-                    return Trace {
-                        hops,
-                        disposition: Disposition::ExitsNetwork(node),
-                    };
-                }
-            }
-        }
+        self.lookup().trace(&self.nodes, from, dst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfv_routing::rib::{FibEntry, FibNextHop};
-    use mfv_types::{LinkId, Prefix, RouteProtocol};
-    use std::collections::BTreeSet;
+    use mfv_routing::rib::{Fib, FibNextHop};
+    use mfv_types::{Prefix, RouteProtocol};
 
     fn entry(prefix: &str, iface: &str, via: Option<&str>) -> FibEntry {
         FibEntry {
@@ -709,5 +635,75 @@ mod tests {
         assert!(rows
             .iter()
             .all(|(_, d)| matches!(d, Disposition::NoRoute(_))));
+    }
+    /// `trace` and `fate_of` read the same class; they can only differ
+    /// where a node has several next hops and `trace` follows the first.
+    #[test]
+    fn trace_agrees_with_fate_of_without_ecmp() {
+        let mut looping = line_dp();
+        for (name, iface) in [("r1", "e0"), ("r2", "e0")] {
+            let node = looping.nodes.get_mut(&NodeId::from(name)).unwrap();
+            node.entries.push(entry("9.9.9.9/32", iface, None));
+        }
+        let mut down = line_dp();
+        down.nodes.get_mut(&NodeId::from("r3")).unwrap().up = false;
+        let mut dropping = line_dp();
+        let r2 = dropping.nodes.get_mut(&NodeId::from("r2")).unwrap();
+        r2.entries.push(FibEntry {
+            prefix: "2.2.2.3/32".parse().unwrap(),
+            proto: RouteProtocol::Static,
+            next_hops: vec![],
+        });
+        r2.entries.push(entry("198.51.100.0/24", "uplink", None));
+        for dp in [line_dp(), looping, down, dropping] {
+            let fa = ForwardingAnalysis::new(&dp);
+            for src in fa.node_names() {
+                for dst in ["2.2.2.1", "2.2.2.3", "9.9.9.9", "198.51.100.7", "8.8.8.8"] {
+                    let trace = fa.trace(&src, addr(dst));
+                    assert_eq!(trace.disposition, fa.fate_of(&src, addr(dst)));
+                    assert_eq!(&trace.hops[0].node, &src);
+                    let last = trace.hops.last().unwrap();
+                    assert_eq!(&last.node, trace.disposition.node());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_prefix_keeps_its_last_entry() {
+        let mut dp = line_dp();
+        let r1 = dp.nodes.get_mut(&NodeId::from("r1")).unwrap();
+        r1.entries = vec![
+            entry("2.2.2.3/32", "e0", None),
+            entry("2.2.2.2/32", "e0", None),
+            FibEntry {
+                prefix: "2.2.2.3/32".parse().unwrap(),
+                proto: RouteProtocol::Static,
+                next_hops: vec![],
+            },
+        ];
+        let want = effective_classes(&r1.fib().entries().cloned().collect::<Vec<_>>());
+        let got = effective_classes(&r1.entries);
+        assert_eq!(got.classes, want.classes);
+        assert_eq!(got.classes.len(), 2);
+        let fa = ForwardingAnalysis::new(&dp);
+        assert_eq!(
+            fa.trace(&"r1".into(), addr("2.2.2.3")).disposition,
+            Disposition::NullRoute("r1".into())
+        );
+    }
+
+    #[test]
+    fn analyses_through_one_cache_share_every_node_classes() {
+        let dp = line_dp();
+        let cache = ClassCache::new();
+        let first = ForwardingAnalysis::with_cache(&dp, &cache);
+        let second = ForwardingAnalysis::with_cache(&dp, &cache);
+        assert_eq!(cache.stats(), (3, 3));
+        assert_eq!(second.classes_built, 0);
+        for (name, node) in first.nodes() {
+            assert!(Arc::ptr_eq(&node.classes, &second.nodes()[name].classes));
+            assert_eq!(Arc::strong_count(&node.classes), 3, "cache + two analyses");
+        }
     }
 }

@@ -6,9 +6,10 @@
 //! the same query — so the whole analysis factors into three steps:
 //!
 //! 1. **Atoms.** Cut the destination space at every boundary of every
-//!    node's effective match classes ([`NodeClasses`]) and at every owned
-//!    address. Inside one atom every node takes one action for all
-//!    addresses: drop as down, accept, no route, or forward by one entry.
+//!    node's effective match classes ([`crate::graph::NodeClasses`]) and
+//!    at every owned address. Inside one atom every node takes one action
+//!    for all addresses: drop as down, accept, no route, or forward by one
+//!    entry.
 //! 2. **Classes.** Atoms whose per-node action vectors are identical are
 //!    the same forwarding equivalence class; merge them.
 //! 3. **Fates.** Per class the actions form one next-hop graph over
@@ -18,10 +19,12 @@
 //!    stack, because `Loop(node)` names the first node a path revisits.
 //!
 //! Any scoped answer is then a restriction: intersect the scope with the
-//! atoms and read the fate table. Dependency sets are *derived* — the
-//! nodes reachable from the source in the class graphs of the classes in
-//! scope — rather than stored per (class, node) cell, which keeps the
-//! index at O(classes × nodes) words however many pairs are queried.
+//! atoms and read the fate table. A single-packet trace reads the same
+//! per-class actions and branches, following the first branch at each
+//! hop. Dependency sets are *derived* — the nodes reachable from the
+//! source in the class graphs of the classes in scope — rather than
+//! stored per (class, node) cell, which keeps the index at
+//! O(classes × nodes) words however many pairs are queried.
 
 // mfv-lint: allow-file(P1, dense tables indexed by node/atom/class ids this module interned itself; an out-of-range id is a builder bug that must fail loudly instead of degrading to a wrong verdict)
 
@@ -31,15 +34,7 @@ use std::net::Ipv4Addr;
 use mfv_types::hs::IpRange;
 use mfv_types::{IfaceId, IpSet, LinkId, NodeId};
 
-use crate::graph::{DepSet, Disposition, DispositionRows, NodeClasses};
-
-/// What one node contributes to the index: its shared match classes, the
-/// addresses it accepts, and whether it forwards at all.
-pub(crate) struct NodeInput<'a> {
-    pub classes: &'a NodeClasses,
-    pub addresses: &'a BTreeSet<Ipv4Addr>,
-    pub up: bool,
-}
+use crate::graph::{DepSet, Disposition, DispositionRows, NodeView, Trace, TraceHop};
 
 /// Deterministic counters of an analysis' class index: its shape (all
 /// zero until something builds it) and how much it has been read.
@@ -121,7 +116,7 @@ pub(crate) struct ClassIndex {
 }
 
 impl ClassIndex {
-    pub fn build(nodes: &BTreeMap<NodeId, NodeInput<'_>>, links: &[LinkId]) -> ClassIndex {
+    pub fn build(nodes: &BTreeMap<NodeId, NodeView>, links: &[LinkId]) -> ClassIndex {
         let timer = mfv_obs::WallTimer::start();
         let mut names: BTreeSet<&NodeId> = nodes.keys().collect();
         for l in links {
@@ -142,7 +137,7 @@ impl ClassIndex {
         }
 
         // Only nodes that are up consult their FIB or addresses.
-        let live: Vec<Option<&NodeInput<'_>>> = names
+        let live: Vec<Option<&NodeView>> = names
             .iter()
             .map(|name| nodes.get(name).filter(|node| node.up))
             .collect();
@@ -155,7 +150,7 @@ impl ClassIndex {
                     cuts.extend(r.hi.checked_add(1));
                 }
             }
-            for a in node.addresses {
+            for a in &node.addresses {
                 let a = u32::from(*a);
                 cuts.push(a);
                 cuts.extend(a.checked_add(1));
@@ -301,6 +296,59 @@ impl ClassIndex {
         self.disposition(self.fates[class * self.names.len() + src])
     }
 
+    /// The path of one packet entering at `from`: where a node forwards
+    /// over several equal-cost branches the first is followed, as a
+    /// hashing dataplane picks one per flow. `nodes` is the map the index
+    /// was built from; egress interface names are read from its classes.
+    pub fn trace(&self, nodes: &BTreeMap<NodeId, NodeView>, from: &NodeId, dst: Ipv4Addr) -> Trace {
+        let Some(mut v) = self.id_of(from) else {
+            return Trace {
+                hops: vec![TraceHop {
+                    node: from.clone(),
+                    egress: None,
+                }],
+                disposition: Disposition::NodeDown(from.clone()),
+            };
+        };
+        let hop = |v: usize, egress| TraceHop {
+            node: self.names[v].clone(),
+            egress,
+        };
+        let n = self.names.len();
+        let class = self.class_of[self.atom_of(u32::from(dst))] as usize;
+        let actions = &self.actions[class * n..][..n];
+        let mut hops = Vec::new();
+        let mut seen = vec![false; n];
+        let fate = loop {
+            let here = |kind| Fate {
+                kind,
+                node: v as u32,
+            };
+            let branches = match step(actions, &self.branches, v) {
+                Step::Forward(branches) if !seen[v] => branches,
+                stopped => {
+                    hops.push(hop(v, None));
+                    break match stopped {
+                        Step::Done(fate) => fate,
+                        Step::Forward(_) => here(Kind::Loop),
+                    };
+                }
+            };
+            seen[v] = true;
+            let entry = (actions[v] - FIRST_ENTRY) as usize;
+            let taken = &nodes[&self.names[v]].classes.classes[entry].1.next_hops[0];
+            hops.push(hop(v, Some(taken.iface.clone())));
+            match branches[0] {
+                Some(peer) => v = peer as usize,
+                None => break here(Kind::ExitsNetwork),
+            }
+        };
+        Trace {
+            hops,
+            disposition: self.disposition(fate),
+        }
+    }
+
     /// `from`'s partition of the destination space restricted to `scope`:
     /// one row per distinct fate, in disposition order.
     pub fn rows(&self, from: &NodeId, scope: &IpSet) -> DispositionRows {
@@ -389,7 +437,7 @@ impl ClassIndex {
 
 /// One node's action per atom. Atoms never straddle a class boundary or
 /// an owned address, so an atom's first address decides for all of it.
-fn node_actions(node: &NodeInput<'_>, starts: &[u32]) -> Vec<u32> {
+fn node_actions(node: &NodeView, starts: &[u32]) -> Vec<u32> {
     let mut ranges: Vec<(IpRange, u32)> = Vec::new();
     for (entry, (eff, _)) in node.classes.classes.iter().enumerate() {
         ranges.extend(
@@ -408,7 +456,7 @@ fn node_actions(node: &NodeInput<'_>, starts: &[u32]) -> Vec<u32> {
             _ => NO_ROUTE,
         });
     }
-    for a in node.addresses {
+    for a in &node.addresses {
         if let Ok(atom) = starts.binary_search(&u32::from(*a)) {
             row[atom] = ACCEPT;
         }
@@ -430,6 +478,26 @@ enum Mark {
 enum Step<'a> {
     Done(Fate),
     Forward(&'a [Branch]),
+}
+
+/// The local verdict at `v` within one class, or the branches it
+/// forwards on (never empty: an entry without next hops is a null route).
+fn step<'a>(actions: &[u32], branches: &'a [Vec<Vec<Branch>>], v: usize) -> Step<'a> {
+    let here = |kind| {
+        Step::Done(Fate {
+            kind,
+            node: v as u32,
+        })
+    };
+    match actions[v] {
+        DOWN => here(Kind::NodeDown),
+        ACCEPT => here(Kind::Accepted),
+        NO_ROUTE => here(Kind::NoRoute),
+        entry => match branches[v][(entry - FIRST_ENTRY) as usize].as_slice() {
+            [] => here(Kind::NullRoute),
+            hops => Step::Forward(hops),
+        },
+    }
 }
 
 /// Computes every node's fate within one class.
@@ -472,30 +540,11 @@ impl<'a> ClassWalk<'a> {
         cyclic
     }
 
-    /// The local verdict at `v`, or the branches it forwards on.
-    fn step(&self, v: usize) -> Step<'a> {
-        let here = |kind| {
-            Step::Done(Fate {
-                kind,
-                node: v as u32,
-            })
-        };
-        match self.actions[v] {
-            DOWN => here(Kind::NodeDown),
-            ACCEPT => here(Kind::Accepted),
-            NO_ROUTE => here(Kind::NoRoute),
-            entry => match self.branches[v][(entry - FIRST_ENTRY) as usize].as_slice() {
-                [] => here(Kind::NullRoute),
-                hops => Step::Forward(hops),
-            },
-        }
-    }
-
     /// Depth-first pass: memoises the fate of every node that cannot
     /// reach a cycle and marks the rest `Cyclic`. Returns whether `v`
     /// reaches a cycle.
     fn settle(&mut self, v: usize) -> bool {
-        let hops = match self.step(v) {
+        let hops = match step(self.actions, self.branches, v) {
             Step::Done(fate) => {
                 self.fates[v] = fate;
                 self.marks[v] = Mark::Settled;
@@ -546,7 +595,7 @@ impl<'a> ClassWalk<'a> {
             };
         }
         // Only forwarding nodes are ever marked `Cyclic`.
-        let Step::Forward(hops) = self.step(v) else {
+        let Step::Forward(hops) = step(self.actions, self.branches, v) else {
             return self.fates[v];
         };
         path.push(v);

@@ -38,8 +38,8 @@ pub fn observed_query<T>(obs: &mut mfv_obs::Obs, name: &'static str, f: impl FnO
 
 pub use coverage::{qualified_reachability, qualified_unreachable_pairs, Coverage, Qualified};
 pub use graph::{
-    ClassCache, DepSet, Disposition, DispositionRows, ForwardingAnalysis, NodeClasses, Trace,
-    TraceHop,
+    ClassCache, DepSet, Disposition, DispositionRows, ForwardingAnalysis, NodeClasses, NodeView,
+    Trace, TraceHop,
 };
 pub use index::IndexStats;
 pub use queries::{

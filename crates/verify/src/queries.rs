@@ -64,7 +64,7 @@ pub fn differential_reachability_with(
     let mut findings = Vec::new();
 
     for src in fa_before.node_names() {
-        if !fa_after.dataplane().nodes.contains_key(&src) {
+        if !fa_after.nodes().contains_key(&src) {
             continue;
         }
         let rows_before = fa_before.dispositions_from(&src, scope);
@@ -145,7 +145,7 @@ pub fn reachability_with_deps(
 
 /// The addresses `node` owns (none if the snapshot lacks it).
 fn addresses_of(fa: &ForwardingAnalysis, node: &NodeId) -> IpSet {
-    let owned = fa.dataplane().nodes.get(node).map(|n| &n.addresses);
+    let owned = fa.nodes().get(node).map(|n| &n.addresses);
     address_set(owned.into_iter().flatten())
 }
 
@@ -257,7 +257,7 @@ pub struct BlackHoleFinding {
 /// layer compares it across snapshots because a scope change invalidates
 /// every per-source black-hole answer at once.
 pub fn owned_address_scope(fa: &ForwardingAnalysis) -> IpSet {
-    let up = fa.dataplane().nodes.values().filter(|n| n.up);
+    let up = fa.nodes().values().filter(|n| n.up);
     address_set(up.flat_map(|n| &n.addresses))
 }
 

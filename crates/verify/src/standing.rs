@@ -160,18 +160,19 @@ impl StandingQueries {
     #[allow(clippy::type_complexity)]
     fn changed_nodes(
         &self,
-        dp: &Dataplane,
+        fa: &ForwardingAnalysis,
+        links: &[LinkId],
     ) -> (
         BTreeSet<NodeId>,
         BTreeMap<NodeId, NodeKey>,
         BTreeSet<LinkId>,
     ) {
         let mut keys = BTreeMap::new();
-        for (name, node) in &dp.nodes {
+        for (name, node) in fa.nodes() {
             keys.insert(
                 name.clone(),
                 NodeKey {
-                    digest: node.fib_digest(),
+                    digest: node.fib_digest,
                     up: node.up,
                     addresses: node.addresses.clone(),
                 },
@@ -188,7 +189,7 @@ impl StandingQueries {
                 changed.insert(name.clone());
             }
         }
-        let links: BTreeSet<LinkId> = dp.links.iter().cloned().collect();
+        let links: BTreeSet<LinkId> = links.iter().cloned().collect();
         for link in links.symmetric_difference(&self.links) {
             changed.insert(link.a.0.clone());
             changed.insert(link.b.0.clone());
@@ -214,7 +215,7 @@ impl StandingQueries {
 
         // On the first evaluation `node_keys` is empty, so every node
         // diffs as changed and everything below computes from scratch.
-        let (changed, keys, links) = self.changed_nodes(dp);
+        let (changed, keys, links) = self.changed_nodes(&fa, &dp.links);
         let dirty = |deps: &DepSet, extra: &NodeId| -> bool {
             changed.contains(extra) || deps.intersection(&changed).next().is_some()
         };

@@ -16,7 +16,7 @@ use mfv_types::{ExtractionStatus, IpSet, LinkId, NodeId, Prefix, RouteProtocol, 
 use mfv_verify::{
     detect_blackholes_with, detect_loops_with, differential_reachability,
     differential_reachability_with, reachability, ClassCache, Coverage, DepSet, Disposition,
-    DispositionRows, ForwardingAnalysis, StandingQueries,
+    DispositionRows, ForwardingAnalysis, StandingQueries, Trace, TraceHop,
 };
 
 /// A compact generator for random dataplanes: `n` nodes in a ring, each with
@@ -279,6 +279,42 @@ impl<'a> Oracle<'a> {
         }
     }
 
+    /// The hops of one packet for `ip` entering at `from`, taking the
+    /// first next hop wherever there are several.
+    fn trace(&self, from: &NodeId, ip: Ipv4Addr) -> Trace {
+        let mut hops: Vec<TraceHop> = Vec::new();
+        let mut node = from.clone();
+        let disposition = loop {
+            let revisited = hops.iter().any(|h| h.node == node);
+            hops.push(TraceHop {
+                node: node.clone(),
+                egress: None,
+            });
+            let state = self.dp.nodes.get(&node).filter(|n| n.up);
+            let (Some(state), Some(fib)) = (state, self.fibs.get(&node)) else {
+                break Disposition::NodeDown(node);
+            };
+            if state.addresses.contains(&ip) {
+                break Disposition::Accepted(node);
+            }
+            if revisited {
+                break Disposition::Loop(node);
+            }
+            let Some(entry) = fib.lookup(ip) else {
+                break Disposition::NoRoute(node);
+            };
+            let Some(nh) = entry.next_hops.first() else {
+                break Disposition::NullRoute(node);
+            };
+            hops.last_mut().expect("pushed above").egress = Some(nh.iface.clone());
+            match self.dp.peer_of(&node, &nh.iface) {
+                Some((peer, _)) => node = peer.clone(),
+                None => break Disposition::ExitsNetwork(node),
+            }
+        };
+        Trace { hops, disposition }
+    }
+
     /// Every address at which some node's answer can change.
     fn breakpoints(&self) -> BTreeSet<u32> {
         let mut points = BTreeSet::from([0u32]);
@@ -352,6 +388,19 @@ proptest! {
                 let ip = Ipv4Addr::from(point);
                 let want = oracle.walk(&src, ip, &mut Vec::new(), &mut DepSet::new());
                 prop_assert_eq!(fa.fate_of(&src, ip), want, "fate of {} from {}", ip, src);
+            }
+        }
+    }
+
+    #[test]
+    fn trace_agrees_with_single_address_oracle(shape in arb_net()) {
+        let dp = build_net(&shape);
+        let fa = ForwardingAnalysis::new(&dp);
+        let oracle = Oracle::new(&dp);
+        for src in net_sources(&shape, &fa) {
+            for point in oracle.breakpoints() {
+                let ip = Ipv4Addr::from(point);
+                prop_assert_eq!(fa.trace(&src, ip), oracle.trace(&src, ip), "{} from {}", ip, src);
             }
         }
     }

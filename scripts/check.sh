@@ -90,4 +90,13 @@ git diff --exit-code -- Cargo.lock pipeline_bench/Cargo.lock || {
   exit 1
 }
 
+echo "==> one walker: mfv-verify's non-test code builds no FIB (the class index is the only forwarding engine)"
+# Each file's product code ends where its `#[cfg(test)]` module starts.
+for f in crates/verify/src/*.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\.fib\(\)|Fib::new'; then
+    echo "one-walker check FAILED: $f builds or reads a Fib outside its tests" >&2
+    exit 1
+  fi
+done
+
 echo "==> all checks passed"
