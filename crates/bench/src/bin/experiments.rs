@@ -412,14 +412,15 @@ fn a2() {
     banner("A2", "exhaustive context search: k link cuts (§6)");
     let r = run_a2(1);
     println!(
-        "six-node snapshot has {} links; contexts to emulate:",
+        "six-node snapshot has {} links; contexts to answer:",
         r.links
     );
     for (k, n) in &r.growth {
-        println!("  any {k} cut(s): {n} emulation contexts");
+        println!("  any {k} cut(s): {n} contexts");
     }
     println!(
-        "\nk=1 sweep (one emulation per context, fanned out across threads):\n  \
+        "\nk=1 sweep (one cold boot, then a fork of the converged emulation per \
+         context, fanned out across threads):\n  \
          {} cut contexts survive, {} cause reachability loss (wall {:?})\n  \
          class cache: {} node analyses reused, {} computed",
         r.single_cut_survivals, r.single_cut_outages, r.wall, r.class_cache.0, r.class_cache.1

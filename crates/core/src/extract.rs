@@ -7,12 +7,16 @@
 //! [`ExtractionStatus`] and a coverage fraction. Verification downstream
 //! qualifies its answers with that coverage instead of aborting (see
 //! `mfv_verify::coverage`).
+//!
+//! One router at a time: each state tree is decoded into the node's
+//! dataplane entry and dropped before the next RPC goes out, so the peak
+//! holds the result plus one router's tree, not every router's.
 
 use std::collections::BTreeMap;
 
 use mfv_dataplane::Dataplane;
 use mfv_emulator::Emulation;
-use mfv_mgmt::{collect_afts, dataplane_from_afts, Collector};
+use mfv_mgmt::{add_covered_links, ingest_aft, Collector};
 use mfv_types::{ExtractionStatus, NodeId};
 
 /// A dataplane plus the provenance of every node's state in it.
@@ -50,16 +54,26 @@ pub fn extract_snapshot(
     obs: &mut mfv_obs::Obs,
 ) -> ExtractedSnapshot {
     let wall = mfv_obs::WallTimer::start();
-    let nodes: Vec<_> = emu
+    let nodes = emu
         .topology
         .nodes
         .iter()
-        .map(|n| (n.name.clone(), emu.router(&n.name)))
-        .collect();
-    let report = collector.collect(nodes);
-    let afts = collect_afts(&report.telemetry);
-    let reference = emu.dataplane();
-    let dataplane = dataplane_from_afts(&afts, &reference);
+        .map(|n| (n.name.clone(), emu.router(&n.name)));
+    let mut dataplane = Dataplane::new();
+    let report = collector.collect_each(nodes, |node, telemetry| {
+        // Forwarding state comes out of the tree, through the AFT's JSON
+        // form; what the dump does not carry is read off the instance.
+        if let (Some(aft), Some(router)) = (telemetry.aft(), emu.router(node)) {
+            ingest_aft(
+                &mut dataplane,
+                node.clone(),
+                &aft,
+                router.addresses().clone(),
+                router.is_running(),
+            );
+        }
+    });
+    add_covered_links(&mut dataplane, emu.up_links());
     report.observe_into(obs);
     let start = emu.now();
     obs.phases

@@ -1,19 +1,25 @@
 //! What-if exploration over scenario contexts.
 //!
 //! §6 of the paper: checking invariants "in the face of any single link cut"
-//! means one emulation per context; `any k link cuts` grows combinatorially.
-//! This module enumerates cut contexts, runs the backend per context (in
-//! parallel across OS threads), and reports the differential impact of each
-//! context against the baseline snapshot.
+//! means one converged network per context; `any k link cuts` grows
+//! combinatorially. This module enumerates cut contexts, boots and converges
+//! the baseline once, and answers each context from a fork of it: clone the
+//! converged emulation, take the cut wires out, re-converge what that
+//! changed, extract, and diff against the baseline (in parallel across OS
+//! threads). A cold boot of `snapshot.without_links(cuts)` converges to the
+//! same dataplane; the tests hold every fork to it.
 
+use mfv_dataplane::Dataplane;
 use mfv_emulator::pool::run_indexed;
+use mfv_emulator::Emulation;
 use mfv_types::{IpSet, LinkId};
 use mfv_verify::{
     deliverability_changes, differential_reachability_with, ClassCache, DiffFinding,
     ForwardingAnalysis,
 };
 
-use crate::backend::{Backend, BackendError, EmulationBackend};
+use crate::backend::{BackendError, EmulationBackend};
+use crate::extract::extract_snapshot;
 use crate::snapshot::Snapshot;
 
 /// All `k`-subsets of the snapshot's links — the context space for a
@@ -64,6 +70,10 @@ pub struct CutVerdict {
     pub findings: Vec<DiffFinding>,
     /// Findings where deliverability changed — the outage signal.
     pub lost_reachability: usize,
+    /// Work items the fork processed to re-converge after the cut.
+    pub events_after_fork: u64,
+    /// Routers whose FIB differs from the baseline's.
+    pub fibs_moved: usize,
 }
 
 impl CutVerdict {
@@ -104,11 +114,17 @@ pub struct SweepReport {
     /// and every variant analysis. Variants differ from the baseline at
     /// only the nodes adjacent to the cuts, so hits dominate.
     pub class_cache: (usize, usize),
+    /// Work items the one cold boot processed to converge the baseline;
+    /// each verdict's `events_after_fork` is what its context added.
+    pub baseline_events: u64,
 }
 
-/// Runs one emulation per cut context and diffs each against the baseline
-/// dataplane. Contexts fan out across OS threads, as the paper proposes
-/// ("running emulation for each new context in parallel").
+/// Boots and converges the baseline once, then answers every cut context
+/// from a fork of it: clone the converged emulation, remove the cut wires
+/// (ports stay up — [`mfv_emulator::Emulation::remove_wire`]), re-converge,
+/// extract over the management plane, diff against the baseline dataplane.
+/// Contexts fan out across OS threads, as the paper proposes ("running
+/// emulation for each new context in parallel").
 ///
 /// The baseline [`ForwardingAnalysis`] is built once and shared by every
 /// context, and a [`ClassCache`] keyed on per-node FIB digests lets each
@@ -120,9 +136,10 @@ pub fn verify_link_cuts_detailed(
     contexts: Vec<Vec<LinkId>>,
     scope: Option<&IpSet>,
 ) -> Result<SweepReport, BackendError> {
-    let baseline = backend.compute(snapshot)?;
+    let (converged, _) = backend.run(snapshot)?;
+    let baseline = extract(&converged, backend);
     let cache = ClassCache::new();
-    let fa_baseline = ForwardingAnalysis::with_cache(&baseline.dataplane, &cache);
+    let fa_baseline = ForwardingAnalysis::with_cache(&baseline, &cache);
 
     // One context per job on the shared pool: results come back in
     // context order, and a panic is confined to its context.
@@ -130,8 +147,8 @@ pub fn verify_link_cuts_detailed(
         let cuts = contexts
             .get(i)
             .ok_or_else(|| BackendError(format!("no cut context {i}")))?;
-        let result = backend.compute(&snapshot.without_links(cuts))?;
-        let fa_after = ForwardingAnalysis::with_cache(&result.dataplane, &cache);
+        let (after, events_after_fork) = cut_from_fork(&converged, backend, cuts);
+        let fa_after = ForwardingAnalysis::with_cache(&after, &cache);
         let findings = differential_reachability_with(&fa_baseline, &fa_after, scope);
         let lost_reachability = deliverability_changes(&findings)
             .into_iter()
@@ -141,6 +158,8 @@ pub fn verify_link_cuts_detailed(
             cuts: cuts.clone(),
             findings,
             lost_reachability,
+            events_after_fork,
+            fibs_moved: fibs_moved(&fa_baseline, &fa_after),
         })
     })
     .into_iter()
@@ -153,13 +172,124 @@ pub fn verify_link_cuts_detailed(
     Ok(SweepReport {
         verdicts,
         class_cache: cache.stats(),
+        baseline_events: converged.events_processed(),
     })
+}
+
+/// One cut context: a fork of the converged network with the cut wires
+/// taken out, re-converged. Returns the extracted dataplane and the work
+/// items that took; the fork — a whole network's state — is gone before
+/// the caller's analysis allocates.
+fn cut_from_fork(
+    converged: &Emulation,
+    backend: &EmulationBackend,
+    cuts: &[LinkId],
+) -> (Dataplane, u64) {
+    let mut fork = converged.clone();
+    for link in cuts {
+        fork.remove_wire(link);
+    }
+    fork.run_until_converged();
+    let events = fork.events_processed() - converged.events_processed();
+    (extract(&fork, backend), events)
+}
+
+/// The dataplane as the management plane reports it (§4.1's extraction
+/// step), for the baseline and for every fork alike.
+fn extract(emu: &Emulation, backend: &EmulationBackend) -> Dataplane {
+    extract_snapshot(emu, &backend.collector, &mut mfv_obs::Obs::new()).dataplane
+}
+
+/// Nodes of the baseline whose FIB digest is not what the variant has.
+fn fibs_moved(before: &ForwardingAnalysis, after: &ForwardingAnalysis) -> usize {
+    before
+        .nodes()
+        .iter()
+        .filter(|(name, b)| after.nodes().get(*name).map(|a| a.fib_digest) != Some(b.fib_digest))
+        .count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::scenarios;
+
+    /// The oracle: every `k`-cut context of `snapshot`, answered from a
+    /// fork, against a cold boot of the topology without those links —
+    /// same extracted dataplane, same findings element by element.
+    fn assert_fork_equals_cold_boot(snapshot: &Snapshot, k: usize) {
+        let backend = EmulationBackend::default();
+        let contexts = link_cut_contexts(snapshot, k);
+        let (converged, _) = backend.run(snapshot).unwrap();
+        let cold_baseline = backend.compute(snapshot).unwrap().dataplane;
+        let fa_baseline = ForwardingAnalysis::new(&cold_baseline);
+        let report = verify_link_cuts_detailed(snapshot, &backend, contexts.clone(), None).unwrap();
+        assert_eq!(report.verdicts.len(), contexts.len());
+        for (cuts, verdict) in contexts.iter().zip(&report.verdicts) {
+            let cold = backend
+                .compute(&snapshot.without_links(cuts))
+                .unwrap()
+                .dataplane;
+            let (warm, _) = cut_from_fork(&converged, &backend, cuts);
+            assert_eq!(
+                warm.digest(),
+                cold.digest(),
+                "{}: fork and cold boot disagree on the dataplane without {cuts:?}",
+                snapshot.name
+            );
+            assert_eq!(warm.links, cold.links, "{}: {cuts:?}", snapshot.name);
+            let want =
+                differential_reachability_with(&fa_baseline, &ForwardingAnalysis::new(&cold), None);
+            let verdict = verdict.as_ref().unwrap();
+            assert_eq!(&verdict.cuts, cuts);
+            assert_eq!(verdict.findings, want, "{}: {cuts:?}", snapshot.name);
+        }
+    }
+
+    // No topology has turned up where fork and cold boot legitimately
+    // differ (an arrival-order BGP tie-break, the paper's §6 / A1); one
+    // that does gets a test here that names it, and the sweep reports the
+    // difference as a finding.
+
+    #[test]
+    fn six_node_cuts_from_a_fork_equal_the_cold_boot() {
+        let chain = scenarios::six_node();
+        assert_fork_equals_cold_boot(&chain, 1);
+        // Every pair of cuts partitions the chain twice over.
+        assert_fork_equals_cold_boot(&chain, 2);
+    }
+
+    #[test]
+    fn grid30_single_cuts_from_a_fork_equal_the_cold_boot() {
+        assert_fork_equals_cold_boot(&scenarios::isis_grid(6, 5), 1);
+    }
+
+    /// Two cuts at a corner of the 3×3 grid isolate its router.
+    #[test]
+    fn grid9_double_cuts_from_a_fork_equal_the_cold_boot() {
+        assert_fork_equals_cold_boot(&scenarios::isis_grid(3, 3), 2);
+    }
+
+    /// Mixed vendors, an iBGP mesh and external feeds over IS-IS.
+    #[test]
+    fn wan12_single_cuts_from_a_fork_equal_the_cold_boot() {
+        assert_fork_equals_cold_boot(&scenarios::production_wan(12, 3, true, 20), 1);
+    }
+
+    #[test]
+    fn the_empty_context_finds_nothing_and_sweeps_repeat() {
+        let s = scenarios::six_node();
+        let backend = EmulationBackend::default();
+        let mut contexts = link_cut_contexts(&s, 0);
+        contexts.extend(link_cut_contexts(&s, 1));
+        let sweep = || verify_link_cuts_detailed(&s, &backend, contexts.clone(), None).unwrap();
+        let (first, second) = (sweep(), sweep());
+        let untouched = first.verdicts[0].as_ref().unwrap();
+        assert!(untouched.cuts.is_empty() && untouched.findings.is_empty());
+        assert_eq!((untouched.events_after_fork, untouched.fibs_moved), (0, 0));
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    }
 
     #[test]
     fn context_enumeration_counts() {

@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -48,8 +48,8 @@ use crate::cluster::{Cluster, PodRequest, Unschedulable};
 use crate::inject::{synthetic_prefixes, ExternalPeer};
 use crate::pool::{effective_threads, lock_or_recover, panic_message, with_workers};
 use crate::shard::{
-    stream_seed, Ev, EvKey, EventKind, EventTally, ImpairWindow, Net, Owner, Shard, CHURN_HISTORY,
-    CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
+    stream_seed, Ev, EvKey, EventKind, EventTally, ImpairWindow, LinkChange, Net, Owner, Shard,
+    CHURN_HISTORY, CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
 };
 use crate::topology::Topology;
 
@@ -155,6 +155,7 @@ pub struct RunReport {
 }
 
 /// Per-link canonical state plus the interned endpoints.
+#[derive(Clone)]
 struct LinkRecord {
     id: LinkId,
     a: (NodeRef, mfv_types::IfaceRef),
@@ -164,6 +165,7 @@ struct LinkRecord {
 
 /// A coordinator-timeline entry: chaos that must fire at an exact global
 /// instant, applied at a window boundary cut to that instant.
+#[derive(Clone)]
 enum GlobalAction {
     Link { slot: Option<usize>, up: bool },
     Kill(Option<NodeRef>),
@@ -175,6 +177,7 @@ const OSCILLATION_MIN_CHANGES: usize = 4;
 
 /// Coordinator-owned mutable state: everything the barrier logic touches
 /// that is not inside a [`Shard`] or the read-only [`Net`].
+#[derive(Clone)]
 struct Global {
     cfg: EmulationConfig,
     cluster: Cluster,
@@ -234,9 +237,17 @@ struct Global {
 }
 
 /// The running emulation.
+///
+/// `Clone` forks it: the copy carries every router, heap, clock and RNG
+/// stream and continues exactly as the original would, so a what-if
+/// context starts from the converged state instead of a cold boot. The
+/// topology and the [`Net`] tables are read-only once booted and stay
+/// shared between forks; the few entry points that edit them after boot
+/// (config push, late chaos) copy on write.
+#[derive(Clone)]
 pub struct Emulation {
-    pub topology: Topology,
-    net: Net,
+    pub topology: Arc<Topology>,
+    net: Arc<Net>,
     shards: Vec<Shard>,
     glob: Global,
 }
@@ -411,8 +422,8 @@ impl Emulation {
             lookahead_ms: 2,
         };
         Ok(Emulation {
-            topology,
-            net,
+            topology: Arc::new(topology),
+            net: Arc::new(net),
             shards: Vec::new(),
             glob,
         })
@@ -506,7 +517,7 @@ impl Emulation {
             }
         };
         let shard_count = node_shard.iter().copied().max().map(|m| m + 1).unwrap_or(1);
-        self.net.node_shard = node_shard;
+        Arc::make_mut(&mut self.net).node_shard = node_shard;
         // Lookahead: min latency over links whose endpoints live in
         // different shards, capped by the 2 ms BGP segment floor (iBGP
         // sessions may connect any two routers regardless of links).
@@ -522,7 +533,7 @@ impl Emulation {
         }
         self.glob.lookahead_ms = lookahead.max(1);
         self.glob.ext_total = self.topology.external_peers.len();
-        self.net.ext_shard = self
+        let ext_shard = self
             .topology
             .external_peers
             .iter()
@@ -535,6 +546,7 @@ impl Emulation {
                     .unwrap_or(0)
             })
             .collect();
+        Arc::make_mut(&mut self.net).ext_shard = ext_shard;
         // Build shards (each copies the canonical link state — operator
         // `set_link` calls may precede boot).
         let link_state: Vec<bool> = self.glob.links.iter().map(|l| l.up).collect();
@@ -581,7 +593,7 @@ impl Emulation {
             let peer = ExternalPeer::new(addr, asn, router_addr, routes);
             // Router addresses win collisions, as they did when routers
             // re-registered over external entries at boot.
-            self.net
+            Arc::make_mut(&mut self.net)
                 .ip_owner
                 .entry(addr)
                 .or_insert(Owner::External(idx));
@@ -606,7 +618,7 @@ impl Emulation {
         // front so the whole fault timeline is part of the deterministic
         // window structure.
         let plan = self.glob.cfg.chaos.clone();
-        expand_chaos(&mut self.glob, &mut self.net, plan);
+        expand_chaos(&mut self.glob, Arc::make_mut(&mut self.net), plan);
     }
 
     /// Schedules a coordinator-originated event into a node's shard.
@@ -643,7 +655,7 @@ impl Emulation {
                 .extend(plan.events.iter().cloned());
             return;
         }
-        expand_chaos(&mut self.glob, &mut self.net, plan.clone());
+        expand_chaos(&mut self.glob, Arc::make_mut(&mut self.net), plan.clone());
     }
 
     /// Advances virtual time to exactly `deadline`, processing every work
@@ -656,7 +668,7 @@ impl Emulation {
     /// items processed during this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.boot();
-        let before = self.total_processed();
+        let before = self.events_processed();
         {
             let Emulation {
                 ref net,
@@ -670,10 +682,12 @@ impl Emulation {
             shard.advance_clock(deadline);
         }
         self.glob.now = self.glob.now.max(deadline);
-        self.total_processed() - before
+        self.events_processed() - before
     }
 
-    fn total_processed(&self) -> u64 {
+    /// Work items processed since boot (what [`RunReport::events_processed`]
+    /// reported at the end of the last run).
+    pub fn events_processed(&self) -> u64 {
         self.glob.events_processed + self.shards.iter().map(|s| s.events_processed).sum::<u64>()
     }
 
@@ -736,7 +750,7 @@ impl Emulation {
             converged_at: last_activity,
             messages_delivered: self.shards.iter().map(|s| s.messages_delivered).sum(),
             crashes: self.shards.iter().map(|s| s.crashes).sum(),
-            events_processed: self.total_processed(),
+            events_processed: self.events_processed(),
             events_scheduled: self.glob.events_scheduled
                 + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
             unschedulable: self.glob.unschedulable.clone(),
@@ -754,8 +768,7 @@ impl Emulation {
     /// Applies a configuration change to a running node (config push) and
     /// returns immediately; call `run_until_converged` to settle.
     pub fn push_config(&mut self, node: &NodeId, text: &str) -> Result<(), String> {
-        let spec = self
-            .topology
+        let spec = Arc::make_mut(&mut self.topology)
             .nodes
             .iter_mut()
             .find(|n| &n.name == node)
@@ -780,8 +793,9 @@ impl Emulation {
             .and_then(|s| s.as_mut())
         {
             router.apply_config(parsed.config);
+            let net = Arc::make_mut(&mut self.net);
             for addr in router.addresses() {
-                self.net.ip_owner.insert(*addr, Owner::Node(node_ref));
+                net.ip_owner.insert(*addr, Owner::Node(node_ref));
             }
             shard.last_activity = shard.last_activity.max(now);
             shard.schedule_poll(node_ref, SimTime(now.0 + 1));
@@ -790,16 +804,29 @@ impl Emulation {
         Ok(())
     }
 
-    /// Brings a link up or down (failure injection). Unknown links are
-    /// ignored.
+    /// Brings a link up or down (failure injection): carrier loss, so both
+    /// ports withdraw their connected subnet. Unknown links are ignored.
     pub fn set_link(&mut self, link: &LinkId, up: bool) {
+        self.change_link(link, LinkChange::Carrier(up));
+    }
+
+    /// Takes a link's wire out of the running network and leaves both ports
+    /// configured and up: the warm twin of booting the topology without the
+    /// link, which is what a what-if cut context asks about. Call
+    /// [`run_until_converged`](Self::run_until_converged) to settle. Unknown
+    /// links are ignored.
+    pub fn remove_wire(&mut self, link: &LinkId) {
+        self.change_link(link, LinkChange::WireRemoved);
+    }
+
+    fn change_link(&mut self, link: &LinkId, change: LinkChange) {
         let Some(&slot) = self.glob.link_index.get(link) else {
             return;
         };
         let now = self.glob.now;
         let mut sids: Vec<usize> = Vec::new();
         if let Some(rec) = self.glob.links.get_mut(slot) {
-            rec.up = up;
+            rec.up = change.carries();
             for (node, _) in [rec.a, rec.b] {
                 if let Some(&sid) = self.net.node_shard.get(node.index()) {
                     if !sids.contains(&sid) {
@@ -811,7 +838,7 @@ impl Emulation {
         for sid in sids {
             if let Some(shard) = self.shards.get_mut(sid) {
                 shard.advance_clock(now);
-                shard.apply_link(&self.net, slot, up);
+                shard.apply_link(&self.net, slot, change);
             }
         }
         self.glob.last_activity = self.glob.last_activity.max(now);
@@ -841,12 +868,15 @@ impl Emulation {
                 router.is_running(),
             );
         }
-        for rec in &self.glob.links {
-            if rec.up {
-                dp.add_link(rec.id.clone());
-            }
+        for link in self.up_links() {
+            dp.add_link(link.clone());
         }
         dp
+    }
+
+    /// The links that are up right now, in topology order.
+    pub fn up_links(&self) -> impl Iterator<Item = &LinkId> {
+        self.glob.links.iter().filter(|l| l.up).map(|l| &l.id)
     }
 
     /// The merged steady-state churn tracker: per prefix, the retained
@@ -896,7 +926,7 @@ impl Emulation {
             self.glob.events_scheduled
                 + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
         );
-        m.inc("engine.events.processed", self.total_processed());
+        m.inc("engine.events.processed", self.events_processed());
         m.inc(
             "engine.messages.delivered",
             self.shards.iter().map(|s| s.messages_delivered).sum(),

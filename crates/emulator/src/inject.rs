@@ -21,6 +21,7 @@ pub enum PeerState {
 }
 
 /// A synthetic external BGP peer.
+#[derive(Clone)]
 pub struct ExternalPeer {
     /// Our address (the routers' configs name this as their neighbor).
     pub addr: Ipv4Addr,

@@ -63,7 +63,7 @@ pub(crate) struct EvKey {
     pub oseq: u64,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) enum EventKind {
     PodReady(NodeRef),
     DeliverIsis {
@@ -91,6 +91,7 @@ pub(crate) enum EventKind {
     ChaosKillRouter(NodeRef),
 }
 
+#[derive(Clone)]
 pub(crate) struct Ev {
     pub key: EvKey,
     pub kind: EventKind,
@@ -113,6 +114,24 @@ impl Ord for Ev {
     }
 }
 
+/// What happened to a link.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum LinkChange {
+    /// Carrier came up or went away: both ports follow, and a port without
+    /// carrier withdraws its connected subnet.
+    Carrier(bool),
+    /// The wire was taken out of the topology; both ports stay up. The
+    /// state a boot of the topology without the link converges to.
+    WireRemoved,
+}
+
+impl LinkChange {
+    /// Whether frames cross the link afterwards.
+    pub fn carries(self) -> bool {
+        self == LinkChange::Carrier(true)
+    }
+}
+
 /// Who owns a BGP endpoint address.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Owner {
@@ -130,6 +149,7 @@ pub(crate) struct EndInfo {
 }
 
 /// One chaos message-impairment window.
+#[derive(Clone)]
 pub(crate) struct ImpairWindow {
     pub from: SimTime,
     pub until: SimTime,
@@ -178,6 +198,7 @@ impl EventTally {
 /// configs, link tables, address ownership, impairment windows, and the
 /// node→shard map. Mutated only by the coordinator between runs (config
 /// push, late chaos scheduling).
+#[derive(Clone)]
 pub(crate) struct Net {
     pub interner: Interner,
     /// Per-node vendor profile (overrides pre-applied), by `NodeRef` index.
@@ -238,6 +259,7 @@ fn ext_stream(seed: u64, idx: usize) -> ChaCha8Rng {
 /// FIFO clocks, and per-entity RNG/sequence streams. Entity-indexed
 /// vectors are full-size (indexed by global `NodeRef`/peer index) with
 /// `None`/zero holes for non-members — O(nodes) pointers per shard.
+#[derive(Clone)]
 pub(crate) struct Shard {
     pub id: usize,
     now: SimTime,
@@ -478,9 +500,9 @@ impl Shard {
     /// any local endpoint routers. Journal/tally for chaos flaps live with
     /// the coordinator's canonical timeline (one entry per event, not one
     /// per replica).
-    pub fn apply_link(&mut self, net: &Net, slot: usize, up: bool) {
+    pub fn apply_link(&mut self, net: &Net, slot: usize, change: LinkChange) {
         if let Some(s) = self.link_up.get_mut(slot) {
-            *s = up;
+            *s = change.carries();
         }
         let Some(&(a, b)) = net.link_ends.get(slot) else {
             return;
@@ -491,7 +513,10 @@ impl Shard {
                 continue;
             };
             if let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
-                router.set_link(iface_name, up);
+                match change {
+                    LinkChange::Carrier(up) => router.set_link(iface_name, up),
+                    LinkChange::WireRemoved => router.remove_wire(iface_name),
+                }
                 self.schedule_poll(node, SimTime(now.0 + 1));
             }
         }
@@ -862,7 +887,7 @@ impl Shard {
                 // Tally + journal live with the coordinator's canonical
                 // timeline (one entry per flap, not one per shard replica).
                 self.chaos_processed += 1;
-                self.apply_link(net, slot, up);
+                self.apply_link(net, slot, LinkChange::Carrier(up));
             }
             EventKind::ChaosKillRouter(node) => {
                 self.chaos_processed += 1;

@@ -134,6 +134,40 @@ fn link_cut_withdraws_transit_routes() {
     );
 }
 
+/// A fork carries every heap, clock and RNG stream: what is done to it
+/// never reaches the original, and doing the same to the original replays
+/// the fork's run event for event.
+#[test]
+fn a_fork_replays_the_original_and_leaves_it_untouched() {
+    let mut emu = Emulation::new(line3_topology(), Cluster::single_node(), quick_cfg(1)).unwrap();
+    emu.run_until_converged();
+    let converged = emu.dataplane().digest();
+    let cut = LinkId::new(
+        ("r2".into(), "Ethernet2".into()),
+        ("r3".into(), "Ethernet1".into()),
+    );
+
+    let mut fork = emu.clone();
+    fork.remove_wire(&cut);
+    let forked = fork.run_until_converged();
+    assert!(forked.converged);
+    assert_eq!(emu.dataplane().digest(), converged);
+    assert_eq!(emu.up_links().count(), 2);
+
+    emu.remove_wire(&cut);
+    assert_eq!(emu.run_until_converged(), forked);
+    assert_eq!(emu.dataplane().digest(), fork.dataplane().digest());
+
+    // The wire is gone and both ports are up: the link has left the
+    // dataplane, the connected /31 has not left either end.
+    assert_eq!(fork.up_links().count(), 1);
+    for (node, far_end) in [("r2", "100.64.0.3"), ("r3", "100.64.0.2")] {
+        let router = fork.router(&NodeId::from(node)).unwrap();
+        let entry = router.fib().lookup(ip(far_end)).expect("connected /31");
+        assert_eq!(entry.proto, RouteProtocol::Connected, "{node}");
+    }
+}
+
 #[test]
 fn same_seed_replays_identically() {
     let digest = |seed: u64| {

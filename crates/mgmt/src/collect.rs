@@ -129,6 +129,26 @@ impl Collector {
         I: IntoIterator<Item = (NodeId, Option<&'a VirtualRouter>)>,
     {
         let mut telemetry = BTreeMap::new();
+        let mut report = self.collect_each(nodes, |node, t| {
+            telemetry.insert(node.clone(), t);
+        });
+        report.telemetry = telemetry;
+        report
+    }
+
+    /// [`collect`](Self::collect), one router at a time: each answered
+    /// state tree goes to `sink` by value as soon as its RPC returns, and
+    /// nothing of it is kept — the report's `telemetry` map stays empty. A
+    /// sink that ingests the tree and lets it go holds one router's tree at
+    /// a time, however many routers there are.
+    pub fn collect_each<'a, I>(
+        &self,
+        nodes: I,
+        mut sink: impl FnMut(&NodeId, Telemetry),
+    ) -> CollectionReport
+    where
+        I: IntoIterator<Item = (NodeId, Option<&'a VirtualRouter>)>,
+    {
         let mut status = BTreeMap::new();
         let mut attempts_total = 0u64;
         let mut retries_total = 0u64;
@@ -145,12 +165,12 @@ impl Collector {
             backoff_by_node.insert(node.clone(), backoff);
             attempts_by_node.insert(node.clone(), attempts);
             if let Some(t) = t {
-                telemetry.insert(node.clone(), t);
+                sink(&node, t);
             }
             status.insert(node, st);
         }
         CollectionReport {
-            telemetry,
+            telemetry: BTreeMap::new(),
             status,
             attempts: attempts_total,
             retries: retries_total,
@@ -282,7 +302,8 @@ impl Collector {
 /// Outcome of one collection sweep.
 #[derive(Clone, Debug)]
 pub struct CollectionReport {
-    /// State trees of the nodes that answered (fresh or stale).
+    /// State trees of the nodes that answered (fresh or stale); empty when
+    /// [`Collector::collect_each`] handed them to a sink instead.
     pub telemetry: BTreeMap<NodeId, Telemetry>,
     /// Per-node extraction status, for every node attempted.
     pub status: BTreeMap<NodeId, ExtractionStatus>,
@@ -409,6 +430,26 @@ mod tests {
             other => panic!("expected Missing, got {other:?}"),
         }
         assert_eq!(report.missing(), vec![&NodeId::from("r1")]);
+    }
+
+    #[test]
+    fn collect_each_hands_over_every_tree_and_keeps_none() {
+        let r1 = router("r1");
+        let r2 = router("r2");
+        let mut failures = RpcFailureModel::default();
+        failures.force_fail.insert("r1".into());
+        let mut seen = Vec::new();
+        let report = Collector::with_failures(failures).collect_each(
+            vec![
+                (NodeId::from("r1"), Some(&r1)),
+                (NodeId::from("r2"), Some(&r2)),
+            ],
+            |node, tree: Telemetry| seen.push((node.clone(), tree.is_up())),
+        );
+        assert_eq!(seen, vec![(NodeId::from("r2"), true)]);
+        assert!(report.telemetry.is_empty());
+        assert_eq!(report.coverage(), 0.5);
+        assert_eq!(report.attempts_by_node[&NodeId::from("r1")], 4);
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl Telemetry {
     /// Convenience: the device's AFT, decoded.
     pub fn aft(&self) -> Option<Aft> {
         let v = self.get("/network-instances/network-instance[name=default]/afts")?;
-        serde_json::from_value(v.clone()).ok()
+        serde::Deserialize::from_value(v).ok()
     }
 
     /// The whole tree, for debugging / archiving snapshots.

@@ -21,8 +21,9 @@ pub use gnmi::{apply, canonicalize, diff, ExtractError, Telemetry, Update};
 pub use watch::{StreamFaultModel, TickReport, WatchConfig, WatchEvent, WatchStats, Watcher};
 
 use mfv_dataplane::Dataplane;
-use mfv_types::NodeId;
-use std::collections::BTreeMap;
+use mfv_types::{LinkId, NodeId};
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv4Addr;
 
 /// Extracts a full-network AFT collection from per-node telemetry — the
 /// "dump AFTs via gNMI" step of §4.1, applied across the topology.
@@ -48,14 +49,34 @@ pub fn dataplane_from_afts(afts: &BTreeMap<NodeId, Aft>, reference: &Dataplane) 
             .get(node)
             .map(|n| (n.addresses.clone(), n.up))
             .unwrap_or_default();
-        dp.add_node(node.clone(), &aft.to_fib(), addresses, up);
+        ingest_aft(&mut dp, node.clone(), aft, addresses, up);
     }
-    for link in &reference.links {
+    add_covered_links(&mut dp, &reference.links);
+    dp
+}
+
+/// Ingests one device: its extracted AFT becomes the node's forwarding
+/// state in `dp`. Every path from telemetry to a [`Dataplane`] — a batch of
+/// AFTs, the watcher's mirrors, the collector handing over one router at a
+/// time — adds its nodes through here.
+pub fn ingest_aft(
+    dp: &mut Dataplane,
+    node: NodeId,
+    aft: &Aft,
+    addresses: BTreeSet<Ipv4Addr>,
+    up: bool,
+) {
+    dp.add_node(node, &aft.to_fib(), addresses, up);
+}
+
+/// Adds the links whose endpoints were both ingested, in the order given;
+/// a link touching an uncovered node is dropped with it.
+pub fn add_covered_links<'a>(dp: &mut Dataplane, links: impl IntoIterator<Item = &'a LinkId>) {
+    for link in links {
         if dp.nodes.contains_key(&link.a.0) && dp.nodes.contains_key(&link.b.0) {
             dp.add_link(link.clone());
         }
     }
-    dp
 }
 
 #[cfg(test)]

@@ -673,13 +673,9 @@ impl Watcher {
             let Some(aft) = t.aft() else {
                 continue;
             };
-            dp.add_node(node.clone(), &aft.to_fib(), t.addresses(), t.is_up());
+            crate::ingest_aft(&mut dp, node.clone(), &aft, t.addresses(), t.is_up());
         }
-        for link in &reference.links {
-            if dp.nodes.contains_key(&link.a.0) && dp.nodes.contains_key(&link.b.0) {
-                dp.add_link(link.clone());
-            }
-        }
+        crate::add_covered_links(&mut dp, &reference.links);
         dp
     }
 

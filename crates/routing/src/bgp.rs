@@ -101,6 +101,7 @@ struct RibInEntry {
     arrival: u64,
 }
 
+#[derive(Clone)]
 struct Session {
     cfg: SessionConfig,
     state: SessionState,
@@ -241,6 +242,7 @@ pub struct NeighborSummary {
 }
 
 /// The BGP protocol engine for one router.
+#[derive(Clone)]
 pub struct BgpEngine {
     local_as: AsNum,
     router_id: RouterId,

@@ -104,6 +104,7 @@ pub struct LsdbEntry {
 }
 
 /// The IS-IS engine for one router.
+#[derive(Clone)]
 pub struct IsisEngine {
     cfg: IsisEngineConfig,
     adjacencies: BTreeMap<IfaceId, Adjacency>,
@@ -151,13 +152,25 @@ impl IsisEngine {
     pub fn set_link(&mut self, iface: &IfaceId, up: bool) {
         if let Some(adj) = self.adjacencies.get_mut(iface) {
             adj.link_up = up;
-            if !up && !matches!(adj.state, AdjState::Down) {
-                adj.state = AdjState::Down;
-                adj.transitions += 1;
-                adj.neighbor = None;
-                adj.neighbor_addr = None;
-                self.regenerate_own_lsp();
-            }
+        }
+        if !up {
+            self.tear_adjacency(iface);
+        }
+    }
+
+    /// Takes the adjacency on `iface` down now instead of at hold-timer
+    /// expiry, and re-originates our LSP without it. The interface stays
+    /// as it is: one that is up keeps sending hellos.
+    pub fn tear_adjacency(&mut self, iface: &IfaceId) {
+        let Some(adj) = self.adjacencies.get_mut(iface) else {
+            return;
+        };
+        if !matches!(adj.state, AdjState::Down) {
+            adj.state = AdjState::Down;
+            adj.transitions += 1;
+            adj.neighbor = None;
+            adj.neighbor_addr = None;
+            self.regenerate_own_lsp();
         }
     }
 

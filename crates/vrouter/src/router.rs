@@ -46,6 +46,7 @@ pub enum RouterState {
 }
 
 /// A full virtual router instance.
+#[derive(Clone)]
 pub struct VirtualRouter {
     pub name: NodeId,
     profile: VendorProfile,
@@ -108,7 +109,7 @@ pub struct VirtualRouter {
 
 /// `(gateway, prefix)` pairs, indexed both ways: the FIB entry at `prefix`
 /// was resolved by looking `gateway` up in the IGP view.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct GatewayIndex {
     by_gateway: BTreeSet<(Ipv4Addr, Prefix)>,
     by_prefix: BTreeSet<(Prefix, Ipv4Addr)>,
@@ -416,6 +417,18 @@ impl VirtualRouter {
         self.rib_sources_dirty = true;
         if let Some(isis) = &mut self.isis {
             isis.set_link(iface, up);
+        }
+    }
+
+    /// The cable on `iface` is gone; the port stays configured and up —
+    /// what a topology that never had the link looks like from this router.
+    /// Unlike carrier loss ([`set_link`](Self::set_link)) the connected
+    /// subnet stays in the RIB. The IS-IS adjacency goes down at once:
+    /// nothing will answer a hello again, and the hold timer (30 s) outlasts
+    /// the emulator's quiet rule. The port keeps sending hellos.
+    pub fn remove_wire(&mut self, iface: &IfaceId) {
+        if let Some(isis) = &mut self.isis {
+            isis.tear_adjacency(iface);
         }
     }
 
@@ -932,6 +945,32 @@ mod tests {
             r1.fib().lookup(Ipv4Addr::new(100, 64, 0, 1)).is_none(),
             "connected subnet must leave the FIB when the link is down"
         );
+    }
+
+    /// Wire removal is not carrier loss: the cable is gone but both ports
+    /// stay up, so each end keeps its connected /31 — as it would had the
+    /// topology never had the link — and loses only the adjacency. After
+    /// `set_link(false)` the /31 leaves the FIB too (the test above).
+    #[test]
+    fn wire_removal_keeps_connected_routes_and_drops_the_adjacency() {
+        let (mut r1, mut r2) = two_router_setup();
+        let now = settle(&mut r1, &mut r2, SimTime::ZERO);
+        let link_subnet: Prefix = "100.64.0.0/31".parse().unwrap();
+        for r in [&mut r1, &mut r2] {
+            r.remove_wire(&"Ethernet1".into());
+            let _ = r.poll(SimTime(now.0 + 1000));
+            let entry = r.fib().get(&link_subnet).expect("connected /31 stays");
+            assert_eq!(entry.proto, RouteProtocol::Connected);
+            let adj = r.isis_engine().unwrap().adjacencies();
+            assert!(adj
+                .iter()
+                .all(|a| matches!(a.state, mfv_wire::isis::AdjState::Down)));
+        }
+        // The IS-IS route to the far loopback went with the adjacency.
+        assert!(r1
+            .rib()
+            .route(RouteProtocol::Isis, &"2.2.2.2/32".parse().unwrap())
+            .is_none());
     }
 
     #[test]

@@ -946,6 +946,33 @@ mod tests {
         }
     }
 
+    /// Sixteen LSP entries are 256 bytes of TLV value; `encode_tlvs` writes
+    /// the length as `v.len() as u8`, so it wraps (here to 0) and the
+    /// receiver rejects the PDU as truncated. Database sync by CSNP has
+    /// therefore never worked past 15 routers — flooding alone carries the
+    /// LSDB — and it is every `vrouter.decode_errors` of a fault-free run.
+    /// The fix (split into TLVs of at most 255 bytes; the decoder already
+    /// merges repeats) moves pinned event counts, so it is ROADMAP item 6's.
+    #[test]
+    #[ignore = "ROADMAP item 6: TLV length truncation"]
+    fn csnp_with_sixteen_entries_roundtrips() {
+        let entries: Vec<LspEntry> = (1..=16)
+            .map(|n| LspEntry {
+                lifetime: 1200,
+                lsp_id: LspId::of(sys(n)),
+                seq: n as u32,
+                checksum: 7,
+            })
+            .collect();
+        match roundtrip(IsisPdu::Csnp(Csnp {
+            source: sys(1),
+            entries: entries.clone(),
+        })) {
+            IsisPdu::Csnp(got) => assert_eq!(got.entries, entries),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn big_metric_saturates_to_24_bits() {
         let lsp = Lsp {

@@ -99,4 +99,14 @@ for f in crates/verify/src/*.rs; do
   fi
 done
 
+echo "==> one what-if path: the sweep forks, it never cold-boots a context; extraction builds no second dataplane"
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/whatif.rs | grep -nE '\.compute\('; then
+  echo "what-if check FAILED: crates/core/src/whatif.rs cold-boots outside its tests (compute is the test oracle)" >&2
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/extract.rs | grep -nE '\.dataplane\(\)'; then
+  echo "what-if check FAILED: crates/core/src/extract.rs exports the emulation's dataplane instead of reading node facts and up links" >&2
+  exit 1
+fi
+
 echo "==> all checks passed"

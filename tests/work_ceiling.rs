@@ -7,9 +7,63 @@
 //! `polls × table size`; the ceilings below sit a little over what the
 //! delta pipeline does today and far more than an order of magnitude under
 //! that product.
+//!
+//! The same goes for a what-if cut and for extraction: a fork re-converges
+//! what the cut changed, not the network, and extraction holds one router's
+//! state tree at a time, not every router's — counted in events and in
+//! bytes this thread has live.
 
-use model_free_verification::core::{scenarios, EmulationBackend, Snapshot};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use model_free_verification::core::{extract_snapshot, scenarios, EmulationBackend, Snapshot};
+use model_free_verification::emulator::ConvergenceVerdict;
+use model_free_verification::mgmt::Telemetry;
 use model_free_verification::obs::Obs;
+
+/// The system allocator, counting the calling thread's live bytes and
+/// their high-water mark. Per thread, so tests running beside each other
+/// do not see one another.
+struct PerThreadCounting;
+
+thread_local! {
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every request goes to `System` unchanged, so its contract is
+// `System`'s. The counters are const-initialised `Cell`s without
+// destructors: reaching them neither allocates nor re-enters the
+// allocator, and `try_with` covers a thread that is tearing down.
+unsafe impl GlobalAlloc for PerThreadCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            let _ = LIVE.try_with(|live| {
+                live.set(live.get().wrapping_add(layout.size()));
+                let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+            });
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        let _ = LIVE.try_with(|live| live.set(live.get().wrapping_sub(layout.size())));
+    }
+}
+
+#[global_allocator]
+static ALLOC: PerThreadCounting = PerThreadCounting;
+
+/// Runs `f`; returns its result, the bytes it left live on this thread,
+/// and how far above the starting level this thread's live bytes rose.
+fn heap_of<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = LIVE.get();
+    PEAK.set(before);
+    let out = f();
+    (out, LIVE.get() - before, PEAK.get() - before)
+}
 
 struct Work {
     /// Router polls × mean FIB size: what a rebuild per poll would touch.
@@ -59,5 +113,56 @@ fn convergence_work_stays_proportional_to_what_changed() {
         wan.prefix_decisions <= 250,
         "{} BGP prefixes decided",
         wan.prefix_decisions
+    );
+}
+
+#[test]
+fn a_cut_costs_what_it_changes() {
+    // One cold boot of the 30-router grid: 19,243 events. Re-converging a
+    // fork after one wire is gone: 665 to 687, for each of the 49 links.
+    let snapshot = scenarios::isis_grid(6, 5);
+    let (converged, meta) = EmulationBackend::with_seed(1)
+        .run(&snapshot)
+        .expect("grid boots");
+    assert!(meta.converged);
+    let cold_boot = converged.events_processed();
+    for link in snapshot.link_ids() {
+        let mut fork = converged.clone();
+        fork.remove_wire(&link);
+        let report = fork.run_until_converged();
+        assert_eq!(report.verdict, ConvergenceVerdict::Converged, "{link}");
+        let after_fork = report.events_processed - cold_boot;
+        assert!(after_fork > 0, "{link}: the cut changed nothing");
+        assert!(
+            after_fork * 20 <= cold_boot,
+            "{link}: {after_fork} events after the fork, {cold_boot} for the cold boot"
+        );
+    }
+}
+
+#[test]
+fn extraction_holds_one_routers_tree_at_a_time() {
+    let snapshot = scenarios::isis_grid(6, 5);
+    let backend = EmulationBackend::with_seed(1);
+    let (emu, _) = backend.run(&snapshot).expect("grid boots");
+    assert_eq!(snapshot.topology.nodes.len(), 30);
+    // Every grid router carries the same 79 prefixes; one tree is one tree.
+    let router = emu
+        .router(&snapshot.topology.nodes[0].name)
+        .expect("router booted");
+    let (tree, tree_bytes, _) = heap_of(|| Telemetry::from_router(router).expect("tree"));
+    drop(tree);
+
+    let (extracted, kept, peak) =
+        heap_of(|| extract_snapshot(&emu, &backend.collector, &mut Obs::new()));
+    assert!(extracted.is_complete());
+    assert_eq!(extracted.dataplane.digest(), emu.dataplane().digest());
+    // Above the result it returns, extraction needs room for the tree in
+    // hand and what decoding it builds (1.7 trees' worth today), not for
+    // thirty trees.
+    let transient = peak - kept;
+    assert!(
+        transient <= 3 * tree_bytes,
+        "{transient} B transient for a {tree_bytes} B tree"
     );
 }
