@@ -11,6 +11,23 @@ use mfv_bench::*;
 use mfv_core::{scenarios, EmulationBackend, Snapshot};
 use mfv_types::NodeId;
 
+/// An experiment id and its runner; the flag is `--quick`.
+type Experiment = (&'static str, fn(bool));
+
+/// Every experiment, in run order.
+const EXPERIMENTS: [Experiment; 10] = [
+    ("e1", |_| e1()),
+    ("e2", |_| e2()),
+    ("e3", |_| e3()),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", |_| e6()),
+    ("e7", |_| e7()),
+    ("a1", |_| a1()),
+    ("a2", |_| a2()),
+    ("a3", |_| a3()),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -19,41 +36,23 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(|s| s.as_str())
         .collect();
-    let want = |id: &str| selected.is_empty() || selected.contains(&id);
+    let ids = EXPERIMENTS.map(|(id, _)| id);
+    if let Some(unknown) = selected.iter().find(|id| !ids.contains(id)) {
+        eprintln!(
+            "experiments: unknown experiment id `{unknown}` (valid: {})",
+            ids.join(" ")
+        );
+        std::process::exit(2);
+    }
 
     println!("Model-Free Verification — experiment harness");
     println!("reproducing: Krentsel et al., \"Towards Accessible Model-Free");
     println!("Verification\", HotNets '25 (see EXPERIMENTS.md for the index)\n");
 
-    if want("e1") {
-        e1();
-    }
-    if want("e2") {
-        e2();
-    }
-    if want("e3") {
-        e3();
-    }
-    if want("e4") {
-        e4(quick);
-    }
-    if want("e5") {
-        e5(quick);
-    }
-    if want("e6") {
-        e6();
-    }
-    if want("e7") {
-        e7();
-    }
-    if want("a1") {
-        a1();
-    }
-    if want("a2") {
-        a2();
-    }
-    if want("a3") {
-        a3();
+    for (id, run) in EXPERIMENTS {
+        if selected.is_empty() || selected.contains(&id) {
+            run(quick);
+        }
     }
 }
 

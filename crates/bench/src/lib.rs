@@ -2,6 +2,11 @@
 //! §6 ablations A1–A3). The `experiments` binary prints their outputs as
 //! paper-vs-measured tables.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D2: the experiment harness reports wall time on purpose (the E4, E5 and A2 wall columns); no reading feeds an emulation or a verdict"
+)]
+
 use std::collections::BTreeMap;
 
 use mfv_core::{

@@ -22,16 +22,30 @@
 //! | C7 (W) | redistribution into BGP with no attached route-map |
 //! | C8 (W) | prefix-list entry fully shadowed by an earlier entry |
 //!
-//! Suppressions follow `mfv-lint`'s convention, embedded in the device's
-//! config text as a comment anywhere in the file:
+//! A suppression is the directive `conflint: allow(RULE, reason)` in a
+//! comment anywhere in the device's config text, behind whatever comment
+//! leader the dialect uses:
 //!
 //! ```text
 //! ! conflint: allow(C7, infra subnets are meant to leak into this fabric)
 //! ```
 //!
-//! A reasonless or malformed `allow` is itself an error (reported under the
-//! reserved id `C0`). Suppressions are device-scoped: they silence one rule
-//! for the device whose config carries them.
+//! The reason is mandatory: a reasonless or malformed `allow` is itself an
+//! error (reported under the reserved id `C0`). Suppressions are
+//! device-scoped — they silence one rule for the device whose config
+//! carries them — and every report lists the ones that silenced a finding.
+
+// P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code
+// here degrades through typed errors, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,9 +1,21 @@
 //! CLI: `cargo run -p mfv-conflint -- [--json] [--deny-warnings] <topology.json>...`
 //!
 //! Lints one or more topology files (the JSON produced by
-//! `Topology::to_json` / `mfvctl export`). Exit codes mirror `mfv-lint`:
-//! 0 = clean (or warnings only, unless `--deny-warnings`), 1 = findings,
-//! 2 = usage or I/O error.
+//! `Topology::to_json` / `mfvctl example`). Exit codes: 0 = clean (or
+//! warnings only, unless `--deny-warnings`), 1 = findings, 2 = usage or
+//! I/O error.
+
+// P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code
+// here degrades through typed errors, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::process::ExitCode;
 

@@ -1,6 +1,5 @@
 //! Fixture-topology self-tests: every rule family has a minimal topology
-//! that triggers it and a clean counterpart that does not — the same
-//! contract `mfv-lint` keeps with its fixture workspaces.
+//! that triggers it and a clean counterpart that does not.
 
 use std::net::Ipv4Addr;
 

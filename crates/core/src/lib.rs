@@ -29,6 +29,18 @@
 //!   queries
 //! - [`whatif`] — link-cut context enumeration and parallel sweeps
 
+// P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code
+// here degrades through typed errors, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod backend;
 pub mod extract;
 pub mod scenarios;

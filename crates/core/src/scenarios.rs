@@ -8,7 +8,11 @@
 //! - [`interplay_pair`] — a multi-vendor topology for the cross-vendor
 //!   crash study (A3)
 
-// mfv-lint: allow-file(P1, scenario builders parse/index compile-time literals only; a bad literal is a programming error caught by the scenario tests, and no runtime input reaches these paths)
+#![expect(
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    reason = "P1: scenario builders parse/index compile-time literals only; a bad literal is a programming error caught by the scenario tests, and no runtime input reaches these paths"
+)]
 
 use std::net::Ipv4Addr;
 
@@ -781,16 +785,15 @@ pub fn clos(spines: usize, leaves: usize) -> Snapshot {
         .map(|l| RouterSpec::new(format!("l{}", l + 1), asn, loopback(100 + l)))
         .collect();
     let mut links = Vec::new();
-    #[allow(clippy::needless_range_loop)]
-    for s in 0..spines {
-        for l in 0..leaves {
+    for (s, spine) in spine_specs.iter_mut().enumerate() {
+        for (l, leaf) in leaf_specs.iter_mut().enumerate() {
             let (a, b) = p2p(s * leaves + l);
             let spine_port = ifname(Vendor::Ceos, l);
             let leaf_port = ifname(Vendor::Ceos, s);
-            spine_specs[s] = spine_specs[s].clone().iface(
+            *spine = spine.clone().iface(
                 IfaceSpec::new(spine_port.clone(), mfv_types::IfaceAddr::new(a, 31)).with_isis(),
             );
-            leaf_specs[l] = leaf_specs[l].clone().iface(
+            *leaf = leaf.clone().iface(
                 IfaceSpec::new(leaf_port.clone(), mfv_types::IfaceAddr::new(b, 31)).with_isis(),
             );
             links.push((

@@ -8,7 +8,7 @@
 //! Determinism note: thread counts and scheduling affect only *when* work
 //! runs, never results — callers own that contract (the engine via
 //! conservative time windows, the seed pool via per-index result slots).
-//! No `Ordering::Relaxed` atomics live here (mfv-lint rule D3): work
+//! No `Ordering::Relaxed` atomics live here (rule D3, DESIGN.md): work
 //! distribution uses a plain mutex-guarded cursor, which is equally fast at
 //! this granularity (items are whole emulation runs or time windows).
 

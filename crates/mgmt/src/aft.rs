@@ -98,31 +98,63 @@ impl Aft {
         aft
     }
 
-    /// Reconstructs FIB entries from the AFT (the verifier-side ingestion:
-    /// the paper's 3,300-line Batfish modification is exactly this step).
+    /// The FIB entry one AFT entry describes; an unknown group or next-hop
+    /// id resolves to nothing, so a dangling reference yields a discard.
+    fn fib_entry(&self, e: &AftIpv4Entry) -> FibEntry {
+        let mut next_hops = Vec::new();
+        if let Some(group) = self.next_hop_groups.get(&e.next_hop_group) {
+            // Sized by hand: `filter_map` has no lower size hint, and a
+            // one-hop vector grown by `collect` holds four slots — 96 bytes
+            // per entry that ingestion, keeping these vectors, would keep.
+            next_hops.reserve_exact(group.next_hops.len());
+            next_hops.extend(
+                group
+                    .next_hops
+                    .iter()
+                    .filter_map(|id| self.next_hops.get(id))
+                    .map(|nh| FibNextHop {
+                        iface: nh.interface.as_str().into(),
+                        via: nh.ip_address,
+                    }),
+            );
+        }
+        FibEntry {
+            prefix: e.prefix,
+            proto: e.origin_protocol,
+            next_hops,
+        }
+    }
+
+    /// Reconstructs the FIB from the AFT (the verifier-side ingestion: the
+    /// paper's 3,300-line Batfish modification is exactly this step).
     pub fn to_fib(&self) -> Fib {
         let mut fib = Fib::new();
         for e in &self.ipv4_unicast {
-            let group = self.next_hop_groups.get(&e.next_hop_group);
-            let next_hops = group
-                .map(|g| {
-                    g.next_hops
-                        .iter()
-                        .filter_map(|id| self.next_hops.get(id))
-                        .map(|nh| FibNextHop {
-                            iface: nh.interface.as_str().into(),
-                            via: nh.ip_address,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            fib.insert(FibEntry {
-                prefix: e.prefix,
-                proto: e.origin_protocol,
-                next_hops,
-            });
+            fib.insert(self.fib_entry(e));
         }
         fib
+    }
+
+    /// The entries of [`to_fib`](Self::to_fib) in its iteration order,
+    /// without building the trie: sorted by prefix (the trie's pre-order is
+    /// `Prefix`'s derived order), a repeated prefix keeping its last entry.
+    pub fn fib_entries(&self) -> Vec<FibEntry> {
+        let mut entries: Vec<FibEntry> = self
+            .ipv4_unicast
+            .iter()
+            .map(|e| self.fib_entry(e))
+            .collect();
+        entries.sort_by_key(|e| e.prefix);
+        // `dedup_by` drops the later of two equal neighbours; swapping
+        // first makes the survivor the last one inserted, as in the trie.
+        entries.dedup_by(|later, kept| {
+            let same = later.prefix == kept.prefix;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        entries
     }
 
     /// Number of ipv4 entries.

@@ -1,9 +1,9 @@
 //! Minimal hand-rolled JSON writing helpers.
 //!
 //! The obs dump format is flat maps of statically-named numbers plus short
-//! journal strings; hand-rolling (like `mfv-lint` does) keeps this crate
-//! dependency-free and the output byte-stable — no serializer version can
-//! ever perturb the determinism fixtures.
+//! journal strings; hand-rolling keeps this crate dependency-free and the
+//! output byte-stable — no serializer version can ever perturb the
+//! determinism fixtures.
 
 /// Appends `s` JSON-escaped (quotes not included).
 pub fn escape_into(out: &mut String, s: &str) {

@@ -33,6 +33,18 @@
 //! once at collection points via `Metrics::inc`/`merge_hist`. A metrics
 //! update is a BTreeMap lookup; a field increment is one add.
 
+// P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code
+// here degrades through typed errors, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod journal;
 pub mod json;
 pub mod metrics;

@@ -5,10 +5,9 @@
 //! [`WallTimer`], and everything measured lands in a [`WallSection`] that
 //! serializes under the `"wall"` JSON key — which `Obs::to_json(false)`
 //! omits, so wall readings can never leak into determinism comparisons.
-//! The D2 lint rule bans `Instant`/`SystemTime` everywhere else; the
-//! file-wide allow below is the sanctioned exception.
-//!
-// mfv-lint: allow-file(D2, this module IS the wall-time section — readings stay in WallSection and are serialized under the separate wall key that determinism diffs exclude)
+//! Rule D2 bans `Instant::now`/`SystemTime` everywhere else under
+//! `crates/`; the `#[expect]` on [`WallTimer::start`] is the sanctioned
+//! exception.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -23,6 +22,10 @@ pub struct WallTimer {
 }
 
 impl WallTimer {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2: this module IS the wall-time section — readings stay in WallSection and are serialized under the separate wall key that determinism diffs exclude"
+    )]
     pub fn start() -> WallTimer {
         WallTimer {
             start: Instant::now(),

@@ -23,6 +23,18 @@
 //! `ERR <len>\n` followed by exactly `<len>` payload bytes. See
 //! [`index::Reply`] and [`index::encode`].
 
+// P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code
+// here degrades through typed errors, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod index;
 pub mod server;
 

@@ -12,8 +12,12 @@
 //! All propagation happens once per analysis, inside the class index
 //! (`crate::index`); every query here is a lookup into it.
 
-// mfv-lint: allow(D1, HashMap here backs a digest-keyed cache that is only probed, never iterated)
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: HashMap here backs a digest-keyed cache that is only probed, never iterated"
+)]
+use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -112,7 +116,10 @@ pub struct NodeClasses {
 /// the whole network. Thread-safe, so one cache can back a parallel sweep.
 #[derive(Default)]
 pub struct ClassCache {
-    // mfv-lint: allow(D1, probed by digest only; iteration order never observed)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "D1: probed by digest only; iteration order never observed"
+    )]
     by_digest: Mutex<HashMap<u64, Arc<NodeClasses>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,

@@ -26,7 +26,10 @@
 //! stored per (class, node) cell, which keeps the index at
 //! O(classes × nodes) words however many pairs are queried.
 
-// mfv-lint: allow-file(P1, dense tables indexed by node/atom/class ids this module interned itself; an out-of-range id is a builder bug that must fail loudly instead of degrading to a wrong verdict)
+#![expect(
+    clippy::indexing_slicing,
+    reason = "P1: dense tables indexed by node/atom/class ids this module interned itself; an out-of-range id is a builder bug that must fail loudly instead of degrading to a wrong verdict"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;

@@ -18,6 +18,18 @@
 //!   incremental re-evaluation through a shared class cache, emitting
 //!   verdict transitions instead of full reports
 
+// P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code
+// here degrades through typed errors, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod coverage;
 pub mod graph;
 mod index;

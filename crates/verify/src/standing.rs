@@ -86,6 +86,15 @@ struct NodeKey {
     addresses: BTreeSet<Ipv4Addr>,
 }
 
+/// What [`StandingQueries::changed_nodes`] saw in one snapshot: the nodes
+/// that differ from the previous evaluation, and the keys and links the
+/// next evaluation diffs against.
+struct Observed {
+    changed: BTreeSet<NodeId>,
+    node_keys: BTreeMap<NodeId, NodeKey>,
+    links: BTreeSet<LinkId>,
+}
+
 /// Cached answer for one (src, dst) reachability pair.
 struct PairState {
     deps: DepSet,
@@ -157,16 +166,7 @@ impl StandingQueries {
     /// The nodes whose observable state differs from the previous
     /// evaluation: changed FIB digest, liveness, or addresses; present on
     /// an added/removed link; or added/removed entirely.
-    #[allow(clippy::type_complexity)]
-    fn changed_nodes(
-        &self,
-        fa: &ForwardingAnalysis,
-        links: &[LinkId],
-    ) -> (
-        BTreeSet<NodeId>,
-        BTreeMap<NodeId, NodeKey>,
-        BTreeSet<LinkId>,
-    ) {
+    fn changed_nodes(&self, fa: &ForwardingAnalysis, links: &[LinkId]) -> Observed {
         let mut keys = BTreeMap::new();
         for (name, node) in fa.nodes() {
             keys.insert(
@@ -194,7 +194,11 @@ impl StandingQueries {
             changed.insert(link.a.0.clone());
             changed.insert(link.b.0.clone());
         }
-        (changed, keys, links)
+        Observed {
+            changed,
+            node_keys: keys,
+            links,
+        }
     }
 
     /// Re-evaluates every standing query against `dp` and returns the
@@ -215,7 +219,11 @@ impl StandingQueries {
 
         // On the first evaluation `node_keys` is empty, so every node
         // diffs as changed and everything below computes from scratch.
-        let (changed, keys, links) = self.changed_nodes(&fa, &dp.links);
+        let Observed {
+            changed,
+            node_keys,
+            links,
+        } = self.changed_nodes(&fa, &dp.links);
         let dirty = |deps: &DepSet, extra: &NodeId| -> bool {
             changed.contains(extra) || deps.intersection(&changed).next().is_some()
         };
@@ -357,7 +365,7 @@ impl StandingQueries {
             &mut out,
         );
 
-        self.node_keys = keys;
+        self.node_keys = node_keys;
         self.links = links;
         out
     }

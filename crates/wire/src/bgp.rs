@@ -426,7 +426,10 @@ fn encode_nlri(out: &mut BytesMut, p: &Prefix) {
     out.put_u8(p.len());
     let bits = p.network_bits().to_be_bytes();
     let nbytes = (p.len() as usize).div_ceil(8);
-    // mfv-lint: allow(W1, Prefix guarantees len <= 32, so nbytes <= 4 == bits.len())
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "W1: Prefix guarantees len <= 32, so nbytes <= 4 == bits.len()"
+    )]
     out.extend_from_slice(&bits[..nbytes]);
 }
 
@@ -444,7 +447,10 @@ fn decode_nlri(buf: &mut Bytes) -> Result<Prefix, DecodeError> {
         return Err(err("truncated NLRI"));
     }
     let mut bits = [0u8; 4];
-    // mfv-lint: allow(W1, len > 32 rejected above with DecodeError, so nbytes <= 4)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "W1: len > 32 rejected above with DecodeError, so nbytes <= 4"
+    )]
     bits[..nbytes].copy_from_slice(&buf.split_to(nbytes));
     Ok(Prefix::from_bits(u32::from_be_bytes(bits), len))
 }

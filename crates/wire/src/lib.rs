@@ -13,6 +13,18 @@
 //! - [`isis`] — IS-IS PDUs (point-to-point hellos, LSPs, sequence-number
 //!   PDUs, TLV-encoded reachability)
 
+// W1 (DESIGN.md § "Determinism & panic-safety invariants"): decoders reject
+// malformed input through `DecodeError`, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod bgp;
 pub mod isis;
 
