@@ -117,8 +117,10 @@ pub struct EmulationBackend {
     pub collector: Collector,
     /// Pre-boot static-analysis gate (tiered verification).
     pub conflint: ConflintGate,
-    /// Worker threads for the sharded engine (`0` = host parallelism,
-    /// `1` = sequential). Never affects results, only wall time.
+    /// Width of the fan-out over independent emulations: how many cut
+    /// contexts [`crate::verify_link_cuts_detailed`] re-converges side by
+    /// side (`0`, the default, means the host's parallelism). One emulation
+    /// always runs on one thread. Never affects results, only wall time.
     pub threads: usize,
 }
 
@@ -134,7 +136,7 @@ impl Default for EmulationBackend {
             chaos: ChaosPlan::default(),
             collector: Collector::default(),
             conflint: ConflintGate::default(),
-            threads: 1,
+            threads: 0,
         }
     }
 }
@@ -180,7 +182,6 @@ impl EmulationBackend {
             profile_overrides: self.profiles.clone(),
             inject_after_boot: true,
             chaos: self.chaos.clone(),
-            threads: self.threads,
             ..Default::default()
         };
         let mut emu = Emulation::new(

@@ -123,8 +123,9 @@ pub struct SweepReport {
 /// from a fork of it: clone the converged emulation, remove the cut wires
 /// (ports stay up — [`mfv_emulator::Emulation::remove_wire`]), re-converge,
 /// extract over the management plane, diff against the baseline dataplane.
-/// Contexts fan out across OS threads, as the paper proposes ("running
-/// emulation for each new context in parallel").
+/// Contexts fan out across `backend.threads` OS threads (`0` = the host's
+/// parallelism), as the paper proposes ("running emulation for each new
+/// context in parallel").
 ///
 /// The baseline [`ForwardingAnalysis`] is built once and shared by every
 /// context, and a [`ClassCache`] keyed on per-node FIB digests lets each
@@ -143,7 +144,7 @@ pub fn verify_link_cuts_detailed(
 
     // One context per job on the shared pool: results come back in
     // context order, and a panic is confined to its context.
-    let verdicts = run_indexed(0, contexts.len(), |i| {
+    let verdicts = run_indexed(backend.threads, contexts.len(), |i| {
         let cuts = contexts
             .get(i)
             .ok_or_else(|| BackendError(format!("no cut context {i}")))?;

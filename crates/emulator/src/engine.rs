@@ -15,25 +15,31 @@
 //! `i` and `W` the minimum cross-shard link latency (capped by the 2 ms
 //! BGP segment floor), shard `i` may safely process every event strictly
 //! before `min_{j≠i}(T_j) + W`, because nothing another shard has yet to
-//! do can produce an arrival earlier than that. Within a window shards run
-//! independently — on one thread or many (`EmulationConfig::threads`) —
-//! and cross-shard messages ride per-shard outboxes that the coordinator
-//! drains at the window barrier.
+//! do can produce an arrival earlier than that. Within a window shards are
+//! independent of one another, and cross-shard messages ride per-shard
+//! outboxes that the coordinator drains when the window ends.
 //!
-//! Determinism does not depend on the thread count: events carry
-//! content-derived keys `(time, origin, origin_seq)` that are globally
-//! unique, so draining outboxes in any order produces the same heap order;
-//! RNG streams are per-entity, not per-thread; and everything cross-cutting
-//! (chaos timeline, boot completion, feed activation, churn gating,
-//! convergence) is applied by the coordinator at window boundaries cut to
-//! exact sim instants. Same `(topology, seed, plan, shard layout)` ⇒
-//! byte-identical dataplanes, AFT dumps, and obs exports at any thread
-//! count, including 1.
+//! One emulation runs on one thread: [`drive`] plans a window, runs each
+//! due shard in index order and settles. `W` can never exceed 2 ms, so a
+//! 1,000-router run is ~236 k windows of ~3 events, 18 % of them with more
+//! than one shard due — too little to share (`export_obs` reports it as
+//! `engine.windows*`; DESIGN.md § "Sharded conservative-lookahead engine").
+//! Parallelism lives one level up, across independent emulations
+//! ([`crate::pool::run_indexed`]); shards stay as the data layout.
+//!
+//! Determinism does not depend on the layout: events carry content-derived
+//! keys `(time, origin, origin_seq)` that are globally unique, so draining
+//! outboxes in any order produces the same heap order; RNG streams are
+//! per-entity, not per-shard; and everything cross-cutting (chaos
+//! timeline, boot completion, feed activation, churn gating, convergence)
+//! is applied by the coordinator at window boundaries cut to exact sim
+//! instants. Same `(topology, seed, plan, shard layout)` ⇒ byte-identical
+//! dataplanes, AFT dumps and obs exports, alone or inside a fan-out of any
+//! width; the converged dataplane does not depend on the layout either.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -46,7 +52,6 @@ use mfv_vrouter::{VendorProfile, VirtualRouter};
 use crate::chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict};
 use crate::cluster::{Cluster, PodRequest, Unschedulable};
 use crate::inject::{synthetic_prefixes, ExternalPeer};
-use crate::pool::{effective_threads, lock_or_recover, panic_message, with_workers};
 use crate::shard::{
     stream_seed, Ev, EvKey, EventKind, EventTally, ImpairWindow, LinkChange, Net, Owner, Shard,
     CHURN_HISTORY, CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
@@ -91,9 +96,10 @@ pub struct EmulationConfig {
     /// run; see [`ChaosPlan`] for what can be scheduled. Events referencing
     /// unknown links/nodes/machines are inert.
     pub chaos: ChaosPlan,
-    /// Worker threads for window execution. `1` (the default) runs shards
-    /// sequentially with zero synchronization; `0` means "host
-    /// parallelism". The thread count never affects results.
+    /// Width of the fan-out over independent emulations that share this
+    /// configuration: how many seeds [`crate::run_seeds`] runs side by
+    /// side (`0`, the default, means the host's parallelism). One emulation
+    /// always runs on one thread; the width never affects results.
     pub threads: usize,
     /// Shard partitioning rule. The default reuses the cluster placement.
     pub shards: ShardMode,
@@ -109,7 +115,7 @@ impl Default for EmulationConfig {
             profile_overrides: BTreeMap::new(),
             inject_after_boot: true,
             chaos: ChaosPlan::default(),
-            threads: 1,
+            threads: 0,
             shards: ShardMode::Auto,
         }
     }
@@ -138,8 +144,8 @@ pub struct RunReport {
     pub crashes: u64,
     /// Work items processed: heap events plus demand-driven wake polls.
     /// Link-flap notifications are replicated into both endpoint shards,
-    /// so chaos-heavy runs count slightly more items than the single-heap
-    /// engine did — identically so at every thread count.
+    /// so the count of a chaos-heavy run depends on the shard layout — and
+    /// on nothing else.
     pub events_processed: u64,
     /// Events pushed onto the priority queues. Under demand-driven polling
     /// wake requests never enter a heap, so this counts only real work
@@ -234,6 +240,31 @@ struct Global {
     /// Conservative lookahead `W` in ms: min cross-shard link latency,
     /// capped at the 2 ms BGP floor. Latencies are clamped ≥ 1 at build.
     lookahead_ms: u64,
+    /// Windows run, how many had more than one shard due, and the work
+    /// items those held: the share of a run shards could have executed side
+    /// by side. A function of topology, seed, plan and layout.
+    windows: u64,
+    windows_multi_shard: u64,
+    events_multi_shard: u64,
+}
+
+impl Global {
+    /// Schedules a coordinator-originated event into shard `sid`.
+    fn inject(&mut self, shards: &mut [Shard], sid: usize, at: SimTime, kind: EventKind) {
+        self.oseq += 1;
+        self.events_scheduled += 1;
+        let ev = Ev {
+            key: EvKey {
+                time: at,
+                origin: GLOBAL_ORIGIN,
+                oseq: self.oseq,
+            },
+            kind,
+        };
+        if let Some(shard) = shards.get_mut(sid) {
+            shard.inject(ev);
+        }
+    }
 }
 
 /// The running emulation.
@@ -420,6 +451,9 @@ impl Emulation {
             phases: SimPhases::new(),
             wall: WallSection::new(),
             lookahead_ms: 2,
+            windows: 0,
+            windows_multi_shard: 0,
+            events_multi_shard: 0,
         };
         Ok(Emulation {
             topology: Arc::new(topology),
@@ -556,7 +590,10 @@ impl Emulation {
         // Inject boot events.
         let pending: Vec<(SimTime, NodeRef)> = self.glob.pending_ready.iter().copied().collect();
         for (eta, node) in pending {
-            self.inject_global(node, eta, EventKind::PodReady(node));
+            if let Some(sid) = self.shard_of(node) {
+                self.glob
+                    .inject(&mut self.shards, sid, eta, EventKind::PodReady(node));
+            }
         }
         // External peers.
         for idx in 0..self.topology.external_peers.len() {
@@ -621,26 +658,6 @@ impl Emulation {
         expand_chaos(&mut self.glob, Arc::make_mut(&mut self.net), plan);
     }
 
-    /// Schedules a coordinator-originated event into a node's shard.
-    fn inject_global(&mut self, node: NodeRef, at: SimTime, kind: EventKind) {
-        let Some(sid) = self.net.node_shard.get(node.index()).copied() else {
-            return;
-        };
-        self.glob.oseq += 1;
-        self.glob.events_scheduled += 1;
-        let ev = Ev {
-            key: EvKey {
-                time: at,
-                origin: GLOBAL_ORIGIN,
-                oseq: self.glob.oseq,
-            },
-            kind,
-        };
-        if let Some(shard) = self.shards.get_mut(sid) {
-            shard.inject(ev);
-        }
-    }
-
     /// Injects a chaos schedule into a running emulation. Before boot the
     /// plan is folded into the configured one; after boot it expands into
     /// timeline entries immediately (instants already in the past fire at
@@ -669,15 +686,14 @@ impl Emulation {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.boot();
         let before = self.events_processed();
-        {
-            let Emulation {
-                ref net,
-                ref mut shards,
-                ref mut glob,
-                ..
-            } = *self;
-            drive(glob, net, shards, deadline, false, None);
-        }
+        drive(
+            &mut self.glob,
+            &self.net,
+            &mut self.shards,
+            deadline,
+            false,
+            None,
+        );
         for shard in &mut self.shards {
             shard.advance_clock(deadline);
         }
@@ -708,15 +724,14 @@ impl Emulation {
         };
         self.boot();
         let deadline = SimTime(self.glob.cfg.max_sim_time.as_millis());
-        let converged = {
-            let Emulation {
-                ref net,
-                ref mut shards,
-                ref mut glob,
-                ..
-            } = *self;
-            drive(glob, net, shards, deadline, true, Some(&mut wp))
-        };
+        let converged = drive(
+            &mut self.glob,
+            &self.net,
+            &mut self.shards,
+            deadline,
+            true,
+            Some(&mut wp),
+        );
         self.glob.now = self.glob.now.max(self.glob.t_max);
         self.glob.wall.add_phase(
             "converge",
@@ -881,8 +896,8 @@ impl Emulation {
 
     /// The merged steady-state churn tracker: per prefix, the retained
     /// dataplane-change instants. The merge is order-independent, so this
-    /// dump is byte-identical across thread counts for the same run —
-    /// determinism tests digest it alongside the dataplane.
+    /// dump is a function of the run alone — determinism tests compare it
+    /// alongside the verdict.
     pub fn churn_dump(&self) -> BTreeMap<Prefix, Vec<SimTime>> {
         merge_churn(self.shards.iter().map(|s| &s.churn))
             .into_iter()
@@ -905,7 +920,7 @@ impl Emulation {
     /// snapshot. Per-shard state merges in shard-index order (journals by
     /// `(time, shard, local order)`), so everything except the `wall`
     /// section is derived from sim state only and two same-seed runs export
-    /// byte-identical `to_json(false)` dumps at any thread count.
+    /// byte-identical `to_json(false)` dumps.
     pub fn export_obs(&self) -> Obs {
         let mut obs = Obs::new();
         let mut tally = self.glob.tally;
@@ -927,6 +942,9 @@ impl Emulation {
                 + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
         );
         m.inc("engine.events.processed", self.events_processed());
+        m.inc("engine.events.multi_shard", self.glob.events_multi_shard);
+        m.inc("engine.windows", self.glob.windows);
+        m.inc("engine.windows.multi_shard", self.glob.windows_multi_shard);
         m.inc(
             "engine.messages.delivered",
             self.shards.iter().map(|s| s.messages_delivered).sum(),
@@ -1133,15 +1151,10 @@ fn oscillation_verdict(glob: &Global, shards: &[Shard]) -> ConvergenceVerdict {
     ConvergenceVerdict::Oscillating { period, prefixes }
 }
 
-/// Worker commands for the persistent window pool.
-#[derive(Clone, Copy)]
-enum Cmd {
-    Window,
-    Stop,
-}
-
-/// Runs the window loop to `deadline`. Returns whether the run converged
-/// (always `false` when `converge` is off — `run_until` has no watchdog).
+/// Runs the window loop to `deadline` on the calling thread: plan a window,
+/// run every shard that has work before its window end, settle. Returns
+/// whether the run converged (always `false` when `converge` is off —
+/// `run_until` has no watchdog).
 fn drive(
     glob: &mut Global,
     net: &Net,
@@ -1150,108 +1163,36 @@ fn drive(
     converge: bool,
     mut wall: Option<&mut WallProgress>,
 ) -> bool {
-    if shards.is_empty() {
-        return false;
+    loop {
+        match plan(glob, net, shards, deadline, converge) {
+            Plan::Run(ends) => {
+                let mut due = 0u64;
+                let mut events = 0u64;
+                for (shard, &end) in shards.iter_mut().zip(&ends) {
+                    if shard.next_due().is_some_and(|d| d < end) {
+                        let before = shard.events_processed;
+                        shard.run_window(net, end);
+                        due += 1;
+                        events += shard.events_processed - before;
+                    }
+                }
+                glob.windows += 1;
+                if due > 1 {
+                    glob.windows_multi_shard += 1;
+                    glob.events_multi_shard += events;
+                }
+                settle(glob, net, shards, &ends, deadline);
+                if let Some(wp) = wall.as_deref_mut() {
+                    mark_wall(glob, wp);
+                }
+            }
+            Plan::Converged(at) => {
+                glob.now = glob.now.max(at);
+                return true;
+            }
+            Plan::Done => return false,
+        }
     }
-    // One thread means a pool of zero workers: the lead runs every due
-    // shard itself and no barrier is ever crossed.
-    let workers = match effective_threads(glob.cfg.threads, shards.len()) {
-        1 => 0,
-        n => n,
-    };
-    let cells: Vec<Mutex<&mut Shard>> = shards.iter_mut().map(Mutex::new).collect();
-    // Persistent worker pool: one command + two barriers per dispatched
-    // window. Workers take shards round-robin by index; shard state lives
-    // behind per-shard mutexes that are only ever locked by one side of a
-    // barrier at a time.
-    let cmd: Mutex<Cmd> = Mutex::new(Cmd::Window);
-    let ends_shared: Mutex<Vec<SimTime>> = Mutex::new(Vec::new());
-    let start = Barrier::new(workers + 1);
-    let finish = Barrier::new(workers + 1);
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let cells_ref = &cells;
-    with_workers(
-        workers,
-        |w| loop {
-            start.wait();
-            let c = *lock_or_recover(&cmd);
-            match c {
-                Cmd::Stop => break,
-                Cmd::Window => {
-                    let ends: Vec<SimTime> = lock_or_recover(&ends_shared).clone();
-                    // A panic is confined to this window and reported at
-                    // the barrier — the worker must always reach it, or
-                    // the coordinator would deadlock.
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        for i in (w..cells_ref.len()).step_by(workers) {
-                            let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-                            lock_or_recover(&cells_ref[i]).run_window(net, end);
-                        }
-                    }));
-                    if let Err(p) = r {
-                        lock_or_recover(&panics).push((w, panic_message(p)));
-                    }
-                    finish.wait();
-                }
-            }
-        },
-        || {
-            let lead = catch_unwind(AssertUnwindSafe(|| loop {
-                match plan(glob, net, cells_ref, deadline, converge) {
-                    Plan::Run(ends) => {
-                        // A shard with nothing due before its window end
-                        // has nothing to run. A lone due shard is run
-                        // inline — no barrier round trip for the whole
-                        // pool — and so is every due shard when there are
-                        // no workers.
-                        let due: Vec<usize> = (0..cells_ref.len())
-                            .filter(|i| {
-                                let end = ends.get(*i).copied().unwrap_or(SimTime::ZERO);
-                                lock_or_recover(&cells_ref[*i])
-                                    .next_due()
-                                    .is_some_and(|d| d < end)
-                            })
-                            .collect();
-                        if due.len() <= 1 || workers == 0 {
-                            for i in due {
-                                let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-                                lock_or_recover(&cells_ref[i]).run_window(net, end);
-                            }
-                        } else {
-                            *lock_or_recover(&ends_shared) = ends.clone();
-                            *lock_or_recover(&cmd) = Cmd::Window;
-                            start.wait();
-                            finish.wait();
-                            let mut p = std::mem::take(&mut *lock_or_recover(&panics));
-                            if !p.is_empty() {
-                                p.sort_by_key(|e| e.0);
-                                let msg: Vec<String> =
-                                    p.iter().map(|(w, m)| format!("[worker {w}] {m}")).collect();
-                                panic!("shard window panicked: {}", msg.join("; "));
-                            }
-                        }
-                        settle(glob, net, cells_ref, &ends, deadline);
-                        if let Some(wp) = wall.as_deref_mut() {
-                            mark_wall(glob, wp);
-                        }
-                    }
-                    Plan::Converged(at) => {
-                        glob.now = glob.now.max(at);
-                        break true;
-                    }
-                    Plan::Done => break false,
-                }
-            }));
-            // Release the pool no matter how the loop ended; a lead panic
-            // must not leave workers parked on the start barrier.
-            *lock_or_recover(&cmd) = Cmd::Stop;
-            start.wait();
-            match lead {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        },
-    )
 }
 
 /// One coordinator barrier: fire due timeline actions, decide convergence,
@@ -1259,17 +1200,16 @@ fn drive(
 fn plan(
     glob: &mut Global,
     net: &Net,
-    cells: &[Mutex<&mut Shard>],
+    shards: &mut [Shard],
     deadline: SimTime,
     converge: bool,
 ) -> Plan {
     loop {
-        let mut dues: Vec<Option<SimTime>> = Vec::with_capacity(cells.len());
+        let mut dues: Vec<Option<SimTime>> = Vec::with_capacity(shards.len());
         let mut last_act = glob.last_activity;
         let mut pending_restarts = 0usize;
         let mut chaos_done = 0u64;
-        for cell in cells {
-            let s = lock_or_recover(cell);
+        for s in shards.iter() {
             dues.push(s.next_due());
             last_act = last_act.max(s.last_activity);
             pending_restarts += s.pending_restarts;
@@ -1282,7 +1222,7 @@ fn plan(
             // The quiet rule is a pure function of processed content
             // (activity times, readiness, feed/chaos state) and the next
             // due instant — never of the window structure — so every
-            // layout and thread count reaches the same verdict.
+            // layout reaches the same verdict.
             let quiescent = glob.ready.len()
                 == glob.node_total.saturating_sub(glob.unschedulable.len())
                 && glob.ext_done_count == glob.ext_total
@@ -1305,15 +1245,15 @@ fn plan(
             // before any shard event at `t` — coordinator-origin events
             // sort first within the heaps, so replicas injected here still
             // precede same-instant traffic.
-            for cell in cells {
-                lock_or_recover(cell).advance_clock(t);
+            for s in shards.iter_mut() {
+                s.advance_clock(t);
             }
             while let Some((&(ti, ord), _)) = glob.timeline.iter().next() {
                 if ti != t {
                     break;
                 }
                 if let Some(action) = glob.timeline.remove(&(ti, ord)) {
-                    apply_global(glob, net, cells, t, action);
+                    apply_global(glob, net, shards, t, action);
                 }
             }
             glob.t_max = glob.t_max.max(t);
@@ -1346,8 +1286,8 @@ fn plan(
             .min(boot_cut)
             .min(quiet_cut)
             .max(t.0.saturating_add(1)); // always admit the due instant
-        let single = cells.len() == 1;
-        let ends: Vec<SimTime> = (0..cells.len())
+        let single = shards.len() == 1;
+        let ends: Vec<SimTime> = (0..shards.len())
             .map(|i| {
                 let others = dues
                     .iter()
@@ -1372,26 +1312,11 @@ fn plan(
 fn apply_global(
     glob: &mut Global,
     net: &Net,
-    cells: &[Mutex<&mut Shard>],
+    shards: &mut [Shard],
     t: SimTime,
     action: GlobalAction,
 ) {
     glob.events_processed += 1;
-    let inject = |glob: &mut Global, sid: usize, at: SimTime, kind: EventKind| {
-        glob.oseq += 1;
-        glob.events_scheduled += 1;
-        let ev = Ev {
-            key: EvKey {
-                time: at,
-                origin: GLOBAL_ORIGIN,
-                oseq: glob.oseq,
-            },
-            kind,
-        };
-        if let Some(cell) = cells.get(sid) {
-            lock_or_recover(cell).inject(ev);
-        }
-    };
     match action {
         GlobalAction::Link { slot, up } => {
             glob.tally.chaos_link += 1;
@@ -1424,7 +1349,7 @@ fn apply_global(
             // link-state copy and pokes its local endpoint router(s).
             for sid in sids {
                 glob.chaos_injected += 1;
-                inject(glob, sid, t, EventKind::ChaosLink { slot, up });
+                glob.inject(shards, sid, t, EventKind::ChaosLink { slot, up });
             }
         }
         GlobalAction::Kill(node) => {
@@ -1435,7 +1360,7 @@ fn apply_global(
                 Some(node) => {
                     if let Some(&sid) = net.node_shard.get(node.index()) {
                         glob.chaos_injected += 1;
-                        inject(glob, sid, t, EventKind::ChaosKillRouter(node));
+                        glob.inject(shards, sid, t, EventKind::ChaosKillRouter(node));
                     } else {
                         glob.tally.chaos_kill += 1;
                     }
@@ -1463,8 +1388,8 @@ fn apply_global(
                 let Some(&sid) = net.node_shard.get(node.index()) else {
                     continue;
                 };
-                if let Some(cell) = cells.get(sid) {
-                    lock_or_recover(cell).evict_node(node, t);
+                if let Some(shard) = shards.get_mut(sid) {
+                    shard.evict_node(node, t);
                 }
                 glob.ready.remove(&node);
                 glob.last_activity = glob.last_activity.max(t);
@@ -1477,7 +1402,7 @@ fn apply_global(
                 {
                     Ok(placement) => {
                         glob.pending_ready.insert((placement.ready_at, node));
-                        inject(glob, sid, placement.ready_at, EventKind::PodReady(node));
+                        glob.inject(shards, sid, placement.ready_at, EventKind::PodReady(node));
                     }
                     Err(e) => {
                         glob.unschedulable.push(e);
@@ -1491,30 +1416,22 @@ fn apply_global(
 /// Post-window barrier work: route cross-shard traffic, fold shard-local
 /// facts (activity, churn, feed completion, boot readiness) into the
 /// coordinator's content-determined global view.
-fn settle(
-    glob: &mut Global,
-    net: &Net,
-    cells: &[Mutex<&mut Shard>],
-    ends: &[SimTime],
-    deadline: SimTime,
-) {
+fn settle(glob: &mut Global, net: &Net, shards: &mut [Shard], ends: &[SimTime], deadline: SimTime) {
     let mut inbox: Vec<(usize, Ev)> = Vec::new();
     let mut transitions: Vec<(usize, SimTime)> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let mut s = lock_or_recover(cell);
+    for (s, &end) in shards.iter_mut().zip(ends) {
         glob.t_max = glob.t_max.max(s.now());
         glob.last_activity = glob.last_activity.max(s.last_activity);
         inbox.append(&mut s.outbox);
         transitions.extend(s.take_ext_done_transitions());
-        let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
         s.advance_clock(SimTime(end.0.min(deadline.0)));
     }
     // Cross-shard deliveries: injection order is irrelevant — event keys
     // are globally unique, so each destination heap reaches the same total
-    // order no matter which thread produced what first.
+    // order whichever shard's outbox is drained first.
     for (dest, ev) in inbox {
-        if let Some(cell) = cells.get(dest) {
-            lock_or_recover(cell).inject(ev);
+        if let Some(shard) = shards.get_mut(dest) {
+            shard.inject(ev);
         }
     }
     transitions.sort();
@@ -1550,8 +1467,8 @@ fn settle(
             );
             if glob.cfg.inject_after_boot {
                 let at = SimTime(eta.0 + 1_000);
-                for cell in cells {
-                    lock_or_recover(cell).activate_feeds(at);
+                for s in shards.iter_mut() {
+                    s.activate_feeds(at);
                 }
             }
         }
@@ -1575,22 +1492,21 @@ fn settle(
     // before. The barrier that first knows the steady instant announces it
     // to every shard and folds the detection window's records (which may
     // already contain steady-state changes); from then on each shard folds
-    // its own records in parallel at its window end, and this barrier does
-    // no per-window churn work at all.
+    // its own records at its window end, and this barrier does no
+    // per-window churn work at all.
     if !glob.churn_gate_set {
         match glob.boot_complete_at {
             Some(boot_at) if glob.ext_done_count == glob.ext_total => {
                 let steady = boot_at.max(glob.last_ext_done);
                 glob.churn_gate_set = true;
-                for cell in cells {
-                    let mut s = lock_or_recover(cell);
+                for s in shards.iter_mut() {
                     s.churn_from = Some(steady);
                     s.fold_churn();
                 }
             }
             _ => {
-                for cell in cells {
-                    lock_or_recover(cell).churn_buf.clear();
+                for s in shards.iter_mut() {
+                    s.churn_buf.clear();
                 }
             }
         }
@@ -1602,10 +1518,9 @@ fn settle(
 /// `(instant, node)` stamp, all records for a prefix are re-sorted and
 /// re-capped to the last [`CHURN_HISTORY`], and the prefix cap keeps the
 /// first [`CHURN_PREFIX_CAP`] prefixes in address order — so shard
-/// iteration order (and therefore layout and thread count) cannot affect
-/// the result. Per-shard truncation composes exactly: a record a shard
-/// dropped had ≥ `CHURN_HISTORY` newer records in that shard alone, so it
-/// could never survive the merged cap either.
+/// iteration order cannot affect the result. Per-shard truncation composes
+/// exactly: a record a shard dropped had ≥ `CHURN_HISTORY` newer records in
+/// that shard alone, so it could never survive the merged cap either.
 fn merge_churn<'a>(
     shards: impl IntoIterator<Item = &'a BTreeMap<Prefix, VecDeque<(SimTime, u32)>>>,
 ) -> BTreeMap<Prefix, VecDeque<SimTime>> {

@@ -11,7 +11,8 @@
 //! - [`engine`] — the discrete-event emulation itself
 //! - [`parallel`] — multi-seed parallel runs for the non-determinism study
 //! - [`pool`] — the one bounded, panic-confining worker pool every fan-out
-//!   (seeds here, cut contexts in `mfv-core`) runs on
+//!   over independent emulations (seeds here, cut contexts in `mfv-core`)
+//!   runs on; a single emulation never spans threads
 
 pub mod chaos;
 pub mod cluster;

@@ -41,17 +41,17 @@ impl std::fmt::Display for SeedError {
 
 impl std::error::Error for SeedError {}
 
-/// Runs the same topology under each seed, in parallel (bounded by the host
-/// parallelism), returning per-seed outcomes in seed order. A panic or
-/// setup error in one run is caught and reported as that seed's [`SeedError`]
-/// instead of aborting the whole sweep.
+/// Runs the same topology under each seed, `base_cfg.threads` emulations at
+/// a time (`0` = the host's parallelism), returning per-seed outcomes in
+/// seed order. A panic or setup error in one run is caught and reported as
+/// that seed's [`SeedError`] instead of aborting the whole sweep.
 pub fn run_seeds(
     topology: &Topology,
     make_cluster: impl Fn() -> Cluster + Sync,
     base_cfg: &EmulationConfig,
     seeds: &[u64],
 ) -> Vec<Result<SeedRun, SeedError>> {
-    run_indexed(0, seeds.len(), |i| {
+    run_indexed(base_cfg.threads, seeds.len(), |i| {
         let seed = seeds[i];
         let mut cfg = base_cfg.clone();
         cfg.seed = seed;

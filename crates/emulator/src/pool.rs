@@ -1,16 +1,14 @@
-//! Shared worker-pool plumbing for every place the workspace spawns
-//! threads: the sharded engine's window workers ([`with_workers`]), the
-//! multi-seed fan-out and `mfv-core`'s what-if sweep ([`run_indexed`],
-//! the one public item). One spawn/bounding implementation,
-//! so thread-count clamping, panic confinement, and lock-poison recovery
-//! behave identically everywhere.
+//! The one place the emulator spawns threads: a bounded, panic-confining
+//! fan-out over independent jobs ([`run_indexed`]) — seeds in
+//! [`crate::run_seeds`], cut contexts in `mfv-core`'s what-if sweep. One
+//! emulation never spans threads; the parallelism the paper's §6 asks for is
+//! many emulations side by side.
 //!
-//! Determinism note: thread counts and scheduling affect only *when* work
-//! runs, never results — callers own that contract (the engine via
-//! conservative time windows, the seed pool via per-index result slots).
-//! No `Ordering::Relaxed` atomics live here (rule D3, DESIGN.md): work
-//! distribution uses a plain mutex-guarded cursor, which is equally fast at
-//! this granularity (items are whole emulation runs or time windows).
+//! Determinism note: the width and the scheduling affect only *when* a job
+//! runs, never results — every job owns its emulation and writes its own
+//! result slot. No `Ordering::Relaxed` atomics live here (rule D3,
+//! DESIGN.md): work distribution uses a plain mutex-guarded cursor, which is
+//! equally fast at this granularity (items are whole emulation runs).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
@@ -18,7 +16,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Resolves a requested thread count: `0` means "use the host's available
 /// parallelism", and the result is clamped to `[1, work_items]` so we never
 /// spawn idle workers.
-pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
+fn effective_threads(requested: usize, work_items: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -26,35 +24,15 @@ pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
     req.max(1).min(work_items.max(1))
 }
 
-/// Locks a mutex, recovering from poisoning: a worker that panicked while
-/// holding the guard leaves per-item state that the caller still needs to
-/// read (to report the panic deterministically) — the panic itself is
-/// surfaced separately, never swallowed.
-pub(crate) fn lock_or_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, recovering from poisoning: the guarded values (a cursor,
+/// a result slot) are valid at every step, and a job's panic is caught and
+/// reported in its own slot, never swallowed.
+fn lock_or_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `lead` on the current thread while `threads` scoped workers each
-/// execute `worker(index)`. Returns `lead`'s result once every worker has
-/// finished. Workers that need to rendezvous with the lead (the engine's
-/// barrier protocol) must catch their own panics so the rendezvous always
-/// completes; a panic that *does* escape a worker propagates at scope exit.
-pub(crate) fn with_workers<R>(
-    threads: usize,
-    worker: impl Fn(usize) + Sync,
-    lead: impl FnOnce() -> R,
-) -> R {
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let worker = &worker;
-            s.spawn(move || worker(w));
-        }
-        lead()
-    })
-}
-
 /// Renders a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -78,24 +56,26 @@ pub fn run_indexed<T: Send>(
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
     let cursor = Mutex::new(0usize);
-    with_workers(
-        threads,
-        |_w| loop {
-            let i = {
-                let mut g = lock_or_recover(&cursor);
-                if *g >= count {
-                    break;
-                }
-                let i = *g;
-                *g += 1;
-                i
-            };
-            let outcome = catch_unwind(AssertUnwindSafe(|| job(i)))
-                .map_err(|payload| format!("worker panicked: {}", panic_message(payload)));
-            *lock_or_recover(&slots[i]) = Some(outcome);
-        },
-        || (),
-    );
+    let worker = || loop {
+        let i = {
+            let mut g = lock_or_recover(&cursor);
+            if *g >= count {
+                break;
+            }
+            let i = *g;
+            *g += 1;
+            i
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(i)))
+            .map_err(|payload| format!("worker panicked: {}", panic_message(payload)));
+        *lock_or_recover(&slots[i]) = Some(outcome);
+    };
+    // The scope joins every worker before it returns.
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(worker);
+        }
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -137,19 +117,5 @@ mod tests {
         assert_eq!(out[1].as_ref().unwrap(), &1);
         assert!(out[2].as_ref().unwrap_err().contains("boom 2"));
         assert_eq!(out[3].as_ref().unwrap(), &3);
-    }
-
-    #[test]
-    fn with_workers_runs_lead_alongside_workers() {
-        let hits = Mutex::new(0usize);
-        let r = with_workers(
-            4,
-            |_w| {
-                *lock_or_recover(&hits) += 1;
-            },
-            || 42,
-        );
-        assert_eq!(r, 42);
-        assert_eq!(*lock_or_recover(&hits), 4);
     }
 }

@@ -1,15 +1,18 @@
 //! Per-shard engine state for the sharded conservative-lookahead runtime.
 //!
-//! A [`Shard`] owns everything one worker thread touches during a time
-//! window: its slice of the virtual routers and external peers, its own
-//! event heap and demand-driven wake sets, per-flow FIFO clocks, and
+//! A [`Shard`] owns everything a time window touches in one partition of
+//! the topology: its slice of the virtual routers and external peers, its
+//! own event heap and demand-driven wake sets, per-flow FIFO clocks, and
 //! per-entity RNG streams. Everything shared and read-only during a window
-//! lives in [`Net`].
+//! lives in [`Net`]. Shards are a data layout, not a unit of execution: the
+//! coordinator runs them one after another on its own thread.
 //!
 //! # Determinism contract
 //!
-//! Same `(topology, seed, plan, shard layout)` must produce byte-identical
-//! results at **any thread count**. Three design rules enforce it:
+//! Same `(topology, seed, plan)` must produce a byte-identical dataplane at
+//! **any shard layout**, and the same layout byte-identical obs dumps at
+//! any width of the fan-out the run is part of. Three design rules enforce
+//! it:
 //!
 //! 1. **Content-based event keys.** Events order by
 //!    `(time, origin, origin_seq)` where `origin` identifies the entity
@@ -17,13 +20,13 @@
 //!    name order, then external peers) and `origin_seq` is that entity's
 //!    monotone counter. Keys are unique and assigned by simulation content,
 //!    never by execution order, so a heap merge of cross-shard arrivals is
-//!    a deterministic merge-sort no matter which thread delivered them.
+//!    a deterministic merge-sort no matter which shard ran first.
 //! 2. **Per-entity RNG streams.** Jitter and impairment draws come from a
 //!    `ChaCha8Rng` derived from `(seed, entity)` — not from a shared
 //!    engine RNG whose draw order would depend on scheduling.
 //! 3. **No shared mutable state inside a window.** A shard reads [`Net`]
 //!    and writes only itself; cross-shard messages go to a per-shard
-//!    outbox that the coordinator drains at the window barrier.
+//!    outbox that the coordinator drains when the window ends.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -303,9 +306,9 @@ pub(crate) struct Shard {
     pub churn_from: Option<SimTime>,
     /// Shard-local bounded churn tracker: per-prefix `(instant, node)`
     /// change records, capped in both axes. Shards fold their own records
-    /// in parallel inside their windows — the coordinator never touches a
-    /// shared churn map per window; the per-shard maps are merged exactly
-    /// once, order-independently, by the oscillation post-mortem.
+    /// inside their windows — the coordinator never touches a shared churn
+    /// map per window; the per-shard maps are merged exactly once,
+    /// order-independently, by the oscillation post-mortem.
     pub churn: BTreeMap<Prefix, VecDeque<(SimTime, u32)>>,
     pub tally: EventTally,
     pub journal: Journal,

@@ -170,4 +170,19 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/extract.rs | grep -nE '\.dataplane\
   exit 1
 fi
 
+echo "==> one emulation, one thread: the engine holds no synchronisation primitive, and every fan-out takes its width from a threads field"
+for f in crates/emulator/src/{engine,shard}.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Mutex|Barrier|thread::|catch_unwind|lock_or_recover'; then
+    echo "one-thread check FAILED: $f names a threading primitive outside its tests (parallelism is pool::run_indexed over whole emulations)" >&2
+    exit 1
+  fi
+done
+# Newlines are flattened first so a call rustfmt broke after the paren still matches.
+for f in crates/*/src/*.rs crates/*/src/bin/*.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | tr '\n' ' ' | grep -oE 'run_indexed\([[:space:]]*[0-9][^,)]*'; then
+    echo "one-thread check FAILED: $f hard-codes a fan-out width (pass EmulationBackend::threads or EmulationConfig::threads)" >&2
+    exit 1
+  fi
+done
+
 echo "==> all checks passed"

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! mfvctl example six-node > topo.json         write a scenario topology file
-//! mfvctl run topo.json [--seed N] [--machines N] [--threads N]
+//! mfvctl run topo.json [--seed N] [--machines N]
 //! mfvctl diff before.json after.json [--scope CIDR]
 //! mfvctl trace topo.json <src-node> <dst-ip>
 //! mfvctl show topo.json <node> <show command...>
@@ -62,10 +62,8 @@ USAGE:
                                               (six-node, six-node-broken,
                                                fig3-line, rr-cluster, clos,
                                                interplay, conflint-base)
-  mfvctl run TOPOLOGY [--seed N] [--machines N] [--threads N]
+  mfvctl run TOPOLOGY [--seed N] [--machines N]
                                               emulate, converge, verify
-                                              (--threads 0 = host parallelism;
-                                               never changes results)
   mfvctl diff BEFORE AFTER [--scope CIDR]     differential reachability
   mfvctl trace TOPOLOGY SRC-NODE DST-IP       single-packet traceroute
   mfvctl show TOPOLOGY NODE COMMAND...        operator CLI on the converged net
@@ -108,7 +106,17 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn backend_from(args: &[String]) -> Result<EmulationBackend, String> {
+/// The backend every emulating command builds from `--seed` / `--machines`.
+/// `also` names the command's own options; any other `--option` fails by
+/// name, so a misspelt or retired one never silently runs without it.
+fn backend_from(args: &[String], also: &[&str]) -> Result<EmulationBackend, String> {
+    if let Some(unknown) = args.iter().find(|a| {
+        a.starts_with("--")
+            && !["--seed", "--machines"].contains(&a.as_str())
+            && !also.contains(&a.as_str())
+    }) {
+        return Err(format!("unknown option '{unknown}' (try `mfvctl help`)"));
+    }
     let mut backend = EmulationBackend::default();
     if let Some(seed) = flag(args, "--seed") {
         backend.seed = seed.parse().map_err(|_| "bad --seed".to_string())?;
@@ -116,16 +124,13 @@ fn backend_from(args: &[String]) -> Result<EmulationBackend, String> {
     if let Some(m) = flag(args, "--machines") {
         backend.cluster_machines = m.parse().map_err(|_| "bad --machines".to_string())?;
     }
-    if let Some(t) = flag(args, "--threads") {
-        backend.threads = t.parse().map_err(|_| "bad --threads".to_string())?;
-    }
     Ok(backend)
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("usage: mfvctl run TOPOLOGY")?;
     let snapshot = load(path)?;
-    let backend = backend_from(args)?;
+    let backend = backend_from(args, &[])?;
     let result = backend.compute(&snapshot).map_err(|e| e.to_string())?;
     println!("snapshot:    {}", snapshot.name);
     println!("nodes:       {}", result.dataplane.nodes.len());
@@ -165,7 +170,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
         )),
         None => None,
     };
-    let backend = backend_from(args)?;
+    let backend = backend_from(args, &["--scope"])?;
     let before = backend.compute(&load(a)?).map_err(|e| e.to_string())?;
     let after = backend.compute(&load(b)?).map_err(|e| e.to_string())?;
     let findings = differential_reachability(&before.dataplane, &after.dataplane, scope.as_ref());
@@ -186,7 +191,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let dst: std::net::Ipv4Addr = dst
         .parse()
         .map_err(|_| format!("bad destination '{dst}'"))?;
-    let backend = backend_from(args)?;
+    let backend = backend_from(args, &[])?;
     let result = backend.compute(&load(path)?).map_err(|e| e.to_string())?;
     let trace = mfv_core::traceroute(&result.dataplane, &NodeId::from(src.as_str()), dst);
     for (i, hop) in trace.hops.iter().enumerate() {
@@ -222,7 +227,7 @@ fn cmd_show(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("usage: mfvctl serve TOPOLOGY")?;
     let snapshot = load(path)?;
-    let backend = backend_from(args)?;
+    let backend = backend_from(args, &["--port", "--workers", "--baseline"])?;
     let result = backend.compute(&snapshot).map_err(|e| e.to_string())?;
     if !result.meta.converged {
         return Err("snapshot did not converge; refusing to serve it".into());

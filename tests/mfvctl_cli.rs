@@ -108,24 +108,33 @@ fn missing_file_is_a_clean_error() {
     assert!(err.contains("cannot read"), "{err}");
 }
 
-/// Worker threads are an execution knob, never a behaviour knob: two
-/// separate processes differing only in `--threads` print the same bytes.
-/// (Six routers pack onto one machine, so this pins the flag's plumbing;
-/// multi-shard byte-identity is `tests/shard_determinism.rs`.)
+/// An option a command does not take fails by name before anything runs —
+/// `--threads`, which `run` took until the engine's worker pool went, must
+/// not silently become a no-op in a script that still passes it.
 #[test]
-fn run_output_is_identical_across_thread_counts() {
-    let run = |threads: &str| {
-        let (out, err, ok) = mfvctl(&[
-            "run",
-            "examples/topologies/six-node.json",
-            "--machines",
-            "2",
-            "--threads",
-            threads,
-        ]);
-        assert!(ok, "{err}");
-        assert!(out.contains("converged:   true"), "{out}");
-        out
-    };
-    assert_eq!(run("1"), run("2"));
+fn unknown_options_are_rejected_by_name() {
+    let topo = "examples/topologies/six-node.json";
+    for args in [
+        vec!["run", topo, "--threads", "4"],
+        vec!["run", topo, "--sed", "3"],
+        vec!["diff", topo, topo, "--scop", "2.2.2.0/24"],
+        vec!["serve", topo, "--port", "0", "--threads", "2"],
+    ] {
+        let (out, err, ok) = mfvctl(&args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(out.is_empty(), "{args:?} printed {out}");
+        assert!(
+            err.contains(&format!("unknown option '{}'", args[args.len() - 2])),
+            "{args:?}: {err}"
+        );
+    }
+    let (help, _, _) = mfvctl(&["help"]);
+    assert!(!help.contains("--threads"), "{help}");
+    // The options each command does take still parse.
+    let (out, err, ok) = mfvctl(&["run", topo, "--seed", "3", "--machines", "2"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("converged:   true"), "{out}");
+    let (out, err, ok) = mfvctl(&["diff", topo, topo, "--scope", "2.2.2.0/24"]);
+    assert!(ok, "{err}");
+    assert!(out.starts_with("0 fate-changed"), "{out}");
 }

@@ -1,21 +1,26 @@
-//! The sharded engine's determinism contract: thread count and shard layout
-//! are *execution* knobs, never *behaviour* knobs. The same
-//! `(topology, seed, chaos plan)` must produce byte-identical dataplane
-//! digests, AFT extractions, and `Obs::to_json(false)` dumps whether the
-//! windows run on 1 thread or 7, and the converged dataplane must not even
-//! depend on where the partition cuts (events carry content-derived keys
-//! and per-entity RNG streams, so the window structure is invisible).
+//! The sharded engine's determinism contract: the shard layout and the
+//! width of the fan-out a run is part of are *execution* knobs, never
+//! *behaviour* knobs. One emulation runs on one thread; the same
+//! `(topology, seed, chaos plan)` must converge to the same dataplane
+//! wherever the partition cuts (events carry content-derived keys and
+//! per-entity RNG streams, so the window structure is invisible), and a
+//! sweep or a multi-seed run must return the same bytes whether its
+//! emulations run one at a time or side by side.
 
-use model_free_verification::core::scenarios;
+use model_free_verification::core::{
+    link_cut_contexts, scenarios, verify_link_cuts_detailed, EmulationBackend,
+};
+use model_free_verification::emulator::pool::run_indexed;
 use model_free_verification::emulator::{
-    ChaosPlan, Cluster, ConvergenceVerdict, Emulation, EmulationConfig, ShardMode, Topology,
+    run_seeds, ChaosPlan, Cluster, ConvergenceVerdict, Emulation, EmulationConfig, ShardMode,
+    Topology,
 };
 use model_free_verification::mgmt::Telemetry;
 use model_free_verification::types::{LinkId, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// A multi-vendor WAN with external route feeds — every subsystem the
-/// barrier protocol touches (ISIS floods, iBGP mesh, feed injection,
+/// window protocol touches (ISIS floods, iBGP mesh, feed injection,
 /// vendor-specific timing) is live.
 fn wan_topology() -> Topology {
     scenarios::production_wan(9, 2, true, 40).topology
@@ -37,11 +42,10 @@ fn wan_chaos() -> ChaosPlan {
         .kill_routing("r5", SimTime(560_000))
 }
 
-fn cfg(threads: usize, shards: ShardMode) -> EmulationConfig {
+fn cfg(shards: ShardMode) -> EmulationConfig {
     EmulationConfig {
         seed: 5,
         chaos: wan_chaos(),
-        threads,
         shards,
         ..Default::default()
     }
@@ -64,27 +68,99 @@ fn observable_run(topology: Topology, cfg: EmulationConfig) -> (u64, Vec<String>
     (dataplane.digest(), afts, emu.export_obs().to_json(false))
 }
 
+/// The what-if sweep hands `EmulationBackend::threads` to the pool: every
+/// verdict — cuts, findings, events after the fork, FIBs moved — is the
+/// same at one context at a time, two, and the host's parallelism.
+/// (`SweepReport::class_cache` is left out: two contexts that miss on the
+/// same digest at once both count a miss, by design.)
 #[test]
-fn thread_count_never_changes_observable_bytes() {
-    let reference = observable_run(wan_topology(), cfg(1, ShardMode::Fixed(4)));
-    for threads in [2usize, 4, 7] {
-        let run = observable_run(wan_topology(), cfg(threads, ShardMode::Fixed(4)));
+fn a_sweep_is_identical_at_any_fan_out_width() {
+    let snapshot = scenarios::six_node();
+    let sweep = |threads: usize| {
+        let backend = EmulationBackend {
+            threads,
+            ..Default::default()
+        };
+        let report =
+            verify_link_cuts_detailed(&snapshot, &backend, link_cut_contexts(&snapshot, 1), None)
+                .expect("baseline converges");
+        assert!(report.verdicts.iter().all(|v| v.is_ok()), "{report:?}");
+        format!("{:?}", (report.baseline_events, report.verdicts))
+    };
+    let reference = sweep(1);
+    for threads in [2usize, 0] {
         assert_eq!(
-            reference.0, run.0,
-            "dataplane digest diverged at {threads} threads"
+            reference,
+            sweep(threads),
+            "sweep diverged at width {threads}"
         );
-        assert_eq!(reference.1, run.1, "AFT JSON diverged at {threads} threads");
-        assert_eq!(reference.2, run.2, "obs dump diverged at {threads} threads");
     }
 }
 
-/// The oscillation watchdog's evidence is accumulated *per shard* during
-/// the windows and merged exactly once at the post-mortem. This digest
-/// check pins the merge as order-independent: an oscillating (never
-/// converging) run must produce the identical verdict and the identical
-/// merged churn dump at any thread count.
+/// `run_seeds` hands `EmulationConfig::threads` to the pool: four faulted,
+/// four-shard WAN runs give the same reports and dataplanes, in seed order,
+/// at any width.
 #[test]
-fn oscillating_churn_digest_is_thread_count_invariant() {
+fn seed_runs_are_identical_at_any_fan_out_width() {
+    let topo = wan_topology();
+    let seeds = |threads: usize| {
+        let cfg = EmulationConfig {
+            threads,
+            ..cfg(ShardMode::Fixed(4))
+        };
+        let runs = run_seeds(&topo, Cluster::single_node, &cfg, &[1, 2, 3, 4]);
+        assert!(runs.iter().all(|r| r.is_ok()), "a seed failed");
+        format!("{runs:?}")
+    };
+    let reference = seeds(1);
+    for threads in [2usize, 0] {
+        assert_eq!(
+            reference,
+            seeds(threads),
+            "seed runs diverged at width {threads}"
+        );
+    }
+}
+
+/// The window counters are a function of topology, seed, plan and layout:
+/// two same-seed runs export them, and every other byte of the dump,
+/// identically, and a one-shard run never has two shards due.
+#[test]
+fn window_counters_repeat_and_vanish_on_one_shard() {
+    const KEYS: [&str; 4] = [
+        "engine.windows",
+        "engine.windows.multi_shard",
+        "engine.events.multi_shard",
+        "engine.events.processed",
+    ];
+    let run = |shards: ShardMode| {
+        let mut emu = Emulation::new(wan_topology(), Cluster::single_node(), cfg(shards))
+            .expect("topology builds");
+        assert!(emu.run_until_converged().converged);
+        let obs = emu.export_obs();
+        (obs.to_json(false), KEYS.map(|k| obs.metrics.counter(k)))
+    };
+    let (json, [windows, multi, multi_events, events]) = run(ShardMode::Fixed(4));
+    assert!(0 < multi && multi < windows, "{multi} of {windows}");
+    assert!(multi < multi_events && multi_events < events);
+    for key in KEYS {
+        assert!(json.contains(&format!("\"{key}\"")), "{key} not exported");
+    }
+    assert_eq!(run(ShardMode::Fixed(4)).0, json, "same-seed dumps diverged");
+
+    let (_, [windows, multi, multi_events, _]) = run(ShardMode::Fixed(1));
+    assert!(windows > 0);
+    assert_eq!((multi, multi_events), (0, 0));
+}
+
+/// The oscillation watchdog's evidence is accumulated *per shard* during
+/// the windows and merged exactly once at the post-mortem. Oscillating
+/// (never converging) four-shard runs must produce the identical verdicts
+/// and the identical merged churn dumps whether they run one at a time or
+/// side by side on the pool: an emulation shares nothing with its
+/// neighbours.
+#[test]
+fn oscillating_churn_digest_is_fan_out_width_invariant() {
     // Fault-free control run finds the boot instant so the flap train can
     // be placed entirely in steady state.
     let boot_ms = {
@@ -109,21 +185,20 @@ fn oscillating_churn_digest_is_thread_count_invariant() {
         let l = topo.links.first().expect("WAN has links").clone();
         LinkId::new((l.a_node, l.a_iface), (l.b_node, l.b_iface))
     };
-    let osc_cfg = |threads: usize| EmulationConfig {
-        seed: 5,
-        chaos: ChaosPlan::new().repeated_link_flap(
-            flapped.clone(),
-            SimTime(boot_ms + 60_000),
-            SimDuration::from_secs(8),
-            40,
-            SimDuration::from_secs(20),
-        ),
-        threads,
-        shards: ShardMode::Fixed(4),
-        max_sim_time: SimDuration::from_millis(boot_ms + 400_000),
-        ..Default::default()
-    };
-    let churn_run = |cfg: EmulationConfig| {
+    let churn_run = |seed: u64| {
+        let cfg = EmulationConfig {
+            seed,
+            chaos: ChaosPlan::new().repeated_link_flap(
+                flapped.clone(),
+                SimTime(boot_ms + 60_000),
+                SimDuration::from_secs(8),
+                40,
+                SimDuration::from_secs(20),
+            ),
+            shards: ShardMode::Fixed(4),
+            max_sim_time: SimDuration::from_millis(boot_ms + 400_000),
+            ..Default::default()
+        };
         let mut emu =
             Emulation::new(wan_topology(), Cluster::single_node(), cfg).expect("topology builds");
         let report = emu.run_until_converged();
@@ -133,14 +208,15 @@ fn oscillating_churn_digest_is_thread_count_invariant() {
             "{:?}",
             report.verdict
         );
-        (report.verdict, emu.churn_dump())
+        let churn = emu.churn_dump();
+        assert!(!churn.is_empty(), "oscillation must leave churn evidence");
+        (report.verdict, churn)
     };
-    let (verdict, churn) = churn_run(osc_cfg(1));
-    assert!(!churn.is_empty(), "oscillation must leave churn evidence");
-    for threads in [2usize, 4] {
-        let (v, c) = churn_run(osc_cfg(threads));
-        assert_eq!(verdict, v, "verdict diverged at {threads} threads");
-        assert_eq!(churn, c, "churn dump diverged at {threads} threads");
+    let fan_out = |threads: usize| run_indexed(threads, 4, |i| churn_run(5 + i as u64));
+    let reference = fan_out(1);
+    assert!(reference.iter().all(|r| r.is_ok()), "{reference:?}");
+    for threads in [2usize, 0] {
+        assert_eq!(reference, fan_out(threads), "diverged at width {threads}");
     }
 }
 
@@ -148,8 +224,8 @@ fn oscillating_churn_digest_is_thread_count_invariant() {
 fn auto_partition_matches_fixed_partitions() {
     // The cluster-placement cut (Auto) and arbitrary Fixed cuts are just
     // different window structures over the same event content.
-    let auto = observable_run(wan_topology(), cfg(2, ShardMode::Auto));
-    let fixed = observable_run(wan_topology(), cfg(2, ShardMode::Fixed(3)));
+    let auto = observable_run(wan_topology(), cfg(ShardMode::Auto));
+    let fixed = observable_run(wan_topology(), cfg(ShardMode::Fixed(3)));
     assert_eq!(auto.0, fixed.0, "digest depends on the partition cut");
 }
 
@@ -157,8 +233,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // Random shard counts on a small IS-IS line: the converged dataplane
-    // digest is partition-invariant (threads fixed at 2 so multi-shard
-    // runs actually exercise the barrier pool).
+    // digest is partition-invariant.
     #[test]
     fn random_shard_counts_converge_identically(shards in 1usize..=7) {
         let reference = {
@@ -177,7 +252,6 @@ proptest! {
             Cluster::single_node(),
             EmulationConfig {
                 seed: 3,
-                threads: 2,
                 shards: ShardMode::Fixed(shards),
                 ..Default::default()
             },
