@@ -8,7 +8,7 @@
 //! ```
 
 use mfv_bench::*;
-use mfv_core::{scenarios, EmulationBackend, Snapshot};
+use mfv_core::{scenarios, unreachable_pairs_with, EmulationBackend, ForwardingAnalysis, Snapshot};
 use mfv_types::NodeId;
 
 /// An experiment id and its runner; the flag is `--quick`.
@@ -304,7 +304,7 @@ fn e6() {
     let snapshot: Snapshot = healthy.with_config(&"r3".into(), &broken_r3);
     let backend = EmulationBackend::default();
     let (emu, _) = backend.run(&snapshot).expect("emulation runs");
-    let broken = mfv_core::unreachable_pairs(&emu.dataplane());
+    let broken = unreachable_pairs_with(&ForwardingAnalysis::new(&emu.dataplane()));
     println!(
         "verification: {} broken reachability pairs (expected > 0)\n",
         broken.len()

@@ -10,8 +10,9 @@
 use std::collections::BTreeMap;
 
 use mfv_core::{
-    deliverability_changes, differential_reachability, scenarios, unreachable_pairs, Backend,
-    BackendMeta, DiffFinding, EmulationBackend, ModelBackend, Snapshot,
+    deliverability_changes, differential_reachability_with, scenarios, unreachable_pairs_with,
+    Backend, BackendMeta, DiffFinding, EmulationBackend, ForwardingAnalysis, ModelBackend,
+    Snapshot,
 };
 use mfv_dataplane::Dataplane;
 use mfv_emulator::{outcome_distribution, run_seeds, Cluster, EmulationConfig, SeedRun};
@@ -41,7 +42,7 @@ pub fn run_e1(seed: u64) -> E1Result {
     let broken = backend
         .compute(&scenarios::six_node_broken())
         .expect("broken");
-    let findings = differential_reachability(&base.dataplane, &broken.dataplane, None);
+    let findings = diff(&base.dataplane, &broken.dataplane);
     let lost: Vec<DiffFinding> = deliverability_changes(&findings)
         .into_iter()
         .cloned()
@@ -137,12 +138,14 @@ pub fn run_e3(seed: u64) -> E3Result {
         .compute(&snapshot)
         .expect("emulation");
     let model = ModelBackend.compute(&snapshot).expect("model");
-    let emu_broken = unreachable_pairs(&emu.dataplane);
-    let model_broken: Vec<(NodeId, NodeId)> = unreachable_pairs(&model.dataplane)
+    let fa_emu = ForwardingAnalysis::new(&emu.dataplane);
+    let fa_model = ForwardingAnalysis::new(&model.dataplane);
+    let emu_broken = unreachable_pairs_with(&fa_emu);
+    let model_broken: Vec<(NodeId, NodeId)> = unreachable_pairs_with(&fa_model)
         .into_iter()
         .map(|r| (r.src, r.dst_node))
         .collect();
-    let findings = differential_reachability(&model.dataplane, &emu.dataplane, None);
+    let findings = differential_reachability_with(&fa_model, &fa_emu, None);
     let model_false_negatives = findings
         .iter()
         .filter(|f| !f.before.is_delivered() && f.after.is_delivered())
@@ -269,12 +272,10 @@ pub fn run_a1(seeds: &[u64]) -> A1Result {
     // Consistency at the *service* level: the anycast address is delivered in
     // every run — which replica wins is exactly the ordering-dependent part.
     let reachability_consistent = runs.iter().all(|run| {
-        let trace = mfv_verify::traceroute(
-            &run.dataplane,
-            &"mid".into(),
-            "203.0.113.1".parse().unwrap(),
-        );
-        trace.disposition.is_delivered()
+        ForwardingAnalysis::new(&run.dataplane)
+            .trace(&"mid".into(), "203.0.113.1".parse().unwrap())
+            .disposition
+            .is_delivered()
     });
     A1Result {
         seeds: seeds.to_vec(),
@@ -419,7 +420,7 @@ pub fn run_a3(seed: u64) -> A3Result {
         }),
     );
     let buggy = backend.compute(&snapshot).expect("buggy run");
-    let findings = differential_reachability(&clean.dataplane, &buggy.dataplane, None);
+    let findings = diff(&clean.dataplane, &buggy.dataplane);
     let lost = deliverability_changes(&findings).len();
     A3Result {
         crashes: buggy.meta.crashes,
@@ -486,6 +487,16 @@ pub fn run_e7(seed: u64) -> Vec<E7Row> {
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
+
+/// Full-space differential reachability of two dataplanes nothing else is
+/// asked of (one analysis each).
+fn diff(before: &Dataplane, after: &Dataplane) -> Vec<DiffFinding> {
+    differential_reachability_with(
+        &ForwardingAnalysis::new(before),
+        &ForwardingAnalysis::new(after),
+        None,
+    )
+}
 
 /// Prints a two-column "paper vs measured" comparison row.
 pub fn paper_row(label: &str, paper: &str, measured: &str) {

@@ -64,12 +64,13 @@ pub use whatif::{
 // Re-export the observability sink so pipeline callers need only `mfv-core`.
 pub use mfv_obs as obs;
 
-// Re-export the query surface so downstream users need only `mfv-core`.
+// Re-export the query surface so downstream users need only `mfv-core`:
+// build one `ForwardingAnalysis` per dataplane and hand it to every query.
 pub use mfv_verify::observed_query;
 pub use mfv_verify::{
-    deliverability_changes, detect_loops, detect_multipath_inconsistency,
-    differential_reachability, differential_reachability_with, disposition_summary,
-    qualified_reachability, qualified_unreachable_pairs, reachability, traceroute,
-    unreachable_pairs, ClassCache, Coverage, DiffFinding, Disposition, ForwardingAnalysis,
-    Qualified, StandingQueries, Verdict, VerdictUpdate,
+    deliverability_changes, detect_loops_with, detect_multipath_inconsistency,
+    differential_reachability_with, disposition_summary, qualified_reachability,
+    qualified_unreachable_pairs, reachability, unreachable_pairs_with, ClassCache, Coverage,
+    DiffFinding, Disposition, ForwardingAnalysis, Qualified, StandingQueries, Verdict,
+    VerdictUpdate,
 };

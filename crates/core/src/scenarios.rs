@@ -824,6 +824,15 @@ pub fn clos(spines: usize, leaves: usize) -> Snapshot {
 /// route-map. Every prefix therefore crosses reflection, redistribution,
 /// policy, and eBGP propagation on its way around the ring.
 ///
+/// The export carries a planted misconfiguration, kept because the
+/// `wan1000_converge` digest pins this topology: the exit border's own
+/// loopback is *connected* there, not IS-IS, so `redistribute isis` can
+/// never export it and no router outside the region has a route to it.
+/// `regional_wan_verdict_is_the_planted_redistribution_gap`
+/// (`tests/pipeline.rs`) pins that verdict; the other addresses that fail
+/// all-pairs reachability (IS-IS /31s behind the `LOOPBACKS` filter, ring
+/// /31s outside the IGP) are unreachable by design.
+///
 /// `regional_wan(20, 50)` is the `cluster1000` bench topology: 1,000
 /// routers, 1,000 links, ~1,000 globally-propagated prefixes.
 pub fn regional_wan(regions: usize, per_region: usize) -> Snapshot {

@@ -1,11 +1,31 @@
 //! End-to-end pipeline tests: the §5 experiments as assertions.
 
 use mfv_core::{
-    deliverability_changes, differential_reachability, scenarios, unreachable_pairs, Backend,
-    EmulationBackend, ModelBackend, Snapshot,
+    deliverability_changes, differential_reachability_with, scenarios, unreachable_pairs_with,
+    Backend, DiffFinding, EmulationBackend, ForwardingAnalysis, ModelBackend, Snapshot,
 };
+use mfv_dataplane::Dataplane;
 use mfv_types::{IpSet, NodeId};
+use mfv_verify::ReachabilityReport;
 use mfv_vrouter::{VendorBugs, VendorProfile};
+
+/// All-pairs reachability of a dataplane nothing else is asked of.
+fn unreachable_pairs(dp: &Dataplane) -> Vec<ReachabilityReport> {
+    unreachable_pairs_with(&ForwardingAnalysis::new(dp))
+}
+
+/// Differential reachability of two dataplanes, one analysis each.
+fn differential_reachability(
+    before: &Dataplane,
+    after: &Dataplane,
+    scope: Option<&IpSet>,
+) -> Vec<DiffFinding> {
+    differential_reachability_with(
+        &ForwardingAnalysis::new(before),
+        &ForwardingAnalysis::new(after),
+        scope,
+    )
+}
 
 /// E1 prerequisite: the six-node Fig. 2 network converges under emulation
 /// with full loopback reachability.
@@ -211,7 +231,8 @@ fn route_reflector_cluster_full_reachability() {
     let snapshot = scenarios::rr_cluster(4);
     let result = EmulationBackend::default().compute(&snapshot).unwrap();
     assert!(result.meta.converged);
-    let broken = unreachable_pairs(&result.dataplane);
+    let fa = ForwardingAnalysis::new(&result.dataplane);
+    let broken = unreachable_pairs_with(&fa);
     assert!(
         broken.is_empty(),
         "reflection must spread client routes: {:?}",
@@ -221,11 +242,8 @@ fn route_reflector_cluster_full_reachability() {
             .collect::<Vec<_>>()
     );
     // And the best path at a client actually traverses the RR.
-    let trace = mfv_core::traceroute(
-        &result.dataplane,
-        &NodeId::from("c1"),
-        "10.255.0.3".parse().unwrap(), // c2's loopback
-    );
+    // (10.255.0.3 is c2's loopback.)
+    let trace = fa.trace(&NodeId::from("c1"), "10.255.0.3".parse().unwrap());
     assert!(trace.disposition.is_delivered());
     assert!(
         trace.hops.iter().any(|h| h.node == NodeId::from("rr")),
@@ -241,9 +259,10 @@ fn clos_ecmp_is_consistent() {
     let snapshot = scenarios::clos(3, 4);
     let result = EmulationBackend::default().compute(&snapshot).unwrap();
     assert!(result.meta.converged);
-    assert!(unreachable_pairs(&result.dataplane).is_empty());
+    let fa = ForwardingAnalysis::new(&result.dataplane);
+    assert!(unreachable_pairs_with(&fa).is_empty());
 
-    let divergent = mfv_core::detect_multipath_inconsistency(&result.dataplane);
+    let divergent = mfv_core::detect_multipath_inconsistency(&fa);
     assert!(divergent.is_empty(), "{divergent:?}");
 
     // l1 → l2's loopback has one FIB entry with 3 spine next hops.
@@ -288,7 +307,7 @@ fn static_route_loop_is_detected() {
     let result = EmulationBackend::default()
         .compute(&Snapshot::new("loop-pair", t))
         .unwrap();
-    let loops = mfv_core::detect_loops(&result.dataplane);
+    let loops = mfv_core::detect_loops_with(&ForwardingAnalysis::new(&result.dataplane));
     assert!(
         loops
             .iter()
@@ -343,7 +362,8 @@ fn ibgp_metric_bug_changes_exit_selection() {
     let exit_of = |dp: &mfv_dataplane::Dataplane| {
         // .1 is the anycast address owned by both exits; whichever router
         // the trace is delivered at is the selected exit.
-        let trace = mfv_core::traceroute(dp, &NodeId::from("mid"), "203.0.113.1".parse().unwrap());
+        let trace =
+            ForwardingAnalysis::new(dp).trace(&NodeId::from("mid"), "203.0.113.1".parse().unwrap());
         assert!(trace.disposition.is_delivered(), "{trace:?}");
         trace.hops.last().unwrap().node.clone()
     };
@@ -516,7 +536,6 @@ fn chaos_flap_on_two_vendor_wan_oscillates_and_control_converges() {
 fn forced_extraction_failure_degrades_gracefully() {
     use mfv_core::{qualified_reachability, qualified_unreachable_pairs, Coverage};
     use mfv_types::ExtractionStatus;
-    use mfv_verify::ForwardingAnalysis;
 
     let snapshot = scenarios::six_node();
     let mut backend = EmulationBackend::default();
@@ -535,12 +554,12 @@ fn forced_extraction_failure_degrades_gracefully() {
 
     let coverage = Coverage::from_status(&result.meta.extraction_status);
     assert_eq!(coverage.fraction(), coverage_frac);
-    let q = qualified_unreachable_pairs(&result.dataplane, &coverage);
+    let fa = ForwardingAnalysis::new(&result.dataplane);
+    let q = qualified_unreachable_pairs(&fa, &coverage);
     assert!(!q.is_unqualified());
     assert!(q.caveats[0].contains("r3"), "{:?}", q.caveats);
 
     // A query about the missing node completes and is flagged vacuous.
-    let fa = ForwardingAnalysis::new(&result.dataplane);
     let qr = qualified_reachability(&fa, &"r1".into(), &"r3".into(), &coverage);
     assert!(
         qr.caveats.iter().any(|c| c.contains("vacuous")),
@@ -596,4 +615,111 @@ fn crash_without_restart_degrades_dataplane_and_coverage() {
         "{:?}",
         coverage.caveats()
     );
+}
+
+/// The verdict on the scale scenario, pinned where it is small enough to
+/// read (ROADMAP item 1): `regional_wan(3, 4)` converges to a dataplane
+/// whose only unreachable *loopbacks* are the three exit borders', from
+/// every source outside the border's region — the scenario's planted
+/// redistribution gap (`redistribute isis` cannot export a loopback that
+/// is connected, not IS-IS, on the router doing the export). Everything
+/// else that fails is an address the design keeps out of BGP on purpose.
+#[test]
+fn regional_wan_verdict_is_the_planted_redistribution_gap() {
+    use mfv_core::Disposition;
+    use mfv_verify::{detect_blackholes_with, detect_loops_with};
+    use std::collections::BTreeSet;
+
+    let backend = EmulationBackend {
+        cluster_machines: 2,
+        seed: 2,
+        ..Default::default()
+    };
+    let result = backend.compute(&scenarios::regional_wan(3, 4)).unwrap();
+    assert!(result.meta.converged);
+    assert_eq!(
+        format!("{:016x}", result.dataplane.digest()),
+        "217077b89c5abfa8"
+    );
+    assert_eq!(result.dataplane.total_entries(), 198);
+
+    // One analysis answers all three verdicts.
+    let fa = ForwardingAnalysis::new(&result.dataplane);
+    let broken = unreachable_pairs_with(&fa);
+    let stats = fa.index_stats();
+    assert_eq!((stats.atoms, stats.classes), (52, 43));
+    assert_eq!(broken.len(), 114, "of 12 × 11 = 132 ordered pairs");
+    assert!(detect_loops_with(&fa).is_empty());
+    let holes = detect_blackholes_with(&fa);
+    let hole_sources: BTreeSet<_> = holes.iter().map(|h| h.src.clone()).collect();
+    assert_eq!(
+        (holes.len(), hole_sources.len()),
+        (12, 12),
+        "one per source"
+    );
+
+    // Loopback failures: exactly the exit border of each region, from the
+    // 8 sources outside it, each dropped for want of a route at the source.
+    let loopbacks = IpSet::from_prefix(&"10.255.0.0/16".parse().unwrap());
+    let infra = IpSet::from_prefix(&"10.64.0.0/16".parse().unwrap())
+        .union(&IpSet::from_prefix(&"172.16.0.0/12".parse().unwrap()));
+    let mut gap = BTreeSet::new();
+    for report in &broken {
+        for (set, fate) in &report.failed {
+            let lo = set.intersect(&loopbacks);
+            if !lo.is_empty() {
+                assert_eq!(
+                    fate,
+                    &Disposition::NoRoute(report.src.clone()),
+                    "{report:?}"
+                );
+                assert_eq!(lo.count(), 1, "{report:?}");
+                gap.insert((
+                    report.src.to_string(),
+                    report.dst_node.to_string(),
+                    lo.to_string(),
+                ));
+            }
+            assert!(
+                set.subtract(&loopbacks).subtract(&infra).is_empty(),
+                "{report:?}"
+            );
+        }
+    }
+    let names: Vec<String> = result
+        .dataplane
+        .nodes
+        .keys()
+        .map(|n| n.to_string())
+        .collect();
+    let mut expected = BTreeSet::new();
+    for (region, border_lo) in ["10.255.0.4", "10.255.0.8", "10.255.0.12"]
+        .iter()
+        .enumerate()
+    {
+        let border = format!("r{region:02}x03");
+        for src in names.iter().filter(|n| !n.starts_with(&border[..3])) {
+            expected.insert((src.clone(), border.clone(), format!("{border_lo}/32")));
+        }
+    }
+    assert_eq!(expected.len(), 24);
+    assert_eq!(gap, expected);
+
+    // The 18 fully reachable pairs are intra-region ones whose destination
+    // has no ring port (the ring /31s are outside the IGP by design).
+    let broken_pairs: BTreeSet<_> = broken
+        .iter()
+        .map(|r| (r.src.to_string(), r.dst_node.to_string()))
+        .collect();
+    for src in &names {
+        for dst in names.iter().filter(|d| *d != src) {
+            let ringless = !dst.ends_with("x00") && !dst.ends_with("x03");
+            let reachable = src[..3] == dst[..3] && ringless;
+            assert_eq!(
+                !broken_pairs.contains(&(src.clone(), dst.clone())),
+                reachable,
+                "{src} -> {dst}"
+            );
+        }
+    }
 }

@@ -22,8 +22,9 @@
 //! One emulation runs on one thread: [`drive`] plans a window, runs each
 //! due shard in index order and settles. `W` can never exceed 2 ms, so a
 //! 1,000-router run is ~236 k windows of ~3 events, 18 % of them with more
-//! than one shard due — too little to share (`export_obs` reports it as
-//! `engine.windows*`; DESIGN.md § "Sharded conservative-lookahead engine").
+//! than one shard due — too little to share (`export_obs`, in the `export`
+//! submodule, reports it as `engine.windows*`; DESIGN.md § "The emulation
+//! engine").
 //! Parallelism lives one level up, across independent emulations
 //! ([`crate::pool::run_indexed`]); shards stay as the data layout.
 //!
@@ -45,7 +46,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use mfv_dataplane::Dataplane;
-use mfv_obs::{Journal, Obs, SimPhases, WallSection, WallTimer};
+use mfv_obs::{Journal, SimPhases, WallSection, WallTimer};
 use mfv_types::{LinkId, NodeId, NodeRef, Prefix, SimDuration, SimTime};
 use mfv_vrouter::{VendorProfile, VirtualRouter};
 
@@ -57,6 +58,8 @@ use crate::shard::{
     CHURN_HISTORY, CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
 };
 use crate::topology::Topology;
+
+mod export;
 
 /// How the topology is partitioned into shards.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -913,137 +916,6 @@ impl Emulation {
     /// The number of shards the partition produced (0 before boot).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Flushes the engine's plain-field counters — plus per-router
-    /// aggregates from every live [`VirtualRouter`] — into an [`Obs`]
-    /// snapshot. Per-shard state merges in shard-index order (journals by
-    /// `(time, shard, local order)`), so everything except the `wall`
-    /// section is derived from sim state only and two same-seed runs export
-    /// byte-identical `to_json(false)` dumps.
-    pub fn export_obs(&self) -> Obs {
-        let mut obs = Obs::new();
-        let mut tally = self.glob.tally;
-        for s in &self.shards {
-            tally.absorb(&s.tally);
-        }
-        let m = &mut obs.metrics;
-        m.inc("engine.events.pod_ready", tally.pod_ready);
-        m.inc("engine.events.deliver_isis", tally.deliver_isis);
-        m.inc("engine.events.deliver_bgp", tally.deliver_bgp);
-        m.inc("engine.events.deliver_external", tally.deliver_external);
-        m.inc("engine.events.restart_router", tally.restart_router);
-        m.inc("engine.events.chaos_link", tally.chaos_link);
-        m.inc("engine.events.chaos_kill", tally.chaos_kill);
-        m.inc("engine.events.chaos_fail_machine", tally.chaos_fail_machine);
-        m.inc(
-            "engine.events.scheduled",
-            self.glob.events_scheduled
-                + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
-        );
-        m.inc("engine.events.processed", self.events_processed());
-        m.inc("engine.events.multi_shard", self.glob.events_multi_shard);
-        m.inc("engine.windows", self.glob.windows);
-        m.inc("engine.windows.multi_shard", self.glob.windows_multi_shard);
-        m.inc(
-            "engine.messages.delivered",
-            self.shards.iter().map(|s| s.messages_delivered).sum(),
-        );
-        m.inc(
-            "engine.crashes",
-            self.shards.iter().map(|s| s.crashes).sum(),
-        );
-        m.inc("engine.polls.router", tally.router_polls);
-        m.inc("engine.polls.external", tally.ext_polls);
-        m.inc("engine.impair.dropped", tally.impair_dropped);
-        m.inc("engine.impair.duplicated", tally.impair_duplicated);
-        m.inc("engine.encode_errors", tally.encode_errors);
-        m.gauge("engine.nodes", self.topology.nodes.len() as i64);
-        m.gauge("engine.links", self.glob.links.len() as i64);
-        m.gauge("engine.unschedulable", self.glob.unschedulable.len() as i64);
-        m.gauge("engine.shards", self.shards.len() as i64);
-        for s in &self.shards {
-            m.merge_hist("engine.wake_depth", &s.wake_depth);
-        }
-
-        // Per-router aggregates (routers evicted by machine failures or
-        // not yet booted contribute nothing). Walk in NodeRef order.
-        let mut decode_errors = 0u64;
-        let mut encode_errors = 0u64;
-        let mut rib_resyncs = 0u64;
-        let mut full_refreshes = 0u64;
-        let mut fib_patches = 0u64;
-        let mut spf_runs = 0u64;
-        let mut igp_delta_prefixes = 0u64;
-        let mut prefixes_resolved = 0u64;
-        let mut prefix_decisions = 0u64;
-        let mut bgp_transitions = 0u64;
-        let mut isis_transitions = 0u64;
-        let mut running = 0i64;
-        for r in self.net.interner.node_refs() {
-            let Some(router) = self
-                .shard_of(r)
-                .and_then(|sid| self.shards.get(sid))
-                .and_then(|s| s.routers.get(r.index()))
-                .and_then(|slot| slot.as_ref())
-            else {
-                continue;
-            };
-            decode_errors += router.decode_errors;
-            encode_errors += router.encode_errors;
-            rib_resyncs += router.rib_resyncs;
-            full_refreshes += router.full_rebuilds;
-            fib_patches += router.fib_patches;
-            spf_runs += router.spf_runs;
-            igp_delta_prefixes += router.igp_delta_prefixes;
-            prefixes_resolved += router.fib_prefixes_resolved;
-            prefix_decisions += router.bgp_prefix_decisions;
-            bgp_transitions += router.bgp_session_transitions();
-            isis_transitions += router.isis_adjacency_transitions();
-            if router.is_running() {
-                running += 1;
-            }
-        }
-        m.inc("vrouter.decode_errors", decode_errors);
-        m.inc("vrouter.encode_errors", encode_errors);
-        m.inc("vrouter.rib.resyncs", rib_resyncs);
-        m.inc("vrouter.fib.full_refreshes", full_refreshes);
-        m.inc("vrouter.fib.patches", fib_patches);
-        m.inc("vrouter.fib.prefixes_resolved", prefixes_resolved);
-        m.inc("vrouter.spf.runs", spf_runs);
-        m.inc("vrouter.igp.delta_prefixes", igp_delta_prefixes);
-        m.inc("bgp.prefix_decisions", prefix_decisions);
-        m.inc("vrouter.bgp.session_transitions", bgp_transitions);
-        m.inc("vrouter.isis.adjacency_transitions", isis_transitions);
-        m.gauge("vrouter.running", running);
-
-        obs.phases = self.glob.phases.clone();
-        obs.journal = self.merged_journal();
-        obs.wall = self.glob.wall.clone();
-        obs
-    }
-
-    /// Interleaves the coordinator journal and every shard journal into
-    /// one ring, ordered by `(time, source rank, local order)` — the
-    /// coordinator (chaos, boot milestones) ranks before shards at the
-    /// same instant, matching heap order where coordinator-origin events
-    /// sort first.
-    fn merged_journal(&self) -> Journal {
-        let mut entries: Vec<(SimTime, usize, usize, &mfv_obs::journal::Event)> = Vec::new();
-        for (idx, e) in self.glob.journal.events().enumerate() {
-            entries.push((e.at, 0, idx, e));
-        }
-        for (sid, s) in self.shards.iter().enumerate() {
-            for (idx, e) in s.journal.events().enumerate() {
-                entries.push((e.at, sid + 1, idx, e));
-            }
-        }
-        entries.sort_by_key(|(at, rank, idx, _)| (*at, *rank, *idx));
-        let mut out = Journal::new();
-        for (_, _, _, e) in entries {
-            out.push(e.at, e.kind, e.detail.clone());
-        }
-        out
     }
 }
 

@@ -196,23 +196,7 @@ impl QueryIndex {
             Ok(ip) => ip,
             Err(e) => return e,
         };
-        let trace = self.fa.trace(&src, ip);
-        let mut out = String::new();
-        for (i, hop) in trace.hops.iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            match &hop.egress {
-                Some(e) => {
-                    let _ = write!(out, "{:>2}  {} (out {e})", i + 1, hop.node);
-                }
-                None => {
-                    let _ = write!(out, "{:>2}  {}", i + 1, hop.node);
-                }
-            }
-        }
-        let _ = write!(out, "\n=> {}", trace.disposition);
-        Reply::Ok(out)
+        Reply::Ok(self.fa.trace(&src, ip).to_string())
     }
 
     /// `DIFF [scope-cidr]` — differential reachability of the served

@@ -6,17 +6,17 @@
 //! it were complete is worse than failing: an absent destination makes
 //! every reachability question about it *vacuously* true. This module makes
 //! the gap explicit: [`Coverage`] classifies nodes by their
-//! [`ExtractionStatus`], and the `qualified_*` query wrappers return a
-//! [`Qualified`] answer whose caveats name exactly which devices the
-//! verdict does not speak for.
+//! [`ExtractionStatus`], and the `qualified_*` queries (over the same
+//! [`ForwardingAnalysis`] every other query reads) return a [`Qualified`]
+//! answer whose caveats name exactly which devices the verdict does not
+//! speak for.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mfv_dataplane::Dataplane;
 use mfv_types::{ExtractionStatus, NodeId, SimDuration};
 
 use crate::graph::ForwardingAnalysis;
-use crate::queries::{reachability, unreachable_pairs, ReachabilityReport};
+use crate::queries::{reachability, unreachable_pairs_with, ReachabilityReport};
 
 /// Node-level view of what a snapshot actually covers.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -114,11 +114,11 @@ impl<T> Qualified<T> {
 /// Pairs involving missing nodes are not enumerated (their state is
 /// unknown, not known-broken); the caveats say so.
 pub fn qualified_unreachable_pairs(
-    dp: &Dataplane,
+    fa: &ForwardingAnalysis,
     coverage: &Coverage,
 ) -> Qualified<Vec<ReachabilityReport>> {
     Qualified {
-        value: unreachable_pairs(dp),
+        value: unreachable_pairs_with(fa),
         caveats: coverage.caveats(),
     }
 }
@@ -149,6 +149,7 @@ pub fn qualified_reachability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfv_dataplane::Dataplane;
     use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
     use mfv_types::{LinkId, RouteProtocol};
     use std::net::Ipv4Addr;
@@ -232,9 +233,9 @@ mod tests {
 
     #[test]
     fn qualified_pairs_complete_with_caveats() {
-        let dp = partial_dp();
+        let fa = ForwardingAnalysis::new(&partial_dp());
         let cov = partial_cov();
-        let q = qualified_unreachable_pairs(&dp, &cov);
+        let q = qualified_unreachable_pairs(&fa, &cov);
         // The covered pair is mutually reachable; the answer is qualified.
         assert!(q.value.is_empty());
         assert!(!q.is_unqualified());

@@ -97,6 +97,20 @@ pub struct Trace {
     pub disposition: Disposition,
 }
 
+/// The hop listing `mfvctl trace` and the server's `TRACE` both print: one
+/// numbered line per hop, then `=> <fate>` (no trailing newline).
+impl std::fmt::Display for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, hop) in self.hops.iter().enumerate() {
+            match &hop.egress {
+                Some(e) => writeln!(f, "{:>2}  {} (out {e})", i + 1, hop.node)?,
+                None => writeln!(f, "{:>2}  {}", i + 1, hop.node)?,
+            }
+        }
+        write!(f, "=> {}", self.disposition)
+    }
+}
+
 /// Effective match classes derived from one FIB — the shareable unit of
 /// the class cache.
 pub struct NodeClasses {
@@ -441,6 +455,10 @@ mod tests {
         assert_eq!(trace.disposition, Disposition::Accepted("r3".into()));
         let nodes: Vec<String> = trace.hops.iter().map(|h| h.node.to_string()).collect();
         assert_eq!(nodes, vec!["r1", "r2", "r3"]);
+        assert_eq!(
+            trace.to_string(),
+            " 1  r1 (out e0)\n 2  r2 (out e1)\n 3  r3\n=> accepted at r3"
+        );
     }
 
     #[test]

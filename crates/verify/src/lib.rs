@@ -11,7 +11,8 @@
 //! - `index` — the forwarding-equivalence-class index every query reads:
 //!   atoms → classes → one next-hop graph walk per class
 //! - [`queries`] — the query library (differential reachability,
-//!   reachability, loops, black holes, multipath consistency, traceroute)
+//!   reachability, loops, black holes, multipath consistency), one function
+//!   per query, each taking the [`ForwardingAnalysis`]
 //! - [`coverage`] — coverage-qualified answers over partially-extracted
 //!   snapshots (which devices a verdict does and does not speak for)
 //! - [`standing`] — standing queries for continuous verification:
@@ -55,10 +56,9 @@ pub use graph::{
 };
 pub use index::IndexStats;
 pub use queries::{
-    blackholes_from_with_deps, deliverability_changes, detect_blackholes_with, detect_loops,
-    detect_loops_with, detect_multipath_inconsistency, differential_reachability,
-    differential_reachability_with, disposition_summary, loops_from_with_deps, owned_address_scope,
-    reachability, reachability_with_deps, traceroute, unreachable_pairs, unreachable_pairs_with,
-    BlackHoleFinding, DiffFinding, LoopFinding, ReachabilityReport,
+    blackholes_from_with_deps, deliverability_changes, detect_blackholes_with, detect_loops_with,
+    detect_multipath_inconsistency, differential_reachability_with, disposition_summary,
+    loops_from_with_deps, owned_address_scope, reachability, reachability_with_deps,
+    unreachable_pairs_with, BlackHoleFinding, DiffFinding, LoopFinding, ReachabilityReport,
 };
 pub use standing::{StandingQueries, Verdict, VerdictUpdate};

@@ -1,17 +1,18 @@
 //! The verification query library — the Pybatfish-equivalent surface.
 //!
-//! Queries operate on [`Dataplane`] snapshots (backend-agnostic: emulation-
-//! extracted or model-computed) and return structured findings. The
-//! flagship query is [`differential_reachability`], the one the paper uses
-//! for every §5 experiment.
+//! Every query takes a [`ForwardingAnalysis`]: build one per dataplane
+//! (emulation-extracted or model-computed, the queries cannot tell) and
+//! pass it to each question asked of that dataplane, so the class index is
+//! built once however many queries read it. The flagship query is
+//! [`differential_reachability_with`], the one the paper uses for every §5
+//! experiment; a single packet's path is [`ForwardingAnalysis::trace`].
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use mfv_dataplane::Dataplane;
 use mfv_types::{IpSet, NodeId};
 
-use crate::graph::{DepSet, Disposition, DispositionRows, ForwardingAnalysis, Trace};
+use crate::graph::{DepSet, Disposition, DispositionRows, ForwardingAnalysis};
 
 /// One row of a differential-reachability report: a class of packets whose
 /// fate differs between the two snapshots, for traffic entering at `src`.
@@ -37,23 +38,8 @@ impl std::fmt::Display for DiffFinding {
 /// (default: the full IPv4 destination space), for every source node present
 /// in both. "This query type exhaustively compares network paths for all
 /// possible packets across two snapshots, and surfaces cases where the
-/// paths differ" (§5).
-pub fn differential_reachability(
-    before: &Dataplane,
-    after: &Dataplane,
-    scope: Option<&IpSet>,
-) -> Vec<DiffFinding> {
-    differential_reachability_with(
-        &ForwardingAnalysis::new(before),
-        &ForwardingAnalysis::new(after),
-        scope,
-    )
-}
-
-/// [`differential_reachability`] over prebuilt analyses. A what-if sweep
-/// builds the baseline analysis once and passes it here for every variant,
-/// so the baseline's class index and per-node classes are computed a
-/// single time for the whole sweep.
+/// paths differ" (§5). A what-if sweep passes the same baseline analysis
+/// for every variant, so the baseline's class index is built a single time.
 pub fn differential_reachability_with(
     fa_before: &ForwardingAnalysis,
     fa_after: &ForwardingAnalysis,
@@ -176,13 +162,6 @@ fn reachability_report(
 
 /// All-pairs reachability over node loopback/owned addresses. Returns the
 /// pairs that are NOT fully reachable (empty = full mesh reachability).
-pub fn unreachable_pairs(dp: &Dataplane) -> Vec<ReachabilityReport> {
-    unreachable_pairs_with(&ForwardingAnalysis::new(dp))
-}
-
-/// [`unreachable_pairs`] over a prebuilt analysis — the standing-query
-/// path, where the analysis is rebuilt per re-evaluation with a shared
-/// [`crate::ClassCache`] so only changed nodes pay class computation.
 pub fn unreachable_pairs_with(fa: &ForwardingAnalysis) -> Vec<ReachabilityReport> {
     let nodes = fa.node_names();
     let mut out = Vec::new();
@@ -209,11 +188,6 @@ pub struct LoopFinding {
 }
 
 /// Exhaustively searches for destinations that loop, from any entry node.
-pub fn detect_loops(dp: &Dataplane) -> Vec<LoopFinding> {
-    detect_loops_with(&ForwardingAnalysis::new(dp))
-}
-
-/// [`detect_loops`] over a prebuilt analysis (standing-query path).
 pub fn detect_loops_with(fa: &ForwardingAnalysis) -> Vec<LoopFinding> {
     let mut out = Vec::new();
     for src in fa.node_names() {
@@ -261,7 +235,7 @@ pub fn owned_address_scope(fa: &ForwardingAnalysis) -> IpSet {
     address_set(up.flat_map(|n| &n.addresses))
 }
 
-/// Searches a prebuilt analysis for black holes toward owned addresses.
+/// Searches for black holes toward owned addresses, from any entry node.
 pub fn detect_blackholes_with(fa: &ForwardingAnalysis) -> Vec<BlackHoleFinding> {
     let owned = owned_address_scope(fa);
     let mut out = Vec::new();
@@ -298,8 +272,7 @@ fn blackhole_findings(src: &NodeId, rows: DispositionRows) -> Vec<BlackHoleFindi
 }
 
 /// Classes whose fate depends on which ECMP branch a flow hashes to.
-pub fn detect_multipath_inconsistency(dp: &Dataplane) -> Vec<(NodeId, IpSet)> {
-    let fa = ForwardingAnalysis::new(dp);
+pub fn detect_multipath_inconsistency(fa: &ForwardingAnalysis) -> Vec<(NodeId, IpSet)> {
     let mut out = Vec::new();
     for src in fa.node_names() {
         for (set, disp) in fa.dispositions_from(&src, &IpSet::full()) {
@@ -311,18 +284,12 @@ pub fn detect_multipath_inconsistency(dp: &Dataplane) -> Vec<(NodeId, IpSet)> {
     out
 }
 
-/// Single-packet traceroute (operator convenience wrapper).
-pub fn traceroute(dp: &Dataplane, src: &NodeId, dst: Ipv4Addr) -> Trace {
-    ForwardingAnalysis::new(dp).trace(src, dst)
-}
-
 /// Summarises delivery fractions per source node: how much of `scope` is
 /// delivered / dropped / etc. Used by the experiment harness tables.
 pub fn disposition_summary(
-    dp: &Dataplane,
+    fa: &ForwardingAnalysis,
     scope: &IpSet,
 ) -> BTreeMap<NodeId, BTreeMap<String, u64>> {
-    let fa = ForwardingAnalysis::new(dp);
     let mut out = BTreeMap::new();
     for src in fa.node_names() {
         let mut counts: BTreeMap<String, u64> = BTreeMap::new();
@@ -346,6 +313,7 @@ pub fn disposition_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfv_dataplane::Dataplane;
     use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
     use mfv_types::{LinkId, RouteProtocol};
     use std::collections::BTreeSet;
@@ -389,9 +357,17 @@ mod tests {
         dp
     }
 
+    fn diff(before: &Dataplane, after: &Dataplane, scope: Option<&IpSet>) -> Vec<DiffFinding> {
+        let (before, after) = (
+            ForwardingAnalysis::new(before),
+            ForwardingAnalysis::new(after),
+        );
+        differential_reachability_with(&before, &after, scope)
+    }
+
     #[test]
     fn differential_reachability_flags_loss() {
-        let findings = differential_reachability(&pair_dp(), &broken_pair_dp(), None);
+        let findings = diff(&pair_dp(), &broken_pair_dp(), None);
         assert!(!findings.is_empty());
         let loss = findings
             .iter()
@@ -406,14 +382,14 @@ mod tests {
 
     #[test]
     fn differential_reachability_empty_on_identical() {
-        let findings = differential_reachability(&pair_dp(), &pair_dp(), None);
+        let findings = diff(&pair_dp(), &pair_dp(), None);
         assert!(findings.is_empty());
     }
 
     #[test]
     fn scoped_differential_ignores_out_of_scope() {
         let scope = IpSet::single(addr("9.9.9.9")); // unrelated address
-        let findings = differential_reachability(&pair_dp(), &broken_pair_dp(), Some(&scope));
+        let findings = diff(&pair_dp(), &broken_pair_dp(), Some(&scope));
         assert!(findings.is_empty());
     }
 
@@ -434,8 +410,8 @@ mod tests {
 
     #[test]
     fn unreachable_pairs_on_clean_and_broken() {
-        assert!(unreachable_pairs(&pair_dp()).is_empty());
-        let broken = unreachable_pairs(&broken_pair_dp());
+        assert!(unreachable_pairs_with(&ForwardingAnalysis::new(&pair_dp())).is_empty());
+        let broken = unreachable_pairs_with(&ForwardingAnalysis::new(&broken_pair_dp()));
         assert_eq!(broken.len(), 1);
         assert_eq!(broken[0].src, NodeId::from("r1"));
     }
@@ -461,14 +437,15 @@ mod tests {
             ("r2".into(), "e0".into()),
         ));
 
-        let loops = detect_loops(&dp);
+        let fa = ForwardingAnalysis::new(&dp);
+        let loops = detect_loops_with(&fa);
         assert!(loops.iter().any(|l| l.dsts.contains(addr("9.9.9.9"))));
 
         // r3 itself cannot reach 9.9.9.9? It owns it — accepted locally.
         // But r1/r2 traffic to r3's address loops (not a blackhole), while
         // any *other* owned address... give r1 an owned address that r2
         // lacks a route to:
-        let blackholes = detect_blackholes_with(&ForwardingAnalysis::new(&dp));
+        let blackholes = detect_blackholes_with(&fa);
         // r1→9.9.9.9 loops, so not a blackhole; r2 has no route to nothing
         // else. r3 has no route toward anything → drops at r3.
         assert!(blackholes
@@ -478,18 +455,10 @@ mod tests {
 
     #[test]
     fn disposition_summary_counts() {
-        let dp = pair_dp();
-        let summary = disposition_summary(&dp, &IpSet::full());
+        let fa = ForwardingAnalysis::new(&pair_dp());
+        let summary = disposition_summary(&fa, &IpSet::full());
         let r1 = &summary[&NodeId::from("r1")];
         assert_eq!(r1["accepted"], 2); // own loopback + r2's
         assert_eq!(r1["no-route"], (1u64 << 32) - 2);
-    }
-
-    #[test]
-    fn traceroute_wrapper() {
-        let dp = pair_dp();
-        let t = traceroute(&dp, &"r1".into(), addr("2.2.2.2"));
-        assert!(t.disposition.is_delivered());
-        assert_eq!(t.hops.len(), 2);
     }
 }

@@ -14,9 +14,9 @@ use mfv_dataplane::Dataplane;
 use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
 use mfv_types::{ExtractionStatus, IpSet, LinkId, NodeId, Prefix, RouteProtocol, SimTime};
 use mfv_verify::{
-    detect_blackholes_with, detect_loops_with, differential_reachability,
-    differential_reachability_with, reachability, ClassCache, Coverage, DepSet, Disposition,
-    DispositionRows, ForwardingAnalysis, StandingQueries, Trace, TraceHop,
+    detect_blackholes_with, detect_loops_with, differential_reachability_with, reachability,
+    ClassCache, Coverage, DepSet, Disposition, DispositionRows, ForwardingAnalysis,
+    StandingQueries, Trace, TraceHop,
 };
 
 /// A compact generator for random dataplanes: `n` nodes in a ring, each with
@@ -673,7 +673,8 @@ proptest! {
     #[test]
     fn differential_self_is_empty(shape in arb_shape()) {
         let dp = build_dp(&shape);
-        let findings = differential_reachability(&dp, &dp, None);
+        let (a, b) = (ForwardingAnalysis::new(&dp), ForwardingAnalysis::new(&dp));
+        let findings = differential_reachability_with(&a, &b, None);
         prop_assert!(findings.is_empty());
     }
 
@@ -686,7 +687,8 @@ proptest! {
             first.entries.clear();
         }
         let scope = IpSet::from_prefix(&Prefix::from_bits(probe, 16));
-        let findings = differential_reachability(&dp_a, &dp_b, Some(&scope));
+        let (a, b) = (ForwardingAnalysis::new(&dp_a), ForwardingAnalysis::new(&dp_b));
+        let findings = differential_reachability_with(&a, &b, Some(&scope));
         for f in findings {
             prop_assert!(f.dsts.subtract(&scope).is_empty(), "finding escapes scope");
         }

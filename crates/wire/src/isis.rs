@@ -952,9 +952,9 @@ mod tests {
     /// therefore never worked past 15 routers — flooding alone carries the
     /// LSDB — and it is every `vrouter.decode_errors` of a fault-free run.
     /// The fix (split into TLVs of at most 255 bytes; the decoder already
-    /// merges repeats) moves pinned event counts, so it is ROADMAP item 6's.
+    /// merges repeats) moves pinned event counts, so it is ROADMAP item 3's.
     #[test]
-    #[ignore = "ROADMAP item 6: TLV length truncation"]
+    #[ignore = "ROADMAP item 3: TLV length truncation"]
     fn csnp_with_sixteen_entries_roundtrips() {
         let entries: Vec<LspEntry> = (1..=16)
             .map(|n| LspEntry {

@@ -23,6 +23,7 @@
 
 use mfv_core::{
     observed_query, qualified_unreachable_pairs, scenarios, Coverage, EmulationBackend,
+    ForwardingAnalysis,
 };
 use mfv_emulator::ChaosPlan;
 use mfv_obs::Obs;
@@ -107,7 +108,7 @@ fn main() {
         degraded.meta.extraction_status.len(),
     );
     let q = observed_query(&mut obs, "verify.query.unreachable_pairs", || {
-        qualified_unreachable_pairs(&degraded.dataplane, &coverage)
+        qualified_unreachable_pairs(&ForwardingAnalysis::new(&degraded.dataplane), &coverage)
     });
     println!(
         "          unreachable pairs over covered nodes: {}",

@@ -11,7 +11,7 @@
 use std::net::Ipv4Addr;
 
 use mfv_config::{IfaceSpec, RouterSpec};
-use mfv_core::{Backend, EmulationBackend, ForwardingAnalysis, Snapshot};
+use mfv_core::{unreachable_pairs_with, Backend, EmulationBackend, ForwardingAnalysis, Snapshot};
 use mfv_emulator::{NodeSpec, Topology};
 use mfv_types::AsNum;
 
@@ -58,19 +58,12 @@ fn main() {
     );
     println!("fib entries:      {}", result.dataplane.total_entries());
 
-    // 4. Ask questions.
+    // 4. Ask questions — one analysis of the dataplane answers all of them.
     let fa = ForwardingAnalysis::new(&result.dataplane);
     let trace = fa.trace(&"r1".into(), Ipv4Addr::new(2, 2, 2, 2));
-    println!("\ntraceroute r1 → 2.2.2.2:");
-    for hop in &trace.hops {
-        match &hop.egress {
-            Some(e) => println!("  {} (out {})", hop.node, e),
-            None => println!("  {}", hop.node),
-        }
-    }
-    println!("  => {}", trace.disposition);
+    println!("\ntraceroute r1 → 2.2.2.2:\n{trace}");
 
-    let broken = mfv_core::unreachable_pairs(&result.dataplane);
+    let broken = unreachable_pairs_with(&fa);
     println!(
         "\nreachability: {}",
         if broken.is_empty() {

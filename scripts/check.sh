@@ -185,4 +185,37 @@ for f in crates/*/src/*.rs crates/*/src/bin/*.rs; do
   fi
 done
 
+echo "==> one front door: queries take the analysis, one program per paper result, documents within budget"
+for f in crates/verify/src/{queries,coverage}.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | tr '\n' ' ' | grep -oE 'pub fn [a-z_]+\([^)]*&Dataplane'; then
+    echo "front-door check FAILED: $f exports a query over a &Dataplane (build one ForwardingAnalysis and pass it)" >&2
+    exit 1
+  fi
+done
+docs="README.md DESIGN.md EXPERIMENTS.md"
+for name in $(grep -ohE -- '--example +[a-z_]+|examples/[a-z_]+\.rs' $docs | sed -E 's/--example +//; s/examples\///; s/\.rs$//' | sort -u); do
+  [ -f "examples/$name.rs" ] || {
+    echo "front-door check FAILED: the documents name example '$name', which does not exist" >&2
+    exit 1
+  }
+done
+# The binary checks every id before it runs anything and reports the first it
+# does not know: with a sentinel last, that must be the sentinel.
+ids="$(grep -ohE 'experiments -- [ea][0-9]+( [ea][0-9]+)*' $docs | sed 's/experiments -- //' | tr ' ' '\n' | sort -u | tr '\n' ' ' || true)"
+verdict="$(target/release/experiments $ids no-such-id 2>&1 || true)"
+grep -qF 'unknown experiment id `no-such-id`' <<<"$verdict" || {
+  echo "front-door check FAILED: the documents name an experiment id the binary rejects (of: $ids): $verdict" >&2
+  exit 1
+}
+for doc in DESIGN.md EXPERIMENTS.md; do
+  [ "$(wc -l <"$doc")" -le 500 ] || {
+    echo "front-door check FAILED: $doc is over 500 lines (describe the system as it is; history is git log)" >&2
+    exit 1
+  }
+done
+if sed '/#\[cfg(test)\]/,$d' crates/emulator/src/engine.rs | grep -nF 'm.inc('; then
+  echo "front-door check FAILED: crates/emulator/src/engine.rs flushes counters (that is engine/export.rs)" >&2
+  exit 1
+fi
+
 echo "==> all checks passed"

@@ -7,50 +7,58 @@
 //! mfvctl run topo.json [--seed N] [--machines N]
 //! mfvctl diff before.json after.json [--scope CIDR]
 //! mfvctl trace topo.json <src-node> <dst-ip>
-//! mfvctl show topo.json <node> <show command...>
+//! mfvctl show topo.json <node> [--seed N] [--machines N] <show command...>
 //! mfvctl model topo.json                       model-based baseline + coverage
 //! mfvctl serve topo.json [--port N] [--workers N] [--baseline model]
 //! mfvctl query addr:port [REQUEST...]          client for a running server
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use mfv_core::{
-    deliverability_changes, differential_reachability, scenarios, unreachable_pairs, Backend,
-    EmulationBackend, ModelBackend, Snapshot,
+    deliverability_changes, differential_reachability_with, scenarios, unreachable_pairs_with,
+    Backend, EmulationBackend, ForwardingAnalysis, ModelBackend, Snapshot,
 };
 use mfv_emulator::Topology;
 use mfv_serve::{query_once, QueryIndex, Server, ServerConfig};
 use mfv_types::{IpSet, NodeId};
 
+/// Why a command stopped: a message for the user, or the `io::Error` of a
+/// failed write to stdout (the only error passed on unconverted).
+type Failure = Box<dyn std::error::Error>;
+
+/// Every line any command prints goes through this one handle (line
+/// buffered, so `serve`'s address is visible before it blocks).
+type Out = io::StdoutLock<'static>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("mfvctl: {msg}");
-            ExitCode::FAILURE
-        }
+    let Err(failure) = run(&args, &mut io::stdout().lock()) else {
+        return ExitCode::SUCCESS;
+    };
+    // `mfvctl run topo.json | head -3`: the reader has what it wanted.
+    if let Some(io::ErrorKind::BrokenPipe) = failure.downcast_ref().map(io::Error::kind) {
+        return ExitCode::SUCCESS;
     }
+    eprintln!("mfvctl: {failure}");
+    ExitCode::FAILURE
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let mut it = args.iter();
     let cmd = it.next().map(|s| s.as_str()).unwrap_or("help");
     match cmd {
-        "example" => example(it.next().map(|s| s.as_str()).unwrap_or("six-node")),
-        "run" => cmd_run(&args[1..]),
-        "diff" => cmd_diff(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
-        "show" => cmd_show(&args[1..]),
-        "model" => cmd_model(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "query" => cmd_query(&args[1..]),
-        "help" | "--help" | "-h" => {
-            print!("{}", HELP);
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}' (try `mfvctl help`)")),
+        "example" => example(it.next().map(|s| s.as_str()).unwrap_or("six-node"), out),
+        "run" => cmd_run(&args[1..], out),
+        "diff" => cmd_diff(&args[1..], out),
+        "trace" => cmd_trace(&args[1..], out),
+        "show" => cmd_show(&args[1..], out),
+        "model" => cmd_model(&args[1..], out),
+        "serve" => cmd_serve(&args[1..], out),
+        "query" => cmd_query(&args[1..], out),
+        "help" | "--help" | "-h" => Ok(write!(out, "{HELP}")?),
+        other => Err(format!("unknown command '{other}' (try `mfvctl help`)").into()),
     }
 }
 
@@ -66,7 +74,8 @@ USAGE:
                                               emulate, converge, verify
   mfvctl diff BEFORE AFTER [--scope CIDR]     differential reachability
   mfvctl trace TOPOLOGY SRC-NODE DST-IP       single-packet traceroute
-  mfvctl show TOPOLOGY NODE COMMAND...        operator CLI on the converged net
+  mfvctl show TOPOLOGY NODE [--seed N] [--machines N] COMMAND...
+                                              operator CLI on the converged net
   mfvctl model TOPOLOGY                       model-based baseline + coverage
   mfvctl serve TOPOLOGY [--port N] [--workers N] [--baseline model]
                                               converge once, precompute the
@@ -77,7 +86,7 @@ USAGE:
                                               lines) to a running server
 ";
 
-fn example(name: &str) -> Result<(), String> {
+fn example(name: &str, out: &mut Out) -> Result<(), Failure> {
     let snapshot = match name {
         "six-node" => scenarios::six_node(),
         "six-node-broken" => scenarios::six_node_broken(),
@@ -86,10 +95,9 @@ fn example(name: &str) -> Result<(), String> {
         "clos" => scenarios::clos(2, 4),
         "interplay" => scenarios::interplay_chain(),
         "conflint-base" => scenarios::conflint_base(),
-        other => return Err(format!("unknown example '{other}'")),
+        other => return Err(format!("unknown example '{other}'").into()),
     };
-    println!("{}", snapshot.topology.to_json());
-    Ok(())
+    Ok(writeln!(out, "{}", snapshot.topology.to_json())?)
 }
 
 fn load(path: &str) -> Result<Snapshot, String> {
@@ -106,17 +114,22 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// The backend every emulating command builds from `--seed` / `--machines`.
-/// `also` names the command's own options; any other `--option` fails by
-/// name, so a misspelt or retired one never silently runs without it.
-fn backend_from(args: &[String], also: &[&str]) -> Result<EmulationBackend, String> {
-    if let Some(unknown) = args.iter().find(|a| {
-        a.starts_with("--")
-            && !["--seed", "--machines"].contains(&a.as_str())
-            && !also.contains(&a.as_str())
-    }) {
-        return Err(format!("unknown option '{unknown}' (try `mfvctl help`)"));
+/// Fails by name on any `--option` not in `known`, so a misspelt or retired
+/// one never silently runs without it.
+fn reject_unknown_options(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(unknown) => Err(format!("unknown option '{unknown}' (try `mfvctl help`)")),
+        None => Ok(()),
     }
+}
+
+/// The backend every emulating command builds from `--seed` / `--machines`.
+/// `also` names the command's own options.
+fn backend_from(args: &[String], also: &[&str]) -> Result<EmulationBackend, String> {
+    reject_unknown_options(args, &[&["--seed", "--machines"], also].concat())?;
     let mut backend = EmulationBackend::default();
     if let Some(seed) = flag(args, "--seed") {
         backend.seed = seed.parse().map_err(|_| "bad --seed".to_string())?;
@@ -127,39 +140,39 @@ fn backend_from(args: &[String], also: &[&str]) -> Result<EmulationBackend, Stri
     Ok(backend)
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let path = args.first().ok_or("usage: mfvctl run TOPOLOGY")?;
     let snapshot = load(path)?;
     let backend = backend_from(args, &[])?;
     let result = backend.compute(&snapshot).map_err(|e| e.to_string())?;
-    println!("snapshot:    {}", snapshot.name);
-    println!("nodes:       {}", result.dataplane.nodes.len());
-    println!("converged:   {}", result.meta.converged);
+    writeln!(out, "snapshot:    {}", snapshot.name)?;
+    writeln!(out, "nodes:       {}", result.dataplane.nodes.len())?;
+    writeln!(out, "converged:   {}", result.meta.converged)?;
     if let Some(boot) = result.meta.boot_time {
-        println!("boot:        {boot}");
+        writeln!(out, "boot:        {boot}")?;
     }
     if let Some(conv) = result.meta.convergence_time {
-        println!("convergence: {conv} after boot");
+        writeln!(out, "convergence: {conv} after boot")?;
     }
-    println!("messages:    {}", result.meta.messages);
-    println!("crashes:     {}", result.meta.crashes);
-    println!("fib entries: {}", result.dataplane.total_entries());
+    writeln!(out, "messages:    {}", result.meta.messages)?;
+    writeln!(out, "crashes:     {}", result.meta.crashes)?;
+    writeln!(out, "fib entries: {}", result.dataplane.total_entries())?;
 
-    let broken = unreachable_pairs(&result.dataplane);
+    let broken = unreachable_pairs_with(&ForwardingAnalysis::new(&result.dataplane));
     if broken.is_empty() {
-        println!("\nreachability: full mesh ✓");
+        writeln!(out, "\nreachability: full mesh ✓")?;
     } else {
-        println!("\nreachability: {} broken pairs", broken.len());
+        writeln!(out, "\nreachability: {} broken pairs", broken.len())?;
         for r in broken.iter().take(10) {
             for (set, disp) in r.failed.iter().take(2) {
-                println!("  {} -> {}: {} [{}]", r.src, r.dst_node, set, disp);
+                writeln!(out, "  {} -> {}: {} [{}]", r.src, r.dst_node, set, disp)?;
             }
         }
     }
     Ok(())
 }
 
-fn cmd_diff(args: &[String]) -> Result<(), String> {
+fn cmd_diff(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let (a, b) = match (args.first(), args.get(1)) {
         (Some(a), Some(b)) => (a, b),
         _ => return Err("usage: mfvctl diff BEFORE AFTER [--scope CIDR]".into()),
@@ -173,17 +186,21 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let backend = backend_from(args, &["--scope"])?;
     let before = backend.compute(&load(a)?).map_err(|e| e.to_string())?;
     let after = backend.compute(&load(b)?).map_err(|e| e.to_string())?;
-    let findings = differential_reachability(&before.dataplane, &after.dataplane, scope.as_ref());
-    println!("{} fate-changed packet classes", findings.len());
+    let findings = differential_reachability_with(
+        &ForwardingAnalysis::new(&before.dataplane),
+        &ForwardingAnalysis::new(&after.dataplane),
+        scope.as_ref(),
+    );
+    writeln!(out, "{} fate-changed packet classes", findings.len())?;
     let lost = deliverability_changes(&findings);
-    println!("{} deliverability changes:", lost.len());
+    writeln!(out, "{} deliverability changes:", lost.len())?;
     for f in lost {
-        println!("  {f}");
+        writeln!(out, "  {f}")?;
     }
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
+fn cmd_trace(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let (path, src, dst) = match (args.first(), args.get(1), args.get(2)) {
         (Some(p), Some(s), Some(d)) => (p, s, d),
         _ => return Err("usage: mfvctl trace TOPOLOGY SRC-NODE DST-IP".into()),
@@ -193,38 +210,35 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .map_err(|_| format!("bad destination '{dst}'"))?;
     let backend = backend_from(args, &[])?;
     let result = backend.compute(&load(path)?).map_err(|e| e.to_string())?;
-    let trace = mfv_core::traceroute(&result.dataplane, &NodeId::from(src.as_str()), dst);
-    for (i, hop) in trace.hops.iter().enumerate() {
-        match &hop.egress {
-            Some(e) => println!("{:>2}  {} (out {})", i + 1, hop.node, e),
-            None => println!("{:>2}  {}", i + 1, hop.node),
-        }
-    }
-    println!("=> {}", trace.disposition);
-    Ok(())
+    let trace = ForwardingAnalysis::new(&result.dataplane).trace(&NodeId::from(src.as_str()), dst);
+    Ok(writeln!(out, "{trace}")?)
 }
 
-fn cmd_show(args: &[String]) -> Result<(), String> {
+fn cmd_show(args: &[String], out: &mut Out) -> Result<(), Failure> {
+    const USAGE: &str = "usage: mfvctl show TOPOLOGY NODE [--seed N] [--machines N] COMMAND...";
     let (path, node) = match (args.first(), args.get(1)) {
         (Some(p), Some(n)) => (p, n),
-        _ => return Err("usage: mfvctl show TOPOLOGY NODE COMMAND...".into()),
+        _ => return Err(USAGE.into()),
     };
-    let command = args[2..].join(" ");
-    if command.is_empty() {
-        return Err("usage: mfvctl show TOPOLOGY NODE COMMAND...".into());
+    // `--option value` pairs come first; the device command is the rest.
+    let rest = &args[2..];
+    let mut split = 0;
+    while rest.get(split).is_some_and(|a| a.starts_with("--")) {
+        split = (split + 2).min(rest.len());
     }
-    let backend = EmulationBackend::default();
+    let (options, command) = rest.split_at(split);
+    let backend = backend_from(options, &[])?;
+    if command.is_empty() {
+        return Err(USAGE.into());
+    }
     let (emu, _) = backend.run(&load(path)?).map_err(|e| e.to_string())?;
-    match emu.cli(&NodeId::from(node.as_str()), &command) {
-        Some(out) => {
-            print!("{out}");
-            Ok(())
-        }
-        None => Err(format!("no such node '{node}'")),
+    match emu.cli(&NodeId::from(node.as_str()), &command.join(" ")) {
+        Some(text) => Ok(write!(out, "{text}")?),
+        None => Err(format!("no such node '{node}'").into()),
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let path = args.first().ok_or("usage: mfvctl serve TOPOLOGY")?;
     let snapshot = load(path)?;
     let backend = backend_from(args, &["--port", "--workers", "--baseline"])?;
@@ -239,7 +253,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?
                 .dataplane,
         ),
-        Some(other) => return Err(format!("unknown --baseline '{other}' (try 'model')")),
+        Some(other) => return Err(format!("unknown --baseline '{other}' (try 'model')").into()),
         None => None,
     };
     let index = match &baseline {
@@ -256,16 +270,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let handle =
         Server::start(std::sync::Arc::new(index), &cfg).map_err(|e| format!("bind: {e}"))?;
-    println!("snapshot:  {}", snapshot.name);
-    println!("nodes:     {}", result.dataplane.nodes.len());
-    println!("classes:   {classes}");
-    println!("workers:   {}", cfg.workers.max(1));
-    println!("listening on {}", handle.addr());
+    writeln!(out, "snapshot:  {}", snapshot.name)?;
+    writeln!(out, "nodes:     {}", result.dataplane.nodes.len())?;
+    writeln!(out, "classes:   {classes}")?;
+    writeln!(out, "workers:   {}", cfg.workers.max(1))?;
+    writeln!(out, "listening on {}", handle.addr())?;
     handle.wait();
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+fn cmd_query(args: &[String], out: &mut Out) -> Result<(), Failure> {
     use std::io::{BufRead as _, BufReader, BufWriter};
     let addr = args
         .first()
@@ -273,12 +287,12 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let conn = std::net::TcpStream::connect(addr.as_str()).map_err(|e| format!("{addr}: {e}"))?;
     let mut reader = BufReader::new(conn.try_clone().map_err(|e| e.to_string())?);
     let mut writer = BufWriter::new(conn);
-    let mut send = |req: &str| -> Result<bool, String> {
+    let mut send = |req: &str| -> Result<bool, Failure> {
         let (ok, payload) = query_once(&mut reader, &mut writer, req).map_err(|e| e.to_string())?;
         if ok {
-            println!("{payload}");
+            writeln!(out, "{payload}")?;
         } else {
-            println!("error: {payload}");
+            writeln!(out, "error: {payload}")?;
         }
         Ok(ok)
     };
@@ -312,27 +326,29 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_model(args: &[String]) -> Result<(), String> {
+fn cmd_model(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let path = args.first().ok_or("usage: mfvctl model TOPOLOGY")?;
+    reject_unknown_options(args, &[])?;
     let snapshot = load(path)?;
     let result = ModelBackend.compute(&snapshot).map_err(|e| e.to_string())?;
-    println!("config      total  recognized  unrecognized");
+    writeln!(out, "config      total  recognized  unrecognized")?;
     for report in &result.meta.coverage {
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>6}  {:>10}  {:>12}",
             report.hostname,
             report.total_lines,
             report.recognized_lines,
             report.unrecognized_count()
-        );
+        )?;
     }
-    let broken = unreachable_pairs(&result.dataplane);
+    let broken = unreachable_pairs_with(&ForwardingAnalysis::new(&result.dataplane));
     if broken.is_empty() {
-        println!("\nmodel dataplane: full mesh reachability");
+        writeln!(out, "\nmodel dataplane: full mesh reachability")?;
     } else {
-        println!("\nmodel dataplane: {} broken pairs", broken.len());
+        writeln!(out, "\nmodel dataplane: {} broken pairs", broken.len())?;
         for r in broken.iter().take(10) {
-            println!("  {} -> {}", r.src, r.dst_node);
+            writeln!(out, "  {} -> {}", r.src, r.dst_node)?;
         }
     }
     Ok(())

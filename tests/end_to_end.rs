@@ -8,7 +8,7 @@ use model_free_verification::core::{scenarios, Backend, EmulationBackend, ModelB
 use model_free_verification::emulator::{NodeSpec, Topology};
 use model_free_verification::mgmt::{collect_afts, dataplane_from_afts, Telemetry};
 use model_free_verification::types::{AsNum, IpSet, NodeId};
-use model_free_verification::verify;
+use model_free_verification::verify::{self, ForwardingAnalysis};
 
 fn pair_snapshot() -> Snapshot {
     let r1 = RouterSpec::new("r1", AsNum(65001), "2.2.2.1".parse().unwrap())
@@ -33,13 +33,10 @@ fn multi_vendor_pair_through_facade() {
     let result = EmulationBackend::default().compute(&snapshot).unwrap();
     assert!(result.meta.converged);
     // Cross-vendor eBGP + IS-IS interop: full reachability.
-    assert!(verify::unreachable_pairs(&result.dataplane).is_empty());
+    let fa = ForwardingAnalysis::new(&result.dataplane);
+    assert!(verify::unreachable_pairs_with(&fa).is_empty());
     // The vjunos side's route is present on the ceos side.
-    let trace = verify::traceroute(
-        &result.dataplane,
-        &NodeId::from("r1"),
-        "2.2.2.2".parse().unwrap(),
-    );
+    let trace = fa.trace(&NodeId::from("r1"), "2.2.2.2".parse().unwrap());
     assert!(trace.disposition.is_delivered());
 }
 
@@ -65,8 +62,8 @@ fn gnmi_extraction_path_is_equivalent_to_direct_state() {
     assert_eq!(extracted.digest(), direct.digest());
 
     let scope = IpSet::from_prefix(&"2.2.2.0/24".parse().unwrap());
-    let a = verify::disposition_summary(&direct, &scope);
-    let b = verify::disposition_summary(&extracted, &scope);
+    let a = verify::disposition_summary(&ForwardingAnalysis::new(&direct), &scope);
+    let b = verify::disposition_summary(&ForwardingAnalysis::new(&extracted), &scope);
     assert_eq!(a, b);
 }
 
@@ -90,16 +87,16 @@ fn config_push_what_if_before_deployment() {
     let proposed = base.with_config(&"r1".into(), model_free_verification::config::render(&cfg));
 
     let after = backend.compute(&proposed).unwrap();
-    let findings = verify::differential_reachability(&before.dataplane, &after.dataplane, None);
+    let fa_before = ForwardingAnalysis::new(&before.dataplane);
+    let fa_after = ForwardingAnalysis::new(&after.dataplane);
+    let findings = verify::differential_reachability_with(&fa_before, &fa_after, None);
     // IS-IS still provides loopback reachability; only eBGP-only prefixes
     // change. The query must pinpoint exactly the changed classes.
     for f in &findings {
         assert!(f.before != f.after, "spurious finding: {f}");
     }
     // And the baseline compares clean against itself.
-    assert!(
-        verify::differential_reachability(&before.dataplane, &before.dataplane, None).is_empty()
-    );
+    assert!(verify::differential_reachability_with(&fa_before, &fa_before, None).is_empty());
 }
 
 #[test]

@@ -119,6 +119,8 @@ fn unknown_options_are_rejected_by_name() {
         vec!["run", topo, "--sed", "3"],
         vec!["diff", topo, topo, "--scop", "2.2.2.0/24"],
         vec!["serve", topo, "--port", "0", "--threads", "2"],
+        vec!["model", topo, "--bogus", "1"],
+        vec!["show", topo, "r1", "--seed", "3", "--bogus", "1"],
     ] {
         let (out, err, ok) = mfvctl(&args);
         assert!(!ok, "{args:?} must fail");
@@ -137,4 +139,62 @@ fn unknown_options_are_rejected_by_name() {
     let (out, err, ok) = mfvctl(&["diff", topo, topo, "--scope", "2.2.2.0/24"]);
     assert!(ok, "{err}");
     assert!(out.starts_with("0 fate-changed"), "{out}");
+    // `show` takes the backend options before the device command (they used
+    // to be joined into it, and the network booted with the default seed).
+    let show = ["show", topo, "r1", "--seed", "3", "--machines", "2"];
+    let (out, err, ok) = mfvctl(&[&show[..], &["show", "ip", "route"]].concat());
+    assert!(ok, "{err}");
+    assert!(out.contains("2.2.2.2/32"), "{out}");
+    assert!(!out.contains("Invalid input"), "{out}");
+    let (_, err, ok) = mfvctl(&["show", topo, "r1", "--seed", "x", "show", "ip", "route"]);
+    assert!(!ok && err.contains("bad --seed"), "{err}");
+}
+
+/// `mfvctl run topo.json | head -1`: a reader that goes away is a clean
+/// exit, not a `failed printing to stdout` panic. The read end is closed
+/// before the command has anything to print, so its first write fails.
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    use std::process::Stdio;
+    let topo = "examples/topologies/six-node.json";
+    for args in [
+        vec!["run", topo],
+        vec!["model", topo],
+        vec!["diff", topo, topo],
+        vec!["trace", topo, "r1", "2.2.2.6"],
+        vec!["example", "six-node"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mfvctl"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {err}", out.status);
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+}
+
+/// One renderer: `mfvctl trace` prints exactly the payload the server's
+/// `TRACE` returns for the same dataplane (both are `Trace`'s `Display`).
+#[test]
+fn trace_output_equals_the_servers_trace_payload() {
+    use mfv_core::{Backend, EmulationBackend, Snapshot};
+    use mfv_serve::{QueryIndex, Reply};
+    let topo = "examples/topologies/six-node.json";
+    let text = std::fs::read_to_string(topo).unwrap();
+    let snapshot = Snapshot::new(topo, mfv_emulator::Topology::from_json(&text).unwrap());
+    let result = EmulationBackend::default().compute(&snapshot).unwrap();
+    let index = QueryIndex::new(&result.dataplane);
+    for (src, dst) in [("r1", "2.2.2.6"), ("r5", "2.2.2.3"), ("r6", "203.0.113.9")] {
+        let (out, err, ok) = mfvctl(&["trace", topo, src, dst]);
+        assert!(ok, "{err}");
+        let Reply::Ok(payload) = index.handle(&format!("TRACE {src} {dst}")) else {
+            panic!("TRACE {src} {dst} failed");
+        };
+        assert_eq!(out, format!("{payload}\n"));
+    }
 }
