@@ -5,17 +5,23 @@
 //! cargo run --release -p mfv-bench --bin experiments            # all
 //! cargo run --release -p mfv-bench --bin experiments -- e1 e3   # subset
 //! cargo run --release -p mfv-bench --bin experiments -- --quick # smaller E4/E5
+//! cargo run --release -p mfv-bench --bin experiments -- heap 20 50 # where the 1,000-router heap is
 //! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeSet;
 
 use mfv_bench::*;
 use mfv_core::{scenarios, unreachable_pairs_with, EmulationBackend, ForwardingAnalysis, Snapshot};
 use mfv_types::NodeId;
+use mfv_vrouter::VirtualRouter;
 
 /// An experiment id and its runner; the flag is `--quick`.
 type Experiment = (&'static str, fn(bool));
 
 /// Every experiment, in run order.
-const EXPERIMENTS: [Experiment; 10] = [
+const EXPERIMENTS: [Experiment; 11] = [
     ("e1", |_| e1()),
     ("e2", |_| e2()),
     ("e3", |_| e3()),
@@ -26,6 +32,7 @@ const EXPERIMENTS: [Experiment; 10] = [
     ("a1", |_| a1()),
     ("a2", |_| a2()),
     ("a3", |_| a3()),
+    ("heap", |_| heap()),
 ];
 
 fn main() {
@@ -33,7 +40,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let selected: Vec<&str> = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
+        .filter(|a| !a.starts_with("--") && a.parse::<usize>().is_err())
         .map(|s| s.as_str())
         .collect();
     let ids = EXPERIMENTS.map(|(id, _)| id);
@@ -457,4 +464,115 @@ fn a3() {
             "no (vjunos unsupported)"
         },
     );
+}
+
+/// The system allocator, counting the (bytes, allocations) this thread has
+/// live: an emulation runs, and is cloned, on the thread that asks.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// Books `bytes` (negative: a release) and the one allocation they are.
+fn book(bytes: isize) {
+    let _ = LIVE.try_with(|live| {
+        let (b, n) = live.get();
+        live.set((
+            b.wrapping_add_signed(bytes),
+            n.wrapping_add_signed(bytes.signum()),
+        ));
+    });
+}
+
+// SAFETY: every request goes to `System` unchanged, so its contract is
+// `System`'s (sizes are non-zero and fit `isize` by that contract). The
+// counter is a const-initialised `Cell` without a destructor: reaching it
+// neither allocates nor re-enters the allocator, and `try_with` covers a
+// thread that is tearing down.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        book(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        book(-(layout.size() as isize));
+        System.dealloc(p, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// (bytes, allocations) live.
+type Held = (usize, usize);
+
+/// A part of a router and what a clone of it holds.
+type Piece = (&'static str, fn(&VirtualRouter) -> Held);
+
+/// Runs `f`; returns what it built and what this thread has live more than
+/// before, while that is held.
+fn held_by<T>(f: impl FnOnce() -> T) -> (T, Held) {
+    let before = LIVE.get();
+    let out = f();
+    let now = LIVE.get();
+    (out, (now.0 - before.0, now.1 - before.1))
+}
+
+/// `heap [regions per_region]`: the numbers on the command line size the WAN.
+fn heap() {
+    banner("HEAP", "what a converged emulation holds, piece by piece");
+    let sizes: Vec<usize> = std::env::args().filter_map(|a| a.parse().ok()).collect();
+    let regions = sizes.first().copied().unwrap_or(5);
+    let per_region = sizes.get(1).copied().unwrap_or(20);
+    let snapshot = scenarios::regional_wan(regions, per_region);
+    // The paper's packing: some sixty routers to a machine, 17 for 1,000.
+    let mut backend = EmulationBackend::with_seed(1);
+    backend.cluster_machines = (regions * per_region).div_ceil(60);
+    let ((emu, meta), emulation) = held_by(|| backend.run(&snapshot).expect("wan boots"));
+    assert!(meta.converged, "regional_wan({regions}, {per_region})");
+    let nodes = snapshot.topology.nodes.iter();
+    let routers: Vec<&VirtualRouter> = nodes.filter_map(|n| emu.router(&n.name)).collect();
+    let n = routers.len();
+    let entries = routers.iter().map(|r| r.fib().len()).sum::<usize>().max(1);
+    println!("regional_wan({regions}, {per_region}), seed 1: {n} routers, {entries} FIB entries\n");
+
+    println!("piece            bytes  allocations  B/FIB entry");
+    let row = |piece: &str, (bytes, allocs): Held| {
+        println!(
+            "{piece:<10} {bytes:>11} {allocs:>12} {:>12}",
+            bytes / entries
+        );
+    };
+    row("emulation", emulation);
+    // A piece's share is what a clone of it asks the allocator for, summed
+    // over the routers. A clone shares the stored attribute and next-hop
+    // sets, so those count once, in the emulation's row.
+    let pieces: [Piece; 5] = [
+        ("router", |r| held_by(|| r.clone()).1),
+        ("fib", |r| held_by(|| r.fib().clone()).1),
+        ("rib", |r| held_by(|| r.rib().clone()).1),
+        ("bgp", |r| held_by(|| r.bgp_engine().cloned()).1),
+        ("isis", |r| held_by(|| r.isis_engine().cloned()).1),
+    ];
+    for (piece, held) in pieces {
+        let shares = routers.iter().map(|r| held(r));
+        row(piece, shares.fold((0, 0), |t, h| (t.0 + h.0, t.1 + h.1)));
+    }
+
+    println!("\nrole          router  selected  attr sets  stored  FIB entries  next-hop sets");
+    let roles = [
+        ("client", 1),
+        ("reflector", 0),
+        ("exit border", per_region - 1),
+    ];
+    for (role, r) in roles.map(|(role, i)| (role, routers[i])) {
+        let Some(bgp) = r.bgp_engine() else { continue };
+        let attrs: BTreeSet<_> = bgp.selected().values().map(|s| &*s.attrs).collect();
+        let hops: BTreeSet<_> = r.fib().entries().map(|e| &*e.next_hops).collect();
+        let (name, selected, stored) = (&r.name, bgp.selected().len(), bgp.attr_sets());
+        let (attrs, fib, hops) = (attrs.len(), r.fib().len(), hops.len());
+        println!("{role:<12} {name:>7} {selected:>9} {attrs:>10} {stored:>7} {fib:>12} {hops:>14}");
+    }
 }

@@ -22,7 +22,7 @@ fn unknown_id_is_rejected_before_anything_runs() {
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("unknown experiment id `e9`"), "{stderr}");
     assert!(
-        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3"),
+        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3 heap"),
         "valid ids missing: {stderr}"
     );
 }
@@ -178,5 +178,29 @@ fn a3_interplay_crash_loses_seven_classes() {
             "measured: 7 packet classes lost",
             "measured: no (vjunos unsupported)",
         ],
+    );
+}
+
+#[test]
+fn heap_bgp_engines_hold_a_handle_per_route_not_a_copy() {
+    let out = experiments(&["heap", "3", "4"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(
+        stdout.contains("regional_wan(3, 4), seed 1: 12 routers, 198 FIB entries"),
+        "{stdout}"
+    );
+    // The `bgp` row's last column is bytes per FIB entry: 936 with every
+    // Adj-RIB entry owning its attributes, 382 with one stored copy per set.
+    let per_entry: usize = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("bgp "))
+        .and_then(|row| row.split_whitespace().last()?.parse().ok())
+        .expect("a bgp row");
+    assert!(per_entry < 450, "{per_entry} B per FIB entry:\n{stdout}");
+    // A client's twelve routes carry four attribute sets, stored four times.
+    assert!(
+        stdout.contains("client       r00x01        12          4       4"),
+        "{stdout}"
     );
 }

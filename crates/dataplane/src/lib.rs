@@ -177,7 +177,8 @@ mod tests {
             next_hops: vec![FibNextHop {
                 iface: iface.into(),
                 via: via.map(|v| v.parse().unwrap()),
-            }],
+            }]
+            .into(),
         });
         fib
     }

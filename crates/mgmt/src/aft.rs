@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -60,7 +61,7 @@ impl Aft {
 
         for entry in fib.entries() {
             let mut members = Vec::with_capacity(entry.next_hops.len());
-            for nh in &entry.next_hops {
+            for nh in entry.next_hops.iter() {
                 let next_id = nh_ids.len() as u64 + 1;
                 let id = *nh_ids.entry(nh.clone()).or_insert(next_id);
                 if id == next_id {
@@ -98,39 +99,38 @@ impl Aft {
         aft
     }
 
-    /// The FIB entry one AFT entry describes; an unknown group or next-hop
-    /// id resolves to nothing, so a dangling reference yields a discard.
-    fn fib_entry(&self, e: &AftIpv4Entry) -> FibEntry {
-        let mut next_hops = Vec::new();
-        if let Some(group) = self.next_hop_groups.get(&e.next_hop_group) {
-            // Sized by hand: `filter_map` has no lower size hint, and a
-            // one-hop vector grown by `collect` holds four slots — 96 bytes
-            // per entry that ingestion, keeping these vectors, would keep.
-            next_hops.reserve_exact(group.next_hops.len());
-            next_hops.extend(
-                group
-                    .next_hops
-                    .iter()
-                    .filter_map(|id| self.next_hops.get(id))
-                    .map(|nh| FibNextHop {
-                        iface: nh.interface.as_str().into(),
-                        via: nh.ip_address,
-                    }),
-            );
-        }
-        FibEntry {
+    /// The FIB entries the AFT describes, in its order. Each next-hop group
+    /// becomes one set that its entries share; an unknown next-hop id
+    /// resolves to nothing and an unknown group to the empty set, so a
+    /// dangling reference is a discard.
+    fn entries(&self) -> impl Iterator<Item = FibEntry> + '_ {
+        let next_hop = |id| self.next_hops.get(id);
+        let sets: BTreeMap<u64, Arc<[FibNextHop]>> = self
+            .next_hop_groups
+            .iter()
+            .map(|(gid, group)| {
+                let hops = group.next_hops.iter().filter_map(next_hop);
+                let set = hops.map(|nh| FibNextHop {
+                    iface: nh.interface.as_str().into(),
+                    via: nh.ip_address,
+                });
+                (*gid, set.collect())
+            })
+            .collect();
+        let empty: Arc<[FibNextHop]> = Arc::new([]);
+        self.ipv4_unicast.iter().map(move |e| FibEntry {
             prefix: e.prefix,
             proto: e.origin_protocol,
-            next_hops,
-        }
+            next_hops: Arc::clone(sets.get(&e.next_hop_group).unwrap_or(&empty)),
+        })
     }
 
     /// Reconstructs the FIB from the AFT (the verifier-side ingestion: the
     /// paper's 3,300-line Batfish modification is exactly this step).
     pub fn to_fib(&self) -> Fib {
         let mut fib = Fib::new();
-        for e in &self.ipv4_unicast {
-            fib.insert(self.fib_entry(e));
+        for entry in self.entries() {
+            fib.insert(entry);
         }
         fib
     }
@@ -139,11 +139,7 @@ impl Aft {
     /// without building the trie: sorted by prefix (the trie's pre-order is
     /// `Prefix`'s derived order), a repeated prefix keeping its last entry.
     pub fn fib_entries(&self) -> Vec<FibEntry> {
-        let mut entries: Vec<FibEntry> = self
-            .ipv4_unicast
-            .iter()
-            .map(|e| self.fib_entry(e))
-            .collect();
+        let mut entries: Vec<FibEntry> = self.entries().collect();
         entries.sort_by_key(|e| e.prefix);
         // `dedup_by` drops the later of two equal neighbours; swapping
         // first makes the survivor the last one inserted, as in the trie.
@@ -184,26 +180,26 @@ mod tests {
         fib.insert(FibEntry {
             prefix: "10.0.0.0/31".parse().unwrap(),
             proto: RouteProtocol::Connected,
-            next_hops: vec![FibNextHop {
+            next_hops: Arc::new([FibNextHop {
                 iface: "eth0".into(),
                 via: None,
-            }],
+            }]),
         });
         fib.insert(FibEntry {
             prefix: "2.2.2.2/32".parse().unwrap(),
             proto: RouteProtocol::Isis,
-            next_hops: vec![FibNextHop {
+            next_hops: Arc::new([FibNextHop {
                 iface: "eth0".into(),
                 via: Some("10.0.0.1".parse().unwrap()),
-            }],
+            }]),
         });
         fib.insert(FibEntry {
             prefix: "2.2.2.3/32".parse().unwrap(),
             proto: RouteProtocol::Isis,
-            next_hops: vec![FibNextHop {
+            next_hops: Arc::new([FibNextHop {
                 iface: "eth0".into(),
                 via: Some("10.0.0.1".parse().unwrap()),
-            }],
+            }]),
         });
         fib
     }
@@ -247,10 +243,26 @@ mod tests {
         f.insert(FibEntry {
             prefix: "192.0.2.0/24".parse().unwrap(),
             proto: RouteProtocol::Static,
-            next_hops: vec![],
+            next_hops: Arc::new([]),
         });
         let aft = Aft::from_fib(&f);
         let back = aft.to_fib();
         assert!(back.same_as(&f));
+    }
+
+    #[test]
+    fn entries_of_one_group_share_its_set_and_a_dangling_group_is_a_discard() {
+        let mut aft = Aft::from_fib(&fib());
+        let entries = aft.fib_entries();
+        // `fib()`'s two IS-IS routes leave through one group.
+        assert_eq!(entries[0].next_hops, entries[1].next_hops);
+        assert!(Arc::ptr_eq(&entries[0].next_hops, &entries[1].next_hops));
+        assert!(!Arc::ptr_eq(&entries[0].next_hops, &entries[2].next_hops));
+
+        for e in &mut aft.ipv4_unicast {
+            e.next_hop_group = 99;
+        }
+        assert!(aft.fib_entries().iter().all(|e| e.next_hops.is_empty()));
+        assert_eq!(aft.to_fib().len(), 3);
     }
 }

@@ -114,7 +114,8 @@ mod tests {
             next_hops: vec![FibNextHop {
                 iface: "eth0".into(),
                 via: None,
-            }],
+            }]
+            .into(),
         });
         let mut reference = Dataplane::new();
         reference.add_node("r1".into(), &fib, Default::default(), true);

@@ -13,9 +13,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use mfv_config::{BgpConfig, PrefixList, RouteMap};
-use mfv_types::{AsNum, Origin, Prefix, RouteProtocol, RouterId, SimDuration, SimTime};
+use mfv_types::{AsNum, InternSet, Origin, Prefix, RouteProtocol, RouterId, SimDuration, SimTime};
 use mfv_wire::bgp::{BgpMsg, NotificationMsg, OpenMsg, PathAttr, UpdateMsg};
 
 use crate::policy::{eval_route_map, BgpAttrs, PolicyResult};
@@ -96,7 +97,7 @@ pub enum SessionState {
 /// A received route in the Adj-RIB-In (post import policy).
 #[derive(Clone, Debug)]
 struct RibInEntry {
-    attrs: BgpAttrs,
+    attrs: Arc<BgpAttrs>,
     /// Global arrival sequence for the oldest-path tiebreak.
     arrival: u64,
 }
@@ -115,7 +116,7 @@ struct Session {
     /// `(next hop, prefix)` for every Adj-RIB-In entry: which prefixes'
     /// decisions an IGP change at some address can move.
     by_next_hop: BTreeSet<(Ipv4Addr, Prefix)>,
-    rib_out: BTreeMap<Prefix, BgpAttrs>,
+    rib_out: BTreeMap<Prefix, Arc<BgpAttrs>>,
     /// FSM state changes since the engine was built — the per-session churn
     /// signal the observability layer aggregates.
     transitions: u64,
@@ -192,7 +193,7 @@ impl Session {
 /// One candidate path considered by the decision process.
 #[derive(Clone)]
 struct Candidate {
-    attrs: BgpAttrs,
+    attrs: Arc<BgpAttrs>,
     from: Option<Ipv4Addr>,
     ebgp: bool,
     igp_metric: u32,
@@ -204,7 +205,8 @@ struct Candidate {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SelectedRoute {
     pub prefix: Prefix,
-    pub attrs: BgpAttrs,
+    /// A handle to the engine's stored copy; compares by value.
+    pub attrs: Arc<BgpAttrs>,
     /// Peer the best path was learned from; `None` for local originations.
     pub learned_from: Option<Ipv4Addr>,
     /// Whether the winning path is eBGP-learned.
@@ -252,9 +254,12 @@ pub struct BgpEngine {
     max_paths: u8,
     quirks: DecisionQuirks,
     sessions: BTreeMap<Ipv4Addr, Session>,
+    /// Every distinct attribute set this engine holds, stored once: the
+    /// Adj-RIBs, the originations and the selection hold handles into it.
+    attr_sets: InternSet<Arc<BgpAttrs>>,
     /// Locally-originated prefixes (network statements / redistribution),
     /// with the attrs they are originated with.
-    originated: BTreeMap<Prefix, BgpAttrs>,
+    originated: BTreeMap<Prefix, Arc<BgpAttrs>>,
     route_maps: BTreeMap<String, RouteMap>,
     prefix_lists: BTreeMap<String, PrefixList>,
     out: VecDeque<(Ipv4Addr, BgpMsg)>,
@@ -317,6 +322,7 @@ impl BgpEngine {
             max_paths: cfg.max_paths.max(1),
             quirks,
             sessions,
+            attr_sets: InternSet::default(),
             originated: BTreeMap::new(),
             route_maps,
             prefix_lists,
@@ -337,9 +343,12 @@ impl BgpEngine {
     /// Replaces the set of locally-originated prefixes. `next_hop_unspec`
     /// originations advertise our session address as next hop.
     pub fn set_originated(&mut self, prefixes: impl IntoIterator<Item = Prefix>) {
-        let new: BTreeMap<Prefix, BgpAttrs> = prefixes
+        let attrs = self
+            .attr_sets
+            .intern(BgpAttrs::originated(Ipv4Addr::UNSPECIFIED));
+        let new: BTreeMap<Prefix, Arc<BgpAttrs>> = prefixes
             .into_iter()
-            .map(|p| (p, BgpAttrs::originated(Ipv4Addr::UNSPECIFIED)))
+            .map(|p| (p, Arc::clone(&attrs)))
             .collect();
         for p in self.originated.keys().chain(new.keys()) {
             if self.originated.contains_key(p) != new.contains_key(p) {
@@ -520,8 +529,11 @@ impl BgpEngine {
         let as_path = update.as_path().cloned().unwrap_or_default();
         // eBGP loop prevention: our AS in the path means discard.
         if ebgp && as_path.contains(self.local_as) {
+            // A looped replacement of a route this peer offered earlier
+            // withdraws it (RFC 4271), so the decision must run again.
             for p in &update.nlri {
                 session.forget(p);
+                self.dirty.insert(*p);
             }
             return;
         }
@@ -540,7 +552,10 @@ impl BgpEngine {
                 _ => None,
             })
             .collect();
-        let base = BgpAttrs {
+        // One stored copy for the whole UPDATE: every NLRI the import policy
+        // leaves alone gets this handle, and a policy result is looked up
+        // before it is kept.
+        let base = self.attr_sets.intern(BgpAttrs {
             origin: update.origin().unwrap_or(Origin::Incomplete),
             as_path,
             next_hop,
@@ -548,15 +563,18 @@ impl BgpEngine {
             local_pref: update.local_pref(),
             communities: update.communities(),
             foreign_attrs,
-        };
+        });
         let rm_in = session.cfg.route_map_in.clone();
         let arrival_base = self.arrival_counter;
-        let mut accepted: Vec<(Prefix, BgpAttrs)> = Vec::new();
+        let mut accepted = 0;
         for (i, prefix) in update.nlri.iter().enumerate() {
+            // NLRI prefixes that policy rejects are implicitly withdrawn,
+            // so they are decision-relevant too.
+            self.dirty.insert(*prefix);
             let attrs = match &rm_in {
                 Some(name) => match self.route_maps.get(name) {
                     Some(rm) => match eval_route_map(rm, &self.prefix_lists, prefix, &base) {
-                        PolicyResult::Permit(a) => a,
+                        PolicyResult::Permit(a) => self.attr_sets.intern(a),
                         PolicyResult::Deny => {
                             continue;
                         }
@@ -565,25 +583,12 @@ impl BgpEngine {
                     // (matching EOS behaviour).
                     None => continue,
                 },
-                None => base.clone(),
+                None => Arc::clone(&base),
             };
-            accepted.push((*prefix, attrs));
+            let arrival = arrival_base + accepted;
+            session.learn(*prefix, RibInEntry { attrs, arrival });
+            accepted += 1;
             self.arrival_counter = arrival_base + i as u64 + 1;
-        }
-        for prefix in &update.nlri {
-            // NLRI prefixes that policy rejected are implicitly withdrawn,
-            // so they are decision-relevant too.
-            self.dirty.insert(*prefix);
-        }
-        let session = self.sessions.get_mut(&from).expect("session exists");
-        for (i, (prefix, attrs)) in accepted.into_iter().enumerate() {
-            session.learn(
-                prefix,
-                RibInEntry {
-                    attrs,
-                    arrival: arrival_base + i as u64,
-                },
-            );
         }
     }
 
@@ -707,6 +712,12 @@ impl BgpEngine {
         &self.selected
     }
 
+    /// Introspection: how many distinct attribute sets the engine stores
+    /// (ones no table holds any more included, until the next sweep).
+    pub fn attr_sets(&self) -> usize {
+        self.attr_sets.stored()
+    }
+
     /// Introspection: per-neighbor summaries.
     pub fn summaries(&self) -> Vec<NeighborSummary> {
         self.sessions
@@ -730,7 +741,7 @@ impl BgpEngine {
         let mut cands = Vec::new();
         if let Some(attrs) = self.originated.get(prefix) {
             cands.push(Candidate {
-                attrs: attrs.clone(),
+                attrs: Arc::clone(attrs),
                 from: None,
                 ebgp: false,
                 igp_metric: 0,
@@ -750,7 +761,7 @@ impl BgpEngine {
                 continue;
             };
             cands.push(Candidate {
-                attrs: entry.attrs.clone(),
+                attrs: Arc::clone(&entry.attrs),
                 from: Some(*peer),
                 ebgp: session.cfg.is_ebgp(self.local_as),
                 igp_metric,
@@ -923,7 +934,7 @@ impl BgpEngine {
             }
         }
 
-        let mut attrs = route.attrs.clone();
+        let mut attrs = BgpAttrs::clone(&route.attrs);
         if ebgp_peer {
             attrs.as_path = attrs.as_path.prepend(local_as);
             attrs.local_pref = None;
@@ -1002,7 +1013,7 @@ impl BgpEngine {
             };
 
             let mut withdrawals: Vec<Prefix> = Vec::new();
-            let mut announcements: Vec<(Prefix, BgpAttrs)> = Vec::new();
+            let mut announcements: Vec<(Prefix, Arc<BgpAttrs>)> = Vec::new();
             for prefix in prefixes {
                 let want = selected.get(prefix).and_then(|route| {
                     Self::advert_attrs(
@@ -1016,8 +1027,8 @@ impl BgpEngine {
                 });
                 match (want, session.rib_out.get(prefix)) {
                     (None, Some(_)) => withdrawals.push(*prefix),
-                    (Some(attrs), prev) if prev != Some(&attrs) => {
-                        announcements.push((*prefix, attrs));
+                    (Some(attrs), prev) if prev.map(|p| &**p) != Some(&attrs) => {
+                        announcements.push((*prefix, self.attr_sets.intern(attrs)));
                     }
                     _ => {}
                 }
@@ -1037,9 +1048,9 @@ impl BgpEngine {
             // RFC 4271 packing: prefixes sharing identical attributes ride
             // in one UPDATE. Essential at production-route scale — a
             // million-route feed is a few thousand messages, not a million.
-            let mut grouped: BTreeMap<BgpAttrs, Vec<Prefix>> = BTreeMap::new();
+            let mut grouped: BTreeMap<Arc<BgpAttrs>, Vec<Prefix>> = BTreeMap::new();
             for (prefix, attrs) in announcements {
-                session.rib_out.insert(prefix, attrs.clone());
+                session.rib_out.insert(prefix, Arc::clone(&attrs));
                 grouped.entry(attrs).or_default().push(prefix);
             }
             for (attrs, prefixes) in grouped {
@@ -1502,5 +1513,184 @@ mod tests {
         let sel = pair.a.selected().get(&pfx("198.51.100.0/24")).unwrap();
         assert_eq!(sel.attrs.foreign_attrs.len(), 1);
         assert_eq!(sel.attrs.foreign_attrs[0].1, 213);
+    }
+
+    /// An UPDATE for `nlri` with the given AS path and next hop, carrying
+    /// LOCAL_PREF 100 as an iBGP speaker's does.
+    fn announce(path: &[u32], next_hop: Ipv4Addr, nlri: Vec<Prefix>) -> BgpMsg {
+        BgpMsg::Update(UpdateMsg {
+            withdrawn: vec![],
+            attrs: vec![
+                PathAttr::Origin(Origin::Igp),
+                PathAttr::AsPath(mfv_types::AsPath::sequence(path.iter().copied().map(AsNum))),
+                PathAttr::NextHop(next_hop),
+                PathAttr::LocalPref(100),
+            ],
+            nlri,
+        })
+    }
+
+    #[test]
+    fn as_loop_replacement_withdraws_the_earlier_route() {
+        let mut pair = Pair::new_ebgp();
+        pair.settle();
+        let a = ip("10.0.0.1");
+        let p = pfx("198.51.100.0/24");
+        pair.b.push_msg(pair.now, a, announce(&[65001], a, vec![p]));
+        let _ = pair.b.poll(pair.now, &pair.resolver);
+        assert_eq!(pair.b.rib_routes().len(), 1);
+        // The replacement carries B's own AS: B discards it, and with it
+        // goes the only route A ever offered for the prefix.
+        pair.b
+            .push_msg(pair.now, a, announce(&[65001, 65002], a, vec![p]));
+        let _ = pair.b.poll(pair.now, &pair.resolver);
+        assert!(pair.b.rib_routes().is_empty());
+        assert!(pair.b.selected().is_empty());
+    }
+
+    /// An AS 65000 engine at `me` with an iBGP session to each of `peers`
+    /// (route-reflector clients if `rr_client`), and a resolver that
+    /// reaches each of them at cost 10.
+    fn ibgp_engine(me: &str, peers: &[Ipv4Addr], rr_client: bool) -> (BgpEngine, TableResolver) {
+        let mut cfg = BgpConfig::new(AsNum(65000));
+        let mut locals = BTreeMap::new();
+        let mut resolver = TableResolver::default();
+        for peer in peers {
+            let mut n = BgpNeighborConfig::new(*peer, AsNum(65000));
+            n.rr_client = rr_client;
+            cfg.neighbors.push(n);
+            locals.insert(*peer, ip(me));
+            resolver.0.insert(*peer, 10);
+        }
+        let engine = BgpEngine::new(
+            &cfg,
+            RouterId(ip(me)),
+            &locals,
+            BTreeMap::new(),
+            BTreeMap::new(),
+            DecisionQuirks::default(),
+        );
+        (engine, resolver)
+    }
+
+    /// Brings the Idle session to `peer` up by hand, once its retry is due.
+    fn establish(engine: &mut BgpEngine, now: SimTime, peer: Ipv4Addr, r: &TableResolver) {
+        let _ = engine.poll(now, r);
+        engine.push_msg(
+            now,
+            peer,
+            BgpMsg::Open(OpenMsg::new(AsNum(65000), 90, peer)),
+        );
+        engine.push_msg(now, peer, BgpMsg::Keepalive);
+        assert_eq!(engine.session_state(peer), Some(SessionState::Established));
+    }
+
+    /// Every attribute handle an engine's tables hold.
+    fn held_handles(engine: &BgpEngine) -> Vec<&Arc<BgpAttrs>> {
+        let sessions = engine.sessions.values();
+        sessions
+            .flat_map(|s| {
+                s.rib_in
+                    .values()
+                    .map(|e| &e.attrs)
+                    .chain(s.rib_out.values())
+            })
+            .chain(engine.selected.values().map(|r| &r.attrs))
+            .chain(engine.originated.values())
+            .collect()
+    }
+
+    /// The distinct values among `handles`, each of which must be a single
+    /// allocation however many tables hold it.
+    fn distinct_and_shared(handles: &[&Arc<BgpAttrs>]) -> usize {
+        let mut by_value: BTreeMap<&BgpAttrs, &Arc<BgpAttrs>> = BTreeMap::new();
+        for &h in handles {
+            let first = by_value.entry(&**h).or_insert(h);
+            assert!(Arc::ptr_eq(first, h), "two copies of {h:?}");
+        }
+        by_value.len()
+    }
+
+    /// The i-th client's k-th block of 50 prefixes.
+    fn block(client: usize, k: usize) -> Vec<Prefix> {
+        (0..50)
+            .map(|j| pfx(&format!("100.{client}.{}.0/24", k * 50 + j)))
+            .collect()
+    }
+
+    #[test]
+    fn equal_attribute_sets_are_stored_once_and_the_store_stays_bounded() {
+        // A reflector with five clients; each client announces 250
+        // prefixes under five attribute sets of its own.
+        let clients: Vec<Ipv4Addr> = (1..=5).map(|i| Ipv4Addr::new(1, 1, 1, i)).collect();
+        let (mut rr, resolver) = ibgp_engine("9.9.9.9", &clients, true);
+        let mut now = SimTime(1000);
+        for c in &clients {
+            establish(&mut rr, now, *c, &resolver);
+        }
+        for (i, c) in clients.iter().enumerate() {
+            for k in 0..5 {
+                let path = [65100 + i as u32, 65200 + k as u32];
+                rr.push_msg(now, *c, announce(&path, *c, block(i, k)));
+            }
+        }
+        let out = rr.poll(now, &resolver);
+        assert_eq!(rr.selected().len(), 1250);
+        let handles = held_handles(&rr);
+        // 1,250 received + 1,250 selected + 5 × 1,000 reflected.
+        assert_eq!(handles.len(), 7500);
+        assert_eq!(distinct_and_shared(&handles), 25);
+        assert_eq!(rr.attr_sets(), 25);
+
+        // What the reflector sent client 1 is that client's whole table:
+        // 1,000 routes, twenty sets.
+        let (mut client, client_resolver) = {
+            let (engine, mut r) = ibgp_engine("1.1.1.1", &[ip("9.9.9.9")], false);
+            r.0.extend(clients.iter().map(|c| (*c, 10)));
+            (engine, r)
+        };
+        establish(&mut client, now, ip("9.9.9.9"), &client_resolver);
+        for (peer, msg) in out {
+            if peer == clients[0] && matches!(msg, BgpMsg::Update(_)) {
+                client.push_msg(now, ip("9.9.9.9"), msg);
+            }
+        }
+        let _ = client.poll(now, &client_resolver);
+        assert_eq!(client.selected().len(), 1000);
+        assert_eq!(distinct_and_shared(&held_handles(&client)), 20);
+        assert_eq!(client.attr_sets(), 20);
+
+        // Client 5 flaps 200 times, coming back each time with attribute
+        // values never seen before. The dead ones must not pile up.
+        let flapper = clients[4];
+        for flap in 0..200u32 {
+            rr.push_msg(
+                now,
+                flapper,
+                BgpMsg::Notification(NotificationMsg {
+                    code: 6,
+                    subcode: 4,
+                    data: bytes::Bytes::new(),
+                }),
+            );
+            now += SimDuration::from_secs(6);
+            for c in &clients[..4] {
+                rr.push_msg(now, *c, BgpMsg::Keepalive);
+            }
+            establish(&mut rr, now, flapper, &resolver);
+            for k in 0..5 {
+                let path = [70_000 + flap, 65200 + k as u32];
+                rr.push_msg(now, flapper, announce(&path, flapper, block(4, k)));
+            }
+            let _ = rr.poll(now, &resolver);
+        }
+        assert_eq!(rr.selected().len(), 1250);
+        let live = distinct_and_shared(&held_handles(&rr));
+        assert_eq!(live, 25);
+        assert!(
+            rr.attr_sets() <= 2 * live + 64,
+            "{} sets stored for {live} live",
+            rr.attr_sets()
+        );
     }
 }

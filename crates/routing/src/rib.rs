@@ -4,16 +4,18 @@
 //! per-prefix winners by administrative distance then metric, and the FIB is
 //! computed from the winners with recursive next-hop resolution through the
 //! IGP view (a BGP route whose next hop is a loopback resolves through the
-//! connected / static / IS-IS route covering that loopback). [`Rib::resolve`]
-//! is the one place a FIB entry is built; [`Rib::to_fib`] applies it to every
-//! prefix, routers apply it to the prefixes a change can have touched.
+//! connected / static / IS-IS route covering that loopback). `Rib::resolve`
+//! is the one place a forwarding action is worked out and [`Fib::patch`] the
+//! one place it is installed; [`Rib::to_fib`] patches every prefix, routers
+//! patch the prefixes a change can have touched.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use mfv_types::{AdminDistance, IfaceId, Prefix, PrefixTrie, RouteProtocol};
+use mfv_types::{AdminDistance, IfaceId, InternSet, Prefix, PrefixTrie, RouteProtocol};
 
 use crate::bgp::NextHopResolver;
 
@@ -70,8 +72,10 @@ pub struct FibNextHop {
 pub struct FibEntry {
     pub prefix: Prefix,
     pub proto: RouteProtocol,
-    /// One or more (ECMP) next hops, sorted for determinism.
-    pub next_hops: Vec<FibNextHop>,
+    /// One or more (ECMP) next hops, sorted for determinism. Entries of one
+    /// table with equal sets share an allocation; `==` and `Hash` are the
+    /// slice's.
+    pub next_hops: Arc<[FibNextHop]>,
 }
 
 /// The protocols whose winners form the IGP view: every `Via` gateway and
@@ -276,20 +280,25 @@ impl Rib {
         self.per_proto.is_empty()
     }
 
-    /// The FIB entry `prefix` should have: its winner's next hops made
-    /// concrete. `Via` gateways resolve recursively (up to a depth bound)
-    /// through the IGP view only — the same view the BGP decision process
-    /// judges next-hop reachability by, so a route BGP selected is a route
-    /// the FIB can install, and a BGP-learned route never carries another
-    /// route's traffic. A winner whose next hops do not resolve yields
-    /// `None`: a route to an unreachable gateway must not be installed.
+    /// The forwarding action `prefix` should have: its winner's protocol
+    /// and next hops made concrete (none: a deliberate discard). `Via`
+    /// gateways resolve recursively (up to a depth bound) through the IGP
+    /// view only — the same view the BGP decision process judges next-hop
+    /// reachability by, so a route BGP selected is a route the FIB can
+    /// install, and a BGP-learned route never carries another route's
+    /// traffic. A winner whose next hops do not resolve yields `None`: a
+    /// route to an unreachable gateway must not be installed.
     ///
     /// Every gateway address looked up on the way is appended to
-    /// `gateways`: the entry stays valid until the IGP view changes at a
+    /// `gateways`: the answer stays valid until the IGP view changes at a
     /// prefix containing one of them (or `prefix`'s own winner changes).
-    pub fn resolve(&self, prefix: &Prefix, gateways: &mut Vec<Ipv4Addr>) -> Option<FibEntry> {
+    fn resolve(
+        &self,
+        prefix: &Prefix,
+        gateways: &mut Vec<Ipv4Addr>,
+    ) -> Option<(RouteProtocol, Vec<FibNextHop>)> {
         let route = self.best(prefix)?;
-        let mut next_hops: Vec<FibNextHop> = Vec::with_capacity(route.next_hops.len());
+        let mut next_hops = Vec::with_capacity(route.next_hops.len());
         let mut discard = false;
         for nh in &route.next_hops {
             match nh {
@@ -307,13 +316,7 @@ impl Rib {
         }
         next_hops.sort();
         next_hops.dedup();
-        // Every router keeps one of these per FIB entry: no spare capacity.
-        next_hops.shrink_to_fit();
-        (discard || !next_hops.is_empty()).then_some(FibEntry {
-            prefix: *prefix,
-            proto: route.proto,
-            next_hops,
-        })
+        (discard || !next_hops.is_empty()).then_some((route.proto, next_hops))
     }
 
     /// Recursively resolves a gateway address to concrete (iface, via)
@@ -359,16 +362,14 @@ impl Rib {
         }
     }
 
-    /// Resolves the whole RIB into a FIB from scratch ([`Rib::resolve`] on
+    /// Resolves the whole RIB into a FIB from scratch ([`Fib::patch`] on
     /// every prefix): the reference the routers' per-prefix FIB patching is
     /// held to.
     pub fn to_fib(&self) -> Fib {
         let mut fib = Fib::new();
         let mut gateways = Vec::new();
         for prefix in self.universe() {
-            if let Some(entry) = self.resolve(prefix, &mut gateways) {
-                fib.insert(entry);
-            }
+            fib.patch(self, prefix, &mut gateways);
         }
         fib
     }
@@ -387,22 +388,43 @@ impl NextHopResolver for Rib {
 #[derive(Clone, Debug, Default)]
 pub struct Fib {
     trie: PrefixTrie<FibEntry>,
+    /// The table's distinct next-hop sets, stored once each: a thousand BGP
+    /// prefixes leave a router through a handful of them.
+    next_hop_sets: InternSet<Arc<[FibNextHop]>>,
 }
 
 impl Fib {
     pub fn new() -> Fib {
-        Fib {
-            trie: PrefixTrie::new(),
-        }
+        Fib::default()
     }
 
-    pub fn insert(&mut self, entry: FibEntry) {
+    /// Installs `entry`, its next-hop set swapped for the table's stored
+    /// copy of the same set.
+    pub fn insert(&mut self, mut entry: FibEntry) {
+        entry.next_hops = self.next_hop_sets.intern(entry.next_hops);
         self.trie.insert(entry.prefix, entry);
     }
 
-    /// Removes the entry at exactly `prefix`, returning it if present.
-    pub fn remove(&mut self, prefix: &Prefix) -> Option<FibEntry> {
-        self.trie.remove(prefix)
+    /// Brings the entry at `prefix` in line with `rib` (`Rib::resolve`,
+    /// which also says what `gateways` receives); returns whether it
+    /// changed. The resolved set is compared and looked up as a slice: only
+    /// one the table has not seen yet is stored.
+    pub fn patch(&mut self, rib: &Rib, prefix: &Prefix, gateways: &mut Vec<Ipv4Addr>) -> bool {
+        let Some((proto, next_hops)) = rib.resolve(prefix, gateways) else {
+            return self.trie.remove(prefix).is_some();
+        };
+        match self.trie.get(prefix) {
+            Some(old) if old.proto == proto && *old.next_hops == *next_hops => false,
+            _ => {
+                let entry = FibEntry {
+                    prefix: *prefix,
+                    proto,
+                    next_hops: self.next_hop_sets.intern(next_hops),
+                };
+                self.trie.insert(*prefix, entry);
+                true
+            }
+        }
     }
 
     /// Longest-prefix-match lookup.
@@ -622,10 +644,11 @@ mod tests {
         assert_eq!(e.proto, RouteProtocol::IbgpLearned);
         assert_eq!(
             e.next_hops,
-            vec![FibNextHop {
+            [FibNextHop {
                 iface: "eth0".into(),
                 via: Some(ip("100.64.0.1"))
             }]
+            .into()
         );
     }
 
@@ -674,10 +697,11 @@ mod tests {
         let fib = rib.to_fib();
         assert_eq!(
             fib.get(&p("203.0.113.0/24")).unwrap().next_hops,
-            vec![FibNextHop {
+            [FibNextHop {
                 iface: "eth0".into(),
                 via: Some(ip("100.64.0.1"))
             }]
+            .into()
         );
         // The /32 itself is installed (its own gateway is connected) and
         // the IGP metric BGP sees for the next hop is the /24's.

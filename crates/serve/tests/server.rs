@@ -30,7 +30,8 @@ fn line_dp(n: usize) -> Dataplane {
                 next_hops: vec![FibNextHop {
                     iface: iface.into(),
                     via: None,
-                }],
+                }]
+                .into(),
             });
         }
         let mut owned = BTreeSet::new();

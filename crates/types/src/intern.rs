@@ -12,8 +12,10 @@
 //! them in sorted order) gets identical numbering on every run — interned
 //! keys are as replay-safe as the strings they stand for.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::{IfaceId, NodeId};
 
@@ -127,9 +129,74 @@ impl Interner {
     }
 }
 
+/// One stored copy per distinct value: [`intern`](Self::intern) answers with
+/// a handle (`H`, an `Arc`) to the copy already held, so a table whose
+/// million entries take a handful of values pays for the handful. Handles
+/// order and compare by content — a shared pointer only short-cuts `==` —
+/// so nothing a caller sees depends on which handle it holds. A `BTreeSet`
+/// because D1 bans hashed containers; `Arc` because forked emulations clone
+/// their tables across threads.
+#[derive(Clone, Debug)]
+pub struct InternSet<H> {
+    values: BTreeSet<H>,
+    /// Values held right after the last sweep.
+    kept: usize,
+}
+
+impl<H> Default for InternSet<H> {
+    fn default() -> Self {
+        InternSet {
+            values: BTreeSet::new(),
+            kept: 0,
+        }
+    }
+}
+
+impl<T: ?Sized + Ord> InternSet<Arc<T>> {
+    /// The stored copy equal to `value`, which is itself stored (converted
+    /// without copying where `Into` allows) if there is none. The lookup
+    /// borrows, so a hit allocates nothing.
+    pub fn intern<V: Borrow<T> + Into<Arc<T>>>(&mut self, value: V) -> Arc<T> {
+        if let Some(held) = self.values.get(Borrow::<T>::borrow(&value)) {
+            return Arc::clone(held);
+        }
+        // Values only this set still holds go once it has doubled since the
+        // last sweep (64 at the least): churn — a flapping session, a
+        // reconverging FIB — cannot grow it past twice its live values.
+        if self.values.len() >= 2 * self.kept.max(32) {
+            self.values.retain(|v| Arc::strong_count(v) > 1);
+            self.kept = self.values.len();
+        }
+        let held: Arc<T> = value.into();
+        self.values.insert(Arc::clone(&held));
+        held
+    }
+
+    /// Values stored, ones nobody holds any more included until a sweep.
+    pub fn stored(&self) -> usize {
+        self.values.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn equal_values_share_one_copy_and_dead_ones_are_swept() {
+        let mut set: InternSet<Arc<[u32]>> = InternSet::default();
+        let a = set.intern(vec![1, 2]);
+        let b = set.intern(&[1, 2][..]);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(set.stored(), 1);
+        // 1,000 values nobody keeps: the set never grows past the sweep
+        // floor, and the live value survives every sweep.
+        for i in 0..1000 {
+            set.intern(vec![i, i, i]);
+            assert!(set.stored() <= 64);
+        }
+        assert!(Arc::ptr_eq(&a, &set.intern(vec![1, 2])));
+    }
 
     #[test]
     fn interning_is_idempotent_and_dense() {

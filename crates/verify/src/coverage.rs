@@ -198,7 +198,8 @@ mod tests {
             next_hops: vec![FibNextHop {
                 iface: iface.into(),
                 via: None,
-            }],
+            }]
+            .into(),
         }
     }
 

@@ -391,7 +391,8 @@ mod tests {
             next_hops: vec![FibNextHop {
                 iface: iface.into(),
                 via: via.map(|v| v.parse().unwrap()),
-            }],
+            }]
+            .into(),
         }
     }
 
@@ -512,7 +513,7 @@ mod tests {
         f.insert(FibEntry {
             prefix: "192.0.2.0/24".parse().unwrap(),
             proto: RouteProtocol::Static,
-            next_hops: vec![],
+            next_hops: vec![].into(),
         });
         f.insert(entry("198.51.100.0/24", "uplink", Some("100.64.0.1")));
         dp.add_node("r1".into(), &f, BTreeSet::new(), true);
@@ -545,7 +546,7 @@ mod tests {
         f.insert(FibEntry {
             prefix: "10.5.5.0/24".parse().unwrap(),
             proto: RouteProtocol::Static,
-            next_hops: vec![],
+            next_hops: vec![].into(),
         });
         dp.add_node("r1".into(), &f, BTreeSet::new(), true);
         dp.add_node(
@@ -594,7 +595,8 @@ mod tests {
                     iface: "e1".into(),
                     via: None,
                 },
-            ],
+            ]
+            .into(),
         });
         dp.add_node("r1".into(), &f1, BTreeSet::new(), true);
         dp.add_node(
@@ -639,7 +641,8 @@ mod tests {
                     iface: "e1".into(),
                     via: None,
                 },
-            ],
+            ]
+            .into(),
         });
         dp.add_node("r1".into(), &f1, BTreeSet::new(), true);
         dp.add_node("r2".into(), &Fib::new(), BTreeSet::new(), true);
@@ -677,7 +680,7 @@ mod tests {
         r2.entries.push(FibEntry {
             prefix: "2.2.2.3/32".parse().unwrap(),
             proto: RouteProtocol::Static,
-            next_hops: vec![],
+            next_hops: vec![].into(),
         });
         r2.entries.push(entry("198.51.100.0/24", "uplink", None));
         for dp in [line_dp(), looping, down, dropping] {
@@ -704,7 +707,7 @@ mod tests {
             FibEntry {
                 prefix: "2.2.2.3/32".parse().unwrap(),
                 proto: RouteProtocol::Static,
-                next_hops: vec![],
+                next_hops: vec![].into(),
             },
         ];
         let want = effective_classes(&r1.fib().entries().cloned().collect::<Vec<_>>());

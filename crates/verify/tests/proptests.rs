@@ -65,7 +65,7 @@ fn build_dp(shape: &DpShape) -> Dataplane {
         fibs[node].insert(FibEntry {
             prefix,
             proto: RouteProtocol::Isis,
-            next_hops,
+            next_hops: next_hops.into(),
         });
     }
     for (i, octet) in shape.owned.iter().enumerate() {
@@ -518,7 +518,7 @@ fn apply_delta(dp: &mut Dataplane, (which, action, bits, len): Delta) {
         1 => node.entries.push(FibEntry {
             prefix: Prefix::from_bits(bits, len),
             proto: RouteProtocol::Static,
-            next_hops: vec![],
+            next_hops: vec![].into(),
         }),
         2 => {
             node.entries.pop();
@@ -567,7 +567,7 @@ fn ring_dp(n: usize) -> Dataplane {
             fib.insert(FibEntry {
                 prefix: Prefix::from_bits(u32::from(Ipv4Addr::new(192, 168, j as u8, 0)), 24),
                 proto: RouteProtocol::Isis,
-                next_hops,
+                next_hops: next_hops.into(),
             });
         }
         let owned = BTreeSet::from([Ipv4Addr::new(192, 168, i as u8, 1)]);
@@ -744,7 +744,7 @@ proptest! {
                 1 => node.entries.push(FibEntry {
                     prefix: Prefix::from_bits(*bits, *len),
                     proto: RouteProtocol::Static,
-                    next_hops: vec![],
+                    next_hops: vec![].into(),
                 }),
                 _ => {
                     node.entries.pop();

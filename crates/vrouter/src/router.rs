@@ -53,7 +53,9 @@ pub struct VirtualRouter {
     config: DeviceConfig,
     state: RouterState,
     isis: Option<IsisEngine>,
-    bgp: Option<BgpEngine>,
+    /// Boxed: most routers of an IGP-only network run none, and should
+    /// not carry an engine's worth of empty tables inline.
+    bgp: Option<Box<BgpEngine>>,
     /// Candidate routes from every source and the IGP view over them.
     /// Persistent: each poll applies only what its sources changed.
     rib: Rib,
@@ -106,6 +108,11 @@ pub struct VirtualRouter {
     /// Per-prefix BGP decisions run (across routing-process restarts).
     pub bgp_prefix_decisions: u64,
 }
+
+// Every router of every emulation and fork holds one of these inline, BGP
+// or not: what a table gains (the FIB's set store) must come out of what is
+// boxed, so an IGP-only network never pays for it.
+const _: () = assert!(std::mem::size_of::<VirtualRouter>() <= 1384);
 
 /// `(gateway, prefix)` pairs, indexed both ways: the FIB entry at `prefix`
 /// was resolved by looking `gateway` up in the IGP view.
@@ -377,14 +384,14 @@ impl VirtualRouter {
             for n in &bgp_cfg.neighbors {
                 local_addrs.insert(n.peer, self.session_local_addr(n.peer, &n.update_source));
             }
-            BgpEngine::new(
+            Box::new(BgpEngine::new(
                 bgp_cfg,
                 router_id,
                 &local_addrs,
                 self.config.route_maps.clone(),
                 self.config.prefix_lists.clone(),
                 self.profile.quirks,
-            )
+            ))
         });
     }
 
@@ -741,19 +748,11 @@ impl VirtualRouter {
         let mut gateways = Vec::new();
         for prefix in prefixes {
             gateways.clear();
-            let entry = self.rib.resolve(prefix, &mut gateways);
+            if self.fib.patch(&self.rib, prefix, &mut gateways) {
+                changed = true;
+                self.changed_prefixes.insert(*prefix);
+            }
             self.gateways.set(*prefix, &gateways);
-            if self.fib.get(prefix) == entry.as_ref() {
-                continue;
-            }
-            changed = true;
-            self.changed_prefixes.insert(*prefix);
-            match entry {
-                Some(e) => self.fib.insert(e),
-                None => {
-                    self.fib.remove(prefix);
-                }
-            }
         }
         if changed {
             self.fib_version += 1;
@@ -854,7 +853,7 @@ impl VirtualRouter {
     }
 
     pub fn bgp_engine(&self) -> Option<&BgpEngine> {
-        self.bgp.as_ref()
+        self.bgp.as_deref()
     }
 }
 

@@ -218,4 +218,44 @@ if sed '/#\[cfg(test)\]/,$d' crates/emulator/src/engine.rs | grep -nF 'm.inc('; 
   exit 1
 fi
 
+echo "==> one copy per distinct set: handles not copies in the BGP engine and the FIB, both ceilings still there, the ledger's counts and pins unmoved"
+if sed '/#\[cfg(test)\]/,$d' crates/routing/src/bgp.rs | grep -nE 'BTreeMap<Prefix, BgpAttrs>|attrs: BgpAttrs'; then
+  echo "one-copy check FAILED: crates/routing/src/bgp.rs stores an attribute set by value (hold an Arc<BgpAttrs> from the engine's InternSet)" >&2
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/routing/src/rib.rs | grep -nE 'next_hops: Vec<FibNextHop>'; then
+  echo "one-copy check FAILED: crates/routing/src/rib.rs stores a next-hop set by value (FibEntry holds an Arc<[FibNextHop]> from the table's InternSet)" >&2
+  exit 1
+fi
+# By name, and counted: a renamed or deleted test would otherwise pass as "0 tests".
+cargo test -q -p mfv-routing --lib equal_attribute_sets_are_stored_once_and_the_store_stays_bounded | grep -q '1 passed' || {
+  echo "one-copy check FAILED: the bounded-intern-set test did not run and pass" >&2
+  exit 1
+}
+cargo test -q --test work_ceiling a_converged_wan_stores_each_distinct_set_once | grep -q '1 passed' || {
+  echo "one-copy check FAILED: the live-bytes-per-FIB-entry ceiling did not run and pass" >&2
+  exit 1
+}
+# The tracked ledger against the one it replaced (the newest committed
+# version that differs from it): every exact count and every answer pin must
+# agree. Its timing verdicts are one run on a guest that is noisy by the day
+# and are printed, not gated; the bounds are gated on paired runs.
+before=""
+for commit in $(git log --format=%H -- BENCH_pipeline.json 2>/dev/null || true); do
+  git show "$commit:BENCH_pipeline.json" >"$tmp/ledger_before.json"
+  if ! cmp -s "$tmp/ledger_before.json" BENCH_pipeline.json; then
+    before="$commit"
+    break
+  fi
+done
+if [ -n "$before" ]; then
+  cargo run --release --offline --quiet --manifest-path pipeline_bench/Cargo.toml -- \
+    --compare "$tmp/ledger_before.json" BENCH_pipeline.json >"$tmp/ledger_compare.txt" || true
+  grep -E 'FAIL$' "$tmp/ledger_compare.txt" || true
+  if grep -qE '!=|ids differ|missing on one side' "$tmp/ledger_compare.txt"; then
+    echo "one-copy check FAILED: BENCH_pipeline.json moved an exact count or an answer pin against $before" >&2
+    exit 1
+  fi
+fi
+
 echo "==> all checks passed"

@@ -11,7 +11,9 @@
 //! The same goes for a what-if cut and for extraction: a fork re-converges
 //! what the cut changed, not the network, and extraction holds one router's
 //! state tree at a time, not every router's — counted in events and in
-//! bytes this thread has live.
+//! bytes this thread has live. And a converged emulation stores each
+//! distinct attribute set and next-hop set once per table, not once per
+//! route — counted in live bytes per FIB entry.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -164,5 +166,27 @@ fn extraction_holds_one_routers_tree_at_a_time() {
     assert!(
         transient <= 3 * tree_bytes,
         "{transient} B transient for a {tree_bytes} B tree"
+    );
+}
+
+#[test]
+fn a_converged_wan_stores_each_distinct_set_once() {
+    // 100 routers, 12,010 FIB entries; every router's thousand-odd BGP
+    // routes carry some twenty attribute sets and leave through five or
+    // six next-hop sets. A copy per route held 1,275 live bytes per FIB
+    // entry here; a handle per route holds 742.
+    let snapshot = scenarios::regional_wan(5, 20);
+    let backend = EmulationBackend {
+        cluster_machines: 2,
+        ..EmulationBackend::with_seed(1)
+    };
+    let ((emu, meta), live, _) = heap_of(|| backend.run(&snapshot).expect("wan boots"));
+    assert!(meta.converged);
+    let entries = emu.dataplane().total_entries();
+    assert!(entries > 12_000);
+    assert!(
+        live <= 850 * entries,
+        "{} B live per FIB entry ({live} B, {entries} entries)",
+        live / entries
     );
 }
