@@ -6,6 +6,7 @@
 //! cargo run --release -p mfv-bench --bin experiments -- e1 e3   # subset
 //! cargo run --release -p mfv-bench --bin experiments -- --quick # smaller E4/E5
 //! cargo run --release -p mfv-bench --bin experiments -- heap 20 50 # where the 1,000-router heap is
+//! cargo run --release -p mfv-bench --bin experiments -- converge 20 50 # and where its convergence time goes
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -13,6 +14,7 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use mfv_bench::*;
+use mfv_core::obs::WallTimer;
 use mfv_core::{scenarios, unreachable_pairs_with, EmulationBackend, ForwardingAnalysis, Snapshot};
 use mfv_types::NodeId;
 use mfv_vrouter::VirtualRouter;
@@ -21,7 +23,7 @@ use mfv_vrouter::VirtualRouter;
 type Experiment = (&'static str, fn(bool));
 
 /// Every experiment, in run order.
-const EXPERIMENTS: [Experiment; 11] = [
+const EXPERIMENTS: [Experiment; 12] = [
     ("e1", |_| e1()),
     ("e2", |_| e2()),
     ("e3", |_| e3()),
@@ -33,6 +35,7 @@ const EXPERIMENTS: [Experiment; 11] = [
     ("a2", |_| a2()),
     ("a3", |_| a3()),
     ("heap", |_| heap()),
+    ("converge", |_| converge()),
 ];
 
 fn main() {
@@ -520,16 +523,23 @@ fn held_by<T>(f: impl FnOnce() -> T) -> (T, Held) {
     (out, (now.0 - before.0, now.1 - before.1))
 }
 
-/// `heap [regions per_region]`: the numbers on the command line size the WAN.
-fn heap() {
-    banner("HEAP", "what a converged emulation holds, piece by piece");
+/// The `regional_wan` the numbers on the command line size (`5 20` without
+/// any), and a seed-1 backend with the paper's packing: some sixty routers
+/// to a machine, 17 for 1,000.
+fn wan_from_args() -> (usize, usize, Snapshot, EmulationBackend) {
     let sizes: Vec<usize> = std::env::args().filter_map(|a| a.parse().ok()).collect();
     let regions = sizes.first().copied().unwrap_or(5);
     let per_region = sizes.get(1).copied().unwrap_or(20);
-    let snapshot = scenarios::regional_wan(regions, per_region);
-    // The paper's packing: some sixty routers to a machine, 17 for 1,000.
     let mut backend = EmulationBackend::with_seed(1);
     backend.cluster_machines = (regions * per_region).div_ceil(60);
+    let snapshot = scenarios::regional_wan(regions, per_region);
+    (regions, per_region, snapshot, backend)
+}
+
+/// `heap [regions per_region]`.
+fn heap() {
+    banner("HEAP", "what a converged emulation holds, piece by piece");
+    let (regions, per_region, snapshot, backend) = wan_from_args();
     let ((emu, meta), emulation) = held_by(|| backend.run(&snapshot).expect("wan boots"));
     assert!(meta.converged, "regional_wan({regions}, {per_region})");
     let nodes = snapshot.topology.nodes.iter();
@@ -575,4 +585,76 @@ fn heap() {
         let (attrs, fib, hops) = (attrs.len(), r.fib().len(), hops.len());
         println!("{role:<12} {name:>7} {selected:>9} {attrs:>10} {stored:>7} {fib:>12} {hops:>14}");
     }
+}
+
+/// `converge [regions per_region]`: the wall spans of one convergence run
+/// (always on, in the obs dump's `wall` section) against the run's wall
+/// time, and the work counters that say how often each thing was computed.
+fn converge() {
+    banner("CONVERGE", "where a convergence run's wall time goes");
+    let (regions, per_region, snapshot, backend) = wan_from_args();
+    let (emu, meta) = backend.run(&snapshot).expect("wan boots");
+    assert!(meta.converged, "regional_wan({regions}, {per_region})");
+    let obs = emu.export_obs();
+    let us = |phase: &str| obs.wall.phase_micros(phase).unwrap_or(0);
+    let run_us = us("boot") + us("flood") + us("converge");
+    let events = obs.metrics.counter("engine.events.processed");
+    println!(
+        "regional_wan({regions}, {per_region}), seed 1: {events} events, run {:.3} s, {:.2} us/event\n",
+        run_us as f64 / 1e6,
+        run_us as f64 / events.max(1) as f64
+    );
+
+    println!("span                         ms  % of run");
+    let row = |span: &str, micros: u64| {
+        let share = 100.0 * micros as f64 / run_us.max(1) as f64;
+        println!("{span:<22} {:>8.1} {share:>9.1}", micros as f64 / 1e3);
+    };
+    let window_loop = [
+        "converge.deliver_isis",
+        "converge.deliver_bgp",
+        "converge.poll",
+        "converge.other",
+        "converge.plan",
+        "converge.settle",
+    ];
+    for span in window_loop {
+        row(span, us(span));
+    }
+    row("sum", window_loop.iter().map(|span| us(span)).sum());
+    println!("inside converge.poll:");
+    for span in ["router.spf", "router.bgp", "router.fib"] {
+        row(span, us(span));
+    }
+
+    println!("\ncounter                              count");
+    for counter in [
+        "engine.polls.router",
+        "vrouter.spf.runs",
+        "vrouter.fib.patches",
+        "vrouter.fib.prefixes_resolved",
+        "fib.gateway_resolutions",
+        "bgp.prefix_decisions",
+        "bgp.liveness_lookups",
+        "bgp.export_computations",
+    ] {
+        println!("{counter:<30} {:>11}", obs.metrics.counter(counter));
+    }
+
+    // What the spans themselves cost: a lap is one clock reading, a router
+    // section a pair of them.
+    let laps = obs.wall.metrics.counter("converge.timer_laps");
+    let pairs = obs.wall.metrics.counter("router.timer_pairs");
+    let timer = WallTimer::start();
+    let mut sink = 0u64;
+    for _ in 0..1_000_000 {
+        sink = sink.wrapping_add(std::hint::black_box(WallTimer::start()).elapsed_nanos());
+    }
+    std::hint::black_box(sink);
+    let pair_ns = timer.elapsed_nanos() as f64 / 1e6;
+    println!(
+        "\nclock: a start/elapsed pair costs {pair_ns:.0} ns here; {laps} laps (half a pair each) \
+         and {pairs} pairs are {:.2} % of the run",
+        100.0 * pair_ns * (laps as f64 / 2.0 + pairs as f64) / 1e3 / run_us.max(1) as f64
+    );
 }

@@ -22,7 +22,7 @@ fn unknown_id_is_rejected_before_anything_runs() {
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("unknown experiment id `e9`"), "{stderr}");
     assert!(
-        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3 heap"),
+        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3 heap converge"),
         "valid ids missing: {stderr}"
     );
 }
@@ -202,5 +202,26 @@ fn heap_bgp_engines_hold_a_handle_per_route_not_a_copy() {
     assert!(
         stdout.contains("client       r00x01        12          4       4"),
         "{stdout}"
+    );
+}
+
+#[test]
+fn converge_prints_the_span_table_and_the_once_per_distinct_input_counters() {
+    assert_headlines(
+        &["converge", "3", "4"],
+        &[
+            "regional_wan(3, 4), seed 1: 2447 events",
+            "\nconverge.poll ",
+            "\nconverge.settle ",
+            "\nsum ",
+            "\nrouter.bgp ",
+            // 12 routers, 1,516 polls, 204 decisions: a lookup per session
+            // per IGP move, a resolution per gateway per batch, an export
+            // per group per scope prefix.
+            "engine.polls.router                   1516",
+            "fib.gateway_resolutions                 62",
+            "bgp.liveness_lookups                    42",
+            "bgp.export_computations                324",
+        ],
     );
 }

@@ -54,8 +54,8 @@ use crate::chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict};
 use crate::cluster::{Cluster, PodRequest, Unschedulable};
 use crate::inject::{synthetic_prefixes, ExternalPeer};
 use crate::shard::{
-    stream_seed, Ev, EvKey, EventKind, EventTally, ImpairWindow, LinkChange, Net, Owner, Shard,
-    CHURN_HISTORY, CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
+    stream_seed, Ev, EvKey, EventKind, EventTally, ImpairWindow, Laps, LinkChange, LoopWall, Net,
+    Owner, Shard, CHURN_HISTORY, CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
 };
 use crate::topology::Topology;
 
@@ -240,6 +240,8 @@ struct Global {
     journal: Journal,
     phases: SimPhases,
     wall: WallSection,
+    /// The coordinator's share of the window loop (`plan`, `settle`).
+    loop_wall: LoopWall,
     /// Conservative lookahead `W` in ms: min cross-shard link latency,
     /// capped at the 2 ms BGP floor. Latencies are clamped ≥ 1 at build.
     lookahead_ms: u64,
@@ -453,6 +455,7 @@ impl Emulation {
             journal: Journal::new(),
             phases: SimPhases::new(),
             wall: WallSection::new(),
+            loop_wall: LoopWall::default(),
             lookahead_ms: 2,
             windows: 0,
             windows_multi_shard: 0,
@@ -1035,15 +1038,18 @@ fn drive(
     converge: bool,
     mut wall: Option<&mut WallProgress>,
 ) -> bool {
+    let mut laps = Laps::start();
     loop {
-        match plan(glob, net, shards, deadline, converge) {
+        let planned = plan(glob, net, shards, deadline, converge);
+        glob.loop_wall.plan += laps.lap();
+        match planned {
             Plan::Run(ends) => {
                 let mut due = 0u64;
                 let mut events = 0u64;
                 for (shard, &end) in shards.iter_mut().zip(&ends) {
                     if shard.next_due().is_some_and(|d| d < end) {
                         let before = shard.events_processed;
-                        shard.run_window(net, end);
+                        shard.run_window(net, end, &mut laps);
                         due += 1;
                         events += shard.events_processed - before;
                     }
@@ -1054,6 +1060,7 @@ fn drive(
                     glob.events_multi_shard += events;
                 }
                 settle(glob, net, shards, &ends, deadline);
+                glob.loop_wall.settle += laps.lap();
                 if let Some(wp) = wall.as_deref_mut() {
                     mark_wall(glob, wp);
                 }

@@ -7,6 +7,7 @@ use mfv_types::SimTime;
 use mfv_vrouter::VirtualRouter;
 
 use super::Emulation;
+use crate::shard::LoopWall;
 
 impl Emulation {
     /// Flushes the engine's plain-field counters — plus per-router
@@ -85,7 +86,22 @@ impl Emulation {
             "vrouter.igp.delta_prefixes",
             total(|r| r.igp_delta_prefixes),
         );
-        m.inc("bgp.prefix_decisions", total(|r| r.bgp_prefix_decisions));
+        m.inc(
+            "fib.gateway_resolutions",
+            total(|r| r.fib_gateway_resolutions),
+        );
+        m.inc(
+            "bgp.prefix_decisions",
+            total(|r| r.bgp_work.prefix_decisions),
+        );
+        m.inc(
+            "bgp.liveness_lookups",
+            total(|r| r.bgp_work.liveness_lookups),
+        );
+        m.inc(
+            "bgp.export_computations",
+            total(|r| r.bgp_work.export_computations),
+        );
         m.inc(
             "vrouter.bgp.session_transitions",
             total(VirtualRouter::bgp_session_transitions),
@@ -100,6 +116,33 @@ impl Emulation {
         obs.phases = self.glob.phases.clone();
         obs.journal = self.merged_journal();
         obs.wall = self.glob.wall.clone();
+        // Where the window loop's wall time went, and — nested inside
+        // `converge.poll` — the three router sections that can be long.
+        let lw = |field: fn(&LoopWall) -> u64| {
+            field(&self.glob.loop_wall)
+                + self.shards.iter().map(|s| field(&s.loop_wall)).sum::<u64>()
+        };
+        for (phase, ns) in [
+            ("converge.deliver_isis", lw(|w| w.deliver_isis)),
+            ("converge.deliver_bgp", lw(|w| w.deliver_bgp)),
+            ("converge.poll", lw(|w| w.poll)),
+            ("converge.other", lw(|w| w.other)),
+            ("converge.plan", lw(|w| w.plan)),
+            ("converge.settle", lw(|w| w.settle)),
+            ("router.spf", total(|r| r.wall.spf_ns)),
+            ("router.bgp", total(|r| r.wall.bgp_ns)),
+            ("router.fib", total(|r| r.wall.fib_ns)),
+        ] {
+            obs.wall.add_phase(phase, ns / 1_000);
+        }
+        // What taking them cost: a lap per work item and two per window,
+        // a timer pair per router section.
+        let items: u64 = self.shards.iter().map(|s| s.events_processed).sum();
+        let laps = items + 2 * self.glob.windows;
+        obs.wall.metrics.inc("converge.timer_laps", laps);
+        obs.wall
+            .metrics
+            .inc("router.timer_pairs", total(|r| r.wall.pairs));
         obs
     }
 

@@ -36,7 +36,7 @@ use bytes::Bytes;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use mfv_obs::{Hist, Journal};
+use mfv_obs::{Hist, Journal, WallTimer};
 use mfv_types::{IfaceRef, Interner, NodeRef, Prefix, SimDuration, SimTime};
 use mfv_vrouter::{RouterEvent, VendorProfile, VirtualRouter};
 
@@ -157,6 +157,54 @@ pub(crate) struct ImpairWindow {
     pub from: SimTime,
     pub until: SimTime,
     pub spec: ImpairSpec,
+}
+
+/// One wall-clock reading sequence cut into consecutive laps: each reading
+/// closes a lap and opens the next, so timing every work item of a run
+/// costs one clock read per item.
+pub(crate) struct Laps {
+    timer: WallTimer,
+    last_ns: u64,
+}
+
+impl Laps {
+    pub fn start() -> Laps {
+        Laps {
+            timer: WallTimer::start(),
+            last_ns: 0,
+        }
+    }
+
+    /// Nanoseconds since the previous reading.
+    pub fn lap(&mut self) -> u64 {
+        let now_ns = self.now_ns();
+        let lap = now_ns.saturating_sub(self.last_ns);
+        self.last_ns = now_ns;
+        lap
+    }
+
+    /// A reading that closes no lap: the stopwatch routers time their poll
+    /// sections on.
+    pub fn now_ns(&self) -> u64 {
+        self.timer.elapsed_nanos()
+    }
+}
+
+/// Wall nanoseconds of the window loop by what they went to: the shards
+/// fill in the work-item classes, the coordinator `plan` and `settle`.
+/// Summed at `export_obs` into the quarantined wall section; nothing in
+/// the emulation reads them.
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct LoopWall {
+    pub deliver_isis: u64,
+    pub deliver_bgp: u64,
+    /// Router and external-peer polls.
+    pub poll: u64,
+    /// Every other work item: pod boots, restarts, chaos replicas,
+    /// deliveries to external peers.
+    pub other: u64,
+    pub plan: u64,
+    pub settle: u64,
 }
 
 /// Plain-field execution counters, one per event kind plus the impairment
@@ -311,6 +359,7 @@ pub(crate) struct Shard {
     /// order-independently, by the oscillation post-mortem.
     pub churn: BTreeMap<Prefix, VecDeque<(SimTime, u32)>>,
     pub tally: EventTally,
+    pub loop_wall: LoopWall,
     pub journal: Journal,
     pub wake_depth: Hist,
     pub last_activity: SimTime,
@@ -370,6 +419,7 @@ impl Shard {
             churn_from: None,
             churn: BTreeMap::new(),
             tally: EventTally::default(),
+            loop_wall: LoopWall::default(),
             journal: Journal::new(),
             wake_depth: Hist::new(),
             last_activity: SimTime::ZERO,
@@ -706,14 +756,14 @@ impl Shard {
         }
     }
 
-    fn poll_router(&mut self, net: &Net, node: NodeRef) {
+    fn poll_router(&mut self, net: &Net, node: NodeRef, laps: &Laps) {
         let now = self.now;
         self.tally.router_polls += 1;
         let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) else {
             return;
         };
         let v_before = router.fib_version();
-        let events = router.poll(now);
+        let events = router.poll_timed(now, &|| laps.now_ns());
         let v_after = router.fib_version();
         let wakeup = router.next_wakeup(now);
         let changed = router.take_changed_prefixes();
@@ -911,8 +961,9 @@ impl Shard {
 
     /// Processes every work item with instant `< end` in deterministic
     /// order: earliest instant first; at equal instants the heap wins
-    /// (content-keyed order), then router wakes, then external wakes.
-    pub fn run_window(&mut self, net: &Net, end: SimTime) {
+    /// (content-keyed order), then router wakes, then external wakes. Each
+    /// item's lap of `laps` is charged to its class in `loop_wall`.
+    pub fn run_window(&mut self, net: &Net, end: SimTime, laps: &mut Laps) {
         loop {
             let heap_t = self.events.peek().map(|Reverse(ev)| ev.key.time);
             let wake_t = self.wake.iter().next().map(|&(t, _)| t);
@@ -926,8 +977,14 @@ impl Shard {
                 return;
             }
             self.now = t;
+            let mut spent: fn(&mut LoopWall) -> &mut u64 = |w| &mut w.poll;
             if heap_t == Some(t) {
                 if let Some(Reverse(ev)) = self.events.pop() {
+                    spent = match ev.kind {
+                        EventKind::DeliverIsis { .. } => |w| &mut w.deliver_isis,
+                        EventKind::DeliverBgp { .. } => |w| &mut w.deliver_bgp,
+                        _ => |w| &mut w.other,
+                    };
                     self.handle(net, ev.kind);
                 }
             } else if wake_t == Some(t) {
@@ -936,7 +993,7 @@ impl Shard {
                     if let Some(slot) = self.next_poll.get_mut(node.index()) {
                         *slot = None;
                     }
-                    self.poll_router(net, node);
+                    self.poll_router(net, node, laps);
                 }
             } else if let Some(&(wt, idx)) = self.ext_wake.iter().next() {
                 self.ext_wake.remove(&(wt, idx));
@@ -945,6 +1002,7 @@ impl Shard {
                 }
                 self.poll_external(net, idx);
             }
+            *spent(&mut self.loop_wall) += laps.lap();
             self.events_processed += 1;
             self.wake_depth
                 .record((self.wake.len() + self.ext_wake.len()) as u64);

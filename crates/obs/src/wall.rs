@@ -36,6 +36,13 @@ impl WallTimer {
     pub fn elapsed_micros(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
+
+    /// Nanoseconds since `start()`, saturating at `u64::MAX`: for sections
+    /// entered a million times a run and shorter than a microsecond each,
+    /// summed by the caller and converted once.
+    pub fn elapsed_nanos(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 /// Wall-clock observations: per-phase elapsed time plus any wall-derived

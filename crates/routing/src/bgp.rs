@@ -24,6 +24,12 @@ use crate::rib::{keyed_inside, NextHop, RibRoute};
 
 /// Resolves protocol next hops against the IGP/connected routing state.
 /// Implemented by the router shell over its current RIB.
+///
+/// Contract: between two calls of [`BgpEngine::next_hops_moved`] the answer
+/// for an address does not change, and a call changes it only for addresses
+/// inside a prefix it names. The engine therefore asks once per address —
+/// per session for transport liveness, per next hop and batch for decisions
+/// — and keeps the answer until a move covers the address.
 pub trait NextHopResolver {
     /// The IGP cost to reach `ip`, or `None` if unreachable. Resolution via
     /// the default route does not count (standard BGP behaviour).
@@ -38,6 +44,11 @@ impl NextHopResolver for TableResolver {
     fn igp_metric(&self, ip: Ipv4Addr) -> Option<u32> {
         self.0.get(&ip).copied()
     }
+}
+
+/// Transport liveness: whether the IGP view has a route to `peer`.
+fn reaches(resolver: &dyn NextHopResolver, peer: Ipv4Addr) -> bool {
+    resolver.igp_metric(peer).is_some()
 }
 
 /// Vendor-behaviour knobs for the decision process.
@@ -82,6 +93,17 @@ impl SessionConfig {
     pub fn is_ebgp(&self, local_as: AsNum) -> bool {
         self.remote_as != local_as
     }
+
+    fn export_key(&self, local_as: AsNum) -> ExportKey {
+        ExportKey {
+            ebgp: self.is_ebgp(local_as),
+            rr_client: self.rr_client,
+            next_hop_self: self.next_hop_self,
+            send_community: self.send_community,
+            route_map_out: self.route_map_out.clone(),
+            local_addr: self.local_addr,
+        }
+    }
 }
 
 /// BGP finite-state-machine states (condensed: Connect/Active are folded
@@ -116,7 +138,11 @@ struct Session {
     /// `(next hop, prefix)` for every Adj-RIB-In entry: which prefixes'
     /// decisions an IGP change at some address can move.
     by_next_hop: BTreeSet<(Ipv4Addr, Prefix)>,
-    rib_out: BTreeMap<Prefix, Arc<BgpAttrs>>,
+    /// Index of the session's [`ExportGroup`], which holds its Adj-RIB-Out.
+    group: usize,
+    /// Whether the IGP view reaches the peer (transport liveness); `None`
+    /// until asked, and again once an IGP move covers the peer's address.
+    reachable: Option<bool>,
     /// FSM state changes since the engine was built — the per-session churn
     /// signal the observability layer aggregates.
     transitions: u64,
@@ -134,9 +160,11 @@ struct Session {
 }
 
 impl Session {
-    fn new(cfg: SessionConfig) -> Session {
+    fn new(cfg: SessionConfig, group: usize) -> Session {
         Session {
             cfg,
+            group,
+            reachable: None,
             state: SessionState::Idle,
             hold_time: SimDuration::from_secs(90),
             last_rx: SimTime::ZERO,
@@ -144,7 +172,6 @@ impl Session {
             retry_at: SimTime::ZERO,
             rib_in: BTreeMap::new(),
             by_next_hop: BTreeSet::new(),
-            rib_out: BTreeMap::new(),
             transitions: 0,
             open_seen: false,
             early_keepalive: false,
@@ -168,9 +195,10 @@ impl Session {
         self.flush()
     }
 
-    /// Empties both Adj-RIBs; returns the prefixes that had a route in.
+    /// Empties the Adj-RIB-In; returns the prefixes that had a route in.
+    /// (The Adj-RIB-Out is the group's: a session that is not in sync sees
+    /// none of it, and gets the whole table when it next establishes.)
     fn flush(&mut self) -> Vec<Prefix> {
-        self.rib_out.clear();
         self.by_next_hop.clear();
         std::mem::take(&mut self.rib_in).into_keys().collect()
     }
@@ -187,6 +215,76 @@ impl Session {
         if let Some(old) = self.rib_in.remove(prefix) {
             self.by_next_hop.remove(&(old.attrs.next_hop, *prefix));
         }
+    }
+}
+
+/// Everything about a session that shapes what it is sent, the peer's own
+/// address aside. Sessions equal in it form one export group (BIRD's and
+/// FRR's update groups): they want the same advertisement for a route,
+/// except that the peer a route was learned from gets none.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct ExportKey {
+    ebgp: bool,
+    rr_client: bool,
+    next_hop_self: bool,
+    send_community: bool,
+    route_map_out: Option<String>,
+    local_addr: Ipv4Addr,
+}
+
+/// What a group advertises for one prefix.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct Advert {
+    attrs: Arc<BgpAttrs>,
+    /// The peer the route came from: the one member that is sent nothing.
+    learned_from: Option<Ipv4Addr>,
+}
+
+impl Advert {
+    /// The attributes `viewer` is sent, if any (`None` views as a member
+    /// no route was learned from).
+    fn seen_by(entry: Option<&Advert>, viewer: Option<Ipv4Addr>) -> Option<&Arc<BgpAttrs>> {
+        entry
+            .filter(|e| viewer.is_none() || e.learned_from != viewer)
+            .map(|e| &e.attrs)
+    }
+}
+
+/// One Adj-RIB-Out for all sessions with the same [`ExportKey`]. Current —
+/// the export of the whole selection — while a member is in sync; a member
+/// sees the entries not learned from itself.
+#[derive(Clone)]
+struct ExportGroup {
+    key: ExportKey,
+    table: BTreeMap<Prefix, Advert>,
+}
+
+/// A group entry that moved in one poll.
+struct Change {
+    prefix: Prefix,
+    old: Option<Advert>,
+    new: Option<Advert>,
+}
+
+/// Exact work counts of an engine, handed to its owner by
+/// [`BgpEngine::take_work`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct BgpWork {
+    /// Per-prefix decisions run.
+    pub prefix_decisions: u64,
+    /// Times a session asked the resolver whether its peer is reachable.
+    pub liveness_lookups: u64,
+    /// Prefixes whose advertisement was worked out, summed over export
+    /// groups: a poll's scope for every group with a member in sync, the
+    /// whole selection for a group whose first member establishes.
+    pub export_computations: u64,
+}
+
+impl std::ops::AddAssign for BgpWork {
+    fn add_assign(&mut self, other: BgpWork) {
+        self.prefix_decisions += other.prefix_decisions;
+        self.liveness_lookups += other.liveness_lookups;
+        self.export_computations += other.export_computations;
     }
 }
 
@@ -254,6 +352,8 @@ pub struct BgpEngine {
     max_paths: u8,
     quirks: DecisionQuirks,
     sessions: BTreeMap<Ipv4Addr, Session>,
+    /// The Adj-RIB-Outs, one per distinct export policy among the sessions.
+    groups: Vec<ExportGroup>,
     /// Every distinct attribute set this engine holds, stored once: the
     /// Adj-RIBs, the originations and the selection hold handles into it.
     attr_sets: InternSet<Arc<BgpAttrs>>,
@@ -273,8 +373,7 @@ pub struct BgpEngine {
     /// Prefixes whose selection changed, accumulated for the owner (RIB
     /// and FIB patching).
     selection_delta: BTreeSet<Prefix>,
-    /// Per-prefix decisions run since the engine was built.
-    prefix_decisions: u64,
+    work: BgpWork,
     /// Peers whose sessions (re-)established: they need the full table
     /// advertised, without forcing a global recomputation.
     full_advert_peers: BTreeSet<Ipv4Addr>,
@@ -293,25 +392,30 @@ impl BgpEngine {
         quirks: DecisionQuirks,
     ) -> BgpEngine {
         let mut sessions = BTreeMap::new();
+        let mut groups: Vec<ExportGroup> = Vec::new();
         for n in &cfg.neighbors {
             let local_addr = session_local_addrs
                 .get(&n.peer)
                 .copied()
                 .unwrap_or(Ipv4Addr::UNSPECIFIED);
-            sessions.insert(
-                n.peer,
-                Session::new(SessionConfig {
-                    peer: n.peer,
-                    remote_as: n.remote_as,
-                    local_addr,
-                    next_hop_self: n.next_hop_self,
-                    send_community: n.send_community,
-                    route_map_in: n.route_map_in.clone(),
-                    route_map_out: n.route_map_out.clone(),
-                    rr_client: n.rr_client,
-                    shutdown: n.shutdown,
-                }),
-            );
+            let scfg = SessionConfig {
+                peer: n.peer,
+                remote_as: n.remote_as,
+                local_addr,
+                next_hop_self: n.next_hop_self,
+                send_community: n.send_community,
+                route_map_in: n.route_map_in.clone(),
+                route_map_out: n.route_map_out.clone(),
+                rr_client: n.rr_client,
+                shutdown: n.shutdown,
+            };
+            let key = scfg.export_key(cfg.asn);
+            let group = groups.iter().position(|g| g.key == key).unwrap_or_else(|| {
+                let table = BTreeMap::new();
+                groups.push(ExportGroup { key, table });
+                groups.len() - 1
+            });
+            sessions.insert(n.peer, Session::new(scfg, group));
         }
         BgpEngine {
             local_as: cfg.asn,
@@ -322,6 +426,7 @@ impl BgpEngine {
             max_paths: cfg.max_paths.max(1),
             quirks,
             sessions,
+            groups,
             attr_sets: InternSet::default(),
             originated: BTreeMap::new(),
             route_maps,
@@ -331,7 +436,7 @@ impl BgpEngine {
             selected: BTreeMap::new(),
             dirty: BTreeSet::new(),
             selection_delta: BTreeSet::new(),
-            prefix_decisions: 0,
+            work: BgpWork::default(),
             full_advert_peers: BTreeSet::new(),
         }
     }
@@ -361,11 +466,17 @@ impl BgpEngine {
     /// Tells the engine the IGP view changed at `prefixes`: what
     /// [`NextHopResolver::igp_metric`] answers can differ only for
     /// addresses inside one of them, so exactly the prefixes with a
-    /// received route whose next hop lies there are decided again.
+    /// received route whose next hop lies there are decided again, and
+    /// exactly the sessions whose peer lies there ask again whether it is
+    /// reachable.
     pub fn next_hops_moved<'a>(&mut self, prefixes: impl IntoIterator<Item = &'a Prefix>) {
         for moved in prefixes {
             for session in self.sessions.values() {
                 self.dirty.extend(keyed_inside(&session.by_next_hop, moved));
+            }
+            let inside = Ipv4Addr::from(moved.first())..=Ipv4Addr::from(moved.last());
+            for (_, session) in self.sessions.range_mut(inside) {
+                session.reachable = None;
             }
         }
     }
@@ -600,9 +711,15 @@ impl BgpEngine {
         resolver: &dyn NextHopResolver,
     ) -> Vec<(Ipv4Addr, BgpMsg)> {
         // 1. Session liveness: hold timer + transport reachability.
-        let peers: Vec<Ipv4Addr> = self.sessions.keys().copied().collect();
-        for peer in &peers {
-            let s = self.sessions.get_mut(peer).unwrap();
+        let Self {
+            sessions,
+            dirty,
+            out,
+            work,
+            ..
+        } = self;
+        let (retry, keepalive) = (self.retry, self.keepalive);
+        for (peer, s) in sessions.iter_mut() {
             if s.cfg.shutdown {
                 continue;
             }
@@ -610,18 +727,26 @@ impl BgpEngine {
             // TCP session down. Without this, updates enqueued while the
             // peer is unreachable would be silently lost although the
             // Adj-RIB-Out believes them delivered.
-            let peer_reachable = resolver.igp_metric(s.cfg.peer).is_some();
+            let peer_reachable = *s.reachable.get_or_insert_with(|| {
+                work.liveness_lookups += 1;
+                reaches(resolver, *peer)
+            });
+            debug_assert_eq!(
+                peer_reachable,
+                reaches(resolver, *peer),
+                "the IGP view moved at {peer} unannounced"
+            );
             if s.state != SessionState::Idle {
                 let hold_expired = now.since(s.last_rx) > s.hold_time;
                 if hold_expired || !peer_reachable {
-                    self.dirty.extend(s.reset(now, self.retry));
+                    dirty.extend(s.reset(now, retry));
                     continue;
                 }
                 if s.state == SessionState::Established
-                    && now.since(s.last_keepalive_tx) >= self.keepalive
+                    && now.since(s.last_keepalive_tx) >= keepalive
                 {
                     s.last_keepalive_tx = now;
-                    self.out.push_back((*peer, BgpMsg::Keepalive));
+                    out.push_back((*peer, BgpMsg::Keepalive));
                 }
             } else if now >= s.retry_at {
                 if peer_reachable {
@@ -633,21 +758,20 @@ impl BgpEngine {
                     );
                     s.set_state(SessionState::OpenSent);
                     s.last_rx = now; // arm hold timer from the attempt
-                    s.retry_at = now + self.retry;
-                    self.out.push_back((*peer, BgpMsg::Open(our_open)));
+                    s.retry_at = now + retry;
+                    out.push_back((*peer, BgpMsg::Open(our_open)));
                 } else {
                     // No transport to the peer yet: re-arm the retry timer
                     // so the wakeup schedule stays coarse.
-                    s.retry_at = now + self.retry;
+                    s.retry_at = now + retry;
                 }
             }
             // OpenSent/OpenConfirm retry: if stuck past retry interval, fall
             // back to Idle so we re-OPEN (covers lost messages).
-            let s = self.sessions.get_mut(peer).unwrap();
             if matches!(s.state, SessionState::OpenSent | SessionState::OpenConfirm)
-                && now.since(s.last_rx) > self.retry.saturating_mul(5)
+                && now.since(s.last_rx) > retry.saturating_mul(5)
             {
-                self.dirty.extend(s.reset(now, self.retry));
+                dirty.extend(s.reset(now, retry));
             }
         }
 
@@ -718,16 +842,46 @@ impl BgpEngine {
         self.attr_sets.stored()
     }
 
-    /// Introspection: per-neighbor summaries.
+    /// Introspection: how many Adj-RIB-Outs the engine keeps — one per
+    /// distinct export policy among its sessions, however many sessions.
+    pub fn export_groups(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The peers whose remembered reachability is not what `resolver` says
+    /// now — none, as long as every IGP move was announced through
+    /// [`next_hops_moved`](Self::next_hops_moved). The reference the
+    /// per-move liveness is held to: an engine that asked on every poll
+    /// would act on the fresh answers.
+    pub fn stale_liveness(&self, resolver: &dyn NextHopResolver) -> Vec<Ipv4Addr> {
+        let known = self
+            .sessions
+            .iter()
+            .filter_map(|(p, s)| Some((*p, s.reachable?)));
+        known
+            .filter(|(peer, reachable)| *reachable != reaches(resolver, *peer))
+            .map(|(peer, _)| peer)
+            .collect()
+    }
+
+    /// Introspection: per-neighbor summaries. `prefixes_sent` counts the
+    /// entries of the group's Adj-RIB-Out the peer sees, and is 0 for a
+    /// session that is not in sync with it.
     pub fn summaries(&self) -> Vec<NeighborSummary> {
         self.sessions
-            .values()
-            .map(|s| NeighborSummary {
-                peer: s.cfg.peer,
-                remote_as: s.cfg.remote_as,
-                state: s.state,
-                prefixes_received: s.rib_in.len(),
-                prefixes_sent: s.rib_out.len(),
+            .iter()
+            .map(|(peer, s)| {
+                let in_sync =
+                    s.state == SessionState::Established && !self.full_advert_peers.contains(peer);
+                let table = self.groups[s.group].table.values();
+                let seen = table.filter(|a| a.learned_from != Some(*peer));
+                NeighborSummary {
+                    peer: *peer,
+                    remote_as: s.cfg.remote_as,
+                    state: s.state,
+                    prefixes_received: s.rib_in.len(),
+                    prefixes_sent: if in_sync { seen.count() } else { 0 },
+                }
             })
             .collect()
     }
@@ -736,8 +890,15 @@ impl BgpEngine {
         self.sessions.get(&peer).map(|s| s.state)
     }
 
-    /// One candidate path for a prefix.
-    fn gather_candidates(&self, prefix: &Prefix, resolver: &dyn NextHopResolver) -> Vec<Candidate> {
+    /// The candidate paths for a prefix. `igp_costs` holds what the resolver
+    /// answered for each next hop earlier in the same batch of decisions:
+    /// the IGP view cannot move inside one, so each next hop is asked once.
+    fn gather_candidates(
+        &self,
+        prefix: &Prefix,
+        resolver: &dyn NextHopResolver,
+        igp_costs: &mut BTreeMap<Ipv4Addr, Option<u32>>,
+    ) -> Vec<Candidate> {
         let mut cands = Vec::new();
         if let Some(attrs) = self.originated.get(prefix) {
             cands.push(Candidate {
@@ -757,7 +918,11 @@ impl BgpEngine {
                 continue;
             };
             // Next hop must resolve through the IGP (not default).
-            let Some(igp_metric) = resolver.igp_metric(entry.attrs.next_hop) else {
+            let next_hop = entry.attrs.next_hop;
+            let cost = igp_costs
+                .entry(next_hop)
+                .or_insert_with(|| resolver.igp_metric(next_hop));
+            let Some(igp_metric) = *cost else {
                 continue;
             };
             cands.push(Candidate {
@@ -865,9 +1030,10 @@ impl BgpEngine {
 
     /// Recomputes the decision for the `scope` prefixes.
     fn run_decision(&mut self, resolver: &dyn NextHopResolver, scope: &BTreeSet<Prefix>) {
-        self.prefix_decisions += scope.len() as u64;
+        self.work.prefix_decisions += scope.len() as u64;
+        let mut igp_costs = BTreeMap::new();
         for prefix in scope {
-            let cands = self.gather_candidates(prefix, resolver);
+            let cands = self.gather_candidates(prefix, resolver, &mut igp_costs);
             let changed = match self.select_best(*prefix, cands) {
                 Some(route) if self.selected.get(prefix) == Some(&route) => false,
                 Some(route) => {
@@ -890,9 +1056,11 @@ impl BgpEngine {
         for session in self.sessions.values() {
             all.extend(session.rib_in.keys().copied());
         }
+        let mut igp_costs = BTreeMap::new();
         all.into_iter()
             .filter_map(|p| {
-                let route = self.select_best(p, self.gather_candidates(&p, resolver))?;
+                let cands = self.gather_candidates(&p, resolver, &mut igp_costs);
+                let route = self.select_best(p, cands)?;
                 Some((p, route))
             })
             .collect()
@@ -904,60 +1072,62 @@ impl BgpEngine {
         std::mem::take(&mut self.selection_delta)
     }
 
-    /// Per-prefix decisions run since the engine was built (the work
-    /// counter behind `bgp.prefix_decisions`).
-    pub fn prefix_decisions(&self) -> u64 {
-        self.prefix_decisions
+    /// Hands the work done since the last call to the owner (it is behind
+    /// the `bgp.*` counters of the obs dump).
+    pub fn take_work(&mut self) -> BgpWork {
+        std::mem::take(&mut self.work)
     }
 
-    /// The attributes this session should advertise for `route`, or `None`
-    /// when export rules / policy suppress it.
-    fn advert_attrs(
+    /// Whether the next poll has decisions to run or a table to send: the
+    /// part of a poll worth timing.
+    pub fn has_pending_work(&self) -> bool {
+        !self.dirty.is_empty() || !self.full_advert_peers.is_empty()
+    }
+
+    /// What the sessions of the group keyed `key` advertise for `route`
+    /// (all but the peer it was learned from), or `None` when export rules
+    /// or policy suppress it.
+    fn export(
         route: &SelectedRoute,
-        scfg: &SessionConfig,
+        key: &ExportKey,
         from_client: bool,
         local_as: AsNum,
         route_maps: &BTreeMap<String, RouteMap>,
         prefix_lists: &BTreeMap<String, PrefixList>,
     ) -> Option<BgpAttrs> {
-        // Never advertise back to the peer we learned it from.
-        if route.learned_from == Some(scfg.peer) {
-            return None;
-        }
-        let ebgp_peer = scfg.is_ebgp(local_as);
         // iBGP split horizon: iBGP-learned routes go to iBGP peers only when
         // reflection applies.
-        if !ebgp_peer && route.learned_from.is_some() && !route.ebgp {
-            let to_client = scfg.rr_client;
+        if !key.ebgp && route.learned_from.is_some() && !route.ebgp {
+            let to_client = key.rr_client;
             if !from_client && !to_client {
                 return None;
             }
         }
 
         let mut attrs = BgpAttrs::clone(&route.attrs);
-        if ebgp_peer {
+        if key.ebgp {
             attrs.as_path = attrs.as_path.prepend(local_as);
             attrs.local_pref = None;
             attrs.med = None;
-            attrs.next_hop = scfg.local_addr;
+            attrs.next_hop = key.local_addr;
         } else {
             attrs.local_pref = Some(attrs.local_pref.unwrap_or(100));
             // `next-hop-self` rewrites eBGP-learned routes advertised into
             // iBGP (the vendor default); *reflected* iBGP routes keep the
             // originator's next hop, so a route reflector never inserts
             // itself into the forwarding path of its clients.
-            if route.learned_from.is_none() || (scfg.next_hop_self && route.ebgp) {
-                attrs.next_hop = scfg.local_addr;
+            if route.learned_from.is_none() || (key.next_hop_self && route.ebgp) {
+                attrs.next_hop = key.local_addr;
             }
         }
         if attrs.next_hop == Ipv4Addr::UNSPECIFIED {
-            attrs.next_hop = scfg.local_addr;
+            attrs.next_hop = key.local_addr;
         }
-        if !scfg.send_community {
+        if !key.send_community {
             attrs.communities.clear();
         }
 
-        match &scfg.route_map_out {
+        match &key.route_map_out {
             Some(name) => match route_maps.get(name) {
                 Some(rm) => match eval_route_map(rm, prefix_lists, &route.prefix, &attrs) {
                     PolicyResult::Permit(a) => Some(a),
@@ -970,132 +1140,195 @@ impl BgpEngine {
         }
     }
 
-    /// Diffs the desired advertisements against each session's Adj-RIB-Out
-    /// and queues UPDATE messages, scoped to the changed prefixes.
+    /// Brings every Adj-RIB-Out in use in line with the selection — one
+    /// export per group and `scope` prefix, diffed against the group's
+    /// table — and queues UPDATE messages, sessions in address order: a
+    /// member in sync gets what moved, one in `full_advert` (newly
+    /// established) the whole table, each minus the routes learned from it.
     fn generate_updates(&mut self, scope: &BTreeSet<Prefix>, full_advert: &BTreeSet<Ipv4Addr>) {
+        let Self {
+            sessions,
+            groups,
+            selected,
+            attr_sets,
+            route_maps,
+            prefix_lists,
+            out,
+            work,
+            ..
+        } = self;
         let local_as = self.local_as;
-        let route_maps = std::mem::take(&mut self.route_maps);
-        let prefix_lists = std::mem::take(&mut self.prefix_lists);
-
-        let prefixes: Vec<Prefix> = scope.iter().copied().collect();
-
-        // RR-client provenance resolver (cheap per-route lookup).
-        let rr_clients: BTreeSet<Ipv4Addr> = self
-            .sessions
-            .values()
-            .filter(|s| s.cfg.rr_client)
-            .map(|s| s.cfg.peer)
-            .collect();
-        let from_client = |route: &SelectedRoute| {
-            route
-                .learned_from
-                .map(|p| rr_clients.contains(&p))
-                .unwrap_or(false)
-        };
-
-        let selected = std::mem::take(&mut self.selected);
-        // A freshly-established session needs its full Adj-RIB-Out computed,
-        // not just the changed prefixes.
-        let full_universe: Vec<Prefix> = if full_advert.is_empty() {
-            Vec::new()
-        } else {
-            selected.keys().copied().collect()
-        };
-        for session in self.sessions.values_mut() {
-            if session.state != SessionState::Established {
-                continue;
-            }
-            let scfg = session.cfg.clone();
-            let prefixes: &Vec<Prefix> = if full_advert.contains(&scfg.peer) {
-                &full_universe
-            } else {
-                &prefixes
-            };
-
-            let mut withdrawals: Vec<Prefix> = Vec::new();
-            let mut announcements: Vec<(Prefix, Arc<BgpAttrs>)> = Vec::new();
-            for prefix in prefixes {
-                let want = selected.get(prefix).and_then(|route| {
-                    Self::advert_attrs(
-                        route,
-                        &scfg,
-                        from_client(route),
-                        local_as,
-                        &route_maps,
-                        &prefix_lists,
-                    )
-                });
-                match (want, session.rib_out.get(prefix)) {
-                    (None, Some(_)) => withdrawals.push(*prefix),
-                    (Some(attrs), prev) if prev.map(|p| &**p) != Some(&attrs) => {
-                        announcements.push((*prefix, self.attr_sets.intern(attrs)));
-                    }
-                    _ => {}
-                }
-            }
-
-            if !withdrawals.is_empty() {
-                for p in &withdrawals {
-                    session.rib_out.remove(p);
-                }
-                for chunk in withdrawals.chunks(2000) {
-                    self.out.push_back((
-                        scfg.peer,
-                        BgpMsg::Update(UpdateMsg::withdraw(chunk.to_vec())),
-                    ));
-                }
-            }
-            // RFC 4271 packing: prefixes sharing identical attributes ride
-            // in one UPDATE. Essential at production-route scale — a
-            // million-route feed is a few thousand messages, not a million.
-            let mut grouped: BTreeMap<Arc<BgpAttrs>, Vec<Prefix>> = BTreeMap::new();
-            for (prefix, attrs) in announcements {
-                session.rib_out.insert(prefix, Arc::clone(&attrs));
-                grouped.entry(attrs).or_default().push(prefix);
-            }
-            for (attrs, prefixes) in grouped {
-                let mut wire_attrs = vec![
-                    PathAttr::Origin(attrs.origin),
-                    PathAttr::AsPath(attrs.as_path.clone()),
-                    PathAttr::NextHop(attrs.next_hop),
-                ];
-                if let Some(med) = attrs.med {
-                    wire_attrs.push(PathAttr::Med(med));
-                }
-                if let Some(lp) = attrs.local_pref {
-                    wire_attrs.push(PathAttr::LocalPref(lp));
-                }
-                if !attrs.communities.is_empty() {
-                    wire_attrs.push(PathAttr::Communities(attrs.communities.clone()));
-                }
-                for (flags, type_code, value) in &attrs.foreign_attrs {
-                    // Unknown transitive attributes propagate with the
-                    // partial bit set; non-transitive ones are dropped.
-                    if flags & mfv_wire::bgp::FLAG_TRANSITIVE != 0 {
-                        wire_attrs.push(PathAttr::Unknown {
-                            flags: flags | mfv_wire::bgp::FLAG_PARTIAL,
-                            type_code: *type_code,
-                            value: value.clone(),
-                        });
-                    }
-                }
-                // Cap NLRI per message so the 2-byte frame length holds.
-                for chunk in prefixes.chunks(2000) {
-                    self.out.push_back((
-                        scfg.peer,
-                        BgpMsg::Update(UpdateMsg {
-                            withdrawn: vec![],
-                            attrs: wire_attrs.clone(),
-                            nlri: chunk.to_vec(),
-                        }),
-                    ));
+        let mut in_sync = vec![false; groups.len()];
+        let mut joining = vec![false; groups.len()];
+        for (peer, s) in sessions.iter() {
+            if s.state == SessionState::Established {
+                match full_advert.contains(peer) {
+                    true => joining[s.group] = true,
+                    false => in_sync[s.group] = true,
                 }
             }
         }
-        self.selected = selected;
-        self.route_maps = route_maps;
-        self.prefix_lists = prefix_lists;
+        let mut advert = |key: &ExportKey, route: &SelectedRoute, old: Option<&Advert>| {
+            let learned_from = route.learned_from;
+            // RR-client provenance, read off the session the route came in on.
+            let from_client = learned_from
+                .and_then(|p| sessions.get(&p))
+                .is_some_and(|s| s.cfg.rr_client);
+            let attrs = Self::export(route, key, from_client, local_as, route_maps, prefix_lists)?;
+            let attrs = match old {
+                Some(old) if *old.attrs == attrs => Arc::clone(&old.attrs),
+                _ => attr_sets.intern(attrs),
+            };
+            Some(Advert {
+                attrs,
+                learned_from,
+            })
+        };
+
+        // Per group: the entries that moved, and the members one of them
+        // was or is learned from (the others are sent the same messages).
+        let mut moved: Vec<(Vec<Change>, BTreeSet<Ipv4Addr>)> = Vec::new();
+        for (g, group) in groups.iter_mut().enumerate() {
+            let mut changes = Vec::new();
+            let mut excepted = BTreeSet::new();
+            if !in_sync[g] {
+                // Nobody holds the table to date: it is rebuilt whole for a
+                // joining member, and empty otherwise.
+                group.table.clear();
+                if joining[g] {
+                    work.export_computations += selected.len() as u64;
+                    for (prefix, route) in selected.iter() {
+                        if let Some(new) = advert(&group.key, route, None) {
+                            group.table.insert(*prefix, new);
+                        }
+                    }
+                }
+            } else {
+                work.export_computations += scope.len() as u64;
+                for prefix in scope {
+                    let old = group.table.get(prefix);
+                    let new = selected
+                        .get(prefix)
+                        .and_then(|route| advert(&group.key, route, old));
+                    if old == new.as_ref() {
+                        continue;
+                    }
+                    let old = match &new {
+                        Some(new) => group.table.insert(*prefix, new.clone()),
+                        None => group.table.remove(prefix),
+                    };
+                    excepted.extend(
+                        [&old, &new]
+                            .into_iter()
+                            .flatten()
+                            .flat_map(|a| a.learned_from),
+                    );
+                    changes.push(Change {
+                        prefix: *prefix,
+                        old,
+                        new,
+                    });
+                }
+            }
+            moved.push((changes, excepted));
+        }
+
+        let mut shared: Vec<Option<Vec<BgpMsg>>> = vec![None; groups.len()];
+        for (peer, s) in sessions.iter() {
+            if s.state != SessionState::Established {
+                continue;
+            }
+            let (changes, excepted) = &moved[s.group];
+            let msgs = if full_advert.contains(peer) {
+                let table = groups[s.group].table.iter();
+                let seen = table.filter_map(|(prefix, advert)| {
+                    Some((*prefix, Advert::seen_by(Some(advert), Some(*peer))?.clone()))
+                });
+                pack_updates(Vec::new(), seen.collect())
+            } else if changes.is_empty() {
+                continue;
+            } else if excepted.contains(peer) {
+                member_updates(changes, Some(*peer))
+            } else {
+                shared[s.group]
+                    .get_or_insert_with(|| member_updates(changes, None))
+                    .clone()
+            };
+            out.extend(msgs.into_iter().map(|msg| (*peer, msg)));
+        }
     }
+}
+
+/// The UPDATEs that take `viewer` from the old entries of `changes` to the
+/// new ones, as it sees them.
+fn member_updates(changes: &[Change], viewer: Option<Ipv4Addr>) -> Vec<BgpMsg> {
+    let mut withdrawals: Vec<Prefix> = Vec::new();
+    let mut announcements: Vec<(Prefix, Arc<BgpAttrs>)> = Vec::new();
+    for change in changes {
+        let want = Advert::seen_by(change.new.as_ref(), viewer);
+        match (want, Advert::seen_by(change.old.as_ref(), viewer)) {
+            (None, Some(_)) => withdrawals.push(change.prefix),
+            (Some(attrs), prev) if prev != Some(attrs) => {
+                announcements.push((change.prefix, Arc::clone(attrs)));
+            }
+            _ => {}
+        }
+    }
+    pack_updates(withdrawals, announcements)
+}
+
+/// One peer's UPDATE messages: withdrawals first, then announcements.
+fn pack_updates(
+    withdrawals: Vec<Prefix>,
+    announcements: Vec<(Prefix, Arc<BgpAttrs>)>,
+) -> Vec<BgpMsg> {
+    let mut msgs: Vec<BgpMsg> = withdrawals
+        .chunks(2000)
+        .map(|chunk| BgpMsg::Update(UpdateMsg::withdraw(chunk.to_vec())))
+        .collect();
+    // RFC 4271 packing: prefixes sharing identical attributes ride
+    // in one UPDATE. Essential at production-route scale — a
+    // million-route feed is a few thousand messages, not a million.
+    let mut grouped: BTreeMap<Arc<BgpAttrs>, Vec<Prefix>> = BTreeMap::new();
+    for (prefix, attrs) in announcements {
+        grouped.entry(attrs).or_default().push(prefix);
+    }
+    for (attrs, prefixes) in grouped {
+        let mut wire_attrs = vec![
+            PathAttr::Origin(attrs.origin),
+            PathAttr::AsPath(attrs.as_path.clone()),
+            PathAttr::NextHop(attrs.next_hop),
+        ];
+        if let Some(med) = attrs.med {
+            wire_attrs.push(PathAttr::Med(med));
+        }
+        if let Some(lp) = attrs.local_pref {
+            wire_attrs.push(PathAttr::LocalPref(lp));
+        }
+        if !attrs.communities.is_empty() {
+            wire_attrs.push(PathAttr::Communities(attrs.communities.clone()));
+        }
+        for (flags, type_code, value) in &attrs.foreign_attrs {
+            // Unknown transitive attributes propagate with the
+            // partial bit set; non-transitive ones are dropped.
+            if flags & mfv_wire::bgp::FLAG_TRANSITIVE != 0 {
+                wire_attrs.push(PathAttr::Unknown {
+                    flags: flags | mfv_wire::bgp::FLAG_PARTIAL,
+                    type_code: *type_code,
+                    value: value.clone(),
+                });
+            }
+        }
+        // Cap NLRI per message so the 2-byte frame length holds.
+        for chunk in prefixes.chunks(2000) {
+            msgs.push(BgpMsg::Update(UpdateMsg {
+                withdrawn: vec![],
+                attrs: wire_attrs.clone(),
+                nlri: chunk.to_vec(),
+            }));
+        }
+    }
+    msgs
 }
 
 #[cfg(test)]
@@ -1284,6 +1517,7 @@ mod tests {
         assert_eq!(pair.b.rib_routes().len(), 1);
         // Remove the resolver entry for A's address; B should drop the route.
         pair.resolver.0.remove(&ip("10.0.0.1"));
+        pair.b.next_hops_moved([&Prefix::host(ip("10.0.0.1"))]);
         pair.settle();
         assert!(pair.b.rib_routes().is_empty());
     }
@@ -1588,13 +1822,10 @@ mod tests {
     /// Every attribute handle an engine's tables hold.
     fn held_handles(engine: &BgpEngine) -> Vec<&Arc<BgpAttrs>> {
         let sessions = engine.sessions.values();
+        let groups = engine.groups.iter();
         sessions
-            .flat_map(|s| {
-                s.rib_in
-                    .values()
-                    .map(|e| &e.attrs)
-                    .chain(s.rib_out.values())
-            })
+            .flat_map(|s| s.rib_in.values().map(|e| &e.attrs))
+            .chain(groups.flat_map(|g| g.table.values().map(|a| &a.attrs)))
             .chain(engine.selected.values().map(|r| &r.attrs))
             .chain(engine.originated.values())
             .collect()
@@ -1637,8 +1868,11 @@ mod tests {
         let out = rr.poll(now, &resolver);
         assert_eq!(rr.selected().len(), 1250);
         let handles = held_handles(&rr);
-        // 1,250 received + 1,250 selected + 5 × 1,000 reflected.
-        assert_eq!(handles.len(), 7500);
+        // 1,250 received + 1,250 selected + 1,250 reflected: the five
+        // clients share one Adj-RIB-Out, of which each sees 1,000 entries.
+        assert_eq!(handles.len(), 3750);
+        assert_eq!(rr.groups.len(), 1);
+        assert!(rr.summaries().iter().all(|s| s.prefixes_sent == 1000));
         assert_eq!(distinct_and_shared(&handles), 25);
         assert_eq!(rr.attr_sets(), 25);
 
@@ -1692,5 +1926,203 @@ mod tests {
             "{} sets stored for {live} live",
             rr.attr_sets()
         );
+    }
+
+    /// The per-peer Adj-RIB-Outs the export groups replaced, kept as the
+    /// reference they are held to: after a poll, every Established session
+    /// is diffed — every prefix, not a scope — against what the reference
+    /// has sent it.
+    #[derive(Default)]
+    struct PerPeerReference {
+        rib_out: BTreeMap<Ipv4Addr, BTreeMap<Prefix, Arc<BgpAttrs>>>,
+        transitions: BTreeMap<Ipv4Addr, u64>,
+    }
+
+    impl PerPeerReference {
+        /// The UPDATEs the poll `engine` just ran must have queued.
+        fn updates(&mut self, engine: &BgpEngine) -> Vec<(Ipv4Addr, BgpMsg)> {
+            let mut out = Vec::new();
+            for (peer, s) in &engine.sessions {
+                let rib_out = self.rib_out.entry(*peer).or_default();
+                // Every way out of Established flushes; the other states
+                // have nothing to flush.
+                if self.transitions.insert(*peer, s.transitions) != Some(s.transitions) {
+                    rib_out.clear();
+                }
+                if s.state != SessionState::Established {
+                    continue;
+                }
+                let key = s.cfg.export_key(engine.local_as);
+                let universe: BTreeSet<Prefix> = engine.selected.keys().copied().collect();
+                let universe: BTreeSet<Prefix> = &universe | &rib_out.keys().copied().collect();
+                let mut withdrawals = Vec::new();
+                let mut announcements = Vec::new();
+                for prefix in universe {
+                    let route = engine.selected.get(&prefix);
+                    // Never advertise back to the peer we learned it from.
+                    let want = route
+                        .filter(|r| r.learned_from != Some(*peer))
+                        .and_then(|r| {
+                            let from = r.learned_from.and_then(|p| engine.sessions.get(&p));
+                            let from_client = from.is_some_and(|s| s.cfg.rr_client);
+                            let (maps, lists) = (&engine.route_maps, &engine.prefix_lists);
+                            BgpEngine::export(r, &key, from_client, engine.local_as, maps, lists)
+                        });
+                    match (want, rib_out.get(&prefix)) {
+                        (None, Some(_)) => withdrawals.push(prefix),
+                        (Some(attrs), prev) if prev.map(|p| &**p) != Some(&attrs) => {
+                            announcements.push((prefix, Arc::new(attrs)));
+                        }
+                        _ => {}
+                    }
+                }
+                for prefix in &withdrawals {
+                    rib_out.remove(prefix);
+                }
+                for (prefix, attrs) in &announcements {
+                    rib_out.insert(*prefix, Arc::clone(attrs));
+                }
+                let msgs = pack_updates(withdrawals, announcements);
+                out.extend(msgs.into_iter().map(|msg| (*peer, msg)));
+            }
+            out
+        }
+    }
+
+    /// A hub in AS 65000 whose `kinds.len()` peers are route-reflector
+    /// clients (0), plain iBGP peers (1) or eBGP peers (2), with or without
+    /// an export route-map that denies 100.1.0.0/16 and sets MED 77.
+    fn hub(kinds: &[(u8, bool)]) -> (BgpEngine, TableResolver, Vec<(Ipv4Addr, AsNum)>) {
+        let mut cfg = BgpConfig::new(AsNum(65000));
+        let (mut locals, mut resolver) = (BTreeMap::new(), TableResolver::default());
+        let mut peers = Vec::new();
+        for (i, (kind, policed)) in kinds.iter().enumerate() {
+            let peer = Ipv4Addr::new(1, 1, 1, i as u8 + 1);
+            let asn = AsNum(if *kind == 2 { 65100 + i as u32 } else { 65000 });
+            let mut n = BgpNeighborConfig::new(peer, asn);
+            n.rr_client = *kind == 0;
+            n.route_map_out = policed.then(|| "OUT".to_string());
+            cfg.neighbors.push(n);
+            locals.insert(peer, ip("9.9.9.9"));
+            resolver.0.insert(peer, 10);
+            peers.push((peer, asn));
+        }
+        let entry = |seq, action, matches, sets| mfv_config::RouteMapEntry {
+            seq,
+            action,
+            matches,
+            sets,
+        };
+        let (permit, deny) = (
+            mfv_config::PolicyAction::Permit,
+            mfv_config::PolicyAction::Deny,
+        );
+        let denied = mfv_config::MatchClause::PrefixList("DENIED".to_string());
+        let out = RouteMap {
+            entries: vec![
+                entry(10, deny, vec![denied], vec![]),
+                entry(20, permit, vec![], vec![mfv_config::SetClause::Med(77)]),
+            ],
+        };
+        let denied = PrefixList {
+            entries: vec![mfv_config::PrefixListEntry {
+                seq: 10,
+                action: permit,
+                prefix: pfx("100.1.0.0/16"),
+                ge: None,
+                le: Some(24),
+            }],
+        };
+        let engine = BgpEngine::new(
+            &cfg,
+            RouterId(ip("9.9.9.9")),
+            &locals,
+            BTreeMap::from([("OUT".to_string(), out)]),
+            BTreeMap::from([("DENIED".to_string(), denied)]),
+            DecisionQuirks::default(),
+        );
+        (engine, resolver, peers)
+    }
+
+    // Random session sets under route churn, resets and re-establishments
+    // between polls, and IGP moves that cut peers off: the export groups
+    // queue what per-peer Adj-RIB-Outs would have, message for message, and
+    // report the same `prefixes_sent`.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn export_groups_send_what_per_peer_adj_rib_outs_would(
+            kinds in proptest::collection::vec((0u8..3, proptest::prelude::any::<bool>()), 3..8),
+            ops in proptest::collection::vec(
+                (0u8..8, proptest::prelude::any::<u8>(), 0u8..3, proptest::prelude::any::<bool>()),
+                20..60,
+            ),
+        ) {
+            let (mut engine, mut resolver, peers) = hub(&kinds);
+            let mut reference = PerPeerReference::default();
+            let mut now = SimTime(1000);
+            let _ = engine.poll(now, &resolver);
+            let establish = |engine: &mut BgpEngine, now, (peer, asn): (Ipv4Addr, AsNum)| {
+                engine.push_msg(now, peer, BgpMsg::Open(OpenMsg::new(asn, 90, peer)));
+                engine.push_msg(now, peer, BgpMsg::Keepalive);
+            };
+            for peer in &peers {
+                establish(&mut engine, now, *peer);
+            }
+            let shared: Vec<Prefix> = (0..4).map(|j| pfx(&format!("200.0.{j}.0/24"))).collect();
+            let mut originating = false;
+            for (kind, pick, k, poll) in ops {
+                let at = pick as usize % peers.len();
+                let (peer, asn) = peers[at];
+                let own: Vec<Prefix> =
+                    (0..4).map(|j| pfx(&format!("100.{at}.{}.0/24", k * 4 + j))).collect();
+                // Length 0 is one path for every peer: exported over eBGP
+                // it reads the same whoever it was learned from, so a best
+                // path moving between two members changes only who is sent
+                // nothing.
+                let path = |len: u8| -> Vec<u32> {
+                    let first = if asn == AsNum(65000) { 65300 + at as u32 } else { asn.0 };
+                    let own = (1..=u32::from(len)).map(|hop| first + 1000 * hop);
+                    std::iter::once(64999).chain(own).collect()
+                };
+                match kind {
+                    0 => engine.push_msg(now, peer, announce(&path(1), peer, own)),
+                    1 => engine.push_msg(now, peer, announce(&path(k), peer, shared.clone())),
+                    2 => engine.push_msg(now, peer, BgpMsg::Update(UpdateMsg::withdraw(own))),
+                    3 => {
+                        let msg = BgpMsg::Update(UpdateMsg::withdraw(shared.clone()));
+                        engine.push_msg(now, peer, msg);
+                    }
+                    4 => {
+                        let cease = NotificationMsg { code: 6, subcode: 4, data: bytes::Bytes::new() };
+                        engine.push_msg(now, peer, BgpMsg::Notification(cease));
+                    }
+                    5 => establish(&mut engine, now, (peer, asn)),
+                    6 => {
+                        originating = !originating;
+                        engine.set_originated(originating.then(|| pfx("10.9.0.0/24")));
+                    }
+                    _ => {
+                        if resolver.0.remove(&peer).is_none() {
+                            resolver.0.insert(peer, 10);
+                        }
+                        engine.next_hops_moved([&Prefix::host(peer)]);
+                    }
+                }
+                if !poll {
+                    continue;
+                }
+                now += SimDuration::from_millis(100);
+                let mut sent = engine.poll(now, &resolver);
+                sent.retain(|(_, msg)| matches!(msg, BgpMsg::Update(_)));
+                proptest::prop_assert_eq!(sent, reference.updates(&engine));
+                for summary in engine.summaries() {
+                    let established = summary.state == SessionState::Established;
+                    let expected = if established { reference.rib_out[&summary.peer].len() } else { 0 };
+                    proptest::prop_assert_eq!(summary.prefixes_sent, expected, "{}", summary.peer);
+                }
+            }
+        }
     }
 }

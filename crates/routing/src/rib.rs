@@ -280,8 +280,8 @@ impl Rib {
         self.per_proto.is_empty()
     }
 
-    /// The forwarding action `prefix` should have: its winner's protocol
-    /// and next hops made concrete (none: a deliberate discard). `Via`
+    /// The forwarding action `route` (some prefix's winner) stands for:
+    /// its next hops made concrete (none: a deliberate discard). `Via`
     /// gateways resolve recursively (up to a depth bound) through the IGP
     /// view only — the same view the BGP decision process judges next-hop
     /// reachability by, so a route BGP selected is a route the FIB can
@@ -291,13 +291,8 @@ impl Rib {
     ///
     /// Every gateway address looked up on the way is appended to
     /// `gateways`: the answer stays valid until the IGP view changes at a
-    /// prefix containing one of them (or `prefix`'s own winner changes).
-    fn resolve(
-        &self,
-        prefix: &Prefix,
-        gateways: &mut Vec<Ipv4Addr>,
-    ) -> Option<(RouteProtocol, Vec<FibNextHop>)> {
-        let route = self.best(prefix)?;
+    /// prefix containing one of them (or the prefix's winner changes).
+    fn resolve(&self, route: &RibRoute, gateways: &mut Vec<Ipv4Addr>) -> Option<Vec<FibNextHop>> {
         let mut next_hops = Vec::with_capacity(route.next_hops.len());
         let mut discard = false;
         for nh in &route.next_hops {
@@ -316,7 +311,7 @@ impl Rib {
         }
         next_hops.sort();
         next_hops.dedup();
-        (discard || !next_hops.is_empty()).then_some((route.proto, next_hops))
+        (discard || !next_hops.is_empty()).then_some(next_hops)
     }
 
     /// Recursively resolves a gateway address to concrete (iface, via)
@@ -367,9 +362,9 @@ impl Rib {
     /// held to.
     pub fn to_fib(&self) -> Fib {
         let mut fib = Fib::new();
-        let mut gateways = Vec::new();
+        let (mut memo, mut gateways) = (GatewayMemo::default(), Vec::new());
         for prefix in self.universe() {
-            fib.patch(self, prefix, &mut gateways);
+            fib.patch(self, prefix, &mut memo, &mut gateways);
         }
         fib
     }
@@ -381,6 +376,29 @@ impl NextHopResolver for Rib {
     fn igp_metric(&self, ip: Ipv4Addr) -> Option<u32> {
         let (covering, winner) = self.igp.lookup(ip)?;
         (!covering.is_default()).then_some(winner.metric)
+    }
+}
+
+/// What one batch of [`Fib::patch`] calls has resolved so far, per gateway:
+/// the addresses looked up on the way and the resolved set — the table's
+/// stored copy, or `None` for a gateway that does not resolve. Every route
+/// whose only next hop is `Via` that gateway resolves to exactly this, so a
+/// thousand BGP routes through twenty gateways cost twenty resolutions.
+/// Nothing invalidates an entry: a memo serves one [`Fib`] and one batch —
+/// a router poll's stale set, a [`Rib::to_fib`] — inside which the IGP view
+/// cannot move, and is dropped with it.
+#[derive(Default)]
+pub struct GatewayMemo {
+    via: BTreeMap<Ipv4Addr, ViaGateway>,
+}
+
+/// (addresses looked up, resolved set) for one gateway.
+type ViaGateway = (Vec<Ipv4Addr>, Option<Arc<[FibNextHop]>>);
+
+impl GatewayMemo {
+    /// Gateways resolved (each once) since the memo was made.
+    pub fn resolutions(&self) -> usize {
+        self.via.len()
     }
 }
 
@@ -407,24 +425,44 @@ impl Fib {
 
     /// Brings the entry at `prefix` in line with `rib` (`Rib::resolve`,
     /// which also says what `gateways` receives); returns whether it
-    /// changed. The resolved set is compared and looked up as a slice: only
-    /// one the table has not seen yet is stored.
-    pub fn patch(&mut self, rib: &Rib, prefix: &Prefix, gateways: &mut Vec<Ipv4Addr>) -> bool {
-        let Some((proto, next_hops)) = rib.resolve(prefix, gateways) else {
+    /// changed. A winner that is one `Via` gateway takes the batch's answer
+    /// for that gateway from `memo`; any other is resolved afresh and
+    /// swapped for the table's stored copy of the same set. Either way the
+    /// handle is compared with the entry's — by pointer first — in the one
+    /// walk that finds or makes the entry.
+    pub fn patch(
+        &mut self,
+        rib: &Rib,
+        prefix: &Prefix,
+        memo: &mut GatewayMemo,
+        gateways: &mut Vec<Ipv4Addr>,
+    ) -> bool {
+        let resolved = rib.best(prefix).and_then(|route| {
+            let next_hops = if let [NextHop::Via(gateway)] = route.next_hops[..] {
+                let (looked_up, stored) = memo.via.entry(gateway).or_insert_with(|| {
+                    let mut looked_up = Vec::new();
+                    let resolved = rib.resolve(route, &mut looked_up);
+                    let stored = resolved.map(|set| self.next_hop_sets.intern(set));
+                    (looked_up, stored)
+                });
+                gateways.extend_from_slice(looked_up);
+                stored.clone()?
+            } else {
+                self.next_hop_sets.intern(rib.resolve(route, gateways)?)
+            };
+            Some((route.proto, next_hops))
+        });
+        let Some((proto, next_hops)) = resolved else {
             return self.trie.remove(prefix).is_some();
         };
-        match self.trie.get(prefix) {
-            Some(old) if old.proto == proto && *old.next_hops == *next_hops => false,
-            _ => {
-                let entry = FibEntry {
-                    prefix: *prefix,
-                    proto,
-                    next_hops: self.next_hop_sets.intern(next_hops),
-                };
-                self.trie.insert(*prefix, entry);
-                true
-            }
-        }
+        let (entry, made) = self.trie.get_or_insert_with(*prefix, || FibEntry {
+            prefix: *prefix,
+            proto,
+            next_hops: Arc::clone(&next_hops),
+        });
+        let changed = made || entry.proto != proto || entry.next_hops != next_hops;
+        (entry.proto, entry.next_hops) = (proto, next_hops);
+        changed
     }
 
     /// Longest-prefix-match lookup.
@@ -711,7 +749,7 @@ mod tests {
         );
         assert_eq!(rib.igp_metric(ip("10.0.0.5")), Some(10));
         let mut gateways = Vec::new();
-        rib.resolve(&p("203.0.113.0/24"), &mut gateways);
+        rib.resolve(rib.best(&p("203.0.113.0/24")).unwrap(), &mut gateways);
         assert_eq!(gateways, vec![ip("10.0.0.5")]);
     }
 

@@ -77,6 +77,25 @@ impl<V> PrefixTrie<V> {
         old
     }
 
+    /// The value at `prefix`, which `make` supplies if there is none, and
+    /// whether it did: an insert-or-update in one walk.
+    pub fn get_or_insert_with(
+        &mut self,
+        prefix: Prefix,
+        make: impl FnOnce() -> V,
+    ) -> (&mut V, bool) {
+        let mut node = &mut self.root;
+        for i in 0..prefix.len() {
+            let b = bit_at(prefix.network_bits(), i);
+            node = node.children[b].get_or_insert_with(|| Box::new(Node::empty()));
+        }
+        let made = node.value.is_none();
+        if made {
+            self.len += 1;
+        }
+        (node.value.get_or_insert_with(make), made)
+    }
+
     /// Removes the value at exactly `prefix`, pruning empty branches.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<V> {
         fn rec<V>(node: &mut Node<V>, bits: u32, depth: u8, len: u8) -> Option<V> {
@@ -285,6 +304,21 @@ mod tests {
         assert!(t.max_descendants(&p("192.168.0.0/16")).is_empty());
         // Descendants of an unstored midpoint are still found.
         assert_eq!(t.max_descendants(&p("10.1.0.0/12")), vec![p("10.1.0.0/16")]);
+    }
+
+    #[test]
+    fn get_or_insert_with_makes_once_and_counts_once() {
+        let mut t = PrefixTrie::new();
+        let (v, made) = t.get_or_insert_with(p("10.1.0.0/16"), || 1);
+        assert_eq!((*v, made), (1, true));
+        let (v, made) = t.get_or_insert_with(p("10.1.0.0/16"), || 2);
+        assert_eq!((*v, made), (1, false));
+        *v = 3;
+        assert_eq!((t.get(&p("10.1.0.0/16")), t.len()), (Some(&3), 1));
+        // A midpoint the first walk created holds no value of its own.
+        let (_, made) = t.get_or_insert_with(p("10.0.0.0/8"), || 4);
+        assert!(made);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -11,10 +11,10 @@ use std::net::Ipv4Addr;
 use bytes::Bytes;
 
 use mfv_config::{DeviceConfig, Redistribute};
-use mfv_routing::bgp::BgpEngine;
+use mfv_routing::bgp::{BgpEngine, BgpWork};
 use mfv_routing::isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig};
 use mfv_routing::policy::{eval_route_map, BgpAttrs, PolicyResult};
-use mfv_routing::rib::{keyed_inside, Fib, NextHop, Rib, RibRoute};
+use mfv_routing::rib::{keyed_inside, Fib, GatewayMemo, NextHop, Rib, RibRoute};
 use mfv_types::{IfaceId, NodeId, Prefix, RouteProtocol, RouterId, SimTime};
 use mfv_wire::bgp::{BgpMsg, PathAttr};
 use mfv_wire::isis::{net_area_bytes, net_system_id, IsisPdu, SystemId};
@@ -105,9 +105,43 @@ pub struct VirtualRouter {
     pub igp_delta_prefixes: u64,
     /// FIB prefixes re-resolved, summed over polls.
     pub fib_prefixes_resolved: u64,
-    /// Per-prefix BGP decisions run (across routing-process restarts).
-    pub bgp_prefix_decisions: u64,
+    /// Gateways resolved through the IGP view, summed over polls: one per
+    /// distinct `Via` gateway of a poll's stale prefixes.
+    pub fib_gateway_resolutions: u64,
+    /// The BGP engine's work counts (across routing-process restarts).
+    pub bgp_work: BgpWork,
+    /// Wall time inside the three sections of a poll that can be long,
+    /// taken only on the polls where the section has work to do, off the
+    /// stopwatch [`poll_timed`](Self::poll_timed) is handed.
+    pub wall: PollWall,
 }
+
+/// Nanoseconds of wall time per timed poll section. Never read by the
+/// router itself; exported under the obs dump's quarantined `wall` key.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct PollWall {
+    /// SPF runs and the IS-IS route changes they install.
+    pub spf_ns: u64,
+    /// BGP polls that had decisions to run or a table to send.
+    pub bgp_ns: u64,
+    /// FIB resolution of a non-empty stale set.
+    pub fib_ns: u64,
+    /// Sections timed: what the three sums cost, in stopwatch pairs.
+    pub pairs: u64,
+}
+
+impl PollWall {
+    /// Closes the section that began at `started_ns` on `stopwatch`;
+    /// returns how long it took.
+    fn close(&mut self, started_ns: u64, stopwatch: Stopwatch) -> u64 {
+        self.pairs += 1;
+        stopwatch().saturating_sub(started_ns)
+    }
+}
+
+/// Monotonic wall nanoseconds, as the caller reads them: the router owns no
+/// clock (rule D2; the one clock read is `mfv_obs::WallTimer`).
+pub type Stopwatch<'a> = &'a dyn Fn() -> u64;
 
 // Every router of every emulation and fork holds one of these inline, BGP
 // or not: what a table gains (the FIB's set store) must come out of what is
@@ -127,6 +161,9 @@ impl GatewayIndex {
     fn set(&mut self, prefix: Prefix, gateways: &[Ipv4Addr]) {
         let span = (prefix, Ipv4Addr::UNSPECIFIED)..=(prefix, Ipv4Addr::BROADCAST);
         let old: Vec<Ipv4Addr> = self.by_prefix.range(span).map(|(_, g)| *g).collect();
+        if old == gateways {
+            return;
+        }
         for g in old {
             self.by_prefix.remove(&(prefix, g));
             self.by_gateway.remove(&(g, prefix));
@@ -175,7 +212,9 @@ impl VirtualRouter {
             spf_runs: 0,
             igp_delta_prefixes: 0,
             fib_prefixes_resolved: 0,
-            bgp_prefix_decisions: 0,
+            fib_gateway_resolutions: 0,
+            bgp_work: BgpWork::default(),
+            wall: PollWall::default(),
         };
         for iface in &router.config.interfaces {
             router.link_up.insert(iface.name.clone(), true);
@@ -592,6 +631,13 @@ impl VirtualRouter {
     /// Advances the control plane; returns frames/segments to transmit and
     /// crash notifications.
     pub fn poll(&mut self, now: SimTime) -> Vec<RouterEvent> {
+        self.poll_timed(now, &|| 0)
+    }
+
+    /// [`poll`](Self::poll), with the wall time of its SPF, BGP and FIB
+    /// sections added to [`wall`](Self::wall): `stopwatch` is read around a
+    /// section only on a poll where it has work.
+    pub fn poll_timed(&mut self, now: SimTime, stopwatch: Stopwatch) -> Vec<RouterEvent> {
         if let Some(reason) = self.pending_crash.take() {
             self.state = RouterState::Crashed(now);
             self.isis = None;
@@ -647,6 +693,7 @@ impl VirtualRouter {
             igp_delta.extend(self.rib.set_protocol_routes(RouteProtocol::Static, statics));
         }
         if let Some(isis) = self.isis.as_mut().filter(|_| isis_stale) {
+            let started = stopwatch();
             self.spf_runs += 1;
             let installed = self.rib.protocol_routes(RouteProtocol::Isis);
             for (prefix, route) in isis.take_route_changes(installed) {
@@ -654,6 +701,7 @@ impl VirtualRouter {
                     igp_delta.insert(prefix);
                 }
             }
+            self.wall.spf_ns += self.wall.close(started, stopwatch);
         }
         self.igp_delta_prefixes += igp_delta.len() as u64;
 
@@ -668,9 +716,9 @@ impl VirtualRouter {
                 bgp.set_originated(self.originated.iter().copied());
             }
             bgp.next_hops_moved(&igp_delta);
-            let decisions_before = bgp.prefix_decisions();
+            let started = bgp.has_pending_work().then(stopwatch);
             msgs = bgp.poll(now, &self.rib);
-            self.bgp_prefix_decisions += bgp.prefix_decisions() - decisions_before;
+            self.bgp_work += bgp.take_work();
             selection_delta = bgp.take_selection_delta();
             for prefix in &selection_delta {
                 let learned = bgp.rib_route(prefix);
@@ -683,6 +731,9 @@ impl VirtualRouter {
                 self.rib
                     .set_route(RouteProtocol::IbgpLearned, *prefix, ibgp);
             }
+            if let Some(started) = started {
+                self.wall.bgp_ns += self.wall.close(started, stopwatch);
+            }
         }
 
         // 4. FIB: re-resolve the prefixes whose winner can have changed
@@ -693,7 +744,7 @@ impl VirtualRouter {
             stale.extend(self.gateways.dependents_inside(moved));
         }
         stale.extend(igp_delta);
-        self.resolve(&stale);
+        self.resolve(&stale, stopwatch);
 
         // Encode each distinct message once per poll. Fan-out to N
         // peers (keepalives, iBGP update floods) produces runs of equal
@@ -738,35 +789,35 @@ impl VirtualRouter {
 
     /// Brings the FIB entries at `prefixes` in line with the RIB, recording
     /// which ones actually changed.
-    fn resolve(&mut self, prefixes: &BTreeSet<Prefix>) {
+    fn resolve(&mut self, prefixes: &BTreeSet<Prefix>, stopwatch: Stopwatch) {
         if prefixes.is_empty() {
             return;
         }
+        let started = stopwatch();
         self.fib_patches += 1;
         self.fib_prefixes_resolved += prefixes.len() as u64;
         let mut changed = false;
-        let mut gateways = Vec::new();
+        // The IGP view does not move inside this loop, so what a gateway
+        // resolves to is worked out once for all the prefixes behind it.
+        let (mut memo, mut gateways) = (GatewayMemo::default(), Vec::new());
         for prefix in prefixes {
             gateways.clear();
-            if self.fib.patch(&self.rib, prefix, &mut gateways) {
+            if self.fib.patch(&self.rib, prefix, &mut memo, &mut gateways) {
                 changed = true;
                 self.changed_prefixes.insert(*prefix);
             }
             self.gateways.set(*prefix, &gateways);
         }
+        self.fib_gateway_resolutions += memo.resolutions() as u64;
         if changed {
             self.fib_version += 1;
         }
+        self.wall.fib_ns += self.wall.close(started, stopwatch);
     }
 
     fn session_local_addr_for(&self, peer: Ipv4Addr) -> Ipv4Addr {
-        let update_source = self
-            .config
-            .bgp
-            .as_ref()
-            .and_then(|b| b.neighbor(peer))
-            .and_then(|n| n.update_source.clone());
-        self.session_local_addr(peer, &update_source)
+        let neighbor = self.config.bgp.as_ref().and_then(|b| b.neighbor(peer));
+        self.session_local_addr(peer, neighbor.map_or(&None, |n| &n.update_source))
     }
 
     fn can_reach(&self, dst: Ipv4Addr) -> bool {

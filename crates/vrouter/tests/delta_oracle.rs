@@ -12,13 +12,18 @@
 //! - `fib()` equals that RIB's `to_fib()`;
 //! - `take_changed_prefixes()` is exactly the symmetric difference of the
 //!   FIB before and after, and `fib_version` moved iff it is non-empty;
-//! - `bgp_engine().selected()` equals a decision over every prefix.
+//! - `bgp_engine().selected()` equals a decision over every prefix;
+//! - what every BGP session remembers of its peer's reachability is what
+//!   the IGP view says now, and no session is out of Idle without a route to
+//!   its peer: the sessions are where an engine that asked the view on
+//!   every poll would have them. One operation cuts an eBGP peer off and
+//!   restores it, and demands the session down and up again.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use mfv_config::{DeviceConfig, IfaceSpec, RouterSpec, StaticRoute};
-use mfv_routing::{FibEntry, Rib};
+use mfv_routing::{FibEntry, NextHopResolver, Rib, SessionState};
 use mfv_types::{AsNum, IfaceId, Prefix, RouteProtocol, SimTime};
 use mfv_vrouter::{RouterEvent, VendorProfile, VirtualRouter};
 use proptest::prelude::*;
@@ -203,6 +208,21 @@ fn check(
             "BGP selection of {}",
             r.name
         );
+        prop_assert_eq!(
+            bgp.stale_liveness(r.rib()),
+            Vec::<Ipv4Addr>::new(),
+            "{}",
+            r.name
+        );
+        for s in bgp.summaries() {
+            prop_assert!(
+                s.state == SessionState::Idle || r.rib().igp_metric(s.peer).is_some(),
+                "{}: session to {} is {:?} without a route to it",
+                r.name,
+                s.peer,
+                s.state
+            );
+        }
     }
     Ok(())
 }
@@ -258,17 +278,56 @@ impl Net {
         Ok(())
     }
 
+    /// Both ends see loss / return of light.
+    fn set_link(&mut self, at: usize, up: bool) {
+        let l = &mut self.links[at];
+        l.up = up;
+        let (a, b) = (l.a.clone(), l.b.clone());
+        self.routers[a.0].set_link(&a.1, up);
+        self.routers[b.0].set_link(&b.1, up);
+    }
+
+    /// Cuts the eBGP link between r0 and the edge (the last link) for
+    /// `rounds` rounds, then restores it: each end must have dropped the
+    /// session with its route to the peer, and a session that was up before
+    /// the cut must be up again once the route is back.
+    fn cut_off_and_restore(&mut self, rounds: u32) -> Result<(), TestCaseError> {
+        let (at, edge) = (self.links.len() - 1, self.routers.len() - 1);
+        let ends = [
+            (0, Ipv4Addr::new(172, 16, 1, 1)),
+            (edge, Ipv4Addr::new(172, 16, 1, 0)),
+        ];
+        let states = |net: &Net| -> Vec<SessionState> {
+            let engines = ends
+                .iter()
+                .filter_map(|(i, peer)| Some((net.routers[*i].bgp_engine()?, peer)));
+            engines
+                .filter_map(|(bgp, peer)| bgp.session_state(*peer))
+                .collect()
+        };
+        let before = states(self);
+        self.set_link(at, false);
+        for _ in 0..rounds {
+            self.round()?;
+        }
+        prop_assert!(states(self).iter().all(|s| *s == SessionState::Idle));
+        self.set_link(at, true);
+        for _ in 0..16 {
+            self.round()?;
+        }
+        if before == [SessionState::Established; 2] {
+            prop_assert_eq!(states(self), before, "the session did not come back");
+        }
+        Ok(())
+    }
+
     fn apply(&mut self, kind: u8, pick: u8) {
         let i = pick as usize % self.routers.len();
         match kind {
-            // Flap a link (both ends see loss / return of light).
+            // Flap a link.
             0 | 1 => {
                 let at = pick as usize % self.links.len();
-                let l = &mut self.links[at];
-                l.up = !l.up;
-                let (a, b, up) = (l.a.clone(), l.b.clone(), l.up);
-                self.routers[a.0].set_link(&a.1, up);
-                self.routers[b.0].set_link(&b.1, up);
+                self.set_link(at, !self.links[at].up);
             }
             2 => self.routers[i].inject_crash("oracle: routing process killed"),
             3 => {
@@ -316,7 +375,7 @@ proptest! {
     #[test]
     fn every_poll_leaves_tables_equal_to_a_rebuild_from_the_sources(
         n in 3usize..=6,
-        ops in proptest::collection::vec((0u8..6, any::<u8>(), 1u32..24), 8..20),
+        ops in proptest::collection::vec((0u8..7, any::<u8>(), 1u32..24), 8..20),
     ) {
         let mut net = build(n);
         // Boot: adjacencies, sessions and the first routes.
@@ -331,6 +390,10 @@ proptest! {
             r0.keys().collect::<Vec<_>>()
         );
         for (kind, pick, rounds) in ops {
+            if kind == 6 {
+                net.cut_off_and_restore(rounds)?;
+                continue;
+            }
             net.apply(kind, pick);
             for _ in 0..rounds {
                 net.round()?;

@@ -218,7 +218,7 @@ if sed '/#\[cfg(test)\]/,$d' crates/emulator/src/engine.rs | grep -nF 'm.inc('; 
   exit 1
 fi
 
-echo "==> one copy per distinct set: handles not copies in the BGP engine and the FIB, both ceilings still there, the ledger's counts and pins unmoved"
+echo "==> one copy per distinct set: handles not copies in the BGP engine and the FIB, both ceilings still there"
 if sed '/#\[cfg(test)\]/,$d' crates/routing/src/bgp.rs | grep -nE 'BTreeMap<Prefix, BgpAttrs>|attrs: BgpAttrs'; then
   echo "one-copy check FAILED: crates/routing/src/bgp.rs stores an attribute set by value (hold an Arc<BgpAttrs> from the engine's InternSet)" >&2
   exit 1
@@ -236,6 +236,30 @@ cargo test -q --test work_ceiling a_converged_wan_stores_each_distinct_set_once 
   echo "one-copy check FAILED: the live-bytes-per-FIB-entry ceiling did not run and pass" >&2
   exit 1
 }
+echo "==> one computation per distinct input: liveness per IGP move, one resolution per gateway, one Adj-RIB-Out per export group"
+lookups="$(sed '/#\[cfg(test)\]/,$d' crates/routing/src/bgp.rs | grep -c 'resolver\.igp_metric(' || true)"
+[ "$lookups" -eq 2 ] || {
+  echo "one-computation check FAILED: non-test bgp.rs asks resolver.igp_metric in $lookups places (two: the session's reachability refresh and the decision batch's memo)" >&2
+  exit 1
+}
+if sed '/#\[cfg(test)\]/,$d' crates/routing/src/bgp.rs | sed -n '/^struct Session {/,/^}/p' | grep -n 'rib_out'; then
+  echo "one-computation check FAILED: Session holds a rib_out again (the Adj-RIB-Out is its ExportGroup's table)" >&2
+  exit 1
+fi
+cargo test -q -p mfv-routing --lib export_groups_send_what_per_peer_adj_rib_outs_would | grep -q '1 passed' || {
+  echo "one-computation check FAILED: the export-group proptest against the per-peer reference did not run and pass" >&2
+  exit 1
+}
+cargo test -q -p mfv-vrouter --test delta_oracle every_poll_leaves_tables_equal_to_a_rebuild_from_the_sources | grep -q '1 passed' || {
+  echo "one-computation check FAILED: the delta oracle (session liveness included) did not run and pass" >&2
+  exit 1
+}
+cargo test -q --test work_ceiling a_reflector_computes_each_distinct_thing_once | grep -q '1 passed' || {
+  echo "one-computation check FAILED: the reflector's work ceilings did not run and pass" >&2
+  exit 1
+}
+
+echo "==> the ledger: every exact count and answer pin of BENCH_pipeline.json unmoved against the one it replaced"
 # The tracked ledger against the one it replaced (the newest committed
 # version that differs from it): every exact count and every answer pin must
 # agree. Its timing verdicts are one run on a guest that is noisy by the day
@@ -253,7 +277,7 @@ if [ -n "$before" ]; then
     --compare "$tmp/ledger_before.json" BENCH_pipeline.json >"$tmp/ledger_compare.txt" || true
   grep -E 'FAIL$' "$tmp/ledger_compare.txt" || true
   if grep -qE '!=|ids differ|missing on one side' "$tmp/ledger_compare.txt"; then
-    echo "one-copy check FAILED: BENCH_pipeline.json moved an exact count or an answer pin against $before" >&2
+    echo "ledger check FAILED: BENCH_pipeline.json moved an exact count or an answer pin against $before" >&2
     exit 1
   fi
 fi

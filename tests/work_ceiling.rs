@@ -13,7 +13,9 @@
 //! state tree at a time, not every router's — counted in events and in
 //! bytes this thread has live. And a converged emulation stores each
 //! distinct attribute set and next-hop set once per table, not once per
-//! route — counted in live bytes per FIB entry.
+//! route — counted in live bytes per FIB entry — and computes each distinct
+//! thing once: reachability per session and IGP move, one resolution per
+//! gateway and batch, one export per group and prefix.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +24,9 @@ use model_free_verification::core::{extract_snapshot, scenarios, EmulationBacken
 use model_free_verification::emulator::ConvergenceVerdict;
 use model_free_verification::mgmt::Telemetry;
 use model_free_verification::obs::Obs;
+use model_free_verification::routing::rib::GatewayMemo;
+use model_free_verification::routing::{Fib, NextHop};
+use model_free_verification::types::SimTime;
 
 /// The system allocator, counting the calling thread's live bytes and
 /// their high-water mark. Per thread, so tests running beside each other
@@ -174,7 +179,8 @@ fn a_converged_wan_stores_each_distinct_set_once() {
     // 100 routers, 12,010 FIB entries; every router's thousand-odd BGP
     // routes carry some twenty attribute sets and leave through five or
     // six next-hop sets. A copy per route held 1,275 live bytes per FIB
-    // entry here; a handle per route holds 742.
+    // entry here; a handle per route held 742, and holds 718 now that a
+    // reflector keeps one Adj-RIB-Out for its nineteen clients.
     let snapshot = scenarios::regional_wan(5, 20);
     let backend = EmulationBackend {
         cluster_machines: 2,
@@ -185,8 +191,80 @@ fn a_converged_wan_stores_each_distinct_set_once() {
     let entries = emu.dataplane().total_entries();
     assert!(entries > 12_000);
     assert!(
-        live <= 850 * entries,
+        live <= 800 * entries,
         "{} B live per FIB entry ({live} B, {entries} entries)",
         live / entries
     );
+}
+
+#[test]
+fn a_reflector_computes_each_distinct_thing_once() {
+    // Region 0's reflector of `regional_wan(5, 20)`: nineteen client
+    // sessions under one export policy and one eBGP session into the ring,
+    // a hundred-odd BGP routes.
+    let snapshot = scenarios::regional_wan(5, 20);
+    let backend = EmulationBackend {
+        cluster_machines: 2,
+        ..EmulationBackend::with_seed(1)
+    };
+    let (emu, meta) = backend.run(&snapshot).expect("wan boots");
+    assert!(meta.converged);
+    let mut rr = emu.router(&"r00x00".into()).expect("reflector").clone();
+    let bgp = rr.bgp_engine().expect("reflector runs BGP");
+    let sessions = bgp.summaries().len();
+    // One Adj-RIB-Out for the clients, one for the ring.
+    assert_eq!((sessions, bgp.export_groups()), (20, 2));
+
+    // Nothing dirty: a poll asks the IGP view about no peer and works no
+    // advertisement out.
+    let mut now = SimTime(emu.now().0 + 1);
+    let _ = rr.poll(now);
+    assert_eq!(rr.bgp_work, emu.router(&"r00x00".into()).unwrap().bgp_work);
+
+    // The ring port loses light: the IGP view moves at its /31 and nowhere
+    // else, and the one session with its peer in there asks again. That
+    // session falls, every route it brought is decided again, and each is
+    // exported once — to the client group; the ring group has nobody left
+    // in sync — where a table per session did so nineteen times.
+    let work = rr.bgp_work;
+    rr.set_link(&"Ethernet8".into(), false);
+    now = SimTime(now.0 + 1);
+    let _ = rr.poll(now);
+    assert_eq!(rr.bgp_work.liveness_lookups - work.liveness_lookups, 1);
+    let scope = rr.bgp_work.prefix_decisions - work.prefix_decisions;
+    assert!(scope >= 50, "{scope} prefixes decided");
+    assert_eq!(
+        rr.bgp_work.export_computations - work.export_computations,
+        scope
+    );
+
+    // A batch of N prefixes whose winners name G gateways costs G
+    // resolutions: here the reflector's whole table, patched into an empty
+    // FIB as one batch.
+    let rr = emu.router(&"r00x00".into()).expect("reflector");
+    let (mut fib, mut memo, mut looked_up) = (Fib::new(), GatewayMemo::default(), Vec::new());
+    let mut named = std::collections::BTreeSet::new();
+    for (prefix, route) in rr.rib().winners() {
+        fib.patch(rr.rib(), prefix, &mut memo, &mut looked_up);
+        if let [NextHop::Via(gateway)] = route.next_hops[..] {
+            named.insert(gateway);
+        }
+    }
+    assert!(fib.same_as(rr.fib()));
+    assert!(
+        fib.len() >= 100 && named.len() <= 4,
+        "{} over {named:?}",
+        fib.len()
+    );
+    assert_eq!(memo.resolutions(), named.len());
+
+    // And over the whole run, 100 routers and 38,434 polls: 390 liveness
+    // lookups for 200 sessions (a router that asks on every poll asks at
+    // least once per poll), 1,002 gateway resolutions behind 16,215
+    // resolved prefixes.
+    let obs = emu.export_obs();
+    let count = |name| obs.metrics.counter(name);
+    assert!(count("engine.polls.router") > 30_000);
+    assert!(count("bgp.liveness_lookups") <= 500);
+    assert!(count("fib.gateway_resolutions") * 10 <= count("vrouter.fib.prefixes_resolved"));
 }
