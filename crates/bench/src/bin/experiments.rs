@@ -14,8 +14,11 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use mfv_bench::*;
-use mfv_core::obs::WallTimer;
-use mfv_core::{scenarios, unreachable_pairs_with, EmulationBackend, ForwardingAnalysis, Snapshot};
+use mfv_core::obs::{Obs, WallTimer};
+use mfv_core::{
+    extract_snapshot, scenarios, unreachable_pairs_with, EmulationBackend, ForwardingAnalysis,
+    Snapshot,
+};
 use mfv_types::NodeId;
 use mfv_vrouter::VirtualRouter;
 
@@ -589,7 +592,8 @@ fn heap() {
 
 /// `converge [regions per_region]`: the wall spans of one convergence run
 /// (always on, in the obs dump's `wall` section) against the run's wall
-/// time, and the work counters that say how often each thing was computed.
+/// time, the work counters that say how often each thing was computed, and
+/// the extraction that follows: the typed hand-over against the JSON Get.
 fn converge() {
     banner("CONVERGE", "where a convergence run's wall time goes");
     let (regions, per_region, snapshot, backend) = wan_from_args();
@@ -640,6 +644,26 @@ fn converge() {
     ] {
         println!("{counter:<30} {:>11}", obs.metrics.counter(counter));
     }
+
+    // Extraction as `compute` makes it, then once through the JSON Get it
+    // replaced — the path the benchmark's traced run replays call by call.
+    let mut extracted = Obs::new();
+    let typed = extract_snapshot(&emu, &backend.collector, &mut extracted).dataplane;
+    let reference = emu.dataplane();
+    let timer = WallTimer::start();
+    let nodes = snapshot.topology.nodes.iter();
+    let nodes = nodes.map(|n| (n.name.clone(), emu.router(&n.name)));
+    let trees = backend.collector.collect(nodes);
+    let afts = mfv_mgmt::collect_afts(&trees.telemetry);
+    let json = mfv_mgmt::dataplane_from_afts(&afts, &reference);
+    drop((trees, afts));
+    let json_us = timer.elapsed_micros();
+    assert_eq!(typed.digest(), json.digest(), "typed and JSON extraction");
+    let typed_us = extracted.wall.phase_micros("extract").unwrap_or(0);
+    println!("\nextraction                   ms  % of run");
+    row("extract (typed Get)", typed_us);
+    row("JSON Get (replaced)", json_us);
+    println!("digests equal: {:016x}", typed.digest());
 
     // What the spans themselves cost: a lap is one clock reading, a router
     // section a pair of them.

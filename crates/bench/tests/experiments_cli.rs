@@ -222,6 +222,11 @@ fn converge_prints_the_span_table_and_the_once_per_distinct_input_counters() {
             "fib.gateway_resolutions                 62",
             "bgp.liveness_lookups                    42",
             "bgp.export_computations                324",
+            // Extraction, typed against the JSON Get it replaced: the same
+            // dataplane either way.
+            "\nextract (typed Get) ",
+            "\nJSON Get (replaced) ",
+            "\ndigests equal: 217077b89c5abfa8",
         ],
     );
 }

@@ -54,42 +54,48 @@ pub struct Aft {
 impl Aft {
     /// Builds an AFT from a FIB, deduplicating next hops and groups the way
     /// real AFT exports do (shared groups across prefixes).
+    ///
+    /// One lookup per entry, keyed by its ordered next-hop set (preserving
+    /// the FIB's order makes the round-trip exactly lossless). Groups and
+    /// next hops are numbered by first sight in FIB order; a next hop is
+    /// first seen in a group that is itself new, so numbering hops only
+    /// inside new groups gives the ids a lookup per hop would.
     pub fn from_fib(fib: &Fib) -> Aft {
         let mut aft = Aft::default();
-        let mut nh_ids: BTreeMap<FibNextHop, u64> = BTreeMap::new();
-        let mut group_ids: BTreeMap<Vec<u64>, u64> = BTreeMap::new();
+        aft.ipv4_unicast.reserve(fib.len());
+        let mut nh_ids: BTreeMap<&FibNextHop, u64> = BTreeMap::new();
+        let mut group_ids: BTreeMap<&[FibNextHop], u64> = BTreeMap::new();
 
         for entry in fib.entries() {
-            let mut members = Vec::with_capacity(entry.next_hops.len());
-            for nh in entry.next_hops.iter() {
-                let next_id = nh_ids.len() as u64 + 1;
-                let id = *nh_ids.entry(nh.clone()).or_insert(next_id);
-                if id == next_id {
-                    aft.next_hops.insert(
-                        id,
-                        AftNextHop {
-                            id,
-                            interface: nh.iface.to_string(),
-                            ip_address: nh.via,
-                        },
-                    );
-                }
-                members.push(id);
-            }
-            // Groups are keyed by the ordered member list: preserving the
-            // FIB's next-hop order makes the round-trip exactly lossless,
-            // which the pipeline's extraction check relies on.
-            let next_gid = group_ids.len() as u64 + 1;
-            let gid = *group_ids.entry(members.clone()).or_insert(next_gid);
-            if gid == next_gid {
-                aft.next_hop_groups.insert(
-                    gid,
-                    AftNextHopGroup {
+            let set: &[FibNextHop] = &entry.next_hops;
+            let gid = match group_ids.get(set) {
+                Some(gid) => *gid,
+                None => {
+                    let gid = group_ids.len() as u64 + 1;
+                    let next_hops = set.iter().map(|nh| {
+                        let next_id = nh_ids.len() as u64 + 1;
+                        let id = *nh_ids.entry(nh).or_insert(next_id);
+                        if id == next_id {
+                            aft.next_hops.insert(
+                                id,
+                                AftNextHop {
+                                    id,
+                                    interface: nh.iface.to_string(),
+                                    ip_address: nh.via,
+                                },
+                            );
+                        }
+                        id
+                    });
+                    let group = AftNextHopGroup {
                         id: gid,
-                        next_hops: members,
-                    },
-                );
-            }
+                        next_hops: next_hops.collect(),
+                    };
+                    aft.next_hop_groups.insert(gid, group);
+                    group_ids.insert(set, gid);
+                    gid
+                }
+            };
             aft.ipv4_unicast.push(AftIpv4Entry {
                 prefix: entry.prefix,
                 next_hop_group: gid,
@@ -264,5 +270,87 @@ mod tests {
         }
         assert!(aft.fib_entries().iter().all(|e| e.next_hops.is_empty()));
         assert_eq!(aft.to_fib().len(), 3);
+    }
+
+    /// The reference `from_fib`: a lookup per next hop, a member list per
+    /// entry, and the group looked up by that list.
+    fn from_fib_per_hop(fib: &Fib) -> Aft {
+        let mut aft = Aft::default();
+        let mut nh_ids: BTreeMap<FibNextHop, u64> = BTreeMap::new();
+        let mut group_ids: BTreeMap<Vec<u64>, u64> = BTreeMap::new();
+        for entry in fib.entries() {
+            let mut members = Vec::with_capacity(entry.next_hops.len());
+            for nh in entry.next_hops.iter() {
+                let next_id = nh_ids.len() as u64 + 1;
+                let id = *nh_ids.entry(nh.clone()).or_insert(next_id);
+                if id == next_id {
+                    aft.next_hops.insert(
+                        id,
+                        AftNextHop {
+                            id,
+                            interface: nh.iface.to_string(),
+                            ip_address: nh.via,
+                        },
+                    );
+                }
+                members.push(id);
+            }
+            let next_gid = group_ids.len() as u64 + 1;
+            let gid = *group_ids.entry(members.clone()).or_insert(next_gid);
+            if gid == next_gid {
+                aft.next_hop_groups.insert(
+                    gid,
+                    AftNextHopGroup {
+                        id: gid,
+                        next_hops: members,
+                    },
+                );
+            }
+            aft.ipv4_unicast.push(AftIpv4Entry {
+                prefix: entry.prefix,
+                next_hop_group: gid,
+                origin_protocol: entry.proto,
+            });
+        }
+        aft
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_lookup_per_set_numbers_as_one_lookup_per_hop(
+            pool in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, proptest::option::of(1u8..4)), 0..4),
+                1..6,
+            ),
+            rows in proptest::collection::vec(
+                (0u32..16, 0u8..6, 0usize..6, proptest::prelude::any::<bool>()),
+                0..40,
+            ),
+        ) {
+            // Rows pick a set from the pool, either sharing its allocation or
+            // holding an equal copy; the pool may repeat a set, hold the
+            // empty set, and repeat a next hop across sets.
+            let pool: Vec<Arc<[FibNextHop]>> = pool
+                .iter()
+                .map(|hops| {
+                    hops.iter()
+                        .map(|&(iface, via)| FibNextHop {
+                            iface: format!("eth{iface}").as_str().into(),
+                            via: via.map(|h| std::net::Ipv4Addr::new(10, 0, 0, h)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut fib = Fib::new();
+            for &(top, len, set, shared) in &rows {
+                let set = &pool[set % pool.len()];
+                fib.insert(FibEntry {
+                    prefix: Prefix::from_bits(top << 28, len),
+                    proto: RouteProtocol::Isis,
+                    next_hops: if shared { Arc::clone(set) } else { set.to_vec().into() },
+                });
+            }
+            proptest::prop_assert_eq!(Aft::from_fib(&fib), from_fib_per_hop(&fib));
+        }
     }
 }

@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 use mfv_types::{ExtractionStatus, NodeId, SimDuration};
 use mfv_vrouter::VirtualRouter;
 
-use crate::gnmi::Telemetry;
+use crate::gnmi::{ExtractError, Telemetry};
 
 /// Virtual cost of one answered RPC (success or fast error).
 const RPC_COST: SimDuration = SimDuration::from_millis(50);
@@ -129,22 +129,26 @@ impl Collector {
         I: IntoIterator<Item = (NodeId, Option<&'a VirtualRouter>)>,
     {
         let mut telemetry = BTreeMap::new();
-        let mut report = self.collect_each(nodes, |node, t| {
+        let mut report = self.collect_each(nodes, Telemetry::from_router, |node, t| {
             telemetry.insert(node.clone(), t);
         });
         report.telemetry = telemetry;
         report
     }
 
-    /// [`collect`](Self::collect), one router at a time: each answered
-    /// state tree goes to `sink` by value as soon as its RPC returns, and
-    /// nothing of it is kept — the report's `telemetry` map stays empty. A
-    /// sink that ingests the tree and lets it go holds one router's tree at
-    /// a time, however many routers there are.
-    pub fn collect_each<'a, I>(
+    /// The one retry loop, one router at a time and generic over the Get:
+    /// `read` runs once per node whose RPC is answered, its result goes to
+    /// `sink` by value, and nothing of it is kept — the report's
+    /// `telemetry` map stays empty. A sink that ingests what it is handed
+    /// and lets it go holds one router's answer at a time, however many
+    /// routers there are. A `read` error is not transient: the node is
+    /// `Missing` without a retry, so a node is covered exactly when its
+    /// answer reached `sink`.
+    pub fn collect_each<'a, I, T>(
         &self,
         nodes: I,
-        mut sink: impl FnMut(&NodeId, Telemetry),
+        read: impl Fn(&VirtualRouter) -> Result<T, ExtractError>,
+        mut sink: impl FnMut(&NodeId, T),
     ) -> CollectionReport
     where
         I: IntoIterator<Item = (NodeId, Option<&'a VirtualRouter>)>,
@@ -157,7 +161,7 @@ impl Collector {
         let mut backoff_by_node = BTreeMap::new();
         let mut attempts_by_node = BTreeMap::new();
         for (node, router) in nodes {
-            let (st, t, attempts, backoff, elapsed) = self.collect_node(&node, router);
+            let (st, t, attempts, backoff, elapsed) = self.collect_node(&node, router, &read);
             attempts_total += attempts as u64;
             retries_total += attempts.saturating_sub(1) as u64;
             backoff_total = backoff_total + backoff;
@@ -181,17 +185,12 @@ impl Collector {
         }
     }
 
-    fn collect_node(
+    fn collect_node<T>(
         &self,
         node: &NodeId,
         router: Option<&VirtualRouter>,
-    ) -> (
-        ExtractionStatus,
-        Option<Telemetry>,
-        u32,
-        SimDuration,
-        SimDuration,
-    ) {
+        read: impl Fn(&VirtualRouter) -> Result<T, ExtractError>,
+    ) -> (ExtractionStatus, Option<T>, u32, SimDuration, SimDuration) {
         let Some(router) = router else {
             return (
                 ExtractionStatus::Missing("no router instance".into()),
@@ -221,9 +220,9 @@ impl Collector {
             attempts += 1;
             match self.rpc_outcome(forced, &mut rng) {
                 Ok(()) => {
-                    // The RPC path answered; now capture the state tree. A
-                    // serialisation failure is not transient — don't retry.
-                    return match Telemetry::from_router(router) {
+                    // The RPC path answered; now read the device. A read
+                    // failure is not transient — don't retry.
+                    return match read(router) {
                         Ok(t) => {
                             let st = match self.failures.stale.get(node) {
                                 Some(age) => ExtractionStatus::Stale(*age),
@@ -444,7 +443,8 @@ mod tests {
                 (NodeId::from("r1"), Some(&r1)),
                 (NodeId::from("r2"), Some(&r2)),
             ],
-            |node, tree: Telemetry| seen.push((node.clone(), tree.is_up())),
+            Telemetry::from_router,
+            |node, tree| seen.push((node.clone(), tree.is_up())),
         );
         assert_eq!(seen, vec![(NodeId::from("r2"), true)]);
         assert!(report.telemetry.is_empty());

@@ -19,7 +19,34 @@ pub struct Telemetry {
     root: Value,
 }
 
-/// Why a device's state tree could not be captured.
+/// The typed Get extraction makes: the leaves of the state tree a
+/// dataplane node is built from, read off the device with no tree between.
+/// Equal to what [`Telemetry::aft`], [`Telemetry::addresses`] and
+/// [`Telemetry::is_up`] decode from [`Telemetry::from_router`]'s tree; JSON
+/// is only how those cross a process boundary, and this one has none.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct ForwardingState {
+    /// `/network-instances/network-instance/afts`.
+    pub aft: Aft,
+    /// The enabled, routed, addressed entries of `/interfaces/interface`.
+    pub addresses: std::collections::BTreeSet<std::net::Ipv4Addr>,
+    /// `/system/state/up`.
+    pub up: bool,
+}
+
+impl ForwardingState {
+    /// Reads the device. Cannot fail — nothing is serialised — but has the
+    /// shape of every Get the [`Collector`](crate::Collector) retries.
+    pub fn from_router(router: &VirtualRouter) -> Result<ForwardingState, ExtractError> {
+        Ok(ForwardingState {
+            aft: Aft::from_fib(router.fib()),
+            addresses: router.addresses().clone(),
+            up: router.is_running(),
+        })
+    }
+}
+
+/// Why a device's state could not be read.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ExtractError(pub String);
 

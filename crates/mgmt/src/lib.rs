@@ -29,7 +29,7 @@ pub mod watch;
 
 pub use aft::{Aft, AftIpv4Entry, AftNextHop, AftNextHopGroup};
 pub use collect::{CollectionReport, Collector, CollectorConfig, RpcFailureModel};
-pub use gnmi::{apply, canonicalize, diff, ExtractError, Telemetry, Update};
+pub use gnmi::{apply, canonicalize, diff, ExtractError, ForwardingState, Telemetry, Update};
 pub use watch::{StreamFaultModel, TickReport, WatchConfig, WatchEvent, WatchStats, Watcher};
 
 use mfv_dataplane::{Dataplane, NodeDataplane};

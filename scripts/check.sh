@@ -259,6 +259,16 @@ cargo test -q --test work_ceiling a_reflector_computes_each_distinct_thing_once 
   exit 1
 }
 
+echo "==> one hand-over: extraction decodes no JSON (typed Gets in process, JSON at the wire)"
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/extract.rs | grep -nE 'Telemetry|serde_json|\.aft\('; then
+  echo "one-hand-over check FAILED: non-test crates/core/src/extract.rs reads a state tree (take the typed Get, mfv_mgmt::ForwardingState)" >&2
+  exit 1
+fi
+cargo test -q -p mfv-core --lib typed_get_equals_the_json_get | grep -q '1 passed' || {
+  echo "one-hand-over check FAILED: the typed ≡ JSON Get test did not run and pass" >&2
+  exit 1
+}
+
 echo "==> the ledger: every exact count and answer pin of BENCH_pipeline.json unmoved against the one it replaced"
 # The tracked ledger against the one it replaced (the newest committed
 # version that differs from it): every exact count and every answer pin must

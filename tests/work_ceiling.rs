@@ -10,8 +10,8 @@
 //!
 //! The same goes for a what-if cut and for extraction: a fork re-converges
 //! what the cut changed, not the network, and extraction holds one router's
-//! state tree at a time, not every router's — counted in events and in
-//! bytes this thread has live. And a converged emulation stores each
+//! AFT at a time, not every router's and no state tree — counted in events
+//! and in bytes this thread has live. And a converged emulation stores each
 //! distinct attribute set and next-hop set once per table, not once per
 //! route — counted in live bytes per FIB entry — and computes each distinct
 //! thing once: reachability per session and IGP move, one resolution per
@@ -22,7 +22,7 @@ use std::cell::Cell;
 
 use model_free_verification::core::{extract_snapshot, scenarios, EmulationBackend, Snapshot};
 use model_free_verification::emulator::ConvergenceVerdict;
-use model_free_verification::mgmt::Telemetry;
+use model_free_verification::mgmt::{Aft, Telemetry};
 use model_free_verification::obs::Obs;
 use model_free_verification::routing::rib::GatewayMemo;
 use model_free_verification::routing::{Fib, NextHop};
@@ -148,15 +148,17 @@ fn a_cut_costs_what_it_changes() {
 }
 
 #[test]
-fn extraction_holds_one_routers_tree_at_a_time() {
+fn extraction_holds_one_routers_aft_at_a_time() {
     let snapshot = scenarios::isis_grid(6, 5);
     let backend = EmulationBackend::with_seed(1);
     let (emu, _) = backend.run(&snapshot).expect("grid boots");
     assert_eq!(snapshot.topology.nodes.len(), 30);
-    // Every grid router carries the same 79 prefixes; one tree is one tree.
+    // Every grid router carries the same 79 prefixes; one AFT is one AFT.
     let router = emu
         .router(&snapshot.topology.nodes[0].name)
         .expect("router booted");
+    let (aft, aft_bytes, _) = heap_of(|| Aft::from_fib(router.fib()));
+    drop(aft);
     let (tree, tree_bytes, _) = heap_of(|| Telemetry::from_router(router).expect("tree"));
     drop(tree);
 
@@ -164,13 +166,15 @@ fn extraction_holds_one_routers_tree_at_a_time() {
         heap_of(|| extract_snapshot(&emu, &backend.collector, &mut Obs::new()));
     assert!(extracted.is_complete());
     assert_eq!(extracted.dataplane.digest(), emu.dataplane().digest());
-    // Above the result it returns, extraction needs room for the tree in
-    // hand and what decoding it builds (1.7 trees' worth today), not for
-    // thirty trees.
+    // Above the result it returns, extraction needs room for the AFT in
+    // hand and the sweep's per-node tallies: 4,722 B today against a
+    // 2,997 B AFT (1.6 AFTs' worth, 27 % under the ceiling) — not thirty
+    // AFTs, and not one 76,702 B state tree, which it no longer builds.
     let transient = peak - kept;
+    assert!(transient < tree_bytes / 10, "{transient} B transient");
     assert!(
-        transient <= 3 * tree_bytes,
-        "{transient} B transient for a {tree_bytes} B tree"
+        transient <= 2 * aft_bytes,
+        "{transient} B transient for a {aft_bytes} B AFT"
     );
 }
 
