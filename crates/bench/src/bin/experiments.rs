@@ -7,6 +7,7 @@
 //! cargo run --release -p mfv-bench --bin experiments -- --quick # smaller E4/E5
 //! cargo run --release -p mfv-bench --bin experiments -- heap 20 50 # where the 1,000-router heap is
 //! cargo run --release -p mfv-bench --bin experiments -- converge 20 50 # and where its convergence time goes
+//! cargo run --release -p mfv-bench --bin experiments -- converge --grid 10 6 # the same for an isis_grid
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -590,21 +591,43 @@ fn heap() {
     }
 }
 
-/// `converge [regions per_region]`: the wall spans of one convergence run
-/// (always on, in the obs dump's `wall` section) against the run's wall
-/// time, the work counters that say how often each thing was computed, and
-/// the extraction that follows: the typed hand-over against the JSON Get.
+/// `converge [regions per_region]` or `converge --grid <cols> <rows>`: the
+/// wall spans of one convergence run (always on, in the obs dump's `wall`
+/// section) against the run's wall time, the work counters that say how
+/// often each thing was computed, and the extraction that follows: the
+/// typed hand-over against the JSON Get.
 fn converge() {
     banner("CONVERGE", "where a convergence run's wall time goes");
-    let (regions, per_region, snapshot, backend) = wan_from_args();
-    let (emu, meta) = backend.run(&snapshot).expect("wan boots");
-    assert!(meta.converged, "regional_wan({regions}, {per_region})");
+    let args: Vec<String> = std::env::args().collect();
+    let (network, snapshot, backend) = match args.iter().position(|a| a == "--grid") {
+        Some(at) => {
+            let size = |i: usize| args.get(at + i).and_then(|a| a.parse::<usize>().ok());
+            let (Some(cols), Some(rows)) = (size(1), size(2)) else {
+                eprintln!("experiments: --grid takes <cols> <rows>");
+                std::process::exit(2);
+            };
+            let mut backend = EmulationBackend::with_seed(1);
+            backend.cluster_machines = (cols * rows).div_ceil(60);
+            let network = format!("isis_grid({cols}, {rows})");
+            (network, scenarios::isis_grid(cols, rows), backend)
+        }
+        None => {
+            let (regions, per_region, snapshot, backend) = wan_from_args();
+            (
+                format!("regional_wan({regions}, {per_region})"),
+                snapshot,
+                backend,
+            )
+        }
+    };
+    let (emu, meta) = backend.run(&snapshot).expect("network boots");
+    assert!(meta.converged, "{network}");
     let obs = emu.export_obs();
     let us = |phase: &str| obs.wall.phase_micros(phase).unwrap_or(0);
     let run_us = us("boot") + us("flood") + us("converge");
     let events = obs.metrics.counter("engine.events.processed");
     println!(
-        "regional_wan({regions}, {per_region}), seed 1: {events} events, run {:.3} s, {:.2} us/event\n",
+        "{network}, seed 1: {events} events, run {:.3} s, {:.2} us/event\n",
         run_us as f64 / 1e6,
         run_us as f64 / events.max(1) as f64
     );
@@ -630,11 +653,18 @@ fn converge() {
     for span in ["router.spf", "router.bgp", "router.fib"] {
         row(span, us(span));
     }
+    let spf_runs = obs.metrics.counter("vrouter.spf.runs");
+    println!(
+        "SPF: {spf_runs} runs, {:.2} us per run",
+        us("router.spf") as f64 / spf_runs.max(1) as f64
+    );
 
     println!("\ncounter                              count");
     for counter in [
         "engine.polls.router",
         "vrouter.spf.runs",
+        "isis.lsp_encodes",
+        "isis.lsp_checksums",
         "vrouter.fib.patches",
         "vrouter.fib.prefixes_resolved",
         "fib.gateway_resolutions",

@@ -230,3 +230,26 @@ fn converge_prints_the_span_table_and_the_once_per_distinct_input_counters() {
         ],
     );
 }
+
+#[test]
+fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
+    assert_headlines(
+        &["converge", "--grid", "3", "2"],
+        &[
+            "isis_grid(3, 2), seed 1: 1162 events",
+            "\nrouter.spf ",
+            "\nSPF: 52 runs, ",
+            " us per run\n",
+            // Six routers originate 20 LSPs and receive 134: an encoding per
+            // origination, a checksum per encoding and per LSP received.
+            "isis.lsp_encodes                        20",
+            "isis.lsp_checksums                     154",
+            "\ndigests equal: 03eb3f31a92f5ec4",
+        ],
+    );
+    // The grid is a flag: a bare word is an experiment id.
+    let out = experiments(&["converge", "grid", "3", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("unknown experiment id `grid`"), "{stderr}");
+}

@@ -82,6 +82,8 @@ impl Emulation {
             total(|r| r.fib_prefixes_resolved),
         );
         m.inc("vrouter.spf.runs", total(|r| r.spf_runs));
+        m.inc("isis.lsp_encodes", total(|r| r.isis_work.lsp_encodes));
+        m.inc("isis.lsp_checksums", total(|r| r.isis_work.lsp_checksums));
         m.inc(
             "vrouter.igp.delta_prefixes",
             total(|r| r.igp_delta_prefixes),

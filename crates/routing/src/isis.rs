@@ -3,18 +3,24 @@
 //! computation.
 //!
 //! Poll-based like [`crate::bgp::BgpEngine`]: PDUs in via
-//! [`IsisEngine::push_pdu`], PDUs out via [`IsisEngine::poll`].
+//! [`IsisEngine::push_pdu`], encoded PDUs out via [`IsisEngine::poll`].
+//!
+//! Each LSP is encoded and checksummed once: the LSDB keeps it as the
+//! [`StoredLsp`] the codec produced, floods and re-sends its bytes, and
+//! names it in sequence-number PDUs by its stored header. SPF runs over a
+//! graph the engine keeps as LSPs are installed.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
 use mfv_types::{IfaceAddr, IfaceId, Prefix, RouteProtocol, SimDuration, SimTime};
 use mfv_wire::isis::{
-    AdjState, Csnp, IpReach, IsNeighbor, IsisPdu, Lsp, LspEntry, LspId, P2pHello, Psnp, SystemId,
-    Tlv, NLPID_IPV4,
+    AdjState, Csnp, IpReach, IsNeighbor, IsisPdu, Lsp, LspEntry, LspId, P2pHello, Psnp, Received,
+    StoredLsp, SystemId, Tlv, NLPID_IPV4,
 };
 
 use crate::rib::{NextHop, RibRoute};
@@ -95,12 +101,21 @@ pub struct AdjacencyInfo {
     pub neighbor_addr: Option<Ipv4Addr>,
 }
 
-/// One LSDB row for `show isis database`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LsdbEntry {
-    pub lsp_id: LspId,
-    pub seq: u32,
-    pub hostname: Option<String>,
+/// Exact work counts of an engine, handed to its owner by
+/// [`IsisEngine::take_work`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct IsisWork {
+    /// LSPs encoded: the router's own originations.
+    pub lsp_encodes: u64,
+    /// LSP checksums computed: one per encoding, one per LSP received.
+    pub lsp_checksums: u64,
+}
+
+impl std::ops::AddAssign for IsisWork {
+    fn add_assign(&mut self, other: IsisWork) {
+        self.lsp_encodes += other.lsp_encodes;
+        self.lsp_checksums += other.lsp_checksums;
+    }
 }
 
 /// The IS-IS engine for one router.
@@ -108,15 +123,23 @@ pub struct LsdbEntry {
 pub struct IsisEngine {
     cfg: IsisEngineConfig,
     adjacencies: BTreeMap<IfaceId, Adjacency>,
-    lsdb: BTreeMap<LspId, Lsp>,
+    /// Every LSP held; the SPF graph shares the fragment-zero ones.
+    lsdb: BTreeMap<LspId, Arc<StoredLsp>>,
+    graph: SpfGraph,
     own_seq: u32,
-    /// Outbound queue. Each entry is one PDU destined for a *group* of
-    /// interfaces: floods enqueue a single entry listing every target so the
-    /// caller can encode the PDU once and fan the bytes out, instead of
-    /// re-encoding per interface.
-    out: VecDeque<(Vec<IfaceId>, IsisPdu)>,
+    /// Outbound queue. Each entry is one encoded PDU destined for a *group*
+    /// of interfaces: floods enqueue a single entry listing every target so
+    /// the caller fans the same bytes out.
+    out: VecDeque<(Vec<IfaceId>, Bytes)>,
     /// The LSDB or an adjacency changed since SPF last ran.
     routes_stale: bool,
+    /// Our interfaces' subnets, sorted: SPF never routes them (connected
+    /// beats IGP anyway, and shared link subnets would otherwise flap).
+    own_prefixes: Vec<Prefix>,
+    /// SPF's priority queue: empty between runs, its buffer kept for the
+    /// next one.
+    spf_heap: BinaryHeap<Reverse<(u32, u32)>>,
+    work: IsisWork,
 }
 
 impl IsisEngine {
@@ -127,13 +150,19 @@ impl IsisEngine {
             .filter(|i| !i.passive)
             .map(|i| (i.iface.clone(), Adjacency::down()))
             .collect();
+        let mut own_prefixes: Vec<Prefix> = cfg.ifaces.iter().map(|i| i.addr.subnet()).collect();
+        own_prefixes.sort();
         let mut engine = IsisEngine {
             cfg,
             adjacencies,
             lsdb: BTreeMap::new(),
+            graph: SpfGraph::default(),
             own_seq: 0,
             out: VecDeque::new(),
             routes_stale: false,
+            own_prefixes,
+            spf_heap: BinaryHeap::new(),
+            work: IsisWork::default(),
         };
         engine.regenerate_own_lsp();
         engine
@@ -174,7 +203,8 @@ impl IsisEngine {
         }
     }
 
-    /// Regenerates our own LSP after a topology-affecting change.
+    /// Regenerates our own LSP after a topology-affecting change: the one
+    /// place an LSP is encoded.
     fn regenerate_own_lsp(&mut self) {
         self.own_seq += 1;
         let mut is_neighbors = Vec::new();
@@ -210,18 +240,48 @@ impl IsisEngine {
                 Tlv::ExtIpReach(ip_reaches),
             ],
         };
-        self.lsdb.insert(lsp.lsp_id, lsp.clone());
+        let lsp = Arc::new(StoredLsp::encode(&lsp));
+        self.work.lsp_encodes += 1;
+        self.work.lsp_checksums += 1;
+        self.install(Arc::clone(&lsp));
+        self.flood(&lsp, None);
+    }
+
+    /// Puts `lsp` in the LSDB and, if it is a fragment zero, in the SPF
+    /// graph.
+    fn install(&mut self, lsp: Arc<StoredLsp>) {
+        let id = lsp.entry().lsp_id;
+        if id == LspId::of(id.system) {
+            self.graph.set(Arc::clone(&lsp));
+        }
+        self.lsdb.insert(id, lsp);
         self.routes_stale = true;
-        // Flood to all Up adjacencies.
-        let up_ifaces: Vec<IfaceId> = self
+    }
+
+    /// Queues `lsp`'s bytes for every Up adjacency but `except`.
+    fn flood(&mut self, lsp: &StoredLsp, except: Option<&IfaceId>) {
+        let to: Vec<IfaceId> = self
             .adjacencies
             .iter()
-            .filter(|(_, a)| matches!(a.state, AdjState::Up))
+            .filter(|(i, a)| Some(*i) != except && matches!(a.state, AdjState::Up))
             .map(|(i, _)| i.clone())
             .collect();
-        if !up_ifaces.is_empty() {
-            self.out.push_back((up_ifaces, IsisPdu::Lsp(lsp)));
+        if !to.is_empty() {
+            self.out.push_back((to, lsp.bytes().clone()));
         }
+    }
+
+    fn send(&mut self, iface: &IfaceId, bytes: Bytes) {
+        self.out.push_back((vec![iface.clone()], bytes));
+    }
+
+    /// Acknowledges the LSP `entry` names with a PSNP.
+    fn ack(&mut self, iface: &IfaceId, entry: LspEntry) {
+        let psnp = IsisPdu::Psnp(Psnp {
+            source: self.cfg.system_id,
+            entries: vec![entry],
+        });
+        self.send(iface, psnp.encode());
     }
 
     fn build_hello(&self, iface: &IfaceId) -> Option<IsisPdu> {
@@ -246,12 +306,14 @@ impl IsisEngine {
     }
 
     /// Feeds a received PDU into the engine.
-    pub fn push_pdu(&mut self, now: SimTime, iface: &IfaceId, pdu: IsisPdu) {
+    pub fn push_pdu(&mut self, now: SimTime, iface: &IfaceId, pdu: Received) {
         match pdu {
-            IsisPdu::P2pHello(hello) => self.on_hello(now, iface, hello),
-            IsisPdu::Lsp(lsp) => self.on_lsp(iface, lsp),
-            IsisPdu::Csnp(csnp) => self.on_csnp(iface, csnp),
-            IsisPdu::Psnp(psnp) => self.on_psnp(iface, psnp),
+            Received::Lsp(lsp) => self.on_lsp(iface, lsp),
+            Received::Pdu(IsisPdu::P2pHello(hello)) => self.on_hello(now, iface, hello),
+            Received::Pdu(IsisPdu::Csnp(csnp)) => self.on_csnp(iface, csnp),
+            Received::Pdu(IsisPdu::Psnp(psnp)) => self.on_psnp(iface, psnp),
+            // `receive` stores every LSP.
+            Received::Pdu(IsisPdu::Lsp(_)) => {}
         }
     }
 
@@ -301,98 +363,55 @@ impl IsisEngine {
             // Respond immediately so the three-way handshake completes in
             // one exchange rather than a hello interval.
             if let Some(h) = self.build_hello(iface) {
-                self.out.push_back((vec![iface.clone()], h));
+                self.send(iface, h.encode());
             }
             if matches!(new_state, AdjState::Up) {
                 self.regenerate_own_lsp();
                 // Database sync: full CSNP to the new neighbor.
-                let entries = self.csnp_entries();
-                self.out.push_back((
-                    vec![iface.clone()],
-                    IsisPdu::Csnp(Csnp {
-                        source: self.cfg.system_id,
-                        entries,
-                    }),
-                ));
+                let csnp = IsisPdu::Csnp(Csnp {
+                    source: self.cfg.system_id,
+                    entries: self.lsdb.values().map(|l| l.entry()).collect(),
+                });
+                self.send(iface, csnp.encode());
             } else if matches!(old_state, AdjState::Up) {
                 self.regenerate_own_lsp();
             }
         }
     }
 
-    fn csnp_entries(&self) -> Vec<LspEntry> {
-        self.lsdb
-            .values()
-            .map(|l| LspEntry {
-                lifetime: l.lifetime_secs,
-                lsp_id: l.lsp_id,
-                seq: l.seq,
-                checksum: l.checksum(),
-            })
-            .collect()
-    }
-
-    fn on_lsp(&mut self, iface: &IfaceId, lsp: Lsp) {
-        let existing_seq = self.lsdb.get(&lsp.lsp_id).map(|l| l.seq);
-        if lsp.lsp_id.system == self.cfg.system_id {
+    fn on_lsp(&mut self, iface: &IfaceId, lsp: StoredLsp) {
+        // Its decode verified one checksum; nothing here computes another.
+        self.work.lsp_checksums += 1;
+        let entry = lsp.entry();
+        let existing_seq = self.lsdb.get(&entry.lsp_id).map(|l| l.entry().seq);
+        if entry.lsp_id.system == self.cfg.system_id {
             // Someone floods our own LSP back. If theirs is newer (stale
-            // restart), outrun it.
-            if existing_seq.map(|s| lsp.seq >= s).unwrap_or(true) {
-                self.own_seq = lsp.seq;
+            // restart), outrun it. An equal one is outrun too, though ISO
+            // 10589 takes equal sequence number and checksum for an
+            // acknowledgement (ROADMAP item 3).
+            if existing_seq.map(|s| entry.seq >= s).unwrap_or(true) {
+                self.own_seq = entry.seq;
                 self.regenerate_own_lsp();
             }
             return;
         }
         match existing_seq {
-            Some(s) if s >= lsp.seq => {
-                if s > lsp.seq {
-                    // We have newer: send ours back.
-                    let ours = self.lsdb.get(&lsp.lsp_id).unwrap().clone();
-                    self.out
-                        .push_back((vec![iface.clone()], IsisPdu::Lsp(ours)));
-                }
-                // Equal: ack implicitly via PSNP.
-                else {
-                    self.out.push_back((
-                        vec![iface.clone()],
-                        IsisPdu::Psnp(Psnp {
-                            source: self.cfg.system_id,
-                            entries: vec![LspEntry {
-                                lifetime: lsp.lifetime_secs,
-                                lsp_id: lsp.lsp_id,
-                                seq: lsp.seq,
-                                checksum: lsp.checksum(),
-                            }],
-                        }),
-                    ));
+            Some(s) if s > entry.seq => {
+                // We have newer: send ours back.
+                if let Some(ours) = self.lsdb.get(&entry.lsp_id) {
+                    let bytes = ours.bytes().clone();
+                    self.send(iface, bytes);
                 }
             }
+            // Equal: ack implicitly via PSNP.
+            Some(s) if s == entry.seq => self.ack(iface, entry),
             _ => {
-                // New or newer: install, ack, flood onward.
-                let entry = LspEntry {
-                    lifetime: lsp.lifetime_secs,
-                    lsp_id: lsp.lsp_id,
-                    seq: lsp.seq,
-                    checksum: lsp.checksum(),
-                };
-                self.lsdb.insert(lsp.lsp_id, lsp.clone());
-                self.routes_stale = true;
-                self.out.push_back((
-                    vec![iface.clone()],
-                    IsisPdu::Psnp(Psnp {
-                        source: self.cfg.system_id,
-                        entries: vec![entry],
-                    }),
-                ));
-                let flood_to: Vec<IfaceId> = self
-                    .adjacencies
-                    .iter()
-                    .filter(|(i, a)| *i != iface && matches!(a.state, AdjState::Up))
-                    .map(|(i, _)| i.clone())
-                    .collect();
-                if !flood_to.is_empty() {
-                    self.out.push_back((flood_to, IsisPdu::Lsp(lsp)));
-                }
+                // New or newer: install, ack, flood onward the bytes as
+                // they arrived.
+                let lsp = Arc::new(lsp);
+                self.install(Arc::clone(&lsp));
+                self.ack(iface, entry);
+                self.flood(&lsp, Some(iface));
             }
         }
     }
@@ -402,17 +421,17 @@ impl IsisEngine {
         // Send them anything we have that they are missing or have older.
         for (id, lsp) in &self.lsdb {
             match their.get(id) {
-                Some(&their_seq) if their_seq >= lsp.seq => {}
+                Some(&their_seq) if their_seq >= lsp.entry().seq => {}
                 _ => {
                     self.out
-                        .push_back((vec![iface.clone()], IsisPdu::Lsp(lsp.clone())));
+                        .push_back((vec![iface.clone()], lsp.bytes().clone()));
                 }
             }
         }
         // Request anything they have newer via PSNP.
         let mut requests = Vec::new();
         for e in &csnp.entries {
-            let ours = self.lsdb.get(&e.lsp_id).map(|l| l.seq).unwrap_or(0);
+            let ours = self.lsdb.get(&e.lsp_id).map(|l| l.entry().seq).unwrap_or(0);
             if e.seq > ours {
                 requests.push(LspEntry {
                     lifetime: 0,
@@ -423,13 +442,11 @@ impl IsisEngine {
             }
         }
         if !requests.is_empty() {
-            self.out.push_back((
-                vec![iface.clone()],
-                IsisPdu::Psnp(Psnp {
-                    source: self.cfg.system_id,
-                    entries: requests,
-                }),
-            ));
+            let psnp = IsisPdu::Psnp(Psnp {
+                source: self.cfg.system_id,
+                entries: requests,
+            });
+            self.send(iface, psnp.encode());
         }
     }
 
@@ -439,17 +456,17 @@ impl IsisEngine {
         // emulation, so acks are informational).
         for e in &psnp.entries {
             if let Some(lsp) = self.lsdb.get(&e.lsp_id) {
-                if e.seq < lsp.seq {
+                if e.seq < lsp.entry().seq {
                     self.out
-                        .push_back((vec![iface.clone()], IsisPdu::Lsp(lsp.clone())));
+                        .push_back((vec![iface.clone()], lsp.bytes().clone()));
                 }
             }
         }
     }
 
-    /// Advances timers; returns PDUs to transmit, each with the group of
-    /// interfaces it should go out of (encode once, send to all).
-    pub fn poll(&mut self, now: SimTime) -> Vec<(Vec<IfaceId>, IsisPdu)> {
+    /// Advances timers; returns encoded PDUs to transmit, each with the
+    /// group of interfaces it should go out of.
+    pub fn poll(&mut self, now: SimTime) -> Vec<(Vec<IfaceId>, Bytes)> {
         // Hello transmission.
         let hello_due: Vec<IfaceId> = self
             .adjacencies
@@ -464,7 +481,7 @@ impl IsisEngine {
             .collect();
         for iface in hello_due {
             if let Some(h) = self.build_hello(&iface) {
-                self.out.push_back((vec![iface.clone()], h));
+                self.send(&iface, h.encode());
             }
             if let Some(a) = self.adjacencies.get_mut(&iface) {
                 a.last_hello_tx = Some(now);
@@ -516,6 +533,11 @@ impl IsisEngine {
         self.adjacencies.values().map(|a| a.transitions).sum()
     }
 
+    /// The LSPs encoded and checksummed since the last call.
+    pub fn take_work(&mut self) -> IsisWork {
+        std::mem::take(&mut self.work)
+    }
+
     /// Current adjacency table.
     pub fn adjacencies(&self) -> Vec<AdjacencyInfo> {
         self.adjacencies
@@ -529,16 +551,9 @@ impl IsisEngine {
             .collect()
     }
 
-    /// LSDB summary for `show isis database`.
-    pub fn lsdb(&self) -> Vec<LsdbEntry> {
-        self.lsdb
-            .values()
-            .map(|l| LsdbEntry {
-                lsp_id: l.lsp_id,
-                seq: l.seq,
-                hostname: l.hostname().map(|s| s.to_string()),
-            })
-            .collect()
+    /// The LSDB, in LSP id order (`show isis database`).
+    pub fn lsdb(&self) -> impl Iterator<Item = &StoredLsp> {
+        self.lsdb.values().map(|l| &**l)
     }
 
     /// True when the next [`take_route_changes`](Self::take_route_changes)
@@ -559,19 +574,18 @@ impl IsisEngine {
         if !std::mem::take(&mut self.routes_stale) {
             return Vec::new();
         }
-        let (first_hops, table) = self.spf();
         let mut installed = installed.peekable();
         let mut changes = Vec::new();
-        for (prefix, (metric, hops)) in &table {
-            while let Some((gone, _)) = installed.next_if(|(p, _)| *p < prefix) {
+        self.spf(|prefix, metric, hops, first_hops| {
+            while let Some((gone, _)) = installed.next_if(|(p, _)| **p < prefix) {
                 changes.push((*gone, None));
             }
             // Compared hop by hop so an unchanged route (the common case:
             // one LSP moves a handful of prefixes) allocates nothing.
             let unchanged = installed
-                .next_if(|(p, _)| *p == prefix)
+                .next_if(|(p, _)| **p == prefix)
                 .is_some_and(|(_, old)| {
-                    old.metric == *metric
+                    old.metric == metric
                         && old.next_hops.len() == hops.len()
                         && old.next_hops.iter().zip(hops).all(|(nh, h)| {
                             let hop = &first_hops[usize::from(*h)];
@@ -580,32 +594,28 @@ impl IsisEngine {
                         })
                 });
             if !unchanged {
-                let route = rib_route(*prefix, *metric, hops, &first_hops);
-                changes.push((*prefix, Some(route)));
+                changes.push((prefix, Some(rib_route(prefix, metric, hops, first_hops))));
             }
-        }
+        });
         changes.extend(installed.map(|(gone, _)| (*gone, None)));
         changes
     }
 
     /// A fresh SPF's IS-IS routes for the RIB, in prefix order, whatever
     /// is installed: the from-scratch reference for
-    /// [`take_route_changes`](Self::take_route_changes).
+    /// [`take_route_changes`](Self::take_route_changes). It walks the
+    /// LSDB's LSPs and never reads the graph SPF maintains.
     pub fn routes(&self) -> Vec<RibRoute> {
-        let (first_hops, table) = self.spf();
+        let (first_hops, table) = self.reference_spf();
         table
             .iter()
             .map(|(prefix, (metric, hops))| rib_route(*prefix, *metric, hops, &first_hops))
             .collect()
     }
 
-    /// Dijkstra over the LSDB with a bidirectional connectivity check.
-    /// Returns the first hops (our Up adjacencies) and, per reachable
-    /// prefix, its metric and the equal-cost first hops as indices into
-    /// that list.
-    fn spf(&self) -> (Vec<FirstHop<'_>>, SpfTable) {
-        let first_hops: Vec<FirstHop> = self
-            .adjacencies
+    /// Our Up adjacencies as SPF sees them.
+    fn first_hops(&self) -> Vec<FirstHop<'_>> {
+        self.adjacencies
             .iter()
             .filter_map(
                 |(iface, adj)| match (adj.state, adj.neighbor, adj.neighbor_addr) {
@@ -618,29 +628,134 @@ impl IsisEngine {
                     _ => None,
                 },
             )
-            .collect();
+            .collect()
+    }
+
+    /// Dijkstra over the maintained graph with a bidirectional connectivity
+    /// check. Hands `route`, per reachable prefix in prefix order, its
+    /// metric and equal-cost first hops (indices into the first hops, in
+    /// discovery order). The run allocates a handful of flat arrays and
+    /// nothing per system or prefix.
+    fn spf(&mut self, mut route: impl FnMut(Prefix, u32, &[u16], &[FirstHop])) {
+        let mut heap = std::mem::take(&mut self.spf_heap);
+        let first_hops = self.first_hops();
+        let graph = &self.graph;
+        // Our own LSP is installed at construction and never leaves.
+        let Some(me) = graph.index_of(self.cfg.system_id) else {
+            return;
+        };
+        // Per system: distance, and its equal-cost first hops as the first
+        // `len[s]` of the `k` slots at `hops[s * k..]`.
+        let (n, k) = (graph.nodes.len(), first_hops.len());
+        let (mut dist, mut hops, mut len) = (vec![u32::MAX; n], vec![0u16; n * k], vec![0; n]);
+        dist[me] = 0;
+        for (h, fh) in first_hops.iter().enumerate() {
+            let Some(nb) = graph.index_of(fh.neighbor) else {
+                continue;
+            };
+            if !graph.bidirectional(me, nb) {
+                continue;
+            }
+            let h = u16::try_from(h).expect("fewer than 65,536 adjacencies");
+            if fh.metric < dist[nb] {
+                dist[nb] = fh.metric;
+                (hops[nb * k], len[nb]) = (h, 1);
+                heap.push(Reverse((fh.metric, nb as u32)));
+            } else if fh.metric == dist[nb] {
+                hops[nb * k + len[nb]] = h;
+                len[nb] += 1;
+            }
+        }
+        while let Some(Reverse((d, sys))) = heap.pop() {
+            let sys = sys as usize;
+            if dist[sys] < d {
+                continue;
+            }
+            for &(next, metric) in &graph.nodes[sys].edges {
+                let next = next as usize;
+                // A system listing itself can improve nothing.
+                if next == me || next == sys || !graph.bidirectional(sys, next) {
+                    continue;
+                }
+                let nd = d.saturating_add(metric);
+                if nd < dist[next] {
+                    dist[next] = nd;
+                    hops.copy_within(sys * k..sys * k + len[sys], next * k);
+                    len[next] = len[sys];
+                    heap.push(Reverse((nd, next as u32)));
+                } else if nd == dist[next] && nd != u32::MAX {
+                    for at in sys * k..sys * k + len[sys] {
+                        let h = hops[at];
+                        if !hops[next * k..next * k + len[next]].contains(&h) {
+                            hops[next * k + len[next]] = h;
+                            len[next] += 1;
+                        }
+                    }
+                }
+            }
+        }
+
+        // Routes: every prefix of every reached system (exactly those with
+        // a first hop), sorted by prefix — stably, so a prefix's entries
+        // stay in system, then TLV, order — then merged per prefix but our
+        // own: the least metric, and the first hops of each entry with it.
+        let mut reach: Vec<(Prefix, u32, u32)> = Vec::new();
+        for (sys, node) in graph.nodes.iter().enumerate() {
+            let Some(lsp) = node.lsp.as_ref().filter(|_| sys != me && len[sys] > 0) else {
+                continue;
+            };
+            for r in lsp.prefixes() {
+                reach.push((r.prefix, dist[sys].saturating_add(r.metric), sys as u32));
+            }
+        }
+        reach.sort_by_key(|&(prefix, ..)| prefix);
+        let mut best = Vec::with_capacity(k);
+        for entries in reach.chunk_by(|a, b| a.0 == b.0) {
+            let prefix = entries[0].0;
+            if self.own_prefixes.binary_search(&prefix).is_ok() {
+                continue;
+            }
+            let metric = entries.iter().map(|e| e.1).min().unwrap_or(u32::MAX);
+            best.clear();
+            for &(_, _, sys) in entries.iter().filter(|e| e.1 == metric) {
+                let sys = sys as usize;
+                merge_hops(&mut best, &hops[sys * k..sys * k + len[sys]]);
+            }
+            route(prefix, metric, &best, &first_hops);
+        }
+        self.spf_heap = heap;
+    }
+
+    /// Dijkstra over the LSDB with a bidirectional connectivity check,
+    /// from scratch. Returns the first hops and, per reachable prefix, its
+    /// metric and the equal-cost first hops as indices into that list.
+    fn reference_spf(&self) -> (Vec<FirstHop<'_>>, SpfTable) {
+        let first_hops = self.first_hops();
 
         // One pass over the LSDB: systems in id order (so a dense index
         // orders like a `SystemId`), each with its LSP and its adjacency
         // edges by index. An edge to a system without an LSP could never
         // pass the bidirectional check, so it is dropped here.
-        let lsps: Vec<&Lsp> = self
+        let lsps: Vec<&StoredLsp> = self
             .lsdb
             .iter()
             .filter(|(id, _)| **id == LspId::of(id.system))
-            .map(|(_, lsp)| lsp)
+            .map(|(_, lsp)| &**lsp)
             .collect();
-        let index_of = |sys: SystemId| lsps.binary_search_by_key(&sys, |l| l.lsp_id.system).ok();
+        let index_of = |sys: SystemId| {
+            lsps.binary_search_by_key(&sys, |l| l.entry().lsp_id.system)
+                .ok()
+        };
         let edges: Vec<Vec<(usize, u32)>> = lsps
             .iter()
             .map(|lsp| {
-                lsp.is_neighbors()
+                lsp.neighbors()
+                    .iter()
                     .filter_map(|n| Some((index_of(n.neighbor)?, n.metric)))
                     .collect()
             })
             .collect();
         let bidirectional = |a: usize, b: usize| edges[b].iter().any(|(n, _)| *n == a);
-        // Our own LSP is installed at construction and never leaves.
         let Some(me) = index_of(self.cfg.system_id) else {
             return (first_hops, SpfTable::new());
         };
@@ -698,7 +813,7 @@ impl IsisEngine {
             if sys == me || first.is_empty() {
                 continue;
             }
-            for reach in lsp.ip_reaches() {
+            for reach in lsp.prefixes() {
                 // Skip prefixes we own (connected beats IGP anyway, and
                 // shared link subnets would otherwise flap).
                 if my_prefixes.contains(&reach.prefix) {
@@ -719,6 +834,68 @@ impl IsisEngine {
             }
         }
         (first_hops, best)
+    }
+}
+
+/// SPF's input, kept as LSPs are installed: every system a fragment-zero
+/// LSP originates or names, in `SystemId` order (so an index orders like
+/// its system and Dijkstra breaks ties as a sorted LSDB would).
+#[derive(Clone, Default)]
+struct SpfGraph {
+    systems: Vec<SystemId>,
+    /// Parallel to `systems`.
+    nodes: Vec<SpfNode>,
+}
+
+#[derive(Clone, Default)]
+struct SpfNode {
+    /// The system's fragment-zero LSP, which holds its reach list; `None`
+    /// for a system only named. Such a node has no edges, so no adjacency
+    /// to it passes the bidirectional check.
+    lsp: Option<Arc<StoredLsp>>,
+    /// `(neighbour index, metric)` per IS reachability entry, in LSP order.
+    edges: Vec<(u32, u32)>,
+}
+
+impl SpfGraph {
+    fn index_of(&self, sys: SystemId) -> Option<usize> {
+        self.systems.binary_search(&sys).ok()
+    }
+
+    /// Makes `lsp` its system's: its neighbours become edges.
+    fn set(&mut self, lsp: Arc<StoredLsp>) {
+        for n in lsp.neighbors() {
+            self.add(n.neighbor);
+        }
+        let at = self.add(lsp.entry().lsp_id.system);
+        let edges = lsp.neighbors().iter();
+        let edges = edges.filter_map(|n| Some((self.index_of(n.neighbor)? as u32, n.metric)));
+        self.nodes[at] = SpfNode {
+            edges: edges.collect(),
+            lsp: Some(lsp),
+        };
+    }
+
+    /// `sys`'s index, adding it in order if new: every edge to a system at
+    /// or past its place moves up one.
+    fn add(&mut self, sys: SystemId) -> usize {
+        match self.systems.binary_search(&sys) {
+            Ok(at) => at,
+            Err(at) => {
+                self.systems.insert(at, sys);
+                self.nodes.insert(at, SpfNode::default());
+                let edges = self.nodes.iter_mut().flat_map(|n| &mut n.edges);
+                for (next, _) in edges.filter(|(next, _)| *next as usize >= at) {
+                    *next += 1;
+                }
+                at
+            }
+        }
+    }
+
+    /// Whether `b` lists `a` back.
+    fn bidirectional(&self, a: usize, b: usize) -> bool {
+        self.nodes[b].edges.iter().any(|(n, _)| *n as usize == a)
     }
 }
 
@@ -806,7 +983,7 @@ mod tests {
         fn settle(&mut self) {
             for _ in 0..200 {
                 self.now += SimDuration::from_millis(500);
-                let mut deliveries: Vec<(usize, IfaceId, IsisPdu)> = Vec::new();
+                let mut deliveries: Vec<(usize, IfaceId, Bytes)> = Vec::new();
                 for (i, e) in self.engines.iter_mut().enumerate() {
                     for (ifaces, pdu) in e.poll(self.now) {
                         for iface in ifaces {
@@ -831,8 +1008,9 @@ mod tests {
                     }
                 }
                 loop {
-                    let mut next: Vec<(usize, IfaceId, IsisPdu)> = Vec::new();
+                    let mut next: Vec<(usize, IfaceId, Bytes)> = Vec::new();
                     for (di, diface, pdu) in deliveries.drain(..) {
+                        let pdu = mfv_wire::isis::receive(pdu).unwrap();
                         self.engines[di].push_pdu(self.now, &diface, pdu);
                         for (ifaces, out) in self.engines[di].out.drain(..).collect::<Vec<_>>() {
                             for iface in ifaces {
@@ -898,15 +1076,11 @@ mod tests {
         let mut net = line3();
         net.settle();
         for e in &net.engines {
-            let db = e.lsdb();
+            let db: Vec<_> = e.lsdb().collect();
             assert_eq!(db.len(), 3, "{} lsdb: {:?}", e.cfg.hostname, db);
         }
         // Hostnames present.
-        let names: Vec<Option<String>> = net.engines[0]
-            .lsdb()
-            .into_iter()
-            .map(|e| e.hostname)
-            .collect();
+        let names: Vec<Option<String>> = net.engines[0].lsdb().map(|e| e.hostname()).collect();
         assert!(names.contains(&Some("r3".to_string())));
     }
 
@@ -1089,7 +1263,8 @@ mod tests {
         // But its prefix is in our LSP.
         let own = e.lsdb.get(&LspId::of(sys(1))).unwrap();
         assert!(own
-            .ip_reaches()
+            .prefixes()
+            .iter()
             .any(|r| r.prefix == "2.2.2.1/32".parse().unwrap()));
     }
 
@@ -1130,6 +1305,168 @@ mod tests {
                 assert_eq!(*addr, "10.0.12.1".parse::<Ipv4Addr>().unwrap())
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// ISO 10589 takes an own LSP flooded back with an equal sequence
+    /// number and checksum for an acknowledgement. `on_lsp` re-originates
+    /// on `>=` instead: one spurious origination per run on the workloads,
+    /// kept because fixing it moves pinned event counts.
+    #[test]
+    #[ignore = "ROADMAP item 3: own-LSP echo"]
+    fn own_lsp_echoed_back_is_an_acknowledgement() {
+        let mut net = line3();
+        net.settle();
+        let r1 = &mut net.engines[0];
+        let own = r1.lsdb.get(&LspId::of(sys(1))).unwrap().as_ref().clone();
+        let encodes = r1.take_work().lsp_encodes;
+        r1.push_pdu(net.now, &"eth0".into(), Received::Lsp(own.clone()));
+        assert_eq!(r1.lsdb.get(&LspId::of(sys(1))).unwrap().as_ref(), &own);
+        assert_eq!(
+            r1.take_work().lsp_encodes,
+            0,
+            "after {encodes} originations"
+        );
+    }
+
+    /// One step of [`spf_over_the_maintained_graph_is_the_reference_spf`].
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Our adjacency on `eth{iface}` comes up to a system, or goes down.
+        Adjacency { iface: usize, to: Option<u8> },
+        /// A system's LSP (fragment zero or one) arrives, newer than any
+        /// before it: `(neighbour, metric)` and `(prefix pool index, metric)`.
+        Lsp {
+            system: u8,
+            fragment: u8,
+            neighbors: Vec<(u8, u32)>,
+            prefixes: Vec<(usize, u32)>,
+        },
+    }
+
+    /// What the proptest's LSPs advertise: our own link subnets and
+    /// loopback first, then others' loopbacks and stub networks.
+    fn prefix_pool() -> Vec<Prefix> {
+        let own = (0..3)
+            .map(|i| format!("100.64.{i}.0/31"))
+            .chain(["2.2.2.1/32".into()]);
+        let theirs = (2..5).map(|n| format!("2.2.2.{n}/32"));
+        let stubs = (0..4).map(|j| format!("10.0.{j}.0/24"));
+        own.chain(theirs)
+            .chain(stubs)
+            .map(|p| p.parse().unwrap())
+            .collect()
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        // Small metrics tie often; the extremes saturate.
+        let is_metric = prop_oneof![0u32..3, Just(0xff_ffff)];
+        let ip_metric = prop_oneof![0u32..3, Just(u32::MAX)];
+        (
+            // One step in four is an adjacency.
+            0u8..4,
+            (0usize..3, proptest::option::of(2u8..7)),
+            // Systems 2..=6 originate, one LSP in four a fragment one; 7 and
+            // 8 are only ever named, and 1 is us.
+            (2u8..7, 0u8..4),
+            proptest::collection::vec((1u8..9, is_metric), 0..5),
+            proptest::collection::vec((0usize..prefix_pool().len(), ip_metric), 0..4),
+        )
+            .prop_map(
+                |(kind, (iface, to), (system, fragment), neighbors, prefixes)| match kind {
+                    0 => Op::Adjacency { iface, to },
+                    _ => Op::Lsp {
+                        system,
+                        fragment: u8::from(fragment == 0),
+                        neighbors,
+                        prefixes,
+                    },
+                },
+            )
+    }
+
+    /// The changes that take `installed` to `fresh`, in prefix order.
+    fn diff(
+        fresh: &[RibRoute],
+        installed: &BTreeMap<Prefix, RibRoute>,
+    ) -> Vec<(Prefix, Option<RibRoute>)> {
+        let fresh: BTreeMap<Prefix, &RibRoute> = fresh.iter().map(|r| (r.prefix, r)).collect();
+        let prefixes: std::collections::BTreeSet<Prefix> =
+            fresh.keys().chain(installed.keys()).copied().collect();
+        prefixes
+            .into_iter()
+            .filter(|p| fresh.get(p).copied() != installed.get(p))
+            .map(|p| (p, fresh.get(&p).map(|r| (*r).clone())))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // LSPs installed and replaced in random order, over one-way
+        // adjacencies, unknown systems, self-listings, fragments, ties,
+        // saturating metrics and our own prefixes: after every step, what
+        // SPF over the maintained graph reports is exactly the reference
+        // SPF's routes against what is installed, next-hop order included.
+        #[test]
+        fn spf_over_the_maintained_graph_is_the_reference_spf(
+            metrics in proptest::collection::vec(
+                proptest::prop_oneof![1u32..3, proptest::strategy::Just(u32::MAX - 1)],
+                3,
+            ),
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            let ifaces: Vec<(String, String, u32)> = metrics
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (format!("eth{i}"), format!("100.64.{i}.0/31"), *m))
+                .collect();
+            let ifaces = ifaces.iter().map(|(i, a, m)| (i.as_str(), a.as_str(), *m)).collect();
+            let mut e = engine(1, ifaces);
+            let pool = prefix_pool();
+            let mut installed: BTreeMap<Prefix, RibRoute> = BTreeMap::new();
+            for (seq, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Adjacency { iface, to } => {
+                        let adj = e.adjacencies.get_mut(&IfaceId::from(format!("eth{iface}").as_str())).unwrap();
+                        adj.state = if to.is_some() { AdjState::Up } else { AdjState::Down };
+                        adj.neighbor = to.map(sys);
+                        adj.neighbor_addr = to.map(|_| Ipv4Addr::new(100, 64, iface as u8, 1));
+                        e.regenerate_own_lsp();
+                    }
+                    Op::Lsp { system, fragment, neighbors, prefixes } => {
+                        let lsp = Lsp {
+                            lifetime_secs: 1200,
+                            lsp_id: LspId { system: sys(system), pseudonode: 0, fragment },
+                            seq: seq as u32 + 1,
+                            tlvs: vec![
+                                Tlv::ExtIsReach(neighbors.iter().map(|&(n, metric)| IsNeighbor {
+                                    neighbor: sys(n),
+                                    pseudonode: 0,
+                                    metric,
+                                }).collect()),
+                                Tlv::ExtIpReach(prefixes.iter().map(|&(p, metric)| IpReach {
+                                    metric,
+                                    prefix: pool[p],
+                                    down: false,
+                                }).collect()),
+                            ],
+                        };
+                        let received = mfv_wire::isis::receive(IsisPdu::Lsp(lsp).encode()).unwrap();
+                        e.push_pdu(SimTime::ZERO, &"eth0".into(), received);
+                    }
+                }
+                let expected = diff(&e.routes(), &installed);
+                let changes = e.take_route_changes(installed.iter());
+                proptest::prop_assert_eq!(&changes, &expected);
+                for (prefix, route) in changes {
+                    match route {
+                        Some(route) => installed.insert(prefix, route),
+                        None => installed.remove(&prefix),
+                    };
+                }
+            }
         }
     }
 }

@@ -132,13 +132,14 @@ fn show_isis_database(router: &VirtualRouter) -> String {
     };
     let mut out = String::from("IS-IS Level-2 Link State Database\n");
     out.push_str("LSPID                   Seq Num   Hostname\n");
-    for e in isis.lsdb() {
+    for lsp in isis.lsdb() {
+        let e = lsp.entry();
         let _ = writeln!(
             out,
             "{:<22} {:>9}   {}",
             e.lsp_id.to_string(),
             format!("0x{:08x}", e.seq),
-            e.hostname.unwrap_or_else(|| "-".into()),
+            lsp.hostname().unwrap_or_else(|| "-".into()),
         );
     }
     out

@@ -12,12 +12,12 @@ use bytes::Bytes;
 
 use mfv_config::{DeviceConfig, Redistribute};
 use mfv_routing::bgp::{BgpEngine, BgpWork};
-use mfv_routing::isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig};
+use mfv_routing::isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig, IsisWork};
 use mfv_routing::policy::{eval_route_map, BgpAttrs, PolicyResult};
 use mfv_routing::rib::{keyed_inside, Fib, GatewayMemo, NextHop, Rib, RibRoute};
 use mfv_types::{IfaceId, NodeId, Prefix, RouteProtocol, RouterId, SimTime};
 use mfv_wire::bgp::{BgpMsg, PathAttr};
-use mfv_wire::isis::{net_area_bytes, net_system_id, IsisPdu, SystemId};
+use mfv_wire::isis::{self as isis_wire, net_area_bytes, net_system_id, SystemId};
 
 use crate::profile::VendorProfile;
 
@@ -110,6 +110,8 @@ pub struct VirtualRouter {
     pub fib_gateway_resolutions: u64,
     /// The BGP engine's work counts (across routing-process restarts).
     pub bgp_work: BgpWork,
+    /// The IS-IS engine's work counts (across routing-process restarts).
+    pub isis_work: IsisWork,
     /// Wall time inside the three sections of a poll that can be long,
     /// taken only on the polls where the section has work to do, off the
     /// stopwatch [`poll_timed`](Self::poll_timed) is handed.
@@ -214,6 +216,7 @@ impl VirtualRouter {
             fib_prefixes_resolved: 0,
             fib_gateway_resolutions: 0,
             bgp_work: BgpWork::default(),
+            isis_work: IsisWork::default(),
             wall: PollWall::default(),
         };
         for iface in &router.config.interfaces {
@@ -382,6 +385,7 @@ impl VirtualRouter {
     /// (Re)constructs protocol engines from the current config.
     fn build_engines(&mut self) {
         // IS-IS.
+        self.retire_isis();
         self.isis = self.config.isis.as_ref().and_then(|isis_cfg| {
             if !isis_cfg.af_ipv4 || isis_cfg.net.is_empty() {
                 return None;
@@ -432,6 +436,13 @@ impl VirtualRouter {
                 self.profile.quirks,
             ))
         });
+    }
+
+    /// Drops the IS-IS engine, keeping the count of the work it did.
+    fn retire_isis(&mut self) {
+        if let Some(mut isis) = self.isis.take() {
+            self.isis_work += isis.take_work();
+        }
     }
 
     /// Our source address for a session to `peer`.
@@ -491,8 +502,7 @@ impl VirtualRouter {
         if !self.is_running() || !self.link_up.get(iface).copied().unwrap_or(false) {
             return;
         }
-        let mut buf = payload;
-        match IsisPdu::decode(&mut buf) {
+        match isis_wire::receive(payload) {
             Ok(pdu) => {
                 if let Some(isis) = &mut self.isis {
                     isis.push_pdu(now, iface, pdu);
@@ -640,7 +650,7 @@ impl VirtualRouter {
     pub fn poll_timed(&mut self, now: SimTime, stopwatch: Stopwatch) -> Vec<RouterEvent> {
         if let Some(reason) = self.pending_crash.take() {
             self.state = RouterState::Crashed(now);
-            self.isis = None;
+            self.retire_isis();
             self.bgp = None;
             let lost: Vec<Prefix> = self.fib.entries().map(|e| e.prefix).collect();
             self.flush_tables();
@@ -656,19 +666,18 @@ impl VirtualRouter {
 
         let mut events = std::mem::take(&mut self.pending_out);
 
-        // 1. IS-IS. The engine hands each PDU out once with the full group
-        // of target interfaces; encode once per group and share the bytes
-        // across every frame (payloads are cheaply-cloneable `Bytes`).
+        // 1. IS-IS. The engine hands each PDU out encoded, once, with the
+        // full group of target interfaces; every frame shares the bytes.
         if let Some(isis) = &mut self.isis {
-            for (ifaces, pdu) in isis.poll(now) {
-                let mut payload = None;
+            for (ifaces, payload) in isis.poll(now) {
                 for iface in ifaces {
                     if self.link_up.get(&iface).copied().unwrap_or(false) {
-                        let payload = payload.get_or_insert_with(|| pdu.encode()).clone();
+                        let payload = payload.clone();
                         events.push(RouterEvent::IsisFrame { iface, payload });
                     }
                 }
             }
+            self.isis_work += isis.take_work();
         }
 
         // 2. Route sources into the RIB — only the ones that moved, and of

@@ -5,6 +5,9 @@
 //! with extended reachability TLVs (RFC 5305 wide metrics), and CSNP/PSNP
 //! sequence-number PDUs for database synchronisation. LSP checksums use the
 //! standard Fletcher algorithm.
+//!
+//! A router takes LSPs off the wire as [`StoredLsp`]s ([`receive`]): the
+//! bytes it verified, which it floods on unchanged, and what SPF reads.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -36,6 +39,15 @@ pub const TLV_P2P_ADJ_STATE: u8 = 240;
 
 /// NLPID for IPv4.
 pub const NLPID_IPV4: u8 = 0xcc;
+
+/// Largest wide metric TLV 22 carries (24 bits).
+const MAX_IS_METRIC: u32 = 0xff_ffff;
+
+/// Where an LSP PDU's id, checksum and TLVs start. The checksum covers
+/// the id and sequence number before it and the TLVs after the flags byte.
+const LSP_ID_AT: usize = 12;
+const LSP_CHECKSUM_AT: usize = 24;
+const LSP_TLVS_AT: usize = 27;
 
 /// A 6-byte IS-IS system identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -241,67 +253,70 @@ impl Tlv {
     }
 }
 
+/// Writes each TLV straight into `out`, its length byte patched once the
+/// value is written.
 fn encode_tlvs(out: &mut BytesMut, tlvs: &[Tlv]) {
     for tlv in tlvs {
-        let mut v = BytesMut::new();
+        out.put_u8(tlv.type_code());
+        let len_pos = out.len();
+        out.put_u8(0); // value length, patched below
         match tlv {
             Tlv::Area(areas) => {
                 for a in areas {
-                    v.put_u8(a.len() as u8);
-                    v.extend_from_slice(a);
+                    out.put_u8(a.len() as u8);
+                    out.extend_from_slice(a);
                 }
             }
-            Tlv::Protocols(nlpids) => v.extend_from_slice(nlpids),
+            Tlv::Protocols(nlpids) => out.extend_from_slice(nlpids),
             Tlv::IpIfaceAddr(addrs) => {
                 for a in addrs {
-                    v.put_u32(u32::from(*a));
+                    out.put_u32(u32::from(*a));
                 }
             }
             Tlv::P2pAdjState { state, neighbor } => {
-                v.put_u8(state.code());
+                out.put_u8(state.code());
                 // Extended circuit id (4 bytes, we use 0).
-                v.put_u32(0);
+                out.put_u32(0);
                 if let Some(n) = neighbor {
-                    v.extend_from_slice(&n.0);
-                    v.put_u32(0); // neighbor extended circuit id
+                    out.extend_from_slice(&n.0);
+                    out.put_u32(0); // neighbor extended circuit id
                 }
             }
-            Tlv::Hostname(h) => v.extend_from_slice(h.as_bytes()),
+            Tlv::Hostname(h) => out.extend_from_slice(h.as_bytes()),
             Tlv::ExtIsReach(neighbors) => {
                 for n in neighbors {
-                    v.extend_from_slice(&n.neighbor.0);
-                    v.put_u8(n.pseudonode);
-                    let m = n.metric.min(0xff_ffff);
-                    v.put_u8((m >> 16) as u8);
-                    v.put_u16((m & 0xffff) as u16);
-                    v.put_u8(0); // no sub-TLVs
+                    out.extend_from_slice(&n.neighbor.0);
+                    out.put_u8(n.pseudonode);
+                    let m = n.metric.min(MAX_IS_METRIC);
+                    out.put_u8((m >> 16) as u8);
+                    out.put_u16((m & 0xffff) as u16);
+                    out.put_u8(0); // no sub-TLVs
                 }
             }
             Tlv::ExtIpReach(reaches) => {
                 for r in reaches {
-                    v.put_u32(r.metric);
+                    out.put_u32(r.metric);
                     let control = (r.prefix.len() & 0x3f) | if r.down { 0x80 } else { 0 };
-                    v.put_u8(control);
+                    out.put_u8(control);
                     let nbytes = (r.prefix.len() as usize).div_ceil(8);
                     let bits = r.prefix.network_bits().to_be_bytes();
-                    for b in bits.iter().take(nbytes) {
-                        v.put_u8(*b);
-                    }
+                    out.extend_from_slice(bits.get(..nbytes).unwrap_or(&bits));
                 }
             }
             Tlv::LspEntries(entries) => {
                 for e in entries {
-                    v.put_u16(e.lifetime);
-                    e.lsp_id.encode(&mut v);
-                    v.put_u32(e.seq);
-                    v.put_u16(e.checksum);
+                    out.put_u16(e.lifetime);
+                    e.lsp_id.encode(out);
+                    out.put_u32(e.seq);
+                    out.put_u16(e.checksum);
                 }
             }
-            Tlv::Unknown { value, .. } => v.extend_from_slice(value),
+            Tlv::Unknown { value, .. } => out.extend_from_slice(value),
         }
-        out.put_u8(tlv.type_code());
-        out.put_u8(v.len() as u8);
-        out.extend_from_slice(&v);
+        // A value past 255 bytes wraps its length (ROADMAP item 3): the
+        // receiver rejects the PDU.
+        let len = out.len() - len_pos - 1;
+        patch_u8(out, len_pos, len as u8);
     }
 }
 
@@ -495,13 +510,117 @@ impl Lsp {
         })
     }
 
-    /// Fletcher checksum over the canonical encoding of the LSP body.
-    pub fn checksum(&self) -> u16 {
-        let mut body = BytesMut::new();
-        self.lsp_id.encode(&mut body);
-        body.put_u32(self.seq);
-        encode_tlvs(&mut body, &self.tlvs);
-        fletcher16(&body)
+    /// The PDU and its checksum, computed once over the bytes it writes.
+    fn encode_checksummed(&self) -> (Bytes, u16) {
+        let mut out = common_header(PDU_L2_LSP);
+        let len_pos = out.len();
+        out.put_u16(0); // pdu length, patched below
+        out.put_u16(self.lifetime_secs);
+        self.lsp_id.encode(&mut out);
+        out.put_u32(self.seq);
+        out.put_u16(0); // checksum, patched below
+        out.put_u8(0x03); // flags: L2 IS
+        encode_tlvs(&mut out, &self.tlvs);
+        let total = out.len() as u16;
+        patch_u16_be(&mut out, len_pos, total);
+        let checksum = lsp_checksum(out.get(LSP_ID_AT..).unwrap_or_default());
+        patch_u16_be(&mut out, LSP_CHECKSUM_AT, checksum);
+        (out.freeze(), checksum)
+    }
+}
+
+/// An LSP as a link-state database keeps it: the PDU bytes, checksummed
+/// once — verified when they were received, computed when they were
+/// encoded — and flooded on unchanged; the fields a sequence-numbers PDU
+/// names it by; and what SPF reads of it. Built only by [`receive`] and
+/// [`StoredLsp::encode`], so the three always describe one PDU.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct StoredLsp {
+    bytes: Bytes,
+    entry: LspEntry,
+    neighbors: Box<[IsNeighbor]>,
+    prefixes: Box<[IpReach]>,
+}
+
+impl StoredLsp {
+    /// Originates `lsp`: its one encoding and checksum.
+    pub fn encode(lsp: &Lsp) -> StoredLsp {
+        let (bytes, checksum) = lsp.encode_checksummed();
+        StoredLsp::new(bytes, checksum, lsp)
+    }
+
+    /// Keeps what SPF reads of `lsp` beside its PDU.
+    fn new(bytes: Bytes, checksum: u16, lsp: &Lsp) -> StoredLsp {
+        StoredLsp {
+            bytes,
+            entry: LspEntry {
+                lifetime: lsp.lifetime_secs,
+                lsp_id: lsp.lsp_id,
+                seq: lsp.seq,
+                checksum,
+            },
+            // What the wire carries: wide metrics saturate at 24 bits.
+            neighbors: lsp
+                .is_neighbors()
+                .map(|n| IsNeighbor {
+                    metric: n.metric.min(MAX_IS_METRIC),
+                    ..*n
+                })
+                .collect(),
+            prefixes: lsp.ip_reaches().copied().collect(),
+        }
+    }
+
+    /// The whole PDU, as it goes on the wire.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// Lifetime, LSP id, sequence number and checksum.
+    pub fn entry(&self) -> LspEntry {
+        self.entry
+    }
+
+    /// Extended IS reachability, in TLV order.
+    pub fn neighbors(&self) -> &[IsNeighbor] {
+        &self.neighbors
+    }
+
+    /// Extended IPv4 reachability, in TLV order.
+    pub fn prefixes(&self) -> &[IpReach] {
+        &self.prefixes
+    }
+
+    /// The dynamic hostname, read out of the bytes (an operator's `show`,
+    /// not a protocol path).
+    pub fn hostname(&self) -> Option<String> {
+        let mut tlvs = Bytes::copy_from_slice(self.bytes.get(LSP_TLVS_AT..)?);
+        let tlvs = decode_tlvs(&mut tlvs).ok()?;
+        tlvs.into_iter().find_map(|t| match t {
+            Tlv::Hostname(h) => Some(h),
+            _ => None,
+        })
+    }
+}
+
+/// A PDU as a router takes it off the wire: an LSP stored, the rest typed
+/// (never an [`IsisPdu::Lsp`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Received {
+    Lsp(StoredLsp),
+    Pdu(IsisPdu),
+}
+
+/// Decodes one frame. An LSP's checksum is verified over the bytes
+/// received, and what SPF reads of it is kept beside those bytes.
+pub fn receive(frame: Bytes) -> Result<Received, DecodeError> {
+    let mut buf = frame.clone();
+    match decode_common_header(&mut buf)? {
+        PDU_L2_LSP => {
+            let (lsp, checksum) = decode_lsp(&mut buf)?;
+            Ok(Received::Lsp(StoredLsp::new(frame, checksum, &lsp)))
+        }
+        pdu_type => decode_body(pdu_type, &mut buf).map(Received::Pdu),
     }
 }
 
@@ -531,13 +650,32 @@ pub enum IsisPdu {
 /// Standard Fletcher-16 checksum (ISO 8473 style, without the
 /// zero-adjustment refinement — both ends of our wire use the same code).
 pub fn fletcher16(data: &[u8]) -> u16 {
-    let mut c0: u32 = 0;
-    let mut c1: u32 = 0;
-    for &b in data {
-        c0 = (c0 + b as u32) % 255;
-        c1 = (c1 + c0) % 255;
+    fletcher16_of(&[data])
+}
+
+/// [`fletcher16`] of the concatenated `parts`, reduced modulo 255 once per
+/// block instead of per byte: from sums below 255, 5,802 bytes of `0xff`
+/// is the longest run after which `c1` still fits a `u32`.
+fn fletcher16_of(parts: &[&[u8]]) -> u16 {
+    let (mut c0, mut c1) = (0u32, 0u32);
+    for block in parts.iter().flat_map(|part| part.chunks(5802)) {
+        for &b in block {
+            c0 += b as u32;
+            c1 += c0;
+        }
+        c0 %= 255;
+        c1 %= 255;
     }
     ((c1 as u16) << 8) | c0 as u16
+}
+
+/// The checksum of an LSP whose PDU from the LSP id on is `from_id`: the
+/// id and sequence number, then the TLVs — not the lifetime before them,
+/// the checksum itself or the flags.
+fn lsp_checksum(from_id: &[u8]) -> u16 {
+    let id_and_seq = from_id.get(..LSP_CHECKSUM_AT - LSP_ID_AT);
+    let tlvs = from_id.get(LSP_TLVS_AT - LSP_ID_AT..);
+    fletcher16_of(&[id_and_seq.unwrap_or_default(), tlvs.unwrap_or_default()])
 }
 
 /// Back-patches one byte reserved earlier by a placeholder `put_u8`.
@@ -558,23 +696,134 @@ fn patch_u16_be(out: &mut BytesMut, pos: usize, val: u16) {
     }
 }
 
+/// The eight bytes every PDU starts with.
+fn common_header(pdu_type: u8) -> BytesMut {
+    let mut out = BytesMut::new();
+    out.put_u8(PROTO_DISCRIMINATOR);
+    out.put_u8(0); // length indicator (filled by implementations we skip)
+    out.put_u8(1); // version/protocol id extension
+    out.put_u8(0); // id length (0 = 6 bytes)
+    out.put_u8(pdu_type);
+    out.put_u8(1); // version
+    out.put_u8(0); // reserved
+    out.put_u8(0); // max area addresses (0 = 3)
+    out
+}
+
+/// Reads the common header; returns the PDU type.
+fn decode_common_header(buf: &mut Bytes) -> Result<u8, DecodeError> {
+    let err = |r: &str| DecodeError::new("isis", r);
+    if buf.len() < 8 {
+        return Err(err("truncated common header"));
+    }
+    if buf.get_u8() != PROTO_DISCRIMINATOR {
+        return Err(err("bad protocol discriminator"));
+    }
+    buf.advance(2); // length indicator, version
+    let id_len = buf.get_u8();
+    if id_len != 0 && id_len != 6 {
+        return Err(err("unsupported id length"));
+    }
+    let pdu_type = buf.get_u8() & 0x1f;
+    buf.advance(3); // version, reserved, max areas
+    Ok(pdu_type)
+}
+
+/// Decodes an LSP and the checksum it carries, verified over the bytes as
+/// received.
+fn decode_lsp(buf: &mut Bytes) -> Result<(Lsp, u16), DecodeError> {
+    if buf.len() < 19 {
+        return Err(DecodeError::new("isis", "truncated LSP"));
+    }
+    let _pdu_len = buf.get_u16();
+    let lifetime_secs = buf.get_u16();
+    let computed = lsp_checksum(buf);
+    let lsp_id = LspId::decode(buf)?;
+    let seq = buf.get_u32();
+    let checksum = buf.get_u16();
+    let _flags = buf.get_u8();
+    if computed != checksum {
+        return Err(DecodeError::new("isis", "LSP checksum mismatch"));
+    }
+    let tlvs = decode_tlvs(buf)?;
+    let lsp = Lsp {
+        lifetime_secs,
+        lsp_id,
+        seq,
+        tlvs,
+    };
+    Ok((lsp, checksum))
+}
+
+/// Decodes what follows the common header of a `pdu_type` PDU.
+fn decode_body(pdu_type: u8, buf: &mut Bytes) -> Result<IsisPdu, DecodeError> {
+    let err = |r: &str| DecodeError::new("isis", r);
+    match pdu_type {
+        PDU_P2P_HELLO => {
+            if buf.len() < 12 {
+                return Err(err("truncated hello"));
+            }
+            let circuit_type = buf.get_u8();
+            let mut sys = [0u8; 6];
+            sys.copy_from_slice(&buf.split_to(6));
+            let hold_time_secs = buf.get_u16();
+            let _pdu_len = buf.get_u16();
+            let circuit_id = buf.get_u8();
+            let tlvs = decode_tlvs(buf)?;
+            Ok(IsisPdu::P2pHello(P2pHello {
+                circuit_type,
+                source: SystemId(sys),
+                hold_time_secs,
+                circuit_id,
+                tlvs,
+            }))
+        }
+        PDU_L2_LSP => decode_lsp(buf).map(|(lsp, _)| IsisPdu::Lsp(lsp)),
+        PDU_L2_CSNP => {
+            if buf.len() < 25 {
+                return Err(err("truncated CSNP"));
+            }
+            let _pdu_len = buf.get_u16();
+            let mut sys = [0u8; 6];
+            sys.copy_from_slice(&buf.split_to(6));
+            buf.advance(1 + 16); // circuit id + start/end range
+            Ok(IsisPdu::Csnp(Csnp {
+                source: SystemId(sys),
+                entries: lsp_entries(decode_tlvs(buf)?),
+            }))
+        }
+        PDU_L2_PSNP => {
+            if buf.len() < 9 {
+                return Err(err("truncated PSNP"));
+            }
+            let _pdu_len = buf.get_u16();
+            let mut sys = [0u8; 6];
+            sys.copy_from_slice(&buf.split_to(6));
+            buf.advance(1); // circuit id
+            Ok(IsisPdu::Psnp(Psnp {
+                source: SystemId(sys),
+                entries: lsp_entries(decode_tlvs(buf)?),
+            }))
+        }
+        t => Err(err(&format!("unknown PDU type {t}"))),
+    }
+}
+
+/// The entries of every LSP-entries TLV, in order.
+fn lsp_entries(tlvs: Vec<Tlv>) -> Vec<LspEntry> {
+    tlvs.into_iter()
+        .flat_map(|t| match t {
+            Tlv::LspEntries(e) => e,
+            _ => Vec::new(),
+        })
+        .collect()
+}
+
 impl IsisPdu {
     pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        // Common header.
-        out.put_u8(PROTO_DISCRIMINATOR);
-        out.put_u8(0); // length indicator (filled by implementations we skip)
-        out.put_u8(1); // version/protocol id extension
-        out.put_u8(0); // id length (0 = 6 bytes)
-        let type_pos = out.len();
-        out.put_u8(0); // pdu type, patched below
-        out.put_u8(1); // version
-        out.put_u8(0); // reserved
-        out.put_u8(0); // max area addresses (0 = 3)
-
-        match self {
+        let (mut out, len_pos) = match self {
             IsisPdu::P2pHello(h) => {
-                patch_u8(&mut out, type_pos, PDU_P2P_HELLO);
+                let mut out = common_header(PDU_P2P_HELLO);
                 out.put_u8(h.circuit_type);
                 out.extend_from_slice(&h.source.0);
                 out.put_u16(h.hold_time_secs);
@@ -582,24 +831,11 @@ impl IsisPdu {
                 out.put_u16(0); // pdu length, patched below
                 out.put_u8(h.circuit_id);
                 encode_tlvs(&mut out, &h.tlvs);
-                let total = out.len() as u16;
-                patch_u16_be(&mut out, len_pos, total);
+                (out, len_pos)
             }
-            IsisPdu::Lsp(l) => {
-                patch_u8(&mut out, type_pos, PDU_L2_LSP);
-                let len_pos = out.len();
-                out.put_u16(0); // pdu length, patched below
-                out.put_u16(l.lifetime_secs);
-                l.lsp_id.encode(&mut out);
-                out.put_u32(l.seq);
-                out.put_u16(l.checksum());
-                out.put_u8(0x03); // flags: L2 IS
-                encode_tlvs(&mut out, &l.tlvs);
-                let total = out.len() as u16;
-                patch_u16_be(&mut out, len_pos, total);
-            }
+            IsisPdu::Lsp(l) => return l.encode_checksummed().0,
             IsisPdu::Csnp(c) => {
-                patch_u8(&mut out, type_pos, PDU_L2_CSNP);
+                let mut out = common_header(PDU_L2_CSNP);
                 let len_pos = out.len();
                 out.put_u16(0);
                 out.extend_from_slice(&c.source.0);
@@ -608,125 +844,26 @@ impl IsisPdu {
                 out.put_bytes(0x00, 8);
                 out.put_bytes(0xff, 8);
                 encode_tlvs(&mut out, &[Tlv::LspEntries(c.entries.clone())]);
-                let total = out.len() as u16;
-                patch_u16_be(&mut out, len_pos, total);
+                (out, len_pos)
             }
             IsisPdu::Psnp(p) => {
-                patch_u8(&mut out, type_pos, PDU_L2_PSNP);
+                let mut out = common_header(PDU_L2_PSNP);
                 let len_pos = out.len();
                 out.put_u16(0);
                 out.extend_from_slice(&p.source.0);
                 out.put_u8(0);
                 encode_tlvs(&mut out, &[Tlv::LspEntries(p.entries.clone())]);
-                let total = out.len() as u16;
-                patch_u16_be(&mut out, len_pos, total);
+                (out, len_pos)
             }
-        }
+        };
+        let total = out.len() as u16;
+        patch_u16_be(&mut out, len_pos, total);
         out.freeze()
     }
 
     pub fn decode(buf: &mut Bytes) -> Result<IsisPdu, DecodeError> {
-        let err = |r: &str| DecodeError::new("isis", r);
-        if buf.len() < 8 {
-            return Err(err("truncated common header"));
-        }
-        if buf.get_u8() != PROTO_DISCRIMINATOR {
-            return Err(err("bad protocol discriminator"));
-        }
-        buf.advance(2); // length indicator, version
-        let id_len = buf.get_u8();
-        if id_len != 0 && id_len != 6 {
-            return Err(err("unsupported id length"));
-        }
-        let pdu_type = buf.get_u8() & 0x1f;
-        buf.advance(3); // version, reserved, max areas
-
-        match pdu_type {
-            PDU_P2P_HELLO => {
-                if buf.len() < 12 {
-                    return Err(err("truncated hello"));
-                }
-                let circuit_type = buf.get_u8();
-                let mut sys = [0u8; 6];
-                sys.copy_from_slice(&buf.split_to(6));
-                let hold_time_secs = buf.get_u16();
-                let _pdu_len = buf.get_u16();
-                let circuit_id = buf.get_u8();
-                let tlvs = decode_tlvs(buf)?;
-                Ok(IsisPdu::P2pHello(P2pHello {
-                    circuit_type,
-                    source: SystemId(sys),
-                    hold_time_secs,
-                    circuit_id,
-                    tlvs,
-                }))
-            }
-            PDU_L2_LSP => {
-                if buf.len() < 19 {
-                    return Err(err("truncated LSP"));
-                }
-                let _pdu_len = buf.get_u16();
-                let lifetime_secs = buf.get_u16();
-                let lsp_id = LspId::decode(buf)?;
-                let seq = buf.get_u32();
-                let claimed_checksum = buf.get_u16();
-                let _flags = buf.get_u8();
-                let tlvs = decode_tlvs(buf)?;
-                let lsp = Lsp {
-                    lifetime_secs,
-                    lsp_id,
-                    seq,
-                    tlvs,
-                };
-                if lsp.checksum() != claimed_checksum {
-                    return Err(err("LSP checksum mismatch"));
-                }
-                Ok(IsisPdu::Lsp(lsp))
-            }
-            PDU_L2_CSNP => {
-                if buf.len() < 25 {
-                    return Err(err("truncated CSNP"));
-                }
-                let _pdu_len = buf.get_u16();
-                let mut sys = [0u8; 6];
-                sys.copy_from_slice(&buf.split_to(6));
-                buf.advance(1 + 16); // circuit id + start/end range
-                let tlvs = decode_tlvs(buf)?;
-                let entries = tlvs
-                    .into_iter()
-                    .flat_map(|t| match t {
-                        Tlv::LspEntries(e) => e,
-                        _ => Vec::new(),
-                    })
-                    .collect();
-                Ok(IsisPdu::Csnp(Csnp {
-                    source: SystemId(sys),
-                    entries,
-                }))
-            }
-            PDU_L2_PSNP => {
-                if buf.len() < 9 {
-                    return Err(err("truncated PSNP"));
-                }
-                let _pdu_len = buf.get_u16();
-                let mut sys = [0u8; 6];
-                sys.copy_from_slice(&buf.split_to(6));
-                buf.advance(1); // circuit id
-                let tlvs = decode_tlvs(buf)?;
-                let entries = tlvs
-                    .into_iter()
-                    .flat_map(|t| match t {
-                        Tlv::LspEntries(e) => e,
-                        _ => Vec::new(),
-                    })
-                    .collect();
-                Ok(IsisPdu::Psnp(Psnp {
-                    source: SystemId(sys),
-                    entries,
-                }))
-            }
-            t => Err(err(&format!("unknown PDU type {t}"))),
-        }
+        let pdu_type = decode_common_header(buf)?;
+        decode_body(pdu_type, buf)
     }
 }
 
@@ -778,6 +915,9 @@ pub fn net_system_id(net: &str) -> Option<SystemId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::option;
+    use proptest::prelude::*;
 
     fn sys(n: u8) -> SystemId {
         SystemId([0, 0, 0, 0, 0, n])
@@ -788,6 +928,227 @@ mod tests {
         let decoded = IsisPdu::decode(&mut bytes).unwrap();
         assert!(bytes.is_empty(), "decoder must consume the whole PDU");
         decoded
+    }
+
+    /// `fletcher16` as it was, reduced after every byte: the reference for
+    /// the block-reduced sum.
+    fn fletcher16_per_byte(data: &[u8]) -> u16 {
+        let mut c0: u32 = 0;
+        let mut c1: u32 = 0;
+        for &b in data {
+            c0 = (c0 + b as u32) % 255;
+            c1 = (c1 + c0) % 255;
+        }
+        ((c1 as u16) << 8) | c0 as u16
+    }
+
+    /// `encode_tlvs` as it was, through a buffer per TLV: the reference for
+    /// the in-place encoder.
+    fn encode_tlvs_buffered(out: &mut BytesMut, tlvs: &[Tlv]) {
+        for tlv in tlvs {
+            let mut v = BytesMut::new();
+            match tlv {
+                Tlv::Area(areas) => {
+                    for a in areas {
+                        v.put_u8(a.len() as u8);
+                        v.extend_from_slice(a);
+                    }
+                }
+                Tlv::Protocols(nlpids) => v.extend_from_slice(nlpids),
+                Tlv::IpIfaceAddr(addrs) => {
+                    for a in addrs {
+                        v.put_u32(u32::from(*a));
+                    }
+                }
+                Tlv::P2pAdjState { state, neighbor } => {
+                    v.put_u8(state.code());
+                    v.put_u32(0);
+                    if let Some(n) = neighbor {
+                        v.extend_from_slice(&n.0);
+                        v.put_u32(0);
+                    }
+                }
+                Tlv::Hostname(h) => v.extend_from_slice(h.as_bytes()),
+                Tlv::ExtIsReach(neighbors) => {
+                    for n in neighbors {
+                        v.extend_from_slice(&n.neighbor.0);
+                        v.put_u8(n.pseudonode);
+                        let m = n.metric.min(0xff_ffff);
+                        v.put_u8((m >> 16) as u8);
+                        v.put_u16((m & 0xffff) as u16);
+                        v.put_u8(0);
+                    }
+                }
+                Tlv::ExtIpReach(reaches) => {
+                    for r in reaches {
+                        v.put_u32(r.metric);
+                        let control = (r.prefix.len() & 0x3f) | if r.down { 0x80 } else { 0 };
+                        v.put_u8(control);
+                        let nbytes = (r.prefix.len() as usize).div_ceil(8);
+                        let bits = r.prefix.network_bits().to_be_bytes();
+                        for b in bits.iter().take(nbytes) {
+                            v.put_u8(*b);
+                        }
+                    }
+                }
+                Tlv::LspEntries(entries) => {
+                    for e in entries {
+                        v.put_u16(e.lifetime);
+                        e.lsp_id.encode(&mut v);
+                        v.put_u32(e.seq);
+                        v.put_u16(e.checksum);
+                    }
+                }
+                Tlv::Unknown { value, .. } => v.extend_from_slice(value),
+            }
+            out.put_u8(tlv.type_code());
+            out.put_u8(v.len() as u8);
+            out.extend_from_slice(&v);
+        }
+    }
+
+    /// An LSP PDU as the buffered encoder and per-byte checksum built it.
+    fn lsp_encoded_as_it_was(l: &Lsp) -> Vec<u8> {
+        let mut body = BytesMut::new();
+        l.lsp_id.encode(&mut body);
+        body.put_u32(l.seq);
+        encode_tlvs_buffered(&mut body, &l.tlvs);
+        let mut out = vec![PROTO_DISCRIMINATOR, 0, 1, 0, PDU_L2_LSP, 1, 0, 0];
+        out.extend_from_slice(&((LSP_TLVS_AT + body.len() - 12) as u16).to_be_bytes());
+        out.extend_from_slice(&l.lifetime_secs.to_be_bytes());
+        out.extend_from_slice(&body[..12]);
+        out.extend_from_slice(&fletcher16_per_byte(&body).to_be_bytes());
+        out.push(0x03);
+        out.extend_from_slice(&body[12..]);
+        out
+    }
+
+    fn arb_prefix() -> impl Strategy<Value = Prefix> {
+        (any::<u32>(), 0u8..=32).prop_map(|(bits, len)| Prefix::from_bits(bits, len))
+    }
+
+    /// Any TLV, long ones included: past 255 bytes a length byte wraps.
+    fn arb_tlv() -> impl Strategy<Value = Tlv> {
+        let bytes = |max| vec(any::<u8>(), 0..max).prop_map(Bytes::from);
+        prop_oneof![
+            vec(bytes(20), 0..4).prop_map(Tlv::Area),
+            vec(any::<u8>(), 0..8).prop_map(Tlv::Protocols),
+            vec(any::<u32>().prop_map(Ipv4Addr::from), 0..80).prop_map(Tlv::IpIfaceAddr),
+            (0u8..3, option::of(any::<u8>())).prop_map(|(s, n)| Tlv::P2pAdjState {
+                state: AdjState::from_code(s).unwrap(),
+                neighbor: n.map(sys),
+            }),
+            "[a-z0-9-]{0,300}".prop_map(Tlv::Hostname),
+            vec((any::<u8>(), any::<u8>(), any::<u32>()), 0..30).prop_map(|ns| {
+                Tlv::ExtIsReach(
+                    ns.into_iter()
+                        .map(|(n, pseudonode, metric)| IsNeighbor {
+                            neighbor: sys(n),
+                            pseudonode,
+                            metric,
+                        })
+                        .collect(),
+                )
+            }),
+            vec((any::<u32>(), arb_prefix(), any::<bool>()), 0..40).prop_map(|rs| {
+                Tlv::ExtIpReach(
+                    rs.into_iter()
+                        .map(|(metric, prefix, down)| IpReach {
+                            metric,
+                            prefix,
+                            down,
+                        })
+                        .collect(),
+                )
+            }),
+            vec(
+                (any::<u16>(), any::<u8>(), any::<u32>(), any::<u16>()),
+                0..20
+            )
+            .prop_map(|es| {
+                Tlv::LspEntries(
+                    es.into_iter()
+                        .map(|(lifetime, n, seq, checksum)| LspEntry {
+                            lifetime,
+                            lsp_id: LspId::of(sys(n)),
+                            seq,
+                            checksum,
+                        })
+                        .collect(),
+                )
+            }),
+            (200u8..=255, bytes(300))
+                .prop_map(|(type_code, value)| Tlv::Unknown { type_code, value }),
+        ]
+    }
+
+    fn arb_lsp() -> impl Strategy<Value = Lsp> {
+        (
+            any::<u16>(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<u32>(),
+            vec(arb_tlv(), 0..6),
+        )
+            .prop_map(|(lifetime_secs, n, fragment, seq, tlvs)| Lsp {
+                lifetime_secs,
+                lsp_id: LspId {
+                    system: sys(n),
+                    pseudonode: 0,
+                    fragment,
+                },
+                seq,
+                tlvs,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn fletcher16_reduced_per_block_is_the_per_byte_sum(
+            data in vec(any::<u8>(), 0..65_536),
+        ) {
+            prop_assert_eq!(fletcher16(&data), fletcher16_per_byte(&data));
+            let (head, tail) = data.split_at(data.len() / 3);
+            prop_assert_eq!(fletcher16_of(&[head, tail]), fletcher16_per_byte(&data));
+        }
+
+        #[test]
+        fn in_place_tlvs_encode_as_buffered_ones_did(tlvs in vec(arb_tlv(), 0..6)) {
+            let (mut in_place, mut buffered) = (BytesMut::new(), BytesMut::new());
+            encode_tlvs(&mut in_place, &tlvs);
+            encode_tlvs_buffered(&mut buffered, &tlvs);
+            prop_assert_eq!(in_place, buffered);
+        }
+
+        #[test]
+        fn lsps_encode_as_they_did(lsp in arb_lsp()) {
+            let encoded = IsisPdu::Lsp(lsp.clone()).encode();
+            prop_assert_eq!(encoded.to_vec(), lsp_encoded_as_it_was(&lsp));
+        }
+    }
+
+    #[test]
+    fn fletcher16_blocks_hold_their_worst_case() {
+        // 0xff bytes grow the unreduced sums fastest; lengths around the
+        // block size cross a reduction.
+        for len in [0, 1, 5_801, 5_802, 5_803, 11_604, 65_536] {
+            let ones = vec![0xff; len];
+            assert_eq!(fletcher16(&ones), fletcher16_per_byte(&ones), "{len}");
+        }
+    }
+
+    #[test]
+    fn a_tlv_past_255_bytes_still_wraps_its_length() {
+        let tlv = Tlv::Unknown {
+            type_code: 250,
+            value: Bytes::from(vec![7; 300]),
+        };
+        let mut out = BytesMut::new();
+        encode_tlvs(&mut out, std::slice::from_ref(&tlv));
+        assert_eq!(&out[..2], &[250, 44]);
+        assert_eq!(out.len(), 302);
     }
 
     #[test]
@@ -894,24 +1255,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lsp_checksum_detects_corruption() {
-        let lsp = Lsp {
+    fn example_lsp() -> Lsp {
+        Lsp {
             lifetime_secs: 1200,
             lsp_id: LspId::of(sys(1)),
-            seq: 1,
-            tlvs: vec![Tlv::Hostname("r1".to_string())],
+            seq: 7,
+            tlvs: vec![
+                Tlv::Area(vec![Bytes::from_static(&[0x49, 0x00, 0x01])]),
+                Tlv::Hostname("r1".to_string()),
+                Tlv::ExtIsReach(vec![IsNeighbor {
+                    neighbor: sys(2),
+                    pseudonode: 0,
+                    metric: u32::MAX,
+                }]),
+                Tlv::ExtIpReach(vec![IpReach {
+                    metric: 10,
+                    prefix: "2.2.2.1/32".parse().unwrap(),
+                    down: false,
+                }]),
+            ],
+        }
+    }
+
+    #[test]
+    fn lsp_checksum_detects_corruption() {
+        let encoded = IsisPdu::Lsp(example_lsp()).encode();
+        // A flipped byte anywhere in the checksummed span — the LSP id and
+        // sequence number, the checksum, the TLVs: all but the lifetime
+        // before them and the flags byte. (Fletcher is arithmetic mod 255,
+        // so no flip here turns 0x00 into 0xff, which it cannot tell apart.)
+        let span = (LSP_ID_AT..encoded.len()).filter(|at| *at != LSP_TLVS_AT - 1);
+        for at in span {
+            for mask in [0x01, 0x0f, 0x80] {
+                let mut corrupted = encoded.to_vec();
+                corrupted[at] ^= mask;
+                let corrupted = Bytes::from(corrupted);
+                let e = IsisPdu::decode(&mut corrupted.clone()).unwrap_err();
+                assert!(e.reason.contains("checksum"), "byte {at} ^ {mask:#x}: {e}");
+                assert_eq!(receive(corrupted).unwrap_err(), e);
+            }
+        }
+    }
+
+    #[test]
+    fn an_lsp_stored_at_origination_is_the_one_its_receivers_store() {
+        let lsp = example_lsp();
+        let stored = StoredLsp::encode(&lsp);
+        let received = match receive(IsisPdu::Lsp(lsp.clone()).encode()).unwrap() {
+            Received::Lsp(received) => received,
+            other => panic!("{other:?}"),
         };
-        let encoded = IsisPdu::Lsp(lsp).encode();
-        let mut corrupted = encoded.to_vec();
-        // Flip a byte of the sequence number (offset: 8 common header +
-        // 2 pdu length + 2 lifetime + 8 LSP id).
-        // (note: ^0xff would turn 0x00 into 0xff, which Fletcher — arithmetic
-        // mod 255 — cannot distinguish from 0x00, so flip low bits instead)
-        corrupted[20] ^= 0x0f;
-        let mut b = Bytes::from(corrupted);
-        let e = IsisPdu::decode(&mut b).unwrap_err();
-        assert!(e.reason.contains("checksum"));
+        assert_eq!(stored, received);
+        assert_eq!(stored.neighbors()[0].metric, 0xff_ffff);
+        assert_eq!(stored.hostname().as_deref(), Some("r1"));
+        let entry = stored.entry();
+        assert_eq!(
+            (entry.lsp_id, entry.seq, entry.lifetime),
+            (lsp.lsp_id, 7, 1200)
+        );
+        // Anything else comes through typed.
+        let hello = IsisPdu::P2pHello(P2pHello {
+            circuit_type: 2,
+            source: sys(1),
+            hold_time_secs: 30,
+            circuit_id: 1,
+            tlvs: vec![],
+        });
+        assert_eq!(receive(hello.encode()).unwrap(), Received::Pdu(hello));
     }
 
     #[test]

@@ -269,6 +269,27 @@ cargo test -q -p mfv-core --lib typed_get_equals_the_json_get | grep -q '1 passe
   exit 1
 }
 
+echo "==> one encoding per LSP: IS-IS encodes and checksums an LSP where it originates one, and SPF runs over the graph it keeps"
+# An LSP is encoded through `StoredLsp::encode` or `IsisPdu::Lsp(..).encode()`,
+# checksummed by those or by `fletcher16`; a received one was verified by the
+# decoder that stored it. Non-test isis.rs may do the first once, in the
+# origination, and nothing else.
+isis_src="$(sed '/#\[cfg(test)\]/,$d' crates/routing/src/isis.rs)"
+lsp_codec="$(grep -cE 'StoredLsp::encode\(|IsisPdu::Lsp\([^_]|checksum\(|fletcher16' <<<"$isis_src" || true)"
+originated="$(sed -n '/^    fn regenerate_own_lsp(/,/^    }$/p' <<<"$isis_src" | grep -c 'StoredLsp::encode(' || true)"
+[ "$lsp_codec" -eq 1 ] && [ "$originated" -eq 1 ] || {
+  echo "one-encoding check FAILED: non-test crates/routing/src/isis.rs encodes or checksums an LSP outside regenerate_own_lsp (flood, ack and describe the stored bytes and entry)" >&2
+  exit 1
+}
+cargo test -q -p mfv-routing --lib spf_over_the_maintained_graph_is_the_reference_spf | grep -q '1 passed' || {
+  echo "one-encoding check FAILED: the SPF-against-the-reference proptest did not run and pass" >&2
+  exit 1
+}
+cargo test -q --test work_ceiling an_lsp_is_encoded_and_checksummed_once | grep -q '1 passed' || {
+  echo "one-encoding check FAILED: the LSP encode / checksum ceiling did not run and pass" >&2
+  exit 1
+}
+
 echo "==> the ledger: every exact count and answer pin of BENCH_pipeline.json unmoved against the one it replaced"
 # The tracked ledger against the one it replaced (the newest committed
 # version that differs from it): every exact count and every answer pin must

@@ -9,6 +9,7 @@ use model_free_verification::emulator::{NodeSpec, Topology};
 use model_free_verification::mgmt::{collect_afts, dataplane_from_afts, Telemetry};
 use model_free_verification::types::{AsNum, IpSet, NodeId};
 use model_free_verification::verify::{self, ForwardingAnalysis};
+use model_free_verification::wire::isis::IsisPdu;
 
 fn pair_snapshot() -> Snapshot {
     let r1 = RouterSpec::new("r1", AsNum(65001), "2.2.2.1".parse().unwrap())
@@ -131,4 +132,24 @@ fn operator_cli_during_what_if() {
     assert!(out.contains("Up"), "{out}");
     let out = emu.cli(&NodeId::from("r2"), "show version").unwrap();
     assert!(out.contains("4.34.0F"), "{out}");
+}
+
+#[test]
+fn a_converged_grid_floods_each_lsp_as_its_encoding() {
+    // Every router floods an LSP on as the bytes it received; those are
+    // exactly what encoding the decoded PDU afresh writes.
+    let snapshot = scenarios::isis_grid(3, 2);
+    let (emu, meta) = EmulationBackend::with_seed(1).run(&snapshot).unwrap();
+    assert!(meta.converged);
+    let mut lsps = 0;
+    for node in &snapshot.topology.nodes {
+        let isis = emu.router(&node.name).unwrap().isis_engine().unwrap();
+        for lsp in isis.lsdb() {
+            let decoded = IsisPdu::decode(&mut lsp.bytes().clone()).unwrap();
+            assert!(matches!(decoded, IsisPdu::Lsp(_)), "{decoded:?}");
+            assert_eq!(&decoded.encode(), lsp.bytes(), "{:?}", lsp.entry());
+            lsps += 1;
+        }
+    }
+    assert_eq!(lsps, 6 * 6, "six routers, each holding all six LSPs");
 }
