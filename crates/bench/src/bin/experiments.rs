@@ -562,12 +562,23 @@ fn heap() {
     row("emulation", emulation);
     // A piece's share is what a clone of it asks the allocator for, summed
     // over the routers. A clone shares the stored attribute and next-hop
-    // sets, so those count once, in the emulation's row.
-    let pieces: [Piece; 5] = [
+    // sets, so those count once, in the emulation's row. Parts of `bgp`: the
+    // Adj-RIB-Ins with their next-hop indexes, the Adj-RIB-Outs, the selection.
+    let pieces: [Piece; 9] = [
         ("router", |r| held_by(|| r.clone()).1),
         ("fib", |r| held_by(|| r.fib().clone()).1),
         ("rib", |r| held_by(|| r.rib().clone()).1),
+        ("gateways", |r| held_by(|| r.gateways().clone()).1),
         ("bgp", |r| held_by(|| r.bgp_engine().cloned()).1),
+        ("bgp.in", |r| {
+            held_by(|| r.bgp_engine().map(|b| b.adj_rib_copies().0)).1
+        }),
+        ("bgp.out", |r| {
+            held_by(|| r.bgp_engine().map(|b| b.adj_rib_copies().1)).1
+        }),
+        ("bgp.sel", |r| {
+            held_by(|| r.bgp_engine().map(|b| b.selected().clone())).1
+        }),
         ("isis", |r| held_by(|| r.isis_engine().cloned()).1),
     ];
     for (piece, held) in pieces {

@@ -190,14 +190,19 @@ fn heap_bgp_engines_hold_a_handle_per_route_not_a_copy() {
         stdout.contains("regional_wan(3, 4), seed 1: 12 routers, 198 FIB entries"),
         "{stdout}"
     );
-    // The `bgp` row's last column is bytes per FIB entry: 936 with every
+    // A row's last column is bytes per FIB entry. `bgp`: 936 with every
     // Adj-RIB entry owning its attributes, 382 with one stored copy per set.
-    let per_entry: usize = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("bgp "))
-        .and_then(|row| row.split_whitespace().last()?.parse().ok())
-        .expect("a bgp row");
-    assert!(per_entry < 450, "{per_entry} B per FIB entry:\n{stdout}");
+    // `rib`: 335 with BGP's selection copied into it, 228 with connected,
+    // static and IS-IS routes only.
+    let per_entry = |piece: &str| -> usize {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{piece} ")))
+            .and_then(|row| row.split_whitespace().last()?.parse().ok())
+            .unwrap_or_else(|| panic!("a {piece} row:\n{stdout}"))
+    };
+    assert!(per_entry("bgp") < 450, "{stdout}");
+    assert!(per_entry("rib") < 250, "{stdout}");
     // A client's twelve routes carry four attribute sets, stored four times.
     assert!(
         stdout.contains("client       r00x01        12          4       4"),

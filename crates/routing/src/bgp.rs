@@ -309,19 +309,28 @@ pub struct SelectedRoute {
     pub learned_from: Option<Ipv4Addr>,
     /// Whether the winning path is eBGP-learned.
     pub ebgp: bool,
-    /// All ECMP protocol next hops (best path's first).
-    pub next_hops: Vec<Ipv4Addr>,
+    /// All ECMP protocol next hops (best path's first): a handle to the
+    /// engine's stored copy of the set; compares by value.
+    pub next_hops: Arc<[Ipv4Addr]>,
 }
 
-/// A selection as the RIB sees it; local originations offer nothing (the
-/// route they stand for is already there).
+impl SelectedRoute {
+    /// The protocol the RIB and the FIB know a learned selection by; `None`
+    /// for a local origination, which offers them nothing (the route it
+    /// stands for is already there).
+    pub fn protocol(&self) -> Option<RouteProtocol> {
+        self.learned_from?;
+        Some(match self.ebgp {
+            true => RouteProtocol::EbgpLearned,
+            false => RouteProtocol::IbgpLearned,
+        })
+    }
+}
+
+/// A selection as a RIB route: what [`Fib::patch`](crate::rib::Fib::patch)
+/// reads straight off the selection, for a RIB built from scratch.
 fn as_rib_route(s: &SelectedRoute) -> Option<RibRoute> {
-    s.learned_from?;
-    let proto = if s.ebgp {
-        RouteProtocol::EbgpLearned
-    } else {
-        RouteProtocol::IbgpLearned
-    };
+    let proto = s.protocol()?;
     Some(RibRoute {
         prefix: s.prefix,
         proto,
@@ -357,6 +366,8 @@ pub struct BgpEngine {
     /// Every distinct attribute set this engine holds, stored once: the
     /// Adj-RIBs, the originations and the selection hold handles into it.
     attr_sets: InternSet<Arc<BgpAttrs>>,
+    /// The selection's distinct ECMP next-hop sets, stored once.
+    next_hop_sets: InternSet<Arc<[Ipv4Addr]>>,
     /// Locally-originated prefixes (network statements / redistribution),
     /// with the attrs they are originated with.
     originated: BTreeMap<Prefix, Arc<BgpAttrs>>,
@@ -428,6 +439,7 @@ impl BgpEngine {
             sessions,
             groups,
             attr_sets: InternSet::default(),
+            next_hop_sets: InternSet::default(),
             originated: BTreeMap::new(),
             route_maps,
             prefix_lists,
@@ -820,20 +832,32 @@ impl BgpEngine {
         self.sessions.values().map(|s| s.transitions).sum()
     }
 
-    /// The currently selected BGP routes, as RIB candidates.
+    /// The currently selected BGP routes, as RIB candidates: the reference
+    /// a router's FIB, which reads the selection itself, is held to.
     pub fn rib_routes(&self) -> Vec<RibRoute> {
         self.selected.values().filter_map(as_rib_route).collect()
     }
 
-    /// The RIB candidate for one prefix: its selected route if that was
-    /// learned from a peer.
-    pub fn rib_route(&self, prefix: &Prefix) -> Option<RibRoute> {
-        self.selected.get(prefix).and_then(as_rib_route)
+    /// The prefixes with a received route whose next hop is `next_hop`:
+    /// every prefix whose selection can go through it, and more.
+    pub fn prefixes_via(&self, next_hop: Ipv4Addr) -> impl Iterator<Item = Prefix> + '_ {
+        let host = Prefix::host(next_hop);
+        let sessions = self.sessions.values();
+        sessions.flat_map(move |s| keyed_inside(&s.by_next_hop, &host))
     }
 
     /// Introspection: the full selection (including local originations).
     pub fn selected(&self) -> &BTreeMap<Prefix, SelectedRoute> {
         &self.selected
+    }
+
+    /// Introspection for heap accounting (`experiments -- heap`): copies of
+    /// the Adj-RIB-Ins, each with its next-hop index, and of the Adj-RIB-Outs.
+    pub fn adj_rib_copies(&self) -> (impl Sized, impl Sized) {
+        let (sessions, groups) = (self.sessions.values(), self.groups.iter());
+        let ins = sessions.map(|s| (s.rib_in.clone(), s.by_next_hop.clone()));
+        let outs = groups.map(|g| g.table.clone());
+        (ins.collect::<Vec<_>>(), outs.collect::<Vec<_>>())
     }
 
     /// Introspection: how many distinct attribute sets the engine stores
@@ -938,8 +962,14 @@ impl BgpEngine {
     }
 
     /// RFC 4271 §9.1.2.2 best-path selection over one prefix's candidates,
-    /// with the engine's vendor quirks applied.
-    fn select_best(&self, prefix: Prefix, mut cands: Vec<Candidate>) -> Option<SelectedRoute> {
+    /// with the engine's vendor quirks applied; the next-hop set is a handle
+    /// into `next_hop_sets`.
+    fn select_best(
+        &self,
+        prefix: Prefix,
+        mut cands: Vec<Candidate>,
+        next_hop_sets: &mut InternSet<Arc<[Ipv4Addr]>>,
+    ) -> Option<SelectedRoute> {
         if cands.is_empty() {
             return None;
         }
@@ -999,25 +1029,30 @@ impl BgpEngine {
         let best = cands[best_idx].clone();
 
         // ECMP: additional paths equal through step 7.
-        let mut next_hops = vec![best.attrs.next_hop];
         let max_paths = self.max_paths as usize;
-        if max_paths > 1 {
+        let next_hops = if max_paths > 1 {
+            let mut next_hops = vec![best.attrs.next_hop];
             for (i, c) in cands.iter().enumerate() {
                 if i == best_idx || next_hops.len() >= max_paths {
                     continue;
                 }
+                let same_first_as = c.attrs.as_path.first_as() == best.attrs.as_path.first_as();
                 let equal = c.attrs.local_pref.unwrap_or(100)
                     == best.attrs.local_pref.unwrap_or(100)
                     && c.from.is_some() == best.from.is_some()
                     && c.attrs.as_path.route_len() == best.attrs.as_path.route_len()
                     && c.attrs.origin == best.attrs.origin
+                    && (!same_first_as || c.attrs.med.unwrap_or(0) == best.attrs.med.unwrap_or(0))
                     && c.ebgp == best.ebgp
                     && c.igp_metric == best.igp_metric;
                 if equal && !next_hops.contains(&c.attrs.next_hop) {
                     next_hops.push(c.attrs.next_hop);
                 }
             }
-        }
+            next_hop_sets.intern(next_hops)
+        } else {
+            next_hop_sets.intern(&[best.attrs.next_hop][..])
+        };
 
         Some(SelectedRoute {
             prefix,
@@ -1032,9 +1067,10 @@ impl BgpEngine {
     fn run_decision(&mut self, resolver: &dyn NextHopResolver, scope: &BTreeSet<Prefix>) {
         self.work.prefix_decisions += scope.len() as u64;
         let mut igp_costs = BTreeMap::new();
+        let mut next_hop_sets = std::mem::take(&mut self.next_hop_sets);
         for prefix in scope {
             let cands = self.gather_candidates(prefix, resolver, &mut igp_costs);
-            let changed = match self.select_best(*prefix, cands) {
+            let changed = match self.select_best(*prefix, cands, &mut next_hop_sets) {
                 Some(route) if self.selected.get(prefix) == Some(&route) => false,
                 Some(route) => {
                     self.selected.insert(*prefix, route);
@@ -1046,6 +1082,7 @@ impl BgpEngine {
                 self.selection_delta.insert(*prefix);
             }
         }
+        self.next_hop_sets = next_hop_sets;
     }
 
     /// The decision over every prefix with any candidate, from scratch:
@@ -1056,11 +1093,11 @@ impl BgpEngine {
         for session in self.sessions.values() {
             all.extend(session.rib_in.keys().copied());
         }
-        let mut igp_costs = BTreeMap::new();
+        let (mut igp_costs, mut next_hop_sets) = (BTreeMap::new(), InternSet::default());
         all.into_iter()
             .filter_map(|p| {
                 let cands = self.gather_candidates(&p, resolver, &mut igp_costs);
-                let route = self.select_best(p, cands)?;
+                let route = self.select_best(p, cands, &mut next_hop_sets)?;
                 Some((p, route))
             })
             .collect()
@@ -1703,6 +1740,57 @@ mod tests {
             Some(ip("2.2.2.2")),
             "the vendor bug selects the farther exit"
         );
+    }
+
+    /// Multipath admits only paths the decision could not tell from the best
+    /// one: a path from the same neighbouring AS that lost on MED (step 5)
+    /// stays out, one that tied on it joins.
+    #[test]
+    fn ecmp_excludes_a_path_that_lost_on_med() {
+        let peers = [ip("10.0.0.1"), ip("10.0.1.1"), ip("10.0.2.1")];
+        let mut cfg = BgpConfig::new(AsNum(65000));
+        cfg.max_paths = 4;
+        let (mut locals, mut resolver) = (BTreeMap::new(), TableResolver::default());
+        for peer in peers {
+            cfg.neighbors
+                .push(BgpNeighborConfig::new(peer, AsNum(65001)));
+            locals.insert(peer, ip("9.9.9.9"));
+            resolver.0.insert(peer, 0);
+        }
+        let mut engine = BgpEngine::new(
+            &cfg,
+            RouterId(ip("9.9.9.9")),
+            &locals,
+            BTreeMap::new(),
+            BTreeMap::new(),
+            DecisionQuirks::default(),
+        );
+        let now = SimTime(1000);
+        let _ = engine.poll(now, &resolver);
+        for (peer, med) in peers.into_iter().zip([10, 20, 10]) {
+            engine.push_msg(
+                now,
+                peer,
+                BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, peer)),
+            );
+            engine.push_msg(now, peer, BgpMsg::Keepalive);
+            let update = UpdateMsg {
+                withdrawn: vec![],
+                attrs: vec![
+                    PathAttr::Origin(Origin::Igp),
+                    PathAttr::AsPath(mfv_types::AsPath::sequence([AsNum(65001)])),
+                    PathAttr::NextHop(peer),
+                    PathAttr::Med(med),
+                ],
+                nlri: vec![pfx("203.0.113.0/24")],
+            };
+            engine.push_msg(now, peer, BgpMsg::Update(update));
+        }
+        let _ = engine.poll(now, &resolver);
+        let sel = &engine.selected()[&pfx("203.0.113.0/24")];
+        assert_eq!(sel.attrs.med, Some(10));
+        assert_eq!(*sel.next_hops, [peers[0], peers[2]]);
+        assert_eq!(engine.decide_all(&resolver), *engine.selected());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! IGP view (a BGP route whose next hop is a loopback resolves through the
 //! connected / static / IS-IS route covering that loopback). `Rib::resolve`
 //! is the one place a forwarding action is worked out and [`Fib::patch`] the
-//! one place it is installed; [`Rib::to_fib`] patches every prefix, routers
-//! patch the prefixes a change can have touched.
+//! one place a winner is chosen and installed; [`Rib::to_fib`] patches every
+//! prefix, routers patch the prefixes a change can have touched. A router's
+//! RIB holds no BGP routes: [`Fib::patch`] reads BGP's selection in place.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -17,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use mfv_types::{AdminDistance, IfaceId, InternSet, Prefix, PrefixTrie, RouteProtocol};
 
-use crate::bgp::NextHopResolver;
+use crate::bgp::{NextHopResolver, SelectedRoute};
 
 /// How a route reaches its destination.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -280,8 +281,8 @@ impl Rib {
         self.per_proto.is_empty()
     }
 
-    /// The forwarding action `route` (some prefix's winner) stands for:
-    /// its next hops made concrete (none: a deliberate discard). `Via`
+    /// The forwarding action a winner's next hops `hops` stand for, made
+    /// concrete (none: a deliberate discard). `Via`
     /// gateways resolve recursively (up to a depth bound) through the IGP
     /// view only — the same view the BGP decision process judges next-hop
     /// reachability by, so a route BGP selected is a route the FIB can
@@ -292,10 +293,10 @@ impl Rib {
     /// Every gateway address looked up on the way is appended to
     /// `gateways`: the answer stays valid until the IGP view changes at a
     /// prefix containing one of them (or the prefix's winner changes).
-    fn resolve(&self, route: &RibRoute, gateways: &mut Vec<Ipv4Addr>) -> Option<Vec<FibNextHop>> {
-        let mut next_hops = Vec::with_capacity(route.next_hops.len());
+    fn resolve(&self, hops: &[NextHop], gateways: &mut Vec<Ipv4Addr>) -> Option<Vec<FibNextHop>> {
+        let mut next_hops = Vec::with_capacity(hops.len());
         let mut discard = false;
-        for nh in &route.next_hops {
+        for nh in hops {
             match nh {
                 NextHop::Connected(iface) => next_hops.push(FibNextHop {
                     iface: iface.clone(),
@@ -358,13 +359,13 @@ impl Rib {
     }
 
     /// Resolves the whole RIB into a FIB from scratch ([`Fib::patch`] on
-    /// every prefix): the reference the routers' per-prefix FIB patching is
-    /// held to.
+    /// every prefix, with no selection beside it): the reference the
+    /// routers' per-prefix FIB patching is held to.
     pub fn to_fib(&self) -> Fib {
         let mut fib = Fib::new();
         let (mut memo, mut gateways) = (GatewayMemo::default(), Vec::new());
         for prefix in self.universe() {
-            fib.patch(self, prefix, &mut memo, &mut gateways);
+            fib.patch(self, None, prefix, &mut memo, &mut gateways);
         }
         fib
     }
@@ -381,24 +382,34 @@ impl NextHopResolver for Rib {
 
 /// What one batch of [`Fib::patch`] calls has resolved so far, per gateway:
 /// the addresses looked up on the way and the resolved set — the table's
-/// stored copy, or `None` for a gateway that does not resolve. Every route
-/// whose only next hop is `Via` that gateway resolves to exactly this, so a
-/// thousand BGP routes through twenty gateways cost twenty resolutions.
-/// Nothing invalidates an entry: a memo serves one [`Fib`] and one batch —
-/// a router poll's stale set, a [`Rib::to_fib`] — inside which the IGP view
-/// cannot move, and is dropped with it.
+/// stored copy, or `None` for a gateway that does not resolve. A route that
+/// is `Via` that gateway alone, and a BGP selection via it, resolve to this,
+/// so a thousand BGP routes through twenty gateways cost twenty
+/// resolutions. Nothing invalidates an entry: a memo serves one [`Fib`] and
+/// one batch — a router poll's stale set, a [`Rib::to_fib`] — inside which
+/// the IGP view cannot move, and is dropped with it.
 #[derive(Default)]
 pub struct GatewayMemo {
     via: BTreeMap<Ipv4Addr, ViaGateway>,
 }
 
 /// (addresses looked up, resolved set) for one gateway.
-type ViaGateway = (Vec<Ipv4Addr>, Option<Arc<[FibNextHop]>>);
+type ViaGateway = (Vec<Ipv4Addr>, ViaSet);
+
+/// A resolved next-hop set as the table stores it, `None`: nothing resolved.
+type ViaSet = Option<Arc<[FibNextHop]>>;
 
 impl GatewayMemo {
     /// Gateways resolved (each once) since the memo was made.
     pub fn resolutions(&self) -> usize {
         self.via.len()
+    }
+
+    /// Every gateway the batch resolved, with the addresses its resolution
+    /// looked up: valid until the IGP view moves at one of them.
+    pub fn into_looked_up(self) -> impl Iterator<Item = (Ipv4Addr, Vec<Ipv4Addr>)> {
+        let via = self.via.into_iter();
+        via.map(|(gateway, (looked_up, _))| (gateway, looked_up))
     }
 }
 
@@ -423,36 +434,47 @@ impl Fib {
         self.trie.insert(entry.prefix, entry);
     }
 
-    /// Brings the entry at `prefix` in line with `rib` (`Rib::resolve`,
-    /// which also says what `gateways` receives); returns whether it
-    /// changed. A winner that is one `Via` gateway takes the batch's answer
-    /// for that gateway from `memo`; any other is resolved afresh and
-    /// swapped for the table's stored copy of the same set. Either way the
+    /// Brings the entry at `prefix` in line with `rib` and, when given,
+    /// BGP's `selection` — a learned selection is an eBGP / iBGP candidate
+    /// at metric MED, and the winner is the lowest (admin distance, metric,
+    /// protocol) — and returns whether it changed. A selection, and a RIB
+    /// winner that is one `Via` gateway, takes the batch's answer for each
+    /// gateway from `memo`; any other winner is resolved afresh and swapped
+    /// for the table's stored copy of the same set. `gateways` receives what
+    /// a RIB winner's resolution looked up (`Rib::resolve`). Either way the
     /// handle is compared with the entry's — by pointer first — in the one
     /// walk that finds or makes the entry.
     pub fn patch(
         &mut self,
         rib: &Rib,
+        selection: Option<&BTreeMap<Prefix, SelectedRoute>>,
         prefix: &Prefix,
         memo: &mut GatewayMemo,
         gateways: &mut Vec<Ipv4Addr>,
     ) -> bool {
-        let resolved = rib.best(prefix).and_then(|route| {
-            let next_hops = if let [NextHop::Via(gateway)] = route.next_hops[..] {
-                let (looked_up, stored) = memo.via.entry(gateway).or_insert_with(|| {
-                    let mut looked_up = Vec::new();
-                    let resolved = rib.resolve(route, &mut looked_up);
-                    let stored = resolved.map(|set| self.next_hop_sets.intern(set));
-                    (looked_up, stored)
-                });
-                gateways.extend_from_slice(looked_up);
-                stored.clone()?
-            } else {
-                self.next_hop_sets.intern(rib.resolve(route, gateways)?)
-            };
-            Some((route.proto, next_hops))
+        let route = rib.best(prefix);
+        let learned = selection.and_then(|s| s.get(prefix)).and_then(|s| {
+            let (proto, metric) = (s.protocol()?, s.attrs.med.unwrap_or(0));
+            let preferred = (AdminDistance::default_for(proto), metric, proto);
+            let wins = route.is_none_or(|r| preferred < preference(r));
+            wins.then_some((proto, s))
         });
-        let Some((proto, next_hops)) = resolved else {
+        let resolved = match (learned, route) {
+            (Some((proto, s)), _) => Some((proto, self.via_each(rib, &s.next_hops, memo))),
+            (None, Some(route)) => {
+                let next_hops = if let [NextHop::Via(gw)] = route.next_hops[..] {
+                    let (looked_up, stored) = self.via(rib, gw, memo);
+                    gateways.extend_from_slice(looked_up);
+                    stored.clone()
+                } else {
+                    let resolved = rib.resolve(&route.next_hops, gateways);
+                    resolved.map(|set| self.next_hop_sets.intern(set))
+                };
+                Some((route.proto, next_hops))
+            }
+            (None, None) => None,
+        };
+        let Some((proto, Some(next_hops))) = resolved else {
             return self.trie.remove(prefix).is_some();
         };
         let (entry, made) = self.trie.get_or_insert_with(*prefix, || FibEntry {
@@ -463,6 +485,31 @@ impl Fib {
         let changed = made || entry.proto != proto || entry.next_hops != next_hops;
         (entry.proto, entry.next_hops) = (proto, next_hops);
         changed
+    }
+
+    /// The batch's answer for `gw`, worked out on its first use.
+    fn via<'m>(&mut self, rib: &Rib, gw: Ipv4Addr, memo: &'m mut GatewayMemo) -> &'m ViaGateway {
+        memo.via.entry(gw).or_insert_with(|| {
+            let mut looked_up = Vec::new();
+            let resolved = rib.resolve(&[NextHop::Via(gw)], &mut looked_up);
+            let stored = resolved.map(|set| self.next_hop_sets.intern(set));
+            (looked_up, stored)
+        })
+    }
+
+    /// The batch's answer for a selection's gateways: one gateway's as the
+    /// memo holds it, several gateways' merged into one stored set.
+    fn via_each(&mut self, rib: &Rib, gws: &[Ipv4Addr], memo: &mut GatewayMemo) -> ViaSet {
+        if let [gw] = gws {
+            return self.via(rib, *gw, memo).1.clone();
+        }
+        let mut merged = Vec::new();
+        for gw in gws {
+            merged.extend_from_slice(self.via(rib, *gw, memo).1.as_deref().unwrap_or_default());
+        }
+        merged.sort();
+        merged.dedup();
+        (!merged.is_empty()).then(|| self.next_hop_sets.intern(merged))
     }
 
     /// Longest-prefix-match lookup.
@@ -749,8 +796,68 @@ mod tests {
         );
         assert_eq!(rib.igp_metric(ip("10.0.0.5")), Some(10));
         let mut gateways = Vec::new();
-        rib.resolve(rib.best(&p("203.0.113.0/24")).unwrap(), &mut gateways);
+        rib.resolve(
+            &rib.best(&p("203.0.113.0/24")).unwrap().next_hops,
+            &mut gateways,
+        );
         assert_eq!(gateways, vec![ip("10.0.0.5")]);
+    }
+
+    /// A selection read in place wins and resolves exactly as the same
+    /// route held in the RIB: by admin distance against the IGP's route,
+    /// its ECMP gateways' sets merged, its lookups left in the memo.
+    #[test]
+    fn a_selection_beside_the_rib_patches_as_its_rib_route_would() {
+        let mut rib = Rib::new();
+        rib.set_protocol_routes(
+            RouteProtocol::Connected,
+            vec![
+                connected("100.64.0.0/31", "eth0"),
+                connected("100.64.1.0/31", "eth1"),
+            ],
+        );
+        let isis = RibRoute::new(
+            p("203.0.113.0/24"),
+            RouteProtocol::Isis,
+            10,
+            NextHop::ViaIface(ip("100.64.0.1"), "eth0".into()),
+        );
+        rib.set_protocol_routes(RouteProtocol::Isis, vec![isis]);
+        let prefix = p("203.0.113.0/24");
+        let gateways = [ip("100.64.0.1"), ip("100.64.1.1")];
+        for (ebgp, proto) in [
+            (true, RouteProtocol::EbgpLearned),
+            (false, RouteProtocol::IbgpLearned),
+        ] {
+            let selected = SelectedRoute {
+                prefix,
+                attrs: Arc::new(crate::policy::BgpAttrs::originated(gateways[0])),
+                learned_from: Some(gateways[0]),
+                ebgp,
+                next_hops: gateways.into(),
+            };
+            let selection = BTreeMap::from([(prefix, selected)]);
+            let (mut fib, mut memo, mut looked_up) = (Fib::new(), GatewayMemo::default(), vec![]);
+            assert!(fib.patch(&rib, Some(&selection), &prefix, &mut memo, &mut looked_up));
+
+            let mut reference = rib.clone();
+            let vias = gateways.map(NextHop::Via).to_vec();
+            let route = RibRoute {
+                next_hops: vias,
+                ..RibRoute::new(prefix, proto, 0, NextHop::Discard)
+            };
+            reference.set_protocol_routes(proto, vec![route]);
+            assert_eq!(fib.get(&prefix), reference.to_fib().get(&prefix));
+            let winner = fib.get(&prefix).unwrap();
+            assert_eq!(
+                winner.proto == proto,
+                ebgp,
+                "eBGP 20 < IS-IS 115 < iBGP 200"
+            );
+            assert_eq!(winner.next_hops.len(), if ebgp { 2 } else { 1 });
+            assert!(looked_up.is_empty());
+            assert_eq!(memo.resolutions(), if ebgp { 2 } else { 0 });
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use mfv_config::{DeviceConfig, Redistribute};
 use mfv_routing::bgp::{BgpEngine, BgpWork};
 use mfv_routing::isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig, IsisWork};
 use mfv_routing::policy::{eval_route_map, BgpAttrs, PolicyResult};
-use mfv_routing::rib::{keyed_inside, Fib, GatewayMemo, NextHop, Rib, RibRoute};
+use mfv_routing::rib::{Fib, GatewayMemo, NextHop, Rib, RibRoute};
 use mfv_types::{IfaceId, NodeId, Prefix, RouteProtocol, RouterId, SimTime};
 use mfv_wire::bgp::{BgpMsg, PathAttr};
 use mfv_wire::isis::{self as isis_wire, net_area_bytes, net_system_id, SystemId};
@@ -56,14 +56,15 @@ pub struct VirtualRouter {
     /// Boxed: most routers of an IGP-only network run none, and should
     /// not carry an engine's worth of empty tables inline.
     bgp: Option<Box<BgpEngine>>,
-    /// Candidate routes from every source and the IGP view over them.
-    /// Persistent: each poll applies only what its sources changed.
+    /// Connected, static and IS-IS routes and the IGP view over them.
+    /// Persistent: each poll applies only what its sources changed. BGP's
+    /// routes are its selection, which the FIB reads in place.
     rib: Rib,
-    /// Always `rib.to_fib()`, maintained by re-resolving the prefixes a
-    /// poll's changes can have touched.
+    /// Always `rib.to_fib()` joined with BGP's selection, maintained by
+    /// re-resolving the prefixes a poll's changes can have touched.
     fib: Fib,
-    /// Which FIB prefixes looked which gateway addresses up in the IGP
-    /// view; an IGP change re-resolves exactly the dependents inside it.
+    /// Which gateway addresses the FIB's resolutions looked up in the IGP
+    /// view; an IGP change re-resolves the dependents of those inside it.
     gateways: GatewayIndex,
     /// Prefixes currently originated into BGP.
     originated: BTreeSet<Prefix>,
@@ -150,36 +151,59 @@ pub type Stopwatch<'a> = &'a dyn Fn() -> u64;
 // boxed, so an IGP-only network never pays for it.
 const _: () = assert!(std::mem::size_of::<VirtualRouter>() <= 1384);
 
-/// `(gateway, prefix)` pairs, indexed both ways: the FIB entry at `prefix`
-/// was resolved by looking `gateway` up in the IGP view.
+/// The addresses the FIB's resolutions looked up in the IGP view, kept
+/// small: per prefix only for the RIB's recursive winners (statics, a
+/// handful), per gateway for BGP's, whose prefixes the engine's next-hop
+/// index names.
 #[derive(Clone, Default)]
-struct GatewayIndex {
-    by_gateway: BTreeSet<(Ipv4Addr, Prefix)>,
-    by_prefix: BTreeSet<(Prefix, Ipv4Addr)>,
+pub struct GatewayIndex {
+    /// RIB winner's prefix → the addresses its resolution looked up.
+    by_prefix: BTreeMap<Prefix, Vec<Ipv4Addr>>,
+    /// Gateway → the addresses its resolution looked up: every gateway a
+    /// batch's memo resolved, a BGP next hop or a static's.
+    by_gateway: BTreeMap<Ipv4Addr, Vec<Ipv4Addr>>,
 }
 
 impl GatewayIndex {
-    /// Replaces the gateways recorded for `prefix`.
+    /// Replaces the addresses recorded for `prefix`'s RIB winner.
     fn set(&mut self, prefix: Prefix, gateways: &[Ipv4Addr]) {
-        let span = (prefix, Ipv4Addr::UNSPECIFIED)..=(prefix, Ipv4Addr::BROADCAST);
-        let old: Vec<Ipv4Addr> = self.by_prefix.range(span).map(|(_, g)| *g).collect();
-        if old == gateways {
-            return;
-        }
-        for g in old {
-            self.by_prefix.remove(&(prefix, g));
-            self.by_gateway.remove(&(g, prefix));
-        }
-        for g in gateways {
-            self.by_prefix.insert((prefix, *g));
-            self.by_gateway.insert((*g, prefix));
+        if gateways.is_empty() {
+            self.by_prefix.remove(&prefix);
+        } else if self.by_prefix.get(&prefix).map(Vec::as_slice) != Some(gateways) {
+            self.by_prefix.insert(prefix, gateways.to_vec());
         }
     }
 
-    /// The prefixes resolved through a gateway inside `moved`: the only
-    /// ones whose resolution an IGP change at `moved` can alter.
-    fn dependents_inside<'a>(&'a self, moved: &Prefix) -> impl Iterator<Item = Prefix> + 'a {
-        keyed_inside(&self.by_gateway, moved)
+    /// Adds to `stale` the prefixes whose resolution the IGP view moving at
+    /// `moved` can alter: the RIB winners that looked an address inside it
+    /// up, and every prefix `bgp` has a candidate for through a gateway
+    /// that did. Those gateways are forgotten; the batch that re-resolves
+    /// their prefixes records them afresh.
+    fn take_dependents(
+        &mut self,
+        moved: &BTreeSet<Prefix>,
+        bgp: Option<&BgpEngine>,
+        stale: &mut BTreeSet<Prefix>,
+    ) {
+        if moved.is_empty() {
+            return;
+        }
+        let touched =
+            |addrs: &Vec<Ipv4Addr>| addrs.iter().any(|a| moved.iter().any(|m| m.contains(*a)));
+        let statics = self.by_prefix.iter().filter(|(_, a)| touched(a));
+        stale.extend(statics.map(|(prefix, _)| *prefix));
+        self.by_gateway.retain(|gateway, addrs| {
+            let moved_here = touched(addrs);
+            if moved_here {
+                stale.extend(bgp.into_iter().flat_map(|bgp| bgp.prefixes_via(*gateway)));
+            }
+            !moved_here
+        });
+    }
+
+    /// Entries kept: RIB winners plus gateways.
+    pub fn entries(&self) -> usize {
+        self.by_prefix.len() + self.by_gateway.len()
     }
 }
 
@@ -273,17 +297,24 @@ impl VirtualRouter {
         &self.addresses
     }
 
-    /// The router's RIB: every source's candidate routes as of the last
-    /// poll.
+    /// The router's RIB: the connected, static and IS-IS routes as of the
+    /// last poll.
     pub fn rib(&self) -> &Rib {
         &self.rib
     }
 
+    /// What the FIB's resolutions looked up in the IGP view, for heap
+    /// accounting.
+    pub fn gateways(&self) -> &GatewayIndex {
+        &self.gateways
+    }
+
     /// A RIB rebuilt from the route sources as they stand now — connected
-    /// and static routes, a fresh SPF, the whole BGP selection — and empty
-    /// while crashed. After any poll, [`rib`](Self::rib) must equal it
-    /// route for route and [`fib`](Self::fib) must equal its `to_fib()`;
-    /// tests hold the per-prefix maintenance to exactly that.
+    /// and static routes, a fresh SPF, the whole BGP selection as eBGP /
+    /// iBGP routes — and empty while crashed. After any poll,
+    /// [`rib`](Self::rib) must equal its connected, static and IS-IS routes
+    /// and [`fib`](Self::fib) must equal its `to_fib()`; tests hold the
+    /// per-prefix maintenance to exactly that.
     pub fn reference_rib(&self) -> Rib {
         let mut rib = Rib::new();
         if !self.is_running() {
@@ -716,7 +747,7 @@ impl VirtualRouter {
 
         // 3. BGP: originations follow the IGP delta, decisions re-run for
         // prefixes with a candidate whose next hop sits inside it, and the
-        // RIB's eBGP/iBGP contribution follows the selection delta.
+        // FIB follows the selection delta.
         let mut selection_delta = BTreeSet::new();
         let mut msgs = Vec::new();
         let originations_moved = self.sync_originations(&igp_delta);
@@ -729,17 +760,6 @@ impl VirtualRouter {
             msgs = bgp.poll(now, &self.rib);
             self.bgp_work += bgp.take_work();
             selection_delta = bgp.take_selection_delta();
-            for prefix in &selection_delta {
-                let learned = bgp.rib_route(prefix);
-                let (ebgp, ibgp) = match &learned {
-                    Some(r) if r.proto == RouteProtocol::EbgpLearned => (learned, None),
-                    _ => (None, learned),
-                };
-                self.rib
-                    .set_route(RouteProtocol::EbgpLearned, *prefix, ebgp);
-                self.rib
-                    .set_route(RouteProtocol::IbgpLearned, *prefix, ibgp);
-            }
             if let Some(started) = started {
                 self.wall.bgp_ns += self.wall.close(started, stopwatch);
             }
@@ -747,11 +767,11 @@ impl VirtualRouter {
 
         // 4. FIB: re-resolve the prefixes whose winner can have changed
         // (both deltas) and the ones resolved through a gateway inside a
-        // changed IGP prefix. Nothing else can differ from `rib.to_fib()`.
+        // changed IGP prefix. Nothing else can differ from `rib.to_fib()`
+        // joined with the selection.
         let mut stale = selection_delta;
-        for moved in &igp_delta {
-            stale.extend(self.gateways.dependents_inside(moved));
-        }
+        let bgp = self.bgp.as_deref();
+        self.gateways.take_dependents(&igp_delta, bgp, &mut stale);
         stale.extend(igp_delta);
         self.resolve(&stale, stopwatch);
 
@@ -796,8 +816,8 @@ impl VirtualRouter {
         events
     }
 
-    /// Brings the FIB entries at `prefixes` in line with the RIB, recording
-    /// which ones actually changed.
+    /// Brings the FIB entries at `prefixes` in line with the RIB and BGP's
+    /// selection, recording which ones actually changed.
     fn resolve(&mut self, prefixes: &BTreeSet<Prefix>, stopwatch: Stopwatch) {
         if prefixes.is_empty() {
             return;
@@ -809,15 +829,20 @@ impl VirtualRouter {
         // The IGP view does not move inside this loop, so what a gateway
         // resolves to is worked out once for all the prefixes behind it.
         let (mut memo, mut gateways) = (GatewayMemo::default(), Vec::new());
+        let selection = self.bgp.as_deref().map(BgpEngine::selected);
         for prefix in prefixes {
             gateways.clear();
-            if self.fib.patch(&self.rib, prefix, &mut memo, &mut gateways) {
+            if self
+                .fib
+                .patch(&self.rib, selection, prefix, &mut memo, &mut gateways)
+            {
                 changed = true;
                 self.changed_prefixes.insert(*prefix);
             }
             self.gateways.set(*prefix, &gateways);
         }
         self.fib_gateway_resolutions += memo.resolutions() as u64;
+        self.gateways.by_gateway.extend(memo.into_looked_up());
         if changed {
             self.fib_version += 1;
         }

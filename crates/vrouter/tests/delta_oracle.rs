@@ -2,14 +2,17 @@
 //!
 //! A poll patches the RIB, the BGP selection and the FIB for the prefixes
 //! its inputs changed. This test drives a small two-AS network (IS-IS +
-//! iBGP mesh in one, an eBGP edge in the other, a doubly recursive static)
-//! through random link flaps, config pushes, crashes, restarts and session
-//! shutdowns, and after *every* poll of every router rebuilds each table
-//! from the route sources and demands equality:
+//! iBGP mesh in one, an eBGP edge in the other, a doubly recursive static,
+//! a prefix both the core's IS-IS and the edge's eBGP carry) through random
+//! link flaps, config pushes, crashes, restarts and session shutdowns, and
+//! after *every* poll of every router rebuilds each table from the route
+//! sources and demands equality:
 //!
-//! - `rib()` equals a RIB rebuilt from connected/static routes, a fresh SPF
-//!   and the whole BGP selection, route for route;
-//! - `fib()` equals that RIB's `to_fib()`;
+//! - `rib()`'s connected, static and IS-IS routes equal those of a RIB
+//!   rebuilt from connected/static routes, a fresh SPF and the whole BGP
+//!   selection as eBGP / iBGP routes — the router's RIB holds no BGP route;
+//! - `fib()` — the router's RIB joined with the selection it reads in place
+//!   — equals that rebuilt RIB's `to_fib()`;
 //! - `take_changed_prefixes()` is exactly the symmetric difference of the
 //!   FIB before and after, and `fib_version` moved iff it is non-empty;
 //! - `bgp_engine().selected()` equals a decision over every prefix;
@@ -23,18 +26,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use mfv_config::{DeviceConfig, IfaceSpec, RouterSpec, StaticRoute};
+use mfv_routing::rib::IGP_PROTOS;
 use mfv_routing::{FibEntry, NextHopResolver, Rib, SessionState};
 use mfv_types::{AsNum, IfaceId, Prefix, RouteProtocol, SimTime};
 use mfv_vrouter::{RouterEvent, VendorProfile, VirtualRouter};
 use proptest::prelude::*;
 
-const PROTOS: [RouteProtocol; 5] = [
-    RouteProtocol::Connected,
-    RouteProtocol::Static,
-    RouteProtocol::Isis,
-    RouteProtocol::EbgpLearned,
-    RouteProtocol::IbgpLearned,
-];
+/// The last core router's IS-IS stub and the edge's customer subnet at once.
+const CONTESTED: &str = "198.19.0.0/24";
 
 fn lo(i: usize) -> Ipv4Addr {
     Ipv4Addr::new(2, 2, 2, i as u8 + 1)
@@ -60,7 +59,10 @@ struct Net {
 /// three up, iBGP full mesh) and one edge router in AS 65001 dual-homed
 /// over plain eBGP links to the first and the last of them — so the core
 /// hears the edge's prefixes from two iBGP peers and picks by IGP cost,
-/// which a flap moves without resetting any session.
+/// which a flap moves without resetting any session. The edge also
+/// announces [`CONTESTED`], which the last core router carries in IS-IS:
+/// at r0 eBGP (20) beats IS-IS (115), inside the core IS-IS beats iBGP
+/// (200), and where the subnet is connected it beats both.
 fn build(n: usize) -> Net {
     let core = n - 1;
     let border = core - 1;
@@ -87,6 +89,8 @@ fn build(n: usize) -> Net {
     let plain = |name: &str, addr: &str| IfaceSpec::new(name, addr.parse().unwrap());
     ifaces[0].push(plain("Ethernet9", "203.0.113.1/24"));
     ifaces[core].push(plain("Ethernet9", "198.18.0.1/24"));
+    ifaces[border].push(plain("Ethernet6", "198.19.0.2/24").with_isis());
+    ifaces[core].push(plain("Ethernet6", "198.19.0.1/24"));
     for (k, (home, port)) in [(border, "Ethernet8"), (0, "Ethernet7")]
         .into_iter()
         .enumerate()
@@ -123,7 +127,8 @@ fn build(n: usize) -> Net {
                 spec = spec
                     .ebgp(Ipv4Addr::new(172, 16, 0, 0), AsNum(65000))
                     .ebgp(Ipv4Addr::new(172, 16, 1, 0), AsNum(65000))
-                    .network("198.18.0.0/24".parse().unwrap());
+                    .network("198.18.0.0/24".parse().unwrap())
+                    .network(CONTESTED.parse().unwrap());
             }
             let mut cfg: DeviceConfig = spec.build();
             if i == 0 {
@@ -172,7 +177,7 @@ fn check(
 ) -> Result<(), TestCaseError> {
     let after = table(r);
     let reference = r.reference_rib();
-    for proto in PROTOS {
+    for proto in IGP_PROTOS {
         prop_assert_eq!(
             routes(r.rib(), proto),
             routes(&reference, proto),
@@ -400,4 +405,37 @@ proptest! {
             }
         }
     }
+}
+
+/// Which protocol each router's FIB entry for [`CONTESTED`] came from.
+fn contested(net: &Net) -> Vec<Option<RouteProtocol>> {
+    let prefix: Prefix = CONTESTED.parse().unwrap();
+    let entries = net.routers.iter().map(|r| r.fib().get(&prefix));
+    entries.map(|e| e.map(|e| e.proto)).collect()
+}
+
+#[test]
+fn a_prefix_bgp_and_the_igp_both_carry_goes_to_the_lower_admin_distance() {
+    use RouteProtocol::{Connected, EbgpLearned, Isis};
+    let mut net = build(5);
+    for _ in 0..24 {
+        net.round().expect("boot");
+    }
+    // r0 hears the edge over eBGP and r3's stub over IS-IS; r1 and r2 hear
+    // the edge over iBGP and the stub over IS-IS; r3 and the edge own it.
+    let settled = [EbgpLearned, Isis, Isis, Connected, Connected].map(Some);
+    assert_eq!(contested(&net), settled);
+    // r0's eBGP session goes with its link, and IS-IS takes the prefix over
+    // from the iBGP route that is left; back comes eBGP with the session.
+    let at = net.links.len() - 1;
+    net.set_link(at, false);
+    for _ in 0..8 {
+        net.round().expect("cut");
+    }
+    assert_eq!(contested(&net)[0], Some(Isis));
+    net.set_link(at, true);
+    for _ in 0..16 {
+        net.round().expect("restore");
+    }
+    assert_eq!(contested(&net), settled);
 }

@@ -218,9 +218,18 @@ if sed '/#\[cfg(test)\]/,$d' crates/emulator/src/engine.rs | grep -nF 'm.inc('; 
   exit 1
 fi
 
-echo "==> one copy per distinct set: handles not copies in the BGP engine and the FIB, both ceilings still there"
+echo "==> one copy per distinct set: handles not copies in the BGP engine and the FIB, BGP's routes once per router, the ceilings still there"
 if sed '/#\[cfg(test)\]/,$d' crates/routing/src/bgp.rs | grep -nE 'BTreeMap<Prefix, BgpAttrs>|attrs: BgpAttrs'; then
   echo "one-copy check FAILED: crates/routing/src/bgp.rs stores an attribute set by value (hold an Arc<BgpAttrs> from the engine's InternSet)" >&2
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/routing/src/bgp.rs | grep -nE 'next_hops: Vec<Ipv4Addr>'; then
+  echo "one-copy check FAILED: crates/routing/src/bgp.rs stores a selection's next hops by value (hold an Arc<[Ipv4Addr]> from the engine's InternSet)" >&2
+  exit 1
+fi
+# Newlines are flattened first so a call rustfmt broke after the paren still matches.
+if sed '/#\[cfg(test)\]/,$d' crates/vrouter/src/router.rs | tr '\n' ' ' | grep -oE 'set_route\([^)]*(Ebgp|Ibgp)Learned'; then
+  echo "one-copy check FAILED: crates/vrouter/src/router.rs copies BGP's selection into the RIB (Fib::patch reads the selection in place)" >&2
   exit 1
 fi
 if sed '/#\[cfg(test)\]/,$d' crates/routing/src/rib.rs | grep -nE 'next_hops: Vec<FibNextHop>'; then
@@ -234,6 +243,14 @@ cargo test -q -p mfv-routing --lib equal_attribute_sets_are_stored_once_and_the_
 }
 cargo test -q --test work_ceiling a_converged_wan_stores_each_distinct_set_once | grep -q '1 passed' || {
   echo "one-copy check FAILED: the live-bytes-per-FIB-entry ceiling did not run and pass" >&2
+  exit 1
+}
+cargo test -q -p mfv-vrouter --test delta_oracle a_prefix_bgp_and_the_igp_both_carry_goes_to_the_lower_admin_distance | grep -q '1 passed' || {
+  echo "one-copy check FAILED: the delta oracle's BGP-against-IGP contest did not run and pass" >&2
+  exit 1
+}
+cargo test -q -p mfv-routing --lib ecmp_excludes_a_path_that_lost_on_med | grep -q '1 passed' || {
+  echo "one-copy check FAILED: the multipath MED test did not run and pass" >&2
   exit 1
 }
 echo "==> one computation per distinct input: liveness per IGP move, one resolution per gateway, one Adj-RIB-Out per export group"

@@ -13,7 +13,8 @@
 //! AFT at a time, not every router's and no state tree — counted in events
 //! and in bytes this thread has live. And a converged emulation stores each
 //! distinct attribute set and next-hop set once per table, not once per
-//! route — counted in live bytes per FIB entry — and computes each distinct
+//! route, and each BGP route once per router — counted in live bytes per FIB
+//! entry and in gateway entries per router — and computes each distinct
 //! thing once: reachability per session and IGP move, one resolution per
 //! gateway and batch, one export per group and prefix. And IS-IS encodes
 //! and checksums each LSP once: where it is originated, and where it is
@@ -182,11 +183,13 @@ fn extraction_holds_one_routers_aft_at_a_time() {
 
 #[test]
 fn a_converged_wan_stores_each_distinct_set_once() {
-    // 100 routers, 12,010 FIB entries; every router's thousand-odd BGP
-    // routes carry some twenty attribute sets and leave through five or
-    // six next-hop sets. A copy per route held 1,275 live bytes per FIB
-    // entry here; a handle per route held 742, and holds 718 now that a
-    // reflector keeps one Adj-RIB-Out for its nineteen clients.
+    // 100 routers, 12,010 FIB entries; every router's hundred BGP routes
+    // carry some six attribute sets and leave through five or six next-hop
+    // sets. A copy per route held 1,275 live bytes per FIB entry here; a
+    // handle per route held 742, 718 with one Adj-RIB-Out per export group
+    // and 683 with IS-IS's LSPs stored as their bytes. With BGP's routes
+    // kept once — the selection, not a RIB copy of it; shared next-hop sets
+    // in it; no per-prefix gateway index — it holds 537.
     let snapshot = scenarios::regional_wan(5, 20);
     let backend = EmulationBackend {
         cluster_machines: 2,
@@ -197,10 +200,17 @@ fn a_converged_wan_stores_each_distinct_set_once() {
     let entries = emu.dataplane().total_entries();
     assert!(entries > 12_000);
     assert!(
-        live <= 800 * entries,
+        live <= 590 * entries,
         "{} B live per FIB entry ({live} B, {entries} entries)",
         live / entries
     );
+    // What the FIB's resolutions looked up is kept per gateway, not per
+    // prefix: a router's hundred-odd BGP routes resolve through a handful
+    // of next hops (at most 2 today, against 121 FIB entries).
+    let nodes = snapshot.topology.nodes.iter();
+    let routers = nodes.filter_map(|n| emu.router(&n.name));
+    let most = routers.map(|r| r.gateways().entries()).max();
+    assert!(most <= Some(8), "{most:?} gateway entries in one router");
 }
 
 #[test]
@@ -245,13 +255,15 @@ fn a_reflector_computes_each_distinct_thing_once() {
     );
 
     // A batch of N prefixes whose winners name G gateways costs G
-    // resolutions: here the reflector's whole table, patched into an empty
+    // resolutions: here the reflector's whole table — its RIB with the BGP
+    // selection as routes, rebuilt from the sources — patched into an empty
     // FIB as one batch.
     let rr = emu.router(&"r00x00".into()).expect("reflector");
+    let rib = rr.reference_rib();
     let (mut fib, mut memo, mut looked_up) = (Fib::new(), GatewayMemo::default(), Vec::new());
     let mut named = std::collections::BTreeSet::new();
-    for (prefix, route) in rr.rib().winners() {
-        fib.patch(rr.rib(), prefix, &mut memo, &mut looked_up);
+    for (prefix, route) in rib.winners() {
+        fib.patch(&rib, None, prefix, &mut memo, &mut looked_up);
         if let [NextHop::Via(gateway)] = route.next_hops[..] {
             named.insert(gateway);
         }
