@@ -581,10 +581,18 @@ fn heap() {
         }),
         ("isis", |r| held_by(|| r.isis_engine().cloned()).1),
     ];
+    let mut router = (0, 0);
     for (piece, held) in pieces {
         let shares = routers.iter().map(|r| held(r));
-        row(piece, shares.fold((0, 0), |t, h| (t.0 + h.0, t.1 + h.1)));
+        let share = shares.fold((0, 0), |t, h| (t.0 + h.0, t.1 + h.1));
+        if piece == "router" {
+            router = share;
+        }
+        row(piece, share);
     }
+    // The rest of the emulation: the engine's tables and schedules, the
+    // topology and parsed configs, and the stored sets the routers share.
+    row("engine", (emulation.0 - router.0, emulation.1 - router.1));
 
     println!("\nrole          router  selected  attr sets  stored  FIB entries  next-hop sets");
     let roles = [

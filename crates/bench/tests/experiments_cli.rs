@@ -203,6 +203,8 @@ fn heap_bgp_engines_hold_a_handle_per_route_not_a_copy() {
     };
     assert!(per_entry("bgp") < 450, "{stdout}");
     assert!(per_entry("rib") < 250, "{stdout}");
+    // `engine`: what the emulation holds beside its routers' pieces.
+    assert!(per_entry("engine") > 0, "{stdout}");
     // A client's twelve routes carry four attribute sets, stored four times.
     assert!(
         stdout.contains("client       r00x01        12          4       4"),

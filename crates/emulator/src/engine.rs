@@ -23,10 +23,11 @@
 //! due shard in index order and settles. `W` can never exceed 2 ms, so a
 //! 1,000-router run is ~236 k windows of ~3 events, 18 % of them with more
 //! than one shard due — too little to share (`export_obs`, in the `export`
-//! submodule, reports it as `engine.windows*`; DESIGN.md § "The emulation
+//! submodule, reports `engine.windows`; DESIGN.md § "The emulation
 //! engine").
 //! Parallelism lives one level up, across independent emulations
-//! ([`crate::pool::run_indexed`]); shards stay as the data layout.
+//! ([`crate::pool::run_indexed`]); a shard is only a schedule, and every
+//! router, stream, journal and counter is one table, the [`Fleet`].
 //!
 //! Determinism does not depend on the layout: events carry content-derived
 //! keys `(time, origin, origin_seq)` that are globally unique, so draining
@@ -46,7 +47,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use mfv_dataplane::Dataplane;
-use mfv_obs::{Journal, SimPhases, WallSection, WallTimer};
+use mfv_obs::{SimPhases, WallSection, WallTimer};
 use mfv_types::{LinkId, NodeId, NodeRef, Prefix, SimDuration, SimTime};
 use mfv_vrouter::{VendorProfile, VirtualRouter};
 
@@ -54,8 +55,8 @@ use crate::chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict};
 use crate::cluster::{Cluster, PodRequest, Unschedulable};
 use crate::inject::{synthetic_prefixes, ExternalPeer};
 use crate::shard::{
-    stream_seed, Ev, EvKey, EventKind, EventTally, ImpairWindow, Laps, LinkChange, LoopWall, Net,
-    Owner, Shard, CHURN_HISTORY, CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
+    stream_seed, Ev, EventKind, Fleet, ImpairWindow, Laps, LinkChange, Net, Owner, Shard,
+    GLOBAL_ORIGIN,
 };
 use crate::topology::Topology;
 
@@ -146,9 +147,9 @@ pub struct RunReport {
     /// Routing-process crashes observed.
     pub crashes: u64,
     /// Work items processed: heap events plus demand-driven wake polls.
-    /// Link-flap notifications are replicated into both endpoint shards,
-    /// so the count of a chaos-heavy run depends on the shard layout — and
-    /// on nothing else.
+    /// A link flap is handled once per endpoint shard, and a window end can
+    /// let a shard poll a router twice at one instant (see `plan`), so the
+    /// count depends on the shard layout — and on nothing else.
     pub events_processed: u64,
     /// Events pushed onto the priority queues. Under demand-driven polling
     /// wake requests never enter a heap, so this counts only real work
@@ -163,13 +164,12 @@ pub struct RunReport {
     pub phases: SimPhases,
 }
 
-/// Per-link canonical state plus the interned endpoints.
+/// A link's id and interned endpoints (its state is the fleet's `link_up`).
 #[derive(Clone)]
 struct LinkRecord {
     id: LinkId,
     a: (NodeRef, mfv_types::IfaceRef),
     b: (NodeRef, mfv_types::IfaceRef),
-    up: bool,
 }
 
 /// A coordinator-timeline entry: chaos that must fire at an exact global
@@ -185,7 +185,8 @@ enum GlobalAction {
 const OSCILLATION_MIN_CHANGES: usize = 4;
 
 /// Coordinator-owned mutable state: everything the barrier logic touches
-/// that is not inside a [`Shard`] or the read-only [`Net`].
+/// that is not in the [`Fleet`], a [`Shard`]'s schedule or the read-only
+/// [`Net`].
 #[derive(Clone)]
 struct Global {
     cfg: EmulationConfig,
@@ -194,20 +195,13 @@ struct Global {
     /// message jitter so placement is a pure function of `(seed, topology)`.
     cluster_rng: ChaCha8Rng,
     node_total: usize,
-    ext_total: usize,
     links: Vec<LinkRecord>,
     link_index: BTreeMap<LinkId, usize>,
     /// Chaos instants, keyed `(time, insertion order)` so same-instant
     /// entries apply in plan order.
     timeline: BTreeMap<(SimTime, u64), GlobalAction>,
     timeline_ord: u64,
-    /// Sequence counter for coordinator-originated events (origin 0).
-    oseq: u64,
     chaos_pending: usize,
-    /// Chaos replicas injected into shards; quiescence requires every one
-    /// processed (`Σ shard.chaos_processed` catches up) — a fault applied
-    /// to the canonical state but not yet felt by its shard is in flight.
-    chaos_injected: u64,
     /// Scheduled-but-unfired PodReady `(instant, node)` pairs in firing
     /// order (the coordinator schedules every one itself, so boot
     /// completion is detected at exact sim instants regardless of shard
@@ -215,7 +209,7 @@ struct Global {
     /// already-scheduled future instant — the stale event still boots a
     /// fresh router, as it did on one heap.
     pending_ready: BTreeSet<(SimTime, NodeRef)>,
-    /// Mirror of the shards' ready marks.
+    /// Nodes whose PodReady has fired, less those evicted since.
     ready: BTreeSet<NodeRef>,
     now: SimTime,
     /// Latest processed event instant across all shards (the "how far did
@@ -224,50 +218,32 @@ struct Global {
     booted: bool,
     boot_complete_at: Option<SimTime>,
     feeds_done_at: Option<SimTime>,
-    ext_done_count: usize,
-    /// Instant the most recent external feed finished draining.
-    last_ext_done: SimTime,
-    /// Whether the steady-state churn gate has been announced to the
-    /// shards. Once boot and feed flooding are both complete, each shard
-    /// gets `churn_from` and folds its own change records inside its
-    /// windows; the coordinator never gathers churn at a barrier again.
-    churn_gate_set: bool,
     unschedulable: Vec<Unschedulable>,
-    tally: EventTally,
-    events_scheduled: u64,
-    events_processed: u64,
-    last_activity: SimTime,
-    journal: Journal,
     phases: SimPhases,
     wall: WallSection,
-    /// The coordinator's share of the window loop (`plan`, `settle`).
-    loop_wall: LoopWall,
     /// Conservative lookahead `W` in ms: min cross-shard link latency,
     /// capped at the 2 ms BGP floor. Latencies are clamped ≥ 1 at build.
     lookahead_ms: u64,
-    /// Windows run, how many had more than one shard due, and the work
-    /// items those held: the share of a run shards could have executed side
-    /// by side. A function of topology, seed, plan and layout.
+    /// Windows run: a function of topology, seed, plan and layout.
     windows: u64,
-    windows_multi_shard: u64,
-    events_multi_shard: u64,
 }
 
-impl Global {
-    /// Schedules a coordinator-originated event into shard `sid`.
-    fn inject(&mut self, shards: &mut [Shard], sid: usize, at: SimTime, kind: EventKind) {
-        self.oseq += 1;
-        self.events_scheduled += 1;
-        let ev = Ev {
-            key: EvKey {
-                time: at,
-                origin: GLOBAL_ORIGIN,
-                oseq: self.oseq,
-            },
-            kind,
-        };
-        if let Some(shard) = shards.get_mut(sid) {
-            shard.inject(ev);
+/// Schedules a coordinator-originated event into shard `sid`.
+fn inject(fleet: &mut Fleet, shards: &mut [Shard], sid: usize, at: SimTime, kind: EventKind) {
+    fleet.events_scheduled += 1;
+    let key = fleet.next_key(GLOBAL_ORIGIN, at);
+    if let Some(shard) = shards.get_mut(sid) {
+        shard.inject(Ev { key, kind });
+    }
+}
+
+/// Plugs the external feeds in and schedules each one's first poll at `at`.
+fn activate_feeds(net: &Net, fleet: &mut Fleet, shards: &mut [Shard], at: SimTime) {
+    fleet.feeds_active = true;
+    for idx in 0..fleet.externals.len() {
+        let sid = net.ext_shard.get(idx).copied().unwrap_or(0);
+        if let (Some(Some(_)), Some(shard)) = (fleet.externals.get(idx), shards.get_mut(sid)) {
+            shard.schedule_ext_poll(fleet, idx, at);
         }
     }
 }
@@ -284,6 +260,7 @@ impl Global {
 pub struct Emulation {
     pub topology: Arc<Topology>,
     net: Arc<Net>,
+    fleet: Fleet,
     shards: Vec<Shard>,
     glob: Global,
 }
@@ -376,7 +353,6 @@ impl Emulation {
                 id: l.id(),
                 a: (an, ai),
                 b: (bn, bi),
-                up: true,
             });
         }
         // Vendor profiles with overrides pre-applied, and the static BGP
@@ -424,19 +400,17 @@ impl Emulation {
             link_impair: vec![Vec::new(); links.len()],
             pair_impair: BTreeMap::new(),
         };
+        let fleet = Fleet::new(&net, topology.external_peers.len(), links.len());
         let glob = Global {
             cfg,
             cluster,
             cluster_rng,
             node_total,
-            ext_total: 0,
             links,
             link_index,
             timeline: BTreeMap::new(),
             timeline_ord: 0,
-            oseq: 0,
             chaos_pending: 0,
-            chaos_injected: 0,
             pending_ready: BTreeSet::new(),
             ready: BTreeSet::new(),
             now: SimTime::ZERO,
@@ -444,26 +418,16 @@ impl Emulation {
             booted: false,
             boot_complete_at: None,
             feeds_done_at: None,
-            ext_done_count: 0,
-            last_ext_done: SimTime::ZERO,
-            churn_gate_set: false,
             unschedulable: Vec::new(),
-            tally: EventTally::default(),
-            events_scheduled: 0,
-            events_processed: 0,
-            last_activity: SimTime::ZERO,
-            journal: Journal::new(),
             phases: SimPhases::new(),
             wall: WallSection::new(),
-            loop_wall: LoopWall::default(),
             lookahead_ms: 2,
             windows: 0,
-            windows_multi_shard: 0,
-            events_multi_shard: 0,
         };
         Ok(Emulation {
             topology: Arc::new(topology),
             net: Arc::new(net),
+            fleet,
             shards: Vec::new(),
             glob,
         })
@@ -479,8 +443,7 @@ impl Emulation {
 
     pub fn router(&self, node: &NodeId) -> Option<&VirtualRouter> {
         let r = self.net.interner.resolve_node(node)?;
-        let sid = self.shard_of(r)?;
-        self.shards.get(sid)?.routers.get(r.index())?.as_ref()
+        self.fleet.routers.get(r.index())?.as_ref()
     }
 
     /// Runs an operator CLI command on a node (SSH-to-the-emulated-router).
@@ -572,7 +535,6 @@ impl Emulation {
             }
         }
         self.glob.lookahead_ms = lookahead.max(1);
-        self.glob.ext_total = self.topology.external_peers.len();
         let ext_shard = self
             .topology
             .external_peers
@@ -587,18 +549,12 @@ impl Emulation {
             })
             .collect();
         Arc::make_mut(&mut self.net).ext_shard = ext_shard;
-        // Build shards (each copies the canonical link state — operator
-        // `set_link` calls may precede boot).
-        let link_state: Vec<bool> = self.glob.links.iter().map(|l| l.up).collect();
-        self.shards = (0..shard_count)
-            .map(|id| Shard::new(id, &self.net, link_state.clone()))
-            .collect();
+        self.shards = (0..shard_count).map(Shard::new).collect();
         // Inject boot events.
-        let pending: Vec<(SimTime, NodeRef)> = self.glob.pending_ready.iter().copied().collect();
-        for (eta, node) in pending {
+        for &(eta, node) in &self.glob.pending_ready {
             if let Some(sid) = self.shard_of(node) {
-                self.glob
-                    .inject(&mut self.shards, sid, eta, EventKind::PodReady(node));
+                let kind = EventKind::PodReady(node);
+                inject(&mut self.fleet, &mut self.shards, sid, eta, kind);
             }
         }
         // External peers.
@@ -640,22 +596,10 @@ impl Emulation {
                 .ip_owner
                 .entry(addr)
                 .or_insert(Owner::External(idx));
-            let sid = self.net.ext_shard.get(idx).copied().unwrap_or(0);
-            if let Some(shard) = self.shards.get_mut(sid) {
-                shard.install_external(idx, peer);
-            }
-        }
-        // Feeds that were born drained count as done immediately.
-        for shard in &mut self.shards {
-            for (_idx, t) in shard.take_ext_done_transitions() {
-                self.glob.ext_done_count += 1;
-                self.glob.last_ext_done = self.glob.last_ext_done.max(t);
-            }
+            self.fleet.install_external(idx, peer);
         }
         if !self.glob.cfg.inject_after_boot {
-            for shard in &mut self.shards {
-                shard.activate_feeds(SimTime(1_000));
-            }
+            activate_feeds(&self.net, &mut self.fleet, &mut self.shards, SimTime(1_000));
         }
         // Chaos schedule: expand the plan into the coordinator timeline up
         // front so the whole fault timeline is part of the deterministic
@@ -695,6 +639,7 @@ impl Emulation {
         drive(
             &mut self.glob,
             &self.net,
+            &mut self.fleet,
             &mut self.shards,
             deadline,
             false,
@@ -710,7 +655,7 @@ impl Emulation {
     /// Work items processed since boot (what [`RunReport::events_processed`]
     /// reported at the end of the last run).
     pub fn events_processed(&self) -> u64 {
-        self.glob.events_processed + self.shards.iter().map(|s| s.events_processed).sum::<u64>()
+        self.fleet.events_processed
     }
 
     /// Runs the emulation until the dataplane is quiet (or the time cap),
@@ -733,6 +678,7 @@ impl Emulation {
         let converged = drive(
             &mut self.glob,
             &self.net,
+            &mut self.fleet,
             &mut self.shards,
             deadline,
             true,
@@ -743,11 +689,11 @@ impl Emulation {
             "converge",
             wp.timer.elapsed_micros().saturating_sub(wp.mark),
         );
-        let last_activity = self.fold_last_activity();
+        let last_activity = self.fleet.last_activity;
         let verdict = if converged {
             ConvergenceVerdict::Converged
         } else {
-            oscillation_verdict(&self.glob, &self.shards)
+            oscillation_verdict(&self.glob, &self.fleet.churn)
         };
         // Sim-time spans mirror the wall splits, derived purely from sim
         // state so replays produce identical reports.
@@ -769,21 +715,13 @@ impl Emulation {
             verdict,
             boot_complete_at: self.glob.boot_complete_at,
             converged_at: last_activity,
-            messages_delivered: self.shards.iter().map(|s| s.messages_delivered).sum(),
-            crashes: self.shards.iter().map(|s| s.crashes).sum(),
-            events_processed: self.events_processed(),
-            events_scheduled: self.glob.events_scheduled
-                + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
+            messages_delivered: self.fleet.messages_delivered,
+            crashes: self.fleet.crashes,
+            events_processed: self.fleet.events_processed,
+            events_scheduled: self.fleet.events_scheduled,
             unschedulable: self.glob.unschedulable.clone(),
             phases: self.glob.phases.clone(),
         }
-    }
-
-    fn fold_last_activity(&self) -> SimTime {
-        self.shards
-            .iter()
-            .map(|s| s.last_activity)
-            .fold(self.glob.last_activity, |a, b| a.max(b))
     }
 
     /// Applies a configuration change to a running node (config push) and
@@ -801,14 +739,15 @@ impl Emulation {
             return Ok(());
         };
         let now = self.glob.now;
-        let Some(sid) = self.net.node_shard.get(node_ref.index()).copied() else {
+        let Some(sid) = self.shard_of(node_ref) else {
             return Ok(());
         };
         let Some(shard) = self.shards.get_mut(sid) else {
             return Ok(());
         };
         shard.advance_clock(now);
-        if let Some(router) = shard
+        let fleet = &mut self.fleet;
+        if let Some(router) = fleet
             .routers
             .get_mut(node_ref.index())
             .and_then(|s| s.as_mut())
@@ -818,9 +757,8 @@ impl Emulation {
             for addr in router.addresses() {
                 net.ip_owner.insert(*addr, Owner::Node(node_ref));
             }
-            shard.last_activity = shard.last_activity.max(now);
-            shard.schedule_poll(node_ref, SimTime(now.0 + 1));
-            self.glob.last_activity = self.glob.last_activity.max(now);
+            fleet.last_activity = fleet.last_activity.max(now);
+            shard.schedule_poll(fleet, node_ref, SimTime(now.0 + 1));
         }
         Ok(())
     }
@@ -845,24 +783,14 @@ impl Emulation {
             return;
         };
         let now = self.glob.now;
-        let mut sids: Vec<usize> = Vec::new();
-        if let Some(rec) = self.glob.links.get_mut(slot) {
-            rec.up = change.carries();
-            for (node, _) in [rec.a, rec.b] {
-                if let Some(&sid) = self.net.node_shard.get(node.index()) {
-                    if !sids.contains(&sid) {
-                        sids.push(sid);
-                    }
-                }
-            }
-        }
-        for sid in sids {
+        self.fleet.link_up[slot] = change.carries();
+        for sid in self.net.link_shards(slot) {
             if let Some(shard) = self.shards.get_mut(sid) {
                 shard.advance_clock(now);
-                shard.apply_link(&self.net, slot, change);
+                shard.apply_link(&self.net, &mut self.fleet, slot, change);
             }
         }
-        self.glob.last_activity = self.glob.last_activity.max(now);
+        self.fleet.last_activity = self.fleet.last_activity.max(now);
     }
 
     /// Extracts the current dataplane snapshot (the AFT dump step).
@@ -870,13 +798,8 @@ impl Emulation {
     /// string-keyed map's iteration byte for byte — at any shard layout.
     pub fn dataplane(&self) -> Dataplane {
         let mut dp = Dataplane::new();
-        for r in self.net.interner.node_refs() {
-            let Some(router) = self
-                .shard_of(r)
-                .and_then(|sid| self.shards.get(sid))
-                .and_then(|s| s.routers.get(r.index()))
-                .and_then(|slot| slot.as_ref())
-            else {
+        for (r, slot) in self.net.interner.node_refs().zip(&self.fleet.routers) {
+            let Some(router) = slot else {
                 continue;
             };
             let Some(name) = self.net.interner.node(r) else {
@@ -897,17 +820,18 @@ impl Emulation {
 
     /// The links that are up right now, in topology order.
     pub fn up_links(&self) -> impl Iterator<Item = &LinkId> {
-        self.glob.links.iter().filter(|l| l.up).map(|l| &l.id)
+        let links = self.glob.links.iter().zip(&self.fleet.link_up);
+        links.filter(|(_, up)| **up).map(|(l, _)| &l.id)
     }
 
-    /// The merged steady-state churn tracker: per prefix, the retained
-    /// dataplane-change instants. The merge is order-independent, so this
-    /// dump is a function of the run alone — determinism tests compare it
-    /// alongside the verdict.
+    /// The steady-state churn tracker: per prefix, the retained
+    /// dataplane-change instants in order. The fold keeps them in instant
+    /// order whatever order they arrive in, so this dump is a function of
+    /// the run alone — determinism tests compare it alongside the verdict.
     pub fn churn_dump(&self) -> BTreeMap<Prefix, Vec<SimTime>> {
-        merge_churn(self.shards.iter().map(|s| &s.churn))
-            .into_iter()
-            .map(|(p, q)| (p, q.into_iter().collect()))
+        let churn = self.fleet.churn.iter();
+        churn
+            .map(|(p, q)| (*p, q.iter().copied().collect()))
             .collect()
     }
 
@@ -994,10 +918,12 @@ fn expand_chaos(glob: &mut Global, net: &mut Net, plan: ChaosPlan) {
 /// The watchdog's post-mortem when the time budget expires: prefixes that
 /// kept changing right up to the end mean the network is *oscillating*,
 /// not converging slowly.
-fn oscillation_verdict(glob: &Global, shards: &[Shard]) -> ConvergenceVerdict {
+fn oscillation_verdict(
+    glob: &Global,
+    churn: &BTreeMap<Prefix, VecDeque<SimTime>>,
+) -> ConvergenceVerdict {
     let window = glob.cfg.quiet_period.saturating_mul(4);
     let now = glob.now;
-    let churn = merge_churn(shards.iter().map(|s| &s.churn));
     let mut churning: Vec<(&Prefix, &VecDeque<SimTime>)> = churn
         .iter()
         .filter(|(_, q)| {
@@ -1033,6 +959,7 @@ fn oscillation_verdict(glob: &Global, shards: &[Shard]) -> ConvergenceVerdict {
 fn drive(
     glob: &mut Global,
     net: &Net,
+    fleet: &mut Fleet,
     shards: &mut [Shard],
     deadline: SimTime,
     converge: bool,
@@ -1040,27 +967,16 @@ fn drive(
 ) -> bool {
     let mut laps = Laps::start();
     loop {
-        let planned = plan(glob, net, shards, deadline, converge);
-        glob.loop_wall.plan += laps.lap();
+        let planned = plan(glob, net, fleet, shards, deadline, converge);
+        fleet.loop_wall.plan += laps.lap();
         match planned {
             Plan::Run(ends) => {
-                let mut due = 0u64;
-                let mut events = 0u64;
                 for (shard, &end) in shards.iter_mut().zip(&ends) {
-                    if shard.next_due().is_some_and(|d| d < end) {
-                        let before = shard.events_processed;
-                        shard.run_window(net, end, &mut laps);
-                        due += 1;
-                        events += shard.events_processed - before;
-                    }
+                    shard.run_window(net, fleet, end, &mut laps);
                 }
                 glob.windows += 1;
-                if due > 1 {
-                    glob.windows_multi_shard += 1;
-                    glob.events_multi_shard += events;
-                }
-                settle(glob, net, shards, &ends, deadline);
-                glob.loop_wall.settle += laps.lap();
+                settle(glob, net, fleet, shards, &ends, deadline);
+                fleet.loop_wall.settle += laps.lap();
                 if let Some(wp) = wall.as_deref_mut() {
                     mark_wall(glob, wp);
                 }
@@ -1079,21 +995,14 @@ fn drive(
 fn plan(
     glob: &mut Global,
     net: &Net,
+    fleet: &mut Fleet,
     shards: &mut [Shard],
     deadline: SimTime,
     converge: bool,
 ) -> Plan {
     loop {
-        let mut dues: Vec<Option<SimTime>> = Vec::with_capacity(shards.len());
-        let mut last_act = glob.last_activity;
-        let mut pending_restarts = 0usize;
-        let mut chaos_done = 0u64;
-        for s in shards.iter() {
-            dues.push(s.next_due());
-            last_act = last_act.max(s.last_activity);
-            pending_restarts += s.pending_restarts;
-            chaos_done += s.chaos_processed;
-        }
+        let dues: Vec<Option<SimTime>> = shards.iter().map(Shard::next_due).collect();
+        let last_act = fleet.last_activity;
         let shard_due = dues.iter().flatten().min().copied();
         let glob_due = glob.timeline.keys().next().map(|&(t, _)| t);
         let t = [shard_due, glob_due].into_iter().flatten().min();
@@ -1104,10 +1013,10 @@ fn plan(
             // layout reaches the same verdict.
             let quiescent = glob.ready.len()
                 == glob.node_total.saturating_sub(glob.unschedulable.len())
-                && glob.ext_done_count == glob.ext_total
-                && pending_restarts == 0
+                && fleet.feeds_done == fleet.externals.len()
+                && fleet.pending_restarts == 0
                 && glob.chaos_pending == 0
-                && glob.chaos_injected == chaos_done;
+                && fleet.chaos_in_flight == 0;
             let quiet_at = last_act + glob.cfg.quiet_period;
             if quiescent && quiet_at <= deadline && t.map(|t| quiet_at < t).unwrap_or(true) {
                 return Plan::Converged(quiet_at);
@@ -1132,7 +1041,7 @@ fn plan(
                     break;
                 }
                 if let Some(action) = glob.timeline.remove(&(ti, ord)) {
-                    apply_global(glob, net, shards, t, action);
+                    apply_global(glob, net, fleet, shards, t, action);
                 }
             }
             glob.t_max = glob.t_max.max(t);
@@ -1140,7 +1049,11 @@ fn plan(
         }
         // Window ends. Shard i may run while every event it could receive
         // is still in the future: arrivals from shard j happen no earlier
-        // than due_j + W.
+        // than due_j + W. Known flaw, kept so the pinned work counts hold:
+        // the bound ignores shard i's own sends coming back through another
+        // shard, which can arrive from due_i + 2W on, so a shard may handle
+        // them behind its clock and layouts differ in work items
+        // (`tests/shard_determinism.rs::a_layout_moves_no_work_item`).
         let w = glob.lookahead_ms;
         let next_glob = glob_due.map(|g| g.0).unwrap_or(u64::MAX);
         let boot_cut = if glob.boot_complete_at.is_none() {
@@ -1191,14 +1104,15 @@ fn plan(
 fn apply_global(
     glob: &mut Global,
     net: &Net,
+    fleet: &mut Fleet,
     shards: &mut [Shard],
     t: SimTime,
     action: GlobalAction,
 ) {
-    glob.events_processed += 1;
+    fleet.events_processed += 1;
     match action {
         GlobalAction::Link { slot, up } => {
-            glob.tally.chaos_link += 1;
+            fleet.tally.chaos_link += 1;
             glob.chaos_pending = glob.chaos_pending.saturating_sub(1);
             // Unknown links (slot None) are inert.
             let Some(slot) = slot else { return };
@@ -1212,45 +1126,31 @@ fn apply_global(
                 .get(slot)
                 .map(|r| r.id.to_string())
                 .unwrap_or_default();
-            glob.journal.push(t, kind, detail);
-            let mut sids: Vec<usize> = Vec::new();
-            if let Some(rec) = glob.links.get_mut(slot) {
-                rec.up = up;
-                for (node, _) in [rec.a, rec.b] {
-                    if let Some(&sid) = net.node_shard.get(node.index()) {
-                        if !sids.contains(&sid) {
-                            sids.push(sid);
-                        }
-                    }
-                }
-            }
-            // Replicate to the endpoint shards: each updates its local
-            // link-state copy and pokes its local endpoint router(s).
-            for sid in sids {
-                glob.chaos_injected += 1;
-                glob.inject(shards, sid, t, EventKind::ChaosLink { slot, up });
+            fleet.journal.push(t, kind, detail);
+            // One event per endpoint shard: each sets the link's state and
+            // pokes its own endpoint router(s).
+            for sid in net.link_shards(slot) {
+                fleet.chaos_in_flight += 1;
+                inject(fleet, shards, sid, t, EventKind::ChaosLink { slot, up });
             }
         }
         GlobalAction::Kill(node) => {
             glob.chaos_pending = glob.chaos_pending.saturating_sub(1);
-            match node {
-                // Unknown node: inert, but still tallied as fired.
-                None => glob.tally.chaos_kill += 1,
-                Some(node) => {
-                    if let Some(&sid) = net.node_shard.get(node.index()) {
-                        glob.chaos_injected += 1;
-                        glob.inject(shards, sid, t, EventKind::ChaosKillRouter(node));
-                    } else {
-                        glob.tally.chaos_kill += 1;
-                    }
+            let target = node.and_then(|n| Some((n, *net.node_shard.get(n.index())?)));
+            match target {
+                Some((node, sid)) => {
+                    fleet.chaos_in_flight += 1;
+                    inject(fleet, shards, sid, t, EventKind::ChaosKillRouter(node));
                 }
+                // Unknown node: inert, but still tallied as fired.
+                None => fleet.tally.chaos_kill += 1,
             }
         }
         GlobalAction::FailMachine(name) => {
-            glob.tally.chaos_fail_machine += 1;
+            fleet.tally.chaos_fail_machine += 1;
             glob.chaos_pending = glob.chaos_pending.saturating_sub(1);
             let evicted = glob.cluster.fail_machine(&name);
-            glob.journal.push(
+            fleet.journal.push(
                 t,
                 "chaos.fail_machine",
                 format!("{name}: {} pods evicted", evicted.len()),
@@ -1268,10 +1168,9 @@ fn apply_global(
                     continue;
                 };
                 if let Some(shard) = shards.get_mut(sid) {
-                    shard.evict_node(node, t);
+                    shard.evict_node(fleet, node, t);
                 }
                 glob.ready.remove(&node);
-                glob.last_activity = glob.last_activity.max(t);
                 let Some(profile) = net.profiles.get(node.index()).cloned() else {
                     continue;
                 };
@@ -1281,7 +1180,8 @@ fn apply_global(
                 {
                     Ok(placement) => {
                         glob.pending_ready.insert((placement.ready_at, node));
-                        glob.inject(shards, sid, placement.ready_at, EventKind::PodReady(node));
+                        let kind = EventKind::PodReady(node);
+                        inject(fleet, shards, sid, placement.ready_at, kind);
                     }
                     Err(e) => {
                         glob.unschedulable.push(e);
@@ -1292,17 +1192,21 @@ fn apply_global(
     }
 }
 
-/// Post-window barrier work: route cross-shard traffic, fold shard-local
-/// facts (activity, churn, feed completion, boot readiness) into the
-/// coordinator's content-determined global view.
-fn settle(glob: &mut Global, net: &Net, shards: &mut [Shard], ends: &[SimTime], deadline: SimTime) {
+/// Post-window barrier work: route cross-shard traffic, then read what the
+/// window did (boot readiness, feed completion) into the coordinator's
+/// content-determined global view.
+fn settle(
+    glob: &mut Global,
+    net: &Net,
+    fleet: &mut Fleet,
+    shards: &mut [Shard],
+    ends: &[SimTime],
+    deadline: SimTime,
+) {
     let mut inbox: Vec<(usize, Ev)> = Vec::new();
-    let mut transitions: Vec<(usize, SimTime)> = Vec::new();
     for (s, &end) in shards.iter_mut().zip(ends) {
         glob.t_max = glob.t_max.max(s.now());
-        glob.last_activity = glob.last_activity.max(s.last_activity);
         inbox.append(&mut s.outbox);
-        transitions.extend(s.take_ext_done_transitions());
         s.advance_clock(SimTime(end.0.min(deadline.0)));
     }
     // Cross-shard deliveries: injection order is irrelevant — event keys
@@ -1312,11 +1216,6 @@ fn settle(glob: &mut Global, net: &Net, shards: &mut [Shard], ends: &[SimTime], 
         if let Some(shard) = shards.get_mut(dest) {
             shard.inject(ev);
         }
-    }
-    transitions.sort();
-    for (_idx, done_at) in transitions {
-        glob.ext_done_count += 1;
-        glob.last_ext_done = glob.last_ext_done.max(done_at);
     }
     // Boot readiness: every scheduled PodReady instant inside its shard's
     // processed horizon has fired. Only the instants before the furthest
@@ -1339,85 +1238,34 @@ fn settle(glob: &mut Global, net: &Net, shards: &mut [Shard], ends: &[SimTime], 
         glob.ready.insert(node);
         if glob.ready.len() == glob.node_total && glob.boot_complete_at.is_none() {
             glob.boot_complete_at = Some(eta);
-            glob.journal.push(
+            fleet.journal.push(
                 eta,
                 "engine.boot_complete",
                 format!("{} pods ready", glob.ready.len()),
             );
             if glob.cfg.inject_after_boot {
-                let at = SimTime(eta.0 + 1_000);
-                for s in shards.iter_mut() {
-                    s.activate_feeds(at);
-                }
+                activate_feeds(net, fleet, shards, SimTime(eta.0 + 1_000));
             }
         }
     }
     // Flood completion: the exact instant the last feed drained (clamped
     // to boot completion, which gates activation in the first place).
-    if glob.boot_complete_at.is_some()
-        && glob.feeds_done_at.is_none()
-        && glob.ext_total > 0
-        && glob.ext_done_count == glob.ext_total
-    {
-        if let Some(boot_at) = glob.boot_complete_at {
-            let at = boot_at.max(glob.last_ext_done);
+    let feeds = fleet.externals.len();
+    let steady = match glob.boot_complete_at {
+        Some(boot_at) if fleet.feeds_done == feeds => Some(boot_at.max(fleet.last_feed_done)),
+        _ => None,
+    };
+    if glob.feeds_done_at.is_none() && feeds > 0 {
+        if let Some(at) = steady {
             glob.feeds_done_at = Some(at);
-            glob.journal
+            fleet
+                .journal
                 .push(at, "engine.flood_complete", "external feeds drained");
         }
     }
-    // Steady-state churn gate. Until boot and feed flooding both complete,
-    // buffered change records are pre-convergence noise — dropped here, as
-    // before. The barrier that first knows the steady instant announces it
-    // to every shard and folds the detection window's records (which may
-    // already contain steady-state changes); from then on each shard folds
-    // its own records at its window end, and this barrier does no
-    // per-window churn work at all.
-    if !glob.churn_gate_set {
-        match glob.boot_complete_at {
-            Some(boot_at) if glob.ext_done_count == glob.ext_total => {
-                let steady = boot_at.max(glob.last_ext_done);
-                glob.churn_gate_set = true;
-                for s in shards.iter_mut() {
-                    s.churn_from = Some(steady);
-                    s.fold_churn();
-                }
-            }
-            _ => {
-                for s in shards.iter_mut() {
-                    s.churn_buf.clear();
-                }
-            }
-        }
-    }
-}
-
-/// Merges the per-shard bounded churn trackers into one global view at the
-/// post-mortem. Order-independent by construction: every record carries its
-/// `(instant, node)` stamp, all records for a prefix are re-sorted and
-/// re-capped to the last [`CHURN_HISTORY`], and the prefix cap keeps the
-/// first [`CHURN_PREFIX_CAP`] prefixes in address order — so shard
-/// iteration order cannot affect the result. Per-shard truncation composes
-/// exactly: a record a shard dropped had ≥ `CHURN_HISTORY` newer records in
-/// that shard alone, so it could never survive the merged cap either.
-fn merge_churn<'a>(
-    shards: impl IntoIterator<Item = &'a BTreeMap<Prefix, VecDeque<(SimTime, u32)>>>,
-) -> BTreeMap<Prefix, VecDeque<SimTime>> {
-    let mut gathered: BTreeMap<Prefix, Vec<(SimTime, u32)>> = BTreeMap::new();
-    for churn in shards {
-        for (p, q) in churn {
-            gathered.entry(*p).or_default().extend(q.iter().copied());
-        }
-    }
-    gathered
-        .into_iter()
-        .take(CHURN_PREFIX_CAP)
-        .map(|(p, mut recs)| {
-            recs.sort_unstable();
-            let skip = recs.len().saturating_sub(CHURN_HISTORY);
-            (p, recs.into_iter().skip(skip).map(|(at, _)| at).collect())
-        })
-        .collect()
+    // Steady-state churn gate: the barrier that first knows the steady
+    // instant announces it; before that, held change records are dropped.
+    fleet.gate_churn(steady);
 }
 
 /// Wall-clock phase splits for `run_until_converged`, checked after each
@@ -1435,53 +1283,5 @@ fn mark_wall(glob: &mut Global, wp: &mut WallProgress) {
         let us = wp.timer.elapsed_micros();
         glob.wall.add_phase("flood", us.saturating_sub(wp.mark));
         wp.mark = us;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rec(ms: u64, node: u32) -> (SimTime, u32) {
-        (SimTime(ms), node)
-    }
-
-    /// The post-mortem merge must be a pure function of the per-shard
-    /// tracker *contents*: shard order, record interleaving, and how the
-    /// records were split across shards cannot change the result.
-    #[test]
-    fn churn_merge_is_order_independent() {
-        let p1 = Prefix::from_bits(u32::from(std::net::Ipv4Addr::new(10, 0, 0, 0)), 24);
-        let p2 = Prefix::from_bits(u32::from(std::net::Ipv4Addr::new(10, 0, 1, 0)), 24);
-        let mut a: BTreeMap<Prefix, VecDeque<(SimTime, u32)>> = BTreeMap::new();
-        a.entry(p1).or_default().extend([rec(100, 0), rec(300, 0)]);
-        a.entry(p2).or_default().extend([rec(150, 1)]);
-        let mut b: BTreeMap<Prefix, VecDeque<(SimTime, u32)>> = BTreeMap::new();
-        b.entry(p1).or_default().extend([rec(200, 2), rec(400, 2)]);
-
-        let fwd = merge_churn([&a, &b]);
-        let rev = merge_churn([&b, &a]);
-        assert_eq!(fwd, rev);
-        assert_eq!(
-            fwd.get(&p1).map(|q| q.iter().copied().collect::<Vec<_>>()),
-            Some(vec![SimTime(100), SimTime(200), SimTime(300), SimTime(400)]),
-            "records interleave by instant across shards"
-        );
-
-        // Per-shard history truncation composes with the merged cap: a
-        // record a shard dropped can never reappear in the merged last-N.
-        let mut big: BTreeMap<Prefix, VecDeque<(SimTime, u32)>> = BTreeMap::new();
-        let q = big.entry(p1).or_default();
-        for i in 0..CHURN_HISTORY as u64 {
-            q.push_back(rec(1_000 + i, 3));
-        }
-        let merged = merge_churn([&a, &b, &big]);
-        let kept = merged.get(&p1).map(|q| q.len()).unwrap_or(0);
-        assert_eq!(kept, CHURN_HISTORY);
-        assert_eq!(
-            merged.get(&p1).and_then(|q| q.front().copied()),
-            Some(SimTime(1_000)),
-            "oldest survivors are the globally newest CHURN_HISTORY records"
-        );
     }
 }

@@ -1,27 +1,33 @@
 //! The engine's observability export: flushing plain-field counters, the
-//! per-router aggregates and the merged journal into an [`Obs`] snapshot.
-//! Nothing here advances the emulation.
+//! per-router aggregates and the journal into an [`Obs`] snapshot. Nothing
+//! here advances the emulation.
 
 use mfv_obs::{Journal, Obs};
-use mfv_types::SimTime;
 use mfv_vrouter::VirtualRouter;
 
 use super::Emulation;
-use crate::shard::LoopWall;
+
+/// Journal kinds the coordinator writes at a barrier (chaos it fires, boot
+/// and flood completion). At one instant they come before what work items
+/// wrote, as coordinator-origin events run before same-instant traffic.
+const BARRIER_KINDS: [&str; 5] = [
+    "chaos.link_down",
+    "chaos.link_up",
+    "chaos.fail_machine",
+    "engine.boot_complete",
+    "engine.flood_complete",
+];
 
 impl Emulation {
     /// Flushes the engine's plain-field counters — plus per-router
     /// aggregates from every live [`VirtualRouter`] — into an [`Obs`]
-    /// snapshot. Per-shard state merges in shard-index order (journals by
-    /// `(time, shard, local order)`), so everything except the `wall`
-    /// section is derived from sim state only and two same-seed runs export
-    /// byte-identical `to_json(false)` dumps.
+    /// snapshot. Everything except the `wall` section is derived from sim
+    /// state only, so two same-seed runs export byte-identical
+    /// `to_json(false)` dumps.
     pub fn export_obs(&self) -> Obs {
         let mut obs = Obs::new();
-        let mut tally = self.glob.tally;
-        for s in &self.shards {
-            tally.absorb(&s.tally);
-        }
+        let fleet = &self.fleet;
+        let tally = fleet.tally;
         let m = &mut obs.metrics;
         m.inc("engine.events.pod_ready", tally.pod_ready);
         m.inc("engine.events.deliver_isis", tally.deliver_isis);
@@ -31,23 +37,11 @@ impl Emulation {
         m.inc("engine.events.chaos_link", tally.chaos_link);
         m.inc("engine.events.chaos_kill", tally.chaos_kill);
         m.inc("engine.events.chaos_fail_machine", tally.chaos_fail_machine);
-        m.inc(
-            "engine.events.scheduled",
-            self.glob.events_scheduled
-                + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
-        );
-        m.inc("engine.events.processed", self.events_processed());
-        m.inc("engine.events.multi_shard", self.glob.events_multi_shard);
+        m.inc("engine.events.scheduled", fleet.events_scheduled);
+        m.inc("engine.events.processed", fleet.events_processed);
         m.inc("engine.windows", self.glob.windows);
-        m.inc("engine.windows.multi_shard", self.glob.windows_multi_shard);
-        m.inc(
-            "engine.messages.delivered",
-            self.shards.iter().map(|s| s.messages_delivered).sum(),
-        );
-        m.inc(
-            "engine.crashes",
-            self.shards.iter().map(|s| s.crashes).sum(),
-        );
+        m.inc("engine.messages.delivered", fleet.messages_delivered);
+        m.inc("engine.crashes", fleet.crashes);
         m.inc("engine.polls.router", tally.router_polls);
         m.inc("engine.polls.external", tally.ext_polls);
         m.inc("engine.impair.dropped", tally.impair_dropped);
@@ -57,20 +51,11 @@ impl Emulation {
         m.gauge("engine.links", self.glob.links.len() as i64);
         m.gauge("engine.unschedulable", self.glob.unschedulable.len() as i64);
         m.gauge("engine.shards", self.shards.len() as i64);
-        for s in &self.shards {
-            m.merge_hist("engine.wake_depth", &s.wake_depth);
-        }
+        m.merge_hist("engine.wake_depth", &fleet.wake_depth);
 
         // Per-router aggregates (routers evicted by machine failures or
         // not yet booted contribute nothing). Walk in NodeRef order.
-        let routers = || {
-            self.net.interner.node_refs().filter_map(|r| {
-                self.shard_of(r)
-                    .and_then(|sid| self.shards.get(sid))
-                    .and_then(|s| s.routers.get(r.index()))
-                    .and_then(|slot| slot.as_ref())
-            })
-        };
+        let routers = || fleet.routers.iter().flatten();
         let total = |field: fn(&VirtualRouter) -> u64| routers().map(field).sum::<u64>();
         m.inc("vrouter.decode_errors", total(|r| r.decode_errors));
         m.inc("vrouter.encode_errors", total(|r| r.encode_errors));
@@ -116,31 +101,28 @@ impl Emulation {
         m.gauge("vrouter.running", running as i64);
 
         obs.phases = self.glob.phases.clone();
-        obs.journal = self.merged_journal();
+        obs.journal = self.journal();
         obs.wall = self.glob.wall.clone();
         // Where the window loop's wall time went, and — nested inside
         // `converge.poll` — the three router sections that can be long.
-        let lw = |field: fn(&LoopWall) -> u64| {
-            field(&self.glob.loop_wall)
-                + self.shards.iter().map(|s| field(&s.loop_wall)).sum::<u64>()
-        };
+        let lw = fleet.loop_wall;
         for (phase, ns) in [
-            ("converge.deliver_isis", lw(|w| w.deliver_isis)),
-            ("converge.deliver_bgp", lw(|w| w.deliver_bgp)),
-            ("converge.poll", lw(|w| w.poll)),
-            ("converge.other", lw(|w| w.other)),
-            ("converge.plan", lw(|w| w.plan)),
-            ("converge.settle", lw(|w| w.settle)),
+            ("converge.deliver_isis", lw.deliver_isis),
+            ("converge.deliver_bgp", lw.deliver_bgp),
+            ("converge.poll", lw.poll),
+            ("converge.other", lw.other),
+            ("converge.plan", lw.plan),
+            ("converge.settle", lw.settle),
             ("router.spf", total(|r| r.wall.spf_ns)),
             ("router.bgp", total(|r| r.wall.bgp_ns)),
             ("router.fib", total(|r| r.wall.fib_ns)),
         ] {
             obs.wall.add_phase(phase, ns / 1_000);
         }
-        // What taking them cost: a lap per work item and two per window,
-        // a timer pair per router section.
-        let items: u64 = self.shards.iter().map(|s| s.events_processed).sum();
-        let laps = items + 2 * self.glob.windows;
+        // What taking them cost: a lap per work item (a chaos action fired
+        // at a barrier counts, though it takes none) and two per window, a
+        // timer pair per router section.
+        let laps = fleet.events_processed + 2 * self.glob.windows;
         obs.wall.metrics.inc("converge.timer_laps", laps);
         obs.wall
             .metrics
@@ -148,26 +130,15 @@ impl Emulation {
         obs
     }
 
-    /// Interleaves the coordinator journal and every shard journal into
-    /// one ring, ordered by `(time, source rank, local order)` — the
-    /// coordinator (chaos, boot milestones) ranks before shards at the
-    /// same instant, matching heap order where coordinator-origin events
-    /// sort first.
-    fn merged_journal(&self) -> Journal {
-        let mut entries: Vec<(SimTime, usize, usize, &mfv_obs::journal::Event)> = Vec::new();
-        for (idx, e) in self.glob.journal.events().enumerate() {
-            entries.push((e.at, 0, idx, e));
+    /// The journal in instant order, barrier entries first at an instant;
+    /// within that, in the order it was written.
+    fn journal(&self) -> Journal {
+        let mut events: Vec<_> = self.fleet.journal.events().collect();
+        events.sort_by_key(|e| (e.at, !BARRIER_KINDS.contains(&e.kind)));
+        let mut journal = Journal::new();
+        for e in events {
+            journal.push(e.at, e.kind, e.detail.clone());
         }
-        for (sid, s) in self.shards.iter().enumerate() {
-            for (idx, e) in s.journal.events().enumerate() {
-                entries.push((e.at, sid + 1, idx, e));
-            }
-        }
-        entries.sort_by_key(|(at, rank, idx, _)| (*at, *rank, *idx));
-        let mut out = Journal::new();
-        for (_, _, _, e) in entries {
-            out.push(e.at, e.kind, e.detail.clone());
-        }
-        out
+        journal
     }
 }

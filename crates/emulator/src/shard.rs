@@ -1,10 +1,12 @@
-//! Per-shard engine state for the sharded conservative-lookahead runtime.
+//! The sharded conservative-lookahead runtime's two tables.
 //!
-//! A [`Shard`] owns everything a time window touches in one partition of
-//! the topology: its slice of the virtual routers and external peers, its
-//! own event heap and demand-driven wake sets, per-flow FIFO clocks, and
-//! per-entity RNG streams. Everything shared and read-only during a window
-//! lives in [`Net`]. Shards are a data layout, not a unit of execution: the
+//! A [`Shard`] is one partition's schedule: its clock, event heap,
+//! demand-driven wake sets, per-sender FIFO clocks and outbox. Everything
+//! per entity and per run — routers and external peers, their RNG streams,
+//! sequence counters and wake slots, link state, churn, the journal and
+//! every counter — is one table for the whole emulation, the [`Fleet`],
+//! which each shard's window borrows. What is read-only during a window
+//! lives in [`Net`]. Shards are a schedule, not a unit of execution: the
 //! coordinator runs them one after another on its own thread.
 //!
 //! # Determinism contract
@@ -24,9 +26,12 @@
 //! 2. **Per-entity RNG streams.** Jitter and impairment draws come from a
 //!    `ChaCha8Rng` derived from `(seed, entity)` — not from a shared
 //!    engine RNG whose draw order would depend on scheduling.
-//! 3. **No shared mutable state inside a window.** A shard reads [`Net`]
-//!    and writes only itself; cross-shard messages go to a per-shard
-//!    outbox that the coordinator drains when the window ends.
+//! 3. **Nothing in a window depends on which shard ran first.** A shard
+//!    reads [`Net`], writes its own schedule and the fleet entries of the
+//!    entities placed on it, and adds to run-wide totals; the churn fold
+//!    keeps records in instant order and the journal is ordered by instant
+//!    at export. Cross-shard messages go to a per-shard outbox that the
+//!    coordinator drains when the window ends.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -42,12 +47,11 @@ use mfv_vrouter::{RouterEvent, VendorProfile, VirtualRouter};
 
 use crate::chaos::ImpairSpec;
 
-/// Most prefixes tracked per shard by the churn watchdog; arrivals past the
-/// cap are ignored (deterministically) to bound memory at production-feed
-/// scale. The post-mortem merge applies the same cap globally, in prefix
-/// order, so the merged view is independent of shard layout and count.
+/// Most prefixes the churn watchdog tracks: the lowest ones in address
+/// order, so memory stays bounded at production-feed scale and what is kept
+/// does not depend on arrival order.
 pub(crate) const CHURN_PREFIX_CAP: usize = 4096;
-/// Change records retained per prefix (per shard, and again after merge).
+/// Change instants retained per prefix: the latest ones.
 pub(crate) const CHURN_HISTORY: usize = 8;
 use crate::inject::ExternalPeer;
 
@@ -85,8 +89,8 @@ pub(crate) enum EventKind {
         payload: Bytes,
     },
     RestartRouter(NodeRef),
-    /// Pre-resolved link slot; replicated to both endpoint shards. The
-    /// coordinator keeps the canonical link timeline for `dataplane()`.
+    /// Pre-resolved link slot; one per endpoint shard, each poking its own
+    /// endpoint routers.
     ChaosLink {
         slot: usize,
         up: bool,
@@ -192,8 +196,8 @@ impl Laps {
 
 /// Wall nanoseconds of the window loop by what they went to: the shards
 /// fill in the work-item classes, the coordinator `plan` and `settle`.
-/// Summed at `export_obs` into the quarantined wall section; nothing in
-/// the emulation reads them.
+/// Exported into the quarantined wall section; nothing in the emulation
+/// reads them.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct LoopWall {
     pub deliver_isis: u64,
@@ -208,8 +212,7 @@ pub(crate) struct LoopWall {
 }
 
 /// Plain-field execution counters, one per event kind plus the impairment
-/// and poll tallies — bumped on the hot path, summed across shards at
-/// `export_obs`.
+/// and poll tallies — bumped on the hot path, flushed at `export_obs`.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct EventTally {
     pub pod_ready: u64,
@@ -225,24 +228,6 @@ pub(crate) struct EventTally {
     pub impair_dropped: u64,
     pub impair_duplicated: u64,
     pub encode_errors: u64,
-}
-
-impl EventTally {
-    pub fn absorb(&mut self, o: &EventTally) {
-        self.pod_ready += o.pod_ready;
-        self.deliver_isis += o.deliver_isis;
-        self.deliver_bgp += o.deliver_bgp;
-        self.deliver_external += o.deliver_external;
-        self.restart_router += o.restart_router;
-        self.chaos_link += o.chaos_link;
-        self.chaos_kill += o.chaos_kill;
-        self.chaos_fail_machine += o.chaos_fail_machine;
-        self.router_polls += o.router_polls;
-        self.ext_polls += o.ext_polls;
-        self.impair_dropped += o.impair_dropped;
-        self.impair_duplicated += o.impair_duplicated;
-        self.encode_errors += o.encode_errors;
-    }
 }
 
 /// Immutable-during-a-window shared state: the interned id space, parsed
@@ -286,6 +271,19 @@ impl Net {
     pub fn ext_origin(&self, idx: usize) -> u32 {
         1 + self.interner.node_count() as u32 + idx as u32
     }
+
+    /// The shards holding link `slot`'s endpoints, each once.
+    pub fn link_shards(&self, slot: usize) -> Vec<usize> {
+        let Some(&((a, _), (b, _))) = self.link_ends.get(slot) else {
+            return Vec::new();
+        };
+        let mut sids: Vec<usize> = [a, b]
+            .iter()
+            .filter_map(|n| self.node_shard.get(n.index()).copied())
+            .collect();
+        sids.dedup();
+        sids
+    }
 }
 
 /// SplitMix64-style stream derivation: one independent seed per
@@ -297,45 +295,194 @@ pub(crate) fn stream_seed(seed: u64, tag: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn node_stream(seed: u64, n: NodeRef) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(stream_seed(seed, 0x1000_0000 + n.index() as u64))
+/// Everything per entity and per run, one table for the whole emulation:
+/// entity tables are indexed by `NodeRef` / external-peer index, sequence
+/// counters by event origin. A shard's window writes the entries of the
+/// entities placed on it; the coordinator reads the totals at barriers.
+#[derive(Clone, Default)]
+pub(crate) struct Fleet {
+    pub routers: Vec<Option<VirtualRouter>>,
+    pub externals: Vec<Option<ExternalPeer>>,
+    /// Whether the external feeds are plugged in.
+    pub feeds_active: bool,
+    /// Feeds drained so far, and the instant the latest one finished.
+    pub feeds_done: usize,
+    pub last_feed_done: SimTime,
+    /// Link up/down by slot: what frames cross and what `up_links` reports.
+    pub link_up: Vec<bool>,
+    node_rng: Vec<ChaCha8Rng>,
+    ext_rng: Vec<ChaCha8Rng>,
+    /// Each origin's event counter (coordinator, nodes, external peers).
+    oseq: Vec<u64>,
+    /// Each entity's pending wake, mirrored in its shard's wake set.
+    next_poll: Vec<Option<SimTime>>,
+    ext_next: Vec<Option<SimTime>>,
+    /// Dataplane-change records held until the coordinator announces the
+    /// steady-state instant (`churn_from`); records before it never count.
+    churn_buf: Vec<(SimTime, BTreeSet<Prefix>)>,
+    churn_from: Option<SimTime>,
+    /// The oscillation watchdog's evidence: per prefix, its latest change
+    /// instants in order, both axes capped.
+    pub churn: BTreeMap<Prefix, VecDeque<SimTime>>,
+    pub tally: EventTally,
+    pub loop_wall: LoopWall,
+    /// Written in processing order; `export_obs` orders it by instant.
+    pub journal: Journal,
+    pub wake_depth: Hist,
+    pub last_activity: SimTime,
+    pub pending_restarts: usize,
+    /// Chaos events injected into a shard and not yet handled there: a
+    /// fault applied at the barrier but not yet felt by its routers.
+    pub chaos_in_flight: u64,
+    pub messages_delivered: u64,
+    pub crashes: u64,
+    /// Work items processed (shard items and coordinator timeline actions)
+    /// and events pushed onto a heap.
+    pub events_processed: u64,
+    pub events_scheduled: u64,
 }
 
-fn ext_stream(seed: u64, idx: usize) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(stream_seed(seed, 0x2000_0000 + idx as u64))
+impl Fleet {
+    /// Empty slots for every node and external peer, every link up.
+    pub fn new(net: &Net, externals: usize, links: usize) -> Fleet {
+        let nodes = net.interner.node_count();
+        let stream = |tag: u64| ChaCha8Rng::seed_from_u64(stream_seed(net.seed, tag));
+        Fleet {
+            routers: (0..nodes).map(|_| None).collect(),
+            externals: (0..externals).map(|_| None).collect(),
+            link_up: vec![true; links],
+            node_rng: (0..nodes as u64).map(|n| stream(0x1000_0000 + n)).collect(),
+            ext_rng: (0..externals as u64)
+                .map(|i| stream(0x2000_0000 + i))
+                .collect(),
+            oseq: vec![0; 1 + nodes + externals],
+            next_poll: vec![None; nodes],
+            ext_next: vec![None; externals],
+            ..Fleet::default()
+        }
+    }
+
+    /// The next key of events scheduled by `origin`.
+    pub fn next_key(&mut self, origin: u32, time: SimTime) -> EvKey {
+        let oseq = &mut self.oseq[origin as usize];
+        *oseq += 1;
+        EvKey {
+            time,
+            origin,
+            oseq: *oseq,
+        }
+    }
+
+    /// Installs an external peer at boot. A feed born drained (zero routes)
+    /// counts as done immediately.
+    pub fn install_external(&mut self, idx: usize, peer: ExternalPeer) {
+        if peer.done() {
+            self.feed_drained(SimTime::ZERO);
+        }
+        self.externals[idx] = Some(peer);
+    }
+
+    fn feed_drained(&mut self, at: SimTime) {
+        self.feeds_done += 1;
+        self.last_feed_done = self.last_feed_done.max(at);
+    }
+
+    /// Counts what changed in a router's FIB at `at` toward oscillation, or
+    /// holds it until the steady-state instant is known.
+    fn note_churn(&mut self, at: SimTime, prefixes: BTreeSet<Prefix>) {
+        let Some(from) = self.churn_from else {
+            self.churn_buf.push((at, prefixes));
+            return;
+        };
+        if at < from {
+            return;
+        }
+        for p in prefixes {
+            if !self.churn.contains_key(&p) && self.churn.len() >= CHURN_PREFIX_CAP {
+                match self.churn.last_key_value() {
+                    Some((&last, _)) if p < last => self.churn.pop_last(),
+                    _ => continue,
+                };
+            }
+            let q = self.churn.entry(p).or_default();
+            q.insert(q.partition_point(|t| *t <= at), at);
+            if q.len() > CHURN_HISTORY {
+                q.pop_front();
+            }
+        }
+    }
+
+    /// Called at each barrier; a no-op once the steady-state instant is
+    /// known. Until then (`None`: boot or feed flooding incomplete) held
+    /// change records are pre-convergence noise and dropped; from the
+    /// barrier that knows it on, records at or after `steady` count and
+    /// earlier ones never do.
+    pub fn gate_churn(&mut self, steady: Option<SimTime>) {
+        if self.churn_from.is_some() {
+            return;
+        }
+        let held = std::mem::take(&mut self.churn_buf);
+        if steady.is_some() {
+            self.churn_from = steady;
+            for (at, prefixes) in held {
+                self.note_churn(at, prefixes);
+            }
+        }
+    }
+
+    /// Applies an impairment's drop/duplicate draws from the *sender's*
+    /// RNG stream; returns how many copies to deliver (0 = dropped).
+    fn impaired_copies(&mut self, node: NodeRef, spec: Option<ImpairSpec>) -> u32 {
+        let Some(spec) = spec else { return 1 };
+        let Some(rng) = self.node_rng.get_mut(node.index()) else {
+            return 1;
+        };
+        if spec.drop_pct > 0 && rng.gen_range(0..100u32) < spec.drop_pct as u32 {
+            self.tally.impair_dropped += 1;
+            return 0;
+        }
+        if spec.duplicate_pct > 0 && rng.gen_range(0..100u32) < spec.duplicate_pct as u32 {
+            self.tally.impair_duplicated += 1;
+            return 2;
+        }
+        1
+    }
+
+    fn node_jitter(&mut self, node: NodeRef) -> u64 {
+        let rng = self.node_rng.get_mut(node.index());
+        rng.map(|rng| rng.gen_range(0..3)).unwrap_or(0)
+    }
 }
 
-/// One partition of the topology: a private event heap, wake sets, the
-/// routers and external peers placed here, link-state replicas, per-flow
-/// FIFO clocks, and per-entity RNG/sequence streams. Entity-indexed
-/// vectors are full-size (indexed by global `NodeRef`/peer index) with
-/// `None`/zero holes for non-members — O(nodes) pointers per shard.
-#[derive(Clone)]
+/// Requests a wake of entity `id` at `at`, or keeps an earlier pending one:
+/// `slot` is the entity's pending wake, `wake` its shard's set of them.
+fn wake_at<T: Ord + Copy>(
+    slot: &mut Option<SimTime>,
+    wake: &mut BTreeSet<(SimTime, T)>,
+    id: T,
+    at: SimTime,
+) {
+    match *slot {
+        Some(t) if t <= at => return,
+        Some(t) => {
+            wake.remove(&(t, id));
+        }
+        None => {}
+    }
+    *slot = Some(at);
+    wake.insert((at, id));
+}
+
+/// One partition's schedule: its clock, a private event heap, the wake sets
+/// of the entities placed on it, per-flow FIFO clocks, and the outbox of
+/// cross-shard sends.
+#[derive(Clone, Default)]
 pub(crate) struct Shard {
     pub id: usize,
     now: SimTime,
     events: BinaryHeap<Reverse<Ev>>,
     wake: BTreeSet<(SimTime, NodeRef)>,
-    next_poll: Vec<Option<SimTime>>,
     ext_wake: BTreeSet<(SimTime, usize)>,
-    ext_next: Vec<Option<SimTime>>,
-    pub routers: Vec<Option<VirtualRouter>>,
-    pub ready_at: Vec<Option<SimTime>>,
-    pub ready_count: usize,
-    pub externals: Vec<Option<ExternalPeer>>,
-    /// When each local external feed finished draining (exact transition
-    /// instants; the coordinator folds these into `feeds_done_at`).
-    ext_done: Vec<Option<SimTime>>,
-    /// Done-transitions observed since the last barrier.
-    ext_done_new: Vec<(usize, SimTime)>,
-    pub feeds_active: bool,
-    /// Local replica of link up/down state (full link set; only links with
-    /// a local endpoint ever matter here).
-    link_up: Vec<bool>,
-    node_rng: Vec<Option<ChaCha8Rng>>,
-    ext_rng: Vec<Option<ChaCha8Rng>>,
-    node_oseq: Vec<u64>,
-    ext_oseq: Vec<u64>,
     /// FIFO clocks: jitter may delay but never reorder messages between the
     /// same endpoints. Flows are keyed by sender, so each flow's clock
     /// lives in exactly one shard.
@@ -343,92 +490,13 @@ pub(crate) struct Shard {
     isis_link_clock: BTreeMap<(NodeRef, IfaceRef), SimTime>,
     /// Cross-shard sends since the last barrier: `(dest shard, event)`.
     pub outbox: Vec<(usize, Ev)>,
-    /// Raw dataplane-change records since the last fold, tagged with the
-    /// node that changed. Folded into the local `churn` tracker at each
-    /// window end once the coordinator has announced the steady instant;
-    /// discarded by the coordinator before that (pre-convergence noise).
-    pub churn_buf: Vec<(SimTime, NodeRef, BTreeSet<Prefix>)>,
-    /// Steady-state gate: records before this instant never count toward
-    /// oscillation. Set exactly once, at the barrier where boot and feed
-    /// completion become known.
-    pub churn_from: Option<SimTime>,
-    /// Shard-local bounded churn tracker: per-prefix `(instant, node)`
-    /// change records, capped in both axes. Shards fold their own records
-    /// inside their windows — the coordinator never touches a shared churn
-    /// map per window; the per-shard maps are merged exactly once,
-    /// order-independently, by the oscillation post-mortem.
-    pub churn: BTreeMap<Prefix, VecDeque<(SimTime, u32)>>,
-    pub tally: EventTally,
-    pub loop_wall: LoopWall,
-    pub journal: Journal,
-    pub wake_depth: Hist,
-    pub last_activity: SimTime,
-    pub pending_restarts: usize,
-    pub messages_delivered: u64,
-    pub crashes: u64,
-    pub events_processed: u64,
-    pub events_scheduled: u64,
-    /// Chaos replicas (link notifications, kills) this shard has handled —
-    /// compared against the coordinator's injected count so convergence is
-    /// never declared while a fault is still in flight.
-    pub chaos_processed: u64,
 }
 
 impl Shard {
-    /// `link_up` is a copy of the coordinator's canonical link state at
-    /// build time (operator `set_link` calls may precede boot).
-    pub fn new(id: usize, net: &Net, link_up: Vec<bool>) -> Shard {
-        let n = net.interner.node_count();
-        let e = net.ext_shard.len();
-        let mut node_rng: Vec<Option<ChaCha8Rng>> = (0..n).map(|_| None).collect();
-        for r in net.interner.node_refs() {
-            if net.node_shard.get(r.index()) == Some(&id) {
-                node_rng[r.index()] = Some(node_stream(net.seed, r));
-            }
-        }
-        let mut ext_rng: Vec<Option<ChaCha8Rng>> = (0..e).map(|_| None).collect();
-        for (idx, rng) in ext_rng.iter_mut().enumerate() {
-            if net.ext_shard.get(idx) == Some(&id) {
-                *rng = Some(ext_stream(net.seed, idx));
-            }
-        }
+    pub fn new(id: usize) -> Shard {
         Shard {
             id,
-            now: SimTime::ZERO,
-            events: BinaryHeap::new(),
-            wake: BTreeSet::new(),
-            next_poll: vec![None; n],
-            ext_wake: BTreeSet::new(),
-            ext_next: vec![None; e],
-            routers: (0..n).map(|_| None).collect(),
-            ready_at: vec![None; n],
-            ready_count: 0,
-            externals: (0..e).map(|_| None).collect(),
-            ext_done: vec![None; e],
-            ext_done_new: Vec::new(),
-            feeds_active: false,
-            link_up,
-            node_rng,
-            ext_rng,
-            node_oseq: vec![0; n],
-            ext_oseq: vec![0; e],
-            bgp_flow_clock: BTreeMap::new(),
-            isis_link_clock: BTreeMap::new(),
-            outbox: Vec::new(),
-            churn_buf: Vec::new(),
-            churn_from: None,
-            churn: BTreeMap::new(),
-            tally: EventTally::default(),
-            loop_wall: LoopWall::default(),
-            journal: Journal::new(),
-            wake_depth: Hist::new(),
-            last_activity: SimTime::ZERO,
-            pending_restarts: 0,
-            messages_delivered: 0,
-            crashes: 0,
-            events_processed: 0,
-            events_scheduled: 0,
-            chaos_processed: 0,
+            ..Shard::default()
         }
     }
 
@@ -440,8 +508,8 @@ impl Shard {
     /// Earliest pending work across the heap and both wake sets.
     pub fn next_due(&self) -> Option<SimTime> {
         let heap_t = self.events.peek().map(|Reverse(ev)| ev.key.time);
-        let wake_t = self.wake.iter().next().map(|&(t, _)| t);
-        let ext_t = self.ext_wake.iter().next().map(|&(t, _)| t);
+        let wake_t = self.wake.first().map(|&(t, _)| t);
+        let ext_t = self.ext_wake.first().map(|&(t, _)| t);
         [heap_t, wake_t, ext_t].into_iter().flatten().min()
     }
 
@@ -455,8 +523,8 @@ impl Shard {
     /// Schedules an event created by a local entity and counts it. Local
     /// destinations go straight onto the heap; remote ones ride the outbox
     /// until the coordinator drains it at the barrier.
-    fn send(&mut self, dest_shard: usize, ev: Ev) {
-        self.events_scheduled += 1;
+    fn send(&mut self, fleet: &mut Fleet, dest_shard: usize, ev: Ev) {
+        fleet.events_scheduled += 1;
         if dest_shard == self.id {
             self.events.push(Reverse(ev));
         } else {
@@ -464,124 +532,43 @@ impl Shard {
         }
     }
 
-    fn next_node_key(&mut self, net: &Net, node: NodeRef, time: SimTime) -> EvKey {
-        let oseq = &mut self.node_oseq[node.index()];
-        *oseq += 1;
-        EvKey {
-            time,
-            origin: net.node_origin(node),
-            oseq: *oseq,
-        }
-    }
-
-    fn next_ext_key(&mut self, net: &Net, idx: usize, time: SimTime) -> EvKey {
-        let oseq = &mut self.ext_oseq[idx];
-        *oseq += 1;
-        EvKey {
-            time,
-            origin: net.ext_origin(idx),
-            oseq: *oseq,
-        }
-    }
-
     /// Requests a router wake at `at` (or keeps an earlier pending one).
-    pub fn schedule_poll(&mut self, node: NodeRef, at: SimTime) {
-        let at = at.max(self.now);
-        match self.next_poll.get(node.index()).copied().flatten() {
-            Some(t) if t <= at => return,
-            Some(t) => {
-                self.wake.remove(&(t, node));
-            }
-            None => {}
-        }
-        if let Some(slot) = self.next_poll.get_mut(node.index()) {
-            *slot = Some(at);
-            self.wake.insert((at, node));
-        }
-    }
-
-    /// Drops any pending wake for `node` (eviction).
-    pub fn clear_poll(&mut self, node: NodeRef) {
-        if let Some(t) = self.next_poll.get_mut(node.index()).and_then(|s| s.take()) {
-            self.wake.remove(&(t, node));
+    pub fn schedule_poll(&mut self, fleet: &mut Fleet, node: NodeRef, at: SimTime) {
+        if let Some(slot) = fleet.next_poll.get_mut(node.index()) {
+            wake_at(slot, &mut self.wake, node, at.max(self.now));
         }
     }
 
     /// Like `schedule_poll`, for external peers.
-    pub fn schedule_ext_poll(&mut self, idx: usize, at: SimTime) {
-        let at = at.max(self.now);
-        match self.ext_next.get(idx).copied().flatten() {
-            Some(t) if t <= at => return,
-            Some(t) => {
-                self.ext_wake.remove(&(t, idx));
-            }
-            None => {}
-        }
-        if let Some(slot) = self.ext_next.get_mut(idx) {
-            *slot = Some(at);
-            self.ext_wake.insert((at, idx));
+    pub fn schedule_ext_poll(&mut self, fleet: &mut Fleet, idx: usize, at: SimTime) {
+        if let Some(slot) = fleet.ext_next.get_mut(idx) {
+            wake_at(slot, &mut self.ext_wake, idx, at.max(self.now));
         }
     }
 
-    /// Installs an external peer at boot. Feeds that are born drained
-    /// (zero-route peers) count as done immediately, mirroring the old
-    /// engine's `injection_done()` semantics.
-    pub fn install_external(&mut self, idx: usize, peer: ExternalPeer) {
-        let done = peer.done();
-        self.externals[idx] = Some(peer);
-        if done {
-            self.ext_done[idx] = Some(SimTime::ZERO);
-            self.ext_done_new.push((idx, SimTime::ZERO));
-        }
-    }
-
-    /// Activates local feeds and schedules their first poll.
-    pub fn activate_feeds(&mut self, at: SimTime) {
-        self.feeds_active = true;
-        for idx in 0..self.externals.len() {
-            if self.externals[idx].is_some() {
-                self.schedule_ext_poll(idx, at);
-            }
-        }
-    }
-
-    pub fn take_ext_done_transitions(&mut self) -> Vec<(usize, SimTime)> {
-        std::mem::take(&mut self.ext_done_new)
-    }
-
-    /// Applies a link state change locally: updates the replica and pokes
-    /// any local endpoint routers. Journal/tally for chaos flaps live with
-    /// the coordinator's canonical timeline (one entry per event, not one
-    /// per replica).
-    pub fn apply_link(&mut self, net: &Net, slot: usize, change: LinkChange) {
-        if let Some(s) = self.link_up.get_mut(slot) {
-            *s = change.carries();
-        }
+    /// Tells this shard's endpoint routers of link `slot` about a change
+    /// (the caller has written the fleet's link state).
+    pub fn apply_link(&mut self, net: &Net, fleet: &mut Fleet, slot: usize, change: LinkChange) {
         let Some(&(a, b)) = net.link_ends.get(slot) else {
             return;
         };
         let now = self.now;
         for (node, iface) in [a, b] {
+            if net.node_shard.get(node.index()) != Some(&self.id) {
+                continue;
+            }
             let Some(iface_name) = net.interner.iface(iface) else {
                 continue;
             };
-            if let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+            if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
                 match change {
                     LinkChange::Carrier(up) => router.set_link(iface_name, up),
                     LinkChange::WireRemoved => router.remove_wire(iface_name),
                 }
-                self.schedule_poll(node, SimTime(now.0 + 1));
+                self.schedule_poll(fleet, node, SimTime(now.0 + 1));
             }
         }
-        self.last_activity = self.last_activity.max(now);
-    }
-
-    fn link_is_up(&self, net: &Net, node: NodeRef, iface: IfaceRef) -> bool {
-        net.ends
-            .get(&(node, iface))
-            .and_then(|e| self.link_up.get(e.link_slot))
-            .copied()
-            .unwrap_or(false)
+        fleet.last_activity = fleet.last_activity.max(now);
     }
 
     /// The active impairment window covering link `slot` right now, if any.
@@ -607,34 +594,14 @@ impl Shard {
             .map(|w| w.spec)
     }
 
-    /// Applies an impairment's drop/duplicate draws from the *sender's*
-    /// RNG stream; returns how many copies to deliver (0 = dropped).
-    fn impaired_copies(&mut self, node: NodeRef, spec: Option<ImpairSpec>) -> u32 {
-        let Some(spec) = spec else { return 1 };
-        let Some(rng) = self.node_rng.get_mut(node.index()).and_then(|r| r.as_mut()) else {
-            return 1;
-        };
-        if spec.drop_pct > 0 && rng.gen_range(0..100u32) < spec.drop_pct as u32 {
-            self.tally.impair_dropped += 1;
-            return 0;
-        }
-        if spec.duplicate_pct > 0 && rng.gen_range(0..100u32) < spec.duplicate_pct as u32 {
-            self.tally.impair_duplicated += 1;
-            return 2;
-        }
-        1
-    }
-
-    fn node_jitter(&mut self, node: NodeRef) -> u64 {
-        self.node_rng
-            .get_mut(node.index())
-            .and_then(|r| r.as_mut())
-            .map(|rng| rng.gen_range(0..3))
-            .unwrap_or(0)
-    }
-
     /// Handles one router's output events.
-    fn dispatch_router_events(&mut self, net: &Net, node: NodeRef, events: Vec<RouterEvent>) {
+    fn dispatch_router_events(
+        &mut self,
+        net: &Net,
+        fleet: &mut Fleet,
+        node: NodeRef,
+        events: Vec<RouterEvent>,
+    ) {
         for ev in events {
             match ev {
                 RouterEvent::IsisFrame { iface, payload } => {
@@ -645,22 +612,23 @@ impl Shard {
                     let Some(end) = net.ends.get(&key).copied() else {
                         continue;
                     };
-                    if !self.link_up.get(end.link_slot).copied().unwrap_or(false) {
+                    if !fleet.link_up.get(end.link_slot).copied().unwrap_or(false) {
                         continue;
                     }
                     let impair = self.impairment_for(net, end.link_slot);
-                    let copies = self.impaired_copies(node, impair);
+                    let copies = fleet.impaired_copies(node, impair);
                     let extra = impair.map(|s| s.extra_delay_ms).unwrap_or(0);
                     for _ in 0..copies {
-                        let jitter = self.node_jitter(node);
+                        let jitter = fleet.node_jitter(node);
                         let mut at =
                             self.now + SimDuration::from_millis(end.latency_ms + jitter + extra);
                         let clock = self.isis_link_clock.entry(key).or_insert(SimTime::ZERO);
                         at = at.max(SimTime(clock.0 + 1));
                         *clock = at;
-                        let ev_key = self.next_node_key(net, node, at);
+                        let ev_key = fleet.next_key(net.node_origin(node), at);
                         let dest = net.node_shard[end.peer.index()];
                         self.send(
+                            fleet,
                             dest,
                             Ev {
                                 key: ev_key,
@@ -681,10 +649,10 @@ impl Shard {
                         Owner::Node(peer) => self.bgp_impairment_for(net, node, peer),
                         Owner::External(_) => None,
                     };
-                    let copies = self.impaired_copies(node, impair);
+                    let copies = fleet.impaired_copies(node, impair);
                     let extra = impair.map(|s| s.extra_delay_ms).unwrap_or(0);
                     for _ in 0..copies {
-                        let jitter = self.node_jitter(node);
+                        let jitter = fleet.node_jitter(node);
                         let mut at = self.now + SimDuration::from_millis(2 + jitter + extra);
                         let clock = self
                             .bgp_flow_clock
@@ -692,74 +660,57 @@ impl Shard {
                             .or_insert(SimTime::ZERO);
                         at = at.max(SimTime(clock.0 + 1));
                         *clock = at;
-                        let ev_key = self.next_node_key(net, node, at);
-                        match owner {
-                            Owner::Node(peer) => {
-                                let dest = net.node_shard[peer.index()];
-                                self.send(
-                                    dest,
-                                    Ev {
-                                        key: ev_key,
-                                        kind: EventKind::DeliverBgp {
-                                            node: peer,
-                                            src,
-                                            dst,
-                                            payload: payload.clone(),
-                                        },
-                                    },
-                                );
-                            }
-                            Owner::External(idx) => {
-                                let dest = net.ext_shard[idx];
-                                self.send(
-                                    dest,
-                                    Ev {
-                                        key: ev_key,
-                                        kind: EventKind::DeliverToExternal {
-                                            idx,
-                                            payload: payload.clone(),
-                                        },
-                                    },
-                                );
-                            }
-                        }
+                        let key = fleet.next_key(net.node_origin(node), at);
+                        let (dest, kind) = match owner {
+                            Owner::Node(peer) => (
+                                net.node_shard[peer.index()],
+                                EventKind::DeliverBgp {
+                                    node: peer,
+                                    src,
+                                    dst,
+                                    payload: payload.clone(),
+                                },
+                            ),
+                            Owner::External(idx) => (
+                                net.ext_shard[idx],
+                                EventKind::DeliverToExternal {
+                                    idx,
+                                    payload: payload.clone(),
+                                },
+                            ),
+                        };
+                        self.send(fleet, dest, Ev { key, kind });
                     }
                 }
                 RouterEvent::Crashed { reason } => {
-                    self.crashes += 1;
-                    self.last_activity = self.last_activity.max(self.now);
+                    fleet.crashes += 1;
+                    fleet.last_activity = fleet.last_activity.max(self.now);
                     let detail = match net.interner.node(node) {
                         Some(name) => format!("{name}: {reason}"),
                         None => reason,
                     };
-                    self.journal.push(self.now, "engine.crash", detail);
+                    fleet.journal.push(self.now, "engine.crash", detail);
                     if net.auto_restart {
-                        let delay = self
+                        let delay = fleet
                             .routers
                             .get(node.index())
                             .and_then(|s| s.as_ref())
                             .map(|r| r.profile().restart_delay)
                             .unwrap_or(SimDuration::from_secs(60));
-                        self.pending_restarts += 1;
-                        let at = self.now + delay;
-                        let key = self.next_node_key(net, node, at);
-                        self.send(
-                            self.id,
-                            Ev {
-                                key,
-                                kind: EventKind::RestartRouter(node),
-                            },
-                        );
+                        fleet.pending_restarts += 1;
+                        let key = fleet.next_key(net.node_origin(node), self.now + delay);
+                        let kind = EventKind::RestartRouter(node);
+                        self.send(fleet, self.id, Ev { key, kind });
                     }
                 }
             }
         }
     }
 
-    fn poll_router(&mut self, net: &Net, node: NodeRef, laps: &Laps) {
+    fn poll_router(&mut self, net: &Net, fleet: &mut Fleet, node: NodeRef, laps: &Laps) {
         let now = self.now;
-        self.tally.router_polls += 1;
-        let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) else {
+        fleet.tally.router_polls += 1;
+        let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) else {
             return;
         };
         let v_before = router.fib_version();
@@ -768,34 +719,32 @@ impl Shard {
         let wakeup = router.next_wakeup(now);
         let changed = router.take_changed_prefixes();
         if v_after != v_before {
-            self.last_activity = self.last_activity.max(now);
+            fleet.last_activity = fleet.last_activity.max(now);
         }
-        self.dispatch_router_events(net, node, events);
+        self.dispatch_router_events(net, fleet, node, events);
         if let Some(at) = wakeup {
-            self.schedule_poll(node, at);
+            self.schedule_poll(fleet, node, at);
         }
         if !changed.is_empty() {
-            self.churn_buf.push((now, node, changed));
+            fleet.note_churn(now, changed);
         }
     }
 
-    fn poll_external(&mut self, net: &Net, idx: usize) {
-        if !self.feeds_active {
+    fn poll_external(&mut self, net: &Net, fleet: &mut Fleet, idx: usize) {
+        if !fleet.feeds_active {
             return;
         }
         let now = self.now;
-        self.tally.ext_polls += 1;
-        let Some(peer) = self.externals.get_mut(idx).and_then(|s| s.as_mut()) else {
+        fleet.tally.ext_polls += 1;
+        let Some(peer) = fleet.externals.get_mut(idx).and_then(|s| s.as_mut()) else {
             return;
         };
         let was_done = peer.done();
         let msgs = peer.poll(now);
         let wakeup = peer.next_wakeup(now);
         let src = peer.addr;
-        let now_done = peer.done();
-        if !was_done && now_done {
-            self.ext_done[idx] = Some(now);
-            self.ext_done_new.push((idx, now));
+        if !was_done && peer.done() {
+            fleet.feed_drained(now);
         }
         for (dst, msg) in msgs {
             // A message that exceeds a wire length field is dropped (and
@@ -803,15 +752,14 @@ impl Shard {
             let payload = match msg.encode() {
                 Ok(p) => p,
                 Err(_) => {
-                    self.tally.encode_errors += 1;
+                    fleet.tally.encode_errors += 1;
                     continue;
                 }
             };
             if let Some(&Owner::Node(node)) = net.ip_owner.get(&dst) {
-                let jitter = self
+                let jitter = fleet
                     .ext_rng
                     .get_mut(idx)
-                    .and_then(|r| r.as_mut())
                     .map(|rng| rng.gen_range(0..3))
                     .unwrap_or(0);
                 let mut at = now + SimDuration::from_millis(2 + jitter);
@@ -821,9 +769,10 @@ impl Shard {
                     .or_insert(SimTime::ZERO);
                 at = at.max(SimTime(clock.0 + 1));
                 *clock = at;
-                let key = self.next_ext_key(net, idx, at);
+                let key = fleet.next_key(net.ext_origin(idx), at);
                 let dest = net.node_shard[node.index()];
                 self.send(
+                    fleet,
                     dest,
                     Ev {
                         key,
@@ -837,13 +786,14 @@ impl Shard {
                 );
             }
         }
-        self.schedule_ext_poll(idx, wakeup);
+        self.schedule_ext_poll(fleet, idx, wakeup);
     }
 
-    fn handle(&mut self, net: &Net, kind: EventKind) {
+    fn handle(&mut self, net: &Net, fleet: &mut Fleet, kind: EventKind) {
+        let now = self.now;
         match kind {
             EventKind::PodReady(node) => {
-                self.tally.pod_ready += 1;
+                fleet.tally.pod_ready += 1;
                 let Some(name) = net.interner.node(node).cloned() else {
                     return;
                 };
@@ -853,37 +803,37 @@ impl Shard {
                 let Some(profile) = net.profiles.get(node.index()).cloned() else {
                     return;
                 };
-                self.journal
-                    .push(self.now, "engine.pod_ready", name.to_string());
+                fleet
+                    .journal
+                    .push(now, "engine.pod_ready", name.to_string());
                 let router = VirtualRouter::new(name, profile, parsed.config);
-                if let Some(slot) = self.routers.get_mut(node.index()) {
+                if let Some(slot) = fleet.routers.get_mut(node.index()) {
                     *slot = Some(router);
                 }
-                if let Some(slot) = self.ready_at.get_mut(node.index()) {
-                    if slot.replace(self.now).is_none() {
-                        self.ready_count += 1;
-                    }
-                }
-                self.last_activity = self.last_activity.max(self.now);
-                self.schedule_poll(node, self.now);
+                fleet.last_activity = fleet.last_activity.max(now);
+                self.schedule_poll(fleet, node, now);
             }
             EventKind::DeliverIsis {
                 node,
                 iface,
                 payload,
             } => {
-                self.tally.deliver_isis += 1;
-                if !self.link_is_up(net, node, iface) {
+                fleet.tally.deliver_isis += 1;
+                let slot = net.ends.get(&(node, iface)).map(|e| e.link_slot);
+                if !slot
+                    .and_then(|s| fleet.link_up.get(s))
+                    .copied()
+                    .unwrap_or(false)
+                {
                     return;
                 }
-                let now = self.now;
                 let Some(iface_name) = net.interner.iface(iface) else {
                     return;
                 };
-                if let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
                     router.push_isis(now, iface_name, payload);
-                    self.messages_delivered += 1;
-                    self.schedule_poll(node, SimTime(now.0 + 1));
+                    fleet.messages_delivered += 1;
+                    self.schedule_poll(fleet, node, SimTime(now.0 + 1));
                 }
             }
             EventKind::DeliverBgp {
@@ -892,68 +842,67 @@ impl Shard {
                 dst,
                 payload,
             } => {
-                self.tally.deliver_bgp += 1;
-                let now = self.now;
-                if let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+                fleet.tally.deliver_bgp += 1;
+                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
                     router.push_bgp(now, src, dst, payload);
-                    self.messages_delivered += 1;
-                    self.schedule_poll(node, SimTime(now.0 + 1));
+                    fleet.messages_delivered += 1;
+                    self.schedule_poll(fleet, node, SimTime(now.0 + 1));
                 }
             }
             EventKind::DeliverToExternal { idx, payload } => {
-                self.tally.deliver_external += 1;
+                fleet.tally.deliver_external += 1;
                 // An inactive feed is an unplugged device: segments vanish.
-                if !self.feeds_active {
+                if !fleet.feeds_active {
                     return;
                 }
-                let now = self.now;
-                if let Some(peer) = self.externals.get_mut(idx).and_then(|s| s.as_mut()) {
+                if let Some(peer) = fleet.externals.get_mut(idx).and_then(|s| s.as_mut()) {
                     let was_done = peer.done();
                     let mut buf = payload;
                     if let Ok(msg) = mfv_wire::bgp::BgpMsg::decode(&mut buf) {
                         peer.push_msg(now, msg);
-                        self.messages_delivered += 1;
+                        fleet.messages_delivered += 1;
                     }
                     if !was_done && peer.done() {
-                        self.ext_done[idx] = Some(now);
-                        self.ext_done_new.push((idx, now));
+                        fleet.feed_drained(now);
                     }
-                    self.schedule_ext_poll(idx, SimTime(now.0 + 1));
+                    self.schedule_ext_poll(fleet, idx, SimTime(now.0 + 1));
                 }
             }
             EventKind::RestartRouter(node) => {
-                self.tally.restart_router += 1;
-                let now = self.now;
-                self.pending_restarts = self.pending_restarts.saturating_sub(1);
-                if let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+                fleet.tally.restart_router += 1;
+                fleet.pending_restarts = fleet.pending_restarts.saturating_sub(1);
+                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
                     if !router.is_running() {
                         router.restart(now);
-                        self.last_activity = self.last_activity.max(now);
-                        self.schedule_poll(node, SimTime(now.0 + 1));
+                        fleet.last_activity = fleet.last_activity.max(now);
+                        self.schedule_poll(fleet, node, SimTime(now.0 + 1));
                         if let Some(name) = net.interner.node(node) {
-                            self.journal.push(now, "engine.restart", name.to_string());
+                            fleet.journal.push(now, "engine.restart", name.to_string());
                         }
                     }
                 }
             }
             EventKind::ChaosLink { slot, up } => {
-                // Tally + journal live with the coordinator's canonical
-                // timeline (one entry per flap, not one per shard replica).
-                self.chaos_processed += 1;
-                self.apply_link(net, slot, LinkChange::Carrier(up));
+                // Tally + journal live with the coordinator's timeline (one
+                // entry per flap, not one per endpoint shard).
+                fleet.chaos_in_flight -= 1;
+                if let Some(s) = fleet.link_up.get_mut(slot) {
+                    *s = up;
+                }
+                self.apply_link(net, fleet, slot, LinkChange::Carrier(up));
             }
             EventKind::ChaosKillRouter(node) => {
-                self.chaos_processed += 1;
-                self.tally.chaos_kill += 1;
-                let now = self.now;
+                fleet.chaos_in_flight -= 1;
+                fleet.tally.chaos_kill += 1;
                 if let Some(name) = net.interner.node(node) {
-                    self.journal
+                    fleet
+                        .journal
                         .push(now, "chaos.kill_routing", name.to_string());
                 }
-                if let Some(router) = self.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
                     router.inject_crash("chaos: routing process killed");
-                    self.last_activity = self.last_activity.max(now);
-                    self.schedule_poll(node, SimTime(now.0 + 1));
+                    fleet.last_activity = fleet.last_activity.max(now);
+                    self.schedule_poll(fleet, node, SimTime(now.0 + 1));
                 }
             }
         }
@@ -962,18 +911,17 @@ impl Shard {
     /// Processes every work item with instant `< end` in deterministic
     /// order: earliest instant first; at equal instants the heap wins
     /// (content-keyed order), then router wakes, then external wakes. Each
-    /// item's lap of `laps` is charged to its class in `loop_wall`.
-    pub fn run_window(&mut self, net: &Net, end: SimTime, laps: &mut Laps) {
+    /// item's lap of `laps` is charged to its class in the fleet's
+    /// `loop_wall`.
+    pub fn run_window(&mut self, net: &Net, fleet: &mut Fleet, end: SimTime, laps: &mut Laps) {
         loop {
             let heap_t = self.events.peek().map(|Reverse(ev)| ev.key.time);
-            let wake_t = self.wake.iter().next().map(|&(t, _)| t);
-            let ext_t = self.ext_wake.iter().next().map(|&(t, _)| t);
+            let wake_t = self.wake.first().map(|&(t, _)| t);
+            let ext_t = self.ext_wake.first().map(|&(t, _)| t);
             let Some(t) = [heap_t, wake_t, ext_t].into_iter().flatten().min() else {
-                self.fold_churn();
                 return;
             };
             if t >= end {
-                self.fold_churn();
                 return;
             }
             self.now = t;
@@ -985,55 +933,22 @@ impl Shard {
                         EventKind::DeliverBgp { .. } => |w| &mut w.deliver_bgp,
                         _ => |w| &mut w.other,
                     };
-                    self.handle(net, ev.kind);
+                    self.handle(net, fleet, ev.kind);
                 }
             } else if wake_t == Some(t) {
-                if let Some(&(wt, node)) = self.wake.iter().next() {
-                    self.wake.remove(&(wt, node));
-                    if let Some(slot) = self.next_poll.get_mut(node.index()) {
-                        *slot = None;
-                    }
-                    self.poll_router(net, node, laps);
+                if let Some((_, node)) = self.wake.pop_first() {
+                    fleet.next_poll[node.index()] = None;
+                    self.poll_router(net, fleet, node, laps);
                 }
-            } else if let Some(&(wt, idx)) = self.ext_wake.iter().next() {
-                self.ext_wake.remove(&(wt, idx));
-                if let Some(slot) = self.ext_next.get_mut(idx) {
-                    *slot = None;
-                }
-                self.poll_external(net, idx);
+            } else if let Some((_, idx)) = self.ext_wake.pop_first() {
+                fleet.ext_next[idx] = None;
+                self.poll_external(net, fleet, idx);
             }
-            *spent(&mut self.loop_wall) += laps.lap();
-            self.events_processed += 1;
-            self.wake_depth
+            *spent(&mut fleet.loop_wall) += laps.lap();
+            fleet.events_processed += 1;
+            fleet
+                .wake_depth
                 .record((self.wake.len() + self.ext_wake.len()) as u64);
-        }
-    }
-
-    /// Folds buffered raw change records into the bounded local `churn`
-    /// tracker, inside the shard's own window — no coordinator-side merge
-    /// per barrier. A no-op until the coordinator announces the
-    /// steady-state gate (`churn_from`); records stamped before the gate
-    /// never count toward oscillation. `churn_buf` is drained in processed
-    /// order, which within one shard is the deterministic event order, so
-    /// the fold is a pure function of shard content.
-    pub fn fold_churn(&mut self) {
-        let Some(from) = self.churn_from else {
-            return;
-        };
-        for (at, node, prefixes) in self.churn_buf.drain(..) {
-            if at < from {
-                continue;
-            }
-            for p in prefixes {
-                if !self.churn.contains_key(&p) && self.churn.len() >= CHURN_PREFIX_CAP {
-                    continue;
-                }
-                let q = self.churn.entry(p).or_default();
-                q.push_back((at, node.index() as u32));
-                if q.len() > CHURN_HISTORY {
-                    q.pop_front();
-                }
-            }
         }
     }
 
@@ -1044,18 +959,55 @@ impl Shard {
         self.now = self.now.max(t);
     }
 
-    /// Evicts a node (machine failure): drops the router, its ready mark,
-    /// and any pending wake.
-    pub fn evict_node(&mut self, node: NodeRef, now: SimTime) {
-        if let Some(slot) = self.routers.get_mut(node.index()) {
+    /// Evicts a node (machine failure): drops the router and any pending
+    /// wake.
+    pub fn evict_node(&mut self, fleet: &mut Fleet, node: NodeRef, now: SimTime) {
+        if let Some(slot) = fleet.routers.get_mut(node.index()) {
             *slot = None;
         }
-        if let Some(slot) = self.ready_at.get_mut(node.index()) {
-            if slot.take().is_some() {
-                self.ready_count = self.ready_count.saturating_sub(1);
-            }
+        if let Some(t) = fleet.next_poll.get_mut(node.index()).and_then(|s| s.take()) {
+            self.wake.remove(&(t, node));
         }
-        self.clear_poll(node);
-        self.last_activity = self.last_activity.max(now);
+        fleet.last_activity = fleet.last_activity.max(now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The churn fold keeps, per prefix, the latest `CHURN_HISTORY` change
+    /// instants in order and, of the prefixes, the lowest
+    /// `CHURN_PREFIX_CAP` — whatever order the shards' windows hand it the
+    /// records in, and never a record from before the steady instant.
+    #[test]
+    fn churn_fold_is_order_independent() {
+        let cap = CHURN_PREFIX_CAP as u32;
+        let prefix = |i: u32| Prefix::from_bits(0x0a00_0000 + (i << 8), 24);
+        let mut records: Vec<(SimTime, BTreeSet<Prefix>)> = (0..cap + 40)
+            .map(|i| {
+                let at = SimTime(u64::from(i * 7 % 13) * 100 + 105);
+                (at, BTreeSet::from([prefix(i % (cap + 20)), prefix(7)]))
+            })
+            .collect();
+        // Below every other prefix, and before the steady instant.
+        let early = Prefix::from_bits(0x0900_0000, 24);
+        records.insert(cap as usize / 2, (SimTime(50), BTreeSet::from([early])));
+        let fold = |order: Vec<&(SimTime, BTreeSet<Prefix>)>| {
+            let mut fleet = Fleet::default();
+            fleet.gate_churn(Some(SimTime(100)));
+            for (at, prefixes) in order {
+                fleet.note_churn(*at, prefixes.clone());
+            }
+            fleet.churn
+        };
+        let forward = fold(records.iter().collect());
+        assert_eq!(forward, fold(records.iter().rev().collect()));
+        assert_eq!(forward.len(), CHURN_PREFIX_CAP);
+        assert_eq!(forward.keys().next_back(), Some(&prefix(cap - 1)));
+        let seven: Vec<SimTime> = forward[&prefix(7)].iter().copied().collect();
+        assert_eq!(seven.len(), CHURN_HISTORY);
+        assert!(seven.windows(2).all(|w| w[0] <= w[1]), "{seven:?}");
+        assert!(!forward.contains_key(&early));
     }
 }

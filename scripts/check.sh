@@ -307,6 +307,27 @@ cargo test -q --test work_ceiling an_lsp_is_encoded_and_checksummed_once | grep 
   exit 1
 }
 
+echo "==> one table per entity: a shard holds its schedule; every router, stream, journal and counter is one fleet-wide table"
+shard_struct="$(sed '/#\[cfg(test)\]/,$d' crates/emulator/src/shard.rs | sed -n '/^pub(crate) struct Shard {/,/^}/p')"
+[ -n "$shard_struct" ] || {
+  echo "one-table check FAILED: no struct Shard in crates/emulator/src/shard.rs (update this step if it moved)" >&2
+  exit 1
+}
+if grep -nE 'VirtualRouter|ExternalPeer|ChaCha8Rng|Journal|EventTally|LoopWall|churn' <<<"$shard_struct"; then
+  echo "one-table check FAILED: struct Shard holds per-entity or per-run state (it belongs in the Fleet)" >&2
+  exit 1
+fi
+for f in crates/emulator/src/*.rs crates/emulator/src/engine/*.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'merge_churn|merged_journal|fn absorb'; then
+    echo "one-table check FAILED: $f merges per-shard copies (there is one churn tracker, one journal, one tally)" >&2
+    exit 1
+  fi
+done
+cargo test -q --test work_ceiling a_shard_costs_no_per_node_state | grep -q '1 passed' || {
+  echo "one-table check FAILED: the per-shard memory test did not run and pass" >&2
+  exit 1
+}
+
 echo "==> the ledger: every exact count and answer pin of BENCH_pipeline.json unmoved against the one it replaced"
 # The tracked ledger against the one it replaced (the newest committed
 # version that differs from it): every exact count and every answer pin must

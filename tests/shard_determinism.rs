@@ -3,7 +3,8 @@
 //! *behaviour* knobs. One emulation runs on one thread; the same
 //! `(topology, seed, chaos plan)` must converge to the same dataplane
 //! wherever the partition cuts (events carry content-derived keys and
-//! per-entity RNG streams, so the window structure is invisible), and a
+//! per-entity RNG streams, so the window structure does not reach the
+//! dataplane), and a
 //! sweep or a multi-seed run must return the same bytes whether its
 //! emulations run one at a time or side by side.
 
@@ -122,35 +123,72 @@ fn seed_runs_are_identical_at_any_fan_out_width() {
     }
 }
 
-/// The window counters are a function of topology, seed, plan and layout:
-/// two same-seed runs export them, and every other byte of the dump,
-/// identically, and a one-shard run never has two shards due.
+/// The window counter is a function of topology, seed, plan and layout:
+/// two same-seed runs export it, and every other byte of the dump,
+/// identically. One shard is never held back by another, so it runs the
+/// fewest windows; the per-shard-pair counters of the threaded engine are
+/// gone from the dump.
 #[test]
 fn window_counters_repeat_and_vanish_on_one_shard() {
-    const KEYS: [&str; 4] = [
-        "engine.windows",
-        "engine.windows.multi_shard",
-        "engine.events.multi_shard",
-        "engine.events.processed",
-    ];
     let run = |shards: ShardMode| {
         let mut emu = Emulation::new(wan_topology(), Cluster::single_node(), cfg(shards))
             .expect("topology builds");
         assert!(emu.run_until_converged().converged);
         let obs = emu.export_obs();
-        (obs.to_json(false), KEYS.map(|k| obs.metrics.counter(k)))
+        (obs.to_json(false), obs.metrics.counter("engine.windows"))
     };
-    let (json, [windows, multi, multi_events, events]) = run(ShardMode::Fixed(4));
-    assert!(0 < multi && multi < windows, "{multi} of {windows}");
-    assert!(multi < multi_events && multi_events < events);
-    for key in KEYS {
-        assert!(json.contains(&format!("\"{key}\"")), "{key} not exported");
-    }
+    let (json, windows) = run(ShardMode::Fixed(4));
+    assert!(json.contains("\"engine.windows\""), "{json}");
+    assert!(!json.contains("multi_shard"), "{json}");
     assert_eq!(run(ShardMode::Fixed(4)).0, json, "same-seed dumps diverged");
 
-    let (_, [windows, multi, multi_events, _]) = run(ShardMode::Fixed(1));
-    assert!(windows > 0);
-    assert_eq!((multi, multi_events), (0, 0));
+    let (_, one) = run(ShardMode::Fixed(1));
+    assert!(
+        0 < one && one < windows,
+        "{one} windows on one shard, {windows} on four"
+    );
+}
+
+/// Known flaw, pinned here and not fixed: a layout moves the work a
+/// fault-free run does. Shard `i`'s window ends at `min over j≠i of due_j +
+/// W`, which ignores `i`'s own sends coming back through another shard; they
+/// can arrive from `due_i + 2W` on, so the shard may already have run past
+/// them and handles them behind its clock, polling a router a second time
+/// at that instant. `six_node` at seed 1 takes 922 work items on one shard
+/// and 925 / 923 / 923 on two / three / four; `isis_grid(3, 3)` takes 2,307
+/// and delivers 1,214 messages on one, 2,376 / 1,215 on two and 2,361 /
+/// 1,192 on three and four. The fix is one line in `plan`, a window end of
+/// `min(min over j≠i of due_j + W, due_i + 2W)`; it moves the traced
+/// `wan1000_converge` pin (776,235 → 776,233 work items), so it waits for
+/// the benchmark to pin work counts apart from answers.
+#[test]
+#[ignore = "ROADMAP item 4: a window end ignores the shard's own round trips"]
+fn a_layout_moves_no_work_item() {
+    for (network, snapshot) in [
+        ("six_node", scenarios::six_node()),
+        ("isis_grid(3, 3)", scenarios::isis_grid(3, 3)),
+    ] {
+        let work = |shards: usize| {
+            let cfg = EmulationConfig {
+                seed: 1,
+                shards: ShardMode::Fixed(shards),
+                ..Default::default()
+            };
+            let mut emu = Emulation::new(snapshot.topology.clone(), Cluster::single_node(), cfg)
+                .expect("topology builds");
+            let report = emu.run_until_converged();
+            assert!(report.converged, "{network} on {shards} shards: {report:?}");
+            (report.events_processed, report.messages_delivered)
+        };
+        let one = work(1);
+        for shards in 2..=4 {
+            assert_eq!(
+                work(shards),
+                one,
+                "{network}: (work items, messages) on {shards} shards against one"
+            );
+        }
+    }
 }
 
 /// The oscillation watchdog's evidence is accumulated *per shard* during
