@@ -8,6 +8,7 @@
 //! cargo run --release -p mfv-bench --bin experiments -- heap 20 50 # where the 1,000-router heap is
 //! cargo run --release -p mfv-bench --bin experiments -- converge 20 50 # and where its convergence time goes
 //! cargo run --release -p mfv-bench --bin experiments -- converge --grid 10 6 # the same for an isis_grid
+//! cargo run --release -p mfv-bench --bin experiments -- watch 7 6 # what a chaos watch reads, renders and decodes
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,17 +18,19 @@ use std::collections::BTreeSet;
 use mfv_bench::*;
 use mfv_core::obs::{Obs, WallTimer};
 use mfv_core::{
-    extract_snapshot, scenarios, unreachable_pairs_with, EmulationBackend, ForwardingAnalysis,
-    Snapshot,
+    extract_snapshot, run_watch, scenarios, unreachable_pairs_with, EmulationBackend,
+    ForwardingAnalysis, Snapshot, WatchRunConfig,
 };
-use mfv_types::NodeId;
+use mfv_emulator::ChaosPlan;
+use mfv_mgmt::{StreamFaultModel, WatchConfig};
+use mfv_types::{NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
 
 /// An experiment id and its runner; the flag is `--quick`.
 type Experiment = (&'static str, fn(bool));
 
 /// Every experiment, in run order.
-const EXPERIMENTS: [Experiment; 12] = [
+const EXPERIMENTS: [Experiment; 13] = [
     ("e1", |_| e1()),
     ("e2", |_| e2()),
     ("e3", |_| e3()),
@@ -40,6 +43,7 @@ const EXPERIMENTS: [Experiment; 12] = [
     ("a3", |_| a3()),
     ("heap", |_| heap()),
     ("converge", |_| converge()),
+    ("watch", |_| watch()),
 ];
 
 fn main() {
@@ -730,4 +734,81 @@ fn converge() {
          and {pairs} pairs are {:.2} % of the run",
         100.0 * pair_ns * (laps as f64 / 2.0 + pairs as f64) / 1e3 / run_us.max(1) as f64
     );
+}
+
+/// `watch [cols rows]`: `run_watch` on an `isis_grid` (7 × 6 without any)
+/// under the benchmark's faults — a link flap, a routing-process kill and a
+/// machine failure, over a stream that drops 10 % of batches and loses 2 %
+/// of sessions — with the device reads, renders and mirror decodes it made,
+/// and its loop's wall phases against the run.
+fn watch() {
+    banner("WATCH", "what a watch run reads, renders and decodes");
+    let sizes: Vec<usize> = std::env::args().filter_map(|a| a.parse().ok()).collect();
+    let cols = sizes.first().copied().unwrap_or(7);
+    let rows = sizes.get(1).copied().unwrap_or(6);
+    let snapshot = scenarios::isis_grid(cols, rows);
+    let nodes = &snapshot.topology.nodes;
+    let cfg = WatchRunConfig {
+        backend: EmulationBackend {
+            cluster_machines: 2,
+            ..Default::default()
+        },
+        watch: WatchConfig {
+            faults: StreamFaultModel {
+                drop_pct: 10,
+                session_loss_pct: 2,
+            },
+            ..Default::default()
+        },
+        chaos: ChaosPlan::new()
+            .link_flap(
+                snapshot.topology.links[0].id(),
+                SimTime(5_000),
+                SimDuration::from_secs(8),
+            )
+            .kill_routing(nodes[nodes.len() / 2].name.clone(), SimTime(20_000))
+            .fail_machine("node-1", SimTime(35_000)),
+        ..Default::default()
+    };
+    let mut obs = Obs::new();
+    let timer = WallTimer::start();
+    let report = run_watch(&snapshot, &cfg, &mut obs).expect("watch runs");
+    let run_us = timer.elapsed_micros();
+    println!(
+        "isis_grid({cols}, {rows}), {} watched: {} evaluations, run {:.3} s\n",
+        cfg.duration,
+        report.evaluations,
+        run_us as f64 / 1e6
+    );
+
+    println!("counter                     count");
+    for counter in [
+        "watch.syncs.initial",
+        "watch.resyncs",
+        "watch.batches.emitted",
+        "watch.batches.heartbeats",
+        "watch.device_reads",
+        "watch.device_renders",
+        "watch.mirror_decodes",
+    ] {
+        println!("{counter:<24} {:>8}", obs.metrics.counter(counter));
+    }
+
+    println!("\nphase                    ms  % of run");
+    let row = |phase: &str, micros: u64| {
+        let share = 100.0 * micros as f64 / run_us.max(1) as f64;
+        println!("{phase:<18} {:>8.1} {share:>9.1}", micros as f64 / 1e3);
+    };
+    let phases = [
+        "watch.run_until",
+        "watch.tick",
+        "watch.dataplane",
+        "watch.evaluate",
+    ];
+    let us = |phase: &str| obs.wall.phase_micros(phase).unwrap_or(0);
+    for phase in phases {
+        row(phase, us(phase));
+    }
+    let watched: u64 = phases.iter().map(|phase| us(phase)).sum();
+    row("boot and rest", run_us.saturating_sub(watched));
 }

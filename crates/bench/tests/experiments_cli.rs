@@ -22,7 +22,7 @@ fn unknown_id_is_rejected_before_anything_runs() {
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("unknown experiment id `e9`"), "{stderr}");
     assert!(
-        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3 heap converge"),
+        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3 heap converge watch"),
         "valid ids missing: {stderr}"
     );
 }
@@ -259,4 +259,26 @@ fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("unknown experiment id `grid`"), "{stderr}");
+}
+
+#[test]
+fn watch_renders_per_sync_and_change_and_decodes_per_mirror_change() {
+    assert_headlines(
+        &["watch", "4", "3"],
+        &[
+            "isis_grid(4, 3), 1.0min watched: 24 evaluations",
+            // 12 initial syncs and 15 resyncs; 745 reads of which 30 found
+            // a change to stream: 57 renders. The client applied 25 of
+            // those batches: 52 decodes.
+            "watch.syncs.initial            12",
+            "watch.resyncs                  15",
+            "watch.batches.emitted          30",
+            "watch.device_reads            745",
+            "watch.device_renders           57",
+            "watch.mirror_decodes           52",
+            "\nwatch.tick ",
+            "\nwatch.evaluate ",
+            "\nboot and rest ",
+        ],
+    );
 }

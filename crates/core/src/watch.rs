@@ -22,6 +22,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use mfv_dataplane::Dataplane;
 use mfv_emulator::ChaosPlan;
 use mfv_mgmt::{WatchStats, Watcher};
 use mfv_types::{NodeId, SimDuration, SimTime};
@@ -150,8 +151,11 @@ pub fn run_watch(
     while now < end {
         let next = now + tick;
         now = if next < end { next } else { end };
-        emu.run_until(now);
-        let report = watcher.tick(now, nodes.iter().map(|n| (n.clone(), emu.router(n))));
+        let wall = &mut obs.wall;
+        wall.time_phase("watch.run_until", || emu.run_until(now));
+        let report = wall.time_phase("watch.tick", || {
+            watcher.tick(now, nodes.iter().map(|n| (n.clone(), emu.router(n))))
+        });
 
         let status = watcher.status(now);
         coverage = Coverage::from_status(&status);
@@ -162,8 +166,14 @@ pub fn run_watch(
         }
         last_class = Some(class);
 
-        let dp = watcher.dataplane(now, &emu.dataplane());
-        let updates = standing.evaluate(now, &dp, &coverage);
+        // The mirrors carry every node's state; the emulation, only which
+        // links are up.
+        let dp = wall.time_phase("watch.dataplane", || {
+            let mut links = Dataplane::new();
+            emu.up_links().for_each(|l| links.add_link(l.clone()));
+            watcher.dataplane(now, &links)
+        });
+        let updates = wall.time_phase("watch.evaluate", || standing.evaluate(now, &dp, &coverage));
         if let Some(first) = report.changed.values().min() {
             let lat = now.since(*first).as_millis();
             verdict_latencies_ms.push(lat);

@@ -9,6 +9,9 @@
 
 use serde_json::{json, Value};
 
+use mfv_routing::bgp::NeighborSummary;
+use mfv_routing::isis::AdjacencyInfo;
+use mfv_types::{IfaceAddr, IfaceId};
 use mfv_vrouter::VirtualRouter;
 
 use crate::aft::Aft;
@@ -67,68 +70,91 @@ fn normalize(path: &str) -> Vec<String> {
         .collect()
 }
 
+/// Every leaf of a device's state tree, typed: what a Subscribe device side
+/// compares between reads, and all [`Telemetry::from_state`] renders.
+#[derive(PartialEq, Debug)]
+pub(crate) struct DeviceState {
+    /// `/system/state`: hostname, software version, `up`.
+    system: (String, String, bool),
+    /// `/interfaces/interface`: name, enabled, address, and L3-ness as the
+    /// device resolves it (routed port or loopback) — lets a Subscribe
+    /// consumer rebuild the node's address set from telemetry alone.
+    interfaces: Vec<(IfaceId, bool, Option<IfaceAddr>, bool)>,
+    aft: Aft,
+    bgp_neighbors: Vec<NeighborSummary>,
+    isis_adjacencies: Vec<AdjacencyInfo>,
+}
+
+impl DeviceState {
+    /// Reads the device: no tree, nothing serialised.
+    pub(crate) fn read(router: &VirtualRouter) -> DeviceState {
+        let (config, bgp, isis) = (router.config(), router.bgp_engine(), router.isis_engine());
+        let interfaces = config.interfaces.iter().map(|i| {
+            let l3 = i.routed || i.name.is_loopback();
+            (i.name.clone(), !i.shutdown, i.addr, l3)
+        });
+        DeviceState {
+            system: (
+                config.hostname.clone(),
+                router.profile().sw_version.clone(),
+                router.is_running(),
+            ),
+            interfaces: interfaces.collect(),
+            aft: Aft::from_fib(router.fib()),
+            bgp_neighbors: bgp.map(|b| b.summaries()).unwrap_or_default(),
+            isis_adjacencies: isis.map(|i| i.adjacencies()).unwrap_or_default(),
+        }
+    }
+}
+
 impl Telemetry {
-    /// Captures the state tree of a router. Fails (rather than panicking)
-    /// if the AFT does not serialise — a malformed dump from one device
-    /// must degrade that device's coverage, not abort the whole collection.
+    /// Captures the state tree of a router: one typed read, rendered.
     pub fn from_router(router: &VirtualRouter) -> Result<Telemetry, ExtractError> {
-        let aft = Aft::from_fib(router.fib());
-        let aft_value = serde_json::to_value(&aft).map_err(|e| {
-            ExtractError(format!(
-                "aft for {} does not serialise: {e}",
-                router.config().hostname
-            ))
-        })?;
+        Telemetry::from_state(&DeviceState::read(router))
+    }
 
-        let bgp_neighbors: Vec<Value> = router
-            .bgp_engine()
-            .map(|b| {
-                b.summaries()
-                    .into_iter()
-                    .map(|s| {
-                        json!({
-                            "neighbor-address": s.peer.to_string(),
-                            "peer-as": s.remote_as.0,
-                            "session-state": format!("{:?}", s.state).to_uppercase(),
-                            "prefixes-received": s.prefixes_received,
-                            "prefixes-sent": s.prefixes_sent,
-                        })
-                    })
-                    .collect()
+    /// Renders a device's state tree — the one renderer. Fails (rather
+    /// than panicking) if the AFT does not serialise — a malformed dump
+    /// from one device must degrade that device's coverage, not abort the
+    /// whole collection.
+    pub(crate) fn from_state(state: &DeviceState) -> Result<Telemetry, ExtractError> {
+        let (hostname, software_version, up) = &state.system;
+        let aft_value = serde_json::to_value(&state.aft)
+            .map_err(|e| ExtractError(format!("aft for {hostname} does not serialise: {e}")))?;
+        let bgp_neighbors: Vec<Value> = state
+            .bgp_neighbors
+            .iter()
+            .map(|s| {
+                json!({
+                    "neighbor-address": s.peer.to_string(),
+                    "peer-as": s.remote_as.0,
+                    "session-state": format!("{:?}", s.state).to_uppercase(),
+                    "prefixes-received": s.prefixes_received,
+                    "prefixes-sent": s.prefixes_sent,
+                })
             })
-            .unwrap_or_default();
-
-        let isis_adjacencies: Vec<Value> = router
-            .isis_engine()
-            .map(|i| {
-                i.adjacencies()
-                    .into_iter()
-                    .map(|a| {
-                        json!({
-                            "interface": a.iface.to_string(),
-                            "adjacency-state": format!("{:?}", a.state).to_uppercase(),
-                            "system-id": a.neighbor.map(|n| n.to_string()),
-                            "neighbor-ipv4-address":
-                                a.neighbor_addr.map(|n| n.to_string()),
-                        })
-                    })
-                    .collect()
+            .collect();
+        let isis_adjacencies: Vec<Value> = state
+            .isis_adjacencies
+            .iter()
+            .map(|a| {
+                json!({
+                    "interface": a.iface.to_string(),
+                    "adjacency-state": format!("{:?}", a.state).to_uppercase(),
+                    "system-id": a.neighbor.map(|n| n.to_string()),
+                    "neighbor-ipv4-address": a.neighbor_addr.map(|n| n.to_string()),
+                })
             })
-            .unwrap_or_default();
-
-        let interfaces: Vec<Value> = router
-            .config()
+            .collect();
+        let interfaces: Vec<Value> = state
             .interfaces
             .iter()
-            .map(|i| {
+            .map(|(name, enabled, addr, routed)| {
                 json!({
-                    "name": i.name.to_string(),
-                    "enabled": !i.shutdown,
-                    "ipv4-address": i.addr.map(|a| a.to_string()),
-                    // L3-ness as the device resolves it (routed port or
-                    // loopback) — lets a Subscribe consumer rebuild the
-                    // node's address set from telemetry alone.
-                    "routed": i.routed || i.name.is_loopback(),
+                    "name": name.to_string(),
+                    "enabled": enabled,
+                    "ipv4-address": addr.map(|a| a.to_string()),
+                    "routed": routed,
                 })
             })
             .collect();
@@ -136,9 +162,9 @@ impl Telemetry {
         let root = json!({
             "system": {
                 "state": {
-                    "hostname": router.config().hostname,
-                    "software-version": router.profile().sw_version,
-                    "up": router.is_running(),
+                    "hostname": hostname,
+                    "software-version": software_version,
+                    "up": up,
                 }
             },
             "interfaces": { "interface": interfaces },
@@ -168,6 +194,16 @@ impl Telemetry {
     pub fn aft(&self) -> Option<Aft> {
         let v = self.get("/network-instances/network-instance[name=default]/afts")?;
         serde::Deserialize::from_value(v).ok()
+    }
+
+    /// The leaves a dataplane node is built from, decoded; `None` without
+    /// a decodable AFT.
+    pub(crate) fn forwarding_state(&self) -> Option<ForwardingState> {
+        Some(ForwardingState {
+            aft: self.aft()?,
+            addresses: self.addresses(),
+            up: self.is_up(),
+        })
     }
 
     /// The whole tree, for debugging / archiving snapshots.

@@ -3,10 +3,11 @@
 //! One-shot extraction ([`crate::collect`]) answers "what is the network
 //! doing *now*"; continuous verification needs "tell me whenever it
 //! changes". This module models a per-node Subscribe session: the device
-//! side diffs its state tree against what it already streamed
-//! ([`crate::gnmi::diff`]) and emits sequence-numbered, sim-time-stamped
-//! update batches; the client side maintains a mirror by applying them
-//! ([`crate::gnmi::apply`]).
+//! side compares its typed state (`DeviceState`) with what it already
+//! streamed and, only when it changed, diffs the two rendered trees
+//! ([`crate::gnmi::diff`]) into sequence-numbered, sim-time-stamped update
+//! batches; the client side maintains a mirror by applying them
+//! ([`crate::gnmi::apply`]) and decodes its forwarding state once per change.
 //!
 //! The stream is allowed to fail, and every failure mode is detected
 //! rather than silently corrupting the mirror:
@@ -41,7 +42,7 @@ use mfv_types::{ExtractionStatus, NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
 
 use crate::collect::{node_key, CollectorConfig};
-use crate::gnmi::{apply, diff, Telemetry, Update};
+use crate::gnmi::{apply, diff, DeviceState, ForwardingState, Telemetry, Update};
 
 /// Simulated failure model for the Subscribe delivery path.
 ///
@@ -217,12 +218,24 @@ enum StreamState {
     },
 }
 
+/// Exact work counts of the two sides, apart from what the streams carried.
+#[derive(Clone, Copy, Debug, Default)]
+struct Work {
+    /// Typed device-state reads.
+    device_reads: u64,
+    /// States rendered to trees: a resync's snapshot, and a changed read
+    /// (diffed against its predecessor, rendered again as the base).
+    device_renders: u64,
+    /// Mirrors decoded to forwarding state: one per resync and applied delta.
+    mirror_decodes: u64,
+}
+
 #[derive(Debug)]
 struct NodeStream {
-    /// Device side: what the device believes it has already streamed.
+    /// Device side: the state the device believes it has already streamed.
     /// Advances on every emit — even if delivery later drops the batch,
     /// the device does not know; only a resync recovers the content.
-    device_last: Option<Telemetry>,
+    device_last: Option<DeviceState>,
     /// Device side: next sequence number. Global per node, never resets.
     next_seq: u64,
     /// Device side: last emit (content or heartbeat), for the heartbeat
@@ -233,6 +246,8 @@ struct NodeStream {
     inflight: VecDeque<Batch>,
     /// Client side: the reconstructed state tree.
     mirror: Option<Telemetry>,
+    /// Client side: the mirror's forwarding leaves, decoded once per change.
+    forwarding: Option<ForwardingState>,
     /// Client side: next expected sequence number.
     mirror_seq: u64,
     /// Client side: last delivery of any kind (silence detection).
@@ -254,6 +269,7 @@ impl NodeStream {
             subscribed: false,
             inflight: VecDeque::new(),
             mirror: None,
+            forwarding: None,
             mirror_seq: 0,
             last_heard: SimTime::ZERO,
             last_applied: SimTime::ZERO,
@@ -279,6 +295,7 @@ pub struct Watcher {
     cfg: WatchConfig,
     streams: BTreeMap<NodeId, NodeStream>,
     stats: WatchStats,
+    work: Work,
     journal: mfv_obs::Journal,
 }
 
@@ -289,6 +306,7 @@ impl Watcher {
             cfg,
             streams,
             stats: WatchStats::default(),
+            work: Work::default(),
             journal: mfv_obs::Journal::new(),
         }
     }
@@ -469,7 +487,8 @@ impl Watcher {
             let Some(m) = &s.mirror else {
                 continue;
             };
-            s.mirror = Some(apply(m, &b.updates));
+            let mirror = apply(m, &b.updates);
+            self.set_mirror(s, mirror);
             s.last_applied = now;
             report
                 .changed
@@ -523,17 +542,19 @@ impl Watcher {
         }
         let attempts = attempts + 1;
         self.stats.resync_attempts += 1;
-        let snapshot = match router {
-            Some(r) => match Telemetry::from_router(r) {
-                Ok(t) => Some(t),
+        let snapshot = router.and_then(|r| {
+            self.work.device_reads += 1;
+            self.work.device_renders += 1;
+            let state = DeviceState::read(r);
+            match Telemetry::from_state(&state) {
+                Ok(t) => Some((state, t)),
                 Err(_) => {
                     self.stats.read_errors += 1;
                     None
                 }
-            },
-            None => None,
-        };
-        let Some(snapshot) = snapshot else {
+            }
+        });
+        let Some((state, snapshot)) = snapshot else {
             s.state = StreamState::Resyncing {
                 since,
                 attempts,
@@ -543,12 +564,12 @@ impl Watcher {
             return;
         };
         // Full-snapshot resync: the mirror jumps to the device's current
-        // head; the device restarts its diff base from the same snapshot
-        // so the next delta applies cleanly. Sequence numbers continue —
-        // anything still in flight from before the outage is now behind
-        // `mirror_seq` and will be discarded as duplicate.
-        s.mirror = Some(snapshot.clone());
-        s.device_last = Some(snapshot);
+        // head; the device restarts its diff base from the state it
+        // rendered, so the next delta applies cleanly. Sequence numbers
+        // continue — anything still in flight from before the outage is now
+        // behind `mirror_seq` and will be discarded as duplicate.
+        self.set_mirror(s, snapshot);
+        s.device_last = Some(state);
         s.mirror_seq = s.next_seq;
         s.subscribed = true;
         s.last_heard = now;
@@ -592,32 +613,36 @@ impl Watcher {
             // the client's silence timeout will notice.
             return;
         };
-        let current = match Telemetry::from_router(router) {
-            Ok(t) => t,
-            Err(_) => {
-                self.stats.read_errors += 1;
-                return;
-            }
-        };
+        self.work.device_reads += 1;
+        let current = DeviceState::read(router);
         let Some(last) = &s.device_last else {
             return;
         };
-        let updates = diff(last, &current);
-        if updates.is_empty() {
-            if now.since(s.last_emit) >= self.cfg.heartbeat_every {
-                s.inflight.push_back(Batch {
-                    seq: s.next_seq,
-                    stamped: now,
-                    deliver_at: now + self.cfg.delivery_delay,
-                    updates: Vec::new(),
-                });
-                s.next_seq += 1;
-                s.last_emit = now;
-                self.stats.heartbeats_emitted += 1;
-            }
+        // An unchanged state renders to the tree already streamed, which it
+        // rendered to once without error: nothing to render or diff.
+        if *last == current {
+            return self.emit(now, s, Vec::new());
+        }
+        self.work.device_renders += 1;
+        let (Ok(old), Ok(new)) = (Telemetry::from_state(last), Telemetry::from_state(&current))
+        else {
+            self.stats.read_errors += 1;
+            return;
+        };
+        s.device_last = Some(current);
+        self.emit(now, s, diff(&old, &new));
+    }
+
+    /// Queues `updates` as the next batch — or, if there are none, a
+    /// heartbeat once the cadence is due.
+    fn emit(&mut self, now: SimTime, s: &mut NodeStream, updates: Vec<Update>) {
+        if !updates.is_empty() {
+            self.stats.batches_emitted += 1;
+        } else if now.since(s.last_emit) >= self.cfg.heartbeat_every {
+            self.stats.heartbeats_emitted += 1;
+        } else {
             return;
         }
-        s.device_last = Some(current);
         s.inflight.push_back(Batch {
             seq: s.next_seq,
             stamped: now,
@@ -626,7 +651,13 @@ impl Watcher {
         });
         s.next_seq += 1;
         s.last_emit = now;
-        self.stats.batches_emitted += 1;
+    }
+
+    /// The client's mirror moves to `mirror`, decoded once here.
+    fn set_mirror(&mut self, s: &mut NodeStream, mirror: Telemetry) {
+        self.work.mirror_decodes += 1;
+        s.forwarding = mirror.forwarding_state();
+        s.mirror = Some(mirror);
     }
 
     /// Per-node extraction status as of `now` — feeds
@@ -656,9 +687,10 @@ impl Watcher {
 
     /// Rebuilds a [`Dataplane`] from the current mirrors — the continuous
     /// counterpart of [`crate::dataplane_from_afts`]. Node state (FIB,
-    /// addresses, up) comes entirely from mirrored telemetry; `reference`
-    /// supplies link context only. Nodes whose status is `Missing` as of
-    /// `now` are excluded, so the dataplane and the coverage report agree.
+    /// addresses, up) comes entirely from mirrored telemetry, as decoded
+    /// when each mirror last changed; `reference` supplies link context
+    /// only. Nodes whose status is `Missing` as of `now` are excluded, so
+    /// the dataplane and the coverage report agree.
     pub fn dataplane(&self, now: SimTime, reference: &Dataplane) -> Dataplane {
         let status = self.status(now);
         let mut dp = Dataplane::new();
@@ -667,13 +699,10 @@ impl Watcher {
             if !covered {
                 continue;
             }
-            let Some(t) = &s.mirror else {
+            let Some(f) = &s.forwarding else {
                 continue;
             };
-            let Some(aft) = t.aft() else {
-                continue;
-            };
-            crate::ingest_aft(&mut dp, node.clone(), &aft, t.addresses(), t.is_up());
+            crate::ingest_aft(&mut dp, node.clone(), &f.aft, f.addresses.clone(), f.up);
         }
         crate::add_covered_links(&mut dp, &reference.links);
         dp
@@ -696,6 +725,9 @@ impl Watcher {
         m.inc("watch.resyncs", self.stats.resyncs);
         m.inc("watch.resync_attempts", self.stats.resync_attempts);
         m.inc("watch.read_errors", self.stats.read_errors);
+        m.inc("watch.device_reads", self.work.device_reads);
+        m.inc("watch.device_renders", self.work.device_renders);
+        m.inc("watch.mirror_decodes", self.work.mirror_decodes);
         obs.journal.merge(self.journal.clone());
     }
 }
@@ -918,5 +950,113 @@ mod tests {
         assert_eq!(a, b);
         // The fault model actually bit: something was dropped or reset.
         assert!(a.0.batches_dropped + a.0.session_losses > 0, "{:?}", a.0);
+    }
+
+    /// The device side this module had before it read typed state, kept as
+    /// the reference: every tick reads and renders the whole state tree,
+    /// diffs it against the tree last streamed (`trees`, per node) and emits
+    /// whatever differs. The client side is the watcher's own.
+    impl Watcher {
+        fn tick_full_reads(
+            &mut self,
+            now: SimTime,
+            nodes: &[(NodeId, Option<&VirtualRouter>)],
+            trees: &mut BTreeMap<NodeId, Telemetry>,
+        ) -> TickReport {
+            let mut report = TickReport::default();
+            for (node, router) in nodes {
+                let mut s = self.streams.remove(node).unwrap_or_else(NodeStream::new);
+                self.deliver_due(now, node, &mut s, &mut report);
+                self.check_silence(now, node, &mut s, &mut report);
+                let synced = self.stats.initial_syncs + self.stats.resyncs;
+                self.try_resync(now, node, *router, &mut s, &mut report);
+                if self.stats.initial_syncs + self.stats.resyncs > synced {
+                    // The device restarts its base from the snapshot the
+                    // mirror jumped to.
+                    let snapshot = s.mirror.clone().expect("a resync sets the mirror");
+                    trees.insert(node.clone(), snapshot);
+                }
+                self.emit_full_read(now, *router, &mut s, trees.get_mut(node));
+                self.streams.insert(node.clone(), s);
+            }
+            report
+        }
+
+        fn emit_full_read(
+            &mut self,
+            now: SimTime,
+            router: Option<&VirtualRouter>,
+            s: &mut NodeStream,
+            last: Option<&mut Telemetry>,
+        ) {
+            if !s.subscribed {
+                return;
+            }
+            let Some(router) = router else {
+                return;
+            };
+            let current = match Telemetry::from_router(router) {
+                Ok(t) => t,
+                Err(_) => {
+                    self.stats.read_errors += 1;
+                    return;
+                }
+            };
+            let Some(last) = last else {
+                return;
+            };
+            let updates = diff(last, &current);
+            if !updates.is_empty() {
+                *last = current;
+            }
+            self.emit(now, s, updates);
+        }
+    }
+
+    #[test]
+    fn typed_reads_stream_what_full_reads_would() {
+        for seed in [1, 7, 42, 1234, 90_001] {
+            let mut r1 = router("r1");
+            let r2 = router("r2");
+            let (n1, n2) = (NodeId::from("r1"), NodeId::from("r2"));
+            let cfg = WatchConfig {
+                seed,
+                heartbeat_every: SimDuration::from_secs(2),
+                silence_timeout: SimDuration::from_secs(6),
+                faults: StreamFaultModel {
+                    drop_pct: 30,
+                    session_loss_pct: 10,
+                },
+                ..Default::default()
+            };
+            let mut typed = Watcher::new(cfg.clone(), [n1.clone(), n2.clone()]);
+            let mut full = Watcher::new(cfg, [n1.clone(), n2.clone()]);
+            let mut trees = BTreeMap::new();
+            let period = 2 + seed % 5;
+            for t in 1..=120u64 {
+                // r1's link flaps every `period` seconds, and r1 is evicted
+                // for a while; r2 stays quiet.
+                if t % period == 0 {
+                    r1.set_link(&"Ethernet1".into(), (t / period) % 2 == 0);
+                    let _ = r1.poll(sec(t));
+                }
+                let live = !(40..60).contains(&t);
+                let nodes = [(n1.clone(), live.then_some(&r1)), (n2.clone(), Some(&r2))];
+                let at = format!("seed {seed}, t={t}");
+                let a = typed.tick(sec(t), nodes.clone());
+                let b = full.tick_full_reads(sec(t), &nodes, &mut trees);
+                assert_eq!(a, b, "{at}");
+                assert_eq!(typed.stats(), full.stats(), "{at}");
+                for n in [&n1, &n2] {
+                    let bytes_of = |w: &Watcher| w.mirror(n).map(bytes);
+                    assert_eq!(bytes_of(&typed), bytes_of(&full), "{at}");
+                }
+                assert_eq!(typed.status(sec(t)), full.status(sec(t)), "{at}");
+            }
+            let (stats, work) = (typed.stats(), typed.work);
+            assert!(stats.batches_emitted > 0 && stats.resyncs > 0, "{stats:?}");
+            // The reads that found nothing changed rendered nothing.
+            assert!(work.device_renders * 3 < work.device_reads, "{work:?}");
+        }
     }
 }

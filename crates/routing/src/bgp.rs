@@ -691,22 +691,25 @@ impl BgpEngine {
         let arrival_base = self.arrival_counter;
         let mut accepted = 0;
         for (i, prefix) in update.nlri.iter().enumerate() {
-            // NLRI prefixes that policy rejects are implicitly withdrawn,
-            // so they are decision-relevant too.
+            // NLRI prefixes that policy rejects are implicitly withdrawn:
+            // the denied replacement takes the peer's earlier route with it
+            // (RFC 4271), so they are decision-relevant too.
             self.dirty.insert(*prefix);
-            let attrs = match &rm_in {
+            let permitted = match &rm_in {
                 Some(name) => match self.route_maps.get(name) {
                     Some(rm) => match eval_route_map(rm, &self.prefix_lists, prefix, &base) {
-                        PolicyResult::Permit(a) => self.attr_sets.intern(a),
-                        PolicyResult::Deny => {
-                            continue;
-                        }
+                        PolicyResult::Permit(a) => Some(self.attr_sets.intern(a)),
+                        PolicyResult::Deny => None,
                     },
                     // Referencing a missing route-map denies everything
                     // (matching EOS behaviour).
-                    None => continue,
+                    None => None,
                 },
-                None => Arc::clone(&base),
+                None => Some(Arc::clone(&base)),
+            };
+            let Some(attrs) = permitted else {
+                session.forget(prefix);
+                continue;
             };
             let arrival = arrival_base + accepted;
             session.learn(*prefix, RibInEntry { attrs, arrival });
@@ -1868,6 +1871,64 @@ mod tests {
         let _ = pair.b.poll(pair.now, &pair.resolver);
         assert!(pair.b.rib_routes().is_empty());
         assert!(pair.b.selected().is_empty());
+    }
+
+    #[test]
+    fn import_policy_denial_withdraws_the_earlier_route() {
+        // Peer 10.0.0.1 is imported through SHORT (AS paths of at most two
+        // ASes); peer 10.0.1.1 through a route-map that does not exist.
+        let (a, b) = (ip("10.0.0.1"), ip("10.0.1.1"));
+        let mut cfg = BgpConfig::new(AsNum(65000));
+        let mut locals = BTreeMap::new();
+        let mut resolver = TableResolver::default();
+        for (peer, asn, map) in [(a, 65001, "SHORT"), (b, 65002, "MISSING")] {
+            let mut n = BgpNeighborConfig::new(peer, AsNum(asn));
+            n.route_map_in = Some(map.to_string());
+            cfg.neighbors.push(n);
+            locals.insert(peer, ip("10.0.0.0"));
+            resolver.0.insert(peer, 1);
+        }
+        let short = RouteMap {
+            entries: vec![mfv_config::RouteMapEntry {
+                seq: 10,
+                action: mfv_config::PolicyAction::Permit,
+                matches: vec![mfv_config::MatchClause::MaxAsPathLen(2)],
+                sets: vec![],
+            }],
+        };
+        let mut engine = BgpEngine::new(
+            &cfg,
+            RouterId(ip("3.3.3.3")),
+            &locals,
+            BTreeMap::from([("SHORT".to_string(), short)]),
+            BTreeMap::new(),
+            DecisionQuirks::default(),
+        );
+        let now = SimTime(1000);
+        for (peer, asn) in [(a, 65001), (b, 65002)] {
+            let _ = engine.poll(now, &resolver);
+            engine.push_msg(now, peer, BgpMsg::Open(OpenMsg::new(AsNum(asn), 90, peer)));
+            engine.push_msg(now, peer, BgpMsg::Keepalive);
+            assert_eq!(engine.session_state(peer), Some(SessionState::Established));
+        }
+        let p = pfx("198.51.100.0/24");
+        engine.push_msg(now, a, announce(&[65001], a, vec![p]));
+        let _ = engine.poll(now, &resolver);
+        assert_eq!(engine.selected()[&p].learned_from, Some(a));
+
+        // The replacement's path is too long for SHORT: denied, and the
+        // route it replaces goes with it.
+        engine.push_msg(now, a, announce(&[65001, 65009, 65010], a, vec![p]));
+        let _ = engine.poll(now, &resolver);
+        assert!(engine.selected().is_empty());
+        assert_eq!(engine.decide_all(&resolver), *engine.selected());
+
+        // A permitted re-offer comes back; nothing passes a missing map.
+        engine.push_msg(now, a, announce(&[65001], a, vec![p]));
+        engine.push_msg(now, b, announce(&[65002], b, vec![p]));
+        let _ = engine.poll(now, &resolver);
+        assert_eq!(engine.selected()[&p].learned_from, Some(a));
+        assert_eq!(engine.decide_all(&resolver), *engine.selected());
     }
 
     /// An AS 65000 engine at `me` with an iBGP session to each of `peers`

@@ -286,6 +286,30 @@ cargo test -q -p mfv-core --lib typed_get_equals_the_json_get | grep -q '1 passe
   exit 1
 }
 
+echo "==> one render per change: a watch reads typed device state, renders a tree only for a change and decodes a mirror once per change"
+watch_src="$(sed '/#\[cfg(test)\]/,$d' crates/mgmt/src/watch.rs)"
+if grep -nF 'Telemetry::from_router' <<<"$watch_src"; then
+  echo "one-render check FAILED: non-test crates/mgmt/src/watch.rs reads whole state trees (the device side reads DeviceState)" >&2
+  exit 1
+fi
+dataplane_fn="$(sed -n '/^    pub fn dataplane(/,/^    }$/p' <<<"$watch_src")"
+[ -n "$dataplane_fn" ] || {
+  echo "one-render check FAILED: no Watcher::dataplane in crates/mgmt/src/watch.rs (update this step if it moved)" >&2
+  exit 1
+}
+if grep -nF '.aft(' <<<"$dataplane_fn"; then
+  echo "one-render check FAILED: Watcher::dataplane decodes mirrors (each stream keeps the ForwardingState decoded when its mirror changed)" >&2
+  exit 1
+fi
+cargo test -q -p mfv-mgmt --lib typed_reads_stream_what_full_reads_would | grep -q '1 passed' || {
+  echo "one-render check FAILED: the typed-against-full-read stream test did not run and pass" >&2
+  exit 1
+}
+cargo test -q --test work_ceiling a_quiet_watch_renders_only_its_syncs | grep -q '1 passed' || {
+  echo "one-render check FAILED: the watch render / decode ceiling did not run and pass" >&2
+  exit 1
+}
+
 echo "==> one encoding per LSP: IS-IS encodes and checksums an LSP where it originates one, and SPF runs over the graph it keeps"
 # An LSP is encoded through `StoredLsp::encode` or `IsisPdu::Lsp(..).encode()`,
 # checksummed by those or by `fletcher16`; a received one was verified by the

@@ -19,20 +19,22 @@
 //! gateway and batch, one export per group and prefix. And IS-IS encodes
 //! and checksums each LSP once: where it is originated, and where it is
 //! received. And a shard holds a schedule, not a slot per router: the
-//! emulation's bytes barely move with the shard count.
+//! emulation's bytes barely move with the shard count. And a watch renders
+//! a device's state tree per sync and per change, not per read, and decodes
+//! a mirror per change, not per evaluation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use model_free_verification::core::{extract_snapshot, scenarios, EmulationBackend, Snapshot};
 use model_free_verification::emulator::{
-    Cluster, ConvergenceVerdict, Emulation, EmulationConfig, ShardMode,
+    ChaosPlan, Cluster, ConvergenceVerdict, Emulation, EmulationConfig, ShardMode,
 };
-use model_free_verification::mgmt::{Aft, Telemetry};
+use model_free_verification::mgmt::{Aft, Telemetry, WatchConfig, WatchEvent, Watcher};
 use model_free_verification::obs::Obs;
 use model_free_verification::routing::rib::GatewayMemo;
 use model_free_verification::routing::{Fib, NextHop};
-use model_free_verification::types::SimTime;
+use model_free_verification::types::{NodeId, SimDuration, SimTime};
 
 /// The system allocator, counting the calling thread's live bytes and
 /// their high-water mark. Per thread, so tests running beside each other
@@ -357,4 +359,60 @@ fn an_lsp_is_encoded_and_checksummed_once() {
         checksums <= originations + 5_007,
         "{checksums} LSP checksums"
     );
+}
+
+#[test]
+fn a_quiet_watch_renders_only_its_syncs() {
+    // Four routers watched for 30 s, a read per router per tick. Rendering
+    // and diffing every read made 124 trees; comparing typed state renders
+    // one per sync and per change, and the client decodes a mirror once per
+    // sync and per applied delta, not once per evaluation.
+    let snapshot = scenarios::isis_line(4);
+    let nodes = snapshot.topology.nodes.iter().map(|n| n.name.clone());
+    let nodes: Vec<NodeId> = nodes.collect();
+    let watch = |chaos: ChaosPlan| {
+        let backend = EmulationBackend::with_seed(1);
+        let (mut emu, meta) = backend.run(&snapshot).expect("line boots");
+        assert!(meta.converged);
+        let start = emu.now();
+        emu.schedule_chaos(&chaos.shifted(start - SimTime::ZERO));
+        let mut watcher = Watcher::new(WatchConfig::default(), nodes.iter().cloned());
+        let mut deltas = 0;
+        for t in 1..=30 {
+            let now = start + SimDuration::from_secs(t);
+            emu.run_until(now);
+            let report = watcher.tick(now, nodes.iter().map(|n| (n.clone(), emu.router(n))));
+            let applied = report.events.iter();
+            deltas += applied
+                .filter(|e| matches!(e, WatchEvent::Delta { .. }))
+                .count() as u64;
+        }
+        let mut obs = Obs::new();
+        watcher.observe_into(&mut obs);
+        let count = |name| obs.metrics.counter(name);
+        let syncs = count("watch.syncs.initial") + count("watch.resyncs");
+        let emitted = count("watch.batches.emitted");
+        let reads = count("watch.device_reads");
+        let renders = count("watch.device_renders");
+        (
+            syncs,
+            emitted,
+            deltas,
+            reads,
+            renders,
+            count("watch.mirror_decodes"),
+        )
+    };
+
+    let (syncs, emitted, deltas, reads, renders, decodes) = watch(ChaosPlan::new());
+    assert_eq!((syncs, emitted, deltas), (4, 0, 0));
+    assert_eq!(reads, syncs + 30 * 4);
+    assert_eq!((renders, decodes), (syncs, syncs));
+
+    let link = snapshot.topology.links[1].id();
+    let flap = ChaosPlan::new().link_flap(link, SimTime(5_000), SimDuration::from_secs(10));
+    let (syncs, emitted, deltas, _, renders, decodes) = watch(flap);
+    assert!(emitted > 0 && deltas > 0, "the flap streamed nothing");
+    assert_eq!(renders, syncs + emitted);
+    assert_eq!(decodes, syncs + deltas);
 }
