@@ -18,7 +18,7 @@ use std::net::Ipv4Addr;
 
 use mfv_config::{DeviceConfig, IfaceSpec, RouterSpec, Vendor};
 use mfv_emulator::{ExternalPeerSpec, NodeSpec, Topology};
-use mfv_types::{AsNum, NodeId};
+use mfv_types::AsNum;
 
 use crate::snapshot::Snapshot;
 
@@ -183,15 +183,6 @@ fn six_node_inner(break_r2_r3: bool) -> Snapshot {
     t.add_link(("r6", "Ethernet2"), ("r1", "Ethernet2"));
 
     Snapshot::new(t.name.clone(), t)
-}
-
-/// Node names of each AS in the six-node scenario.
-pub fn six_node_as_members() -> Vec<(AsNum, Vec<NodeId>)> {
-    vec![
-        (AsNum(65001), vec!["r1".into(), "r2".into()]),
-        (AsNum(65002), vec!["r3".into(), "r4".into()]),
-        (AsNum(65003), vec!["r5".into(), "r6".into()]),
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +611,7 @@ pub fn interplay_chain() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfv_types::NodeId;
 
     #[test]
     fn six_node_topology_is_wellformed() {

@@ -38,7 +38,7 @@ pub struct WatchRunConfig {
     /// Converges the network before watching starts; its own `chaos` field
     /// (if any) plays during convergence, not during the watch window.
     pub backend: EmulationBackend,
-    /// Stream behaviour: heartbeat cadence, fault model, resync backoff.
+    /// Stream behaviour: the delivery fault model and the seed of its rolls.
     pub watch: mfv_mgmt::WatchConfig,
     /// Faults injected during the watch window. Times are relative to the
     /// start of the window (t=0 is the converged state), shifted onto the

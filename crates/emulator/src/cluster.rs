@@ -119,23 +119,6 @@ impl Cluster {
         )
     }
 
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Remaining capacity in (cpu_millis, mem_mib) across live machines.
-    pub fn free_capacity(&self) -> (u64, u64) {
-        self.machines
-            .iter()
-            .filter(|m| !m.failed)
-            .fold((0, 0), |(c, m), machine| {
-                (
-                    c + (machine.spec.cpu_millis - machine.used_cpu) as u64,
-                    m + (machine.spec.mem_mib - machine.used_mem) as u64,
-                )
-            })
-    }
-
     /// How many pods of the given request shape still fit.
     pub fn capacity_for(&self, cpu_millis: u32, mem_mib: u32) -> usize {
         self.machines

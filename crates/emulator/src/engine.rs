@@ -835,11 +835,6 @@ impl Emulation {
             .collect()
     }
 
-    /// Current cluster packing (pods per machine).
-    pub fn cluster_packing(&self) -> Vec<(String, usize)> {
-        self.glob.cluster.packing()
-    }
-
     /// The number of shards the partition produced (0 before boot).
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -4,7 +4,7 @@
 //! Real management planes time out, return transient errors, and serve
 //! cached state. This module models that RPC path ([`RpcFailureModel`]) and
 //! wraps extraction in a [`Collector`] that retries with capped exponential
-//! backoff plus seeded jitter, gives up at a per-node deadline, and records
+//! backoff plus seeded jitter, gives up after `MAX_ATTEMPTS`, and records
 //! a per-node [`ExtractionStatus`] instead of aborting — verification then
 //! proceeds over the covered subset (§4.1's extraction step, hardened).
 //!
@@ -25,6 +25,13 @@ use crate::gnmi::{ExtractError, Telemetry};
 const RPC_COST: SimDuration = SimDuration::from_millis(50);
 /// Virtual cost of an RPC that runs into its client-side timeout.
 const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// RPC attempts per node before it is reported missing: at most 8 s of
+/// timeouts and 875 ms of backoff.
+const MAX_ATTEMPTS: u32 = 4;
+/// First retry delay; doubles each attempt.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(100);
+/// Ceiling on any single retry delay, before jitter.
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(2);
 
 /// Simulated failure model for the management-plane RPC path.
 ///
@@ -60,65 +67,33 @@ impl RpcFailureModel {
     }
 }
 
-/// Retry policy for the collector.
-#[derive(Clone, Debug)]
-pub struct CollectorConfig {
-    /// Attempts per node before giving up.
-    pub max_attempts: u32,
-    /// First retry delay; doubles each attempt.
-    pub base_backoff: SimDuration,
-    /// Ceiling on any single retry delay.
-    pub max_backoff: SimDuration,
-    /// Total virtual time budget per node (RPC costs + backoffs).
-    pub per_node_deadline: SimDuration,
-}
-
-impl Default for CollectorConfig {
-    fn default() -> Self {
-        CollectorConfig {
-            max_attempts: 4,
-            base_backoff: SimDuration::from_millis(100),
-            max_backoff: SimDuration::from_secs(2),
-            per_node_deadline: SimDuration::from_secs(10),
-        }
-    }
-}
-
-impl CollectorConfig {
-    /// Capped exponential backoff with seeded jitter: after attempt `k`
-    /// (1-based), wait `min(base << (k-1), max)` plus up to 25% jitter.
-    ///
-    /// Lives on the config (not the [`Collector`]) so the Subscribe watcher
-    /// can reuse the exact same delay schedule for resubscribe attempts.
-    pub fn backoff_delay(&self, attempt: u32, rng: &mut ChaCha8Rng) -> SimDuration {
-        let exp = attempt.saturating_sub(1).min(16);
-        let base = self
-            .base_backoff
-            .as_millis()
-            .saturating_mul(1u64 << exp)
-            .min(self.max_backoff.as_millis());
-        let jitter = if base > 0 {
-            rng.gen_range(0..=base / 4)
-        } else {
-            0
-        };
-        SimDuration::from_millis(base + jitter)
-    }
+/// Capped exponential backoff with seeded jitter: after attempt `k`
+/// (1-based), wait `min(BASE_BACKOFF << (k-1), MAX_BACKOFF)` plus up to 25%
+/// jitter. The Subscribe watcher draws its resubscribe delays here too, so
+/// the two degradation paths share one delay schedule.
+pub(crate) fn backoff_delay(attempt: u32, rng: &mut ChaCha8Rng) -> SimDuration {
+    let exp = attempt.saturating_sub(1).min(16);
+    let base = BASE_BACKOFF
+        .as_millis()
+        .saturating_mul(1u64 << exp)
+        .min(MAX_BACKOFF.as_millis());
+    let jitter = if base > 0 {
+        rng.gen_range(0..=base / 4)
+    } else {
+        0
+    };
+    SimDuration::from_millis(base + jitter)
 }
 
 /// Retrying, degrading AFT collector.
 #[derive(Clone, Debug, Default)]
 pub struct Collector {
-    pub config: CollectorConfig,
     pub failures: RpcFailureModel,
 }
 
 impl Collector {
     pub fn with_failures(failures: RpcFailureModel) -> Collector {
-        Collector {
-            config: CollectorConfig::default(),
-            failures,
-        }
+        Collector { failures }
     }
 
     /// Collects telemetry from every node, retrying failures with capped
@@ -244,7 +219,7 @@ impl Collector {
                     last_error = err;
                 }
             }
-            if attempts >= self.config.max_attempts {
+            if attempts >= MAX_ATTEMPTS {
                 return (
                     ExtractionStatus::Missing(format!(
                         "retry budget exhausted after {attempts} attempts (last: {last_error})"
@@ -255,21 +230,9 @@ impl Collector {
                     elapsed,
                 );
             }
-            let wait = self.backoff_delay(attempts, &mut rng);
+            let wait = backoff_delay(attempts, &mut rng);
             backoff_waited = backoff_waited + wait;
             elapsed = elapsed + wait;
-            if elapsed >= self.config.per_node_deadline {
-                return (
-                    ExtractionStatus::Missing(format!(
-                        "per-node deadline {} exceeded after {attempts} attempts (last: {last_error})",
-                        self.config.per_node_deadline
-                    )),
-                    None,
-                    attempts,
-                    backoff_waited,
-                    elapsed,
-                );
-            }
         }
     }
 
@@ -290,12 +253,6 @@ impl Collector {
         }
         Ok(())
     }
-
-    /// Capped exponential backoff, delegated to the shared policy on
-    /// [`CollectorConfig::backoff_delay`].
-    fn backoff_delay(&self, attempt: u32, rng: &mut ChaCha8Rng) -> SimDuration {
-        self.config.backoff_delay(attempt, rng)
-    }
 }
 
 /// Outcome of one collection sweep.
@@ -315,8 +272,8 @@ pub struct CollectionReport {
     /// Total virtual time the sweep consumed (failed-RPC costs + backoff
     /// waits, summed over nodes; a clean sweep is `ZERO`).
     pub sim_elapsed: SimDuration,
-    /// Per-node share of `backoff_total` — the audit trail for deadline
-    /// exhaustion: a node's waits must sum to exactly this.
+    /// Per-node share of `backoff_total` — the audit trail for an exhausted
+    /// retry budget: a node's waits must sum to exactly this.
     pub backoff_by_node: BTreeMap<NodeId, SimDuration>,
     /// Per-node attempt counts (retries included).
     pub attempts_by_node: BTreeMap<NodeId, u32>,
@@ -518,18 +475,20 @@ mod tests {
 
     #[test]
     fn backoff_is_capped() {
-        let c = Collector::default();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         // Attempt 10 would be base << 9 = 51.2s uncapped; must clamp to
-        // max_backoff plus jitter.
-        let d = c.backoff_delay(10, &mut rng);
-        let cap = c.config.max_backoff.as_millis();
-        assert!(d.as_millis() <= cap + cap / 4, "{d}");
+        // MAX_BACKOFF plus jitter.
+        let d = backoff_delay(10, &mut rng);
+        let cap = MAX_BACKOFF.as_millis();
+        assert!((cap..=cap + cap / 4).contains(&d.as_millis()), "{d}");
         // And grows monotonically in expectation early on: attempt 1 < cap.
-        let d1 = c.backoff_delay(1, &mut rng);
+        let d1 = backoff_delay(1, &mut rng);
         assert!(d1.as_millis() < cap);
     }
 
+    /// The retry budget is the collector's only deadline: a node that never
+    /// answers costs exactly `MAX_ATTEMPTS` timeouts and the waits between
+    /// them, every one accounted for.
     #[test]
     fn deadline_exhaustion_saturates_backoff_with_exact_accounting() {
         let r1 = router("r1");
@@ -539,50 +498,33 @@ mod tests {
             ..Default::default()
         };
         failures.force_fail.insert(node.clone());
-        // Retry budget effectively unbounded: the only way out is the
-        // per-node deadline, long after backoff has hit its ceiling.
-        let config = CollectorConfig {
-            max_attempts: 100,
-            base_backoff: SimDuration::from_millis(100),
-            max_backoff: SimDuration::from_millis(400),
-            per_node_deadline: SimDuration::from_secs(20),
-        };
-        let c = Collector {
-            config: config.clone(),
-            failures,
-        };
+        let c = Collector::with_failures(failures);
         let report = c.collect(vec![(node.clone(), Some(&r1))]);
 
-        // Exit was the deadline, not the attempt budget.
+        // Exit was the attempt budget.
         match &report.status[&node] {
             ExtractionStatus::Missing(reason) => {
-                assert!(reason.contains("per-node deadline"), "{reason}");
+                assert!(reason.contains("retry budget exhausted"), "{reason}");
             }
             other => panic!("expected Missing, got {other:?}"),
         }
         let attempts = report.attempts_by_node[&node];
-        assert!(
-            attempts >= 5,
-            "expected saturation, got {attempts} attempts"
-        );
-        assert!(attempts < config.max_attempts);
+        assert_eq!(attempts, MAX_ATTEMPTS);
 
         // Reconstruct the exact wait sequence the collector drew: one
-        // failure roll then one backoff per attempt, same seeded stream.
+        // failure roll per attempt and one backoff between attempts, same
+        // seeded stream.
         let mut rng = ChaCha8Rng::seed_from_u64(c.failures.seed ^ node_key(&node));
         let mut waits = Vec::new();
-        for k in 1..=attempts {
+        for k in 1..attempts {
             let _roll = rng.gen_range(0..100u32);
-            waits.push(config.backoff_delay(k, &mut rng));
+            waits.push(backoff_delay(k, &mut rng));
         }
-        let cap = config.max_backoff.as_millis();
-        for (i, w) in waits.iter().enumerate() {
-            assert!(w.as_millis() <= cap + cap / 4, "wait {i}: {w}");
-        }
-        // From the third attempt on the exponential base exceeds the cap,
-        // so every subsequent wait sits in the saturated band [max, 1.25*max].
-        for w in waits.iter().skip(2) {
-            assert!(w.as_millis() >= cap, "unsaturated late wait {w}");
+        // Each wait doubles the last one's base, within its 25% jitter band.
+        for (k, w) in (1..).zip(&waits) {
+            let base = BASE_BACKOFF.as_millis() << (k - 1);
+            let band = base..=base + base / 4;
+            assert!(band.contains(&w.as_millis()), "wait {k}: {w}");
         }
 
         // Accounting is exact: backoff per node sums the drawn waits, and
@@ -595,7 +537,6 @@ mod tests {
             report.sim_elapsed,
             RPC_TIMEOUT.saturating_mul(attempts as u64) + backoff
         );
-        assert!(report.sim_elapsed >= config.per_node_deadline);
 
         // And the whole exhaustion replays bit-for-bit.
         let replay = c.collect(vec![(node.clone(), Some(&r1))]);

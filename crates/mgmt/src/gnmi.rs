@@ -339,92 +339,19 @@ pub struct Update {
 /// Leaves are compared exactly; arrays are treated as leaves (replaced
 /// whole, as ON_CHANGE subscriptions to list containers behave).
 ///
-/// The batch is [`canonicalize`]d: sorted in path order with one update per
-/// path, so the stream's byte layout is independent of how either tree was
-/// built up.
+/// The batch is canonical: strictly increasing by path, and no path is an
+/// ancestor of another (a replaced or deleted subtree is one update), so
+/// the stream's byte layout is independent of how either tree was built up.
+/// The walk emits each path once and stops descending at the first
+/// difference; only the order needs restoring, as it emits an object's added
+/// keys after the keys it kept.
 pub fn diff(old: &Telemetry, new: &Telemetry) -> Vec<Update> {
     let mut out = Vec::new();
     diff_value(&old.root, &new.root, String::new(), &mut out);
-    canonicalize(out)
-}
-
-/// Canonicalizes an update batch: exactly one update per path, sorted in
-/// deterministic path order, with updates made redundant by a replaced (or
-/// deleted) ancestor subtree folded into that ancestor instead of riding
-/// alongside it.
-///
-/// Applying the canonical batch via [`apply`] is equivalent to applying
-/// the original batch in order, provided the batch's deletions address
-/// paths whose parents are containers in the tree being updated. Every
-/// diff-produced batch satisfies this (deletes only name keys present in
-/// the old tree); the caveat exists because a hand-built
-/// set-then-delete pair like `[/a/b = 1, delete /a/b]` materialises `/a`
-/// as a side effect, which no single-update-per-path batch can express.
-///
-/// [`diff`] output is near-canonical by construction (objects are
-/// `BTreeMap`-backed and replacements subsume their subtrees); this pins
-/// the ordering contract and does real work for hand-built or merged
-/// batches.
-pub fn canonicalize(updates: Vec<Update>) -> Vec<Update> {
-    use std::collections::BTreeMap;
-    // Path → pending value (`None` = delete). Invariant: no recorded path
-    // is an ancestor of another — ancestors absorb their descendants.
-    let mut canon: BTreeMap<String, Option<Value>> = BTreeMap::new();
-    for u in updates {
-        // Strict ancestors of this path, shallowest first.
-        let segs: Vec<&str> = u.path.split('/').filter(|s| !s.is_empty()).collect();
-        let mut ancestors = Vec::new();
-        let mut prefix = String::new();
-        for seg in segs.iter().take(segs.len().saturating_sub(1)) {
-            prefix.push('/');
-            prefix.push_str(seg);
-            ancestors.push(prefix.clone());
-        }
-        // A recorded ancestor absorbs this update: the batch already
-        // replaces (or deletes) the whole subtree, so the child edit lands
-        // inside that pending value rather than as a separate entry.
-        let mut folded = false;
-        for anc in &ancestors {
-            let Some(entry) = canon.get_mut(anc) else {
-                continue;
-            };
-            let rel = u.path.strip_prefix(anc.as_str()).unwrap_or("");
-            match entry {
-                Some(base) => apply_one(base, rel, &u.value),
-                // The whole subtree is pending deletion. A child deletion
-                // inside it stays a no-op; a child update revives the
-                // subtree as a fresh container holding just that child —
-                // the same net tree as applying the two updates in order.
-                None => {
-                    if u.value.is_some() {
-                        let mut base = Value::Object(std::collections::BTreeMap::new());
-                        apply_one(&mut base, rel, &u.value);
-                        *entry = Some(base);
-                    }
-                }
-            }
-            folded = true;
-            break;
-        }
-        if folded {
-            continue;
-        }
-        // This update supersedes anything previously recorded beneath it.
-        let subtree = format!("{}/", u.path);
-        let stale: Vec<String> = canon
-            .range(subtree.clone()..)
-            .map(|(k, _)| k.clone())
-            .take_while(|k| k.starts_with(&subtree))
-            .collect();
-        for k in stale {
-            canon.remove(&k);
-        }
-        canon.insert(u.path, u.value);
-    }
-    canon
-        .into_iter()
-        .map(|(path, value)| Update { path, value })
-        .collect()
+    out.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+    // A batch stays in flight until delivered: it holds no spare capacity.
+    out.shrink_to_fit();
+    out
 }
 
 /// Applies a Subscribe update batch to a snapshot, producing the updated
@@ -591,67 +518,6 @@ mod subscribe_tests {
             vec!["/a", "/b/x", "/b/y", "/b/z", "/d"],
             "{updates:#?}"
         );
-    }
-
-    #[test]
-    fn canonicalize_folds_children_under_replaced_subtree() {
-        // Replace /a wholesale, then touch /a/b: one canonical update with
-        // the child folded in.
-        let updates = vec![
-            Update {
-                path: "/a".into(),
-                value: Some(json!({"b": 1, "c": 2})),
-            },
-            Update {
-                path: "/a/b".into(),
-                value: Some(json!(9)),
-            },
-        ];
-        let canon = canonicalize(updates.clone());
-        assert_eq!(canon.len(), 1);
-        assert_eq!(canon[0].path, "/a");
-        assert_eq!(canon[0].value, Some(json!({"b": 9, "c": 2})));
-        // Equivalent under apply.
-        let base = Telemetry::from_root(json!({"a": {"z": 0}}));
-        assert_eq!(apply(&base, &updates).root(), apply(&base, &canon).root());
-    }
-
-    #[test]
-    fn canonicalize_drops_descendants_superseded_by_later_ancestor() {
-        // Touch /a/b, then replace /a wholesale: the child edit is stale.
-        let updates = vec![
-            Update {
-                path: "/a/b".into(),
-                value: Some(json!(1)),
-            },
-            Update {
-                path: "/a".into(),
-                value: Some(json!({"c": 2})),
-            },
-        ];
-        let canon = canonicalize(updates);
-        assert_eq!(canon.len(), 1);
-        assert_eq!(canon[0].path, "/a");
-        assert_eq!(canon[0].value, Some(json!({"c": 2})));
-    }
-
-    #[test]
-    fn canonicalize_handles_delete_then_child_update() {
-        let updates = vec![
-            Update {
-                path: "/a".into(),
-                value: None,
-            },
-            Update {
-                path: "/a/b".into(),
-                value: Some(json!(5)),
-            },
-        ];
-        let canon = canonicalize(updates.clone());
-        assert_eq!(canon.len(), 1);
-        assert_eq!(canon[0].value, Some(json!({"b": 5})));
-        let base = Telemetry::from_root(json!({"a": {"b": 1, "c": 2}}));
-        assert_eq!(apply(&base, &updates).root(), apply(&base, &canon).root());
     }
 
     #[test]

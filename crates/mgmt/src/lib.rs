@@ -28,9 +28,9 @@ pub mod gnmi;
 pub mod watch;
 
 pub use aft::{Aft, AftIpv4Entry, AftNextHop, AftNextHopGroup};
-pub use collect::{CollectionReport, Collector, CollectorConfig, RpcFailureModel};
-pub use gnmi::{apply, canonicalize, diff, ExtractError, ForwardingState, Telemetry, Update};
-pub use watch::{StreamFaultModel, TickReport, WatchConfig, WatchEvent, WatchStats, Watcher};
+pub use collect::{CollectionReport, Collector, RpcFailureModel};
+pub use gnmi::{apply, diff, ExtractError, ForwardingState, Telemetry, Update};
+pub use watch::{StreamFaultModel, TickReport, WatchConfig, WatchStats, Watcher};
 
 use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_types::{LinkId, NodeId};

@@ -18,15 +18,19 @@
 //! - **Duplicates / stale batches** — sequence number below the expected
 //!   one; discarded and counted.
 //! - **Session loss** — the stream resets outright, or goes silent past
-//!   [`WatchConfig::silence_timeout`] (heartbeat batches bound how long
-//!   silence can be mistaken for quiet). Resubscribe attempts use the
-//!   collector's capped seeded backoff ([`CollectorConfig::backoff_delay`]).
+//!   `SILENCE_TIMEOUT` (heartbeat batches every `HEARTBEAT_EVERY` bound how
+//!   long silence can be mistaken for quiet). Resubscribe attempts use the
+//!   collector's capped seeded backoff schedule.
 //!
 //! While a stream is degraded its node's [`ExtractionStatus`] drops to
-//! `Stale` (and to `Missing` past [`WatchConfig::max_stale`]), so standing
-//! verdicts computed from the mirrors become coverage-qualified instead of
-//! quietly wrong. Sequence numbers are global per node and never reset —
-//! a resync simply jumps the mirror to the device's current head.
+//! `Stale` (and to `Missing` past `MAX_STALE`), so standing verdicts
+//! computed from the mirrors become coverage-qualified instead of quietly
+//! wrong. Sequence numbers are global per node and never reset — a resync
+//! simply jumps the mirror to the device's current head.
+//!
+//! [`WatchStats`] counts what happened and the watcher's journal
+//! ([`Watcher::observe_into`]) records each gap, session loss and sync once;
+//! a [`TickReport`] only says which mirrors changed.
 //!
 //! Every random draw (delivery faults, backoff jitter) is a stateless
 //! seeded roll in `(seed, node, seq | attempt)`, so a chaos run replays
@@ -41,7 +45,7 @@ use mfv_dataplane::Dataplane;
 use mfv_types::{ExtractionStatus, NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
 
-use crate::collect::{node_key, CollectorConfig};
+use crate::collect::{backoff_delay, node_key};
 use crate::gnmi::{apply, diff, DeviceState, ForwardingState, Telemetry, Update};
 
 /// Simulated failure model for the Subscribe delivery path.
@@ -63,89 +67,33 @@ impl StreamFaultModel {
     }
 }
 
-/// Tuning for the watcher.
+/// Device-side heartbeat cadence: an empty batch is emitted if nothing
+/// changed for this long, so the client can bound gap detection.
+const HEARTBEAT_EVERY: SimDuration = SimDuration::from_secs(5);
+/// In-flight time of a batch between device and client.
+const DELIVERY_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Client-side silence bound: a healthy stream that delivers nothing for
+/// this long is declared lost.
+const SILENCE_TIMEOUT: SimDuration = SimDuration::from_secs(12);
+/// A degraded stream older than this stops counting as covered: its node's
+/// status drops from `Stale` to `Missing`.
+const MAX_STALE: SimDuration = SimDuration::from_secs(60);
+
+/// What a watch run varies: the seed of its fault rolls and backoff
+/// jitter, and the delivery path's failure model.
 #[derive(Clone, Debug)]
 pub struct WatchConfig {
     /// Seed for delivery-fault rolls and backoff jitter.
     pub seed: u64,
-    /// Device-side heartbeat cadence: an empty batch is emitted if nothing
-    /// changed for this long, so the client can bound gap detection.
-    pub heartbeat_every: SimDuration,
-    /// In-flight time of a batch between device and client.
-    pub delivery_delay: SimDuration,
-    /// Client-side silence bound: a healthy stream that delivers nothing
-    /// for this long is declared lost.
-    pub silence_timeout: SimDuration,
-    /// A degraded stream older than this stops counting as covered: its
-    /// node's status drops from `Stale` to `Missing`.
-    pub max_stale: SimDuration,
     /// Delivery-path failure model.
     pub faults: StreamFaultModel,
-    /// Resync retry policy — reuses the collector's capped exponential
-    /// backoff so the two degradation paths share one delay schedule.
-    pub backoff: CollectorConfig,
 }
 
 impl Default for WatchConfig {
     fn default() -> Self {
         WatchConfig {
             seed: 1,
-            heartbeat_every: SimDuration::from_secs(5),
-            delivery_delay: SimDuration::from_millis(100),
-            silence_timeout: SimDuration::from_secs(12),
-            max_stale: SimDuration::from_secs(60),
             faults: StreamFaultModel::default(),
-            backoff: CollectorConfig::default(),
-        }
-    }
-}
-
-/// Something the watcher noticed during a tick.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum WatchEvent {
-    /// Initial subscribe + snapshot completed.
-    Synced { node: NodeId },
-    /// A content batch was applied to the mirror.
-    Delta {
-        node: NodeId,
-        seq: u64,
-        updates: usize,
-    },
-    /// A delivered batch skipped ahead: at least one batch was lost.
-    Gap {
-        node: NodeId,
-        expected: u64,
-        got: u64,
-    },
-    /// A delivered batch was behind the mirror; discarded.
-    Duplicate { node: NodeId, seq: u64 },
-    /// The stream reset or went silent past the timeout.
-    SessionLost { node: NodeId, reason: String },
-    /// A degraded stream recovered via full-snapshot resync.
-    Resynced { node: NodeId, attempts: u32 },
-}
-
-impl std::fmt::Display for WatchEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WatchEvent::Synced { node } => write!(f, "{node}: initial sync"),
-            WatchEvent::Delta { node, seq, updates } => {
-                write!(f, "{node}: delta seq={seq} updates={updates}")
-            }
-            WatchEvent::Gap {
-                node,
-                expected,
-                got,
-            } => write!(f, "{node}: gap expected={expected} got={got}"),
-            WatchEvent::Duplicate { node, seq } => {
-                write!(f, "{node}: duplicate seq={seq}")
-            }
-            WatchEvent::SessionLost { node, reason } => {
-                write!(f, "{node}: session lost ({reason})")
-            }
-            WatchEvent::Resynced { node, attempts } => {
-                write!(f, "{node}: resynced after {attempts} attempt(s)")
-            }
         }
     }
 }
@@ -188,8 +136,6 @@ pub struct TickReport {
     /// `now - stamp` is the end-to-end staleness the standing queries are
     /// about to close — the verdict-latency numerator.
     pub changed: BTreeMap<NodeId, SimTime>,
-    /// Everything that happened, in deterministic (node, order) sequence.
-    pub events: Vec<WatchEvent>,
 }
 
 /// An in-flight Subscribe batch.
@@ -290,7 +236,7 @@ impl NodeStream {
 /// Drive it from a tick loop: advance the emulation to `now`, then call
 /// [`Watcher::tick`] with each node's live router (or `None` while
 /// evicted). All per-node processing happens in name order, so two
-/// same-seed runs produce identical stats, events, and mirrors.
+/// same-seed runs produce identical stats, journals, and mirrors.
 pub struct Watcher {
     cfg: WatchConfig,
     streams: BTreeMap<NodeId, NodeStream>,
@@ -353,7 +299,7 @@ impl Watcher {
         // pain and keeps every helper a plain &mut self method.
         let mut s = self.streams.remove(&node).unwrap_or_else(NodeStream::new);
         self.deliver_due(now, &node, &mut s, report);
-        self.check_silence(now, &node, &mut s, report);
+        self.check_silence(now, &node, &mut s);
         self.try_resync(now, &node, router, &mut s, report);
         self.emit_device(now, router, &mut s);
         self.streams.insert(node, s);
@@ -379,7 +325,7 @@ impl Watcher {
         let mut rng = ChaCha8Rng::seed_from_u64(
             self.cfg.seed ^ node_key(node).rotate_left(17) ^ attempt as u64,
         );
-        self.cfg.backoff.backoff_delay(attempt, &mut rng)
+        backoff_delay(attempt, &mut rng)
     }
 
     fn degrade(
@@ -389,7 +335,6 @@ impl Watcher {
         s: &mut NodeStream,
         reason: &str,
         lost_session: bool,
-        report: &mut TickReport,
     ) {
         if lost_session {
             s.subscribed = false;
@@ -397,10 +342,6 @@ impl Watcher {
             self.stats.session_losses += 1;
             self.journal
                 .push(now, "watch.session_lost", format!("{node}: {reason}"));
-            report.events.push(WatchEvent::SessionLost {
-                node: node.clone(),
-                reason: reason.to_string(),
-            });
         }
         // A stream already degraded keeps its original `since` (and its
         // backoff progression): a session loss during a gap-resync is one
@@ -441,7 +382,7 @@ impl Watcher {
             if lost {
                 // The stream itself reset: the batch dies with it.
                 self.stats.batches_dropped += 1;
-                self.degrade(now, node, s, "stream reset", true, report);
+                self.degrade(now, node, s, "stream reset", true);
                 return;
             }
             if dropped {
@@ -457,10 +398,6 @@ impl Watcher {
             }
             if b.seq < s.mirror_seq {
                 self.stats.duplicates += 1;
-                report.events.push(WatchEvent::Duplicate {
-                    node: node.clone(),
-                    seq: b.seq,
-                });
                 continue;
             }
             if b.seq > s.mirror_seq {
@@ -470,12 +407,7 @@ impl Watcher {
                     "watch.gap",
                     format!("{node}: expected seq {} got {}", s.mirror_seq, b.seq),
                 );
-                report.events.push(WatchEvent::Gap {
-                    node: node.clone(),
-                    expected: s.mirror_seq,
-                    got: b.seq,
-                });
-                self.degrade(now, node, s, "sequence gap", false, report);
+                self.degrade(now, node, s, "sequence gap", false);
                 continue;
             }
             // In sequence: apply.
@@ -495,28 +427,17 @@ impl Watcher {
                 .entry(node.clone())
                 .and_modify(|t| *t = (*t).min(b.stamped))
                 .or_insert(b.stamped);
-            report.events.push(WatchEvent::Delta {
-                node: node.clone(),
-                seq: b.seq,
-                updates: b.updates.len(),
-            });
         }
     }
 
-    fn check_silence(
-        &mut self,
-        now: SimTime,
-        node: &NodeId,
-        s: &mut NodeStream,
-        report: &mut TickReport,
-    ) {
+    fn check_silence(&mut self, now: SimTime, node: &NodeId, s: &mut NodeStream) {
         if !matches!(s.state, StreamState::Healthy) {
             return;
         }
         let silent = now.since(s.last_heard);
-        if silent > self.cfg.silence_timeout {
+        if silent > SILENCE_TIMEOUT {
             let reason = format!("silent for {silent}");
-            self.degrade(now, node, s, &reason, true, report);
+            self.degrade(now, node, s, &reason, true);
         }
     }
 
@@ -580,9 +501,6 @@ impl Watcher {
             self.stats.initial_syncs += 1;
             self.journal
                 .push(now, "watch.sync", format!("{node}: initial sync"));
-            report
-                .events
-                .push(WatchEvent::Synced { node: node.clone() });
             now
         } else {
             self.stats.resyncs += 1;
@@ -591,10 +509,6 @@ impl Watcher {
                 "watch.resync",
                 format!("{node}: resynced after {attempts} attempt(s)"),
             );
-            report.events.push(WatchEvent::Resynced {
-                node: node.clone(),
-                attempts,
-            });
             since
         };
         report
@@ -638,7 +552,7 @@ impl Watcher {
     fn emit(&mut self, now: SimTime, s: &mut NodeStream, updates: Vec<Update>) {
         if !updates.is_empty() {
             self.stats.batches_emitted += 1;
-        } else if now.since(s.last_emit) >= self.cfg.heartbeat_every {
+        } else if now.since(s.last_emit) >= HEARTBEAT_EVERY {
             self.stats.heartbeats_emitted += 1;
         } else {
             return;
@@ -646,7 +560,7 @@ impl Watcher {
         s.inflight.push_back(Batch {
             seq: s.next_seq,
             stamped: now,
-            deliver_at: now + self.cfg.delivery_delay,
+            deliver_at: now + DELIVERY_DELAY,
             updates,
         });
         s.next_seq += 1;
@@ -671,7 +585,7 @@ impl Watcher {
                 (Some(_), StreamState::Healthy) => ExtractionStatus::Fresh,
                 (Some(_), StreamState::Resyncing { since, .. }) => {
                     let age = now.since(s.last_applied);
-                    if age > self.cfg.max_stale {
+                    if age > MAX_STALE {
                         ExtractionStatus::Missing(format!(
                             "stream down since {since} ({age} stale)"
                         ))
@@ -749,12 +663,12 @@ mod tests {
         r
     }
 
-    fn quiet_cfg() -> WatchConfig {
-        WatchConfig {
-            heartbeat_every: SimDuration::from_secs(1000),
-            silence_timeout: SimDuration::from_secs(2000),
-            ..Default::default()
-        }
+    /// The watcher's journal, one `(kind, detail)` per line.
+    fn journal(w: &Watcher) -> Vec<(&'static str, String)> {
+        w.journal
+            .events()
+            .map(|e| (e.kind, e.detail.clone()))
+            .collect()
     }
 
     fn bytes(t: &Telemetry) -> String {
@@ -769,11 +683,7 @@ mod tests {
     fn initial_sync_then_heartbeats_stay_fresh() {
         let r = router("r1");
         let node = NodeId::from("r1");
-        let cfg = WatchConfig {
-            heartbeat_every: SimDuration::from_secs(2),
-            ..Default::default()
-        };
-        let mut w = Watcher::new(cfg, vec![node.clone()]);
+        let mut w = Watcher::new(WatchConfig::default(), vec![node.clone()]);
         let rep = w.tick(sec(1), vec![(node.clone(), Some(&r))]);
         assert!(rep.changed.contains_key(&node));
         assert_eq!(w.stats().initial_syncs, 1);
@@ -781,21 +691,24 @@ mod tests {
             let t = Telemetry::from_router(&r).expect("read");
             serde_json::to_string(t.root()).expect("ser")
         });
-        for t in 2..=10u64 {
+        // Quiet for 19 s, past the 12 s silence bound: heartbeats every
+        // HEARTBEAT_EVERY keep the stream alive.
+        for t in 2..=20u64 {
             let rep = w.tick(sec(t), vec![(node.clone(), Some(&r))]);
             assert!(rep.changed.is_empty(), "t={t}: {rep:?}");
         }
-        assert!(w.stats().heartbeats_emitted >= 3);
+        assert_eq!(w.stats().heartbeats_emitted, 3);
         assert_eq!(w.stats().gaps, 0);
         assert_eq!(w.stats().session_losses, 0);
-        assert_eq!(w.status(sec(10))[&node], ExtractionStatus::Fresh);
+        assert_eq!(w.status(sec(20))[&node], ExtractionStatus::Fresh);
+        assert_eq!(journal(&w), [("watch.sync", "r1: initial sync".into())]);
     }
 
     #[test]
     fn delta_propagates_with_delivery_latency() {
         let mut r = router("r1");
         let node = NodeId::from("r1");
-        let mut w = Watcher::new(quiet_cfg(), vec![node.clone()]);
+        let mut w = Watcher::new(WatchConfig::default(), vec![node.clone()]);
         w.tick(sec(1), vec![(node.clone(), Some(&r))]);
 
         // Change device state between ticks.
@@ -819,7 +732,7 @@ mod tests {
     fn dropped_batch_gap_triggers_single_resync() {
         let mut r = router("r1");
         let node = NodeId::from("r1");
-        let mut w = Watcher::new(quiet_cfg(), vec![node.clone()]);
+        let mut w = Watcher::new(WatchConfig::default(), vec![node.clone()]);
         w.tick(sec(1), vec![(node.clone(), Some(&r))]);
 
         // First change: emitted at t=2 but dropped in flight.
@@ -836,10 +749,7 @@ mod tests {
         w.tick(sec(4), vec![(node.clone(), Some(&r))]);
         let rep = w.tick(sec(5), vec![(node.clone(), Some(&r))]);
         assert_eq!(w.stats().gaps, 1);
-        assert!(rep
-            .events
-            .iter()
-            .any(|e| matches!(e, WatchEvent::Gap { .. })));
+        assert!(rep.changed.is_empty());
         assert!(matches!(
             w.status(sec(5))[&node],
             ExtractionStatus::Stale(_)
@@ -853,47 +763,48 @@ mod tests {
         let expected = Telemetry::from_router(&r).expect("read");
         assert_eq!(bytes(w.mirror(&node).expect("mirror")), bytes(&expected));
         assert_eq!(w.status(sec(6))[&node], ExtractionStatus::Fresh);
+        let kinds: Vec<_> = journal(&w).into_iter().map(|(kind, _)| kind).collect();
+        assert_eq!(kinds, ["watch.sync", "watch.gap", "watch.resync"]);
+        assert_eq!(journal(&w)[1].1, "r1: expected seq 0 got 1");
     }
 
     #[test]
     fn eviction_silence_backoff_and_recovery() {
         let r = router("r1");
         let node = NodeId::from("r1");
-        let cfg = WatchConfig {
-            heartbeat_every: SimDuration::from_secs(2),
-            silence_timeout: SimDuration::from_secs(5),
-            max_stale: SimDuration::from_secs(15),
-            ..Default::default()
-        };
-        let mut w = Watcher::new(cfg, vec![node.clone()]);
+        let mut w = Watcher::new(WatchConfig::default(), vec![node.clone()]);
         w.tick(sec(1), vec![(node.clone(), Some(&r))]);
 
-        // Router evicted: heartbeats stop; silence declares the session
-        // lost, then resync attempts fail with growing backoff.
+        // Router evicted: heartbeats stop; silence past SILENCE_TIMEOUT
+        // declares the session lost, then resync attempts fail with growing
+        // backoff.
         let mut lost_at = None;
         for t in 2..=30u64 {
-            let rep = w.tick(sec(t), vec![(node.clone(), None)]);
-            if rep
-                .events
-                .iter()
-                .any(|e| matches!(e, WatchEvent::SessionLost { .. }))
-            {
+            w.tick(sec(t), vec![(node.clone(), None)]);
+            if w.stats().session_losses > 0 {
                 lost_at = Some(t);
                 break;
             }
         }
         let lost_at = lost_at.expect("session loss detected");
-        assert_eq!(w.stats().session_losses, 1);
-        for t in (lost_at + 1)..=(lost_at + 20) {
+        assert_eq!(
+            sec(lost_at).since(sec(1)),
+            SILENCE_TIMEOUT + SimDuration::from_secs(1)
+        );
+        let outage = 60;
+        for t in (lost_at + 1)..=(lost_at + outage) {
             w.tick(sec(t), vec![(node.clone(), None)]);
         }
         let attempts_during_outage = w.stats().resync_attempts;
         assert!(attempts_during_outage >= 3, "{attempts_during_outage}");
-        // Backoff caps at max_backoff (2s default): attempts cannot be
-        // one-per-tick for 20 ticks.
-        assert!(attempts_during_outage < 20);
-        // Past max_stale the node stops counting as covered.
-        match &w.status(sec(lost_at + 20))[&node] {
+        // Backoff caps at the collector's 2 s (plus jitter): past the first
+        // few attempts, no more than one per two ticks.
+        assert!(
+            attempts_during_outage < outage / 2,
+            "{attempts_during_outage}"
+        );
+        // Past MAX_STALE the node stops counting as covered.
+        match &w.status(sec(lost_at + outage))[&node] {
             ExtractionStatus::Missing(reason) => {
                 assert!(reason.contains("stream down"), "{reason}")
             }
@@ -901,21 +812,22 @@ mod tests {
         }
 
         // Router comes back: the next due attempt resyncs.
-        let mut resynced = false;
-        for t in (lost_at + 21)..=(lost_at + 40) {
+        let mut resynced_at = None;
+        for t in (lost_at + outage + 1)..=(lost_at + outage + 20) {
             let rep = w.tick(sec(t), vec![(node.clone(), Some(&r))]);
-            if rep
-                .events
-                .iter()
-                .any(|e| matches!(e, WatchEvent::Resynced { .. }))
-            {
-                resynced = true;
+            if let Some(stamp) = rep.changed.get(&node) {
+                // Stamped at the degradation instant.
+                assert_eq!(*stamp, sec(lost_at));
+                resynced_at = Some(t);
                 break;
             }
         }
-        assert!(resynced);
+        let resynced_at = resynced_at.expect("resynced");
         assert_eq!(w.stats().resyncs, 1);
-        assert_eq!(w.status(sec(lost_at + 40))[&node], ExtractionStatus::Fresh);
+        assert_eq!(w.status(sec(resynced_at))[&node], ExtractionStatus::Fresh);
+        let kinds: Vec<_> = journal(&w).into_iter().map(|(kind, _)| kind).collect();
+        assert_eq!(kinds, ["watch.sync", "watch.session_lost", "watch.resync"]);
+        assert_eq!(journal(&w)[1].1, "r1: silent for 13.000s");
     }
 
     #[test]
@@ -925,25 +837,23 @@ mod tests {
             let node = NodeId::from("r1");
             let cfg = WatchConfig {
                 seed: 42,
-                heartbeat_every: SimDuration::from_secs(1),
                 faults: StreamFaultModel {
                     drop_pct: 30,
                     session_loss_pct: 10,
                 },
-                ..Default::default()
             };
             let mut w = Watcher::new(cfg, vec![node.clone()]);
-            let mut all_events = Vec::new();
+            let mut changes = Vec::new();
             for t in 1..=60u64 {
                 if t % 7 == 0 {
                     r.set_link(&"Ethernet1".into(), t % 14 == 0);
                     let _ = r.poll(sec(t));
                 }
-                let rep = w.tick(sec(t), vec![(node.clone(), Some(&r))]);
-                all_events.extend(rep.events);
+                changes.push(w.tick(sec(t), vec![(node.clone(), Some(&r))]));
             }
             let mirror = w.mirror(&node).map(bytes);
-            (w.stats().clone(), all_events, mirror, w.status(sec(60)))
+            let log = journal(&w);
+            (w.stats().clone(), changes, log, mirror, w.status(sec(60)))
         };
         let a = run();
         let b = run();
@@ -967,7 +877,7 @@ mod tests {
             for (node, router) in nodes {
                 let mut s = self.streams.remove(node).unwrap_or_else(NodeStream::new);
                 self.deliver_due(now, node, &mut s, &mut report);
-                self.check_silence(now, node, &mut s, &mut report);
+                self.check_silence(now, node, &mut s);
                 let synced = self.stats.initial_syncs + self.stats.resyncs;
                 self.try_resync(now, node, *router, &mut s, &mut report);
                 if self.stats.initial_syncs + self.stats.resyncs > synced {
@@ -1021,13 +931,10 @@ mod tests {
             let (n1, n2) = (NodeId::from("r1"), NodeId::from("r2"));
             let cfg = WatchConfig {
                 seed,
-                heartbeat_every: SimDuration::from_secs(2),
-                silence_timeout: SimDuration::from_secs(6),
                 faults: StreamFaultModel {
                     drop_pct: 30,
                     session_loss_pct: 10,
                 },
-                ..Default::default()
             };
             let mut typed = Watcher::new(cfg.clone(), [n1.clone(), n2.clone()]);
             let mut full = Watcher::new(cfg, [n1.clone(), n2.clone()]);
@@ -1053,6 +960,7 @@ mod tests {
                 }
                 assert_eq!(typed.status(sec(t)), full.status(sec(t)), "{at}");
             }
+            assert_eq!(journal(&typed), journal(&full), "seed {seed}");
             let (stats, work) = (typed.stats(), typed.work);
             assert!(stats.batches_emitted > 0 && stats.resyncs > 0, "{stats:?}");
             // The reads that found nothing changed rendered nothing.

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
-use mfv_mgmt::gnmi::{apply, canonicalize, diff, Telemetry, Update};
+use mfv_mgmt::gnmi::{apply, diff, Telemetry};
 use serde_json::Value;
 
 /// Arbitrary JSON state trees of bounded depth.
@@ -54,59 +54,30 @@ proptest! {
         prop_assert_eq!(bytes(rebuilt.root()), bytes(t_new.root()));
     }
 
+    // The batch is canonical: strictly increasing by path (so one update
+    // per path) and no path an ancestor of another, so its updates commute
+    // and its byte layout depends on the two trees alone.
+    #[test]
+    fn diff_is_canonical(old in arb_value(3), new in arb_value(3)) {
+        let updates = diff(&Telemetry::from_root(old), &Telemetry::from_root(new));
+        for pair in updates.windows(2) {
+            prop_assert!(pair[0].path < pair[1].path, "{} !< {}", pair[0].path, pair[1].path);
+        }
+        for a in &updates {
+            for b in &updates {
+                let below = b.path.strip_prefix(a.path.as_str());
+                prop_assert!(
+                    !below.is_some_and(|rest| rest.starts_with('/')),
+                    "{} is an ancestor of {}", a.path, b.path
+                );
+            }
+        }
+    }
+
     // Identical trees diff to nothing, whatever their shape.
     #[test]
     fn self_diff_is_empty(v in arb_value(3)) {
         let t = Telemetry::from_root(v);
         prop_assert!(diff(&t, &t).is_empty());
-    }
-
-    // diff output is already canonical: canonicalize is a fixpoint.
-    #[test]
-    fn diff_is_canonical(old in arb_value(3), new in arb_value(3)) {
-        let t_old = Telemetry::from_root(old);
-        let t_new = Telemetry::from_root(new);
-        let updates = diff(&t_old, &t_new);
-        let canon = canonicalize(updates.clone());
-        prop_assert_eq!(updates, canon);
-    }
-
-    // Canonicalizing an arbitrary (possibly redundant, unordered) batch
-    // preserves apply semantics — on trees where the touched paths' parent
-    // chains exist as containers, the scope canonicalize documents (diff
-    // output always qualifies; the saturation step below makes arbitrary
-    // batches qualify too).
-    #[test]
-    fn canonicalize_preserves_apply(
-        base in arb_value(3),
-        batch in proptest::collection::vec(
-            (
-                // 1–3 short segments drawn from a tiny alphabet, so batches
-                // actually collide on ancestors/descendants.
-                proptest::collection::vec("[a-c]{1,2}", 1..4),
-                proptest::option::of(arb_value(2)),
-            ),
-            0..6,
-        ),
-    ) {
-        let updates: Vec<Update> = batch
-            .into_iter()
-            .map(|(segs, value)| Update {
-                path: segs.iter().map(|s| format!("/{s}")).collect::<String>(),
-                value,
-            })
-            .collect();
-        // Saturate the base: pre-create every touched path (ancestors
-        // first), so each parent chain exists as a container.
-        let mut t = Telemetry::from_root(base);
-        let mut paths: Vec<String> = updates.iter().map(|u| u.path.clone()).collect();
-        paths.sort();
-        for path in paths {
-            t = apply(&t, &[Update { path, value: Some(Value::from(0u64)) }]);
-        }
-        let direct = apply(&t, &updates);
-        let canon = canonicalize(updates);
-        let via_canon = apply(&t, &canon);
-        prop_assert_eq!(bytes(direct.root()), bytes(via_canon.root()));
     }
 }

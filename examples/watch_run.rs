@@ -96,7 +96,6 @@ fn main() -> ExitCode {
                 drop_pct: args.drop_pct,
                 session_loss_pct: 2,
             },
-            ..Default::default()
         },
         chaos: ChaosPlan::new()
             .link_flap(link.clone(), SimTime(5_000), SimDuration::from_secs(8))

@@ -310,6 +310,22 @@ cargo test -q --test work_ceiling a_quiet_watch_renders_only_its_syncs | grep -q
   exit 1
 }
 
+echo "==> one record per happening: diff writes the canonical order itself, a watch happening is counted and journaled once, the retry and stream timings are constants"
+# Non-test code only: every `#[cfg(test)]` item is skipped, wherever it sits.
+if awk '
+  /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+  skip { o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c; opened = opened || o > 0
+         if (opened && depth <= 0) skip = 0; next }
+  { print FILENAME ":" FNR ": " $0 }
+' crates/mgmt/src/*.rs | grep -E 'fn canonicalize\b|(struct|enum|type|trait) (WatchEvent|CollectorConfig)\b'; then
+  echo "one-record check FAILED: non-test crates/mgmt defines canonicalize, WatchEvent or CollectorConfig again (diff sorts its own batch; WatchStats and the watcher's journal record each happening; the collector's and watcher's timings are constants)" >&2
+  exit 1
+fi
+cargo test -q -p mfv-mgmt --test gnmi_roundtrip diff_is_canonical | grep -q '1 passed' || {
+  echo "one-record check FAILED: the canonical-diff proptest did not run and pass" >&2
+  exit 1
+}
+
 echo "==> one encoding per LSP: IS-IS encodes and checksums an LSP where it originates one, and SPF runs over the graph it keeps"
 # An LSP is encoded through `StoredLsp::encode` or `IsisPdu::Lsp(..).encode()`,
 # checksummed by those or by `fletcher16`; a received one was verified by the

@@ -107,11 +107,16 @@ fn load(path: &str) -> Result<Snapshot, String> {
     Ok(Snapshot::new(path.to_string(), topo))
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value after option `name`, if the option is given; an option given
+/// with nothing after it fails by name rather than running without it.
+fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) => Ok(Some(value.clone())),
+        None => Err(format!("option '{name}' needs a value")),
+    }
 }
 
 /// Fails by name on any `--option` not in `known`, so a misspelt or retired
@@ -131,10 +136,10 @@ fn reject_unknown_options(args: &[String], known: &[&str]) -> Result<(), String>
 fn backend_from(args: &[String], also: &[&str]) -> Result<EmulationBackend, String> {
     reject_unknown_options(args, &[&["--seed", "--machines"], also].concat())?;
     let mut backend = EmulationBackend::default();
-    if let Some(seed) = flag(args, "--seed") {
+    if let Some(seed) = flag(args, "--seed")? {
         backend.seed = seed.parse().map_err(|_| "bad --seed".to_string())?;
     }
-    if let Some(m) = flag(args, "--machines") {
+    if let Some(m) = flag(args, "--machines")? {
         backend.cluster_machines = m.parse().map_err(|_| "bad --machines".to_string())?;
     }
     Ok(backend)
@@ -177,7 +182,7 @@ fn cmd_diff(args: &[String], out: &mut Out) -> Result<(), Failure> {
         (Some(a), Some(b)) => (a, b),
         _ => return Err("usage: mfvctl diff BEFORE AFTER [--scope CIDR]".into()),
     };
-    let scope = match flag(args, "--scope") {
+    let scope = match flag(args, "--scope")? {
         Some(cidr) => Some(IpSet::from_prefix(
             &cidr.parse().map_err(|_| format!("bad --scope '{cidr}'"))?,
         )),
@@ -242,11 +247,19 @@ fn cmd_serve(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let path = args.first().ok_or("usage: mfvctl serve TOPOLOGY")?;
     let snapshot = load(path)?;
     let backend = backend_from(args, &["--port", "--workers", "--baseline"])?;
+    let baseline_name = flag(args, "--baseline")?;
+    let mut cfg = ServerConfig::default();
+    if let Some(p) = flag(args, "--port")? {
+        cfg.port = p.parse().map_err(|_| "bad --port".to_string())?;
+    }
+    if let Some(w) = flag(args, "--workers")? {
+        cfg.workers = w.parse().map_err(|_| "bad --workers".to_string())?;
+    }
     let result = backend.compute(&snapshot).map_err(|e| e.to_string())?;
     if !result.meta.converged {
         return Err("snapshot did not converge; refusing to serve it".into());
     }
-    let baseline = match flag(args, "--baseline").as_deref() {
+    let baseline = match baseline_name.as_deref() {
         Some("model") => Some(
             ModelBackend
                 .compute(&snapshot)
@@ -261,13 +274,6 @@ fn cmd_serve(args: &[String], out: &mut Out) -> Result<(), Failure> {
         None => QueryIndex::new(&result.dataplane),
     };
     let classes = index.warm();
-    let mut cfg = ServerConfig::default();
-    if let Some(p) = flag(args, "--port") {
-        cfg.port = p.parse().map_err(|_| "bad --port".to_string())?;
-    }
-    if let Some(w) = flag(args, "--workers") {
-        cfg.workers = w.parse().map_err(|_| "bad --workers".to_string())?;
-    }
     let handle =
         Server::start(std::sync::Arc::new(index), &cfg).map_err(|e| format!("bind: {e}"))?;
     writeln!(out, "snapshot:  {}", snapshot.name)?;

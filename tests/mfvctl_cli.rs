@@ -150,6 +150,52 @@ fn unknown_options_are_rejected_by_name() {
     assert!(!ok && err.contains("bad --seed"), "{err}");
 }
 
+/// A known option with no value after it fails by name before anything
+/// runs: `run topo.json --seed` must not run with the default seed, nor
+/// `serve topo.json --baseline` serve without a baseline.
+#[test]
+fn an_option_without_a_value_is_rejected_by_name() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let topo = "examples/topologies/six-node.json";
+    for args in [
+        vec!["run", topo, "--seed"],
+        vec!["run", topo, "--seed", "3", "--machines"],
+        vec!["diff", topo, topo, "--scope"],
+        vec!["trace", topo, "r1", "2.2.2.3", "--seed"],
+        vec!["serve", topo, "--port", "0", "--baseline"],
+        vec!["serve", topo, "--workers"],
+    ] {
+        // A `serve` that ignored the option would listen until killed.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mfvctl"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let start = Instant::now();
+        while child.try_wait().expect("child waits").is_none() {
+            if start.elapsed() > Duration::from_secs(60) {
+                child.kill().expect("child killed");
+                panic!("{args:?} kept running");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("child output");
+        let (stdout, err) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout}");
+        let name = args[args.len() - 1];
+        assert!(
+            err.contains(&format!("option '{name}' needs a value")),
+            "{args:?}: {err}"
+        );
+    }
+}
+
 /// `mfvctl run topo.json | head -1`: a reader that goes away is a clean
 /// exit, not a `failed printing to stdout` panic. The read end is closed
 /// before the command has anything to print, so its first write fails.

@@ -9,7 +9,7 @@ use model_free_verification::core::{
     run_watch, scenarios, EmulationBackend, Snapshot, WatchRunConfig,
 };
 use model_free_verification::emulator::ChaosPlan;
-use model_free_verification::mgmt::{StreamFaultModel, WatchEvent, Watcher};
+use model_free_verification::mgmt::{StreamFaultModel, Watcher};
 use model_free_verification::types::{NodeId, SimDuration, SimTime};
 use model_free_verification::verify::{Coverage, StandingQueries};
 
@@ -30,7 +30,6 @@ fn chaos_cfg(seed: u64, snapshot: &Snapshot) -> WatchRunConfig {
                 drop_pct: 20,
                 session_loss_pct: 3,
             },
-            ..Default::default()
         },
         chaos: ChaosPlan::new()
             .link_flap(link, SimTime(5_000), SimDuration::from_secs(8))
@@ -157,13 +156,8 @@ fn seq_gap_resyncs_one_node_without_reanalysis() {
     let victim = nodes[1].clone();
     watcher.inject_drop(&victim, 1);
     let mut resynced_at = None;
-    let mut gap_seen = false;
     for _ in 0..20 {
         let r = tick(&mut emu, &mut watcher, &mut now);
-        gap_seen |= r
-            .events
-            .iter()
-            .any(|e| matches!(e, WatchEvent::Gap { node, .. } if node == &victim));
         for node in r.changed.keys() {
             assert_eq!(node, &victim, "only the gapped node may resync");
         }
@@ -172,8 +166,21 @@ fn seq_gap_resyncs_one_node_without_reanalysis() {
             break;
         }
     }
-    assert!(gap_seen, "injected drop never surfaced as a sequence gap");
     resynced_at.expect("gap must be healed by a resync within the window");
+    // The journal tells the victim's story once: a gap, then its resync.
+    let mut obs = model_free_verification::obs::Obs::new();
+    watcher.observe_into(&mut obs);
+    let after_sync = obs.journal.events().filter(|e| e.kind != "watch.sync");
+    let story: Vec<_> = after_sync.map(|e| (e.kind, e.detail.clone())).collect();
+    assert_eq!(story.len(), 2, "{story:?}");
+    assert_eq!(
+        story[0].0, "watch.gap",
+        "injected drop never surfaced as a sequence gap"
+    );
+    assert_eq!(story[1].0, "watch.resync");
+    assert!(story
+        .iter()
+        .all(|(_, detail)| detail.starts_with(&format!("{victim}: "))));
     assert_eq!(watcher.stats().gaps, 1);
     assert_eq!(watcher.stats().resyncs, 1);
     assert_eq!(watcher.stats().session_losses, 0);
