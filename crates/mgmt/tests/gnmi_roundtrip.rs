@@ -74,6 +74,23 @@ proptest! {
         }
     }
 
+    // What the canonical order buys: the batch's updates commute, so
+    // applying them in any order rebuilds the new snapshot byte for byte.
+    #[test]
+    fn canonicalize_preserves_apply(
+        old in arb_value(3),
+        new in arb_value(3),
+        keys in proptest::collection::vec(any::<u32>(), 1..16),
+    ) {
+        let t_old = Telemetry::from_root(old);
+        let t_new = Telemetry::from_root(new);
+        let mut shuffled: Vec<_> = diff(&t_old, &t_new).into_iter().enumerate().collect();
+        shuffled.sort_by_key(|(i, _)| (keys[i % keys.len()], *i));
+        let updates: Vec<_> = shuffled.into_iter().map(|(_, u)| u).collect();
+        let rebuilt = apply(&t_old, &updates);
+        prop_assert_eq!(bytes(rebuilt.root()), bytes(t_new.root()));
+    }
+
     // Identical trees diff to nothing, whatever their shape.
     #[test]
     fn self_diff_is_empty(v in arb_value(3)) {
