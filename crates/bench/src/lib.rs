@@ -286,7 +286,7 @@ pub fn run_a1(seeds: &[u64]) -> A1Result {
 
 /// mid peers with left and right (different ASes) which both originate the
 /// same anycast prefix with identical attributes.
-pub fn a1_topology() -> Snapshot {
+fn a1_topology() -> Snapshot {
     use mfv_config::{IfaceSpec, RouterSpec};
     use mfv_emulator::{NodeSpec, Topology};
     use mfv_types::AsNum;

@@ -197,7 +197,7 @@ impl RouterSpec {
     }
 
     /// The NET for this router: area + system-id derived from the loopback.
-    pub fn isis_net(&self) -> String {
+    fn isis_net(&self) -> String {
         let o = self.loopback.octets();
         format!(
             "{}.{:02}{:02}.{:02}{:02}.{:02}{:02}.00",
@@ -389,7 +389,7 @@ impl SeededMisconfig {
     ];
 
     /// The conflint rule expected to flag this family.
-    pub fn rule_id(&self) -> &'static str {
+    fn rule_id(&self) -> &'static str {
         match self {
             SeededMisconfig::EbgpAsnMismatch => "C1",
             SeededMisconfig::OneSidedNeighbor => "C2",

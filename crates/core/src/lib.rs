@@ -25,8 +25,8 @@
 //! - [`extract`] — AFT extraction with per-node status and coverage
 //! - [`scenarios`] — every topology in the paper's evaluation
 //! - [`watch`] — continuous verification: a live emulation streamed through
-//!   the fault-tolerant watcher into incrementally re-evaluated standing
-//!   queries
+//!   the fault-tolerant watcher into standing queries, the batch queries
+//!   re-asked per changed snapshot
 //! - [`whatif`] — link-cut context enumeration and parallel sweeps
 
 // P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code

@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 use serde::{Deserialize, Serialize};
 
 use mfv_routing::rib::{Fib, FibEntry};
-use mfv_types::{IfaceId, LinkId, NodeId, Prefix};
+use mfv_types::{IfaceId, LinkId, NodeId};
 
 /// Forwarding state of one node.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -135,15 +135,6 @@ impl Dataplane {
         self.nodes.values().map(|n| n.entries.len()).sum()
     }
 
-    /// All prefixes appearing in any FIB — the destination partition points
-    /// for exhaustive verification.
-    pub fn all_prefixes(&self) -> BTreeSet<Prefix> {
-        self.nodes
-            .values()
-            .flat_map(|n| n.entries.iter().map(|e| e.prefix))
-            .collect()
-    }
-
     /// A stable content digest (used to compare converged dataplanes across
     /// emulation runs in the non-determinism ablation).
     pub fn digest(&self) -> u64 {
@@ -213,7 +204,13 @@ mod tests {
         assert_eq!(peer, &NodeId::from("r2"));
         assert_eq!(piface, &IfaceId::from("eth0"));
         assert_eq!(dp.total_entries(), 2);
-        assert_eq!(dp.all_prefixes().len(), 1);
+        let prefixes: BTreeSet<_> = dp
+            .nodes
+            .values()
+            .flat_map(|n| &n.entries)
+            .map(|e| e.prefix)
+            .collect();
+        assert_eq!(prefixes.len(), 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct MachineSpec {
 impl MachineSpec {
     /// The machine used in the paper's single-node experiment:
     /// e2-standard-32 (32 vCPU, 128 GB).
-    pub fn e2_standard_32(name: impl Into<String>) -> MachineSpec {
+    fn e2_standard_32(name: impl Into<String>) -> MachineSpec {
         MachineSpec {
             name: name.into(),
             cpu_millis: 32_000,
@@ -229,15 +229,6 @@ impl Cluster {
         Vec::new()
     }
 
-    /// Names of machines that have failed.
-    pub fn failed_machines(&self) -> Vec<String> {
-        self.machines
-            .iter()
-            .filter(|m| m.failed)
-            .map(|m| m.spec.name.clone())
-            .collect()
-    }
-
     /// Pods per machine, for reporting.
     pub fn packing(&self) -> Vec<(String, usize)> {
         self.machines
@@ -252,6 +243,17 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    impl Cluster {
+        /// Names of machines that have failed.
+        fn failed_machines(&self) -> Vec<String> {
+            self.machines
+                .iter()
+                .filter(|m| m.failed)
+                .map(|m| m.spec.name.clone())
+                .collect()
+        }
+    }
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(7)

@@ -109,11 +109,6 @@ impl ExternalPeer {
         )
     }
 
-    /// True once the peer has abandoned session establishment.
-    pub fn gave_up(&self) -> bool {
-        self.gave_up
-    }
-
     pub fn state(&self) -> PeerState {
         self.state
     }
@@ -256,6 +251,13 @@ impl ExternalPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExternalPeer {
+        /// True once the peer has abandoned session establishment.
+        fn gave_up(&self) -> bool {
+            self.gave_up
+        }
+    }
 
     fn peer(count: usize) -> ExternalPeer {
         ExternalPeer::new(

@@ -264,11 +264,11 @@ pub(crate) struct Net {
 }
 
 impl Net {
-    pub fn node_origin(&self, n: NodeRef) -> u32 {
+    fn node_origin(&self, n: NodeRef) -> u32 {
         1 + n.index() as u32
     }
 
-    pub fn ext_origin(&self, idx: usize) -> u32 {
+    fn ext_origin(&self, idx: usize) -> u32 {
         1 + self.interner.node_count() as u32 + idx as u32
     }
 

@@ -61,7 +61,7 @@ impl Hist {
     }
 
     /// Non-empty buckets as `(bit_length, count)` pairs in ascending order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -137,10 +137,6 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists.get(name)
     }
@@ -208,6 +204,12 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Metrics {
+        fn gauge_value(&self, name: &str) -> Option<i64> {
+            self.gauges.get(name).copied()
+        }
+    }
 
     #[test]
     fn hist_buckets_by_bit_length() {

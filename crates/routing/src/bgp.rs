@@ -90,7 +90,7 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    pub fn is_ebgp(&self, local_as: AsNum) -> bool {
+    fn is_ebgp(&self, local_as: AsNum) -> bool {
         self.remote_as != local_as
     }
 

@@ -100,7 +100,19 @@ impl QueryIndex {
     /// line against the same index always yields the same [`Reply`].
     pub fn handle(&self, line: &str) -> Reply {
         let mut it = line.split_whitespace();
-        match it.next() {
+        let cmd = it.next();
+        // Every command but the variadic FATE takes at most this many
+        // arguments; a word past them is an error, never ignored.
+        let arity = match cmd {
+            Some("REACH" | "TRACE") => Some(2),
+            Some("DIFF") => Some(1),
+            Some("NODES" | "QUIT") => Some(0),
+            _ => None,
+        };
+        if let (Some(cmd), Some(extra)) = (cmd, arity.and_then(|n| it.clone().nth(n))) {
+            return Reply::Err(format!("unexpected argument '{extra}' to {cmd}"));
+        }
+        match cmd {
             None => Reply::Err("empty request".to_string()),
             Some("REACH") => self.cmd_reach(&mut it),
             Some("FATE") => self.cmd_fate(&mut it),

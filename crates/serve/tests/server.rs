@@ -148,6 +148,35 @@ fn diff_query_reports_baseline_divergence() {
     assert!(matches!(bare.handle("DIFF"), Reply::Err(_)));
 }
 
+#[test]
+fn trailing_arguments_are_refused_by_name() {
+    let dp = line_dp(3);
+    let index = QueryIndex::with_baseline(&dp, &dp);
+    for (line, extra) in [
+        ("REACH r00 r01 r02", "r02"),
+        ("TRACE r00 10.0.2.1 10.0.1.1", "10.0.1.1"),
+        ("DIFF 10.0.0.0/8 junk", "junk"),
+        ("NODES x", "x"),
+        ("QUIT now", "now"),
+    ] {
+        match index.handle(line) {
+            Reply::Err(msg) => assert!(msg.contains(&format!("'{extra}'")), "{line}: {msg}"),
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+    // Exact arity still answers, and FATE takes any number of addresses.
+    for line in [
+        "REACH r00 r01",
+        "TRACE r00 10.0.2.1",
+        "DIFF 10.0.0.0/8",
+        "NODES",
+        "FATE r00 10.0.1.1 10.0.2.1 10.9.9.9",
+    ] {
+        assert!(matches!(index.handle(line), Reply::Ok(_)), "{line}");
+    }
+    assert_eq!(index.handle("QUIT"), Reply::Quit);
+}
+
 /// The determinism contract: any number of concurrent clients, at any
 /// worker count, see answers byte-identical to a single-threaded direct
 /// evaluation of the same batch.

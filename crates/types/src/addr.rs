@@ -89,7 +89,7 @@ impl Prefix {
     }
 
     /// The netmask as raw bits (e.g. `/24` → `0xffff_ff00`).
-    pub fn mask_bits(&self) -> u32 {
+    fn mask_bits(&self) -> u32 {
         Self::mask_of(self.len)
     }
 

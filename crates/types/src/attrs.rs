@@ -139,15 +139,6 @@ impl AsPath {
             None => None,
         }
     }
-
-    /// The originating (rightmost) AS on the path, if any.
-    pub fn origin_as(&self) -> Option<AsNum> {
-        match self.0.last() {
-            Some(AsPathSegment::Sequence(s)) => s.last().copied(),
-            Some(AsPathSegment::Set(s)) => s.last().copied(),
-            None => None,
-        }
-    }
 }
 
 impl fmt::Display for AsPath {
@@ -233,6 +224,17 @@ impl fmt::Display for AdminDistance {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AsPath {
+        /// The originating (rightmost) AS on the path, if any.
+        fn origin_as(&self) -> Option<AsNum> {
+            match self.0.last() {
+                Some(AsPathSegment::Sequence(s)) => s.last().copied(),
+                Some(AsPathSegment::Set(s)) => s.last().copied(),
+                None => None,
+            }
+        }
+    }
 
     #[test]
     fn origin_preference_order() {

@@ -10,13 +10,6 @@ use serde::{Deserialize, Serialize};
 #[serde(transparent)]
 pub struct RouterId(pub Ipv4Addr);
 
-impl RouterId {
-    /// Raw 32-bit value, used for protocol tie-breaking (lowest wins).
-    pub fn as_u32(&self) -> u32 {
-        u32::from(self.0)
-    }
-}
-
 impl fmt::Debug for RouterId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rid:{}", self.0)
@@ -194,7 +187,7 @@ mod tests {
         let low = RouterId(Ipv4Addr::new(1, 1, 1, 1));
         let high = RouterId(Ipv4Addr::new(2, 2, 2, 1));
         assert!(low < high);
-        assert!(low.as_u32() < high.as_u32());
+        assert!(u32::from(low.0) < u32::from(high.0));
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl Interner {
         self.nodes.len()
     }
 
-    /// Number of interned interfaces; dense like nodes.
-    pub fn iface_count(&self) -> usize {
-        self.ifaces.len()
-    }
-
     /// All node refs in numbering order.
     pub fn node_refs(&self) -> impl Iterator<Item = NodeRef> {
         (0..self.nodes.len() as u32).map(NodeRef)
@@ -181,6 +176,13 @@ impl<T: ?Sized + Ord> InternSet<Arc<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Interner {
+        /// Number of interned interfaces; dense like nodes.
+        fn iface_count(&self) -> usize {
+            self.ifaces.len()
+        }
+    }
 
     #[test]
     fn equal_values_share_one_copy_and_dead_ones_are_swept() {

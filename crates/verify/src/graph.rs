@@ -189,20 +189,14 @@ pub struct NodeView {
     /// A node that is not up drops everything and consults nothing.
     pub up: bool,
     /// [`mfv_dataplane::NodeDataplane::fib_digest`] of the FIB `classes`
-    /// were derived from: the cache key, and the standing-query layer's
-    /// change-detection key.
+    /// were derived from: the cache key, and part of what the standing
+    /// queries compare between snapshots.
     pub fib_digest: u64,
 }
 
 /// A disposition partition of some scope: disjoint packet classes, each
 /// with the fate packets in it meet, in disposition order.
 pub type DispositionRows = Vec<(IpSet, Disposition)>;
-
-/// The nodes an answer was derived from: every node whose FIB, liveness,
-/// or addresses the verdict depends on. If none of these change between
-/// snapshots (and no adjacent link does), the answer is still valid — the
-/// invariant the standing-query layer's pair-level incrementality rests on.
-pub type DepSet = BTreeSet<NodeId>;
 
 /// The analysis context: per-node match classes, addresses and liveness,
 /// the links between them, and the forwarding-equivalence-class index
@@ -353,15 +347,6 @@ impl ForwardingAnalysis {
     /// the full destination space, restricted to `dst`.
     pub fn dispositions_from(&self, from: &NodeId, dst: &IpSet) -> DispositionRows {
         self.lookup().rows(from, dst)
-    }
-
-    /// Like [`ForwardingAnalysis::dispositions_from`], but also returns
-    /// the dependency set: every node the answer was derived from
-    /// (including the entry node and any down/missing node encountered).
-    /// The standing-query layer keys verdict reuse on this set.
-    pub fn dispositions_from_deps(&self, from: &NodeId, dst: &IpSet) -> (DispositionRows, DepSet) {
-        let index = self.lookup();
-        (index.rows(from, dst), index.deps(from, dst))
     }
 
     /// Point query: the fate of one packet `(from, dst)` — a binary

@@ -21,10 +21,8 @@
 //! Any scoped answer is then a restriction: intersect the scope with the
 //! atoms and read the fate table. A single-packet trace reads the same
 //! per-class actions and branches, following the first branch at each
-//! hop. Dependency sets are *derived* — the nodes reachable from the
-//! source in the class graphs of the classes in scope — rather than
-//! stored per (class, node) cell, which keeps the index at
-//! O(classes × nodes) words however many pairs are queried.
+//! hop. The index stores O(classes × nodes) words however many pairs are
+//! queried.
 
 #![expect(
     clippy::indexing_slicing,
@@ -37,7 +35,7 @@ use std::net::Ipv4Addr;
 use mfv_types::hs::IpRange;
 use mfv_types::{IfaceId, IpSet, LinkId, NodeId};
 
-use crate::graph::{DepSet, Disposition, DispositionRows, NodeView, Trace, TraceHop};
+use crate::graph::{Disposition, DispositionRows, NodeView, Trace, TraceHop};
 
 /// Deterministic counters of an analysis' class index: its shape (all
 /// zero until something builds it) and how much it has been read.
@@ -375,52 +373,6 @@ impl ClassIndex {
                 (set, self.disposition(group[0].0))
             })
             .collect()
-    }
-
-    /// Every node the answer for `(from, scope)` was derived from: the
-    /// nodes reachable from `from` in the next-hop graph of each class
-    /// `scope` touches, plus `from` itself.
-    pub fn deps(&self, from: &NodeId, scope: &IpSet) -> DepSet {
-        let mut deps = DepSet::from([from.clone()]);
-        let Some(src) = self.id_of(from) else {
-            return deps;
-        };
-        let n = self.names.len();
-        let mut classes: Vec<u32> = self
-            .pieces(scope)
-            .map(|(atom, _, _)| self.class_of[atom])
-            .collect();
-        classes.sort_unstable();
-        classes.dedup();
-        let mut reached = vec![false; n];
-        let mut seen = vec![u32::MAX; n];
-        let mut stack = Vec::new();
-        for class in classes {
-            let actions = &self.actions[class as usize * n..][..n];
-            stack.push(src);
-            seen[src] = class;
-            while let Some(v) = stack.pop() {
-                reached[v] = true;
-                let Some(entry) = actions[v].checked_sub(FIRST_ENTRY) else {
-                    continue;
-                };
-                for peer in self.branches[v][entry as usize].iter().flatten() {
-                    let peer = *peer as usize;
-                    if seen[peer] != class {
-                        seen[peer] = class;
-                        stack.push(peer);
-                    }
-                }
-            }
-        }
-        deps.extend(
-            self.names
-                .iter()
-                .zip(&reached)
-                .filter(|(_, hit)| **hit)
-                .map(|(name, _)| name.clone()),
-        );
-        deps
     }
 
     /// Total rows over every dataplane node's full-space partition — the

@@ -15,9 +15,9 @@
 //!   per query, each taking the [`ForwardingAnalysis`]
 //! - [`coverage`] — coverage-qualified answers over partially-extracted
 //!   snapshots (which devices a verdict does and does not speak for)
-//! - [`standing`] — standing queries for continuous verification:
-//!   incremental re-evaluation through a shared class cache, emitting
-//!   verdict transitions instead of full reports
+//! - [`standing`] — standing queries for continuous verification: the
+//!   batch queries re-asked per snapshot through a shared class cache,
+//!   emitting verdict transitions instead of full reports
 
 // P1 (DESIGN.md § "Determinism & panic-safety invariants"): non-test code
 // here degrades through typed errors, never a panic.
@@ -51,14 +51,14 @@ pub fn observed_query<T>(obs: &mut mfv_obs::Obs, name: &'static str, f: impl FnO
 
 pub use coverage::{qualified_reachability, qualified_unreachable_pairs, Coverage, Qualified};
 pub use graph::{
-    ClassCache, DepSet, Disposition, DispositionRows, ForwardingAnalysis, NodeClasses, NodeView,
-    Trace, TraceHop,
+    ClassCache, Disposition, DispositionRows, ForwardingAnalysis, NodeClasses, NodeView, Trace,
+    TraceHop,
 };
 pub use index::IndexStats;
 pub use queries::{
-    blackholes_from_with_deps, deliverability_changes, detect_blackholes_with, detect_loops_with,
+    deliverability_changes, detect_blackholes_with, detect_loops_with,
     detect_multipath_inconsistency, differential_reachability_with, disposition_summary,
-    loops_from_with_deps, owned_address_scope, reachability, reachability_with_deps,
-    unreachable_pairs_with, BlackHoleFinding, DiffFinding, LoopFinding, ReachabilityReport,
+    reachability, unreachable_pairs_with, BlackHoleFinding, DiffFinding, LoopFinding,
+    ReachabilityReport,
 };
 pub use standing::{StandingQueries, Verdict, VerdictUpdate};

@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 
 use mfv_types::{IpSet, NodeId};
 
-use crate::graph::{DepSet, Disposition, DispositionRows, ForwardingAnalysis};
+use crate::graph::{Disposition, ForwardingAnalysis};
 
 /// One row of a differential-reachability report: a class of packets whose
 /// fate differs between the two snapshots, for traffic entering at `src`.
@@ -112,41 +112,9 @@ pub fn reachability(
     src: &NodeId,
     dst_node: &NodeId,
 ) -> ReachabilityReport {
-    let rows = fa.dispositions_from(src, &addresses_of(fa, dst_node));
-    reachability_report(src, dst_node, rows)
-}
-
-/// [`reachability`] plus the dependency set of the answer. The
-/// answer is valid until one of the returned nodes (or `dst_node` itself,
-/// whose addresses define the query's scope, or a link adjacent to a
-/// dependency) changes — the reuse contract of the standing-query layer.
-pub fn reachability_with_deps(
-    fa: &ForwardingAnalysis,
-    src: &NodeId,
-    dst_node: &NodeId,
-) -> (ReachabilityReport, DepSet) {
-    let (rows, deps) = fa.dispositions_from_deps(src, &addresses_of(fa, dst_node));
-    (reachability_report(src, dst_node, rows), deps)
-}
-
-/// The addresses `node` owns (none if the snapshot lacks it).
-fn addresses_of(fa: &ForwardingAnalysis, node: &NodeId) -> IpSet {
-    let owned = fa.nodes().get(node).map(|n| &n.addresses);
-    address_set(owned.into_iter().flatten())
-}
-
-fn address_set<'a>(addresses: impl Iterator<Item = &'a Ipv4Addr>) -> IpSet {
-    IpSet::from_ranges(addresses.map(|a| (u32::from(*a), u32::from(*a))))
-}
-
-fn reachability_report(
-    src: &NodeId,
-    dst_node: &NodeId,
-    rows: DispositionRows,
-) -> ReachabilityReport {
     let mut delivered = IpSet::empty();
     let mut failed = Vec::new();
-    for (set, disp) in rows {
+    for (set, disp) in fa.dispositions_from(src, &addresses_of(fa, dst_node)) {
         match &disp {
             Disposition::Accepted(node) if node == dst_node => delivered = set,
             _ => failed.push((set, disp)),
@@ -158,6 +126,16 @@ fn reachability_report(
         delivered,
         failed,
     }
+}
+
+/// The addresses `node` owns (none if the snapshot lacks it).
+fn addresses_of(fa: &ForwardingAnalysis, node: &NodeId) -> IpSet {
+    let owned = fa.nodes().get(node).map(|n| &n.addresses);
+    address_set(owned.into_iter().flatten())
+}
+
+fn address_set<'a>(addresses: impl Iterator<Item = &'a Ipv4Addr>) -> IpSet {
+    IpSet::from_ranges(addresses.map(|a| (u32::from(*a), u32::from(*a))))
 }
 
 /// All-pairs reachability over node loopback/owned addresses. Returns the
@@ -191,27 +169,14 @@ pub struct LoopFinding {
 pub fn detect_loops_with(fa: &ForwardingAnalysis) -> Vec<LoopFinding> {
     let mut out = Vec::new();
     for src in fa.node_names() {
-        let rows = fa.dispositions_from(&src, &IpSet::full());
-        out.extend(loop_findings(&src, rows));
-    }
-    out
-}
-
-/// The looping classes for one entry node, with their dependency set.
-pub fn loops_from_with_deps(fa: &ForwardingAnalysis, src: &NodeId) -> (Vec<LoopFinding>, DepSet) {
-    let (rows, deps) = fa.dispositions_from_deps(src, &IpSet::full());
-    (loop_findings(src, rows), deps)
-}
-
-fn loop_findings(src: &NodeId, rows: DispositionRows) -> Vec<LoopFinding> {
-    let mut out = Vec::new();
-    for (dsts, disp) in rows {
-        if let Disposition::Loop(at) = disp {
-            out.push(LoopFinding {
-                src: src.clone(),
-                dsts,
-                at,
-            });
+        for (dsts, disp) in fa.dispositions_from(&src, &IpSet::full()) {
+            if let Disposition::Loop(at) = disp {
+                out.push(LoopFinding {
+                    src: src.clone(),
+                    dsts,
+                    at,
+                });
+            }
         }
     }
     out
@@ -226,46 +191,22 @@ pub struct BlackHoleFinding {
     pub dropped_at: NodeId,
 }
 
-/// The "should be reachable" space: every address owned by an up node.
-/// This is the scope black-hole detection checks; the standing-query
-/// layer compares it across snapshots because a scope change invalidates
-/// every per-source black-hole answer at once.
-pub fn owned_address_scope(fa: &ForwardingAnalysis) -> IpSet {
-    let up = fa.nodes().values().filter(|n| n.up);
-    address_set(up.flat_map(|n| &n.addresses))
-}
-
 /// Searches for black holes toward owned addresses, from any entry node.
+/// The scope is the "should be reachable" space: every address an up node
+/// owns.
 pub fn detect_blackholes_with(fa: &ForwardingAnalysis) -> Vec<BlackHoleFinding> {
-    let owned = owned_address_scope(fa);
+    let up = fa.nodes().values().filter(|n| n.up);
+    let owned = address_set(up.flat_map(|n| &n.addresses));
     let mut out = Vec::new();
     for src in fa.node_names() {
-        let rows = fa.dispositions_from(&src, &owned);
-        out.extend(blackhole_findings(&src, rows));
-    }
-    out
-}
-
-/// The black-hole classes for one entry node over the `owned` scope, with
-/// their dependency set.
-pub fn blackholes_from_with_deps(
-    fa: &ForwardingAnalysis,
-    src: &NodeId,
-    owned: &IpSet,
-) -> (Vec<BlackHoleFinding>, DepSet) {
-    let (rows, deps) = fa.dispositions_from_deps(src, owned);
-    (blackhole_findings(src, rows), deps)
-}
-
-fn blackhole_findings(src: &NodeId, rows: DispositionRows) -> Vec<BlackHoleFinding> {
-    let mut out = Vec::new();
-    for (dsts, disp) in rows {
-        if let Disposition::NoRoute(dropped_at) | Disposition::NullRoute(dropped_at) = disp {
-            out.push(BlackHoleFinding {
-                src: src.clone(),
-                dsts,
-                dropped_at,
-            });
+        for (dsts, disp) in fa.dispositions_from(&src, &owned) {
+            if let Disposition::NoRoute(dropped_at) | Disposition::NullRoute(dropped_at) = disp {
+                out.push(BlackHoleFinding {
+                    src: src.clone(),
+                    dsts,
+                    dropped_at,
+                });
+            }
         }
     }
     out

@@ -1,28 +1,24 @@
-//! Standing queries: invariants verified continuously, re-evaluated
-//! incrementally.
+//! Standing queries: invariants verified continuously against a stream of
+//! dataplane snapshots.
 //!
 //! A one-shot query answers once and forgets; continuous verification
-//! keeps a set of invariants *standing* against a stream of dataplane
-//! snapshots and reports only when a verdict changes. Re-evaluation is
-//! incremental at two levels:
+//! keeps a set of invariants *standing* and reports only when a verdict
+//! changes. A standing query is the one-shot query re-asked: every
+//! evaluation builds a [`ForwardingAnalysis`] and answers with the same
+//! three batch queries `mfvctl run` uses ([`unreachable_pairs_with`],
+//! [`detect_loops_with`], [`detect_blackholes_with`]). Two things keep that
+//! cheap:
 //!
-//! - **Class level:** every evaluation rebuilds its [`ForwardingAnalysis`]
-//!   through one shared [`ClassCache`], so a node whose FIB digest is
-//!   unchanged reuses its effective classes and only nodes whose AFTs
-//!   actually changed pay class computation. The cache's hit/miss counters
-//!   are exposed ([`StandingQueries::cache_stats`]) precisely so a test
-//!   can prove that a single-node resync invalidates that node alone.
-//!
-//! - **Pair level:** each (src, dst) reachability pair and each per-source
-//!   loop/black-hole walk keeps its last answer together with the
-//!   dependency set it was derived from ([`crate::graph::DepSet`]).
-//!   On the next tick the layer diffs per-node `(fib digest, up,
-//!   addresses)` keys plus the link set, and re-evaluates only the pairs
-//!   whose dependencies intersect the changed nodes. A quiet tick does
-//!   zero pair work; a single changed node re-evaluates the pairs whose
-//!   propagation crosses it — work proportional to what changed, not N².
-//!   The [`StandingQueries::pair_stats`] counters make the sub-quadratic
-//!   claim testable.
+//! - **Shared classes.** Every analysis is built through one [`ClassCache`],
+//!   so a node whose FIB digest is unchanged reuses its effective classes
+//!   and only nodes whose AFTs actually changed pay class computation. The
+//!   cache's hit/miss counters ([`StandingQueries::cache_stats`]) let a
+//!   test prove that a single-node resync invalidates that node alone.
+//! - **Unchanged inputs.** The queries read each node's FIB digest,
+//!   liveness and addresses, and the links. When all of those equal the
+//!   previous evaluation's, the previous answers stand and the class index
+//!   is never built; [`StandingQueries::pair_stats`] counts the work units
+//!   computed and carried over.
 //!
 //! Verdicts carry the coverage caveats of the snapshot they were computed
 //! from: while a telemetry stream is degraded, the verdict does not
@@ -32,14 +28,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use mfv_dataplane::Dataplane;
-use mfv_types::{IpSet, LinkId, NodeId, SimTime};
+use mfv_types::{LinkId, NodeId, SimTime};
 
 use crate::coverage::Coverage;
-use crate::graph::{ClassCache, DepSet, ForwardingAnalysis};
-use crate::queries::{
-    blackholes_from_with_deps, loops_from_with_deps, owned_address_scope, reachability_with_deps,
-    BlackHoleFinding, LoopFinding, ReachabilityReport,
-};
+use crate::graph::{ClassCache, ForwardingAnalysis};
+use crate::queries::{detect_blackholes_with, detect_loops_with, unreachable_pairs_with};
 
 /// The state of one standing invariant.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -76,36 +69,76 @@ impl std::fmt::Display for VerdictUpdate {
     }
 }
 
-/// Per-node change-detection key: a pair's cached answer survives a tick
-/// only if no dependency's key changed (and no link was added/removed on a
-/// dependency).
-#[derive(Clone, PartialEq, Eq)]
-struct NodeKey {
-    digest: u64,
-    up: bool,
-    addresses: BTreeSet<Ipv4Addr>,
+/// Everything the three queries read of a snapshot: per node its FIB
+/// digest, liveness and addresses, and the links in the order the class
+/// index reads them.
+#[derive(PartialEq, Eq)]
+struct Inputs {
+    nodes: BTreeMap<NodeId, (u64, bool, BTreeSet<Ipv4Addr>)>,
+    links: Vec<LinkId>,
 }
 
-/// What [`StandingQueries::changed_nodes`] saw in one snapshot: the nodes
-/// that differ from the previous evaluation, and the keys and links the
-/// next evaluation diffs against.
-struct Observed {
-    changed: BTreeSet<NodeId>,
-    node_keys: BTreeMap<NodeId, NodeKey>,
-    links: BTreeSet<LinkId>,
+impl Inputs {
+    fn of(fa: &ForwardingAnalysis, links: &[LinkId]) -> Inputs {
+        Inputs {
+            nodes: fa
+                .nodes()
+                .iter()
+                .map(|(name, n)| (name.clone(), (n.fib_digest, n.up, n.addresses.clone())))
+                .collect(),
+            links: links.to_vec(),
+        }
+    }
 }
 
-/// Cached answer for one (src, dst) reachability pair.
-struct PairState {
-    deps: DepSet,
-    /// `Some` iff the pair was not fully reachable at last evaluation.
-    failed: Option<ReachabilityReport>,
-}
+/// `(holds, detail)` of each query, in [`QUERIES`] order.
+type Answers = [(bool, String); 3];
 
-/// Cached per-source answer for a loop or black-hole walk.
-struct SrcState<T> {
-    deps: DepSet,
-    findings: Vec<T>,
+const QUERIES: [&str; 3] = ["reachability", "loop_freedom", "blackhole_freedom"];
+
+/// The three batch queries over one analysis.
+fn answer(fa: &ForwardingAnalysis) -> Answers {
+    let pairs = unreachable_pairs_with(fa);
+    let reach = match pairs.first() {
+        None => {
+            let n = fa.nodes().len();
+            format!(
+                "all {} covered node pairs reachable",
+                n * n.saturating_sub(1)
+            )
+        }
+        Some(first) => format!(
+            "{} unreachable pair(s) (first: {} -> {})",
+            pairs.len(),
+            first.src,
+            first.dst_node
+        ),
+    };
+    let loops = detect_loops_with(fa);
+    let looping = match loops.first() {
+        None => "no forwarding loops".to_string(),
+        Some(first) => format!(
+            "{} looping class(es) (first: from {} at {})",
+            loops.len(),
+            first.src,
+            first.at
+        ),
+    };
+    let holes = detect_blackholes_with(fa);
+    let holing = match holes.first() {
+        None => "no black holes toward owned addresses".to_string(),
+        Some(first) => format!(
+            "{} black-hole class(es) (first: from {} dropped at {})",
+            holes.len(),
+            first.src,
+            first.dropped_at
+        ),
+    };
+    [
+        (pairs.is_empty(), reach),
+        (loops.is_empty(), looping),
+        (holes.is_empty(), holing),
+    ]
 }
 
 /// The standing invariants of the continuous-verification loop:
@@ -116,18 +149,8 @@ pub struct StandingQueries {
     verdicts: BTreeMap<&'static str, Verdict>,
     evaluations: u64,
     updates: u64,
-    /// Change-detection keys from the previous evaluation.
-    node_keys: BTreeMap<NodeId, NodeKey>,
-    links: BTreeSet<LinkId>,
-    /// Pair-level verdict state, keyed by the class of traffic it speaks
-    /// for: (entry node, destination node) for reachability, entry node
-    /// for the full-space loop walk and the owned-scope black-hole walk.
-    pairs: BTreeMap<(NodeId, NodeId), PairState>,
-    loop_srcs: BTreeMap<NodeId, SrcState<LoopFinding>>,
-    hole_srcs: BTreeMap<NodeId, SrcState<BlackHoleFinding>>,
-    /// The owned-address scope the black-hole states were computed over; a
-    /// scope change invalidates all of them at once.
-    hole_scope: Option<IpSet>,
+    /// The previous evaluation's inputs and answers.
+    last: Option<(Inputs, Answers)>,
     pair_evaluations: u64,
     pair_reuses: u64,
 }
@@ -149,11 +172,11 @@ impl StandingQueries {
         self.evaluations
     }
 
-    /// `(evaluated, reused)` pair-level work units over this instance's
+    /// `(computed, carried over)` work units over this instance's
     /// lifetime. One unit is a (src, dst) reachability pair or a
-    /// per-source loop/black-hole walk. A quiet tick adds only reuses;
-    /// this is the counter that proves re-evaluation work is proportional
-    /// to changed nodes, not N².
+    /// per-source loop/black-hole walk, so one evaluation of N nodes is
+    /// N(N-1) + 2N units: computed when some input changed, carried over
+    /// when the snapshot's inputs equal the previous evaluation's.
     pub fn pair_stats(&self) -> (u64, u64) {
         (self.pair_evaluations, self.pair_reuses)
     }
@@ -163,49 +186,10 @@ impl StandingQueries {
         &self.verdicts
     }
 
-    /// The nodes whose observable state differs from the previous
-    /// evaluation: changed FIB digest, liveness, or addresses; present on
-    /// an added/removed link; or added/removed entirely.
-    fn changed_nodes(&self, fa: &ForwardingAnalysis, links: &[LinkId]) -> Observed {
-        let mut keys = BTreeMap::new();
-        for (name, node) in fa.nodes() {
-            keys.insert(
-                name.clone(),
-                NodeKey {
-                    digest: node.fib_digest,
-                    up: node.up,
-                    addresses: node.addresses.clone(),
-                },
-            );
-        }
-        let mut changed = BTreeSet::new();
-        for (name, key) in &keys {
-            if self.node_keys.get(name) != Some(key) {
-                changed.insert(name.clone());
-            }
-        }
-        for name in self.node_keys.keys() {
-            if !keys.contains_key(name) {
-                changed.insert(name.clone());
-            }
-        }
-        let links: BTreeSet<LinkId> = links.iter().cloned().collect();
-        for link in links.symmetric_difference(&self.links) {
-            changed.insert(link.a.0.clone());
-            changed.insert(link.b.0.clone());
-        }
-        Observed {
-            changed,
-            node_keys: keys,
-            links,
-        }
-    }
-
     /// Re-evaluates every standing query against `dp` and returns the
     /// verdicts that changed. Classes for unchanged nodes come from the
-    /// shared cache, and pairs/walks whose dependency sets avoid every
-    /// changed node reuse their previous answer outright — re-analysis
-    /// cost is proportional to what changed.
+    /// shared cache; if nothing the queries read changed, the previous
+    /// answers stand under the current coverage caveats.
     pub fn evaluate(
         &mut self,
         at: SimTime,
@@ -214,159 +198,30 @@ impl StandingQueries {
     ) -> Vec<VerdictUpdate> {
         self.evaluations += 1;
         let fa = ForwardingAnalysis::with_cache(dp, &self.cache);
+        let inputs = Inputs::of(&fa, &dp.links);
+        let n = fa.nodes().len() as u64;
+        let units = n * (n + 1);
+        let answers = match self.last.take() {
+            Some((prev, answers)) if prev == inputs => {
+                self.pair_reuses += units;
+                answers
+            }
+            _ => {
+                self.pair_evaluations += units;
+                answer(&fa)
+            }
+        };
         let caveats = coverage.caveats();
         let mut out = Vec::new();
-
-        // On the first evaluation `node_keys` is empty, so every node
-        // diffs as changed and everything below computes from scratch.
-        let Observed {
-            changed,
-            node_keys,
-            links,
-        } = self.changed_nodes(&fa, &dp.links);
-        let dirty = |deps: &DepSet, extra: &NodeId| -> bool {
-            changed.contains(extra) || deps.intersection(&changed).next().is_some()
-        };
-
-        let nodes = fa.node_names();
-        let node_set: BTreeSet<NodeId> = nodes.iter().cloned().collect();
-        // Drop cached state for nodes that left the snapshot.
-        self.pairs
-            .retain(|(s, d), _| node_set.contains(s) && node_set.contains(d));
-        self.loop_srcs.retain(|s, _| node_set.contains(s));
-        self.hole_srcs.retain(|s, _| node_set.contains(s));
-
-        let mut pairs = Vec::new();
-        for src in &nodes {
-            for dst in &nodes {
-                if src == dst {
-                    continue;
-                }
-                let key = (src.clone(), dst.clone());
-                let reusable = self.pairs.get(&key).is_some_and(|st| !dirty(&st.deps, dst));
-                if reusable {
-                    self.pair_reuses += 1;
-                } else {
-                    self.pair_evaluations += 1;
-                    let (report, deps) = reachability_with_deps(&fa, src, dst);
-                    let failed = (!report.fully_reachable()).then_some(report);
-                    self.pairs.insert(key.clone(), PairState { deps, failed });
-                }
-                if let Some(st) = self.pairs.get(&key) {
-                    if let Some(report) = &st.failed {
-                        pairs.push(report.clone());
-                    }
-                }
-            }
-        }
-        let detail = match pairs.first() {
-            None => format!("all {} covered node pairs reachable", {
-                let n = dp.nodes.len();
-                n * n.saturating_sub(1)
-            }),
-            Some(first) => format!(
-                "{} unreachable pair(s) (first: {} -> {})",
-                pairs.len(),
-                first.src,
-                first.dst_node
-            ),
-        };
-        self.consider(
-            at,
-            "reachability",
-            Verdict {
-                holds: pairs.is_empty(),
-                detail,
+        for (query, (holds, detail)) in QUERIES.into_iter().zip(&answers) {
+            let verdict = Verdict {
+                holds: *holds,
+                detail: detail.clone(),
                 caveats: caveats.clone(),
-            },
-            &mut out,
-        );
-
-        let mut loops = Vec::new();
-        for src in &nodes {
-            let reusable = self
-                .loop_srcs
-                .get(src)
-                .is_some_and(|st| !dirty(&st.deps, src));
-            if reusable {
-                self.pair_reuses += 1;
-            } else {
-                self.pair_evaluations += 1;
-                let (findings, deps) = loops_from_with_deps(&fa, src);
-                self.loop_srcs
-                    .insert(src.clone(), SrcState { deps, findings });
-            }
-            if let Some(st) = self.loop_srcs.get(src) {
-                loops.extend(st.findings.iter().cloned());
-            }
+            };
+            self.consider(at, query, verdict, &mut out);
         }
-        let detail = match loops.first() {
-            None => "no forwarding loops".to_string(),
-            Some(first) => format!(
-                "{} looping class(es) (first: from {} at {})",
-                loops.len(),
-                first.src,
-                first.at
-            ),
-        };
-        self.consider(
-            at,
-            "loop_freedom",
-            Verdict {
-                holds: loops.is_empty(),
-                detail,
-                caveats: caveats.clone(),
-            },
-            &mut out,
-        );
-
-        // The black-hole scope is derived from every up node's addresses;
-        // if it moved, no per-source answer can be trusted.
-        let owned = owned_address_scope(&fa);
-        if self.hole_scope.as_ref() != Some(&owned) {
-            self.hole_srcs.clear();
-            self.hole_scope = Some(owned.clone());
-        }
-        let mut holes = Vec::new();
-        for src in &nodes {
-            let reusable = self
-                .hole_srcs
-                .get(src)
-                .is_some_and(|st| !dirty(&st.deps, src));
-            if reusable {
-                self.pair_reuses += 1;
-            } else {
-                self.pair_evaluations += 1;
-                let (findings, deps) = blackholes_from_with_deps(&fa, src, &owned);
-                self.hole_srcs
-                    .insert(src.clone(), SrcState { deps, findings });
-            }
-            if let Some(st) = self.hole_srcs.get(src) {
-                holes.extend(st.findings.iter().cloned());
-            }
-        }
-        let detail = match holes.first() {
-            None => "no black holes toward owned addresses".to_string(),
-            Some(first) => format!(
-                "{} black-hole class(es) (first: from {} dropped at {})",
-                holes.len(),
-                first.src,
-                first.dropped_at
-            ),
-        };
-        self.consider(
-            at,
-            "blackhole_freedom",
-            Verdict {
-                holds: holes.is_empty(),
-                detail,
-                caveats,
-            },
-            &mut out,
-        );
-
-        self.node_keys = node_keys;
-        self.links = links;
+        self.last = Some((inputs, answers));
         out
     }
 
@@ -562,9 +417,9 @@ mod tests {
         )
     }
 
-    /// The tentpole claim: re-evaluation work per tick is proportional to
-    /// the changed nodes, not N². A quiet tick does zero pair work; an
-    /// end-node FIB change re-evaluates O(N) pairs on an N-node line.
+    /// A standing evaluation is one full pass of the batch queries or
+    /// none: a quiet tick carries every unit over, and a one-node change
+    /// costs exactly one full pass, N(N-1) pairs plus 2N walks.
     #[test]
     fn pair_work_is_subquadratic_in_changes() {
         const N: usize = 12;
@@ -578,35 +433,26 @@ mod tests {
         let full = (N * (N - 1) + 2 * N) as u64;
         assert_eq!(sq.pair_stats(), (full, 0));
 
-        // Quiet tick: everything reuses, nothing evaluates.
+        // Quiet tick: everything carries over, nothing is computed.
         sq.evaluate(SimTime(2_000), &dp, &cov);
         assert_eq!(sq.pair_stats(), (full, full));
 
-        // One end node loses a route: only pairs and walks whose
-        // dependencies cross r00 re-evaluate — O(N), far below N².
+        // One end node loses a route: one full pass, no more.
         let mut broken = line_dp_n(N);
         if let Some(node) = broken.nodes.get_mut(&NodeId::from("r00")) {
             node.entries.clear();
         }
         let updates = sq.evaluate(SimTime(3_000), &broken, &cov);
         assert!(updates.iter().any(|u| !u.verdict.holds));
-        let (evals, _) = sq.pair_stats();
-        let delta = evals - full;
-        // Pairs touching r00 as src or dst: 2(N-1); every source's loop
-        // and black-hole walk depends on r00 (the line routes everything
-        // through to it): 2N. Anything near N² means incrementality broke.
-        assert!(
-            delta <= (4 * N) as u64,
-            "expected O(N) re-evaluations, got {delta} (full pass = {full})"
-        );
+        assert_eq!(sq.pair_stats(), (2 * full, full));
         // And the verdict matches a from-scratch evaluation.
         let mut fresh = StandingQueries::new();
         fresh.evaluate(SimTime(3_000), &broken, &cov);
         assert_eq!(sq.verdicts(), fresh.verdicts());
     }
 
-    /// Cutting a link must invalidate the pairs that routed across it even
-    /// though no node's FIB digest changed.
+    /// Cutting a link must trigger a recomputation even though no node's
+    /// FIB digest changed.
     #[test]
     fn link_cut_invalidates_crossing_pairs() {
         const N: usize = 4;

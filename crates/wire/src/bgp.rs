@@ -67,17 +67,6 @@ impl PathAttr {
             PathAttr::Unknown { type_code, .. } => *type_code,
         }
     }
-
-    /// Is this attribute transitive (must be propagated even if not
-    /// understood)?
-    pub fn is_transitive(&self) -> bool {
-        match self {
-            PathAttr::Unknown { flags, .. } => flags & FLAG_TRANSITIVE != 0,
-            // All structured attributes we implement are well-known or
-            // optional-transitive.
-            _ => true,
-        }
-    }
 }
 
 /// A BGP OPEN message.
@@ -618,6 +607,19 @@ fn decode_attr(buf: &mut Bytes) -> Result<PathAttr, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PathAttr {
+        /// Is this attribute transitive (must be propagated even if not
+        /// understood)?
+        fn is_transitive(&self) -> bool {
+            match self {
+                PathAttr::Unknown { flags, .. } => flags & FLAG_TRANSITIVE != 0,
+                // All structured attributes we implement are well-known or
+                // optional-transitive.
+                _ => true,
+            }
+        }
+    }
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()

@@ -647,14 +647,10 @@ pub enum IsisPdu {
     Psnp(Psnp),
 }
 
-/// Standard Fletcher-16 checksum (ISO 8473 style, without the
-/// zero-adjustment refinement — both ends of our wire use the same code).
-pub fn fletcher16(data: &[u8]) -> u16 {
-    fletcher16_of(&[data])
-}
-
-/// [`fletcher16`] of the concatenated `parts`, reduced modulo 255 once per
-/// block instead of per byte: from sums below 255, 5,802 bytes of `0xff`
+/// The Fletcher-16 checksum (ISO 8473 style, without the zero-adjustment
+/// refinement — both ends of our wire use the same code) of the
+/// concatenated `parts`, reduced modulo 255 once per block instead of per
+/// byte: from sums below 255, 5,802 bytes of `0xff`
 /// is the longest run after which `c1` still fits a `u32`.
 fn fletcher16_of(parts: &[&[u8]]) -> u16 {
     let (mut c0, mut c1) = (0u32, 0u32);
@@ -918,6 +914,12 @@ mod tests {
     use proptest::collection::vec;
     use proptest::option;
     use proptest::prelude::*;
+
+    /// Standard Fletcher-16 checksum (ISO 8473 style, without the
+    /// zero-adjustment refinement — both ends of our wire use the same code).
+    fn fletcher16(data: &[u8]) -> u16 {
+        fletcher16_of(&[data])
+    }
 
     fn sys(n: u8) -> SystemId {
         SystemId([0, 0, 0, 0, 0, n])

@@ -11,6 +11,17 @@ trap 'rm -rf "$tmp"' EXIT
 # fixture) warns on: P1 / W1, plus "a suppression states its reason".
 root_lints="unwrap_used expect_used panic unreachable unimplemented indexing_slicing allow_attributes_without_reason"
 
+# Prints the non-test lines of the given files as `file:line: text`: every
+# `#[cfg(test)]` item is skipped, wherever it sits.
+non_test() {
+  awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+    skip { o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c; opened = opened || o > 0
+           if (opened && depth <= 0) skip = 0; next }
+    { print FILENAME ":" FNR ": " $0 }
+  ' "$@"
+}
+
 # Prints the lines under the given trees that name the `Relaxed` atomic
 # ordering outside a whole-line comment; fails if there are none. An enum
 # variant is the one thing of rule D3 that clippy cannot be configured to ban.
@@ -311,18 +322,29 @@ cargo test -q --test work_ceiling a_quiet_watch_renders_only_its_syncs | grep -q
 }
 
 echo "==> one record per happening: diff writes the canonical order itself, a watch happening is counted and journaled once, the retry and stream timings are constants"
-# Non-test code only: every `#[cfg(test)]` item is skipped, wherever it sits.
-if awk '
-  /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
-  skip { o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c; opened = opened || o > 0
-         if (opened && depth <= 0) skip = 0; next }
-  { print FILENAME ":" FNR ": " $0 }
-' crates/mgmt/src/*.rs | grep -E 'fn canonicalize\b|(struct|enum|type|trait) (WatchEvent|CollectorConfig)\b'; then
+if non_test crates/mgmt/src/*.rs | grep -E 'fn canonicalize\b|(struct|enum|type|trait) (WatchEvent|CollectorConfig)\b'; then
   echo "one-record check FAILED: non-test crates/mgmt defines canonicalize, WatchEvent or CollectorConfig again (diff sorts its own batch; WatchStats and the watcher's journal record each happening; the collector's and watcher's timings are constants)" >&2
   exit 1
 fi
 cargo test -q -p mfv-mgmt --test gnmi_roundtrip diff_is_canonical | grep -q '1 passed' || {
   echo "one-record check FAILED: the canonical-diff proptest did not run and pass" >&2
+  exit 1
+}
+
+echo "==> one answer per query: a standing query re-asks the batch queries, with no per-pair dependency layer"
+if non_test crates/verify/src/*.rs | grep -E '(struct|enum|type|trait) (DepSet|PairState|SrcState)\b|fn (dispositions_from_deps|[a-z_]+_with_deps)\b'; then
+  echo "one-answer check FAILED: non-test crates/verify defines a dependency set, a per-pair or per-source state, or a *_with_deps query again (StandingQueries::evaluate asks the batch queries)" >&2
+  exit 1
+fi
+standing_src="$(non_test crates/verify/src/standing.rs)"
+for query in unreachable_pairs_with detect_loops_with detect_blackholes_with; do
+  grep -qE "\b$query\(" <<<"$standing_src" || {
+    echo "one-answer check FAILED: non-test crates/verify/src/standing.rs no longer calls $query (a standing query is the batch query)" >&2
+    exit 1
+  }
+done
+cargo test -q -p mfv-verify --test proptests standing_pair_work_is_unchanged_on_a_fixed_delta_sequence | grep -q '1 passed' || {
+  echo "one-answer check FAILED: the standing-against-fresh delta sequence did not run and pass" >&2
   exit 1
 }
 
