@@ -1,5 +1,5 @@
 //! Regenerates every figure/result of the paper's evaluation as
-//! paper-vs-measured tables.
+//! paper-vs-measured tables, and runs the scripted scenarios.
 //!
 //! ```sh
 //! cargo run --release -p mfv-bench --bin experiments            # all
@@ -9,6 +9,8 @@
 //! cargo run --release -p mfv-bench --bin experiments -- converge 20 50 # and where its convergence time goes
 //! cargo run --release -p mfv-bench --bin experiments -- converge --grid 10 6 # the same for an isis_grid
 //! cargo run --release -p mfv-bench --bin experiments -- watch 7 6 # what a chaos watch reads, renders and decodes
+//! cargo run --release -p mfv-bench --bin experiments -- watch 4 3 --seed 7 --journal v.txt # its verdict journal
+//! cargo run --release -p mfv-bench --bin experiments -- chaos --obs-json o.json --obs-exclude-wall # its obs dump, without wall times
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -18,19 +20,34 @@ use std::collections::BTreeSet;
 use mfv_bench::*;
 use mfv_core::obs::{Obs, WallTimer};
 use mfv_core::{
-    extract_snapshot, run_watch, scenarios, unreachable_pairs_with, EmulationBackend,
-    ForwardingAnalysis, Snapshot, WatchRunConfig,
+    extract_snapshot, observed_query, qualified_unreachable_pairs, run_watch, scenarios,
+    unreachable_pairs_with, Coverage, EmulationBackend, ForwardingAnalysis, Snapshot,
+    WatchRunConfig,
 };
 use mfv_emulator::ChaosPlan;
 use mfv_mgmt::{StreamFaultModel, WatchConfig};
 use mfv_types::{NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
 
-/// An experiment id and its runner; the flag is `--quick`.
-type Experiment = (&'static str, fn(bool));
+/// What the command line asks beyond the experiment ids, parsed once: the
+/// numbers are `heap` / `converge`'s WAN size or grid and `watch`'s grid,
+/// `--seed` is `watch`'s emulation and stream seed.
+#[derive(Default)]
+struct Options {
+    quick: bool,
+    sizes: Vec<usize>,
+    grid: bool,
+    seed: Option<u64>,
+    journal: Option<String>,
+    obs_json: Option<String>,
+    exclude_wall: bool,
+}
+
+/// An experiment id and its runner.
+type Experiment = (&'static str, fn(&Options));
 
 /// Every experiment, in run order.
-const EXPERIMENTS: [Experiment; 13] = [
+const EXPERIMENTS: [Experiment; 14] = [
     ("e1", |_| e1()),
     ("e2", |_| e2()),
     ("e3", |_| e3()),
@@ -41,26 +58,53 @@ const EXPERIMENTS: [Experiment; 13] = [
     ("a1", |_| a1()),
     ("a2", |_| a2()),
     ("a3", |_| a3()),
-    ("heap", |_| heap()),
-    ("converge", |_| converge()),
-    ("watch", |_| watch()),
+    ("heap", heap),
+    ("converge", converge),
+    ("watch", watch),
+    ("chaos", chaos),
 ];
 
+/// Stops with a usage error (exit 2) before anything runs.
+fn usage_error(message: &str) -> ! {
+    eprintln!("experiments: {message}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && a.parse::<usize>().is_err())
-        .map(|s| s.as_str())
-        .collect();
     let ids = EXPERIMENTS.map(|(id, _)| id);
-    if let Some(unknown) = selected.iter().find(|id| !ids.contains(id)) {
-        eprintln!(
-            "experiments: unknown experiment id `{unknown}` (valid: {})",
-            ids.join(" ")
-        );
-        std::process::exit(2);
+    let mut opts = Options::default();
+    let mut selected = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("option '{arg}' needs a value")))
+        };
+        match arg.as_str() {
+            "--quick" => opts.quick = true,
+            "--grid" => opts.grid = true,
+            "--obs-exclude-wall" => opts.exclude_wall = true,
+            "--seed" => match value().parse() {
+                Ok(seed) => opts.seed = Some(seed),
+                Err(_) => usage_error("bad --seed"),
+            },
+            "--journal" => opts.journal = Some(value()),
+            "--obs-json" => opts.obs_json = Some(value()),
+            option if option.starts_with("--") => {
+                usage_error(&format!("unknown option '{option}'"))
+            }
+            word => match word.parse() {
+                Ok(size) => opts.sizes.push(size),
+                Err(_) if ids.contains(&word) => selected.push(word.to_string()),
+                Err(_) => usage_error(&format!(
+                    "unknown experiment id `{word}` (valid: {})",
+                    ids.join(" ")
+                )),
+            },
+        }
+    }
+    if opts.grid && opts.sizes.len() < 2 {
+        usage_error("--grid takes <cols> <rows>");
     }
 
     println!("Model-Free Verification — experiment harness");
@@ -68,8 +112,8 @@ fn main() {
     println!("Verification\", HotNets '25 (see EXPERIMENTS.md for the index)\n");
 
     for (id, run) in EXPERIMENTS {
-        if selected.is_empty() || selected.contains(&id) {
-            run(quick);
+        if selected.is_empty() || selected.iter().any(|s| s == id) {
+            run(&opts);
         }
     }
 }
@@ -187,11 +231,11 @@ fn e3() {
     );
 }
 
-fn e4(quick: bool) {
+fn e4(opts: &Options) {
     banner("E4", "emulation performance scales in size and complexity");
     println!("single e2-standard-32 machine, cEOS-shape pods (0.5 vCPU + 1 GiB):\n");
     println!("routers  scheduled  boot        convergence  messages  fib     wall");
-    let sizes: &[usize] = if quick {
+    let sizes: &[usize] = if opts.quick {
         &[5, 10, 20]
     } else {
         &[5, 10, 20, 40, 60]
@@ -246,9 +290,9 @@ fn e4(quick: bool) {
     );
 }
 
-fn e5(quick: bool) {
+fn e5(opts: &Options) {
     banner("E5", "convergence with production-realistic conditions");
-    let nodes = if quick { 10 } else { 30 };
+    let nodes = if opts.quick { 10 } else { 30 };
     println!(
         "replica: {nodes}-node multi-vendor WAN, iBGP mesh, 2 external feeds \
          at ~10k routes/s each"
@@ -256,7 +300,7 @@ fn e5(quick: bool) {
     println!("(the paper injects millions per peer; we sweep the synthetic feed size —");
     println!(" convergence is injection-paced, so the time extrapolates linearly)\n");
     println!("routes/feed  boot       convergence  messages  fib-entries  wall");
-    let sweeps: &[usize] = if quick {
+    let sweeps: &[usize] = if opts.quick {
         &[2_500, 10_000]
     } else {
         &[10_000, 25_000, 50_000]
@@ -534,10 +578,9 @@ fn held_by<T>(f: impl FnOnce() -> T) -> (T, Held) {
 /// The `regional_wan` the numbers on the command line size (`5 20` without
 /// any), and a seed-1 backend with the paper's packing: some sixty routers
 /// to a machine, 17 for 1,000.
-fn wan_from_args() -> (usize, usize, Snapshot, EmulationBackend) {
-    let sizes: Vec<usize> = std::env::args().filter_map(|a| a.parse().ok()).collect();
-    let regions = sizes.first().copied().unwrap_or(5);
-    let per_region = sizes.get(1).copied().unwrap_or(20);
+fn wan(opts: &Options) -> (usize, usize, Snapshot, EmulationBackend) {
+    let regions = opts.sizes.first().copied().unwrap_or(5);
+    let per_region = opts.sizes.get(1).copied().unwrap_or(20);
     let mut backend = EmulationBackend::with_seed(1);
     backend.cluster_machines = (regions * per_region).div_ceil(60);
     let snapshot = scenarios::regional_wan(regions, per_region);
@@ -545,9 +588,9 @@ fn wan_from_args() -> (usize, usize, Snapshot, EmulationBackend) {
 }
 
 /// `heap [regions per_region]`.
-fn heap() {
+fn heap(opts: &Options) {
     banner("HEAP", "what a converged emulation holds, piece by piece");
-    let (regions, per_region, snapshot, backend) = wan_from_args();
+    let (regions, per_region, snapshot, backend) = wan(opts);
     let ((emu, meta), emulation) = held_by(|| backend.run(&snapshot).expect("wan boots"));
     assert!(meta.converged, "regional_wan({regions}, {per_region})");
     let nodes = snapshot.topology.nodes.iter();
@@ -619,23 +662,17 @@ fn heap() {
 /// section) against the run's wall time, the work counters that say how
 /// often each thing was computed, and the extraction that follows: the
 /// typed hand-over against the JSON Get.
-fn converge() {
+fn converge(opts: &Options) {
     banner("CONVERGE", "where a convergence run's wall time goes");
-    let args: Vec<String> = std::env::args().collect();
-    let (network, snapshot, backend) = match args.iter().position(|a| a == "--grid") {
-        Some(at) => {
-            let size = |i: usize| args.get(at + i).and_then(|a| a.parse::<usize>().ok());
-            let (Some(cols), Some(rows)) = (size(1), size(2)) else {
-                eprintln!("experiments: --grid takes <cols> <rows>");
-                std::process::exit(2);
-            };
+    let (network, snapshot, backend) = match opts.sizes.as_slice() {
+        &[cols, rows, ..] if opts.grid => {
             let mut backend = EmulationBackend::with_seed(1);
             backend.cluster_machines = (cols * rows).div_ceil(60);
             let network = format!("isis_grid({cols}, {rows})");
             (network, scenarios::isis_grid(cols, rows), backend)
         }
-        None => {
-            let (regions, per_region, snapshot, backend) = wan_from_args();
+        _ => {
+            let (regions, per_region, snapshot, backend) = wan(opts);
             (
                 format!("regional_wan({regions}, {per_region})"),
                 snapshot,
@@ -736,29 +773,39 @@ fn converge() {
     );
 }
 
-/// `watch [cols rows]`: `run_watch` on an `isis_grid` (7 × 6 without any)
-/// under the benchmark's faults — a link flap, a routing-process kill and a
-/// machine failure, over a stream that drops 10 % of batches and loses 2 %
-/// of sessions — with the device reads, renders and mirror decodes it made,
-/// and its loop's wall phases against the run.
-fn watch() {
+/// Writes `text` to the file at `path`, if one was asked for, and says so.
+fn write_out(path: Option<&String>, what: &str, text: &str) {
+    if let Some(path) = path {
+        std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("wrote {what} to {path}");
+    }
+}
+
+/// `watch [cols rows] [--seed N] [--journal PATH]`: `run_watch` on an
+/// `isis_grid` (7 × 6 without any) under the benchmark's faults — a link
+/// flap, a routing-process kill and a machine failure, over a stream that
+/// drops 10 % of batches and loses 2 % of sessions — with the device reads,
+/// renders and mirror decodes it made, and its loop's wall phases against
+/// the run. `--seed` seeds both the emulation and the stream.
+fn watch(opts: &Options) {
     banner("WATCH", "what a watch run reads, renders and decodes");
-    let sizes: Vec<usize> = std::env::args().filter_map(|a| a.parse().ok()).collect();
-    let cols = sizes.first().copied().unwrap_or(7);
-    let rows = sizes.get(1).copied().unwrap_or(6);
+    let cols = opts.sizes.first().copied().unwrap_or(7);
+    let rows = opts.sizes.get(1).copied().unwrap_or(6);
+    let seed = opts.seed.unwrap_or(1);
     let snapshot = scenarios::isis_grid(cols, rows);
     let nodes = &snapshot.topology.nodes;
     let cfg = WatchRunConfig {
         backend: EmulationBackend {
             cluster_machines: 2,
+            seed,
             ..Default::default()
         },
         watch: WatchConfig {
+            seed,
             faults: StreamFaultModel {
                 drop_pct: 10,
                 session_loss_pct: 2,
             },
-            ..Default::default()
         },
         chaos: ChaosPlan::new()
             .link_flap(
@@ -783,6 +830,9 @@ fn watch() {
 
     println!("counter                     count");
     for counter in [
+        "watch.verdict_updates",
+        "watch.gaps",
+        "watch.session_losses",
         "watch.syncs.initial",
         "watch.resyncs",
         "watch.batches.emitted",
@@ -811,4 +861,90 @@ fn watch() {
     }
     let watched: u64 = phases.iter().map(|phase| us(phase)).sum();
     row("boot and rest", run_us.saturating_sub(watched));
+    write_out(
+        opts.journal.as_ref(),
+        "verdict journal",
+        &report.journal_text,
+    );
+    write_out(
+        opts.obs_json.as_ref(),
+        "obs dump",
+        &obs.to_json(!opts.exclude_wall),
+    );
+}
+
+/// `chaos`: three runs over the two-vendor 30-node WAN replica, into one obs
+/// dump. The control run converges; a ring link flapping past the time
+/// budget makes the watchdog report `Oscillating`, with the churning
+/// prefixes and the flap period; two management planes failing past the
+/// collector's retry budget leave verification to the covered nodes, with
+/// its answers qualified.
+fn chaos(opts: &Options) {
+    banner("CHAOS", "oscillation verdicts and degraded extraction");
+    let mut obs = Obs::new();
+    let snapshot = scenarios::production_wan(30, 3, true, 1_000);
+    println!(
+        "topology: {} nodes, {} links (two-vendor)",
+        snapshot.topology.nodes.len(),
+        snapshot.topology.links.len()
+    );
+    let mut backend = EmulationBackend::with_seed(3);
+    backend.cluster_machines = 2;
+
+    let control = backend.compute_observed(&snapshot, &mut obs).unwrap();
+    let boot = control.meta.boot_time.unwrap();
+    println!(
+        "control:  verdict={}  boot={}  convergence={}  msgs={}",
+        control.meta.verdict.as_ref().unwrap(),
+        boot,
+        control.meta.convergence_time.unwrap(),
+        control.meta.messages
+    );
+
+    // The first ring link flaps from 60 s into steady state, on past the
+    // (shortened) time budget.
+    let link = snapshot.topology.links[0].id();
+    println!("flapping {link}: down 8s, every 20s, past the budget");
+    backend.max_sim_time = SimDuration::from_millis(boot.as_millis() + 400_000);
+    backend.chaos = ChaosPlan::new().repeated_link_flap(
+        link,
+        SimTime(boot.as_millis() + 60_000),
+        SimDuration::from_secs(8),
+        40,
+        SimDuration::from_secs(20),
+    );
+    let chaotic = backend.compute_observed(&snapshot, &mut obs).unwrap();
+    println!(
+        "chaos:    verdict={}  msgs={}",
+        chaotic.meta.verdict.as_ref().unwrap(),
+        chaotic.meta.messages
+    );
+
+    // Degraded extraction on the fault-free network.
+    backend.chaos = ChaosPlan::default();
+    backend.max_sim_time = SimDuration::from_mins(120);
+    backend.collector.failures.force_fail.insert("r7".into());
+    backend.collector.failures.force_fail.insert("r19".into());
+    let degraded = backend.compute_observed(&snapshot, &mut obs).unwrap();
+    let coverage = Coverage::from_status(&degraded.meta.extraction_status);
+    println!(
+        "degraded: coverage={:.1}% of {} nodes",
+        degraded.meta.extraction_coverage.unwrap() * 100.0,
+        degraded.meta.extraction_status.len(),
+    );
+    let q = observed_query(&mut obs, "verify.query.unreachable_pairs", || {
+        qualified_unreachable_pairs(&ForwardingAnalysis::new(&degraded.dataplane), &coverage)
+    });
+    println!(
+        "          unreachable pairs over covered nodes: {}",
+        q.value.len()
+    );
+    for caveat in &q.caveats {
+        println!("          caveat: {caveat}");
+    }
+    write_out(
+        opts.obs_json.as_ref(),
+        "obs dump",
+        &obs.to_json(!opts.exclude_wall),
+    );
 }

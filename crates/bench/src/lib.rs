@@ -27,8 +27,6 @@ use mfv_vrouter::{VendorBugs, VendorProfile};
 pub struct E1Result {
     pub base_meta: BackendMeta,
     pub broken_meta: BackendMeta,
-    pub base: Dataplane,
-    pub broken: Dataplane,
     pub findings: Vec<DiffFinding>,
     /// Findings that changed deliverability (the outage set).
     pub lost: Vec<DiffFinding>,
@@ -54,8 +52,6 @@ pub fn run_e1(seed: u64) -> E1Result {
     E1Result {
         base_meta: base.meta,
         broken_meta: broken.meta,
-        base: base.dataplane,
-        broken: broken.dataplane,
         findings,
         lost,
         lost_by_src,
@@ -128,8 +124,6 @@ pub struct E3Result {
     /// Differential findings (model → emulation) where emulation delivers
     /// and the model does not.
     pub model_false_negatives: usize,
-    pub model_dataplane: Dataplane,
-    pub emu_dataplane: Dataplane,
 }
 
 pub fn run_e3(seed: u64) -> E3Result {
@@ -154,8 +148,6 @@ pub fn run_e3(seed: u64) -> E3Result {
         emu_broken_pairs: emu_broken.len(),
         model_broken_pairs: model_broken,
         model_false_negatives,
-        model_dataplane: model.dataplane,
-        emu_dataplane: emu.dataplane,
     }
 }
 
@@ -436,8 +428,6 @@ pub fn run_a3(seed: u64) -> A3Result {
 /// One misconfiguration family's two-tier verdict: what the injector
 /// planted, what the static pass flagged, what the emulator observed.
 pub struct E7Row {
-    /// Injector family (`Debug` name, e.g. `EbgpAsnMismatch`).
-    pub family: String,
     /// Conflint rule the family maps to (C1–C8).
     pub rule: String,
     /// Device the fault was planted on.
@@ -468,7 +458,6 @@ pub fn run_e7(seed: u64) -> Vec<E7Row> {
         .map(|kind| {
             let o = mfv_core::xval::cross_validate(kind, seed).expect("viable injection site");
             E7Row {
-                family: format!("{kind:?}"),
                 rule: o.report.rule.to_string(),
                 device: o.report.device.clone(),
                 detail: o.report.detail.clone(),

@@ -22,9 +22,28 @@ fn unknown_id_is_rejected_before_anything_runs() {
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("unknown experiment id `e9`"), "{stderr}");
     assert!(
-        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3 heap converge watch"),
+        stderr.contains("e1 e2 e3 e4 e5 e6 e7 a1 a2 a3 heap converge watch chaos"),
         "valid ids missing: {stderr}"
     );
+}
+
+#[test]
+fn a_bad_option_is_rejected_before_anything_runs() {
+    for (args, message) in [
+        (&["e2", "--journal"][..], "option '--journal' needs a value"),
+        (&["e2", "--bogus"][..], "unknown option '--bogus'"),
+        (&["watch", "--seed", "x"][..], "bad --seed"),
+        (
+            &["converge", "--grid", "3"][..],
+            "--grid takes <cols> <rows>",
+        ),
+    ] {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -281,4 +300,60 @@ fn watch_renders_per_sync_and_change_and_decodes_per_mirror_change() {
             "\nboot and rest ",
         ],
     );
+}
+
+#[test]
+fn watch_writes_its_journal_and_obs_dump() {
+    let dir = std::env::temp_dir();
+    let (journal, dump) = (
+        dir.join("experiments_watch_journal.txt"),
+        dir.join("experiments_watch_obs.json"),
+    );
+    let out = experiments(&[
+        "watch",
+        "4",
+        "3",
+        "--seed",
+        "7",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--obs-json",
+        dump.to_str().unwrap(),
+        "--obs-exclude-wall",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(
+        stdout.contains("watch.verdict_updates          62\nwatch.gaps                      9\nwatch.session_losses            4"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("watch.resyncs                  13"),
+        "{stdout}"
+    );
+    let journal = std::fs::read_to_string(journal).expect("journal written");
+    assert_eq!(journal.lines().count(), 62, "{journal}");
+    let dump = std::fs::read_to_string(dump).expect("obs dump written");
+    assert!(dump.contains("\"watch.resyncs\": 13"), "{dump}");
+    assert!(!dump.contains("\"wall\""), "{dump}");
+}
+
+#[test]
+fn chaos_reports_oscillation_and_qualified_answers_and_writes_its_obs_dump() {
+    let dump = std::env::temp_dir().join("experiments_chaos_obs.json");
+    assert_headlines(
+        &["chaos", "--obs-json", dump.to_str().unwrap()],
+        &[
+            "control:  verdict=converged  boot=801.634s  convergence=1.175s  msgs=18365",
+            "chaos:    verdict=oscillating (32 prefixes churning, period 4.000s)  msgs=37105",
+            "degraded: coverage=93.3% of 30 nodes",
+            "unreachable pairs over covered nodes: 273",
+        ],
+    );
+    let dump = std::fs::read_to_string(dump).expect("obs dump written");
+    assert!(
+        dump.contains("\"verify.query.unreachable_pairs\""),
+        "{dump}"
+    );
+    assert!(dump.contains("\"wall\""), "{dump}");
 }

@@ -608,120 +608,6 @@ pub fn interplay_chain() -> Snapshot {
     Snapshot::new("interplay-chain", t)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mfv_types::NodeId;
-
-    #[test]
-    fn six_node_topology_is_wellformed() {
-        let s = six_node();
-        assert_eq!(s.topology.nodes.len(), 6);
-        assert_eq!(s.topology.links.len(), 5);
-        assert_eq!(s.topology.validate(), Ok(()));
-        // All configs parse in their vendor dialect.
-        for n in &s.topology.nodes {
-            let parsed = n.parse_config().unwrap();
-            assert!(
-                parsed.warnings.is_empty(),
-                "{}: {:?}",
-                n.name,
-                parsed.warnings
-            );
-        }
-    }
-
-    #[test]
-    fn six_node_config_lengths_match_paper_band() {
-        // Paper: "the number of lines in each configuration ranges from
-        // 62-82".
-        let s = six_node();
-        for n in &s.topology.nodes {
-            let lines = n
-                .config_text
-                .lines()
-                .filter(|l| !l.trim().is_empty())
-                .count();
-            assert!((55..=95).contains(&lines), "{} has {lines} lines", n.name);
-        }
-    }
-
-    #[test]
-    fn six_node_broken_differs_only_in_r2_shutdown() {
-        let a = six_node();
-        let b = six_node_broken();
-        for (na, nb) in a.topology.nodes.iter().zip(b.topology.nodes.iter()) {
-            if na.name == NodeId::from("r2") {
-                assert_ne!(na.config_text, nb.config_text);
-                assert!(nb.config_text.contains("shutdown"));
-            } else {
-                assert_eq!(na.config_text, nb.config_text, "{}", na.name);
-            }
-        }
-    }
-
-    #[test]
-    fn fig3_keeps_paper_statement_order() {
-        let s = three_node_line_fig3();
-        let r1 = &s.topology.node(&"r1".into()).unwrap().config_text;
-        let addr_pos = r1.find("ip address 100.64.0.1/31").unwrap();
-        let swp_pos = r1.find("no switchport").unwrap();
-        assert!(addr_pos < swp_pos, "Fig. 3 ordering must be preserved");
-        assert_eq!(s.topology.validate(), Ok(()));
-    }
-
-    #[test]
-    fn isis_line_and_grid_validate() {
-        for n in [2, 5, 10] {
-            let s = isis_line(n);
-            assert_eq!(s.topology.nodes.len(), n);
-            assert_eq!(s.topology.links.len(), n - 1);
-            assert_eq!(s.topology.validate(), Ok(()));
-        }
-        let g = isis_grid(3, 3);
-        assert_eq!(g.topology.nodes.len(), 9);
-        assert_eq!(g.topology.links.len(), 12);
-        assert_eq!(g.topology.validate(), Ok(()));
-    }
-
-    #[test]
-    fn production_wan_validates_and_mixes_vendors() {
-        let s = production_wan(9, 2, true, 100);
-        assert_eq!(s.topology.nodes.len(), 9);
-        assert_eq!(s.topology.validate(), Ok(()));
-        let vendors: std::collections::BTreeSet<_> =
-            s.topology.nodes.iter().map(|n| n.vendor).collect();
-        assert_eq!(vendors.len(), 2, "multi-vendor");
-        assert_eq!(s.topology.external_peers.len(), 2);
-        // Every config parses in its own dialect.
-        for n in &s.topology.nodes {
-            n.parse_config()
-                .unwrap_or_else(|e| panic!("{}: {e}", n.name));
-        }
-    }
-
-    #[test]
-    fn interplay_chain_validates() {
-        let s = interplay_chain();
-        assert_eq!(s.topology.nodes.len(), 4);
-        assert_eq!(s.topology.validate(), Ok(()));
-        assert_eq!(
-            s.topology.node(&"emitter".into()).unwrap().vendor,
-            Vendor::Vjunos
-        );
-    }
-
-    #[test]
-    fn p2p_allocator_is_disjoint() {
-        let mut seen = std::collections::BTreeSet::new();
-        for k in 0..1000 {
-            let (a, b) = p2p(k);
-            assert!(seen.insert(a));
-            assert!(seen.insert(b));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Route-reflector cluster and Clos fabric (extension scenarios)
 // ---------------------------------------------------------------------------
@@ -939,8 +825,117 @@ pub fn regional_wan(regions: usize, per_region: usize) -> Snapshot {
 }
 
 #[cfg(test)]
-mod extension_tests {
+mod tests {
     use super::*;
+    use mfv_types::NodeId;
+
+    #[test]
+    fn six_node_topology_is_wellformed() {
+        let s = six_node();
+        assert_eq!(s.topology.nodes.len(), 6);
+        assert_eq!(s.topology.links.len(), 5);
+        assert_eq!(s.topology.validate(), Ok(()));
+        // All configs parse in their vendor dialect.
+        for n in &s.topology.nodes {
+            let parsed = n.parse_config().unwrap();
+            assert!(
+                parsed.warnings.is_empty(),
+                "{}: {:?}",
+                n.name,
+                parsed.warnings
+            );
+        }
+    }
+
+    #[test]
+    fn six_node_config_lengths_match_paper_band() {
+        // Paper: "the number of lines in each configuration ranges from
+        // 62-82".
+        let s = six_node();
+        for n in &s.topology.nodes {
+            let lines = n
+                .config_text
+                .lines()
+                .filter(|l| !l.trim().is_empty())
+                .count();
+            assert!((55..=95).contains(&lines), "{} has {lines} lines", n.name);
+        }
+    }
+
+    #[test]
+    fn six_node_broken_differs_only_in_r2_shutdown() {
+        let a = six_node();
+        let b = six_node_broken();
+        for (na, nb) in a.topology.nodes.iter().zip(b.topology.nodes.iter()) {
+            if na.name == NodeId::from("r2") {
+                assert_ne!(na.config_text, nb.config_text);
+                assert!(nb.config_text.contains("shutdown"));
+            } else {
+                assert_eq!(na.config_text, nb.config_text, "{}", na.name);
+            }
+        }
+    }
+
+    #[test]
+    fn fig3_keeps_paper_statement_order() {
+        let s = three_node_line_fig3();
+        let r1 = &s.topology.node(&"r1".into()).unwrap().config_text;
+        let addr_pos = r1.find("ip address 100.64.0.1/31").unwrap();
+        let swp_pos = r1.find("no switchport").unwrap();
+        assert!(addr_pos < swp_pos, "Fig. 3 ordering must be preserved");
+        assert_eq!(s.topology.validate(), Ok(()));
+    }
+
+    #[test]
+    fn isis_line_and_grid_validate() {
+        for n in [2, 5, 10] {
+            let s = isis_line(n);
+            assert_eq!(s.topology.nodes.len(), n);
+            assert_eq!(s.topology.links.len(), n - 1);
+            assert_eq!(s.topology.validate(), Ok(()));
+        }
+        let g = isis_grid(3, 3);
+        assert_eq!(g.topology.nodes.len(), 9);
+        assert_eq!(g.topology.links.len(), 12);
+        assert_eq!(g.topology.validate(), Ok(()));
+    }
+
+    #[test]
+    fn production_wan_validates_and_mixes_vendors() {
+        let s = production_wan(9, 2, true, 100);
+        assert_eq!(s.topology.nodes.len(), 9);
+        assert_eq!(s.topology.validate(), Ok(()));
+        let vendors: std::collections::BTreeSet<_> =
+            s.topology.nodes.iter().map(|n| n.vendor).collect();
+        assert_eq!(vendors.len(), 2, "multi-vendor");
+        assert_eq!(s.topology.external_peers.len(), 2);
+        // Every config parses in its own dialect.
+        for n in &s.topology.nodes {
+            n.parse_config()
+                .unwrap_or_else(|e| panic!("{}: {e}", n.name));
+        }
+    }
+
+    #[test]
+    fn interplay_chain_validates() {
+        let s = interplay_chain();
+        assert_eq!(s.topology.nodes.len(), 4);
+        assert_eq!(s.topology.validate(), Ok(()));
+        assert_eq!(
+            s.topology.node(&"emitter".into()).unwrap().vendor,
+            Vendor::Vjunos
+        );
+    }
+
+    #[test]
+    fn p2p_allocator_is_disjoint() {
+        let mut seen = std::collections::BTreeSet::new();
+        for k in 0..1000 {
+            let (a, b) = p2p(k);
+            assert!(seen.insert(a));
+            assert!(seen.insert(b));
+        }
+    }
 
     #[test]
     fn rr_cluster_validates() {

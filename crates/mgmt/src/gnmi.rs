@@ -260,70 +260,6 @@ impl Telemetry {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mfv_config::{IfaceSpec, RouterSpec};
-    use mfv_types::{AsNum, SimTime};
-    use mfv_vrouter::VendorProfile;
-    use std::net::Ipv4Addr;
-
-    fn router() -> VirtualRouter {
-        let spec = RouterSpec::new("r1", AsNum(65001), Ipv4Addr::new(2, 2, 2, 1))
-            .iface(IfaceSpec::new("Ethernet1", "100.64.0.0/31".parse().unwrap()).with_isis())
-            .ebgp(Ipv4Addr::new(100, 64, 0, 1), AsNum(65002))
-            .network("2.2.2.1/32".parse().unwrap());
-        let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), spec.build());
-        let _ = r.poll(SimTime(100));
-        r
-    }
-
-    #[test]
-    fn get_system_hostname() {
-        let t = Telemetry::from_router(&router()).unwrap();
-        let v = t.get("/system/state/hostname").unwrap();
-        assert_eq!(v, "r1");
-    }
-
-    #[test]
-    fn get_with_list_keys_normalized() {
-        let t = Telemetry::from_router(&router()).unwrap();
-        assert!(t
-            .get("/network-instances/network-instance[name=default]/afts")
-            .is_some());
-        assert!(t.get("/nonexistent/path").is_none());
-    }
-
-    #[test]
-    fn aft_extraction_matches_fib() {
-        let r = router();
-        let t = Telemetry::from_router(&r).unwrap();
-        let aft = t.aft().unwrap();
-        assert_eq!(aft.len(), r.fib().len());
-        assert!(aft.to_fib().same_as(r.fib()));
-    }
-
-    #[test]
-    fn bgp_and_isis_state_visible() {
-        let t = Telemetry::from_router(&router()).unwrap();
-        let neighbors = t
-            .get("/network-instances/network-instance/protocols/bgp/neighbors/neighbor")
-            .unwrap();
-        assert_eq!(neighbors.as_array().unwrap().len(), 1);
-        let adjs = t
-            .get("/network-instances/network-instance/protocols/isis/adjacencies/adjacency")
-            .unwrap();
-        assert_eq!(adjs.as_array().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn interfaces_listed() {
-        let t = Telemetry::from_router(&router()).unwrap();
-        let ifs = t.get("/interfaces/interface").unwrap().as_array().unwrap();
-        assert_eq!(ifs.len(), 2); // Loopback0 + Ethernet1
-    }
-}
-
 /// One update in a Subscribe stream: a path whose value changed (or was
 /// removed) between two telemetry snapshots.
 #[derive(Clone, PartialEq, Debug)]
@@ -557,5 +493,69 @@ mod subscribe_tests {
             updates.iter().any(|u| u.path.contains("/interfaces")),
             "{updates:#?}"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mfv_config::{IfaceSpec, RouterSpec};
+    use mfv_types::{AsNum, SimTime};
+    use mfv_vrouter::VendorProfile;
+    use std::net::Ipv4Addr;
+
+    fn router() -> VirtualRouter {
+        let spec = RouterSpec::new("r1", AsNum(65001), Ipv4Addr::new(2, 2, 2, 1))
+            .iface(IfaceSpec::new("Ethernet1", "100.64.0.0/31".parse().unwrap()).with_isis())
+            .ebgp(Ipv4Addr::new(100, 64, 0, 1), AsNum(65002))
+            .network("2.2.2.1/32".parse().unwrap());
+        let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), spec.build());
+        let _ = r.poll(SimTime(100));
+        r
+    }
+
+    #[test]
+    fn get_system_hostname() {
+        let t = Telemetry::from_router(&router()).unwrap();
+        let v = t.get("/system/state/hostname").unwrap();
+        assert_eq!(v, "r1");
+    }
+
+    #[test]
+    fn get_with_list_keys_normalized() {
+        let t = Telemetry::from_router(&router()).unwrap();
+        assert!(t
+            .get("/network-instances/network-instance[name=default]/afts")
+            .is_some());
+        assert!(t.get("/nonexistent/path").is_none());
+    }
+
+    #[test]
+    fn aft_extraction_matches_fib() {
+        let r = router();
+        let t = Telemetry::from_router(&r).unwrap();
+        let aft = t.aft().unwrap();
+        assert_eq!(aft.len(), r.fib().len());
+        assert!(aft.to_fib().same_as(r.fib()));
+    }
+
+    #[test]
+    fn bgp_and_isis_state_visible() {
+        let t = Telemetry::from_router(&router()).unwrap();
+        let neighbors = t
+            .get("/network-instances/network-instance/protocols/bgp/neighbors/neighbor")
+            .unwrap();
+        assert_eq!(neighbors.as_array().unwrap().len(), 1);
+        let adjs = t
+            .get("/network-instances/network-instance/protocols/isis/adjacencies/adjacency")
+            .unwrap();
+        assert_eq!(adjs.as_array().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn interfaces_listed() {
+        let t = Telemetry::from_router(&router()).unwrap();
+        let ifs = t.get("/interfaces/interface").unwrap().as_array().unwrap();
+        assert_eq!(ifs.len(), 2); // Loopback0 + Ethernet1
     }
 }

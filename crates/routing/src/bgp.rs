@@ -52,25 +52,12 @@ fn reaches(resolver: &dyn NextHopResolver, peer: Ipv4Addr) -> bool {
 }
 
 /// Vendor-behaviour knobs for the decision process.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DecisionQuirks {
     /// BUG REPRODUCTION: prefer the *higher* IGP metric when comparing iBGP
     /// paths (§2: "a new software version ... introduced an incorrect route
     /// metric selection in iBGP").
     pub ibgp_igp_metric_inverted: bool,
-    /// Use arrival order as a tiebreak before router-id (oldest wins). Both
-    /// vendors do this by default; it is the source of the non-determinism
-    /// explored in ablation A1.
-    pub arrival_order_tiebreak: bool,
-}
-
-impl Default for DecisionQuirks {
-    fn default() -> Self {
-        DecisionQuirks {
-            ibgp_igp_metric_inverted: false,
-            arrival_order_tiebreak: true,
-        }
-    }
 }
 
 /// Per-session configuration resolved from the device config.
@@ -1017,14 +1004,10 @@ impl BgpEngine {
                             a.igp_metric.cmp(&b.igp_metric)
                         }
                     })
-                    // 8. Oldest path (arrival order), if enabled.
-                    .then_with(|| {
-                        if quirks.arrival_order_tiebreak {
-                            a.arrival.cmp(&b.arrival)
-                        } else {
-                            std::cmp::Ordering::Equal
-                        }
-                    })
+                    // 8. Oldest path (arrival order): both vendors break
+                    //    ties this way, the source of the non-determinism
+                    //    explored in ablation A1.
+                    .then_with(|| a.arrival.cmp(&b.arrival))
                     // 9. Lowest peer router id / address.
                     .then_with(|| a.peer_router_id.cmp(&b.peer_router_id))
             })
@@ -1736,7 +1719,6 @@ mod tests {
 
         let buggy = build(DecisionQuirks {
             ibgp_igp_metric_inverted: true,
-            arrival_order_tiebreak: true,
         });
         assert_eq!(
             buggy.learned_from,

@@ -42,9 +42,6 @@ pub struct VendorProfile {
     pub boot_time: SimDuration,
     /// Crash-restart delay when the routing process dies.
     pub restart_delay: SimDuration,
-    /// RSVP-TE hello default, ms — vendors disagree, which the paper cites
-    /// as a cross-vendor reconvergence hazard.
-    pub rsvp_hello_default_ms: u32,
     pub bugs: VendorBugs,
     /// Emulated resource request per instance (KNE pod sizing): vCPU
     /// thousandths and MiB of RAM.
@@ -61,7 +58,6 @@ impl VendorProfile {
             quirks: DecisionQuirks::default(),
             boot_time: SimDuration::from_secs(110),
             restart_delay: SimDuration::from_secs(45),
-            rsvp_hello_default_ms: 9_000,
             bugs: VendorBugs::default(),
             cpu_millis: 500,
             mem_mib: 1024,
@@ -76,7 +72,6 @@ impl VendorProfile {
             quirks: DecisionQuirks::default(),
             boot_time: SimDuration::from_secs(170),
             restart_delay: SimDuration::from_secs(60),
-            rsvp_hello_default_ms: 3_000,
             bugs: VendorBugs::default(),
             cpu_millis: 1000,
             mem_mib: 2048,
@@ -112,14 +107,6 @@ mod tests {
         let p = VendorProfile::ceos();
         assert_eq!(p.cpu_millis, 500);
         assert_eq!(p.mem_mib, 1024);
-    }
-
-    #[test]
-    fn vendors_differ_in_rsvp_defaults() {
-        assert_ne!(
-            VendorProfile::ceos().rsvp_hello_default_ms,
-            VendorProfile::vjunos().rsvp_hello_default_ms
-        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ echo "==> invariant scope: crates/clippy.toml and the lint attribute at every in
   echo "invariant scope FAILED: crates/clippy.toml is missing (D1, D2 and D3 are configured there)" >&2
   exit 1
 }
-for root in crates/{mgmt,verify,core,obs,serve,wire,conflint}/src/lib.rs crates/conflint/src/main.rs; do
+for root in crates/{mgmt,verify,core,obs,serve,wire,conflint}/src/lib.rs src/bin/mfvctl.rs; do
   for lint in $root_lints; do
     sed -n '/^#!\[warn($/,/^)\]$/p' "$root" | grep -q "clippy::$lint\b" || {
       echo "invariant scope FAILED: $root does not warn on clippy::$lint at its crate root" >&2
@@ -87,17 +87,16 @@ relaxed_in tests/fixtures/lint_gate/src >/dev/null || {
   exit 1
 }
 
-echo "==> mfv-conflint (cross-device config analysis on tracked topologies)"
-cargo run -q -p mfv-conflint -- --deny-warnings examples/topologies/*.json
+echo "==> mfvctl lint (cross-device config analysis on tracked topologies)"
+cargo run -q --bin mfvctl -- lint --deny-warnings examples/topologies/*.json
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
 echo "==> obs-smoke: same-seed chaos run, twice, must dump byte-identical obs JSON"
-cargo build --release -q --example chaos_run --example watch_run
 for run in a b; do
-  target/release/examples/chaos_run \
+  target/release/experiments chaos \
     --obs-json "$tmp/obs_$run.json" --obs-exclude-wall >/dev/null
 done
 cmp "$tmp/obs_a.json" "$tmp/obs_b.json" || {
@@ -108,8 +107,7 @@ cmp "$tmp/obs_a.json" "$tmp/obs_b.json" || {
 
 echo "==> watch-smoke: same-seed chaos watch must replay byte-identically"
 for run in a b; do
-  target/release/examples/watch_run \
-    --seed 7 --grid 4x3 --duration-secs 45 --drop-pct 20 \
+  target/release/experiments watch 4 3 --seed 7 \
     --journal "$tmp/verdicts_$run.txt" \
     --obs-json "$tmp/watch_obs_$run.json" --obs-exclude-wall >/dev/null
 done
@@ -155,6 +153,23 @@ cmp tests/fixtures/serve_smoke.golden "$tmp/serve_answers.txt" || {
 
 echo "==> pipeline-smoke: every benchmark workload's checks and pinned answers at seconds scale"
 cargo run --release --offline --quiet --manifest-path pipeline_bench/Cargo.toml -- --all --smoke >/dev/null
+
+echo "==> tests last: no product item follows a #[cfg(test)] item, so the size count and the non-test greps see all of it"
+# Top-level items start in column 0; an item behind #[cfg(test)] (other
+# attributes and doc comments may sit between) is test code.
+misplaced="$(awk '
+  FNR == 1 { pending = 0; seen = 0 }
+  /^#\[cfg\(test\)\]/ { pending = 1; seen = 1; next }
+  /^(pub|fn|mod|use|impl|struct|enum|const|static|type|trait|macro_rules!|unsafe|extern|async)([^A-Za-z0-9_]|$)/ {
+    if (seen && !pending) print FILENAME ":" FNR ": " $0
+    pending = 0
+  }
+' $(find crates/*/src src examples -name '*.rs' | sort))"
+[ -z "$misplaced" ] || {
+  echo "tests-last check FAILED: product code after a test module (move the test module to the end of its file):" >&2
+  echo "$misplaced" >&2
+  exit 1
+}
 
 echo "==> lock files: nothing above may have rewritten a committed (or staged) lock"
 git diff --exit-code -- Cargo.lock pipeline_bench/Cargo.lock tests/fixtures/lint_gate/Cargo.lock || {
@@ -204,6 +219,10 @@ for f in crates/verify/src/{queries,coverage}.rs; do
   fi
 done
 docs="README.md DESIGN.md EXPERIMENTS.md"
+if grep -nF -- '-p mfv-conflint' $docs; then
+  echo "front-door check FAILED: the documents run mfv-conflint, which has no binary (the lint is mfvctl lint)" >&2
+  exit 1
+fi
 for name in $(grep -ohE -- '--example +[a-z_]+|examples/[a-z_]+\.rs' $docs | sed -E 's/--example +//; s/examples\///; s/\.rs$//' | sort -u); do
   [ -f "examples/$name.rs" ] || {
     echo "front-door check FAILED: the documents name example '$name', which does not exist" >&2

@@ -9,13 +9,27 @@
 //! mfvctl trace topo.json <src-node> <dst-ip>
 //! mfvctl show topo.json <node> [--seed N] [--machines N] <show command...>
 //! mfvctl model topo.json                       model-based baseline + coverage
+//! mfvctl lint topo.json... [--json] [--deny-warnings]
 //! mfvctl serve topo.json [--port N] [--workers N] [--baseline model]
 //! mfvctl query addr:port [REQUEST...]          client for a running server
 //! ```
 
+// P1 (DESIGN.md § "Determinism & panic-safety invariants"): every failure
+// is a message and exit 1, never a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::io::{self, Write};
 use std::process::ExitCode;
 
+use mfv_conflint::analyze;
 use mfv_core::{
     deliverability_changes, differential_reachability_with, scenarios, unreachable_pairs_with,
     Backend, EmulationBackend, ForwardingAnalysis, ModelBackend, Snapshot,
@@ -46,17 +60,30 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String], out: &mut Out) -> Result<(), Failure> {
-    let mut it = args.iter();
-    let cmd = it.next().map(|s| s.as_str()).unwrap_or("help");
+    let (cmd, args) = args
+        .split_first()
+        .map_or(("help", args), |(c, a)| (c.as_str(), a));
+    // Every command but the variadic show, query and lint takes at most this
+    // many words besides its options; a word past them is never ignored.
+    let arity = match cmd {
+        "example" | "run" | "model" | "serve" => Some(1),
+        "diff" => Some(2),
+        "trace" => Some(3),
+        _ => None,
+    };
+    if let Some(extra) = arity.and_then(|n| positional(args).nth(n)) {
+        return Err(format!("unexpected argument '{extra}' to {cmd}").into());
+    }
     match cmd {
-        "example" => example(it.next().map(|s| s.as_str()).unwrap_or("six-node"), out),
-        "run" => cmd_run(&args[1..], out),
-        "diff" => cmd_diff(&args[1..], out),
-        "trace" => cmd_trace(&args[1..], out),
-        "show" => cmd_show(&args[1..], out),
-        "model" => cmd_model(&args[1..], out),
-        "serve" => cmd_serve(&args[1..], out),
-        "query" => cmd_query(&args[1..], out),
+        "example" => example(args.first().map_or("six-node", |s| s.as_str()), out),
+        "run" => cmd_run(args, out),
+        "diff" => cmd_diff(args, out),
+        "trace" => cmd_trace(args, out),
+        "show" => cmd_show(args, out),
+        "model" => cmd_model(args, out),
+        "serve" => cmd_serve(args, out),
+        "query" => cmd_query(args, out),
+        "lint" => cmd_lint(args, out),
         "help" | "--help" | "-h" => Ok(write!(out, "{HELP}")?),
         other => Err(format!("unknown command '{other}' (try `mfvctl help`)").into()),
     }
@@ -84,6 +111,8 @@ USAGE:
                                               DIFF, NODES, STATS, QUIT)
   mfvctl query ADDR:PORT [REQUEST...]         send one request (or stdin
                                               lines) to a running server
+  mfvctl lint TOPOLOGY... [--json] [--deny-warnings]
+                                              cross-device config analysis
 ";
 
 fn example(name: &str, out: &mut Out) -> Result<(), Failure> {
@@ -117,6 +146,16 @@ fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
         Some(value) => Ok(Some(value.clone())),
         None => Err(format!("option '{name}' needs a value")),
     }
+}
+
+/// The words of a command that are neither an `--option` nor its value.
+fn positional(args: &[String]) -> impl Iterator<Item = &String> {
+    let mut after_option = false;
+    args.iter().filter(move |a| {
+        let word = !after_option && !a.starts_with("--");
+        after_option = !after_option && a.starts_with("--");
+        word
+    })
 }
 
 /// Fails by name on any `--option` not in `known`, so a misspelt or retired
@@ -214,8 +253,13 @@ fn cmd_trace(args: &[String], out: &mut Out) -> Result<(), Failure> {
         .parse()
         .map_err(|_| format!("bad destination '{dst}'"))?;
     let backend = backend_from(args, &[])?;
-    let result = backend.compute(&load(path)?).map_err(|e| e.to_string())?;
-    let trace = ForwardingAnalysis::new(&result.dataplane).trace(&NodeId::from(src.as_str()), dst);
+    let snapshot = load(path)?;
+    let src = NodeId::from(src.as_str());
+    if snapshot.topology.node(&src).is_none() {
+        return Err(format!("no such node '{src}'").into());
+    }
+    let result = backend.compute(&snapshot).map_err(|e| e.to_string())?;
+    let trace = ForwardingAnalysis::new(&result.dataplane).trace(&src, dst);
     Ok(writeln!(out, "{trace}")?)
 }
 
@@ -226,7 +270,7 @@ fn cmd_show(args: &[String], out: &mut Out) -> Result<(), Failure> {
         _ => return Err(USAGE.into()),
     };
     // `--option value` pairs come first; the device command is the rest.
-    let rest = &args[2..];
+    let rest = args.get(2..).unwrap_or_default();
     let mut split = 0;
     while rest.get(split).is_some_and(|a| a.starts_with("--")) {
         split = (split + 2).min(rest.len());
@@ -302,7 +346,7 @@ fn cmd_query(args: &[String], out: &mut Out) -> Result<(), Failure> {
         }
         Ok(ok)
     };
-    let rest = args.get(1..).unwrap_or(&[]);
+    let rest = args.get(1..).unwrap_or_default();
     if rest.is_empty() {
         // Scripted mode: one request per stdin line, all on one connection.
         let mut all_ok = true;
@@ -358,4 +402,28 @@ fn cmd_model(args: &[String], out: &mut Out) -> Result<(), Failure> {
         }
     }
     Ok(())
+}
+
+fn cmd_lint(args: &[String], out: &mut Out) -> Result<(), Failure> {
+    reject_unknown_options(args, &["--json", "--deny-warnings"])?;
+    let given = |option: &str| args.iter().any(|a| a == option);
+    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    if paths.is_empty() {
+        return Err("usage: mfvctl lint TOPOLOGY... [--json] [--deny-warnings]".into());
+    }
+    let mut failed = 0;
+    for path in &paths {
+        let report = analyze(&load(path)?.topology).map_err(|e| format!("{path}: {e}"))?;
+        if given("--json") {
+            write!(out, "{}", report.render_json())?;
+        } else {
+            write!(out, "{}", report.render())?;
+        }
+        let denied = given("--deny-warnings") && !report.findings.is_empty();
+        failed += usize::from(denied || report.errors() > 0);
+    }
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{n} of {} topologies failed the lint", paths.len()).into()),
+    }
 }

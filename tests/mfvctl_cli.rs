@@ -244,3 +244,71 @@ fn trace_output_equals_the_servers_trace_payload() {
         assert_eq!(out, format!("{payload}\n"));
     }
 }
+
+/// A word past a command's arguments fails by name before anything runs:
+/// `run topo.json 7` must not run at the default seed as if the `7` were
+/// not there. `show`'s device command and `query`'s request stay variadic.
+#[test]
+fn a_word_past_a_commands_arguments_is_rejected_by_name() {
+    let topo = "examples/topologies/six-node.json";
+    for args in [
+        vec!["run", topo, "7"],
+        vec!["run", topo, "--seed", "3", "7"],
+        vec!["model", topo, "extra"],
+        vec!["diff", topo, topo, "x"],
+        vec!["trace", topo, "r1", "2.2.2.6", "r2"],
+        vec!["serve", topo, "--port", "0", "x"],
+        vec!["example", "six-node", "x"],
+    ] {
+        let (out, err, ok) = mfvctl(&args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(out.is_empty(), "{args:?} printed {out}");
+        let word = args[args.len() - 1];
+        assert!(
+            err.contains(&format!("unexpected argument '{word}' to {}", args[0])),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+/// `trace` from a node the topology does not have is refused, as `show`
+/// and the server's `TRACE` refuse it, not traced as a down node.
+#[test]
+fn trace_from_an_unknown_node_is_refused() {
+    let topo = "examples/topologies/six-node.json";
+    let (out, err, ok) = mfvctl(&["trace", topo, "r9", "2.2.2.1"]);
+    assert!(!ok, "{out}");
+    assert!(out.is_empty(), "{out}");
+    assert!(err.contains("no such node 'r9'"), "{err}");
+}
+
+/// `lint` passes the tracked topologies and fails one carrying a conflint
+/// error, with the finding on stdout, in either rendering.
+#[test]
+fn lint_fails_on_a_conflint_error() {
+    use mfv_config::SeededMisconfig;
+    use mfv_core::scenarios;
+    let (out, err, ok) = mfvctl(&[
+        "lint",
+        "--deny-warnings",
+        "examples/topologies/six-node.json",
+    ]);
+    assert!(ok, "{out}{err}");
+    let mut configs = scenarios::conflint_base_configs();
+    let planted = mfv_config::inject_misconfig(SeededMisconfig::EbgpAsnMismatch, &mut configs, 0)
+        .expect("an eBGP session to corrupt");
+    let topo = scenarios::conflint_base_topology("c1", &configs);
+    let path = std::env::temp_dir().join("mfvctl_lint_c1.json");
+    std::fs::write(&path, topo.to_json()).unwrap();
+    let path = path.to_str().unwrap();
+    let (out, err, ok) = mfvctl(&["lint", path]);
+    assert!(!ok, "{out}");
+    assert!(out.contains("error[C1]"), "{out}");
+    assert!(out.contains(&planted.device), "{out}");
+    assert!(err.contains("1 of 1 topologies failed the lint"), "{err}");
+    let (out, _, ok) = mfvctl(&["lint", "--json", path]);
+    assert!(!ok, "{out}");
+    assert!(out.contains("\"errors\": 1"), "{out}");
+    let (_, err, ok) = mfvctl(&["lint", path, "--bogus"]);
+    assert!(!ok && err.contains("unknown option '--bogus'"), "{err}");
+}

@@ -3,7 +3,7 @@
 //! `Obs::to_json(false)` dumps. Wall-clock readings live in a separate
 //! `"wall"` section that only `to_json(true)` includes — the one part of the
 //! dump allowed to differ between replays. This is the committed twin of the
-//! CI obs-smoke step (which diffs two `chaos_run --obs-json` dumps).
+//! CI obs-smoke step (which diffs two `experiments chaos --obs-json` dumps).
 
 use model_free_verification::core::{observed_query, scenarios, EmulationBackend};
 use model_free_verification::obs::Obs;
