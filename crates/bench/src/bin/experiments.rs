@@ -43,6 +43,22 @@ struct Options {
     exclude_wall: bool,
 }
 
+impl Options {
+    /// `heap` / `converge`'s `regional_wan`: regions and routers per region.
+    fn wan_size(&self) -> (usize, usize) {
+        (self.size(0, 5), self.size(1, 20))
+    }
+
+    /// `watch` / `converge --grid`'s `isis_grid`: columns and rows.
+    fn grid_size(&self) -> (usize, usize) {
+        (self.size(0, 7), self.size(1, 6))
+    }
+
+    fn size(&self, at: usize, default: usize) -> usize {
+        self.sizes.get(at).copied().unwrap_or(default)
+    }
+}
+
 /// An experiment id and its runner.
 type Experiment = (&'static str, fn(&Options));
 
@@ -105,6 +121,20 @@ fn main() {
     }
     if opts.grid && opts.sizes.len() < 2 {
         usage_error("--grid takes <cols> <rows>");
+    }
+    // The scenarios assert their bounds: refuse a size they cannot build.
+    let runs = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
+    let (regions, per_region) = opts.wan_size();
+    if (runs("heap") || runs("converge") && !opts.grid)
+        && !((2..=200).contains(&regions) && (3..=256).contains(&per_region))
+    {
+        usage_error("a regional WAN takes 2..=200 regions of 3..=256 routers");
+    }
+    let (cols, rows) = opts.grid_size();
+    if (runs("watch") || runs("converge") && opts.grid)
+        && (cols == 0 || rows == 0 || cols.saturating_mul(rows) < 2)
+    {
+        usage_error("a grid takes cols >= 1 and rows >= 1, at least two routers");
     }
 
     println!("Model-Free Verification — experiment harness");
@@ -579,8 +609,7 @@ fn held_by<T>(f: impl FnOnce() -> T) -> (T, Held) {
 /// any), and a seed-1 backend with the paper's packing: some sixty routers
 /// to a machine, 17 for 1,000.
 fn wan(opts: &Options) -> (usize, usize, Snapshot, EmulationBackend) {
-    let regions = opts.sizes.first().copied().unwrap_or(5);
-    let per_region = opts.sizes.get(1).copied().unwrap_or(20);
+    let (regions, per_region) = opts.wan_size();
     let mut backend = EmulationBackend::with_seed(1);
     backend.cluster_machines = (regions * per_region).div_ceil(60);
     let snapshot = scenarios::regional_wan(regions, per_region);
@@ -664,21 +693,19 @@ fn heap(opts: &Options) {
 /// typed hand-over against the JSON Get.
 fn converge(opts: &Options) {
     banner("CONVERGE", "where a convergence run's wall time goes");
-    let (network, snapshot, backend) = match opts.sizes.as_slice() {
-        &[cols, rows, ..] if opts.grid => {
-            let mut backend = EmulationBackend::with_seed(1);
-            backend.cluster_machines = (cols * rows).div_ceil(60);
-            let network = format!("isis_grid({cols}, {rows})");
-            (network, scenarios::isis_grid(cols, rows), backend)
-        }
-        _ => {
-            let (regions, per_region, snapshot, backend) = wan(opts);
-            (
-                format!("regional_wan({regions}, {per_region})"),
-                snapshot,
-                backend,
-            )
-        }
+    let (network, snapshot, backend) = if opts.grid {
+        let (cols, rows) = opts.grid_size();
+        let mut backend = EmulationBackend::with_seed(1);
+        backend.cluster_machines = (cols * rows).div_ceil(60);
+        let network = format!("isis_grid({cols}, {rows})");
+        (network, scenarios::isis_grid(cols, rows), backend)
+    } else {
+        let (regions, per_region, snapshot, backend) = wan(opts);
+        (
+            format!("regional_wan({regions}, {per_region})"),
+            snapshot,
+            backend,
+        )
     };
     let (emu, meta) = backend.run(&snapshot).expect("network boots");
     assert!(meta.converged, "{network}");
@@ -789,8 +816,7 @@ fn write_out(path: Option<&String>, what: &str, text: &str) {
 /// the run. `--seed` seeds both the emulation and the stream.
 fn watch(opts: &Options) {
     banner("WATCH", "what a watch run reads, renders and decodes");
-    let cols = opts.sizes.first().copied().unwrap_or(7);
-    let rows = opts.sizes.get(1).copied().unwrap_or(6);
+    let (cols, rows) = opts.grid_size();
     let seed = opts.seed.unwrap_or(1);
     let snapshot = scenarios::isis_grid(cols, rows);
     let nodes = &snapshot.topology.nodes;

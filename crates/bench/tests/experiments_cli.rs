@@ -37,6 +37,17 @@ fn a_bad_option_is_rejected_before_anything_runs() {
             &["converge", "--grid", "3"][..],
             "--grid takes <cols> <rows>",
         ),
+        (
+            &["watch", "0", "0"][..],
+            "a grid takes cols >= 1 and rows >= 1",
+        ),
+        (&["watch", "1", "1"][..], "at least two routers"),
+        (&["converge", "--grid", "0", "3"][..], "a grid takes"),
+        (
+            &["heap", "0", "0"][..],
+            "2..=200 regions of 3..=256 routers",
+        ),
+        (&["converge", "1", "20"][..], "a regional WAN takes"),
     ] {
         let out = experiments(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -44,6 +55,36 @@ fn a_bad_option_is_rejected_before_anything_runs() {
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
+}
+
+/// Every id the documents pass to `experiments --` (the words that open the
+/// command, up to a number, an option or its end) is one the binary knows:
+/// with a sentinel last, the sentinel is the only id it refuses.
+#[test]
+fn the_documents_name_only_ids_the_binary_knows() {
+    let read = |doc| std::fs::read_to_string(format!("{}/../../{doc}", env!("CARGO_MANIFEST_DIR")));
+    let docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"].map(|doc| read(doc).expect(doc));
+    let mut args = std::collections::BTreeSet::new();
+    for text in &docs {
+        for (at, call) in text.match_indices("experiments -- ") {
+            let rest = &text[at + call.len()..];
+            let words = rest
+                .split(|c: char| !c.is_alphanumeric() && c != ' ')
+                .next();
+            let words = words.unwrap_or_default().split_whitespace();
+            args.extend(words.take_while(|w| w.starts_with(char::is_lowercase)));
+        }
+    }
+    assert!(args.contains("watch") && args.contains("e7"), "{args:?}");
+    let mut args: Vec<&str> = args.into_iter().collect();
+    args.push("no-such-id");
+    let out = experiments(&args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("unknown experiment id `no-such-id`"),
+        "{args:?}: {stderr}"
+    );
 }
 
 #[test]

@@ -33,29 +33,6 @@ impl fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// How the emulation backend treats the conflint static pass before
-/// booting (the cheap tier of tiered verification: catch cross-device
-/// config contradictions in milliseconds instead of emulating them).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ConflintGate {
-    /// Skip the static pass entirely.
-    Off,
-    /// Run it and record the summary, but boot regardless. The default:
-    /// some scenarios (chaos studies, deliberately broken fixtures) emulate
-    /// known-bad configs on purpose.
-    #[default]
-    Warn,
-    /// Refuse to boot when the static pass reports errors.
-    Deny,
-}
-
-/// Counts from the pre-emulation conflint pass.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ConflintSummary {
-    pub errors: usize,
-    pub warnings: usize,
-}
-
 /// Metadata about how the dataplane was produced.
 #[derive(Clone, Debug, Default)]
 pub struct BackendMeta {
@@ -77,9 +54,6 @@ pub struct BackendMeta {
     pub extraction_coverage: Option<f64>,
     /// Emulation: per-node extraction provenance.
     pub extraction_status: BTreeMap<NodeId, ExtractionStatus>,
-    /// Emulation: result of the pre-boot conflint pass (None = gate off,
-    /// or the model backend, which has no such tier).
-    pub conflint: Option<ConflintSummary>,
 }
 
 /// A produced dataplane plus its provenance.
@@ -115,8 +89,6 @@ pub struct EmulationBackend {
     pub chaos: ChaosPlan,
     /// Management-plane collector (retry policy + simulated RPC failures).
     pub collector: Collector,
-    /// Pre-boot static-analysis gate (tiered verification).
-    pub conflint: ConflintGate,
     /// Width of the fan-out over independent emulations: how many cut
     /// contexts [`crate::verify_link_cuts_detailed`] re-converges side by
     /// side (`0`, the default, means the host's parallelism). One emulation
@@ -135,7 +107,6 @@ impl Default for EmulationBackend {
             auto_restart: true,
             chaos: ChaosPlan::default(),
             collector: Collector::default(),
-            conflint: ConflintGate::default(),
             threads: 0,
         }
     }
@@ -152,28 +123,6 @@ impl EmulationBackend {
     /// Runs the emulation and returns it alongside the report, for callers
     /// that want to keep poking at the live network (CLI, what-if).
     pub fn run(&self, snapshot: &Snapshot) -> Result<(Emulation, BackendMeta), BackendError> {
-        // Tier 1: cross-device static analysis, before any pod is scheduled.
-        let conflint = match self.conflint {
-            ConflintGate::Off => None,
-            ConflintGate::Warn | ConflintGate::Deny => {
-                let report = mfv_conflint::analyze(&snapshot.topology)
-                    .map_err(|e| BackendError(format!("conflint: {e}")))?;
-                let summary = ConflintSummary {
-                    errors: report.errors(),
-                    warnings: report.warnings(),
-                };
-                if self.conflint == ConflintGate::Deny && summary.errors > 0 {
-                    return Err(BackendError(format!(
-                        "conflint gate: {} error(s) in '{}' — fix or suppress \
-                         before emulating:\n{}",
-                        summary.errors,
-                        snapshot.topology.name,
-                        report.render()
-                    )));
-                }
-                Some(summary)
-            }
-        };
         let cfg = EmulationConfig {
             seed: self.seed,
             quiet_period: self.quiet_period,
@@ -213,7 +162,6 @@ impl EmulationBackend {
             verdict: Some(report.verdict.clone()),
             extraction_coverage: None,
             extraction_status: BTreeMap::new(),
-            conflint,
         };
         Ok((emu, meta))
     }
@@ -295,52 +243,5 @@ impl Backend for ModelBackend {
                 ..Default::default()
             },
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenarios;
-    use mfv_config::{inject_misconfig, SeededMisconfig};
-
-    #[test]
-    fn conflint_gate_warn_records_clean_summary_and_boots() {
-        let be = EmulationBackend::with_seed(3);
-        let (_emu, meta) = be.run(&scenarios::conflint_base()).unwrap();
-        let s = meta.conflint.expect("Warn gate must run the static pass");
-        assert_eq!((s.errors, s.warnings), (0, 0));
-    }
-
-    #[test]
-    fn conflint_gate_deny_refuses_contradictory_configs() {
-        let mut configs = scenarios::conflint_base_configs();
-        inject_misconfig(SeededMisconfig::EbgpAsnMismatch, &mut configs, 0).unwrap();
-        let snap = crate::snapshot::Snapshot::new(
-            "gate-deny".to_string(),
-            scenarios::conflint_base_topology("gate-deny", &configs),
-        );
-        let mut be = EmulationBackend::with_seed(3);
-        be.conflint = ConflintGate::Deny;
-        let err = match be.run(&snap) {
-            Err(e) => e,
-            Ok(_) => panic!("Deny gate must refuse to boot"),
-        };
-        assert!(err.0.contains("conflint gate"), "{err}");
-        assert!(err.0.contains("C1"), "{err}");
-
-        // The same snapshot still boots under Warn (chaos studies emulate
-        // known-bad configs on purpose) — with the findings on record.
-        be.conflint = ConflintGate::Warn;
-        let (_emu, meta) = be.run(&snap).unwrap();
-        assert!(meta.conflint.unwrap().errors > 0);
-    }
-
-    #[test]
-    fn conflint_gate_off_skips_the_pass() {
-        let mut be = EmulationBackend::with_seed(3);
-        be.conflint = ConflintGate::Off;
-        let (_emu, meta) = be.run(&scenarios::conflint_base()).unwrap();
-        assert!(meta.conflint.is_none());
     }
 }

@@ -50,8 +50,7 @@ pub mod whatif;
 pub mod xval;
 
 pub use backend::{
-    Backend, BackendError, BackendMeta, BackendResult, ConflintGate, ConflintSummary,
-    EmulationBackend, ModelBackend,
+    Backend, BackendError, BackendMeta, BackendResult, EmulationBackend, ModelBackend,
 };
 pub use extract::{extract_snapshot, ExtractedSnapshot};
 pub use snapshot::Snapshot;

@@ -18,7 +18,7 @@ use mfv_config::{inject_misconfig, InjectError, InjectionReport, SeededMisconfig
 use mfv_routing::SessionState;
 use mfv_types::NodeId;
 
-use crate::backend::{ConflintGate, EmulationBackend};
+use crate::backend::EmulationBackend;
 use crate::scenarios;
 use crate::snapshot::Snapshot;
 
@@ -64,10 +64,9 @@ pub fn cross_validate(kind: SeededMisconfig, seed: u64) -> Result<XvalOutcome, I
         .any(|f| f.rule.as_str() == report.rule && f.device == report.device);
     let finding_count = analysis.findings.len();
 
-    // Boot the corrupted network with the gate off — E7 emulates known-bad
-    // configs on purpose to observe their symptoms.
-    let mut be = EmulationBackend::with_seed(seed.wrapping_add(1));
-    be.conflint = ConflintGate::Off;
+    // Boot the corrupted network: E7 emulates known-bad configs on purpose
+    // to observe their symptoms.
+    let be = EmulationBackend::with_seed(seed.wrapping_add(1));
     let snap = Snapshot::new(name, topo);
     let (emu, _meta) = be.run(&snap).map_err(|e| InjectError(e.0))?;
 

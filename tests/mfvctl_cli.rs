@@ -282,18 +282,23 @@ fn trace_from_an_unknown_node_is_refused() {
     assert!(err.contains("no such node 'r9'"), "{err}");
 }
 
-/// `lint` passes the tracked topologies and fails one carrying a conflint
-/// error, with the finding on stdout, in either rendering.
+/// `lint` passes every tracked topology under `--deny-warnings` and fails one
+/// carrying a conflint error, with the finding on stdout, in either rendering.
 #[test]
 fn lint_fails_on_a_conflint_error() {
     use mfv_config::SeededMisconfig;
     use mfv_core::scenarios;
-    let (out, err, ok) = mfvctl(&[
-        "lint",
-        "--deny-warnings",
-        "examples/topologies/six-node.json",
-    ]);
+    let tracked: Vec<String> = std::fs::read_dir("examples/topologies")
+        .unwrap()
+        .map(|entry| entry.unwrap().path().display().to_string())
+        .filter(|path| path.ends_with(".json"))
+        .collect();
+    let mut args = vec!["lint", "--deny-warnings"];
+    args.extend(tracked.iter().map(String::as_str));
+    let (out, err, ok) = mfvctl(&args);
     assert!(ok, "{out}{err}");
+    let clean = out.matches("conflint: 0 error(s), 0 warning(s)").count();
+    assert!(clean == tracked.len() && clean > 0, "{tracked:?}: {out}");
     let mut configs = scenarios::conflint_base_configs();
     let planted = mfv_config::inject_misconfig(SeededMisconfig::EbgpAsnMismatch, &mut configs, 0)
         .expect("an eBGP session to corrupt");
