@@ -546,14 +546,9 @@ impl<'a> Parser<'a> {
                     self.recognized += 1;
                 }
                 ["redistribute", proto, rest @ ..] => {
-                    let proto = match *proto {
-                        "connected" => Redistribute::Connected,
-                        "static" => Redistribute::Static,
-                        "isis" => Redistribute::Isis,
-                        _ => {
-                            self.warn(number, &raw, "unrecognized redistribute source");
-                            continue;
-                        }
+                    let Some(proto) = Redistribute::from_keyword(proto) else {
+                        self.warn(number, &raw, "unrecognized redistribute source");
+                        continue;
                     };
                     let route_map = match rest {
                         [] => None,
@@ -1032,11 +1027,7 @@ pub fn render(cfg: &DeviceConfig) -> String {
             push(&format!("   network {net}"));
         }
         for r in &bgp.redistribute {
-            let proto = match r.proto {
-                Redistribute::Connected => "connected",
-                Redistribute::Static => "static",
-                Redistribute::Isis => "isis",
-            };
+            let proto = r.proto.keyword();
             match &r.route_map {
                 Some(rm) => push(&format!("   redistribute {proto} route-map {rm}")),
                 None => push(&format!("   redistribute {proto}")),

@@ -192,6 +192,23 @@ pub enum Redistribute {
     Isis,
 }
 
+impl Redistribute {
+    /// The source keyword, the same in both dialects.
+    pub(crate) fn keyword(self) -> &'static str {
+        match self {
+            Redistribute::Connected => "connected",
+            Redistribute::Static => "static",
+            Redistribute::Isis => "isis",
+        }
+    }
+
+    pub(crate) fn from_keyword(word: &str) -> Option<Redistribute> {
+        [Self::Connected, Self::Static, Self::Isis]
+            .into_iter()
+            .find(|proto| proto.keyword() == word)
+    }
+}
+
 /// One `redistribute <proto> [route-map <name>]` statement under
 /// `router bgp`. Redistribution without an attached route-map injects the
 /// whole source table unfiltered (conflint rule C7 flags that).

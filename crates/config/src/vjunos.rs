@@ -856,6 +856,27 @@ fn lower_routing_options(
                     .push(p);
                 n += 1;
             }
+            "redistribute" => {
+                let proto = Redistribute::from_keyword(st.word(1));
+                let route_map = match st.words.get(2..).unwrap_or_default() {
+                    [] => Some(None),
+                    [kw, name] if kw == "policy" => Some(Some(name.clone())),
+                    _ => None,
+                };
+                let (Some(proto), Some(route_map)) = (proto, route_map) else {
+                    warnings.push(ParseWarning {
+                        line: st.line,
+                        text: st.words.join(" "),
+                        reason: "unrecognized redistribute statement".into(),
+                    });
+                    continue;
+                };
+                cfg.bgp
+                    .get_or_insert_with(|| BgpConfig::new(AsNum(0)))
+                    .redistribute
+                    .push(BgpRedistribute { proto, route_map });
+                n += 1;
+            }
             "maximum-paths" | "multipath" => {
                 cfg.bgp
                     .get_or_insert_with(|| BgpConfig::new(AsNum(0)))
@@ -1108,6 +1129,14 @@ pub fn render(cfg: &DeviceConfig) -> String {
         // the shorthand keeps cross-vendor specs symmetrical).
         for p in &bgp.networks {
             w.line(&format!("network {p};"));
+        }
+        // The same shorthand for redistribution, policed by a
+        // policy-statement where the IR names a route-map.
+        for r in &bgp.redistribute {
+            match &r.route_map {
+                Some(rm) => w.line(&format!("redistribute {} policy {rm};", r.proto.keyword())),
+                None => w.line(&format!("redistribute {};", r.proto.keyword())),
+            }
         }
     }
     if !cfg.static_routes.is_empty() {

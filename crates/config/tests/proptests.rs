@@ -16,7 +16,9 @@ struct SpecShape {
     ebgp: Vec<(u8, u32)>,
     ibgp: Vec<u8>,
     networks: Vec<u8>,
-    redistribute: bool,
+    /// BGP redistribution: none, connected, or connected / IS-IS policed
+    /// by a route-map.
+    redistribute: u8,
     production: bool,
 }
 
@@ -28,7 +30,7 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
         proptest::collection::vec((1u8..120, 64512u32..65534), 0..3),
         proptest::collection::vec(1u8..250, 0..3),
         proptest::collection::vec(1u8..250, 0..3),
-        any::<bool>(),
+        0u8..4,
         any::<bool>(),
     )
         .prop_map(
@@ -75,8 +77,14 @@ fn build_spec(shape: &SpecShape, vendor: Vendor) -> RouterSpec {
     for octet in &shape.networks {
         spec = spec.network(format!("203.0.{octet}.0/24").parse().unwrap());
     }
-    if shape.redistribute {
-        spec = spec.redistribute_connected();
+    spec = match shape.redistribute {
+        1 => spec.redistribute_connected(),
+        2 => spec.redistribute_connected_policed("EXPORT"),
+        3 => spec.redistribute_isis_policed("EXPORT"),
+        _ => spec,
+    };
+    if shape.redistribute >= 2 {
+        spec = spec.route_map("EXPORT", RouterSpec::permit_all_route_map());
     }
     if shape.production && vendor == Vendor::Ceos {
         spec = spec.production();
@@ -116,6 +124,7 @@ proptest! {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(a.asn, b.asn);
                 prop_assert_eq!(a.networks.clone(), b.networks.clone());
+                prop_assert_eq!(a.redistribute.clone(), b.redistribute.clone());
                 prop_assert_eq!(a.neighbors.len(), b.neighbors.len());
                 for (x, y) in a.neighbors.iter().zip(b.neighbors.iter()) {
                     prop_assert_eq!(x.peer, y.peer);

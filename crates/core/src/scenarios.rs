@@ -3,10 +3,16 @@
 //!
 //! - [`six_node`] / [`six_node_broken`] — Fig. 2 (experiment E1)
 //! - [`three_node_line_fig3`] — the Fig. 3 configs, verbatim ordering (E3)
+//! - [`conflint_base`] — the static-analysis cross-validation network (E7)
 //! - [`isis_line`], [`isis_grid`], [`production_wan`] — scale topologies
 //!   (E4, E5)
-//! - [`interplay_pair`] — a multi-vendor topology for the cross-vendor
+//! - [`interplay_chain`] — a multi-vendor topology for the cross-vendor
 //!   crash study (A3)
+//! - [`rr_cluster`], [`clos`], [`regional_wan`] — reflection, ECMP, and the
+//!   paper's 1,000-router scale
+//!
+//! The hand-written networks spell out the paper's own addresses; the
+//! generated ones take theirs from one plan, `Wiring`.
 
 #![expect(
     clippy::unwrap_used,
@@ -18,7 +24,7 @@ use std::net::Ipv4Addr;
 
 use mfv_config::{DeviceConfig, IfaceSpec, RouterSpec, Vendor};
 use mfv_emulator::{ExternalPeerSpec, NodeSpec, Topology};
-use mfv_types::AsNum;
+use mfv_types::{AsNum, IfaceAddr};
 
 use crate::snapshot::Snapshot;
 
@@ -46,6 +52,79 @@ fn ifname(vendor: Vendor, idx: usize) -> String {
     }
 }
 
+/// The address-and-port plan of a generated scenario. It holds the
+/// routers' specs and adds each interface to its spec in place: an IS-IS
+/// link takes the next /31 from [`p2p`], and each end a port named in its
+/// router's dialect — the router's next free port unless the caller names
+/// one.
+struct Wiring {
+    specs: Vec<RouterSpec>,
+    /// Per router, the index past its highest port in use.
+    free: Vec<usize>,
+    /// Each cable as (router, port) at both ends, in the order laid.
+    cables: Vec<[(usize, String); 2]>,
+    /// The /31s handed out.
+    links: usize,
+}
+
+impl Wiring {
+    fn new(specs: impl IntoIterator<Item = RouterSpec>) -> Wiring {
+        let specs: Vec<RouterSpec> = specs.into_iter().collect();
+        let free = vec![0; specs.len()];
+        Wiring {
+            specs,
+            free,
+            cables: Vec::new(),
+            links: 0,
+        }
+    }
+
+    /// Wires routers `a` and `b` with IS-IS on the next /31, each end on
+    /// its router's next free port.
+    fn wire(&mut self, a: usize, b: usize) {
+        let (pa, pb) = (self.free[a], self.free[b]);
+        self.wire_on(a, pa, b, pb);
+    }
+
+    /// Wires port `pa` of router `a` to port `pb` of router `b` with IS-IS
+    /// on the next /31.
+    fn wire_on(&mut self, a: usize, pa: usize, b: usize, pb: usize) {
+        let (addr_a, addr_b) = p2p(self.links);
+        self.links += 1;
+        let pa = self.port(a, pa, addr_a, true);
+        let pb = self.port(b, pb, addr_b, true);
+        self.cables.push([(a, pa), (b, pb)]);
+    }
+
+    /// Puts `addr`/31 on port `idx` of router `i` and returns its name.
+    fn port(&mut self, i: usize, idx: usize, addr: Ipv4Addr, isis: bool) -> String {
+        self.free[i] = self.free[i].max(idx + 1);
+        let name = ifname(self.specs[i].vendor, idx);
+        let mut iface = IfaceSpec::new(name.clone(), IfaceAddr::new(addr, 31));
+        iface.isis = isis;
+        self.specs[i].ifaces.push(iface);
+        name
+    }
+
+    /// Cables two named ports without allocating an address.
+    fn cable(&mut self, a: usize, pa: &str, b: usize, pb: &str) {
+        self.cables.push([(a, pa.into()), (b, pb.into())]);
+    }
+
+    /// One node per spec, in order, then the cables in the order laid.
+    fn snapshot(self, name: String) -> Snapshot {
+        let mut t = Topology::new(name);
+        for spec in &self.specs {
+            t.add_node(NodeSpec::from_config(spec.name.as_str(), &spec.build()));
+        }
+        for [(a, pa), (b, pb)] in self.cables {
+            let (a, b) = (self.specs[a].name.as_str(), self.specs[b].name.as_str());
+            t.add_link((a, pa), (b, pb));
+        }
+        Snapshot::new(t.name.clone(), t)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fig. 2: the six-node network (E1)
 // ---------------------------------------------------------------------------
@@ -54,9 +133,6 @@ fn ifname(vendor: Vendor, idx: usize) -> String {
 /// (AS3 — AS1 — AS2), IS-IS + iBGP inside each AS, eBGP between them.
 /// Configurations carry production complexity (management daemons, MPLS/TE)
 /// so the same snapshot serves experiment E2's coverage measurement.
-/// A cabling list: ((node, port), (node, port)) per link.
-type PortLinks = Vec<((String, String), (String, String))>;
-
 pub fn six_node() -> Snapshot {
     six_node_inner(false)
 }
@@ -353,94 +429,32 @@ interface Ethernet1
 /// A line of `n` IS-IS routers (scale bring-up workload).
 pub fn isis_line(n: usize) -> Snapshot {
     assert!(n >= 2);
-    let mut t = Topology::new(format!("isis-line-{n}"));
-    let mut link_no = 0usize;
-    let mut specs = Vec::with_capacity(n);
-    for i in 1..=n {
-        specs.push(RouterSpec::new(format!("r{i}"), AsNum(65000), loopback(i)));
-    }
+    let mut plan =
+        Wiring::new((1..=n).map(|i| RouterSpec::new(format!("r{i}"), AsNum(65000), loopback(i))));
+    // Each router's "right" port to the next one's "left" port.
     for i in 0..n - 1 {
-        let (a, b) = p2p(link_no);
-        link_no += 1;
-        specs[i] = std::mem::replace(
-            &mut specs[i],
-            RouterSpec::new("x", AsNum(0), Ipv4Addr::UNSPECIFIED),
-        )
-        .iface(
-            IfaceSpec::new(
-                ifname(Vendor::Ceos, 1), // "right" port
-                mfv_types::IfaceAddr::new(a, 31),
-            )
-            .with_isis(),
-        );
-        specs[i + 1] = std::mem::replace(
-            &mut specs[i + 1],
-            RouterSpec::new("x", AsNum(0), Ipv4Addr::UNSPECIFIED),
-        )
-        .iface(
-            IfaceSpec::new(
-                ifname(Vendor::Ceos, 0), // "left" port
-                mfv_types::IfaceAddr::new(b, 31),
-            )
-            .with_isis(),
-        );
+        plan.wire_on(i, 1, i + 1, 0);
     }
-    for spec in &specs {
-        t.add_node(NodeSpec::from_config(spec.name.clone(), &spec.build()));
-    }
-    for i in 1..n {
-        t.add_link(
-            (format!("r{i}"), ifname(Vendor::Ceos, 1)),
-            (format!("r{}", i + 1), ifname(Vendor::Ceos, 0)),
-        );
-    }
-    Snapshot::new(t.name.clone(), t)
+    plan.snapshot(format!("isis-line-{n}"))
 }
 
 /// A `w`×`h` IS-IS grid (denser flooding/SPF workload).
 pub fn isis_grid(w: usize, h: usize) -> Snapshot {
     assert!(w >= 1 && h >= 1 && w * h >= 2);
-    let idx = |x: usize, y: usize| y * w + x + 1;
-    let name = |x: usize, y: usize| format!("r{}", idx(x, y));
-    let mut specs: Vec<RouterSpec> = (0..w * h)
-        .map(|i| RouterSpec::new(format!("r{}", i + 1), AsNum(65000), loopback(i + 1)))
-        .collect();
-    let mut links: PortLinks = Vec::new();
-    let mut link_no = 0usize;
-    // Port numbering per node: sequential as links are attached.
-    let mut port_count = vec![0usize; w * h];
+    let specs = (1..=w * h).map(|i| RouterSpec::new(format!("r{i}"), AsNum(65000), loopback(i)));
+    let mut plan = Wiring::new(specs);
     for y in 0..h {
         for x in 0..w {
-            let me = idx(x, y) - 1;
-            for (nx, ny) in [(x + 1, y), (x, y + 1)] {
-                if nx >= w || ny >= h {
-                    continue;
-                }
-                let peer = idx(nx, ny) - 1;
-                let (a, b) = p2p(link_no);
-                link_no += 1;
-                let my_port = ifname(Vendor::Ceos, port_count[me]);
-                port_count[me] += 1;
-                let peer_port = ifname(Vendor::Ceos, port_count[peer]);
-                port_count[peer] += 1;
-                specs[me] = specs[me].clone().iface(
-                    IfaceSpec::new(my_port.clone(), mfv_types::IfaceAddr::new(a, 31)).with_isis(),
-                );
-                specs[peer] = specs[peer].clone().iface(
-                    IfaceSpec::new(peer_port.clone(), mfv_types::IfaceAddr::new(b, 31)).with_isis(),
-                );
-                links.push(((name(x, y), my_port), (name(nx, ny), peer_port)));
+            let me = y * w + x;
+            if x + 1 < w {
+                plan.wire(me, me + 1);
+            }
+            if y + 1 < h {
+                plan.wire(me, me + w);
             }
         }
     }
-    let mut t = Topology::new(format!("isis-grid-{w}x{h}"));
-    for spec in &specs {
-        t.add_node(NodeSpec::from_config(spec.name.clone(), &spec.build()));
-    }
-    for ((an, ai), (bn, bi)) in links {
-        t.add_link((an, ai), (bn, bi));
-    }
-    Snapshot::new(t.name.clone(), t)
+    plan.snapshot(format!("isis-grid-{w}x{h}"))
 }
 
 /// A production-like WAN: a ring of `n` routers with chord links, IS-IS
@@ -455,64 +469,31 @@ pub fn production_wan(
 ) -> Snapshot {
     assert!(n >= 3);
     let asn = AsNum(65000);
-    let vendor_of = |i: usize| {
-        if multi_vendor && i % 3 == 2 {
+    let specs = (1..=n).map(|i| {
+        let vendor = if multi_vendor && i % 3 == 0 {
             Vendor::Vjunos
         } else {
             Vendor::Ceos
+        };
+        let mut s = RouterSpec::new(format!("r{i}"), asn, loopback(i)).vendor(vendor);
+        // iBGP full mesh.
+        s.ibgp = (1..=n).filter(|&j| j != i).map(loopback).collect();
+        s = s.network(mfv_types::Prefix::host(loopback(i)));
+        if vendor == Vendor::Ceos {
+            s = s.production();
         }
-    };
-    let mut specs: Vec<RouterSpec> = (1..=n)
-        .map(|i| {
-            let mut s = RouterSpec::new(format!("r{i}"), asn, loopback(i)).vendor(vendor_of(i - 1));
-            // iBGP full mesh.
-            for j in 1..=n {
-                if j != i {
-                    s = s.ibgp(loopback(j));
-                }
-            }
-            s = s.network(mfv_types::Prefix::host(loopback(i)));
-            if vendor_of(i - 1) == Vendor::Ceos {
-                s = s.production();
-            }
-            s
-        })
-        .collect();
-
-    let mut links: PortLinks = Vec::new();
-    let mut port_count = vec![0usize; n];
-    let mut link_no = 0usize;
-    let mut connect = |specs: &mut Vec<RouterSpec>,
-                       links: &mut PortLinks,
-                       port_count: &mut Vec<usize>,
-                       i: usize,
-                       j: usize| {
-        let (a, b) = p2p(link_no);
-        link_no += 1;
-        let vi = vendor_of(i);
-        let vj = vendor_of(j);
-        let pi = ifname(vi, port_count[i]);
-        port_count[i] += 1;
-        let pj = ifname(vj, port_count[j]);
-        port_count[j] += 1;
-        specs[i] = specs[i]
-            .clone()
-            .iface(IfaceSpec::new(pi.clone(), mfv_types::IfaceAddr::new(a, 31)).with_isis());
-        specs[j] = specs[j]
-            .clone()
-            .iface(IfaceSpec::new(pj.clone(), mfv_types::IfaceAddr::new(b, 31)).with_isis());
-        links.push(((format!("r{}", i + 1), pi), (format!("r{}", j + 1), pj)));
-    };
-
+        s
+    });
+    let mut plan = Wiring::new(specs);
     for i in 0..n {
-        connect(&mut specs, &mut links, &mut port_count, i, (i + 1) % n);
+        plan.wire(i, (i + 1) % n);
     }
     // Deterministic chords spread around the ring.
     for c in 0..chords {
         let i = (c * 7) % n;
         let j = (i + n / 2 + c) % n;
         if i != j && (i + 1) % n != j && (j + 1) % n != i {
-            connect(&mut specs, &mut links, &mut port_count, i, j);
+            plan.wire(i, j);
         }
     }
 
@@ -522,18 +503,10 @@ pub fn production_wan(
         for (feed_no, node_idx) in [0usize, n / 2].into_iter().enumerate() {
             let peer_as = AsNum(64900 + feed_no as u32);
             let subnet_base = (100u32 << 24) | (127 << 16) | ((feed_no as u32) << 8);
-            let router_side = Ipv4Addr::from(subnet_base);
             let peer_side = Ipv4Addr::from(subnet_base + 1);
-            let vendor = vendor_of(node_idx);
-            let port = ifname(vendor, port_count[node_idx]);
-            port_count[node_idx] += 1;
-            specs[node_idx] = specs[node_idx]
-                .clone()
-                .iface(IfaceSpec::new(
-                    port,
-                    mfv_types::IfaceAddr::new(router_side, 31),
-                ))
-                .ebgp(peer_side, peer_as);
+            let port = plan.free[node_idx];
+            plan.port(node_idx, port, Ipv4Addr::from(subnet_base), false);
+            plan.specs[node_idx].ebgp.push((peer_side, peer_as));
             feeds.push(ExternalPeerSpec {
                 addr: peer_side,
                 asn: peer_as,
@@ -543,16 +516,9 @@ pub fn production_wan(
             });
         }
     }
-
-    let mut t = Topology::new(format!("production-wan-{n}"));
-    for spec in &specs {
-        t.add_node(NodeSpec::from_config(spec.name.clone(), &spec.build()));
-    }
-    for ((an, ai), (bn, bi)) in links {
-        t.add_link((an, ai), (bn, bi));
-    }
-    t.external_peers = feeds;
-    Snapshot::new(t.name.clone(), t)
+    let mut snapshot = plan.snapshot(format!("production-wan-{n}"));
+    snapshot.topology.external_peers = feeds;
+    snapshot
 }
 
 // ---------------------------------------------------------------------------
@@ -564,48 +530,21 @@ pub fn production_wan(
 /// The bug profiles (who emits the unusual attribute, whose parser dies) are
 /// injected via [`crate::backend::EmulationBackend::profiles`].
 pub fn interplay_chain() -> Snapshot {
-    let asn = AsNum(65000);
     let lo = |i: usize| Ipv4Addr::new(2, 2, 2, i as u8);
     let names = ["victim", "transit", "transit2", "emitter"];
-    let vendors = [Vendor::Ceos, Vendor::Ceos, Vendor::Ceos, Vendor::Vjunos];
-
-    let mut specs: Vec<RouterSpec> = (0..4)
-        .map(|i| {
-            let mut s = RouterSpec::new(names[i], asn, lo(i + 1)).vendor(vendors[i]);
-            for j in 0..4 {
-                if j != i {
-                    s = s.ibgp(lo(j + 1));
-                }
-            }
-            s.network(mfv_types::Prefix::host(lo(i + 1)))
-        })
-        .collect();
-
-    let mut links = Vec::new();
-    let mut port_count = [0usize; 4];
+    let specs = names.iter().enumerate().map(|(i, name)| {
+        let mut s = RouterSpec::new(*name, AsNum(65000), lo(i + 1));
+        if i == 3 {
+            s = s.vendor(Vendor::Vjunos);
+        }
+        s.ibgp = (1..=4).filter(|&j| j != i + 1).map(lo).collect();
+        s.network(mfv_types::Prefix::host(lo(i + 1)))
+    });
+    let mut plan = Wiring::new(specs);
     for i in 0..3 {
-        let (a, b) = p2p(i);
-        let pi = ifname(vendors[i], port_count[i]);
-        port_count[i] += 1;
-        let pj = ifname(vendors[i + 1], port_count[i + 1]);
-        port_count[i + 1] += 1;
-        specs[i] = specs[i]
-            .clone()
-            .iface(IfaceSpec::new(pi.clone(), mfv_types::IfaceAddr::new(a, 31)).with_isis());
-        specs[i + 1] = specs[i + 1]
-            .clone()
-            .iface(IfaceSpec::new(pj.clone(), mfv_types::IfaceAddr::new(b, 31)).with_isis());
-        links.push(((names[i].to_string(), pi), (names[i + 1].to_string(), pj)));
+        plan.wire(i, i + 1);
     }
-
-    let mut t = Topology::new("interplay-chain");
-    for spec in &specs {
-        t.add_node(NodeSpec::from_config(spec.name.clone(), &spec.build()));
-    }
-    for ((an, ai), (bn, bi)) in links {
-        t.add_link((an, ai), (bn, bi));
-    }
-    Snapshot::new("interplay-chain", t)
+    plan.snapshot("interplay-chain".into())
 }
 
 // ---------------------------------------------------------------------------
@@ -618,36 +557,19 @@ pub fn interplay_chain() -> Snapshot {
 /// reflection rules end to end.
 pub fn rr_cluster(clients: usize) -> Snapshot {
     assert!(clients >= 2);
-    let asn = AsNum(65000);
-    let rr_lo = loopback(1);
-    let mut rr = RouterSpec::new("rr", asn, rr_lo);
-    let mut t = Topology::new(format!("rr-cluster-{clients}"));
-    let mut links = Vec::new();
-
-    for c in 0..clients {
-        let name = format!("c{}", c + 1);
-        let c_lo = loopback(c + 2);
-        let (a, b) = p2p(c);
-        let rr_port = ifname(Vendor::Ceos, c);
-        let client_port = ifname(Vendor::Ceos, 0);
-        rr = rr
-            .iface(IfaceSpec::new(rr_port.clone(), mfv_types::IfaceAddr::new(a, 31)).with_isis())
-            .ibgp_rr_client(c_lo);
-        let client = RouterSpec::new(name.clone(), asn, c_lo)
-            .iface(
-                IfaceSpec::new(client_port.clone(), mfv_types::IfaceAddr::new(b, 31)).with_isis(),
-            )
+    let (asn, rr_lo) = (AsNum(65000), loopback(1));
+    let mut rr = RouterSpec::new("rr", asn, rr_lo).network(mfv_types::Prefix::host(rr_lo));
+    rr.ibgp_rr_clients = (2..clients + 2).map(loopback).collect();
+    let spokes = (2..clients + 2).map(|i| {
+        RouterSpec::new(format!("c{}", i - 1), asn, loopback(i))
             .ibgp(rr_lo)
-            .network(mfv_types::Prefix::host(c_lo));
-        t.add_node(NodeSpec::from_config(name.clone(), &client.build()));
-        links.push((("rr".to_string(), rr_port), (name, client_port)));
+            .network(mfv_types::Prefix::host(loopback(i)))
+    });
+    let mut plan = Wiring::new(std::iter::once(rr).chain(spokes));
+    for c in 1..=clients {
+        plan.wire(0, c);
     }
-    rr = rr.network(mfv_types::Prefix::host(rr_lo));
-    t.nodes.insert(0, NodeSpec::from_config("rr", &rr.build()));
-    for ((an, ai), (bn, bi)) in links {
-        t.add_link((an, ai), (bn, bi));
-    }
-    Snapshot::new(t.name.clone(), t)
+    plan.snapshot(format!("rr-cluster-{clients}"))
 }
 
 /// A 2-tier Clos fabric: `spines` spine routers, `leaves` leaf routers,
@@ -656,38 +578,15 @@ pub fn rr_cluster(clients: usize) -> Snapshot {
 pub fn clos(spines: usize, leaves: usize) -> Snapshot {
     assert!(spines >= 1 && leaves >= 2);
     let asn = AsNum(65000);
-    let mut spine_specs: Vec<RouterSpec> = (0..spines)
-        .map(|s| RouterSpec::new(format!("s{}", s + 1), asn, loopback(s + 1)))
-        .collect();
-    let mut leaf_specs: Vec<RouterSpec> = (0..leaves)
-        .map(|l| RouterSpec::new(format!("l{}", l + 1), asn, loopback(100 + l)))
-        .collect();
-    let mut links = Vec::new();
-    for (s, spine) in spine_specs.iter_mut().enumerate() {
-        for (l, leaf) in leaf_specs.iter_mut().enumerate() {
-            let (a, b) = p2p(s * leaves + l);
-            let spine_port = ifname(Vendor::Ceos, l);
-            let leaf_port = ifname(Vendor::Ceos, s);
-            *spine = spine.clone().iface(
-                IfaceSpec::new(spine_port.clone(), mfv_types::IfaceAddr::new(a, 31)).with_isis(),
-            );
-            *leaf = leaf.clone().iface(
-                IfaceSpec::new(leaf_port.clone(), mfv_types::IfaceAddr::new(b, 31)).with_isis(),
-            );
-            links.push((
-                (format!("s{}", s + 1), spine_port),
-                (format!("l{}", l + 1), leaf_port),
-            ));
+    let spine = |s: usize| RouterSpec::new(format!("s{s}"), asn, loopback(s));
+    let leaf = |l: usize| RouterSpec::new(format!("l{l}"), asn, loopback(99 + l));
+    let mut plan = Wiring::new((1..=spines).map(spine).chain((1..=leaves).map(leaf)));
+    for s in 0..spines {
+        for l in 0..leaves {
+            plan.wire(s, spines + l);
         }
     }
-    let mut t = Topology::new(format!("clos-{spines}x{leaves}"));
-    for spec in spine_specs.iter().chain(leaf_specs.iter()) {
-        t.add_node(NodeSpec::from_config(spec.name.clone(), &spec.build()));
-    }
-    for ((an, ai), (bn, bi)) in links {
-        t.add_link((an, ai), (bn, bi));
-    }
-    Snapshot::new(t.name.clone(), t)
+    plan.snapshot(format!("clos-{spines}x{leaves}"))
 }
 
 /// The 1,000-router scale scenario (the paper's §5 deployment target):
@@ -719,109 +618,77 @@ pub fn regional_wan(regions: usize, per_region: usize) -> Snapshot {
     assert!(regions <= 200 && per_region <= 256, "address plan bounds");
     let region_as = |r: usize| AsNum(64512 + r as u32);
     let lo = |r: usize, i: usize| loopback(r * per_region + i + 1);
-    let name = |r: usize, i: usize| format!("r{r:02}x{i:02}");
-    let mut t = Topology::new(format!("regional-wan-{regions}x{per_region}"));
-    let mut links: PortLinks = Vec::new();
-    let mut p2p_ctr = 0usize;
-
-    for r in 0..regions {
-        let asn = region_as(r);
-        let rr_lo = lo(r, 0);
-        for i in 0..per_region {
-            let mut spec = RouterSpec::new(name(r, i), asn, lo(r, i));
-            // IS-IS line: Ethernet1 toward the lower neighbour, Ethernet2
-            // toward the higher one.
-            if i > 0 {
-                let (_, b) = p2p(p2p_ctr - 1);
-                spec = spec.iface(
-                    IfaceSpec::new(ifname(Vendor::Ceos, 0), mfv_types::IfaceAddr::new(b, 31))
-                        .with_isis(),
-                );
-            }
-            if i + 1 < per_region {
-                let (a, _) = p2p(p2p_ctr);
-                p2p_ctr += 1;
-                spec = spec.iface(
-                    IfaceSpec::new(ifname(Vendor::Ceos, 1), mfv_types::IfaceAddr::new(a, 31))
-                        .with_isis(),
-                );
-                links.push((
-                    (name(r, i), ifname(Vendor::Ceos, 1)),
-                    (name(r, i + 1), ifname(Vendor::Ceos, 0)),
-                ));
-            }
-            if i == 0 {
-                // Route reflector + regional customer prefix + ring entry.
-                for c in 1..per_region {
-                    spec = spec.ibgp_rr_client(lo(r, c));
-                }
-                let customer: mfv_types::Prefix = format!("198.18.{r}.0/24").parse().unwrap();
-                spec = spec
-                    .iface(IfaceSpec::new(
-                        "Ethernet9",
-                        format!("198.18.{r}.1/24").parse().unwrap(),
-                    ))
-                    .network(customer);
-                let prev = (r + regions - 1) % regions;
-                spec = spec
-                    .iface(IfaceSpec::new(
-                        "Ethernet8",
-                        format!("172.16.{prev}.1/31").parse().unwrap(),
-                    ))
-                    .ebgp(format!("172.16.{prev}.0").parse().unwrap(), region_as(prev));
-            } else {
-                spec = spec.ibgp(rr_lo);
-            }
-            if i + 1 == per_region {
-                // Exit border: eBGP to the next region's reflector, and the
-                // region's loopbacks exported via policed redistribution.
-                spec = spec
-                    .iface(IfaceSpec::new(
-                        "Ethernet8",
-                        format!("172.16.{r}.0/31").parse().unwrap(),
-                    ))
-                    .ebgp(
-                        format!("172.16.{r}.1").parse().unwrap(),
-                        region_as((r + 1) % regions),
-                    )
-                    .redistribute_isis_policed("EXPORT-LOOPBACKS")
-                    .route_map(
-                        "EXPORT-LOOPBACKS",
-                        mfv_config::RouteMap {
-                            entries: vec![mfv_config::RouteMapEntry {
-                                seq: 10,
-                                action: mfv_config::PolicyAction::Permit,
-                                matches: vec![mfv_config::MatchClause::PrefixList(
-                                    "LOOPBACKS".into(),
-                                )],
-                                sets: Vec::new(),
-                            }],
-                        },
-                    )
-                    .prefix_list(
-                        "LOOPBACKS",
-                        mfv_config::PrefixList {
-                            entries: vec![mfv_config::PrefixListEntry {
-                                seq: 10,
-                                action: mfv_config::PolicyAction::Permit,
-                                prefix: "10.255.0.0/16".parse().unwrap(),
-                                ge: None,
-                                le: Some(32),
-                            }],
-                        },
-                    );
-            }
-            t.add_node(NodeSpec::from_config(spec.name.clone(), &spec.build()));
+    let last = per_region - 1;
+    let specs = (0..regions * per_region).map(|k| {
+        let (r, i) = (k / per_region, k % per_region);
+        let mut spec = RouterSpec::new(format!("r{r:02}x{i:02}"), region_as(r), lo(r, i));
+        if i == 0 {
+            // Route reflector + regional customer prefix + ring entry.
+            spec.ibgp_rr_clients = (1..per_region).map(|c| lo(r, c)).collect();
+            let prev = (r + regions - 1) % regions;
+            spec = spec
+                .network(format!("198.18.{r}.0/24").parse().unwrap())
+                .ebgp(format!("172.16.{prev}.0").parse().unwrap(), region_as(prev));
+        } else {
+            spec = spec.ibgp(lo(r, 0));
         }
-        links.push((
-            (name(r, per_region - 1), "Ethernet8".to_string()),
-            (name((r + 1) % regions, 0), "Ethernet8".to_string()),
-        ));
+        if i == last {
+            // Exit border: eBGP to the next region's reflector, and the
+            // region's loopbacks exported via policed redistribution.
+            spec = spec
+                .ebgp(
+                    format!("172.16.{r}.1").parse().unwrap(),
+                    region_as((r + 1) % regions),
+                )
+                .redistribute_isis_policed("EXPORT-LOOPBACKS")
+                .route_map(
+                    "EXPORT-LOOPBACKS",
+                    mfv_config::RouteMap {
+                        entries: vec![mfv_config::RouteMapEntry {
+                            seq: 10,
+                            action: mfv_config::PolicyAction::Permit,
+                            matches: vec![mfv_config::MatchClause::PrefixList("LOOPBACKS".into())],
+                            sets: Vec::new(),
+                        }],
+                    },
+                )
+                .prefix_list(
+                    "LOOPBACKS",
+                    mfv_config::PrefixList {
+                        entries: vec![mfv_config::PrefixListEntry {
+                            seq: 10,
+                            action: mfv_config::PolicyAction::Permit,
+                            prefix: "10.255.0.0/16".parse().unwrap(),
+                            ge: None,
+                            le: Some(32),
+                        }],
+                    },
+                );
+        }
+        spec
+    });
+    let mut plan = Wiring::new(specs);
+    for r in 0..regions {
+        let (entry, exit) = (r * per_region, r * per_region + last);
+        // IS-IS line: Ethernet1 toward the lower neighbour, Ethernet2
+        // toward the higher one.
+        for k in entry..exit {
+            plan.wire_on(k, 1, k + 1, 0);
+        }
+        // The customer LAN and the ring /31s, after the line's ports.
+        let prev = (r + regions - 1) % regions;
+        let entry_ifaces = &mut plan.specs[entry].ifaces;
+        let customer = format!("198.18.{r}.1/24").parse().unwrap();
+        entry_ifaces.push(IfaceSpec::new("Ethernet9", customer));
+        let ring_in = format!("172.16.{prev}.1/31").parse().unwrap();
+        entry_ifaces.push(IfaceSpec::new("Ethernet8", ring_in));
+        let ring_out = format!("172.16.{r}.0/31").parse().unwrap();
+        let exit_ifaces = &mut plan.specs[exit].ifaces;
+        exit_ifaces.push(IfaceSpec::new("Ethernet8", ring_out));
+        let next_entry = (exit + 1) % (regions * per_region);
+        plan.cable(exit, "Ethernet8", next_entry, "Ethernet8");
     }
-    for ((an, ai), (bn, bi)) in links {
-        t.add_link((an, ai), (bn, bi));
-    }
-    Snapshot::new(t.name.clone(), t)
+    plan.snapshot(format!("regional-wan-{regions}x{per_region}"))
 }
 
 #[cfg(test)]
@@ -958,6 +825,49 @@ mod tests {
         assert_eq!(s.topology.nodes.len(), 6);
         assert_eq!(s.topology.links.len(), 8);
         assert_eq!(s.topology.validate(), Ok(()));
+    }
+
+    /// Every generated scenario's topology file, at every size a test, the
+    /// benchmark or an `experiments` default builds, as an FNV-1a of its
+    /// JSON: configs, interface order, node order and link order.
+    #[test]
+    fn generated_topologies_are_pinned() {
+        let fnv1a = |text: String| {
+            let bytes = text.bytes();
+            bytes.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let pins: [(Snapshot, u64); 19] = [
+            (isis_line(4), 0x7a427ff8cca6cc5d),
+            (isis_line(5), 0x62a8522f23cc3963),
+            (isis_grid(3, 2), 0x4ba675c78f1b2ab6),
+            (isis_grid(3, 3), 0x799440639e05a7d8),
+            (isis_grid(4, 3), 0x14cccfdb6373cd32),
+            (isis_grid(6, 5), 0x7e08420652be8d68),
+            (isis_grid(7, 6), 0x4ccff3b020e5f248),
+            (isis_grid(10, 6), 0x7ba4f36d70265bce),
+            (production_wan(9, 2, true, 40), 0xf911fa8098a97253),
+            (production_wan(9, 2, true, 50), 0xe8769ac095951d95),
+            (production_wan(12, 3, true, 20), 0xa8ed3ca6ce7e218b),
+            (production_wan(30, 3, true, 1_000), 0xfc0da0e39f438882),
+            (interplay_chain(), 0x31c5daf59afe3140),
+            (rr_cluster(4), 0xade788aa294dd963),
+            (clos(2, 4), 0x44dbfe686a0db3c1),
+            (clos(3, 4), 0x046c7e110060e95b),
+            (regional_wan(3, 4), 0x093146a0ae5dcca6),
+            (regional_wan(5, 20), 0x86ed37f6d42074d6),
+            (regional_wan(20, 50), 0xdeafe8af258d63a5),
+        ];
+        let found: Vec<String> = pins
+            .iter()
+            .map(|(s, _)| format!("{} {:016x}", s.name, fnv1a(s.topology.to_json())))
+            .collect();
+        let want: Vec<String> = pins
+            .iter()
+            .map(|(s, pin)| format!("{} {pin:016x}", s.name))
+            .collect();
+        assert_eq!(found, want);
     }
 
     #[test]

@@ -45,6 +45,30 @@ fn six_node_emulation_full_reachability() {
     );
 }
 
+/// `snapshot` with every router's config parsed and rendered again in the
+/// vjunos dialect, under the same interface names.
+fn in_vjunos(snapshot: &Snapshot) -> Snapshot {
+    let mut topology = snapshot.topology.clone();
+    for node in &mut topology.nodes {
+        let mut config = node.parse_config().unwrap().config;
+        config.vendor = mfv_config::Vendor::Vjunos;
+        *node = mfv_emulator::NodeSpec::from_config(node.name.clone(), &config);
+    }
+    Snapshot::new(format!("{}-vjunos", snapshot.name), topology)
+}
+
+/// Both dialects say the same thing: Fig. 2 written in vjunos (BGP
+/// redistribution included) converges to the all-ceos dataplane.
+#[test]
+fn six_node_converges_to_the_same_dataplane_in_either_dialect() {
+    let backend = EmulationBackend::default();
+    let ceos = backend.compute(&scenarios::six_node()).unwrap().dataplane;
+    let swapped = in_vjunos(&scenarios::six_node());
+    let vjunos = backend.compute(&swapped).unwrap().dataplane;
+    assert_eq!(vjunos.total_entries(), ceos.total_entries());
+    assert_eq!(vjunos.digest(), ceos.digest());
+}
+
 /// E1: Differential Reachability between the working and broken snapshots
 /// discovers the loss of connectivity from AS3 routers to AS2 routers.
 #[test]

@@ -9,7 +9,7 @@
 //! implementation bugs, policies approximated (accept-all), one reference
 //! decision process.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::net::Ipv4Addr;
 
 use mfv_config::ir::{DeviceConfig, Redistribute};
@@ -164,6 +164,23 @@ pub fn compute(configs: Vec<(NodeId, DeviceConfig)>) -> ModelResult {
         let routes = spf_from(root, &nodes, &isis_edges);
         rib.set_protocol_routes(RouteProtocol::Isis, routes);
     }
+    // Until step 6 the RIBs hold only connected, static and IS-IS routes:
+    // one trie per node answers every transport and next-hop check.
+    let igp: Vec<PrefixTrie<()>> = ribs
+        .iter()
+        .map(|rib| {
+            let mut trie = PrefixTrie::new();
+            for (p, _) in rib.winners() {
+                trie.insert(*p, ());
+            }
+            trie
+        })
+        .collect();
+    let resolves = |idx: usize, addr: Ipv4Addr| {
+        igp[idx]
+            .lookup(addr)
+            .is_some_and(|(covering, _)| !covering.is_default())
+    };
 
     // ---- 4. BGP sessions -------------------------------------------------
     let mut addr_owner: BTreeMap<Ipv4Addr, usize> = BTreeMap::new();
@@ -203,16 +220,7 @@ pub fn compute(configs: Vec<(NodeId, DeviceConfig)>) -> ModelResult {
                 continue;
             };
             // Transport check: the peer address must resolve in our RIB.
-            let reachable = {
-                let mut trie = PrefixTrie::new();
-                for (p, r) in ribs[idx].winners() {
-                    trie.insert(*p, r.metric);
-                }
-                trie.lookup(nb.peer)
-                    .map(|(covering, _)| !covering.is_default())
-                    .unwrap_or(false)
-            };
-            if !reachable {
+            if !resolves(idx, nb.peer) {
                 continue;
             }
             sessions.push(ModelSession {
@@ -225,8 +233,14 @@ pub fn compute(configs: Vec<(NodeId, DeviceConfig)>) -> ModelResult {
         }
     }
     // A session is only up if BOTH directions configured it.
-    let all = sessions.clone();
-    sessions.retain(|s| all.iter().any(|t| t.from == s.to && t.to == s.from));
+    let dialled: BTreeSet<(usize, usize)> = sessions.iter().map(|s| (s.from, s.to)).collect();
+    sessions.retain(|s| dialled.contains(&(s.to, s.from)));
+    // Each session's reverse, for split horizon: the first session back.
+    let mut first: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    for (sid, s) in sessions.iter().enumerate() {
+        first.entry((s.from, s.to)).or_insert(sid);
+    }
+    let reverse: Vec<usize> = sessions.iter().map(|s| first[&(s.to, s.from)]).collect();
 
     // ---- 5. BGP fixpoint iteration ---------------------------------------
     // Per node: prefix → best route.
@@ -284,7 +298,7 @@ pub fn compute(configs: Vec<(NodeId, DeviceConfig)>) -> ModelResult {
             let sender_as = nodes[s.from].asn().expect("session implies bgp");
             for (prefix, route) in &tables[s.from] {
                 // Don't bounce a route back over the session it came from.
-                if route.learned_via == Some(sid_reverse(&sessions, sid)) {
+                if route.learned_via == Some(reverse[sid]) {
                     continue;
                 }
                 // iBGP split horizon (no reflection in the model).
@@ -332,21 +346,7 @@ pub fn compute(configs: Vec<(NodeId, DeviceConfig)>) -> ModelResult {
             }
             for (p, r) in incoming[idx].drain(..) {
                 // Next hop must resolve through IGP/connected.
-                let resolvable = {
-                    let mut trie = PrefixTrie::new();
-                    for (wp, wr) in ribs[idx].winners() {
-                        if matches!(
-                            wr.proto,
-                            RouteProtocol::Connected | RouteProtocol::Static | RouteProtocol::Isis
-                        ) {
-                            trie.insert(*wp, wr.metric);
-                        }
-                    }
-                    trie.lookup(r.attrs.next_hop)
-                        .map(|(covering, _)| !covering.is_default())
-                        .unwrap_or(false)
-                };
-                if resolvable {
+                if resolves(idx, r.attrs.next_hop) {
                     cands.entry(p).or_default().push(r);
                 }
             }
@@ -421,15 +421,6 @@ pub fn compute(configs: Vec<(NodeId, DeviceConfig)>) -> ModelResult {
         edges: link_ids,
         rounds,
     }
-}
-
-/// The reverse direction of session `sid`, for split-horizon bookkeeping.
-fn sid_reverse(sessions: &[ModelSession], sid: usize) -> usize {
-    let s = &sessions[sid];
-    sessions
-        .iter()
-        .position(|t| t.from == s.to && t.to == s.from)
-        .unwrap_or(usize::MAX)
 }
 
 /// Dijkstra from `root` over the inferred IS-IS edges, producing routes to

@@ -48,6 +48,22 @@ fn example_emits_valid_topology_json() {
     assert_eq!(topo.validate(), Ok(()));
 }
 
+/// Each tracked topology file is what `mfvctl example <name>` prints, so the
+/// files README and the server smoke test read cannot drift from the code.
+#[test]
+fn tracked_topologies_are_their_examples() {
+    let mut checked = 0;
+    for entry in std::fs::read_dir("examples/topologies").unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_stem().unwrap().to_str().unwrap();
+        let (json, err, ok) = mfvctl(&["example", name]);
+        assert!(ok, "{name}: {err}");
+        assert!(json == std::fs::read_to_string(&path).unwrap(), "{name}");
+        checked += 1;
+    }
+    assert!(checked > 0);
+}
+
 #[test]
 fn run_reports_convergence_and_reachability() {
     let path = write_example("fig3-line", "mfvctl_run.json");

@@ -193,6 +193,20 @@ const ROWS: &[Row] = &[
         why: "one table per entity: one churn tracker, one journal, one tally",
         plant: "fn merge_churn() {} fn merged_journal() {} fn absorb(&mut self) {}",
     },
+    Row {
+        files: "crates/core/src/scenarios.rs",
+        rule: Absent("port_count|PortLinks|mem::replace|.clone().iface("),
+        why: "one address plan: a generated scenario's ports and cables are Wiring's",
+        plant: "let mut port_count = vec![0; n]; let links: PortLinks = Vec::new(); \
+                specs[i] = std::mem::replace(&mut specs[i], x); specs[j].clone().iface(b);",
+    },
+    Row {
+        files: "crates/core/src/scenarios.rs",
+        rule: AtMost(2, "p2p(|ifname("),
+        why: "one address plan: the /31 allocator and the port namer, each defined and \
+              called once",
+        plant: "let (a, b) = p2p(link_no); let port = ifname(vendor, i);",
+    },
 ];
 
 /// The tests that hold the same structures by behaviour, as `file::name`.
