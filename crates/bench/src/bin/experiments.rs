@@ -639,21 +639,22 @@ fn heap(opts: &Options) {
     // A piece's share is what a clone of it asks the allocator for, summed
     // over the routers. A clone shares the stored attribute and next-hop
     // sets, so those count once, in the emulation's row. Parts of `bgp`: the
-    // Adj-RIB-Ins with their next-hop indexes, the Adj-RIB-Outs, the selection.
+    // table (each prefix's paths and selection), its next-hop index, the
+    // Adj-RIB-Outs.
     let pieces: [Piece; 9] = [
         ("router", |r| held_by(|| r.clone()).1),
         ("fib", |r| held_by(|| r.fib().clone()).1),
         ("rib", |r| held_by(|| r.rib().clone()).1),
         ("gateways", |r| held_by(|| r.gateways().clone()).1),
         ("bgp", |r| held_by(|| r.bgp_engine().cloned()).1),
-        ("bgp.in", |r| {
-            held_by(|| r.bgp_engine().map(|b| b.adj_rib_copies().0)).1
+        ("bgp.table", |r| {
+            held_by(|| r.bgp_engine().map(|b| b.table_copies().0)).1
+        }),
+        ("bgp.index", |r| {
+            held_by(|| r.bgp_engine().map(|b| b.table_copies().1)).1
         }),
         ("bgp.out", |r| {
-            held_by(|| r.bgp_engine().map(|b| b.adj_rib_copies().1)).1
-        }),
-        ("bgp.sel", |r| {
-            held_by(|| r.bgp_engine().map(|b| b.selected().clone())).1
+            held_by(|| r.bgp_engine().map(|b| b.table_copies().2)).1
         }),
         ("isis", |r| held_by(|| r.isis_engine().cloned()).1),
     ];
@@ -667,8 +668,16 @@ fn heap(opts: &Options) {
         row(piece, share);
     }
     // The rest of the emulation: the engine's tables and schedules, the
-    // topology and parsed configs, and the stored sets the routers share.
-    row("engine", (emulation.0 - router.0, emulation.1 - router.1));
+    // topology and parsed configs, and the stored sets the routers share —
+    // as a clone holds them. A clone asks for no more than each table
+    // holds; what the live tables hold beyond that is their growth slack.
+    let clone = held_by(|| emu.clone()).1;
+    row("engine", (clone.0 - router.0, clone.1 - router.1));
+    let slack = (
+        emulation.0.saturating_sub(clone.0),
+        emulation.1.saturating_sub(clone.1),
+    );
+    row("slack", slack);
 
     println!("\nrole          router  selected  attr sets  stored  FIB entries  next-hop sets");
     let roles = [
@@ -678,9 +687,9 @@ fn heap(opts: &Options) {
     ];
     for (role, r) in roles.map(|(role, i)| (role, routers[i])) {
         let Some(bgp) = r.bgp_engine() else { continue };
-        let attrs: BTreeSet<_> = bgp.selected().values().map(|s| &*s.attrs).collect();
+        let attrs: BTreeSet<_> = bgp.selected().iter().map(|(_, s)| &*s.attrs).collect();
         let hops: BTreeSet<_> = r.fib().entries().map(|e| &*e.next_hops).collect();
-        let (name, selected, stored) = (&r.name, bgp.selected().len(), bgp.attr_sets());
+        let (name, selected, stored) = (&r.name, bgp.selected().iter().count(), bgp.attr_sets());
         let (attrs, fib, hops) = (attrs.len(), r.fib().len(), hops.len());
         println!("{role:<12} {name:>7} {selected:>9} {attrs:>10} {stored:>7} {fib:>12} {hops:>14}");
     }

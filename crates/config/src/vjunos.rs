@@ -485,6 +485,8 @@ fn lower_protocols(
                     let export = group.child("export").map(|s| s.word(1).to_string());
                     let multihop = group.child("multihop").is_some();
                     let group_nhs = group.child("next-hop-self").is_some();
+                    // A cluster id makes the group's members reflector clients.
+                    let cluster = group.child("cluster").is_some();
                     n += count_stmts(&group.children)
                         - group
                             .children_named("neighbor")
@@ -547,6 +549,7 @@ fn lower_protocols(
                             ncfg.next_hop_self = group_nhs
                                 || group.child("export").is_some()
                                 || nb.child("next-hop-self").is_some();
+                            ncfg.rr_client = cluster;
                         }
                         bgp.neighbors.push(ncfg);
                     }
@@ -1022,13 +1025,25 @@ pub fn render(cfg: &DeviceConfig) -> String {
                     w.line(&format!("neighbor {};", n.peer));
                     w.close();
                 }
-                if !int.is_empty() {
-                    w.open("group ibgp");
+                // Reflector clients get a group of their own, under this
+                // router's id as the cluster id.
+                let (clients, peers): (Vec<_>, Vec<_>) = int.into_iter().partition(|n| n.rr_client);
+                for (name, int) in [("ibgp", peers), ("ibgp-clients", clients)] {
+                    let Some(first) = int.first() else {
+                        continue;
+                    };
+                    w.open(&format!("group {name}"));
                     w.line("type internal;");
+                    if first.rr_client {
+                        let id = cfg
+                            .effective_router_id()
+                            .map_or(Ipv4Addr::UNSPECIFIED, |r| r.0);
+                        w.line(&format!("cluster {id};"));
+                    }
                     if int.iter().all(|n| n.next_hop_self) {
                         w.line("next-hop-self;");
                     }
-                    if let Some(src) = int[0].update_source.as_ref() {
+                    if let Some(src) = first.update_source.as_ref() {
                         if let Some(ifc) = cfg.interfaces.iter().find(|i| &i.name == src) {
                             if let Some(a) = ifc.addr {
                                 w.line(&format!("local-address {};", a.addr));

@@ -15,6 +15,7 @@ struct SpecShape {
     ifaces: Vec<(u8, bool, u32)>, // (addr octet, isis, metric)
     ebgp: Vec<(u8, u32)>,
     ibgp: Vec<u8>,
+    rr_clients: Vec<u8>,
     networks: Vec<u8>,
     /// BGP redistribution: none, connected, or connected / IS-IS policed
     /// by a route-map.
@@ -30,17 +31,27 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
         proptest::collection::vec((1u8..120, 64512u32..65534), 0..3),
         proptest::collection::vec(1u8..250, 0..3),
         proptest::collection::vec(1u8..250, 0..3),
-        0u8..4,
-        any::<bool>(),
+        proptest::collection::vec(1u8..250, 0..3),
+        (0u8..4, any::<bool>()),
     )
         .prop_map(
-            |(asn, loopback_octet, ifaces, ebgp, ibgp, networks, redistribute, production)| {
+            |(
+                asn,
+                loopback_octet,
+                ifaces,
+                ebgp,
+                ibgp,
+                rr_clients,
+                networks,
+                (redistribute, production),
+            )| {
                 SpecShape {
                     asn,
                     loopback_octet,
                     ifaces,
                     ebgp,
                     ibgp,
+                    rr_clients,
                     networks,
                     redistribute,
                     production,
@@ -73,6 +84,9 @@ fn build_spec(shape: &SpecShape, vendor: Vendor) -> RouterSpec {
     }
     for octet in &shape.ibgp {
         spec = spec.ibgp(Ipv4Addr::new(2, 2, 3, *octet));
+    }
+    for octet in &shape.rr_clients {
+        spec = spec.ibgp_rr_client(Ipv4Addr::new(2, 2, 4, *octet));
     }
     for octet in &shape.networks {
         spec = spec.network(format!("203.0.{octet}.0/24").parse().unwrap());
@@ -129,6 +143,7 @@ proptest! {
                 for (x, y) in a.neighbors.iter().zip(b.neighbors.iter()) {
                     prop_assert_eq!(x.peer, y.peer);
                     prop_assert_eq!(x.remote_as, y.remote_as);
+                    prop_assert_eq!(x.rr_client, y.rr_client);
                 }
             }
             (None, None) => {}

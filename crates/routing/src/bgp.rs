@@ -1,5 +1,6 @@
-//! The BGP-4 protocol engine: session FSM, Adj-RIB-In/Out, decision process,
-//! and update generation.
+//! The BGP-4 protocol engine: session FSM, one prefix-keyed table of the
+//! received paths and the selection, the decision process, and update
+//! generation.
 //!
 //! The engine is a poll-based state machine (smoltcp idiom): the owner feeds
 //! it decoded messages via [`BgpEngine::push_msg`] and advances it with
@@ -11,16 +12,19 @@
 //! parameterised differently reproduces, e.g., the "new software version
 //! introduced an incorrect route metric selection in iBGP" bug from §2.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use mfv_config::{BgpConfig, PrefixList, RouteMap};
-use mfv_types::{AsNum, InternSet, Origin, Prefix, RouteProtocol, RouterId, SimDuration, SimTime};
+use mfv_types::{
+    AsNum, InternSet, Origin, Prefix, PrefixTrie, RouteProtocol, RouterId, SimDuration, SimTime,
+};
 use mfv_wire::bgp::{BgpMsg, NotificationMsg, OpenMsg, PathAttr, UpdateMsg};
 
 use crate::policy::{eval_route_map, BgpAttrs, PolicyResult};
-use crate::rib::{keyed_inside, NextHop, RibRoute};
+use crate::rib::{NextHop, RibRoute};
 
 /// Resolves protocol next hops against the IGP/connected routing state.
 /// Implemented by the router shell over its current RIB.
@@ -103,12 +107,148 @@ pub enum SessionState {
     Established,
 }
 
-/// A received route in the Adj-RIB-In (post import policy).
+/// A received route (post import policy), as the table holds it.
 #[derive(Clone, Debug)]
-struct RibInEntry {
+struct Path {
     attrs: Arc<BgpAttrs>,
     /// Global arrival sequence for the oldest-path tiebreak.
     arrival: u64,
+    /// The peer it came from.
+    from: Ipv4Addr,
+}
+
+/// A prefix's received paths, one per session, in peer order: the common
+/// single path inline, several in a `Vec`.
+#[derive(Clone, Debug, Default)]
+enum Paths {
+    #[default]
+    None,
+    One(Path),
+    Many(Vec<Path>),
+}
+
+impl Paths {
+    fn as_slice(&self) -> &[Path] {
+        match self {
+            Paths::None => &[],
+            Paths::One(path) => std::slice::from_ref(path),
+            Paths::Many(paths) => paths,
+        }
+    }
+
+    /// Puts `path` in `peer`'s place, or takes `peer`'s path out (`None`);
+    /// returns the path that was there.
+    fn set(&mut self, peer: Ipv4Addr, path: Option<Path>) -> Option<Path> {
+        let mut many = match std::mem::take(self) {
+            Paths::One(one) if one.from == peer => {
+                *self = path.map_or(Paths::None, Paths::One);
+                return Some(one);
+            }
+            Paths::None => {
+                *self = path.map_or(Paths::None, Paths::One);
+                return None;
+            }
+            Paths::One(one) if path.is_none() => {
+                *self = Paths::One(one);
+                return None;
+            }
+            Paths::One(one) => vec![one],
+            Paths::Many(many) => many,
+        };
+        let old = match (many.binary_search_by_key(&peer, |p| p.from), path) {
+            (Ok(i), Some(path)) => Some(std::mem::replace(&mut many[i], path)),
+            (Ok(i), None) => Some(many.remove(i)),
+            (Err(i), Some(path)) => {
+                many.insert(i, path);
+                None
+            }
+            (Err(_), None) => None,
+        };
+        *self = match <[Path; 1]>::try_from(many) {
+            Ok([one]) => Paths::One(one),
+            Err(many) => Paths::Many(many),
+        };
+        old
+    }
+}
+
+/// One prefix in the engine's table: its received paths and what the last
+/// decision selected among them and the origination.
+#[derive(Clone, Debug, Default)]
+struct Slot {
+    paths: Paths,
+    selected: Option<SelectedRoute>,
+}
+
+/// The engine's one table: a slot per prefix with a path or a selection,
+/// in an arena trie (a `BTreeMap` filled in the runs an UPDATE brings is
+/// half empty), and how many paths go through each next hop. An IGP move,
+/// or a gateway, reads the table only when a path goes through a next hop
+/// inside it: moves seldom do (none of the 1,000-router run's 99,060), and
+/// a `next hop → prefixes` index would pay on every insert.
+#[derive(Clone, Default)]
+struct Table {
+    slots: PrefixTrie<Slot>,
+    next_hops: BTreeMap<Ipv4Addr, u32>,
+}
+
+impl Table {
+    /// Puts `path` in `peer`'s place at `prefix`, or takes the path there
+    /// out (`None`), keeping the next-hop counts in step.
+    fn set(&mut self, prefix: Prefix, peer: Ipv4Addr, path: Option<Path>) {
+        let next_hop = path.as_ref().map(|p| p.attrs.next_hop);
+        let slot = match next_hop {
+            Some(_) => self.slots.get_or_insert_with(prefix, Slot::default).0,
+            None => match self.slots.get_mut(&prefix) {
+                Some(slot) => slot,
+                None => return,
+            },
+        };
+        let old = slot.paths.set(peer, path).map(|old| old.attrs.next_hop);
+        if old == next_hop {
+            return;
+        }
+        if let Some(hop) = next_hop {
+            *self.next_hops.entry(hop).or_default() += 1;
+        }
+        if let Some(Entry::Occupied(mut paths)) = old.map(|hop| self.next_hops.entry(hop)) {
+            *paths.get_mut() -= 1;
+            if *paths.get() == 0 {
+                paths.remove();
+            }
+        }
+    }
+
+    /// The prefixes with a path through a next hop inside `moved`: the only
+    /// ones a change of the IGP view at `moved` can concern, since a
+    /// longest match moves only for addresses the changed prefix contains.
+    fn via_inside(&self, moved: &Prefix) -> impl Iterator<Item = Prefix> + '_ {
+        let inside = Ipv4Addr::from(moved.first())..=Ipv4Addr::from(moved.last());
+        let (any, moved) = (self.next_hops.range(inside).next().is_some(), *moved);
+        let slots = any.then(|| self.slots.iter()).into_iter().flatten();
+        let through = move |s: &Slot| {
+            s.paths
+                .as_slice()
+                .iter()
+                .any(|p| moved.contains(p.attrs.next_hop))
+        };
+        slots
+            .filter(move |(_, s)| through(s))
+            .map(|(prefix, _)| prefix)
+    }
+
+    /// Takes out every path from `peer`; returns their prefixes. (The
+    /// Adj-RIB-Out is the group's: a session that is not in sync sees none
+    /// of it, and gets the whole table when it next establishes.)
+    fn flush(&mut self, peer: Ipv4Addr) -> Vec<Prefix> {
+        let slots = self.slots.iter();
+        let from_peer = slots.filter(|(_, s)| s.paths.as_slice().iter().any(|p| p.from == peer));
+        let flushed: Vec<Prefix> = from_peer.map(|(prefix, _)| prefix).collect();
+        for prefix in &flushed {
+            self.set(*prefix, peer, None);
+        }
+        flushed
+    }
 }
 
 #[derive(Clone)]
@@ -121,10 +261,6 @@ struct Session {
     last_keepalive_tx: SimTime,
     /// When Idle: next time we may retry the OPEN.
     retry_at: SimTime,
-    rib_in: BTreeMap<Prefix, RibInEntry>,
-    /// `(next hop, prefix)` for every Adj-RIB-In entry: which prefixes'
-    /// decisions an IGP change at some address can move.
-    by_next_hop: BTreeSet<(Ipv4Addr, Prefix)>,
     /// Index of the session's [`ExportGroup`], which holds its Adj-RIB-Out.
     group: usize,
     /// Whether the IGP view reaches the peer (transport liveness); `None`
@@ -157,8 +293,6 @@ impl Session {
             last_rx: SimTime::ZERO,
             last_keepalive_tx: SimTime::ZERO,
             retry_at: SimTime::ZERO,
-            rib_in: BTreeMap::new(),
-            by_next_hop: BTreeSet::new(),
             transitions: 0,
             open_seen: false,
             early_keepalive: false,
@@ -173,35 +307,12 @@ impl Session {
         self.state = new;
     }
 
-    /// Back to Idle; returns the prefixes whose routes from this peer were
-    /// just lost (their decisions must be re-run).
-    fn reset(&mut self, now: SimTime, retry_after: SimDuration) -> Vec<Prefix> {
+    /// Back to Idle; the owner flushes the peer's paths from the table
+    /// (their decisions must be re-run).
+    fn reset(&mut self, now: SimTime, retry_after: SimDuration) {
         self.set_state(SessionState::Idle);
         self.early_keepalive = false;
         self.retry_at = now + retry_after;
-        self.flush()
-    }
-
-    /// Empties the Adj-RIB-In; returns the prefixes that had a route in.
-    /// (The Adj-RIB-Out is the group's: a session that is not in sync sees
-    /// none of it, and gets the whole table when it next establishes.)
-    fn flush(&mut self) -> Vec<Prefix> {
-        self.by_next_hop.clear();
-        std::mem::take(&mut self.rib_in).into_keys().collect()
-    }
-
-    fn learn(&mut self, prefix: Prefix, entry: RibInEntry) {
-        let next_hop = entry.attrs.next_hop;
-        if let Some(old) = self.rib_in.insert(prefix, entry) {
-            self.by_next_hop.remove(&(old.attrs.next_hop, prefix));
-        }
-        self.by_next_hop.insert((next_hop, prefix));
-    }
-
-    fn forget(&mut self, prefix: &Prefix) {
-        if let Some(old) = self.rib_in.remove(prefix) {
-            self.by_next_hop.remove(&(old.attrs.next_hop, *prefix));
-        }
     }
 }
 
@@ -275,21 +386,38 @@ impl std::ops::AddAssign for BgpWork {
     }
 }
 
-/// One candidate path considered by the decision process.
-#[derive(Clone)]
-struct Candidate {
-    attrs: Arc<BgpAttrs>,
+/// One candidate path considered by the decision process: the origination
+/// or a path of the slot, borrowed.
+#[derive(Clone, Copy)]
+struct Candidate<'a> {
+    attrs: &'a Arc<BgpAttrs>,
     from: Option<Ipv4Addr>,
     ebgp: bool,
     igp_metric: u32,
     arrival: u64,
-    peer_router_id: u32,
+}
+
+impl Candidate<'_> {
+    /// Whether `route` is this candidate with `next_hops`.
+    fn is(&self, route: &SelectedRoute, next_hops: &[Ipv4Addr]) -> bool {
+        (route.learned_from, route.ebgp) == (self.from, self.ebgp)
+            && route.attrs == *self.attrs
+            && *route.next_hops == *next_hops
+    }
+
+    fn selected(&self, next_hops: Arc<[Ipv4Addr]>) -> SelectedRoute {
+        SelectedRoute {
+            attrs: Arc::clone(self.attrs),
+            learned_from: self.from,
+            ebgp: self.ebgp,
+            next_hops,
+        }
+    }
 }
 
 /// A route selected by the decision process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SelectedRoute {
-    pub prefix: Prefix,
     /// A handle to the engine's stored copy; compares by value.
     pub attrs: Arc<BgpAttrs>,
     /// Peer the best path was learned from; `None` for local originations.
@@ -314,12 +442,44 @@ impl SelectedRoute {
     }
 }
 
+/// The selection as the table holds it: per prefix, the route the last
+/// decision chose, read out of the prefix's slot.
+#[derive(Clone, Copy)]
+pub struct Selection<'a>(&'a PrefixTrie<Slot>);
+
+impl<'a> Selection<'a> {
+    pub fn get(self, prefix: &Prefix) -> Option<&'a SelectedRoute> {
+        self.0.get(prefix)?.selected.as_ref()
+    }
+
+    /// Every selected route, in prefix order.
+    pub fn iter(self) -> impl Iterator<Item = (Prefix, &'a SelectedRoute)> {
+        self.0
+            .iter()
+            .filter_map(|(p, s)| Some((p, s.selected.as_ref()?)))
+    }
+}
+
+/// A selection equals a map of the same routes: the form
+/// [`BgpEngine::decide_all`] answers in.
+impl PartialEq<&BTreeMap<Prefix, SelectedRoute>> for Selection<'_> {
+    fn eq(&self, other: &&BTreeMap<Prefix, SelectedRoute>) -> bool {
+        self.iter().eq(other.iter().map(|(p, s)| (*p, s)))
+    }
+}
+
+impl std::fmt::Debug for Selection<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// A selection as a RIB route: what [`Fib::patch`](crate::rib::Fib::patch)
 /// reads straight off the selection, for a RIB built from scratch.
-fn as_rib_route(s: &SelectedRoute) -> Option<RibRoute> {
+fn as_rib_route(prefix: Prefix, s: &SelectedRoute) -> Option<RibRoute> {
     let proto = s.protocol()?;
     Some(RibRoute {
-        prefix: s.prefix,
+        prefix,
         proto,
         admin_distance: mfv_types::AdminDistance::default_for(proto),
         metric: s.attrs.med.unwrap_or(0),
@@ -348,10 +508,12 @@ pub struct BgpEngine {
     max_paths: u8,
     quirks: DecisionQuirks,
     sessions: BTreeMap<Ipv4Addr, Session>,
+    /// Every prefix's received paths and selection.
+    table: Table,
     /// The Adj-RIB-Outs, one per distinct export policy among the sessions.
     groups: Vec<ExportGroup>,
     /// Every distinct attribute set this engine holds, stored once: the
-    /// Adj-RIBs, the originations and the selection hold handles into it.
+    /// table, the Adj-RIB-Outs and the originations hold handles into it.
     attr_sets: InternSet<Arc<BgpAttrs>>,
     /// The selection's distinct ECMP next-hop sets, stored once.
     next_hop_sets: InternSet<Arc<[Ipv4Addr]>>,
@@ -362,8 +524,6 @@ pub struct BgpEngine {
     prefix_lists: BTreeMap<String, PrefixList>,
     out: VecDeque<(Ipv4Addr, BgpMsg)>,
     arrival_counter: u64,
-    /// Result of the last decision run.
-    selected: BTreeMap<Prefix, SelectedRoute>,
     /// Prefixes whose candidates (or a candidate's IGP cost) changed since
     /// the last decision run — the only ones it looks at, which keeps a
     /// million-route table from being rescanned on every poll.
@@ -424,6 +584,7 @@ impl BgpEngine {
             max_paths: cfg.max_paths.max(1),
             quirks,
             sessions,
+            table: Table::default(),
             groups,
             attr_sets: InternSet::default(),
             next_hop_sets: InternSet::default(),
@@ -432,7 +593,6 @@ impl BgpEngine {
             prefix_lists,
             out: VecDeque::new(),
             arrival_counter: 0,
-            selected: BTreeMap::new(),
             dirty: BTreeSet::new(),
             selection_delta: BTreeSet::new(),
             work: BgpWork::default(),
@@ -470,9 +630,7 @@ impl BgpEngine {
     /// reachable.
     pub fn next_hops_moved<'a>(&mut self, prefixes: impl IntoIterator<Item = &'a Prefix>) {
         for moved in prefixes {
-            for session in self.sessions.values() {
-                self.dirty.extend(keyed_inside(&session.by_next_hop, moved));
-            }
+            self.dirty.extend(self.table.via_inside(moved));
             let inside = Ipv4Addr::from(moved.first())..=Ipv4Addr::from(moved.last());
             for (_, session) in self.sessions.range_mut(inside) {
                 session.reachable = None;
@@ -494,8 +652,8 @@ impl BgpEngine {
                     }),
                 ));
             }
-            self.dirty
-                .extend(s.reset(now, SimDuration::from_secs(u64::MAX / 2_000)));
+            s.reset(now, SimDuration::from_secs(u64::MAX / 2_000));
+            self.dirty.extend(self.table.flush(peer));
         }
     }
 
@@ -522,8 +680,8 @@ impl BgpEngine {
                             data: bytes::Bytes::new(),
                         }),
                     ));
-                    self.dirty
-                        .extend(session.reset(now, SimDuration::from_secs(5)));
+                    session.reset(now, SimDuration::from_secs(5));
+                    self.dirty.extend(self.table.flush(from));
                     return;
                 }
                 session.open_seen = true;
@@ -573,7 +731,7 @@ impl BgpEngine {
                         // A fresh OPEN on an established session means the
                         // peer restarted: drop the old session state and
                         // re-handshake so the full table is re-sent.
-                        self.dirty.extend(session.flush());
+                        self.dirty.extend(self.table.flush(from));
                         self.full_advert_peers.insert(from);
                         let our_open = OpenMsg::new(
                             self.local_as,
@@ -620,8 +778,8 @@ impl BgpEngine {
                 self.apply_update(now, from, update);
             }
             BgpMsg::Notification(_) => {
-                self.dirty
-                    .extend(session.reset(now, SimDuration::from_secs(5)));
+                session.reset(now, SimDuration::from_secs(5));
+                self.dirty.extend(self.table.flush(from));
             }
         }
     }
@@ -629,7 +787,7 @@ impl BgpEngine {
     fn apply_update(&mut self, _now: SimTime, from: Ipv4Addr, update: UpdateMsg) {
         let session = self.sessions.get_mut(&from).expect("session exists");
         for p in &update.withdrawn {
-            session.forget(p);
+            self.table.set(*p, from, None);
             self.dirty.insert(*p);
         }
         if update.nlri.is_empty() {
@@ -642,7 +800,7 @@ impl BgpEngine {
             // A looped replacement of a route this peer offered earlier
             // withdraws it (RFC 4271), so the decision must run again.
             for p in &update.nlri {
-                session.forget(p);
+                self.table.set(*p, from, None);
                 self.dirty.insert(*p);
             }
             return;
@@ -695,11 +853,16 @@ impl BgpEngine {
                 None => Some(Arc::clone(&base)),
             };
             let Some(attrs) = permitted else {
-                session.forget(prefix);
+                self.table.set(*prefix, from, None);
                 continue;
             };
             let arrival = arrival_base + accepted;
-            session.learn(*prefix, RibInEntry { attrs, arrival });
+            let path = Path {
+                attrs,
+                arrival,
+                from,
+            };
+            self.table.set(*prefix, from, Some(path));
             accepted += 1;
             self.arrival_counter = arrival_base + i as u64 + 1;
         }
@@ -715,6 +878,7 @@ impl BgpEngine {
         // 1. Session liveness: hold timer + transport reachability.
         let Self {
             sessions,
+            table,
             dirty,
             out,
             work,
@@ -741,7 +905,8 @@ impl BgpEngine {
             if s.state != SessionState::Idle {
                 let hold_expired = now.since(s.last_rx) > s.hold_time;
                 if hold_expired || !peer_reachable {
-                    dirty.extend(s.reset(now, retry));
+                    s.reset(now, retry);
+                    dirty.extend(table.flush(*peer));
                     continue;
                 }
                 if s.state == SessionState::Established
@@ -773,7 +938,8 @@ impl BgpEngine {
             if matches!(s.state, SessionState::OpenSent | SessionState::OpenConfirm)
                 && now.since(s.last_rx) > retry.saturating_mul(5)
             {
-                dirty.extend(s.reset(now, retry));
+                s.reset(now, retry);
+                dirty.extend(table.flush(*peer));
             }
         }
 
@@ -825,29 +991,31 @@ impl BgpEngine {
     /// The currently selected BGP routes, as RIB candidates: the reference
     /// a router's FIB, which reads the selection itself, is held to.
     pub fn rib_routes(&self) -> Vec<RibRoute> {
-        self.selected.values().filter_map(as_rib_route).collect()
+        let selection = self.selected().iter();
+        selection.filter_map(|(p, s)| as_rib_route(p, s)).collect()
     }
 
     /// The prefixes with a received route whose next hop is `next_hop`:
     /// every prefix whose selection can go through it, and more.
     pub fn prefixes_via(&self, next_hop: Ipv4Addr) -> impl Iterator<Item = Prefix> + '_ {
-        let host = Prefix::host(next_hop);
-        let sessions = self.sessions.values();
-        sessions.flat_map(move |s| keyed_inside(&s.by_next_hop, &host))
+        self.table.via_inside(&Prefix::host(next_hop))
     }
 
-    /// Introspection: the full selection (including local originations).
-    pub fn selected(&self) -> &BTreeMap<Prefix, SelectedRoute> {
-        &self.selected
+    /// The full selection (including local originations), read in place.
+    pub fn selected(&self) -> Selection<'_> {
+        Selection(&self.table.slots)
     }
 
     /// Introspection for heap accounting (`experiments -- heap`): copies of
-    /// the Adj-RIB-Ins, each with its next-hop index, and of the Adj-RIB-Outs.
-    pub fn adj_rib_copies(&self) -> (impl Sized, impl Sized) {
-        let (sessions, groups) = (self.sessions.values(), self.groups.iter());
-        let ins = sessions.map(|s| (s.rib_in.clone(), s.by_next_hop.clone()));
-        let outs = groups.map(|g| g.table.clone());
-        (ins.collect::<Vec<_>>(), outs.collect::<Vec<_>>())
+    /// the table's slots, of its next-hop counts, and of the Adj-RIB-Outs.
+    pub fn table_copies(&self) -> (impl Sized, impl Sized, impl Sized) {
+        let outs = self.groups.iter().map(|g| g.table.clone());
+        let table = &self.table;
+        (
+            table.slots.clone(),
+            table.next_hops.clone(),
+            outs.collect::<Vec<_>>(),
+        )
     }
 
     /// Introspection: how many distinct attribute sets the engine stores
@@ -889,11 +1057,12 @@ impl BgpEngine {
                     s.state == SessionState::Established && !self.full_advert_peers.contains(peer);
                 let table = self.groups[s.group].table.values();
                 let seen = table.filter(|a| a.learned_from != Some(*peer));
+                let slots = self.table.slots.iter().map(|(_, s)| s.paths.as_slice());
                 NeighborSummary {
                     peer: *peer,
                     remote_as: s.cfg.remote_as,
                     state: s.state,
-                    prefixes_received: s.rib_in.len(),
+                    prefixes_received: slots.filter(|p| p.iter().any(|p| p.from == *peer)).count(),
                     prefixes_sent: if in_sync { seen.count() } else { 0 },
                 }
             })
@@ -904,166 +1073,137 @@ impl BgpEngine {
         self.sessions.get(&peer).map(|s| s.state)
     }
 
-    /// The candidate paths for a prefix. `igp_costs` holds what the resolver
+    /// RFC 4271 §9.1.2.2 best-path selection over one prefix's candidates
+    /// — its origination, then its slot's paths in peer order — with the
+    /// engine's vendor quirks applied; `next_hops` receives the winner's
+    /// next hop and its ECMP peers'. `igp_costs` holds what the resolver
     /// answered for each next hop earlier in the same batch of decisions:
     /// the IGP view cannot move inside one, so each next hop is asked once.
-    fn gather_candidates(
-        &self,
+    fn best<'a>(
+        &'a self,
         prefix: &Prefix,
+        slot: Option<&'a Slot>,
         resolver: &dyn NextHopResolver,
         igp_costs: &mut BTreeMap<Ipv4Addr, Option<u32>>,
-    ) -> Vec<Candidate> {
-        let mut cands = Vec::new();
-        if let Some(attrs) = self.originated.get(prefix) {
-            cands.push(Candidate {
-                attrs: Arc::clone(attrs),
-                from: None,
-                ebgp: false,
-                igp_metric: 0,
-                arrival: 0,
-                peer_router_id: 0,
-            });
-        }
-        for (peer, session) in &self.sessions {
-            if session.state != SessionState::Established {
-                continue;
-            }
-            let Some(entry) = session.rib_in.get(prefix) else {
-                continue;
-            };
+        next_hops: &mut Vec<Ipv4Addr>,
+    ) -> Option<Candidate<'a>> {
+        let paths = slot.map_or(&[][..], |s| s.paths.as_slice());
+        for path in paths {
             // Next hop must resolve through the IGP (not default).
-            let next_hop = entry.attrs.next_hop;
-            let cost = igp_costs
+            let next_hop = path.attrs.next_hop;
+            igp_costs
                 .entry(next_hop)
                 .or_insert_with(|| resolver.igp_metric(next_hop));
-            let Some(igp_metric) = *cost else {
-                continue;
-            };
-            cands.push(Candidate {
-                attrs: Arc::clone(&entry.attrs),
-                from: Some(*peer),
+        }
+        let origination = self.originated.get(prefix).map(|attrs| Candidate {
+            attrs,
+            from: None,
+            ebgp: false,
+            igp_metric: 0,
+            arrival: 0,
+        });
+        let learned = paths.iter().filter_map(|path| {
+            let session = self.sessions.get(&path.from)?;
+            (session.state == SessionState::Established).then_some(())?;
+            Some(Candidate {
+                attrs: &path.attrs,
+                from: Some(path.from),
                 ebgp: session.cfg.is_ebgp(self.local_as),
-                igp_metric,
-                arrival: entry.arrival,
-                peer_router_id: u32::from(*peer),
-            });
-        }
-        cands
-    }
-
-    /// RFC 4271 §9.1.2.2 best-path selection over one prefix's candidates,
-    /// with the engine's vendor quirks applied; the next-hop set is a handle
-    /// into `next_hop_sets`.
-    fn select_best(
-        &self,
-        prefix: Prefix,
-        mut cands: Vec<Candidate>,
-        next_hop_sets: &mut InternSet<Arc<[Ipv4Addr]>>,
-    ) -> Option<SelectedRoute> {
-        if cands.is_empty() {
-            return None;
-        }
-        let quirks = self.quirks;
-        // Deterministic initial order.
-        cands.sort_by_key(|c| (c.from, c.arrival));
-        let best_idx = cands
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                // 1. Highest local-pref (default 100).
-                let lp_a = a.attrs.local_pref.unwrap_or(100);
-                let lp_b = b.attrs.local_pref.unwrap_or(100);
-                lp_b.cmp(&lp_a)
-                    // 2. Locally-originated first.
-                    .then_with(|| a.from.is_some().cmp(&b.from.is_some()))
-                    // 3. Shortest AS path.
-                    .then_with(|| {
-                        a.attrs
-                            .as_path
-                            .route_len()
-                            .cmp(&b.attrs.as_path.route_len())
-                    })
-                    // 4. Lowest origin.
-                    .then_with(|| a.attrs.origin.cmp(&b.attrs.origin))
-                    // 5. Lowest MED among routes from the same first AS.
-                    .then_with(|| {
-                        if a.attrs.as_path.first_as() == b.attrs.as_path.first_as() {
-                            a.attrs.med.unwrap_or(0).cmp(&b.attrs.med.unwrap_or(0))
-                        } else {
-                            std::cmp::Ordering::Equal
-                        }
-                    })
-                    // 6. eBGP over iBGP.
-                    .then_with(|| b.ebgp.cmp(&a.ebgp))
-                    // 7. Lowest IGP metric to next hop (or the vendor's
-                    //    inverted comparison for iBGP when buggy).
-                    .then_with(|| {
-                        if quirks.ibgp_igp_metric_inverted && !a.ebgp && !b.ebgp {
-                            b.igp_metric.cmp(&a.igp_metric)
-                        } else {
-                            a.igp_metric.cmp(&b.igp_metric)
-                        }
-                    })
-                    // 8. Oldest path (arrival order): both vendors break
-                    //    ties this way, the source of the non-determinism
-                    //    explored in ablation A1.
-                    .then_with(|| a.arrival.cmp(&b.arrival))
-                    // 9. Lowest peer router id / address.
-                    .then_with(|| a.peer_router_id.cmp(&b.peer_router_id))
+                igp_metric: igp_costs[&path.attrs.next_hop]?,
+                arrival: path.arrival,
             })
-            .map(|(i, _)| i)?;
-        let best = cands[best_idx].clone();
+        });
+        let cands = origination.into_iter().chain(learned);
+        let quirks = self.quirks;
+        let (best_idx, best) = cands.clone().enumerate().min_by(|(_, a), (_, b)| {
+            // 1. Highest local-pref (default 100).
+            let lp_a = a.attrs.local_pref.unwrap_or(100);
+            let lp_b = b.attrs.local_pref.unwrap_or(100);
+            lp_b.cmp(&lp_a)
+                // 2. Locally-originated first.
+                .then_with(|| a.from.is_some().cmp(&b.from.is_some()))
+                // 3. Shortest AS path.
+                .then_with(|| {
+                    a.attrs
+                        .as_path
+                        .route_len()
+                        .cmp(&b.attrs.as_path.route_len())
+                })
+                // 4. Lowest origin.
+                .then_with(|| a.attrs.origin.cmp(&b.attrs.origin))
+                // 5. Lowest MED among routes from the same first AS.
+                .then_with(|| {
+                    if a.attrs.as_path.first_as() == b.attrs.as_path.first_as() {
+                        a.attrs.med.unwrap_or(0).cmp(&b.attrs.med.unwrap_or(0))
+                    } else {
+                        std::cmp::Ordering::Equal
+                    }
+                })
+                // 6. eBGP over iBGP.
+                .then_with(|| b.ebgp.cmp(&a.ebgp))
+                // 7. Lowest IGP metric to next hop (or the vendor's
+                //    inverted comparison for iBGP when buggy).
+                .then_with(|| {
+                    if quirks.ibgp_igp_metric_inverted && !a.ebgp && !b.ebgp {
+                        b.igp_metric.cmp(&a.igp_metric)
+                    } else {
+                        a.igp_metric.cmp(&b.igp_metric)
+                    }
+                })
+                // 8. Oldest path (arrival order): both vendors break
+                //    ties this way, the source of the non-determinism
+                //    explored in ablation A1.
+                .then_with(|| a.arrival.cmp(&b.arrival))
+                // 9. Lowest peer router id / address.
+                .then_with(|| a.from.map(u32::from).cmp(&b.from.map(u32::from)))
+        })?;
 
         // ECMP: additional paths equal through step 7.
+        next_hops.clear();
+        next_hops.push(best.attrs.next_hop);
         let max_paths = self.max_paths as usize;
-        let next_hops = if max_paths > 1 {
-            let mut next_hops = vec![best.attrs.next_hop];
-            for (i, c) in cands.iter().enumerate() {
-                if i == best_idx || next_hops.len() >= max_paths {
-                    continue;
-                }
-                let same_first_as = c.attrs.as_path.first_as() == best.attrs.as_path.first_as();
-                let equal = c.attrs.local_pref.unwrap_or(100)
-                    == best.attrs.local_pref.unwrap_or(100)
-                    && c.from.is_some() == best.from.is_some()
-                    && c.attrs.as_path.route_len() == best.attrs.as_path.route_len()
-                    && c.attrs.origin == best.attrs.origin
-                    && (!same_first_as || c.attrs.med.unwrap_or(0) == best.attrs.med.unwrap_or(0))
-                    && c.ebgp == best.ebgp
-                    && c.igp_metric == best.igp_metric;
-                if equal && !next_hops.contains(&c.attrs.next_hop) {
-                    next_hops.push(c.attrs.next_hop);
-                }
+        for (_, c) in cands.enumerate().filter(|(i, _)| *i != best_idx) {
+            if next_hops.len() >= max_paths {
+                break;
             }
-            next_hop_sets.intern(next_hops)
-        } else {
-            next_hop_sets.intern(&[best.attrs.next_hop][..])
-        };
-
-        Some(SelectedRoute {
-            prefix,
-            attrs: best.attrs,
-            learned_from: best.from,
-            ebgp: best.ebgp,
-            next_hops,
-        })
+            let same_first_as = c.attrs.as_path.first_as() == best.attrs.as_path.first_as();
+            let equal = c.attrs.local_pref.unwrap_or(100) == best.attrs.local_pref.unwrap_or(100)
+                && c.from.is_some() == best.from.is_some()
+                && c.attrs.as_path.route_len() == best.attrs.as_path.route_len()
+                && c.attrs.origin == best.attrs.origin
+                && (!same_first_as || c.attrs.med.unwrap_or(0) == best.attrs.med.unwrap_or(0))
+                && c.ebgp == best.ebgp
+                && c.igp_metric == best.igp_metric;
+            if equal && !next_hops.contains(&c.attrs.next_hop) {
+                next_hops.push(c.attrs.next_hop);
+            }
+        }
+        Some(best)
     }
 
-    /// Recomputes the decision for the `scope` prefixes.
+    /// Recomputes the decision for the `scope` prefixes, in their slots: a
+    /// winner equal to the slot's selection leaves it as it is, and a slot
+    /// left with neither paths nor a selection goes.
     fn run_decision(&mut self, resolver: &dyn NextHopResolver, scope: &BTreeSet<Prefix>) {
         self.work.prefix_decisions += scope.len() as u64;
-        let mut igp_costs = BTreeMap::new();
+        let (mut igp_costs, mut next_hops) = (BTreeMap::new(), Vec::new());
         let mut next_hop_sets = std::mem::take(&mut self.next_hop_sets);
         for prefix in scope {
-            let cands = self.gather_candidates(prefix, resolver, &mut igp_costs);
-            let changed = match self.select_best(*prefix, cands, &mut next_hop_sets) {
-                Some(route) if self.selected.get(prefix) == Some(&route) => false,
-                Some(route) => {
-                    self.selected.insert(*prefix, route);
-                    true
-                }
-                None => self.selected.remove(prefix).is_some(),
+            let slot = self.table.slots.get(prefix);
+            let best = self.best(prefix, slot, resolver, &mut igp_costs, &mut next_hops);
+            let pathless = slot.is_some_and(|s| s.paths.as_slice().is_empty());
+            let changed = match (slot.and_then(|s| s.selected.as_ref()), best) {
+                (Some(current), Some(best)) => !best.is(current, &next_hops),
+                (current, best) => current.is_some() || best.is_some(),
             };
+            let new = best.filter(|_| changed);
+            let new = new.map(|b| b.selected(next_hop_sets.intern(&next_hops[..])));
+            if pathless && best.is_none() {
+                self.table.slots.remove(prefix);
+            } else if changed {
+                let (slot, _) = self.table.slots.get_or_insert_with(*prefix, Slot::default);
+                slot.selected = new;
+            }
             if changed {
                 self.selection_delta.insert(*prefix);
             }
@@ -1075,16 +1215,14 @@ impl BgpEngine {
     /// the reference [`selected`](Self::selected) — maintained per dirty
     /// prefix — is held to.
     pub fn decide_all(&self, resolver: &dyn NextHopResolver) -> BTreeMap<Prefix, SelectedRoute> {
-        let mut all: BTreeSet<Prefix> = self.originated.keys().copied().collect();
-        for session in self.sessions.values() {
-            all.extend(session.rib_in.keys().copied());
-        }
-        let (mut igp_costs, mut next_hop_sets) = (BTreeMap::new(), InternSet::default());
+        let slots = self.table.slots.iter().map(|(p, _)| p);
+        let all: BTreeSet<Prefix> = self.originated.keys().copied().chain(slots).collect();
+        let (mut igp_costs, mut next_hops) = (BTreeMap::new(), Vec::new());
         all.into_iter()
             .filter_map(|p| {
-                let cands = self.gather_candidates(&p, resolver, &mut igp_costs);
-                let route = self.select_best(p, cands, &mut next_hop_sets)?;
-                Some((p, route))
+                let slot = self.table.slots.get(&p);
+                let best = self.best(&p, slot, resolver, &mut igp_costs, &mut next_hops)?;
+                Some((p, best.selected(next_hops.as_slice().into())))
             })
             .collect()
     }
@@ -1107,10 +1245,11 @@ impl BgpEngine {
         !self.dirty.is_empty() || !self.full_advert_peers.is_empty()
     }
 
-    /// What the sessions of the group keyed `key` advertise for `route`
-    /// (all but the peer it was learned from), or `None` when export rules
-    /// or policy suppress it.
+    /// What the sessions of the group keyed `key` advertise for `route` to
+    /// `prefix` (all but the peer it was learned from), or `None` when
+    /// export rules or policy suppress it.
     fn export(
+        prefix: &Prefix,
         route: &SelectedRoute,
         key: &ExportKey,
         from_client: bool,
@@ -1152,7 +1291,7 @@ impl BgpEngine {
 
         match &key.route_map_out {
             Some(name) => match route_maps.get(name) {
-                Some(rm) => match eval_route_map(rm, prefix_lists, &route.prefix, &attrs) {
+                Some(rm) => match eval_route_map(rm, prefix_lists, prefix, &attrs) {
                     PolicyResult::Permit(a) => Some(a),
                     PolicyResult::Deny => None,
                 },
@@ -1172,7 +1311,7 @@ impl BgpEngine {
         let Self {
             sessions,
             groups,
-            selected,
+            table,
             attr_sets,
             route_maps,
             prefix_lists,
@@ -1191,22 +1330,25 @@ impl BgpEngine {
                 }
             }
         }
-        let mut advert = |key: &ExportKey, route: &SelectedRoute, old: Option<&Advert>| {
-            let learned_from = route.learned_from;
-            // RR-client provenance, read off the session the route came in on.
-            let from_client = learned_from
-                .and_then(|p| sessions.get(&p))
-                .is_some_and(|s| s.cfg.rr_client);
-            let attrs = Self::export(route, key, from_client, local_as, route_maps, prefix_lists)?;
-            let attrs = match old {
-                Some(old) if *old.attrs == attrs => Arc::clone(&old.attrs),
-                _ => attr_sets.intern(attrs),
+        let selected = Selection(&table.slots);
+        let mut advert =
+            |key: &ExportKey, prefix: &Prefix, route: &SelectedRoute, old: Option<&Advert>| {
+                let learned_from = route.learned_from;
+                // RR-client provenance, read off the session the route came in on.
+                let from_client = learned_from
+                    .and_then(|p| sessions.get(&p))
+                    .is_some_and(|s| s.cfg.rr_client);
+                let (maps, lists) = (&*route_maps, &*prefix_lists);
+                let attrs = Self::export(prefix, route, key, from_client, local_as, maps, lists)?;
+                let attrs = match old {
+                    Some(old) if *old.attrs == attrs => Arc::clone(&old.attrs),
+                    _ => attr_sets.intern(attrs),
+                };
+                Some(Advert {
+                    attrs,
+                    learned_from,
+                })
             };
-            Some(Advert {
-                attrs,
-                learned_from,
-            })
-        };
 
         // Per group: the entries that moved, and the members one of them
         // was or is learned from (the others are sent the same messages).
@@ -1219,10 +1361,10 @@ impl BgpEngine {
                 // joining member, and empty otherwise.
                 group.table.clear();
                 if joining[g] {
-                    work.export_computations += selected.len() as u64;
                     for (prefix, route) in selected.iter() {
-                        if let Some(new) = advert(&group.key, route, None) {
-                            group.table.insert(*prefix, new);
+                        work.export_computations += 1;
+                        if let Some(new) = advert(&group.key, &prefix, route, None) {
+                            group.table.insert(prefix, new);
                         }
                     }
                 }
@@ -1232,7 +1374,7 @@ impl BgpEngine {
                     let old = group.table.get(prefix);
                     let new = selected
                         .get(prefix)
-                        .and_then(|route| advert(&group.key, route, old));
+                        .and_then(|route| advert(&group.key, prefix, route, old));
                     if old == new.as_ref() {
                         continue;
                     }
@@ -1772,10 +1914,10 @@ mod tests {
             engine.push_msg(now, peer, BgpMsg::Update(update));
         }
         let _ = engine.poll(now, &resolver);
-        let sel = &engine.selected()[&pfx("203.0.113.0/24")];
+        let sel = engine.selected().get(&pfx("203.0.113.0/24")).unwrap();
         assert_eq!(sel.attrs.med, Some(10));
         assert_eq!(*sel.next_hops, [peers[0], peers[2]]);
-        assert_eq!(engine.decide_all(&resolver), *engine.selected());
+        assert_eq!(engine.selected(), &engine.decide_all(&resolver));
     }
 
     #[test]
@@ -1852,7 +1994,7 @@ mod tests {
             .push_msg(pair.now, a, announce(&[65001, 65002], a, vec![p]));
         let _ = pair.b.poll(pair.now, &pair.resolver);
         assert!(pair.b.rib_routes().is_empty());
-        assert!(pair.b.selected().is_empty());
+        assert!(pair.b.selected().iter().next().is_none());
     }
 
     #[test]
@@ -1896,21 +2038,21 @@ mod tests {
         let p = pfx("198.51.100.0/24");
         engine.push_msg(now, a, announce(&[65001], a, vec![p]));
         let _ = engine.poll(now, &resolver);
-        assert_eq!(engine.selected()[&p].learned_from, Some(a));
+        assert_eq!(engine.selected().get(&p).unwrap().learned_from, Some(a));
 
         // The replacement's path is too long for SHORT: denied, and the
         // route it replaces goes with it.
         engine.push_msg(now, a, announce(&[65001, 65009, 65010], a, vec![p]));
         let _ = engine.poll(now, &resolver);
-        assert!(engine.selected().is_empty());
-        assert_eq!(engine.decide_all(&resolver), *engine.selected());
+        assert!(engine.selected().iter().next().is_none());
+        assert_eq!(engine.selected(), &engine.decide_all(&resolver));
 
         // A permitted re-offer comes back; nothing passes a missing map.
         engine.push_msg(now, a, announce(&[65001], a, vec![p]));
         engine.push_msg(now, b, announce(&[65002], b, vec![p]));
         let _ = engine.poll(now, &resolver);
-        assert_eq!(engine.selected()[&p].learned_from, Some(a));
-        assert_eq!(engine.decide_all(&resolver), *engine.selected());
+        assert_eq!(engine.selected().get(&p).unwrap().learned_from, Some(a));
+        assert_eq!(engine.selected(), &engine.decide_all(&resolver));
     }
 
     /// An AS 65000 engine at `me` with an iBGP session to each of `peers`
@@ -1952,12 +2094,12 @@ mod tests {
 
     /// Every attribute handle an engine's tables hold.
     fn held_handles(engine: &BgpEngine) -> Vec<&Arc<BgpAttrs>> {
-        let sessions = engine.sessions.values();
+        let slots = engine.table.slots.iter();
         let groups = engine.groups.iter();
-        sessions
-            .flat_map(|s| s.rib_in.values().map(|e| &e.attrs))
+        slots
+            .flat_map(|(_, s)| s.paths.as_slice().iter().map(|p| &p.attrs))
             .chain(groups.flat_map(|g| g.table.values().map(|a| &a.attrs)))
-            .chain(engine.selected.values().map(|r| &r.attrs))
+            .chain(engine.selected().iter().map(|(_, r)| &r.attrs))
             .chain(engine.originated.values())
             .collect()
     }
@@ -1997,7 +2139,7 @@ mod tests {
             }
         }
         let out = rr.poll(now, &resolver);
-        assert_eq!(rr.selected().len(), 1250);
+        assert_eq!(rr.selected().iter().count(), 1250);
         let handles = held_handles(&rr);
         // 1,250 received + 1,250 selected + 1,250 reflected: the five
         // clients share one Adj-RIB-Out, of which each sees 1,000 entries.
@@ -2021,7 +2163,7 @@ mod tests {
             }
         }
         let _ = client.poll(now, &client_resolver);
-        assert_eq!(client.selected().len(), 1000);
+        assert_eq!(client.selected().iter().count(), 1000);
         assert_eq!(distinct_and_shared(&held_handles(&client)), 20);
         assert_eq!(client.attr_sets(), 20);
 
@@ -2049,7 +2191,7 @@ mod tests {
             }
             let _ = rr.poll(now, &resolver);
         }
-        assert_eq!(rr.selected().len(), 1250);
+        assert_eq!(rr.selected().iter().count(), 1250);
         let live = distinct_and_shared(&held_handles(&rr));
         assert_eq!(live, 25);
         assert!(
@@ -2084,12 +2226,12 @@ mod tests {
                     continue;
                 }
                 let key = s.cfg.export_key(engine.local_as);
-                let universe: BTreeSet<Prefix> = engine.selected.keys().copied().collect();
+                let universe: BTreeSet<Prefix> = engine.selected().iter().map(|(p, _)| p).collect();
                 let universe: BTreeSet<Prefix> = &universe | &rib_out.keys().copied().collect();
                 let mut withdrawals = Vec::new();
                 let mut announcements = Vec::new();
                 for prefix in universe {
-                    let route = engine.selected.get(&prefix);
+                    let route = engine.selected().get(&prefix);
                     // Never advertise back to the peer we learned it from.
                     let want = route
                         .filter(|r| r.learned_from != Some(*peer))
@@ -2097,7 +2239,15 @@ mod tests {
                             let from = r.learned_from.and_then(|p| engine.sessions.get(&p));
                             let from_client = from.is_some_and(|s| s.cfg.rr_client);
                             let (maps, lists) = (&engine.route_maps, &engine.prefix_lists);
-                            BgpEngine::export(r, &key, from_client, engine.local_as, maps, lists)
+                            BgpEngine::export(
+                                &prefix,
+                                r,
+                                &key,
+                                from_client,
+                                engine.local_as,
+                                maps,
+                                lists,
+                            )
                         });
                     match (want, rib_out.get(&prefix)) {
                         (None, Some(_)) => withdrawals.push(prefix),

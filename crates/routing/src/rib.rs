@@ -87,22 +87,6 @@ pub const IGP_PROTOS: [RouteProtocol; 3] = [
     RouteProtocol::Isis,
 ];
 
-/// Reads an `(address, prefix)` index — who depends on the IGP view's answer
-/// for which address — for the prefixes keyed by an address inside `moved`:
-/// the only ones a change of the view at `moved` can concern, since a longest
-/// match moves only for addresses the changed prefix contains.
-pub fn keyed_inside<'a>(
-    index: &'a BTreeSet<(Ipv4Addr, Prefix)>,
-    moved: &Prefix,
-) -> impl Iterator<Item = Prefix> + 'a {
-    let span = (Ipv4Addr::from(moved.first()), Prefix::DEFAULT)
-        ..=(
-            Ipv4Addr::from(moved.last()),
-            Prefix::host(Ipv4Addr::BROADCAST),
-        );
-    index.range(span).map(|(_, p)| *p)
-}
-
 /// The IGP view's entry for one prefix: which IGP protocol wins there and
 /// at what metric. Kept this small because every router holds a trie of
 /// them; the winner's next hops are read from its protocol's route map.
@@ -229,13 +213,6 @@ impl Rib {
     /// connected / static / IS-IS routes there, whatever BGP offers.
     pub fn igp_winner(&self, prefix: &Prefix) -> Option<&RibRoute> {
         self.route(self.igp.get(prefix)?.proto, prefix)
-    }
-
-    /// All candidates for a prefix (one per contributing protocol), in
-    /// protocol order. Lazy: hot consumers filter or min-reduce without an
-    /// intermediate allocation.
-    pub fn candidates<'a>(&'a self, prefix: &'a Prefix) -> impl Iterator<Item = &'a RibRoute> {
-        self.per_proto.values().filter_map(move |m| m.get(prefix))
     }
 
     /// The per-prefix winner: lowest admin distance, then lowest metric,
@@ -435,25 +412,25 @@ impl Fib {
     }
 
     /// Brings the entry at `prefix` in line with `rib` and, when given,
-    /// BGP's `selection` — a learned selection is an eBGP / iBGP candidate
-    /// at metric MED, and the winner is the lowest (admin distance, metric,
-    /// protocol) — and returns whether it changed. A selection, and a RIB
-    /// winner that is one `Via` gateway, takes the batch's answer for each
-    /// gateway from `memo`; any other winner is resolved afresh and swapped
-    /// for the table's stored copy of the same set. `gateways` receives what
-    /// a RIB winner's resolution looked up (`Rib::resolve`). Either way the
-    /// handle is compared with the entry's — by pointer first — in the one
-    /// walk that finds or makes the entry.
+    /// BGP's `selection` there — a learned selection is an eBGP / iBGP
+    /// candidate at metric MED, and the winner is the lowest (admin
+    /// distance, metric, protocol) — and returns whether it changed. A
+    /// selection, and a RIB winner that is one `Via` gateway, takes the
+    /// batch's answer for each gateway from `memo`; any other winner is
+    /// resolved afresh and swapped for the table's stored copy of the same
+    /// set. `gateways` receives what a RIB winner's resolution looked up
+    /// (`Rib::resolve`). Either way the handle is compared with the entry's
+    /// — by pointer first — in the one walk that finds or makes the entry.
     pub fn patch(
         &mut self,
         rib: &Rib,
-        selection: Option<&BTreeMap<Prefix, SelectedRoute>>,
+        selection: Option<&SelectedRoute>,
         prefix: &Prefix,
         memo: &mut GatewayMemo,
         gateways: &mut Vec<Ipv4Addr>,
     ) -> bool {
         let route = rib.best(prefix);
-        let learned = selection.and_then(|s| s.get(prefix)).and_then(|s| {
+        let learned = selection.and_then(|s| {
             let (proto, metric) = (s.protocol()?, s.attrs.med.unwrap_or(0));
             let preferred = (AdminDistance::default_for(proto), metric, proto);
             let wins = route.is_none_or(|r| preferred < preference(r));
@@ -540,13 +517,7 @@ impl Fib {
     /// Structural equality check used by the convergence detector: two FIBs
     /// are equal when they hold identical entries.
     pub fn same_as(&self, other: &Fib) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        self.trie
-            .iter()
-            .zip(other.trie.iter())
-            .all(|((pa, ea), (pb, eb))| pa == pb && ea == eb)
+        self.trie == other.trie
     }
 
     /// A compact digest of the FIB used for cheap convergence comparison.
@@ -830,15 +801,13 @@ mod tests {
             (false, RouteProtocol::IbgpLearned),
         ] {
             let selected = SelectedRoute {
-                prefix,
                 attrs: Arc::new(crate::policy::BgpAttrs::originated(gateways[0])),
                 learned_from: Some(gateways[0]),
                 ebgp,
                 next_hops: gateways.into(),
             };
-            let selection = BTreeMap::from([(prefix, selected)]);
             let (mut fib, mut memo, mut looked_up) = (Fib::new(), GatewayMemo::default(), vec![]);
-            assert!(fib.patch(&rib, Some(&selection), &prefix, &mut memo, &mut looked_up));
+            assert!(fib.patch(&rib, Some(&selected), &prefix, &mut memo, &mut looked_up));
 
             let mut reference = rib.clone();
             let vias = gateways.map(NextHop::Via).to_vec();

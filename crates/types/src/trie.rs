@@ -3,37 +3,69 @@
 //! Used by every FIB in the workspace: the emulated routers, the model-based
 //! baseline's computed dataplane, and the verification engine's forwarding
 //! graph all resolve lookups through this structure.
+//!
+//! The trie is one arena: its nodes sit in one `Vec` and name their children
+//! by `u32` index, its values sit densely in another, and a removal puts the
+//! nodes it prunes on a free list for the next insert. A table is a handful
+//! of allocations however many prefixes it holds, and each vector grows by
+//! an eighth, so the capacity they ask for stays within an eighth of their
+//! size. A run of levels that only lead on — the 20-odd above a block of
+//! loopbacks — is one skip node of the same twelve bytes, so a lookup loads
+//! a node per branching level, not one per bit.
 
 use std::net::Ipv4Addr;
 
 use crate::addr::Prefix;
 
-#[derive(Debug, Clone)]
-struct Node<V> {
-    value: Option<V>,
-    /// children[0] = next bit 0, children[1] = next bit 1.
-    children: [Option<Box<Node<V>>>; 2],
+/// One arena node, twelve bytes. A branching node: `children[b]` is the
+/// index of the child for next bit `b` (0: none — the root, at 0, is
+/// nobody's child), `value` the index of the node's value (`NONE`: none).
+/// A skip node (`value` is `SKIP` plus a length `k`, 1 to 32): the next `k`
+/// bits are `children[1]`'s first, and `children[0]` is the node below
+/// them. A freed node chains the free list through `children[0]`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    children: [u32; 2],
+    value: u32,
 }
 
-impl<V> Node<V> {
-    fn empty() -> Node<V> {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
+const NONE: u32 = u32::MAX;
+const SKIP: u32 = 1 << 31;
+const EMPTY: Node = Node {
+    children: [0, 0],
+    value: NONE,
+};
 
-    fn is_empty(&self) -> bool {
-        self.value.is_none() && self.children[0].is_none() && self.children[1].is_none()
-    }
+/// A skip node over the `k` bits `bits` starts with, down to `to`.
+fn skip(k: u8, bits: u32, to: u32) -> Node {
+    let value = SKIP | u32::from(k);
+    let children = [to, bits & !0 << (32 - k)];
+    Node { children, value }
+}
+
+/// The length of a skip node, or `None` for a branching node.
+fn skip_len(node: &Node) -> Option<u8> {
+    (node.value & SKIP != 0 && node.value != NONE).then_some(node.value as u8)
+}
+
+/// Whether `bits` from `depth` on and a skip node's `stored` bits agree on
+/// their first `n`.
+fn agree(bits: u32, depth: u8, stored: u32, n: u8) -> bool {
+    n == 0 || ((bits << depth) ^ stored) >> (32 - n) == 0
 }
 
 /// A map from [`Prefix`] to `V` supporting exact operations and
 /// longest-prefix-match lookup.
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<V> {
-    root: Node<V>,
-    len: usize,
+    /// The root at 0 once anything was inserted (always a branching node),
+    /// then every node made since.
+    nodes: Vec<Node>,
+    /// The values, dense, and for each the node that holds it.
+    values: Vec<V>,
+    owners: Vec<u32>,
+    /// The first freed node (0: none).
+    free: u32,
 }
 
 impl<V> Default for PrefixTrie<V> {
@@ -46,35 +78,147 @@ fn bit_at(addr: u32, index: u8) -> usize {
     ((addr >> (31 - index as u32)) & 1) as usize
 }
 
+/// Adds `item` to `v`, which grows by an eighth (four at the least) where
+/// doubling could leave half of it unused; returns its index.
+fn push<T>(v: &mut Vec<T>, item: T) -> usize {
+    if v.len() == v.capacity() {
+        v.reserve_exact((v.len() / 8).max(4));
+    }
+    v.push(item);
+    v.len() - 1
+}
+
 impl<V> PrefixTrie<V> {
     pub fn new() -> PrefixTrie<V> {
         PrefixTrie {
-            root: Node::empty(),
-            len: 0,
+            nodes: Vec::new(),
+            values: Vec::new(),
+            owners: Vec::new(),
+            free: 0,
         }
     }
 
     /// Number of prefixes stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
+    }
+
+    /// Arena nodes made, free ones included: what removing prefixes and
+    /// inserting them again leaves unchanged.
+    pub fn arena_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Walks from the root toward `bits`, at most `len` levels down and as
+    /// far as nodes agree, handing `visit` each node's depth and index: one
+    /// dependent load per node.
+    fn descend(&self, bits: u32, len: u8, mut visit: impl FnMut(u8, u32)) {
+        if self.nodes.is_empty() {
+            return;
+        }
+        let (mut at, mut depth) = (0, 0);
+        loop {
+            visit(depth, at);
+            let node = &self.nodes[at as usize];
+            let next = match skip_len(node) {
+                Some(k) if depth + k <= len && agree(bits, depth, node.children[1], k) => {
+                    depth += k;
+                    node.children[0]
+                }
+                Some(_) => return,
+                None if depth == len => return,
+                None => {
+                    depth += 1;
+                    node.children[bit_at(bits, depth - 1)]
+                }
+            };
+            match next {
+                0 => return,
+                next => at = next,
+            }
+        }
+    }
+
+    /// The branching node for exactly `prefix`, if it exists.
+    fn find(&self, prefix: &Prefix) -> Option<usize> {
+        let mut found = None;
+        self.descend(prefix.network_bits(), prefix.len(), |depth, at| {
+            let branching = skip_len(&self.nodes[at as usize]).is_none();
+            found = (depth == prefix.len() && branching).then_some(at as usize);
+        });
+        found
+    }
+
+    /// A node made of `node`: a freed one if there is one.
+    fn alloc(&mut self, node: Node) -> u32 {
+        match self.free as usize {
+            0 => push(&mut self.nodes, node) as u32,
+            free => {
+                self.free = std::mem::replace(&mut self.nodes[free], node).children[0];
+                free as u32
+            }
+        }
+    }
+
+    /// The branching node for `prefix`, made if missing: a skip node it
+    /// leaves or ends inside is split there, and a new branch is a skip
+    /// node down to a branching one.
+    fn make(&mut self, prefix: &Prefix) -> usize {
+        if self.nodes.is_empty() {
+            push(&mut self.nodes, EMPTY);
+        }
+        let (bits, len, mut at, mut depth) = (prefix.network_bits(), prefix.len(), 0, 0);
+        loop {
+            let children = self.nodes[at].children;
+            if let Some(k) = skip_len(&self.nodes[at]) {
+                let same = ((bits << depth) ^ children[1]).leading_zeros() as u8;
+                let same = same.min(k).min(len - depth);
+                if same < k {
+                    self.split(at, same);
+                    continue;
+                }
+                (at, depth) = (children[0] as usize, depth + k);
+            } else if depth == len {
+                return at;
+            } else if children[bit_at(bits, depth)] == 0 {
+                let made = self.alloc(EMPTY);
+                let first = match len - depth - 1 {
+                    0 => made,
+                    k => self.alloc(skip(k, bits << (depth + 1), made)),
+                };
+                self.nodes[at].children[bit_at(bits, depth)] = first;
+                return made as usize;
+            } else {
+                (at, depth) = (children[bit_at(bits, depth)] as usize, depth + 1);
+            }
+        }
+    }
+
+    /// Turns the skip node at `at` into a branching node `i` bits down: in
+    /// place when `i` is 0, under a skip node over the first `i` otherwise.
+    fn split(&mut self, at: usize, i: u8) {
+        let Node { children, value } = self.nodes[at];
+        let (to, bits, k) = (children[0], children[1], value as u8);
+        let mut node = EMPTY;
+        node.children[bit_at(bits, i)] = match k - i - 1 {
+            0 => to,
+            rest => self.alloc(skip(rest, bits << (i + 1), to)),
+        };
+        self.nodes[at] = match i {
+            0 => node,
+            _ => skip(i, bits, self.alloc(node)),
+        };
     }
 
     /// Inserts `value` at `prefix`, returning the previous value if any.
     pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit_at(prefix.network_bits(), i);
-            node = node.children[b].get_or_insert_with(|| Box::new(Node::empty()));
-        }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        let mut value = Some(value);
+        let (held, _) = self.get_or_insert_with(prefix, || value.take().expect("made once"));
+        value.map(|value| std::mem::replace(held, value))
     }
 
     /// The value at `prefix`, which `make` supplies if there is none, and
@@ -84,118 +228,135 @@ impl<V> PrefixTrie<V> {
         prefix: Prefix,
         make: impl FnOnce() -> V,
     ) -> (&mut V, bool) {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit_at(prefix.network_bits(), i);
-            node = node.children[b].get_or_insert_with(|| Box::new(Node::empty()));
-        }
-        let made = node.value.is_none();
+        let at = self.make(&prefix);
+        let made = self.nodes[at].value == NONE;
         if made {
-            self.len += 1;
+            self.nodes[at].value = push(&mut self.values, make()) as u32;
+            push(&mut self.owners, at as u32);
         }
-        (node.value.get_or_insert_with(make), made)
+        (&mut self.values[self.nodes[at].value as usize], made)
     }
 
-    /// Removes the value at exactly `prefix`, pruning empty branches.
+    /// Removes the value at exactly `prefix`, pruning empty branches onto
+    /// the free list.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<V> {
-        fn rec<V>(node: &mut Node<V>, bits: u32, depth: u8, len: u8) -> Option<V> {
-            if depth == len {
-                return node.value.take();
-            }
-            let b = bit_at(bits, depth);
-            let child = node.children[b].as_mut()?;
-            let out = rec(child, bits, depth + 1, len);
-            if child.is_empty() {
-                node.children[b] = None;
-            }
-            out
+        let (bits, len) = (prefix.network_bits(), prefix.len());
+        let (mut trail, mut n) = ([(0, 0); 33], 0);
+        self.descend(bits, len, |depth, at| {
+            trail[n] = (at as usize, depth);
+            n += 1;
+        });
+        let (at, depth) = trail[n.checked_sub(1)?];
+        if depth != len || skip_len(&self.nodes[at]).is_some() {
+            return None;
         }
-        let out = rec(&mut self.root, prefix.network_bits(), 0, prefix.len());
-        if out.is_some() {
-            self.len -= 1;
+        let index = std::mem::replace(&mut self.nodes[at].value, NONE);
+        if index == NONE {
+            return None;
         }
-        out
+        let out = self.values.swap_remove(index as usize);
+        self.owners.swap_remove(index as usize);
+        if let Some(&moved) = self.owners.get(index as usize) {
+            self.nodes[moved as usize].value = index;
+        }
+        // An empty branching node goes, and a skip node down to it with it.
+        for i in (1..n).rev() {
+            let (at, _) = trail[i];
+            if self.nodes[at].value != NONE || self.nodes[at].children != [0, 0] {
+                break;
+            }
+            let (parent, depth) = trail[i - 1];
+            match skip_len(&self.nodes[parent]) {
+                Some(_) => self.nodes[parent] = EMPTY,
+                None => self.nodes[parent].children[bit_at(bits, depth)] = 0,
+            }
+            self.nodes[at].children[0] = std::mem::replace(&mut self.free, at as u32);
+        }
+        Some(out)
     }
 
     /// Exact-match lookup.
     pub fn get(&self, prefix: &Prefix) -> Option<&V> {
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            let b = bit_at(prefix.network_bits(), i);
-            node = node.children[b].as_deref()?;
-        }
-        node.value.as_ref()
+        self.values
+            .get(self.nodes[self.find(prefix)?].value as usize)
     }
 
     /// Exact-match mutable lookup.
     pub fn get_mut(&mut self, prefix: &Prefix) -> Option<&mut V> {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit_at(prefix.network_bits(), i);
-            node = node.children[b].as_deref_mut()?;
-        }
-        node.value.as_mut()
+        let value = self.nodes[self.find(prefix)?].value;
+        self.values.get_mut(value as usize)
     }
 
-    /// Longest-prefix-match: the most specific stored prefix covering `ip`.
-    pub fn lookup(&self, ip: Ipv4Addr) -> Option<(Prefix, &V)> {
-        let bits = u32::from(ip);
-        let mut node = &self.root;
-        let mut best: Option<(u8, &V)> = node.value.as_ref().map(|v| (0, v));
-        for i in 0..32u8 {
-            let b = bit_at(bits, i);
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(len, v)| (Prefix::from_bits(bits, len), v))
+    /// The value index at node `at`, if it holds one.
+    fn held(&self, at: u32) -> Option<u32> {
+        Some(self.nodes[at as usize].value).filter(|value| *value < SKIP)
     }
 
     /// All stored prefixes covering `ip`, from least to most specific.
     pub fn matches(&self, ip: Ipv4Addr) -> Vec<(Prefix, &V)> {
-        let bits = u32::from(ip);
-        let mut out = Vec::new();
-        let mut node = &self.root;
-        if let Some(v) = node.value.as_ref() {
-            out.push((Prefix::from_bits(bits, 0), v));
-        }
-        for i in 0..32u8 {
-            let b = bit_at(bits, i);
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        out.push((Prefix::from_bits(bits, i + 1), v));
-                    }
-                }
-                None => break,
+        let (bits, mut out) = (u32::from(ip), Vec::new());
+        self.descend(bits, 32, |depth, at| {
+            if let Some(value) = self.held(at) {
+                out.push((Prefix::from_bits(bits, depth), &self.values[value as usize]));
             }
-        }
+        });
         out
+    }
+
+    /// Longest-prefix-match: the most specific stored prefix covering `ip`.
+    pub fn lookup(&self, ip: Ipv4Addr) -> Option<(Prefix, &V)> {
+        let (bits, mut best) = (u32::from(ip), None);
+        self.descend(bits, 32, |depth, at| {
+            best = self.held(at).map(|value| (depth, value)).or(best);
+        });
+        let (depth, value) = best?;
+        Some((Prefix::from_bits(bits, depth), &self.values[value as usize]))
+    }
+
+    /// The stored prefixes at and below `from` — a node, the bits above
+    /// it, its depth — in trie (lexicographic) order, each with its value's
+    /// index; with `prune`, none below another one under `from`. An
+    /// explicit stack, one allocation of 33 entries: a level holds at most
+    /// one node waiting for its sibling.
+    fn walk(
+        &self,
+        from: Option<(u32, u32, u8)>,
+        prune: bool,
+    ) -> impl Iterator<Item = (Prefix, u32)> + '_ {
+        let mut stack = Vec::with_capacity(if from.is_some() { 33 } else { 0 });
+        stack.extend(from);
+        let top = from.map_or(0, |(_, _, depth)| depth);
+        std::iter::from_fn(move || loop {
+            let (at, bits, depth) = stack.pop()?;
+            let node = &self.nodes[at as usize];
+            if let Some(k) = skip_len(node) {
+                stack.push((
+                    node.children[0],
+                    bits | node.children[1] >> depth,
+                    depth + k,
+                ));
+                continue;
+            }
+            let held = self.held(at);
+            for b in [1, 0]
+                .into_iter()
+                .filter(|_| !(prune && held.is_some() && depth > top))
+            {
+                if node.children[b] != 0 {
+                    let bits = bits | (b as u32) << (31 - u32::from(depth));
+                    stack.push((node.children[b], bits, depth + 1));
+                }
+            }
+            if let Some(value) = held {
+                return Some((Prefix::from_bits(bits, depth), value));
+            }
+        })
     }
 
     /// Iterates all `(prefix, value)` pairs in trie (lexicographic) order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> {
-        let mut out = Vec::with_capacity(self.len);
-        fn walk<'a, V>(node: &'a Node<V>, bits: u32, depth: u8, out: &mut Vec<(Prefix, &'a V)>) {
-            if let Some(v) = node.value.as_ref() {
-                out.push((Prefix::from_bits(bits, depth), v));
-            }
-            if let Some(c) = node.children[0].as_deref() {
-                walk(c, bits, depth + 1, out);
-            }
-            if let Some(c) = node.children[1].as_deref() {
-                walk(c, bits | (1 << (31 - depth as u32)), depth + 1, out);
-            }
-        }
-        walk(&self.root, 0, 0, &mut out);
-        out.into_iter()
+        let all = self.walk(self.nodes.first().map(|_| (0, 0, 0)), false);
+        all.map(|(prefix, value)| (prefix, &self.values[value as usize]))
     }
 
     /// All stored prefixes (in trie order).
@@ -209,58 +370,25 @@ impl<V> PrefixTrie<V> {
     /// `prefix`'s address set yields the addresses for which `prefix` is
     /// the longest match — without scanning unrelated prefixes.
     pub fn max_descendants(&self, prefix: &Prefix) -> Vec<Prefix> {
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            let b = bit_at(prefix.network_bits(), i);
-            match node.children[b].as_deref() {
-                Some(child) => node = child,
-                None => return Vec::new(),
+        let (bits, len) = (prefix.network_bits(), prefix.len());
+        // The node at `prefix`, or a skip node that runs past it agreeing.
+        let mut from = None;
+        self.descend(bits, len, |depth, at| from = Some((at, bits, depth)));
+        let from = from.filter(|&(at, _, depth)| {
+            let node = &self.nodes[at as usize];
+            match skip_len(node) {
+                Some(k) => depth + k > len && agree(bits, depth, node.children[1], len - depth),
+                None => depth == len,
             }
-        }
-        fn walk<V>(node: &Node<V>, bits: u32, depth: u8, out: &mut Vec<Prefix>) {
-            if node.value.is_some() {
-                // Prune: anything deeper is shadowed by this descendant.
-                out.push(Prefix::from_bits(bits, depth));
-                return;
-            }
-            if let Some(c) = node.children[0].as_deref() {
-                walk(c, bits, depth + 1, out);
-            }
-            if let Some(c) = node.children[1].as_deref() {
-                walk(c, bits | (1 << (31 - depth as u32)), depth + 1, out);
-            }
-        }
-        let mut out = Vec::new();
-        let base = prefix.network_bits();
-        let depth = prefix.len();
-        if let Some(c) = node.children[0].as_deref() {
-            walk(c, base, depth + 1, &mut out);
-        }
-        if let Some(c) = node.children[1].as_deref() {
-            walk(c, base | (1 << (31 - depth as u32)), depth + 1, &mut out);
-        }
-        out
+        });
+        let below = self.walk(from, true).map(|(p, _)| p);
+        below.filter(|p| p != prefix).collect()
     }
 }
 
 impl<V: PartialEq> PartialEq for PrefixTrie<V> {
     fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
-            return false;
-        }
-        let mut a = self.iter();
-        let mut b = other.iter();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (Some((pa, va)), Some((pb, vb))) => {
-                    if pa != pb || va != vb {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -388,9 +516,13 @@ mod tests {
     fn remove_prunes_branches() {
         let mut t = PrefixTrie::new();
         t.insert(p("10.1.2.0/24"), ());
+        let made = t.arena_nodes();
         t.remove(&p("10.1.2.0/24"));
-        // Root must be back to pristine so lookups terminate immediately.
-        assert!(t.root.is_empty());
+        // The root is back to pristine so lookups terminate immediately,
+        // and the pruned branch is what the next insert is made of.
+        assert_eq!(t.nodes[0].children, [0, 0]);
+        t.insert(p("10.1.3.0/24"), ());
+        assert_eq!((t.arena_nodes(), t.len()), (made, 1));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! against a naive linear-scan oracle, and the header-space algebra against
 //! textbook set identities.
 
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
@@ -15,6 +16,22 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
 fn arb_ipset() -> impl Strategy<Value = IpSet> {
     proptest::collection::vec((any::<u32>(), any::<u32>()), 0..8)
         .prop_map(|pairs| IpSet::from_ranges(pairs.into_iter().map(|(a, b)| (a.min(b), a.max(b)))))
+}
+
+/// Prefixes from a small space, so that operations meet the same prefix
+/// and nest inside one another: the top three and bottom three bits vary.
+fn arb_dense_prefix() -> impl Strategy<Value = Prefix> {
+    (0u32..8, 0u32..8, 0u8..=32).prop_map(|(hi, lo, len)| Prefix::from_bits(hi << 29 | lo, len))
+}
+
+/// The topmost stored strict descendants of `p` in `model`, by definition.
+fn model_max_descendants(model: &BTreeMap<Prefix, u32>, p: &Prefix) -> Vec<Prefix> {
+    let below = |outer: &Prefix, q: &Prefix| outer != q && outer.covers(q);
+    let inside: Vec<&Prefix> = model.keys().filter(|q| below(p, q)).collect();
+    let topmost = inside
+        .iter()
+        .filter(|q| !inside.iter().any(|r| below(r, q)));
+    topmost.map(|q| **q).collect()
 }
 
 /// Naive LPM oracle: scan all prefixes, keep the longest that covers `ip`.
@@ -72,6 +89,62 @@ proptest! {
         let ip = Ipv4Addr::from(probe);
         prop_assert_eq!(trie.lookup(ip).map(|(_, v)| *v), linear_lpm(&kept, ip));
         prop_assert_eq!(trie.len(), kept.len());
+    }
+
+    #[test]
+    fn trie_arena_follows_a_map_model(
+        ops in proptest::collection::vec((0u8..4, arb_dense_prefix(), any::<u32>()), 1..80),
+        probes in proptest::collection::vec((any::<u32>(), arb_dense_prefix()), 1..12),
+    ) {
+        let (mut trie, mut model) = (PrefixTrie::new(), BTreeMap::new());
+        for (kind, p, v) in ops {
+            match kind {
+                0 => prop_assert_eq!(trie.insert(p, v), model.insert(p, v)),
+                1 => prop_assert_eq!(trie.remove(&p), model.remove(&p)),
+                2 => {
+                    let (got, made) = trie.get_or_insert_with(p, || v);
+                    prop_assert_eq!(made, !model.contains_key(&p));
+                    prop_assert_eq!(*got, *model.entry(p).or_insert(v));
+                }
+                _ => {
+                    if let Some(got) = trie.get_mut(&p) {
+                        *got = v;
+                    }
+                    if let Some(want) = model.get_mut(&p) {
+                        *want = v;
+                    }
+                }
+            }
+            prop_assert_eq!(trie.len(), model.len());
+        }
+        let walked: Vec<(Prefix, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
+        let listed: Vec<(Prefix, u32)> = model.iter().map(|(p, v)| (*p, *v)).collect();
+        prop_assert_eq!(walked, listed.clone());
+        for (probe, p) in probes {
+            prop_assert_eq!(trie.get(&p), model.get(&p));
+            let ip = Ipv4Addr::from(probe | p.network_bits());
+            let covering: Vec<(Prefix, u32)> = {
+                let mut c: Vec<(Prefix, u32)> =
+                    listed.iter().filter(|(q, _)| q.contains(ip)).copied().collect();
+                c.sort_by_key(|(q, _)| q.len());
+                c
+            };
+            let matched: Vec<(Prefix, u32)> = trie.matches(ip).into_iter().map(|(q, v)| (q, *v)).collect();
+            prop_assert_eq!(trie.lookup(ip).map(|(q, v)| (q, *v)), covering.last().copied());
+            prop_assert_eq!(matched, covering);
+            prop_assert_eq!(trie.max_descendants(&p), model_max_descendants(&model, &p));
+        }
+        // Emptied and refilled with the same set, the arena is reused.
+        let made = trie.arena_nodes();
+        for (p, _) in &listed {
+            trie.remove(p);
+        }
+        prop_assert!(trie.is_empty());
+        for (p, v) in &listed {
+            trie.insert(*p, *v);
+        }
+        prop_assert_eq!(trie.arena_nodes(), made);
+        prop_assert_eq!(trie.len(), listed.len());
     }
 
     #[test]

@@ -832,9 +832,10 @@ impl VirtualRouter {
         let selection = self.bgp.as_deref().map(BgpEngine::selected);
         for prefix in prefixes {
             gateways.clear();
+            let learned = selection.and_then(|s| s.get(prefix));
             if self
                 .fib
-                .patch(&self.rib, selection, prefix, &mut memo, &mut gateways)
+                .patch(&self.rib, learned, prefix, &mut memo, &mut gateways)
             {
                 changed = true;
                 self.changed_prefixes.insert(*prefix);

@@ -117,14 +117,29 @@ const ROWS: &[Row] = &[
     Row {
         files: "crates/routing/src/bgp.rs",
         rule: Exactly(2, "resolver.igp_metric("),
-        why: "one computation per distinct input: session reachability, batch memo",
+        why: "one computation per distinct input: session reachability in `reaches`, a \
+              decision's per-batch memo in `best`",
         plant: "let metric = resolver.igp_metric(next_hop);",
     },
     Row {
         files: "crates/routing/src/bgp.rs > struct Session {",
-        rule: Absent("rib_out"),
-        why: "one computation per distinct input: the Adj-RIB-Out is the group's",
-        plant: "struct Session {\n    rib_out: BTreeMap<Prefix, Route>,\n}",
+        rule: Absent("rib_out|rib_in|by_next_hop"),
+        why: "one computation per distinct input: paths and next-hop counts are the \
+              engine's table, the Adj-RIB-Out is the group's",
+        plant: "struct Session {\n    rib_out: Out,\n    rib_in: In,\n    by_next_hop: Index,\n}",
+    },
+    Row {
+        files: "crates/routing/src/bgp.rs > struct Session {",
+        rule: Absent("BTreeMap<Prefix"),
+        why: "one table per engine: every received path and the selection sit in the \
+              engine's prefix-keyed table, none in a session",
+        plant: "struct Session {\n    rib_in: BTreeMap<Prefix, RibInEntry>,\n}",
+    },
+    Row {
+        files: "crates/types/src/trie.rs",
+        rule: Absent("Box<Node"),
+        why: "one arena per trie: nodes sit in one Vec and name their children by u32 index",
+        plant: "struct Node<V> { children: [Option<Box<Node<V>>>; 2] }",
     },
     Row {
         files: "crates/core/src/extract.rs",
@@ -226,6 +241,8 @@ const REQUIRED: &[&str] = &[
     "tests/work_ceiling.rs::a_quiet_watch_renders_only_its_syncs",
     "tests/work_ceiling.rs::an_lsp_is_encoded_and_checksummed_once",
     "tests/work_ceiling.rs::a_shard_costs_no_per_node_state",
+    "tests/work_ceiling.rs::walking_a_fib_allocates_one_small_buffer",
+    "crates/types/tests/proptests.rs::trie_arena_follows_a_map_model",
 ];
 
 /// The files `glob` names. Tests run in the repository root.

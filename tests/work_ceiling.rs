@@ -36,14 +36,15 @@ use model_free_verification::routing::rib::GatewayMemo;
 use model_free_verification::routing::{Fib, NextHop};
 use model_free_verification::types::{NodeId, SimDuration, SimTime};
 
-/// The system allocator, counting the calling thread's live bytes and
-/// their high-water mark. Per thread, so tests running beside each other
-/// do not see one another.
+/// The system allocator, counting the calling thread's live bytes, their
+/// high-water mark and its allocations. Per thread, so tests running beside
+/// each other do not see one another.
 struct PerThreadCounting;
 
 thread_local! {
     static LIVE: Cell<usize> = const { Cell::new(0) };
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: every request goes to `System` unchanged, so its contract is
@@ -58,6 +59,7 @@ unsafe impl GlobalAlloc for PerThreadCounting {
                 live.set(live.get().wrapping_add(layout.size()));
                 let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
             });
+            let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
         }
         p
     }
@@ -194,7 +196,9 @@ fn a_converged_wan_stores_each_distinct_set_once() {
     // handle per route held 742, 718 with one Adj-RIB-Out per export group
     // and 683 with IS-IS's LSPs stored as their bytes. With BGP's routes
     // kept once — the selection, not a RIB copy of it; shared next-hop sets
-    // in it; no per-prefix gateway index — it holds 537.
+    // in it; no per-prefix gateway index — it held 537, then 521. With one
+    // table per BGP engine (a slot per prefix holding its paths and its
+    // selection, a path count per next hop) and each trie one arena, 385.
     let snapshot = scenarios::regional_wan(5, 20);
     let backend = EmulationBackend {
         cluster_machines: 2,
@@ -205,7 +209,7 @@ fn a_converged_wan_stores_each_distinct_set_once() {
     let entries = emu.dataplane().total_entries();
     assert!(entries > 12_000);
     assert!(
-        live <= 590 * entries,
+        live <= 404 * entries,
         "{} B live per FIB entry ({live} B, {entries} entries)",
         live / entries
     );
@@ -216,6 +220,44 @@ fn a_converged_wan_stores_each_distinct_set_once() {
     let routers = nodes.filter_map(|n| emu.router(&n.name));
     let most = routers.map(|r| r.gateways().entries()).max();
     assert!(most <= Some(8), "{most:?} gateway entries in one router");
+}
+
+/// A walk over a FIB: its name, the tables it walks, and the walk.
+type Walk = (&'static str, usize, fn(&Fib) -> u64);
+
+#[test]
+fn walking_a_fib_allocates_one_small_buffer() {
+    // Every converged table of the 100-router WAN, 121 entries each (a
+    // wan1000 router holds 1,050): a walk in prefix order, the digest and
+    // the comparison the convergence detector makes. Collecting the walk
+    // cost an allocation per table and 16 B per entry; an explicit-stack
+    // walk holds one 33-entry stack, whatever the table's size.
+    let snapshot = scenarios::regional_wan(5, 20);
+    let backend = EmulationBackend {
+        cluster_machines: 2,
+        ..EmulationBackend::with_seed(1)
+    };
+    let (emu, meta) = backend.run(&snapshot).expect("wan boots");
+    assert!(meta.converged);
+    for node in &snapshot.topology.nodes {
+        let fib = emu.router(&node.name).expect("router booted").fib();
+        assert!(fib.len() > 100);
+        let walks: [Walk; 3] = [
+            ("entries", 1, |fib| fib.entries().count() as u64),
+            ("digest", 1, Fib::digest),
+            ("same_as", 2, |fib| u64::from(fib.same_as(fib))),
+        ];
+        for (walk, tables, f) in walks {
+            let allocs = ALLOCS.get();
+            let (_, _, peak) = heap_of(|| f(fib));
+            let allocs = ALLOCS.get() - allocs;
+            assert!(
+                allocs <= tables && peak <= 400 * tables,
+                "{}: {walk} made {allocs} allocations, {peak} B",
+                node.name
+            );
+        }
+    }
 }
 
 #[test]
