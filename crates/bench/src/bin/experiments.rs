@@ -4,10 +4,12 @@
 //! ```sh
 //! cargo run --release -p mfv-bench --bin experiments            # all
 //! cargo run --release -p mfv-bench --bin experiments -- e1 e3   # subset
+//! cargo run --release -p mfv-bench --bin experiments -- e3 20 50 # and E3's diff at the 1,000-router scale
 //! cargo run --release -p mfv-bench --bin experiments -- --quick # smaller E4/E5
 //! cargo run --release -p mfv-bench --bin experiments -- heap 20 50 # where the 1,000-router heap is
 //! cargo run --release -p mfv-bench --bin experiments -- converge 20 50 # and where its convergence time goes
 //! cargo run --release -p mfv-bench --bin experiments -- converge --grid 10 6 # the same for an isis_grid
+//! cargo run --release -p mfv-bench --bin experiments -- sweep 6 5 # what one what-if context costs, phase by phase
 //! cargo run --release -p mfv-bench --bin experiments -- watch 7 6 # what a chaos watch reads, renders and decodes
 //! cargo run --release -p mfv-bench --bin experiments -- watch 4 3 --seed 7 --journal v.txt # its verdict journal
 //! cargo run --release -p mfv-bench --bin experiments -- chaos --obs-json o.json --obs-exclude-wall # its obs dump, without wall times
@@ -20,18 +22,18 @@ use std::collections::BTreeSet;
 use mfv_bench::*;
 use mfv_core::obs::{Obs, WallTimer};
 use mfv_core::{
-    extract_snapshot, observed_query, qualified_unreachable_pairs, run_watch, scenarios,
-    unreachable_pairs_with, Coverage, EmulationBackend, ForwardingAnalysis, Snapshot,
-    WatchRunConfig,
+    differential_reachability_with, extract_snapshot, observed_query, qualified_unreachable_pairs,
+    run_watch, scenarios, unreachable_pairs_with, Backend, ClassCache, Coverage, EmulationBackend,
+    ForwardingAnalysis, ModelBackend, Snapshot, WatchRunConfig,
 };
-use mfv_emulator::ChaosPlan;
+use mfv_emulator::{ChaosPlan, Emulation};
 use mfv_mgmt::{StreamFaultModel, WatchConfig};
 use mfv_types::{NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
 
 /// What the command line asks beyond the experiment ids, parsed once: the
-/// numbers are `heap` / `converge`'s WAN size or grid and `watch`'s grid,
-/// `--seed` is `watch`'s emulation and stream seed.
+/// numbers are `heap` / `converge` / `e3`'s WAN size or grid and `watch` /
+/// `sweep`'s grid, `--seed` is `watch`'s emulation and stream seed.
 #[derive(Default)]
 struct Options {
     quick: bool,
@@ -44,7 +46,8 @@ struct Options {
 }
 
 impl Options {
-    /// `heap` / `converge`'s `regional_wan`: regions and routers per region.
+    /// `heap` / `converge` / `e3`'s `regional_wan`: regions and routers per
+    /// region.
     fn wan_size(&self) -> (usize, usize) {
         (self.size(0, 5), self.size(1, 20))
     }
@@ -52,6 +55,11 @@ impl Options {
     /// `watch` / `converge --grid`'s `isis_grid`: columns and rows.
     fn grid_size(&self) -> (usize, usize) {
         (self.size(0, 7), self.size(1, 6))
+    }
+
+    /// `sweep`'s `isis_grid`: `grid30_whatif`'s network without numbers.
+    fn sweep_size(&self) -> (usize, usize) {
+        (self.size(0, 6), self.size(1, 5))
     }
 
     fn size(&self, at: usize, default: usize) -> usize {
@@ -63,10 +71,10 @@ impl Options {
 type Experiment = (&'static str, fn(&Options));
 
 /// Every experiment, in run order.
-const EXPERIMENTS: [Experiment; 14] = [
+const EXPERIMENTS: [Experiment; 15] = [
     ("e1", |_| e1()),
     ("e2", |_| e2()),
-    ("e3", |_| e3()),
+    ("e3", e3),
     ("e4", e4),
     ("e5", e5),
     ("e6", |_| e6()),
@@ -78,6 +86,7 @@ const EXPERIMENTS: [Experiment; 14] = [
     ("converge", converge),
     ("watch", watch),
     ("chaos", chaos),
+    ("sweep", sweep),
 ];
 
 /// Stops with a usage error (exit 2) before anything runs.
@@ -125,13 +134,13 @@ fn main() {
     // The scenarios assert their bounds: refuse a size they cannot build.
     let runs = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
     let (regions, per_region) = opts.wan_size();
-    if (runs("heap") || runs("converge") && !opts.grid)
+    if (runs("heap") || runs("converge") && !opts.grid || runs("e3") && !opts.sizes.is_empty())
         && !((2..=200).contains(&regions) && (3..=256).contains(&per_region))
     {
         usage_error("a regional WAN takes 2..=200 regions of 3..=256 routers");
     }
     let (cols, rows) = opts.grid_size();
-    if (runs("watch") || runs("converge") && opts.grid)
+    if (runs("watch") || runs("sweep") || runs("converge") && opts.grid)
         && (cols == 0 || rows == 0 || cols.saturating_mul(rows) < 2)
     {
         usage_error("a grid takes cols >= 1 and rows >= 1, at least two routers");
@@ -222,7 +231,7 @@ fn e2() {
     );
 }
 
-fn e3() {
+fn e3(opts: &Options) {
     banner(
         "E3",
         "model-based results can be wrong or misleading (Fig. 3)",
@@ -258,6 +267,39 @@ fn e3() {
     println!(
         "  root cause: `ip address` before `no switchport` ignored by the model\n  \
          (issue #1); `isis enable` flagged invalid syntax (issue #2)"
+    );
+    if !opts.sizes.is_empty() {
+        e3_at_scale(opts);
+    }
+}
+
+/// E3 at scale, when the command line sizes a `regional_wan`: the model's
+/// and the emulation's FIB entries, the findings of diffing the two, and
+/// the wall time of both analyses and of the diff, whose index builds it
+/// includes.
+fn e3_at_scale(opts: &Options) {
+    let (regions, per_region, snapshot, backend) = wan(opts);
+    let emulated = backend.compute(&snapshot).expect("wan converges").dataplane;
+    let model = ModelBackend
+        .compute(&snapshot)
+        .expect("model computes")
+        .dataplane;
+    let timer = WallTimer::start();
+    let (fa_model, fa_emu) = (
+        ForwardingAnalysis::new(&model),
+        ForwardingAnalysis::new(&emulated),
+    );
+    let analysis_us = timer.elapsed_micros();
+    let timer = WallTimer::start();
+    let findings = differential_reachability_with(&fa_model, &fa_emu, None).len();
+    let diff_us = timer.elapsed_micros();
+    println!(
+        "  at scale, regional_wan({regions}, {per_region}): {} FIB entries (model) vs {} \
+         (emulation), {findings} findings; analysis {:.2} s, diff {:.2} s",
+        model.total_entries(),
+        emulated.total_entries(),
+        analysis_us as f64 / 1e6,
+        diff_us as f64 / 1e6,
     );
 }
 
@@ -754,6 +796,10 @@ fn converge(opts: &Options) {
         "SPF: {spf_runs} runs, {:.2} us per run",
         us("router.spf") as f64 / spf_runs.max(1) as f64
     );
+    let nodes = snapshot.topology.nodes.iter();
+    let engines = nodes.filter_map(|n| emu.router(&n.name)?.isis_engine());
+    let merged: u64 = engines.map(|isis| isis.prefix_evaluations()).sum();
+    println!("route pass: {merged} prefix evaluations");
 
     println!("\ncounter                              count");
     for counter in [
@@ -982,4 +1028,101 @@ fn chaos(opts: &Options) {
         "obs dump",
         &obs.to_json(!opts.exclude_wall),
     );
+}
+
+/// Runs `f`; returns what it made and its wall nanoseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let timer = WallTimer::start();
+    let out = f();
+    (out, timer.elapsed_nanos())
+}
+
+/// `sweep [cols rows]`: the what-if sweep's fork path on an `isis_grid`
+/// (6 × 5 without any, `grid30_whatif`'s network), for every single-link
+/// cut, one context at a time and call by call, as
+/// `verify_link_cuts_detailed` makes it: each phase's median over the
+/// contexts, and the median context's events, SPF runs and the reach
+/// entries their route passes merged. The baseline's class index is built
+/// before the first context, as the sweep's first diff builds it once.
+fn sweep(opts: &Options) {
+    banner("SWEEP", "what one what-if context costs, phase by phase");
+    let (cols, rows) = opts.sweep_size();
+    let snapshot = scenarios::isis_grid(cols, rows);
+    let backend = EmulationBackend::with_seed(1);
+    let (converged, meta) = backend.run(&snapshot).expect("grid boots");
+    assert!(meta.converged, "isis_grid({cols}, {rows})");
+    let extract =
+        |emu: &Emulation| extract_snapshot(emu, &backend.collector, &mut Obs::new()).dataplane;
+    let cache = ClassCache::new();
+    let baseline = extract(&converged);
+    let fa_baseline = ForwardingAnalysis::with_cache(&baseline, &cache);
+    fa_baseline.warm();
+    // (SPF runs, route-pass reach entries) summed over the routers.
+    let spf = |emu: &Emulation| {
+        let routers = snapshot
+            .topology
+            .nodes
+            .iter()
+            .filter_map(|n| emu.router(&n.name));
+        routers.fold((0, 0), |(runs, merged), r| {
+            let isis = r.isis_engine().map_or(0, |i| i.prefix_evaluations());
+            (runs + r.spf_runs, merged + isis)
+        })
+    };
+    let base = spf(&converged);
+
+    const PHASES: [&str; 7] = [
+        "clone",
+        "remove_wire",
+        "run_until_converged",
+        "extract",
+        "drop",
+        "analysis",
+        "diff",
+    ];
+    let mut phases: [Vec<u64>; 7] = Default::default();
+    let (mut contexts, mut events, mut runs, mut merged) = (vec![], vec![], vec![], vec![]);
+    let mut findings = 0;
+    for link in snapshot.link_ids() {
+        let (mut fork, clone) = timed(|| converged.clone());
+        let ((), remove) = timed(|| fork.remove_wire(&link));
+        let (report, run) = timed(|| fork.run_until_converged());
+        assert!(report.verdict.is_converged(), "{link}");
+        let (after, extracted) = timed(|| extract(&fork));
+        events.push(fork.events_processed() - converged.events_processed());
+        let (spf_runs, spf_merged) = spf(&fork);
+        runs.push(spf_runs - base.0);
+        merged.push(spf_merged - base.1);
+        let ((), dropped) = timed(|| drop(fork));
+        let (fa, analysis) = timed(|| ForwardingAnalysis::with_cache(&after, &cache));
+        let (found, diff) = timed(|| differential_reachability_with(&fa_baseline, &fa, None));
+        findings += found.len();
+        let laps = [clone, remove, run, extracted, dropped, analysis, diff];
+        contexts.push(laps.iter().sum());
+        for (phase, lap) in phases.iter_mut().zip(laps) {
+            phase.push(lap);
+        }
+    }
+    let median = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v.get(v.len() / 2).copied().unwrap_or(0)
+    };
+    println!(
+        "isis_grid({cols}, {rows}), seed 1: {} contexts, one at a time; baseline {} events\n",
+        contexts.len(),
+        converged.events_processed()
+    );
+    println!("phase                  median ms");
+    let row = |phase: &str, ns: u64| println!("{phase:<22} {:>9.3}", ns as f64 / 1e6);
+    for (phase, laps) in PHASES.iter().zip(phases) {
+        row(phase, median(laps));
+    }
+    row("context", median(contexts));
+    println!(
+        "\nper context (median): {} events, {} SPF runs, {} route-pass prefix evaluations",
+        median(events),
+        median(runs),
+        median(merged)
+    );
+    println!("findings over all contexts: {findings}");
 }

@@ -307,6 +307,9 @@ fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
             "\nrouter.spf ",
             "\nSPF: 52 runs, ",
             " us per run\n",
+            // A route pass over every reached system's prefixes would merge
+            // 494 reach entries over those runs.
+            "\nroute pass: 147 prefix evaluations\n",
             // Six routers originate 20 LSPs and receive 134: an encoding per
             // origination, a checksum per encoding and per LSP received.
             "isis.lsp_encodes                        20",
@@ -319,6 +322,27 @@ fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("unknown experiment id `grid`"), "{stderr}");
+}
+
+#[test]
+fn sweep_replays_the_fork_path_phase_by_phase() {
+    // Seven single-link cuts of a six-router grid: each phase's median, and
+    // the median context's work, which is exact.
+    assert_headlines(
+        &["sweep", "3", "2"],
+        &[
+            "isis_grid(3, 2), seed 1: 7 contexts, one at a time; baseline 1162 events",
+            "\nclone ",
+            "\nremove_wire ",
+            "\nrun_until_converged ",
+            "\nextract ",
+            "\ndrop ",
+            "\nanalysis ",
+            "\ndiff ",
+            "per context (median): 87 events, 11 SPF runs, 45 route-pass prefix evaluations",
+            "findings over all contexts: 42",
+        ],
+    );
 }
 
 #[test]

@@ -279,6 +279,14 @@ fn lower_system(section: &Stmt, cfg: &mut DeviceConfig) -> usize {
                             cfg.mgmt.apis.push("grpc".into());
                             n += 1 + count_stmts(&svc.children);
                         }
+                        // A dialect extension: the IR has no `security`.
+                        "ssl-profile" => {
+                            let prof = svc.word(1).to_string();
+                            if !cfg.mgmt.ssl_profiles.contains(&prof) {
+                                cfg.mgmt.ssl_profiles.push(prof);
+                            }
+                            n += 1;
+                        }
                         other => {
                             cfg.mgmt.apis.push(other.to_string());
                             n += 1 + count_stmts(&svc.children);
@@ -903,7 +911,7 @@ pub fn render(cfg: &DeviceConfig) -> String {
 
     w.open("system");
     w.line(&format!("host-name {};", cfg.hostname));
-    if !cfg.mgmt.apis.is_empty() {
+    if !cfg.mgmt.apis.is_empty() || !cfg.mgmt.ssl_profiles.is_empty() {
         w.open("services");
         for api in &cfg.mgmt.apis {
             if api == "grpc" {
@@ -911,6 +919,9 @@ pub fn render(cfg: &DeviceConfig) -> String {
             } else {
                 w.line(&format!("{api};"));
             }
+        }
+        for prof in &cfg.mgmt.ssl_profiles {
+            w.line(&format!("ssl-profile {prof};"));
         }
         w.close();
     }

@@ -100,7 +100,7 @@ fn build_spec(shape: &SpecShape, vendor: Vendor) -> RouterSpec {
     if shape.redistribute >= 2 {
         spec = spec.route_map("EXPORT", RouterSpec::permit_all_route_map());
     }
-    if shape.production && vendor == Vendor::Ceos {
+    if shape.production {
         spec = spec.production();
     }
     spec
@@ -134,6 +134,7 @@ proptest! {
         prop_assert_eq!(&back.interfaces, &cfg.interfaces);
         prop_assert_eq!(&back.isis, &cfg.isis);
         prop_assert_eq!(&back.static_routes, &cfg.static_routes);
+        prop_assert_eq!(&back.mgmt.ssl_profiles, &cfg.mgmt.ssl_profiles);
         match (&back.bgp, &cfg.bgp) {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(a.asn, b.asn);

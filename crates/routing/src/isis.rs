@@ -136,9 +136,8 @@ pub struct IsisEngine {
     /// Our interfaces' subnets, sorted: SPF never routes them (connected
     /// beats IGP anyway, and shared link subnets would otherwise flap).
     own_prefixes: Vec<Prefix>,
-    /// SPF's priority queue: empty between runs, its buffer kept for the
-    /// next one.
-    spf_heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// SPF's buffers and what it needs of the last run.
+    spf: Box<SpfState>,
     work: IsisWork,
 }
 
@@ -161,7 +160,7 @@ impl IsisEngine {
             out: VecDeque::new(),
             routes_stale: false,
             own_prefixes,
-            spf_heap: BinaryHeap::new(),
+            spf: Box::default(),
             work: IsisWork::default(),
         };
         engine.regenerate_own_lsp();
@@ -248,11 +247,20 @@ impl IsisEngine {
     }
 
     /// Puts `lsp` in the LSDB and, if it is a fragment zero, in the SPF
-    /// graph.
+    /// graph, noting for the next route pass the prefixes it advertises
+    /// other than its predecessor did.
     fn install(&mut self, lsp: Arc<StoredLsp>) {
         let id = lsp.entry().lsp_id;
         if id == LspId::of(id.system) {
-            self.graph.set(Arc::clone(&lsp));
+            let at = self.graph.index_of(id.system);
+            let old = at.and_then(|at| self.graph.nodes[at].lsp.as_deref());
+            let old = old.map_or(&[][..], |old| old.prefixes());
+            let (new, key) = (lsp.prefixes(), |r: &IpReach| (r.prefix, r.metric));
+            for (a, b) in [(old, new), (new, old)] {
+                let gone = a.iter().filter(|r| !b.iter().any(|o| key(o) == key(r)));
+                self.spf.readvertised.extend(gone.map(|r| r.prefix));
+            }
+            self.graph.set(Arc::clone(&lsp), &mut self.spf.joined);
         }
         self.lsdb.insert(id, lsp);
         self.routes_stale = true;
@@ -566,7 +574,9 @@ impl IsisEngine {
     /// `installed` — the IS-IS routes the owner's RIB holds, in prefix
     /// order — as `(prefix, Some(route))` to install or replace and
     /// `(prefix, None)` to withdraw, in prefix order. The engine keeps no
-    /// copy of its last result: the RIB's is the one there is.
+    /// copy of its last result: the RIB's is the one there is, so
+    /// `installed` must be what the changes handed out so far leave,
+    /// starting from none; only the prefixes the run can have moved are read.
     pub fn take_route_changes<'a>(
         &mut self,
         installed: impl Iterator<Item = (&'a Prefix, &'a RibRoute)>,
@@ -576,29 +586,35 @@ impl IsisEngine {
         }
         let mut installed = installed.peekable();
         let mut changes = Vec::new();
-        self.spf(|prefix, metric, hops, first_hops| {
-            while let Some((gone, _)) = installed.next_if(|(p, _)| **p < prefix) {
-                changes.push((*gone, None));
-            }
-            // Compared hop by hop so an unchanged route (the common case:
-            // one LSP moves a handful of prefixes) allocates nothing.
-            let unchanged = installed
-                .next_if(|(p, _)| **p == prefix)
-                .is_some_and(|(_, old)| {
-                    old.metric == metric
-                        && old.next_hops.len() == hops.len()
-                        && old.next_hops.iter().zip(hops).all(|(nh, h)| {
-                            let hop = &first_hops[usize::from(*h)];
-                            matches!(nh, NextHop::ViaIface(addr, iface)
+        self.spf(|prefix, best, first_hops| {
+            // Installed prefixes the run passes over are ones it left alone.
+            while installed.next_if(|(p, _)| **p < prefix).is_some() {}
+            let old = installed.next_if(|(p, _)| **p == prefix);
+            let Some((metric, hops)) = best else {
+                changes.extend(old.map(|_| (prefix, None)));
+                return;
+            };
+            // Compared hop by hop so an unchanged route allocates nothing.
+            let unchanged = old.is_some_and(|(_, old)| {
+                old.metric == metric
+                    && old.next_hops.len() == hops.len()
+                    && old.next_hops.iter().zip(hops).all(|(nh, h)| {
+                        let hop = &first_hops[usize::from(*h)];
+                        matches!(nh, NextHop::ViaIface(addr, iface)
                             if *addr == hop.addr && iface == hop.iface)
-                        })
-                });
+                    })
+            });
             if !unchanged {
                 changes.push((prefix, Some(rib_route(prefix, metric, hops, first_hops))));
             }
         });
-        changes.extend(installed.map(|(gone, _)| (*gone, None)));
         changes
+    }
+
+    /// Reach entries the route pass has merged over the engine's life: all
+    /// on the first run, then those of the prefixes a run can have moved.
+    pub fn prefix_evaluations(&self) -> u64 {
+        self.spf.evaluations
     }
 
     /// A fresh SPF's IS-IS routes for the RIB, in prefix order, whatever
@@ -615,13 +631,13 @@ impl IsisEngine {
 
     /// Our Up adjacencies as SPF sees them.
     fn first_hops(&self) -> Vec<FirstHop<'_>> {
-        self.adjacencies
-            .iter()
+        (self.adjacencies.iter().zip(0u16..))
             .filter_map(
-                |(iface, adj)| match (adj.state, adj.neighbor, adj.neighbor_addr) {
+                |((iface, adj), at)| match (adj.state, adj.neighbor, adj.neighbor_addr) {
                     (AdjState::Up, Some(neighbor), Some(addr)) => Some(FirstHop {
                         neighbor,
                         iface,
+                        at,
                         addr,
                         metric: self.iface_cfg(iface).map(|c| c.metric).unwrap_or(10),
                     }),
@@ -632,22 +648,36 @@ impl IsisEngine {
     }
 
     /// Dijkstra over the maintained graph with a bidirectional connectivity
-    /// check. Hands `route`, per reachable prefix in prefix order, its
-    /// metric and equal-cost first hops (indices into the first hops, in
-    /// discovery order). The run allocates a handful of flat arrays and
+    /// check, then the route pass. Hands `route`, in prefix order, each
+    /// prefix the run can have moved (see below): its metric and equal-cost
+    /// first hops (indices into the first hops, in discovery order), or
+    /// `None` where no reached system advertises it. The run allocates
     /// nothing per system or prefix.
-    fn spf(&mut self, mut route: impl FnMut(Prefix, u32, &[u16], &[FirstHop])) {
-        let mut heap = std::mem::take(&mut self.spf_heap);
-        let first_hops = self.first_hops();
+    fn spf(&mut self, mut route: impl FnMut(Prefix, Option<(u32, &[u16])>, &[FirstHop])) {
         let graph = &self.graph;
         // Our own LSP is installed at construction and never leaves.
         let Some(me) = graph.index_of(self.cfg.system_id) else {
             return;
         };
-        // Per system: distance, and its equal-cost first hops as the first
-        // `len[s]` of the `k` slots at `hops[s * k..]`.
+        let mut state = std::mem::take(&mut self.spf);
+        let first_hops = self.first_hops();
+        // Systems that joined since the last run were unreached in it.
+        let ran = !state.last.dist.is_empty();
+        let last = &mut state.last;
+        let k_last = last.first_hops.len();
+        for at in state.joined.drain(..).filter(|_| ran) {
+            last.dist.insert(at, u32::MAX);
+            last.len.insert(at, 0);
+            let at = at * k_last;
+            last.hops.splice(at..at, std::iter::repeat_n(0, k_last));
+        }
         let (n, k) = (graph.nodes.len(), first_hops.len());
-        let (mut dist, mut hops, mut len) = (vec![u32::MAX; n], vec![0u16; n * k], vec![0; n]);
+        (state.now.first_hops).splice(.., first_hops.iter().map(|fh| (fh.at, fh.addr)));
+        let (dist, hops, len) = (&mut state.now.dist, &mut state.now.hops, &mut state.now.len);
+        dist.splice(.., std::iter::repeat_n(u32::MAX, n));
+        hops.splice(.., std::iter::repeat_n(0, n * k));
+        len.splice(.., std::iter::repeat_n(0, n));
+        let heap = &mut state.heap;
         dist[me] = 0;
         for (h, fh) in first_hops.iter().enumerate() {
             let Some(nb) = graph.index_of(fh.neighbor) else {
@@ -662,7 +692,7 @@ impl IsisEngine {
                 (hops[nb * k], len[nb]) = (h, 1);
                 heap.push(Reverse((fh.metric, nb as u32)));
             } else if fh.metric == dist[nb] {
-                hops[nb * k + len[nb]] = h;
+                hops[nb * k + usize::from(len[nb])] = h;
                 len[nb] += 1;
             }
         }
@@ -678,16 +708,17 @@ impl IsisEngine {
                     continue;
                 }
                 let nd = d.saturating_add(metric);
+                let from = sys * k..sys * k + usize::from(len[sys]);
                 if nd < dist[next] {
                     dist[next] = nd;
-                    hops.copy_within(sys * k..sys * k + len[sys], next * k);
+                    hops.copy_within(from, next * k);
                     len[next] = len[sys];
                     heap.push(Reverse((nd, next as u32)));
                 } else if nd == dist[next] && nd != u32::MAX {
-                    for at in sys * k..sys * k + len[sys] {
-                        let h = hops[at];
-                        if !hops[next * k..next * k + len[next]].contains(&h) {
-                            hops[next * k + len[next]] = h;
+                    for at in from {
+                        let (h, have) = (hops[at], next * k + usize::from(len[next]));
+                        if !hops[next * k..have].contains(&h) {
+                            hops[have] = h;
                             len[next] += 1;
                         }
                     }
@@ -695,35 +726,57 @@ impl IsisEngine {
             }
         }
 
-        // Routes: every prefix of every reached system (exactly those with
-        // a first hop), sorted by prefix — stably, so a prefix's entries
-        // stay in system, then TLV, order — then merged per prefix but our
-        // own: the least metric, and the first hops of each entry with it.
-        let mut reach: Vec<(Prefix, u32, u32)> = Vec::new();
+        // What the run can have moved: on the first run every prefix; after
+        // it, the prefixes whose advertisement changed and those of every
+        // system whose distance or first hops — by adjacency and address,
+        // not by index — differ from the last run's.
+        let (now, last) = (&state.now, &state.last);
+        let mut moved = std::mem::take(&mut state.readvertised);
         for (sys, node) in graph.nodes.iter().enumerate() {
-            let Some(lsp) = node.lsp.as_ref().filter(|_| sys != me && len[sys] > 0) else {
+            let same = ran
+                && now.dist[sys] == last.dist[sys]
+                && now.named_hops(sys).eq(last.named_hops(sys));
+            if let Some(lsp) = node.lsp.as_ref().filter(|_| !same && sys != me) {
+                moved.extend(lsp.prefixes().iter().map(|r| r.prefix));
+            }
+        }
+        moved.sort_unstable();
+        moved.dedup();
+        moved.retain(|prefix| self.own_prefixes.binary_search(prefix).is_err());
+
+        // Routes: the entries of reached systems (exactly those with a
+        // first hop) for those prefixes but our own, sorted by prefix —
+        // stably, so a prefix's entries stay in system, then TLV, order —
+        // then merged per prefix: the least metric, and the first hops of
+        // each entry with it.
+        let mut reach: Vec<(Prefix, u32, u32)> = Vec::new();
+        let wanted = |r: &&IpReach| moved.binary_search(&r.prefix).is_ok();
+        for (sys, node) in graph.nodes.iter().enumerate() {
+            let Some(lsp) = node.lsp.as_ref().filter(|_| sys != me && now.len[sys] > 0) else {
                 continue;
             };
-            for r in lsp.prefixes() {
-                reach.push((r.prefix, dist[sys].saturating_add(r.metric), sys as u32));
+            for r in lsp.prefixes().iter().filter(wanted) {
+                reach.push((r.prefix, now.dist[sys].saturating_add(r.metric), sys as u32));
             }
         }
+        state.evaluations += reach.len() as u64;
         reach.sort_by_key(|&(prefix, ..)| prefix);
+        let mut entries = reach.chunk_by(|a, b| a.0 == b.0).peekable();
         let mut best = Vec::with_capacity(k);
-        for entries in reach.chunk_by(|a, b| a.0 == b.0) {
-            let prefix = entries[0].0;
-            if self.own_prefixes.binary_search(&prefix).is_ok() {
+        for prefix in moved {
+            let entries = entries.next_if(|e| e[0].0 == prefix).unwrap_or_default();
+            let Some(metric) = entries.iter().map(|e| e.1).min() else {
+                route(prefix, None, &first_hops);
                 continue;
-            }
-            let metric = entries.iter().map(|e| e.1).min().unwrap_or(u32::MAX);
+            };
             best.clear();
             for &(_, _, sys) in entries.iter().filter(|e| e.1 == metric) {
-                let sys = sys as usize;
-                merge_hops(&mut best, &hops[sys * k..sys * k + len[sys]]);
+                merge_hops(&mut best, now.hops_of(sys as usize));
             }
-            route(prefix, metric, &best, &first_hops);
+            route(prefix, Some((metric, &best)), &first_hops);
         }
-        self.spf_heap = heap;
+        std::mem::swap(&mut state.now, &mut state.last);
+        self.spf = state;
     }
 
     /// Dijkstra over the LSDB with a bidirectional connectivity check,
@@ -862,12 +915,13 @@ impl SpfGraph {
         self.systems.binary_search(&sys).ok()
     }
 
-    /// Makes `lsp` its system's: its neighbours become edges.
-    fn set(&mut self, lsp: Arc<StoredLsp>) {
+    /// Makes `lsp` its system's: its neighbours become edges. Each system
+    /// this adds goes on `joined` with the index it took.
+    fn set(&mut self, lsp: Arc<StoredLsp>, joined: &mut Vec<usize>) {
         for n in lsp.neighbors() {
-            self.add(n.neighbor);
+            self.add(n.neighbor, joined);
         }
-        let at = self.add(lsp.entry().lsp_id.system);
+        let at = self.add(lsp.entry().lsp_id.system, joined);
         let edges = lsp.neighbors().iter();
         let edges = edges.filter_map(|n| Some((self.index_of(n.neighbor)? as u32, n.metric)));
         self.nodes[at] = SpfNode {
@@ -878,10 +932,11 @@ impl SpfGraph {
 
     /// `sys`'s index, adding it in order if new: every edge to a system at
     /// or past its place moves up one.
-    fn add(&mut self, sys: SystemId) -> usize {
+    fn add(&mut self, sys: SystemId, joined: &mut Vec<usize>) -> usize {
         match self.systems.binary_search(&sys) {
             Ok(at) => at,
             Err(at) => {
+                joined.push(at);
                 self.systems.insert(at, sys);
                 self.nodes.insert(at, SpfNode::default());
                 let edges = self.nodes.iter_mut().flat_map(|n| &mut n.edges);
@@ -899,10 +954,57 @@ impl SpfGraph {
     }
 }
 
+/// SPF's buffers and what the route pass needs of the last run, boxed so
+/// an engine stays small inline.
+#[derive(Clone, Default)]
+struct SpfState {
+    /// The priority queue: empty between runs, its buffer kept.
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// This run's buffers and the last run's result (empty before the
+    /// first run, a full pass), swapped after a run.
+    now: SpfRun,
+    last: SpfRun,
+    /// Where each system that joined the graph since the last run went.
+    joined: Vec<usize>,
+    /// Prefixes an LSP installed since the last run added, dropped or
+    /// re-metricked.
+    readvertised: Vec<Prefix>,
+    /// Reach entries the route pass merged, over the engine's life.
+    evaluations: u64,
+}
+
+/// One SPF run's result per system: its distance, and its equal-cost first
+/// hops as the first `len[s]` of the `k` slots at `hops[s * k..]`.
+#[derive(Clone, Default)]
+struct SpfRun {
+    dist: Vec<u32>,
+    hops: Vec<u16>,
+    len: Vec<u16>,
+    /// The `k` first hops a hop index names: `(adjacency, neighbour
+    /// address)`, where an adjacency is its place among the engine's.
+    first_hops: Vec<(u16, Ipv4Addr)>,
+}
+
+impl SpfRun {
+    /// `sys`'s equal-cost first hops.
+    fn hops_of(&self, sys: usize) -> &[u16] {
+        &self.hops[sys * self.first_hops.len()..][..usize::from(self.len[sys])]
+    }
+
+    /// What `sys`'s equal-cost first hops name.
+    fn named_hops(&self, sys: usize) -> impl Iterator<Item = &(u16, Ipv4Addr)> {
+        self.hops_of(sys)
+            .iter()
+            .map(|h| &self.first_hops[usize::from(*h)])
+    }
+}
+
 /// One Up adjacency as SPF sees it: the neighbour it leads to and the
 /// next hop a route through it installs.
 struct FirstHop<'a> {
     neighbor: SystemId,
+    /// The adjacency's place among the engine's, which never moves.
+    at: u16,
     iface: &'a IfaceId,
     addr: Ipv4Addr,
     metric: u32,
@@ -1334,6 +1436,13 @@ mod tests {
     enum Op {
         /// Our adjacency on `eth{iface}` comes up to a system, or goes down.
         Adjacency { iface: usize, to: Option<u8> },
+        /// Our adjacency on `eth{iface}`, if up, goes down and comes back to
+        /// the same neighbour, with a route pass in between: the first hops
+        /// behind it change index and back.
+        Flap { iface: usize },
+        /// The neighbour on `eth{from}`, if up, moves to `eth{to}` at once:
+        /// a first hop index can stay and name another interface.
+        Move { from: usize, to: usize },
         /// A system's LSP (fragment zero or one) arrives, newer than any
         /// before it: `(neighbour, metric)` and `(prefix pool index, metric)`.
         Lsp {
@@ -1342,6 +1451,16 @@ mod tests {
             neighbors: Vec<(u8, u32)>,
             prefixes: Vec<(usize, u32)>,
         },
+        /// Each system listed re-originates what it has plus the pool's
+        /// `prefix` at metric 1: equal-cost advertisers of one prefix, or
+        /// neighbours advertising one of our own subnets.
+        Advertise { systems: Vec<u8>, prefix: usize },
+        /// A system re-originates its prefixes without its neighbours,
+        /// becoming unreachable.
+        Isolate { system: u8 },
+        /// A system re-originates what it has with every neighbour at
+        /// `metric`: distances move under first hops that stay.
+        Remetric { system: u8, metric: u32 },
     }
 
     /// What the proptest's LSPs advertise: our own link subnets and
@@ -1358,32 +1477,103 @@ mod tests {
             .collect()
     }
 
+    /// The systems that originate: 1 is us, and 0 sorts before every other
+    /// system, so its joining moves every index; 7 and 8 are only ever
+    /// named.
+    fn originator() -> impl proptest::strategy::Strategy<Value = u8> {
+        use proptest::prelude::*;
+        (0usize..6).prop_map(|i| [0u8, 2, 3, 4, 5, 6][i])
+    }
+
     fn op() -> impl proptest::strategy::Strategy<Value = Op> {
         use proptest::prelude::*;
         // Small metrics tie often; the extremes saturate.
         let is_metric = prop_oneof![0u32..3, Just(0xff_ffff)];
         let ip_metric = prop_oneof![0u32..3, Just(u32::MAX)];
         (
-            // One step in four is an adjacency.
-            0u8..4,
-            (0usize..3, proptest::option::of(2u8..7)),
-            // Systems 2..=6 originate, one LSP in four a fragment one; 7 and
-            // 8 are only ever named, and 1 is us.
-            (2u8..7, 0u8..4),
-            proptest::collection::vec((1u8..9, is_metric), 0..5),
+            // Of twelve steps, five are LSPs, two adjacencies, one each a
+            // flap, a move, an advertisement, an isolation and a re-metric.
+            0u8..12,
+            (0usize..3, proptest::option::of(originator())),
+            (originator(), 0u8..4),
+            proptest::collection::vec((0u8..9, is_metric), 0..5),
             proptest::collection::vec((0usize..prefix_pool().len(), ip_metric), 0..4),
+            proptest::collection::vec(originator(), 1..4),
         )
             .prop_map(
-                |(kind, (iface, to), (system, fragment), neighbors, prefixes)| match kind {
-                    0 => Op::Adjacency { iface, to },
+                |(kind, (iface, to), (system, fragment), neighbors, prefixes, systems)| match kind {
+                    0 | 1 => Op::Adjacency { iface, to },
+                    2 => Op::Flap { iface },
+                    3 => Op::Advertise {
+                        systems,
+                        prefix: prefixes.first().map_or(0, |p| p.0),
+                    },
+                    4 => Op::Isolate { system },
+                    5 => Op::Remetric {
+                        system,
+                        metric: u32::from(fragment) + 1,
+                    },
+                    6 => Op::Move {
+                        from: iface,
+                        to: usize::from(fragment % 3),
+                    },
                     _ => Op::Lsp {
                         system,
+                        // One LSP in four is a fragment one.
                         fragment: u8::from(fragment == 0),
                         neighbors,
                         prefixes,
                     },
                 },
             )
+    }
+
+    /// Sets our adjacency on `eth{iface}` up to `to`, or down, and
+    /// re-originates our LSP.
+    fn set_adjacency(e: &mut IsisEngine, iface: usize, to: Option<SystemId>) {
+        let adj = e
+            .adjacencies
+            .get_mut(&IfaceId::from(format!("eth{iface}").as_str()))
+            .unwrap();
+        adj.state = if to.is_some() {
+            AdjState::Up
+        } else {
+            AdjState::Down
+        };
+        adj.neighbor = to;
+        adj.neighbor_addr = to.map(|_| Ipv4Addr::new(100, 64, iface as u8, 1));
+        e.regenerate_own_lsp();
+    }
+
+    /// Delivers `system`'s LSP with sequence number `seq`.
+    fn deliver(
+        e: &mut IsisEngine,
+        system: u8,
+        fragment: u8,
+        seq: u32,
+        neighbors: Vec<IsNeighbor>,
+        prefixes: Vec<IpReach>,
+    ) {
+        let lsp = Lsp {
+            lifetime_secs: 1200,
+            lsp_id: LspId {
+                system: sys(system),
+                pseudonode: 0,
+                fragment,
+            },
+            seq,
+            tlvs: vec![Tlv::ExtIsReach(neighbors), Tlv::ExtIpReach(prefixes)],
+        };
+        let received = mfv_wire::isis::receive(IsisPdu::Lsp(lsp).encode()).unwrap();
+        e.push_pdu(SimTime::ZERO, &"eth0".into(), received);
+    }
+
+    /// `system`'s fragment-zero neighbours and prefixes as `e` holds them.
+    fn held(e: &IsisEngine, system: u8) -> (Vec<IsNeighbor>, Vec<IpReach>) {
+        e.lsdb
+            .get(&LspId::of(sys(system)))
+            .map(|lsp| (lsp.neighbors().to_vec(), lsp.prefixes().to_vec()))
+            .unwrap_or_default()
     }
 
     /// The changes that take `installed` to `fresh`, in prefix order.
@@ -1404,11 +1594,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        // LSPs installed and replaced in random order, over one-way
-        // adjacencies, unknown systems, self-listings, fragments, ties,
-        // saturating metrics and our own prefixes: after every step, what
-        // SPF over the maintained graph reports is exactly the reference
-        // SPF's routes against what is installed, next-hop order included.
+        // From a connected start, LSPs installed and replaced in random
+        // order, over one-way adjacencies, unknown systems, self-listings,
+        // fragments, ties, saturating metrics and our own prefixes: after
+        // every step, what SPF over the maintained graph reports is exactly
+        // the reference SPF's routes against what is installed, next-hop
+        // order included.
         #[test]
         fn spf_over_the_maintained_graph_is_the_reference_spf(
             metrics in proptest::collection::vec(
@@ -1426,37 +1617,7 @@ mod tests {
             let mut e = engine(1, ifaces);
             let pool = prefix_pool();
             let mut installed: BTreeMap<Prefix, RibRoute> = BTreeMap::new();
-            for (seq, op) in ops.into_iter().enumerate() {
-                match op {
-                    Op::Adjacency { iface, to } => {
-                        let adj = e.adjacencies.get_mut(&IfaceId::from(format!("eth{iface}").as_str())).unwrap();
-                        adj.state = if to.is_some() { AdjState::Up } else { AdjState::Down };
-                        adj.neighbor = to.map(sys);
-                        adj.neighbor_addr = to.map(|_| Ipv4Addr::new(100, 64, iface as u8, 1));
-                        e.regenerate_own_lsp();
-                    }
-                    Op::Lsp { system, fragment, neighbors, prefixes } => {
-                        let lsp = Lsp {
-                            lifetime_secs: 1200,
-                            lsp_id: LspId { system: sys(system), pseudonode: 0, fragment },
-                            seq: seq as u32 + 1,
-                            tlvs: vec![
-                                Tlv::ExtIsReach(neighbors.iter().map(|&(n, metric)| IsNeighbor {
-                                    neighbor: sys(n),
-                                    pseudonode: 0,
-                                    metric,
-                                }).collect()),
-                                Tlv::ExtIpReach(prefixes.iter().map(|&(p, metric)| IpReach {
-                                    metric,
-                                    prefix: pool[p],
-                                    down: false,
-                                }).collect()),
-                            ],
-                        };
-                        let received = mfv_wire::isis::receive(IsisPdu::Lsp(lsp).encode()).unwrap();
-                        e.push_pdu(SimTime::ZERO, &"eth0".into(), received);
-                    }
-                }
+            let mut check = |e: &mut IsisEngine| {
                 let expected = diff(&e.routes(), &installed);
                 let changes = e.take_route_changes(installed.iter());
                 proptest::prop_assert_eq!(&changes, &expected);
@@ -1466,7 +1627,108 @@ mod tests {
                         None => installed.remove(&prefix),
                     };
                 }
+                Ok(())
+            };
+            // Us on eth0 to 2 and on eth1 to 3; 2, 3, 4 and 5 a square with
+            // a diagonal, each advertising a loopback and a stub.
+            let lsp = |system, neighbors: &[u8], prefixes: &[usize]| Op::Lsp {
+                system,
+                fragment: 0,
+                neighbors: neighbors.iter().map(|n| (*n, 1)).collect(),
+                prefixes: prefixes.iter().map(|p| (*p, 1)).collect(),
+            };
+            let start = vec![
+                Op::Adjacency { iface: 0, to: Some(2) },
+                Op::Adjacency { iface: 1, to: Some(3) },
+                lsp(2, &[1, 3, 4], &[4, 7]),
+                lsp(3, &[1, 2, 5], &[5, 8]),
+                lsp(4, &[2, 5], &[6, 9]),
+                lsp(5, &[3, 4], &[10]),
+            ];
+            for (seq, op) in (1u32..).zip(start.into_iter().chain(ops)) {
+                match op {
+                    Op::Adjacency { iface, to } => set_adjacency(&mut e, iface, to.map(sys)),
+                    Op::Flap { iface } => {
+                        let name = IfaceId::from(format!("eth{iface}").as_str());
+                        let to = e.adjacencies[&name].neighbor;
+                        if to.is_some() {
+                            set_adjacency(&mut e, iface, None);
+                            check(&mut e)?;
+                            set_adjacency(&mut e, iface, to);
+                        }
+                    }
+                    Op::Move { from, to } => {
+                        let name = IfaceId::from(format!("eth{from}").as_str());
+                        let neighbor = e.adjacencies[&name].neighbor;
+                        if neighbor.is_some() && from != to {
+                            set_adjacency(&mut e, from, None);
+                            set_adjacency(&mut e, to, neighbor);
+                        }
+                    }
+                    Op::Lsp { system, fragment, neighbors, prefixes } => {
+                        let neighbors = neighbors.iter().map(|&(n, metric)| IsNeighbor {
+                            neighbor: sys(n),
+                            pseudonode: 0,
+                            metric,
+                        });
+                        let prefixes = prefixes.iter().map(|&(p, metric)| IpReach {
+                            metric,
+                            prefix: pool[p],
+                            down: false,
+                        });
+                        deliver(&mut e, system, fragment, seq, neighbors.collect(), prefixes.collect());
+                    }
+                    Op::Advertise { systems, prefix } => {
+                        for system in systems {
+                            let (neighbors, mut prefixes) = held(&e, system);
+                            prefixes.push(IpReach { metric: 1, prefix: pool[prefix], down: false });
+                            deliver(&mut e, system, 0, seq, neighbors, prefixes);
+                        }
+                    }
+                    Op::Isolate { system } => {
+                        let (_, prefixes) = held(&e, system);
+                        deliver(&mut e, system, 0, seq, Vec::new(), prefixes);
+                    }
+                    Op::Remetric { system, metric } => {
+                        let (mut neighbors, prefixes) = held(&e, system);
+                        for n in &mut neighbors {
+                            n.metric = metric;
+                        }
+                        deliver(&mut e, system, 0, seq, neighbors, prefixes);
+                    }
+                }
+                check(&mut e)?;
             }
         }
+    }
+
+    #[test]
+    fn an_lsp_that_moves_nothing_here_evaluates_no_prefix() {
+        let mut net = line3();
+        net.settle();
+        let mut installed = BTreeMap::new();
+        let mut pass = |e: &mut IsisEngine| {
+            let changes = e.take_route_changes(installed.iter());
+            for (prefix, route) in &changes {
+                match route {
+                    Some(route) => installed.insert(*prefix, route.clone()),
+                    None => installed.remove(prefix),
+                };
+            }
+            changes.len()
+        };
+        // The first run is a full pass: r2's and r3's loopbacks and the
+        // r2–r3 link.
+        assert_eq!(pass(&mut net.engines[0]), 3);
+        let full = net.engines[0].prefix_evaluations();
+        assert!(full > 0);
+
+        // r3 re-originates what it had: r1 runs SPF, and its tree is the
+        // same, so its route pass looks at nothing.
+        net.engines[2].regenerate_own_lsp();
+        net.settle();
+        assert!(net.engines[0].routes_stale());
+        assert_eq!(pass(&mut net.engines[0]), 0);
+        assert_eq!(net.engines[0].prefix_evaluations(), full);
     }
 }

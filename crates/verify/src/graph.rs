@@ -285,7 +285,8 @@ impl ForwardingAnalysis {
             .get_or_init(|| ClassIndex::build(&self.nodes, &self.links))
     }
 
-    fn lookup(&self) -> &ClassIndex {
+    /// The class index, counting one query answered from it.
+    pub(crate) fn lookup(&self) -> &ClassIndex {
         self.lookups.fetch_add(1, Ordering::SeqCst);
         self.index()
     }

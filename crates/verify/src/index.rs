@@ -36,6 +36,7 @@ use mfv_types::hs::IpRange;
 use mfv_types::{IfaceId, IpSet, LinkId, NodeId};
 
 use crate::graph::{Disposition, DispositionRows, NodeView, Trace, TraceHop};
+use crate::queries::DiffFinding;
 
 /// Deterministic counters of an analysis' class index: its shape (all
 /// zero until something builds it) and how much it has been read.
@@ -293,8 +294,7 @@ impl ClassIndex {
         let Some(src) = self.id_of(from) else {
             return Disposition::NodeDown(from.clone());
         };
-        let class = self.class_of[self.atom_of(u32::from(dst))] as usize;
-        self.disposition(self.fates[class * self.names.len() + src])
+        self.disposition(self.fate_at(self.atom_of(u32::from(dst)), src))
     }
 
     /// The path of one packet entering at `from`: where a node forwards
@@ -359,10 +359,9 @@ impl ClassIndex {
             }
             return vec![(scope.clone(), Disposition::NodeDown(from.clone()))];
         };
-        let n = self.names.len();
         let mut cells: Vec<(Fate, u32, u32)> = self
             .pieces(scope)
-            .map(|(atom, lo, hi)| (self.fates[self.class_of[atom] as usize * n + src], lo, hi))
+            .map(|(atom, lo, hi)| (self.fate_at(atom, src), lo, hi))
             .collect();
         // Stable, so each fate's pieces stay in address order.
         cells.sort_by_key(|(fate, _, _)| *fate);
@@ -373,6 +372,54 @@ impl ClassIndex {
                 (set, self.disposition(group[0].0))
             })
             .collect()
+    }
+
+    /// Where `from`'s fates differ between this index and `after` over
+    /// `scope`, unsorted: one pass over both indexes' atoms in address
+    /// order, one finding per pair of fates whose dispositions differ.
+    pub fn diff(&self, after: &ClassIndex, from: &NodeId, scope: &IpSet) -> Vec<DiffFinding> {
+        // Every dataplane node is interned: a source both sides hold is here.
+        let (Some(src_b), Some(src_a)) = (self.id_of(from), after.id_of(from)) else {
+            return Vec::new();
+        };
+        // Per fate pair met, its pieces of `scope`, or `None` where both
+        // fates name one disposition.
+        let mut pairs = BTreeMap::new();
+        for r in scope.ranges() {
+            let (mut i, mut j, mut lo) = (self.atom_of(r.lo), after.atom_of(r.lo), r.lo);
+            loop {
+                let (end_b, end_a) = (self.atom_end(i), after.atom_end(j));
+                let hi = end_b.min(end_a).min(r.hi);
+                let (b, a) = (self.fate_at(i, src_b), after.fate_at(j, src_a));
+                let pieces = pairs.entry((b, a)).or_insert_with(|| {
+                    let names = (&self.names[b.node as usize], &after.names[a.node as usize]);
+                    (b.kind != a.kind || names.0 != names.1).then(Vec::new)
+                });
+                if let Some(pieces) = pieces {
+                    pieces.push((lo, hi));
+                }
+                if hi == r.hi {
+                    break;
+                }
+                lo = hi + 1;
+                i += usize::from(end_b == hi);
+                j += usize::from(end_a == hi);
+            }
+        }
+        let differing = pairs.into_iter().filter_map(|((b, a), pieces)| {
+            Some(DiffFinding {
+                src: from.clone(),
+                dsts: IpSet::from_ranges(pieces?),
+                before: self.disposition(b),
+                after: after.disposition(a),
+            })
+        });
+        differing.collect()
+    }
+
+    /// The fate of packets entering at `src` within `atom`.
+    fn fate_at(&self, atom: usize, src: usize) -> Fate {
+        self.fates[self.class_of[atom] as usize * self.names.len() + src]
     }
 
     /// Total rows over every dataplane node's full-space partition — the

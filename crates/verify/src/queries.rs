@@ -38,8 +38,10 @@ impl std::fmt::Display for DiffFinding {
 /// (default: the full IPv4 destination space), for every source node present
 /// in both. "This query type exhaustively compares network paths for all
 /// possible packets across two snapshots, and surfaces cases where the
-/// paths differ" (§5). A what-if sweep passes the same baseline analysis
-/// for every variant, so the baseline's class index is built a single time.
+/// paths differ" (§5). Per source, one pass walks both class indexes'
+/// atoms in address order. A what-if sweep passes the same baseline
+/// analysis for every variant, so the baseline's class index is built a
+/// single time and is all of the baseline a context reads.
 pub fn differential_reachability_with(
     fa_before: &ForwardingAnalysis,
     fa_after: &ForwardingAnalysis,
@@ -49,30 +51,9 @@ pub fn differential_reachability_with(
     let scope = scope.unwrap_or(&full);
     let mut findings = Vec::new();
 
-    for src in fa_before.node_names() {
-        if !fa_after.nodes().contains_key(&src) {
-            continue;
-        }
-        let rows_before = fa_before.dispositions_from(&src, scope);
-        let rows_after = fa_after.dispositions_from(&src, scope);
-        // Pairwise intersect the two partitions; differing fates are
-        // findings.
-        for (set_b, disp_b) in rows_before.iter() {
-            for (set_a, disp_a) in rows_after.iter() {
-                if disp_b == disp_a {
-                    continue;
-                }
-                let inter = set_b.intersect(set_a);
-                if inter.is_empty() {
-                    continue;
-                }
-                findings.push(DiffFinding {
-                    src: src.clone(),
-                    dsts: inter,
-                    before: disp_b.clone(),
-                    after: disp_a.clone(),
-                });
-            }
+    for src in fa_before.nodes().keys() {
+        if fa_after.nodes().contains_key(src) {
+            findings.extend(fa_before.lookup().diff(fa_after.lookup(), src, scope));
         }
     }
     findings.sort_by(|a, b| (&a.src, &a.before, &a.after).cmp(&(&b.src, &b.before, &b.after)));

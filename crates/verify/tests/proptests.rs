@@ -15,8 +15,8 @@ use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
 use mfv_types::{ExtractionStatus, IpSet, LinkId, NodeId, Prefix, RouteProtocol, SimTime};
 use mfv_verify::{
     detect_blackholes_with, detect_loops_with, differential_reachability_with, reachability,
-    ClassCache, Coverage, Disposition, DispositionRows, ForwardingAnalysis, StandingQueries, Trace,
-    TraceHop,
+    ClassCache, Coverage, DiffFinding, Disposition, DispositionRows, ForwardingAnalysis,
+    StandingQueries, Trace, TraceHop,
 };
 
 /// A compact generator for random dataplanes: `n` nodes in a ring, each with
@@ -358,6 +358,47 @@ fn restrict(rows: &DispositionRows, scope: &IpSet) -> DispositionRows {
         .collect()
 }
 
+/// The reference for the one-pass differential query: each source's two
+/// partitions, every row of one intersected with every row of the other.
+fn pairwise_diff(
+    fa_before: &ForwardingAnalysis,
+    fa_after: &ForwardingAnalysis,
+    scope: Option<&IpSet>,
+) -> Vec<DiffFinding> {
+    let full = IpSet::full();
+    let scope = scope.unwrap_or(&full);
+    let mut findings = Vec::new();
+
+    for src in fa_before.node_names() {
+        if !fa_after.nodes().contains_key(&src) {
+            continue;
+        }
+        let rows_before = fa_before.dispositions_from(&src, scope);
+        let rows_after = fa_after.dispositions_from(&src, scope);
+        // Pairwise intersect the two partitions; differing fates are
+        // findings.
+        for (set_b, disp_b) in rows_before.iter() {
+            for (set_a, disp_a) in rows_after.iter() {
+                if disp_b == disp_a {
+                    continue;
+                }
+                let inter = set_b.intersect(set_a);
+                if inter.is_empty() {
+                    continue;
+                }
+                findings.push(DiffFinding {
+                    src: src.clone(),
+                    dsts: inter,
+                    before: disp_b.clone(),
+                    after: disp_a.clone(),
+                });
+            }
+        }
+    }
+    findings.sort_by(|a, b| (&a.src, &a.before, &a.after).cmp(&(&b.src, &b.before, &b.after)));
+    findings
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -404,6 +445,28 @@ proptest! {
                     fa.dispositions_from(&src, &scope),
                     restrict(&full, &scope),
                     "from {} over {:?}", src, scope
+                );
+            }
+        }
+    }
+
+    // Two unrelated networks, node counts drawn apart so a source can be
+    // on one side only, diffed both ways over no scope, the full, empty,
+    // owned and random scopes: the one pass finds what the pairwise
+    // intersection of the two partitions finds, in the same order.
+    #[test]
+    fn one_pass_diff_is_the_pairwise_diff(shape in arb_net(), other in arb_net()) {
+        let (dp_a, dp_b) = (build_net(&shape), build_net(&other));
+        let (fa_a, fa_b) = (ForwardingAnalysis::new(&dp_a), ForwardingAnalysis::new(&dp_b));
+        let mut scopes = vec![None];
+        scopes.extend(net_scopes(&shape, &dp_a).into_iter().map(Some));
+        scopes.extend(net_scopes(&other, &dp_b).into_iter().map(Some));
+        for scope in &scopes {
+            for (before, after) in [(&fa_a, &fa_b), (&fa_b, &fa_a), (&fa_a, &fa_a)] {
+                prop_assert_eq!(
+                    differential_reachability_with(before, after, scope.as_ref()),
+                    pairwise_diff(before, after, scope.as_ref()),
+                    "diff over {:?}", scope
                 );
             }
         }

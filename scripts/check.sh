@@ -111,10 +111,11 @@ cmp "$tmp/watch_obs_a.json" "$tmp/watch_obs_b.json" || {
 }
 
 echo "==> serve-smoke: scripted query batch against mfvctl serve must match golden answers"
-# Start the query server on an ephemeral port, replay the scripted batch
-# over one connection, and diff against the recorded answers. The batch
-# ends with QUIT, so the client exits cleanly; the server is killed after.
-target/release/mfvctl serve examples/topologies/six-node.json --port 0 \
+# Start the query server on an ephemeral port with the model's dataplane as
+# the DIFF baseline, replay the scripted batch over one connection, and diff
+# against the recorded answers. The batch ends with QUIT, so the client
+# exits cleanly; the server is killed after.
+target/release/mfvctl serve examples/topologies/six-node.json --port 0 --baseline model \
   >"$tmp/serve.log" 2>&1 &
 serve_pid=$!
 serve_addr=""

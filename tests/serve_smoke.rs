@@ -1,7 +1,8 @@
 //! Golden-answers smoke test for the query front end: converge the
-//! tracked six-node snapshot, serve it over TCP, replay the scripted
-//! request batch (`tests/fixtures/serve_smoke.batch`), and require the
-//! answers to be byte-identical to the recorded golden file.
+//! tracked six-node snapshot, serve it over TCP with the model's dataplane
+//! as the `DIFF` baseline, replay the scripted request batch
+//! (`tests/fixtures/serve_smoke.batch`), and require the answers to be
+//! byte-identical to the recorded golden file.
 //!
 //! This is the in-process twin of the `serve-smoke` shell gate in
 //! `scripts/check.sh` (which drives the same batch through `mfvctl
@@ -12,7 +13,7 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use model_free_verification::core::{Backend, EmulationBackend, Snapshot};
+use model_free_verification::core::{Backend, EmulationBackend, ModelBackend, Snapshot};
 use model_free_verification::emulator::Topology;
 use model_free_verification::serve::{query_once, QueryIndex, Server, ServerConfig};
 
@@ -32,7 +33,11 @@ fn scripted_batch_matches_golden_answers() {
         .expect("six-node converges");
     assert!(result.meta.converged);
 
-    let index = Arc::new(QueryIndex::new(&result.dataplane));
+    let model = ModelBackend.compute(&snapshot).expect("the model computes");
+    let index = Arc::new(QueryIndex::with_baseline(
+        &result.dataplane,
+        &model.dataplane,
+    ));
     index.warm();
     let handle = Server::start(Arc::clone(&index), &ServerConfig::default()).expect("bind");
 

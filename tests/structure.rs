@@ -73,6 +73,12 @@ const ROWS: &[Row] = &[
         plant: "pub fn detect_loops(\n    dp: &Dataplane,\n) -> Vec<Finding> {}",
     },
     Row {
+        files: "crates/verify/src/queries.rs",
+        rule: Absent(".intersect("),
+        why: "one pass per diff: a differential query walks both class indexes once per source",
+        plant: "let inter = set_b.intersect(set_a);",
+    },
+    Row {
         files: "crates/emulator/src/engine.rs",
         rule: Absent("m.inc("),
         why: "one front door: counter flushing is engine/export.rs",
@@ -230,12 +236,14 @@ const REQUIRED: &[&str] = &[
     "crates/routing/src/bgp.rs::ecmp_excludes_a_path_that_lost_on_med",
     "crates/routing/src/bgp.rs::export_groups_send_what_per_peer_adj_rib_outs_would",
     "crates/routing/src/isis.rs::spf_over_the_maintained_graph_is_the_reference_spf",
+    "crates/routing/src/isis.rs::an_lsp_that_moves_nothing_here_evaluates_no_prefix",
     "crates/vrouter/tests/delta_oracle.rs::a_prefix_bgp_and_the_igp_both_carry_goes_to_the_lower_admin_distance",
     "crates/vrouter/tests/delta_oracle.rs::every_poll_leaves_tables_equal_to_a_rebuild_from_the_sources",
     "crates/core/src/extract.rs::typed_get_equals_the_json_get",
     "crates/mgmt/src/watch.rs::typed_reads_stream_what_full_reads_would",
     "crates/mgmt/tests/gnmi_roundtrip.rs::diff_is_canonical",
     "crates/verify/tests/proptests.rs::standing_pair_work_is_unchanged_on_a_fixed_delta_sequence",
+    "crates/verify/tests/proptests.rs::one_pass_diff_is_the_pairwise_diff",
     "tests/work_ceiling.rs::a_converged_wan_stores_each_distinct_set_once",
     "tests/work_ceiling.rs::a_reflector_computes_each_distinct_thing_once",
     "tests/work_ceiling.rs::a_quiet_watch_renders_only_its_syncs",

@@ -18,8 +18,9 @@
 //! thing once: reachability per session and IGP move, one resolution per
 //! gateway and batch, one export per group and prefix. And IS-IS encodes
 //! and checksums each LSP once: where it is originated, and where it is
-//! received. And a shard holds a schedule, not a slot per router: the
-//! emulation's bytes barely move with the shard count. And a watch renders
+//! received, and SPF's route pass merges the prefixes a run moved, not
+//! every reached one. And a shard holds a schedule, not a slot per router:
+//! the emulation's bytes barely move with the shard count. And a watch renders
 //! a device's state tree per sync and per change, not per read, and decodes
 //! a mirror per change, not per evaluation.
 
@@ -366,6 +367,30 @@ fn a_reflector_computes_each_distinct_thing_once() {
     assert!(count("engine.polls.router") > 30_000);
     assert!(count("bgp.liveness_lookups") <= 500);
     assert!(count("fib.gateway_resolutions") * 10 <= count("vrouter.fib.prefixes_resolved"));
+}
+
+#[test]
+fn an_spf_run_merges_only_the_prefixes_it_moved() {
+    // 30 routers converge in 1,312 SPF runs. A route pass over every
+    // reached system's prefixes merged 100,343 reach entries; one over the
+    // prefixes of the systems a run moved and of the advertisements that
+    // changed merges 7,252.
+    let snapshot = scenarios::isis_grid(6, 5);
+    let (emu, meta) = EmulationBackend::with_seed(1)
+        .run(&snapshot)
+        .expect("grid boots");
+    assert!(meta.converged);
+    let evaluations: u64 = snapshot
+        .topology
+        .nodes
+        .iter()
+        .map(|n| {
+            let isis = emu.router(&n.name).and_then(|r| r.isis_engine());
+            isis.expect("every grid router runs IS-IS")
+                .prefix_evaluations()
+        })
+        .sum();
+    assert!(evaluations <= 7_614, "{evaluations} reach entries merged");
 }
 
 #[test]
