@@ -18,6 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
 
 use mfv_bench::*;
 use mfv_core::obs::{Obs, WallTimer};
@@ -1071,16 +1072,8 @@ fn sweep(opts: &Options) {
     };
     let base = spf(&converged);
 
-    const PHASES: [&str; 7] = [
-        "clone",
-        "remove_wire",
-        "run_until_converged",
-        "extract",
-        "drop",
-        "analysis",
-        "diff",
-    ];
-    let mut phases: [Vec<u64>; 7] = Default::default();
+    const PHASES: &str = "clone remove_wire run_until_converged extract drop analysis index walk";
+    let mut phases: [Vec<u64>; 8] = Default::default();
     let (mut contexts, mut events, mut runs, mut merged) = (vec![], vec![], vec![], vec![]);
     let mut findings = 0;
     for link in snapshot.link_ids() {
@@ -1095,9 +1088,13 @@ fn sweep(opts: &Options) {
         merged.push(spf_merged - base.1);
         let ((), dropped) = timed(|| drop(fork));
         let (fa, analysis) = timed(|| ForwardingAnalysis::with_cache(&after, &cache));
-        let (found, diff) = timed(|| differential_reachability_with(&fa_baseline, &fa, None));
+        // The first query builds the index; the diff then only walks it.
+        let (_, index) = timed(|| fa.fate_of(&link.a.0, Ipv4Addr::UNSPECIFIED));
+        let (found, walk) = timed(|| differential_reachability_with(&fa_baseline, &fa, None));
         findings += found.len();
-        let laps = [clone, remove, run, extracted, dropped, analysis, diff];
+        let laps = [
+            clone, remove, run, extracted, dropped, analysis, index, walk,
+        ];
         contexts.push(laps.iter().sum());
         for (phase, lap) in phases.iter_mut().zip(laps) {
             phase.push(lap);
@@ -1114,7 +1111,7 @@ fn sweep(opts: &Options) {
     );
     println!("phase                  median ms");
     let row = |phase: &str, ns: u64| println!("{phase:<22} {:>9.3}", ns as f64 / 1e6);
-    for (phase, laps) in PHASES.iter().zip(phases) {
+    for (phase, laps) in PHASES.split(' ').zip(phases) {
         row(phase, median(laps));
     }
     row("context", median(contexts));
@@ -1125,4 +1122,9 @@ fn sweep(opts: &Options) {
         median(merged)
     );
     println!("findings over all contexts: {findings}");
+    let ((hits, misses), (shape_hits, shape_misses)) = (cache.stats(), cache.shape_stats());
+    println!(
+        "class cache: node classes {hits} reused, {misses} built; \
+         index shapes {shape_hits} reused, {shape_misses} built"
+    );
 }

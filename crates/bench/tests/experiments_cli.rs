@@ -224,7 +224,7 @@ fn a2_every_single_cut_of_the_chain_breaks_something() {
             "six-node snapshot has 5 links",
             "any 2 cut(s): 10 contexts",
             "0 cut contexts survive, 5 cause reachability loss",
-            "class cache: 12 node analyses reused, 24 computed",
+            "class cache: 29 node analyses reused, 7 computed",
         ],
     );
 }
@@ -326,8 +326,8 @@ fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
 
 #[test]
 fn sweep_replays_the_fork_path_phase_by_phase() {
-    // Seven single-link cuts of a six-router grid: each phase's median, and
-    // the median context's work, which is exact.
+    // Seven single-link cuts of a six-router grid: each phase's median, the
+    // median context's work and the class cache's reuse, which are exact.
     assert_headlines(
         &["sweep", "3", "2"],
         &[
@@ -338,9 +338,13 @@ fn sweep_replays_the_fork_path_phase_by_phase() {
             "\nextract ",
             "\ndrop ",
             "\nanalysis ",
-            "\ndiff ",
+            "\nindex ",
+            "\nwalk ",
             "per context (median): 87 events, 11 SPF runs, 45 route-pass prefix evaluations",
             "findings over all contexts: 42",
+            // Every router of the grid carries one prefix layout, and no
+            // single cut moves a prefix.
+            "class cache: node classes 47 reused, 1 built; index shapes 7 reused, 1 built",
         ],
     );
 }

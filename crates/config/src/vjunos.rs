@@ -622,6 +622,50 @@ fn lower_protocols(
     Ok(n)
 }
 
+/// A prefix-list entry's words: a bare prefix permits it `le 32`; an action
+/// then `ge N` / `le N` spell any other entry (a dialect extension).
+fn prefix_list_entry(seq: u32, words: &[String]) -> Option<PrefixListEntry> {
+    let words: Vec<&str> = words.iter().map(String::as_str).collect();
+    let (action, bounds) = match words.get(1..)? {
+        [] => (PolicyAction::Permit, None),
+        ["permit", bounds @ ..] => (PolicyAction::Permit, Some(bounds)),
+        ["deny", bounds @ ..] => (PolicyAction::Deny, Some(bounds)),
+        _ => return None,
+    };
+    let (mut ge, mut le) = (None, bounds.is_none().then_some(32));
+    let len = |n: &str| n.parse().ok().filter(|len| *len <= 32);
+    for pair in bounds.unwrap_or_default().chunks(2) {
+        match pair {
+            ["ge", n] => ge = Some(len(n)?),
+            ["le", n] => le = Some(len(n)?),
+            _ => return None,
+        }
+    }
+    let prefix = words.first()?.parse().ok()?;
+    Some(PrefixListEntry {
+        seq,
+        action,
+        prefix,
+        ge,
+        le,
+    })
+}
+
+/// What [`prefix_list_entry`] reads back as `e`, its sequence number aside.
+fn prefix_list_text(e: &PrefixListEntry) -> String {
+    if (e.action, e.ge, e.le) == (PolicyAction::Permit, None, Some(32)) {
+        return e.prefix.to_string();
+    }
+    let action = if e.action == PolicyAction::Permit {
+        "permit"
+    } else {
+        "deny"
+    };
+    let bound = |kw, len: Option<u8>| len.map_or(String::new(), |len| format!(" {kw} {len}"));
+    let (ge, le) = (bound("ge", e.ge), bound("le", e.le));
+    format!("{} {action}{ge}{le}", e.prefix)
+}
+
 fn lower_policy_options(
     section: &Stmt,
     cfg: &mut DeviceConfig,
@@ -636,18 +680,14 @@ fn lower_policy_options(
                 let name = st.word(1).to_string();
                 let pl = cfg.prefix_lists.entry(name).or_default();
                 for (i, entry) in st.children.iter().enumerate() {
-                    let prefix: Prefix = entry.word(0).parse().map_err(|_| ParseError {
-                        line: entry.line,
-                        text: entry.words.join(" "),
-                        reason: "bad prefix-list entry".into(),
-                    })?;
-                    pl.entries.push(PrefixListEntry {
-                        seq: (i as u32 + 1) * 10,
-                        action: PolicyAction::Permit,
-                        prefix,
-                        ge: None,
-                        le: Some(32),
-                    });
+                    let seq = (i as u32 + 1) * 10;
+                    let parsed =
+                        prefix_list_entry(seq, &entry.words).ok_or_else(|| ParseError {
+                            line: entry.line,
+                            text: entry.words.join(" "),
+                            reason: "bad prefix-list entry".into(),
+                        })?;
+                    pl.entries.push(parsed);
                     n += 1;
                 }
             }
@@ -1099,9 +1139,7 @@ pub fn render(cfg: &DeviceConfig) -> String {
         for (name, pl) in &cfg.prefix_lists {
             w.open(&format!("prefix-list {name}"));
             for e in &pl.entries {
-                if e.action == PolicyAction::Permit {
-                    w.line(&format!("{};", e.prefix));
-                }
+                w.line(&format!("{};", prefix_list_text(e)));
             }
             w.close();
         }

@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-use mfv_config::{ceos, vjunos, IfaceSpec, RouterSpec, Vendor};
+use mfv_config::{
+    ceos, vjunos, IfaceSpec, PolicyAction, PrefixList, PrefixListEntry, RouterSpec, Vendor,
+};
 use mfv_types::AsNum;
 
 #[derive(Debug, Clone)]
@@ -21,6 +23,9 @@ struct SpecShape {
     /// by a route-map.
     redistribute: u8,
     production: bool,
+    /// Prefix-list entries: (octet, length, deny, ge above the length, le
+    /// above ge); a zero bound is absent.
+    filter: Vec<(u8, u8, bool, u8, u8)>,
 }
 
 fn arb_shape() -> impl Strategy<Value = SpecShape> {
@@ -33,6 +38,7 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
         proptest::collection::vec(1u8..250, 0..3),
         proptest::collection::vec(1u8..250, 0..3),
         (0u8..4, any::<bool>()),
+        proptest::collection::vec((1u8..250, 8u8..=24, any::<bool>(), 0u8..4, 0u8..4), 0..4),
     )
         .prop_map(
             |(
@@ -44,6 +50,7 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
                 rr_clients,
                 networks,
                 (redistribute, production),
+                filter,
             )| {
                 SpecShape {
                     asn,
@@ -55,6 +62,7 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
                     networks,
                     redistribute,
                     production,
+                    filter,
                 }
             },
         )
@@ -100,6 +108,25 @@ fn build_spec(shape: &SpecShape, vendor: Vendor) -> RouterSpec {
     if shape.redistribute >= 2 {
         spec = spec.route_map("EXPORT", RouterSpec::permit_all_route_map());
     }
+    if !shape.filter.is_empty() {
+        let entries = shape.filter.iter().enumerate();
+        let entries = entries.map(|(i, (octet, len, deny, ge, le))| {
+            let ge = (*ge > 0).then_some(len + ge);
+            PrefixListEntry {
+                seq: (i as u32 + 1) * 10,
+                action: if *deny {
+                    PolicyAction::Deny
+                } else {
+                    PolicyAction::Permit
+                },
+                prefix: format!("10.{octet}.0.0/{len}").parse().unwrap(),
+                ge,
+                le: (*le > 0).then_some(ge.unwrap_or(*len) + le),
+            }
+        });
+        let entries = entries.collect();
+        spec = spec.prefix_list("FILTER", PrefixList { entries });
+    }
     if shape.production {
         spec = spec.production();
     }
@@ -135,6 +162,7 @@ proptest! {
         prop_assert_eq!(&back.isis, &cfg.isis);
         prop_assert_eq!(&back.static_routes, &cfg.static_routes);
         prop_assert_eq!(&back.mgmt.ssl_profiles, &cfg.mgmt.ssl_profiles);
+        prop_assert_eq!(&back.prefix_lists, &cfg.prefix_lists);
         match (&back.bgp, &cfg.bgp) {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(a.asn, b.asn);

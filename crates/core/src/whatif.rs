@@ -110,10 +110,12 @@ impl std::error::Error for SweepError {}
 #[derive(Debug)]
 pub struct SweepReport {
     pub verdicts: Vec<Result<CutVerdict, SweepError>>,
-    /// `(hits, misses)` of the shared [`ClassCache`] across the baseline
-    /// and every variant analysis. Variants differ from the baseline at
-    /// only the nodes adjacent to the cuts, so hits dominate.
+    /// `(hits, misses)` of node classes in the shared [`ClassCache`] across
+    /// the baseline and every variant: a cut rarely moves a prefix.
     pub class_cache: (usize, usize),
+    /// `(hits, misses)` of index shapes in the same cache: a variant whose
+    /// cuts moved no prefix and no owned address reuses the baseline's.
+    pub shape_cache: (usize, usize),
     /// Work items the one cold boot processed to converge the baseline;
     /// each verdict's `events_after_fork` is what its context added.
     pub baseline_events: u64,
@@ -128,9 +130,9 @@ pub struct SweepReport {
 /// context in parallel").
 ///
 /// The baseline [`ForwardingAnalysis`] is built once and shared by every
-/// context, and a [`ClassCache`] keyed on per-node FIB digests lets each
-/// variant reuse the match classes of nodes its cuts did not touch. One
-/// failing or panicking context does not abort the sweep.
+/// context, and a [`ClassCache`] keyed on prefix layouts lets each variant
+/// reuse the baseline's classes and index shape where its cuts moved no
+/// prefix. One failing or panicking context does not abort the sweep.
 pub fn verify_link_cuts_detailed(
     snapshot: &Snapshot,
     backend: &EmulationBackend,
@@ -173,6 +175,7 @@ pub fn verify_link_cuts_detailed(
     Ok(SweepReport {
         verdicts,
         class_cache: cache.stats(),
+        shape_cache: cache.shape_stats(),
         baseline_events: converged.events_processed(),
     })
 }
@@ -322,8 +325,9 @@ mod tests {
     /// of recomputing every node from scratch. The six-node chain is a
     /// worst case — a single cut reconverges most downstream FIBs — yet the
     /// sweep must still recover at least a full baseline's worth of node
-    /// analyses from the cache (measured: 12 hits / 24 misses across the
-    /// 5-context sweep, i.e. every baseline class reused twice on average).
+    /// analyses from the cache (measured: 29 hits / 7 misses across the
+    /// 5-context sweep: a cut moves next hops, and layouts only where it
+    /// partitions the chain).
     #[test]
     fn single_cut_sweep_reuses_baseline_classes() {
         let s = scenarios::six_node();
@@ -340,6 +344,27 @@ mod tests {
             hits >= n_nodes,
             "sweep must reuse at least the baseline's node classes \
              (hits {hits}, misses {misses})"
+        );
+    }
+
+    /// A single cut of the grid moves next hops but no prefix (the cut
+    /// wire's ports stay up), so every context reuses the baseline's node
+    /// classes and its index shape: a context's index build is its
+    /// branches and fates. Every grid router carries the same prefixes, so
+    /// the baseline's first router is the one node-class miss.
+    #[test]
+    fn a_single_cut_sweep_reuses_the_baseline_shape() {
+        let s = scenarios::isis_grid(6, 5);
+        let contexts = link_cut_contexts(&s, 1);
+        assert_eq!(contexts.len(), 49);
+        let report =
+            verify_link_cuts_detailed(&s, &EmulationBackend::default(), contexts, None).unwrap();
+        assert!(report.verdicts.iter().all(|r| r.is_ok()));
+        assert_eq!(report.class_cache, (50 * 30 - 1, 1), "one prefix layout");
+        assert_eq!(
+            report.shape_cache,
+            (49, 1),
+            "only the baseline's shape misses"
         );
     }
 }

@@ -37,25 +37,6 @@ impl NodeDataplane {
         }
         fib
     }
-
-    /// Order-insensitive digest of this node's forwarding state. Two nodes
-    /// with the same digest have identical FIBs, so any per-FIB derived
-    /// structure (e.g. the verifier's effective match classes) can be
-    /// shared between them — the key for node-level caching across variant
-    /// dataplanes.
-    pub fn fib_digest(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut sorted: Vec<&FibEntry> = self.entries.iter().collect();
-        sorted.sort_by_key(|e| e.prefix);
-        let mut h = DefaultHasher::new();
-        for e in sorted {
-            e.prefix.hash(&mut h);
-            e.proto.hash(&mut h);
-            e.next_hops.hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 /// A complete network dataplane snapshot.

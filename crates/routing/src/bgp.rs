@@ -1602,7 +1602,7 @@ mod tests {
         assert_eq!(routes.len(), 1);
         assert_eq!(routes[0].prefix, pfx("203.0.113.0/24"));
         assert_eq!(routes[0].proto, RouteProtocol::EbgpLearned);
-        assert_eq!(routes[0].next_hops, vec![NextHop::Via(ip("10.0.0.1"))]);
+        assert_eq!(*routes[0].next_hops, [NextHop::Via(ip("10.0.0.1"))]);
         let sel = pair.b.selected().get(&pfx("203.0.113.0/24")).unwrap();
         assert_eq!(
             sel.attrs.as_path,

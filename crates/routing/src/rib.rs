@@ -21,7 +21,7 @@ use mfv_types::{AdminDistance, IfaceId, InternSet, Prefix, PrefixTrie, RouteProt
 use crate::bgp::{NextHopResolver, SelectedRoute};
 
 /// How a route reaches its destination.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub enum NextHop {
     /// Destination is on a directly connected subnet of this interface.
     Connected(IfaceId),
@@ -43,7 +43,9 @@ pub struct RibRoute {
     /// Intra-protocol metric (IGP cost, BGP MED is *not* this — BGP performs
     /// its own selection and submits only winners).
     pub metric: u32,
-    pub next_hops: Vec<NextHop>,
+    /// Routes of one RIB with equal sets share an allocation; `==` and
+    /// `Hash` are the slice's.
+    pub next_hops: Arc<[NextHop]>,
 }
 
 impl RibRoute {
@@ -53,7 +55,7 @@ impl RibRoute {
             proto,
             admin_distance: AdminDistance::default_for(proto),
             metric,
-            next_hops: vec![nh],
+            next_hops: Arc::new([nh]),
         }
     }
 }
@@ -105,6 +107,9 @@ struct IgpWinner {
 pub struct Rib {
     per_proto: BTreeMap<RouteProtocol, BTreeMap<Prefix, RibRoute>>,
     igp: PrefixTrie<IgpWinner>,
+    /// The RIB's distinct next-hop sets, stored once each: a copy of the
+    /// RIB copies no route's.
+    next_hop_sets: InternSet<Arc<[NextHop]>>,
 }
 
 fn preference(r: &RibRoute) -> (AdminDistance, u32, RouteProtocol) {
@@ -127,7 +132,10 @@ impl Rib {
         let new: BTreeMap<Prefix, RibRoute> = routes
             .into_iter()
             .inspect(|r| debug_assert_eq!(r.proto, proto))
-            .map(|r| (r.prefix, r))
+            .map(|mut r| {
+                r.next_hops = self.next_hop_sets.intern(r.next_hops);
+                (r.prefix, r)
+            })
             .collect();
         let old = self.per_proto.remove(&proto).unwrap_or_default();
         let mut changed: Vec<Prefix> = old
@@ -157,8 +165,9 @@ impl Rib {
         route: Option<RibRoute>,
     ) -> bool {
         let changed = match route {
-            Some(r) => {
+            Some(mut r) => {
                 debug_assert_eq!((r.proto, r.prefix), (proto, prefix));
+                r.next_hops = self.next_hop_sets.intern(r.next_hops);
                 let map = self.per_proto.entry(proto).or_default();
                 if map.get(&prefix) == Some(&r) {
                     false
@@ -318,7 +327,7 @@ impl Rib {
         let Some(route) = self.route(winner.proto, &covering) else {
             return;
         };
-        for nh in &route.next_hops {
+        for nh in route.next_hops.iter() {
             match nh {
                 // Gateway is on a connected subnet: forward directly to it.
                 NextHop::Connected(iface) => out.push(FibNextHop {
@@ -812,7 +821,7 @@ mod tests {
             let mut reference = rib.clone();
             let vias = gateways.map(NextHop::Via).to_vec();
             let route = RibRoute {
-                next_hops: vias,
+                next_hops: vias.into(),
                 ..RibRoute::new(prefix, proto, 0, NextHop::Discard)
             };
             reference.set_protocol_routes(proto, vec![route]);
@@ -959,7 +968,8 @@ mod tests {
                     NextHop::ViaIface(ip("1.0.0.2"), "eth1".into()),
                     NextHop::ViaIface(ip("1.0.0.1"), "eth0".into()),
                     NextHop::ViaIface(ip("1.0.0.2"), "eth1".into()),
-                ],
+                ]
+                .into(),
             }],
         );
         let fib = rib.to_fib();

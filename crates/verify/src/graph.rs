@@ -12,21 +12,18 @@
 //! All propagation happens once per analysis, inside the class index
 //! (`crate::index`); every query here is a lookup into it.
 
-#[expect(
-    clippy::disallowed_types,
-    reason = "D1: HashMap here backs a digest-keyed cache that is only probed, never iterated"
-)]
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use mfv_dataplane::Dataplane;
-use mfv_routing::rib::FibEntry;
-use mfv_types::{IfaceId, IpSet, LinkId, NodeId, PrefixTrie};
+use mfv_dataplane::{Dataplane, NodeDataplane};
+use mfv_routing::rib::{FibEntry, FibNextHop};
+use mfv_types::{IfaceId, IpSet, LinkId, NodeId, Prefix, PrefixTrie};
 
-use crate::index::{ClassIndex, IndexStats};
+use crate::index::{ClassIndex, IndexStats, Shape};
 
 /// The fate of a packet class.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -111,32 +108,110 @@ impl std::fmt::Display for Trace {
     }
 }
 
-/// Effective match classes derived from one FIB — the shareable unit of
-/// the class cache.
+/// Effective match classes of one prefix layout: they depend on which
+/// prefixes a FIB holds, never on where it sends them.
+#[derive(Default)]
 pub struct NodeClasses {
-    /// Disjoint effective match classes: (class, entry) where `class` is
-    /// exactly the set of destinations this entry forwards (its prefix
-    /// minus all more-specific prefixes in the same FIB). Destinations in
-    /// no class have no route.
-    pub classes: Vec<(IpSet, FibEntry)>,
+    /// The layout: the FIB's prefixes, ascending, each once.
+    pub layout: Vec<Prefix>,
+    /// Per prefix of `layout`, the destinations its entry forwards: the
+    /// prefix minus its more-specific ones. Other destinations: no route.
+    pub classes: Vec<IpSet>,
+    pub(crate) digest: u64,
 }
 
-/// Cross-snapshot cache of per-FIB effective classes, keyed by
-/// [`mfv_dataplane::NodeDataplane::fib_digest`].
-///
-/// What-if sweeps analyse hundreds of variant dataplanes that differ from
-/// the baseline at only a few nodes; sharing the unchanged nodes' classes
-/// makes re-analysis cost proportional to the *changed* nodes rather than
-/// the whole network. Thread-safe, so one cache can back a parallel sweep.
+impl NodeClasses {
+    fn new(layout: &[Prefix]) -> NodeClasses {
+        // LPM holes are the topmost more-specific prefixes of the layout;
+        // the trie walk finds them without scanning all prefix pairs.
+        let mut trie = PrefixTrie::new();
+        for p in layout {
+            trie.insert(*p, ());
+        }
+        let eff = |p: &Prefix| {
+            let holes = trie.max_descendants(p);
+            let holes = holes.iter().map(IpSet::from_prefix);
+            holes.fold(IpSet::from_prefix(p), |eff, hole| eff.subtract(&hole))
+        };
+        let classes = layout.iter().map(eff).collect();
+        NodeClasses {
+            layout: layout.to_vec(),
+            classes,
+            digest: layout_digest(layout),
+        }
+    }
+}
+
+fn layout_digest(layout: &[Prefix]) -> u64 {
+    layout.iter().map(bits).fold(layout.len() as u64, fold)
+}
+
+fn bits(p: &Prefix) -> u64 {
+    u64::from(p.network_bits()) << 8 | u64::from(p.len())
+}
+
+/// Folds `value` into the hash chain `h` through splitmix64's finaliser, a
+/// bijection that spreads every input bit over all 64 output bits.
+fn fold(h: u64, value: u64) -> u64 {
+    let mut z = (h ^ value).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A FIB's entries in prefix order, one per prefix: a repeated prefix
+/// keeps its last entry, as `Fib::insert` does.
+fn by_prefix(entries: &[FibEntry]) -> Vec<&FibEntry> {
+    let mut sorted: Vec<&FibEntry> = entries.iter().rev().collect();
+    sorted.sort_by_key(|e| e.prefix);
+    sorted.dedup_by_key(|e| e.prefix);
+    sorted
+}
+
+/// Values by the digest of their key. A digest match is a hit only once
+/// `fits` holds the value to the probe's key; a miss takes the slot.
+#[derive(Default)]
+pub(crate) struct Memo<V> {
+    by_digest: Mutex<BTreeMap<u64, Arc<V>>>,
+    /// `[hits, misses]`.
+    counts: [AtomicUsize; 2],
+}
+
+impl<V> Memo<V> {
+    fn stats(&self) -> (usize, usize) {
+        let [hits, misses] = &self.counts;
+        (hits.load(Ordering::SeqCst), misses.load(Ordering::SeqCst))
+    }
+
+    pub(crate) fn get_or_build(
+        &self,
+        digest: u64,
+        fits: impl Fn(&V) -> bool,
+        build: impl FnOnce() -> V,
+    ) -> Arc<V> {
+        // A poisoned map is whole (insertions are atomic): recover it.
+        let map = || self.by_digest.lock().unwrap_or_else(|e| e.into_inner());
+        let hit = map().get(&digest).filter(|v| fits(v)).map(Arc::clone);
+        let [hits, misses] = &self.counts;
+        if hit.is_some() { hits } else { misses }.fetch_add(1, Ordering::SeqCst);
+        hit.unwrap_or_else(|| {
+            // Built unlocked: a rare duplicate beats serialised misses.
+            let built = Arc::new(build());
+            map().insert(digest, Arc::clone(&built));
+            built
+        })
+    }
+}
+
+/// Cross-snapshot cache of what an analysis derives from prefixes alone:
+/// node classes by prefix layout, and class index shapes by layouts, owned
+/// addresses, liveness and names. A what-if cut moves next hops, rarely a
+/// prefix, so a variant's index build is left its branches and fates.
 #[derive(Default)]
 pub struct ClassCache {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "D1: probed by digest only; iteration order never observed"
-    )]
-    by_digest: Mutex<HashMap<u64, Arc<NodeClasses>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
+    classes: Memo<NodeClasses>,
+    /// Shared with the analyses built through the cache, for their index.
+    shapes: Arc<Memo<Shape>>,
 }
 
 impl ClassCache {
@@ -144,54 +219,76 @@ impl ClassCache {
         ClassCache::default()
     }
 
-    /// `(hits, misses)` over the cache's lifetime. A sweep that reuses the
-    /// baseline's classes for unchanged nodes shows up as a high hit count.
+    /// `(hits, misses)` of node classes over the cache's lifetime.
     pub fn stats(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::SeqCst),
-            self.misses.load(Ordering::SeqCst),
-        )
+        self.classes.stats()
     }
 
-    fn classes_for(&self, digest: u64, entries: &[FibEntry]) -> Arc<NodeClasses> {
-        // Poisoning cannot corrupt the cache (insertions are atomic via the
-        // entry API), so recover the guard instead of propagating a panic
-        // from an unrelated worker thread into this sweep.
-        if let Some(hit) = self
-            .by_digest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&digest)
-        {
-            self.hits.fetch_add(1, Ordering::SeqCst);
-            return Arc::clone(hit);
-        }
-        // Build outside the lock: class computation is the expensive part,
-        // and a rare duplicate build is cheaper than serialising all misses.
-        let built = Arc::new(effective_classes(entries));
-        self.misses.fetch_add(1, Ordering::SeqCst);
-        self.by_digest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(digest)
-            .or_insert(built)
-            .clone()
+    /// `(hits, misses)` of index shapes over the cache's lifetime.
+    pub fn shape_stats(&self) -> (usize, usize) {
+        self.shapes.stats()
+    }
+
+    /// The effective classes of `layout`, built on its first sight.
+    fn classes_for(&self, layout: &[Prefix]) -> Arc<NodeClasses> {
+        let (memo, digest) = (&self.classes, layout_digest(layout));
+        let fits = |c: &NodeClasses| c.layout == layout;
+        memo.get_or_build(digest, fits, || NodeClasses::new(layout))
     }
 }
 
 /// What an analysis keeps of one dataplane node.
 pub struct NodeView {
-    /// Shared with every analysis that saw the same FIB through one
-    /// [`ClassCache`].
+    /// Shared with every analysis that saw the same prefix layout through
+    /// one [`ClassCache`].
     pub classes: Arc<NodeClasses>,
+    /// The node's distinct next-hop sets, and each layout prefix's (an
+    /// empty set: a null route).
+    pub sets: Vec<Arc<[FibNextHop]>>,
+    pub set_of: Vec<u32>,
     /// Addresses the node owns (packets to these are *accepted*).
     pub addresses: BTreeSet<Ipv4Addr>,
     /// A node that is not up drops everything and consults nothing.
     pub up: bool,
-    /// [`mfv_dataplane::NodeDataplane::fib_digest`] of the FIB `classes`
-    /// were derived from: the cache key, and part of what the standing
-    /// queries compare between snapshots.
+    /// Order-insensitive digest of the FIB: equal digests, equal FIBs. What
+    /// a what-if sweep and the standing queries compare between snapshots.
     pub fib_digest: u64,
+}
+
+impl NodeView {
+    /// `node` read once, its FIB's `entries` in prefix order.
+    fn new(node: &NodeDataplane, entries: &[&FibEntry], classes: Arc<NodeClasses>) -> NodeView {
+        // A table's entries share their set's allocation: a set met among
+        // the last 32 is that one (an equal one further back is kept twice).
+        let (mut sets, mut set_of) = (Vec::<Arc<[FibNextHop]>>::new(), Vec::new());
+        for e in entries {
+            let mut recent = sets.iter().enumerate().rev().take(32);
+            match recent.find(|(_, set)| Arc::ptr_eq(set, &e.next_hops)) {
+                Some((held, _)) => set_of.push(held as u32),
+                None => {
+                    set_of.push(sets.len() as u32);
+                    sets.push(Arc::clone(&e.next_hops));
+                }
+            }
+        }
+        // Each set hashed once, by value; each entry folded in, in order.
+        let sip = BuildHasherDefault::<DefaultHasher>::default();
+        let hashes: Vec<u64> = sets.iter().map(|set| sip.hash_one(set)).collect();
+        let set_hash = |set: &u32| hashes.get(*set as usize).copied().unwrap_or(0);
+        let entries = entries.iter().zip(&set_of);
+        let fib_digest = entries.fold(set_of.len() as u64, |h, (e, set)| {
+            let route = bits(&e.prefix) << 8 | e.proto as u64;
+            fold(fold(h, route), set_hash(set))
+        });
+        NodeView {
+            classes,
+            sets,
+            set_of,
+            addresses: node.addresses.clone(),
+            up: node.up,
+            fib_digest,
+        }
+    }
 }
 
 /// A disposition partition of some scope: disjoint packet classes, each
@@ -212,28 +309,8 @@ pub struct ForwardingAnalysis {
     lookups: AtomicUsize,
     /// Classes computed locally (not served by a [`ClassCache`]).
     classes_built: usize,
-}
-
-fn effective_classes(entries: &[FibEntry]) -> NodeClasses {
-    // One slot per prefix: a repeated prefix keeps its last entry, as
-    // `Fib::insert` does. LPM holes are exactly the topmost more-specific
-    // prefixes present in the same FIB; the trie walk finds them directly
-    // instead of scanning all prefix pairs.
-    let mut trie = PrefixTrie::new();
-    for e in entries {
-        trie.insert(e.prefix, e);
-    }
-    let mut classes = Vec::with_capacity(trie.len());
-    for (prefix, e) in trie.iter() {
-        let mut eff = IpSet::from_prefix(&prefix);
-        for hole in trie.max_descendants(&prefix) {
-            eff = eff.subtract(&IpSet::from_prefix(&hole));
-        }
-        if !eff.is_empty() {
-            classes.push((eff, (*e).clone()));
-        }
-    }
-    NodeClasses { classes }
+    /// The cache's shapes, when the analysis was built through one.
+    shapes: Option<Arc<Memo<Shape>>>,
 }
 
 impl ForwardingAnalysis {
@@ -241,8 +318,8 @@ impl ForwardingAnalysis {
         Self::build(dp, None)
     }
 
-    /// Like [`ForwardingAnalysis::new`], but reuses effective classes from
-    /// `cache` for any node whose FIB digest has been seen before.
+    /// Like [`ForwardingAnalysis::new`], but reuses from `cache` any prefix
+    /// layout's classes and, for the index, any shape it has seen.
     pub fn with_cache(dp: &Dataplane, cache: &ClassCache) -> ForwardingAnalysis {
         Self::build(dp, Some(cache))
     }
@@ -251,23 +328,16 @@ impl ForwardingAnalysis {
         let mut nodes = BTreeMap::new();
         let mut classes_built = 0usize;
         for (name, node) in &dp.nodes {
-            let fib_digest = node.fib_digest();
+            let entries = by_prefix(&node.entries);
+            let layout: Vec<Prefix> = entries.iter().map(|e| e.prefix).collect();
             let classes = match cache {
-                Some(c) => c.classes_for(fib_digest, &node.entries),
+                Some(c) => c.classes_for(&layout),
                 None => {
                     classes_built += 1;
-                    Arc::new(effective_classes(&node.entries))
+                    Arc::new(NodeClasses::new(&layout))
                 }
             };
-            nodes.insert(
-                name.clone(),
-                NodeView {
-                    classes,
-                    addresses: node.addresses.clone(),
-                    up: node.up,
-                    fib_digest,
-                },
-            );
+            nodes.insert(name.clone(), NodeView::new(node, &entries, classes));
         }
         ForwardingAnalysis {
             nodes,
@@ -275,6 +345,7 @@ impl ForwardingAnalysis {
             index: OnceLock::new(),
             lookups: AtomicUsize::new(0),
             classes_built,
+            shapes: cache.map(|c| Arc::clone(&c.shapes)),
         }
     }
 
@@ -282,7 +353,7 @@ impl ForwardingAnalysis {
     /// the build wait for it; every later call is a plain read.
     fn index(&self) -> &ClassIndex {
         self.index
-            .get_or_init(|| ClassIndex::build(&self.nodes, &self.links))
+            .get_or_init(|| ClassIndex::build(&self.nodes, &self.links, self.shapes.as_deref()))
     }
 
     /// The class index, counting one query answered from it.
@@ -331,6 +402,9 @@ impl ForwardingAnalysis {
             let (ch, cm) = c.stats();
             m.inc("verify.classes.cache_hits", ch as u64);
             m.inc("verify.classes.cache_misses", cm as u64);
+            let (sh, sm) = c.shape_stats();
+            m.inc("verify.shapes.cache_hits", sh as u64);
+            m.inc("verify.shapes.cache_misses", sm as u64);
         }
     }
 
@@ -367,7 +441,7 @@ impl ForwardingAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfv_routing::rib::{Fib, FibNextHop};
+    use mfv_routing::rib::Fib;
     use mfv_types::{Prefix, RouteProtocol};
 
     fn entry(prefix: &str, iface: &str, via: Option<&str>) -> FibEntry {
@@ -696,15 +770,88 @@ mod tests {
                 next_hops: vec![].into(),
             },
         ];
-        let want = effective_classes(&r1.fib().entries().cloned().collect::<Vec<_>>());
-        let got = effective_classes(&r1.entries);
-        assert_eq!(got.classes, want.classes);
-        assert_eq!(got.classes.len(), 2);
+        let want: Vec<FibEntry> = r1.fib().entries().cloned().collect();
+        let got: Vec<FibEntry> = by_prefix(&r1.entries).into_iter().cloned().collect();
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 2);
         let fa = ForwardingAnalysis::new(&dp);
         assert_eq!(
             fa.trace(&"r1".into(), addr("2.2.2.3")).disposition,
             Disposition::NullRoute("r1".into())
         );
+    }
+
+    /// A node's classes and an index's shape are shared by layout, not by
+    /// next hops: a second snapshot whose routes all leave by other
+    /// interfaces reuses both, and its index is the fresh one.
+    #[test]
+    fn next_hops_that_move_reuse_the_classes_and_the_shape() {
+        let dp = line_dp();
+        let mut moved = line_dp();
+        for node in moved.nodes.values_mut() {
+            for e in &mut node.entries {
+                e.next_hops = vec![].into();
+            }
+        }
+        let cache = ClassCache::new();
+        let first = ForwardingAnalysis::with_cache(&dp, &cache);
+        first.warm();
+        let second = ForwardingAnalysis::with_cache(&moved, &cache);
+        let fresh = ForwardingAnalysis::new(&moved);
+        for (src, dst) in [("r1", "2.2.2.3"), ("r3", "2.2.2.1"), ("r2", "2.2.2.2")] {
+            let dst = addr(dst);
+            assert_eq!(
+                second.fate_of(&src.into(), dst),
+                fresh.fate_of(&src.into(), dst)
+            );
+        }
+        assert_eq!(cache.stats(), (3, 3));
+        assert_eq!(cache.shape_stats(), (1, 1));
+        assert_eq!(second.index_stats().atoms, fresh.index_stats().atoms);
+    }
+
+    /// Stores `value` under `digest`, whatever key it was derived from.
+    fn plant<V>(memo: &Memo<V>, digest: u64, value: V) {
+        let mut map = memo.by_digest.lock().unwrap();
+        map.insert(digest, Arc::new(value));
+    }
+
+    /// A digest is not a key: a node's classes or an index's shape planted
+    /// under the digest of another key is never handed out for it.
+    #[test]
+    fn a_cache_hit_checks_the_key_not_only_its_digest() {
+        let dp = line_dp();
+        let r1 = &dp.nodes[&NodeId::from("r1")];
+        let layout: Vec<Prefix> = by_prefix(&r1.entries).iter().map(|e| e.prefix).collect();
+        let digest = layout_digest(&layout);
+        let other: Vec<Prefix> = vec!["0.0.0.0/0".parse().unwrap()];
+        let cache = ClassCache::new();
+        plant(&cache.classes, digest, NodeClasses::new(&other));
+        let fa = ForwardingAnalysis::with_cache(&dp, &cache);
+        assert_eq!(fa.nodes()[&NodeId::from("r1")].classes.layout, layout);
+        assert_eq!(cache.stats(), (0, 3));
+
+        // A shape of the one-node network planted under the digest of
+        // the three-node one.
+        let names: Vec<&NodeId> = fa.nodes().keys().collect();
+        let shape_digest = Shape::digest(&names, fa.nodes());
+        let mut lone = line_dp();
+        lone.nodes.retain(|name, _| name.as_str() == "r1");
+        lone.links.clear();
+        let alone = ForwardingAnalysis::new(&lone);
+        let lone_names: Vec<&NodeId> = alone.nodes().keys().collect();
+        plant(
+            &cache.shapes,
+            shape_digest,
+            Shape::build(&lone_names, alone.nodes()),
+        );
+        let want = ForwardingAnalysis::new(&dp);
+        assert_eq!(
+            fa.trace(&"r1".into(), addr("2.2.2.3")),
+            want.trace(&"r1".into(), addr("2.2.2.3"))
+        );
+        assert_eq!(cache.shape_stats(), (0, 1));
+        assert_eq!(fa.index_stats(), want.index_stats());
     }
 
     #[test]
@@ -715,6 +862,7 @@ mod tests {
         let second = ForwardingAnalysis::with_cache(&dp, &cache);
         assert_eq!(cache.stats(), (3, 3));
         assert_eq!(second.classes_built, 0);
+        assert!(second.shapes.is_some());
         for (name, node) in first.nodes() {
             assert!(Arc::ptr_eq(&node.classes, &second.nodes()[name].classes));
             assert_eq!(Arc::strong_count(&node.classes), 3, "cache + two analyses");

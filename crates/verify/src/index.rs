@@ -30,12 +30,14 @@
 )]
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use mfv_types::hs::IpRange;
 use mfv_types::{IfaceId, IpSet, LinkId, NodeId};
 
-use crate::graph::{Disposition, DispositionRows, NodeView, Trace, TraceHop};
+use crate::graph::{Disposition, DispositionRows, Memo, NodeClasses, NodeView, Trace, TraceHop};
 use crate::queries::DiffFinding;
 
 /// Deterministic counters of an analysis' class index: its shape (all
@@ -55,7 +57,7 @@ pub struct IndexStats {
 }
 
 // Per-(class, node) actions. Values from `FIRST_ENTRY` up select entry
-// `action - FIRST_ENTRY` of the node's `NodeClasses::classes`.
+// `action - FIRST_ENTRY` of the node's layout.
 const DOWN: u32 = 0;
 const ACCEPT: u32 = 1;
 const NO_ROUTE: u32 = 2;
@@ -95,64 +97,70 @@ impl Fate {
 /// where the egress interface has no attached link.
 type Branch = Option<u32>;
 
-pub(crate) struct ClassIndex {
+/// What a partition reads of a name: `None` if the dataplane lacks it,
+/// `Some(None)` if it is down, else its classes and owned addresses.
+type Role<C, A> = Option<Option<(C, A)>>;
+
+type Nodes = BTreeMap<NodeId, NodeView>;
+
+fn role<'a>(nodes: &'a Nodes, name: &NodeId) -> Role<&'a Arc<NodeClasses>, &'a BTreeSet<Ipv4Addr>> {
+    let node = nodes.get(name)?;
+    Some(node.up.then_some((&node.classes, &node.addresses)))
+}
+
+/// The atoms, classes and per-node actions: a function of the names and their
+/// roles, never of a next hop, so they are shared through a `ClassCache`.
+#[derive(Default)]
+pub(crate) struct Shape {
     /// Interned node names in `NodeId` order: the dataplane's nodes plus
     /// link endpoints it has no state for (packets sent there are dropped
     /// as at a down node).
     names: Vec<NodeId>,
-    /// Which interned ids are dataplane nodes (entry points of queries).
-    present: Vec<bool>,
+    roles: Vec<Role<Arc<NodeClasses>, BTreeSet<Ipv4Addr>>>,
     /// First address of each atom, ascending from 0; atom `i` ends just
     /// before atom `i + 1` starts.
     starts: Vec<u32>,
     class_of: Vec<u32>,
     /// `actions[class * n + node]`.
     actions: Vec<u32>,
-    /// `branches[node][entry]`: where each forwarding entry sends packets.
-    branches: Vec<Vec<Vec<Branch>>>,
-    /// `fates[class * n + node]`.
-    fates: Vec<Fate>,
-    cyclic_classes: usize,
-    /// Wall time of the build, for the quarantined wall section only.
-    pub build_micros: u64,
 }
 
-impl ClassIndex {
-    pub fn build(nodes: &BTreeMap<NodeId, NodeView>, links: &[LinkId]) -> ClassIndex {
-        let timer = mfv_obs::WallTimer::start();
-        let mut names: BTreeSet<&NodeId> = nodes.keys().collect();
-        for l in links {
-            names.insert(&l.a.0);
-            names.insert(&l.b.0);
+impl Shape {
+    pub(crate) fn digest(names: &[&NodeId], nodes: &Nodes) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for name in names {
+            let role = role(nodes, name).map(|up| up.map(|(c, a)| (c.digest, a)));
+            (name, role).hash(&mut h);
         }
-        let names: Vec<NodeId> = names.into_iter().cloned().collect();
+        h.finish()
+    }
+
+    /// Was this shape partitioned from what `names` and `nodes` hold?
+    fn fits(&self, names: &[&NodeId], nodes: &Nodes) -> bool {
+        let same = |((have, had), name): ((&NodeId, &Role<Arc<NodeClasses>, _>), &&NodeId)| {
+            let had = had
+                .as_ref()
+                .map(|up| up.as_ref().map(|(c, a)| (&c.layout, a)));
+            let role = role(nodes, name).map(|up| up.map(|(c, a)| (&c.layout, a)));
+            have == *name && had == role
+        };
+        let stored = self.names.iter().zip(&self.roles);
+        self.names.len() == names.len() && stored.zip(names).all(same)
+    }
+
+    pub(crate) fn build(names: &[&NodeId], nodes: &Nodes) -> Shape {
         let n = names.len();
-        let id_of = |name: &NodeId| names.binary_search(name).ok().map(|i| i as u32);
-        let present: Vec<bool> = names.iter().map(|m| nodes.contains_key(m)).collect();
-
-        // `Dataplane::peer_of` answers with the first link naming the
-        // endpoint, so the first insertion wins here too.
-        let mut peers: BTreeMap<(&NodeId, &IfaceId), &NodeId> = BTreeMap::new();
-        for l in links {
-            peers.entry((&l.a.0, &l.a.1)).or_insert(&l.b.0);
-            peers.entry((&l.b.0, &l.b.1)).or_insert(&l.a.0);
-        }
-
+        let roles: Vec<_> = names.iter().map(|name| role(nodes, name)).collect();
         // Only nodes that are up consult their FIB or addresses.
-        let live: Vec<Option<&NodeView>> = names
-            .iter()
-            .map(|name| nodes.get(name).filter(|node| node.up))
-            .collect();
-
         let mut cuts = vec![0u32];
-        for node in live.iter().flatten() {
-            for (eff, _) in &node.classes.classes {
+        for (classes, addresses) in roles.iter().flatten().flatten() {
+            for eff in &classes.classes {
                 for r in eff.ranges() {
                     cuts.push(r.lo);
                     cuts.extend(r.hi.checked_add(1));
                 }
             }
-            for a in &node.addresses {
+            for a in *addresses {
                 let a = u32::from(*a);
                 cuts.push(a);
                 cuts.extend(a.checked_add(1));
@@ -169,14 +177,12 @@ impl ClassIndex {
         let mut class_of = vec![0u32; atoms];
         let mut classes = 1usize;
         let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n);
-        let mut branches: Vec<Vec<Vec<Branch>>> = Vec::with_capacity(n);
-        for (name, node) in names.iter().zip(&live) {
-            let Some(node) = node else {
+        for role in &roles {
+            let Some(Some((node, addresses))) = role else {
                 rows.push(Vec::new());
-                branches.push(Vec::new());
                 continue;
             };
-            let row = node_actions(node, &starts);
+            let row = node_actions(node, addresses, &starts);
             let mut refined: BTreeMap<(u32, u32), u32> = BTreeMap::new();
             for (class, action) in class_of.iter_mut().zip(&row) {
                 let next = refined.len() as u32;
@@ -184,19 +190,6 @@ impl ClassIndex {
             }
             classes = refined.len();
             rows.push(row);
-            branches.push(
-                node.classes
-                    .classes
-                    .iter()
-                    .map(|(_, entry)| {
-                        entry
-                            .next_hops
-                            .iter()
-                            .map(|nh| peers.get(&(name, &nh.iface)).and_then(|p| id_of(p)))
-                            .collect()
-                    })
-                    .collect(),
-            );
         }
 
         let mut first_atom = vec![usize::MAX; classes];
@@ -210,22 +203,109 @@ impl ClassIndex {
                     .map(|row| row.get(*atom).copied().unwrap_or(DOWN)),
             );
         }
-        drop(rows);
-
-        let mut fates = Vec::with_capacity(classes * n);
-        let mut cyclic_classes = 0;
-        for class_actions in actions.chunks_exact(n.max(1)) {
-            let mut walk = ClassWalk::new(class_actions, &branches);
-            cyclic_classes += usize::from(walk.run());
-            fates.extend(walk.fates);
-        }
-
-        ClassIndex {
-            names,
-            present,
+        let owned =
+            |up: Option<(&Arc<_>, &BTreeSet<_>)>| up.map(|(c, a)| (Arc::clone(c), a.clone()));
+        Shape {
+            names: names.iter().map(|name| (*name).clone()).collect(),
+            roles: roles.into_iter().map(|role| role.map(owned)).collect(),
             starts,
             class_of,
             actions,
+        }
+    }
+}
+
+/// Where each forwarding entry sends packets: entry `e` of node `v`
+/// branches to `hops[spans[v][e].0..spans[v][e].1]`.
+struct Branches {
+    spans: Vec<Vec<(u32, u32)>>,
+    hops: Vec<Branch>,
+}
+
+impl Branches {
+    /// Resolves each up node's next-hop sets once each, through its ports.
+    fn resolve(shape: &Shape, nodes: &Nodes, links: &[LinkId]) -> Branches {
+        let id_of = |name: &NodeId| shape.names.binary_search(name).ok();
+        // `Dataplane::peer_of` answers with the first link naming the
+        // endpoint, so the first link naming a port wins here too.
+        let mut ports: Vec<Vec<(&IfaceId, u32)>> = vec![Vec::new(); shape.names.len()];
+        for l in links {
+            for (end, other) in [(&l.a, &l.b), (&l.b, &l.a)] {
+                if let (Some(v), Some(peer)) = (id_of(&end.0), id_of(&other.0)) {
+                    if ports[v].iter().all(|(iface, _)| *iface != &end.1) {
+                        ports[v].push((&end.1, peer as u32));
+                    }
+                }
+            }
+        }
+        let (mut spans, mut hops) = (Vec::new(), Vec::new());
+        for ((name, ports), role) in shape.names.iter().zip(&ports).zip(&shape.roles) {
+            let Some(node) = nodes.get(name).filter(|_| matches!(role, Some(Some(_)))) else {
+                spans.push(Vec::new());
+                continue;
+            };
+            let mut set_spans = Vec::with_capacity(node.sets.len());
+            for set in &node.sets {
+                let start = hops.len() as u32;
+                hops.extend(set.iter().map(|nh| {
+                    let port = ports.iter().find(|(iface, _)| **iface == nh.iface);
+                    port.map(|(_, peer)| *peer)
+                }));
+                set_spans.push((start, hops.len() as u32));
+            }
+            let entry_spans = node.set_of.iter().map(|set| set_spans[*set as usize]);
+            spans.push(entry_spans.collect());
+        }
+        Branches { spans, hops }
+    }
+
+    fn of(&self, v: usize, entry: u32) -> &[Branch] {
+        let (lo, hi) = self.spans[v][entry as usize];
+        &self.hops[lo as usize..hi as usize]
+    }
+}
+
+pub(crate) struct ClassIndex {
+    shape: Arc<Shape>,
+    branches: Branches,
+    /// `fates[class * n + node]`.
+    fates: Vec<Fate>,
+    cyclic_classes: usize,
+    /// Wall time of the build, for the quarantined wall section only.
+    pub build_micros: u64,
+}
+
+impl ClassIndex {
+    /// The index over `nodes` and `links`, its shape from `shapes` if one fits.
+    pub fn build(nodes: &Nodes, links: &[LinkId], shapes: Option<&Memo<Shape>>) -> ClassIndex {
+        let timer = mfv_obs::WallTimer::start();
+        let mut names: BTreeSet<&NodeId> = nodes.keys().collect();
+        for l in links {
+            names.insert(&l.a.0);
+            names.insert(&l.b.0);
+        }
+        let names: Vec<&NodeId> = names.into_iter().collect();
+        let shape = match shapes {
+            Some(memo) => memo.get_or_build(
+                Shape::digest(&names, nodes),
+                |shape| shape.fits(&names, nodes),
+                || Shape::build(&names, nodes),
+            ),
+            None => Arc::new(Shape::build(&names, nodes)),
+        };
+        let branches = Branches::resolve(&shape, nodes, links);
+
+        let n = names.len();
+        let mut fates = Vec::with_capacity(shape.actions.len());
+        let mut cyclic_classes = 0;
+        let mut walk = ClassWalk::new(n, &branches);
+        for class_actions in shape.actions.chunks_exact(n.max(1)) {
+            cyclic_classes += usize::from(walk.run(class_actions));
+            fates.extend_from_slice(&walk.fates);
+        }
+
+        ClassIndex {
+            shape,
             branches,
             fates,
             cyclic_classes,
@@ -236,7 +316,7 @@ impl ClassIndex {
     /// The index's shape; `lookups` is the caller's to fill in.
     pub fn stats(&self) -> IndexStats {
         IndexStats {
-            atoms: self.starts.len(),
+            atoms: self.shape.starts.len(),
             classes: self.classes(),
             cyclic_classes: self.cyclic_classes,
             fates_computed: self.fates.len(),
@@ -245,15 +325,15 @@ impl ClassIndex {
     }
 
     fn classes(&self) -> usize {
-        self.fates.len() / self.names.len().max(1)
+        self.fates.len() / self.shape.names.len().max(1)
     }
 
     fn id_of(&self, name: &NodeId) -> Option<usize> {
-        self.names.binary_search(name).ok()
+        self.shape.names.binary_search(name).ok()
     }
 
     fn disposition(&self, fate: Fate) -> Disposition {
-        let node = self.names[fate.node as usize].clone();
+        let node = self.shape.names[fate.node as usize].clone();
         match fate.kind {
             Kind::Accepted => Disposition::Accepted(node),
             Kind::NoRoute => Disposition::NoRoute(node),
@@ -267,22 +347,25 @@ impl ClassIndex {
 
     /// The atom containing address `v`.
     fn atom_of(&self, v: u32) -> usize {
-        self.starts.partition_point(|s| *s <= v) - 1
+        self.shape.starts.partition_point(|s| *s <= v) - 1
     }
 
     fn atom_end(&self, atom: usize) -> u32 {
-        self.starts.get(atom + 1).map_or(u32::MAX, |next| next - 1)
+        self.shape
+            .starts
+            .get(atom + 1)
+            .map_or(u32::MAX, |next| next - 1)
     }
 
     /// Every `(atom, lo, hi)` piece of `scope`, in address order.
     fn pieces<'a>(&'a self, scope: &'a IpSet) -> impl Iterator<Item = (usize, u32, u32)> + 'a {
         scope.ranges().iter().flat_map(move |r: &IpRange| {
-            (self.atom_of(r.lo)..self.starts.len())
-                .take_while(move |atom| self.starts[*atom] <= r.hi)
+            (self.atom_of(r.lo)..self.shape.starts.len())
+                .take_while(move |atom| self.shape.starts[*atom] <= r.hi)
                 .map(move |atom| {
                     (
                         atom,
-                        self.starts[atom].max(r.lo),
+                        self.shape.starts[atom].max(r.lo),
                         self.atom_end(atom).min(r.hi),
                     )
                 })
@@ -301,7 +384,7 @@ impl ClassIndex {
     /// over several equal-cost branches the first is followed, as a
     /// hashing dataplane picks one per flow. `nodes` is the map the index
     /// was built from; egress interface names are read from its classes.
-    pub fn trace(&self, nodes: &BTreeMap<NodeId, NodeView>, from: &NodeId, dst: Ipv4Addr) -> Trace {
+    pub fn trace(&self, nodes: &Nodes, from: &NodeId, dst: Ipv4Addr) -> Trace {
         let Some(mut v) = self.id_of(from) else {
             return Trace {
                 hops: vec![TraceHop {
@@ -312,12 +395,12 @@ impl ClassIndex {
             };
         };
         let hop = |v: usize, egress| TraceHop {
-            node: self.names[v].clone(),
+            node: self.shape.names[v].clone(),
             egress,
         };
-        let n = self.names.len();
-        let class = self.class_of[self.atom_of(u32::from(dst))] as usize;
-        let actions = &self.actions[class * n..][..n];
+        let n = self.shape.names.len();
+        let class = self.shape.class_of[self.atom_of(u32::from(dst))] as usize;
+        let actions = &self.shape.actions[class * n..][..n];
         let mut hops = Vec::new();
         let mut seen = vec![false; n];
         let fate = loop {
@@ -337,7 +420,8 @@ impl ClassIndex {
             };
             seen[v] = true;
             let entry = (actions[v] - FIRST_ENTRY) as usize;
-            let taken = &nodes[&self.names[v]].classes.classes[entry].1.next_hops[0];
+            let node = &nodes[&self.shape.names[v]];
+            let taken = &node.sets[node.set_of[entry] as usize][0];
             hops.push(hop(v, Some(taken.iface.clone())));
             match branches[0] {
                 Some(peer) => v = peer as usize,
@@ -392,7 +476,10 @@ impl ClassIndex {
                 let hi = end_b.min(end_a).min(r.hi);
                 let (b, a) = (self.fate_at(i, src_b), after.fate_at(j, src_a));
                 let pieces = pairs.entry((b, a)).or_insert_with(|| {
-                    let names = (&self.names[b.node as usize], &after.names[a.node as usize]);
+                    let names = (
+                        &self.shape.names[b.node as usize],
+                        &after.shape.names[a.node as usize],
+                    );
                     (b.kind != a.kind || names.0 != names.1).then(Vec::new)
                 });
                 if let Some(pieces) = pieces {
@@ -419,15 +506,15 @@ impl ClassIndex {
 
     /// The fate of packets entering at `src` within `atom`.
     fn fate_at(&self, atom: usize, src: usize) -> Fate {
-        self.fates[self.class_of[atom] as usize * self.names.len() + src]
+        self.fates[self.shape.class_of[atom] as usize * self.shape.names.len() + src]
     }
 
     /// Total rows over every dataplane node's full-space partition — the
     /// number of (entry node, fate) classes the index answers for.
     pub fn partition_rows(&self) -> usize {
-        let n = self.names.len();
+        let n = self.shape.names.len();
         let mut total = 0;
-        for src in (0..n).filter(|src| self.present[*src]) {
+        for src in (0..n).filter(|src| self.shape.roles[*src].is_some()) {
             let mut column: Vec<Fate> = self.fates.iter().skip(src).step_by(n).copied().collect();
             column.sort_unstable();
             column.dedup();
@@ -439,9 +526,9 @@ impl ClassIndex {
 
 /// One node's action per atom. Atoms never straddle a class boundary or
 /// an owned address, so an atom's first address decides for all of it.
-fn node_actions(node: &NodeView, starts: &[u32]) -> Vec<u32> {
+fn node_actions(node: &NodeClasses, owned: &BTreeSet<Ipv4Addr>, starts: &[u32]) -> Vec<u32> {
     let mut ranges: Vec<(IpRange, u32)> = Vec::new();
-    for (entry, (eff, _)) in node.classes.classes.iter().enumerate() {
+    for (entry, eff) in node.classes.iter().enumerate() {
         ranges.extend(
             eff.ranges()
                 .iter()
@@ -458,7 +545,7 @@ fn node_actions(node: &NodeView, starts: &[u32]) -> Vec<u32> {
             _ => NO_ROUTE,
         });
     }
-    for a in &node.addresses {
+    for a in owned {
         if let Ok(atom) = starts.binary_search(&u32::from(*a)) {
             row[atom] = ACCEPT;
         }
@@ -484,7 +571,7 @@ enum Step<'a> {
 
 /// The local verdict at `v` within one class, or the branches it
 /// forwards on (never empty: an entry without next hops is a null route).
-fn step<'a>(actions: &[u32], branches: &'a [Vec<Vec<Branch>>], v: usize) -> Step<'a> {
+fn step<'a>(actions: &[u32], branches: &'a Branches, v: usize) -> Step<'a> {
     let here = |kind| {
         Step::Done(Fate {
             kind,
@@ -495,37 +582,41 @@ fn step<'a>(actions: &[u32], branches: &'a [Vec<Vec<Branch>>], v: usize) -> Step
         DOWN => here(Kind::NodeDown),
         ACCEPT => here(Kind::Accepted),
         NO_ROUTE => here(Kind::NoRoute),
-        entry => match branches[v][(entry - FIRST_ENTRY) as usize].as_slice() {
+        entry => match branches.of(v, entry - FIRST_ENTRY) {
             [] => here(Kind::NullRoute),
             hops => Step::Forward(hops),
         },
     }
 }
 
-/// Computes every node's fate within one class.
+/// Computes every node's fate within one class at a time, in buffers
+/// reused from class to class.
 struct ClassWalk<'a> {
     actions: &'a [u32],
-    branches: &'a [Vec<Vec<Branch>>],
+    branches: &'a Branches,
     marks: Vec<Mark>,
     fates: Vec<Fate>,
 }
 
 impl<'a> ClassWalk<'a> {
-    fn new(actions: &'a [u32], branches: &'a [Vec<Vec<Branch>>]) -> ClassWalk<'a> {
+    fn new(n: usize, branches: &'a Branches) -> ClassWalk<'a> {
         let placeholder = Fate {
             kind: Kind::NodeDown,
             node: 0,
         };
         ClassWalk {
-            actions,
+            actions: &[],
             branches,
-            marks: vec![Mark::Unvisited; actions.len()],
-            fates: vec![placeholder; actions.len()],
+            marks: vec![Mark::Unvisited; n],
+            fates: vec![placeholder; n],
         }
     }
 
-    /// Fills `fates`; returns whether the class graph has a cycle.
-    fn run(&mut self) -> bool {
+    /// Fills `fates` for the class whose per-node actions are `actions`;
+    /// returns whether its graph has a cycle.
+    fn run(&mut self, actions: &'a [u32]) -> bool {
+        self.actions = actions;
+        self.marks.fill(Mark::Unvisited);
         for v in 0..self.actions.len() {
             if self.marks[v] == Mark::Unvisited {
                 self.settle(v);

@@ -450,6 +450,65 @@ proptest! {
         }
     }
 
+    // Two networks on one prefix layout: the second takes the first's
+    // entries with next hops drawn anew, and the other network's links,
+    // down nodes or owned addresses where drawn. Through one cache its
+    // index reuses the first's shape wherever layouts, owned addresses,
+    // liveness and names agree (a second analysis of the first network
+    // always does), and every index answers as a fresh one does.
+    #[test]
+    fn an_index_from_a_cached_shape_is_a_fresh_index(
+        shape in arb_net(),
+        other in arb_net(),
+        hops in proptest::collection::vec((0u8..8, any::<bool>()), 40),
+        keep in (any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let mut variant = shape.clone();
+        for (entry, (mask, null)) in variant.entries.iter_mut().zip(&hops) {
+            (entry.3, entry.4) = (*mask, *null);
+        }
+        if !keep.0 {
+            variant.links = other.links.clone();
+        }
+        if !keep.1 {
+            variant.down = other.down.clone();
+        }
+        if !keep.2 {
+            variant.owned = other.owned.clone();
+        }
+        let dps = [build_net(&shape), build_net(&variant), build_net(&shape)];
+        let cache = ClassCache::new();
+        let cached = dps.each_ref().map(|dp| ForwardingAnalysis::with_cache(dp, &cache));
+        let fresh = dps.each_ref().map(ForwardingAnalysis::new);
+        let mut probes: BTreeSet<Ipv4Addr> = shape
+            .entries
+            .iter()
+            .map(|(_, bits, ..)| Ipv4Addr::from(squeeze(*bits)))
+            .collect();
+        for dp in &dps {
+            probes.extend(dp.nodes.values().flat_map(|n| n.addresses.iter()));
+        }
+        for (got, want) in cached.iter().zip(&fresh) {
+            for src in net_sources(&shape, want) {
+                prop_assert_eq!(
+                    got.dispositions_from(&src, &IpSet::full()),
+                    want.dispositions_from(&src, &IpSet::full())
+                );
+                for dst in &probes {
+                    prop_assert_eq!(got.fate_of(&src, *dst), want.fate_of(&src, *dst));
+                    prop_assert_eq!(got.trace(&src, *dst), want.trace(&src, *dst));
+                }
+            }
+        }
+        prop_assert_eq!(
+            differential_reachability_with(&cached[0], &cached[1], None),
+            differential_reachability_with(&fresh[0], &fresh[1], None)
+        );
+        let (hits, misses) = cache.shape_stats();
+        prop_assert_eq!((hits + misses, misses > 0), (3, true));
+        prop_assert!(hits >= 1, "the first network's second analysis reuses its shape");
+    }
+
     // Two unrelated networks, node counts drawn apart so a source can be
     // on one side only, diffed both ways over no scope, the full, empty,
     // owned and random scopes: the one pass finds what the pairwise

@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -50,7 +51,8 @@ pub enum RouterState {
 pub struct VirtualRouter {
     pub name: NodeId,
     profile: VendorProfile,
-    config: DeviceConfig,
+    /// Replaced whole, never edited: a fork shares it.
+    config: Arc<DeviceConfig>,
     state: RouterState,
     isis: Option<IsisEngine>,
     /// Boxed: most routers of an IGP-only network run none, and should
@@ -149,7 +151,7 @@ pub type Stopwatch<'a> = &'a dyn Fn() -> u64;
 // Every router of every emulation and fork holds one of these inline, BGP
 // or not: what a table gains (the FIB's set store) must come out of what is
 // boxed, so an IGP-only network never pays for it.
-const _: () = assert!(std::mem::size_of::<VirtualRouter>() <= 1384);
+const _: () = assert!(std::mem::size_of::<VirtualRouter>() <= 1016);
 
 /// The addresses the FIB's resolutions looked up in the IGP view, kept
 /// small: per prefix only for the RIB's recursive winners (statics, a
@@ -215,7 +217,7 @@ impl VirtualRouter {
         let mut router = VirtualRouter {
             name,
             profile,
-            config,
+            config: Arc::new(config),
             state: RouterState::Running,
             isis: None,
             bgp: None,
@@ -374,7 +376,7 @@ impl VirtualRouter {
                 Err(_) => self.encode_errors += 1,
             }
         }
-        self.config = config;
+        self.config = Arc::new(config);
         self.link_up = self
             .config
             .interfaces

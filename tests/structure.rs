@@ -79,6 +79,12 @@ const ROWS: &[Row] = &[
         plant: "let inter = set_b.intersect(set_a);",
     },
     Row {
+        files: "crates/verify/src/graph.rs > impl ClassCache {",
+        rule: Absent("fib_digest"),
+        why: "one shape per prefix layout: node classes and index shapes are keyed by prefixes, not by next hops",
+        plant: "self.by_digest.get(&node.fib_digest())",
+    },
+    Row {
         files: "crates/emulator/src/engine.rs",
         rule: Absent("m.inc("),
         why: "one front door: counter flushing is engine/export.rs",
@@ -244,6 +250,10 @@ const REQUIRED: &[&str] = &[
     "crates/mgmt/tests/gnmi_roundtrip.rs::diff_is_canonical",
     "crates/verify/tests/proptests.rs::standing_pair_work_is_unchanged_on_a_fixed_delta_sequence",
     "crates/verify/tests/proptests.rs::one_pass_diff_is_the_pairwise_diff",
+    "crates/verify/tests/proptests.rs::an_index_from_a_cached_shape_is_a_fresh_index",
+    "crates/verify/src/graph.rs::a_cache_hit_checks_the_key_not_only_its_digest",
+    "crates/core/src/whatif.rs::a_single_cut_sweep_reuses_the_baseline_shape",
+    "tests/work_ceiling.rs::a_fork_copies_no_route",
     "tests/work_ceiling.rs::a_converged_wan_stores_each_distinct_set_once",
     "tests/work_ceiling.rs::a_reflector_computes_each_distinct_thing_once",
     "tests/work_ceiling.rs::a_quiet_watch_renders_only_its_syncs",
