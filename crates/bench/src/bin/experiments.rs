@@ -595,21 +595,25 @@ fn a3() {
 }
 
 /// The system allocator, counting the (bytes, allocations) this thread has
-/// live: an emulation runs, and is cloned, on the thread that asks.
+/// live and their high-water mark: an emulation runs, and is cloned, on the
+/// thread that asks.
 struct Counting;
 
 thread_local! {
     static LIVE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    static PEAK: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
 /// Books `bytes` (negative: a release) and the one allocation they are.
 fn book(bytes: isize) {
     let _ = LIVE.try_with(|live| {
         let (b, n) = live.get();
-        live.set((
+        let now = (
             b.wrapping_add_signed(bytes),
             n.wrapping_add_signed(bytes.signum()),
-        ));
+        );
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
     });
 }
 
@@ -639,13 +643,15 @@ type Held = (usize, usize);
 /// A part of a router and what a clone of it holds.
 type Piece = (&'static str, fn(&VirtualRouter) -> Held);
 
-/// Runs `f`; returns what it built and what this thread has live more than
-/// before, while that is held.
-fn held_by<T>(f: impl FnOnce() -> T) -> (T, Held) {
+/// Runs `f`; returns what it built, what this thread has live more than
+/// before while that is held, and the most it had at any point in `f`.
+fn held_by<T>(f: impl FnOnce() -> T) -> (T, Held, Held) {
     let before = LIVE.get();
+    PEAK.set(before);
     let out = f();
-    let now = LIVE.get();
-    (out, (now.0 - before.0, now.1 - before.1))
+    let (now, peak) = (LIVE.get(), PEAK.get());
+    let above = |(b, n): Held| (b - before.0, n.saturating_sub(before.1));
+    (out, above(now), above(peak))
 }
 
 /// The `regional_wan` the numbers on the command line size (`5 20` without
@@ -663,7 +669,9 @@ fn wan(opts: &Options) -> (usize, usize, Snapshot, EmulationBackend) {
 fn heap(opts: &Options) {
     banner("HEAP", "what a converged emulation holds, piece by piece");
     let (regions, per_region, snapshot, backend) = wan(opts);
-    let ((emu, meta), emulation) = held_by(|| backend.run(&snapshot).expect("wan boots"));
+    // `compute` from configs to the extracted dataplane, at its highest.
+    let (_, _, compute) = held_by(|| backend.compute(&snapshot).expect("wan boots"));
+    let ((emu, meta), emulation, _) = held_by(|| backend.run(&snapshot).expect("wan boots"));
     assert!(meta.converged, "regional_wan({regions}, {per_region})");
     let nodes = snapshot.topology.nodes.iter();
     let routers: Vec<&VirtualRouter> = nodes.filter_map(|n| emu.router(&n.name)).collect();
@@ -679,6 +687,7 @@ fn heap(opts: &Options) {
         );
     };
     row("emulation", emulation);
+    row("compute peak", compute);
     // A piece's share is what a clone of it asks the allocator for, summed
     // over the routers. A clone shares the stored attribute and next-hop
     // sets, so those count once, in the emulation's row. Parts of `bgp`: the
@@ -731,8 +740,8 @@ fn heap(opts: &Options) {
     for (role, r) in roles.map(|(role, i)| (role, routers[i])) {
         let Some(bgp) = r.bgp_engine() else { continue };
         let attrs: BTreeSet<_> = bgp.selected().iter().map(|(_, s)| &*s.attrs).collect();
-        let hops: BTreeSet<_> = r.fib().entries().map(|e| &*e.next_hops).collect();
         let (name, selected, stored) = (&r.name, bgp.selected().iter().count(), bgp.attr_sets());
+        let hops: BTreeSet<_> = r.fib().entries().map(|e| &**e.next_hops).collect();
         let (attrs, fib, hops) = (attrs.len(), r.fib().len(), hops.len());
         println!("{role:<12} {name:>7} {selected:>9} {attrs:>10} {stored:>7} {fib:>12} {hops:>14}");
     }
@@ -821,7 +830,7 @@ fn converge(opts: &Options) {
     // Extraction as `compute` makes it, then once through the JSON Get it
     // replaced — the path the benchmark's traced run replays call by call.
     let mut extracted = Obs::new();
-    let typed = extract_snapshot(&emu, &backend.collector, &mut extracted).dataplane;
+    let typed = extract_snapshot(emu.clone(), &backend.collector, &mut extracted).dataplane;
     let reference = emu.dataplane();
     let timer = WallTimer::start();
     let nodes = snapshot.topology.nodes.iter();
@@ -1053,9 +1062,9 @@ fn sweep(opts: &Options) {
     let (converged, meta) = backend.run(&snapshot).expect("grid boots");
     assert!(meta.converged, "isis_grid({cols}, {rows})");
     let extract =
-        |emu: &Emulation| extract_snapshot(emu, &backend.collector, &mut Obs::new()).dataplane;
+        |emu: Emulation| extract_snapshot(emu, &backend.collector, &mut Obs::new()).dataplane;
     let cache = ClassCache::new();
-    let baseline = extract(&converged);
+    let baseline = extract(converged.clone());
     let fa_baseline = ForwardingAnalysis::with_cache(&baseline, &cache);
     fa_baseline.warm();
     // (SPF runs, route-pass reach entries) summed over the routers.
@@ -1072,8 +1081,8 @@ fn sweep(opts: &Options) {
     };
     let base = spf(&converged);
 
-    const PHASES: &str = "clone remove_wire run_until_converged extract drop analysis index walk";
-    let mut phases: [Vec<u64>; 8] = Default::default();
+    const PHASES: &str = "clone remove_wire run_until_converged extract analysis index walk";
+    let mut phases: [Vec<u64>; 7] = Default::default();
     let (mut contexts, mut events, mut runs, mut merged) = (vec![], vec![], vec![], vec![]);
     let mut findings = 0;
     for link in snapshot.link_ids() {
@@ -1081,20 +1090,18 @@ fn sweep(opts: &Options) {
         let ((), remove) = timed(|| fork.remove_wire(&link));
         let (report, run) = timed(|| fork.run_until_converged());
         assert!(report.verdict.is_converged(), "{link}");
-        let (after, extracted) = timed(|| extract(&fork));
         events.push(fork.events_processed() - converged.events_processed());
         let (spf_runs, spf_merged) = spf(&fork);
         runs.push(spf_runs - base.0);
         merged.push(spf_merged - base.1);
-        let ((), dropped) = timed(|| drop(fork));
+        // The hand-over: extraction tears the fork down as it reads it.
+        let (after, extracted) = timed(|| extract(fork));
         let (fa, analysis) = timed(|| ForwardingAnalysis::with_cache(&after, &cache));
         // The first query builds the index; the diff then only walks it.
         let (_, index) = timed(|| fa.fate_of(&link.a.0, Ipv4Addr::UNSPECIFIED));
         let (found, walk) = timed(|| differential_reachability_with(&fa_baseline, &fa, None));
         findings += found.len();
-        let laps = [
-            clone, remove, run, extracted, dropped, analysis, index, walk,
-        ];
+        let laps = [clone, remove, run, extracted, analysis, index, walk];
         contexts.push(laps.iter().sum());
         for (phase, lap) in phases.iter_mut().zip(laps) {
             phase.push(lap);

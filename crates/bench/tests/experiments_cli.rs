@@ -265,6 +265,19 @@ fn heap_bgp_engines_hold_a_handle_per_route_not_a_copy() {
     assert!(per_entry("rib") < 250, "{stdout}");
     // `engine`: what the emulation holds beside its routers' pieces.
     assert!(per_entry("engine") > 0, "{stdout}");
+    // `compute`'s peak holds the emulation it converged. At this size the
+    // run's obs dump (and, in a debug build, the digest check's dataplane)
+    // weighs as much as the extracted dataplane, so that it is not built
+    // beside the network is held in bytes by
+    // `work_ceiling.rs::extraction_holds_one_routers_aft_at_a_time`.
+    let bytes = |piece: &str| -> usize {
+        let row = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{piece} ")));
+        let bytes = row.and_then(|row| row.split_whitespace().next()?.parse().ok());
+        bytes.unwrap_or_else(|| panic!("a {piece} row:\n{stdout}"))
+    };
+    assert!(bytes("compute peak") >= bytes("emulation"), "{stdout}");
     // A client's twelve routes carry four attribute sets, stored four times.
     assert!(
         stdout.contains("client       r00x01        12          4       4"),
@@ -335,8 +348,8 @@ fn sweep_replays_the_fork_path_phase_by_phase() {
             "\nclone ",
             "\nremove_wire ",
             "\nrun_until_converged ",
+            // The hand-over: extraction tears the fork down as it reads it.
             "\nextract ",
-            "\ndrop ",
             "\nanalysis ",
             "\nindex ",
             "\nwalk ",

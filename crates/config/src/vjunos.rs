@@ -623,9 +623,17 @@ fn lower_protocols(
 }
 
 /// A prefix-list entry's words: a bare prefix permits it `le 32`; an action
-/// then `ge N` / `le N` spell any other entry (a dialect extension).
+/// then `ge N` / `le N` spell any other entry, and a trailing `seq N` a
+/// sequence number other than its position's `seq` (dialect extensions).
 fn prefix_list_entry(seq: u32, words: &[String]) -> Option<PrefixListEntry> {
-    let words: Vec<&str> = words.iter().map(String::as_str).collect();
+    let mut words: Vec<&str> = words.iter().map(String::as_str).collect();
+    let seq = match words[..] {
+        [.., "seq", n] => {
+            words.truncate(words.len() - 2);
+            n.parse().ok()?
+        }
+        _ => seq,
+    };
     let (action, bounds) = match words.get(1..)? {
         [] => (PolicyAction::Permit, None),
         ["permit", bounds @ ..] => (PolicyAction::Permit, Some(bounds)),
@@ -651,10 +659,12 @@ fn prefix_list_entry(seq: u32, words: &[String]) -> Option<PrefixListEntry> {
     })
 }
 
-/// What [`prefix_list_entry`] reads back as `e`, its sequence number aside.
-fn prefix_list_text(e: &PrefixListEntry) -> String {
+/// What [`prefix_list_entry`] reads back as `e` at position `i`.
+fn prefix_list_text(i: usize, e: &PrefixListEntry) -> String {
+    let seq = (e.seq != (i as u32 + 1) * 10).then(|| format!(" seq {}", e.seq));
+    let seq = seq.unwrap_or_default();
     if (e.action, e.ge, e.le) == (PolicyAction::Permit, None, Some(32)) {
-        return e.prefix.to_string();
+        return format!("{}{seq}", e.prefix);
     }
     let action = if e.action == PolicyAction::Permit {
         "permit"
@@ -663,7 +673,7 @@ fn prefix_list_text(e: &PrefixListEntry) -> String {
     };
     let bound = |kw, len: Option<u8>| len.map_or(String::new(), |len| format!(" {kw} {len}"));
     let (ge, le) = (bound("ge", e.ge), bound("le", e.le));
-    format!("{} {action}{ge}{le}", e.prefix)
+    format!("{} {action}{ge}{le}{seq}", e.prefix)
 }
 
 fn lower_policy_options(
@@ -701,7 +711,9 @@ fn lower_policy_options(
                 let rm = cfg.route_maps.entry(name).or_default();
                 for (i, term) in st.children_named("term").enumerate() {
                     n += 1;
-                    let seq = (i as u32 + 1) * 10;
+                    // A term rendered from a sequence number is named for it.
+                    let named = term.word(1).strip_prefix('t').and_then(|n| n.parse().ok());
+                    let seq = named.unwrap_or((i as u32 + 1) * 10);
                     let mut entry = RouteMapEntry {
                         seq,
                         action: PolicyAction::Permit,
@@ -1138,8 +1150,8 @@ pub fn render(cfg: &DeviceConfig) -> String {
         w.open("policy-options");
         for (name, pl) in &cfg.prefix_lists {
             w.open(&format!("prefix-list {name}"));
-            for e in &pl.entries {
-                w.line(&format!("{};", prefix_list_text(e)));
+            for (i, e) in pl.entries.iter().enumerate() {
+                w.line(&format!("{};", prefix_list_text(i, e)));
             }
             w.close();
         }

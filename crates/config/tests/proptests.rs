@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 use mfv_config::{
-    ceos, vjunos, IfaceSpec, PolicyAction, PrefixList, PrefixListEntry, RouterSpec, Vendor,
+    ceos, vjunos, IfaceSpec, PolicyAction, PrefixList, PrefixListEntry, RouteMap, RouteMapEntry,
+    RouterSpec, Vendor,
 };
 use mfv_types::AsNum;
 
@@ -22,10 +23,22 @@ struct SpecShape {
     /// BGP redistribution: none, connected, or connected / IS-IS policed
     /// by a route-map.
     redistribute: u8,
+    /// The policing route-map's terms, as the steps between their sequence
+    /// numbers.
+    terms: Vec<u8>,
     production: bool,
     /// Prefix-list entries: (octet, length, deny, ge above the length, le
-    /// above ge); a zero bound is absent.
-    filter: Vec<(u8, u8, bool, u8, u8)>,
+    /// above ge, step from the last sequence number); a zero bound is
+    /// absent.
+    filter: Vec<(u8, u8, bool, u8, u8, u8)>,
+}
+
+/// Sequence numbers `steps` apart, from 0: any number, not only tens.
+fn seqs(steps: impl IntoIterator<Item = u8>) -> impl Iterator<Item = u32> {
+    steps.into_iter().scan(0, |seq, step| {
+        *seq += u32::from(step);
+        Some(*seq)
+    })
 }
 
 fn arb_shape() -> impl Strategy<Value = SpecShape> {
@@ -37,8 +50,15 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
         proptest::collection::vec(1u8..250, 0..3),
         proptest::collection::vec(1u8..250, 0..3),
         proptest::collection::vec(1u8..250, 0..3),
-        (0u8..4, any::<bool>()),
-        proptest::collection::vec((1u8..250, 8u8..=24, any::<bool>(), 0u8..4, 0u8..4), 0..4),
+        (
+            0u8..4,
+            proptest::collection::vec(1u8..25, 1..4),
+            any::<bool>(),
+        ),
+        proptest::collection::vec(
+            (1u8..250, 8u8..=24, any::<bool>(), 0u8..4, 0u8..4, 1u8..25),
+            0..4,
+        ),
     )
         .prop_map(
             |(
@@ -49,7 +69,7 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
                 ibgp,
                 rr_clients,
                 networks,
-                (redistribute, production),
+                (redistribute, terms, production),
                 filter,
             )| {
                 SpecShape {
@@ -61,6 +81,7 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
                     rr_clients,
                     networks,
                     redistribute,
+                    terms,
                     production,
                     filter,
                 }
@@ -106,14 +127,20 @@ fn build_spec(shape: &SpecShape, vendor: Vendor) -> RouterSpec {
         _ => spec,
     };
     if shape.redistribute >= 2 {
-        spec = spec.route_map("EXPORT", RouterSpec::permit_all_route_map());
+        let terms = seqs(shape.terms.iter().copied()).map(|seq| RouteMapEntry {
+            seq,
+            ..RouterSpec::permit_all_route_map().entries[0].clone()
+        });
+        let entries = terms.collect();
+        spec = spec.route_map("EXPORT", RouteMap { entries });
     }
     if !shape.filter.is_empty() {
-        let entries = shape.filter.iter().enumerate();
-        let entries = entries.map(|(i, (octet, len, deny, ge, le))| {
+        let seqs = seqs(shape.filter.iter().map(|f| f.5));
+        let entries = shape.filter.iter().zip(seqs);
+        let entries = entries.map(|((octet, len, deny, ge, le, _), seq)| {
             let ge = (*ge > 0).then_some(len + ge);
             PrefixListEntry {
-                seq: (i as u32 + 1) * 10,
+                seq,
                 action: if *deny {
                     PolicyAction::Deny
                 } else {
@@ -162,7 +189,10 @@ proptest! {
         prop_assert_eq!(&back.isis, &cfg.isis);
         prop_assert_eq!(&back.static_routes, &cfg.static_routes);
         prop_assert_eq!(&back.mgmt.ssl_profiles, &cfg.mgmt.ssl_profiles);
+        // Sequence numbers included: a prefix-list entry spells its own
+        // where it is not its position's, a term is named for its.
         prop_assert_eq!(&back.prefix_lists, &cfg.prefix_lists);
+        prop_assert_eq!(&back.route_maps, &cfg.route_maps);
         match (&back.bgp, &cfg.bgp) {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(a.asn, b.asn);

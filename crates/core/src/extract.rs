@@ -8,12 +8,15 @@
 //! qualifies its answers with that coverage instead of aborting (see
 //! `mfv_verify::coverage`).
 //!
-//! One typed Get per router: its AFT, addresses and `up` leaf become the
-//! node's dataplane entry and are dropped before the next RPC goes out, so
-//! the peak holds the result plus one router's AFT. No state tree is built
-//! or decoded — JSON is for process boundaries, and there is none here —
-//! and ingesting cannot fail, so a node is in the dataplane exactly when
-//! its status is covered.
+//! Extraction is the emulation's last step, as in the paper's pipeline,
+//! which dumps each router's AFT and then tears the emulation down:
+//! [`extract_snapshot`] takes the network by value, keeps its up links and
+//! routers ([`Emulation::tear_down`]), and drops each router once its typed
+//! Get (AFT, addresses, `up`) is answered, before the answer becomes the
+//! node's dataplane entry. A router outweighs its entry, so the heap only
+//! falls: the peak is the emulation handed over. No state tree is built —
+//! JSON is for process boundaries — and ingesting cannot fail, so a node is
+//! in the dataplane exactly when its status is covered.
 
 use std::collections::BTreeMap;
 
@@ -42,7 +45,8 @@ impl ExtractedSnapshot {
     }
 }
 
-/// Extracts a dataplane from a (possibly still-degraded) emulation. Nodes
+/// Extracts a dataplane from a (possibly still-degraded) emulation, tearing
+/// it down as it goes (to keep the network, hand over `emu.clone()`). Nodes
 /// whose router instance is gone — evicted by a machine failure and not yet
 /// rescheduled — report `Missing("no router instance")`; nodes whose RPC
 /// path fails past the collector's retry budget report `Missing` with the
@@ -52,18 +56,15 @@ impl ExtractedSnapshot {
 /// span — sim time from the emulation's current clock, wall time from a
 /// local stopwatch — into `obs`.
 pub fn extract_snapshot(
-    emu: &Emulation,
+    emu: Emulation,
     collector: &Collector,
     obs: &mut mfv_obs::Obs,
 ) -> ExtractedSnapshot {
     let wall = mfv_obs::WallTimer::start();
-    let nodes = emu
-        .topology
-        .nodes
-        .iter()
-        .map(|n| (n.name.clone(), emu.router(&n.name)));
+    let start = emu.now();
+    let (links, routers) = emu.tear_down();
     let mut dataplane = Dataplane::new();
-    let report = collector.collect_each(nodes, ForwardingState::from_router, |node, got| {
+    let report = collector.collect_each(routers, ForwardingState::from_router, |node, got| {
         ingest_aft(
             &mut dataplane,
             node.clone(),
@@ -72,9 +73,8 @@ pub fn extract_snapshot(
             got.up,
         );
     });
-    add_covered_links(&mut dataplane, emu.up_links());
+    add_covered_links(&mut dataplane, &links);
     report.observe_into(obs);
-    let start = emu.now();
     obs.phases
         .record("extract", start, start + report.sim_elapsed);
     obs.wall.add_phase("extract", wall.elapsed_micros());
@@ -145,7 +145,8 @@ mod tests {
         for snapshot in [scenarios::regional_wan(3, 4), scenarios::isis_grid(3, 2)] {
             let emu = converged(&snapshot);
             let collector = Collector::default();
-            let typed = extract_snapshot(&emu, &collector, &mut mfv_obs::Obs::new()).dataplane;
+            let typed =
+                extract_snapshot(emu.clone(), &collector, &mut mfv_obs::Obs::new()).dataplane;
             let nodes = snapshot
                 .topology
                 .nodes
@@ -170,7 +171,8 @@ mod tests {
         GRID.get_or_init(|| {
             let snapshot = scenarios::isis_grid(3, 2);
             let emu = converged(&snapshot);
-            let full = extract_snapshot(&emu, &Collector::default(), &mut mfv_obs::Obs::new());
+            let full =
+                extract_snapshot(emu.clone(), &Collector::default(), &mut mfv_obs::Obs::new());
             assert!(full.is_complete());
             (snapshot, emu, full.dataplane)
         })
@@ -202,7 +204,7 @@ mod tests {
                 down_is_missing: false,
             };
             let collector = Collector::with_failures(failures);
-            let got = extract_snapshot(emu, &collector, &mut mfv_obs::Obs::new());
+            let got = extract_snapshot(emu.clone(), &collector, &mut mfv_obs::Obs::new());
             prop_assert_eq!(got.status.len(), names.len());
             let mut covered = 0;
             for name in &names {

@@ -140,7 +140,7 @@ pub fn verify_link_cuts_detailed(
     scope: Option<&IpSet>,
 ) -> Result<SweepReport, BackendError> {
     let (converged, _) = backend.run(snapshot)?;
-    let baseline = extract(&converged, backend);
+    let baseline = extract(converged.clone(), backend);
     let cache = ClassCache::new();
     let fa_baseline = ForwardingAnalysis::with_cache(&baseline, &cache);
 
@@ -195,12 +195,12 @@ fn cut_from_fork(
     }
     fork.run_until_converged();
     let events = fork.events_processed() - converged.events_processed();
-    (extract(&fork, backend), events)
+    (extract(fork, backend), events)
 }
 
 /// The dataplane as the management plane reports it (§4.1's extraction
-/// step), for the baseline and for every fork alike.
-fn extract(emu: &Emulation, backend: &EmulationBackend) -> Dataplane {
+/// step), which consumes it: the baseline's fork and every context's.
+fn extract(emu: Emulation, backend: &EmulationBackend) -> Dataplane {
     extract_snapshot(emu, &backend.collector, &mut mfv_obs::Obs::new()).dataplane
 }
 

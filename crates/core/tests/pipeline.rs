@@ -312,7 +312,7 @@ fn clos_ecmp_is_consistent() {
         .fib()
         .lookup("10.255.0.101".parse().unwrap())
         .expect("route to l2 loopback")
-        .clone();
+        .to_entry();
     assert_eq!(e.next_hops.len(), 3, "{e:?}");
 }
 

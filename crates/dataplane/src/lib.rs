@@ -82,7 +82,7 @@ impl Dataplane {
         self.nodes.insert(
             name,
             NodeDataplane {
-                entries: fib.entries().cloned().collect(),
+                entries: fib.entries().map(|e| e.to_entry()).collect(),
                 addresses,
                 up,
             },

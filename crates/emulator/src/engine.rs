@@ -40,6 +40,7 @@
 //! width; the converged dataplane does not depend on the layout either.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::mem::take;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -264,6 +265,9 @@ pub struct Emulation {
     shards: Vec<Shard>,
     glob: Global,
 }
+
+/// A node's name and its router (`None`: no instance).
+pub type NamedRouter = (NodeId, Option<VirtualRouter>);
 
 /// What the coordinator decided at a barrier.
 enum Plan {
@@ -816,6 +820,21 @@ impl Emulation {
             dp.add_link(link.clone());
         }
         dp
+    }
+
+    /// Tears the emulation down for extraction: the links up, in topology
+    /// order, and each node's router in name order. The rest goes first, a
+    /// router when its taker drops it: no copy is ever held beside them.
+    pub fn tear_down(mut self) -> (Vec<LinkId>, impl Iterator<Item = NamedRouter>) {
+        let (links, up) = (take(&mut self.glob.links), take(&mut self.fleet.link_up));
+        let (routers, net) = (take(&mut self.fleet.routers), Arc::clone(&self.net));
+        drop(self);
+        let links = links.into_iter().zip(up);
+        let up = links.filter_map(|(l, up)| up.then_some(l.id));
+        let name = move |i: usize| net.interner.node(NodeRef(i as u32)).cloned();
+        let named = routers.into_iter().enumerate();
+        let named = named.filter_map(move |(i, router)| Some((name(i)?, router)));
+        (up.collect(), named)
     }
 
     /// The links that are up right now, in topology order.

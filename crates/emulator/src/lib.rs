@@ -25,7 +25,7 @@ pub mod topology;
 
 pub use chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict, ImpairSpec};
 pub use cluster::{Cluster, MachineSpec, PodRequest, Unschedulable};
-pub use engine::{Emulation, EmulationConfig, RunReport, ShardMode};
+pub use engine::{Emulation, EmulationConfig, NamedRouter, RunReport, ShardMode};
 pub use inject::{synthetic_prefixes, ExternalPeer};
 pub use parallel::{outcome_distribution, run_seeds, SeedError, SeedRun};
 pub use topology::{ExternalPeerSpec, NodeSpec, TopoLink, Topology};

@@ -52,53 +52,49 @@ pub struct Aft {
 }
 
 impl Aft {
-    /// Builds an AFT from a FIB, deduplicating next hops and groups the way
-    /// real AFT exports do (shared groups across prefixes).
-    ///
-    /// One lookup per entry, keyed by its ordered next-hop set (preserving
-    /// the FIB's order makes the round-trip exactly lossless). Groups and
-    /// next hops are numbered by first sight in FIB order; a next hop is
-    /// first seen in a group that is itself new, so numbering hops only
+    /// Builds an AFT from a FIB, its next-hop groups the FIB's own: an
+    /// entry's group is found by the FIB's group id, through a table
+    /// indexed by it. Groups and next hops are numbered by first sight in
+    /// FIB order (which keeps the round-trip exactly lossless); a next hop
+    /// is first seen in a group that is itself new, so numbering hops only
     /// inside new groups gives the ids a lookup per hop would.
     pub fn from_fib(fib: &Fib) -> Aft {
         let mut aft = Aft::default();
         aft.ipv4_unicast.reserve(fib.len());
         let mut nh_ids: BTreeMap<&FibNextHop, u64> = BTreeMap::new();
-        let mut group_ids: BTreeMap<&[FibNextHop], u64> = BTreeMap::new();
+        // Each FIB group's AFT id; 0: not seen yet.
+        let mut group_ids = vec![0u64; fib.group_ids()];
 
         for entry in fib.entries() {
-            let set: &[FibNextHop] = &entry.next_hops;
-            let gid = match group_ids.get(set) {
-                Some(gid) => *gid,
-                None => {
-                    let gid = group_ids.len() as u64 + 1;
-                    let next_hops = set.iter().map(|nh| {
-                        let next_id = nh_ids.len() as u64 + 1;
-                        let id = *nh_ids.entry(nh).or_insert(next_id);
-                        if id == next_id {
-                            aft.next_hops.insert(
-                                id,
-                                AftNextHop {
-                                    id,
-                                    interface: nh.iface.to_string(),
-                                    ip_address: nh.via,
-                                },
-                            );
-                        }
-                        id
-                    });
-                    let group = AftNextHopGroup {
-                        id: gid,
-                        next_hops: next_hops.collect(),
-                    };
-                    aft.next_hop_groups.insert(gid, group);
-                    group_ids.insert(set, gid);
-                    gid
-                }
+            let Some(gid) = group_ids.get_mut(entry.group as usize) else {
+                continue; // every group id is below `group_ids()`
             };
+            if *gid == 0 {
+                *gid = aft.next_hop_groups.len() as u64 + 1;
+                let next_hops = entry.next_hops.iter().map(|nh| {
+                    let next_id = nh_ids.len() as u64 + 1;
+                    let id = *nh_ids.entry(nh).or_insert(next_id);
+                    if id == next_id {
+                        aft.next_hops.insert(
+                            id,
+                            AftNextHop {
+                                id,
+                                interface: nh.iface.to_string(),
+                                ip_address: nh.via,
+                            },
+                        );
+                    }
+                    id
+                });
+                let group = AftNextHopGroup {
+                    id: *gid,
+                    next_hops: next_hops.collect(),
+                };
+                aft.next_hop_groups.insert(*gid, group);
+            }
             aft.ipv4_unicast.push(AftIpv4Entry {
                 prefix: entry.prefix,
-                next_hop_group: gid,
+                next_hop_group: *gid,
                 origin_protocol: entry.proto,
             });
         }

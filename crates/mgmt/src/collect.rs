@@ -11,6 +11,7 @@
 //! Failure decisions are deterministic in `(seed, node, attempt)`, so a
 //! chaos run replays bit-for-bit.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::{Rng, SeedableRng};
@@ -99,9 +100,10 @@ impl Collector {
     /// Collects telemetry from every node, retrying failures with capped
     /// exponential backoff. Never fails as a whole: nodes that cannot be
     /// extracted are reported [`ExtractionStatus::Missing`] and skipped.
-    pub fn collect<'a, I>(&self, nodes: I) -> CollectionReport
+    pub fn collect<I, R>(&self, nodes: I) -> CollectionReport
     where
-        I: IntoIterator<Item = (NodeId, Option<&'a VirtualRouter>)>,
+        I: IntoIterator<Item = (NodeId, Option<R>)>,
+        R: Borrow<VirtualRouter>,
     {
         let mut telemetry = BTreeMap::new();
         let mut report = self.collect_each(nodes, Telemetry::from_router, |node, t| {
@@ -118,120 +120,78 @@ impl Collector {
     /// and lets it go holds one router's answer at a time, however many
     /// routers there are. A `read` error is not transient: the node is
     /// `Missing` without a retry, so a node is covered exactly when its
-    /// answer reached `sink`.
-    pub fn collect_each<'a, I, T>(
+    /// answer reached `sink`. A router handed over by value is dropped once
+    /// its Get is answered, before `sink` sees the answer.
+    pub fn collect_each<I, R, T>(
         &self,
         nodes: I,
         read: impl Fn(&VirtualRouter) -> Result<T, ExtractError>,
         mut sink: impl FnMut(&NodeId, T),
     ) -> CollectionReport
     where
-        I: IntoIterator<Item = (NodeId, Option<&'a VirtualRouter>)>,
+        I: IntoIterator<Item = (NodeId, Option<R>)>,
+        R: Borrow<VirtualRouter>,
     {
-        let mut status = BTreeMap::new();
-        let mut attempts_total = 0u64;
-        let mut retries_total = 0u64;
-        let mut backoff_total = SimDuration::ZERO;
-        let mut sim_elapsed = SimDuration::ZERO;
-        let mut backoff_by_node = BTreeMap::new();
-        let mut attempts_by_node = BTreeMap::new();
+        let mut report = CollectionReport::default();
         for (node, router) in nodes {
-            let (st, t, attempts, backoff, elapsed) = self.collect_node(&node, router, &read);
-            attempts_total += attempts as u64;
-            retries_total += attempts.saturating_sub(1) as u64;
-            backoff_total = backoff_total + backoff;
-            sim_elapsed = sim_elapsed + elapsed;
-            backoff_by_node.insert(node.clone(), backoff);
-            attempts_by_node.insert(node.clone(), attempts);
-            if let Some(t) = t {
-                sink(&node, t);
-            }
-            status.insert(node, st);
+            let (got, attempts, backoff, elapsed) = self.collect_node(&node, router, &read);
+            report.attempts += attempts as u64;
+            report.retries += attempts.saturating_sub(1) as u64;
+            report.backoff_total = report.backoff_total + backoff;
+            report.sim_elapsed = report.sim_elapsed + elapsed;
+            report.backoff_by_node.insert(node.clone(), backoff);
+            report.attempts_by_node.insert(node.clone(), attempts);
+            let status = match got {
+                Ok(t) => {
+                    sink(&node, t);
+                    let stale = self.failures.stale.get(&node);
+                    stale.map_or(ExtractionStatus::Fresh, |age| ExtractionStatus::Stale(*age))
+                }
+                Err(reason) => ExtractionStatus::Missing(reason),
+            };
+            report.status.insert(node, status);
         }
-        CollectionReport {
-            telemetry: BTreeMap::new(),
-            status,
-            attempts: attempts_total,
-            retries: retries_total,
-            backoff_total,
-            sim_elapsed,
-            backoff_by_node,
-            attempts_by_node,
-        }
+        report
     }
 
+    /// One node through the retry loop: its answer or why there is none,
+    /// the attempts made, the backoff waited and the sim time spent.
     fn collect_node<T>(
         &self,
         node: &NodeId,
-        router: Option<&VirtualRouter>,
+        router: Option<impl Borrow<VirtualRouter>>,
         read: impl Fn(&VirtualRouter) -> Result<T, ExtractError>,
-    ) -> (ExtractionStatus, Option<T>, u32, SimDuration, SimDuration) {
+    ) -> (Result<T, String>, u32, SimDuration, SimDuration) {
+        let zero = SimDuration::ZERO;
         let Some(router) = router else {
-            return (
-                ExtractionStatus::Missing("no router instance".into()),
-                None,
-                0,
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-            );
+            return (Err("no router instance".into()), 0, zero, zero);
         };
+        let router: &VirtualRouter = router.borrow();
         if self.failures.down_is_missing && !router.is_running() {
-            return (
-                ExtractionStatus::Missing("device down".into()),
-                None,
-                0,
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-            );
+            return (Err("device down".into()), 0, zero, zero);
         }
-
         let mut rng = ChaCha8Rng::seed_from_u64(self.failures.seed ^ node_key(node));
-        let mut elapsed = SimDuration::ZERO;
-        let mut backoff_waited = SimDuration::ZERO;
         let forced = self.failures.force_fail.contains(node);
-        let mut attempts = 0u32;
-        let mut last_error;
+        let (mut attempts, mut backoff, mut elapsed) = (0, zero, zero);
         loop {
             attempts += 1;
-            match self.rpc_outcome(forced, &mut rng) {
-                Ok(()) => {
-                    // The RPC path answered; now read the device. A read
-                    // failure is not transient — don't retry.
-                    return match read(router) {
-                        Ok(t) => {
-                            let st = match self.failures.stale.get(node) {
-                                Some(age) => ExtractionStatus::Stale(*age),
-                                None => ExtractionStatus::Fresh,
-                            };
-                            (st, Some(t), attempts, backoff_waited, elapsed)
-                        }
-                        Err(e) => (
-                            ExtractionStatus::Missing(e.0),
-                            None,
-                            attempts,
-                            backoff_waited,
-                            elapsed,
-                        ),
-                    };
-                }
+            let last_error = match self.rpc_outcome(forced, &mut rng) {
+                // The RPC path answered; now read the device. A read
+                // failure is not transient — don't retry.
+                Ok(()) => return (read(router).map_err(|e| e.0), attempts, backoff, elapsed),
                 Err((cost, err)) => {
                     elapsed = elapsed + cost;
-                    last_error = err;
+                    err
                 }
-            }
+            };
             if attempts >= MAX_ATTEMPTS {
-                return (
-                    ExtractionStatus::Missing(format!(
-                        "retry budget exhausted after {attempts} attempts (last: {last_error})"
-                    )),
-                    None,
-                    attempts,
-                    backoff_waited,
-                    elapsed,
+                let reason = format!(
+                    "retry budget exhausted after {attempts} attempts (last: {last_error})"
                 );
+                return (Err(reason), attempts, backoff, elapsed);
             }
             let wait = backoff_delay(attempts, &mut rng);
-            backoff_waited = backoff_waited + wait;
+            backoff = backoff + wait;
             elapsed = elapsed + wait;
         }
     }
@@ -256,7 +216,7 @@ impl Collector {
 }
 
 /// Outcome of one collection sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CollectionReport {
     /// State trees of the nodes that answered (fresh or stale); empty when
     /// [`Collector::collect_each`] handed them to a sink instead.
@@ -444,7 +404,7 @@ mod tests {
     #[test]
     fn missing_router_instance_is_missing() {
         let c = Collector::default();
-        let report = c.collect(vec![(NodeId::from("ghost"), None)]);
+        let report = c.collect(vec![(NodeId::from("ghost"), None::<&VirtualRouter>)]);
         assert_eq!(report.coverage(), 0.0);
         assert_eq!(
             report.status[&NodeId::from("ghost")],

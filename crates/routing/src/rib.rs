@@ -10,6 +10,7 @@
 //! prefix, routers patch the prefixes a change can have touched. A router's
 //! RIB holds no BGP routes: [`Fib::patch`] reads BGP's selection in place.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -353,6 +354,7 @@ impl Rib {
         for prefix in self.universe() {
             fib.patch(self, None, prefix, &mut memo, &mut gateways);
         }
+        fib.finish(memo).for_each(drop);
         fib
     }
 }
@@ -367,13 +369,13 @@ impl NextHopResolver for Rib {
 }
 
 /// What one batch of [`Fib::patch`] calls has resolved so far, per gateway:
-/// the addresses looked up on the way and the resolved set — the table's
-/// stored copy, or `None` for a gateway that does not resolve. A route that
-/// is `Via` that gateway alone, and a BGP selection via it, resolve to this,
-/// so a thousand BGP routes through twenty gateways cost twenty
-/// resolutions. Nothing invalidates an entry: a memo serves one [`Fib`] and
-/// one batch — a router poll's stale set, a [`Rib::to_fib`] — inside which
-/// the IGP view cannot move, and is dropped with it.
+/// the addresses looked up on the way and the resolved set — the id of the
+/// table's group for it, or `None` for a gateway that does not resolve. A
+/// route that is `Via` that gateway alone, and a BGP selection via it,
+/// resolve to this, so a thousand BGP routes through twenty gateways cost
+/// twenty resolutions. Nothing invalidates an entry: a memo serves one
+/// [`Fib`] and one batch — a router poll's stale set, a [`Rib::to_fib`] —
+/// inside which the IGP view cannot move, and [`Fib::finish`] ends it.
 #[derive(Default)]
 pub struct GatewayMemo {
     via: BTreeMap<Ipv4Addr, ViaGateway>,
@@ -382,30 +384,106 @@ pub struct GatewayMemo {
 /// (addresses looked up, resolved set) for one gateway.
 type ViaGateway = (Vec<Ipv4Addr>, ViaSet);
 
-/// A resolved next-hop set as the table stores it, `None`: nothing resolved.
-type ViaSet = Option<Arc<[FibNextHop]>>;
+/// A resolved next-hop set as the table's group id, `None`: nothing resolved.
+type ViaSet = Option<u32>;
 
 impl GatewayMemo {
     /// Gateways resolved (each once) since the memo was made.
     pub fn resolutions(&self) -> usize {
         self.via.len()
     }
+}
 
-    /// Every gateway the batch resolved, with the addresses its resolution
-    /// looked up: valid until the IGP view moves at one of them.
-    pub fn into_looked_up(self) -> impl Iterator<Item = (Ipv4Addr, Vec<Ipv4Addr>)> {
-        let via = self.via.into_iter();
-        via.map(|(gateway, (looked_up, _))| (gateway, looked_up))
+/// A table's distinct next-hop sets, by id: each set and the number of
+/// entries naming it (`None`: a free id). A group left without a user keeps
+/// its id — the batch's memo may still name it — until `sweep` ends the
+/// batch. Linear scans: a table has a handful of groups.
+#[derive(Clone, Debug, Default)]
+struct Groups(Vec<Slot>);
+
+type Slot = Option<(Arc<[FibNextHop]>, u32)>;
+
+/// A FIB entry as the table holds it: (next-hop group id, protocol).
+type Route = (u32, RouteProtocol);
+
+const HELD: &str = "an entry or the batch's memo names a held group";
+
+impl Groups {
+    /// The id of the group holding `set`, made (without a user) if none does.
+    fn intern(&mut self, set: impl Borrow<[FibNextHop]> + Into<Arc<[FibNextHop]>>) -> u32 {
+        let (slots, wanted): (_, &[FibNextHop]) = (&mut self.0, set.borrow());
+        let holds = |slot: &Slot| matches!(slot, Some((held, _)) if **held == *wanted);
+        if let Some(id) = slots.iter().position(holds) {
+            return id as u32;
+        }
+        let free = slots.iter().position(Option::is_none);
+        let id = free.unwrap_or_else(|| {
+            slots.push(None);
+            slots.len() - 1
+        });
+        slots[id] = Some((set.into(), 0));
+        id as u32
+    }
+
+    fn set(&self, id: u32) -> &Arc<[FibNextHop]> {
+        &self.0[id as usize].as_ref().expect(HELD).0
+    }
+
+    /// `by` entries more name `id` (one more or one less).
+    fn count(&mut self, id: u32, by: i32) {
+        let users = &mut self.0[id as usize].as_mut().expect(HELD).1;
+        *users = users.checked_add_signed(by).expect("a user per entry");
+    }
+
+    /// Frees the groups without a user: the batch that could name them is over.
+    fn sweep(&mut self) {
+        for slot in &mut self.0 {
+            if matches!(slot, Some((_, 0))) {
+                *slot = None;
+            }
+        }
     }
 }
 
-/// The FIB: longest-prefix-match forwarding state.
+/// One FIB entry as [`Fib`] hands it out: its next-hop set is the table's
+/// stored copy, shared with every entry of the same set.
+#[derive(Clone, Copy, Debug)]
+pub struct FibRef<'a> {
+    pub prefix: Prefix,
+    pub proto: RouteProtocol,
+    pub next_hops: &'a Arc<[FibNextHop]>,
+    /// The set's id in its table: equal ids, equal sets; two tables' ids
+    /// mean nothing to each other.
+    pub group: u32,
+}
+
+impl FibRef<'_> {
+    pub fn to_entry(&self) -> FibEntry {
+        FibEntry {
+            prefix: self.prefix,
+            proto: self.proto,
+            next_hops: Arc::clone(self.next_hops),
+        }
+    }
+}
+
+/// By content: the group id is the table's, not the entry's.
+impl PartialEq for FibRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.prefix, self.proto, self.next_hops) == (other.prefix, other.proto, other.next_hops)
+    }
+}
+
+impl Eq for FibRef<'_> {}
+
+/// The FIB: longest-prefix-match forwarding state. An entry is eight bytes,
+/// its next-hop group's id and its protocol; a thousand BGP prefixes leave
+/// a router through a handful of groups, each stored once.
 #[derive(Clone, Debug, Default)]
 pub struct Fib {
-    trie: PrefixTrie<FibEntry>,
-    /// The table's distinct next-hop sets, stored once each: a thousand BGP
-    /// prefixes leave a router through a handful of them.
-    next_hop_sets: InternSet<Arc<[FibNextHop]>>,
+    /// Per prefix, its next-hop group's id and its protocol.
+    trie: PrefixTrie<Route>,
+    groups: Groups,
 }
 
 impl Fib {
@@ -413,11 +491,27 @@ impl Fib {
         Fib::default()
     }
 
-    /// Installs `entry`, its next-hop set swapped for the table's stored
-    /// copy of the same set.
-    pub fn insert(&mut self, mut entry: FibEntry) {
-        entry.next_hops = self.next_hop_sets.intern(entry.next_hops);
-        self.trie.insert(entry.prefix, entry);
+    /// Installs `entry`, its next-hop set swapped for the table's group of
+    /// the same set.
+    pub fn insert(&mut self, entry: FibEntry) {
+        let (group, proto) = (self.groups.intern(entry.next_hops), entry.proto);
+        self.install(entry.prefix, Some((group, proto)));
+        self.groups.sweep();
+    }
+
+    /// Puts `route` at `prefix` (`None`: takes the entry out), counting
+    /// the groups' users; returns whether the entry changed.
+    fn install(&mut self, prefix: Prefix, route: Option<Route>) -> bool {
+        let old = match route {
+            Some(route) => self.trie.insert(prefix, route),
+            None => self.trie.remove(&prefix),
+        };
+        for (route, by) in [(route, 1), (old, -1)] {
+            if let Some(route) = route {
+                self.groups.count(route.0, by);
+            }
+        }
+        old != route
     }
 
     /// Brings the entry at `prefix` in line with `rib` and, when given,
@@ -426,10 +520,11 @@ impl Fib {
     /// distance, metric, protocol) — and returns whether it changed. A
     /// selection, and a RIB winner that is one `Via` gateway, takes the
     /// batch's answer for each gateway from `memo`; any other winner is
-    /// resolved afresh and swapped for the table's stored copy of the same
-    /// set. `gateways` receives what a RIB winner's resolution looked up
-    /// (`Rib::resolve`). Either way the handle is compared with the entry's
-    /// — by pointer first — in the one walk that finds or makes the entry.
+    /// resolved afresh and swapped for the table's group of the same set.
+    /// `gateways` receives what a RIB winner's resolution looked up
+    /// (`Rib::resolve`). Either way the group id is compared with the
+    /// entry's in the one walk that finds or makes the entry: a table holds
+    /// each set under one id. [`finish`](Self::finish) ends the batch.
     pub fn patch(
         &mut self,
         rib: &Rib,
@@ -448,29 +543,32 @@ impl Fib {
         let resolved = match (learned, route) {
             (Some((proto, s)), _) => Some((proto, self.via_each(rib, &s.next_hops, memo))),
             (None, Some(route)) => {
-                let next_hops = if let [NextHop::Via(gw)] = route.next_hops[..] {
-                    let (looked_up, stored) = self.via(rib, gw, memo);
+                let group = if let [NextHop::Via(gw)] = route.next_hops[..] {
+                    let (looked_up, group) = self.via(rib, gw, memo);
                     gateways.extend_from_slice(looked_up);
-                    stored.clone()
+                    *group
                 } else {
                     let resolved = rib.resolve(&route.next_hops, gateways);
-                    resolved.map(|set| self.next_hop_sets.intern(set))
+                    resolved.map(|set| self.groups.intern(set))
                 };
-                Some((route.proto, next_hops))
+                Some((route.proto, group))
             }
             (None, None) => None,
         };
-        let Some((proto, Some(next_hops))) = resolved else {
-            return self.trie.remove(prefix).is_some();
+        let route = match resolved {
+            Some((proto, Some(group))) => Some((group, proto)),
+            _ => None,
         };
-        let (entry, made) = self.trie.get_or_insert_with(*prefix, || FibEntry {
-            prefix: *prefix,
-            proto,
-            next_hops: Arc::clone(&next_hops),
-        });
-        let changed = made || entry.proto != proto || entry.next_hops != next_hops;
-        (entry.proto, entry.next_hops) = (proto, next_hops);
-        changed
+        self.install(*prefix, route)
+    }
+
+    /// Ends the batch `memo` served, freeing the groups left without a user.
+    /// Returns each gateway it resolved with the addresses that looked up:
+    /// valid until the IGP view moves at one of them.
+    pub fn finish(&mut self, memo: GatewayMemo) -> impl Iterator<Item = (Ipv4Addr, Vec<Ipv4Addr>)> {
+        self.groups.sweep();
+        let via = memo.via.into_iter();
+        via.map(|(gateway, (looked_up, _))| (gateway, looked_up))
     }
 
     /// The batch's answer for `gw`, worked out on its first use.
@@ -478,34 +576,46 @@ impl Fib {
         memo.via.entry(gw).or_insert_with(|| {
             let mut looked_up = Vec::new();
             let resolved = rib.resolve(&[NextHop::Via(gw)], &mut looked_up);
-            let stored = resolved.map(|set| self.next_hop_sets.intern(set));
-            (looked_up, stored)
+            (looked_up, resolved.map(|set| self.groups.intern(set)))
         })
     }
 
     /// The batch's answer for a selection's gateways: one gateway's as the
-    /// memo holds it, several gateways' merged into one stored set.
+    /// memo holds it, several gateways' merged into one group.
     fn via_each(&mut self, rib: &Rib, gws: &[Ipv4Addr], memo: &mut GatewayMemo) -> ViaSet {
         if let [gw] = gws {
-            return self.via(rib, *gw, memo).1.clone();
+            return self.via(rib, *gw, memo).1;
         }
         let mut merged = Vec::new();
         for gw in gws {
-            merged.extend_from_slice(self.via(rib, *gw, memo).1.as_deref().unwrap_or_default());
+            if let Some(group) = self.via(rib, *gw, memo).1 {
+                merged.extend_from_slice(self.groups.set(group));
+            }
         }
         merged.sort();
         merged.dedup();
-        (!merged.is_empty()).then(|| self.next_hop_sets.intern(merged))
+        (!merged.is_empty()).then(|| self.groups.intern(merged))
+    }
+
+    fn view(&self, prefix: Prefix, &(group, proto): &Route) -> FibRef<'_> {
+        let next_hops = self.groups.set(group);
+        FibRef {
+            prefix,
+            proto,
+            next_hops,
+            group,
+        }
     }
 
     /// Longest-prefix-match lookup.
-    pub fn lookup(&self, dst: Ipv4Addr) -> Option<&FibEntry> {
-        self.trie.lookup(dst).map(|(_, e)| e)
+    pub fn lookup(&self, dst: Ipv4Addr) -> Option<FibRef<'_>> {
+        let (prefix, route) = self.trie.lookup(dst)?;
+        Some(self.view(prefix, route))
     }
 
     /// Exact-prefix lookup.
-    pub fn get(&self, prefix: &Prefix) -> Option<&FibEntry> {
-        self.trie.get(prefix)
+    pub fn get(&self, prefix: &Prefix) -> Option<FibRef<'_>> {
+        Some(self.view(*prefix, self.trie.get(prefix)?))
     }
 
     pub fn len(&self) -> usize {
@@ -519,27 +629,19 @@ impl Fib {
     /// All entries in prefix order. Lazy: callers iterating tables at
     /// production scale (AFT extraction, class computation) pay no
     /// per-snapshot `Vec<&_>` allocation.
-    pub fn entries(&self) -> impl Iterator<Item = &FibEntry> {
-        self.trie.iter().map(|(_, e)| e)
+    pub fn entries(&self) -> impl Iterator<Item = FibRef<'_>> {
+        self.trie.iter().map(|(p, route)| self.view(p, route))
     }
 
-    /// Structural equality check used by the convergence detector: two FIBs
-    /// are equal when they hold identical entries.
+    /// A bound on [`FibRef::group`]: ids are below it.
+    pub fn group_ids(&self) -> usize {
+        self.groups.0.len()
+    }
+
+    /// Structural equality: two FIBs are equal when they hold identical
+    /// entries, group ids aside.
     pub fn same_as(&self, other: &Fib) -> bool {
-        self.trie == other.trie
-    }
-
-    /// A compact digest of the FIB used for cheap convergence comparison.
-    pub fn digest(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        for (p, e) in self.trie.iter() {
-            p.hash(&mut h);
-            e.proto.hash(&mut h);
-            e.next_hops.hash(&mut h);
-        }
-        h.finish()
+        self.len() == other.len() && self.entries().eq(other.entries())
     }
 }
 
@@ -708,7 +810,7 @@ mod tests {
         let e = fib.lookup(ip("203.0.113.7")).unwrap();
         assert_eq!(e.proto, RouteProtocol::IbgpLearned);
         assert_eq!(
-            e.next_hops,
+            *e.next_hops,
             [FibNextHop {
                 iface: "eth0".into(),
                 via: Some(ip("100.64.0.1"))
@@ -761,7 +863,7 @@ mod tests {
         );
         let fib = rib.to_fib();
         assert_eq!(
-            fib.get(&p("203.0.113.0/24")).unwrap().next_hops,
+            *fib.get(&p("203.0.113.0/24")).unwrap().next_hops,
             [FibNextHop {
                 iface: "eth0".into(),
                 via: Some(ip("100.64.0.1"))
@@ -979,27 +1081,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_changes_with_content() {
-        let mut rib = Rib::new();
-        rib.set_protocol_routes(
-            RouteProtocol::Connected,
-            vec![connected("10.0.0.0/24", "eth0")],
-        );
-        let f1 = rib.to_fib();
-        rib.set_protocol_routes(
-            RouteProtocol::Connected,
-            vec![
-                connected("10.0.0.0/24", "eth0"),
-                connected("10.0.1.0/24", "eth1"),
-            ],
-        );
-        let f2 = rib.to_fib();
-        assert_ne!(f1.digest(), f2.digest());
-        assert!(!f1.same_as(&f2));
-        assert!(f1.same_as(&f1.clone()));
-    }
-
-    #[test]
     fn resolution_loop_terminates() {
         // Two static routes resolving through each other must not hang.
         let mut rib = Rib::new();
@@ -1023,5 +1104,192 @@ mod tests {
         let fib = rib.to_fib();
         assert!(fib.lookup(ip("1.2.3.4")).is_none());
         assert!(fib.lookup(ip("2.3.4.5")).is_none());
+    }
+
+    /// The eight prefixes the model test edits, nested for longest matches.
+    const PREFIXES: [&str; 8] = [
+        "10.0.0.0/8",
+        "10.0.0.0/16",
+        "10.0.0.0/24",
+        "10.0.1.0/24",
+        "10.0.1.0/25",
+        "10.0.1.1/32",
+        "10.0.2.0/24",
+        "10.0.3.0/24",
+    ];
+
+    /// The next hop out of port `i` to its /31 peer, as IS-IS resolves it.
+    fn out_of(i: u8) -> FibNextHop {
+        FibNextHop {
+            iface: format!("eth{i}").as_str().into(),
+            via: Some(Ipv4Addr::new(100, 64, i, 1)),
+        }
+    }
+
+    /// The ports a three-bit mask picks, as IS-IS next hops.
+    fn ports(mask: u8) -> Vec<NextHop> {
+        let picked = (0..3).filter(|i| mask & 1 << i != 0);
+        picked
+            .map(|i| {
+                NextHop::ViaIface(
+                    Ipv4Addr::new(100, 64, i, 1),
+                    format!("eth{i}").as_str().into(),
+                )
+            })
+            .collect()
+    }
+
+    /// Loopback `j`: a BGP gateway IS-IS reaches.
+    fn loopback(j: u8) -> Ipv4Addr {
+        Ipv4Addr::new(2, 2, 2, j)
+    }
+
+    /// `rib` joined with `selections` as the RIB routes they stand for,
+    /// resolved from scratch.
+    fn reference(rib: &Rib, selections: &BTreeMap<Prefix, SelectedRoute>) -> Fib {
+        let mut reference = rib.clone();
+        for proto in [RouteProtocol::EbgpLearned, RouteProtocol::IbgpLearned] {
+            let routes = selections
+                .iter()
+                .filter(|(_, s)| s.protocol() == Some(proto));
+            let routes = routes.map(|(prefix, s)| RibRoute {
+                next_hops: s.next_hops.iter().map(|gw| NextHop::Via(*gw)).collect(),
+                ..RibRoute::new(*prefix, proto, 0, NextHop::Discard)
+            });
+            reference.set_protocol_routes(proto, routes.collect());
+        }
+        reference.to_fib()
+    }
+
+    // Inserts, batches of patches (routes, BGP selections, removals)
+    // and IGP moves between the batches, against a map of what the
+    // table should hold: every entry, lookup and exact match agrees;
+    // a table filled in another order is `same_as`; and outside a
+    // batch the group table holds exactly the distinct sets in use.
+    proptest::proptest! {
+        #[test]
+        fn fib_groups_follow_a_map_model(
+            ops in proptest::collection::vec(
+                (
+                    0u8..6,
+                    0u8..8,
+                    0u8..8,
+                    proptest::collection::vec((0u8..8, 0u8..5, 0u8..8), 1..7),
+                ),
+                1..24,
+            ),
+            probes in proptest::collection::vec(0u32..1024, 8),
+        ) {
+            let pool: [Vec<FibNextHop>; 5] = [
+                vec![out_of(0)],
+                vec![out_of(1)],
+                vec![out_of(0), out_of(1)],
+                vec![],
+                vec![out_of(2)],
+            ];
+            let mut rib = Rib::new();
+            let connected = (0..3).map(|i| connected(&format!("100.64.{i}.0/31"), &format!("eth{i}")));
+            rib.set_protocol_routes(RouteProtocol::Connected, connected.collect());
+            let (mut fib, mut model) = (Fib::new(), BTreeMap::<Prefix, FibEntry>::new());
+            let mut selections = BTreeMap::<Prefix, SelectedRoute>::new();
+            for (kind, a, b, changes) in ops {
+                match kind {
+                    // An IGP move: loopback `a` through the ports `b` picks.
+                    0 => {
+                        let lo = Prefix::from_bits(u32::from(loopback(a % 2)), 32);
+                        let hops = ports(b % 8);
+                        let route = (!hops.is_empty()).then(|| RibRoute {
+                            next_hops: hops.into(),
+                            ..RibRoute::new(lo, RouteProtocol::Isis, 10, NextHop::Discard)
+                        });
+                        rib.set_route(RouteProtocol::Isis, lo, route);
+                    }
+                    1 => {
+                        let entry = FibEntry {
+                            prefix: p(PREFIXES[a as usize]),
+                            proto: [RouteProtocol::Static, RouteProtocol::Isis][b as usize % 2],
+                            next_hops: pool[b as usize % pool.len()].clone().into(),
+                        };
+                        fib.insert(entry.clone());
+                        model.insert(entry.prefix, entry);
+                    }
+                    _ => {
+                        let mut batch = BTreeSet::new();
+                        for (k, change, x) in changes {
+                            let prefix = p(PREFIXES[k as usize]);
+                            batch.insert(prefix);
+                            let route = |hops: Vec<NextHop>| RibRoute {
+                                next_hops: hops.into(),
+                                ..RibRoute::new(prefix, RouteProtocol::Isis, 20, NextHop::Discard)
+                            };
+                            match change {
+                                0 => {
+                                    rib.set_route(RouteProtocol::Isis, prefix, None);
+                                    selections.remove(&prefix);
+                                }
+                                1 => {
+                                    let via = route(vec![NextHop::Via(loopback(x % 2))]);
+                                    rib.set_route(RouteProtocol::Isis, prefix, Some(via));
+                                }
+                                2 => {
+                                    let out = route(ports(x % 7 + 1));
+                                    rib.set_route(RouteProtocol::Isis, prefix, Some(out));
+                                }
+                                3 => {
+                                    let gateways: Vec<Ipv4Addr> = match x % 3 {
+                                        0 => vec![loopback(0)],
+                                        1 => vec![loopback(1)],
+                                        _ => vec![loopback(0), loopback(1)],
+                                    };
+                                    let selected = SelectedRoute {
+                                        attrs: Arc::new(crate::policy::BgpAttrs::originated(gateways[0])),
+                                        learned_from: Some(gateways[0]),
+                                        ebgp: x < 6,
+                                        next_hops: gateways.into(),
+                                    };
+                                    selections.insert(prefix, selected);
+                                }
+                                _ => {
+                                    selections.remove(&prefix);
+                                }
+                            }
+                        }
+                        let (mut memo, mut looked_up) = (GatewayMemo::default(), Vec::new());
+                        for prefix in &batch {
+                            fib.patch(&rib, selections.get(prefix), prefix, &mut memo, &mut looked_up);
+                        }
+                        fib.finish(memo).for_each(drop);
+                        let reference = reference(&rib, &selections);
+                        for prefix in &batch {
+                            match reference.get(prefix) {
+                                Some(e) => model.insert(*prefix, e.to_entry()),
+                                None => model.remove(prefix),
+                            };
+                        }
+                    }
+                }
+
+                let entries: Vec<FibEntry> = fib.entries().map(|e| e.to_entry()).collect();
+                proptest::prop_assert_eq!(&entries, &model.values().cloned().collect::<Vec<_>>());
+                for (prefix, want) in &model {
+                    let got = fib.get(prefix).map(|e| e.to_entry());
+                    proptest::prop_assert_eq!(got.as_ref(), Some(want));
+                }
+                for probe in &probes {
+                    let ip = Ipv4Addr::from(0x0a00_0000 | probe << 2 & 0x3ff | probe & 3);
+                    let want = model.values().filter(|e| e.prefix.contains(ip)).max_by_key(|e| e.prefix.len());
+                    let got = fib.lookup(ip).map(|e| e.to_entry());
+                    proptest::prop_assert_eq!(got.as_ref(), want, "{}", ip);
+                }
+                let mut other = Fib::new();
+                for e in model.values().rev() {
+                    other.insert(e.clone());
+                }
+                proptest::prop_assert!(fib.same_as(&other) && other.same_as(&fib));
+                let in_use: BTreeSet<&[FibNextHop]> = model.values().map(|e| &*e.next_hops).collect();
+                let held = fib.groups.0.iter().flatten().map(|(set, _)| &**set);
+                proptest::prop_assert_eq!(held.collect::<BTreeSet<_>>(), in_use);
+            }
+        }
     }
 }

@@ -770,7 +770,7 @@ mod tests {
                 next_hops: vec![].into(),
             },
         ];
-        let want: Vec<FibEntry> = r1.fib().entries().cloned().collect();
+        let want: Vec<FibEntry> = r1.fib().entries().map(|e| e.to_entry()).collect();
         let got: Vec<FibEntry> = by_prefix(&r1.entries).into_iter().cloned().collect();
         assert_eq!(got, want);
         assert_eq!(got.len(), 2);

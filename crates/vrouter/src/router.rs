@@ -845,7 +845,7 @@ impl VirtualRouter {
             self.gateways.set(*prefix, &gateways);
         }
         self.fib_gateway_resolutions += memo.resolutions() as u64;
-        self.gateways.by_gateway.extend(memo.into_looked_up());
+        self.gateways.by_gateway.extend(self.fib.finish(memo));
         if changed {
             self.fib_version += 1;
         }
@@ -1235,7 +1235,7 @@ mod tests {
         });
         let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), cfg);
         let _ = r.poll(SimTime(100));
-        let booted: Vec<_> = r.fib().entries().cloned().collect();
+        let booted: Vec<_> = r.fib().entries().map(|e| e.to_entry()).collect();
         assert!(
             booted.len() >= 3,
             "loopback, link subnet, static: {booted:?}"
@@ -1249,7 +1249,7 @@ mod tests {
 
         r.restart(SimTime(300));
         let _ = r.poll(SimTime(400));
-        let back: Vec<_> = r.fib().entries().cloned().collect();
+        let back: Vec<_> = r.fib().entries().map(|e| e.to_entry()).collect();
         assert_eq!(back, booted, "a restarted router must not stay black");
         assert!(r.fib_version() > crashed_at);
         assert_eq!(r.take_changed_prefixes().len(), booted.len());

@@ -162,7 +162,10 @@ fn recursive_statics() -> Vec<StaticRoute> {
 }
 
 fn table(r: &VirtualRouter) -> BTreeMap<Prefix, FibEntry> {
-    r.fib().entries().map(|e| (e.prefix, e.clone())).collect()
+    r.fib()
+        .entries()
+        .map(|e| (e.prefix, e.to_entry()))
+        .collect()
 }
 
 fn routes(rib: &Rib, proto: RouteProtocol) -> Vec<mfv_routing::RibRoute> {

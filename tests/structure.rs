@@ -127,6 +127,27 @@ const ROWS: &[Row] = &[
         plant: "pub struct FibEntry { pub next_hops: Vec<FibNextHop> }",
     },
     Row {
+        files: "crates/routing/src/rib.rs > pub struct Fib {",
+        rule: Absent("PrefixTrie<FibEntry>|InternSet"),
+        why: "one group table per FIB: an entry names its next-hop group by id; a set is \
+              stored once, in the table's groups",
+        plant: "pub struct Fib {\n    trie: PrefixTrie<FibEntry>,\n    sets: InternSet<Arc<[FibNextHop]>>,\n}",
+    },
+    Row {
+        files: "crates/mgmt/src/aft.rs > pub fn from_fib(",
+        rule: Absent("&[FibNextHop]"),
+        why: "one group table per FIB: the AFT numbers the FIB's groups by their ids, not \
+              by looking each entry's set up",
+        plant: "pub fn from_fib(fib: &Fib) -> Aft {\n    let ids: BTreeMap<&[FibNextHop], u64>;\n}",
+    },
+    Row {
+        files: "crates/core/src/extract.rs",
+        rule: Absent("emu: &Emulation"),
+        why: "one hand-over: extraction consumes the emulation, letting each router go once \
+              it is read",
+        plant: "pub fn extract_snapshot(emu: &Emulation, collector: &Collector) {}",
+    },
+    Row {
         files: "crates/routing/src/bgp.rs",
         rule: Exactly(2, "resolver.igp_metric("),
         why: "one computation per distinct input: session reachability in `reaches`, a \
@@ -261,6 +282,8 @@ const REQUIRED: &[&str] = &[
     "tests/work_ceiling.rs::a_shard_costs_no_per_node_state",
     "tests/work_ceiling.rs::walking_a_fib_allocates_one_small_buffer",
     "crates/types/tests/proptests.rs::trie_arena_follows_a_map_model",
+    "crates/routing/src/rib.rs::fib_groups_follow_a_map_model",
+    "tests/work_ceiling.rs::extraction_holds_one_routers_aft_at_a_time",
 ];
 
 /// The files `glob` names. Tests run in the repository root.
