@@ -595,17 +595,21 @@ fn a3() {
 }
 
 /// The system allocator, counting the (bytes, allocations) this thread has
-/// live and their high-water mark: an emulation runs, and is cloned, on the
-/// thread that asks.
+/// live and their high-water mark, and the allocations it has made: an
+/// emulation runs, and is cloned, on the thread that asks.
 struct Counting;
 
 thread_local! {
     static LIVE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
     static PEAK: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    static MADE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Books `bytes` (negative: a release) and the one allocation they are.
 fn book(bytes: isize) {
+    if bytes > 0 {
+        let _ = MADE.try_with(|made| made.set(made.get() + 1));
+    }
     let _ = LIVE.try_with(|live| {
         let (b, n) = live.get();
         let now = (
@@ -768,16 +772,23 @@ fn converge(opts: &Options) {
             backend,
         )
     };
+    let made = MADE.get();
     let (emu, meta) = backend.run(&snapshot).expect("network boots");
+    let made = MADE.get() - made;
     assert!(meta.converged, "{network}");
     let obs = emu.export_obs();
     let us = |phase: &str| obs.wall.phase_micros(phase).unwrap_or(0);
     let run_us = us("boot") + us("flood") + us("converge");
     let events = obs.metrics.counter("engine.events.processed");
     println!(
-        "{network}, seed 1: {events} events, run {:.3} s, {:.2} us/event\n",
+        "{network}, seed 1: {events} events, run {:.3} s, {:.2} us/event",
         run_us as f64 / 1e6,
         run_us as f64 / events.max(1) as f64
+    );
+    let delivered = obs.metrics.counter("engine.messages.delivered");
+    println!(
+        "allocations: {made} in the run, {:.2} per delivered message ({delivered})\n",
+        made as f64 / delivered.max(1) as f64
     );
 
     println!("span                         ms  % of run");

@@ -317,6 +317,10 @@ fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
         &["converge", "--grid", "3", "2"],
         &[
             "isis_grid(3, 2), seed 1: 1162 events",
+            // What the run allocated, against the messages it delivered.
+            "\nallocations: ",
+            " in the run, ",
+            " per delivered message (550)\n",
             "\nrouter.spf ",
             "\nSPF: 52 runs, ",
             " us per run\n",

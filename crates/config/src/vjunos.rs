@@ -202,8 +202,8 @@ pub fn parse(text: &str) -> Result<Parsed, ParseError> {
     let mut community_defs: Vec<(String, Vec<Community>)> = Vec::new();
     if let Some(po) = tree.iter().find(|s| s.word(0) == "policy-options") {
         for c in po.children_named("community") {
-            // community NAME members a:b [a:b ...]
-            if c.words.len() >= 4 && c.word(2) == "members" {
+            // community NAME members [a:b ...]
+            if c.words.len() >= 3 && c.word(2) == "members" {
                 let comms: Option<Vec<Community>> =
                     c.words[3..].iter().map(|w| parse_community(w)).collect();
                 if let Some(comms) = comms {
@@ -1148,6 +1148,20 @@ pub fn render(cfg: &DeviceConfig) -> String {
 
     if !cfg.prefix_lists.is_empty() || !cfg.route_maps.is_empty() {
         w.open("policy-options");
+        // Each distinct community set a term matches, adds or sets, named
+        // for its place among them and defined after the statements.
+        let mut sets: Vec<Vec<Community>> = Vec::new();
+        let mut set_name = |set: Vec<Community>| {
+            let at = sets.iter().position(|s| *s == set).unwrap_or(sets.len());
+            if at == sets.len() {
+                sets.push(set);
+            }
+            format!("c{}", at + 1)
+        };
+        let community = |m: &MatchClause| match m {
+            MatchClause::Community(c) => Some(*c),
+            _ => None,
+        };
         for (name, pl) in &cfg.prefix_lists {
             w.open(&format!("prefix-list {name}"));
             for (i, e) in pl.entries.iter().enumerate() {
@@ -1161,9 +1175,19 @@ pub fn render(cfg: &DeviceConfig) -> String {
                 w.open(&format!("term t{}", e.seq));
                 if !e.matches.is_empty() {
                     w.open("from");
-                    for m in &e.matches {
-                        if let MatchClause::PrefixList(pl) = m {
-                            w.line(&format!("prefix-list {pl};"));
+                    // A run of community matches is one `from community`.
+                    let runs = e
+                        .matches
+                        .chunk_by(|a, b| community(a).and(community(b)).is_some());
+                    for run in runs {
+                        let set: Vec<Community> = run.iter().filter_map(community).collect();
+                        match run {
+                            [MatchClause::PrefixList(pl)] => w.line(&format!("prefix-list {pl};")),
+                            [MatchClause::Community(_), ..] => {
+                                w.line(&format!("community {};", set_name(set)))
+                            }
+                            // `MaxAsPathLen` has no vjunos syntax (ROADMAP item 13).
+                            _ => {}
                         }
                     }
                     w.close();
@@ -1174,7 +1198,16 @@ pub fn render(cfg: &DeviceConfig) -> String {
                         SetClause::LocalPref(v) => w.line(&format!("local-preference {v};")),
                         SetClause::Med(v) => w.line(&format!("metric {v};")),
                         SetClause::NextHop(ip) => w.line(&format!("next-hop {ip};")),
-                        _ => {}
+                        SetClause::AddCommunities(cs) => {
+                            w.line(&format!("community add {};", set_name(cs.clone())))
+                        }
+                        SetClause::SetCommunities(cs) => {
+                            w.line(&format!("community set {};", set_name(cs.clone())))
+                        }
+                        SetClause::PrependAsPath(asns) => {
+                            let asns: String = asns.iter().map(|a| format!(" {}", a.0)).collect();
+                            w.line(&format!("as-path-prepend{asns};"));
+                        }
                     }
                 }
                 match e.action {
@@ -1185,6 +1218,10 @@ pub fn render(cfg: &DeviceConfig) -> String {
                 w.close();
             }
             w.close();
+        }
+        for (i, set) in sets.iter().enumerate() {
+            let members: String = set.iter().map(|c| format!(" {c}")).collect();
+            w.line(&format!("community c{} members{members};", i + 1));
         }
         w.close();
     }

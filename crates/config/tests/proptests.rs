@@ -6,10 +6,10 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 use mfv_config::{
-    ceos, vjunos, IfaceSpec, PolicyAction, PrefixList, PrefixListEntry, RouteMap, RouteMapEntry,
-    RouterSpec, Vendor,
+    ceos, vjunos, IfaceSpec, MatchClause, PolicyAction, PrefixList, PrefixListEntry, RouteMap,
+    RouteMapEntry, RouterSpec, SetClause, Vendor,
 };
-use mfv_types::AsNum;
+use mfv_types::{AsNum, Community};
 
 #[derive(Debug, Clone)]
 struct SpecShape {
@@ -23,9 +23,9 @@ struct SpecShape {
     /// BGP redistribution: none, connected, or connected / IS-IS policed
     /// by a route-map.
     redistribute: u8,
-    /// The policing route-map's terms, as the steps between their sequence
-    /// numbers.
-    terms: Vec<u8>,
+    /// The policing route-map's terms: the steps between their sequence
+    /// numbers, and each one's clauses.
+    terms: Vec<(u8, TermShape)>,
     production: bool,
     /// Prefix-list entries: (octet, length, deny, ge above the length, le
     /// above ge, step from the last sequence number); a zero bound is
@@ -41,6 +41,51 @@ fn seqs(steps: impl IntoIterator<Item = u8>) -> impl Iterator<Item = u32> {
     })
 }
 
+/// A term's community and AS-path clauses: the communities it matches
+/// (one run, between prefix-list matches), the set it adds (`true`) or
+/// sets, and what it prepends.
+type TermShape = (Vec<u32>, Option<(bool, Vec<u32>)>, Option<Vec<u32>>);
+
+fn arb_term() -> impl Strategy<Value = TermShape> {
+    let communities = || proptest::collection::vec(any::<u32>(), 0..3);
+    (
+        communities(),
+        proptest::option::of((any::<bool>(), communities())),
+        proptest::option::of(proptest::collection::vec(1u32..4_000_000_000, 0..3)),
+    )
+}
+
+/// A term with `shape`'s clauses, sequence number `seq`.
+fn term(seq: u32, (matched, community, prepend): &TermShape) -> RouteMapEntry {
+    let mut matches = vec![MatchClause::PrefixList("FILTER".into())];
+    matches.extend(
+        matched
+            .iter()
+            .map(|c| MatchClause::Community(Community(*c))),
+    );
+    matches.push(MatchClause::PrefixList("OTHER".into()));
+    let mut sets = Vec::new();
+    if let Some((add, set)) = community {
+        let set = set.iter().copied().map(Community).collect();
+        sets.push(match add {
+            true => SetClause::AddCommunities(set),
+            false => SetClause::SetCommunities(set),
+        });
+    }
+    sets.push(SetClause::LocalPref(200));
+    if let Some(asns) = prepend {
+        sets.push(SetClause::PrependAsPath(
+            asns.iter().copied().map(AsNum).collect(),
+        ));
+    }
+    RouteMapEntry {
+        seq,
+        action: PolicyAction::Permit,
+        matches,
+        sets,
+    }
+}
+
 fn arb_shape() -> impl Strategy<Value = SpecShape> {
     (
         64512u32..65535,
@@ -52,7 +97,7 @@ fn arb_shape() -> impl Strategy<Value = SpecShape> {
         proptest::collection::vec(1u8..250, 0..3),
         (
             0u8..4,
-            proptest::collection::vec(1u8..25, 1..4),
+            proptest::collection::vec((1u8..25, arb_term()), 1..4),
             any::<bool>(),
         ),
         proptest::collection::vec(
@@ -127,11 +172,11 @@ fn build_spec(shape: &SpecShape, vendor: Vendor) -> RouterSpec {
         _ => spec,
     };
     if shape.redistribute >= 2 {
-        let terms = seqs(shape.terms.iter().copied()).map(|seq| RouteMapEntry {
-            seq,
-            ..RouterSpec::permit_all_route_map().entries[0].clone()
-        });
-        let entries = terms.collect();
+        let seqs = seqs(shape.terms.iter().map(|(step, _)| *step));
+        let entries = seqs
+            .zip(&shape.terms)
+            .map(|(seq, (_, t))| term(seq, t))
+            .collect();
         spec = spec.route_map("EXPORT", RouteMap { entries });
     }
     if !shape.filter.is_empty() {

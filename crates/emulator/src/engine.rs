@@ -165,14 +165,6 @@ pub struct RunReport {
     pub phases: SimPhases,
 }
 
-/// A link's id and interned endpoints (its state is the fleet's `link_up`).
-#[derive(Clone)]
-struct LinkRecord {
-    id: LinkId,
-    a: (NodeRef, mfv_types::IfaceRef),
-    b: (NodeRef, mfv_types::IfaceRef),
-}
-
 /// A coordinator-timeline entry: chaos that must fire at an exact global
 /// instant, applied at a window boundary cut to that instant.
 #[derive(Clone)]
@@ -196,7 +188,9 @@ struct Global {
     /// message jitter so placement is a pure function of `(seed, topology)`.
     cluster_rng: ChaCha8Rng,
     node_total: usize,
-    links: Vec<LinkRecord>,
+    /// Each link's id, by slot (its ends are the `Net`'s, its state the
+    /// fleet's `link_up`).
+    links: Vec<LinkId>,
     link_index: BTreeMap<LinkId, usize>,
     /// Chaos instants, keyed `(time, insertion order)` so same-instant
     /// entries apply in plan order.
@@ -321,43 +315,23 @@ impl Emulation {
             .into_iter()
             .map(|p| p.ok_or_else(|| "node config missing after parse".to_string()))
             .collect::<Result<_, _>>()?;
-        let mut ends = BTreeMap::new();
+        let mut net_links = Vec::with_capacity(topology.links.len());
         let mut links = Vec::with_capacity(topology.links.len());
         let mut link_index = BTreeMap::new();
         for l in &topology.links {
             let an = interner.intern_node(&l.a_node);
-            let ai = interner.intern_iface(&l.a_iface);
             let bn = interner.intern_node(&l.b_node);
-            let bi = interner.intern_iface(&l.b_iface);
             let slot = links.len();
             // Latency clamp ≥ 1 ms: a zero-latency link would let one
             // shard's output land in another shard's current instant,
             // collapsing the conservative lookahead to zero.
-            let latency_ms = l.latency_ms.max(1);
-            ends.insert(
-                (an, ai),
-                crate::shard::EndInfo {
-                    peer: bn,
-                    peer_iface: bi,
-                    latency_ms,
-                    link_slot: slot,
-                },
-            );
-            ends.insert(
-                (bn, bi),
-                crate::shard::EndInfo {
-                    peer: an,
-                    peer_iface: ai,
-                    latency_ms,
-                    link_slot: slot,
-                },
-            );
-            link_index.insert(l.id(), slot);
-            links.push(LinkRecord {
-                id: l.id(),
-                a: (an, ai),
-                b: (bn, bi),
+            net_links.push(crate::shard::LinkInfo {
+                ends: [(an, l.a_iface.clone()), (bn, l.b_iface.clone())],
+                ports: [None; 2],
+                latency_ms: l.latency_ms.max(1),
             });
+            link_index.insert(l.id(), slot);
+            links.push(l.id());
         }
         // Vendor profiles with overrides pre-applied, and the static BGP
         // endpoint-address table. Addresses come from parsed configs (what
@@ -389,12 +363,12 @@ impl Emulation {
         let node_total = topology.nodes.len();
         let seed = cfg.seed;
         let cluster_rng = ChaCha8Rng::seed_from_u64(stream_seed(seed, 0x3000_0000));
-        let net = Net {
+        let mut net = Net {
+            ports: vec![Vec::new(); interner.node_count()],
             interner,
             profiles,
-            parsed_configs,
-            ends,
-            link_ends: links.iter().map(|l| (l.a, l.b)).collect(),
+            parsed_configs: Vec::new(),
+            links: net_links,
             ip_owner,
             node_shard: Vec::new(),
             ext_shard: Vec::new(),
@@ -404,6 +378,12 @@ impl Emulation {
             link_impair: vec![Vec::new(); links.len()],
             pair_impair: BTreeMap::new(),
         };
+        // A router boots with a port per interface of its config, in order.
+        net.cable(|node, name| {
+            let config = &parsed_configs.get(node.index())?.config;
+            config.interfaces.iter().position(|i| &i.name == name)
+        });
+        net.parsed_configs = parsed_configs;
         let fleet = Fleet::new(&net, topology.external_peers.len(), links.len());
         let glob = Global {
             cfg,
@@ -529,13 +509,10 @@ impl Emulation {
         // different shards, capped by the 2 ms BGP segment floor (iBGP
         // sessions may connect any two routers regardless of links).
         let mut lookahead = 2u64;
-        for rec in &self.glob.links {
-            let sa = self.net.node_shard.get(rec.a.0.index()).copied();
-            let sb = self.net.node_shard.get(rec.b.0.index()).copied();
-            if sa != sb {
-                if let Some(end) = self.net.ends.get(&rec.a) {
-                    lookahead = lookahead.min(end.latency_ms);
-                }
+        for link in &self.net.links {
+            let [(a, _), (b, _)] = &link.ends;
+            if self.net.node_shard.get(a.index()) != self.net.node_shard.get(b.index()) {
+                lookahead = lookahead.min(link.latency_ms);
             }
         }
         self.glob.lookahead_ms = lookahead.max(1);
@@ -761,6 +738,8 @@ impl Emulation {
             for addr in router.addresses() {
                 net.ip_owner.insert(*addr, Owner::Node(node_ref));
             }
+            // An interface the config names first gets a port: cable it.
+            net.cable(|node, name| router.port(name).filter(|_| node == node_ref));
             fleet.last_activity = fleet.last_activity.max(now);
             shard.schedule_poll(fleet, node_ref, SimTime(now.0 + 1));
         }
@@ -830,7 +809,7 @@ impl Emulation {
         let (routers, net) = (take(&mut self.fleet.routers), Arc::clone(&self.net));
         drop(self);
         let links = links.into_iter().zip(up);
-        let up = links.filter_map(|(l, up)| up.then_some(l.id));
+        let up = links.filter_map(|(l, up)| up.then_some(l));
         let name = move |i: usize| net.interner.node(NodeRef(i as u32)).cloned();
         let named = routers.into_iter().enumerate();
         let named = named.filter_map(move |(i, router)| Some((name(i)?, router)));
@@ -840,7 +819,7 @@ impl Emulation {
     /// The links that are up right now, in topology order.
     pub fn up_links(&self) -> impl Iterator<Item = &LinkId> {
         let links = self.glob.links.iter().zip(&self.fleet.link_up);
-        links.filter(|(_, up)| **up).map(|(l, _)| &l.id)
+        links.filter(|(_, up)| **up).map(|(l, _)| l)
     }
 
     /// The steady-state churn tracker: per prefix, the retained
@@ -1138,7 +1117,7 @@ fn apply_global(
             let detail = glob
                 .links
                 .get(slot)
-                .map(|r| r.id.to_string())
+                .map(|id| id.to_string())
                 .unwrap_or_default();
             fleet.journal.push(t, kind, detail);
             // One event per endpoint shard: each sets the link's state and

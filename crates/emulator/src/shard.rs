@@ -42,7 +42,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use mfv_obs::{Hist, Journal, WallTimer};
-use mfv_types::{IfaceRef, Interner, NodeRef, Prefix, SimDuration, SimTime};
+use mfv_types::{IfaceId, Interner, NodeRef, Prefix, SimDuration, SimTime};
 use mfv_vrouter::{RouterEvent, VendorProfile, VirtualRouter};
 
 use crate::chaos::ImpairSpec;
@@ -73,9 +73,10 @@ pub(crate) struct EvKey {
 #[derive(Clone, Debug)]
 pub(crate) enum EventKind {
     PodReady(NodeRef),
+    /// A frame crossing link `link` to its end `end`.
     DeliverIsis {
-        node: NodeRef,
-        iface: IfaceRef,
+        link: u32,
+        end: u32,
         payload: Bytes,
     },
     DeliverBgp {
@@ -146,13 +147,14 @@ pub(crate) enum Owner {
     External(usize),
 }
 
-/// One directed end of a link: everything delivery needs, resolved once.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct EndInfo {
-    pub peer: NodeRef,
-    pub peer_iface: IfaceRef,
+/// A link: its two ends and the port each is cabled to, resolved once.
+#[derive(Clone, Debug)]
+pub(crate) struct LinkInfo {
+    pub ends: [(NodeRef, IfaceId); 2],
+    /// The port (`VirtualRouter::ports`) each end is cabled to, if its node
+    /// has one for the interface.
+    pub ports: [Option<usize>; 2],
     pub latency_ms: u64,
-    pub link_slot: usize,
 }
 
 /// One chaos message-impairment window.
@@ -241,12 +243,11 @@ pub(crate) struct Net {
     pub profiles: Vec<VendorProfile>,
     /// Per-node configs parsed once at `Emulation::new`.
     pub parsed_configs: Vec<mfv_config::Parsed>,
-    /// Directed link ends, pre-resolved. Latencies are clamped to ≥ 1 ms —
-    /// the conservative lookahead bound requires a strictly positive
-    /// cross-shard delay.
-    pub ends: BTreeMap<(NodeRef, IfaceRef), EndInfo>,
-    /// Link endpoints by slot (for link up/down router notification).
-    pub link_ends: Vec<((NodeRef, IfaceRef), (NodeRef, IfaceRef))>,
+    /// Links by slot. Latencies are clamped to ≥ 1 ms — the conservative
+    /// lookahead bound requires a strictly positive cross-shard delay.
+    pub links: Vec<LinkInfo>,
+    /// Per node, by port: the link end cabled there, as (slot, end).
+    pub ports: Vec<Vec<Option<(usize, usize)>>>,
     /// addr → owning entity, for BGP segment delivery. Built statically
     /// from parsed configs (interface addresses are config-derived), so
     /// delivery routing never depends on boot order.
@@ -274,15 +275,32 @@ impl Net {
 
     /// The shards holding link `slot`'s endpoints, each once.
     pub fn link_shards(&self, slot: usize) -> Vec<usize> {
-        let Some(&((a, _), (b, _))) = self.link_ends.get(slot) else {
-            return Vec::new();
-        };
-        let mut sids: Vec<usize> = [a, b]
-            .iter()
-            .filter_map(|n| self.node_shard.get(n.index()).copied())
+        let ends = self.links.get(slot).map_or(&[][..], |link| &link.ends);
+        let mut sids: Vec<usize> = (ends.iter())
+            .filter_map(|(n, _)| self.node_shard.get(n.index()).copied())
             .collect();
         sids.dedup();
         sids
+    }
+
+    /// Cables each link end to the port `port_of` names for its node and
+    /// interface; an end it names none for stays as it was. Ports never
+    /// move, so re-cabling after a config push only adds.
+    pub fn cable(&mut self, port_of: impl Fn(NodeRef, &IfaceId) -> Option<usize>) {
+        for (slot, link) in self.links.iter_mut().enumerate() {
+            for (end, (node, iface)) in link.ends.iter().enumerate() {
+                let (Some(port), Some(row)) =
+                    (port_of(*node, iface), self.ports.get_mut(node.index()))
+                else {
+                    continue;
+                };
+                link.ports[end] = Some(port);
+                if row.len() <= port {
+                    row.resize(port + 1, None);
+                }
+                row[port] = Some((slot, end));
+            }
+        }
     }
 }
 
@@ -487,7 +505,8 @@ pub(crate) struct Shard {
     /// same endpoints. Flows are keyed by sender, so each flow's clock
     /// lives in exactly one shard.
     bgp_flow_clock: BTreeMap<(Ipv4Addr, Ipv4Addr), SimTime>,
-    isis_link_clock: BTreeMap<(NodeRef, IfaceRef), SimTime>,
+    /// Keyed by (link slot, sending end).
+    isis_link_clock: BTreeMap<(usize, usize), SimTime>,
     /// Cross-shard sends since the last barrier: `(dest shard, event)`.
     pub outbox: Vec<(usize, Ev)>,
 }
@@ -549,21 +568,18 @@ impl Shard {
     /// Tells this shard's endpoint routers of link `slot` about a change
     /// (the caller has written the fleet's link state).
     pub fn apply_link(&mut self, net: &Net, fleet: &mut Fleet, slot: usize, change: LinkChange) {
-        let Some(&(a, b)) = net.link_ends.get(slot) else {
+        let Some(link) = net.links.get(slot) else {
             return;
         };
         let now = self.now;
-        for (node, iface) in [a, b] {
+        for &(node, ref iface) in &link.ends {
             if net.node_shard.get(node.index()) != Some(&self.id) {
                 continue;
             }
-            let Some(iface_name) = net.interner.iface(iface) else {
-                continue;
-            };
             if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
                 match change {
-                    LinkChange::Carrier(up) => router.set_link(iface_name, up),
-                    LinkChange::WireRemoved => router.remove_wire(iface_name),
+                    LinkChange::Carrier(up) => router.set_link(iface, up),
+                    LinkChange::WireRemoved => router.remove_wire(iface),
                 }
                 self.schedule_poll(fleet, node, SimTime(now.0 + 1));
             }
@@ -604,41 +620,36 @@ impl Shard {
     ) {
         for ev in events {
             match ev {
-                RouterEvent::IsisFrame { iface, payload } => {
-                    let Some(iface_ref) = net.interner.resolve_iface(&iface) else {
+                RouterEvent::IsisFrame { port, payload } => {
+                    let row = net.ports.get(node.index());
+                    let Some((slot, end)) = row.and_then(|row| row.get(port)).copied().flatten()
+                    else {
                         continue;
                     };
-                    let key = (node, iface_ref);
-                    let Some(end) = net.ends.get(&key).copied() else {
+                    let (Some(link), Some(true)) = (net.links.get(slot), fleet.link_up.get(slot))
+                    else {
                         continue;
                     };
-                    if !fleet.link_up.get(end.link_slot).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let impair = self.impairment_for(net, end.link_slot);
+                    let peer = link.ends[1 - end].0;
+                    let impair = self.impairment_for(net, slot);
                     let copies = fleet.impaired_copies(node, impair);
                     let extra = impair.map(|s| s.extra_delay_ms).unwrap_or(0);
                     for _ in 0..copies {
                         let jitter = fleet.node_jitter(node);
                         let mut at =
-                            self.now + SimDuration::from_millis(end.latency_ms + jitter + extra);
-                        let clock = self.isis_link_clock.entry(key).or_insert(SimTime::ZERO);
+                            self.now + SimDuration::from_millis(link.latency_ms + jitter + extra);
+                        let clock = self.isis_link_clock.entry((slot, end));
+                        let clock = clock.or_insert(SimTime::ZERO);
                         at = at.max(SimTime(clock.0 + 1));
                         *clock = at;
                         let ev_key = fleet.next_key(net.node_origin(node), at);
-                        let dest = net.node_shard[end.peer.index()];
-                        self.send(
-                            fleet,
-                            dest,
-                            Ev {
-                                key: ev_key,
-                                kind: EventKind::DeliverIsis {
-                                    node: end.peer,
-                                    iface: end.peer_iface,
-                                    payload: payload.clone(),
-                                },
-                            },
-                        );
+                        let dest = net.node_shard[peer.index()];
+                        let kind = EventKind::DeliverIsis {
+                            link: slot as u32,
+                            end: 1 - end as u32,
+                            payload: payload.clone(),
+                        };
+                        self.send(fleet, dest, Ev { key: ev_key, kind });
                     }
                 }
                 RouterEvent::BgpSegment { src, dst, payload } => {
@@ -813,25 +824,20 @@ impl Shard {
                 fleet.last_activity = fleet.last_activity.max(now);
                 self.schedule_poll(fleet, node, now);
             }
-            EventKind::DeliverIsis {
-                node,
-                iface,
-                payload,
-            } => {
+            EventKind::DeliverIsis { link, end, payload } => {
                 fleet.tally.deliver_isis += 1;
-                let slot = net.ends.get(&(node, iface)).map(|e| e.link_slot);
-                if !slot
-                    .and_then(|s| fleet.link_up.get(s))
-                    .copied()
-                    .unwrap_or(false)
-                {
-                    return;
-                }
-                let Some(iface_name) = net.interner.iface(iface) else {
+                let (Some(info), Some(true)) = (
+                    net.links.get(link as usize),
+                    fleet.link_up.get(link as usize),
+                ) else {
                     return;
                 };
+                let (node, port) = (info.ends[end as usize].0, info.ports[end as usize]);
                 if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
-                    router.push_isis(now, iface_name, payload);
+                    // A node with no port for the interface drops the frame.
+                    if let Some(port) = port {
+                        router.push_isis(now, port, payload);
+                    }
                     fleet.messages_delivered += 1;
                     self.schedule_poll(fleet, node, SimTime(now.0 + 1));
                 }

@@ -3,7 +3,9 @@
 //! computation.
 //!
 //! Poll-based like [`crate::bgp::BgpEngine`]: PDUs in via
-//! [`IsisEngine::push_pdu`], encoded PDUs out via [`IsisEngine::poll`].
+//! [`IsisEngine::push_pdu`], encoded PDUs out via [`IsisEngine::poll`],
+//! each naming its adjacency by slot: its place in the engine's adjacency
+//! set, which is fixed when the engine is built.
 //!
 //! Each LSP is encoded and checksummed once: the LSDB keeps it as the
 //! [`StoredLsp`] the codec produced, floods and re-sends its bytes, and
@@ -11,7 +13,7 @@
 //! graph the engine keeps as LSPs are installed.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -19,8 +21,8 @@ use bytes::Bytes;
 
 use mfv_types::{IfaceAddr, IfaceId, Prefix, RouteProtocol, SimDuration, SimTime};
 use mfv_wire::isis::{
-    AdjState, Csnp, IpReach, IsNeighbor, IsisPdu, Lsp, LspEntry, LspId, P2pHello, Psnp, Received,
-    StoredLsp, SystemId, Tlv, NLPID_IPV4,
+    encode_snp, AdjState, Hello, IpReach, IsNeighbor, IsisPdu, Lsp, LspEntry, LspId, P2pHello,
+    Received, ReceivedLsp, SeqNums, StoredLsp, SystemId, Tlv, NLPID_IPV4, PDU_L2_CSNP, PDU_L2_PSNP,
 };
 
 use crate::rib::{NextHop, RibRoute};
@@ -65,6 +67,10 @@ impl IsisEngineConfig {
 /// State of one adjacency.
 #[derive(Clone, Debug)]
 struct Adjacency {
+    iface: IfaceId,
+    /// Our address and metric on the interface.
+    addr: Ipv4Addr,
+    metric: u32,
     state: AdjState,
     neighbor: Option<SystemId>,
     /// Neighbor's interface address (from the hello), the IGP next hop.
@@ -76,11 +82,20 @@ struct Adjacency {
     /// State changes since the engine was built — the per-adjacency churn
     /// signal the observability layer aggregates.
     transitions: u64,
+    /// The hello last encoded here and the state and neighbour it carries:
+    /// a hello is encoded when those change, and re-sent as it is.
+    hello: Option<(HelloKey, Bytes)>,
 }
 
+/// The three-way state and neighbour a hello carries.
+type HelloKey = (AdjState, Option<SystemId>);
+
 impl Adjacency {
-    fn down() -> Adjacency {
+    fn down(cfg: &IsisIfaceConfig) -> Adjacency {
         Adjacency {
+            iface: cfg.iface.clone(),
+            addr: cfg.addr.addr,
+            metric: cfg.metric,
             state: AdjState::Down,
             neighbor: None,
             neighbor_addr: None,
@@ -88,6 +103,15 @@ impl Adjacency {
             last_hello_tx: None,
             link_up: true,
             transitions: 0,
+            hello: None,
+        }
+    }
+
+    /// What a hello sent here now carries.
+    fn hello_key(&self) -> HelloKey {
+        match self.state {
+            AdjState::Down => (AdjState::Down, None),
+            state => (state, self.neighbor),
         }
     }
 }
@@ -122,15 +146,15 @@ impl std::ops::AddAssign for IsisWork {
 #[derive(Clone)]
 pub struct IsisEngine {
     cfg: IsisEngineConfig,
-    adjacencies: BTreeMap<IfaceId, Adjacency>,
+    /// In interface name order: an adjacency's slot is its place here.
+    adjacencies: Vec<Adjacency>,
     /// Every LSP held; the SPF graph shares the fragment-zero ones.
     lsdb: BTreeMap<LspId, Arc<StoredLsp>>,
     graph: SpfGraph,
     own_seq: u32,
-    /// Outbound queue. Each entry is one encoded PDU destined for a *group*
-    /// of interfaces: floods enqueue a single entry listing every target so
-    /// the caller fans the same bytes out.
-    out: VecDeque<(Vec<IfaceId>, Bytes)>,
+    /// Outbound queue: each encoded PDU and the adjacency slot it goes out
+    /// of. A flood queues its one encoding once per target.
+    out: Vec<(usize, Bytes)>,
     /// The LSDB or an adjacency changed since SPF last ran.
     routes_stale: bool,
     /// Our interfaces' subnets, sorted: SPF never routes them (connected
@@ -143,11 +167,20 @@ pub struct IsisEngine {
 
 impl IsisEngine {
     pub fn new(cfg: IsisEngineConfig) -> IsisEngine {
-        let adjacencies = cfg
+        let mut names: Vec<&IfaceId> = cfg
             .ifaces
             .iter()
             .filter(|i| !i.passive)
-            .map(|i| (i.iface.clone(), Adjacency::down()))
+            .map(|i| &i.iface)
+            .collect();
+        names.sort();
+        names.dedup();
+        // An interface listed twice is configured as it is first listed.
+        let iface_cfg = |name| cfg.ifaces.iter().find(|i| &i.iface == name);
+        let adjacencies = names
+            .into_iter()
+            .filter_map(iface_cfg)
+            .map(Adjacency::down)
             .collect();
         let mut own_prefixes: Vec<Prefix> = cfg.ifaces.iter().map(|i| i.addr.subnet()).collect();
         own_prefixes.sort();
@@ -157,7 +190,7 @@ impl IsisEngine {
             lsdb: BTreeMap::new(),
             graph: SpfGraph::default(),
             own_seq: 0,
-            out: VecDeque::new(),
+            out: Vec::new(),
             routes_stale: false,
             own_prefixes,
             spf: Box::default(),
@@ -171,18 +204,27 @@ impl IsisEngine {
         self.cfg.system_id
     }
 
-    fn iface_cfg(&self, iface: &IfaceId) -> Option<&IsisIfaceConfig> {
-        self.cfg.ifaces.iter().find(|i| &i.iface == iface)
+    /// The slot of the adjacency on `iface`.
+    fn slot_of(&self, iface: &IfaceId) -> Option<usize> {
+        self.adjacencies
+            .binary_search_by(|a| a.iface.cmp(iface))
+            .ok()
+    }
+
+    /// Each adjacency's interface, by slot.
+    pub fn adjacency_ifaces(&self) -> impl Iterator<Item = &IfaceId> {
+        self.adjacencies.iter().map(|a| &a.iface)
     }
 
     /// Marks a link up/down (failure injection). Downing a link tears the
     /// adjacency immediately, as loss-of-light would.
     pub fn set_link(&mut self, iface: &IfaceId, up: bool) {
-        if let Some(adj) = self.adjacencies.get_mut(iface) {
-            adj.link_up = up;
-        }
+        let Some(at) = self.slot_of(iface) else {
+            return;
+        };
+        self.adjacencies[at].link_up = up;
         if !up {
-            self.tear_adjacency(iface);
+            self.tear(at);
         }
     }
 
@@ -190,7 +232,13 @@ impl IsisEngine {
     /// expiry, and re-originates our LSP without it. The interface stays
     /// as it is: one that is up keeps sending hellos.
     pub fn tear_adjacency(&mut self, iface: &IfaceId) {
-        let Some(adj) = self.adjacencies.get_mut(iface) else {
+        if let Some(at) = self.slot_of(iface) {
+            self.tear(at);
+        }
+    }
+
+    fn tear(&mut self, at: usize) {
+        let Some(adj) = self.adjacencies.get_mut(at) else {
             return;
         };
         if !matches!(adj.state, AdjState::Down) {
@@ -207,13 +255,12 @@ impl IsisEngine {
     fn regenerate_own_lsp(&mut self) {
         self.own_seq += 1;
         let mut is_neighbors = Vec::new();
-        for (iface, adj) in &self.adjacencies {
+        for adj in &self.adjacencies {
             if let (AdjState::Up, Some(n)) = (adj.state, adj.neighbor) {
-                let metric = self.iface_cfg(iface).map(|c| c.metric).unwrap_or(10);
                 is_neighbors.push(IsNeighbor {
                     neighbor: n,
                     pseudonode: 0,
-                    metric,
+                    metric: adj.metric,
                 });
             }
         }
@@ -267,39 +314,41 @@ impl IsisEngine {
     }
 
     /// Queues `lsp`'s bytes for every Up adjacency but `except`.
-    fn flood(&mut self, lsp: &StoredLsp, except: Option<&IfaceId>) {
-        let to: Vec<IfaceId> = self
-            .adjacencies
-            .iter()
-            .filter(|(i, a)| Some(*i) != except && matches!(a.state, AdjState::Up))
-            .map(|(i, _)| i.clone())
-            .collect();
-        if !to.is_empty() {
-            self.out.push_back((to, lsp.bytes().clone()));
+    fn flood(&mut self, lsp: &StoredLsp, except: Option<usize>) {
+        for (at, adj) in self.adjacencies.iter().enumerate() {
+            if Some(at) != except && matches!(adj.state, AdjState::Up) {
+                self.out.push((at, lsp.bytes().clone()));
+            }
         }
     }
 
-    fn send(&mut self, iface: &IfaceId, bytes: Bytes) {
-        self.out.push_back((vec![iface.clone()], bytes));
+    fn send(&mut self, at: usize, bytes: Bytes) {
+        self.out.push((at, bytes));
     }
 
     /// Acknowledges the LSP `entry` names with a PSNP.
-    fn ack(&mut self, iface: &IfaceId, entry: LspEntry) {
-        let psnp = IsisPdu::Psnp(Psnp {
-            source: self.cfg.system_id,
-            entries: vec![entry],
-        });
-        self.send(iface, psnp.encode());
+    fn ack(&mut self, at: usize, entry: LspEntry) {
+        self.send(at, encode_snp(PDU_L2_PSNP, self.cfg.system_id, [entry]));
     }
 
-    fn build_hello(&self, iface: &IfaceId) -> Option<IsisPdu> {
-        let icfg = self.iface_cfg(iface)?;
-        let adj = self.adjacencies.get(iface)?;
-        let (state, neighbor) = match (adj.state, adj.neighbor) {
-            (AdjState::Down, _) => (AdjState::Down, None),
-            (s, n) => (s, n),
-        };
-        Some(IsisPdu::P2pHello(P2pHello {
+    /// The hello adjacency `at` sends now: encoded when its state or
+    /// neighbour moved since the last one, else that one again.
+    fn hello(&mut self, at: usize) -> Option<Bytes> {
+        let key = self.adjacencies.get(at)?.hello_key();
+        let cached = self.adjacencies[at].hello.as_ref();
+        if let Some((_, bytes)) = cached.filter(|(cached, _)| *cached == key) {
+            return Some(bytes.clone());
+        }
+        let pdu = self.build_hello(at);
+        let bytes = pdu.encode();
+        self.adjacencies[at].hello = Some((key, bytes.clone()));
+        Some(bytes)
+    }
+
+    fn build_hello(&self, at: usize) -> IsisPdu {
+        let adj = &self.adjacencies[at];
+        let (state, neighbor) = adj.hello_key();
+        IsisPdu::P2pHello(P2pHello {
             circuit_type: 2,
             source: self.cfg.system_id,
             hold_time_secs: (self.cfg.hold_time.as_millis() / 1000) as u16,
@@ -307,26 +356,24 @@ impl IsisEngine {
             tlvs: vec![
                 Tlv::Area(vec![self.cfg.area.clone()]),
                 Tlv::Protocols(vec![NLPID_IPV4]),
-                Tlv::IpIfaceAddr(vec![icfg.addr.addr]),
+                Tlv::IpIfaceAddr(vec![adj.addr]),
                 Tlv::P2pAdjState { state, neighbor },
             ],
-        }))
+        })
     }
 
-    /// Feeds a received PDU into the engine.
-    pub fn push_pdu(&mut self, now: SimTime, iface: &IfaceId, pdu: Received) {
+    /// Feeds a PDU received on adjacency `at` into the engine.
+    pub fn push_pdu(&mut self, now: SimTime, at: usize, pdu: Received) {
         match pdu {
-            Received::Lsp(lsp) => self.on_lsp(iface, lsp),
-            Received::Pdu(IsisPdu::P2pHello(hello)) => self.on_hello(now, iface, hello),
-            Received::Pdu(IsisPdu::Csnp(csnp)) => self.on_csnp(iface, csnp),
-            Received::Pdu(IsisPdu::Psnp(psnp)) => self.on_psnp(iface, psnp),
-            // `receive` stores every LSP.
-            Received::Pdu(IsisPdu::Lsp(_)) => {}
+            Received::Hello(hello) => self.on_hello(now, at, &hello),
+            Received::Lsp(lsp) => self.on_lsp(at, lsp),
+            Received::Csnp(csnp) => self.on_csnp(at, &csnp),
+            Received::Psnp(psnp) => self.on_psnp(at, &psnp),
         }
     }
 
-    fn on_hello(&mut self, now: SimTime, iface: &IfaceId, hello: P2pHello) {
-        let Some(adj) = self.adjacencies.get(iface) else {
+    fn on_hello(&mut self, now: SimTime, at: usize, hello: &Hello) {
+        let Some(adj) = self.adjacencies.get(at) else {
             return;
         };
         if !adj.link_up {
@@ -334,26 +381,17 @@ impl IsisEngine {
         }
         // Area check: mismatched areas never form L2 p2p adjacency here
         // (we run a single-area design, as the paper's topologies do).
-        let area_ok = hello.tlvs.iter().any(|t| match t {
-            Tlv::Area(areas) => areas.iter().any(|a| a == &self.cfg.area),
-            _ => false,
-        });
-        if !area_ok {
+        if !hello.in_area(&self.cfg.area) {
             return;
         }
-        let neighbor_addr = hello.tlvs.iter().find_map(|t| match t {
-            Tlv::IpIfaceAddr(addrs) => addrs.first().copied(),
-            _ => None,
-        });
         let they_see_us = matches!(
-            hello.adj_state(),
+            hello.adj_state,
             Some((_, Some(n))) if n == self.cfg.system_id
         );
 
-        let my_id = self.cfg.system_id;
-        let adj = self.adjacencies.get_mut(iface).unwrap();
+        let adj = &mut self.adjacencies[at];
         adj.neighbor = Some(hello.source);
-        adj.neighbor_addr = neighbor_addr;
+        adj.neighbor_addr = hello.iface_addr;
         adj.expires = now + SimDuration::from_secs(hello.hold_time_secs as u64);
         let old_state = adj.state;
         adj.state = if they_see_us {
@@ -365,29 +403,26 @@ impl IsisEngine {
         if old_state != new_state {
             adj.transitions += 1;
         }
-        let _ = my_id;
 
         if old_state != new_state {
             // Respond immediately so the three-way handshake completes in
             // one exchange rather than a hello interval.
-            if let Some(h) = self.build_hello(iface) {
-                self.send(iface, h.encode());
+            if let Some(h) = self.hello(at) {
+                self.send(at, h);
             }
             if matches!(new_state, AdjState::Up) {
                 self.regenerate_own_lsp();
                 // Database sync: full CSNP to the new neighbor.
-                let csnp = IsisPdu::Csnp(Csnp {
-                    source: self.cfg.system_id,
-                    entries: self.lsdb.values().map(|l| l.entry()).collect(),
-                });
-                self.send(iface, csnp.encode());
+                let entries = self.lsdb.values().map(|l| l.entry());
+                let csnp = encode_snp(PDU_L2_CSNP, self.cfg.system_id, entries);
+                self.send(at, csnp);
             } else if matches!(old_state, AdjState::Up) {
                 self.regenerate_own_lsp();
             }
         }
     }
 
-    fn on_lsp(&mut self, iface: &IfaceId, lsp: StoredLsp) {
+    fn on_lsp(&mut self, at: usize, lsp: ReceivedLsp) {
         // Its decode verified one checksum; nothing here computes another.
         self.work.lsp_checksums += 1;
         let entry = lsp.entry();
@@ -408,97 +443,79 @@ impl IsisEngine {
                 // We have newer: send ours back.
                 if let Some(ours) = self.lsdb.get(&entry.lsp_id) {
                     let bytes = ours.bytes().clone();
-                    self.send(iface, bytes);
+                    self.send(at, bytes);
                 }
             }
             // Equal: ack implicitly via PSNP.
-            Some(s) if s == entry.seq => self.ack(iface, entry),
+            Some(s) if s == entry.seq => self.ack(at, entry),
             _ => {
                 // New or newer: install, ack, flood onward the bytes as
                 // they arrived.
-                let lsp = Arc::new(lsp);
+                let lsp = Arc::new(lsp.store());
                 self.install(Arc::clone(&lsp));
-                self.ack(iface, entry);
-                self.flood(&lsp, Some(iface));
+                self.ack(at, entry);
+                self.flood(&lsp, Some(at));
             }
         }
     }
 
-    fn on_csnp(&mut self, iface: &IfaceId, csnp: Csnp) {
-        let their: BTreeMap<LspId, u32> = csnp.entries.iter().map(|e| (e.lsp_id, e.seq)).collect();
-        // Send them anything we have that they are missing or have older.
+    fn on_csnp(&mut self, at: usize, csnp: &SeqNums) {
+        // Send them anything we have that they are missing or have older;
+        // an id listed twice counts as its last listing says.
         for (id, lsp) in &self.lsdb {
-            match their.get(id) {
-                Some(&their_seq) if their_seq >= lsp.entry().seq => {}
-                _ => {
-                    self.out
-                        .push_back((vec![iface.clone()], lsp.bytes().clone()));
-                }
+            let their = csnp.entries().filter(|e| e.lsp_id == *id).last();
+            match their {
+                Some(their) if their.seq >= lsp.entry().seq => {}
+                _ => self.out.push((at, lsp.bytes().clone())),
             }
         }
         // Request anything they have newer via PSNP.
-        let mut requests = Vec::new();
-        for e in &csnp.entries {
-            let ours = self.lsdb.get(&e.lsp_id).map(|l| l.entry().seq).unwrap_or(0);
-            if e.seq > ours {
-                requests.push(LspEntry {
-                    lifetime: 0,
-                    lsp_id: e.lsp_id,
-                    seq: 0,
-                    checksum: 0,
-                });
-            }
-        }
-        if !requests.is_empty() {
-            let psnp = IsisPdu::Psnp(Psnp {
-                source: self.cfg.system_id,
-                entries: requests,
+        let newer = |e: &LspEntry| e.seq > self.lsdb.get(&e.lsp_id).map_or(0, |l| l.entry().seq);
+        if csnp.entries().any(|e| newer(&e)) {
+            let requests = csnp.entries().filter(newer).map(|e| LspEntry {
+                lifetime: 0,
+                lsp_id: e.lsp_id,
+                seq: 0,
+                checksum: 0,
             });
-            self.send(iface, psnp.encode());
+            let psnp = encode_snp(PDU_L2_PSNP, self.cfg.system_id, requests);
+            self.send(at, psnp);
         }
     }
 
-    fn on_psnp(&mut self, iface: &IfaceId, psnp: Psnp) {
+    fn on_psnp(&mut self, at: usize, psnp: &SeqNums) {
         // PSNP entries with seq 0 are requests; entries matching our seq are
         // acks (no retransmission machinery needed in an ordered-delivery
         // emulation, so acks are informational).
-        for e in &psnp.entries {
+        for e in psnp.entries() {
             if let Some(lsp) = self.lsdb.get(&e.lsp_id) {
                 if e.seq < lsp.entry().seq {
-                    self.out
-                        .push_back((vec![iface.clone()], lsp.bytes().clone()));
+                    self.out.push((at, lsp.bytes().clone()));
                 }
             }
         }
     }
 
-    /// Advances timers; returns encoded PDUs to transmit, each with the
-    /// group of interfaces it should go out of.
-    pub fn poll(&mut self, now: SimTime) -> Vec<(Vec<IfaceId>, Bytes)> {
+    /// Advances timers; hands out the encoded PDUs to transmit, each with
+    /// the slot of the adjacency it goes out of.
+    pub fn poll(&mut self, now: SimTime) -> std::vec::Drain<'_, (usize, Bytes)> {
         // Hello transmission.
-        let hello_due: Vec<IfaceId> = self
-            .adjacencies
-            .iter()
-            .filter(|(_, a)| {
-                a.link_up
-                    && a.last_hello_tx
-                        .map(|t| now.since(t) >= self.cfg.hello_interval)
-                        .unwrap_or(true)
-            })
-            .map(|(i, _)| i.clone())
-            .collect();
-        for iface in hello_due {
-            if let Some(h) = self.build_hello(&iface) {
-                self.send(&iface, h.encode());
-            }
-            if let Some(a) = self.adjacencies.get_mut(&iface) {
-                a.last_hello_tx = Some(now);
+        for at in 0..self.adjacencies.len() {
+            let adj = &self.adjacencies[at];
+            let due = adj
+                .last_hello_tx
+                .is_none_or(|t| now.since(t) >= self.cfg.hello_interval);
+            if adj.link_up && due {
+                if let Some(h) = self.hello(at) {
+                    self.send(at, h);
+                }
+                self.adjacencies[at].last_hello_tx = Some(now);
             }
         }
 
         // Adjacency expiry.
         let mut lost = false;
-        for adj in self.adjacencies.values_mut() {
+        for adj in &mut self.adjacencies {
             if !matches!(adj.state, AdjState::Down) && now >= adj.expires {
                 adj.state = AdjState::Down;
                 adj.transitions += 1;
@@ -511,13 +528,13 @@ impl IsisEngine {
             self.regenerate_own_lsp();
         }
 
-        self.out.drain(..).collect()
+        self.out.drain(..)
     }
 
     /// Earliest future instant at which a timer fires.
     pub fn next_wakeup(&self, now: SimTime) -> SimTime {
         let mut next = now + self.cfg.hello_interval;
-        for adj in self.adjacencies.values() {
+        for adj in &self.adjacencies {
             if !adj.link_up {
                 continue;
             }
@@ -538,7 +555,7 @@ impl IsisEngine {
     /// Total adjacency state changes since the engine was built (adjacency
     /// churn, for the observability layer).
     pub fn adjacency_transitions(&self) -> u64 {
-        self.adjacencies.values().map(|a| a.transitions).sum()
+        self.adjacencies.iter().map(|a| a.transitions).sum()
     }
 
     /// The LSPs encoded and checksummed since the last call.
@@ -550,8 +567,8 @@ impl IsisEngine {
     pub fn adjacencies(&self) -> Vec<AdjacencyInfo> {
         self.adjacencies
             .iter()
-            .map(|(i, a)| AdjacencyInfo {
-                iface: i.clone(),
+            .map(|a| AdjacencyInfo {
+                iface: a.iface.clone(),
                 state: a.state,
                 neighbor: a.neighbor,
                 neighbor_addr: a.neighbor_addr,
@@ -633,13 +650,13 @@ impl IsisEngine {
     fn first_hops(&self) -> Vec<FirstHop<'_>> {
         (self.adjacencies.iter().zip(0u16..))
             .filter_map(
-                |((iface, adj), at)| match (adj.state, adj.neighbor, adj.neighbor_addr) {
+                |(adj, at)| match (adj.state, adj.neighbor, adj.neighbor_addr) {
                     (AdjState::Up, Some(neighbor), Some(addr)) => Some(FirstHop {
                         neighbor,
-                        iface,
+                        iface: &adj.iface,
                         at,
                         addr,
-                        metric: self.iface_cfg(iface).map(|c| c.metric).unwrap_or(10),
+                        metric: adj.metric,
                     }),
                     _ => None,
                 },
@@ -1087,11 +1104,11 @@ mod tests {
                 self.now += SimDuration::from_millis(500);
                 let mut deliveries: Vec<(usize, IfaceId, Bytes)> = Vec::new();
                 for (i, e) in self.engines.iter_mut().enumerate() {
-                    for (ifaces, pdu) in e.poll(self.now) {
-                        for iface in ifaces {
-                            if let Some((di, diface)) = peer_of(&self.links, i, &iface) {
-                                deliveries.push((di, diface, pdu.clone()));
-                            }
+                    let sent: Vec<(usize, Bytes)> = e.poll(self.now).collect();
+                    for (at, pdu) in sent {
+                        let iface = &e.adjacencies[at].iface;
+                        if let Some((di, diface)) = peer_of(&self.links, i, iface) {
+                            deliveries.push((di, diface, pdu));
                         }
                     }
                 }
@@ -1113,12 +1130,12 @@ mod tests {
                     let mut next: Vec<(usize, IfaceId, Bytes)> = Vec::new();
                     for (di, diface, pdu) in deliveries.drain(..) {
                         let pdu = mfv_wire::isis::receive(pdu).unwrap();
-                        self.engines[di].push_pdu(self.now, &diface, pdu);
-                        for (ifaces, out) in self.engines[di].out.drain(..).collect::<Vec<_>>() {
-                            for iface in ifaces {
-                                if let Some((ti, tiface)) = peer_of(&self.links, di, &iface) {
-                                    next.push((ti, tiface, out.clone()));
-                                }
+                        let e = &mut self.engines[di];
+                        e.push_pdu(self.now, e.slot_of(&diface).unwrap(), pdu);
+                        for (at, out) in std::mem::take(&mut e.out) {
+                            let iface = &e.adjacencies[at].iface;
+                            if let Some((ti, tiface)) = peer_of(&self.links, di, iface) {
+                                next.push((ti, tiface, out));
                             }
                         }
                     }
@@ -1422,7 +1439,8 @@ mod tests {
         let r1 = &mut net.engines[0];
         let own = r1.lsdb.get(&LspId::of(sys(1))).unwrap().as_ref().clone();
         let encodes = r1.take_work().lsp_encodes;
-        r1.push_pdu(net.now, &"eth0".into(), Received::Lsp(own.clone()));
+        let echo = mfv_wire::isis::receive(own.bytes().clone()).unwrap();
+        r1.push_pdu(net.now, 0, echo);
         assert_eq!(r1.lsdb.get(&LspId::of(sys(1))).unwrap().as_ref(), &own);
         assert_eq!(
             r1.take_work().lsp_encodes,
@@ -1531,10 +1549,8 @@ mod tests {
     /// Sets our adjacency on `eth{iface}` up to `to`, or down, and
     /// re-originates our LSP.
     fn set_adjacency(e: &mut IsisEngine, iface: usize, to: Option<SystemId>) {
-        let adj = e
-            .adjacencies
-            .get_mut(&IfaceId::from(format!("eth{iface}").as_str()))
-            .unwrap();
+        let at = e.slot_of(&format!("eth{iface}").as_str().into()).unwrap();
+        let adj = &mut e.adjacencies[at];
         adj.state = if to.is_some() {
             AdjState::Up
         } else {
@@ -1565,7 +1581,7 @@ mod tests {
             tlvs: vec![Tlv::ExtIsReach(neighbors), Tlv::ExtIpReach(prefixes)],
         };
         let received = mfv_wire::isis::receive(IsisPdu::Lsp(lsp).encode()).unwrap();
-        e.push_pdu(SimTime::ZERO, &"eth0".into(), received);
+        e.push_pdu(SimTime::ZERO, e.slot_of(&"eth0".into()).unwrap(), received);
     }
 
     /// `system`'s fragment-zero neighbours and prefixes as `e` holds them.
@@ -1650,7 +1666,7 @@ mod tests {
                     Op::Adjacency { iface, to } => set_adjacency(&mut e, iface, to.map(sys)),
                     Op::Flap { iface } => {
                         let name = IfaceId::from(format!("eth{iface}").as_str());
-                        let to = e.adjacencies[&name].neighbor;
+                        let to = e.adjacencies[e.slot_of(&name).unwrap()].neighbor;
                         if to.is_some() {
                             set_adjacency(&mut e, iface, None);
                             check(&mut e)?;
@@ -1659,7 +1675,7 @@ mod tests {
                     }
                     Op::Move { from, to } => {
                         let name = IfaceId::from(format!("eth{from}").as_str());
-                        let neighbor = e.adjacencies[&name].neighbor;
+                        let neighbor = e.adjacencies[e.slot_of(&name).unwrap()].neighbor;
                         if neighbor.is_some() && from != to {
                             set_adjacency(&mut e, from, None);
                             set_adjacency(&mut e, to, neighbor);
@@ -1730,5 +1746,81 @@ mod tests {
         assert!(net.engines[0].routes_stale());
         assert_eq!(pass(&mut net.engines[0]), 0);
         assert_eq!(net.engines[0].prefix_evaluations(), full);
+    }
+
+    /// A hello from system `n` with our test area and hold time, as a
+    /// fresh typed encoding.
+    fn fresh_hello(n: u8, addr: &str, state: AdjState, neighbor: Option<SystemId>) -> Bytes {
+        IsisPdu::P2pHello(P2pHello {
+            circuit_type: 2,
+            source: sys(n),
+            hold_time_secs: 30,
+            circuit_id: 1,
+            tlvs: vec![
+                Tlv::Area(vec![area()]),
+                Tlv::Protocols(vec![NLPID_IPV4]),
+                Tlv::IpIfaceAddr(vec![addr.parse().unwrap()]),
+                Tlv::P2pAdjState { state, neighbor },
+            ],
+        })
+        .encode()
+    }
+
+    #[test]
+    fn a_cached_hello_is_the_fresh_encoding_after_each_transition() {
+        let mut net = line3();
+        let at = net.engines[0].slot_of(&"eth0".into()).unwrap();
+        let expect = |net: &mut Net, state, neighbor| {
+            let r1 = &mut net.engines[0];
+            let hello = r1.hello(at).unwrap();
+            assert_eq!(
+                hello,
+                fresh_hello(1, "100.64.0.0", state, neighbor),
+                "{state:?}"
+            );
+            // Asked again, it is the same frame: encoded once per state.
+            assert_eq!(r1.hello(at).unwrap().as_ptr(), hello.as_ptr());
+        };
+        expect(&mut net, AdjState::Down, None);
+        // r2's first hello, which does not name r1 yet.
+        let theirs = fresh_hello(2, "100.64.0.1", AdjState::Down, None);
+        let pdu = mfv_wire::isis::receive(theirs).unwrap();
+        net.engines[0].push_pdu(SimTime::ZERO, at, pdu);
+        expect(&mut net, AdjState::Initializing, Some(sys(2)));
+        net.settle();
+        expect(&mut net, AdjState::Up, Some(sys(2)));
+        net.engines[0].tear_adjacency(&"eth0".into());
+        expect(&mut net, AdjState::Down, None);
+        // Past the next hello, which forms the adjacency again.
+        net.now += SimDuration::from_secs(10);
+        net.settle();
+        expect(&mut net, AdjState::Up, Some(sys(2)));
+    }
+
+    #[test]
+    fn a_psnp_ack_written_from_its_entry_is_the_typed_encoding() {
+        let mut e = engine(1, vec![("eth0", "100.64.0.0/31", 10)]);
+        e.out.clear();
+        let entry = LspEntry {
+            lifetime: 1200,
+            lsp_id: LspId::of(sys(2)),
+            seq: 7,
+            checksum: 0xbeef,
+        };
+        e.ack(0, entry);
+        let (at, ack) = e.out.pop().unwrap();
+        assert_eq!(at, 0);
+        let psnp = mfv_wire::isis::Psnp {
+            source: sys(1),
+            entries: vec![entry],
+        };
+        assert_eq!(ack, IsisPdu::Psnp(psnp).encode());
+        // Byte for byte: the header, the PDU length, the source and circuit
+        // id, then one LSP-entries TLV.
+        let mut wire = vec![
+            0x83, 0, 1, 0, 27, 1, 0, 0, 0, 35, 0, 0, 0, 0, 0, 1, 0, 9, 16,
+        ];
+        wire.extend([0x04, 0xb0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 7, 0xbe, 0xef]);
+        assert_eq!(ack.to_vec(), wire);
     }
 }

@@ -1,11 +1,11 @@
 //! Deterministic string interning for hot-path identifier keys.
 //!
 //! The emulation engine dispatches hundreds of thousands of events per run;
-//! keying event state on `String`-backed [`NodeId`]/[`IfaceId`] means a heap
-//! clone and a byte-wise compare on every hop. An [`Interner`] is built once
-//! from the topology and hands out `Copy` u32-backed [`NodeRef`]/[`IfaceRef`]
-//! keys instead: O(1) copies, integer compares, and dense indices that let
-//! per-node state live in plain `Vec`s.
+//! keying event state on a `String`-backed [`NodeId`] means a heap clone and
+//! a byte-wise compare on every hop. An [`Interner`] is built once from the
+//! topology and hands out `Copy` u32-backed [`NodeRef`] keys instead: O(1)
+//! copies, integer compares, and dense indices that let per-node state live
+//! in plain `Vec`s. (An interface needs no key: a frame names its port.)
 //!
 //! Determinism: refs are assigned in insertion order and nothing else, so a
 //! caller that interns names in a deterministic order (the engine interns
@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::ids::{IfaceId, NodeId};
+use crate::ids::NodeId;
 
 /// A `Copy` handle for an interned [`NodeId`]. Doubles as a dense index:
 /// `NodeRef(i)` is the i-th node interned.
@@ -36,32 +36,14 @@ impl fmt::Debug for NodeRef {
     }
 }
 
-/// A `Copy` handle for an interned [`IfaceId`]. Dense like [`NodeRef`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct IfaceRef(pub u32);
-
-impl IfaceRef {
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Debug for IfaceRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "i#{}", self.0)
-    }
-}
-
-/// A two-namespace (node names, interface names) intern table.
+/// A node-name intern table.
 ///
-/// Built once, then read-only on the hot path: `resolve_*` maps a name to
-/// its ref, `node`/`iface` maps a ref back to the name without allocating.
+/// Built once, then read-only on the hot path: `resolve_node` maps a name
+/// to its ref, `node` maps a ref back to the name without allocating.
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
     nodes: Vec<NodeId>,
     node_index: BTreeMap<NodeId, NodeRef>,
-    ifaces: Vec<IfaceId>,
-    iface_index: BTreeMap<IfaceId, IfaceRef>,
 }
 
 impl Interner {
@@ -80,25 +62,9 @@ impl Interner {
         r
     }
 
-    /// Interns an interface name, returning its existing ref if present.
-    pub fn intern_iface(&mut self, name: &IfaceId) -> IfaceRef {
-        if let Some(r) = self.iface_index.get(name) {
-            return *r;
-        }
-        let r = IfaceRef(self.ifaces.len() as u32);
-        self.ifaces.push(name.clone());
-        self.iface_index.insert(name.clone(), r);
-        r
-    }
-
     /// The ref for a node name, if interned.
     pub fn resolve_node(&self, name: &NodeId) -> Option<NodeRef> {
         self.node_index.get(name).copied()
-    }
-
-    /// The ref for an interface name, if interned.
-    pub fn resolve_iface(&self, name: &IfaceId) -> Option<IfaceRef> {
-        self.iface_index.get(name).copied()
     }
 
     /// The name behind a node ref. Refs are only minted by this table, so a
@@ -106,11 +72,6 @@ impl Interner {
     /// option (rather than indexing) keeps that a handleable error.
     pub fn node(&self, r: NodeRef) -> Option<&NodeId> {
         self.nodes.get(r.index())
-    }
-
-    /// The name behind an interface ref.
-    pub fn iface(&self, r: IfaceRef) -> Option<&IfaceId> {
-        self.ifaces.get(r.index())
     }
 
     /// Number of interned nodes; node refs are dense in `0..node_count()`.
@@ -177,13 +138,6 @@ impl<T: ?Sized + Ord> InternSet<Arc<T>> {
 mod tests {
     use super::*;
 
-    impl Interner {
-        /// Number of interned interfaces; dense like nodes.
-        fn iface_count(&self) -> usize {
-            self.ifaces.len()
-        }
-    }
-
     #[test]
     fn equal_values_share_one_copy_and_dead_ones_are_swept() {
         let mut set: InternSet<Arc<[u32]>> = InternSet::default();
@@ -215,16 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn node_and_iface_namespaces_are_independent() {
-        let mut t = Interner::new();
-        t.intern_node(&"x".into());
-        let i = t.intern_iface(&IfaceId::from("Ethernet1"));
-        assert_eq!(i, IfaceRef(0));
-        assert_eq!(t.iface(i), Some(&IfaceId::from("Ethernet1")));
-        assert_eq!(t.iface_count(), 1);
-    }
-
-    #[test]
     fn numbering_follows_insertion_order_only() {
         // Two tables fed the same sequence agree ref-for-ref; a different
         // order yields different numbering — determinism is the caller's
@@ -241,6 +185,5 @@ mod tests {
     fn foreign_refs_miss_instead_of_panicking() {
         let t = Interner::new();
         assert_eq!(t.node(NodeRef(3)), None);
-        assert_eq!(t.iface(IfaceRef(0)), None);
     }
 }

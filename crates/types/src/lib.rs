@@ -5,8 +5,8 @@
 //!
 //! - IPv4 prefixes and interface addresses ([`Prefix`], [`IfaceAddr`])
 //! - identifiers ([`RouterId`], [`AsNum`], [`NodeId`], [`IfaceId`], [`LinkId`])
-//!   and deterministic interned `Copy` handles for the string-backed ones
-//!   ([`intern::Interner`], [`intern::NodeRef`], [`intern::IfaceRef`]),
+//!   and deterministic interned `Copy` handles for node names
+//!   ([`intern::Interner`], [`intern::NodeRef`]),
 //!   and the one-copy-per-distinct-value store ([`intern::InternSet`])
 //! - routing attribute types shared across protocol implementations
 //!   ([`AsPath`], [`Community`], [`Origin`], [`AdminDistance`], …)
@@ -30,7 +30,7 @@ pub use addr::{IfaceAddr, Prefix, PrefixParseError};
 pub use attrs::{AdminDistance, AsPath, AsPathSegment, Community, Origin, RouteProtocol};
 pub use hs::IpSet;
 pub use ids::{AsNum, IfaceId, LinkId, NodeId, RouterId};
-pub use intern::{IfaceRef, InternSet, Interner, NodeRef};
+pub use intern::{InternSet, Interner, NodeRef};
 pub use status::ExtractionStatus;
 pub use time::{SimDuration, SimTime};
 pub use trie::PrefixTrie;

@@ -466,6 +466,9 @@ impl ClassIndex {
         let (Some(src_b), Some(src_a)) = (self.id_of(from), after.id_of(from)) else {
             return Vec::new();
         };
+        // Over one shape an equal fate names one disposition on both
+        // sides: such a pair never reaches the map.
+        let shared = Arc::ptr_eq(&self.shape, &after.shape);
         // Per fate pair met, its pieces of `scope`, or `None` where both
         // fates name one disposition.
         let mut pairs = BTreeMap::new();
@@ -475,14 +478,16 @@ impl ClassIndex {
                 let (end_b, end_a) = (self.atom_end(i), after.atom_end(j));
                 let hi = end_b.min(end_a).min(r.hi);
                 let (b, a) = (self.fate_at(i, src_b), after.fate_at(j, src_a));
-                let pieces = pairs.entry((b, a)).or_insert_with(|| {
-                    let names = (
-                        &self.shape.names[b.node as usize],
-                        &after.shape.names[a.node as usize],
-                    );
-                    (b.kind != a.kind || names.0 != names.1).then(Vec::new)
+                let pieces = (!shared || b != a).then(|| {
+                    pairs.entry((b, a)).or_insert_with(|| {
+                        let names = (
+                            &self.shape.names[b.node as usize],
+                            &after.shape.names[a.node as usize],
+                        );
+                        (b.kind != a.kind || names.0 != names.1).then(Vec::new)
+                    })
                 });
-                if let Some(pieces) = pieces {
+                if let Some(pieces) = pieces.and_then(Option::as_mut) {
                     pieces.push((lo, hi));
                 }
                 if hi == r.hi {

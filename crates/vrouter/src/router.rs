@@ -25,8 +25,9 @@ use crate::profile::VendorProfile;
 /// Output events produced by [`VirtualRouter::poll`].
 #[derive(Clone, Debug)]
 pub enum RouterEvent {
-    /// A link-local IS-IS PDU to place on the wire of `iface`.
-    IsisFrame { iface: IfaceId, payload: Bytes },
+    /// A link-local IS-IS PDU to place on the wire cabled to `port`
+    /// (see [`VirtualRouter::ports`]).
+    IsisFrame { port: usize, payload: Bytes },
     /// A BGP message addressed to a (possibly multi-hop) peer.
     BgpSegment {
         src: Ipv4Addr,
@@ -72,8 +73,8 @@ pub struct VirtualRouter {
     originated: BTreeSet<Prefix>,
     /// L3 addresses owned under the current config.
     addresses: BTreeSet<Ipv4Addr>,
-    /// Physical link state per interface (loopbacks are always up).
-    link_up: BTreeMap<IfaceId, bool>,
+    /// The router's ports, by port index; see [`ports`](Self::ports).
+    ports: Vec<Port>,
     /// Monotone counter bumped whenever the FIB content changes; the
     /// emulator's convergence detector watches it.
     fib_version: u64,
@@ -119,6 +120,27 @@ pub struct VirtualRouter {
     /// taken only on the polls where the section has work to do, off the
     /// stopwatch [`poll_timed`](Self::poll_timed) is handed.
     pub wall: PollWall,
+}
+
+/// One of a router's ports: an interface and its carrier.
+#[derive(Clone, Debug)]
+struct Port {
+    name: IfaceId,
+    /// Physical link state (loopbacks are always up).
+    up: bool,
+    /// The IS-IS adjacency slot that runs on the port, if one does.
+    adjacency: Option<usize>,
+}
+
+impl Port {
+    /// A port with carrier.
+    fn new(name: &IfaceId) -> Port {
+        Port {
+            name: name.clone(),
+            up: true,
+            adjacency: None,
+        }
+    }
 }
 
 /// Nanoseconds of wall time per timed poll section. Never read by the
@@ -214,6 +236,11 @@ impl VirtualRouter {
     /// *time* separately (pod scheduling); once constructed, the control
     /// plane is live.
     pub fn new(name: NodeId, profile: VendorProfile, config: DeviceConfig) -> VirtualRouter {
+        let ports = config
+            .interfaces
+            .iter()
+            .map(|i| Port::new(&i.name))
+            .collect();
         let mut router = VirtualRouter {
             name,
             profile,
@@ -226,7 +253,7 @@ impl VirtualRouter {
             gateways: GatewayIndex::default(),
             originated: BTreeSet::new(),
             addresses: BTreeSet::new(),
-            link_up: BTreeMap::new(),
+            ports,
             fib_version: 0,
             changed_prefixes: BTreeSet::new(),
             pending_crash: None,
@@ -245,11 +272,31 @@ impl VirtualRouter {
             isis_work: IsisWork::default(),
             wall: PollWall::default(),
         };
-        for iface in &router.config.interfaces {
-            router.link_up.insert(iface.name.clone(), true);
-        }
         router.boot();
         router
+    }
+
+    /// The router's ports, by port index: its boot config's interfaces in
+    /// order, then each interface a later config or link event names
+    /// first. A port's index never changes, and carries its frames
+    /// ([`RouterEvent::IsisFrame`], [`push_isis`](Self::push_isis)); a name
+    /// listed twice is on its first port.
+    pub fn ports(&self) -> impl Iterator<Item = &IfaceId> {
+        self.ports.iter().map(|p| &p.name)
+    }
+
+    /// The port `iface` is on.
+    pub fn port(&self, iface: &IfaceId) -> Option<usize> {
+        self.ports.iter().position(|p| &p.name == iface)
+    }
+
+    /// The port `iface` is on, added, its carrier up, if it is new.
+    fn port_or_add(&mut self, iface: &IfaceId) -> &mut Port {
+        let at = self.port(iface).unwrap_or(self.ports.len());
+        if at == self.ports.len() {
+            self.ports.push(Port::new(iface));
+        }
+        &mut self.ports[at]
     }
 
     pub fn profile(&self) -> &VendorProfile {
@@ -376,16 +423,10 @@ impl VirtualRouter {
                 Err(_) => self.encode_errors += 1,
             }
         }
+        for iface in &config.interfaces {
+            self.port_or_add(&iface.name);
+        }
         self.config = Arc::new(config);
-        self.link_up = self
-            .config
-            .interfaces
-            .iter()
-            .map(|i| {
-                let prev = self.link_up.get(&i.name).copied().unwrap_or(true);
-                (i.name.clone(), prev)
-            })
-            .collect();
         self.boot();
     }
 
@@ -449,6 +490,17 @@ impl VirtualRouter {
             }
             Some(IsisEngine::new(cfg))
         });
+        let adjacencies: Vec<IfaceId> = self
+            .isis
+            .iter()
+            .flat_map(|isis| isis.adjacency_ifaces().cloned())
+            .collect();
+        for port in &mut self.ports {
+            port.adjacency = None;
+        }
+        for (at, iface) in adjacencies.iter().enumerate() {
+            self.port_or_add(iface).adjacency = Some(at);
+        }
 
         // BGP.
         self.bgp = self.config.bgp.as_ref().map(|bgp_cfg| {
@@ -503,7 +555,7 @@ impl VirtualRouter {
 
     /// Marks a physical link up/down (failure injection / topology events).
     pub fn set_link(&mut self, iface: &IfaceId, up: bool) {
-        self.link_up.insert(iface.clone(), up);
+        self.port_or_add(iface).up = up;
         self.rib_sources_dirty = true;
         if let Some(isis) = &mut self.isis {
             isis.set_link(iface, up);
@@ -530,15 +582,20 @@ impl VirtualRouter {
         }
     }
 
-    /// Ingests an IS-IS frame from a link.
-    pub fn push_isis(&mut self, now: SimTime, iface: &IfaceId, payload: Bytes) {
-        if !self.is_running() || !self.link_up.get(iface).copied().unwrap_or(false) {
+    /// Ingests an IS-IS frame from the link cabled to `port`. A frame on a
+    /// port IS-IS does not run on is decoded, and dropped.
+    pub fn push_isis(&mut self, now: SimTime, port: usize, payload: Bytes) {
+        let Some(port) = self.ports.get(port).filter(|p| p.up) else {
+            return;
+        };
+        if !self.is_running() {
             return;
         }
+        let adjacency = port.adjacency;
         match isis_wire::receive(payload) {
             Ok(pdu) => {
-                if let Some(isis) = &mut self.isis {
-                    isis.push_pdu(now, iface, pdu);
+                if let (Some(isis), Some(at)) = (&mut self.isis, adjacency) {
+                    isis.push_pdu(now, at, pdu);
                 }
             }
             Err(_) => {
@@ -589,7 +646,9 @@ impl VirtualRouter {
             .interfaces
             .iter()
             .filter(|i| i.is_l3())
-            .filter(|i| i.name.is_loopback() || self.link_up.get(&i.name).copied().unwrap_or(false))
+            .filter(|i| {
+                i.name.is_loopback() || self.port(&i.name).is_some_and(|p| self.ports[p].up)
+            })
             .filter_map(|i| {
                 let addr = i.addr?;
                 Some(RibRoute::new(
@@ -700,14 +759,13 @@ impl VirtualRouter {
         let mut events = std::mem::take(&mut self.pending_out);
 
         // 1. IS-IS. The engine hands each PDU out encoded, once, with the
-        // full group of target interfaces; every frame shares the bytes.
+        // adjacency slot it goes out of; every frame of a flood shares the
+        // bytes.
         if let Some(isis) = &mut self.isis {
-            for (ifaces, payload) in isis.poll(now) {
-                for iface in ifaces {
-                    if self.link_up.get(&iface).copied().unwrap_or(false) {
-                        let payload = payload.clone();
-                        events.push(RouterEvent::IsisFrame { iface, payload });
-                    }
+            for (at, payload) in isis.poll(now) {
+                let port = self.ports.iter().position(|p| p.adjacency == Some(at));
+                if let Some(port) = port.filter(|p| self.ports[*p].up) {
+                    events.push(RouterEvent::IsisFrame { port, payload });
                 }
             }
             self.isis_work += isis.take_work();
@@ -988,7 +1046,8 @@ mod tests {
     fn deliver(to: &mut VirtualRouter, now: SimTime, ev: RouterEvent) {
         match ev {
             RouterEvent::IsisFrame { payload, .. } => {
-                to.push_isis(now, &"Ethernet1".into(), payload);
+                let port = to.port(&"Ethernet1".into()).unwrap();
+                to.push_isis(now, port, payload);
             }
             RouterEvent::BgpSegment { src, dst, payload } => {
                 to.push_bgp(now, src, dst, payload);
@@ -1099,7 +1158,8 @@ mod tests {
                 }
                 match ev {
                     RouterEvent::IsisFrame { payload, .. } => {
-                        r2.push_isis(now, &"ge-0/0/0".into(), payload)
+                        let port = r2.port(&"ge-0/0/0".into()).unwrap();
+                        r2.push_isis(now, port, payload)
                     }
                     RouterEvent::BgpSegment { src, dst, payload } => {
                         r2.push_bgp(now, src, dst, payload)
@@ -1110,7 +1170,8 @@ mod tests {
             for ev in r2.poll(now) {
                 match ev {
                     RouterEvent::IsisFrame { payload, .. } => {
-                        r1.push_isis(now, &"Ethernet1".into(), payload)
+                        let port = r1.port(&"Ethernet1".into()).unwrap();
+                        r1.push_isis(now, port, payload)
                     }
                     RouterEvent::BgpSegment { src, dst, payload } => {
                         r1.push_bgp(now, src, dst, payload)

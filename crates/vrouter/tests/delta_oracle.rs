@@ -250,7 +250,8 @@ impl Net {
             check(&mut self.routers[i], &before, version)?;
             for ev in events {
                 match ev {
-                    RouterEvent::IsisFrame { iface, payload } => {
+                    RouterEvent::IsisFrame { port, payload } => {
+                        let iface = self.routers[i].ports().nth(port).unwrap().clone();
                         let far = self.links.iter().filter(|l| l.up).find_map(|l| {
                             if l.a == (i, iface.clone()) {
                                 Some(l.b.clone())
@@ -272,7 +273,8 @@ impl Net {
             }
         }
         for (j, iface, payload) in frames {
-            self.routers[j].push_isis(self.now, &iface, payload);
+            let port = self.routers[j].port(&iface).unwrap();
+            self.routers[j].push_isis(self.now, port, payload);
         }
         for (src, dst, payload) in segments {
             if let Some(owner) = self

@@ -6,10 +6,13 @@
 //! sequence-number PDUs for database synchronisation. LSP checksums use the
 //! standard Fletcher algorithm.
 //!
-//! A router takes LSPs off the wire as [`StoredLsp`]s ([`receive`]): the
-//! bytes it verified, which it floods on unchanged, and what SPF reads.
+//! A router takes a PDU off the wire through [`receive`], which reads what
+//! its engine needs — an LSP as the [`StoredLsp`] it installs: the bytes it
+//! verified, which it floods on unchanged, and what SPF reads — through the
+//! one TLV walk the typed [`IsisPdu::decode`] uses.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::cell::Cell;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -119,19 +122,6 @@ impl LspId {
         out.extend_from_slice(&self.system.0);
         out.put_u8(self.pseudonode);
         out.put_u8(self.fragment);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<LspId, DecodeError> {
-        if buf.len() < 8 {
-            return Err(DecodeError::new("isis", "truncated LSP id"));
-        }
-        let mut sys = [0u8; 6];
-        sys.copy_from_slice(&buf.split_to(6));
-        Ok(LspId {
-            system: SystemId(sys),
-            pseudonode: buf.get_u8(),
-            fragment: buf.get_u8(),
-        })
     }
 }
 
@@ -253,14 +243,10 @@ impl Tlv {
     }
 }
 
-/// Writes each TLV straight into `out`, its length byte patched once the
-/// value is written.
+/// Writes each TLV straight into `out`.
 fn encode_tlvs(out: &mut BytesMut, tlvs: &[Tlv]) {
     for tlv in tlvs {
-        out.put_u8(tlv.type_code());
-        let len_pos = out.len();
-        out.put_u8(0); // value length, patched below
-        match tlv {
+        put_tlv(out, tlv.type_code(), |out| match tlv {
             Tlv::Area(areas) => {
                 for a in areas {
                     out.put_u8(a.len() as u8);
@@ -303,159 +289,214 @@ fn encode_tlvs(out: &mut BytesMut, tlvs: &[Tlv]) {
                     out.extend_from_slice(bits.get(..nbytes).unwrap_or(&bits));
                 }
             }
-            Tlv::LspEntries(entries) => {
-                for e in entries {
-                    out.put_u16(e.lifetime);
-                    e.lsp_id.encode(out);
-                    out.put_u32(e.seq);
-                    out.put_u16(e.checksum);
-                }
-            }
+            Tlv::LspEntries(entries) => put_lsp_entries(out, entries.iter().copied()),
             Tlv::Unknown { value, .. } => out.extend_from_slice(value),
-        }
-        // A value past 255 bytes wraps its length (ROADMAP item 3): the
-        // receiver rejects the PDU.
-        let len = out.len() - len_pos - 1;
-        patch_u8(out, len_pos, len as u8);
+        });
     }
 }
 
-fn decode_tlvs(buf: &mut Bytes) -> Result<Vec<Tlv>, DecodeError> {
-    let err = |r: &str| DecodeError::new("isis", r);
-    let mut out = Vec::new();
-    while !buf.is_empty() {
-        if buf.len() < 2 {
-            return Err(err("truncated TLV header"));
-        }
-        let type_code = buf.get_u8();
-        let len = buf.get_u8() as usize;
-        if buf.len() < len {
-            return Err(err("truncated TLV value"));
-        }
-        let mut v = buf.split_to(len);
-        let tlv = match type_code {
-            TLV_AREA => {
-                let mut areas = Vec::new();
-                while !v.is_empty() {
-                    let alen = v.get_u8() as usize;
-                    if v.len() < alen {
-                        return Err(err("truncated area address"));
-                    }
-                    areas.push(v.split_to(alen));
-                }
-                Tlv::Area(areas)
-            }
-            TLV_PROTOCOLS => Tlv::Protocols(v.to_vec()),
-            TLV_IP_IFACE_ADDR => {
-                if !v.len().is_multiple_of(4) {
-                    return Err(err("bad interface address TLV"));
-                }
-                let mut addrs = Vec::new();
-                while !v.is_empty() {
-                    addrs.push(Ipv4Addr::from(v.get_u32()));
-                }
-                Tlv::IpIfaceAddr(addrs)
-            }
-            TLV_P2P_ADJ_STATE => {
-                if v.is_empty() {
-                    return Err(err("empty adjacency state TLV"));
-                }
-                let state =
-                    AdjState::from_code(v.get_u8()).ok_or_else(|| err("bad adjacency state"))?;
-                let neighbor = if v.len() >= 10 {
-                    v.advance(4); // our extended circuit id
-                    let mut sys = [0u8; 6];
-                    sys.copy_from_slice(&v.split_to(6));
-                    Some(SystemId(sys))
-                } else {
-                    None
-                };
-                Tlv::P2pAdjState { state, neighbor }
-            }
-            TLV_HOSTNAME => {
-                Tlv::Hostname(String::from_utf8(v.to_vec()).map_err(|_| err("bad hostname"))?)
-            }
-            TLV_EXT_IS_REACH => {
-                let mut neighbors = Vec::new();
-                while !v.is_empty() {
-                    if v.len() < 11 {
-                        return Err(err("truncated IS reach entry"));
-                    }
-                    let mut sys = [0u8; 6];
-                    sys.copy_from_slice(&v.split_to(6));
-                    let pseudonode = v.get_u8();
-                    let hi = v.get_u8() as u32;
-                    let lo = v.get_u16() as u32;
-                    let subtlv_len = v.get_u8() as usize;
-                    if v.len() < subtlv_len {
-                        return Err(err("truncated IS reach sub-TLVs"));
-                    }
-                    v.advance(subtlv_len);
-                    neighbors.push(IsNeighbor {
-                        neighbor: SystemId(sys),
-                        pseudonode,
-                        metric: (hi << 16) | lo,
-                    });
-                }
-                Tlv::ExtIsReach(neighbors)
-            }
-            TLV_EXT_IP_REACH => {
-                let mut reaches = Vec::new();
-                while !v.is_empty() {
-                    if v.len() < 5 {
-                        return Err(err("truncated IP reach entry"));
-                    }
-                    let metric = v.get_u32();
-                    let control = v.get_u8();
-                    let plen = control & 0x3f;
-                    if plen > 32 {
-                        return Err(err("IP reach prefix length > 32"));
-                    }
-                    let down = control & 0x80 != 0;
-                    let nbytes = (plen as usize).div_ceil(8);
-                    if v.len() < nbytes {
-                        return Err(err("truncated IP reach prefix"));
-                    }
-                    let chunk = v.split_to(nbytes);
-                    let mut bits = [0u8; 4];
-                    for (slot, b) in bits.iter_mut().zip(chunk.iter()) {
-                        *slot = *b;
-                    }
-                    reaches.push(IpReach {
-                        metric,
-                        prefix: Prefix::from_bits(u32::from_be_bytes(bits), plen),
-                        down,
-                    });
-                }
-                Tlv::ExtIpReach(reaches)
-            }
-            TLV_LSP_ENTRIES => {
-                let mut entries = Vec::new();
-                while !v.is_empty() {
-                    if v.len() < 16 {
-                        return Err(err("truncated LSP entry"));
-                    }
-                    let lifetime = v.get_u16();
-                    let lsp_id = LspId::decode(&mut v)?;
-                    let seq = v.get_u32();
-                    let checksum = v.get_u16();
-                    entries.push(LspEntry {
-                        lifetime,
-                        lsp_id,
-                        seq,
-                        checksum,
-                    });
-                }
-                Tlv::LspEntries(entries)
-            }
-            _ => Tlv::Unknown {
-                type_code,
-                value: v,
-            },
-        };
-        out.push(tlv);
+/// Writes one TLV: its type, its value as `value` writes it, and between
+/// them the value's length, patched once the value is written. A value past
+/// 255 bytes wraps its length (ROADMAP item 3): the receiver rejects the PDU.
+fn put_tlv(out: &mut BytesMut, type_code: u8, value: impl FnOnce(&mut BytesMut)) {
+    out.put_u8(type_code);
+    let len_pos = out.len();
+    out.put_u8(0); // value length, patched below
+    value(out);
+    let len = out.len() - len_pos - 1;
+    patch_u8(out, len_pos, len as u8);
+}
+
+fn put_lsp_entries(out: &mut BytesMut, entries: impl IntoIterator<Item = LspEntry>) {
+    for e in entries {
+        out.put_u16(e.lifetime);
+        e.lsp_id.encode(out);
+        out.put_u32(e.seq);
+        out.put_u16(e.checksum);
     }
-    Ok(out)
+}
+
+/// A TLV as the walk reads it, its value checked: the typed decode and
+/// [`receive`] both read what it hands them, and nothing else.
+#[derive(Clone, Copy)]
+enum TlvRef<'a> {
+    /// Length-prefixed area addresses.
+    Area(&'a [u8]),
+    Protocols(&'a [u8]),
+    /// A whole number of addresses.
+    IpIfaceAddr(&'a [u8]),
+    P2pAdjState {
+        state: AdjState,
+        neighbor: Option<SystemId>,
+    },
+    Hostname(&'a str),
+    ExtIsReach(&'a [u8]),
+    ExtIpReach(&'a [u8]),
+    LspEntries(&'a [u8]),
+    Unknown {
+        type_code: u8,
+        value: &'a [u8],
+    },
+}
+
+/// What `read` reads off `v`, one item after another, each checked; after
+/// an error, nothing. Allocates nothing.
+fn reads<'a, T: 'a>(
+    mut v: &'a [u8],
+    read: fn(&mut &'a [u8]) -> Result<T, &'static str>,
+) -> impl Iterator<Item = Result<T, &'static str>> + Clone + 'a {
+    std::iter::from_fn(move || {
+        let item = (!v.is_empty()).then(|| read(&mut v))?;
+        if item.is_err() {
+            v = &[];
+        }
+        Some(item)
+    })
+}
+
+/// The TLVs of `tlvs`, each checked as the walk reaches it; the walk ends
+/// at the first malformed one, which it hands out as the error.
+fn walk(tlvs: &[u8]) -> impl Iterator<Item = Result<TlvRef<'_>, DecodeError>> + Clone {
+    reads(tlvs, read_tlv).map(|tlv| tlv.map_err(|reason| DecodeError::new("isis", reason)))
+}
+
+/// The items `read` reads off a value the walk checked.
+fn checked<'a, T: 'a>(
+    v: &'a [u8],
+    read: fn(&mut &'a [u8]) -> Result<T, &'static str>,
+) -> impl Iterator<Item = T> + Clone + 'a {
+    reads(v, read).map_while(Result::ok)
+}
+
+fn read_tlv<'a>(rest: &mut &'a [u8]) -> Result<TlvRef<'a>, &'static str> {
+    let [type_code, len] = take(rest).ok_or("truncated TLV header")?;
+    let mut v = take_slice(rest, len.into()).ok_or("truncated TLV value")?;
+    let valid = |read| reads(v, read).try_for_each(|entry| entry.map(drop));
+    Ok(match type_code {
+        TLV_AREA => valid(|v| read_area(v).map(drop)).map(|()| TlvRef::Area(v))?,
+        TLV_PROTOCOLS => TlvRef::Protocols(v),
+        TLV_IP_IFACE_ADDR if !v.len().is_multiple_of(4) => return Err("bad interface address TLV"),
+        TLV_IP_IFACE_ADDR => TlvRef::IpIfaceAddr(v),
+        TLV_P2P_ADJ_STATE => {
+            let [code] = take(&mut v).ok_or("empty adjacency state TLV")?;
+            let state = AdjState::from_code(code).ok_or("bad adjacency state")?;
+            // Our extended circuit id, then the neighbour's system id.
+            let neighbor = take::<10>(&mut v).map(|[_, _, _, _, sys @ ..]| SystemId(sys));
+            TlvRef::P2pAdjState { state, neighbor }
+        }
+        TLV_HOSTNAME => TlvRef::Hostname(std::str::from_utf8(v).map_err(|_| "bad hostname")?),
+        TLV_EXT_IS_REACH => {
+            valid(|v| read_is_neighbor(v).map(drop)).map(|()| TlvRef::ExtIsReach(v))?
+        }
+        TLV_EXT_IP_REACH => {
+            valid(|v| read_ip_reach(v).map(drop)).map(|()| TlvRef::ExtIpReach(v))?
+        }
+        TLV_LSP_ENTRIES => {
+            valid(|v| read_lsp_entry(v).map(drop)).map(|()| TlvRef::LspEntries(v))?
+        }
+        type_code => TlvRef::Unknown {
+            type_code,
+            value: v,
+        },
+    })
+}
+
+fn read_area<'a>(v: &mut &'a [u8]) -> Result<&'a [u8], &'static str> {
+    let [alen] = take(v).unwrap_or_default();
+    take_slice(v, alen.into()).ok_or("truncated area address")
+}
+
+fn read_addr(v: &mut &[u8]) -> Result<Ipv4Addr, &'static str> {
+    take(v)
+        .map(Ipv4Addr::from)
+        .ok_or("bad interface address TLV")
+}
+
+fn read_is_neighbor(v: &mut &[u8]) -> Result<IsNeighbor, &'static str> {
+    let [s0, s1, s2, s3, s4, s5, pseudonode, hi, m1, m0, subtlv_len] =
+        take(v).ok_or("truncated IS reach entry")?;
+    take_slice(v, subtlv_len.into()).ok_or("truncated IS reach sub-TLVs")?;
+    Ok(IsNeighbor {
+        neighbor: SystemId([s0, s1, s2, s3, s4, s5]),
+        pseudonode,
+        metric: u32::from_be_bytes([0, hi, m1, m0]),
+    })
+}
+
+fn read_ip_reach(v: &mut &[u8]) -> Result<IpReach, &'static str> {
+    let [m3, m2, m1, m0, control] = take(v).ok_or("truncated IP reach entry")?;
+    let plen = control & 0x3f;
+    if plen > 32 {
+        return Err("IP reach prefix length > 32");
+    }
+    let chunk = take_slice(v, usize::from(plen).div_ceil(8)).ok_or("truncated IP reach prefix")?;
+    let mut bits = [0u8; 4];
+    for (slot, b) in bits.iter_mut().zip(chunk) {
+        *slot = *b;
+    }
+    Ok(IpReach {
+        metric: u32::from_be_bytes([m3, m2, m1, m0]),
+        prefix: Prefix::from_bits(u32::from_be_bytes(bits), plen),
+        down: control & 0x80 != 0,
+    })
+}
+
+fn read_lsp_entry(v: &mut &[u8]) -> Result<LspEntry, &'static str> {
+    let e: [u8; 16] = take(v).ok_or("truncated LSP entry")?;
+    let [l1, l0, s0, s1, s2, s3, s4, s5, pseudonode, fragment, q3, q2, q1, q0, c1, c0] = e;
+    Ok(LspEntry {
+        lifetime: u16::from_be_bytes([l1, l0]),
+        lsp_id: LspId {
+            system: SystemId([s0, s1, s2, s3, s4, s5]),
+            pseudonode,
+            fragment,
+        },
+        seq: u32::from_be_bytes([q3, q2, q1, q0]),
+        checksum: u16::from_be_bytes([c1, c0]),
+    })
+}
+
+/// The first `N` bytes of `v`, which then starts past them; `None`, and
+/// `v` as it was, if it is shorter.
+fn take<const N: usize>(v: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = v.split_first_chunk::<N>()?;
+    *v = rest;
+    Some(*head)
+}
+
+/// The first `n` bytes of `v`, which then starts past them.
+fn take_slice<'a>(v: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = v.split_at_checked(n)?;
+    *v = rest;
+    Some(head)
+}
+
+/// The part of `buf` that `part` (a slice of it) is, sharing its bytes.
+fn share(buf: &Bytes, part: &[u8]) -> Bytes {
+    let at = (part.as_ptr() as usize).saturating_sub(buf.as_ptr() as usize);
+    buf.slice(at..at + part.len())
+}
+
+/// Decodes `tlvs`, a part of `buf`: an area address or unknown value
+/// shares `buf`'s bytes.
+fn decode_tlvs(buf: &Bytes, tlvs: &[u8]) -> Result<Vec<Tlv>, DecodeError> {
+    let decoded = walk(tlvs).map(|tlv| {
+        Ok(match tlv? {
+            TlvRef::Area(v) => Tlv::Area(checked(v, read_area).map(|a| share(buf, a)).collect()),
+            TlvRef::Protocols(v) => Tlv::Protocols(v.to_vec()),
+            TlvRef::IpIfaceAddr(v) => Tlv::IpIfaceAddr(checked(v, read_addr).collect()),
+            TlvRef::P2pAdjState { state, neighbor } => Tlv::P2pAdjState { state, neighbor },
+            TlvRef::Hostname(h) => Tlv::Hostname(h.to_string()),
+            TlvRef::ExtIsReach(v) => Tlv::ExtIsReach(checked(v, read_is_neighbor).collect()),
+            TlvRef::ExtIpReach(v) => Tlv::ExtIpReach(checked(v, read_ip_reach).collect()),
+            TlvRef::LspEntries(v) => Tlv::LspEntries(checked(v, read_lsp_entry).collect()),
+            TlvRef::Unknown { type_code, value } => Tlv::Unknown {
+                type_code,
+                value: share(buf, value),
+            },
+        })
+    });
+    decoded.collect()
 }
 
 /// A point-to-point IS-IS hello.
@@ -512,20 +553,21 @@ impl Lsp {
 
     /// The PDU and its checksum, computed once over the bytes it writes.
     fn encode_checksummed(&self) -> (Bytes, u16) {
-        let mut out = common_header(PDU_L2_LSP);
-        let len_pos = out.len();
-        out.put_u16(0); // pdu length, patched below
-        out.put_u16(self.lifetime_secs);
-        self.lsp_id.encode(&mut out);
-        out.put_u32(self.seq);
-        out.put_u16(0); // checksum, patched below
-        out.put_u8(0x03); // flags: L2 IS
-        encode_tlvs(&mut out, &self.tlvs);
-        let total = out.len() as u16;
-        patch_u16_be(&mut out, len_pos, total);
-        let checksum = lsp_checksum(out.get(LSP_ID_AT..).unwrap_or_default());
-        patch_u16_be(&mut out, LSP_CHECKSUM_AT, checksum);
-        (out.freeze(), checksum)
+        let mut checksum = 0;
+        let bytes = frame(|out| {
+            put_header(out, PDU_L2_LSP);
+            out.put_u16(0); // pdu length, patched below
+            out.put_u16(self.lifetime_secs);
+            self.lsp_id.encode(out);
+            out.put_u32(self.seq);
+            out.put_u16(0); // checksum, patched below
+            out.put_u8(0x03); // flags: L2 IS
+            encode_tlvs(out, &self.tlvs);
+            patch_pdu_len(out, PDU_LEN_AT);
+            checksum = lsp_checksum(out.get(LSP_ID_AT..).unwrap_or_default());
+            patch_u16_be(out, LSP_CHECKSUM_AT, checksum);
+        });
+        (bytes, checksum)
     }
 }
 
@@ -546,11 +588,6 @@ impl StoredLsp {
     /// Originates `lsp`: its one encoding and checksum.
     pub fn encode(lsp: &Lsp) -> StoredLsp {
         let (bytes, checksum) = lsp.encode_checksummed();
-        StoredLsp::new(bytes, checksum, lsp)
-    }
-
-    /// Keeps what SPF reads of `lsp` beside its PDU.
-    fn new(bytes: Bytes, checksum: u16, lsp: &Lsp) -> StoredLsp {
         StoredLsp {
             bytes,
             entry: LspEntry {
@@ -568,6 +605,38 @@ impl StoredLsp {
                 })
                 .collect(),
             prefixes: lsp.ip_reaches().copied().collect(),
+        }
+    }
+
+    /// Stores a received LSP whose header `entry` and TLVs were checked:
+    /// what SPF reads, each list in one allocation of its length.
+    fn received(frame: Bytes, entry: LspEntry) -> StoredLsp {
+        let tlvs = || walk(frame.get(LSP_TLVS_AT..).unwrap_or_default()).map_while(Result::ok);
+        let neighbors = tlvs().flat_map(|t| {
+            checked(
+                if let TlvRef::ExtIsReach(v) = t {
+                    v
+                } else {
+                    &[]
+                },
+                read_is_neighbor,
+            )
+        });
+        let prefixes = tlvs().flat_map(|t| {
+            checked(
+                if let TlvRef::ExtIpReach(v) = t {
+                    v
+                } else {
+                    &[]
+                },
+                read_ip_reach,
+            )
+        });
+        StoredLsp {
+            neighbors: boxed(neighbors),
+            prefixes: boxed(prefixes),
+            entry,
+            bytes: frame,
         }
     }
 
@@ -592,36 +661,157 @@ impl StoredLsp {
     }
 
     /// The dynamic hostname, read out of the bytes (an operator's `show`,
-    /// not a protocol path).
+    /// not a protocol path); `None` if any TLV is malformed.
     pub fn hostname(&self) -> Option<String> {
-        let mut tlvs = Bytes::copy_from_slice(self.bytes.get(LSP_TLVS_AT..)?);
-        let tlvs = decode_tlvs(&mut tlvs).ok()?;
-        tlvs.into_iter().find_map(|t| match t {
-            Tlv::Hostname(h) => Some(h),
-            _ => None,
+        let mut tlvs = walk(self.bytes.get(LSP_TLVS_AT..)?);
+        let first = tlvs.try_fold(None, |first, tlv| match (first, tlv?) {
+            (None, TlvRef::Hostname(h)) => Ok::<_, DecodeError>(Some(h)),
+            (first, _) => Ok(first),
+        });
+        first.ok()?.map(str::to_string)
+    }
+}
+
+/// `items` in a slice of exactly their number: counted, then collected.
+fn boxed<T>(items: impl Iterator<Item = T> + Clone) -> Box<[T]> {
+    let mut out = Vec::with_capacity(items.clone().count());
+    out.extend(items);
+    out.into_boxed_slice()
+}
+
+/// A PDU as a router takes it off the wire: what its engine reads of it,
+/// and no more. Every TLV was checked, as the typed decode checks it.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Received {
+    Hello(Hello),
+    Lsp(ReceivedLsp),
+    Csnp(SeqNums),
+    Psnp(SeqNums),
+}
+
+/// A received LSP, its checksum verified: what a sequence-numbers PDU
+/// names it by, and its bytes, stored only if the LSDB keeps them.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct ReceivedLsp {
+    entry: LspEntry,
+    frame: Bytes,
+}
+
+impl ReceivedLsp {
+    /// Lifetime, LSP id, sequence number and checksum.
+    pub fn entry(&self) -> LspEntry {
+        self.entry
+    }
+
+    /// The LSP as the LSDB keeps it.
+    pub fn store(self) -> StoredLsp {
+        StoredLsp::received(self.frame, self.entry)
+    }
+}
+
+/// A p2p hello as an adjacency reads it.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Hello {
+    pub source: SystemId,
+    pub hold_time_secs: u16,
+    /// The first interface address it lists.
+    pub iface_addr: Option<Ipv4Addr>,
+    /// Its first adjacency state TLV's three-way state and neighbour.
+    pub adj_state: Option<(AdjState, Option<SystemId>)>,
+    /// Its TLVs, as they arrived.
+    tlvs: Bytes,
+}
+
+impl Hello {
+    /// Whether it lists `area` among its area addresses, read from its
+    /// bytes.
+    pub fn in_area(&self, area: &[u8]) -> bool {
+        let mut areas = walk(&self.tlvs).flat_map(|t| match t {
+            Ok(TlvRef::Area(v)) => checked(v, read_area),
+            _ => checked(&[], read_area),
+        });
+        areas.any(|a| a == area)
+    }
+}
+
+/// A sequence-numbers PDU (CSNP or PSNP) as the engine reads it.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SeqNums {
+    pub source: SystemId,
+    /// Its TLVs, as they arrived.
+    tlvs: Bytes,
+}
+
+impl SeqNums {
+    /// The entries of every LSP-entries TLV, in order, read from its
+    /// bytes.
+    pub fn entries(&self) -> impl Iterator<Item = LspEntry> + '_ {
+        walk(&self.tlvs).flat_map(|t| match t {
+            Ok(TlvRef::LspEntries(v)) => checked(v, read_lsp_entry),
+            _ => checked(&[], read_lsp_entry),
         })
     }
 }
 
-/// A PDU as a router takes it off the wire: an LSP stored, the rest typed
-/// (never an [`IsisPdu::Lsp`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Received {
-    Lsp(StoredLsp),
-    Pdu(IsisPdu),
+/// Decodes one frame into what the engine reads of it, allocating nothing
+/// but a rejection's reason: the checks are the typed decode's, through
+/// the same walk, and an LSP's checksum is verified over the bytes
+/// received.
+pub fn receive(frame: Bytes) -> Result<Received, DecodeError> {
+    let (pdu_type, body) = split_header(&frame)?;
+    match pdu_type {
+        PDU_P2P_HELLO => {
+            let (_, source, hold_time_secs, _, tlvs) = split_hello(body)?;
+            let (mut iface_addr, mut adj_state) = (None, None);
+            for tlv in walk(tlvs) {
+                match tlv? {
+                    TlvRef::IpIfaceAddr(v) if iface_addr.is_none() => {
+                        iface_addr = checked(v, read_addr).next()
+                    }
+                    TlvRef::P2pAdjState { state, neighbor } if adj_state.is_none() => {
+                        adj_state = Some((state, neighbor))
+                    }
+                    _ => {}
+                }
+            }
+            let tlvs = share(&frame, tlvs);
+            let hello = Hello {
+                source,
+                hold_time_secs,
+                iface_addr,
+                adj_state,
+                tlvs,
+            };
+            Ok(Received::Hello(hello))
+        }
+        PDU_L2_LSP => {
+            let (entry, tlvs) = split_lsp(body)?;
+            walk(tlvs).try_for_each(|t| t.map(drop))?;
+            Ok(Received::Lsp(ReceivedLsp { entry, frame }))
+        }
+        PDU_L2_CSNP => seq_nums::<25>(&frame, body, "truncated CSNP").map(Received::Csnp),
+        PDU_L2_PSNP => seq_nums::<9>(&frame, body, "truncated PSNP").map(Received::Psnp),
+        t => Err(unknown_pdu(t)),
+    }
 }
 
-/// Decodes one frame. An LSP's checksum is verified over the bytes
-/// received, and what SPF reads of it is kept beside those bytes.
-pub fn receive(frame: Bytes) -> Result<Received, DecodeError> {
-    let mut buf = frame.clone();
-    match decode_common_header(&mut buf)? {
-        PDU_L2_LSP => {
-            let (lsp, checksum) = decode_lsp(&mut buf)?;
-            Ok(Received::Lsp(StoredLsp::new(frame, checksum, &lsp)))
-        }
-        pdu_type => decode_body(pdu_type, &mut buf).map(Received::Pdu),
-    }
+/// A CSNP's or PSNP's source and TLVs, checked, from its `body`: `N` fixed
+/// bytes — the PDU length, the source, the circuit id and for a CSNP the
+/// LSP id range — then the TLVs.
+fn seq_nums<const N: usize>(
+    frame: &Bytes,
+    body: &[u8],
+    truncated: &str,
+) -> Result<SeqNums, DecodeError> {
+    let mut tlvs = body;
+    let fixed: [u8; N] = take(&mut tlvs).ok_or_else(|| DecodeError::new("isis", truncated))?;
+    let source = fixed.get(2..8).and_then(|s| s.try_into().ok());
+    walk(tlvs).try_for_each(|t| t.map(drop))?;
+    let tlvs = share(frame, tlvs);
+    Ok(SeqNums {
+        source: source.map(SystemId).unwrap_or_default(),
+        tlvs,
+    })
 }
 
 /// A complete sequence-numbers PDU (database summary).
@@ -692,9 +882,34 @@ fn patch_u16_be(out: &mut BytesMut, pos: usize, val: u16) {
     }
 }
 
+/// Writes the PDU's length, now that all of it is written, at `pos`.
+fn patch_pdu_len(out: &mut BytesMut, pos: usize) {
+    let total = out.len() as u16;
+    patch_u16_be(out, pos, total);
+}
+
+/// Where an LSP's, CSNP's or PSNP's length sits: right after the header.
+const PDU_LEN_AT: usize = 8;
+
+thread_local! {
+    /// What a PDU is written into before it is copied into its frame,
+    /// kept between PDUs.
+    static SCRATCH: Cell<BytesMut> = Cell::new(BytesMut::new());
+}
+
+/// The PDU `write` writes, in a frame of exactly its size: one allocation
+/// per PDU, whatever its length.
+fn frame(write: impl FnOnce(&mut BytesMut)) -> Bytes {
+    let mut out = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    out.clear();
+    write(&mut out);
+    let frame = Bytes::copy_from_slice(&out);
+    let _ = SCRATCH.try_with(|scratch| scratch.set(out));
+    frame
+}
+
 /// The eight bytes every PDU starts with.
-fn common_header(pdu_type: u8) -> BytesMut {
-    let mut out = BytesMut::new();
+fn put_header(out: &mut BytesMut, pdu_type: u8) {
     out.put_u8(PROTO_DISCRIMINATOR);
     out.put_u8(0); // length indicator (filled by implementations we skip)
     out.put_u8(1); // version/protocol id extension
@@ -703,163 +918,149 @@ fn common_header(pdu_type: u8) -> BytesMut {
     out.put_u8(1); // version
     out.put_u8(0); // reserved
     out.put_u8(0); // max area addresses (0 = 3)
-    out
 }
 
-/// Reads the common header; returns the PDU type.
-fn decode_common_header(buf: &mut Bytes) -> Result<u8, DecodeError> {
+/// Reads the common header: the PDU type, and what follows the header.
+fn split_header(pdu: &[u8]) -> Result<(u8, &[u8]), DecodeError> {
     let err = |r: &str| DecodeError::new("isis", r);
-    if buf.len() < 8 {
-        return Err(err("truncated common header"));
-    }
-    if buf.get_u8() != PROTO_DISCRIMINATOR {
+    let mut body = pdu;
+    let [discriminator, _, _, id_len, pdu_type, _, _, _] =
+        take(&mut body).ok_or_else(|| err("truncated common header"))?;
+    if discriminator != PROTO_DISCRIMINATOR {
         return Err(err("bad protocol discriminator"));
     }
-    buf.advance(2); // length indicator, version
-    let id_len = buf.get_u8();
     if id_len != 0 && id_len != 6 {
         return Err(err("unsupported id length"));
     }
-    let pdu_type = buf.get_u8() & 0x1f;
-    buf.advance(3); // version, reserved, max areas
-    Ok(pdu_type)
+    Ok((pdu_type & 0x1f, body))
 }
 
-/// Decodes an LSP and the checksum it carries, verified over the bytes as
-/// received.
-fn decode_lsp(buf: &mut Bytes) -> Result<(Lsp, u16), DecodeError> {
-    if buf.len() < 19 {
-        return Err(DecodeError::new("isis", "truncated LSP"));
-    }
-    let _pdu_len = buf.get_u16();
-    let lifetime_secs = buf.get_u16();
-    let computed = lsp_checksum(buf);
-    let lsp_id = LspId::decode(buf)?;
-    let seq = buf.get_u32();
-    let checksum = buf.get_u16();
-    let _flags = buf.get_u8();
-    if computed != checksum {
-        return Err(DecodeError::new("isis", "LSP checksum mismatch"));
-    }
-    let tlvs = decode_tlvs(buf)?;
-    let lsp = Lsp {
-        lifetime_secs,
-        lsp_id,
-        seq,
+fn unknown_pdu(pdu_type: u8) -> DecodeError {
+    DecodeError::new("isis", format!("unknown PDU type {pdu_type}"))
+}
+
+/// A hello's fixed fields — circuit type, source, hold time and circuit
+/// id — and its TLVs.
+fn split_hello(body: &[u8]) -> Result<(u8, SystemId, u16, u8, &[u8]), DecodeError> {
+    let mut tlvs = body;
+    let fixed = take(&mut tlvs).ok_or_else(|| DecodeError::new("isis", "truncated hello"))?;
+    let [circuit_type, s0, s1, s2, s3, s4, s5, h1, h0, _, _, circuit_id] = fixed;
+    let source = SystemId([s0, s1, s2, s3, s4, s5]);
+    Ok((
+        circuit_type,
+        source,
+        u16::from_be_bytes([h1, h0]),
+        circuit_id,
         tlvs,
-    };
-    Ok((lsp, checksum))
+    ))
 }
 
-/// Decodes what follows the common header of a `pdu_type` PDU.
-fn decode_body(pdu_type: u8, buf: &mut Bytes) -> Result<IsisPdu, DecodeError> {
+/// An LSP's header entry, its checksum verified over the bytes received,
+/// and its TLVs.
+fn split_lsp(body: &[u8]) -> Result<(LspEntry, &[u8]), DecodeError> {
     let err = |r: &str| DecodeError::new("isis", r);
-    match pdu_type {
-        PDU_P2P_HELLO => {
-            if buf.len() < 12 {
-                return Err(err("truncated hello"));
-            }
-            let circuit_type = buf.get_u8();
-            let mut sys = [0u8; 6];
-            sys.copy_from_slice(&buf.split_to(6));
-            let hold_time_secs = buf.get_u16();
-            let _pdu_len = buf.get_u16();
-            let circuit_id = buf.get_u8();
-            let tlvs = decode_tlvs(buf)?;
-            Ok(IsisPdu::P2pHello(P2pHello {
-                circuit_type,
-                source: SystemId(sys),
-                hold_time_secs,
-                circuit_id,
-                tlvs,
-            }))
-        }
-        PDU_L2_LSP => decode_lsp(buf).map(|(lsp, _)| IsisPdu::Lsp(lsp)),
-        PDU_L2_CSNP => {
-            if buf.len() < 25 {
-                return Err(err("truncated CSNP"));
-            }
-            let _pdu_len = buf.get_u16();
-            let mut sys = [0u8; 6];
-            sys.copy_from_slice(&buf.split_to(6));
-            buf.advance(1 + 16); // circuit id + start/end range
-            Ok(IsisPdu::Csnp(Csnp {
-                source: SystemId(sys),
-                entries: lsp_entries(decode_tlvs(buf)?),
-            }))
-        }
-        PDU_L2_PSNP => {
-            if buf.len() < 9 {
-                return Err(err("truncated PSNP"));
-            }
-            let _pdu_len = buf.get_u16();
-            let mut sys = [0u8; 6];
-            sys.copy_from_slice(&buf.split_to(6));
-            buf.advance(1); // circuit id
-            Ok(IsisPdu::Psnp(Psnp {
-                source: SystemId(sys),
-                entries: lsp_entries(decode_tlvs(buf)?),
-            }))
-        }
-        t => Err(err(&format!("unknown PDU type {t}"))),
+    if body.len() < 19 {
+        return Err(err("truncated LSP"));
     }
+    // Past the PDU length: the lifetime, LSP id, sequence number and
+    // checksum, laid out as an LSP entry is; then the flags.
+    let mut tlvs = body.get(2..).unwrap_or_default();
+    let entry = read_lsp_entry(&mut tlvs).map_err(err)?;
+    take_slice(&mut tlvs, 1);
+    if lsp_checksum(body.get(4..).unwrap_or_default()) != entry.checksum {
+        return Err(err("LSP checksum mismatch"));
+    }
+    Ok((entry, tlvs))
 }
 
-/// The entries of every LSP-entries TLV, in order.
-fn lsp_entries(tlvs: Vec<Tlv>) -> Vec<LspEntry> {
-    tlvs.into_iter()
-        .flat_map(|t| match t {
-            Tlv::LspEntries(e) => e,
-            _ => Vec::new(),
-        })
-        .collect()
+/// A CSNP (`PDU_L2_CSNP`, over the whole LSP id range) or a PSNP from
+/// `source` listing `entries` in one LSP-entries TLV, written straight from
+/// them.
+pub fn encode_snp(
+    pdu_type: u8,
+    source: SystemId,
+    entries: impl IntoIterator<Item = LspEntry>,
+) -> Bytes {
+    frame(|out| {
+        put_header(out, pdu_type);
+        out.put_u16(0); // pdu length, patched below
+        out.extend_from_slice(&source.0);
+        out.put_u8(0); // circuit id
+        if pdu_type == PDU_L2_CSNP {
+            // Start/end LSP id range: full range.
+            out.put_bytes(0x00, 8);
+            out.put_bytes(0xff, 8);
+        }
+        put_tlv(out, TLV_LSP_ENTRIES, |out| put_lsp_entries(out, entries));
+        patch_pdu_len(out, PDU_LEN_AT);
+    })
 }
 
 impl IsisPdu {
     pub fn encode(&self) -> Bytes {
-        let (mut out, len_pos) = match self {
-            IsisPdu::P2pHello(h) => {
-                let mut out = common_header(PDU_P2P_HELLO);
+        match self {
+            IsisPdu::P2pHello(h) => frame(|out| {
+                put_header(out, PDU_P2P_HELLO);
                 out.put_u8(h.circuit_type);
                 out.extend_from_slice(&h.source.0);
                 out.put_u16(h.hold_time_secs);
                 let len_pos = out.len();
                 out.put_u16(0); // pdu length, patched below
                 out.put_u8(h.circuit_id);
-                encode_tlvs(&mut out, &h.tlvs);
-                (out, len_pos)
-            }
-            IsisPdu::Lsp(l) => return l.encode_checksummed().0,
-            IsisPdu::Csnp(c) => {
-                let mut out = common_header(PDU_L2_CSNP);
-                let len_pos = out.len();
-                out.put_u16(0);
-                out.extend_from_slice(&c.source.0);
-                out.put_u8(0); // circuit id
-                               // Start/end LSP id range: full range.
-                out.put_bytes(0x00, 8);
-                out.put_bytes(0xff, 8);
-                encode_tlvs(&mut out, &[Tlv::LspEntries(c.entries.clone())]);
-                (out, len_pos)
-            }
-            IsisPdu::Psnp(p) => {
-                let mut out = common_header(PDU_L2_PSNP);
-                let len_pos = out.len();
-                out.put_u16(0);
-                out.extend_from_slice(&p.source.0);
-                out.put_u8(0);
-                encode_tlvs(&mut out, &[Tlv::LspEntries(p.entries.clone())]);
-                (out, len_pos)
-            }
-        };
-        let total = out.len() as u16;
-        patch_u16_be(&mut out, len_pos, total);
-        out.freeze()
+                encode_tlvs(out, &h.tlvs);
+                patch_pdu_len(out, len_pos);
+            }),
+            IsisPdu::Lsp(l) => l.encode_checksummed().0,
+            IsisPdu::Csnp(c) => encode_snp(PDU_L2_CSNP, c.source, c.entries.iter().copied()),
+            IsisPdu::Psnp(p) => encode_snp(PDU_L2_PSNP, p.source, p.entries.iter().copied()),
+        }
     }
 
+    /// Decodes the PDU that fills `buf`, consuming it: the checks are
+    /// [`receive`]'s, through the same walk.
     pub fn decode(buf: &mut Bytes) -> Result<IsisPdu, DecodeError> {
-        let pdu_type = decode_common_header(buf)?;
-        decode_body(pdu_type, buf)
+        let (pdu_type, body) = split_header(buf)?;
+        let tlvs = |tlvs: &[u8]| decode_tlvs(buf, tlvs);
+        let pdu = match pdu_type {
+            PDU_P2P_HELLO => {
+                let (circuit_type, source, hold_time_secs, circuit_id, rest) = split_hello(body)?;
+                IsisPdu::P2pHello(P2pHello {
+                    circuit_type,
+                    source,
+                    hold_time_secs,
+                    circuit_id,
+                    tlvs: tlvs(rest)?,
+                })
+            }
+            PDU_L2_LSP => {
+                let (entry, rest) = split_lsp(body)?;
+                IsisPdu::Lsp(Lsp {
+                    lifetime_secs: entry.lifetime,
+                    lsp_id: entry.lsp_id,
+                    seq: entry.seq,
+                    tlvs: tlvs(rest)?,
+                })
+            }
+            PDU_L2_CSNP => {
+                let snp = seq_nums::<25>(buf, body, "truncated CSNP")?;
+                let entries = snp.entries().collect();
+                IsisPdu::Csnp(Csnp {
+                    source: snp.source,
+                    entries,
+                })
+            }
+            PDU_L2_PSNP => {
+                let snp = seq_nums::<9>(buf, body, "truncated PSNP")?;
+                let entries = snp.entries().collect();
+                IsisPdu::Psnp(Psnp {
+                    source: snp.source,
+                    entries,
+                })
+            }
+            t => return Err(unknown_pdu(t)),
+        };
+        buf.advance(buf.len());
+        Ok(pdu)
     }
 }
 
@@ -1304,7 +1505,7 @@ mod tests {
         let lsp = example_lsp();
         let stored = StoredLsp::encode(&lsp);
         let received = match receive(IsisPdu::Lsp(lsp.clone()).encode()).unwrap() {
-            Received::Lsp(received) => received,
+            Received::Lsp(received) => received.store(),
             other => panic!("{other:?}"),
         };
         assert_eq!(stored, received);
@@ -1315,7 +1516,7 @@ mod tests {
             (entry.lsp_id, entry.seq, entry.lifetime),
             (lsp.lsp_id, 7, 1200)
         );
-        // Anything else comes through typed.
+        // A hello comes through as what an adjacency reads of it.
         let hello = IsisPdu::P2pHello(P2pHello {
             circuit_type: 2,
             source: sys(1),
@@ -1323,7 +1524,18 @@ mod tests {
             circuit_id: 1,
             tlvs: vec![],
         });
-        assert_eq!(receive(hello.encode()).unwrap(), Received::Pdu(hello));
+        match receive(hello.encode()).unwrap() {
+            Received::Hello(got) => {
+                let fields = (
+                    got.source,
+                    got.hold_time_secs,
+                    got.iface_addr,
+                    got.adj_state,
+                );
+                assert_eq!(fields, (sys(1), 30, None, None));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

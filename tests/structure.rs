@@ -229,6 +229,27 @@ const ROWS: &[Row] = &[
         plant: "IsisPdu::Lsp(lsp.clone()).encode(); lsp.checksum(); fletcher16(&bytes);",
     },
     Row {
+        files: "crates/routing/src/isis.rs",
+        rule: Absent("Vec<IfaceId>|build_hello(*).encode("),
+        why: "one allocation per frame: the out-queue names adjacency slots, and a hello is \
+              encoded once per adjacency state, where it is cached",
+        plant: "out: VecDeque<(Vec<IfaceId>, Bytes)>; self.send(iface, self.build_hello(iface).encode());",
+    },
+    Row {
+        files: "crates/wire/src/isis.rs > pub fn receive(",
+        rule: Absent("decode_lsp|decode_tlvs"),
+        why: "one walker: a received frame is read through the TLV walk the typed decode \
+              uses, straight into what the engine keeps",
+        plant: "pub fn receive(frame: Bytes) {\n    decode_lsp(&mut buf); decode_tlvs(&mut buf);\n}",
+    },
+    Row {
+        files: "crates/emulator/src/shard.rs > fn dispatch_router_events(",
+        rule: Absent("iface|Iface"),
+        why: "one allocation per frame: a frame names its port, which the boot-time port \
+              table resolves to a link; no interface name is read per frame",
+        plant: "fn dispatch_router_events() {\n    let iface: IfaceRef = resolve(&name);\n}",
+    },
+    Row {
         files: "crates/emulator/src/shard.rs > struct Shard {",
         rule: Absent("VirtualRouter|ExternalPeer|ChaCha8Rng|Journal|EventTally|LoopWall|churn"),
         why: "one table per entity: a shard is a schedule; entities live in the Fleet",
@@ -284,6 +305,8 @@ const REQUIRED: &[&str] = &[
     "crates/types/tests/proptests.rs::trie_arena_follows_a_map_model",
     "crates/routing/src/rib.rs::fib_groups_follow_a_map_model",
     "tests/work_ceiling.rs::extraction_holds_one_routers_aft_at_a_time",
+    "crates/wire/tests/proptests.rs::receive_is_the_typed_decode",
+    "tests/work_ceiling.rs::an_isis_frame_costs_one_allocation",
 ];
 
 /// The files `glob` names. Tests run in the repository root.

@@ -22,7 +22,8 @@
 //! every reached one. And a shard holds a schedule, not a slot per router:
 //! the emulation's bytes barely move with the shard count. And a watch renders
 //! a device's state tree per sync and per change, not per read, and decodes
-//! a mirror per change, not per evaluation.
+//! a mirror per change, not per evaluation. And an IS-IS frame costs one
+//! allocation, its own, on its way through the engine, router and shard.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -506,4 +507,29 @@ fn a_quiet_watch_renders_only_its_syncs() {
     assert!(emitted > 0 && deltas > 0, "the flap streamed nothing");
     assert_eq!(renders, syncs + emitted);
     assert_eq!(decodes, syncs + deltas);
+}
+
+#[test]
+fn an_isis_frame_costs_one_allocation() {
+    // A cold boot of the 30-router grid, counted in allocations: 12,628
+    // IS-IS frames delivered. Each decoded into a `Vec<Tlv>`, a hello built
+    // and encoded per send into a buffer grown from empty then copied, and
+    // an out-queue naming its targets by cloned interface name made
+    // 224,671 allocations. Decoded straight into what the engine keeps (an
+    // LSP stored only if it is kept), a hello encoded once per adjacency
+    // state, each PDU written into one frame of its size and frames routed
+    // by port index, 68,611 are left. The ceiling is 5 % over that.
+    let snapshot = scenarios::isis_grid(6, 5);
+    let allocs = ALLOCS.get();
+    let (emu, meta) = EmulationBackend::with_seed(1)
+        .run(&snapshot)
+        .expect("grid boots");
+    let allocs = ALLOCS.get() - allocs;
+    assert!(meta.converged);
+    let delivered = emu
+        .export_obs()
+        .metrics
+        .counter("engine.events.deliver_isis");
+    assert_eq!(delivered, 12_628);
+    assert!(allocs <= 72_041, "{allocs} allocations to boot the grid");
 }
