@@ -197,9 +197,10 @@ pub fn parse(text: &str) -> Result<Parsed, ParseError> {
     let mut recognized = 0usize;
     let total = count_stmts(&tree);
 
-    // Named community definitions (`policy-options community NAME members`)
-    // are resolved while lowering policy-statements.
-    let mut community_defs: Vec<(String, Vec<Community>)> = Vec::new();
+    // Named community and AS-path definitions (`policy-options community
+    // NAME members ...`, `policy-options as-path NAME "REGEX"`) are resolved
+    // while lowering policy-statements.
+    let mut defs = Defs::default();
     if let Some(po) = tree.iter().find(|s| s.word(0) == "policy-options") {
         for c in po.children_named("community") {
             // community NAME members [a:b ...]
@@ -207,8 +208,19 @@ pub fn parse(text: &str) -> Result<Parsed, ParseError> {
                 let comms: Option<Vec<Community>> =
                     c.words[3..].iter().map(|w| parse_community(w)).collect();
                 if let Some(comms) = comms {
-                    community_defs.push((c.word(1).to_string(), comms));
+                    defs.communities.push((c.word(1).to_string(), comms));
                 }
+            }
+        }
+        // In an AS-path regex `.` is one AS: `.{0,N}` is a path of at most
+        // N ASes, the one form read.
+        for a in po.children_named("as-path") {
+            let len = a
+                .word(2)
+                .strip_prefix(".{0,")
+                .and_then(|r| r.strip_suffix('}'));
+            if let Some(len) = len.and_then(|n| n.parse().ok()) {
+                defs.as_paths.push((a.word(1).to_string(), len));
             }
         }
     }
@@ -229,8 +241,7 @@ pub fn parse(text: &str) -> Result<Parsed, ParseError> {
             }
             "policy-options" => {
                 recognized += 1;
-                recognized +=
-                    lower_policy_options(section, &mut cfg, &community_defs, &mut warnings)?;
+                recognized += lower_policy_options(section, &mut cfg, &defs, &mut warnings)?;
             }
             "routing-options" => {
                 recognized += 1;
@@ -676,10 +687,28 @@ fn prefix_list_text(i: usize, e: &PrefixListEntry) -> String {
     format!("{} {action}{ge}{le}{seq}", e.prefix)
 }
 
+/// `item`'s generated name: `prefix`, then its place among the distinct
+/// items `named` so far, to which it is added if new.
+fn generated_name<T: PartialEq>(named: &mut Vec<T>, item: T, prefix: char) -> String {
+    let at = named.iter().position(|n| *n == item).unwrap_or(named.len());
+    if at == named.len() {
+        named.push(item);
+    }
+    format!("{prefix}{}", at + 1)
+}
+
+/// The named definitions policy-statements refer to.
+#[derive(Default)]
+struct Defs {
+    communities: Vec<(String, Vec<Community>)>,
+    /// AS-path names and the longest path each one matches.
+    as_paths: Vec<(String, usize)>,
+}
+
 fn lower_policy_options(
     section: &Stmt,
     cfg: &mut DeviceConfig,
-    community_defs: &[(String, Vec<Community>)],
+    defs: &Defs,
     warnings: &mut Vec<ParseWarning>,
 ) -> Result<usize, ParseError> {
     let mut n = 0;
@@ -701,7 +730,7 @@ fn lower_policy_options(
                     n += 1;
                 }
             }
-            "community" => {
+            "community" | "as-path" => {
                 // Handled in the prepass; count as recognized.
                 n += 1;
             }
@@ -730,9 +759,24 @@ fn lower_policy_options(
                                         .push(MatchClause::PrefixList(m.word(1).into()));
                                     n += 1;
                                 }
+                                "as-path" => {
+                                    let def = defs.as_paths.iter().find(|(d, _)| d == m.word(1));
+                                    match def {
+                                        Some((_, len)) => {
+                                            entry.matches.push(MatchClause::MaxAsPathLen(*len))
+                                        }
+                                        None => warnings.push(ParseWarning {
+                                            line: m.line,
+                                            text: m.words.join(" "),
+                                            reason: "undefined or unsupported as-path".into(),
+                                        }),
+                                    }
+                                    n += 1;
+                                }
                                 "community" => {
                                     let cname = m.word(1);
-                                    match community_defs
+                                    match defs
+                                        .communities
                                         .iter()
                                         .find(|(defname, _)| defname == cname)
                                     {
@@ -785,7 +829,8 @@ fn lower_policy_options(
                                     // community add NAME / community set NAME
                                     let mode = a.word(1);
                                     let cname = a.word(2);
-                                    let comms = community_defs
+                                    let comms = defs
+                                        .communities
                                         .iter()
                                         .find(|(defname, _)| defname == cname)
                                         .map(|(_, c)| c.clone());
@@ -1148,16 +1193,13 @@ pub fn render(cfg: &DeviceConfig) -> String {
 
     if !cfg.prefix_lists.is_empty() || !cfg.route_maps.is_empty() {
         w.open("policy-options");
-        // Each distinct community set a term matches, adds or sets, named
-        // for its place among them and defined after the statements.
+        // Each distinct community set a term matches, adds or sets, and
+        // each distinct AS-path length bound, named for its place among
+        // them and defined after the statements.
         let mut sets: Vec<Vec<Community>> = Vec::new();
-        let mut set_name = |set: Vec<Community>| {
-            let at = sets.iter().position(|s| *s == set).unwrap_or(sets.len());
-            if at == sets.len() {
-                sets.push(set);
-            }
-            format!("c{}", at + 1)
-        };
+        let mut lens: Vec<usize> = Vec::new();
+        let mut set_name = |set| generated_name(&mut sets, set, 'c');
+        let mut len_name = |len| generated_name(&mut lens, len, 'a');
         let community = |m: &MatchClause| match m {
             MatchClause::Community(c) => Some(*c),
             _ => None,
@@ -1186,7 +1228,9 @@ pub fn render(cfg: &DeviceConfig) -> String {
                             [MatchClause::Community(_), ..] => {
                                 w.line(&format!("community {};", set_name(set)))
                             }
-                            // `MaxAsPathLen` has no vjunos syntax (ROADMAP item 13).
+                            [MatchClause::MaxAsPathLen(len)] => {
+                                w.line(&format!("as-path {};", len_name(*len)))
+                            }
                             _ => {}
                         }
                     }
@@ -1222,6 +1266,9 @@ pub fn render(cfg: &DeviceConfig) -> String {
         for (i, set) in sets.iter().enumerate() {
             let members: String = set.iter().map(|c| format!(" {c}")).collect();
             w.line(&format!("community c{} members{members};", i + 1));
+        }
+        for (i, len) in lens.iter().enumerate() {
+            w.line(&format!("as-path a{} \".{{0,{len}}}\";", i + 1));
         }
         w.close();
     }

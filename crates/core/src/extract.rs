@@ -122,7 +122,7 @@ mod tests {
             );
             let mut crashed = routers[routers.len() - 1].clone();
             crashed.inject_crash("test");
-            let _ = crashed.poll(SimTime(emu.now().0 + 1));
+            crashed.poll(SimTime(emu.now().0 + 1), &|| 0, &mut Vec::new());
             assert!(!crashed.is_running());
             routers.push(crashed);
         }

@@ -46,7 +46,8 @@ impl Emulation {
         m.inc("engine.polls.external", tally.ext_polls);
         m.inc("engine.impair.dropped", tally.impair_dropped);
         m.inc("engine.impair.duplicated", tally.impair_duplicated);
-        m.inc("engine.encode_errors", tally.encode_errors);
+        let feeds = fleet.externals.iter().flatten();
+        m.inc("engine.encode_errors", feeds.map(|p| p.encode_errors).sum());
         m.gauge("engine.nodes", self.topology.nodes.len() as i64);
         m.gauge("engine.links", self.glob.links.len() as i64);
         m.gauge("engine.unschedulable", self.glob.unschedulable.len() as i64);
@@ -58,7 +59,7 @@ impl Emulation {
         let routers = || fleet.routers.iter().flatten();
         let total = |field: fn(&VirtualRouter) -> u64| routers().map(field).sum::<u64>();
         m.inc("vrouter.decode_errors", total(|r| r.decode_errors));
-        m.inc("vrouter.encode_errors", total(|r| r.encode_errors));
+        m.inc("vrouter.encode_errors", total(|r| r.bgp_work.encode_errors));
         m.inc("vrouter.rib.resyncs", total(|r| r.rib_resyncs));
         m.inc("vrouter.fib.full_refreshes", total(|r| r.full_rebuilds));
         m.inc("vrouter.fib.patches", total(|r| r.fib_patches));

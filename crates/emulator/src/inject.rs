@@ -9,6 +9,7 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
+use bytes::Bytes;
 use mfv_types::{AsNum, AsPath, Origin, Prefix, SimDuration, SimTime};
 use mfv_wire::bgp::{BgpMsg, OpenMsg, PathAttr, UpdateMsg};
 
@@ -48,7 +49,10 @@ pub struct ExternalPeer {
     /// Last instant a batch was released; pacing is enforced here so that
     /// extra polls (e.g. triggered by router replies) cannot speed the feed.
     last_batch: Option<SimTime>,
-    out: Vec<(Ipv4Addr, BgpMsg)>,
+    /// Frames to the router, each encoded where it was queued.
+    out: Vec<(Ipv4Addr, Bytes)>,
+    /// Messages that overflowed a wire length field, dropped unsent.
+    pub(crate) encode_errors: u64,
 }
 
 /// Generates `count` deterministic /24 prefixes under `base_octet`/8,
@@ -89,6 +93,7 @@ impl ExternalPeer {
             gave_up: false,
             last_batch: None,
             out: Vec::new(),
+            encode_errors: 0,
         }
     }
 
@@ -129,12 +134,9 @@ impl ExternalPeer {
             BgpMsg::Open(open) => {
                 let _ = open;
                 if self.state == PeerState::Idle {
-                    self.out.push((
-                        self.router_addr,
-                        BgpMsg::Open(OpenMsg::new(self.asn, 90, self.addr)),
-                    ));
+                    self.send(&BgpMsg::Open(OpenMsg::new(self.asn, 90, self.addr)));
                 }
-                self.out.push((self.router_addr, BgpMsg::Keepalive));
+                self.send(&BgpMsg::Keepalive);
                 self.state = PeerState::Established;
                 self.open_attempts = 0;
                 self.last_keepalive = now;
@@ -155,8 +157,17 @@ impl ExternalPeer {
         }
     }
 
-    /// Advances the peer; returns messages addressed to the router.
-    pub fn poll(&mut self, now: SimTime) -> Vec<(Ipv4Addr, BgpMsg)> {
+    /// Queues `msg` for the router, encoded; one that overflows a wire
+    /// length field is counted and dropped rather than truncated.
+    fn send(&mut self, msg: &BgpMsg) {
+        match msg.encode() {
+            Ok(frame) => self.out.push((self.router_addr, frame)),
+            Err(_) => self.encode_errors += 1,
+        }
+    }
+
+    /// Advances the peer; returns frames by destination (the router).
+    pub fn poll(&mut self, now: SimTime) -> Vec<(Ipv4Addr, Bytes)> {
         match self.state {
             PeerState::Idle => {
                 if self.gave_up {
@@ -174,10 +185,7 @@ impl ExternalPeer {
                     self.last_open_attempt = Some(now);
                     self.open_attempts += 1;
                     self.state = PeerState::OpenSent;
-                    self.out.push((
-                        self.router_addr,
-                        BgpMsg::Open(OpenMsg::new(self.asn, 90, self.addr)),
-                    ));
+                    self.send(&BgpMsg::Open(OpenMsg::new(self.asn, 90, self.addr)));
                 }
             }
             PeerState::OpenSent => {
@@ -192,7 +200,7 @@ impl ExternalPeer {
             PeerState::Established => {
                 if now.since(self.last_keepalive) >= SimDuration::from_secs(20) {
                     self.last_keepalive = now;
-                    self.out.push((self.router_addr, BgpMsg::Keepalive));
+                    self.send(&BgpMsg::Keepalive);
                 }
                 let pacing_ok = self
                     .last_batch
@@ -212,18 +220,15 @@ impl ExternalPeer {
                             None => break,
                         }
                     }
-                    self.out.push((
-                        self.router_addr,
-                        BgpMsg::Update(UpdateMsg {
-                            withdrawn: vec![],
-                            attrs: vec![
-                                PathAttr::Origin(Origin::Igp),
-                                PathAttr::AsPath(AsPath::sequence([self.asn])),
-                                PathAttr::NextHop(self.addr),
-                            ],
-                            nlri,
-                        }),
-                    ));
+                    self.send(&BgpMsg::Update(UpdateMsg {
+                        withdrawn: vec![],
+                        attrs: vec![
+                            PathAttr::Origin(Origin::Igp),
+                            PathAttr::AsPath(AsPath::sequence([self.asn])),
+                            PathAttr::NextHop(self.addr),
+                        ],
+                        nlri,
+                    }));
                 }
             }
         }
@@ -259,6 +264,12 @@ mod tests {
         }
     }
 
+    /// The messages of a poll, decoded.
+    fn poll(p: &mut ExternalPeer, now: SimTime) -> Vec<BgpMsg> {
+        let decode = |(_, mut frame): (Ipv4Addr, Bytes)| BgpMsg::decode(&mut frame).unwrap();
+        p.poll(now).into_iter().map(decode).collect()
+    }
+
     fn peer(count: usize) -> ExternalPeer {
         ExternalPeer::new(
             Ipv4Addr::new(100, 64, 9, 1),
@@ -285,18 +296,18 @@ mod tests {
         let mut p = peer(1000);
         let now = SimTime(1000);
         // Initiates an OPEN.
-        let out = p.poll(now);
-        assert!(matches!(out[0].1, BgpMsg::Open(_)));
+        let out = poll(&mut p, now);
+        assert!(matches!(out[0], BgpMsg::Open(_)));
         // Router's OPEN arrives; we complete and start feeding.
         p.push_msg(
             now,
             BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1))),
         );
         assert_eq!(p.state(), PeerState::Established);
-        let out = p.poll(SimTime(2000));
-        let updates: usize = out
+        let out = poll(&mut p, SimTime(2000));
+        let updates = out
             .iter()
-            .filter(|(_, m)| matches!(m, BgpMsg::Update(_)))
+            .filter(|m| matches!(m, BgpMsg::Update(_)))
             .count();
         assert!(updates > 0);
         assert!(p.announced() >= 250);
@@ -346,7 +357,7 @@ mod tests {
         let mut now = SimTime(0);
         let mut open_times: Vec<u64> = Vec::new();
         for _ in 0..1_000 {
-            for (_, m) in p.poll(now) {
+            for m in poll(&mut p, now) {
                 if matches!(m, BgpMsg::Open(_)) {
                     open_times.push(now.0);
                 }
@@ -400,9 +411,9 @@ mod tests {
                 data: bytes::Bytes::new(),
             }),
         );
-        let out = p.poll(SimTime(now.0 + 10_000));
+        let out = poll(&mut p, SimTime(now.0 + 10_000));
         assert!(
-            out.iter().any(|(_, m)| matches!(m, BgpMsg::Open(_))),
+            out.iter().any(|m| matches!(m, BgpMsg::Open(_))),
             "fresh budget after an established session"
         );
     }
@@ -414,8 +425,8 @@ mod tests {
             SimTime(0),
             BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1))),
         );
-        let out = p.poll(SimTime(25_000));
-        assert!(out.iter().any(|(_, m)| matches!(m, BgpMsg::Keepalive)));
+        let out = poll(&mut p, SimTime(25_000));
+        assert!(out.iter().any(|m| matches!(m, BgpMsg::Keepalive)));
         assert!(p.done());
     }
 }

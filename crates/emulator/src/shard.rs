@@ -140,6 +140,15 @@ impl LinkChange {
     }
 }
 
+/// Who sends a BGP segment. Each speaker draws from its own ChaCha8 stream
+/// and keys its events under its own origin.
+#[derive(Clone, Copy)]
+pub(crate) enum Speaker {
+    Node(NodeRef),
+    /// An external feed, by index.
+    Feed(usize),
+}
+
 /// Who owns a BGP endpoint address.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Owner {
@@ -229,7 +238,6 @@ pub(crate) struct EventTally {
     pub ext_polls: u64,
     pub impair_dropped: u64,
     pub impair_duplicated: u64,
-    pub encode_errors: u64,
 }
 
 /// Immutable-during-a-window shared state: the interned id space, parsed
@@ -265,12 +273,12 @@ pub(crate) struct Net {
 }
 
 impl Net {
-    fn node_origin(&self, n: NodeRef) -> u32 {
-        1 + n.index() as u32
-    }
-
-    fn ext_origin(&self, idx: usize) -> u32 {
-        1 + self.interner.node_count() as u32 + idx as u32
+    /// The event origin `speaker`'s sends are keyed under.
+    fn origin(&self, speaker: Speaker) -> u32 {
+        match speaker {
+            Speaker::Node(n) => 1 + n.index() as u32,
+            Speaker::Feed(idx) => 1 + self.interner.node_count() as u32 + idx as u32,
+        }
     }
 
     /// The shards holding link `slot`'s endpoints, each once.
@@ -448,11 +456,19 @@ impl Fleet {
         }
     }
 
+    /// The stream `speaker` draws its impairments and jitter from.
+    fn rng(&mut self, speaker: Speaker) -> Option<&mut ChaCha8Rng> {
+        match speaker {
+            Speaker::Node(node) => self.node_rng.get_mut(node.index()),
+            Speaker::Feed(idx) => self.ext_rng.get_mut(idx),
+        }
+    }
+
     /// Applies an impairment's drop/duplicate draws from the *sender's*
     /// RNG stream; returns how many copies to deliver (0 = dropped).
-    fn impaired_copies(&mut self, node: NodeRef, spec: Option<ImpairSpec>) -> u32 {
+    fn impaired_copies(&mut self, from: Speaker, spec: Option<ImpairSpec>) -> u32 {
         let Some(spec) = spec else { return 1 };
-        let Some(rng) = self.node_rng.get_mut(node.index()) else {
+        let Some(rng) = self.rng(from) else {
             return 1;
         };
         if spec.drop_pct > 0 && rng.gen_range(0..100u32) < spec.drop_pct as u32 {
@@ -466,9 +482,9 @@ impl Fleet {
         1
     }
 
-    fn node_jitter(&mut self, node: NodeRef) -> u64 {
-        let rng = self.node_rng.get_mut(node.index());
-        rng.map(|rng| rng.gen_range(0..3)).unwrap_or(0)
+    /// A send's jitter in ms, drawn from the sender's stream.
+    fn jitter(&mut self, from: Speaker) -> u64 {
+        self.rng(from).map_or(0, |rng| rng.gen_range(0..3))
     }
 }
 
@@ -507,6 +523,8 @@ pub(crate) struct Shard {
     bgp_flow_clock: BTreeMap<(Ipv4Addr, Ipv4Addr), SimTime>,
     /// Keyed by (link slot, sending end).
     isis_link_clock: BTreeMap<(usize, usize), SimTime>,
+    /// One router poll's output, kept across polls for its capacity.
+    polled: Vec<RouterEvent>,
     /// Cross-shard sends since the last barrier: `(dest shard, event)`.
     pub outbox: Vec<(usize, Ev)>,
 }
@@ -616,9 +634,10 @@ impl Shard {
         net: &Net,
         fleet: &mut Fleet,
         node: NodeRef,
-        events: Vec<RouterEvent>,
+        events: &mut Vec<RouterEvent>,
     ) {
-        for ev in events {
+        let from = Speaker::Node(node);
+        for ev in events.drain(..) {
             match ev {
                 RouterEvent::IsisFrame { port, payload } => {
                     let row = net.ports.get(node.index());
@@ -632,17 +651,17 @@ impl Shard {
                     };
                     let peer = link.ends[1 - end].0;
                     let impair = self.impairment_for(net, slot);
-                    let copies = fleet.impaired_copies(node, impair);
+                    let copies = fleet.impaired_copies(from, impair);
                     let extra = impair.map(|s| s.extra_delay_ms).unwrap_or(0);
                     for _ in 0..copies {
-                        let jitter = fleet.node_jitter(node);
+                        let jitter = fleet.jitter(from);
                         let mut at =
                             self.now + SimDuration::from_millis(link.latency_ms + jitter + extra);
                         let clock = self.isis_link_clock.entry((slot, end));
                         let clock = clock.or_insert(SimTime::ZERO);
                         at = at.max(SimTime(clock.0 + 1));
                         *clock = at;
-                        let ev_key = fleet.next_key(net.node_origin(node), at);
+                        let ev_key = fleet.next_key(net.origin(from), at);
                         let dest = net.node_shard[peer.index()];
                         let kind = EventKind::DeliverIsis {
                             link: slot as u32,
@@ -653,45 +672,7 @@ impl Shard {
                     }
                 }
                 RouterEvent::BgpSegment { src, dst, payload } => {
-                    let Some(&owner) = net.ip_owner.get(&dst) else {
-                        continue; // addressed to nobody we know
-                    };
-                    let impair = match owner {
-                        Owner::Node(peer) => self.bgp_impairment_for(net, node, peer),
-                        Owner::External(_) => None,
-                    };
-                    let copies = fleet.impaired_copies(node, impair);
-                    let extra = impair.map(|s| s.extra_delay_ms).unwrap_or(0);
-                    for _ in 0..copies {
-                        let jitter = fleet.node_jitter(node);
-                        let mut at = self.now + SimDuration::from_millis(2 + jitter + extra);
-                        let clock = self
-                            .bgp_flow_clock
-                            .entry((src, dst))
-                            .or_insert(SimTime::ZERO);
-                        at = at.max(SimTime(clock.0 + 1));
-                        *clock = at;
-                        let key = fleet.next_key(net.node_origin(node), at);
-                        let (dest, kind) = match owner {
-                            Owner::Node(peer) => (
-                                net.node_shard[peer.index()],
-                                EventKind::DeliverBgp {
-                                    node: peer,
-                                    src,
-                                    dst,
-                                    payload: payload.clone(),
-                                },
-                            ),
-                            Owner::External(idx) => (
-                                net.ext_shard[idx],
-                                EventKind::DeliverToExternal {
-                                    idx,
-                                    payload: payload.clone(),
-                                },
-                            ),
-                        };
-                        self.send(fleet, dest, Ev { key, kind });
-                    }
+                    self.send_bgp(net, fleet, from, src, dst, payload);
                 }
                 RouterEvent::Crashed { reason } => {
                     fleet.crashes += 1;
@@ -709,12 +690,63 @@ impl Shard {
                             .map(|r| r.profile().restart_delay)
                             .unwrap_or(SimDuration::from_secs(60));
                         fleet.pending_restarts += 1;
-                        let key = fleet.next_key(net.node_origin(node), self.now + delay);
+                        let key = fleet.next_key(net.origin(from), self.now + delay);
                         let kind = EventKind::RestartRouter(node);
                         self.send(fleet, self.id, Ev { key, kind });
                     }
                 }
             }
+        }
+    }
+
+    /// The one way a BGP segment leaves the shard: to the owner of `dst`,
+    /// impaired only node to node, each copy jittered on the sender's
+    /// stream and kept behind the `(src, dst)` flow's earlier segments.
+    fn send_bgp(
+        &mut self,
+        net: &Net,
+        fleet: &mut Fleet,
+        from: Speaker,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        payload: Bytes,
+    ) {
+        let Some(&owner) = net.ip_owner.get(&dst) else {
+            return; // addressed to nobody we know
+        };
+        let impair = match (from, owner) {
+            (Speaker::Node(node), Owner::Node(peer)) => self.bgp_impairment_for(net, node, peer),
+            _ => None,
+        };
+        let copies = fleet.impaired_copies(from, impair);
+        let extra = impair.map_or(0, |s| s.extra_delay_ms);
+        for _ in 0..copies {
+            let jitter = fleet.jitter(from);
+            let mut at = self.now + SimDuration::from_millis(2 + jitter + extra);
+            let clock = self
+                .bgp_flow_clock
+                .entry((src, dst))
+                .or_insert(SimTime::ZERO);
+            at = at.max(SimTime(clock.0 + 1));
+            *clock = at;
+            let key = fleet.next_key(net.origin(from), at);
+            let payload = payload.clone();
+            let (dest, kind) = match owner {
+                Owner::Node(node) => {
+                    let kind = EventKind::DeliverBgp {
+                        node,
+                        src,
+                        dst,
+                        payload,
+                    };
+                    (net.node_shard[node.index()], kind)
+                }
+                Owner::External(idx) => (
+                    net.ext_shard[idx],
+                    EventKind::DeliverToExternal { idx, payload },
+                ),
+            };
+            self.send(fleet, dest, Ev { key, kind });
         }
     }
 
@@ -725,14 +757,16 @@ impl Shard {
             return;
         };
         let v_before = router.fib_version();
-        let events = router.poll_timed(now, &|| laps.now_ns());
+        let mut events = std::mem::take(&mut self.polled);
+        router.poll(now, &|| laps.now_ns(), &mut events);
         let v_after = router.fib_version();
         let wakeup = router.next_wakeup(now);
         let changed = router.take_changed_prefixes();
         if v_after != v_before {
             fleet.last_activity = fleet.last_activity.max(now);
         }
-        self.dispatch_router_events(net, fleet, node, events);
+        self.dispatch_router_events(net, fleet, node, &mut events);
+        self.polled = events;
         if let Some(at) = wakeup {
             self.schedule_poll(fleet, node, at);
         }
@@ -751,51 +785,16 @@ impl Shard {
             return;
         };
         let was_done = peer.done();
-        let msgs = peer.poll(now);
+        let frames = peer.poll(now);
         let wakeup = peer.next_wakeup(now);
         let src = peer.addr;
         if !was_done && peer.done() {
             fleet.feed_drained(now);
         }
-        for (dst, msg) in msgs {
-            // A message that exceeds a wire length field is dropped (and
-            // counted) instead of truncated into a corrupt frame.
-            let payload = match msg.encode() {
-                Ok(p) => p,
-                Err(_) => {
-                    fleet.tally.encode_errors += 1;
-                    continue;
-                }
-            };
-            if let Some(&Owner::Node(node)) = net.ip_owner.get(&dst) {
-                let jitter = fleet
-                    .ext_rng
-                    .get_mut(idx)
-                    .map(|rng| rng.gen_range(0..3))
-                    .unwrap_or(0);
-                let mut at = now + SimDuration::from_millis(2 + jitter);
-                let clock = self
-                    .bgp_flow_clock
-                    .entry((src, dst))
-                    .or_insert(SimTime::ZERO);
-                at = at.max(SimTime(clock.0 + 1));
-                *clock = at;
-                let key = fleet.next_key(net.ext_origin(idx), at);
-                let dest = net.node_shard[node.index()];
-                self.send(
-                    fleet,
-                    dest,
-                    Ev {
-                        key,
-                        kind: EventKind::DeliverBgp {
-                            node,
-                            src,
-                            dst,
-                            payload,
-                        },
-                    },
-                );
-            }
+        // A feed's destination is its router's address, so it reaches a
+        // router or nobody.
+        for (dst, payload) in frames {
+            self.send_bgp(net, fleet, Speaker::Feed(idx), src, dst, payload);
         }
         self.schedule_ext_poll(fleet, idx, wakeup);
     }

@@ -306,7 +306,7 @@ mod tests {
             .iface(IfaceSpec::new("Ethernet1", "100.64.0.0/31".parse().unwrap()).with_isis())
             .network("2.2.2.1/32".parse().unwrap());
         let mut r = VirtualRouter::new(name.into(), VendorProfile::ceos(), spec.build());
-        let _ = r.poll(SimTime(100));
+        r.poll(SimTime(100), &|| 0, &mut Vec::new());
         r
     }
 
@@ -510,7 +510,7 @@ mod tests {
     fn down_is_missing_gate() {
         let mut r1 = router("r1");
         r1.inject_crash("test");
-        let _ = r1.poll(SimTime(200));
+        r1.poll(SimTime(200), &|| 0, &mut Vec::new());
         assert!(!r1.is_running());
 
         // Default: a down device still answers (up=false in telemetry).

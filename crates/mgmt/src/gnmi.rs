@@ -394,7 +394,7 @@ mod subscribe_tests {
             .network("2.2.2.1/32".parse().unwrap());
         let mut r =
             mfv_vrouter::VirtualRouter::new("r1".into(), VendorProfile::ceos(), spec.build());
-        let _ = r.poll(SimTime(100));
+        r.poll(SimTime(100), &|| 0, &mut Vec::new());
         r
     }
 
@@ -411,7 +411,7 @@ mod subscribe_tests {
         let mut r = router();
         let t1 = Telemetry::from_router(&r).unwrap();
         r.set_link(&"Ethernet1".into(), false);
-        let _ = r.poll(SimTime(200));
+        r.poll(SimTime(200), &|| 0, &mut Vec::new());
         let t2 = Telemetry::from_router(&r).unwrap();
         let updates = diff(&t1, &t2);
         assert!(!updates.is_empty());
@@ -426,7 +426,7 @@ mod subscribe_tests {
         let mut r = router();
         let t1 = Telemetry::from_router(&r).unwrap();
         r.set_link(&"Ethernet1".into(), false);
-        let _ = r.poll(SimTime(200));
+        r.poll(SimTime(200), &|| 0, &mut Vec::new());
         let t2 = Telemetry::from_router(&r).unwrap();
         let updates = diff(&t1, &t2);
         assert!(!updates.is_empty());
@@ -486,7 +486,7 @@ mod subscribe_tests {
         let mut cfg = r.config().clone();
         cfg.interfaces.retain(|i| i.name.is_loopback());
         r.apply_config(cfg);
-        let _ = r.poll(SimTime(300));
+        r.poll(SimTime(300), &|| 0, &mut Vec::new());
         let t2 = Telemetry::from_router(&r).unwrap();
         let updates = diff(&t1, &t2);
         assert!(
@@ -510,7 +510,7 @@ mod tests {
             .ebgp(Ipv4Addr::new(100, 64, 0, 1), AsNum(65002))
             .network("2.2.2.1/32".parse().unwrap());
         let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), spec.build());
-        let _ = r.poll(SimTime(100));
+        r.poll(SimTime(100), &|| 0, &mut Vec::new());
         r
     }
 

@@ -659,7 +659,7 @@ mod tests {
             .iface(IfaceSpec::new("Ethernet1", "100.64.0.0/31".parse().unwrap()).with_isis())
             .network("2.2.2.1/32".parse().unwrap());
         let mut r = VirtualRouter::new(name.into(), VendorProfile::ceos(), spec.build());
-        let _ = r.poll(SimTime(100));
+        r.poll(SimTime(100), &|| 0, &mut Vec::new());
         r
     }
 
@@ -713,7 +713,7 @@ mod tests {
 
         // Change device state between ticks.
         r.set_link(&"Ethernet1".into(), false);
-        let _ = r.poll(sec(2));
+        r.poll(sec(2), &|| 0, &mut Vec::new());
         // Tick 2 emits the batch (delivery is 100ms later, i.e. next tick).
         let rep = w.tick(sec(2), vec![(node.clone(), Some(&r))]);
         assert!(rep.changed.is_empty());
@@ -738,14 +738,14 @@ mod tests {
         // First change: emitted at t=2 but dropped in flight.
         w.inject_drop(&node, 1);
         r.set_link(&"Ethernet1".into(), false);
-        let _ = r.poll(sec(2));
+        r.poll(sec(2), &|| 0, &mut Vec::new());
         w.tick(sec(2), vec![(node.clone(), Some(&r))]);
         w.tick(sec(3), vec![(node.clone(), Some(&r))]);
         assert_eq!(w.stats().batches_dropped, 1);
 
         // Second change: its delivery exposes the sequence gap.
         r.set_link(&"Ethernet1".into(), true);
-        let _ = r.poll(sec(4));
+        r.poll(sec(4), &|| 0, &mut Vec::new());
         w.tick(sec(4), vec![(node.clone(), Some(&r))]);
         let rep = w.tick(sec(5), vec![(node.clone(), Some(&r))]);
         assert_eq!(w.stats().gaps, 1);
@@ -847,7 +847,7 @@ mod tests {
             for t in 1..=60u64 {
                 if t % 7 == 0 {
                     r.set_link(&"Ethernet1".into(), t % 14 == 0);
-                    let _ = r.poll(sec(t));
+                    r.poll(sec(t), &|| 0, &mut Vec::new());
                 }
                 changes.push(w.tick(sec(t), vec![(node.clone(), Some(&r))]));
             }
@@ -945,7 +945,7 @@ mod tests {
                 // for a while; r2 stays quiet.
                 if t % period == 0 {
                     r1.set_link(&"Ethernet1".into(), (t / period) % 2 == 0);
-                    let _ = r1.poll(sec(t));
+                    r1.poll(sec(t), &|| 0, &mut Vec::new());
                 }
                 let live = !(40..60).contains(&t);
                 let nodes = [(n1.clone(), live.then_some(&r1)), (n2.clone(), Some(&r2))];

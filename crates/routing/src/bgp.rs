@@ -4,18 +4,21 @@
 //!
 //! The engine is a poll-based state machine (smoltcp idiom): the owner feeds
 //! it decoded messages via [`BgpEngine::push_msg`] and advances it with
-//! [`BgpEngine::poll`], which returns messages to transmit. No I/O or clock
-//! access happens inside.
+//! [`BgpEngine::poll`], which hands out the frames to transmit, each encoded
+//! once where it is built: an export group's shared UPDATEs are one
+//! encoding for every member in sync. No I/O or clock access happens inside.
 //!
 //! Vendor-specific behaviours (the reason the paper insists on running *real
-//! implementations*) enter through [`DecisionQuirks`]: the same engine code
+//! implementations*) enter through [`Quirks`]: the same engine code
 //! parameterised differently reproduces, e.g., the "new software version
 //! introduced an incorrect route metric selection in iBGP" bug from §2.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+use bytes::Bytes;
 
 use mfv_config::{BgpConfig, PrefixList, RouteMap};
 use mfv_types::{
@@ -55,14 +58,24 @@ fn reaches(resolver: &dyn NextHopResolver, peer: Ipv4Addr) -> bool {
     resolver.igp_metric(peer).is_some()
 }
 
-/// Vendor-behaviour knobs for the decision process.
+/// Vendor-behaviour knobs of the engine.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DecisionQuirks {
+pub struct Quirks {
     /// BUG REPRODUCTION: prefer the *higher* IGP metric when comparing iBGP
     /// paths (§2: "a new software version ... introduced an incorrect route
     /// metric selection in iBGP").
     pub ibgp_igp_metric_inverted: bool,
+    /// BUG REPRODUCTION: every UPDATE with NLRI carries an unusual (but
+    /// RFC-valid) optional-transitive attribute of this type, unless it
+    /// already carries one (§2's interplay bug, the sending half).
+    pub emit_unusual_attr: Option<u8>,
 }
+
+/// The one KEEPALIVE frame (a bare header), shared by every session. An
+/// OPEN, a KEEPALIVE and a NOTIFICATION without data are a few bytes and
+/// always encode; only an UPDATE can overflow a length field.
+static KEEPALIVE: LazyLock<Bytes> =
+    LazyLock::new(|| BgpMsg::Keepalive.encode().unwrap_or_default());
 
 /// Per-session configuration resolved from the device config.
 #[derive(Clone, Debug)]
@@ -376,6 +389,8 @@ pub struct BgpWork {
     /// groups: a poll's scope for every group with a member in sync, the
     /// whole selection for a group whose first member establishes.
     pub export_computations: u64,
+    /// UPDATEs that overflowed a wire length field, dropped unsent.
+    pub encode_errors: u64,
 }
 
 impl std::ops::AddAssign for BgpWork {
@@ -383,6 +398,7 @@ impl std::ops::AddAssign for BgpWork {
         self.prefix_decisions += other.prefix_decisions;
         self.liveness_lookups += other.liveness_lookups;
         self.export_computations += other.export_computations;
+        self.encode_errors += other.encode_errors;
     }
 }
 
@@ -501,12 +517,10 @@ pub struct NeighborSummary {
 #[derive(Clone)]
 pub struct BgpEngine {
     local_as: AsNum,
-    router_id: RouterId,
-    hold_time: SimDuration,
     keepalive: SimDuration,
     retry: SimDuration,
     max_paths: u8,
-    quirks: DecisionQuirks,
+    quirks: Quirks,
     sessions: BTreeMap<Ipv4Addr, Session>,
     /// Every prefix's received paths and selection.
     table: Table,
@@ -522,7 +536,10 @@ pub struct BgpEngine {
     originated: BTreeMap<Prefix, Arc<BgpAttrs>>,
     route_maps: BTreeMap<String, RouteMap>,
     prefix_lists: BTreeMap<String, PrefixList>,
-    out: VecDeque<(Ipv4Addr, BgpMsg)>,
+    /// Our OPEN, encoded once: every session is sent the same one.
+    open: Bytes,
+    /// Frames to transmit, each encoded where it was queued.
+    out: Vec<(Ipv4Addr, Bytes)>,
     arrival_counter: u64,
     /// Prefixes whose candidates (or a candidate's IGP cost) changed since
     /// the last decision run — the only ones it looks at, which keeps a
@@ -547,7 +564,7 @@ impl BgpEngine {
         session_local_addrs: &BTreeMap<Ipv4Addr, Ipv4Addr>,
         route_maps: BTreeMap<String, RouteMap>,
         prefix_lists: BTreeMap<String, PrefixList>,
-        quirks: DecisionQuirks,
+        quirks: Quirks,
     ) -> BgpEngine {
         let mut sessions = BTreeMap::new();
         let mut groups: Vec<ExportGroup> = Vec::new();
@@ -575,10 +592,10 @@ impl BgpEngine {
             });
             sessions.insert(n.peer, Session::new(scfg, group));
         }
+        // We offer a 90 s hold time.
+        let open = BgpMsg::Open(OpenMsg::new(cfg.asn, 90, router_id.0)).encode();
         BgpEngine {
             local_as: cfg.asn,
-            router_id,
-            hold_time: SimDuration::from_secs(90),
             keepalive: SimDuration::from_secs(30),
             retry: SimDuration::from_secs(2),
             max_paths: cfg.max_paths.max(1),
@@ -591,7 +608,8 @@ impl BgpEngine {
             originated: BTreeMap::new(),
             route_maps,
             prefix_lists,
-            out: VecDeque::new(),
+            open: open.unwrap_or_default(),
+            out: Vec::new(),
             arrival_counter: 0,
             dirty: BTreeSet::new(),
             selection_delta: BTreeSet::new(),
@@ -643,14 +661,8 @@ impl BgpEngine {
         if let Some(s) = self.sessions.get_mut(&peer) {
             s.cfg.shutdown = true;
             if s.state != SessionState::Idle {
-                self.out.push_back((
-                    peer,
-                    BgpMsg::Notification(NotificationMsg {
-                        code: 6, // Cease
-                        subcode: 2,
-                        data: bytes::Bytes::new(),
-                    }),
-                ));
+                // Cease, administrative shutdown.
+                self.out.push((peer, notification(6, 2)));
             }
             s.reset(now, SimDuration::from_secs(u64::MAX / 2_000));
             self.dirty.extend(self.table.flush(peer));
@@ -671,15 +683,9 @@ impl BgpEngine {
         match msg {
             BgpMsg::Open(open) => {
                 if open.asn != session.cfg.remote_as {
-                    // OPEN from wrong AS: notify and reset.
-                    self.out.push_back((
-                        from,
-                        BgpMsg::Notification(NotificationMsg {
-                            code: 2,    // OPEN message error
-                            subcode: 2, // bad peer AS
-                            data: bytes::Bytes::new(),
-                        }),
-                    ));
+                    // OPEN from wrong AS: notify (OPEN message error, bad
+                    // peer AS) and reset.
+                    self.out.push((from, notification(2, 2)));
                     session.reset(now, SimDuration::from_secs(5));
                     self.dirty.extend(self.table.flush(from));
                     return;
@@ -690,13 +696,8 @@ impl BgpEngine {
                 match session.state {
                     SessionState::Idle => {
                         // Passive open: respond with our OPEN + KEEPALIVE.
-                        let our_open = OpenMsg::new(
-                            self.local_as,
-                            (self.hold_time.as_millis() / 1000) as u16,
-                            self.router_id.0,
-                        );
-                        self.out.push_back((from, BgpMsg::Open(our_open)));
-                        self.out.push_back((from, BgpMsg::Keepalive));
+                        self.out.push((from, self.open.clone()));
+                        self.out.push((from, KEEPALIVE.clone()));
                         session.set_state(SessionState::OpenConfirm);
                     }
                     SessionState::OpenSent => {
@@ -704,13 +705,8 @@ impl BgpEngine {
                         // have reached the peer (dropped pre-transport), so
                         // resend it with the confirm. A duplicate is
                         // absorbed harmlessly in OpenConfirm on their side.
-                        let our_open = OpenMsg::new(
-                            self.local_as,
-                            (self.hold_time.as_millis() / 1000) as u16,
-                            self.router_id.0,
-                        );
-                        self.out.push_back((from, BgpMsg::Open(our_open)));
-                        self.out.push_back((from, BgpMsg::Keepalive));
+                        self.out.push((from, self.open.clone()));
+                        self.out.push((from, KEEPALIVE.clone()));
                         if session.early_keepalive {
                             // The peer's confirm overtook its OPEN; now that
                             // the OPEN validated, both halves are in hand.
@@ -725,7 +721,7 @@ impl BgpEngine {
                         // Duplicate OPEN mid-handshake (our earlier reply may
                         // have been lost in flight): re-confirm so the peer
                         // can make progress instead of deadlocking.
-                        self.out.push_back((from, BgpMsg::Keepalive));
+                        self.out.push((from, KEEPALIVE.clone()));
                     }
                     SessionState::Established => {
                         // A fresh OPEN on an established session means the
@@ -733,13 +729,8 @@ impl BgpEngine {
                         // re-handshake so the full table is re-sent.
                         self.dirty.extend(self.table.flush(from));
                         self.full_advert_peers.insert(from);
-                        let our_open = OpenMsg::new(
-                            self.local_as,
-                            (self.hold_time.as_millis() / 1000) as u16,
-                            self.router_id.0,
-                        );
-                        self.out.push_back((from, BgpMsg::Open(our_open)));
-                        self.out.push_back((from, BgpMsg::Keepalive));
+                        self.out.push((from, self.open.clone()));
+                        self.out.push((from, KEEPALIVE.clone()));
                         session.set_state(SessionState::OpenConfirm);
                     }
                 }
@@ -758,7 +749,7 @@ impl BgpEngine {
                         // peer, though — a crossing KEEPALIVE must not let
                         // a rejected session (bad peer AS) sneak up.
                         if session.open_seen {
-                            self.out.push_back((from, BgpMsg::Keepalive));
+                            self.out.push((from, KEEPALIVE.clone()));
                             session.set_state(SessionState::Established);
                             self.full_advert_peers.insert(from);
                         } else {
@@ -869,12 +860,8 @@ impl BgpEngine {
     }
 
     /// Advances timers, runs the decision process, and generates updates.
-    /// Returns messages to deliver.
-    pub fn poll(
-        &mut self,
-        now: SimTime,
-        resolver: &dyn NextHopResolver,
-    ) -> Vec<(Ipv4Addr, BgpMsg)> {
+    /// Returns the frames to deliver, by peer.
+    pub fn poll(&mut self, now: SimTime, resolver: &dyn NextHopResolver) -> Vec<(Ipv4Addr, Bytes)> {
         // 1. Session liveness: hold timer + transport reachability.
         let Self {
             sessions,
@@ -913,20 +900,15 @@ impl BgpEngine {
                     && now.since(s.last_keepalive_tx) >= keepalive
                 {
                     s.last_keepalive_tx = now;
-                    out.push_back((*peer, BgpMsg::Keepalive));
+                    out.push((*peer, KEEPALIVE.clone()));
                 }
             } else if now >= s.retry_at {
                 if peer_reachable {
                     // Active open.
-                    let our_open = OpenMsg::new(
-                        self.local_as,
-                        (self.hold_time.as_millis() / 1000) as u16,
-                        self.router_id.0,
-                    );
                     s.set_state(SessionState::OpenSent);
                     s.last_rx = now; // arm hold timer from the attempt
                     s.retry_at = now + retry;
-                    out.push_back((*peer, BgpMsg::Open(our_open)));
+                    out.push((*peer, self.open.clone()));
                 } else {
                     // No transport to the peer yet: re-arm the retry timer
                     // so the wakeup schedule stays coarse.
@@ -952,7 +934,7 @@ impl BgpEngine {
             self.generate_updates(&scope, &full_advert);
         }
 
-        self.out.drain(..).collect()
+        std::mem::take(&mut self.out)
     }
 
     /// The earliest time at which a timer needs servicing.
@@ -1319,7 +1301,7 @@ impl BgpEngine {
             work,
             ..
         } = self;
-        let local_as = self.local_as;
+        let (local_as, emit) = (self.local_as, self.quirks.emit_unusual_attr);
         let mut in_sync = vec![false; groups.len()];
         let mut joining = vec![false; groups.len()];
         for (peer, s) in sessions.iter() {
@@ -1398,35 +1380,64 @@ impl BgpEngine {
             moved.push((changes, excepted));
         }
 
-        let mut shared: Vec<Option<Vec<BgpMsg>>> = vec![None; groups.len()];
+        // The members in sync and not excepted share one encoding.
+        let mut shared: Vec<Option<Vec<Bytes>>> = vec![None; groups.len()];
         for (peer, s) in sessions.iter() {
             if s.state != SessionState::Established {
                 continue;
             }
             let (changes, excepted) = &moved[s.group];
-            let msgs = if full_advert.contains(peer) {
+            let own;
+            let frames = if full_advert.contains(peer) {
                 let table = groups[s.group].table.iter();
                 let seen = table.filter_map(|(prefix, advert)| {
                     Some((*prefix, Advert::seen_by(Some(advert), Some(*peer))?.clone()))
                 });
-                pack_updates(Vec::new(), seen.collect())
+                own = pack_updates(Vec::new(), seen.collect(), emit, work);
+                &own
             } else if changes.is_empty() {
                 continue;
             } else if excepted.contains(peer) {
-                member_updates(changes, Some(*peer))
+                own = member_updates(changes, Some(*peer), emit, work);
+                &own
             } else {
-                shared[s.group]
-                    .get_or_insert_with(|| member_updates(changes, None))
-                    .clone()
+                shared[s.group].get_or_insert_with(|| member_updates(changes, None, emit, work))
             };
-            out.extend(msgs.into_iter().map(|msg| (*peer, msg)));
+            out.extend(frames.iter().map(|frame| (*peer, frame.clone())));
         }
     }
+
+    /// The Cease (administrative reset) for every session that is up, by
+    /// peer: what a config replace sends before it drops the engine, with
+    /// whatever else the engine had queued.
+    pub fn ceases(&self) -> Vec<(Ipv4Addr, Bytes)> {
+        let up = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.state != SessionState::Idle);
+        up.map(|(peer, _)| (*peer, notification(6, 4))).collect()
+    }
+}
+
+/// A NOTIFICATION without data, encoded.
+fn notification(code: u8, subcode: u8) -> Bytes {
+    let data = Bytes::new();
+    let msg = BgpMsg::Notification(NotificationMsg {
+        code,
+        subcode,
+        data,
+    });
+    msg.encode().unwrap_or_default()
 }
 
 /// The UPDATEs that take `viewer` from the old entries of `changes` to the
 /// new ones, as it sees them.
-fn member_updates(changes: &[Change], viewer: Option<Ipv4Addr>) -> Vec<BgpMsg> {
+fn member_updates(
+    changes: &[Change],
+    viewer: Option<Ipv4Addr>,
+    emit: Option<u8>,
+    work: &mut BgpWork,
+) -> Vec<Bytes> {
     let mut withdrawals: Vec<Prefix> = Vec::new();
     let mut announcements: Vec<(Prefix, Arc<BgpAttrs>)> = Vec::new();
     for change in changes {
@@ -1439,14 +1450,17 @@ fn member_updates(changes: &[Change], viewer: Option<Ipv4Addr>) -> Vec<BgpMsg> {
             _ => {}
         }
     }
-    pack_updates(withdrawals, announcements)
+    pack_updates(withdrawals, announcements, emit, work)
 }
 
-/// One peer's UPDATE messages: withdrawals first, then announcements.
+/// One peer's UPDATE frames: withdrawals first, then announcements, each
+/// announcement with the `emit` attribute of [`Quirks::emit_unusual_attr`].
 fn pack_updates(
     withdrawals: Vec<Prefix>,
     announcements: Vec<(Prefix, Arc<BgpAttrs>)>,
-) -> Vec<BgpMsg> {
+    emit: Option<u8>,
+    work: &mut BgpWork,
+) -> Vec<Bytes> {
     let mut msgs: Vec<BgpMsg> = withdrawals
         .chunks(2000)
         .map(|chunk| BgpMsg::Update(UpdateMsg::withdraw(chunk.to_vec())))
@@ -1484,6 +1498,18 @@ fn pack_updates(
                 });
             }
         }
+        if let Some(tag) = emit {
+            let tagged = wire_attrs
+                .iter()
+                .any(|a| matches!(a, PathAttr::Unknown { type_code, .. } if *type_code == tag));
+            if !tagged {
+                wire_attrs.push(PathAttr::Unknown {
+                    flags: mfv_wire::bgp::FLAG_OPTIONAL | mfv_wire::bgp::FLAG_TRANSITIVE,
+                    type_code: tag,
+                    value: Bytes::from_static(&[0x00]),
+                });
+            }
+        }
         // Cap NLRI per message so the 2-byte frame length holds.
         for chunk in prefixes.chunks(2000) {
             msgs.push(BgpMsg::Update(UpdateMsg {
@@ -1493,13 +1519,25 @@ fn pack_updates(
             }));
         }
     }
-    msgs
+    // One that overflows a wire length field is dropped, and counted,
+    // rather than truncated into a frame the peer would misparse.
+    let frames = msgs.iter().map(BgpMsg::encode);
+    frames
+        .filter_map(|frame| frame.map_err(|_| work.encode_errors += 1).ok())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mfv_config::BgpNeighborConfig;
+
+    /// The frames of a poll, decoded.
+    fn decoded(out: Vec<(Ipv4Addr, Bytes)>) -> Vec<(Ipv4Addr, BgpMsg)> {
+        let decode =
+            |(peer, mut frame): (Ipv4Addr, Bytes)| (peer, BgpMsg::decode(&mut frame).unwrap());
+        out.into_iter().map(decode).collect()
+    }
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -1539,7 +1577,7 @@ mod tests {
                 &locals_a,
                 BTreeMap::new(),
                 BTreeMap::new(),
-                DecisionQuirks::default(),
+                Quirks::default(),
             );
             let b = BgpEngine::new(
                 &cfg_b,
@@ -1547,7 +1585,7 @@ mod tests {
                 &locals_b,
                 BTreeMap::new(),
                 BTreeMap::new(),
-                DecisionQuirks::default(),
+                Quirks::default(),
             );
             let mut resolver = TableResolver::default();
             resolver.0.insert(ip("10.0.0.1"), 0);
@@ -1564,8 +1602,8 @@ mod tests {
         fn settle(&mut self) {
             for _ in 0..50 {
                 self.now += SimDuration::from_millis(100);
-                let out_a = self.a.poll(self.now, &self.resolver);
-                let out_b = self.b.poll(self.now, &self.resolver);
+                let out_a = decoded(self.a.poll(self.now, &self.resolver));
+                let out_b = decoded(self.b.poll(self.now, &self.resolver));
                 if out_a.is_empty() && out_b.is_empty() {
                     break;
                 }
@@ -1664,7 +1702,7 @@ mod tests {
             ip("10.0.0.2"),
             BgpMsg::Open(OpenMsg::new(AsNum(65999), 90, ip("9.9.9.9"))),
         );
-        let out = pair.a.poll(pair.now, &pair.resolver.clone());
+        let out = decoded(pair.a.poll(pair.now, &pair.resolver.clone()));
         assert!(out
             .iter()
             .any(|(_, m)| matches!(m, BgpMsg::Notification(n) if n.code == 2)));
@@ -1718,7 +1756,7 @@ mod tests {
             &locals,
             rms,
             BTreeMap::new(),
-            DecisionQuirks::default(),
+            Quirks::default(),
         );
         let mut resolver = TableResolver::default();
         resolver.0.insert(ip("10.0.0.1"), 1);
@@ -1798,7 +1836,7 @@ mod tests {
     fn ibgp_metric_bug_flips_selection() {
         // One engine, two iBGP peers offering the same prefix with different
         // IGP metrics to their next hops.
-        let build = |quirks: DecisionQuirks| {
+        let build = |quirks: Quirks| {
             let mut cfg = BgpConfig::new(AsNum(65000));
             cfg.neighbors
                 .push(BgpNeighborConfig::new(ip("2.2.2.1"), AsNum(65000)));
@@ -1852,15 +1890,16 @@ mod tests {
                 .clone()
         };
 
-        let correct = build(DecisionQuirks::default());
+        let correct = build(Quirks::default());
         assert_eq!(
             correct.learned_from,
             Some(ip("2.2.2.1")),
             "nearest exit wins"
         );
 
-        let buggy = build(DecisionQuirks {
+        let buggy = build(Quirks {
             ibgp_igp_metric_inverted: true,
+            ..Quirks::default()
         });
         assert_eq!(
             buggy.learned_from,
@@ -1890,7 +1929,7 @@ mod tests {
             &locals,
             BTreeMap::new(),
             BTreeMap::new(),
-            DecisionQuirks::default(),
+            Quirks::default(),
         );
         let now = SimTime(1000);
         let _ = engine.poll(now, &resolver);
@@ -2026,7 +2065,7 @@ mod tests {
             &locals,
             BTreeMap::from([("SHORT".to_string(), short)]),
             BTreeMap::new(),
-            DecisionQuirks::default(),
+            Quirks::default(),
         );
         let now = SimTime(1000);
         for (peer, asn) in [(a, 65001), (b, 65002)] {
@@ -2075,9 +2114,91 @@ mod tests {
             &locals,
             BTreeMap::new(),
             BTreeMap::new(),
-            DecisionQuirks::default(),
+            Quirks::default(),
         );
         (engine, resolver)
+    }
+
+    #[test]
+    fn a_group_in_sync_shares_one_encoding_of_each_update() {
+        // A reflector whose vendor tags what it sends with attribute 213,
+        // and five clients in sync. Clients 1 and 2 announce routes, the
+        // second of client 1's already carrying a foreign 213.
+        let clients: Vec<Ipv4Addr> = (1..=5).map(|i| Ipv4Addr::new(1, 1, 1, i)).collect();
+        let (mut rr, resolver) = ibgp_engine("9.9.9.9", &clients, true);
+        rr.quirks.emit_unusual_attr = Some(213);
+        let now = SimTime(1000);
+        for c in &clients {
+            establish(&mut rr, now, *c, &resolver);
+        }
+        assert!(rr
+            .poll(now, &resolver)
+            .iter()
+            .all(|(_, f)| f[18] != mfv_wire::bgp::TYPE_UPDATE));
+        let foreign = PathAttr::Unknown {
+            flags: mfv_wire::bgp::FLAG_OPTIONAL | mfv_wire::bgp::FLAG_TRANSITIVE,
+            type_code: 213,
+            value: bytes::Bytes::from_static(&[1, 2, 3]),
+        };
+        let BgpMsg::Update(mut tagged) = announce(&[65100], clients[0], vec![pfx("10.2.0.0/24")])
+        else {
+            unreachable!()
+        };
+        tagged.attrs.push(foreign);
+        rr.push_msg(
+            now,
+            clients[0],
+            announce(&[65100], clients[0], vec![pfx("10.1.0.0/24")]),
+        );
+        rr.push_msg(now, clients[0], BgpMsg::Update(tagged));
+        rr.push_msg(
+            now,
+            clients[1],
+            announce(&[65200], clients[1], vec![pfx("10.3.0.0/24")]),
+        );
+        let out = rr.poll(now, &resolver);
+        let sent = |peer: Ipv4Addr| -> Vec<Bytes> {
+            let to_peer = out.iter().filter(|(p, _)| *p == peer);
+            to_peer.map(|(_, frame)| frame.clone()).collect()
+        };
+        let nlri = |frames: &[Bytes]| -> BTreeSet<Prefix> {
+            let msgs = decoded(frames.iter().map(|f| (ip("0.0.0.0"), f.clone())).collect());
+            let updates = msgs.into_iter().filter_map(|(_, m)| match m {
+                BgpMsg::Update(u) => Some(u.nlri),
+                _ => None,
+            });
+            updates.flatten().collect()
+        };
+
+        // Clients 3 to 5 are sent one encoding of each UPDATE.
+        let shared = sent(clients[2]);
+        assert_eq!(nlri(&shared).len(), 3);
+        for c in &clients[3..] {
+            let same: Vec<*const u8> = sent(*c).iter().map(|f| f.as_ptr()).collect();
+            assert_eq!(same, shared.iter().map(|f| f.as_ptr()).collect::<Vec<_>>());
+        }
+        // A member a route came from is sent its own encoding, without it.
+        for (c, others) in [
+            (clients[0], vec!["10.3.0.0/24"]),
+            (clients[1], vec!["10.1.0.0/24", "10.2.0.0/24"]),
+        ] {
+            let own = sent(c);
+            assert!(own
+                .iter()
+                .all(|f| shared.iter().all(|s| s.as_ptr() != f.as_ptr())));
+            assert_eq!(nlri(&own), others.into_iter().map(pfx).collect());
+        }
+        // Every UPDATE with NLRI carries attribute 213 exactly once: the
+        // quirk's, or the propagated foreign one it leaves alone.
+        for (_, msg) in decoded(out.clone()) {
+            let BgpMsg::Update(u) = msg else { continue };
+            let tags: Vec<&PathAttr> = u.attrs.iter().filter(|a| a.type_code() == 213).collect();
+            assert_eq!(tags.len(), usize::from(!u.nlri.is_empty()), "{u:?}");
+            if let [PathAttr::Unknown { value, .. }] = tags[..] {
+                let foreign = u.nlri.contains(&pfx("10.2.0.0/24"));
+                assert_eq!(&value[..], if foreign { &[1, 2, 3][..] } else { &[0][..] });
+            }
+        }
     }
 
     /// Brings the Idle session to `peer` up by hand, once its retry is due.
@@ -2138,7 +2259,7 @@ mod tests {
                 rr.push_msg(now, *c, announce(&path, *c, block(i, k)));
             }
         }
-        let out = rr.poll(now, &resolver);
+        let out = decoded(rr.poll(now, &resolver));
         assert_eq!(rr.selected().iter().count(), 1250);
         let handles = held_handles(&rr);
         // 1,250 received + 1,250 selected + 1,250 reflected: the five
@@ -2213,7 +2334,7 @@ mod tests {
 
     impl PerPeerReference {
         /// The UPDATEs the poll `engine` just ran must have queued.
-        fn updates(&mut self, engine: &BgpEngine) -> Vec<(Ipv4Addr, BgpMsg)> {
+        fn updates(&mut self, engine: &BgpEngine) -> Vec<(Ipv4Addr, Bytes)> {
             let mut out = Vec::new();
             for (peer, s) in &engine.sessions {
                 let rib_out = self.rib_out.entry(*peer).or_default();
@@ -2263,8 +2384,9 @@ mod tests {
                 for (prefix, attrs) in &announcements {
                     rib_out.insert(*prefix, Arc::clone(attrs));
                 }
-                let msgs = pack_updates(withdrawals, announcements);
-                out.extend(msgs.into_iter().map(|msg| (*peer, msg)));
+                let frames =
+                    pack_updates(withdrawals, announcements, None, &mut BgpWork::default());
+                out.extend(frames.into_iter().map(|frame| (*peer, frame)));
             }
             out
         }
@@ -2320,7 +2442,7 @@ mod tests {
             &locals,
             BTreeMap::from([("OUT".to_string(), out)]),
             BTreeMap::from([("DENIED".to_string(), denied)]),
-            DecisionQuirks::default(),
+            Quirks::default(),
         );
         (engine, resolver, peers)
     }
@@ -2396,7 +2518,7 @@ mod tests {
                 }
                 now += SimDuration::from_millis(100);
                 let mut sent = engine.poll(now, &resolver);
-                sent.retain(|(_, msg)| matches!(msg, BgpMsg::Update(_)));
+                sent.retain(|(_, frame)| frame[18] == mfv_wire::bgp::TYPE_UPDATE);
                 proptest::prop_assert_eq!(sent, reference.updates(&engine));
                 for summary in engine.summaries() {
                     let established = summary.state == SessionState::Established;

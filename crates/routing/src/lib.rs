@@ -8,7 +8,7 @@
 //! - [`rib`] — RIB candidate selection, FIB resolution (recursive next hops)
 //! - [`policy`] — route-map evaluation over BGP attributes
 //! - [`bgp`] — BGP-4: session FSM, decision process, update generation,
-//!   vendor quirks ([`bgp::DecisionQuirks`])
+//!   vendor quirks ([`bgp::Quirks`])
 //! - [`isis`] — IS-IS: p2p adjacencies, LSP flooding, SPF
 
 pub mod bgp;
@@ -16,7 +16,7 @@ pub mod isis;
 pub mod policy;
 pub mod rib;
 
-pub use bgp::{BgpEngine, DecisionQuirks, NextHopResolver, SessionState};
+pub use bgp::{BgpEngine, NextHopResolver, Quirks, SessionState};
 pub use isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig};
 pub use policy::{BgpAttrs, PolicyResult};
 pub use rib::{Fib, FibEntry, FibNextHop, NextHop, Rib, RibRoute};

@@ -186,7 +186,7 @@ mod tests {
             .ebgp(Ipv4Addr::new(100, 64, 0, 1), AsNum(65002))
             .network("2.2.2.1/32".parse().unwrap());
         let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), spec.build());
-        let _ = r.poll(SimTime(100));
+        r.poll(SimTime(100), &|| 0, &mut Vec::new());
         r
     }
 
@@ -249,7 +249,7 @@ mod vjunos_tests {
             .ebgp(Ipv4Addr::new(100, 64, 0, 1), AsNum(65002))
             .network("2.2.2.9/32".parse().unwrap());
         let mut r = VirtualRouter::new("r9".into(), VendorProfile::vjunos(), spec.build());
-        let _ = r.poll(SimTime(100));
+        r.poll(SimTime(100), &|| 0, &mut Vec::new());
         r
     }
 

@@ -8,7 +8,6 @@
 //! by the experiments (all default-off).
 
 use mfv_config::Vendor;
-use mfv_routing::DecisionQuirks;
 use mfv_types::SimDuration;
 
 /// Injectable vendor implementation bugs. Each reproduces a bug class the
@@ -36,8 +35,6 @@ pub struct VendorProfile {
     pub vendor: Vendor,
     /// Software version string reported by the CLI.
     pub sw_version: String,
-    /// Decision-process tie-break behaviour.
-    pub quirks: DecisionQuirks,
     /// Container boot time (KNE-style pod startup); per-vendor.
     pub boot_time: SimDuration,
     /// Crash-restart delay when the routing process dies.
@@ -55,7 +52,6 @@ impl VendorProfile {
         VendorProfile {
             vendor: Vendor::Ceos,
             sw_version: "4.34.0F".to_string(),
-            quirks: DecisionQuirks::default(),
             boot_time: SimDuration::from_secs(110),
             restart_delay: SimDuration::from_secs(45),
             bugs: VendorBugs::default(),
@@ -69,7 +65,6 @@ impl VendorProfile {
         VendorProfile {
             vendor: Vendor::Vjunos,
             sw_version: "23.2R1".to_string(),
-            quirks: DecisionQuirks::default(),
             boot_time: SimDuration::from_secs(170),
             restart_delay: SimDuration::from_secs(60),
             bugs: VendorBugs::default(),
@@ -90,7 +85,6 @@ impl VendorProfile {
     pub fn with_bugs(mut self, bugs: VendorBugs) -> VendorProfile {
         self.bugs = bugs;
         if bugs.ibgp_metric_bug {
-            self.quirks.ibgp_igp_metric_inverted = true;
             // A bug arrives with a software upgrade.
             self.sw_version.push_str("-hotfix2");
         }
@@ -115,7 +109,7 @@ mod tests {
             ibgp_metric_bug: true,
             ..Default::default()
         });
-        assert!(p.quirks.ibgp_igp_metric_inverted);
+        assert!(p.bugs.ibgp_metric_bug);
         assert!(p.sw_version.contains("hotfix"));
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use mfv_config::{DeviceConfig, Redistribute};
-use mfv_routing::bgp::{BgpEngine, BgpWork};
+use mfv_routing::bgp::{BgpEngine, BgpWork, Quirks};
 use mfv_routing::isis::{IsisEngine, IsisEngineConfig, IsisIfaceConfig, IsisWork};
 use mfv_routing::policy::{eval_route_map, BgpAttrs, PolicyResult};
 use mfv_routing::rib::{Fib, GatewayMemo, NextHop, Rib, RibRoute};
@@ -91,9 +91,6 @@ pub struct VirtualRouter {
     rib_sources_dirty: bool,
     /// Count of messages that failed vendor decoding (dropped).
     pub decode_errors: u64,
-    /// Count of outbound messages that failed encoding (dropped rather
-    /// than silently truncated — see `mfv_wire::EncodeError`).
-    pub encode_errors: u64,
     /// Polls that found a route source (connected/static/IS-IS) flagged
     /// as moved and synced it into the RIB.
     pub rib_resyncs: u64,
@@ -112,13 +109,14 @@ pub struct VirtualRouter {
     /// Gateways resolved through the IGP view, summed over polls: one per
     /// distinct `Via` gateway of a poll's stale prefixes.
     pub fib_gateway_resolutions: u64,
-    /// The BGP engine's work counts (across routing-process restarts).
+    /// The BGP engine's work counts (across routing-process restarts),
+    /// its outbound messages that failed encoding among them.
     pub bgp_work: BgpWork,
     /// The IS-IS engine's work counts (across routing-process restarts).
     pub isis_work: IsisWork,
     /// Wall time inside the three sections of a poll that can be long,
     /// taken only on the polls where the section has work to do, off the
-    /// stopwatch [`poll_timed`](Self::poll_timed) is handed.
+    /// stopwatch [`poll`](Self::poll) is handed.
     pub wall: PollWall,
 }
 
@@ -260,7 +258,6 @@ impl VirtualRouter {
             pending_out: Vec::new(),
             rib_sources_dirty: true,
             decode_errors: 0,
-            encode_errors: 0,
             rib_resyncs: 0,
             full_rebuilds: 0,
             fib_patches: 0,
@@ -396,32 +393,10 @@ impl VirtualRouter {
         // Tear down existing BGP sessions gracefully (Cease/administrative
         // reset) — a real config replace restarts the speaker, and peers see
         // the TCP connection close rather than waiting out their hold timer.
-        let mut teardowns = Vec::new();
-        if let Some(bgp) = &self.bgp {
-            for s in bgp.summaries() {
-                if s.state == mfv_routing::SessionState::Idle {
-                    continue;
-                }
-                let src = self.session_local_addr_for(s.peer);
-                let msg = BgpMsg::Notification(mfv_wire::bgp::NotificationMsg {
-                    code: 6,    // Cease
-                    subcode: 4, // administrative reset
-                    data: Bytes::new(),
-                });
-                teardowns.push((src, s.peer, msg));
-            }
-        }
-        for (src, peer, msg) in teardowns {
-            match msg.encode() {
-                Ok(payload) => self.pending_out.push(RouterEvent::BgpSegment {
-                    src,
-                    dst: peer,
-                    payload,
-                }),
-                // An unencodable teardown is dropped; the peer's hold
-                // timer tears the session down instead.
-                Err(_) => self.encode_errors += 1,
-            }
+        for (dst, payload) in self.bgp.as_ref().map(|b| b.ceases()).unwrap_or_default() {
+            let src = self.session_local_addr_for(dst);
+            self.pending_out
+                .push(RouterEvent::BgpSegment { src, dst, payload });
         }
         for iface in &config.interfaces {
             self.port_or_add(&iface.name);
@@ -518,7 +493,10 @@ impl VirtualRouter {
                 &local_addrs,
                 self.config.route_maps.clone(),
                 self.config.prefix_lists.clone(),
-                self.profile.quirks,
+                Quirks {
+                    ibgp_igp_metric_inverted: self.profile.bugs.ibgp_metric_bug,
+                    emit_unusual_attr: self.profile.bugs.emit_unusual_attr,
+                },
             ))
         });
     }
@@ -730,16 +708,12 @@ impl VirtualRouter {
         moved
     }
 
-    /// Advances the control plane; returns frames/segments to transmit and
-    /// crash notifications.
-    pub fn poll(&mut self, now: SimTime) -> Vec<RouterEvent> {
-        self.poll_timed(now, &|| 0)
-    }
-
-    /// [`poll`](Self::poll), with the wall time of its SPF, BGP and FIB
-    /// sections added to [`wall`](Self::wall): `stopwatch` is read around a
-    /// section only on a poll where it has work.
-    pub fn poll_timed(&mut self, now: SimTime, stopwatch: Stopwatch) -> Vec<RouterEvent> {
+    /// Advances the control plane, appending to `out` the frames and
+    /// segments to transmit — the ones queued outside a poll first — or the
+    /// crash notification. The wall time of its SPF, BGP and FIB sections is
+    /// added to [`wall`](Self::wall): `stopwatch` is read around a section
+    /// only on a poll where it has work.
+    pub fn poll(&mut self, now: SimTime, stopwatch: Stopwatch, out: &mut Vec<RouterEvent>) {
         if let Some(reason) = self.pending_crash.take() {
             self.state = RouterState::Crashed(now);
             self.retire_isis();
@@ -750,13 +724,14 @@ impl VirtualRouter {
                 self.changed_prefixes.extend(lost);
                 self.fib_version += 1;
             }
-            return vec![RouterEvent::Crashed { reason }];
+            out.push(RouterEvent::Crashed { reason });
+            return;
         }
         if !self.is_running() {
-            return Vec::new();
+            return;
         }
 
-        let mut events = std::mem::take(&mut self.pending_out);
+        out.append(&mut self.pending_out);
 
         // 1. IS-IS. The engine hands each PDU out encoded, once, with the
         // adjacency slot it goes out of; every frame of a flood shares the
@@ -765,7 +740,7 @@ impl VirtualRouter {
             for (at, payload) in isis.poll(now) {
                 let port = self.ports.iter().position(|p| p.adjacency == Some(at));
                 if let Some(port) = port.filter(|p| self.ports[*p].up) {
-                    events.push(RouterEvent::IsisFrame { port, payload });
+                    out.push(RouterEvent::IsisFrame { port, payload });
                 }
             }
             self.isis_work += isis.take_work();
@@ -809,7 +784,7 @@ impl VirtualRouter {
         // prefixes with a candidate whose next hop sits inside it, and the
         // FIB follows the selection delta.
         let mut selection_delta = BTreeSet::new();
-        let mut msgs = Vec::new();
+        let mut frames = Vec::new();
         let originations_moved = self.sync_originations(&igp_delta);
         if let Some(bgp) = &mut self.bgp {
             if originations_moved {
@@ -817,7 +792,7 @@ impl VirtualRouter {
             }
             bgp.next_hops_moved(&igp_delta);
             let started = bgp.has_pending_work().then(stopwatch);
-            msgs = bgp.poll(now, &self.rib);
+            frames = bgp.poll(now, &self.rib);
             self.bgp_work += bgp.take_work();
             selection_delta = bgp.take_selection_delta();
             if let Some(started) = started {
@@ -835,45 +810,16 @@ impl VirtualRouter {
         stale.extend(igp_delta);
         self.resolve(&stale, stopwatch);
 
-        // Encode each distinct message once per poll. Fan-out to N
-        // peers (keepalives, iBGP update floods) produces runs of equal
-        // messages; a small ring memo catches them without hashing.
-        let mut memo: Vec<(BgpMsg, Bytes)> = Vec::new();
-        for (peer, msg) in msgs {
-            let msg = self.apply_emit_bug(msg);
-            let src = self.session_local_addr_for(peer);
+        // The engine hands each BGP message out encoded, once: the members
+        // of an export group share one encoding of what they are sent.
+        for (dst, payload) in frames {
             // Transport: we must have a route to the peer (or share a
             // subnet) for the segment to leave the box.
-            if !self.can_reach(peer) {
-                continue;
+            if self.can_reach(dst) {
+                let src = self.session_local_addr_for(dst);
+                out.push(RouterEvent::BgpSegment { src, dst, payload });
             }
-            let payload = match memo.iter().find(|(m, _)| *m == msg) {
-                Some((_, bytes)) => bytes.clone(),
-                None => match msg.encode() {
-                    Ok(bytes) => {
-                        if memo.len() >= 8 {
-                            memo.remove(0);
-                        }
-                        memo.push((msg, bytes.clone()));
-                        bytes
-                    }
-                    // A message that exceeds a wire length field is
-                    // dropped (and counted) instead of truncated into
-                    // a corrupt frame the peer would choke on.
-                    Err(_) => {
-                        self.encode_errors += 1;
-                        continue;
-                    }
-                },
-            };
-            events.push(RouterEvent::BgpSegment {
-                src,
-                dst: peer,
-                payload,
-            });
         }
-
-        events
     }
 
     /// Brings the FIB entries at `prefixes` in line with the RIB and BGP's
@@ -923,30 +869,6 @@ impl VirtualRouter {
             .lookup(dst)
             .map(|e| !e.next_hops.is_empty())
             .unwrap_or(false)
-    }
-
-    /// VENDOR BUG (paper §2): attach an unusual-but-valid transitive
-    /// attribute to outgoing updates.
-    fn apply_emit_bug(&self, msg: BgpMsg) -> BgpMsg {
-        let Some(attr_type) = self.profile.bugs.emit_unusual_attr else {
-            return msg;
-        };
-        match msg {
-            BgpMsg::Update(mut u) if !u.nlri.is_empty() => {
-                let already = u.attrs.iter().any(
-                    |a| matches!(a, PathAttr::Unknown { type_code, .. } if *type_code == attr_type),
-                );
-                if !already {
-                    u.attrs.push(PathAttr::Unknown {
-                        flags: mfv_wire::bgp::FLAG_OPTIONAL | mfv_wire::bgp::FLAG_TRANSITIVE,
-                        type_code: attr_type,
-                        value: Bytes::from_static(&[0x00]),
-                    });
-                }
-                BgpMsg::Update(u)
-            }
-            other => other,
-        }
     }
 
     /// Restarts a crashed routing process (watchdog). State comes back
@@ -1023,13 +945,20 @@ mod tests {
         (r1, r2)
     }
 
+    /// One poll's events.
+    fn poll(r: &mut VirtualRouter, now: SimTime) -> Vec<RouterEvent> {
+        let mut out = Vec::new();
+        r.poll(now, &|| 0, &mut out);
+        out
+    }
+
     /// Drives two directly-linked routers until quiescent.
     fn settle(r1: &mut VirtualRouter, r2: &mut VirtualRouter, start: SimTime) -> SimTime {
         let mut now = start;
         for _ in 0..300 {
             now = SimTime(now.0 + 200);
-            let ev1 = r1.poll(now);
-            let ev2 = r2.poll(now);
+            let ev1 = poll(r1, now);
+            let ev2 = poll(r2, now);
             if ev1.is_empty() && ev2.is_empty() && now.0 > start.0 + 5_000 {
                 break;
             }
@@ -1086,7 +1015,7 @@ mod tests {
         let now = settle(&mut r1, &mut r2, SimTime::ZERO);
         assert!(r1.fib().lookup(Ipv4Addr::new(100, 64, 0, 1)).is_some());
         r1.set_link(&"Ethernet1".into(), false);
-        let _ = r1.poll(SimTime(now.0 + 1000));
+        poll(&mut r1, SimTime(now.0 + 1000));
         assert!(
             r1.fib().lookup(Ipv4Addr::new(100, 64, 0, 1)).is_none(),
             "connected subnet must leave the FIB when the link is down"
@@ -1104,7 +1033,7 @@ mod tests {
         let link_subnet: Prefix = "100.64.0.0/31".parse().unwrap();
         for r in [&mut r1, &mut r2] {
             r.remove_wire(&"Ethernet1".into());
-            let _ = r.poll(SimTime(now.0 + 1000));
+            poll(r, SimTime(now.0 + 1000));
             let entry = r.fib().get(&link_subnet).expect("connected /31 stays");
             assert_eq!(entry.proto, RouteProtocol::Connected);
             let adj = r.isis_engine().unwrap().adjacencies();
@@ -1150,7 +1079,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         'outer: for _ in 0..300 {
             now = SimTime(now.0 + 200);
-            let ev1 = r1.poll(now);
+            let ev1 = poll(&mut r1, now);
             for ev in ev1 {
                 if matches!(ev, RouterEvent::Crashed { .. }) {
                     crashed = true;
@@ -1167,7 +1096,7 @@ mod tests {
                     _ => {}
                 }
             }
-            for ev in r2.poll(now) {
+            for ev in poll(&mut r2, now) {
                 match ev {
                     RouterEvent::IsisFrame { payload, .. } => {
                         let port = r1.port(&"Ethernet1".into()).unwrap();
@@ -1203,7 +1132,7 @@ mod tests {
         });
         spec.networks.clear();
         let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), cfg);
-        let _ = r.poll(SimTime(100));
+        poll(&mut r, SimTime(100));
         let e = r.fib().lookup(Ipv4Addr::new(198, 51, 100, 7)).unwrap();
         assert_eq!(e.proto, RouteProtocol::Static);
         assert_eq!(
@@ -1250,7 +1179,7 @@ mod tests {
         let now = settle(&mut r1, &mut r2, SimTime::ZERO);
         let _ = r1.take_changed_prefixes();
         r1.set_link(&"Ethernet1".into(), false);
-        let _ = r1.poll(SimTime(now.0 + 1000));
+        poll(&mut r1, SimTime(now.0 + 1000));
         let changed = r1.take_changed_prefixes();
         assert!(
             changed.contains(&"100.64.0.0/31".parse().unwrap()),
@@ -1265,7 +1194,7 @@ mod tests {
         let now = settle(&mut r1, &mut r2, SimTime::ZERO);
         let _ = r1.take_changed_prefixes();
         r1.inject_crash("chaos: routing process killed");
-        let evs = r1.poll(SimTime(now.0 + 100));
+        let evs = poll(&mut r1, SimTime(now.0 + 100));
         assert!(matches!(evs[0], RouterEvent::Crashed { .. }));
         assert!(!r1.is_running());
         assert!(
@@ -1274,7 +1203,7 @@ mod tests {
         );
         // Injecting into an already-crashed process is a no-op.
         r1.inject_crash("again");
-        assert!(r1.poll(SimTime(now.0 + 200)).is_empty());
+        assert!(poll(&mut r1, SimTime(now.0 + 200)).is_empty());
     }
 
     /// A router with neither BGP nor IS-IS has the same connected/static
@@ -1295,7 +1224,7 @@ mod tests {
             distance: None,
         });
         let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), cfg);
-        let _ = r.poll(SimTime(100));
+        poll(&mut r, SimTime(100));
         let booted: Vec<_> = r.fib().entries().map(|e| e.to_entry()).collect();
         assert!(
             booted.len() >= 3,
@@ -1303,13 +1232,13 @@ mod tests {
         );
 
         r.inject_crash("chaos: routing process killed");
-        let _ = r.poll(SimTime(200));
+        poll(&mut r, SimTime(200));
         assert!(r.fib().is_empty(), "crashed process loses its FIB");
         let _ = r.take_changed_prefixes();
         let crashed_at = r.fib_version();
 
         r.restart(SimTime(300));
-        let _ = r.poll(SimTime(400));
+        poll(&mut r, SimTime(400));
         let back: Vec<_> = r.fib().entries().map(|e| e.to_entry()).collect();
         assert_eq!(back, booted, "a restarted router must not stay black");
         assert!(r.fib_version() > crashed_at);
@@ -1319,13 +1248,13 @@ mod tests {
     #[test]
     fn fib_version_increments_on_change_only() {
         let (mut r1, _) = two_router_setup();
-        let _ = r1.poll(SimTime(100));
+        poll(&mut r1, SimTime(100));
         let v1 = r1.fib_version();
-        let _ = r1.poll(SimTime(200));
-        let _ = r1.poll(SimTime(300));
+        poll(&mut r1, SimTime(200));
+        poll(&mut r1, SimTime(300));
         assert_eq!(r1.fib_version(), v1, "no changes, no version bumps");
         r1.set_link(&"Ethernet1".into(), false);
-        let _ = r1.poll(SimTime(400));
+        poll(&mut r1, SimTime(400));
         assert!(r1.fib_version() > v1);
     }
 }

@@ -246,7 +246,8 @@ impl Net {
         for i in 0..self.routers.len() {
             let before = table(&self.routers[i]);
             let version = self.routers[i].fib_version();
-            let events = self.routers[i].poll(self.now);
+            let mut events = Vec::new();
+            self.routers[i].poll(self.now, &|| 0, &mut events);
             check(&mut self.routers[i], &before, version)?;
             for ev in events {
                 match ev {

@@ -35,7 +35,8 @@ pub const FLAG_PARTIAL: u8 = 0x20;
 pub const FLAG_EXTENDED_LEN: u8 = 0x10;
 
 /// A decoded path attribute. Well-known attributes are structured; anything
-/// else is carried as raw bytes with its original flags.
+/// else is carried as raw bytes with its original flags, less the
+/// extended-length bit, which the encoder sets from the value's length.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PathAttr {
     Origin(Origin),
@@ -505,8 +506,9 @@ fn encode_attr(out: &mut BytesMut, attr: &PathAttr) -> Result<(), EncodeError> {
             value.len()
         )));
     }
+    // Extended length is framing, set by the value's length alone.
     let extended = value.len() > 255;
-    out.put_u8(flags | if extended { FLAG_EXTENDED_LEN } else { 0 });
+    out.put_u8(flags & !FLAG_EXTENDED_LEN | if extended { FLAG_EXTENDED_LEN } else { 0 });
     out.put_u8(attr.type_code());
     if extended {
         out.put_u16(value.len() as u16);
@@ -597,7 +599,7 @@ fn decode_attr(buf: &mut Bytes) -> Result<PathAttr, DecodeError> {
             Ok(PathAttr::Communities(cs))
         }
         _ => Ok(PathAttr::Unknown {
-            flags,
+            flags: flags & !FLAG_EXTENDED_LEN,
             type_code,
             value,
         }),
@@ -635,6 +637,23 @@ mod tests {
     #[test]
     fn keepalive_roundtrip() {
         assert_eq!(roundtrip(BgpMsg::Keepalive), BgpMsg::Keepalive);
+    }
+
+    #[test]
+    fn a_short_attribute_framed_with_an_extended_length_reencodes_to_itself() {
+        // An empty unknown attribute whose flags claim a two-byte length:
+        // valid framing, which once decoded to flags the encoder then wrote
+        // beside a one-byte length.
+        let attrs = [FLAG_OPTIONAL | FLAG_EXTENDED_LEN, 99, 0, 0];
+        let mut frame = vec![0xff; 16];
+        frame.extend_from_slice(&[0, 27, TYPE_UPDATE, 0, 0, 0, attrs.len() as u8]);
+        frame.extend_from_slice(&attrs);
+        let read = BgpMsg::decode(&mut Bytes::from(frame)).unwrap();
+        let BgpMsg::Update(update) = &read else {
+            panic!("{read:?}")
+        };
+        assert_eq!(update.attrs[0].type_code(), 99);
+        assert_eq!(roundtrip(read.clone()), read);
     }
 
     #[test]

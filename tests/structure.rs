@@ -250,6 +250,20 @@ const ROWS: &[Row] = &[
         plant: "fn dispatch_router_events() {\n    let iface: IfaceRef = resolve(&name);\n}",
     },
     Row {
+        files: "crates/vrouter/src/router.rs crates/emulator/src/shard.rs",
+        rule: Absent(".encode("),
+        why: "one encoding per frame: a BGP or IS-IS frame is encoded where it is built, in \
+              the engines and the feeds; the router and the shard pass its bytes on",
+        plant: "let payload = msg.encode()?;",
+    },
+    Row {
+        files: "crates/emulator/src/shard.rs",
+        rule: Exactly(1, ".bgp_flow_clock"),
+        why: "one BGP send path: a router's or a feed's segment leaves the shard through \
+              send_bgp, the one place a flow clock moves",
+        plant: "let clock = self.bgp_flow_clock.entry((src, dst));",
+    },
+    Row {
         files: "crates/emulator/src/shard.rs > struct Shard {",
         rule: Absent("VirtualRouter|ExternalPeer|ChaCha8Rng|Journal|EventTally|LoopWall|churn"),
         why: "one table per entity: a shard is a schedule; entities live in the Fleet",
@@ -307,6 +321,9 @@ const REQUIRED: &[&str] = &[
     "tests/work_ceiling.rs::extraction_holds_one_routers_aft_at_a_time",
     "crates/wire/tests/proptests.rs::receive_is_the_typed_decode",
     "tests/work_ceiling.rs::an_isis_frame_costs_one_allocation",
+    "crates/routing/src/bgp.rs::a_group_in_sync_shares_one_encoding_of_each_update",
+    "crates/wire/tests/proptests.rs::bgp_decoder_rejects_truncations",
+    "crates/core/src/whatif.rs::wan24_single_cuts_from_a_fork_equal_the_cold_boot",
 ];
 
 /// The files `glob` names. Tests run in the repository root.
