@@ -841,7 +841,7 @@ fn converge(opts: &Options) {
     // Extraction as `compute` makes it, then once through the JSON Get it
     // replaced — the path the benchmark's traced run replays call by call.
     let mut extracted = Obs::new();
-    let typed = extract_snapshot(emu.clone(), &backend.collector, &mut extracted).dataplane;
+    let typed = extract_snapshot(emu.clone(), &backend.collector, None, &mut extracted).dataplane;
     let reference = emu.dataplane();
     let timer = WallTimer::start();
     let nodes = snapshot.topology.nodes.iter();
@@ -940,6 +940,7 @@ fn watch(opts: &Options) {
         "watch.batches.emitted",
         "watch.batches.heartbeats",
         "watch.device_reads",
+        "watch.aft_reuses",
         "watch.device_renders",
         "watch.mirror_decodes",
     ] {
@@ -1073,10 +1074,10 @@ fn sweep(opts: &Options) {
     let (converged, meta) = backend.run(&snapshot).expect("grid boots");
     assert!(meta.converged, "isis_grid({cols}, {rows})");
     let extract =
-        |emu: Emulation| extract_snapshot(emu, &backend.collector, &mut Obs::new()).dataplane;
+        |emu: Emulation, parent| extract_snapshot(emu, &backend.collector, parent, &mut Obs::new());
     let cache = ClassCache::new();
-    let baseline = extract(converged.clone());
-    let fa_baseline = ForwardingAnalysis::with_cache(&baseline, &cache);
+    let baseline = extract(converged.clone(), None);
+    let fa_baseline = ForwardingAnalysis::with_cache(&baseline.dataplane, &cache);
     fa_baseline.warm();
     // (SPF runs, route-pass reach entries) summed over the routers.
     let spf = |emu: &Emulation| {
@@ -1095,6 +1096,7 @@ fn sweep(opts: &Options) {
     const PHASES: &str = "clone remove_wire run_until_converged extract analysis index walk";
     let mut phases: [Vec<u64>; 7] = Default::default();
     let (mut contexts, mut events, mut runs, mut merged) = (vec![], vec![], vec![], vec![]);
+    let mut read = vec![];
     let mut findings = 0;
     for link in snapshot.link_ids() {
         let (mut fork, clone) = timed(|| converged.clone());
@@ -1105,9 +1107,11 @@ fn sweep(opts: &Options) {
         let (spf_runs, spf_merged) = spf(&fork);
         runs.push(spf_runs - base.0);
         merged.push(spf_merged - base.1);
-        // The hand-over: extraction tears the fork down as it reads it.
-        let (after, extracted) = timed(|| extract(fork));
-        let (fa, analysis) = timed(|| ForwardingAnalysis::with_cache(&after, &cache));
+        // The hand-over: extraction tears the fork down as it reads it,
+        // reading only the routers whose FIB moved off the baseline's.
+        let (after, extracted) = timed(|| extract(fork, Some(&baseline)));
+        read.push((after.dataplane.nodes.len() - after.kept) as u64);
+        let (fa, analysis) = timed(|| ForwardingAnalysis::derive(&after.dataplane, &fa_baseline));
         // The first query builds the index; the diff then only walks it.
         let (_, index) = timed(|| fa.fate_of(&link.a.0, Ipv4Addr::UNSPECIFIED));
         let (found, walk) = timed(|| differential_reachability_with(&fa_baseline, &fa, None));
@@ -1138,6 +1142,11 @@ fn sweep(opts: &Options) {
         median(events),
         median(runs),
         median(merged)
+    );
+    println!(
+        "routers re-read per context (median): {} of {}",
+        median(read),
+        baseline.dataplane.nodes.len()
     );
     println!("findings over all contexts: {findings}");
     let ((hits, misses), (shape_hits, shape_misses)) = (cache.stats(), cache.shape_stats());

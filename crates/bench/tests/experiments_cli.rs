@@ -358,6 +358,9 @@ fn sweep_replays_the_fork_path_phase_by_phase() {
             "\nindex ",
             "\nwalk ",
             "per context (median): 87 events, 11 SPF runs, 45 route-pass prefix evaluations",
+            // Every cut of so small a grid moves every router's FIB: each
+            // is read, none keeps its baseline node.
+            "routers re-read per context (median): 6 of 6",
             "findings over all contexts: 42",
             // Every router of the grid carries one prefix layout, and no
             // single cut moves a prefix.
@@ -373,12 +376,14 @@ fn watch_renders_per_sync_and_change_and_decodes_per_mirror_change() {
         &[
             "isis_grid(4, 3), 1.0min watched: 24 evaluations",
             // 12 initial syncs and 15 resyncs; 745 reads of which 30 found
-            // a change to stream: 57 renders. The client applied 25 of
-            // those batches: 52 decodes.
+            // a change to stream: 57 renders. 705 reads found the FIB at
+            // the epoch last read and took that read's AFT. The client
+            // applied 25 of those batches: 52 decodes.
             "watch.syncs.initial            12",
             "watch.resyncs                  15",
             "watch.batches.emitted          30",
             "watch.device_reads            745",
+            "watch.aft_reuses              705",
             "watch.device_renders           57",
             "watch.mirror_decodes           52",
             "\nwatch.tick ",

@@ -224,7 +224,7 @@ impl RouterSpec {
         }
 
         for spec in &self.ifaces {
-            let iface = cfg.ensure_interface(spec.name.clone());
+            let iface = cfg.ensure_interface(spec.name.as_str());
             iface.addr = Some(spec.addr);
             iface.routed = true;
             iface.description = spec.description.clone();

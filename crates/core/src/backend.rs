@@ -194,7 +194,7 @@ impl EmulationBackend {
         // The emulation is handed over and torn down as it is read; a debug
         // build takes its dataplane's digest first.
         let internal = cfg!(debug_assertions).then(|| emu.dataplane().digest());
-        let extracted = extract_snapshot(emu, &self.collector, obs);
+        let extracted = extract_snapshot(emu, &self.collector, None, obs);
         if self.collector.failures.is_noop() && extracted.is_complete() {
             debug_assert_eq!(
                 Some(extracted.dataplane.digest()),

@@ -19,11 +19,13 @@
 //! in the dataplane exactly when its status is covered.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use mfv_dataplane::Dataplane;
+use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_emulator::Emulation;
-use mfv_mgmt::{add_covered_links, ingest_aft, Collector, ForwardingState};
+use mfv_mgmt::{add_covered_links, node_of, Collector, ExtractError, ForwardingState};
 use mfv_types::{ExtractionStatus, NodeId};
+use mfv_vrouter::{FibEpoch, VirtualRouter};
 
 /// A dataplane plus the provenance of every node's state in it.
 #[derive(Clone, Debug)]
@@ -37,16 +39,41 @@ pub struct ExtractedSnapshot {
     pub coverage: f64,
     /// Total management-plane RPC attempts (retries included).
     pub attempts: u64,
+    /// The FIB epoch each covered node was read at.
+    pub epochs: BTreeMap<NodeId, FibEpoch>,
+    /// Covered nodes kept from the parent snapshot rather than read.
+    pub kept: usize,
 }
 
 impl ExtractedSnapshot {
     pub fn is_complete(&self) -> bool {
         self.status.values().all(|s| s.is_covered())
     }
+
+    /// This snapshot's node for `router`, if it read the router at the
+    /// router's current FIB epoch, addresses and liveness.
+    fn node_at(&self, router: &VirtualRouter) -> Option<&Arc<NodeDataplane>> {
+        let epoch = self.epochs.get(&router.name)?;
+        let node = self.dataplane.nodes.get(&router.name)?;
+        let same = *epoch == router.fib_epoch()
+            && node.up == router.is_running()
+            && node.addresses == *router.addresses();
+        same.then_some(node)
+    }
+}
+
+/// One router's answer: its forwarding state, or the parent's node.
+enum Answer {
+    Read(ForwardingState),
+    Kept(Arc<NodeDataplane>),
 }
 
 /// Extracts a dataplane from a (possibly still-degraded) emulation, tearing
-/// it down as it goes (to keep the network, hand over `emu.clone()`). Nodes
+/// it down as it goes (to keep the network, hand over `emu.clone()`), and
+/// against `parent` if given (a what-if context against its baseline): a
+/// router still at the FIB epoch, addresses and liveness the parent read
+/// keeps the parent's node, and no AFT is built for it; its Get still goes
+/// through the collector. Nodes
 /// whose router instance is gone — evicted by a machine failure and not yet
 /// rescheduled — report `Missing("no router instance")`; nodes whose RPC
 /// path fails past the collector's retry budget report `Missing` with the
@@ -58,20 +85,31 @@ impl ExtractedSnapshot {
 pub fn extract_snapshot(
     emu: Emulation,
     collector: &Collector,
+    parent: Option<&ExtractedSnapshot>,
     obs: &mut mfv_obs::Obs,
 ) -> ExtractedSnapshot {
     let wall = mfv_obs::WallTimer::start();
     let start = emu.now();
     let (links, routers) = emu.tear_down();
     let mut dataplane = Dataplane::new();
-    let report = collector.collect_each(routers, ForwardingState::from_router, |node, got| {
-        ingest_aft(
-            &mut dataplane,
-            node.clone(),
-            &got.aft,
-            got.addresses,
-            got.up,
-        );
+    let (mut epochs, mut kept) = (BTreeMap::new(), 0);
+    let read = |router: &VirtualRouter| -> Result<_, ExtractError> {
+        let answer = match parent.and_then(|p| p.node_at(router)) {
+            Some(node) => Answer::Kept(Arc::clone(node)),
+            None => Answer::Read(ForwardingState::from_router(router)?),
+        };
+        Ok((router.fib_epoch(), answer))
+    };
+    let report = collector.collect_each(routers, read, |node, (epoch, answer)| {
+        epochs.insert(node.clone(), epoch);
+        let state = match answer {
+            Answer::Read(got) => Arc::new(node_of(&got.aft, got.addresses, got.up)),
+            Answer::Kept(shared) => {
+                kept += 1;
+                shared
+            }
+        };
+        dataplane.nodes.insert(node.clone(), state);
     });
     add_covered_links(&mut dataplane, &links);
     report.observe_into(obs);
@@ -83,6 +121,8 @@ pub fn extract_snapshot(
         coverage: report.coverage(),
         status: report.status,
         attempts: report.attempts,
+        epochs,
+        kept,
     }
 }
 
@@ -146,7 +186,7 @@ mod tests {
             let emu = converged(&snapshot);
             let collector = Collector::default();
             let typed =
-                extract_snapshot(emu.clone(), &collector, &mut mfv_obs::Obs::new()).dataplane;
+                extract_snapshot(emu.clone(), &collector, None, &mut mfv_obs::Obs::new()).dataplane;
             let nodes = snapshot
                 .topology
                 .nodes
@@ -171,8 +211,12 @@ mod tests {
         GRID.get_or_init(|| {
             let snapshot = scenarios::isis_grid(3, 2);
             let emu = converged(&snapshot);
-            let full =
-                extract_snapshot(emu.clone(), &Collector::default(), &mut mfv_obs::Obs::new());
+            let full = extract_snapshot(
+                emu.clone(),
+                &Collector::default(),
+                None,
+                &mut mfv_obs::Obs::new(),
+            );
             assert!(full.is_complete());
             (snapshot, emu, full.dataplane)
         })
@@ -204,7 +248,7 @@ mod tests {
                 down_is_missing: false,
             };
             let collector = Collector::with_failures(failures);
-            let got = extract_snapshot(emu.clone(), &collector, &mut mfv_obs::Obs::new());
+            let got = extract_snapshot(emu.clone(), &collector, None, &mut mfv_obs::Obs::new());
             prop_assert_eq!(got.status.len(), names.len());
             let mut covered = 0;
             for name in &names {
@@ -220,6 +264,60 @@ mod tests {
                 let ends = [&link.a.0, &link.b.0];
                 prop_assert!(ends.iter().all(|n| got.status[*n].is_covered()), "{}", link);
             }
+        }
+
+        // A fork with some wires cut, extracted against its baseline's
+        // snapshot — itself taken under RPC failures, so some parent nodes
+        // are missing or stale — is the fork's fresh extraction: the same
+        // nodes, links, statuses, attempts and epochs; the baseline's node
+        // kept only for a router its FIB epoch says did not move.
+        #[test]
+        fn extraction_against_a_parent_is_a_fresh_extraction(
+            cuts in 0u8..=255,
+            seeds in (any::<u64>(), any::<u64>()),
+            timeout_pct in 0u8..40,
+            forced in (0u8..64, 0u8..64),
+        ) {
+            let (snapshot, emu, _) = grid();
+            let names: Vec<&NodeId> = snapshot.topology.nodes.iter().map(|n| &n.name).collect();
+            let picked = |mask: u8| {
+                let named = names.iter().enumerate();
+                named.filter(move |(i, _)| mask & (1 << i) != 0).map(|(_, n)| (*n).clone())
+            };
+            let collector = |seed, forced| Collector::with_failures(RpcFailureModel {
+                seed,
+                timeout_pct,
+                force_fail: picked(forced).collect(),
+                stale: picked(forced >> 1).map(|n| (n, SimDuration::from_secs(30))).collect(),
+                ..RpcFailureModel::default()
+            });
+            let extract = |emu: &Emulation, collector: &Collector, parent| {
+                extract_snapshot(emu.clone(), collector, parent, &mut mfv_obs::Obs::new())
+            };
+            let parent = extract(emu, &collector(seeds.0, forced.0), None);
+            let mut fork = emu.clone();
+            let links = snapshot.link_ids();
+            for (_, link) in links.iter().enumerate().filter(|(i, _)| cuts & (1 << i) != 0) {
+                fork.remove_wire(link);
+            }
+            fork.run_until_converged();
+            let collector = collector(seeds.1, forced.1);
+            let fresh = extract(&fork, &collector, None);
+            let derived = extract(&fork, &collector, Some(&parent));
+            prop_assert_eq!(derived.dataplane.digest(), fresh.dataplane.digest());
+            prop_assert_eq!(&derived.dataplane.links, &fresh.dataplane.links);
+            prop_assert_eq!(&derived.status, &fresh.status);
+            prop_assert_eq!(derived.attempts, fresh.attempts);
+            prop_assert_eq!(&derived.epochs, &fresh.epochs);
+            let mut kept = 0;
+            for (name, node) in &derived.dataplane.nodes {
+                prop_assert_eq!(&node.addresses, &fresh.dataplane.nodes[name].addresses);
+                let shared = parent.dataplane.nodes.get(name).is_some_and(|p| Arc::ptr_eq(p, node));
+                let unmoved = parent.epochs.get(name) == derived.epochs.get(name);
+                prop_assert_eq!(shared, unmoved, "{}", name);
+                kept += usize::from(shared);
+            }
+            prop_assert_eq!((derived.kept, fresh.kept), (kept, 0));
         }
     }
 }

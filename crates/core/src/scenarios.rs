@@ -24,7 +24,7 @@ use std::net::Ipv4Addr;
 
 use mfv_config::{DeviceConfig, IfaceSpec, RouterSpec, Vendor};
 use mfv_emulator::{ExternalPeerSpec, NodeSpec, Topology};
-use mfv_types::{AsNum, IfaceAddr};
+use mfv_types::{AsNum, IfaceAddr, IfaceId};
 
 use crate::snapshot::Snapshot;
 
@@ -62,7 +62,7 @@ struct Wiring {
     /// Per router, the index past its highest port in use.
     free: Vec<usize>,
     /// Each cable as (router, port) at both ends, in the order laid.
-    cables: Vec<[(usize, String); 2]>,
+    cables: Vec<[(usize, IfaceId); 2]>,
     /// The /31s handed out.
     links: usize,
 }
@@ -97,13 +97,14 @@ impl Wiring {
     }
 
     /// Puts `addr`/31 on port `idx` of router `i` and returns its name.
-    fn port(&mut self, i: usize, idx: usize, addr: Ipv4Addr, isis: bool) -> String {
+    fn port(&mut self, i: usize, idx: usize, addr: Ipv4Addr, isis: bool) -> IfaceId {
         self.free[i] = self.free[i].max(idx + 1);
         let name = ifname(self.specs[i].vendor, idx);
-        let mut iface = IfaceSpec::new(name.clone(), IfaceAddr::new(addr, 31));
+        let id = IfaceId::from(name.as_str());
+        let mut iface = IfaceSpec::new(name, IfaceAddr::new(addr, 31));
         iface.isis = isis;
         self.specs[i].ifaces.push(iface);
-        name
+        id
     }
 
     /// Cables two named ports without allocating an address.

@@ -5,11 +5,12 @@
 //! combinatorially. This module enumerates cut contexts, boots and converges
 //! the baseline once, and answers each context from a fork of it: clone the
 //! converged emulation, take the cut wires out, re-converge what that
-//! changed, extract, and diff against the baseline (in parallel across OS
+//! changed, extract against the baseline's snapshot (a router whose FIB
+//! the cut did not move keeps its baseline node, and its analysis its
+//! baseline view), and diff against the baseline (in parallel across OS
 //! threads). A cold boot of `snapshot.without_links(cuts)` converges to the
 //! same dataplane; the tests hold every fork to it.
 
-use mfv_dataplane::Dataplane;
 use mfv_emulator::pool::run_indexed;
 use mfv_emulator::Emulation;
 use mfv_types::{IpSet, LinkId};
@@ -19,7 +20,7 @@ use mfv_verify::{
 };
 
 use crate::backend::{BackendError, EmulationBackend};
-use crate::extract::extract_snapshot;
+use crate::extract::{extract_snapshot, ExtractedSnapshot};
 use crate::snapshot::Snapshot;
 
 /// All `k`-subsets of the snapshot's links — the context space for a
@@ -74,6 +75,8 @@ pub struct CutVerdict {
     pub events_after_fork: u64,
     /// Routers whose FIB differs from the baseline's.
     pub fibs_moved: usize,
+    /// Routers extraction read: those not at their baseline FIB epoch.
+    pub routers_read: usize,
 }
 
 impl CutVerdict {
@@ -140,9 +143,9 @@ pub fn verify_link_cuts_detailed(
     scope: Option<&IpSet>,
 ) -> Result<SweepReport, BackendError> {
     let (converged, _) = backend.run(snapshot)?;
-    let baseline = extract(converged.clone(), backend);
+    let baseline = extract(converged.clone(), backend, None);
     let cache = ClassCache::new();
-    let fa_baseline = ForwardingAnalysis::with_cache(&baseline, &cache);
+    let fa_baseline = ForwardingAnalysis::with_cache(&baseline.dataplane, &cache);
 
     // One context per job on the shared pool: results come back in
     // context order, and a panic is confined to its context.
@@ -150,8 +153,8 @@ pub fn verify_link_cuts_detailed(
         let cuts = contexts
             .get(i)
             .ok_or_else(|| BackendError(format!("no cut context {i}")))?;
-        let (after, events_after_fork) = cut_from_fork(&converged, backend, cuts);
-        let fa_after = ForwardingAnalysis::with_cache(&after, &cache);
+        let (after, events_after_fork) = cut_from_fork(&converged, &baseline, backend, cuts);
+        let fa_after = ForwardingAnalysis::derive(&after.dataplane, &fa_baseline);
         let findings = differential_reachability_with(&fa_baseline, &fa_after, scope);
         let lost_reachability = deliverability_changes(&findings)
             .into_iter()
@@ -163,6 +166,7 @@ pub fn verify_link_cuts_detailed(
             lost_reachability,
             events_after_fork,
             fibs_moved: fibs_moved(&fa_baseline, &fa_after),
+            routers_read: after.dataplane.nodes.len() - after.kept,
         })
     })
     .into_iter()
@@ -181,27 +185,32 @@ pub fn verify_link_cuts_detailed(
 }
 
 /// One cut context: a fork of the converged network with the cut wires
-/// taken out, re-converged. Returns the extracted dataplane and the work
-/// items that took; the fork — a whole network's state — is gone before
-/// the caller's analysis allocates.
+/// taken out, re-converged. Returns its snapshot, extracted against
+/// `baseline`'s, and the work items that took; the fork — a whole network's
+/// state — is gone before the caller's analysis allocates.
 fn cut_from_fork(
     converged: &Emulation,
+    baseline: &ExtractedSnapshot,
     backend: &EmulationBackend,
     cuts: &[LinkId],
-) -> (Dataplane, u64) {
+) -> (ExtractedSnapshot, u64) {
     let mut fork = converged.clone();
     for link in cuts {
         fork.remove_wire(link);
     }
     fork.run_until_converged();
     let events = fork.events_processed() - converged.events_processed();
-    (extract(fork, backend), events)
+    (extract(fork, backend, Some(baseline)), events)
 }
 
-/// The dataplane as the management plane reports it (§4.1's extraction
+/// The network as the management plane reports it (§4.1's extraction
 /// step), which consumes it: the baseline's fork and every context's.
-fn extract(emu: Emulation, backend: &EmulationBackend) -> Dataplane {
-    extract_snapshot(emu, &backend.collector, &mut mfv_obs::Obs::new()).dataplane
+fn extract(
+    emu: Emulation,
+    backend: &EmulationBackend,
+    parent: Option<&ExtractedSnapshot>,
+) -> ExtractedSnapshot {
+    extract_snapshot(emu, &backend.collector, parent, &mut mfv_obs::Obs::new())
 }
 
 /// Nodes of the baseline whose FIB digest is not what the variant has.
@@ -225,6 +234,7 @@ mod tests {
     fn assert_fork_equals_cold_boot(snapshot: &Snapshot, contexts: Vec<Vec<LinkId>>) {
         let backend = EmulationBackend::default();
         let (converged, _) = backend.run(snapshot).unwrap();
+        let baseline = extract(converged.clone(), &backend, None);
         let cold_baseline = backend.compute(snapshot).unwrap().dataplane;
         let fa_baseline = ForwardingAnalysis::new(&cold_baseline);
         let report = verify_link_cuts_detailed(snapshot, &backend, contexts.clone(), None).unwrap();
@@ -234,7 +244,8 @@ mod tests {
                 .compute(&snapshot.without_links(cuts))
                 .unwrap()
                 .dataplane;
-            let (warm, _) = cut_from_fork(&converged, &backend, cuts);
+            let (warm, _) = cut_from_fork(&converged, &baseline, &backend, cuts);
+            let warm = warm.dataplane;
             assert_eq!(
                 warm.digest(),
                 cold.digest(),
@@ -372,6 +383,16 @@ mod tests {
         let report =
             verify_link_cuts_detailed(&s, &EmulationBackend::default(), contexts, None).unwrap();
         assert!(report.verdicts.iter().all(|r| r.is_ok()));
+        // Extraction re-reads exactly the routers whose FIB the cut moved:
+        // 10, 12, 15 or 18 of the 30.
+        for verdict in report.verdicts.iter().flatten() {
+            assert_eq!(
+                verdict.routers_read, verdict.fibs_moved,
+                "{:?}",
+                verdict.cuts
+            );
+            assert!([10, 12, 15, 18].contains(&verdict.routers_read));
+        }
         assert_eq!(report.class_cache, (50 * 30 - 1, 1), "one prefix layout");
         assert_eq!(
             report.shape_cache,

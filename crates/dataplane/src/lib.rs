@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +43,8 @@ impl NodeDataplane {
 /// A complete network dataplane snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct Dataplane {
-    pub nodes: BTreeMap<NodeId, NodeDataplane>,
+    /// Shared: a derived snapshot keeps its parent's unmoved nodes.
+    pub nodes: BTreeMap<NodeId, Arc<NodeDataplane>>,
     /// Physical point-to-point adjacency, in insertion order.
     pub links: Vec<LinkId>,
     /// Dedup index over `links`; kept in sync by [`Dataplane::add_link`].
@@ -52,7 +54,11 @@ pub struct Dataplane {
 impl Serialize for Dataplane {
     fn to_value(&self) -> serde::Value {
         let mut m = std::collections::BTreeMap::new();
-        m.insert("nodes".to_string(), self.nodes.to_value());
+        let nodes = self.nodes.iter().map(|(n, d)| (n, &**d));
+        m.insert(
+            "nodes".to_string(),
+            nodes.collect::<BTreeMap<_, _>>().to_value(),
+        );
         m.insert("links".to_string(), self.links.to_value());
         serde::Value::Object(m)
     }
@@ -60,7 +66,9 @@ impl Serialize for Dataplane {
 
 impl Deserialize for Dataplane {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let nodes = Deserialize::from_value(v.get("nodes").unwrap_or(&serde::Value::Null))?;
+        let nodes: BTreeMap<NodeId, NodeDataplane> =
+            Deserialize::from_value(v.get("nodes").unwrap_or(&serde::Value::Null))?;
+        let nodes = nodes.into_iter().map(|(n, d)| (n, Arc::new(d))).collect();
         let links: Vec<LinkId> =
             Deserialize::from_value(v.get("links").unwrap_or(&serde::Value::Null))?;
         let link_index = links.iter().cloned().collect();
@@ -79,14 +87,18 @@ impl Dataplane {
 
     /// Adds a node's forwarding state.
     pub fn add_node(&mut self, name: NodeId, fib: &Fib, addresses: BTreeSet<Ipv4Addr>, up: bool) {
-        self.nodes.insert(
-            name,
-            NodeDataplane {
-                entries: fib.entries().map(|e| e.to_entry()).collect(),
-                addresses,
-                up,
-            },
-        );
+        let entries = fib.entries().map(|e| e.to_entry()).collect();
+        let node = Arc::new(NodeDataplane {
+            entries,
+            addresses,
+            up,
+        });
+        self.nodes.insert(name, node);
+    }
+
+    /// A node's forwarding state to edit, copied first if it is shared.
+    pub fn node_mut(&mut self, name: &NodeId) -> Option<&mut NodeDataplane> {
+        self.nodes.get_mut(name).map(Arc::make_mut)
     }
 
     /// Adds a link, ignoring duplicates. The set index makes this O(log n)
@@ -205,7 +217,7 @@ mod tests {
         );
         let mut b = a.clone();
         assert_eq!(a.digest(), b.digest());
-        b.nodes.get_mut(&NodeId::from("r1")).unwrap().up = false;
+        b.node_mut(&NodeId::from("r1")).unwrap().up = false;
         assert_ne!(a.digest(), b.digest());
         let mut c = Dataplane::new();
         c.add_node(

@@ -7,12 +7,15 @@
 //! operator tooling and the verifier share the same access mechanism —
 //! precisely the "production interfaces and tooling" benefit of §3.
 
+use std::sync::Arc;
+
 use serde_json::{json, Value};
 
+use mfv_dataplane::NodeDataplane;
 use mfv_routing::bgp::NeighborSummary;
 use mfv_routing::isis::AdjacencyInfo;
 use mfv_types::{IfaceAddr, IfaceId};
-use mfv_vrouter::VirtualRouter;
+use mfv_vrouter::{FibEpoch, VirtualRouter};
 
 use crate::aft::Aft;
 
@@ -72,7 +75,7 @@ fn normalize(path: &str) -> Vec<String> {
 
 /// Every leaf of a device's state tree, typed: what a Subscribe device side
 /// compares between reads, and all [`Telemetry::from_state`] renders.
-#[derive(PartialEq, Debug)]
+#[derive(Debug)]
 pub(crate) struct DeviceState {
     /// `/system/state`: hostname, software version, `up`.
     system: (String, String, bool),
@@ -80,19 +83,38 @@ pub(crate) struct DeviceState {
     /// device resolves it (routed port or loopback) — lets a Subscribe
     /// consumer rebuild the node's address set from telemetry alone.
     interfaces: Vec<(IfaceId, bool, Option<IfaceAddr>, bool)>,
-    aft: Aft,
+    /// Shared with the read before when the FIB has not moved since.
+    aft: Arc<Aft>,
+    /// When the AFT was read; not a leaf, so no part of equality.
+    epoch: FibEpoch,
     bgp_neighbors: Vec<NeighborSummary>,
     isis_adjacencies: Vec<AdjacencyInfo>,
 }
 
+/// Leaf by leaf (a shared AFT is equal unread: `Arc`'s `Eq` fast path).
+impl PartialEq for DeviceState {
+    fn eq(&self, other: &DeviceState) -> bool {
+        (&self.system, &self.interfaces, &self.aft)
+            == (&other.system, &other.interfaces, &other.aft)
+            && self.bgp_neighbors == other.bgp_neighbors
+            && self.isis_adjacencies == other.isis_adjacencies
+    }
+}
+
 impl DeviceState {
-    /// Reads the device: no tree, nothing serialised.
-    pub(crate) fn read(router: &VirtualRouter) -> DeviceState {
+    /// Reads the device: no tree, nothing serialised. A FIB still at the
+    /// epoch of `last` is not read again: its AFT is `last`'s.
+    pub(crate) fn read(router: &VirtualRouter, last: Option<&DeviceState>) -> DeviceState {
         let (config, bgp, isis) = (router.config(), router.bgp_engine(), router.isis_engine());
         let interfaces = config.interfaces.iter().map(|i| {
             let l3 = i.routed || i.name.is_loopback();
             (i.name.clone(), !i.shutdown, i.addr, l3)
         });
+        let epoch = router.fib_epoch();
+        let aft = match last {
+            Some(last) if last.epoch == epoch => Arc::clone(&last.aft),
+            _ => Arc::new(Aft::from_fib(router.fib())),
+        };
         DeviceState {
             system: (
                 config.hostname.clone(),
@@ -100,17 +122,23 @@ impl DeviceState {
                 router.is_running(),
             ),
             interfaces: interfaces.collect(),
-            aft: Aft::from_fib(router.fib()),
+            aft,
+            epoch,
             bgp_neighbors: bgp.map(|b| b.summaries()).unwrap_or_default(),
             isis_adjacencies: isis.map(|i| i.adjacencies()).unwrap_or_default(),
         }
+    }
+
+    /// Did this read take its AFT from `last`'s?
+    pub(crate) fn shares_aft(&self, last: &DeviceState) -> bool {
+        Arc::ptr_eq(&self.aft, &last.aft)
     }
 }
 
 impl Telemetry {
     /// Captures the state tree of a router: one typed read, rendered.
     pub fn from_router(router: &VirtualRouter) -> Result<Telemetry, ExtractError> {
-        Telemetry::from_state(&DeviceState::read(router))
+        Telemetry::from_state(&DeviceState::read(router, None))
     }
 
     /// Renders a device's state tree — the one renderer. Fails (rather
@@ -119,7 +147,7 @@ impl Telemetry {
     /// whole collection.
     pub(crate) fn from_state(state: &DeviceState) -> Result<Telemetry, ExtractError> {
         let (hostname, software_version, up) = &state.system;
-        let aft_value = serde_json::to_value(&state.aft)
+        let aft_value = serde_json::to_value(&*state.aft)
             .map_err(|e| ExtractError(format!("aft for {hostname} does not serialise: {e}")))?;
         let bgp_neighbors: Vec<Value> = state
             .bgp_neighbors
@@ -196,14 +224,10 @@ impl Telemetry {
         serde::Deserialize::from_value(v).ok()
     }
 
-    /// The leaves a dataplane node is built from, decoded; `None` without
-    /// a decodable AFT.
-    pub(crate) fn forwarding_state(&self) -> Option<ForwardingState> {
-        Some(ForwardingState {
-            aft: self.aft()?,
-            addresses: self.addresses(),
-            up: self.is_up(),
-        })
+    /// The dataplane node the tree's forwarding leaves decode to; `None`
+    /// without a decodable AFT.
+    pub(crate) fn node(&self) -> Option<NodeDataplane> {
+        Some(crate::node_of(&self.aft()?, self.addresses(), self.is_up()))
     }
 
     /// The whole tree, for debugging / archiving snapshots.

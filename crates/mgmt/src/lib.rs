@@ -36,6 +36,7 @@ use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_types::{LinkId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Extracts a full-network AFT collection from per-node telemetry — the
 /// "dump AFTs via gNMI" step of §4.1, applied across the topology.
@@ -61,31 +62,22 @@ pub fn dataplane_from_afts(afts: &BTreeMap<NodeId, Aft>, reference: &Dataplane) 
             .get(node)
             .map(|n| (n.addresses.clone(), n.up))
             .unwrap_or_default();
-        ingest_aft(&mut dp, node.clone(), aft, addresses, up);
+        let state = node_of(aft, addresses, up);
+        dp.nodes.insert(node.clone(), Arc::new(state));
     }
     add_covered_links(&mut dp, &reference.links);
     dp
 }
 
-/// Ingests one device: its extracted AFT becomes the node's forwarding
-/// state in `dp`. Every path from telemetry to a [`Dataplane`] — a batch of
-/// AFTs, the watcher's mirrors, the collector handing over one router at a
-/// time — adds its nodes through here.
-pub fn ingest_aft(
-    dp: &mut Dataplane,
-    node: NodeId,
-    aft: &Aft,
-    addresses: BTreeSet<Ipv4Addr>,
-    up: bool,
-) {
-    dp.nodes.insert(
-        node,
-        NodeDataplane {
-            entries: aft.fib_entries(),
-            addresses,
-            up,
-        },
-    );
+/// A device's forwarding leaves as its dataplane node. Every path from
+/// telemetry to a [`Dataplane`] — a batch of AFTs, the watcher's mirrors,
+/// the collector handing over one router at a time — builds its nodes here.
+pub fn node_of(aft: &Aft, addresses: BTreeSet<Ipv4Addr>, up: bool) -> NodeDataplane {
+    NodeDataplane {
+        entries: aft.fib_entries(),
+        addresses,
+        up,
+    }
 }
 
 /// Adds the links whose endpoints were both ingested, in the order given;
@@ -167,16 +159,14 @@ mod tests {
     }
 
     fn ingested(aft: &Aft) -> Vec<mfv_routing::rib::FibEntry> {
-        let mut dp = Dataplane::new();
-        ingest_aft(&mut dp, "r1".into(), aft, Default::default(), true);
-        dp.nodes.remove(&NodeId::from("r1")).unwrap().entries
+        node_of(aft, Default::default(), true).entries
     }
 
     /// What `add_node` reads back out of the trie `Aft::to_fib` builds.
     fn via_trie(aft: &Aft) -> Vec<mfv_routing::rib::FibEntry> {
         let mut dp = Dataplane::new();
         dp.add_node("r1".into(), &aft.to_fib(), Default::default(), true);
-        dp.nodes.remove(&NodeId::from("r1")).unwrap().entries
+        dp.nodes[&NodeId::from("r1")].entries.clone()
     }
 
     #[test]

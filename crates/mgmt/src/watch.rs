@@ -37,16 +37,17 @@
 //! bit-for-bit.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use mfv_dataplane::Dataplane;
+use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_types::{ExtractionStatus, NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
 
 use crate::collect::{backoff_delay, node_key};
-use crate::gnmi::{apply, diff, DeviceState, ForwardingState, Telemetry, Update};
+use crate::gnmi::{apply, diff, DeviceState, Telemetry, Update};
 
 /// Simulated failure model for the Subscribe delivery path.
 ///
@@ -169,6 +170,8 @@ enum StreamState {
 struct Work {
     /// Typed device-state reads.
     device_reads: u64,
+    /// Reads that took the AFT of the last read, at the same FIB epoch.
+    aft_reuses: u64,
     /// States rendered to trees: a resync's snapshot, and a changed read
     /// (diffed against its predecessor, rendered again as the base).
     device_renders: u64,
@@ -192,8 +195,9 @@ struct NodeStream {
     inflight: VecDeque<Batch>,
     /// Client side: the reconstructed state tree.
     mirror: Option<Telemetry>,
-    /// Client side: the mirror's forwarding leaves, decoded once per change.
-    forwarding: Option<ForwardingState>,
+    /// Client side: the mirror's dataplane node, decoded once per change
+    /// and shared with every dataplane built from the mirrors until then.
+    forwarding: Option<Arc<NodeDataplane>>,
     /// Client side: next expected sequence number.
     mirror_seq: u64,
     /// Client side: last delivery of any kind (silence detection).
@@ -464,9 +468,8 @@ impl Watcher {
         let attempts = attempts + 1;
         self.stats.resync_attempts += 1;
         let snapshot = router.and_then(|r| {
-            self.work.device_reads += 1;
             self.work.device_renders += 1;
-            let state = DeviceState::read(r);
+            let state = self.read(r, s.device_last.as_ref());
             match Telemetry::from_state(&state) {
                 Ok(t) => Some((state, t)),
                 Err(_) => {
@@ -527,14 +530,15 @@ impl Watcher {
             // the client's silence timeout will notice.
             return;
         };
-        self.work.device_reads += 1;
-        let current = DeviceState::read(router);
+        let current = self.read(router, s.device_last.as_ref());
         let Some(last) = &s.device_last else {
             return;
         };
         // An unchanged state renders to the tree already streamed, which it
-        // rendered to once without error: nothing to render or diff.
+        // rendered to once without error: nothing to render or diff. It
+        // becomes the base all the same, for the epoch it was read at.
         if *last == current {
+            s.device_last = Some(current);
             return self.emit(now, s, Vec::new());
         }
         self.work.device_renders += 1;
@@ -545,6 +549,14 @@ impl Watcher {
         };
         s.device_last = Some(current);
         self.emit(now, s, diff(&old, &new));
+    }
+
+    /// One typed read of `router`, counted; see [`DeviceState::read`].
+    fn read(&mut self, router: &VirtualRouter, last: Option<&DeviceState>) -> DeviceState {
+        self.work.device_reads += 1;
+        let state = DeviceState::read(router, last);
+        self.work.aft_reuses += u64::from(last.is_some_and(|last| state.shares_aft(last)));
+        state
     }
 
     /// Queues `updates` as the next batch — or, if there are none, a
@@ -570,7 +582,7 @@ impl Watcher {
     /// The client's mirror moves to `mirror`, decoded once here.
     fn set_mirror(&mut self, s: &mut NodeStream, mirror: Telemetry) {
         self.work.mirror_decodes += 1;
-        s.forwarding = mirror.forwarding_state();
+        s.forwarding = mirror.node().map(Arc::new);
         s.mirror = Some(mirror);
     }
 
@@ -613,10 +625,9 @@ impl Watcher {
             if !covered {
                 continue;
             }
-            let Some(f) = &s.forwarding else {
-                continue;
-            };
-            crate::ingest_aft(&mut dp, node.clone(), &f.aft, f.addresses.clone(), f.up);
+            if let Some(f) = &s.forwarding {
+                dp.nodes.insert(node.clone(), Arc::clone(f));
+            }
         }
         crate::add_covered_links(&mut dp, &reference.links);
         dp
@@ -640,6 +651,7 @@ impl Watcher {
         m.inc("watch.resync_attempts", self.stats.resync_attempts);
         m.inc("watch.read_errors", self.stats.read_errors);
         m.inc("watch.device_reads", self.work.device_reads);
+        m.inc("watch.aft_reuses", self.work.aft_reuses);
         m.inc("watch.device_renders", self.work.device_renders);
         m.inc("watch.mirror_decodes", self.work.mirror_decodes);
         obs.journal.merge(self.journal.clone());
@@ -702,6 +714,40 @@ mod tests {
         assert_eq!(w.stats().session_losses, 0);
         assert_eq!(w.status(sec(20))[&node], ExtractionStatus::Fresh);
         assert_eq!(journal(&w), [("watch.sync", "r1: initial sync".into())]);
+    }
+
+    /// A router rescheduled after a machine failure is a new instance: its
+    /// FIB version starts over and can climb back to the number the device
+    /// side last streamed, but its epoch is new, so its FIB is read again.
+    #[test]
+    fn a_rescheduled_router_at_the_streamed_version_is_read_again() {
+        let node = NodeId::from("r1");
+        let before = router("r1");
+        let spec = RouterSpec::new("r1", AsNum(65001), Ipv4Addr::new(2, 2, 2, 9))
+            .iface(IfaceSpec::new("Ethernet1", "100.64.0.0/31".parse().unwrap()).with_isis())
+            .network("2.2.2.9/32".parse().unwrap());
+        let mut after = VirtualRouter::new("r1".into(), VendorProfile::ceos(), spec.build());
+        after.poll(SimTime(100), &|| 0, &mut Vec::new());
+        assert_eq!(after.fib_version(), before.fib_version());
+        let want = Telemetry::from_router(&after).expect("read");
+        assert_ne!(
+            want.aft(),
+            Telemetry::from_router(&before).expect("read").aft()
+        );
+
+        let mut w = Watcher::new(WatchConfig::default(), vec![node.clone()]);
+        w.tick(sec(1), vec![(node.clone(), Some(&before))]);
+        for t in 2..=3 {
+            w.tick(sec(t), vec![(node.clone(), Some(&after))]);
+        }
+        assert_eq!(w.mirror(&node).map(bytes), Some(bytes(&want)));
+        let dp = w.dataplane(sec(3), &Dataplane::new());
+        let entries = want.node().map(|n| n.entries);
+        assert_eq!(dp.nodes.get(&node).map(|n| n.entries.clone()), entries);
+        // Quiet from here: every read takes the AFT it already has.
+        let reused = w.work.aft_reuses;
+        w.tick(sec(4), vec![(node.clone(), Some(&after))]);
+        assert_eq!(w.work.aft_reuses, reused + 1);
     }
 
     #[test]

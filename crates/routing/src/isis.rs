@@ -594,38 +594,39 @@ impl IsisEngine {
     /// copy of its last result: the RIB's is the one there is, so
     /// `installed` must be what the changes handed out so far leave,
     /// starting from none; only the prefixes the run can have moved are read.
+    /// The changes are drained from a buffer the engine keeps.
     pub fn take_route_changes<'a>(
         &mut self,
         installed: impl Iterator<Item = (&'a Prefix, &'a RibRoute)>,
-    ) -> Vec<(Prefix, Option<RibRoute>)> {
-        if !std::mem::take(&mut self.routes_stale) {
-            return Vec::new();
-        }
+    ) -> std::vec::Drain<'_, (Prefix, Option<RibRoute>)> {
+        let mut changes = std::mem::take(&mut self.spf.changes);
         let mut installed = installed.peekable();
-        let mut changes = Vec::new();
-        self.spf(|prefix, best, first_hops| {
-            // Installed prefixes the run passes over are ones it left alone.
-            while installed.next_if(|(p, _)| **p < prefix).is_some() {}
-            let old = installed.next_if(|(p, _)| **p == prefix);
-            let Some((metric, hops)) = best else {
-                changes.extend(old.map(|_| (prefix, None)));
-                return;
-            };
-            // Compared hop by hop so an unchanged route allocates nothing.
-            let unchanged = old.is_some_and(|(_, old)| {
-                old.metric == metric
-                    && old.next_hops.len() == hops.len()
-                    && old.next_hops.iter().zip(hops).all(|(nh, h)| {
-                        let hop = &first_hops[usize::from(*h)];
-                        matches!(nh, NextHop::ViaIface(addr, iface)
-                            if *addr == hop.addr && iface == hop.iface)
-                    })
+        if std::mem::take(&mut self.routes_stale) {
+            self.spf(|prefix, best, first_hops| {
+                // Installed prefixes the run passes over are ones it left alone.
+                while installed.next_if(|(p, _)| **p < prefix).is_some() {}
+                let old = installed.next_if(|(p, _)| **p == prefix);
+                let Some((metric, hops)) = best else {
+                    changes.extend(old.map(|_| (prefix, None)));
+                    return;
+                };
+                // Compared hop by hop so an unchanged route allocates nothing.
+                let unchanged = old.is_some_and(|(_, old)| {
+                    old.metric == metric
+                        && old.next_hops.len() == hops.len()
+                        && old.next_hops.iter().zip(hops).all(|(nh, h)| {
+                            let hop = &first_hops[usize::from(*h)];
+                            matches!(nh, NextHop::ViaIface(addr, iface)
+                                if *addr == hop.addr && *iface == hop.iface)
+                        })
+                });
+                if !unchanged {
+                    changes.push((prefix, Some(rib_route(prefix, metric, hops, first_hops))));
+                }
             });
-            if !unchanged {
-                changes.push((prefix, Some(rib_route(prefix, metric, hops, first_hops))));
-            }
-        });
-        changes
+        }
+        self.spf.changes = changes;
+        self.spf.changes.drain(..)
     }
 
     /// Reach entries the route pass has merged over the engine's life: all
@@ -647,21 +648,19 @@ impl IsisEngine {
     }
 
     /// Our Up adjacencies as SPF sees them.
-    fn first_hops(&self) -> Vec<FirstHop<'_>> {
-        (self.adjacencies.iter().zip(0u16..))
-            .filter_map(
-                |(adj, at)| match (adj.state, adj.neighbor, adj.neighbor_addr) {
-                    (AdjState::Up, Some(neighbor), Some(addr)) => Some(FirstHop {
-                        neighbor,
-                        iface: &adj.iface,
-                        at,
-                        addr,
-                        metric: adj.metric,
-                    }),
-                    _ => None,
-                },
-            )
-            .collect()
+    fn first_hops(&self) -> impl Iterator<Item = FirstHop> + '_ {
+        (self.adjacencies.iter().zip(0u16..)).filter_map(|(adj, at)| {
+            match (adj.state, adj.neighbor, adj.neighbor_addr) {
+                (AdjState::Up, Some(neighbor), Some(addr)) => Some(FirstHop {
+                    neighbor,
+                    iface: adj.iface.clone(),
+                    at,
+                    addr,
+                    metric: adj.metric,
+                }),
+                _ => None,
+            }
+        })
     }
 
     /// Dijkstra over the maintained graph with a bidirectional connectivity
@@ -669,7 +668,7 @@ impl IsisEngine {
     /// prefix the run can have moved (see below): its metric and equal-cost
     /// first hops (indices into the first hops, in discovery order), or
     /// `None` where no reached system advertises it. The run allocates
-    /// nothing per system or prefix.
+    /// nothing: its buffers are the engine's, grown to the largest run.
     fn spf(&mut self, mut route: impl FnMut(Prefix, Option<(u32, &[u16])>, &[FirstHop])) {
         let graph = &self.graph;
         // Our own LSP is installed at construction and never leaves.
@@ -677,7 +676,9 @@ impl IsisEngine {
             return;
         };
         let mut state = std::mem::take(&mut self.spf);
-        let first_hops = self.first_hops();
+        let mut first_hops = std::mem::take(&mut state.first_hops);
+        first_hops.clear();
+        first_hops.extend(self.first_hops());
         // Systems that joined since the last run were unreached in it.
         let ran = !state.last.dist.is_empty();
         let last = &mut state.last;
@@ -766,7 +767,8 @@ impl IsisEngine {
         // stably, so a prefix's entries stay in system, then TLV, order —
         // then merged per prefix: the least metric, and the first hops of
         // each entry with it.
-        let mut reach: Vec<(Prefix, u32, u32)> = Vec::new();
+        let mut reach = std::mem::take(&mut state.reach);
+        reach.clear();
         let wanted = |r: &&IpReach| moved.binary_search(&r.prefix).is_ok();
         for (sys, node) in graph.nodes.iter().enumerate() {
             let Some(lsp) = node.lsp.as_ref().filter(|_| sys != me && now.len[sys] > 0) else {
@@ -777,10 +779,11 @@ impl IsisEngine {
             }
         }
         state.evaluations += reach.len() as u64;
-        reach.sort_by_key(|&(prefix, ..)| prefix);
+        // A system's entries for one prefix carry its one set of first hops.
+        reach.sort_unstable_by_key(|&(prefix, _, sys)| (prefix, sys));
         let mut entries = reach.chunk_by(|a, b| a.0 == b.0).peekable();
-        let mut best = Vec::with_capacity(k);
-        for prefix in moved {
+        let best = &mut state.best;
+        for &prefix in &moved {
             let entries = entries.next_if(|e| e[0].0 == prefix).unwrap_or_default();
             let Some(metric) = entries.iter().map(|e| e.1).min() else {
                 route(prefix, None, &first_hops);
@@ -788,10 +791,12 @@ impl IsisEngine {
             };
             best.clear();
             for &(_, _, sys) in entries.iter().filter(|e| e.1 == metric) {
-                merge_hops(&mut best, now.hops_of(sys as usize));
+                merge_hops(best, now.hops_of(sys as usize));
             }
-            route(prefix, Some((metric, &best)), &first_hops);
+            route(prefix, Some((metric, best.as_slice())), &first_hops);
         }
+        moved.clear();
+        (state.readvertised, state.reach, state.first_hops) = (moved, reach, first_hops);
         std::mem::swap(&mut state.now, &mut state.last);
         self.spf = state;
     }
@@ -799,8 +804,8 @@ impl IsisEngine {
     /// Dijkstra over the LSDB with a bidirectional connectivity check,
     /// from scratch. Returns the first hops and, per reachable prefix, its
     /// metric and the equal-cost first hops as indices into that list.
-    fn reference_spf(&self) -> (Vec<FirstHop<'_>>, SpfTable) {
-        let first_hops = self.first_hops();
+    fn reference_spf(&self) -> (Vec<FirstHop>, SpfTable) {
+        let first_hops: Vec<FirstHop> = self.first_hops().collect();
 
         // One pass over the LSDB: systems in id order (so a dense index
         // orders like a `SystemId`), each with its LSP and its adjacency
@@ -988,6 +993,13 @@ struct SpfState {
     readvertised: Vec<Prefix>,
     /// Reach entries the route pass merged, over the engine's life.
     evaluations: u64,
+    /// The buffers of a run's first hops, its route pass's reach entries
+    /// `(prefix, metric, system)` and one prefix's merged first hops, and
+    /// the changes [`IsisEngine::take_route_changes`] drains.
+    first_hops: Vec<FirstHop>,
+    reach: Vec<(Prefix, u32, u32)>,
+    best: Vec<u16>,
+    changes: Vec<(Prefix, Option<RibRoute>)>,
 }
 
 /// One SPF run's result per system: its distance, and its equal-cost first
@@ -1018,11 +1030,12 @@ impl SpfRun {
 
 /// One Up adjacency as SPF sees it: the neighbour it leads to and the
 /// next hop a route through it installs.
-struct FirstHop<'a> {
+#[derive(Clone)]
+struct FirstHop {
     neighbor: SystemId,
     /// The adjacency's place among the engine's, which never moves.
     at: u16,
-    iface: &'a IfaceId,
+    iface: IfaceId,
     addr: Ipv4Addr,
     metric: u32,
 }
@@ -1263,7 +1276,7 @@ mod tests {
         };
         let mut applied: BTreeMap<Prefix, RibRoute> = BTreeMap::new();
         let apply = |e: &mut IsisEngine, applied: &mut BTreeMap<Prefix, RibRoute>| {
-            let changes = e.take_route_changes(applied.iter());
+            let changes: Vec<_> = e.take_route_changes(applied.iter()).collect();
             assert!(!e.routes_stale());
             for (p, r) in &changes {
                 // Only real differences are reported.
@@ -1280,7 +1293,7 @@ mod tests {
         assert!(net.engines[0].routes_stale());
         assert!(apply(&mut net.engines[0], &mut applied) > 0);
         assert_eq!(applied, table(&net.engines[0]));
-        assert!(net.engines[0].take_route_changes(applied.iter()).is_empty());
+        assert_eq!(net.engines[0].take_route_changes(applied.iter()).len(), 0);
         // Cutting r2–r3 withdraws what lay behind it and nothing else.
         net.engines[1].set_link(&"eth1".into(), false);
         net.engines[2].set_link(&"eth0".into(), false);
@@ -1635,7 +1648,7 @@ mod tests {
             let mut installed: BTreeMap<Prefix, RibRoute> = BTreeMap::new();
             let mut check = |e: &mut IsisEngine| {
                 let expected = diff(&e.routes(), &installed);
-                let changes = e.take_route_changes(installed.iter());
+                let changes: Vec<_> = e.take_route_changes(installed.iter()).collect();
                 proptest::prop_assert_eq!(&changes, &expected);
                 for (prefix, route) in changes {
                     match route {
@@ -1724,7 +1737,7 @@ mod tests {
         net.settle();
         let mut installed = BTreeMap::new();
         let mut pass = |e: &mut IsisEngine| {
-            let changes = e.take_route_changes(installed.iter());
+            let changes: Vec<_> = e.take_route_changes(installed.iter()).collect();
             for (prefix, route) in &changes {
                 match route {
                     Some(route) => installed.insert(*prefix, route.clone()),

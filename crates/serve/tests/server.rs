@@ -128,7 +128,7 @@ fn diff_query_reports_baseline_divergence() {
     let dp = line_dp(3);
     // Baseline: r01's FIB wiped — everything through the middle dies.
     let mut baseline = dp.clone();
-    if let Some(mid) = baseline.nodes.get_mut(&NodeId::from("r01")) {
+    if let Some(mid) = baseline.node_mut(&NodeId::from("r01")) {
         mid.entries.clear();
     }
     let index = QueryIndex::with_baseline(&dp, &baseline);

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -48,10 +49,10 @@ impl fmt::Display for AsNum {
 /// The name of an emulated device ("r1", "spine-2", …). Unique per topology.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[serde(transparent)]
-pub struct NodeId(pub String);
+pub struct NodeId(pub Arc<str>);
 
 impl NodeId {
-    pub fn new(name: impl Into<String>) -> NodeId {
+    pub fn new(name: impl Into<Arc<str>>) -> NodeId {
         NodeId(name.into())
     }
 
@@ -74,23 +75,23 @@ impl fmt::Display for NodeId {
 
 impl From<&str> for NodeId {
     fn from(s: &str) -> Self {
-        NodeId(s.to_string())
+        NodeId(s.into())
     }
 }
 
 impl From<String> for NodeId {
     fn from(s: String) -> Self {
-        NodeId(s)
+        NodeId(s.into())
     }
 }
 
 /// An interface name on a device ("Ethernet1", "Loopback0", "ge-0/0/0").
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[serde(transparent)]
-pub struct IfaceId(pub String);
+pub struct IfaceId(pub Arc<str>);
 
 impl IfaceId {
-    pub fn new(name: impl Into<String>) -> IfaceId {
+    pub fn new(name: impl Into<Arc<str>>) -> IfaceId {
         IfaceId(name.into())
     }
 
@@ -120,13 +121,13 @@ impl fmt::Display for IfaceId {
 
 impl From<&str> for IfaceId {
     fn from(s: &str) -> Self {
-        IfaceId(s.to_string())
+        IfaceId(s.into())
     }
 }
 
 impl From<String> for IfaceId {
     fn from(s: String) -> Self {
-        IfaceId(s)
+        IfaceId(s.into())
     }
 }
 

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_routing::rib::{FibEntry, FibNextHop};
@@ -207,10 +207,10 @@ impl<V> Memo<V> {
 /// node classes by prefix layout, and class index shapes by layouts, owned
 /// addresses, liveness and names. A what-if cut moves next hops, rarely a
 /// prefix, so a variant's index build is left its branches and fates.
-#[derive(Default)]
+/// A clone is a handle on the same cache.
+#[derive(Clone, Default)]
 pub struct ClassCache {
-    classes: Memo<NodeClasses>,
-    /// Shared with the analyses built through the cache, for their index.
+    classes: Arc<Memo<NodeClasses>>,
     shapes: Arc<Memo<Shape>>,
 }
 
@@ -253,11 +253,18 @@ pub struct NodeView {
     /// Order-insensitive digest of the FIB: equal digests, equal FIBs. What
     /// a what-if sweep and the standing queries compare between snapshots.
     pub fib_digest: u64,
+    /// The node read, for [`ForwardingAnalysis::derive`]: weak, so it keeps
+    /// no entry alive, only the allocation no later node can then reuse.
+    source: Weak<NodeDataplane>,
 }
 
 impl NodeView {
     /// `node` read once, its FIB's `entries` in prefix order.
-    fn new(node: &NodeDataplane, entries: &[&FibEntry], classes: Arc<NodeClasses>) -> NodeView {
+    fn new(
+        node: &Arc<NodeDataplane>,
+        entries: &[&FibEntry],
+        classes: Arc<NodeClasses>,
+    ) -> NodeView {
         // A table's entries share their set's allocation: a set met among
         // the last 32 is that one (an equal one further back is kept twice).
         let (mut sets, mut set_of) = (Vec::<Arc<[FibNextHop]>>::new(), Vec::new());
@@ -287,6 +294,7 @@ impl NodeView {
             addresses: node.addresses.clone(),
             up: node.up,
             fib_digest,
+            source: Arc::downgrade(node),
         }
     }
 }
@@ -299,7 +307,8 @@ pub type DispositionRows = Vec<(IpSet, Disposition)>;
 /// the links between them, and the forwarding-equivalence-class index
 /// built from those on first use.
 pub struct ForwardingAnalysis {
-    nodes: BTreeMap<NodeId, NodeView>,
+    /// Shared with the analyses derived from this one.
+    nodes: BTreeMap<NodeId, Arc<NodeView>>,
     links: Vec<LinkId>,
     /// Built once, by whichever query arrives first; immutable after, so
     /// any number of threads read it without synchronisation.
@@ -309,25 +318,44 @@ pub struct ForwardingAnalysis {
     lookups: AtomicUsize,
     /// Classes computed locally (not served by a [`ClassCache`]).
     classes_built: usize,
-    /// The cache's shapes, when the analysis was built through one.
-    shapes: Option<Arc<Memo<Shape>>>,
+    /// The cache the analysis was built through, if any.
+    cache: Option<ClassCache>,
 }
 
 impl ForwardingAnalysis {
     pub fn new(dp: &Dataplane) -> ForwardingAnalysis {
-        Self::build(dp, None)
+        Self::build(dp, None, None)
     }
 
     /// Like [`ForwardingAnalysis::new`], but reuses from `cache` any prefix
     /// layout's classes and, for the index, any shape it has seen.
     pub fn with_cache(dp: &Dataplane, cache: &ClassCache) -> ForwardingAnalysis {
-        Self::build(dp, Some(cache))
+        Self::build(dp, Some(cache), None)
     }
 
-    fn build(dp: &Dataplane, cache: Option<&ClassCache>) -> ForwardingAnalysis {
+    /// The analysis of `dp`, a snapshot derived from `parent`'s (a what-if
+    /// context from its baseline, a watch tick from the last): a node that
+    /// is `parent`'s own — the same shared [`NodeDataplane`] — keeps
+    /// `parent`'s view, and only the others are read, through `parent`'s
+    /// cache if it had one. Answers equal [`ForwardingAnalysis::new`]'s.
+    pub fn derive(dp: &Dataplane, parent: &ForwardingAnalysis) -> ForwardingAnalysis {
+        Self::build(dp, parent.cache.as_ref(), Some(parent))
+    }
+
+    fn build(
+        dp: &Dataplane,
+        cache: Option<&ClassCache>,
+        parent: Option<&ForwardingAnalysis>,
+    ) -> ForwardingAnalysis {
         let mut nodes = BTreeMap::new();
-        let mut classes_built = 0usize;
+        let (mut classes_built, mut reused) = (0usize, 0usize);
         for (name, node) in &dp.nodes {
+            let view = parent.and_then(|p| p.nodes.get(name));
+            if let Some(view) = view.filter(|v| std::ptr::eq(v.source.as_ptr(), &**node)) {
+                nodes.insert(name.clone(), Arc::clone(view));
+                reused += 1;
+                continue;
+            }
             let entries = by_prefix(&node.entries);
             let layout: Vec<Prefix> = entries.iter().map(|e| e.prefix).collect();
             let classes = match cache {
@@ -337,7 +365,12 @@ impl ForwardingAnalysis {
                     Arc::new(NodeClasses::new(&layout))
                 }
             };
-            nodes.insert(name.clone(), NodeView::new(node, &entries, classes));
+            let view = NodeView::new(node, &entries, classes);
+            nodes.insert(name.clone(), Arc::new(view));
+        }
+        // A view taken from the parent is its classes taken from the cache.
+        if let Some([hits, _]) = cache.map(|c| &c.classes.counts) {
+            hits.fetch_add(reused, Ordering::SeqCst);
         }
         ForwardingAnalysis {
             nodes,
@@ -345,15 +378,24 @@ impl ForwardingAnalysis {
             index: OnceLock::new(),
             lookups: AtomicUsize::new(0),
             classes_built,
-            shapes: cache.map(|c| Arc::clone(&c.shapes)),
+            cache: cache.cloned(),
         }
     }
 
     /// The class index, built on first use. Threads that arrive during
     /// the build wait for it; every later call is a plain read.
     fn index(&self) -> &ClassIndex {
-        self.index
-            .get_or_init(|| ClassIndex::build(&self.nodes, &self.links, self.shapes.as_deref()))
+        self.index.get_or_init(|| {
+            let shapes = self.cache.as_ref().map(|c| &*c.shapes);
+            ClassIndex::build(&self.nodes, &self.links, shapes)
+        })
+    }
+
+    /// The analysis with its index, if built, dropped: a parent to derive
+    /// from holds its views and nothing else.
+    pub(crate) fn without_index(mut self) -> ForwardingAnalysis {
+        self.index.take();
+        self
     }
 
     /// The class index, counting one query answered from it.
@@ -409,7 +451,7 @@ impl ForwardingAnalysis {
     }
 
     /// Every dataplane node the analysis was built over, by name.
-    pub fn nodes(&self) -> &BTreeMap<NodeId, NodeView> {
+    pub fn nodes(&self) -> &BTreeMap<NodeId, Arc<NodeView>> {
         &self.nodes
     }
 
@@ -591,7 +633,7 @@ mod tests {
     #[test]
     fn down_node_drops() {
         let mut dp = line_dp();
-        dp.nodes.get_mut(&NodeId::from("r2")).unwrap().up = false;
+        dp.node_mut(&NodeId::from("r2")).unwrap().up = false;
         let fa = ForwardingAnalysis::new(&dp);
         let trace = fa.trace(&"r1".into(), addr("2.2.2.3"));
         assert_eq!(trace.disposition, Disposition::NodeDown("r2".into()));
@@ -730,13 +772,13 @@ mod tests {
     fn trace_agrees_with_fate_of_without_ecmp() {
         let mut looping = line_dp();
         for (name, iface) in [("r1", "e0"), ("r2", "e0")] {
-            let node = looping.nodes.get_mut(&NodeId::from(name)).unwrap();
+            let node = looping.node_mut(&NodeId::from(name)).unwrap();
             node.entries.push(entry("9.9.9.9/32", iface, None));
         }
         let mut down = line_dp();
-        down.nodes.get_mut(&NodeId::from("r3")).unwrap().up = false;
+        down.node_mut(&NodeId::from("r3")).unwrap().up = false;
         let mut dropping = line_dp();
-        let r2 = dropping.nodes.get_mut(&NodeId::from("r2")).unwrap();
+        let r2 = dropping.node_mut(&NodeId::from("r2")).unwrap();
         r2.entries.push(FibEntry {
             prefix: "2.2.2.3/32".parse().unwrap(),
             proto: RouteProtocol::Static,
@@ -760,7 +802,7 @@ mod tests {
     #[test]
     fn repeated_prefix_keeps_its_last_entry() {
         let mut dp = line_dp();
-        let r1 = dp.nodes.get_mut(&NodeId::from("r1")).unwrap();
+        let r1 = dp.node_mut(&NodeId::from("r1")).unwrap();
         r1.entries = vec![
             entry("2.2.2.3/32", "e0", None),
             entry("2.2.2.2/32", "e0", None),
@@ -789,7 +831,7 @@ mod tests {
         let dp = line_dp();
         let mut moved = line_dp();
         for node in moved.nodes.values_mut() {
-            for e in &mut node.entries {
+            for e in &mut Arc::make_mut(node).entries {
                 e.next_hops = vec![].into();
             }
         }
@@ -862,7 +904,7 @@ mod tests {
         let second = ForwardingAnalysis::with_cache(&dp, &cache);
         assert_eq!(cache.stats(), (3, 3));
         assert_eq!(second.classes_built, 0);
-        assert!(second.shapes.is_some());
+        assert!(second.cache.is_some());
         for (name, node) in first.nodes() {
             assert!(Arc::ptr_eq(&node.classes, &second.nodes()[name].classes));
             assert_eq!(Arc::strong_count(&node.classes), 3, "cache + two analyses");

@@ -101,7 +101,7 @@ type Branch = Option<u32>;
 /// `Some(None)` if it is down, else its classes and owned addresses.
 type Role<C, A> = Option<Option<(C, A)>>;
 
-type Nodes = BTreeMap<NodeId, NodeView>;
+type Nodes = BTreeMap<NodeId, Arc<NodeView>>;
 
 fn role<'a>(nodes: &'a Nodes, name: &NodeId) -> Role<&'a Arc<NodeClasses>, &'a BTreeSet<Ipv4Addr>> {
     let node = nodes.get(name)?;

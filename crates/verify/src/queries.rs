@@ -275,7 +275,7 @@ mod tests {
     /// Same but r1 lost its route to r2.
     fn broken_pair_dp() -> Dataplane {
         let mut dp = pair_dp();
-        let node = dp.nodes.get_mut(&NodeId::from("r1")).unwrap();
+        let node = dp.node_mut(&NodeId::from("r1")).unwrap();
         node.entries.clear();
         dp
     }

@@ -9,9 +9,11 @@
 //! [`detect_loops_with`], [`detect_blackholes_with`]). Two things keep that
 //! cheap:
 //!
-//! - **Shared classes.** Every analysis is built through one [`ClassCache`],
-//!   so a node whose FIB digest is unchanged reuses its effective classes
-//!   and only nodes whose AFTs actually changed pay class computation. The
+//! - **Shared views.** Every analysis is derived from the previous one
+//!   ([`ForwardingAnalysis::derive`]), through one [`ClassCache`]: a node
+//!   the snapshot shares with the previous one keeps its view, a node with
+//!   a new FIB of a known prefix layout reuses its effective classes, and
+//!   only new layouts pay class computation. The
 //!   cache's hit/miss counters ([`StandingQueries::cache_stats`]) let a
 //!   test prove that a single-node resync invalidates that node alone.
 //! - **Unchanged inputs.** The queries read each node's FIB digest,
@@ -151,6 +153,9 @@ pub struct StandingQueries {
     updates: u64,
     /// The previous evaluation's inputs and answers.
     last: Option<(Inputs, Answers)>,
+    /// The previous evaluation's analysis, its index released: the parent
+    /// of the next.
+    parent: Option<ForwardingAnalysis>,
     pair_evaluations: u64,
     pair_reuses: u64,
 }
@@ -197,7 +202,10 @@ impl StandingQueries {
         coverage: &Coverage,
     ) -> Vec<VerdictUpdate> {
         self.evaluations += 1;
-        let fa = ForwardingAnalysis::with_cache(dp, &self.cache);
+        let fa = match &self.parent {
+            Some(parent) => ForwardingAnalysis::derive(dp, parent),
+            None => ForwardingAnalysis::with_cache(dp, &self.cache),
+        };
         let inputs = Inputs::of(&fa, &dp.links);
         let n = fa.nodes().len() as u64;
         let units = n * (n + 1);
@@ -222,6 +230,7 @@ impl StandingQueries {
             self.consider(at, query, verdict, &mut out);
         }
         self.last = Some((inputs, answers));
+        self.parent = Some(fa.without_index());
         out
     }
 
@@ -334,7 +343,7 @@ mod tests {
 
         // r1 loses its route: r1's digest changes, r2's does not.
         let mut broken = pair_dp();
-        if let Some(n) = broken.nodes.get_mut(&NodeId::from("r1")) {
+        if let Some(n) = broken.node_mut(&NodeId::from("r1")) {
             n.entries.clear();
         }
         let updates = sq.evaluate(SimTime(2_000), &broken, &cov);
@@ -439,7 +448,7 @@ mod tests {
 
         // One end node loses a route: one full pass, no more.
         let mut broken = line_dp_n(N);
-        if let Some(node) = broken.nodes.get_mut(&NodeId::from("r00")) {
+        if let Some(node) = broken.node_mut(&NodeId::from("r00")) {
             node.entries.clear();
         }
         let updates = sq.evaluate(SimTime(3_000), &broken, &cov);

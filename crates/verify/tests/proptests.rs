@@ -7,10 +7,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mfv_dataplane::Dataplane;
+use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
 use mfv_types::{ExtractionStatus, IpSet, LinkId, NodeId, Prefix, RouteProtocol, SimTime};
 use mfv_verify::{
@@ -509,6 +510,68 @@ proptest! {
         prop_assert!(hits >= 1, "the first network's second analysis reuses its shape");
     }
 
+    // A what-if context or a watch tick: a snapshot that shares its
+    // parent's unchanged nodes (every `Delta` kind, a cut link among them),
+    // analysed from the parent's analysis — built with or without a cache,
+    // and derived from twice over — answers as a fresh analysis does, and
+    // keeps the parent's view for exactly the nodes it shares.
+    #[test]
+    fn a_derived_analysis_is_a_fresh_analysis(
+        shape in arb_net(),
+        deltas in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u32>(), 8u8..=28),
+            0..4,
+        ),
+        cached in any::<bool>(),
+    ) {
+        let parent_dp = build_net(&shape);
+        let cache = ClassCache::new();
+        let parent = if cached {
+            ForwardingAnalysis::with_cache(&parent_dp, &cache)
+        } else {
+            ForwardingAnalysis::new(&parent_dp)
+        };
+        parent.warm();
+        let mut dp = parent_dp.clone();
+        for delta in &deltas {
+            apply_delta(&mut dp, *delta);
+        }
+        let derived = ForwardingAnalysis::derive(&dp, &parent);
+        let twice = ForwardingAnalysis::derive(&dp, &derived);
+        let fresh = ForwardingAnalysis::new(&dp);
+        let mut probes: BTreeSet<Ipv4Addr> = shape
+            .entries
+            .iter()
+            .map(|(_, bits, ..)| Ipv4Addr::from(squeeze(*bits)))
+            .collect();
+        probes.extend(dp.nodes.values().flat_map(|n| n.addresses.iter()));
+        let want_diff =
+            differential_reachability_with(&ForwardingAnalysis::new(&parent_dp), &fresh, None);
+        for got in [&derived, &twice] {
+            for src in net_sources(&shape, &fresh) {
+                prop_assert_eq!(
+                    got.dispositions_from(&src, &IpSet::full()),
+                    fresh.dispositions_from(&src, &IpSet::full())
+                );
+                for dst in &probes {
+                    prop_assert_eq!(got.fate_of(&src, *dst), fresh.fate_of(&src, *dst));
+                    prop_assert_eq!(got.trace(&src, *dst), fresh.trace(&src, *dst));
+                }
+            }
+            prop_assert_eq!(&differential_reachability_with(&parent, got, None), &want_diff);
+        }
+        let shared = |a: &Dataplane, b: &Dataplane| {
+            let same = |(n, d): (&NodeId, &Arc<NodeDataplane>)| {
+                b.nodes.get(n).is_some_and(|e| Arc::ptr_eq(d, e))
+            };
+            a.nodes.iter().filter(|node| same(*node)).count()
+        };
+        let kept = derived.nodes().iter().filter(|(n, v)| {
+            parent.nodes().get(*n).is_some_and(|p| Arc::ptr_eq(p, v))
+        });
+        prop_assert_eq!(kept.count(), shared(&dp, &parent_dp));
+    }
+
     // Two unrelated networks, node counts drawn apart so a source can be
     // on one side only, diffed both ways over no scope, the full, empty,
     // owned and random scopes: the one pass finds what the pairwise
@@ -622,7 +685,7 @@ type Delta = (u8, u8, u32, u8);
 fn apply_delta(dp: &mut Dataplane, (which, action, bits, len): Delta) {
     let names: Vec<NodeId> = dp.nodes.keys().cloned().collect();
     let name = &names[which as usize % names.len()];
-    let node = dp.nodes.get_mut(name).expect("picked from the key set");
+    let node = dp.node_mut(name).expect("picked from the key set");
     match action % 6 {
         0 => node.entries.clear(),
         1 => node.entries.push(FibEntry {
@@ -794,7 +857,7 @@ proptest! {
         // Perturb: drop one node's FIB.
         let mut dp_b = dp_a.clone();
         if let Some(first) = dp_b.nodes.values_mut().next() {
-            first.entries.clear();
+            std::sync::Arc::make_mut(first).entries.clear();
         }
         let scope = IpSet::from_prefix(&Prefix::from_bits(probe, 16));
         let (a, b) = (ForwardingAnalysis::new(&dp_a), ForwardingAnalysis::new(&dp_b));
@@ -824,7 +887,7 @@ proptest! {
     fn down_node_blackholes_everything(shape in arb_shape(), probe in any::<u32>()) {
         let mut dp = build_dp(&shape);
         let first = dp.nodes.keys().next().unwrap().clone();
-        dp.nodes.get_mut(&first).unwrap().up = false;
+        dp.node_mut(&first).unwrap().up = false;
         let fa = ForwardingAnalysis::new(&dp);
         let rows = fa.dispositions_from(&first, &IpSet::single(Ipv4Addr::from(probe)));
         prop_assert_eq!(rows.len(), 1);
@@ -848,7 +911,7 @@ proptest! {
         for (which, action, bits, len) in &mutations {
             let names: Vec<NodeId> = variant.nodes.keys().cloned().collect();
             let name = &names[*which as usize % names.len()];
-            let node = variant.nodes.get_mut(name).unwrap();
+            let node = variant.node_mut(name).unwrap();
             match action % 3 {
                 0 => node.entries.clear(),
                 1 => node.entries.push(FibEntry {

@@ -12,4 +12,4 @@ pub mod profile;
 pub mod router;
 
 pub use profile::{VendorBugs, VendorProfile};
-pub use router::{RouterEvent, RouterState, VirtualRouter};
+pub use router::{FibEpoch, RouterEvent, RouterState, VirtualRouter};

@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -78,6 +79,8 @@ pub struct VirtualRouter {
     /// Monotone counter bumped whenever the FIB content changes; the
     /// emulator's convergence detector watches it.
     fib_version: u64,
+    /// This instance's number in the process (a clone keeps it).
+    incarnation: u64,
     /// Prefixes whose FIB entries changed since the last
     /// [`take_changed_prefixes`](Self::take_changed_prefixes) — the
     /// emulator's convergence watchdog uses these to tell oscillation
@@ -118,6 +121,16 @@ pub struct VirtualRouter {
     /// taken only on the polls where the section has work to do, off the
     /// stopwatch [`poll`](Self::poll) is handed.
     pub wall: PollWall,
+}
+
+/// Numbers router instances: see [`VirtualRouter::fib_epoch`].
+static INCARNATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// When a router's FIB was read: equal epochs, equal FIBs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FibEpoch {
+    pub incarnation: u64,
+    pub version: u64,
 }
 
 /// One of a router's ports: an interface and its carrier.
@@ -253,6 +266,7 @@ impl VirtualRouter {
             addresses: BTreeSet::new(),
             ports,
             fib_version: 0,
+            incarnation: INCARNATIONS.fetch_add(1, Ordering::SeqCst),
             changed_prefixes: BTreeSet::new(),
             pending_crash: None,
             pending_out: Vec::new(),
@@ -320,6 +334,16 @@ impl VirtualRouter {
     /// Monotone FIB change counter.
     pub fn fib_version(&self) -> u64 {
         self.fib_version
+    }
+
+    /// The FIB's change epoch: two reads at one epoch saw the same FIB. Two
+    /// instances never share one, whatever their versions; a clone starts
+    /// at its original's, so a fork compares with its baseline.
+    pub fn fib_epoch(&self) -> FibEpoch {
+        FibEpoch {
+            incarnation: self.incarnation,
+            version: self.fib_version,
+        }
     }
 
     /// Drains the set of prefixes whose FIB entries changed since the last
@@ -423,8 +447,12 @@ impl VirtualRouter {
         self.full_rebuilds += 1;
     }
 
-    /// Empties the RIB, the FIB and everything indexed over them.
+    /// Empties the RIB, the FIB and everything indexed over them; the FIB
+    /// version moves if the FIB held anything (also outside a poll).
     fn flush_tables(&mut self) {
+        if !self.fib.is_empty() {
+            self.fib_version += 1;
+        }
         self.rib = Rib::new();
         self.fib = Fib::new();
         self.gateways = GatewayIndex::default();
@@ -719,11 +747,8 @@ impl VirtualRouter {
             self.retire_isis();
             self.bgp = None;
             let lost: Vec<Prefix> = self.fib.entries().map(|e| e.prefix).collect();
+            self.changed_prefixes.extend(lost);
             self.flush_tables();
-            if !lost.is_empty() {
-                self.changed_prefixes.extend(lost);
-                self.fib_version += 1;
-            }
             out.push(RouterEvent::Crashed { reason });
             return;
         }
@@ -1256,5 +1281,30 @@ mod tests {
         r1.set_link(&"Ethernet1".into(), false);
         poll(&mut r1, SimTime(400));
         assert!(r1.fib_version() > v1);
+    }
+
+    #[test]
+    fn a_fib_epoch_names_one_instance_and_moves_with_its_fib() {
+        let (mut r1, _) = two_router_setup();
+        poll(&mut r1, SimTime(100));
+        let read = r1.fib_epoch();
+        let fork = r1.clone();
+        assert_eq!(
+            fork.fib_epoch(),
+            read,
+            "a clone starts at its original's epoch"
+        );
+        // A second instance of the same router, polled to the same version,
+        // is not at the same epoch.
+        let (mut again, _) = two_router_setup();
+        poll(&mut again, SimTime(100));
+        assert_eq!(again.fib_version(), r1.fib_version());
+        assert_ne!(again.fib_epoch(), read);
+        // A config push empties the FIB at once: the epoch moves before
+        // the next poll refills it.
+        let config = r1.config().clone();
+        r1.apply_config(config);
+        assert!(r1.fib().is_empty());
+        assert_ne!(r1.fib_epoch(), read);
     }
 }

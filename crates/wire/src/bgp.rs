@@ -194,100 +194,107 @@ impl BgpMsg {
     /// did via `as u16`/`as u8` casts — emits a frame whose length field
     /// disagrees with its contents, and the *peer's* decoder misparses it.
     pub fn encode(&self) -> Result<Bytes, EncodeError> {
+        crate::try_frame(|out| self.write(out))
+    }
+
+    /// Writes the framed message into `out`, each length field reserved
+    /// and back-patched once what it counts is written.
+    fn write(&self, out: &mut BytesMut) -> Result<(), EncodeError> {
         let err = |r: String| EncodeError::new("bgp", r);
-        let mut body = BytesMut::new();
         let msg_type = match self {
+            BgpMsg::Open(_) => TYPE_OPEN,
+            BgpMsg::Update(_) => TYPE_UPDATE,
+            BgpMsg::Notification(_) => TYPE_NOTIFICATION,
+            BgpMsg::Keepalive => TYPE_KEEPALIVE,
+        };
+        out.put_bytes(0xff, 16);
+        out.put_u16(0); // the message length
+        out.put_u8(msg_type);
+        match self {
             BgpMsg::Open(open) => {
-                body.put_u8(open.version);
+                out.put_u8(open.version);
                 // 2-byte AS field: AS_TRANS when the real ASN doesn't fit.
                 let as16 = if open.asn.0 > u16::MAX as u32 {
                     23456
                 } else {
                     open.asn.0 as u16
                 };
-                body.put_u16(as16);
-                body.put_u16(open.hold_time_secs);
-                body.put_u32(u32::from(open.bgp_id));
+                out.put_u16(as16);
+                out.put_u16(open.hold_time_secs);
+                out.put_u32(u32::from(open.bgp_id));
                 // Optional parameters: one capabilities param (type 2).
-                let mut caps = BytesMut::new();
-                for &code in &open.capabilities {
-                    caps.put_u8(code);
-                    if code == 65 {
-                        caps.put_u8(4);
-                        caps.put_u32(open.asn.0);
-                    } else {
-                        caps.put_u8(0);
-                    }
-                }
-                if caps.len() > MAX_CAPS_LEN {
-                    return Err(err(format!(
-                        "OPEN capabilities {} bytes exceed the {MAX_CAPS_LEN}-byte parameter",
-                        caps.len()
-                    )));
-                }
-                if caps.is_empty() {
-                    body.put_u8(0);
+                if open.capabilities.is_empty() {
+                    out.put_u8(0);
                 } else {
-                    body.put_u8((caps.len() + 2) as u8);
-                    body.put_u8(2); // param type: capabilities
-                    body.put_u8(caps.len() as u8);
-                    body.extend_from_slice(&caps);
+                    let at = out.len();
+                    out.put_u8(0); // the parameters' length
+                    out.put_u8(2); // param type: capabilities
+                    out.put_u8(0); // the capabilities' length
+                    for &code in &open.capabilities {
+                        out.put_u8(code);
+                        if code == 65 {
+                            out.put_u8(4);
+                            out.put_u32(open.asn.0);
+                        } else {
+                            out.put_u8(0);
+                        }
+                    }
+                    let caps = out.len() - at - 3;
+                    if caps > MAX_CAPS_LEN {
+                        return Err(err(format!(
+                            "OPEN capabilities {caps} bytes exceed the {MAX_CAPS_LEN}-byte parameter"
+                        )));
+                    }
+                    crate::patch_u8(out, at, (caps + 2) as u8);
+                    crate::patch_u8(out, at + 2, caps as u8);
                 }
-                TYPE_OPEN
             }
             BgpMsg::Update(update) => {
-                let mut wd = BytesMut::new();
+                let at = out.len();
+                out.put_u16(0);
                 for p in &update.withdrawn {
-                    encode_nlri(&mut wd, p);
+                    encode_nlri(out, p);
                 }
-                if wd.len() > u16::MAX as usize {
+                let wd = out.len() - at - 2;
+                if wd > u16::MAX as usize {
                     return Err(err(format!(
-                        "withdrawn routes {} bytes exceed the u16 length field",
-                        wd.len()
+                        "withdrawn routes {wd} bytes exceed the u16 length field"
                     )));
                 }
-                body.put_u16(wd.len() as u16);
-                body.extend_from_slice(&wd);
+                crate::patch_u16_be(out, at, wd as u16);
 
-                let mut attrs = BytesMut::new();
+                let at = out.len();
+                out.put_u16(0);
                 for a in &update.attrs {
-                    encode_attr(&mut attrs, a)?;
+                    encode_attr(out, a)?;
                 }
-                if attrs.len() > u16::MAX as usize {
+                let attrs = out.len() - at - 2;
+                if attrs > u16::MAX as usize {
                     return Err(err(format!(
-                        "path attributes {} bytes exceed the u16 length field",
-                        attrs.len()
+                        "path attributes {attrs} bytes exceed the u16 length field"
                     )));
                 }
-                body.put_u16(attrs.len() as u16);
-                body.extend_from_slice(&attrs);
+                crate::patch_u16_be(out, at, attrs as u16);
 
                 for p in &update.nlri {
-                    encode_nlri(&mut body, p);
+                    encode_nlri(out, p);
                 }
-                TYPE_UPDATE
             }
             BgpMsg::Notification(n) => {
-                body.put_u8(n.code);
-                body.put_u8(n.subcode);
-                body.extend_from_slice(&n.data);
-                TYPE_NOTIFICATION
+                out.put_u8(n.code);
+                out.put_u8(n.subcode);
+                out.extend_from_slice(&n.data);
             }
-            BgpMsg::Keepalive => TYPE_KEEPALIVE,
-        };
-
-        if body.len() > MAX_BODY_LEN {
+            BgpMsg::Keepalive => {}
+        }
+        let body = out.len() - 19;
+        if body > MAX_BODY_LEN {
             return Err(err(format!(
-                "body {} bytes exceeds the {MAX_BODY_LEN}-byte frame limit",
-                body.len()
+                "body {body} bytes exceeds the {MAX_BODY_LEN}-byte frame limit"
             )));
         }
-        let mut out = BytesMut::with_capacity(19 + body.len());
-        out.put_bytes(0xff, 16);
-        out.put_u16(19 + body.len() as u16);
-        out.put_u8(msg_type);
-        out.extend_from_slice(&body);
-        Ok(out.freeze())
+        crate::patch_u16_be(out, 16, 19 + body as u16);
+        Ok(())
     }
 
     /// Decodes one framed message.
@@ -447,75 +454,66 @@ fn decode_nlri(buf: &mut Bytes) -> Result<Prefix, DecodeError> {
 
 fn encode_attr(out: &mut BytesMut, attr: &PathAttr) -> Result<(), EncodeError> {
     let err = |r: String| EncodeError::new("bgp", r);
-    let mut value = BytesMut::new();
-    let flags;
-    match attr {
-        PathAttr::Origin(o) => {
-            flags = FLAG_TRANSITIVE;
-            value.put_u8(o.code());
-        }
+    let (flags, len) = match attr {
+        PathAttr::Origin(_) => (FLAG_TRANSITIVE, 1),
         PathAttr::AsPath(path) => {
-            flags = FLAG_TRANSITIVE;
+            let mut len = 0;
             for seg in &path.0 {
-                let (seg_type, asns) = match seg {
-                    AsPathSegment::Set(a) => (1u8, a),
-                    AsPathSegment::Sequence(a) => (2u8, a),
-                };
+                let (AsPathSegment::Set(asns) | AsPathSegment::Sequence(asns)) = seg;
                 if asns.len() > u8::MAX as usize {
                     return Err(err(format!(
                         "AS_PATH segment with {} ASNs exceeds the u8 count field",
                         asns.len()
                     )));
                 }
-                value.put_u8(seg_type);
-                value.put_u8(asns.len() as u8);
-                for a in asns {
-                    value.put_u32(a.0);
-                }
+                len += 2 + 4 * asns.len();
             }
+            (FLAG_TRANSITIVE, len)
         }
-        PathAttr::NextHop(nh) => {
-            flags = FLAG_TRANSITIVE;
-            value.put_u32(u32::from(*nh));
-        }
-        PathAttr::Med(m) => {
-            flags = FLAG_OPTIONAL;
-            value.put_u32(*m);
-        }
-        PathAttr::LocalPref(lp) => {
-            flags = FLAG_TRANSITIVE;
-            value.put_u32(*lp);
-        }
-        PathAttr::Communities(cs) => {
-            flags = FLAG_OPTIONAL | FLAG_TRANSITIVE;
-            for c in cs {
-                value.put_u32(c.0);
-            }
-        }
-        PathAttr::Unknown {
-            flags: f, value: v, ..
-        } => {
-            flags = *f;
-            value.extend_from_slice(v);
-        }
-    }
-    if value.len() > u16::MAX as usize {
+        PathAttr::NextHop(_) | PathAttr::LocalPref(_) => (FLAG_TRANSITIVE, 4),
+        PathAttr::Med(_) => (FLAG_OPTIONAL, 4),
+        PathAttr::Communities(cs) => (FLAG_OPTIONAL | FLAG_TRANSITIVE, 4 * cs.len()),
+        PathAttr::Unknown { flags, value, .. } => (*flags, value.len()),
+    };
+    if len > u16::MAX as usize {
         return Err(err(format!(
-            "attribute {} value {} bytes exceeds the extended u16 length field",
-            attr.type_code(),
-            value.len()
+            "attribute {} value {len} bytes exceeds the extended u16 length field",
+            attr.type_code()
         )));
     }
     // Extended length is framing, set by the value's length alone.
-    let extended = value.len() > 255;
+    let extended = len > 255;
     out.put_u8(flags & !FLAG_EXTENDED_LEN | if extended { FLAG_EXTENDED_LEN } else { 0 });
     out.put_u8(attr.type_code());
     if extended {
-        out.put_u16(value.len() as u16);
+        out.put_u16(len as u16);
     } else {
-        out.put_u8(value.len() as u8);
+        out.put_u8(len as u8);
     }
-    out.extend_from_slice(&value);
+    match attr {
+        PathAttr::Origin(o) => out.put_u8(o.code()),
+        PathAttr::AsPath(path) => {
+            for seg in &path.0 {
+                let (seg_type, asns) = match seg {
+                    AsPathSegment::Set(a) => (1u8, a),
+                    AsPathSegment::Sequence(a) => (2u8, a),
+                };
+                out.put_u8(seg_type);
+                out.put_u8(asns.len() as u8);
+                for a in asns {
+                    out.put_u32(a.0);
+                }
+            }
+        }
+        PathAttr::NextHop(nh) => out.put_u32(u32::from(*nh)),
+        PathAttr::Med(v) | PathAttr::LocalPref(v) => out.put_u32(*v),
+        PathAttr::Communities(cs) => {
+            for c in cs {
+                out.put_u32(c.0);
+            }
+        }
+        PathAttr::Unknown { value, .. } => out.extend_from_slice(value),
+    }
     Ok(())
 }
 

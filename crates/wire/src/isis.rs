@@ -12,14 +12,13 @@
 //! one TLV walk the typed [`IsisPdu::decode`] uses.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::cell::Cell;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 use mfv_types::Prefix;
 
-use crate::DecodeError;
+use crate::{frame, patch_u16_be, patch_u8, DecodeError};
 
 /// IS-IS protocol discriminator (first byte of every PDU).
 pub const PROTO_DISCRIMINATOR: u8 = 0x83;
@@ -864,24 +863,6 @@ fn lsp_checksum(from_id: &[u8]) -> u16 {
     fletcher16_of(&[id_and_seq.unwrap_or_default(), tlvs.unwrap_or_default()])
 }
 
-/// Back-patches one byte reserved earlier by a placeholder `put_u8`.
-/// A position outside the buffer (impossible by construction — every call
-/// passes an offset previously returned by `out.len()`) is a no-op, so the
-/// encoder can never panic.
-fn patch_u8(out: &mut BytesMut, pos: usize, val: u8) {
-    if let Some(b) = out.get_mut(pos) {
-        *b = val;
-    }
-}
-
-/// Back-patches a big-endian u16 reserved earlier by a placeholder
-/// `put_u16`. Same no-panic contract as [`patch_u8`].
-fn patch_u16_be(out: &mut BytesMut, pos: usize, val: u16) {
-    if let Some(slot) = out.get_mut(pos..pos + 2) {
-        slot.copy_from_slice(&val.to_be_bytes());
-    }
-}
-
 /// Writes the PDU's length, now that all of it is written, at `pos`.
 fn patch_pdu_len(out: &mut BytesMut, pos: usize) {
     let total = out.len() as u16;
@@ -890,23 +871,6 @@ fn patch_pdu_len(out: &mut BytesMut, pos: usize) {
 
 /// Where an LSP's, CSNP's or PSNP's length sits: right after the header.
 const PDU_LEN_AT: usize = 8;
-
-thread_local! {
-    /// What a PDU is written into before it is copied into its frame,
-    /// kept between PDUs.
-    static SCRATCH: Cell<BytesMut> = Cell::new(BytesMut::new());
-}
-
-/// The PDU `write` writes, in a frame of exactly its size: one allocation
-/// per PDU, whatever its length.
-fn frame(write: impl FnOnce(&mut BytesMut)) -> Bytes {
-    let mut out = SCRATCH.try_with(Cell::take).unwrap_or_default();
-    out.clear();
-    write(&mut out);
-    let frame = Bytes::copy_from_slice(&out);
-    let _ = SCRATCH.try_with(|scratch| scratch.set(out));
-    frame
-}
 
 /// The eight bytes every PDU starts with.
 fn put_header(out: &mut BytesMut, pdu_type: u8) {

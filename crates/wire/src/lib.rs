@@ -28,7 +28,53 @@
 pub mod bgp;
 pub mod isis;
 
+use std::cell::Cell;
+use std::convert::Infallible;
 use std::fmt;
+
+use bytes::{Bytes, BytesMut};
+
+thread_local! {
+    /// What a message is written into, kept between messages.
+    static SCRATCH: Cell<BytesMut> = Cell::new(BytesMut::new());
+}
+
+/// The message `write` writes, in a frame of exactly its size: one
+/// allocation per message, whatever its length.
+pub(crate) fn frame(write: impl FnOnce(&mut BytesMut)) -> Bytes {
+    let framed = try_frame(|out| {
+        write(out);
+        Ok::<_, Infallible>(())
+    });
+    framed.unwrap_or_else(|never| match never {})
+}
+
+/// [`frame`] for a writer that can fail: no frame, then.
+pub(crate) fn try_frame<E>(write: impl FnOnce(&mut BytesMut) -> Result<(), E>) -> Result<Bytes, E> {
+    let mut out = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    out.clear();
+    let written = write(&mut out).map(|()| Bytes::copy_from_slice(&out));
+    let _ = SCRATCH.try_with(|scratch| scratch.set(out));
+    written
+}
+
+/// Back-patches one byte reserved earlier by a placeholder `put_u8`.
+/// A position outside the buffer (impossible by construction — every call
+/// passes an offset previously returned by `out.len()`) is a no-op, so the
+/// encoder can never panic.
+pub(crate) fn patch_u8(out: &mut BytesMut, pos: usize, val: u8) {
+    if let Some(b) = out.get_mut(pos) {
+        *b = val;
+    }
+}
+
+/// Back-patches a big-endian u16 reserved earlier by a placeholder
+/// `put_u16`. Same no-panic contract as [`patch_u8`].
+pub(crate) fn patch_u16_be(out: &mut BytesMut, pos: usize, val: u16) {
+    if let Some(slot) = out.get_mut(pos..pos + 2) {
+        slot.copy_from_slice(&val.to_be_bytes());
+    }
+}
 
 /// Error produced when decoding a malformed or truncated message.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -49,6 +49,12 @@ const ROWS: &[Row] = &[
         plant: "let cold = backend.compute(&snapshot.without_links(cuts));",
     },
     Row {
+        files: "crates/mgmt/src/*.rs crates/core/src/*.rs",
+        rule: Absent("fib_version("),
+        why: "one change epoch: extraction and the watch ask a router's FIB epoch, never its bare version",
+        plant: "let unchanged = router.fib_version() == last;",
+    },
+    Row {
         files: "crates/core/src/extract.rs",
         rule: Absent(".dataplane()"),
         why: "one what-if path: extraction reads node facts, not the emulated dataplane",
@@ -324,6 +330,11 @@ const REQUIRED: &[&str] = &[
     "crates/routing/src/bgp.rs::a_group_in_sync_shares_one_encoding_of_each_update",
     "crates/wire/tests/proptests.rs::bgp_decoder_rejects_truncations",
     "crates/core/src/whatif.rs::wan24_single_cuts_from_a_fork_equal_the_cold_boot",
+    "crates/core/src/extract.rs::extraction_against_a_parent_is_a_fresh_extraction",
+    "crates/verify/tests/proptests.rs::a_derived_analysis_is_a_fresh_analysis",
+    "crates/mgmt/src/watch.rs::a_rescheduled_router_at_the_streamed_version_is_read_again",
+    "crates/vrouter/src/router.rs::a_fib_epoch_names_one_instance_and_moves_with_its_fib",
+    "tests/work_ceiling.rs::an_spf_run_allocates_only_the_routes_it_hands_out",
 ];
 
 /// The files `glob` names. Tests run in the repository root.

@@ -27,6 +27,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use model_free_verification::core::{extract_snapshot, scenarios, EmulationBackend, Snapshot};
 use model_free_verification::emulator::{
@@ -35,8 +36,10 @@ use model_free_verification::emulator::{
 use model_free_verification::mgmt::{Aft, Telemetry, WatchConfig, Watcher};
 use model_free_verification::obs::Obs;
 use model_free_verification::routing::rib::GatewayMemo;
-use model_free_verification::routing::{Fib, NextHop};
-use model_free_verification::types::{NodeId, SimDuration, SimTime};
+use model_free_verification::routing::{Fib, NextHop, RibRoute};
+use model_free_verification::types::{
+    IfaceId, NodeId, Prefix, RouteProtocol, SimDuration, SimTime,
+};
 
 /// The system allocator, counting the calling thread's live bytes, their
 /// high-water mark and its allocations. Per thread, so tests running beside
@@ -204,7 +207,7 @@ fn extraction_holds_one_routers_aft_at_a_time() {
     // dataplane beside the whole emulation rose 127,632 B; one 76,702 B
     // state tree is not built at all.
     let (extracted, _, transient) =
-        heap_of(|| extract_snapshot(emu, &backend.collector, &mut Obs::new()));
+        heap_of(|| extract_snapshot(emu, &backend.collector, None, &mut Obs::new()));
     assert!(extracted.is_complete());
     assert_eq!(extracted.dataplane.digest(), digest);
     assert!(transient < tree_bytes / 10, "{transient} B transient");
@@ -417,6 +420,56 @@ fn an_spf_run_merges_only_the_prefixes_it_moved() {
         })
         .sum();
     assert!(evaluations <= 7_614, "{evaluations} reach entries merged");
+}
+
+#[test]
+fn an_spf_run_allocates_only_the_routes_it_hands_out() {
+    // An interior router of the converged 30-router grid loses three of its
+    // four adjacencies, one SPF run each, on a copy of its IS-IS engine.
+    // The second and third runs hand out 66 routes, one allocation each
+    // (its next hops). A fresh first-hop list, route-pass buffer, merge
+    // buffer and change list per run, and an interface name copied per next
+    // hop, made 167 allocations; buffers the engine keeps, grown by the
+    // first run, add 8, where the third run outgrows the second.
+    let snapshot = scenarios::isis_grid(6, 5);
+    let (emu, meta) = EmulationBackend::with_seed(1)
+        .run(&snapshot)
+        .expect("grid boots");
+    assert!(meta.converged);
+    let router = emu.router(&NodeId::from("r8")).expect("r8 booted");
+    let mut isis = router.isis_engine().expect("r8 runs IS-IS").clone();
+    let rib = router.rib().protocol_routes(RouteProtocol::Isis);
+    let mut installed: BTreeMap<Prefix, RibRoute> = rib.map(|(p, r)| (*p, r.clone())).collect();
+    let ports: Vec<IfaceId> = router
+        .ports()
+        .filter(|p| !p.is_loopback())
+        .cloned()
+        .collect();
+    assert_eq!(ports.len(), 4, "{ports:?}");
+    let mut cut = |port: &IfaceId| {
+        isis.set_link(port, false);
+        let before = ALLOCS.get();
+        let changes = isis.take_route_changes(installed.iter());
+        let allocs = ALLOCS.get() - before;
+        let changes: Vec<_> = changes.collect();
+        let routes = changes.iter().filter(|(_, r)| r.is_some()).count();
+        for (prefix, route) in changes {
+            match route {
+                Some(route) => installed.insert(prefix, route),
+                None => installed.remove(&prefix),
+            };
+        }
+        (allocs, routes)
+    };
+    // The first run after the copy grows the copy's buffers.
+    cut(&ports[0]);
+    let ((a1, r1), (a2, r2)) = (cut(&ports[1]), cut(&ports[2]));
+    let (allocs, routes) = (a1 + a2, r1 + r2);
+    assert_eq!(routes, 66);
+    assert!(
+        allocs <= routes + 10,
+        "{allocs} allocations for {routes} routes"
+    );
 }
 
 #[test]
