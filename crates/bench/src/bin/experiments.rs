@@ -15,12 +15,11 @@
 //! cargo run --release -p mfv-bench --bin experiments -- chaos --obs-json o.json --obs-exclude-wall # its obs dump, without wall times
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use mfv_bench::*;
+use mfv_core::obs::alloc::{held_by, made, Accountant, Held};
 use mfv_core::obs::{Obs, WallTimer};
 use mfv_core::{
     differential_reachability_with, extract_snapshot, observed_query, qualified_unreachable_pairs,
@@ -594,69 +593,11 @@ fn a3() {
     );
 }
 
-/// The system allocator, counting the (bytes, allocations) this thread has
-/// live and their high-water mark, and the allocations it has made: an
-/// emulation runs, and is cloned, on the thread that asks.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-    static PEAK: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-    static MADE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Books `bytes` (negative: a release) and the one allocation they are.
-fn book(bytes: isize) {
-    if bytes > 0 {
-        let _ = MADE.try_with(|made| made.set(made.get() + 1));
-    }
-    let _ = LIVE.try_with(|live| {
-        let (b, n) = live.get();
-        let now = (
-            b.wrapping_add_signed(bytes),
-            n.wrapping_add_signed(bytes.signum()),
-        );
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-}
-
-// SAFETY: every request goes to `System` unchanged, so its contract is
-// `System`'s (sizes are non-zero and fit `isize` by that contract). The
-// counter is a const-initialised `Cell` without a destructor: reaching it
-// neither allocates nor re-enters the allocator, and `try_with` covers a
-// thread that is tearing down.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        book(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        book(-(layout.size() as isize));
-        System.dealloc(p, layout)
-    }
-}
-
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// (bytes, allocations) live.
-type Held = (usize, usize);
+static ALLOC: Accountant = Accountant;
 
 /// A part of a router and what a clone of it holds.
 type Piece = (&'static str, fn(&VirtualRouter) -> Held);
-
-/// Runs `f`; returns what it built, what this thread has live more than
-/// before while that is held, and the most it had at any point in `f`.
-fn held_by<T>(f: impl FnOnce() -> T) -> (T, Held, Held) {
-    let before = LIVE.get();
-    PEAK.set(before);
-    let out = f();
-    let (now, peak) = (LIVE.get(), PEAK.get());
-    let above = |(b, n): Held| (b - before.0, n.saturating_sub(before.1));
-    (out, above(now), above(peak))
-}
 
 /// The `regional_wan` the numbers on the command line size (`5 20` without
 /// any), and a seed-1 backend with the paper's packing: some sixty routers
@@ -772,9 +713,9 @@ fn converge(opts: &Options) {
             backend,
         )
     };
-    let made = MADE.get();
+    let before = made();
     let (emu, meta) = backend.run(&snapshot).expect("network boots");
-    let made = MADE.get() - made;
+    let made = made() - before;
     assert!(meta.converged, "{network}");
     let obs = emu.export_obs();
     let us = |phase: &str| obs.wall.phase_micros(phase).unwrap_or(0);
@@ -994,7 +935,8 @@ fn chaos(opts: &Options) {
     let mut backend = EmulationBackend::with_seed(3);
     backend.cluster_machines = 2;
 
-    let control = backend.compute_observed(&snapshot, &mut obs).unwrap();
+    let mut control = backend.compute(&snapshot).unwrap();
+    obs.merge(std::mem::take(&mut control.obs));
     let boot = control.meta.boot_time.unwrap();
     println!(
         "control:  verdict={}  boot={}  convergence={}  msgs={}",
@@ -1016,7 +958,8 @@ fn chaos(opts: &Options) {
         40,
         SimDuration::from_secs(20),
     );
-    let chaotic = backend.compute_observed(&snapshot, &mut obs).unwrap();
+    let mut chaotic = backend.compute(&snapshot).unwrap();
+    obs.merge(std::mem::take(&mut chaotic.obs));
     println!(
         "chaos:    verdict={}  msgs={}",
         chaotic.meta.verdict.as_ref().unwrap(),
@@ -1028,7 +971,8 @@ fn chaos(opts: &Options) {
     backend.max_sim_time = SimDuration::from_mins(120);
     backend.collector.failures.force_fail.insert("r7".into());
     backend.collector.failures.force_fail.insert("r19".into());
-    let degraded = backend.compute_observed(&snapshot, &mut obs).unwrap();
+    let mut degraded = backend.compute(&snapshot).unwrap();
+    obs.merge(std::mem::take(&mut degraded.obs));
     let coverage = Coverage::from_status(&degraded.meta.extraction_status);
     println!(
         "degraded: coverage={:.1}% of {} nodes",
@@ -1052,20 +996,22 @@ fn chaos(opts: &Options) {
     );
 }
 
-/// Runs `f`; returns what it made and its wall nanoseconds.
-fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let timer = WallTimer::start();
+/// Runs `f`; returns what it made, its wall nanoseconds and the
+/// allocations it made.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
+    let (timer, before) = (WallTimer::start(), made());
     let out = f();
-    (out, timer.elapsed_nanos())
+    (out, [timer.elapsed_nanos(), (made() - before) as u64])
 }
 
 /// `sweep [cols rows]`: the what-if sweep's fork path on an `isis_grid`
 /// (6 × 5 without any, `grid30_whatif`'s network), for every single-link
 /// cut, one context at a time and call by call, as
-/// `verify_link_cuts_detailed` makes it: each phase's median over the
-/// contexts, and the median context's events, SPF runs and the reach
-/// entries their route passes merged. The baseline's class index is built
-/// before the first context, as the sweep's first diff builds it once.
+/// `verify_link_cuts_detailed` makes it: each phase's median wall time and
+/// allocations over the contexts, and the median context's events, SPF runs
+/// and the reach entries their route passes merged. The baseline's class
+/// index is built before the first context, as the sweep's first diff
+/// builds it once.
 fn sweep(opts: &Options) {
     banner("SWEEP", "what one what-if context costs, phase by phase");
     let (cols, rows) = opts.sweep_size();
@@ -1093,9 +1039,11 @@ fn sweep(opts: &Options) {
     };
     let base = spf(&converged);
 
-    const PHASES: &str = "clone remove_wire run_until_converged extract analysis index walk";
-    let mut phases: [Vec<u64>; 7] = Default::default();
-    let (mut contexts, mut events, mut runs, mut merged) = (vec![], vec![], vec![], vec![]);
+    // Each phase's, and the whole context's, wall nanoseconds and allocations.
+    const PHASES: &str =
+        "clone remove_wire run_until_converged extract analysis index walk context";
+    let mut phases: [[Vec<u64>; 2]; 8] = Default::default();
+    let (mut events, mut runs, mut merged) = (vec![], vec![], vec![]);
     let mut read = vec![];
     let mut findings = 0;
     for link in snapshot.link_ids() {
@@ -1117,9 +1065,10 @@ fn sweep(opts: &Options) {
         let (found, walk) = timed(|| differential_reachability_with(&fa_baseline, &fa, None));
         findings += found.len();
         let laps = [clone, remove, run, extracted, analysis, index, walk];
-        contexts.push(laps.iter().sum());
-        for (phase, lap) in phases.iter_mut().zip(laps) {
-            phase.push(lap);
+        let context = [0, 1].map(|i| laps.iter().map(|lap| lap[i]).sum());
+        for (phase, lap) in phases.iter_mut().zip(laps.into_iter().chain([context])) {
+            phase[0].push(lap[0]);
+            phase[1].push(lap[1]);
         }
     }
     let median = |mut v: Vec<u64>| {
@@ -1128,15 +1077,17 @@ fn sweep(opts: &Options) {
     };
     println!(
         "isis_grid({cols}, {rows}), seed 1: {} contexts, one at a time; baseline {} events\n",
-        contexts.len(),
+        phases[0][0].len(),
         converged.events_processed()
     );
-    println!("phase                  median ms");
-    let row = |phase: &str, ns: u64| println!("{phase:<22} {:>9.3}", ns as f64 / 1e6);
+    println!("phase                  median ms  allocations");
+    let row = |phase: &str, [ns, allocs]: [Vec<u64>; 2]| {
+        let (ms, allocs) = (median(ns) as f64 / 1e6, median(allocs));
+        println!("{phase:<22} {ms:>9.3} {allocs:>12}");
+    };
     for (phase, laps) in PHASES.split(' ').zip(phases) {
-        row(phase, median(laps));
+        row(phase, laps);
     }
-    row("context", median(contexts));
     println!(
         "\nper context (median): {} events, {} SPF runs, {} route-pass prefix evaluations",
         median(events),

@@ -96,8 +96,9 @@ fn known_id_runs_only_that_experiment() {
     assert!(!stdout.contains("\nE1: "), "{stdout}");
 }
 
-/// Runs `experiments <args>` and asserts each headline substring.
-fn assert_headlines(args: &[&str], headlines: &[&str]) {
+/// Runs `experiments <args>`, asserts each headline substring and returns
+/// the output.
+fn assert_headlines(args: &[&str], headlines: &[&str]) -> String {
     let out = experiments(args);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
@@ -107,6 +108,7 @@ fn assert_headlines(args: &[&str], headlines: &[&str]) {
             "missing `{headline}` in:\n{stdout}"
         );
     }
+    stdout
 }
 
 #[test]
@@ -343,20 +345,14 @@ fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
 
 #[test]
 fn sweep_replays_the_fork_path_phase_by_phase() {
-    // Seven single-link cuts of a six-router grid: each phase's median, the
-    // median context's work and the class cache's reuse, which are exact.
-    assert_headlines(
+    // Seven single-link cuts of a six-router grid: each phase's median wall
+    // time and allocations, the median context's work and the class cache's
+    // reuse, which are exact.
+    let stdout = assert_headlines(
         &["sweep", "3", "2"],
         &[
             "isis_grid(3, 2), seed 1: 7 contexts, one at a time; baseline 1162 events",
-            "\nclone ",
-            "\nremove_wire ",
-            "\nrun_until_converged ",
-            // The hand-over: extraction tears the fork down as it reads it.
-            "\nextract ",
-            "\nanalysis ",
-            "\nindex ",
-            "\nwalk ",
+            "\nphase                  median ms  allocations\n",
             "per context (median): 87 events, 11 SPF runs, 45 route-pass prefix evaluations",
             // Every cut of so small a grid moves every router's FIB: each
             // is read, none keeps its baseline node.
@@ -367,6 +363,17 @@ fn sweep_replays_the_fork_path_phase_by_phase() {
             "class cache: node classes 47 reused, 1 built; index shapes 7 reused, 1 built",
         ],
     );
+    // A row per phase — the hand-over is `extract`: extraction tears the
+    // fork down as it reads it — and per context: its name, its median
+    // milliseconds and its median allocations, which every phase makes.
+    let phases = "clone remove_wire run_until_converged extract analysis index walk context";
+    for phase in phases.split(' ') {
+        let row = stdout.lines().find(|l| l.split(' ').next() == Some(phase));
+        let row: Vec<&str> = row.expect(phase).split_whitespace().collect();
+        let allocs = row.get(2).and_then(|a| a.parse::<u64>().ok());
+        assert!(row.len() == 3 && row[1].parse::<f64>().is_ok(), "{row:?}");
+        assert!(allocs.is_some_and(|a| a > 0), "{row:?}");
+    }
 }
 
 #[test]

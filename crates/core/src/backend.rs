@@ -61,6 +61,10 @@ pub struct BackendMeta {
 pub struct BackendResult {
     pub dataplane: Dataplane,
     pub meta: BackendMeta,
+    /// The run's observability. Emulation: the engine's metrics, phases and
+    /// journal ([`Emulation::export_obs`]) plus the extraction sweep's
+    /// `mgmt.*` tallies and `extract` span. Model: empty.
+    pub obs: mfv_obs::Obs,
 }
 
 /// Anything that can turn a snapshot into a dataplane.
@@ -173,28 +177,15 @@ impl Backend for EmulationBackend {
     }
 
     fn compute(&self, snapshot: &Snapshot) -> Result<BackendResult, BackendError> {
-        self.compute_observed(snapshot, &mut mfv_obs::Obs::new())
-    }
-}
-
-impl EmulationBackend {
-    /// Like [`Backend::compute`], but folds the run's observability into
-    /// `obs`: the engine's metrics/phases/journal ([`Emulation::export_obs`])
-    /// plus the extraction sweep's `mgmt.*` tallies and `extract` span.
-    pub fn compute_observed(
-        &self,
-        snapshot: &Snapshot,
-        obs: &mut mfv_obs::Obs,
-    ) -> Result<BackendResult, BackendError> {
         let (emu, mut meta) = self.run(snapshot)?;
-        obs.merge(emu.export_obs());
+        let mut obs = emu.export_obs();
         // The extraction step of §4.1: dump per-device AFTs through the
         // management plane and rebuild the network dataplane from them —
         // we deliberately do NOT shortcut via the emulator's internal state.
         // The emulation is handed over and torn down as it is read; a debug
         // build takes its dataplane's digest first.
         let internal = cfg!(debug_assertions).then(|| emu.dataplane().digest());
-        let extracted = extract_snapshot(emu, &self.collector, None, obs);
+        let extracted = extract_snapshot(emu, &self.collector, None, &mut obs);
         if self.collector.failures.is_noop() && extracted.is_complete() {
             debug_assert_eq!(
                 Some(extracted.dataplane.digest()),
@@ -207,6 +198,7 @@ impl EmulationBackend {
         Ok(BackendResult {
             dataplane: extracted.dataplane,
             meta,
+            obs,
         })
     }
 }
@@ -245,6 +237,7 @@ impl Backend for ModelBackend {
                 coverage,
                 ..Default::default()
             },
+            obs: mfv_obs::Obs::new(),
         })
     }
 }

@@ -4,10 +4,11 @@
 //! production-recorded routes (millions from each BGP peer)". We have no
 //! production feed to replay, so an [`ExternalPeer`] synthesises a
 //! deterministic route table of the requested size and speaks real BGP to
-//! its attached router: OPEN handshake, batched UPDATEs, keepalives.
+//! its attached router: OPEN handshake, batched UPDATEs, keepalives. Like a
+//! real peer's Adj-RIB-Out, the table is announced whole on every session.
 
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use mfv_types::{AsNum, AsPath, Origin, Prefix, SimDuration, SimTime};
@@ -30,9 +31,14 @@ pub struct ExternalPeer {
     /// The router-side session address we talk to.
     pub router_addr: Ipv4Addr,
     state: PeerState,
-    /// Routes remaining to announce.
-    pending: VecDeque<Prefix>,
-    total: usize,
+    /// The table, shared with a clone, and how much of it this session has
+    /// announced.
+    routes: Arc<[Prefix]>,
+    announced: usize,
+    /// The router has confirmed this session with a KEEPALIVE. Until then
+    /// an OPEN is its half of the handshake, which a router resends when
+    /// our OPEN crosses its own; after, it opens a new session.
+    confirmed: bool,
     /// Prefixes per UPDATE message.
     batch: usize,
     /// UPDATE messages sent per poll tick (paces the feed like a real
@@ -83,8 +89,9 @@ impl ExternalPeer {
             asn,
             router_addr,
             state: PeerState::Idle,
-            total: routes.len(),
-            pending: routes.into(),
+            routes: routes.into(),
+            announced: 0,
+            confirmed: false,
             batch: 250,
             msgs_per_tick: 2,
             last_keepalive: SimTime::ZERO,
@@ -121,32 +128,50 @@ impl ExternalPeer {
     /// True once every route has been announced — or the peer has given up
     /// on ever establishing (so a dead router cannot stall the run forever).
     pub fn done(&self) -> bool {
-        self.gave_up || (self.state == PeerState::Established && self.pending.is_empty())
+        self.gave_up || (self.state == PeerState::Established && self.pending().is_empty())
     }
 
+    /// Routes this session has announced.
     pub fn announced(&self) -> usize {
-        self.total - self.pending.len()
+        self.announced
+    }
+
+    /// Routes this session has still to announce.
+    fn pending(&self) -> &[Prefix] {
+        self.routes.get(self.announced..).unwrap_or_default()
+    }
+
+    /// A session is up: a new one, which carries the whole table.
+    fn establish(&mut self) {
+        self.state = PeerState::Established;
+        self.open_attempts = 0;
+        self.announced = 0;
+        self.confirmed = false;
     }
 
     /// Feeds a message received from the router.
     pub fn push_msg(&mut self, now: SimTime, msg: BgpMsg) {
         match msg {
-            BgpMsg::Open(open) => {
-                let _ = open;
-                if self.state == PeerState::Idle {
+            // The router opens a session: from Idle, or over a confirmed
+            // one when it restarted. Either is a new session, which we open
+            // too (in OpenSent we already have) and then replay from the
+            // start. An unconfirmed session takes its OPEN as the handshake.
+            BgpMsg::Open(_) => {
+                let handshake = self.state == PeerState::Established && !self.confirmed;
+                if !handshake && self.state != PeerState::OpenSent {
                     self.send(&BgpMsg::Open(OpenMsg::new(self.asn, 90, self.addr)));
                 }
                 self.send(&BgpMsg::Keepalive);
-                self.state = PeerState::Established;
-                self.open_attempts = 0;
+                if !handshake {
+                    self.establish();
+                }
                 self.last_keepalive = now;
             }
-            BgpMsg::Keepalive => {
-                if self.state == PeerState::OpenSent {
-                    self.state = PeerState::Established;
-                    self.open_attempts = 0;
-                }
-            }
+            BgpMsg::Keepalive => match self.state {
+                PeerState::OpenSent => self.establish(),
+                PeerState::Established => self.confirmed = true,
+                PeerState::Idle => {}
+            },
             BgpMsg::Notification(_) => {
                 self.state = PeerState::Idle;
             }
@@ -206,20 +231,16 @@ impl ExternalPeer {
                     .last_batch
                     .map(|t| now.since(t) >= SimDuration::from_millis(50))
                     .unwrap_or(true);
-                if pacing_ok && !self.pending.is_empty() {
+                if pacing_ok && !self.pending().is_empty() {
                     self.last_batch = Some(now);
                 }
                 for _ in 0..self.msgs_per_tick {
-                    if !pacing_ok || self.pending.is_empty() {
+                    if !pacing_ok || self.pending().is_empty() {
                         break;
                     }
-                    let mut nlri = Vec::with_capacity(self.batch);
-                    for _ in 0..self.batch {
-                        match self.pending.pop_front() {
-                            Some(p) => nlri.push(p),
-                            None => break,
-                        }
-                    }
+                    let pending = self.pending();
+                    let nlri = pending[..self.batch.min(pending.len())].to_vec();
+                    self.announced += nlri.len();
                     self.send(&BgpMsg::Update(UpdateMsg {
                         withdrawn: vec![],
                         attrs: vec![
@@ -238,7 +259,7 @@ impl ExternalPeer {
     /// Next instant this peer needs servicing.
     pub fn next_wakeup(&self, now: SimTime) -> SimTime {
         match self.state {
-            PeerState::Established if !self.pending.is_empty() => {
+            PeerState::Established if !self.pending().is_empty() => {
                 // 2 × 250 routes per 50 ms ≈ 10k routes/s — the sustained
                 // rate of a production BGP feed, which is what makes E5's
                 // convergence time injection-dominated like the paper's.
@@ -329,6 +350,38 @@ mod tests {
             assert!(polls < 100, "feed must finish (10k routes / 500 per poll)");
         }
         assert_eq!(p.announced(), 10_000);
+    }
+
+    #[test]
+    fn a_new_session_replays_the_table_and_a_handshake_open_does_not() {
+        let open = || BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1)));
+        let kinds = |msgs: Vec<BgpMsg>| -> Vec<&str> {
+            let kind = |m: &BgpMsg| match m {
+                BgpMsg::Open(_) => "open",
+                BgpMsg::Keepalive => "keepalive",
+                BgpMsg::Update(u) if u.nlri.len() == 250 => "update",
+                _ => "other",
+            };
+            msgs.iter().map(kind).collect()
+        };
+        let mut p = peer(750);
+        p.push_msg(SimTime(0), open());
+        let first = kinds(poll(&mut p, SimTime(50)));
+        assert_eq!(first, ["open", "keepalive", "update", "update"]);
+        // The router resends its OPEN when ours crosses it: the handshake,
+        // confirmed, not a new session.
+        p.push_msg(SimTime(60), open());
+        assert_eq!(kinds(poll(&mut p, SimTime(70))), ["keepalive"]);
+        p.push_msg(SimTime(80), BgpMsg::Keepalive);
+        let _ = poll(&mut p, SimTime(100));
+        assert!(p.done() && p.announced() == 750);
+        // A restarted router opens a new session over the confirmed one:
+        // the feed opens too and starts over, at the same pace.
+        p.push_msg(SimTime(200), open());
+        assert!(!p.done() && p.announced() == 0);
+        assert_eq!(kinds(poll(&mut p, SimTime(250))), first);
+        let _ = poll(&mut p, SimTime(300));
+        assert!(p.done() && p.announced() == 750);
     }
 
     #[test]

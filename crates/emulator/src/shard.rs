@@ -867,8 +867,12 @@ impl Shard {
                         peer.push_msg(now, msg);
                         fleet.messages_delivered += 1;
                     }
-                    if !was_done && peer.done() {
-                        fleet.feed_drained(now);
+                    match (was_done, peer.done()) {
+                        (false, true) => fleet.feed_drained(now),
+                        // A new session replays the feed: it is not drained
+                        // until it is again.
+                        (true, false) => fleet.feeds_done -= 1,
+                        _ => {}
                     }
                     self.schedule_ext_poll(fleet, idx, SimTime(now.0 + 1));
                 }

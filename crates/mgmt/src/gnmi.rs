@@ -85,36 +85,42 @@ pub(crate) struct DeviceState {
     interfaces: Vec<(IfaceId, bool, Option<IfaceAddr>, bool)>,
     /// Shared with the read before when the FIB has not moved since.
     aft: Arc<Aft>,
-    /// When the AFT was read; not a leaf, so no part of equality.
+    /// When the AFT was read; not a leaf.
     epoch: FibEpoch,
     bgp_neighbors: Vec<NeighborSummary>,
     isis_adjacencies: Vec<AdjacencyInfo>,
 }
 
-/// Leaf by leaf (a shared AFT is equal unread: `Arc`'s `Eq` fast path).
-impl PartialEq for DeviceState {
-    fn eq(&self, other: &DeviceState) -> bool {
-        (&self.system, &self.interfaces, &self.aft)
-            == (&other.system, &other.interfaces, &other.aft)
-            && self.bgp_neighbors == other.bgp_neighbors
-            && self.isis_adjacencies == other.isis_adjacencies
-    }
+/// `router`'s `/interfaces/interface` leaves, read in place.
+fn interfaces(
+    router: &VirtualRouter,
+) -> impl Iterator<Item = (&IfaceId, bool, Option<IfaceAddr>, bool)> {
+    let interfaces = router.config().interfaces.iter();
+    interfaces.map(|i| {
+        (
+            &i.name,
+            !i.shutdown,
+            i.addr,
+            i.routed || i.name.is_loopback(),
+        )
+    })
 }
 
 impl DeviceState {
     /// Reads the device: no tree, nothing serialised. A FIB still at the
     /// epoch of `last` is not read again: its AFT is `last`'s.
     pub(crate) fn read(router: &VirtualRouter, last: Option<&DeviceState>) -> DeviceState {
-        let (config, bgp, isis) = (router.config(), router.bgp_engine(), router.isis_engine());
-        let interfaces = config.interfaces.iter().map(|i| {
-            let l3 = i.routed || i.name.is_loopback();
-            (i.name.clone(), !i.shutdown, i.addr, l3)
-        });
-        let epoch = router.fib_epoch();
         let aft = match last {
-            Some(last) if last.epoch == epoch => Arc::clone(&last.aft),
+            Some(last) if last.fib_unmoved(router) => Arc::clone(&last.aft),
             _ => Arc::new(Aft::from_fib(router.fib())),
         };
+        DeviceState::with_aft(router, aft)
+    }
+
+    fn with_aft(router: &VirtualRouter, aft: Arc<Aft>) -> DeviceState {
+        let (config, bgp, isis) = (router.config(), router.bgp_engine(), router.isis_engine());
+        let interfaces =
+            interfaces(router).map(|(name, on, addr, l3)| (name.clone(), on, addr, l3));
         DeviceState {
             system: (
                 config.hostname.clone(),
@@ -123,15 +129,47 @@ impl DeviceState {
             ),
             interfaces: interfaces.collect(),
             aft,
-            epoch,
-            bgp_neighbors: bgp.map(|b| b.summaries()).unwrap_or_default(),
-            isis_adjacencies: isis.map(|i| i.adjacencies()).unwrap_or_default(),
+            epoch: router.fib_epoch(),
+            bgp_neighbors: bgp.into_iter().flat_map(|b| b.summaries()).collect(),
+            isis_adjacencies: isis.into_iter().flat_map(|i| i.adjacencies()).collect(),
         }
     }
 
-    /// Did this read take its AFT from `last`'s?
-    pub(crate) fn shares_aft(&self, last: &DeviceState) -> bool {
-        Arc::ptr_eq(&self.aft, &last.aft)
+    /// Reads the device again over this state, the one read before: `None`
+    /// where every leaf is what this state holds, else the new state. The
+    /// leaves are compared in place, so a read that finds nothing moved
+    /// allocates nothing unless the FIB's epoch moved; an AFT read at a new
+    /// epoch with the entries this state holds moves it to that epoch.
+    pub(crate) fn reread(&mut self, router: &VirtualRouter) -> Option<DeviceState> {
+        let aft = (!self.fib_unmoved(router)).then(|| Aft::from_fib(router.fib()));
+        if aft.as_ref().is_none_or(|aft| *aft == *self.aft) && self.holds_leaves_of(router) {
+            self.epoch = router.fib_epoch();
+            return None;
+        }
+        let aft = aft.map_or_else(|| Arc::clone(&self.aft), Arc::new);
+        Some(DeviceState::with_aft(router, aft))
+    }
+
+    /// Whether every leaf but the AFT is `router`'s.
+    fn holds_leaves_of(&self, router: &VirtualRouter) -> bool {
+        let (config, bgp, isis) = (router.config(), router.bgp_engine(), router.isis_engine());
+        let (hostname, version, up) = &self.system;
+        let leaves = self.interfaces.iter();
+        *hostname == config.hostname
+            && *version == router.profile().sw_version
+            && *up == router.is_running()
+            && leaves
+                .map(|(name, on, addr, l3)| (name, *on, *addr, *l3))
+                .eq(interfaces(router))
+            && (bgp.into_iter().flat_map(|b| b.summaries())).eq(self.bgp_neighbors.iter().cloned())
+            && (isis.into_iter().flat_map(|i| i.adjacencies()))
+                .eq(self.isis_adjacencies.iter().cloned())
+    }
+
+    /// Whether `router`'s FIB is still at the epoch this state's AFT was
+    /// read at.
+    pub(crate) fn fib_unmoved(&self, router: &VirtualRouter) -> bool {
+        self.epoch == router.fib_epoch()
     }
 }
 

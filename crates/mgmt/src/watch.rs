@@ -286,27 +286,18 @@ impl Watcher {
         I: IntoIterator<Item = (NodeId, Option<&'a VirtualRouter>)>,
     {
         let mut report = TickReport::default();
+        // The table is set aside while its streams are worked on in place,
+        // so every helper stays a plain &mut self method; no helper reads it.
+        let mut streams = std::mem::take(&mut self.streams);
         for (node, router) in nodes {
-            self.tick_node(now, node, router, &mut report);
+            let s = streams.entry(node.clone()).or_insert_with(NodeStream::new);
+            self.deliver_due(now, &node, s, &mut report);
+            self.check_silence(now, &node, s);
+            self.try_resync(now, &node, router, s, &mut report);
+            self.emit_device(now, router, s);
         }
+        self.streams = streams;
         report
-    }
-
-    fn tick_node(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        router: Option<&VirtualRouter>,
-        report: &mut TickReport,
-    ) {
-        // Take the stream out while we work on it: sidesteps split-borrow
-        // pain and keeps every helper a plain &mut self method.
-        let mut s = self.streams.remove(&node).unwrap_or_else(NodeStream::new);
-        self.deliver_due(now, &node, &mut s, report);
-        self.check_silence(now, &node, &mut s);
-        self.try_resync(now, &node, router, &mut s, report);
-        self.emit_device(now, router, &mut s);
-        self.streams.insert(node, s);
     }
 
     /// Stateless per-batch fault roll: `(dropped, session_lost)`.
@@ -469,7 +460,8 @@ impl Watcher {
         self.stats.resync_attempts += 1;
         let snapshot = router.and_then(|r| {
             self.work.device_renders += 1;
-            let state = self.read(r, s.device_last.as_ref());
+            self.count_read(r, s.device_last.as_ref());
+            let state = DeviceState::read(r, s.device_last.as_ref());
             match Telemetry::from_state(&state) {
                 Ok(t) => Some((state, t)),
                 Err(_) => {
@@ -530,17 +522,15 @@ impl Watcher {
             // the client's silence timeout will notice.
             return;
         };
-        let current = self.read(router, s.device_last.as_ref());
-        let Some(last) = &s.device_last else {
+        let Some(last) = &mut s.device_last else {
             return;
         };
+        self.count_read(router, Some(last));
         // An unchanged state renders to the tree already streamed, which it
-        // rendered to once without error: nothing to render or diff. It
-        // becomes the base all the same, for the epoch it was read at.
-        if *last == current {
-            s.device_last = Some(current);
+        // rendered to once without error: nothing to render or diff.
+        let Some(current) = last.reread(router) else {
             return self.emit(now, s, Vec::new());
-        }
+        };
         self.work.device_renders += 1;
         let (Ok(old), Ok(new)) = (Telemetry::from_state(last), Telemetry::from_state(&current))
         else {
@@ -551,12 +541,11 @@ impl Watcher {
         self.emit(now, s, diff(&old, &new));
     }
 
-    /// One typed read of `router`, counted; see [`DeviceState::read`].
-    fn read(&mut self, router: &VirtualRouter, last: Option<&DeviceState>) -> DeviceState {
+    /// Counts a typed read of `router` over `last`, the state read before,
+    /// and whether it takes `last`'s AFT, the FIB being at its epoch.
+    fn count_read(&mut self, router: &VirtualRouter, last: Option<&DeviceState>) {
         self.work.device_reads += 1;
-        let state = DeviceState::read(router, last);
-        self.work.aft_reuses += u64::from(last.is_some_and(|last| state.shares_aft(last)));
-        state
+        self.work.aft_reuses += u64::from(last.is_some_and(|last| last.fib_unmoved(router)));
     }
 
     /// Queues `updates` as the next batch — or, if there are none, a

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
-use mfv_mgmt::gnmi::{apply, diff, Telemetry};
+use mfv_mgmt::gnmi::{apply, diff, Telemetry, Update};
 use serde_json::Value;
 
 /// Arbitrary JSON state trees of bounded depth.
@@ -36,6 +36,16 @@ fn arb_value(depth: u32) -> BoxedStrategy<Value> {
             .prop_map(|kvs| { Value::Object(kvs.into_iter().collect()) }),
     ]
     .boxed()
+}
+
+/// An update no diff would make: a path over a small alphabet (so paths
+/// overlap, repeat and run under leaves; sometimes empty, with stray
+/// slashes), replaced with any tree or deleted.
+fn arb_update() -> BoxedStrategy<Update> {
+    let path = proptest::collection::vec("[ab/]{0,2}", 0..4).prop_map(|segs| segs.join("/"));
+    (path, proptest::option::of(arb_value(2)))
+        .prop_map(|(path, value)| Update { path, value })
+        .boxed()
 }
 
 fn bytes(v: &Value) -> String {
@@ -96,5 +106,19 @@ proptest! {
     fn self_diff_is_empty(v in arb_value(3)) {
         let t = Telemetry::from_root(v);
         prop_assert!(diff(&t, &t).is_empty());
+    }
+
+    // Hostile batches, not canonical: overlapping and repeated paths,
+    // deletes of absent ones, replacements under leaves. Applying one never
+    // panics, and the tree it yields diffs and applies like any other.
+    #[test]
+    fn any_update_batch_applies(
+        base in arb_value(2),
+        updates in proptest::collection::vec(arb_update(), 0..8),
+    ) {
+        let base = Telemetry::from_root(base);
+        let applied = apply(&base, &updates);
+        let rebuilt = apply(&base, &diff(&base, &applied));
+        prop_assert_eq!(bytes(rebuilt.root()), bytes(applied.root()));
     }
 }

@@ -6,7 +6,9 @@
 //! the shared sink every pipeline stage flushes into: a metrics registry
 //! ([`Metrics`]: counters, gauges, log2-bucket histograms), span-style phase
 //! timers ([`SimPhases`] on the virtual clock, [`WallSection`] on the real
-//! one), and a ring-buffered structured event journal ([`Journal`]).
+//! one), and a ring-buffered structured event journal ([`Journal`]). What
+//! code costs in heap is counted apart, by the one counting allocator a
+//! binary or test can register ([`alloc::Accountant`]).
 //!
 //! # Determinism contract
 //!
@@ -45,6 +47,7 @@
     clippy::allow_attributes_without_reason
 )]
 
+pub mod alloc;
 pub mod journal;
 pub mod json;
 pub mod metrics;

@@ -1031,24 +1031,21 @@ impl BgpEngine {
     /// Introspection: per-neighbor summaries. `prefixes_sent` counts the
     /// entries of the group's Adj-RIB-Out the peer sees, and is 0 for a
     /// session that is not in sync with it.
-    pub fn summaries(&self) -> Vec<NeighborSummary> {
-        self.sessions
-            .iter()
-            .map(|(peer, s)| {
-                let in_sync =
-                    s.state == SessionState::Established && !self.full_advert_peers.contains(peer);
-                let table = self.groups[s.group].table.values();
-                let seen = table.filter(|a| a.learned_from != Some(*peer));
-                let slots = self.table.slots.iter().map(|(_, s)| s.paths.as_slice());
-                NeighborSummary {
-                    peer: *peer,
-                    remote_as: s.cfg.remote_as,
-                    state: s.state,
-                    prefixes_received: slots.filter(|p| p.iter().any(|p| p.from == *peer)).count(),
-                    prefixes_sent: if in_sync { seen.count() } else { 0 },
-                }
-            })
-            .collect()
+    pub fn summaries(&self) -> impl Iterator<Item = NeighborSummary> + '_ {
+        self.sessions.iter().map(|(peer, s)| {
+            let in_sync =
+                s.state == SessionState::Established && !self.full_advert_peers.contains(peer);
+            let table = self.groups[s.group].table.values();
+            let seen = table.filter(|a| a.learned_from != Some(*peer));
+            let slots = self.table.slots.iter().map(|(_, s)| s.paths.as_slice());
+            NeighborSummary {
+                peer: *peer,
+                remote_as: s.cfg.remote_as,
+                state: s.state,
+                prefixes_received: slots.filter(|p| p.iter().any(|p| p.from == *peer)).count(),
+                prefixes_sent: if in_sync { seen.count() } else { 0 },
+            }
+        })
     }
 
     pub fn session_state(&self, peer: Ipv4Addr) -> Option<SessionState> {
@@ -1965,11 +1962,11 @@ mod tests {
         pair.a
             .set_originated([pfx("203.0.113.0/24"), pfx("198.51.100.0/24")]);
         pair.settle();
-        let sums = pair.a.summaries();
+        let sums: Vec<_> = pair.a.summaries().collect();
         assert_eq!(sums.len(), 1);
         assert_eq!(sums[0].state, SessionState::Established);
         assert_eq!(sums[0].prefixes_sent, 2);
-        let sums_b = pair.b.summaries();
+        let sums_b: Vec<_> = pair.b.summaries().collect();
         assert_eq!(sums_b[0].prefixes_received, 2);
     }
 
@@ -2266,7 +2263,7 @@ mod tests {
         // clients share one Adj-RIB-Out, of which each sees 1,000 entries.
         assert_eq!(handles.len(), 3750);
         assert_eq!(rr.groups.len(), 1);
-        assert!(rr.summaries().iter().all(|s| s.prefixes_sent == 1000));
+        assert!(rr.summaries().all(|s| s.prefixes_sent == 1000));
         assert_eq!(distinct_and_shared(&handles), 25);
         assert_eq!(rr.attr_sets(), 25);
 

@@ -564,16 +564,13 @@ impl IsisEngine {
     }
 
     /// Current adjacency table.
-    pub fn adjacencies(&self) -> Vec<AdjacencyInfo> {
-        self.adjacencies
-            .iter()
-            .map(|a| AdjacencyInfo {
-                iface: a.iface.clone(),
-                state: a.state,
-                neighbor: a.neighbor,
-                neighbor_addr: a.neighbor_addr,
-            })
-            .collect()
+    pub fn adjacencies(&self) -> impl Iterator<Item = AdjacencyInfo> + '_ {
+        self.adjacencies.iter().map(|a| AdjacencyInfo {
+            iface: a.iface.clone(),
+            state: a.state,
+            neighbor: a.neighbor,
+            neighbor_addr: a.neighbor_addr,
+        })
     }
 
     /// The LSDB, in LSP id order (`show isis database`).
@@ -624,6 +621,7 @@ impl IsisEngine {
                     changes.push((prefix, Some(rib_route(prefix, metric, hops, first_hops))));
                 }
             });
+            shrink_to_run(&mut changes);
         }
         self.spf.changes = changes;
         self.spf.changes.drain(..)
@@ -667,8 +665,9 @@ impl IsisEngine {
     /// check, then the route pass. Hands `route`, in prefix order, each
     /// prefix the run can have moved (see below): its metric and equal-cost
     /// first hops (indices into the first hops, in discovery order), or
-    /// `None` where no reached system advertises it. The run allocates
-    /// nothing: its buffers are the engine's, grown to the largest run.
+    /// `None` where no reached system advertises it. A run no larger than
+    /// the last allocates nothing: its buffers are the engine's, grown to
+    /// the largest run and shrunk back after a much smaller one.
     fn spf(&mut self, mut route: impl FnMut(Prefix, Option<(u32, &[u16])>, &[FirstHop])) {
         let graph = &self.graph;
         // Our own LSP is installed at construction and never leaves.
@@ -795,6 +794,8 @@ impl IsisEngine {
             }
             route(prefix, Some((metric, best.as_slice())), &first_hops);
         }
+        shrink_to_run(&mut reach);
+        shrink_to_run(&mut moved);
         moved.clear();
         (state.readvertised, state.reach, state.first_hops) = (moved, reach, first_hops);
         std::mem::swap(&mut state.now, &mut state.last);
@@ -976,6 +977,21 @@ impl SpfGraph {
     }
 }
 
+/// The entries a per-prefix SPF buffer keeps room for, whatever its runs
+/// need: a run that moves a handful of prefixes allocates nothing.
+const SPF_BUFFER_FLOOR: usize = 4;
+
+/// Gives back what a per-prefix SPF buffer, holding a run's entries, has
+/// beyond twice that run or twice the floor: one grown by a full route pass
+/// shrinks once later runs move a handful, so the engine does not keep its
+/// largest pass for life, and runs of a steady size allocate nothing.
+fn shrink_to_run<T>(buf: &mut Vec<T>) {
+    let keep = 2 * buf.len().max(SPF_BUFFER_FLOOR);
+    if buf.capacity() > keep {
+        buf.shrink_to(keep);
+    }
+}
+
 /// SPF's buffers and what the route pass needs of the last run, boxed so
 /// an engine stays small inline.
 #[derive(Clone, Default)]
@@ -995,7 +1011,9 @@ struct SpfState {
     evaluations: u64,
     /// The buffers of a run's first hops, its route pass's reach entries
     /// `(prefix, metric, system)` and one prefix's merged first hops, and
-    /// the changes [`IsisEngine::take_route_changes`] drains.
+    /// the changes [`IsisEngine::take_route_changes`] drains. The
+    /// per-prefix ones shrink back after a run far smaller than their
+    /// capacity ([`shrink_to_run`]).
     first_hops: Vec<FirstHop>,
     reach: Vec<(Prefix, u32, u32)>,
     best: Vec<u16>,
@@ -1309,8 +1327,8 @@ mod tests {
         net.settle();
         // Stop delivering: advance r1 far past hold time.
         net.engines[0].poll(SimTime(net.now.0 + 120_000));
-        let adjs = net.engines[0].adjacencies();
-        assert!(adjs.iter().all(|a| a.state == AdjState::Down));
+        let mut adjs = net.engines[0].adjacencies();
+        assert!(adjs.all(|a| a.state == AdjState::Down));
         assert!(net.engines[0].routes().is_empty());
     }
 
@@ -1342,7 +1360,6 @@ mod tests {
         net.settle();
         assert!(net.engines[0]
             .adjacencies()
-            .iter()
             .all(|a| a.state == AdjState::Down));
     }
 
@@ -1390,7 +1407,6 @@ mod tests {
         // Loopback0 is passive: no adjacency slot exists for it.
         assert!(e
             .adjacencies()
-            .iter()
             .all(|a| a.iface != IfaceId::from("Loopback0")));
         // But its prefix is in our LSP.
         let own = e.lsdb.get(&LspId::of(sys(1))).unwrap();

@@ -248,6 +248,12 @@ pub fn query_once(
             "server closed before replying",
         ));
     }
+    if !header.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "reply header cut short",
+        ));
+    }
     let mut parts = header.split_whitespace();
     let tag = parts.next().unwrap_or("");
     let ok = match tag {
@@ -264,8 +270,17 @@ pub fn query_once(
         .next()
         .and_then(|l| l.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad reply length"))?;
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    // The claimed length is allocated up front only up to 64 KiB; past that
+    // the payload grows as it arrives, so a header cannot make the client
+    // allocate what never comes.
+    let mut payload = Vec::with_capacity(len.min(64 << 10));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "reply payload cut short",
+        ));
+    }
     let text = String::from_utf8(payload)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 payload"))?;
     Ok((ok, text))

@@ -1,6 +1,7 @@
 //! End-to-end tests for the query front end: protocol behaviour over a
-//! real TCP socket, and the determinism contract — concurrent clients get
-//! byte-identical answers at any worker count.
+//! real TCP socket, the determinism contract — concurrent clients get
+//! byte-identical answers at any worker count — and hostile input: any
+//! request line, and any reply cut short.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, BufWriter};
@@ -9,8 +10,10 @@ use std::sync::Arc;
 
 use mfv_dataplane::Dataplane;
 use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
-use mfv_serve::{query_once, QueryIndex, Reply, Server, ServerConfig};
+use mfv_serve::{encode, query_once, QueryIndex, Reply, Server, ServerConfig};
 use mfv_types::{LinkId, NodeId, Prefix, RouteProtocol};
+use proptest::prelude::*;
+use proptest::strategy::BoxedStrategy;
 
 /// A line of `n` routers r00..r{n-1}: each owns 10.0.i.1, routes
 /// 10.0.0.0/16 left or right toward the owner, with a hole at the far
@@ -335,4 +338,48 @@ fn idle_connections_are_closed_so_workers_come_back() {
     }
     drop((reader, writer));
     handle.shutdown();
+}
+
+/// A request word: a command, a node the index knows or does not, an
+/// address, a scope, or junk.
+fn word() -> BoxedStrategy<String> {
+    let commands = ["REACH", "FATE", "TRACE", "DIFF", "NODES", "QUIT", "reach"];
+    prop_oneof![
+        (0..commands.len()).prop_map(move |i| commands[i].to_string()),
+        "r0[0-6]",
+        "10.0.[0-9].[0-9]{1,3}",
+        "10.0.0.0/[0-9]{1,2}",
+        "[a-zA-Z0-9./:é€-]{0,6}",
+    ]
+    .boxed()
+}
+
+proptest! {
+    // Any payload, newlines and multi-byte UTF-8 included, reads back as
+    // it was encoded; every reply cut short is refused, never a panic.
+    #[test]
+    fn an_encoded_reply_reads_back_and_a_cut_one_is_refused(
+        ok in any::<bool>(),
+        payload in "[a-z0-9 :/.\n\té€😀-]{0,40}",
+    ) {
+        let reply = if ok { Reply::Ok(payload.clone()) } else { Reply::Err(payload.clone()) };
+        let bytes = encode(&reply);
+        let read = |bytes: &[u8]| query_once(&mut &bytes[..], &mut std::io::sink(), "NODES");
+        prop_assert_eq!(read(&bytes).ok(), Some((ok, payload)));
+        for cut in 0..bytes.len() {
+            prop_assert!(read(&bytes[..cut]).is_err(), "{:?}", &bytes[..cut]);
+        }
+    }
+
+    // Any line of command words, node names, addresses and junk: an
+    // answer, and the same one when asked again.
+    #[test]
+    fn any_request_line_is_answered_the_same_way_twice(
+        words in proptest::collection::vec(word(), 0..6),
+        tab in any::<bool>(),
+    ) {
+        let index = QueryIndex::with_baseline(&line_dp(5), &line_dp(4));
+        let line = words.join(if tab { "\t" } else { " " });
+        prop_assert_eq!(index.handle(&line), index.handle(&line), "{}", line);
+    }
 }

@@ -102,8 +102,8 @@ impl IfaceId {
     /// Loopback interfaces never carry link traffic and are IGP-passive by
     /// default on both vendor OSes we emulate.
     pub fn is_loopback(&self) -> bool {
-        let lower = self.0.to_ascii_lowercase();
-        lower.starts_with("loopback") || lower.starts_with("lo")
+        let head = self.0.as_bytes().get(..2);
+        head.is_some_and(|head| head.eq_ignore_ascii_case(b"lo"))
     }
 }
 

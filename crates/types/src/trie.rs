@@ -316,25 +316,28 @@ impl<V> PrefixTrie<V> {
     /// The stored prefixes at and below `from` — a node, the bits above
     /// it, its depth — in trie (lexicographic) order, each with its value's
     /// index; with `prune`, none below another one under `from`. An
-    /// explicit stack, one allocation of 33 entries: a level holds at most
-    /// one node waiting for its sibling.
+    /// explicit stack of 33 entries, held inline so a walk allocates
+    /// nothing: a level holds at most one node waiting for its sibling.
     fn walk(
         &self,
         from: Option<(u32, u32, u8)>,
         prune: bool,
     ) -> impl Iterator<Item = (Prefix, u32)> + '_ {
-        let mut stack = Vec::with_capacity(if from.is_some() { 33 } else { 0 });
-        stack.extend(from);
+        let mut stack = [(0, 0, 0); 33];
+        stack[0] = from.unwrap_or_default();
+        let mut len = usize::from(from.is_some());
         let top = from.map_or(0, |(_, _, depth)| depth);
         std::iter::from_fn(move || loop {
-            let (at, bits, depth) = stack.pop()?;
+            len = len.checked_sub(1)?;
+            let (at, bits, depth) = stack[len];
             let node = &self.nodes[at as usize];
             if let Some(k) = skip_len(node) {
-                stack.push((
+                stack[len] = (
                     node.children[0],
                     bits | node.children[1] >> depth,
                     depth + k,
-                ));
+                );
+                len += 1;
                 continue;
             }
             let held = self.held(at);
@@ -344,7 +347,8 @@ impl<V> PrefixTrie<V> {
             {
                 if node.children[b] != 0 {
                     let bits = bits | (b as u32) << (31 - u32::from(depth));
-                    stack.push((node.children[b], bits, depth + 1));
+                    stack[len] = (node.children[b], bits, depth + 1);
+                    len += 1;
                 }
             }
             if let Some(value) = held {

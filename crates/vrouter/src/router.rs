@@ -1016,10 +1016,8 @@ mod tests {
         settle(&mut r1, &mut r2, SimTime::ZERO);
 
         // IS-IS adjacency up, BGP established, loopbacks exchanged.
-        let adj = r1.isis_engine().unwrap().adjacencies();
-        assert!(adj
-            .iter()
-            .all(|a| matches!(a.state, mfv_wire::isis::AdjState::Up)));
+        let mut adj = r1.isis_engine().unwrap().adjacencies();
+        assert!(adj.all(|a| matches!(a.state, mfv_wire::isis::AdjState::Up)));
         assert_eq!(
             r1.bgp_engine()
                 .unwrap()
@@ -1061,10 +1059,8 @@ mod tests {
             poll(r, SimTime(now.0 + 1000));
             let entry = r.fib().get(&link_subnet).expect("connected /31 stays");
             assert_eq!(entry.proto, RouteProtocol::Connected);
-            let adj = r.isis_engine().unwrap().adjacencies();
-            assert!(adj
-                .iter()
-                .all(|a| matches!(a.state, mfv_wire::isis::AdjState::Down)));
+            let mut adj = r.isis_engine().unwrap().adjacencies();
+            assert!(adj.all(|a| matches!(a.state, mfv_wire::isis::AdjState::Down)));
         }
         // The IS-IS route to the far loopback went with the adjacency.
         assert!(r1

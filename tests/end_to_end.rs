@@ -5,9 +5,9 @@ use std::collections::BTreeMap;
 
 use model_free_verification::config::{IfaceSpec, RouterSpec, Vendor};
 use model_free_verification::core::{scenarios, Backend, EmulationBackend, ModelBackend, Snapshot};
-use model_free_verification::emulator::{NodeSpec, Topology};
+use model_free_verification::emulator::{ChaosPlan, NodeSpec, Topology};
 use model_free_verification::mgmt::{collect_afts, dataplane_from_afts, Telemetry};
-use model_free_verification::types::{AsNum, IpSet, NodeId};
+use model_free_verification::types::{AsNum, IpSet, NodeId, SimDuration, SimTime};
 use model_free_verification::verify::{self, ForwardingAnalysis};
 use model_free_verification::wire::isis::IsisPdu;
 
@@ -152,4 +152,35 @@ fn a_converged_grid_floods_each_lsp_as_its_encoding() {
         }
     }
     assert_eq!(lsps, 6 * 6, "six routers, each holding all six LSPs");
+}
+
+#[test]
+fn a_feed_replays_its_table_to_a_router_that_comes_back() {
+    // Nine routers on two machines; r1 and r5 are each fed 50 routes by an
+    // external peer. A killed routing process and a failed machine bring
+    // fed routers back with empty tables, opening a new session to their
+    // feed. A feed that announced its table once, and answered that OPEN
+    // with a bare KEEPALIVE, left 632 and 182 of the 1,082 FIB entries.
+    let snapshot = scenarios::production_wan(9, 2, true, 50);
+    let backend = EmulationBackend {
+        cluster_machines: 2,
+        ..EmulationBackend::with_seed(1)
+    };
+    let (converged, meta) = backend.run(&snapshot).expect("wan boots");
+    assert!(meta.converged);
+    let clean = converged.dataplane();
+    assert_eq!(clean.total_entries(), 1_082);
+    let after = converged.now() + SimDuration::from_secs(60) - SimTime::ZERO;
+    let faults = [
+        ChaosPlan::new().kill_routing("r1", SimTime::ZERO),
+        ChaosPlan::new().fail_machine("node-0", SimTime::ZERO),
+    ];
+    for fault in faults {
+        let mut emu = converged.clone();
+        emu.schedule_chaos(&fault.shifted(after));
+        assert!(emu.run_until_converged().converged, "{fault:?}");
+        let healed = emu.dataplane();
+        assert_eq!(healed.total_entries(), 1_082, "{fault:?}");
+        assert_eq!(healed.digest(), clean.digest(), "{fault:?}");
+    }
 }

@@ -5,7 +5,7 @@
 //! dump allowed to differ between replays. This is the committed twin of the
 //! CI obs-smoke step (which diffs two `experiments chaos --obs-json` dumps).
 
-use model_free_verification::core::{observed_query, scenarios, EmulationBackend};
+use model_free_verification::core::{observed_query, scenarios, Backend, EmulationBackend};
 use model_free_verification::obs::Obs;
 use model_free_verification::verify::{unreachable_pairs_with, ForwardingAnalysis};
 
@@ -14,22 +14,22 @@ use model_free_verification::verify::{unreachable_pairs_with, ForwardingAnalysis
 /// and one observed verification query whose analysis flushes its class
 /// index counters.
 fn observed_run(seed: u64) -> Obs {
-    let mut obs = Obs::new();
     let mut backend = EmulationBackend::with_seed(seed);
     backend.collector.failures.seed = seed;
     backend.collector.failures.transient_error_pct = 30;
     let snapshot = scenarios::six_node();
-    let result = backend
-        .compute_observed(&snapshot, &mut obs)
+    let mut result = backend
+        .compute(&snapshot)
         .expect("six-node scenario converges");
+    let obs = &mut result.obs;
     assert!(result.meta.converged);
     let fa = ForwardingAnalysis::new(&result.dataplane);
-    let reports = observed_query(&mut obs, "verify.query.unreachable_pairs", || {
+    let reports = observed_query(obs, "verify.query.unreachable_pairs", || {
         unreachable_pairs_with(&fa)
     });
     assert!(reports.is_empty(), "six-node scenario is fully reachable");
-    fa.observe_into(&mut obs, None);
-    obs
+    fa.observe_into(obs, None);
+    result.obs
 }
 
 #[test]

@@ -24,12 +24,14 @@ struct Row {
 
 /// How often each `|`-separated pattern may occur in a file's view. `Names`:
 /// each match names a file, its path with the word `@` read for `@`.
+/// `Once`: one match across all the row's files together.
 enum Rule {
     Absent(&'static str),
     Present(&'static str),
     Exactly(usize, &'static str),
     AtMost(usize, &'static str),
     Names(&'static str, &'static str),
+    Once(&'static str),
 }
 
 const ALL_RUST: &str = "crates/*/src/*.rs src/*.rs examples/*.rs";
@@ -296,6 +298,14 @@ const ROWS: &[Row] = &[
               called once",
         plant: "let (a, b) = p2p(link_no); let port = ifname(vendor, i);",
     },
+    Row {
+        files: "crates/*/src/*.rs src/*.rs tests/*.rs",
+        rule: Once("impl GlobalAlloc@"),
+        why: "one allocation accountant: heap costs are counted by mfv_obs::alloc, which a \
+              binary or test registers",
+        // Split, so this file does not hold the violation it plants.
+        plant: concat!("unsafe impl Global", "Alloc for PerThreadCounting {}"),
+    },
 ];
 
 /// The tests that hold the same structures by behaviour, as `file::name`.
@@ -335,6 +345,7 @@ const REQUIRED: &[&str] = &[
     "crates/mgmt/src/watch.rs::a_rescheduled_router_at_the_streamed_version_is_read_again",
     "crates/vrouter/src/router.rs::a_fib_epoch_names_one_instance_and_moves_with_its_fib",
     "tests/work_ceiling.rs::an_spf_run_allocates_only_the_routes_it_hands_out",
+    "tests/work_ceiling.rs::a_quiet_watch_tick_allocates_nothing",
 ];
 
 /// The files `glob` names. Tests run in the repository root.
@@ -423,8 +434,14 @@ fn match_at<'t>(pattern: &[u8], text: &'t str, i: usize) -> Option<(usize, &'t s
 }
 
 fn patterns(rule: &Rule) -> &'static str {
-    let (Absent(p) | Present(p) | Exactly(_, p) | AtMost(_, p) | Names(_, p)) = *rule;
+    let (Absent(p) | Present(p) | Exactly(_, p) | AtMost(_, p) | Names(_, p) | Once(p)) = *rule;
     p
+}
+
+/// The matches of `pattern` in `view`, each with the word `@` read.
+fn hits<'t>(pattern: &str, view: &'t str) -> Vec<&'t str> {
+    let hits = (0..view.len()).filter_map(|i| match_at(pattern.as_bytes(), view, i));
+    hits.map(|(_, word)| word).collect()
 }
 
 /// What `row` finds wrong with `file`'s text: one line per failing pattern.
@@ -439,13 +456,13 @@ fn violations(row: &Row, file: &str, text: &str) -> Vec<String> {
     }
     let mut out = Vec::new();
     for pattern in patterns(&row.rule).split('|') {
-        let hits = (0..view.len()).filter_map(|i| match_at(pattern.as_bytes(), &view, i));
-        let found: Vec<&str> = hits.map(|(_, word)| word).collect();
+        let found = hits(pattern, &view);
         let ok = match row.rule {
             Absent(_) => found.is_empty(),
             Present(_) => !found.is_empty(),
             Exactly(n, _) => found.len() == n,
             AtMost(n, _) => found.len() <= n,
+            Once(_) => found.len() <= 1,
             Names(path, _) => found
                 .iter()
                 .all(|word| Path::new(&path.replace('@', word)).is_file()),
@@ -460,13 +477,20 @@ fn violations(row: &Row, file: &str, text: &str) -> Vec<String> {
 fn every_row_holds_on_the_tree() {
     let mut failures = Vec::new();
     for row in ROWS {
+        let mut across = 0;
         for glob in row.files.split(" > ").next().unwrap_or_default().split(' ') {
             let files = files(glob);
             failures.extend(files.is_empty().then(|| format!("`{glob}` names no file")));
             for file in files {
                 let text = std::fs::read_to_string(&file).expect(&file);
                 failures.extend(violations(row, &file, &text));
+                if let Once(pattern) = row.rule {
+                    across += hits(pattern, &non_test(&text)).len();
+                }
             }
+        }
+        if matches!(row.rule, Once(_)) && across != 1 {
+            failures.push(format!("{}: {across} matches: {}", row.files, row.why));
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -479,6 +503,7 @@ fn every_row_rejects_its_planted_violation() {
     for row in ROWS {
         let plant = match row.rule {
             Exactly(n, _) | AtMost(n, _) => row.plant.repeat(n + 1),
+            Once(_) => row.plant.repeat(2),
             _ => row.plant.to_string(),
         };
         let (found, want) = (violations(row, "plant.rs", &plant), patterns(&row.rule));

@@ -21,19 +21,22 @@
 //! received, and SPF's route pass merges the prefixes a run moved, not
 //! every reached one. And a shard holds a schedule, not a slot per router:
 //! the emulation's bytes barely move with the shard count. And a watch renders
-//! a device's state tree per sync and per change, not per read, and decodes
-//! a mirror per change, not per evaluation. And an IS-IS frame costs one
-//! allocation, its own, on its way through the engine, router and shard.
+//! a device's state tree per sync and per change, not per read, decodes a
+//! mirror per change, not per evaluation, and allocates nothing in a tick
+//! where nothing moved. And an IS-IS frame costs one allocation, its own, on
+//! its way through the engine, router and shard. Heap costs are counted by
+//! the workspace's one counting allocator, `mfv_obs::alloc`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use model_free_verification::core::{extract_snapshot, scenarios, EmulationBackend, Snapshot};
+use model_free_verification::core::{
+    extract_snapshot, scenarios, Backend, EmulationBackend, Snapshot,
+};
 use model_free_verification::emulator::{
     ChaosPlan, Cluster, ConvergenceVerdict, Emulation, EmulationConfig, ShardMode,
 };
 use model_free_verification::mgmt::{Aft, Telemetry, WatchConfig, Watcher};
+use model_free_verification::obs::alloc::{held_by, made, Accountant};
 use model_free_verification::obs::Obs;
 use model_free_verification::routing::rib::GatewayMemo;
 use model_free_verification::routing::{Fib, NextHop, RibRoute};
@@ -41,52 +44,8 @@ use model_free_verification::types::{
     IfaceId, NodeId, Prefix, RouteProtocol, SimDuration, SimTime,
 };
 
-/// The system allocator, counting the calling thread's live bytes, their
-/// high-water mark and its allocations. Per thread, so tests running beside
-/// each other do not see one another.
-struct PerThreadCounting;
-
-thread_local! {
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every request goes to `System` unchanged, so its contract is
-// `System`'s. The counters are const-initialised `Cell`s without
-// destructors: reaching them neither allocates nor re-enters the
-// allocator, and `try_with` covers a thread that is tearing down.
-unsafe impl GlobalAlloc for PerThreadCounting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let _ = LIVE.try_with(|live| {
-                live.set(live.get().wrapping_add(layout.size()));
-                let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-            });
-            let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        let _ = LIVE.try_with(|live| live.set(live.get().wrapping_sub(layout.size())));
-    }
-}
-
 #[global_allocator]
-static ALLOC: PerThreadCounting = PerThreadCounting;
-
-/// Runs `f`; returns its result, the bytes it left live on this thread
-/// (0 if it let go of more than it made), and how far above the starting
-/// level this thread's live bytes rose.
-fn heap_of<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let before = LIVE.get();
-    PEAK.set(before);
-    let out = f();
-    (out, LIVE.get().saturating_sub(before), PEAK.get() - before)
-}
+static ALLOC: Accountant = Accountant;
 
 struct Work {
     /// Router polls × mean FIB size: what a rebuild per poll would touch.
@@ -96,10 +55,10 @@ struct Work {
 }
 
 fn converge(snapshot: &Snapshot) -> Work {
-    let mut obs = Obs::new();
     let result = EmulationBackend::with_seed(1)
-        .compute_observed(snapshot, &mut obs)
+        .compute(snapshot)
         .expect("scenario converges");
+    let obs = &result.obs;
     assert!(result.meta.converged);
     let mean_table = (result.dataplane.total_entries() / snapshot.topology.nodes.len()) as u64;
     Work {
@@ -177,9 +136,9 @@ fn a_fork_copies_no_route() {
         .run(&snapshot)
         .expect("grid boots");
     assert!(meta.converged);
-    let allocs = ALLOCS.get();
+    let before = made();
     let fork = converged.clone();
-    let allocs = ALLOCS.get() - allocs;
+    let allocs = made() - before;
     drop(fork);
     assert!(allocs <= 3_404, "{allocs} allocations to fork the grid");
 }
@@ -195,9 +154,9 @@ fn extraction_holds_one_routers_aft_at_a_time() {
     let router = emu
         .router(&snapshot.topology.nodes[0].name)
         .expect("router booted");
-    let (aft, aft_bytes, _) = heap_of(|| Aft::from_fib(router.fib()));
+    let (aft, (aft_bytes, _), _) = held_by(|| Aft::from_fib(router.fib()));
     drop(aft);
-    let (tree, tree_bytes, _) = heap_of(|| Telemetry::from_router(router).expect("tree"));
+    let (tree, (tree_bytes, _), _) = held_by(|| Telemetry::from_router(router).expect("tree"));
     drop(tree);
 
     // Handed the network, extraction lets go of all but the routers and
@@ -206,8 +165,8 @@ fn extraction_holds_one_routers_aft_at_a_time() {
     // hand and the sweep's tallies: today not at all. Building the
     // dataplane beside the whole emulation rose 127,632 B; one 76,702 B
     // state tree is not built at all.
-    let (extracted, _, transient) =
-        heap_of(|| extract_snapshot(emu, &backend.collector, None, &mut Obs::new()));
+    let (extracted, _, (transient, _)) =
+        held_by(|| extract_snapshot(emu, &backend.collector, None, &mut Obs::new()));
     assert!(extracted.is_complete());
     assert_eq!(extracted.dataplane.digest(), digest);
     assert!(transient < tree_bytes / 10, "{transient} B transient");
@@ -235,7 +194,7 @@ fn a_converged_wan_stores_each_distinct_set_once() {
         cluster_machines: 2,
         ..EmulationBackend::with_seed(1)
     };
-    let ((emu, meta), live, _) = heap_of(|| backend.run(&snapshot).expect("wan boots"));
+    let ((emu, meta), (live, _), _) = held_by(|| backend.run(&snapshot).expect("wan boots"));
     assert!(meta.converged);
     let entries = emu.dataplane().total_entries();
     assert!(entries > 12_000);
@@ -262,7 +221,8 @@ fn walking_a_fib_allocates_one_small_buffer() {
     // wan1000 router holds 1,050): a walk in prefix order and the
     // comparison the convergence detector makes. Collecting the walk
     // cost an allocation per table and 16 B per entry; an explicit-stack
-    // walk holds one 33-entry stack, whatever the table's size.
+    // walk holds one 33-entry stack, whatever the table's size (inline
+    // since a quiet watch read walks BGP's table: no allocation at all).
     let snapshot = scenarios::regional_wan(5, 20);
     let backend = EmulationBackend {
         cluster_machines: 2,
@@ -278,9 +238,9 @@ fn walking_a_fib_allocates_one_small_buffer() {
             ("same_as", 2, |fib| u64::from(fib.same_as(fib))),
         ];
         for (walk, tables, f) in walks {
-            let allocs = ALLOCS.get();
-            let (_, _, peak) = heap_of(|| f(fib));
-            let allocs = ALLOCS.get() - allocs;
+            let before = made();
+            let (_, _, (peak, _)) = held_by(|| f(fib));
+            let allocs = made() - before;
             assert!(
                 allocs <= tables && peak <= 400 * tables,
                 "{}: {walk} made {allocs} allocations, {peak} B",
@@ -305,7 +265,7 @@ fn a_shard_costs_no_per_node_state() {
             shards: ShardMode::Fixed(shards),
             ..Default::default()
         };
-        let (emu, live, _) = heap_of(|| {
+        let (emu, (live, _), _) = held_by(|| {
             let topology = snapshot.topology.clone();
             let mut emu = Emulation::new(topology, Cluster::of_size(2), cfg).expect("wan builds");
             assert!(emu.run_until_converged().converged);
@@ -338,7 +298,7 @@ fn a_reflector_computes_each_distinct_thing_once() {
     assert!(meta.converged);
     let mut rr = emu.router(&"r00x00".into()).expect("reflector").clone();
     let bgp = rr.bgp_engine().expect("reflector runs BGP");
-    let sessions = bgp.summaries().len();
+    let sessions = bgp.summaries().count();
     // One Adj-RIB-Out for the clients, one for the ring.
     assert_eq!((sessions, bgp.export_groups()), (20, 2));
 
@@ -448,9 +408,9 @@ fn an_spf_run_allocates_only_the_routes_it_hands_out() {
     assert_eq!(ports.len(), 4, "{ports:?}");
     let mut cut = |port: &IfaceId| {
         isis.set_link(port, false);
-        let before = ALLOCS.get();
+        let before = made();
         let changes = isis.take_route_changes(installed.iter());
-        let allocs = ALLOCS.get() - before;
+        let allocs = made() - before;
         let changes: Vec<_> = changes.collect();
         let routes = changes.iter().filter(|(_, r)| r.is_some()).count();
         for (prefix, route) in changes {
@@ -563,6 +523,46 @@ fn a_quiet_watch_renders_only_its_syncs() {
 }
 
 #[test]
+fn a_quiet_watch_tick_allocates_nothing() {
+    // Twelve routers running IS-IS and BGP, converged and watched until
+    // every stream is synced and its first heartbeat delivered. A tick where
+    // nothing moved and no heartbeat is due compares each router's leaves
+    // with the state last streamed, in place. Collecting the interfaces,
+    // sessions and adjacencies of every read to compare them, and taking
+    // each stream out of its table and putting it back, allocated per tick.
+    let snapshot = scenarios::regional_wan(3, 4);
+    let nodes = snapshot.topology.nodes.iter().map(|n| n.name.clone());
+    let nodes: Vec<NodeId> = nodes.collect();
+    let (mut emu, meta) = EmulationBackend::with_seed(1)
+        .run(&snapshot)
+        .expect("wan boots");
+    assert!(meta.converged);
+    let start = emu.now();
+    let mut watcher = Watcher::new(WatchConfig::default(), nodes.iter().cloned());
+    // Synced at 1 s, a heartbeat emitted at 6 s and delivered at 7 s; the
+    // next is due at 11 s.
+    for t in 1..=10 {
+        let now = start + SimDuration::from_secs(t);
+        emu.run_until(now);
+        let routers = nodes.iter().map(|n| (n.clone(), emu.router(n)));
+        let before = made();
+        let report = watcher.tick(now, routers);
+        let allocs = made() - before;
+        if t >= 8 {
+            assert!(report.changed.is_empty(), "{t} s: {:?}", report.changed);
+            assert_eq!(allocs, 0, "{t} s: {allocs} allocations in a quiet tick");
+        }
+    }
+    let mut obs = Obs::new();
+    watcher.observe_into(&mut obs);
+    let count = |name| obs.metrics.counter(name);
+    assert_eq!(count("watch.syncs.initial"), 12);
+    assert_eq!(count("watch.batches.heartbeats"), 12);
+    // A read per sync and a read per router and tick.
+    assert_eq!(count("watch.device_reads"), 12 + 12 * 10);
+}
+
+#[test]
 fn an_isis_frame_costs_one_allocation() {
     // A cold boot of the 30-router grid, counted in allocations: 12,628
     // IS-IS frames delivered. Each decoded into a `Vec<Tlv>`, a hello built
@@ -575,11 +575,11 @@ fn an_isis_frame_costs_one_allocation() {
     // shard instead of a fresh one per poll, 64,196. The ceiling is 5 % over
     // that (72,041 before).
     let snapshot = scenarios::isis_grid(6, 5);
-    let allocs = ALLOCS.get();
+    let before = made();
     let (emu, meta) = EmulationBackend::with_seed(1)
         .run(&snapshot)
         .expect("grid boots");
-    let allocs = ALLOCS.get() - allocs;
+    let allocs = made() - before;
     assert!(meta.converged);
     let delivered = emu
         .export_obs()
