@@ -170,9 +170,9 @@ fn e5_quick_convergence_is_injection_paced() {
     assert_headlines(
         &["e5", "--quick"],
         &[
-            "       2500     7.0min       1.972s      2382        50242",
-            "      10000     7.0min       2.007s      2739       200242",
-            "measured: 2.007s at 10000 routes; ≈3.4 min at 2M/feed",
+            "       2500     7.0min       1.972s      2386        50242",
+            "      10000     7.0min       2.006s      2752       200242",
+            "measured: 2.006s at 10000 routes; ≈3.4 min at 2M/feed",
         ],
     );
 }
@@ -442,8 +442,8 @@ fn chaos_reports_oscillation_and_qualified_answers_and_writes_its_obs_dump() {
     assert_headlines(
         &["chaos", "--obs-json", dump.to_str().unwrap()],
         &[
-            "control:  verdict=converged  boot=801.634s  convergence=1.175s  msgs=18365",
-            "chaos:    verdict=oscillating (32 prefixes churning, period 4.000s)  msgs=37105",
+            "control:  verdict=converged  boot=801.634s  convergence=1.174s  msgs=18342",
+            "chaos:    verdict=oscillating (32 prefixes churning, period 4.000s)  msgs=37082",
             "degraded: coverage=93.3% of 30 nodes",
             "unreachable pairs over covered nodes: 273",
         ],

@@ -49,7 +49,7 @@ use rand_chacha::ChaCha8Rng;
 
 use mfv_dataplane::Dataplane;
 use mfv_obs::{SimPhases, WallSection, WallTimer};
-use mfv_types::{LinkId, NodeId, NodeRef, Prefix, SimDuration, SimTime};
+use mfv_types::{AsNum, LinkId, NodeId, NodeRef, Prefix, SimDuration, SimTime};
 use mfv_vrouter::{VendorProfile, VirtualRouter};
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict};
@@ -550,16 +550,17 @@ impl Emulation {
                     spec.route_count,
                 )
             };
-            // The router-side address: the attach node's interface on the
-            // peer's subnet. Resolved from the config parsed at `new()`.
-            let router_addr = self
+            // The router side: the attach node's interface on the peer's
+            // subnet and its AS. Resolved from the config parsed at `new()`.
+            let config = self
                 .net
                 .interner
                 .resolve_node(&attach_to)
                 .and_then(|r| self.net.parsed_configs.get(r.index()))
-                .and_then(|parsed| {
-                    parsed
-                        .config
+                .map(|parsed| &parsed.config);
+            let router_addr = config
+                .and_then(|config| {
+                    config
                         .interfaces
                         .iter()
                         .filter(|i| i.is_l3())
@@ -568,9 +569,12 @@ impl Emulation {
                         .map(|a| a.addr)
                 })
                 .unwrap_or(Ipv4Addr::UNSPECIFIED);
+            let router_as = config
+                .and_then(|c| c.bgp.as_ref())
+                .map_or(AsNum(0), |b| b.asn);
             let base = base_octet.unwrap_or(20 + idx as u8);
             let routes = synthetic_prefixes(base, route_count);
-            let peer = ExternalPeer::new(addr, asn, router_addr, routes);
+            let peer = ExternalPeer::new(addr, asn, router_addr, router_as, routes);
             // Router addresses win collisions, as they did when routers
             // re-registered over external entries at boot.
             Arc::make_mut(&mut self.net)

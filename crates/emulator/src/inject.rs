@@ -4,23 +4,18 @@
 //! production-recorded routes (millions from each BGP peer)". We have no
 //! production feed to replay, so an [`ExternalPeer`] synthesises a
 //! deterministic route table of the requested size and speaks real BGP to
-//! its attached router: OPEN handshake, batched UPDATEs, keepalives. Like a
-//! real peer's Adj-RIB-Out, the table is announced whole on every session.
+//! its attached router through the routers' own session machine
+//! ([`Session`]): OPEN handshake, hold timer, keepalives, batched UPDATEs.
+//! Like a real peer's Adj-RIB-Out, the table is announced whole on every
+//! new session.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use mfv_routing::bgp::{Event, Session, SessionState};
 use mfv_types::{AsNum, AsPath, Origin, Prefix, SimDuration, SimTime};
 use mfv_wire::bgp::{BgpMsg, OpenMsg, PathAttr, UpdateMsg};
-
-/// Peer session state (simplified speaker: we always accept).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PeerState {
-    Idle,
-    OpenSent,
-    Established,
-}
 
 /// A synthetic external BGP peer.
 #[derive(Clone)]
@@ -30,27 +25,19 @@ pub struct ExternalPeer {
     pub asn: AsNum,
     /// The router-side session address we talk to.
     pub router_addr: Ipv4Addr,
-    state: PeerState,
+    session: Session,
+    /// Our OPEN, encoded once.
+    open: Bytes,
     /// The table, shared with a clone, and how much of it this session has
     /// announced.
     routes: Arc<[Prefix]>,
     announced: usize,
-    /// The router has confirmed this session with a KEEPALIVE. Until then
-    /// an OPEN is its half of the handshake, which a router resends when
-    /// our OPEN crosses its own; after, it opens a new session.
-    confirmed: bool,
-    /// Prefixes per UPDATE message.
-    batch: usize,
-    /// UPDATE messages sent per poll tick (paces the feed like a real
-    /// session's TCP window would).
-    msgs_per_tick: usize,
-    last_keepalive: SimTime,
-    last_open_attempt: Option<SimTime>,
-    /// OPEN attempts since the session was last Established; drives the
-    /// capped exponential retry backoff.
-    open_attempts: u32,
-    /// Set once the retry budget is exhausted: the peer stops trying (a
-    /// real feed operator pages a human instead of hammering a dead box).
+    /// Sessions dropped since one was last Established; drives the capped
+    /// exponential retry backoff.
+    failures: u32,
+    /// Set once the retry budget is exhausted: the peer stops opening (a
+    /// real feed operator pages a human instead of hammering a dead box),
+    /// though it still answers a router that opens to it.
     gave_up: bool,
     /// Last instant a batch was released; pacing is enforced here so that
     /// extra polls (e.g. triggered by router replies) cannot speed the feed.
@@ -78,25 +65,25 @@ pub fn synthetic_prefixes(base_octet: u8, count: usize) -> Vec<Prefix> {
 }
 
 impl ExternalPeer {
+    /// A feed of `routes` from `addr` in `asn` to the router at
+    /// `router_addr` in `router_as`.
     pub fn new(
         addr: Ipv4Addr,
         asn: AsNum,
         router_addr: Ipv4Addr,
+        router_as: AsNum,
         routes: Vec<Prefix>,
     ) -> ExternalPeer {
+        let open = BgpMsg::Open(OpenMsg::new(asn, 90, addr)).encode();
         ExternalPeer {
             addr,
             asn,
             router_addr,
-            state: PeerState::Idle,
+            session: Session::new(router_as),
+            open: open.unwrap_or_default(),
             routes: routes.into(),
             announced: 0,
-            confirmed: false,
-            batch: 250,
-            msgs_per_tick: 2,
-            last_keepalive: SimTime::ZERO,
-            last_open_attempt: None,
-            open_attempts: 0,
+            failures: 0,
             gave_up: false,
             last_batch: None,
             out: Vec::new(),
@@ -104,36 +91,29 @@ impl ExternalPeer {
         }
     }
 
-    /// OPEN retry policy: capped exponential backoff, bounded attempts.
-    const OPEN_BASE_RETRY: SimDuration = SimDuration::from_secs(5);
-    const OPEN_MAX_RETRY: SimDuration = SimDuration::from_secs(80);
-    const OPEN_MAX_ATTEMPTS: u32 = 8;
+    /// Prefixes per UPDATE message.
+    const BATCH: usize = 250;
+    /// UPDATE messages sent per poll tick, one tick per `PACE` at most
+    /// (paces the feed like a real session's TCP window would).
+    const MSGS_PER_TICK: usize = 2;
+    const PACE: SimDuration = SimDuration::from_millis(50);
+    /// Drops without an Established session before the peer gives up.
+    const MAX_ATTEMPTS: u32 = 8;
 
-    /// Delay before the next OPEN attempt: 5 s doubling per failure,
-    /// capped at 80 s.
-    fn open_retry_delay(&self) -> SimDuration {
-        let exp = self.open_attempts.saturating_sub(1).min(4); // 5s << 4 = 80s cap
-        SimDuration::from_millis(
-            Self::OPEN_BASE_RETRY
-                .as_millis()
-                .saturating_mul(1 << exp)
-                .min(Self::OPEN_MAX_RETRY.as_millis()),
-        )
+    /// Delay before opening again after the `failures`th drop: 5 s
+    /// doubling per failure, capped at 80 s.
+    fn retry_delay(&self) -> SimDuration {
+        SimDuration::from_secs(5 << self.failures.saturating_sub(1).min(4))
     }
 
-    pub fn state(&self) -> PeerState {
-        self.state
+    fn established(&self) -> bool {
+        self.session.state() == SessionState::Established
     }
 
     /// True once every route has been announced — or the peer has given up
     /// on ever establishing (so a dead router cannot stall the run forever).
     pub fn done(&self) -> bool {
-        self.gave_up || (self.state == PeerState::Established && self.pending().is_empty())
-    }
-
-    /// Routes this session has announced.
-    pub fn announced(&self) -> usize {
-        self.announced
+        self.gave_up || (self.established() && self.pending().is_empty())
     }
 
     /// Routes this session has still to announce.
@@ -141,116 +121,64 @@ impl ExternalPeer {
         self.routes.get(self.announced..).unwrap_or_default()
     }
 
-    /// A session is up: a new one, which carries the whole table.
-    fn establish(&mut self) {
-        self.state = PeerState::Established;
-        self.open_attempts = 0;
-        self.announced = 0;
-        self.confirmed = false;
+    /// Feeds a message received from the router. Its UPDATEs are accepted
+    /// silently (we are a feed, not a transit).
+    pub fn push_msg(&mut self, now: SimTime, msg: &BgpMsg) {
+        self.handle(now, Event::of(msg));
     }
 
-    /// Feeds a message received from the router.
-    pub fn push_msg(&mut self, now: SimTime, msg: BgpMsg) {
-        match msg {
-            // The router opens a session: from Idle, or over a confirmed
-            // one when it restarted. Either is a new session, which we open
-            // too (in OpenSent we already have) and then replay from the
-            // start. An unconfirmed session takes its OPEN as the handshake.
-            BgpMsg::Open(_) => {
-                let handshake = self.state == PeerState::Established && !self.confirmed;
-                if !handshake && self.state != PeerState::OpenSent {
-                    self.send(&BgpMsg::Open(OpenMsg::new(self.asn, 90, self.addr)));
-                }
-                self.send(&BgpMsg::Keepalive);
-                if !handshake {
-                    self.establish();
-                }
-                self.last_keepalive = now;
-            }
-            BgpMsg::Keepalive => match self.state {
-                PeerState::OpenSent => self.establish(),
-                PeerState::Established => self.confirmed = true,
-                PeerState::Idle => {}
-            },
-            BgpMsg::Notification(_) => {
-                self.state = PeerState::Idle;
-            }
-            BgpMsg::Update(_) => {
-                // Routes from the network are accepted silently (we are a
-                // feed, not a transit).
-            }
+    /// Steps the session and carries out what it asks: its frames to the
+    /// router, the whole table from the start on a new session, and the
+    /// feed's backoff when the session drops.
+    fn handle(&mut self, now: SimTime, event: Event) {
+        let was_idle = self.session.state() == SessionState::Idle;
+        let step = self.session.step(now, event);
+        let to = self.router_addr;
+        self.out
+            .extend(step.frames(&self.open).map(|frame| (to, frame)));
+        if step.table {
+            (self.announced, self.failures, self.gave_up) = (0, 0, false);
         }
-    }
-
-    /// Queues `msg` for the router, encoded; one that overflows a wire
-    /// length field is counted and dropped rather than truncated.
-    fn send(&mut self, msg: &BgpMsg) {
-        match msg.encode() {
-            Ok(frame) => self.out.push((self.router_addr, frame)),
-            Err(_) => self.encode_errors += 1,
+        if !was_idle && self.session.state() == SessionState::Idle {
+            self.failures += 1;
+            self.gave_up = self.failures >= Self::MAX_ATTEMPTS;
+            self.session.reset(now, self.retry_delay());
         }
     }
 
     /// Advances the peer; returns frames by destination (the router).
     pub fn poll(&mut self, now: SimTime) -> Vec<(Ipv4Addr, Bytes)> {
-        match self.state {
-            PeerState::Idle => {
-                if self.gave_up {
-                    return std::mem::take(&mut self.out);
-                }
-                let retry = self
-                    .last_open_attempt
-                    .map(|t| now.since(t) >= self.open_retry_delay())
-                    .unwrap_or(true);
-                if retry {
-                    if self.open_attempts >= Self::OPEN_MAX_ATTEMPTS {
-                        self.gave_up = true;
-                        return std::mem::take(&mut self.out);
-                    }
-                    self.last_open_attempt = Some(now);
-                    self.open_attempts += 1;
-                    self.state = PeerState::OpenSent;
-                    self.send(&BgpMsg::Open(OpenMsg::new(self.asn, 90, self.addr)));
-                }
+        // The router is one hop away: a feed that has not given up only
+        // ever loses it by its silence, which the hold timer tells.
+        if !self.gave_up {
+            self.handle(now, Event::Tick { reachable: true });
+        }
+        let paced = self.last_batch.is_some_and(|t| now.since(t) < Self::PACE);
+        if !self.established() || paced || self.pending().is_empty() {
+            return std::mem::take(&mut self.out);
+        }
+        self.last_batch = Some(now);
+        for _ in 0..Self::MSGS_PER_TICK {
+            let pending = self.pending();
+            if pending.is_empty() {
+                break;
             }
-            PeerState::OpenSent => {
-                if self
-                    .last_open_attempt
-                    .map(|t| now.since(t) >= SimDuration::from_secs(10))
-                    .unwrap_or(true)
-                {
-                    self.state = PeerState::Idle;
-                }
-            }
-            PeerState::Established => {
-                if now.since(self.last_keepalive) >= SimDuration::from_secs(20) {
-                    self.last_keepalive = now;
-                    self.send(&BgpMsg::Keepalive);
-                }
-                let pacing_ok = self
-                    .last_batch
-                    .map(|t| now.since(t) >= SimDuration::from_millis(50))
-                    .unwrap_or(true);
-                if pacing_ok && !self.pending().is_empty() {
-                    self.last_batch = Some(now);
-                }
-                for _ in 0..self.msgs_per_tick {
-                    if !pacing_ok || self.pending().is_empty() {
-                        break;
-                    }
-                    let pending = self.pending();
-                    let nlri = pending[..self.batch.min(pending.len())].to_vec();
-                    self.announced += nlri.len();
-                    self.send(&BgpMsg::Update(UpdateMsg {
-                        withdrawn: vec![],
-                        attrs: vec![
-                            PathAttr::Origin(Origin::Igp),
-                            PathAttr::AsPath(AsPath::sequence([self.asn])),
-                            PathAttr::NextHop(self.addr),
-                        ],
-                        nlri,
-                    }));
-                }
+            let nlri = pending[..Self::BATCH.min(pending.len())].to_vec();
+            self.announced += nlri.len();
+            let update = BgpMsg::Update(UpdateMsg {
+                withdrawn: vec![],
+                attrs: vec![
+                    PathAttr::Origin(Origin::Igp),
+                    PathAttr::AsPath(AsPath::sequence([self.asn])),
+                    PathAttr::NextHop(self.addr),
+                ],
+                nlri,
+            });
+            // One that overflows a wire length field is counted and
+            // dropped rather than truncated.
+            match update.encode() {
+                Ok(frame) => self.out.push((self.router_addr, frame)),
+                Err(_) => self.encode_errors += 1,
             }
         }
         std::mem::take(&mut self.out)
@@ -258,18 +186,17 @@ impl ExternalPeer {
 
     /// Next instant this peer needs servicing.
     pub fn next_wakeup(&self, now: SimTime) -> SimTime {
-        match self.state {
-            PeerState::Established if !self.pending().is_empty() => {
-                // 2 × 250 routes per 50 ms ≈ 10k routes/s — the sustained
-                // rate of a production BGP feed, which is what makes E5's
-                // convergence time injection-dominated like the paper's.
-                SimTime(now.0 + 50)
-            }
-            PeerState::Established => now + SimDuration::from_secs(20),
+        if self.gave_up {
             // A peer that gave up needs no servicing; park it far out so it
             // cannot keep the event loop busy.
-            _ if self.gave_up => now + SimDuration::from_mins(60),
-            _ => now + SimDuration::from_secs(1),
+            now + SimDuration::from_mins(60)
+        } else if self.established() && !self.pending().is_empty() {
+            // 2 × 250 routes per 50 ms ≈ 10k routes/s — the sustained
+            // rate of a production BGP feed, which is what makes E5's
+            // convergence time injection-dominated like the paper's.
+            now + Self::PACE
+        } else {
+            self.session.next_wakeup(now)
         }
     }
 }
@@ -279,11 +206,18 @@ mod tests {
     use super::*;
 
     impl ExternalPeer {
-        /// True once the peer has abandoned session establishment.
-        fn gave_up(&self) -> bool {
-            self.gave_up
+        fn state(&self) -> SessionState {
+            self.session.state()
+        }
+
+        /// Routes this session has announced.
+        fn announced(&self) -> usize {
+            self.announced
         }
     }
+
+    /// The router's AS, which its OPEN carries.
+    const ROUTER_AS: AsNum = AsNum(65001);
 
     /// The messages of a poll, decoded.
     fn poll(p: &mut ExternalPeer, now: SimTime) -> Vec<BgpMsg> {
@@ -291,13 +225,53 @@ mod tests {
         p.poll(now).into_iter().map(decode).collect()
     }
 
+    /// A poll's messages by kind, a full UPDATE as "update".
+    fn kinds(msgs: Vec<BgpMsg>) -> Vec<&'static str> {
+        let kind = |m: &BgpMsg| match m {
+            BgpMsg::Open(_) => "open",
+            BgpMsg::Keepalive => "keepalive",
+            BgpMsg::Update(u) if u.nlri.len() == 250 => "update",
+            _ => "other",
+        };
+        msgs.iter().map(kind).collect()
+    }
+
     fn peer(count: usize) -> ExternalPeer {
         ExternalPeer::new(
             Ipv4Addr::new(100, 64, 9, 1),
             AsNum(64999),
             Ipv4Addr::new(100, 64, 9, 0),
+            ROUTER_AS,
             synthetic_prefixes(20, count),
         )
+    }
+
+    fn open() -> BgpMsg {
+        BgpMsg::Open(OpenMsg::new(ROUTER_AS, 90, Ipv4Addr::new(1, 1, 1, 1)))
+    }
+
+    fn cease() -> BgpMsg {
+        BgpMsg::Notification(mfv_wire::bgp::NotificationMsg {
+            code: 6,
+            subcode: 0,
+            data: bytes::Bytes::new(),
+        })
+    }
+
+    /// The router opens a session and confirms ours: the routers' passive
+    /// open, as the feed's machine sees it.
+    fn router_opens(p: &mut ExternalPeer, now: SimTime) {
+        p.push_msg(now, &open());
+        p.push_msg(now, &BgpMsg::Keepalive);
+        assert_eq!(p.state(), SessionState::Established);
+    }
+
+    /// Polls every `every` ms from `from` until `until`; returns the instants
+    /// an OPEN went out.
+    fn opens(p: &mut ExternalPeer, from: u64, until: u64, every: u64) -> Vec<u64> {
+        let ticks = (from..until).step_by(every as usize);
+        let opens = ticks.filter(|t| kinds(poll(p, SimTime(*t))).contains(&"open"));
+        opens.collect()
     }
 
     #[test]
@@ -315,33 +289,34 @@ mod tests {
     #[test]
     fn handshake_and_feed() {
         let mut p = peer(1000);
-        let now = SimTime(1000);
         // Initiates an OPEN.
-        let out = poll(&mut p, now);
-        assert!(matches!(out[0], BgpMsg::Open(_)));
-        // Router's OPEN arrives; we complete and start feeding.
-        p.push_msg(
-            now,
-            BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1))),
-        );
-        assert_eq!(p.state(), PeerState::Established);
-        let out = poll(&mut p, SimTime(2000));
-        let updates = out
-            .iter()
-            .filter(|m| matches!(m, BgpMsg::Update(_)))
-            .count();
-        assert!(updates > 0);
-        assert!(p.announced() >= 250);
+        assert_eq!(kinds(poll(&mut p, SimTime(1000))), ["open"]);
+        // The router's OPEN answers ours, and its KEEPALIVE confirms it:
+        // the session is up and the feed starts.
+        p.push_msg(SimTime(1010), &open());
+        assert_eq!(p.state(), SessionState::OpenConfirm);
+        p.push_msg(SimTime(1010), &BgpMsg::Keepalive);
+        assert_eq!(p.state(), SessionState::Established);
+        let out = kinds(poll(&mut p, SimTime(2000)));
+        assert_eq!(out, ["open", "keepalive", "update", "update"]);
+        assert_eq!(p.announced(), 500);
+    }
+
+    #[test]
+    fn a_wrong_as_is_refused() {
+        let mut p = peer(10);
+        let stranger = OpenMsg::new(AsNum(65999), 90, Ipv4Addr::new(1, 1, 1, 1));
+        p.push_msg(SimTime(0), &BgpMsg::Open(stranger));
+        p.push_msg(SimTime(0), &BgpMsg::Keepalive);
+        assert_eq!(p.state(), SessionState::Idle);
+        assert_eq!(kinds(poll(&mut p, SimTime(1))), ["other"]);
     }
 
     #[test]
     fn feed_completes_in_bounded_polls() {
         let mut p = peer(10_000);
         let mut now = SimTime(0);
-        p.push_msg(
-            now,
-            BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1))),
-        );
+        router_opens(&mut p, now);
         let mut polls = 0;
         while !p.done() {
             now = SimTime(now.0 + 50);
@@ -354,32 +329,30 @@ mod tests {
 
     #[test]
     fn a_new_session_replays_the_table_and_a_handshake_open_does_not() {
-        let open = || BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1)));
-        let kinds = |msgs: Vec<BgpMsg>| -> Vec<&str> {
-            let kind = |m: &BgpMsg| match m {
-                BgpMsg::Open(_) => "open",
-                BgpMsg::Keepalive => "keepalive",
-                BgpMsg::Update(u) if u.nlri.len() == 250 => "update",
-                _ => "other",
-            };
-            msgs.iter().map(kind).collect()
-        };
         let mut p = peer(750);
-        p.push_msg(SimTime(0), open());
-        let first = kinds(poll(&mut p, SimTime(50)));
-        assert_eq!(first, ["open", "keepalive", "update", "update"]);
-        // The router resends its OPEN when ours crosses it: the handshake,
+        assert_eq!(kinds(poll(&mut p, SimTime(0))), ["open"]);
+        // The router's own OPEN crosses ours: answered, and the session
+        // waits for the router's confirm.
+        p.push_msg(SimTime(10), &open());
+        assert_eq!(kinds(poll(&mut p, SimTime(20))), ["open", "keepalive"]);
+        // The router answers our OPEN with its OPEN again: the handshake,
         // confirmed, not a new session.
-        p.push_msg(SimTime(60), open());
-        assert_eq!(kinds(poll(&mut p, SimTime(70))), ["keepalive"]);
-        p.push_msg(SimTime(80), BgpMsg::Keepalive);
-        let _ = poll(&mut p, SimTime(100));
+        p.push_msg(SimTime(30), &open());
+        assert_eq!(kinds(poll(&mut p, SimTime(40))), ["keepalive"]);
+        assert_eq!((p.state(), p.announced()), (SessionState::OpenConfirm, 0));
+        p.push_msg(SimTime(50), &BgpMsg::Keepalive);
+        let first = kinds(poll(&mut p, SimTime(60)));
+        assert_eq!(first, ["update", "update"]);
+        let _ = poll(&mut p, SimTime(110));
         assert!(p.done() && p.announced() == 750);
-        // A restarted router opens a new session over the confirmed one:
-        // the feed opens too and starts over, at the same pace.
-        p.push_msg(SimTime(200), open());
+        // A restarted router opens a new session over the established
+        // one: the feed opens too and, once confirmed, starts over at the
+        // same pace.
+        p.push_msg(SimTime(200), &open());
         assert!(!p.done() && p.announced() == 0);
-        assert_eq!(kinds(poll(&mut p, SimTime(250))), first);
+        p.push_msg(SimTime(200), &BgpMsg::Keepalive);
+        let again = kinds(poll(&mut p, SimTime(250)));
+        assert_eq!(again, ["open", "keepalive", "update", "update"]);
         let _ = poll(&mut p, SimTime(300));
         assert!(p.done() && p.announced() == 750);
     }
@@ -387,40 +360,16 @@ mod tests {
     #[test]
     fn notification_resets_session() {
         let mut p = peer(10);
-        let now = SimTime(0);
-        p.push_msg(
-            now,
-            BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1))),
-        );
-        assert_eq!(p.state(), PeerState::Established);
-        p.push_msg(
-            now,
-            BgpMsg::Notification(mfv_wire::bgp::NotificationMsg {
-                code: 6,
-                subcode: 0,
-                data: bytes::Bytes::new(),
-            }),
-        );
-        assert_eq!(p.state(), PeerState::Idle);
+        router_opens(&mut p, SimTime(0));
+        p.push_msg(SimTime(0), &cease());
+        assert_eq!(p.state(), SessionState::Idle);
     }
 
     #[test]
     fn open_retry_backs_off_and_gives_up() {
         let mut p = peer(10);
-        let mut now = SimTime(0);
-        let mut open_times: Vec<u64> = Vec::new();
-        for _ in 0..1_000 {
-            for m in poll(&mut p, now) {
-                if matches!(m, BgpMsg::Open(_)) {
-                    open_times.push(now.0);
-                }
-            }
-            if p.gave_up() {
-                break;
-            }
-            now = SimTime(now.0 + 1_000);
-        }
-        assert!(p.gave_up(), "peer must stop retrying a dead router");
+        let open_times = opens(&mut p, 0, 1_000_000, 1_000);
+        assert!(p.gave_up, "peer must stop retrying a dead router");
         assert!(p.done(), "a given-up peer reports done so runs can end");
         assert_eq!(open_times.len(), 8, "bounded attempts: {open_times:?}");
         // Inter-attempt gaps never shrink (exponential backoff, capped).
@@ -435,7 +384,7 @@ mod tests {
         );
         // And it stays silent afterwards.
         for i in 0..50 {
-            assert!(p.poll(SimTime(now.0 + 100_000 + i * 7_000)).is_empty());
+            assert!(p.poll(SimTime(1_100_000 + i * 7_000)).is_empty());
         }
     }
 
@@ -443,43 +392,50 @@ mod tests {
     fn established_session_resets_retry_budget() {
         let mut p = peer(10);
         // Burn a few attempts.
-        let mut now = SimTime(0);
-        for _ in 0..40 {
-            let _ = p.poll(now);
-            now = SimTime(now.0 + 1_000);
-        }
-        assert!(!p.gave_up());
+        assert_eq!(opens(&mut p, 0, 40_000, 1_000).len(), 3);
+        assert!(!p.gave_up);
         // The router finally answers: session establishes, budget resets.
-        p.push_msg(
-            now,
-            BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1))),
-        );
-        assert_eq!(p.state(), PeerState::Established);
+        router_opens(&mut p, SimTime(40_000));
+        let _ = poll(&mut p, SimTime(40_000));
         // A notification drops us back to Idle; we get a full budget again.
-        p.push_msg(
-            now,
-            BgpMsg::Notification(mfv_wire::bgp::NotificationMsg {
-                code: 6,
-                subcode: 0,
-                data: bytes::Bytes::new(),
-            }),
-        );
-        let out = poll(&mut p, SimTime(now.0 + 10_000));
-        assert!(
-            out.iter().any(|m| matches!(m, BgpMsg::Open(_))),
-            "fresh budget after an established session"
-        );
+        p.push_msg(SimTime(40_000), &cease());
+        let out = kinds(poll(&mut p, SimTime(50_000)));
+        assert_eq!(out, ["open"], "fresh budget after an established session");
     }
 
     #[test]
     fn keepalives_flow_when_established_and_idle() {
         let mut p = peer(0);
-        p.push_msg(
-            SimTime(0),
-            BgpMsg::Open(OpenMsg::new(AsNum(65001), 90, Ipv4Addr::new(1, 1, 1, 1))),
-        );
-        let out = poll(&mut p, SimTime(25_000));
-        assert!(out.iter().any(|m| matches!(m, BgpMsg::Keepalive)));
+        router_opens(&mut p, SimTime(0));
         assert!(p.done());
+        assert_eq!(
+            kinds(poll(&mut p, SimTime(30_000))),
+            ["open", "keepalive", "keepalive"]
+        );
+        assert_eq!(p.next_wakeup(SimTime(30_000)), SimTime(60_000));
+    }
+
+    #[test]
+    fn a_router_gone_past_the_hold_time_gets_the_table_again() {
+        let mut p = peer(500);
+        router_opens(&mut p, SimTime(0));
+        let _ = poll(&mut p, SimTime(0));
+        assert!(p.done());
+        // The router falls silent. Its keepalives stop, and the hold timer
+        // (90 s) expires at the first tick past it: the session drops to
+        // Idle and the feed is owed its table.
+        let _ = poll(&mut p, SimTime(60_000));
+        assert_eq!(p.state(), SessionState::Established);
+        let _ = poll(&mut p, SimTime(90_001));
+        assert_eq!(p.state(), SessionState::Idle);
+        assert!(!p.done());
+        // It opens again after the first backoff step, 5 s, and once more
+        // when that handshake times out, 10 s on, after the second.
+        assert_eq!(opens(&mut p, 91_000, 120_000, 1_000), [96_000, 117_000]);
+        // The router comes back: the new session replays the table whole.
+        router_opens(&mut p, SimTime(120_000));
+        let again = kinds(poll(&mut p, SimTime(120_050)));
+        assert_eq!(again[again.len() - 2..], ["update", "update"]);
+        assert!(p.done() && p.announced() == 500);
     }
 }

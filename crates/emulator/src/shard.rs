@@ -413,6 +413,16 @@ impl Fleet {
         self.last_feed_done = self.last_feed_done.max(at);
     }
 
+    /// Counts a feed that drained at `at`, or one that is not drained any
+    /// more: a new session replays the table, and a dropped one owes it.
+    fn feed_moved(&mut self, was_done: bool, done: bool, at: SimTime) {
+        match (was_done, done) {
+            (false, true) => self.feed_drained(at),
+            (true, false) => self.feeds_done -= 1,
+            _ => {}
+        }
+    }
+
     /// Counts what changed in a router's FIB at `at` toward oscillation, or
     /// holds it until the steady-state instant is known.
     fn note_churn(&mut self, at: SimTime, prefixes: BTreeSet<Prefix>) {
@@ -786,11 +796,8 @@ impl Shard {
         };
         let was_done = peer.done();
         let frames = peer.poll(now);
-        let wakeup = peer.next_wakeup(now);
-        let src = peer.addr;
-        if !was_done && peer.done() {
-            fleet.feed_drained(now);
-        }
+        let (wakeup, src, done) = (peer.next_wakeup(now), peer.addr, peer.done());
+        fleet.feed_moved(was_done, done, now);
         // A feed's destination is its router's address, so it reaches a
         // router or nobody.
         for (dst, payload) in frames {
@@ -864,16 +871,11 @@ impl Shard {
                     let was_done = peer.done();
                     let mut buf = payload;
                     if let Ok(msg) = mfv_wire::bgp::BgpMsg::decode(&mut buf) {
-                        peer.push_msg(now, msg);
+                        peer.push_msg(now, &msg);
                         fleet.messages_delivered += 1;
                     }
-                    match (was_done, peer.done()) {
-                        (false, true) => fleet.feed_drained(now),
-                        // A new session replays the feed: it is not drained
-                        // until it is again.
-                        (true, false) => fleet.feeds_done -= 1,
-                        _ => {}
-                    }
+                    let done = peer.done();
+                    fleet.feed_moved(was_done, done, now);
                     self.schedule_ext_poll(fleet, idx, SimTime(now.0 + 1));
                 }
             }

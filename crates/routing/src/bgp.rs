@@ -43,16 +43,6 @@ pub trait NextHopResolver {
     fn igp_metric(&self, ip: Ipv4Addr) -> Option<u32>;
 }
 
-/// A resolver over a fixed table; convenient for tests and injection stubs.
-#[derive(Default, Clone, Debug)]
-pub struct TableResolver(pub BTreeMap<Ipv4Addr, u32>);
-
-impl NextHopResolver for TableResolver {
-    fn igp_metric(&self, ip: Ipv4Addr) -> Option<u32> {
-        self.0.get(&ip).copied()
-    }
-}
-
 /// Transport liveness: whether the IGP view has a route to `peer`.
 fn reaches(resolver: &dyn NextHopResolver, peer: Ipv4Addr) -> bool {
     resolver.igp_metric(peer).is_some()
@@ -80,8 +70,6 @@ static KEEPALIVE: LazyLock<Bytes> =
 /// Per-session configuration resolved from the device config.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    pub peer: Ipv4Addr,
-    pub remote_as: AsNum,
     /// Our address on this session (interface address for eBGP, update
     /// source loopback for iBGP). Used as the advertised next hop.
     pub local_addr: Ipv4Addr,
@@ -94,13 +82,9 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    fn is_ebgp(&self, local_as: AsNum) -> bool {
-        self.remote_as != local_as
-    }
-
-    fn export_key(&self, local_as: AsNum) -> ExportKey {
+    fn export_key(&self, ebgp: bool) -> ExportKey {
         ExportKey {
-            ebgp: self.is_ebgp(local_as),
+            ebgp,
             rr_client: self.rr_client,
             next_hop_self: self.next_hop_self,
             send_community: self.send_community,
@@ -118,6 +102,220 @@ pub enum SessionState {
     OpenSent,
     OpenConfirm,
     Established,
+}
+
+/// What moves a [`Session`]: a message from the peer (an OPEN with its AS
+/// and hold time in seconds), or a timer tick that says whether the peer is
+/// reachable (transport liveness).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Event {
+    Open(AsNum, u16),
+    Keepalive,
+    Notification,
+    Update,
+    Tick { reachable: bool },
+}
+
+impl Event {
+    /// The event a received message is.
+    pub fn of(msg: &BgpMsg) -> Event {
+        match msg {
+            BgpMsg::Open(open) => Event::Open(open.asn, open.hold_time_secs),
+            BgpMsg::Keepalive => Event::Keepalive,
+            BgpMsg::Notification(_) => Event::Notification,
+            BgpMsg::Update(_) => Event::Update,
+        }
+    }
+}
+
+/// What one transition asks of the session's owner: the frames to send the
+/// peer, in field order, and what to do with its table.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct Step {
+    /// A NOTIFICATION, `(code, subcode)`.
+    pub notification: Option<(u8, u8)>,
+    pub open: bool,
+    pub keepalive: bool,
+    /// The session left Established: drop every path the peer sent.
+    pub flush: bool,
+    /// The peer opened a new session: send it the whole table.
+    pub table: bool,
+    /// The UPDATE arrived on an Established session: apply it.
+    pub update: bool,
+}
+
+impl Step {
+    /// The frames to send, encoded, where `open` is the owner's OPEN.
+    pub fn frames(self, open: &Bytes) -> impl Iterator<Item = Bytes> + '_ {
+        let notification = self.notification.map(|(code, sub)| notification(code, sub));
+        let open = self.open.then(|| open.clone());
+        let keepalive = self.keepalive.then(|| KEEPALIVE.clone());
+        notification.into_iter().chain(open).chain(keepalive)
+    }
+}
+
+/// One BGP session's finite-state machine (RFC 4271 §8), moved only by
+/// [`step`](Session::step): a router's engine runs one per neighbor and an
+/// external feed runs one, each applying the [`Step`]s to its own table.
+/// Where it departs from RFC 4271 §8.2.2, DESIGN.md names the row.
+#[derive(Clone, Debug)]
+pub struct Session {
+    /// The AS the peer's OPEN must carry.
+    remote_as: AsNum,
+    state: SessionState,
+    /// Hold time negotiated (min of ours and peer's).
+    hold_time: SimDuration,
+    last_rx: SimTime,
+    last_keepalive_tx: SimTime,
+    /// When Idle: next time we may retry the OPEN.
+    retry_at: SimTime,
+    /// State changes since the session was built (churn, for obs).
+    transitions: u64,
+    /// An OPEN from the peer has validated since the session was built: a
+    /// bare KEEPALIVE may stand in for a *lost* OPEN, never for a rejected
+    /// one (e.g. bad peer AS), or a misconfigured session could come up.
+    open_seen: bool,
+    /// A KEEPALIVE that overtook the peer's OPEN in OpenSent, held until
+    /// the OPEN validates (the handshake completes) or a reset drops it.
+    early_keepalive: bool,
+}
+
+impl Session {
+    /// An Established session sends a KEEPALIVE this often.
+    const KEEPALIVE: SimDuration = SimDuration::from_secs(30);
+    /// A session that dropped on its own retries after this; a handshake
+    /// that hears nothing for five of them falls back to Idle.
+    const RETRY: SimDuration = SimDuration::from_secs(2);
+    /// A session reset by a NOTIFICATION, sent or received, retries after this.
+    const NOTIFIED_RETRY: SimDuration = SimDuration::from_secs(5);
+
+    /// An Idle session with a peer in `remote_as`, ready to open.
+    pub fn new(remote_as: AsNum) -> Session {
+        Session {
+            remote_as,
+            state: SessionState::Idle,
+            hold_time: SimDuration::from_secs(90),
+            last_rx: SimTime::ZERO,
+            last_keepalive_tx: SimTime::ZERO,
+            retry_at: SimTime::ZERO,
+            transitions: 0,
+            open_seen: false,
+            early_keepalive: false,
+        }
+    }
+
+    pub fn state(&self) -> SessionState {
+        self.state
+    }
+
+    /// Moves the FSM, counting only real state changes.
+    fn set_state(&mut self, new: SessionState) {
+        if self.state != new {
+            self.transitions += 1;
+        }
+        self.state = new;
+    }
+
+    /// Back to Idle, to open again no sooner than `retry_after` from `now`.
+    pub fn reset(&mut self, now: SimTime, retry_after: SimDuration) {
+        self.set_state(SessionState::Idle);
+        self.early_keepalive = false;
+        self.retry_at = now + retry_after;
+    }
+
+    /// The one transition function: `event` at `now` moves the state and
+    /// timers, and the returned step says what the owner must do.
+    pub fn step(&mut self, now: SimTime, event: Event) -> Step {
+        use SessionState::*;
+        let (was, mut step) = (self.state, Step::default());
+        match (self.state, event) {
+            (_, Event::Tick { reachable }) => self.tick(now, reachable, &mut step),
+            (_, Event::Open(asn, _)) if asn != self.remote_as => {
+                // OPEN message error, bad peer AS.
+                step.notification = Some((2, 2));
+                self.reset(now, Self::NOTIFIED_RETRY);
+            }
+            (state, Event::Open(_, hold)) => {
+                self.open_seen = true;
+                self.hold_time = SimDuration::from_secs(u64::from(hold.min(90)).max(3));
+                // All but a duplicate OPEN get ours: a passive open from
+                // Idle; in OpenSent a collision or a lossy boot, where ours
+                // may never have arrived; on Established a restarted peer,
+                // which gets the whole table.
+                (step.open, step.keepalive) = (state != OpenConfirm, true);
+                step.table = state == Established;
+                if state == OpenSent && std::mem::take(&mut self.early_keepalive) {
+                    step.table = true;
+                    self.set_state(Established);
+                } else if state != OpenConfirm {
+                    self.set_state(OpenConfirm);
+                }
+            }
+            (OpenConfirm, Event::Keepalive) => {
+                step.table = true;
+                self.set_state(Established);
+            }
+            // A KEEPALIVE says the peer took our OPEN though its own was
+            // lost; until one has validated, it may be overtaking it.
+            (OpenSent, Event::Keepalive) if self.open_seen => {
+                (step.keepalive, step.table) = (true, true);
+                self.set_state(Established);
+            }
+            (OpenSent, Event::Keepalive) => self.early_keepalive = true,
+            (_, Event::Keepalive) => {}
+            (state, Event::Update) => step.update = state == Established,
+            (_, Event::Notification) => self.reset(now, Self::NOTIFIED_RETRY),
+        }
+        if !matches!(event, Event::Tick { .. }) {
+            self.last_rx = now;
+        }
+        step.flush = was == Established && self.state != Established;
+        step
+    }
+
+    /// Liveness and timers: the hold timer and transport reachability, the
+    /// keepalive, the retry of an Idle session and a stuck handshake.
+    fn tick(&mut self, now: SimTime, reachable: bool, step: &mut Step) {
+        use SessionState::*;
+        if self.state != Idle {
+            // Losing the route to the peer tears the TCP session down, or
+            // updates queued meanwhile would be lost though the Adj-RIB-Out
+            // believes them delivered.
+            if now.since(self.last_rx) > self.hold_time || !reachable {
+                return self.reset(now, Self::RETRY);
+            }
+            if self.state == Established && now.since(self.last_keepalive_tx) >= Self::KEEPALIVE {
+                self.last_keepalive_tx = now;
+                step.keepalive = true;
+            }
+        } else if now >= self.retry_at {
+            // Active open, or with no transport to the peer yet, a re-armed
+            // retry timer so the wakeup schedule stays coarse.
+            self.retry_at = now + Self::RETRY;
+            if reachable {
+                self.set_state(OpenSent);
+                self.last_rx = now; // arm hold timer from the attempt
+                step.open = true;
+            }
+        }
+        // A handshake stuck past five retry intervals falls back to Idle so
+        // we re-OPEN (covers lost messages).
+        if matches!(self.state, OpenSent | OpenConfirm)
+            && now.since(self.last_rx) > Self::RETRY.saturating_mul(5)
+        {
+            self.reset(now, Self::RETRY);
+        }
+    }
+
+    /// The earliest instant after `now` at which a tick has work.
+    pub fn next_wakeup(&self, now: SimTime) -> SimTime {
+        let at = match self.state {
+            SessionState::Idle => self.retry_at,
+            SessionState::Established => self.last_keepalive_tx + Self::KEEPALIVE,
+            _ => self.last_rx + Self::RETRY.saturating_mul(5),
+        };
+        at.max(SimTime(now.0 + 1))
+    }
 }
 
 /// A received route (post import policy), as the table holds it.
@@ -207,8 +405,9 @@ struct Table {
 
 impl Table {
     /// Puts `path` in `peer`'s place at `prefix`, or takes the path there
-    /// out (`None`), keeping the next-hop counts in step.
-    fn set(&mut self, prefix: Prefix, peer: Ipv4Addr, path: Option<Path>) {
+    /// out (`None`), keeping the next-hop counts in step and the peer's
+    /// count in `paths`.
+    fn set(&mut self, prefix: Prefix, peer: Ipv4Addr, path: Option<Path>, paths: &mut u32) {
         let next_hop = path.as_ref().map(|p| p.attrs.next_hop);
         let slot = match next_hop {
             Some(_) => self.slots.get_or_insert_with(prefix, Slot::default).0,
@@ -218,6 +417,7 @@ impl Table {
             },
         };
         let old = slot.paths.set(peer, path).map(|old| old.attrs.next_hop);
+        *paths = (*paths + u32::from(next_hop.is_some())) - u32::from(old.is_some());
         if old == next_hop {
             return;
         }
@@ -250,82 +450,41 @@ impl Table {
             .map(|(prefix, _)| prefix)
     }
 
-    /// Takes out every path from `peer`; returns their prefixes. (The
-    /// Adj-RIB-Out is the group's: a session that is not in sync sees none
-    /// of it, and gets the whole table when it next establishes.)
-    fn flush(&mut self, peer: Ipv4Addr) -> Vec<Prefix> {
+    /// Takes out every path from `peer`, the `paths` it holds; returns
+    /// their prefixes. (The Adj-RIB-Out is the group's: a session that is
+    /// not in sync sees none of it, and gets the whole table when it next
+    /// establishes.)
+    fn flush(&mut self, peer: Ipv4Addr, paths: &mut u32) -> Vec<Prefix> {
+        if *paths == 0 {
+            return Vec::new();
+        }
         let slots = self.slots.iter();
         let from_peer = slots.filter(|(_, s)| s.paths.as_slice().iter().any(|p| p.from == peer));
         let flushed: Vec<Prefix> = from_peer.map(|(prefix, _)| prefix).collect();
         for prefix in &flushed {
-            self.set(*prefix, peer, None);
+            self.set(*prefix, peer, None, paths);
         }
         flushed
     }
 }
 
+/// A configured neighbor: its config, its session and its export group.
 #[derive(Clone)]
-struct Session {
+struct Neighbor {
     cfg: SessionConfig,
-    state: SessionState,
-    /// Hold time negotiated (min of ours and peer's).
-    hold_time: SimDuration,
-    last_rx: SimTime,
-    last_keepalive_tx: SimTime,
-    /// When Idle: next time we may retry the OPEN.
-    retry_at: SimTime,
-    /// Index of the session's [`ExportGroup`], which holds its Adj-RIB-Out.
+    session: Session,
+    /// Index of the neighbor's [`ExportGroup`], which holds its Adj-RIB-Out.
     group: usize,
     /// Whether the IGP view reaches the peer (transport liveness); `None`
     /// until asked, and again once an IGP move covers the peer's address.
     reachable: Option<bool>,
-    /// FSM state changes since the engine was built — the per-session churn
-    /// signal the observability layer aggregates.
-    transitions: u64,
-    /// A valid OPEN from this peer has been processed at least once since
-    /// the engine was built. Gates the lossy-transport shortcut below: a
-    /// bare KEEPALIVE may stand in for a *lost* OPEN, but it must never
-    /// stand in for one we rejected (e.g. bad peer AS) — otherwise a
-    /// misconfigured session could establish without ever being validated.
-    open_seen: bool,
-    /// A KEEPALIVE arrived in OpenSent before any OPEN was validated
-    /// (reordered delivery). Latched until the peer's OPEN shows up: if it
-    /// validates, the handshake completes immediately; if it is rejected,
-    /// the latch dies with the reset.
-    early_keepalive: bool,
+    /// How many prefixes the engine's table holds a path from the peer for.
+    paths: u32,
 }
 
-impl Session {
-    fn new(cfg: SessionConfig, group: usize) -> Session {
-        Session {
-            cfg,
-            group,
-            reachable: None,
-            state: SessionState::Idle,
-            hold_time: SimDuration::from_secs(90),
-            last_rx: SimTime::ZERO,
-            last_keepalive_tx: SimTime::ZERO,
-            retry_at: SimTime::ZERO,
-            transitions: 0,
-            open_seen: false,
-            early_keepalive: false,
-        }
-    }
-
-    /// Moves the FSM, counting only real state changes.
-    fn set_state(&mut self, new: SessionState) {
-        if self.state != new {
-            self.transitions += 1;
-        }
-        self.state = new;
-    }
-
-    /// Back to Idle; the owner flushes the peer's paths from the table
-    /// (their decisions must be re-run).
-    fn reset(&mut self, now: SimTime, retry_after: SimDuration) {
-        self.set_state(SessionState::Idle);
-        self.early_keepalive = false;
-        self.retry_at = now + retry_after;
+impl Neighbor {
+    fn is_ebgp(&self, local_as: AsNum) -> bool {
+        self.session.remote_as != local_as
     }
 }
 
@@ -517,11 +676,9 @@ pub struct NeighborSummary {
 #[derive(Clone)]
 pub struct BgpEngine {
     local_as: AsNum,
-    keepalive: SimDuration,
-    retry: SimDuration,
     max_paths: u8,
     quirks: Quirks,
-    sessions: BTreeMap<Ipv4Addr, Session>,
+    neighbors: BTreeMap<Ipv4Addr, Neighbor>,
     /// Every prefix's received paths and selection.
     table: Table,
     /// The Adj-RIB-Outs, one per distinct export policy among the sessions.
@@ -566,7 +723,7 @@ impl BgpEngine {
         prefix_lists: BTreeMap<String, PrefixList>,
         quirks: Quirks,
     ) -> BgpEngine {
-        let mut sessions = BTreeMap::new();
+        let mut neighbors = BTreeMap::new();
         let mut groups: Vec<ExportGroup> = Vec::new();
         for n in &cfg.neighbors {
             let local_addr = session_local_addrs
@@ -574,8 +731,6 @@ impl BgpEngine {
                 .copied()
                 .unwrap_or(Ipv4Addr::UNSPECIFIED);
             let scfg = SessionConfig {
-                peer: n.peer,
-                remote_as: n.remote_as,
                 local_addr,
                 next_hop_self: n.next_hop_self,
                 send_community: n.send_community,
@@ -584,23 +739,29 @@ impl BgpEngine {
                 rr_client: n.rr_client,
                 shutdown: n.shutdown,
             };
-            let key = scfg.export_key(cfg.asn);
+            let key = scfg.export_key(n.remote_as != cfg.asn);
             let group = groups.iter().position(|g| g.key == key).unwrap_or_else(|| {
                 let table = BTreeMap::new();
                 groups.push(ExportGroup { key, table });
                 groups.len() - 1
             });
-            sessions.insert(n.peer, Session::new(scfg, group));
+            let (session, reachable, paths) = (Session::new(n.remote_as), None, 0);
+            let neighbor = Neighbor {
+                cfg: scfg,
+                session,
+                group,
+                reachable,
+                paths,
+            };
+            neighbors.insert(n.peer, neighbor);
         }
         // We offer a 90 s hold time.
         let open = BgpMsg::Open(OpenMsg::new(cfg.asn, 90, router_id.0)).encode();
         BgpEngine {
             local_as: cfg.asn,
-            keepalive: SimDuration::from_secs(30),
-            retry: SimDuration::from_secs(2),
             max_paths: cfg.max_paths.max(1),
             quirks,
-            sessions,
+            neighbors,
             table: Table::default(),
             groups,
             attr_sets: InternSet::default(),
@@ -650,148 +811,74 @@ impl BgpEngine {
         for moved in prefixes {
             self.dirty.extend(self.table.via_inside(moved));
             let inside = Ipv4Addr::from(moved.first())..=Ipv4Addr::from(moved.last());
-            for (_, session) in self.sessions.range_mut(inside) {
-                session.reachable = None;
+            for (_, n) in self.neighbors.range_mut(inside) {
+                n.reachable = None;
             }
         }
     }
 
     /// Administratively removes a session (used by failure injection).
     pub fn shutdown_session(&mut self, peer: Ipv4Addr, now: SimTime) {
-        if let Some(s) = self.sessions.get_mut(&peer) {
-            s.cfg.shutdown = true;
-            if s.state != SessionState::Idle {
+        if let Some(n) = self.neighbors.get_mut(&peer) {
+            n.cfg.shutdown = true;
+            if n.session.state() != SessionState::Idle {
                 // Cease, administrative shutdown.
                 self.out.push((peer, notification(6, 2)));
             }
-            s.reset(now, SimDuration::from_secs(u64::MAX / 2_000));
-            self.dirty.extend(self.table.flush(peer));
+            n.session
+                .reset(now, SimDuration::from_secs(u64::MAX / 2_000));
+            self.dirty.extend(self.table.flush(peer, &mut n.paths));
         }
     }
 
-    /// Feeds a received message into the engine.
+    /// Feeds a received message into the engine. A message from an
+    /// unconfigured peer (real routers would not even have a TCP listener
+    /// match) or on a shut session is ignored.
     pub fn push_msg(&mut self, now: SimTime, from: Ipv4Addr, msg: BgpMsg) {
-        let Some(session) = self.sessions.get_mut(&from) else {
-            // Message from an unconfigured peer: ignore (real routers would
-            // not even have a TCP listener match).
-            return;
-        };
-        if session.cfg.shutdown {
-            return;
+        let mut neighbors = std::mem::take(&mut self.neighbors);
+        if let Some(n) = neighbors.get_mut(&from).filter(|n| !n.cfg.shutdown) {
+            let step = n.session.step(now, Event::of(&msg));
+            self.apply(from, n, step);
+            if let (true, BgpMsg::Update(update)) = (step.update, msg) {
+                self.apply_update(from, n, update);
+            }
         }
-        session.last_rx = now;
-        match msg {
-            BgpMsg::Open(open) => {
-                if open.asn != session.cfg.remote_as {
-                    // OPEN from wrong AS: notify (OPEN message error, bad
-                    // peer AS) and reset.
-                    self.out.push((from, notification(2, 2)));
-                    session.reset(now, SimDuration::from_secs(5));
-                    self.dirty.extend(self.table.flush(from));
-                    return;
-                }
-                session.open_seen = true;
-                session.hold_time =
-                    SimDuration::from_secs(u64::from(open.hold_time_secs.min(90)).max(3));
-                match session.state {
-                    SessionState::Idle => {
-                        // Passive open: respond with our OPEN + KEEPALIVE.
-                        self.out.push((from, self.open.clone()));
-                        self.out.push((from, KEEPALIVE.clone()));
-                        session.set_state(SessionState::OpenConfirm);
-                    }
-                    SessionState::OpenSent => {
-                        // Collision or lossy boot: our own OPEN may never
-                        // have reached the peer (dropped pre-transport), so
-                        // resend it with the confirm. A duplicate is
-                        // absorbed harmlessly in OpenConfirm on their side.
-                        self.out.push((from, self.open.clone()));
-                        self.out.push((from, KEEPALIVE.clone()));
-                        if session.early_keepalive {
-                            // The peer's confirm overtook its OPEN; now that
-                            // the OPEN validated, both halves are in hand.
-                            session.early_keepalive = false;
-                            session.set_state(SessionState::Established);
-                            self.full_advert_peers.insert(from);
-                        } else {
-                            session.set_state(SessionState::OpenConfirm);
-                        }
-                    }
-                    SessionState::OpenConfirm => {
-                        // Duplicate OPEN mid-handshake (our earlier reply may
-                        // have been lost in flight): re-confirm so the peer
-                        // can make progress instead of deadlocking.
-                        self.out.push((from, KEEPALIVE.clone()));
-                    }
-                    SessionState::Established => {
-                        // A fresh OPEN on an established session means the
-                        // peer restarted: drop the old session state and
-                        // re-handshake so the full table is re-sent.
-                        self.dirty.extend(self.table.flush(from));
-                        self.full_advert_peers.insert(from);
-                        self.out.push((from, self.open.clone()));
-                        self.out.push((from, KEEPALIVE.clone()));
-                        session.set_state(SessionState::OpenConfirm);
-                    }
-                }
-            }
-            BgpMsg::Keepalive => {
-                match session.state {
-                    SessionState::OpenConfirm => {
-                        session.set_state(SessionState::Established);
-                        self.full_advert_peers.insert(from);
-                    }
-                    SessionState::OpenSent => {
-                        // A KEEPALIVE implies the peer has processed our
-                        // OPEN even though its own OPEN reply was lost;
-                        // confirm and come up (lossy-transport robustness).
-                        // Only once we have validated an OPEN from this
-                        // peer, though — a crossing KEEPALIVE must not let
-                        // a rejected session (bad peer AS) sneak up.
-                        if session.open_seen {
-                            self.out.push((from, KEEPALIVE.clone()));
-                            session.set_state(SessionState::Established);
-                            self.full_advert_peers.insert(from);
-                        } else {
-                            // No OPEN validated yet: hold the confirm until
-                            // one arrives (delivery may have reordered the
-                            // peer's OPEN behind its KEEPALIVE).
-                            session.early_keepalive = true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            BgpMsg::Update(update) => {
-                if session.state != SessionState::Established {
-                    return;
-                }
-                self.apply_update(now, from, update);
-            }
-            BgpMsg::Notification(_) => {
-                session.reset(now, SimDuration::from_secs(5));
-                self.dirty.extend(self.table.flush(from));
-            }
+        self.neighbors = neighbors;
+    }
+
+    /// Carries out what a transition of `peer`'s session asks. The caller
+    /// holds the neighbors out of the engine meanwhile: a step reads and
+    /// writes one neighbor and the engine's other tables.
+    fn apply(&mut self, peer: Ipv4Addr, n: &mut Neighbor, step: Step) {
+        if step == Step::default() {
+            return; // most ticks
+        }
+        self.out
+            .extend(step.frames(&self.open).map(|frame| (peer, frame)));
+        if step.flush {
+            self.dirty.extend(self.table.flush(peer, &mut n.paths));
+        }
+        if step.table {
+            self.full_advert_peers.insert(peer);
         }
     }
 
-    fn apply_update(&mut self, _now: SimTime, from: Ipv4Addr, update: UpdateMsg) {
-        let session = self.sessions.get_mut(&from).expect("session exists");
+    fn apply_update(&mut self, from: Ipv4Addr, n: &mut Neighbor, update: UpdateMsg) {
         for p in &update.withdrawn {
-            self.table.set(*p, from, None);
+            self.table.set(*p, from, None, &mut n.paths);
             self.dirty.insert(*p);
         }
         if update.nlri.is_empty() {
             return;
         }
-        let ebgp = session.cfg.is_ebgp(self.local_as);
+        let ebgp = n.is_ebgp(self.local_as);
         let as_path = update.as_path().cloned().unwrap_or_default();
         // eBGP loop prevention: our AS in the path means discard.
         if ebgp && as_path.contains(self.local_as) {
             // A looped replacement of a route this peer offered earlier
             // withdraws it (RFC 4271), so the decision must run again.
             for p in &update.nlri {
-                self.table.set(*p, from, None);
+                self.table.set(*p, from, None, &mut n.paths);
                 self.dirty.insert(*p);
             }
             return;
@@ -823,7 +910,7 @@ impl BgpEngine {
             communities: update.communities(),
             foreign_attrs,
         });
-        let rm_in = session.cfg.route_map_in.clone();
+        let rm_in = n.cfg.route_map_in.clone();
         let arrival_base = self.arrival_counter;
         let mut accepted = 0;
         for (i, prefix) in update.nlri.iter().enumerate() {
@@ -844,7 +931,7 @@ impl BgpEngine {
                 None => Some(Arc::clone(&base)),
             };
             let Some(attrs) = permitted else {
-                self.table.set(*prefix, from, None);
+                self.table.set(*prefix, from, None, &mut n.paths);
                 continue;
             };
             let arrival = arrival_base + accepted;
@@ -853,7 +940,7 @@ impl BgpEngine {
                 arrival,
                 from,
             };
-            self.table.set(*prefix, from, Some(path));
+            self.table.set(*prefix, from, Some(path), &mut n.paths);
             accepted += 1;
             self.arrival_counter = arrival_base + i as u64 + 1;
         }
@@ -863,67 +950,22 @@ impl BgpEngine {
     /// Returns the frames to deliver, by peer.
     pub fn poll(&mut self, now: SimTime, resolver: &dyn NextHopResolver) -> Vec<(Ipv4Addr, Bytes)> {
         // 1. Session liveness: hold timer + transport reachability.
-        let Self {
-            sessions,
-            table,
-            dirty,
-            out,
-            work,
-            ..
-        } = self;
-        let (retry, keepalive) = (self.retry, self.keepalive);
-        for (peer, s) in sessions.iter_mut() {
-            if s.cfg.shutdown {
-                continue;
-            }
-            // Transport liveness: losing the route to the peer tears the
-            // TCP session down. Without this, updates enqueued while the
-            // peer is unreachable would be silently lost although the
-            // Adj-RIB-Out believes them delivered.
-            let peer_reachable = *s.reachable.get_or_insert_with(|| {
+        let mut neighbors = std::mem::take(&mut self.neighbors);
+        for (peer, n) in neighbors.iter_mut().filter(|(_, n)| !n.cfg.shutdown) {
+            let work = &mut self.work;
+            let reachable = *n.reachable.get_or_insert_with(|| {
                 work.liveness_lookups += 1;
                 reaches(resolver, *peer)
             });
             debug_assert_eq!(
-                peer_reachable,
+                reachable,
                 reaches(resolver, *peer),
                 "the IGP view moved at {peer} unannounced"
             );
-            if s.state != SessionState::Idle {
-                let hold_expired = now.since(s.last_rx) > s.hold_time;
-                if hold_expired || !peer_reachable {
-                    s.reset(now, retry);
-                    dirty.extend(table.flush(*peer));
-                    continue;
-                }
-                if s.state == SessionState::Established
-                    && now.since(s.last_keepalive_tx) >= keepalive
-                {
-                    s.last_keepalive_tx = now;
-                    out.push((*peer, KEEPALIVE.clone()));
-                }
-            } else if now >= s.retry_at {
-                if peer_reachable {
-                    // Active open.
-                    s.set_state(SessionState::OpenSent);
-                    s.last_rx = now; // arm hold timer from the attempt
-                    s.retry_at = now + retry;
-                    out.push((*peer, self.open.clone()));
-                } else {
-                    // No transport to the peer yet: re-arm the retry timer
-                    // so the wakeup schedule stays coarse.
-                    s.retry_at = now + retry;
-                }
-            }
-            // OpenSent/OpenConfirm retry: if stuck past retry interval, fall
-            // back to Idle so we re-OPEN (covers lost messages).
-            if matches!(s.state, SessionState::OpenSent | SessionState::OpenConfirm)
-                && now.since(s.last_rx) > retry.saturating_mul(5)
-            {
-                s.reset(now, retry);
-                dirty.extend(table.flush(*peer));
-            }
+            let step = n.session.step(now, Event::Tick { reachable });
+            self.apply(*peer, n, step);
         }
+        self.neighbors = neighbors;
 
         // 2 + 3. Decision process and update generation, scoped to the
         // prefixes whose inputs changed.
@@ -939,35 +981,15 @@ impl BgpEngine {
 
     /// The earliest time at which a timer needs servicing.
     pub fn next_wakeup(&self, now: SimTime) -> SimTime {
-        let mut next = now + self.keepalive;
-        for s in self.sessions.values() {
-            if s.cfg.shutdown {
-                continue;
-            }
-            let candidate = match s.state {
-                SessionState::Idle => {
-                    // An overdue retry must fire at the very next poll.
-                    if s.retry_at > now {
-                        s.retry_at
-                    } else {
-                        SimTime(now.0 + 1)
-                    }
-                }
-                SessionState::Established => s.last_keepalive_tx + self.keepalive,
-                _ => s.last_rx + self.retry.saturating_mul(5),
-            };
-            let candidate = candidate.max(SimTime(now.0 + 1));
-            if candidate < next {
-                next = candidate;
-            }
-        }
-        next
+        let live = self.neighbors.values().filter(|n| !n.cfg.shutdown);
+        let wakeups = live.map(|n| n.session.next_wakeup(now));
+        wakeups.fold(now + Session::KEEPALIVE, SimTime::min)
     }
 
     /// Total FSM state changes across all sessions since the engine was
     /// built (session churn, for the observability layer).
     pub fn session_transitions(&self) -> u64 {
-        self.sessions.values().map(|s| s.transitions).sum()
+        self.neighbors.values().map(|n| n.session.transitions).sum()
     }
 
     /// The currently selected BGP routes, as RIB candidates: the reference
@@ -1019,9 +1041,9 @@ impl BgpEngine {
     /// would act on the fresh answers.
     pub fn stale_liveness(&self, resolver: &dyn NextHopResolver) -> Vec<Ipv4Addr> {
         let known = self
-            .sessions
+            .neighbors
             .iter()
-            .filter_map(|(p, s)| Some((*p, s.reachable?)));
+            .filter_map(|(p, n)| Some((*p, n.reachable?)));
         known
             .filter(|(peer, reachable)| *reachable != reaches(resolver, *peer))
             .map(|(peer, _)| peer)
@@ -1032,24 +1054,24 @@ impl BgpEngine {
     /// entries of the group's Adj-RIB-Out the peer sees, and is 0 for a
     /// session that is not in sync with it.
     pub fn summaries(&self) -> impl Iterator<Item = NeighborSummary> + '_ {
-        self.sessions.iter().map(|(peer, s)| {
+        self.neighbors.iter().map(|(peer, n)| {
+            let state = n.session.state();
             let in_sync =
-                s.state == SessionState::Established && !self.full_advert_peers.contains(peer);
-            let table = self.groups[s.group].table.values();
+                state == SessionState::Established && !self.full_advert_peers.contains(peer);
+            let table = self.groups[n.group].table.values();
             let seen = table.filter(|a| a.learned_from != Some(*peer));
-            let slots = self.table.slots.iter().map(|(_, s)| s.paths.as_slice());
             NeighborSummary {
                 peer: *peer,
-                remote_as: s.cfg.remote_as,
-                state: s.state,
-                prefixes_received: slots.filter(|p| p.iter().any(|p| p.from == *peer)).count(),
+                remote_as: n.session.remote_as,
+                state,
+                prefixes_received: n.paths as usize,
                 prefixes_sent: if in_sync { seen.count() } else { 0 },
             }
         })
     }
 
     pub fn session_state(&self, peer: Ipv4Addr) -> Option<SessionState> {
-        self.sessions.get(&peer).map(|s| s.state)
+        self.neighbors.get(&peer).map(|n| n.session.state())
     }
 
     /// RFC 4271 §9.1.2.2 best-path selection over one prefix's candidates
@@ -1082,12 +1104,12 @@ impl BgpEngine {
             arrival: 0,
         });
         let learned = paths.iter().filter_map(|path| {
-            let session = self.sessions.get(&path.from)?;
-            (session.state == SessionState::Established).then_some(())?;
+            let n = self.neighbors.get(&path.from)?;
+            (n.session.state() == SessionState::Established).then_some(())?;
             Some(Candidate {
                 attrs: &path.attrs,
                 from: Some(path.from),
-                ebgp: session.cfg.is_ebgp(self.local_as),
+                ebgp: n.is_ebgp(self.local_as),
                 igp_metric: igp_costs[&path.attrs.next_hop]?,
                 arrival: path.arrival,
             })
@@ -1288,7 +1310,7 @@ impl BgpEngine {
     /// established) the whole table, each minus the routes learned from it.
     fn generate_updates(&mut self, scope: &BTreeSet<Prefix>, full_advert: &BTreeSet<Ipv4Addr>) {
         let Self {
-            sessions,
+            neighbors,
             groups,
             table,
             attr_sets,
@@ -1301,11 +1323,11 @@ impl BgpEngine {
         let (local_as, emit) = (self.local_as, self.quirks.emit_unusual_attr);
         let mut in_sync = vec![false; groups.len()];
         let mut joining = vec![false; groups.len()];
-        for (peer, s) in sessions.iter() {
-            if s.state == SessionState::Established {
+        for (peer, n) in neighbors.iter() {
+            if n.session.state() == SessionState::Established {
                 match full_advert.contains(peer) {
-                    true => joining[s.group] = true,
-                    false => in_sync[s.group] = true,
+                    true => joining[n.group] = true,
+                    false => in_sync[n.group] = true,
                 }
             }
         }
@@ -1315,8 +1337,8 @@ impl BgpEngine {
                 let learned_from = route.learned_from;
                 // RR-client provenance, read off the session the route came in on.
                 let from_client = learned_from
-                    .and_then(|p| sessions.get(&p))
-                    .is_some_and(|s| s.cfg.rr_client);
+                    .and_then(|p| neighbors.get(&p))
+                    .is_some_and(|n| n.cfg.rr_client);
                 let (maps, lists) = (&*route_maps, &*prefix_lists);
                 let attrs = Self::export(prefix, route, key, from_client, local_as, maps, lists)?;
                 let attrs = match old {
@@ -1379,14 +1401,14 @@ impl BgpEngine {
 
         // The members in sync and not excepted share one encoding.
         let mut shared: Vec<Option<Vec<Bytes>>> = vec![None; groups.len()];
-        for (peer, s) in sessions.iter() {
-            if s.state != SessionState::Established {
+        for (peer, n) in neighbors.iter() {
+            if n.session.state() != SessionState::Established {
                 continue;
             }
-            let (changes, excepted) = &moved[s.group];
+            let (changes, excepted) = &moved[n.group];
             let own;
             let frames = if full_advert.contains(peer) {
-                let table = groups[s.group].table.iter();
+                let table = groups[n.group].table.iter();
                 let seen = table.filter_map(|(prefix, advert)| {
                     Some((*prefix, Advert::seen_by(Some(advert), Some(*peer))?.clone()))
                 });
@@ -1398,7 +1420,7 @@ impl BgpEngine {
                 own = member_updates(changes, Some(*peer), emit, work);
                 &own
             } else {
-                shared[s.group].get_or_insert_with(|| member_updates(changes, None, emit, work))
+                shared[n.group].get_or_insert_with(|| member_updates(changes, None, emit, work))
             };
             out.extend(frames.iter().map(|frame| (*peer, frame.clone())));
         }
@@ -1409,9 +1431,9 @@ impl BgpEngine {
     /// whatever else the engine had queued.
     pub fn ceases(&self) -> Vec<(Ipv4Addr, Bytes)> {
         let up = self
-            .sessions
+            .neighbors
             .iter()
-            .filter(|(_, s)| s.state != SessionState::Idle);
+            .filter(|(_, n)| n.session.state() != SessionState::Idle);
         up.map(|(peer, _)| (*peer, notification(6, 4))).collect()
     }
 }
@@ -1528,6 +1550,16 @@ fn pack_updates(
 mod tests {
     use super::*;
     use mfv_config::BgpNeighborConfig;
+
+    /// A resolver over a fixed table.
+    #[derive(Default, Clone, Debug)]
+    struct TableResolver(BTreeMap<Ipv4Addr, u32>);
+
+    impl NextHopResolver for TableResolver {
+        fn igp_metric(&self, ip: Ipv4Addr) -> Option<u32> {
+            self.0.get(&ip).copied()
+        }
+    }
 
     /// The frames of a poll, decoded.
     fn decoded(out: Vec<(Ipv4Addr, Bytes)>) -> Vec<(Ipv4Addr, BgpMsg)> {
@@ -2319,6 +2351,350 @@ mod tests {
         );
     }
 
+    /// Where a conformance row starts: a session state, with OpenSent split
+    /// by what the machine remembers there.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Start {
+        Idle,
+        OpenSent,
+        /// OpenSent again, an OPEN from the peer having validated before.
+        OpenSentValidated,
+        /// OpenSent with a KEEPALIVE latched.
+        OpenSentLatched,
+        OpenConfirm,
+        Established,
+    }
+
+    /// A conformance row's event: a message, or a tick at which one timer
+    /// (or none) is due, or the peer is unreachable.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Ev {
+        Open,
+        BadOpen,
+        Keepalive,
+        Notification,
+        Update,
+        Quiet,
+        RetryDue,
+        HoldExpires,
+        KeepaliveDue,
+        Unreachable,
+    }
+
+    const PEER_AS: AsNum = AsNum(65002);
+
+    impl Start {
+        const ALL: [Start; 6] = [
+            Start::Idle,
+            Start::OpenSent,
+            Start::OpenSentValidated,
+            Start::OpenSentLatched,
+            Start::OpenConfirm,
+            Start::Established,
+        ];
+
+        fn state(self) -> SessionState {
+            match self {
+                Start::Idle => SessionState::Idle,
+                Start::OpenConfirm => SessionState::OpenConfirm,
+                Start::Established => SessionState::Established,
+                _ => SessionState::OpenSent,
+            }
+        }
+
+        /// A session here at `now`, every timer just restarted.
+        fn session(self, now: SimTime) -> Session {
+            Session {
+                state: self.state(),
+                open_seen: !matches!(self, Start::Idle | Start::OpenSent | Start::OpenSentLatched),
+                early_keepalive: self == Start::OpenSentLatched,
+                last_rx: now,
+                last_keepalive_tx: now,
+                retry_at: now + SimDuration::from_secs(1),
+                ..Session::new(PEER_AS)
+            }
+        }
+    }
+
+    impl Ev {
+        const ALL: [Ev; 10] = [
+            Ev::Open,
+            Ev::BadOpen,
+            Ev::Keepalive,
+            Ev::Notification,
+            Ev::Update,
+            Ev::Quiet,
+            Ev::RetryDue,
+            Ev::HoldExpires,
+            Ev::KeepaliveDue,
+            Ev::Unreachable,
+        ];
+
+        /// Delivers the event to `s` at `now`.
+        fn fire(self, s: &mut Session, now: SimTime) -> Step {
+            let open = |asn| Event::Open(asn, 90);
+            let tick = Event::Tick { reachable: true };
+            match self {
+                Ev::Open => s.step(now, open(PEER_AS)),
+                Ev::BadOpen => s.step(now, open(AsNum(65999))),
+                Ev::Keepalive => s.step(now, Event::Keepalive),
+                Ev::Notification => s.step(now, Event::Notification),
+                Ev::Update => s.step(now, Event::Update),
+                Ev::Quiet => s.step(now, tick),
+                Ev::RetryDue => {
+                    s.retry_at = now;
+                    s.step(now, tick)
+                }
+                Ev::HoldExpires => {
+                    s.last_rx = SimTime::ZERO;
+                    s.step(now, tick)
+                }
+                Ev::KeepaliveDue => {
+                    s.last_keepalive_tx = SimTime::ZERO;
+                    s.step(now, tick)
+                }
+                Ev::Unreachable => s.step(now, Event::Tick { reachable: false }),
+            }
+        }
+    }
+
+    /// A row's outcome: the state, and what the step does, in words
+    /// (`open`, `keepalive`, `flush`, `table`, `update`, `notify<code>/<sub>`).
+    fn outcome(state: SessionState, does: &str) -> (SessionState, Step) {
+        let mut step = Step::default();
+        for word in does.split_whitespace() {
+            match word {
+                "open" => step.open = true,
+                "keepalive" => step.keepalive = true,
+                "flush" => step.flush = true,
+                "table" => step.table = true,
+                "update" => step.update = true,
+                notify => {
+                    let code = notify
+                        .strip_prefix("notify")
+                        .unwrap()
+                        .split_once('/')
+                        .unwrap();
+                    step.notification = Some((code.0.parse().unwrap(), code.1.parse().unwrap()));
+                }
+            }
+        }
+        (state, step)
+    }
+
+    /// RFC 4271 §8.2.2's row for `start` and `ev`, a message arriving on the
+    /// connection the state implies; `None` where the RFC moves to Connect
+    /// or Active. Any way down from Established flushes the peer's routes,
+    /// and coming up sends the whole table (§9.1).
+    fn rfc(start: Start, ev: Ev) -> Option<(SessionState, Step)> {
+        use SessionState::*;
+        let state = start.state();
+        let flush = if state == Established { "flush" } else { "" };
+        let down = |notify: &str| outcome(Idle, &format!("{notify} {flush}"));
+        Some(match (state, ev) {
+            (Idle, Ev::RetryDue) | (OpenSent, Ev::Unreachable) => return None,
+            (Idle, _) => outcome(Idle, ""),
+            (_, Ev::BadOpen) => down("notify2/2"),
+            (_, Ev::Notification | Ev::Unreachable) => down(""),
+            (_, Ev::HoldExpires) => down("notify4/0"),
+            (OpenSent, Ev::Open) => outcome(OpenConfirm, "keepalive"),
+            // Collision resolution closes one of the two connections.
+            (OpenConfirm, Ev::Open) => down("notify6/7"),
+            (OpenConfirm, Ev::Keepalive) => outcome(Established, "table"),
+            (Established, Ev::Keepalive) => outcome(Established, ""),
+            (Established, Ev::Update) => outcome(Established, "update"),
+            // Any other message is a finite-state-machine error.
+            (_, Ev::Open | Ev::Keepalive | Ev::Update) => down("notify5/0"),
+            (OpenConfirm | Established, Ev::KeepaliveDue) => outcome(state, "keepalive"),
+            (_, Ev::Quiet | Ev::RetryDue | Ev::KeepaliveDue) => outcome(state, ""),
+        })
+    }
+
+    /// A deviation's row: where it starts, the event, and what the machine
+    /// does there, as [`outcome`] reads it.
+    type Row = (Start, Ev, SessionState, &'static str);
+
+    /// The machine's departures from [`rfc`], by the name DESIGN.md lists
+    /// them under, each with its rows.
+    const DEVIATIONS: &[(&str, &[Row])] = {
+        use SessionState::*;
+        const OPEN_SENT: [Start; 3] = [
+            Start::OpenSent,
+            Start::OpenSentValidated,
+            Start::OpenSentLatched,
+        ];
+        &[
+            (
+                "Connect and Active folded into Idle",
+                &[
+                    (Start::Idle, Ev::RetryDue, OpenSent, "open"),
+                    (Start::Idle, Ev::Open, OpenConfirm, "open keepalive"),
+                    (Start::Idle, Ev::BadOpen, Idle, "notify2/2"),
+                    (OPEN_SENT[0], Ev::Unreachable, Idle, ""),
+                    (OPEN_SENT[1], Ev::Unreachable, Idle, ""),
+                    (OPEN_SENT[2], Ev::Unreachable, Idle, ""),
+                ],
+            ),
+            (
+                "lossy KEEPALIVE in OpenSent",
+                &[(
+                    Start::OpenSentValidated,
+                    Ev::Keepalive,
+                    Established,
+                    "keepalive table",
+                )],
+            ),
+            (
+                "early KEEPALIVE latched",
+                &[
+                    (Start::OpenSent, Ev::Keepalive, OpenSent, ""),
+                    (Start::OpenSentLatched, Ev::Keepalive, OpenSent, ""),
+                    (
+                        Start::OpenSentLatched,
+                        Ev::Open,
+                        Established,
+                        "open keepalive table",
+                    ),
+                ],
+            ),
+            (
+                "OPEN resent in OpenSent",
+                &[
+                    (Start::OpenSent, Ev::Open, OpenConfirm, "open keepalive"),
+                    (
+                        Start::OpenSentValidated,
+                        Ev::Open,
+                        OpenConfirm,
+                        "open keepalive",
+                    ),
+                ],
+            ),
+            (
+                "duplicate OPEN in OpenConfirm",
+                &[(Start::OpenConfirm, Ev::Open, OpenConfirm, "keepalive")],
+            ),
+            (
+                "OPEN on Established is a restart",
+                &[(
+                    Start::Established,
+                    Ev::Open,
+                    OpenConfirm,
+                    "open keepalive flush table",
+                )],
+            ),
+            (
+                "UPDATE before Established ignored",
+                &[
+                    (OPEN_SENT[0], Ev::Update, OpenSent, ""),
+                    (OPEN_SENT[1], Ev::Update, OpenSent, ""),
+                    (OPEN_SENT[2], Ev::Update, OpenSent, ""),
+                    (Start::OpenConfirm, Ev::Update, OpenConfirm, ""),
+                ],
+            ),
+            (
+                "silent expiry",
+                &[
+                    (OPEN_SENT[0], Ev::HoldExpires, Idle, ""),
+                    (OPEN_SENT[1], Ev::HoldExpires, Idle, ""),
+                    (OPEN_SENT[2], Ev::HoldExpires, Idle, ""),
+                    (Start::OpenConfirm, Ev::HoldExpires, Idle, ""),
+                    (Start::Established, Ev::HoldExpires, Idle, "flush"),
+                ],
+            ),
+            (
+                "no KEEPALIVE before Established",
+                &[(Start::OpenConfirm, Ev::KeepaliveDue, OpenConfirm, "")],
+            ),
+        ]
+    };
+
+    #[test]
+    fn the_session_machine_is_rfc_4271_but_for_named_deviations() {
+        let design =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"));
+        let design = design.expect("DESIGN.md");
+        let now = SimTime(1_000_000);
+        for start in Start::ALL {
+            for ev in Ev::ALL {
+                let mut session = start.session(now);
+                let step = ev.fire(&mut session, now);
+                let got = (session.state(), step);
+                let named = DEVIATIONS.iter().find_map(|(name, rows)| {
+                    let row = rows.iter().find(|r| (r.0, r.1) == (start, ev))?;
+                    Some((*name, outcome(row.2, row.3)))
+                });
+                let reference = rfc(start, ev);
+                match named {
+                    Some((name, deviation)) => {
+                        assert_eq!(got, deviation, "{start:?} × {ev:?}: {name}");
+                        assert_ne!(
+                            reference,
+                            Some(deviation),
+                            "{name} is the RFC at {start:?} × {ev:?}"
+                        );
+                        assert!(design.contains(name), "DESIGN.md does not name {name:?}");
+                    }
+                    None => assert_eq!(Some(got), reference, "{start:?} × {ev:?}"),
+                }
+            }
+        }
+    }
+
+    // Random update, withdraw, flush and reset sequences: each summary's
+    // `prefixes_received`, a count kept where paths go in and out of the
+    // table, is what a walk of the table finds.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_summary_counts_the_paths_a_table_walk_finds(
+            kinds in proptest::collection::vec((0u8..3, proptest::prelude::any::<bool>()), 2..6),
+            ops in proptest::collection::vec((0u8..7, proptest::prelude::any::<u8>(), 0u8..3), 20..60),
+        ) {
+            let (mut engine, mut resolver, peers) = hub(&kinds);
+            let mut now = SimTime(1000);
+            let open = |engine: &mut BgpEngine, now, (peer, asn): (Ipv4Addr, AsNum)| {
+                engine.push_msg(now, peer, BgpMsg::Open(OpenMsg::new(asn, 90, peer)));
+                engine.push_msg(now, peer, BgpMsg::Keepalive);
+            };
+            for peer in &peers {
+                open(&mut engine, now, *peer);
+            }
+            for (kind, pick, k) in ops {
+                let (peer, asn) = peers[usize::from(pick) % peers.len()];
+                // Every peer draws from one pool, so slots hold several paths.
+                let pool: Vec<Prefix> =
+                    (0..4).map(|j| pfx(&format!("100.0.{}.0/24", k * 4 + j))).collect();
+                let first = if asn == AsNum(65000) { 65300 } else { asn.0 };
+                match kind {
+                    0 => engine.push_msg(now, peer, announce(&[first, 64999], peer, pool)),
+                    // Over eBGP our own AS in the path withdraws the route.
+                    1 => engine.push_msg(now, peer, announce(&[first, 65000], peer, pool)),
+                    2 => engine.push_msg(now, peer, BgpMsg::Update(UpdateMsg::withdraw(pool))),
+                    3 => {
+                        let cease = NotificationMsg { code: 6, subcode: 4, data: bytes::Bytes::new() };
+                        engine.push_msg(now, peer, BgpMsg::Notification(cease));
+                    }
+                    4 => open(&mut engine, now, (peer, asn)),
+                    5 if k > 0 => {
+                        if resolver.0.remove(&peer).is_none() {
+                            resolver.0.insert(peer, 10);
+                        }
+                        engine.next_hops_moved([&Prefix::host(peer)]);
+                    }
+                    _ => engine.shutdown_session(peer, now),
+                }
+                now += SimDuration::from_millis(100);
+                let _ = engine.poll(now, &resolver);
+                for summary in engine.summaries() {
+                    let slots = engine.table.slots.iter().map(|(_, slot)| slot.paths.as_slice());
+                    let walk = slots.filter(|paths| paths.iter().any(|p| p.from == summary.peer));
+                    proptest::prop_assert_eq!(summary.prefixes_received, walk.count());
+                }
+            }
+        }
+    }
+
     /// The per-peer Adj-RIB-Outs the export groups replaced, kept as the
     /// reference they are held to: after a poll, every Established session
     /// is diffed — every prefix, not a scope — against what the reference
@@ -2333,17 +2709,18 @@ mod tests {
         /// The UPDATEs the poll `engine` just ran must have queued.
         fn updates(&mut self, engine: &BgpEngine) -> Vec<(Ipv4Addr, Bytes)> {
             let mut out = Vec::new();
-            for (peer, s) in &engine.sessions {
+            for (peer, n) in &engine.neighbors {
                 let rib_out = self.rib_out.entry(*peer).or_default();
                 // Every way out of Established flushes; the other states
                 // have nothing to flush.
-                if self.transitions.insert(*peer, s.transitions) != Some(s.transitions) {
+                let transitions = n.session.transitions;
+                if self.transitions.insert(*peer, transitions) != Some(transitions) {
                     rib_out.clear();
                 }
-                if s.state != SessionState::Established {
+                if n.session.state() != SessionState::Established {
                     continue;
                 }
-                let key = s.cfg.export_key(engine.local_as);
+                let key = n.cfg.export_key(n.is_ebgp(engine.local_as));
                 let universe: BTreeSet<Prefix> = engine.selected().iter().map(|(p, _)| p).collect();
                 let universe: BTreeSet<Prefix> = &universe | &rib_out.keys().copied().collect();
                 let mut withdrawals = Vec::new();
@@ -2354,8 +2731,8 @@ mod tests {
                     let want = route
                         .filter(|r| r.learned_from != Some(*peer))
                         .and_then(|r| {
-                            let from = r.learned_from.and_then(|p| engine.sessions.get(&p));
-                            let from_client = from.is_some_and(|s| s.cfg.rr_client);
+                            let from = r.learned_from.and_then(|p| engine.neighbors.get(&p));
+                            let from_client = from.is_some_and(|n| n.cfg.rr_client);
                             let (maps, lists) = (&engine.route_maps, &engine.prefix_lists);
                             BgpEngine::export(
                                 &prefix,

@@ -584,19 +584,20 @@ impl IsisEngine {
         self.routes_stale
     }
 
-    /// Runs SPF if its inputs moved and returns how the result differs from
-    /// `installed` — the IS-IS routes the owner's RIB holds, in prefix
-    /// order — as `(prefix, Some(route))` to install or replace and
+    /// Runs SPF if its inputs moved and appends to `changes` how the result
+    /// differs from `installed` — the IS-IS routes the owner's RIB holds, in
+    /// prefix order — as `(prefix, Some(route))` to install or replace and
     /// `(prefix, None)` to withdraw, in prefix order. The engine keeps no
     /// copy of its last result: the RIB's is the one there is, so
     /// `installed` must be what the changes handed out so far leave,
     /// starting from none; only the prefixes the run can have moved are read.
-    /// The changes are drained from a buffer the engine keeps.
+    /// `changes` is the owner's, so an engine holds no buffer of them; like
+    /// SPF's own buffers it shrinks back after a run far smaller than it.
     pub fn take_route_changes<'a>(
         &mut self,
         installed: impl Iterator<Item = (&'a Prefix, &'a RibRoute)>,
-    ) -> std::vec::Drain<'_, (Prefix, Option<RibRoute>)> {
-        let mut changes = std::mem::take(&mut self.spf.changes);
+        changes: &mut Vec<(Prefix, Option<RibRoute>)>,
+    ) {
         let mut installed = installed.peekable();
         if std::mem::take(&mut self.routes_stale) {
             self.spf(|prefix, best, first_hops| {
@@ -621,10 +622,8 @@ impl IsisEngine {
                     changes.push((prefix, Some(rib_route(prefix, metric, hops, first_hops))));
                 }
             });
-            shrink_to_run(&mut changes);
+            shrink_to_run(changes);
         }
-        self.spf.changes = changes;
-        self.spf.changes.drain(..)
     }
 
     /// Reach entries the route pass has merged over the engine's life: all
@@ -1010,14 +1009,12 @@ struct SpfState {
     /// Reach entries the route pass merged, over the engine's life.
     evaluations: u64,
     /// The buffers of a run's first hops, its route pass's reach entries
-    /// `(prefix, metric, system)` and one prefix's merged first hops, and
-    /// the changes [`IsisEngine::take_route_changes`] drains. The
+    /// `(prefix, metric, system)` and one prefix's merged first hops. The
     /// per-prefix ones shrink back after a run far smaller than their
     /// capacity ([`shrink_to_run`]).
     first_hops: Vec<FirstHop>,
     reach: Vec<(Prefix, u32, u32)>,
     best: Vec<u16>,
-    changes: Vec<(Prefix, Option<RibRoute>)>,
 }
 
 /// One SPF run's result per system: its distance, and its equal-cost first
@@ -1090,6 +1087,19 @@ fn rib_route(prefix: Prefix, metric: u32, hops: &[u16], first_hops: &[FirstHop])
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IsisEngine {
+        /// [`take_route_changes`](Self::take_route_changes)' changes, in a
+        /// buffer of their own.
+        fn route_changes<'a>(
+            &mut self,
+            installed: impl Iterator<Item = (&'a Prefix, &'a RibRoute)>,
+        ) -> Vec<(Prefix, Option<RibRoute>)> {
+            let mut changes = Vec::new();
+            self.take_route_changes(installed, &mut changes);
+            changes
+        }
+    }
 
     fn sys(n: u8) -> SystemId {
         SystemId([0, 0, 0, 0, 0, n])
@@ -1294,7 +1304,7 @@ mod tests {
         };
         let mut applied: BTreeMap<Prefix, RibRoute> = BTreeMap::new();
         let apply = |e: &mut IsisEngine, applied: &mut BTreeMap<Prefix, RibRoute>| {
-            let changes: Vec<_> = e.take_route_changes(applied.iter()).collect();
+            let changes = e.route_changes(applied.iter());
             assert!(!e.routes_stale());
             for (p, r) in &changes {
                 // Only real differences are reported.
@@ -1311,7 +1321,7 @@ mod tests {
         assert!(net.engines[0].routes_stale());
         assert!(apply(&mut net.engines[0], &mut applied) > 0);
         assert_eq!(applied, table(&net.engines[0]));
-        assert_eq!(net.engines[0].take_route_changes(applied.iter()).len(), 0);
+        assert_eq!(net.engines[0].route_changes(applied.iter()).len(), 0);
         // Cutting r2–r3 withdraws what lay behind it and nothing else.
         net.engines[1].set_link(&"eth1".into(), false);
         net.engines[2].set_link(&"eth0".into(), false);
@@ -1664,7 +1674,7 @@ mod tests {
             let mut installed: BTreeMap<Prefix, RibRoute> = BTreeMap::new();
             let mut check = |e: &mut IsisEngine| {
                 let expected = diff(&e.routes(), &installed);
-                let changes: Vec<_> = e.take_route_changes(installed.iter()).collect();
+                let changes = e.route_changes(installed.iter());
                 proptest::prop_assert_eq!(&changes, &expected);
                 for (prefix, route) in changes {
                     match route {
@@ -1753,7 +1763,7 @@ mod tests {
         net.settle();
         let mut installed = BTreeMap::new();
         let mut pass = |e: &mut IsisEngine| {
-            let changes: Vec<_> = e.take_route_changes(installed.iter()).collect();
+            let changes = e.route_changes(installed.iter());
             for (prefix, route) in &changes {
                 match route {
                     Some(route) => installed.insert(*prefix, route.clone()),

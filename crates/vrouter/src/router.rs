@@ -5,6 +5,7 @@
 //! This is the moral equivalent of the vendor container image in the paper's
 //! KNE deployment: the unit the emulator boots per topology node.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,6 +23,12 @@ use mfv_wire::bgp::{BgpMsg, PathAttr};
 use mfv_wire::isis::{self as isis_wire, net_area_bytes, net_system_id, SystemId};
 
 use crate::profile::VendorProfile;
+
+thread_local! {
+    /// The IS-IS route changes of an SPF run on their way into the RIB: one
+    /// buffer per thread, kept between runs, rather than one per engine.
+    static SPF_CHANGES: Cell<Vec<(Prefix, Option<RibRoute>)>> = const { Cell::new(Vec::new()) };
+}
 
 /// Output events produced by [`VirtualRouter::poll`].
 #[derive(Clone, Debug)]
@@ -796,11 +803,14 @@ impl VirtualRouter {
             let started = stopwatch();
             self.spf_runs += 1;
             let installed = self.rib.protocol_routes(RouteProtocol::Isis);
-            for (prefix, route) in isis.take_route_changes(installed) {
+            let mut changes = SPF_CHANGES.try_with(Cell::take).unwrap_or_default();
+            isis.take_route_changes(installed, &mut changes);
+            for (prefix, route) in changes.drain(..) {
                 if self.rib.set_route(RouteProtocol::Isis, prefix, route) {
                     igp_delta.insert(prefix);
                 }
             }
+            let _ = SPF_CHANGES.try_with(|buf| buf.set(changes));
             self.wall.spf_ns += self.wall.close(started, stopwatch);
         }
         self.igp_delta_prefixes += igp_delta.len() as u64;

@@ -163,18 +163,18 @@ const ROWS: &[Row] = &[
         plant: "let metric = resolver.igp_metric(next_hop);",
     },
     Row {
-        files: "crates/routing/src/bgp.rs > struct Session {",
+        files: "crates/routing/src/bgp.rs > struct Neighbor {",
         rule: Absent("rib_out|rib_in|by_next_hop"),
         why: "one computation per distinct input: paths and next-hop counts are the \
               engine's table, the Adj-RIB-Out is the group's",
-        plant: "struct Session {\n    rib_out: Out,\n    rib_in: In,\n    by_next_hop: Index,\n}",
+        plant: "struct Neighbor {\n    rib_out: Out,\n    rib_in: In,\n    by_next_hop: Index,\n}",
     },
     Row {
-        files: "crates/routing/src/bgp.rs > struct Session {",
+        files: "crates/routing/src/bgp.rs > struct Neighbor {",
         rule: Absent("BTreeMap<Prefix"),
         why: "one table per engine: every received path and the selection sit in the \
-              engine's prefix-keyed table, none in a session",
-        plant: "struct Session {\n    rib_in: BTreeMap<Prefix, RibInEntry>,\n}",
+              engine's prefix-keyed table, none in a neighbor",
+        plant: "struct Neighbor {\n    rib_in: BTreeMap<Prefix, RibInEntry>,\n}",
     },
     Row {
         files: "crates/types/src/trie.rs",
@@ -306,6 +306,20 @@ const ROWS: &[Row] = &[
         // Split, so this file does not hold the violation it plants.
         plant: concat!("unsafe impl Global", "Alloc for PerThreadCounting {}"),
     },
+    Row {
+        files: "crates/*/src/*.rs",
+        rule: Absent("enum PeerState"),
+        why: "one BGP session machine: a router's engine and an external feed both step \
+              bgp::Session; no second FSM beside it",
+        plant: "pub enum PeerState {\n    Idle,\n    OpenSent,\n    Established,\n}",
+    },
+    Row {
+        files: "crates/*/src/*.rs",
+        rule: Once("fn step("),
+        why: "one BGP session machine: RFC 4271's (state × event) table is written once, \
+              Session::step",
+        plant: "pub fn step(&mut self, now: SimTime, event: Event) -> Step {}",
+    },
 ];
 
 /// The tests that hold the same structures by behaviour, as `file::name`.
@@ -346,6 +360,9 @@ const REQUIRED: &[&str] = &[
     "crates/vrouter/src/router.rs::a_fib_epoch_names_one_instance_and_moves_with_its_fib",
     "tests/work_ceiling.rs::an_spf_run_allocates_only_the_routes_it_hands_out",
     "tests/work_ceiling.rs::a_quiet_watch_tick_allocates_nothing",
+    "crates/routing/src/bgp.rs::the_session_machine_is_rfc_4271_but_for_named_deviations",
+    "crates/routing/src/bgp.rs::a_summary_counts_the_paths_a_table_walk_finds",
+    "crates/emulator/src/inject.rs::a_router_gone_past_the_hold_time_gets_the_table_again",
 ];
 
 /// The files `glob` names. Tests run in the repository root.
