@@ -56,7 +56,7 @@ use crate::chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict};
 use crate::cluster::{Cluster, PodRequest, Unschedulable};
 use crate::inject::{synthetic_prefixes, ExternalPeer};
 use crate::shard::{
-    stream_seed, Ev, EventKind, Fleet, ImpairWindow, Laps, LinkChange, Net, Owner, Shard,
+    stream_seed, Entity, Ev, EventKind, Fleet, ImpairWindow, Laps, LinkChange, Net, Shard,
     GLOBAL_ORIGIN,
 };
 use crate::topology::Topology;
@@ -236,9 +236,10 @@ fn inject(fleet: &mut Fleet, shards: &mut [Shard], sid: usize, at: SimTime, kind
 fn activate_feeds(net: &Net, fleet: &mut Fleet, shards: &mut [Shard], at: SimTime) {
     fleet.feeds_active = true;
     for idx in 0..fleet.externals.len() {
-        let sid = net.ext_shard.get(idx).copied().unwrap_or(0);
+        let feed = net.feed_key(idx);
+        let sid = net.shard.get(feed.index()).copied().unwrap_or(0);
         if let (Some(Some(_)), Some(shard)) = (fleet.externals.get(idx), shards.get_mut(sid)) {
-            shard.schedule_ext_poll(fleet, idx, at);
+            shard.schedule_poll(fleet, feed, at);
         }
     }
 }
@@ -339,7 +340,7 @@ impl Emulation {
         // never depends on boot order; segments to a not-yet-booted node
         // are dropped at delivery instead of at send.
         let mut profiles = Vec::with_capacity(interner.node_count());
-        let mut ip_owner: BTreeMap<Ipv4Addr, Owner> = BTreeMap::new();
+        let mut ip_owner: BTreeMap<Ipv4Addr, Entity> = BTreeMap::new();
         for r in interner.node_refs() {
             let name = interner.node(r).cloned();
             let vendor = name
@@ -355,7 +356,7 @@ impl Emulation {
             if let Some(parsed) = parsed_configs.get(r.index()) {
                 for iface in parsed.config.interfaces.iter().filter(|i| i.is_l3()) {
                     if let Some(a) = iface.addr {
-                        ip_owner.insert(a.addr, Owner::Node(r));
+                        ip_owner.insert(a.addr, r.into());
                     }
                 }
             }
@@ -370,8 +371,7 @@ impl Emulation {
             parsed_configs: Vec::new(),
             links: net_links,
             ip_owner,
-            node_shard: Vec::new(),
-            ext_shard: Vec::new(),
+            shard: Vec::new(),
             seed,
             auto_restart: cfg.auto_restart_crashed,
             impairments: Vec::new(),
@@ -422,7 +422,7 @@ impl Emulation {
     }
 
     fn shard_of(&self, node: NodeRef) -> Option<usize> {
-        self.net.node_shard.get(node.index()).copied()
+        self.net.shard.get(node.index()).copied()
     }
 
     pub fn router(&self, node: &NodeId) -> Option<&VirtualRouter> {
@@ -478,7 +478,7 @@ impl Emulation {
             }
         }
         // Cut the partition.
-        let node_shard: Vec<usize> = match self.glob.cfg.shards {
+        let mut shard: Vec<usize> = match self.glob.cfg.shards {
             ShardMode::Fixed(n) => {
                 let n = n.clamp(1, node_count.max(1));
                 let per = node_count.div_ceil(n).max(1);
@@ -503,33 +503,25 @@ impl Emulation {
                     .collect()
             }
         };
-        let shard_count = node_shard.iter().copied().max().map(|m| m + 1).unwrap_or(1);
-        Arc::make_mut(&mut self.net).node_shard = node_shard;
+        let shard_count = shard.iter().copied().max().map(|m| m + 1).unwrap_or(1);
         // Lookahead: min latency over links whose endpoints live in
         // different shards, capped by the 2 ms BGP segment floor (iBGP
         // sessions may connect any two routers regardless of links).
         let mut lookahead = 2u64;
         for link in &self.net.links {
             let [(a, _), (b, _)] = &link.ends;
-            if self.net.node_shard.get(a.index()) != self.net.node_shard.get(b.index()) {
+            if shard.get(a.index()) != shard.get(b.index()) {
                 lookahead = lookahead.min(link.latency_ms);
             }
         }
         self.glob.lookahead_ms = lookahead.max(1);
-        let ext_shard = self
-            .topology
-            .external_peers
-            .iter()
-            .map(|spec| {
-                self.net
-                    .interner
-                    .resolve_node(&spec.attach_to)
-                    .and_then(|r| self.net.node_shard.get(r.index()))
-                    .copied()
-                    .unwrap_or(0)
-            })
-            .collect();
-        Arc::make_mut(&mut self.net).ext_shard = ext_shard;
+        // A feed is placed on its attach node's shard.
+        for spec in &self.topology.external_peers {
+            let node = self.net.interner.resolve_node(&spec.attach_to);
+            let sid = node.and_then(|r| shard.get(r.index()).copied());
+            shard.push(sid.unwrap_or(0));
+        }
+        Arc::make_mut(&mut self.net).shard = shard;
         self.shards = (0..shard_count).map(Shard::new).collect();
         // Inject boot events.
         for &(eta, node) in &self.glob.pending_ready {
@@ -539,23 +531,13 @@ impl Emulation {
             }
         }
         // External peers.
-        for idx in 0..self.topology.external_peers.len() {
-            let (addr, asn, attach_to, base_octet, route_count) = {
-                let spec = &self.topology.external_peers[idx];
-                (
-                    spec.addr,
-                    spec.asn,
-                    spec.attach_to.clone(),
-                    spec.base_octet,
-                    spec.route_count,
-                )
-            };
+        for (idx, spec) in self.topology.external_peers.iter().enumerate() {
             // The router side: the attach node's interface on the peer's
             // subnet and its AS. Resolved from the config parsed at `new()`.
             let config = self
                 .net
                 .interner
-                .resolve_node(&attach_to)
+                .resolve_node(&spec.attach_to)
                 .and_then(|r| self.net.parsed_configs.get(r.index()))
                 .map(|parsed| &parsed.config);
             let router_addr = config
@@ -565,23 +547,23 @@ impl Emulation {
                         .iter()
                         .filter(|i| i.is_l3())
                         .filter_map(|i| i.addr)
-                        .find(|a| a.subnet().contains(addr))
+                        .find(|a| a.subnet().contains(spec.addr))
                         .map(|a| a.addr)
                 })
                 .unwrap_or(Ipv4Addr::UNSPECIFIED);
             let router_as = config
                 .and_then(|c| c.bgp.as_ref())
                 .map_or(AsNum(0), |b| b.asn);
-            let base = base_octet.unwrap_or(20 + idx as u8);
-            let routes = synthetic_prefixes(base, route_count);
+            let base = spec.base_octet.unwrap_or(20 + idx as u8);
+            let routes = synthetic_prefixes(base, spec.route_count);
+            let (addr, asn) = (spec.addr, spec.asn);
             let peer = ExternalPeer::new(addr, asn, router_addr, router_as, routes);
             // Router addresses win collisions, as they did when routers
             // re-registered over external entries at boot.
-            Arc::make_mut(&mut self.net)
-                .ip_owner
-                .entry(addr)
-                .or_insert(Owner::External(idx));
-            self.fleet.install_external(idx, peer);
+            let feed = self.net.feed_key(idx);
+            let net = Arc::make_mut(&mut self.net);
+            net.ip_owner.entry(addr).or_insert(feed);
+            self.fleet.externals[idx] = Some(peer);
         }
         if !self.glob.cfg.inject_after_boot {
             activate_feeds(&self.net, &mut self.fleet, &mut self.shards, SimTime(1_000));
@@ -740,7 +722,7 @@ impl Emulation {
             router.apply_config(parsed.config);
             let net = Arc::make_mut(&mut self.net);
             for addr in router.addresses() {
-                net.ip_owner.insert(*addr, Owner::Node(node_ref));
+                net.ip_owner.insert(*addr, node_ref.into());
             }
             // An interface the config names first gets a port: cable it.
             net.cable(|node, name| router.port(name).filter(|_| node == node_ref));
@@ -1133,7 +1115,7 @@ fn apply_global(
         }
         GlobalAction::Kill(node) => {
             glob.chaos_pending = glob.chaos_pending.saturating_sub(1);
-            let target = node.and_then(|n| Some((n, *net.node_shard.get(n.index())?)));
+            let target = node.and_then(|n| Some((n, *net.shard.get(n.index())?)));
             match target {
                 Some((node, sid)) => {
                     fleet.chaos_in_flight += 1;
@@ -1161,7 +1143,7 @@ fn apply_global(
                 let Some(node) = net.interner.resolve_node(&req.pod) else {
                     continue;
                 };
-                let Some(&sid) = net.node_shard.get(node.index()) else {
+                let Some(&sid) = net.shard.get(node.index()) else {
                     continue;
                 };
                 if let Some(shard) = shards.get_mut(sid) {
@@ -1225,7 +1207,7 @@ fn settle(
         .iter()
         .take_while(|(eta, _)| *eta < horizon)
         .filter(|(eta, node)| {
-            let sid = net.node_shard.get(node.index()).copied().unwrap_or(0);
+            let sid = net.shard.get(node.index()).copied().unwrap_or(0);
             *eta < ends.get(sid).copied().unwrap_or(SimTime::ZERO)
         })
         .copied()
@@ -1280,5 +1262,60 @@ fn mark_wall(glob: &mut Global, wp: &mut WallProgress) {
         let us = wp.timer.elapsed_micros();
         glob.wall.add_phase("flood", us.saturating_sub(wp.mark));
         wp.mark = us;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mfv_config::{IfaceSpec, RouterSpec};
+
+    use super::*;
+    use crate::{ExternalPeerSpec, NodeSpec};
+
+    /// A feed of no routes has nothing to announce, yet it is not drained
+    /// before its session is up: it counts for nothing at install, and at
+    /// every barrier after, it counts exactly when its session is
+    /// Established.
+    #[test]
+    fn a_zero_route_feed_counts_as_drained_once_its_session_is_established() {
+        let feed = Ipv4Addr::new(100, 64, 9, 1);
+        let r1 = RouterSpec::new("r1", AsNum(65000), Ipv4Addr::new(2, 2, 2, 1))
+            .iface(IfaceSpec::new(
+                "Ethernet1",
+                "100.64.9.0/31".parse().unwrap(),
+            ))
+            .ebgp(feed, AsNum(64999));
+        let mut topology = Topology::new("one_feed");
+        topology.add_node(NodeSpec::from_config("r1", &r1.build()));
+        topology.external_peers.push(ExternalPeerSpec {
+            addr: feed,
+            asn: AsNum(64999),
+            attach_to: "r1".into(),
+            route_count: 0,
+            base_octet: None,
+        });
+        let cfg = EmulationConfig::default();
+        let mut emu = Emulation::new(topology, Cluster::single_node(), cfg).unwrap();
+        emu.boot();
+        assert_eq!(emu.fleet.feeds_done, 0, "a fresh feed is Idle");
+        let established = |emu: &Emulation| {
+            let peer = emu.fleet.externals[0].as_ref();
+            peer.is_some_and(ExternalPeer::established)
+        };
+        let mut at = SimTime::ZERO;
+        while !established(&emu) {
+            assert_eq!(emu.fleet.feeds_done, 0, "at {at:?}");
+            assert!(at < SimTime(600_000), "the session never came up");
+            at = SimTime(at.0 + 10);
+            emu.run_until(at);
+        }
+        assert_eq!(emu.fleet.feeds_done, 1);
+        let drained = emu.fleet.last_feed_done.0;
+        assert!(
+            at.0 - 10 < drained && drained <= at.0,
+            "drained at {drained}"
+        );
+        assert!(emu.run_until_converged().converged);
+        assert_eq!(emu.fleet.feeds_done, 1);
     }
 }

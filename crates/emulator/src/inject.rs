@@ -106,7 +106,7 @@ impl ExternalPeer {
         SimDuration::from_secs(5 << self.failures.saturating_sub(1).min(4))
     }
 
-    fn established(&self) -> bool {
+    pub(crate) fn established(&self) -> bool {
         self.session.state() == SessionState::Established
     }
 
@@ -121,10 +121,15 @@ impl ExternalPeer {
         self.routes.get(self.announced..).unwrap_or_default()
     }
 
-    /// Feeds a message received from the router. Its UPDATEs are accepted
-    /// silently (we are a feed, not a transit).
-    pub fn push_msg(&mut self, now: SimTime, msg: &BgpMsg) {
-        self.handle(now, Event::of(msg));
+    /// Feeds a frame received from the router; returns whether it was a
+    /// BGP message. Its UPDATEs are accepted silently (we are a feed, not a
+    /// transit).
+    pub fn push_bgp(&mut self, now: SimTime, mut frame: Bytes) -> bool {
+        let Ok(msg) = BgpMsg::decode(&mut frame) else {
+            return false;
+        };
+        self.handle(now, Event::of(&msg));
+        true
     }
 
     /// Steps the session and carries out what it asks: its frames to the
@@ -206,6 +211,10 @@ mod tests {
     use super::*;
 
     impl ExternalPeer {
+        fn push_msg(&mut self, now: SimTime, msg: &BgpMsg) {
+            assert!(self.push_bgp(now, msg.encode().unwrap()));
+        }
+
         fn state(&self) -> SessionState {
             self.session.state()
         }

@@ -1,13 +1,14 @@
 //! The sharded conservative-lookahead runtime's two tables.
 //!
 //! A [`Shard`] is one partition's schedule: its clock, event heap,
-//! demand-driven wake sets, per-sender FIFO clocks and outbox. Everything
+//! demand-driven wake set, per-sender FIFO clocks and outbox. Everything
 //! per entity and per run — routers and external peers, their RNG streams,
 //! sequence counters and wake slots, link state, churn, the journal and
 //! every counter — is one table for the whole emulation, the [`Fleet`],
-//! which each shard's window borrows. What is read-only during a window
-//! lives in [`Net`]. Shards are a schedule, not a unit of execution: the
-//! coordinator runs them one after another on its own thread.
+//! which each shard's window borrows; its streams and wake slots, like the
+//! placement and address tables of the read-only [`Net`], are indexed by
+//! one key, the [`Entity`]. Shards are a schedule, not a unit of execution:
+//! the coordinator runs them one after another on its own thread.
 //!
 //! # Determinism contract
 //!
@@ -18,11 +19,11 @@
 //!
 //! 1. **Content-based event keys.** Events order by
 //!    `(time, origin, origin_seq)` where `origin` identifies the entity
-//!    that scheduled the event (0 = the coordinator, then nodes in interned
-//!    name order, then external peers) and `origin_seq` is that entity's
-//!    monotone counter. Keys are unique and assigned by simulation content,
-//!    never by execution order, so a heap merge of cross-shard arrivals is
-//!    a deterministic merge-sort no matter which shard ran first.
+//!    that scheduled the event (0 = the coordinator, then each entity's
+//!    key plus one) and `origin_seq` is that entity's monotone counter.
+//!    Keys are unique and assigned by simulation content, never by
+//!    execution order, so a heap merge of cross-shard arrivals is a
+//!    deterministic merge-sort no matter which shard ran first.
 //! 2. **Per-entity RNG streams.** Jitter and impairment draws come from a
 //!    `ChaCha8Rng` derived from `(seed, entity)` — not from a shared
 //!    engine RNG whose draw order would depend on scheduling.
@@ -79,14 +80,11 @@ pub(crate) enum EventKind {
         end: u32,
         payload: Bytes,
     },
+    /// A BGP segment to the entity that owns `dst`.
     DeliverBgp {
-        node: NodeRef,
+        to: Entity,
         src: Ipv4Addr,
         dst: Ipv4Addr,
-        payload: Bytes,
-    },
-    DeliverToExternal {
-        idx: usize,
         payload: Bytes,
     },
     RestartRouter(NodeRef),
@@ -140,20 +138,27 @@ impl LinkChange {
     }
 }
 
-/// Who sends a BGP segment. Each speaker draws from its own ChaCha8 stream
-/// and keys its events under its own origin.
-#[derive(Clone, Copy)]
-pub(crate) enum Speaker {
-    Node(NodeRef),
-    /// An external feed, by index.
-    Feed(usize),
+/// An emulated entity's key, one flat space for every per-entity table:
+/// nodes are `0..N` in `NodeRef` order, external feeds `N..N+E`. Each
+/// entity draws from its own ChaCha8 stream and keys its events under
+/// origin `key + 1`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) struct Entity(pub u32);
+
+impl Entity {
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    fn origin(self) -> u32 {
+        self.0 + 1
+    }
 }
 
-/// Who owns a BGP endpoint address.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Owner {
-    Node(NodeRef),
-    External(usize),
+impl From<NodeRef> for Entity {
+    fn from(node: NodeRef) -> Entity {
+        Entity(node.0)
+    }
 }
 
 /// A link: its two ends and the port each is cabled to, resolved once.
@@ -259,11 +264,10 @@ pub(crate) struct Net {
     /// addr → owning entity, for BGP segment delivery. Built statically
     /// from parsed configs (interface addresses are config-derived), so
     /// delivery routing never depends on boot order.
-    pub ip_owner: BTreeMap<Ipv4Addr, Owner>,
-    /// Node → shard id (filled at boot when the partition is cut).
-    pub node_shard: Vec<usize>,
-    /// External peer → shard id (the attach node's shard).
-    pub ext_shard: Vec<usize>,
+    pub ip_owner: BTreeMap<Ipv4Addr, Entity>,
+    /// Entity → shard id, filled at boot when the partition is cut: a feed
+    /// is placed on its attach node's shard.
+    pub shard: Vec<usize>,
     pub seed: u64,
     pub auto_restart: bool,
     /// Active message-impairment windows with per-link / per-pair indexes.
@@ -273,19 +277,21 @@ pub(crate) struct Net {
 }
 
 impl Net {
-    /// The event origin `speaker`'s sends are keyed under.
-    fn origin(&self, speaker: Speaker) -> u32 {
-        match speaker {
-            Speaker::Node(n) => 1 + n.index() as u32,
-            Speaker::Feed(idx) => 1 + self.interner.node_count() as u32 + idx as u32,
-        }
+    /// The node `e` is; `None` for an external feed.
+    pub fn node(&self, e: Entity) -> Option<NodeRef> {
+        (e.index() < self.interner.node_count()).then_some(NodeRef(e.0))
+    }
+
+    /// External feed `idx`'s key.
+    pub fn feed_key(&self, idx: usize) -> Entity {
+        Entity((self.interner.node_count() + idx) as u32)
     }
 
     /// The shards holding link `slot`'s endpoints, each once.
     pub fn link_shards(&self, slot: usize) -> Vec<usize> {
         let ends = self.links.get(slot).map_or(&[][..], |link| &link.ends);
         let mut sids: Vec<usize> = (ends.iter())
-            .filter_map(|(n, _)| self.node_shard.get(n.index()).copied())
+            .filter_map(|(n, _)| self.shard.get(n.index()).copied())
             .collect();
         sids.dedup();
         sids
@@ -322,9 +328,10 @@ pub(crate) fn stream_seed(seed: u64, tag: u64) -> u64 {
 }
 
 /// Everything per entity and per run, one table for the whole emulation:
-/// entity tables are indexed by `NodeRef` / external-peer index, sequence
-/// counters by event origin. A shard's window writes the entries of the
-/// entities placed on it; the coordinator reads the totals at barriers.
+/// routers are indexed by `NodeRef`, feeds by their index, streams and
+/// wake slots by [`Entity`], sequence counters by event origin. A shard's
+/// window writes the entries of the entities placed on it; the coordinator
+/// reads the totals at barriers.
 #[derive(Clone, Default)]
 pub(crate) struct Fleet {
     pub routers: Vec<Option<VirtualRouter>>,
@@ -336,13 +343,11 @@ pub(crate) struct Fleet {
     pub last_feed_done: SimTime,
     /// Link up/down by slot: what frames cross and what `up_links` reports.
     pub link_up: Vec<bool>,
-    node_rng: Vec<ChaCha8Rng>,
-    ext_rng: Vec<ChaCha8Rng>,
-    /// Each origin's event counter (coordinator, nodes, external peers).
+    rng: Vec<ChaCha8Rng>,
+    /// Each origin's event counter (coordinator, then each entity).
     oseq: Vec<u64>,
     /// Each entity's pending wake, mirrored in its shard's wake set.
-    next_poll: Vec<Option<SimTime>>,
-    ext_next: Vec<Option<SimTime>>,
+    next_wake: Vec<Option<SimTime>>,
     /// Dataplane-change records held until the coordinator announces the
     /// steady-state instant (`churn_from`); records before it never count.
     churn_buf: Vec<(SimTime, BTreeSet<Prefix>)>,
@@ -371,19 +376,20 @@ pub(crate) struct Fleet {
 impl Fleet {
     /// Empty slots for every node and external peer, every link up.
     pub fn new(net: &Net, externals: usize, links: usize) -> Fleet {
-        let nodes = net.interner.node_count();
+        let nodes = net.interner.node_count() as u64;
+        // Node `n`'s stream is tagged `0x1000_0000 + n`, feed `i`'s
+        // `0x2000_0000 + i`.
+        let tags = (0..nodes).map(|n| 0x1000_0000 + n);
+        let tags = tags.chain((0..externals as u64).map(|i| 0x2000_0000 + i));
         let stream = |tag: u64| ChaCha8Rng::seed_from_u64(stream_seed(net.seed, tag));
+        let entities = nodes as usize + externals;
         Fleet {
             routers: (0..nodes).map(|_| None).collect(),
             externals: (0..externals).map(|_| None).collect(),
             link_up: vec![true; links],
-            node_rng: (0..nodes as u64).map(|n| stream(0x1000_0000 + n)).collect(),
-            ext_rng: (0..externals as u64)
-                .map(|i| stream(0x2000_0000 + i))
-                .collect(),
-            oseq: vec![0; 1 + nodes + externals],
-            next_poll: vec![None; nodes],
-            ext_next: vec![None; externals],
+            rng: tags.map(stream).collect(),
+            oseq: vec![0; 1 + entities],
+            next_wake: vec![None; entities],
             ..Fleet::default()
         }
     }
@@ -399,28 +405,33 @@ impl Fleet {
         }
     }
 
-    /// Installs an external peer at boot. A feed born drained (zero routes)
-    /// counts as done immediately.
-    pub fn install_external(&mut self, idx: usize, peer: ExternalPeer) {
-        if peer.done() {
-            self.feed_drained(SimTime::ZERO);
-        }
-        self.externals[idx] = Some(peer);
+    /// The router of `node`, if it has an instance.
+    fn router(&mut self, node: NodeRef) -> Option<&mut VirtualRouter> {
+        self.routers.get_mut(node.index())?.as_mut()
     }
 
-    fn feed_drained(&mut self, at: SimTime) {
-        self.feeds_done += 1;
-        self.last_feed_done = self.last_feed_done.max(at);
-    }
-
-    /// Counts a feed that drained at `at`, or one that is not drained any
-    /// more: a new session replays the table, and a dropped one owes it.
-    fn feed_moved(&mut self, was_done: bool, done: bool, at: SimTime) {
-        match (was_done, done) {
-            (false, true) => self.feed_drained(at),
+    /// Runs `f` on feed `e` at `at` and counts a feed it drained, or one it
+    /// left not drained any more: a new session replays the table, and a
+    /// dropped one owes it.
+    fn with_feed<T>(
+        &mut self,
+        e: Entity,
+        at: SimTime,
+        f: impl FnOnce(&mut ExternalPeer) -> T,
+    ) -> Option<T> {
+        let idx = e.index().checked_sub(self.routers.len())?;
+        let peer = self.externals.get_mut(idx)?.as_mut()?;
+        let was_done = peer.done();
+        let out = f(peer);
+        match (was_done, peer.done()) {
+            (false, true) => {
+                self.feeds_done += 1;
+                self.last_feed_done = self.last_feed_done.max(at);
+            }
             (true, false) => self.feeds_done -= 1,
             _ => {}
         }
+        Some(out)
     }
 
     /// Counts what changed in a router's FIB at `at` toward oscillation, or
@@ -466,19 +477,11 @@ impl Fleet {
         }
     }
 
-    /// The stream `speaker` draws its impairments and jitter from.
-    fn rng(&mut self, speaker: Speaker) -> Option<&mut ChaCha8Rng> {
-        match speaker {
-            Speaker::Node(node) => self.node_rng.get_mut(node.index()),
-            Speaker::Feed(idx) => self.ext_rng.get_mut(idx),
-        }
-    }
-
     /// Applies an impairment's drop/duplicate draws from the *sender's*
     /// RNG stream; returns how many copies to deliver (0 = dropped).
-    fn impaired_copies(&mut self, from: Speaker, spec: Option<ImpairSpec>) -> u32 {
+    fn impaired_copies(&mut self, from: Entity, spec: Option<ImpairSpec>) -> u32 {
         let Some(spec) = spec else { return 1 };
-        let Some(rng) = self.rng(from) else {
+        let Some(rng) = self.rng.get_mut(from.index()) else {
             return 1;
         };
         if spec.drop_pct > 0 && rng.gen_range(0..100u32) < spec.drop_pct as u32 {
@@ -493,31 +496,13 @@ impl Fleet {
     }
 
     /// A send's jitter in ms, drawn from the sender's stream.
-    fn jitter(&mut self, from: Speaker) -> u64 {
-        self.rng(from).map_or(0, |rng| rng.gen_range(0..3))
+    fn jitter(&mut self, from: Entity) -> u64 {
+        let rng = self.rng.get_mut(from.index());
+        rng.map_or(0, |rng| rng.gen_range(0..3))
     }
 }
 
-/// Requests a wake of entity `id` at `at`, or keeps an earlier pending one:
-/// `slot` is the entity's pending wake, `wake` its shard's set of them.
-fn wake_at<T: Ord + Copy>(
-    slot: &mut Option<SimTime>,
-    wake: &mut BTreeSet<(SimTime, T)>,
-    id: T,
-    at: SimTime,
-) {
-    match *slot {
-        Some(t) if t <= at => return,
-        Some(t) => {
-            wake.remove(&(t, id));
-        }
-        None => {}
-    }
-    *slot = Some(at);
-    wake.insert((at, id));
-}
-
-/// One partition's schedule: its clock, a private event heap, the wake sets
+/// One partition's schedule: its clock, a private event heap, the wake set
 /// of the entities placed on it, per-flow FIFO clocks, and the outbox of
 /// cross-shard sends.
 #[derive(Clone, Default)]
@@ -525,8 +510,9 @@ pub(crate) struct Shard {
     pub id: usize,
     now: SimTime,
     events: BinaryHeap<Reverse<Ev>>,
-    wake: BTreeSet<(SimTime, NodeRef)>,
-    ext_wake: BTreeSet<(SimTime, usize)>,
+    /// Pending wakes by instant, then key: at one instant routers before
+    /// feeds.
+    wake: BTreeSet<(SimTime, Entity)>,
     /// FIFO clocks: jitter may delay but never reorder messages between the
     /// same endpoints. Flows are keyed by sender, so each flow's clock
     /// lives in exactly one shard.
@@ -552,12 +538,11 @@ impl Shard {
         self.now
     }
 
-    /// Earliest pending work across the heap and both wake sets.
+    /// Earliest pending work across the heap and the wake set.
     pub fn next_due(&self) -> Option<SimTime> {
         let heap_t = self.events.peek().map(|Reverse(ev)| ev.key.time);
         let wake_t = self.wake.first().map(|&(t, _)| t);
-        let ext_t = self.ext_wake.first().map(|&(t, _)| t);
-        [heap_t, wake_t, ext_t].into_iter().flatten().min()
+        heap_t.into_iter().chain(wake_t).min()
     }
 
     /// Coordinator-side insertion (cross-shard arrivals, boot events,
@@ -579,18 +564,22 @@ impl Shard {
         }
     }
 
-    /// Requests a router wake at `at` (or keeps an earlier pending one).
-    pub fn schedule_poll(&mut self, fleet: &mut Fleet, node: NodeRef, at: SimTime) {
-        if let Some(slot) = fleet.next_poll.get_mut(node.index()) {
-            wake_at(slot, &mut self.wake, node, at.max(self.now));
+    /// Requests a wake of entity `e` at `at`, or keeps an earlier pending
+    /// one.
+    pub fn schedule_poll(&mut self, fleet: &mut Fleet, e: impl Into<Entity>, at: SimTime) {
+        let (e, at) = (e.into(), at.max(self.now));
+        let Some(slot) = fleet.next_wake.get_mut(e.index()) else {
+            return;
+        };
+        match *slot {
+            Some(t) if t <= at => return,
+            Some(t) => {
+                self.wake.remove(&(t, e));
+            }
+            None => {}
         }
-    }
-
-    /// Like `schedule_poll`, for external peers.
-    pub fn schedule_ext_poll(&mut self, fleet: &mut Fleet, idx: usize, at: SimTime) {
-        if let Some(slot) = fleet.ext_next.get_mut(idx) {
-            wake_at(slot, &mut self.ext_wake, idx, at.max(self.now));
-        }
+        *slot = Some(at);
+        self.wake.insert((at, e));
     }
 
     /// Tells this shard's endpoint routers of link `slot` about a change
@@ -601,10 +590,10 @@ impl Shard {
         };
         let now = self.now;
         for &(node, ref iface) in &link.ends {
-            if net.node_shard.get(node.index()) != Some(&self.id) {
+            if net.shard.get(node.index()) != Some(&self.id) {
                 continue;
             }
-            if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+            if let Some(router) = fleet.router(node) {
                 match change {
                     LinkChange::Carrier(up) => router.set_link(iface, up),
                     LinkChange::WireRemoved => router.remove_wire(iface),
@@ -646,7 +635,7 @@ impl Shard {
         node: NodeRef,
         events: &mut Vec<RouterEvent>,
     ) {
-        let from = Speaker::Node(node);
+        let from = Entity::from(node);
         for ev in events.drain(..) {
             match ev {
                 RouterEvent::IsisFrame { port, payload } => {
@@ -671,8 +660,8 @@ impl Shard {
                         let clock = clock.or_insert(SimTime::ZERO);
                         at = at.max(SimTime(clock.0 + 1));
                         *clock = at;
-                        let ev_key = fleet.next_key(net.origin(from), at);
-                        let dest = net.node_shard[peer.index()];
+                        let ev_key = fleet.next_key(from.origin(), at);
+                        let dest = net.shard[peer.index()];
                         let kind = EventKind::DeliverIsis {
                             link: slot as u32,
                             end: 1 - end as u32,
@@ -700,7 +689,7 @@ impl Shard {
                             .map(|r| r.profile().restart_delay)
                             .unwrap_or(SimDuration::from_secs(60));
                         fleet.pending_restarts += 1;
-                        let key = fleet.next_key(net.origin(from), self.now + delay);
+                        let key = fleet.next_key(from.origin(), self.now + delay);
                         let kind = EventKind::RestartRouter(node);
                         self.send(fleet, self.id, Ev { key, kind });
                     }
@@ -716,16 +705,16 @@ impl Shard {
         &mut self,
         net: &Net,
         fleet: &mut Fleet,
-        from: Speaker,
+        from: Entity,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         payload: Bytes,
     ) {
-        let Some(&owner) = net.ip_owner.get(&dst) else {
+        let Some(&to) = net.ip_owner.get(&dst) else {
             return; // addressed to nobody we know
         };
-        let impair = match (from, owner) {
-            (Speaker::Node(node), Owner::Node(peer)) => self.bgp_impairment_for(net, node, peer),
+        let impair = match (net.node(from), net.node(to)) {
+            (Some(node), Some(peer)) => self.bgp_impairment_for(net, node, peer),
             _ => None,
         };
         let copies = fleet.impaired_copies(from, impair);
@@ -739,31 +728,22 @@ impl Shard {
                 .or_insert(SimTime::ZERO);
             at = at.max(SimTime(clock.0 + 1));
             *clock = at;
-            let key = fleet.next_key(net.origin(from), at);
+            let key = fleet.next_key(from.origin(), at);
             let payload = payload.clone();
-            let (dest, kind) = match owner {
-                Owner::Node(node) => {
-                    let kind = EventKind::DeliverBgp {
-                        node,
-                        src,
-                        dst,
-                        payload,
-                    };
-                    (net.node_shard[node.index()], kind)
-                }
-                Owner::External(idx) => (
-                    net.ext_shard[idx],
-                    EventKind::DeliverToExternal { idx, payload },
-                ),
+            let kind = EventKind::DeliverBgp {
+                to,
+                src,
+                dst,
+                payload,
             };
-            self.send(fleet, dest, Ev { key, kind });
+            self.send(fleet, net.shard[to.index()], Ev { key, kind });
         }
     }
 
     fn poll_router(&mut self, net: &Net, fleet: &mut Fleet, node: NodeRef, laps: &Laps) {
         let now = self.now;
         fleet.tally.router_polls += 1;
-        let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) else {
+        let Some(router) = fleet.router(node) else {
             return;
         };
         let v_before = router.fib_version();
@@ -785,25 +765,24 @@ impl Shard {
         }
     }
 
-    fn poll_external(&mut self, net: &Net, fleet: &mut Fleet, idx: usize) {
+    fn poll_external(&mut self, net: &Net, fleet: &mut Fleet, feed: Entity) {
         if !fleet.feeds_active {
             return;
         }
         let now = self.now;
         fleet.tally.ext_polls += 1;
-        let Some(peer) = fleet.externals.get_mut(idx).and_then(|s| s.as_mut()) else {
+        let polled = fleet.with_feed(feed, now, |peer| {
+            (peer.poll(now), peer.next_wakeup(now), peer.addr)
+        });
+        let Some((frames, wakeup, src)) = polled else {
             return;
         };
-        let was_done = peer.done();
-        let frames = peer.poll(now);
-        let (wakeup, src, done) = (peer.next_wakeup(now), peer.addr, peer.done());
-        fleet.feed_moved(was_done, done, now);
         // A feed's destination is its router's address, so it reaches a
         // router or nobody.
         for (dst, payload) in frames {
-            self.send_bgp(net, fleet, Speaker::Feed(idx), src, dst, payload);
+            self.send_bgp(net, fleet, feed, src, dst, payload);
         }
-        self.schedule_ext_poll(fleet, idx, wakeup);
+        self.schedule_poll(fleet, feed, wakeup);
     }
 
     fn handle(&mut self, net: &Net, fleet: &mut Fleet, kind: EventKind) {
@@ -839,7 +818,7 @@ impl Shard {
                     return;
                 };
                 let (node, port) = (info.ends[end as usize].0, info.ports[end as usize]);
-                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+                if let Some(router) = fleet.router(node) {
                     // A node with no port for the interface drops the frame.
                     if let Some(port) = port {
                         router.push_isis(now, port, payload);
@@ -849,40 +828,39 @@ impl Shard {
                 }
             }
             EventKind::DeliverBgp {
-                node,
+                to,
                 src,
                 dst,
                 payload,
             } => {
-                fleet.tally.deliver_bgp += 1;
-                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
-                    router.push_bgp(now, src, dst, payload);
-                    fleet.messages_delivered += 1;
-                    self.schedule_poll(fleet, node, SimTime(now.0 + 1));
-                }
-            }
-            EventKind::DeliverToExternal { idx, payload } => {
-                fleet.tally.deliver_external += 1;
-                // An inactive feed is an unplugged device: segments vanish.
-                if !fleet.feeds_active {
-                    return;
-                }
-                if let Some(peer) = fleet.externals.get_mut(idx).and_then(|s| s.as_mut()) {
-                    let was_done = peer.done();
-                    let mut buf = payload;
-                    if let Ok(msg) = mfv_wire::bgp::BgpMsg::decode(&mut buf) {
-                        peer.push_msg(now, &msg);
-                        fleet.messages_delivered += 1;
+                // Whether `to` took the segment in, and whether a feed
+                // read a message from it.
+                let taken = match net.node(to) {
+                    Some(node) => {
+                        fleet.tally.deliver_bgp += 1;
+                        fleet.router(node).map(|router| {
+                            router.push_bgp(now, src, dst, payload);
+                            true
+                        })
                     }
-                    let done = peer.done();
-                    fleet.feed_moved(was_done, done, now);
-                    self.schedule_ext_poll(fleet, idx, SimTime(now.0 + 1));
+                    // An inactive feed is an unplugged device: segments vanish.
+                    None => {
+                        fleet.tally.deliver_external += 1;
+                        let push = |peer: &mut ExternalPeer| peer.push_bgp(now, payload);
+                        (fleet.feeds_active)
+                            .then(|| fleet.with_feed(to, now, push))
+                            .flatten()
+                    }
+                };
+                if let Some(message) = taken {
+                    fleet.messages_delivered += u64::from(message);
+                    self.schedule_poll(fleet, to, SimTime(now.0 + 1));
                 }
             }
             EventKind::RestartRouter(node) => {
                 fleet.tally.restart_router += 1;
                 fleet.pending_restarts = fleet.pending_restarts.saturating_sub(1);
-                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+                if let Some(router) = fleet.router(node) {
                     if !router.is_running() {
                         router.restart(now);
                         fleet.last_activity = fleet.last_activity.max(now);
@@ -910,7 +888,7 @@ impl Shard {
                         .journal
                         .push(now, "chaos.kill_routing", name.to_string());
                 }
-                if let Some(router) = fleet.routers.get_mut(node.index()).and_then(|s| s.as_mut()) {
+                if let Some(router) = fleet.router(node) {
                     router.inject_crash("chaos: routing process killed");
                     fleet.last_activity = fleet.last_activity.max(now);
                     self.schedule_poll(fleet, node, SimTime(now.0 + 1));
@@ -921,15 +899,14 @@ impl Shard {
 
     /// Processes every work item with instant `< end` in deterministic
     /// order: earliest instant first; at equal instants the heap wins
-    /// (content-keyed order), then router wakes, then external wakes. Each
+    /// (content-keyed order), then wakes by key: routers, then feeds. Each
     /// item's lap of `laps` is charged to its class in the fleet's
     /// `loop_wall`.
     pub fn run_window(&mut self, net: &Net, fleet: &mut Fleet, end: SimTime, laps: &mut Laps) {
         loop {
             let heap_t = self.events.peek().map(|Reverse(ev)| ev.key.time);
             let wake_t = self.wake.first().map(|&(t, _)| t);
-            let ext_t = self.ext_wake.first().map(|&(t, _)| t);
-            let Some(t) = [heap_t, wake_t, ext_t].into_iter().flatten().min() else {
+            let Some(t) = heap_t.into_iter().chain(wake_t).min() else {
                 return;
             };
             if t >= end {
@@ -941,25 +918,23 @@ impl Shard {
                 if let Some(Reverse(ev)) = self.events.pop() {
                     spent = match ev.kind {
                         EventKind::DeliverIsis { .. } => |w| &mut w.deliver_isis,
-                        EventKind::DeliverBgp { .. } => |w| &mut w.deliver_bgp,
+                        EventKind::DeliverBgp { to, .. } if net.node(to).is_some() => {
+                            |w| &mut w.deliver_bgp
+                        }
                         _ => |w| &mut w.other,
                     };
                     self.handle(net, fleet, ev.kind);
                 }
-            } else if wake_t == Some(t) {
-                if let Some((_, node)) = self.wake.pop_first() {
-                    fleet.next_poll[node.index()] = None;
-                    self.poll_router(net, fleet, node, laps);
+            } else if let Some((_, e)) = self.wake.pop_first() {
+                fleet.next_wake[e.index()] = None;
+                match net.node(e) {
+                    Some(node) => self.poll_router(net, fleet, node, laps),
+                    None => self.poll_external(net, fleet, e),
                 }
-            } else if let Some((_, idx)) = self.ext_wake.pop_first() {
-                fleet.ext_next[idx] = None;
-                self.poll_external(net, fleet, idx);
             }
             *spent(&mut fleet.loop_wall) += laps.lap();
             fleet.events_processed += 1;
-            fleet
-                .wake_depth
-                .record((self.wake.len() + self.ext_wake.len()) as u64);
+            fleet.wake_depth.record(self.wake.len() as u64);
         }
     }
 
@@ -976,8 +951,8 @@ impl Shard {
         if let Some(slot) = fleet.routers.get_mut(node.index()) {
             *slot = None;
         }
-        if let Some(t) = fleet.next_poll.get_mut(node.index()).and_then(|s| s.take()) {
-            self.wake.remove(&(t, node));
+        if let Some(t) = fleet.next_wake.get_mut(node.index()).and_then(|s| s.take()) {
+            self.wake.remove(&(t, node.into()));
         }
         fleet.last_activity = fleet.last_activity.max(now);
     }

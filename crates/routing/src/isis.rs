@@ -107,6 +107,18 @@ impl Adjacency {
         }
     }
 
+    /// Takes the adjacency Down; returns whether it was not Down already.
+    fn go_down(&mut self) -> bool {
+        if matches!(self.state, AdjState::Down) {
+            return false;
+        }
+        self.state = AdjState::Down;
+        self.transitions += 1;
+        self.neighbor = None;
+        self.neighbor_addr = None;
+        true
+    }
+
     /// What a hello sent here now carries.
     fn hello_key(&self) -> HelloKey {
         match self.state {
@@ -238,14 +250,7 @@ impl IsisEngine {
     }
 
     fn tear(&mut self, at: usize) {
-        let Some(adj) = self.adjacencies.get_mut(at) else {
-            return;
-        };
-        if !matches!(adj.state, AdjState::Down) {
-            adj.state = AdjState::Down;
-            adj.transitions += 1;
-            adj.neighbor = None;
-            adj.neighbor_addr = None;
+        if self.adjacencies.get_mut(at).is_some_and(Adjacency::go_down) {
             self.regenerate_own_lsp();
         }
     }
@@ -513,14 +518,10 @@ impl IsisEngine {
             }
         }
 
-        // Adjacency expiry.
+        // Adjacency expiry: one re-origination however many are lost.
         let mut lost = false;
         for adj in &mut self.adjacencies {
-            if !matches!(adj.state, AdjState::Down) && now >= adj.expires {
-                adj.state = AdjState::Down;
-                adj.transitions += 1;
-                adj.neighbor = None;
-                adj.neighbor_addr = None;
+            if now >= adj.expires && adj.go_down() {
                 lost = true;
             }
         }

@@ -93,7 +93,7 @@ impl QueryIndex {
 
     /// Folds the class index's counters into `obs` (`verify.index.*`).
     pub fn observe_into(&self, obs: &mut mfv_obs::Obs) {
-        self.fa.observe_into(obs, None);
+        self.fa.observe_into(obs);
     }
 
     /// Dispatches one request line. Answers are deterministic: the same

@@ -426,9 +426,8 @@ impl ForwardingAnalysis {
         (stats.lookups, stats.fates_computed)
     }
 
-    /// Flushes this analysis' counters into `obs`. Pass the [`ClassCache`]
-    /// backing the sweep (if any) to fold its hit/miss totals in too.
-    pub fn observe_into(&self, obs: &mut mfv_obs::Obs, cache: Option<&ClassCache>) {
+    /// Flushes this analysis' counters into `obs`.
+    pub fn observe_into(&self, obs: &mut mfv_obs::Obs) {
         let m = &mut obs.metrics;
         m.inc("verify.classes.built", self.classes_built as u64);
         let stats = self.index_stats();
@@ -439,14 +438,6 @@ impl ForwardingAnalysis {
         m.inc("verify.index.lookups", stats.lookups as u64);
         if let Some(index) = self.index.get() {
             obs.wall.add_phase("verify.index.build", index.build_micros);
-        }
-        if let Some(c) = cache {
-            let (ch, cm) = c.stats();
-            m.inc("verify.classes.cache_hits", ch as u64);
-            m.inc("verify.classes.cache_misses", cm as u64);
-            let (sh, sm) = c.shape_stats();
-            m.inc("verify.shapes.cache_hits", sh as u64);
-            m.inc("verify.shapes.cache_misses", sm as u64);
         }
     }
 

@@ -28,7 +28,7 @@ fn observed_run(seed: u64) -> Obs {
         unreachable_pairs_with(&fa)
     });
     assert!(reports.is_empty(), "six-node scenario is fully reachable");
-    fa.observe_into(obs, None);
+    fa.observe_into(obs);
     result.obs
 }
 

@@ -6,7 +6,7 @@
 //! skipped wherever it sits. [`REQUIRED`] names the tests that hold the same
 //! structures by behaviour. Pattern marks: `*` is any span up to the next
 //! `)`, `#` optional whitespace then a digit, `~` one character other than
-//! `_`, `@` optional whitespace then a word.
+//! `_`, `@` optional whitespace then a word, `^` the start of a word.
 
 use std::path::Path;
 
@@ -320,6 +320,16 @@ const ROWS: &[Row] = &[
               Session::step",
         plant: "pub fn step(&mut self, now: SimTime, event: Event) -> Step {}",
     },
+    Row {
+        files: "crates/emulator/src/*.rs",
+        rule: Absent(
+            "^ext_wake|^ext_next|^ext_rng|^ext_shard|schedule_ext_poll|DeliverToExternal|enum Owner",
+        ),
+        why: "one entity key: routers and feeds are woken, seeded, placed, addressed and \
+              delivered to through one table each, indexed by Entity",
+        plant: "enum Owner { External(usize) } ext_wake ext_next ext_rng ext_shard \
+                schedule_ext_poll(fleet, idx, at); DeliverToExternal { idx, payload }",
+    },
 ];
 
 /// The tests that hold the same structures by behaviour, as `file::name`.
@@ -363,6 +373,7 @@ const REQUIRED: &[&str] = &[
     "crates/routing/src/bgp.rs::the_session_machine_is_rfc_4271_but_for_named_deviations",
     "crates/routing/src/bgp.rs::a_summary_counts_the_paths_a_table_walk_finds",
     "crates/emulator/src/inject.rs::a_router_gone_past_the_hold_time_gets_the_table_again",
+    "crates/emulator/src/engine.rs::a_zero_route_feed_counts_as_drained_once_its_session_is_established",
 ];
 
 /// The files `glob` names. Tests run in the repository root.
@@ -438,13 +449,16 @@ fn match_at<'t>(pattern: &[u8], text: &'t str, i: usize) -> Option<(usize, &'t s
             match_at(rest, text, blank + 1)
         }
         [b'~', rest @ ..] if b.get(i).is_some_and(|&c| c != b'_') => match_at(rest, text, i + 1),
+        [b'^', rest @ ..] if i == 0 || !(b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_') => {
+            match_at(rest, text, i)
+        }
         [b'@', rest @ ..] => {
             let after = text.get(blank..)?;
             let mut words = after.split(|c: char| !c.is_alphanumeric() && c != '_');
             let word = words.next().filter(|word| !word.is_empty())?;
             Some((match_at(rest, text, blank + word.len())?.0, word))
         }
-        [b'#' | b'~', ..] => None,
+        [b'#' | b'~' | b'^', ..] => None,
         [c, rest @ ..] if b.get(i) == Some(c) => match_at(rest, text, i + 1),
         _ => None,
     }
