@@ -371,7 +371,9 @@ fn e5(opts: &Options) {
     );
     println!("(the paper injects millions per peer; we sweep the synthetic feed size —");
     println!(" convergence is injection-paced, so the time extrapolates linearly)\n");
-    println!("routes/feed  boot       convergence  messages  fib-entries  wall");
+    println!(
+        "routes/feed  boot       convergence  messages  fib-entries   peak bytes  B/entry  wall"
+    );
     let sweeps: &[usize] = if opts.quick {
         &[2_500, 10_000]
     } else {
@@ -379,9 +381,10 @@ fn e5(opts: &Options) {
     };
     let mut last = None;
     for &routes in sweeps {
-        let r = run_e5(nodes, routes, 1);
+        // The run's highest heap: the emulation at its largest.
+        let (r, _, (peak, _)) = held_by(|| run_e5(nodes, routes, 1));
         println!(
-            "{:>11}  {:>9}  {:>11}  {:>8}  {:>11}  {:?}",
+            "{:>11}  {:>9}  {:>11}  {:>8}  {:>11}  {:>11}  {:>7}  {:?}",
             routes,
             r.boot
                 .map(|d| format!("{:.1}min", d.as_mins_f64()))
@@ -389,6 +392,8 @@ fn e5(opts: &Options) {
             r.convergence.map(|d| d.to_string()).unwrap_or_default(),
             r.messages,
             r.total_fib_entries,
+            peak,
+            peak / r.total_fib_entries.max(1),
             r.wall,
         );
         last = Some(r);
@@ -684,7 +689,7 @@ fn heap(opts: &Options) {
     ];
     for (role, r) in roles.map(|(role, i)| (role, routers[i])) {
         let Some(bgp) = r.bgp_engine() else { continue };
-        let attrs: BTreeSet<_> = bgp.selected().iter().map(|(_, s)| &*s.attrs).collect();
+        let attrs: BTreeSet<_> = bgp.selected().iter().map(|(_, s)| s.attrs).collect();
         let (name, selected, stored) = (&r.name, bgp.selected().iter().count(), bgp.attr_sets());
         let hops: BTreeSet<_> = r.fib().entries().map(|e| &**e.next_hops).collect();
         let (attrs, fib, hops) = (attrs.len(), r.fib().len(), hops.len());

@@ -167,7 +167,7 @@ fn e4_quick_hits_the_single_machine_wall() {
 
 #[test]
 fn e5_quick_convergence_is_injection_paced() {
-    assert_headlines(
+    let stdout = assert_headlines(
         &["e5", "--quick"],
         &[
             "       2500     7.0min       1.972s      2386        50242",
@@ -175,6 +175,19 @@ fn e5_quick_convergence_is_injection_paced() {
             "measured: 2.006s at 10000 routes; ≈3.4 min at 2M/feed",
         ],
     );
+    // Each row's peak heap, and that per FIB entry: what a route costs,
+    // at most 5 % over the 183 B and 174 B measured (the network's own
+    // routes weigh more in the smaller table).
+    for (routes, entries, ceiling) in [("2500", 50_242, 192), ("10000", 200_242, 183)] {
+        let mut rows = stdout
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>());
+        let row = rows.find(|cols| cols.first() == Some(&routes));
+        let row = row.expect("a row per feed size");
+        let (peak, per_entry): (usize, usize) = (row[5].parse().unwrap(), row[6].parse().unwrap());
+        assert_eq!(per_entry, peak / entries, "{row:?}");
+        assert!(per_entry <= ceiling, "{per_entry} B per FIB entry: {row:?}");
+    }
 }
 
 #[test]

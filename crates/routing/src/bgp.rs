@@ -16,6 +16,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::num::NonZeroU32;
 use std::sync::{Arc, LazyLock};
 
 use bytes::Bytes;
@@ -27,7 +28,7 @@ use mfv_types::{
 use mfv_wire::bgp::{BgpMsg, NotificationMsg, OpenMsg, PathAttr, UpdateMsg};
 
 use crate::policy::{eval_route_map, BgpAttrs, PolicyResult};
-use crate::rib::{NextHop, RibRoute};
+use crate::rib::{Groups, NextHop, RibRoute};
 
 /// Resolves protocol next hops against the IGP/connected routing state.
 /// Implemented by the router shell over its current RIB.
@@ -66,6 +67,15 @@ pub struct Quirks {
 /// always encode; only an UPDATE can overflow a length field.
 static KEEPALIVE: LazyLock<Bytes> =
     LazyLock::new(|| BgpMsg::Keepalive.encode().unwrap_or_default());
+
+/// What every origination is selected with, stored once for every engine
+/// (an unspecified next hop: the export advertises the session's address).
+static ORIGINATION_ATTRS: LazyLock<Arc<BgpAttrs>> =
+    LazyLock::new(|| Arc::new(BgpAttrs::originated(Ipv4Addr::UNSPECIFIED)));
+
+/// The arrival that names a prefix's origination; learned paths count from
+/// one, so a selection's winner is named by arrival alone.
+const ORIGINATION: u32 = 0;
 
 /// Per-session configuration resolved from the device config.
 #[derive(Clone, Debug)]
@@ -322,8 +332,9 @@ impl Session {
 #[derive(Clone, Debug)]
 struct Path {
     attrs: Arc<BgpAttrs>,
-    /// Global arrival sequence for the oldest-path tiebreak.
-    arrival: u64,
+    /// The engine's arrival number, unique among its paths: the oldest-path
+    /// tiebreak, and the name a selection gives its winner.
+    arrival: u32,
     /// The peer it came from.
     from: Ipv4Addr,
 }
@@ -343,6 +354,14 @@ impl Paths {
         match self {
             Paths::None => &[],
             Paths::One(path) => std::slice::from_ref(path),
+            Paths::Many(paths) => paths,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Path] {
+        match self {
+            Paths::None => &mut [],
+            Paths::One(path) => std::slice::from_mut(path),
             Paths::Many(paths) => paths,
         }
     }
@@ -388,7 +407,36 @@ impl Paths {
 #[derive(Clone, Debug, Default)]
 struct Slot {
     paths: Paths,
-    selected: Option<SelectedRoute>,
+    selected: Option<Winner>,
+}
+
+// A slot per prefix on every router a route reaches: the paths inline (one)
+// or boxed (several), and the selection named, not copied.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
+
+/// What the last decision selected at a prefix: the winning path by its
+/// arrival ([`ORIGINATION`] for the origination), and the ECMP next-hop
+/// set by its id in the table's `hop_sets`, packed with the eBGP bit into
+/// one non-zero word (`id << 1 | ebgp`, plus one).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Winner {
+    arrival: u32,
+    hops: NonZeroU32,
+}
+
+impl Winner {
+    fn new(arrival: u32, hops: u32, ebgp: bool) -> Winner {
+        let hops = NonZeroU32::MIN.saturating_add(hops << 1 | u32::from(ebgp));
+        Winner { arrival, hops }
+    }
+
+    fn hops(self) -> u32 {
+        (self.hops.get() - 1) >> 1
+    }
+
+    fn ebgp(self) -> bool {
+        (self.hops.get() - 1) & 1 == 1
+    }
 }
 
 /// The engine's one table: a slot per prefix with a path or a selection,
@@ -401,6 +449,13 @@ struct Slot {
 struct Table {
     slots: PrefixTrie<Slot>,
     next_hops: BTreeMap<Ipv4Addr, u32>,
+    /// The selection's distinct ECMP next-hop sets, by id, each counting
+    /// the slots that name it.
+    hop_sets: Groups<Ipv4Addr>,
+    /// Per prefix, the winner its peer replaced or withdrew since the last
+    /// decision: the selection names it until the decision, which runs on
+    /// every prefix here, names another.
+    displaced: BTreeMap<Prefix, Path>,
 }
 
 impl Table {
@@ -416,7 +471,16 @@ impl Table {
                 None => return,
             },
         };
-        let old = slot.paths.set(peer, path).map(|old| old.attrs.next_hop);
+        let old = slot.paths.set(peer, path);
+        let named = |old: &Path| slot.selected.is_some_and(|w| w.arrival == old.arrival);
+        let old = match old {
+            Some(old) if named(&old) => {
+                let hop = old.attrs.next_hop;
+                self.displaced.insert(prefix, old);
+                Some(hop)
+            }
+            old => old.map(|old| old.attrs.next_hop),
+        };
         *paths = (*paths + u32::from(next_hop.is_some())) - u32::from(old.is_some());
         if old == next_hop {
             return;
@@ -465,6 +529,35 @@ impl Table {
             self.set(*prefix, peer, None, paths);
         }
         flushed
+    }
+
+    /// Numbers the paths 1, 2, … in their arrival order, the selection's
+    /// names with them, and returns the next free number: what the engine
+    /// does instead of wrapping its counter, so the oldest-path tiebreak
+    /// orders the same paths the same way.
+    fn renumber(&mut self) -> u32 {
+        let held = self.slots.iter().flat_map(|(_, s)| s.paths.as_slice());
+        let held = held.chain(self.displaced.values());
+        let mut order: Vec<u32> = held.map(|p| p.arrival).collect();
+        order.sort_unstable();
+        let number = |i: usize| u32::try_from(i + 1).unwrap_or(u32::MAX);
+        // The origination's name is no path's: it stays.
+        let renumbered = |arrival: u32| order.binary_search(&arrival).map_or(arrival, number);
+        for prefix in self.slots.prefixes() {
+            let Some(slot) = self.slots.get_mut(&prefix) else {
+                continue;
+            };
+            for path in slot.paths.as_mut_slice() {
+                path.arrival = renumbered(path.arrival);
+            }
+            if let Some(won) = &mut slot.selected {
+                won.arrival = renumbered(won.arrival);
+            }
+        }
+        for path in self.displaced.values_mut() {
+            path.arrival = renumbered(path.arrival);
+        }
+        number(order.len())
     }
 }
 
@@ -569,42 +662,72 @@ struct Candidate<'a> {
     from: Option<Ipv4Addr>,
     ebgp: bool,
     igp_metric: u32,
-    arrival: u64,
+    arrival: u32,
 }
 
 impl Candidate<'_> {
-    /// Whether `route` is this candidate with `next_hops`.
-    fn is(&self, route: &SelectedRoute, next_hops: &[Ipv4Addr]) -> bool {
-        (route.learned_from, route.ebgp) == (self.from, self.ebgp)
-            && route.attrs == *self.attrs
-            && *route.next_hops == *next_hops
+    /// Whether `current`, the selection `won` names, is this candidate with
+    /// `next_hops`: the same path, or the one its peer re-sent it as.
+    fn is(&self, won: Winner, current: SelectedRef<'_>, next_hops: &[Ipv4Addr]) -> bool {
+        let attrs: &BgpAttrs = self.attrs;
+        let resent = || {
+            current.learned_from == self.from
+                && (std::ptr::eq(current.attrs, attrs) || *current.attrs == *attrs)
+        };
+        (won.arrival == self.arrival || resent())
+            && current.ebgp == self.ebgp
+            && current.next_hops == next_hops
     }
 
-    fn selected(&self, next_hops: Arc<[Ipv4Addr]>) -> SelectedRoute {
+    fn selected(&self, next_hops: &[Ipv4Addr]) -> SelectedRoute {
         SelectedRoute {
             attrs: Arc::clone(self.attrs),
             learned_from: self.from,
             ebgp: self.ebgp,
-            next_hops,
+            next_hops: next_hops.into(),
         }
     }
 }
 
-/// A route selected by the decision process.
+/// A route selected by the decision process, owned: the form
+/// [`BgpEngine::decide_all`], the reference, answers in.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SelectedRoute {
-    /// A handle to the engine's stored copy; compares by value.
     pub attrs: Arc<BgpAttrs>,
     /// Peer the best path was learned from; `None` for local originations.
     pub learned_from: Option<Ipv4Addr>,
     /// Whether the winning path is eBGP-learned.
     pub ebgp: bool,
-    /// All ECMP protocol next hops (best path's first): a handle to the
-    /// engine's stored copy of the set; compares by value.
+    /// All ECMP protocol next hops (best path's first).
     pub next_hops: Arc<[Ipv4Addr]>,
 }
 
 impl SelectedRoute {
+    pub fn view(&self) -> SelectedRef<'_> {
+        SelectedRef {
+            attrs: &self.attrs,
+            learned_from: self.learned_from,
+            ebgp: self.ebgp,
+            next_hops: &self.next_hops,
+        }
+    }
+}
+
+/// A selected route as [`Selection`] hands it out, borrowed from the
+/// engine: the winning path's stored attributes and peer, and the
+/// selection's stored next-hop set. Compares by value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SelectedRef<'a> {
+    pub attrs: &'a BgpAttrs,
+    /// Peer the best path was learned from; `None` for local originations.
+    pub learned_from: Option<Ipv4Addr>,
+    /// Whether the winning path is eBGP-learned.
+    pub ebgp: bool,
+    /// All ECMP protocol next hops (best path's first).
+    pub next_hops: &'a [Ipv4Addr],
+}
+
+impl SelectedRef<'_> {
     /// The protocol the RIB and the FIB know a learned selection by; `None`
     /// for a local origination, which offers them nothing (the route it
     /// stands for is already there).
@@ -620,18 +743,38 @@ impl SelectedRoute {
 /// The selection as the table holds it: per prefix, the route the last
 /// decision chose, read out of the prefix's slot.
 #[derive(Clone, Copy)]
-pub struct Selection<'a>(&'a PrefixTrie<Slot>);
+pub struct Selection<'a>(&'a Table);
 
 impl<'a> Selection<'a> {
-    pub fn get(self, prefix: &Prefix) -> Option<&'a SelectedRoute> {
-        self.0.get(prefix)?.selected.as_ref()
+    pub fn get(self, prefix: &Prefix) -> Option<SelectedRef<'a>> {
+        self.read(prefix, self.0.slots.get(prefix)?)
     }
 
     /// Every selected route, in prefix order.
-    pub fn iter(self) -> impl Iterator<Item = (Prefix, &'a SelectedRoute)> {
-        self.0
-            .iter()
-            .filter_map(|(p, s)| Some((p, s.selected.as_ref()?)))
+    pub fn iter(self) -> impl Iterator<Item = (Prefix, SelectedRef<'a>)> {
+        let slots = self.0.slots.iter();
+        slots.filter_map(move |(p, s)| Some((p, self.read(&p, s)?)))
+    }
+
+    /// `slot`'s selection (the table's at `prefix`): the path it names is
+    /// among the slot's, or displaced since the last decision.
+    fn read(self, prefix: &Prefix, slot: &'a Slot) -> Option<SelectedRef<'a>> {
+        let won = slot.selected?;
+        let (attrs, learned_from) = match won.arrival {
+            ORIGINATION => (&**ORIGINATION_ATTRS, None),
+            arrival => {
+                let named = |p: &&'a Path| p.arrival == arrival;
+                let path = slot.paths.as_slice().iter().find(named);
+                let path = path.or_else(|| self.0.displaced.get(prefix).filter(named))?;
+                (&*path.attrs, Some(path.from))
+            }
+        };
+        Some(SelectedRef {
+            attrs,
+            learned_from,
+            ebgp: won.ebgp(),
+            next_hops: self.0.hop_sets.set(won.hops()),
+        })
     }
 }
 
@@ -639,7 +782,7 @@ impl<'a> Selection<'a> {
 /// [`BgpEngine::decide_all`] answers in.
 impl PartialEq<&BTreeMap<Prefix, SelectedRoute>> for Selection<'_> {
     fn eq(&self, other: &&BTreeMap<Prefix, SelectedRoute>) -> bool {
-        self.iter().eq(other.iter().map(|(p, s)| (*p, s)))
+        self.iter().eq(other.iter().map(|(p, s)| (*p, s.view())))
     }
 }
 
@@ -651,7 +794,7 @@ impl std::fmt::Debug for Selection<'_> {
 
 /// A selection as a RIB route: what [`Fib::patch`](crate::rib::Fib::patch)
 /// reads straight off the selection, for a RIB built from scratch.
-fn as_rib_route(prefix: Prefix, s: &SelectedRoute) -> Option<RibRoute> {
+fn as_rib_route(prefix: Prefix, s: SelectedRef<'_>) -> Option<RibRoute> {
     let proto = s.protocol()?;
     Some(RibRoute {
         prefix,
@@ -684,20 +827,19 @@ pub struct BgpEngine {
     /// The Adj-RIB-Outs, one per distinct export policy among the sessions.
     groups: Vec<ExportGroup>,
     /// Every distinct attribute set this engine holds, stored once: the
-    /// table, the Adj-RIB-Outs and the originations hold handles into it.
+    /// table and the Adj-RIB-Outs hold handles into it.
     attr_sets: InternSet<Arc<BgpAttrs>>,
-    /// The selection's distinct ECMP next-hop sets, stored once.
-    next_hop_sets: InternSet<Arc<[Ipv4Addr]>>,
     /// Locally-originated prefixes (network statements / redistribution),
-    /// with the attrs they are originated with.
-    originated: BTreeMap<Prefix, Arc<BgpAttrs>>,
+    /// each originated with [`ORIGINATION_ATTRS`].
+    originated: BTreeSet<Prefix>,
     route_maps: BTreeMap<String, RouteMap>,
     prefix_lists: BTreeMap<String, PrefixList>,
     /// Our OPEN, encoded once: every session is sent the same one.
     open: Bytes,
     /// Frames to transmit, each encoded where it was queued.
     out: Vec<(Ipv4Addr, Bytes)>,
-    arrival_counter: u64,
+    /// The next path's arrival number.
+    arrival_counter: u32,
     /// Prefixes whose candidates (or a candidate's IGP cost) changed since
     /// the last decision run — the only ones it looks at, which keeps a
     /// million-route table from being rescanned on every poll.
@@ -765,13 +907,12 @@ impl BgpEngine {
             table: Table::default(),
             groups,
             attr_sets: InternSet::default(),
-            next_hop_sets: InternSet::default(),
-            originated: BTreeMap::new(),
+            originated: BTreeSet::new(),
             route_maps,
             prefix_lists,
             open: open.unwrap_or_default(),
             out: Vec::new(),
-            arrival_counter: 0,
+            arrival_counter: ORIGINATION + 1,
             dirty: BTreeSet::new(),
             selection_delta: BTreeSet::new(),
             work: BgpWork::default(),
@@ -786,18 +927,9 @@ impl BgpEngine {
     /// Replaces the set of locally-originated prefixes. `next_hop_unspec`
     /// originations advertise our session address as next hop.
     pub fn set_originated(&mut self, prefixes: impl IntoIterator<Item = Prefix>) {
-        let attrs = self
-            .attr_sets
-            .intern(BgpAttrs::originated(Ipv4Addr::UNSPECIFIED));
-        let new: BTreeMap<Prefix, Arc<BgpAttrs>> = prefixes
-            .into_iter()
-            .map(|p| (p, Arc::clone(&attrs)))
-            .collect();
-        for p in self.originated.keys().chain(new.keys()) {
-            if self.originated.contains_key(p) != new.contains_key(p) {
-                self.dirty.insert(*p);
-            }
-        }
+        let new: BTreeSet<Prefix> = prefixes.into_iter().collect();
+        self.dirty
+            .extend(self.originated.symmetric_difference(&new));
         self.originated = new;
     }
 
@@ -911,6 +1043,12 @@ impl BgpEngine {
             foreign_attrs,
         });
         let rm_in = n.cfg.route_map_in.clone();
+        // Arrival numbers never wrap: one that would pass `u32::MAX`
+        // renumbers the table first.
+        let nlri = u32::try_from(update.nlri.len()).unwrap_or(u32::MAX);
+        if self.arrival_counter.checked_add(nlri).is_none() {
+            self.arrival_counter = self.table.renumber();
+        }
         let arrival_base = self.arrival_counter;
         let mut accepted = 0;
         for (i, prefix) in update.nlri.iter().enumerate() {
@@ -942,7 +1080,7 @@ impl BgpEngine {
             };
             self.table.set(*prefix, from, Some(path), &mut n.paths);
             accepted += 1;
-            self.arrival_counter = arrival_base + i as u64 + 1;
+            self.arrival_counter = arrival_base + i as u32 + 1;
         }
     }
 
@@ -1007,7 +1145,7 @@ impl BgpEngine {
 
     /// The full selection (including local originations), read in place.
     pub fn selected(&self) -> Selection<'_> {
-        Selection(&self.table.slots)
+        Selection(&self.table)
     }
 
     /// Introspection for heap accounting (`experiments -- heap`): copies of
@@ -1096,12 +1234,12 @@ impl BgpEngine {
                 .entry(next_hop)
                 .or_insert_with(|| resolver.igp_metric(next_hop));
         }
-        let origination = self.originated.get(prefix).map(|attrs| Candidate {
-            attrs,
+        let origination = self.originated.contains(prefix).then(|| Candidate {
+            attrs: &ORIGINATION_ATTRS,
             from: None,
             ebgp: false,
             igp_metric: 0,
-            arrival: 0,
+            arrival: ORIGINATION,
         });
         let learned = paths.iter().filter_map(|path| {
             let n = self.neighbors.get(&path.from)?;
@@ -1183,25 +1321,42 @@ impl BgpEngine {
     }
 
     /// Recomputes the decision for the `scope` prefixes, in their slots: a
-    /// winner equal to the slot's selection leaves it as it is, and a slot
-    /// left with neither paths nor a selection goes.
+    /// winner equal to the slot's selection only renames it (a path its
+    /// peer re-sent), and a slot left with neither paths nor a selection
+    /// goes. The selection's winners are named by arrival, never by their
+    /// place in the slot, which an insert in peer order shifts.
     fn run_decision(&mut self, resolver: &dyn NextHopResolver, scope: &BTreeSet<Prefix>) {
         self.work.prefix_decisions += scope.len() as u64;
         let (mut igp_costs, mut next_hops) = (BTreeMap::new(), Vec::new());
-        let mut next_hop_sets = std::mem::take(&mut self.next_hop_sets);
         for prefix in scope {
             let slot = self.table.slots.get(prefix);
             let best = self.best(prefix, slot, resolver, &mut igp_costs, &mut next_hops);
             let pathless = slot.is_some_and(|s| s.paths.as_slice().is_empty());
-            let changed = match (slot.and_then(|s| s.selected.as_ref()), best) {
-                (Some(current), Some(best)) => !best.is(current, &next_hops),
+            let won = slot.and_then(|s| s.selected);
+            let current = slot.and_then(|s| self.selected().read(prefix, s));
+            let changed = match (won.zip(current), best) {
+                (Some((won, current)), Some(best)) => !best.is(won, current, &next_hops),
                 (current, best) => current.is_some() || best.is_some(),
             };
-            let new = best.filter(|_| changed);
-            let new = new.map(|b| b.selected(next_hop_sets.intern(&next_hops[..])));
-            if pathless && best.is_none() {
+            let best = best.map(|b| (b.arrival, b.ebgp));
+            let hop_sets = &mut self.table.hop_sets;
+            if let Some(won) = won.filter(|_| changed) {
+                hop_sets.count(won.hops(), -1);
+            }
+            let new = best.map(|(arrival, ebgp)| {
+                let hops = match won.filter(|_| !changed) {
+                    Some(won) => won.hops(),
+                    None => {
+                        let id = hop_sets.intern(&next_hops[..]);
+                        hop_sets.count(id, 1);
+                        id
+                    }
+                };
+                Winner::new(arrival, hops, ebgp)
+            });
+            if pathless && new.is_none() {
                 self.table.slots.remove(prefix);
-            } else if changed {
+            } else if new != won {
                 let (slot, _) = self.table.slots.get_or_insert_with(*prefix, Slot::default);
                 slot.selected = new;
             }
@@ -1209,7 +1364,9 @@ impl BgpEngine {
                 self.selection_delta.insert(*prefix);
             }
         }
-        self.next_hop_sets = next_hop_sets;
+        self.table.hop_sets.sweep();
+        debug_assert!(self.table.displaced.keys().all(|p| scope.contains(p)));
+        self.table.displaced.clear();
     }
 
     /// The decision over every prefix with any candidate, from scratch:
@@ -1217,13 +1374,13 @@ impl BgpEngine {
     /// prefix — is held to.
     pub fn decide_all(&self, resolver: &dyn NextHopResolver) -> BTreeMap<Prefix, SelectedRoute> {
         let slots = self.table.slots.iter().map(|(p, _)| p);
-        let all: BTreeSet<Prefix> = self.originated.keys().copied().chain(slots).collect();
+        let all: BTreeSet<Prefix> = self.originated.iter().copied().chain(slots).collect();
         let (mut igp_costs, mut next_hops) = (BTreeMap::new(), Vec::new());
         all.into_iter()
             .filter_map(|p| {
                 let slot = self.table.slots.get(&p);
                 let best = self.best(&p, slot, resolver, &mut igp_costs, &mut next_hops)?;
-                Some((p, best.selected(next_hops.as_slice().into())))
+                Some((p, best.selected(&next_hops)))
             })
             .collect()
     }
@@ -1251,7 +1408,7 @@ impl BgpEngine {
     /// export rules or policy suppress it.
     fn export(
         prefix: &Prefix,
-        route: &SelectedRoute,
+        route: SelectedRef<'_>,
         key: &ExportKey,
         from_client: bool,
         local_as: AsNum,
@@ -1267,7 +1424,7 @@ impl BgpEngine {
             }
         }
 
-        let mut attrs = BgpAttrs::clone(&route.attrs);
+        let mut attrs = route.attrs.clone();
         if key.ebgp {
             attrs.as_path = attrs.as_path.prepend(local_as);
             attrs.local_pref = None;
@@ -1331,9 +1488,9 @@ impl BgpEngine {
                 }
             }
         }
-        let selected = Selection(&table.slots);
+        let selected = Selection(table);
         let mut advert =
-            |key: &ExportKey, prefix: &Prefix, route: &SelectedRoute, old: Option<&Advert>| {
+            |key: &ExportKey, prefix: &Prefix, route: SelectedRef<'_>, old: Option<&Advert>| {
                 let learned_from = route.learned_from;
                 // RR-client provenance, read off the session the route came in on.
                 let from_client = learned_from
@@ -1912,26 +2069,19 @@ mod tests {
                 );
             }
             let _ = engine.poll(now, &resolver);
-            engine
-                .selected()
-                .get(&pfx("203.0.113.0/24"))
-                .unwrap()
-                .clone()
+            let selected = engine.selected().get(&pfx("203.0.113.0/24"));
+            selected.unwrap().learned_from
         };
 
         let correct = build(Quirks::default());
-        assert_eq!(
-            correct.learned_from,
-            Some(ip("2.2.2.1")),
-            "nearest exit wins"
-        );
+        assert_eq!(correct, Some(ip("2.2.2.1")), "nearest exit wins");
 
         let buggy = build(Quirks {
             ibgp_igp_metric_inverted: true,
             ..Quirks::default()
         });
         assert_eq!(
-            buggy.learned_from,
+            buggy,
             Some(ip("2.2.2.2")),
             "the vendor bug selects the farther exit"
         );
@@ -2242,6 +2392,58 @@ mod tests {
         assert_eq!(engine.session_state(peer), Some(SessionState::Established));
     }
 
+    /// Two engines see the same UPDATEs, one with its arrival counter
+    /// started just short of `u32::MAX`: the UPDATE that would pass it
+    /// renumbers the table first, a winner its peer just replaced
+    /// included, and from then on the oldest-path tiebreak, which picks a
+    /// higher peer over a lower one here, picks as on the engine that never
+    /// came near the limit.
+    #[test]
+    fn an_arrival_past_u32_max_renumbers_the_table_in_order() {
+        let peers: Vec<Ipv4Addr> = (1..=3).map(|i| Ipv4Addr::new(1, 1, 1, i)).collect();
+        let (mut fresh, resolver) = ibgp_engine("9.9.9.9", &peers, false);
+        let now = SimTime(1000);
+        for peer in &peers {
+            establish(&mut fresh, now, *peer, &resolver);
+        }
+        let mut late = fresh.clone();
+        // The first round's nine arrivals and the next UPDATE's three fit.
+        let start = u32::MAX - 13;
+        late.arrival_counter = start;
+        let prefixes: Vec<Prefix> = (0..3).map(|j| pfx(&format!("100.0.{j}.0/24"))).collect();
+        // (peer, announce or withdraw), one poll per round; every path ties
+        // through step 7, so the oldest wins.
+        let rounds: [&[(usize, bool)]; 6] = [
+            &[(0, true), (1, true), (2, true)],
+            // Peer 0 replaces the winner, peer 1 passes the limit.
+            &[(0, true), (1, true), (2, true)],
+            &[(2, true), (1, true)],
+            // Peer 2's path is older than peer 1's.
+            &[(0, false)],
+            &[(0, true)],
+            &[(2, false), (2, true)],
+        ];
+        for round in rounds {
+            for &(i, announces) in round {
+                let (peer, nlri) = (peers[i], prefixes.clone());
+                let msg = match announces {
+                    true => announce(&[65100 + i as u32, 64999], peer, nlri),
+                    false => BgpMsg::Update(UpdateMsg::withdraw(nlri)),
+                };
+                fresh.push_msg(now, peer, msg.clone());
+                late.push_msg(now, peer, msg);
+            }
+            let _ = (fresh.poll(now, &resolver), late.poll(now, &resolver));
+            let decided = late.decide_all(&resolver);
+            assert_eq!(late.selected(), &decided);
+            assert_eq!(decided, fresh.decide_all(&resolver));
+            assert_eq!(late.take_selection_delta(), fresh.take_selection_delta());
+        }
+        let winner = late.selected().get(&prefixes[0]).map(|s| s.learned_from);
+        assert_eq!(winner, Some(Some(peers[1])));
+        assert!(late.arrival_counter < start, "the counter was renumbered");
+    }
+
     /// Every attribute handle an engine's tables hold.
     fn held_handles(engine: &BgpEngine) -> Vec<&Arc<BgpAttrs>> {
         let slots = engine.table.slots.iter();
@@ -2249,8 +2451,6 @@ mod tests {
         slots
             .flat_map(|(_, s)| s.paths.as_slice().iter().map(|p| &p.attrs))
             .chain(groups.flat_map(|g| g.table.values().map(|a| &a.attrs)))
-            .chain(engine.selected().iter().map(|(_, r)| &r.attrs))
-            .chain(engine.originated.values())
             .collect()
     }
 
@@ -2291,9 +2491,10 @@ mod tests {
         let out = decoded(rr.poll(now, &resolver));
         assert_eq!(rr.selected().iter().count(), 1250);
         let handles = held_handles(&rr);
-        // 1,250 received + 1,250 selected + 1,250 reflected: the five
-        // clients share one Adj-RIB-Out, of which each sees 1,000 entries.
-        assert_eq!(handles.len(), 3750);
+        // 1,250 received + 1,250 reflected (a selection names its winner
+        // and holds no handle): the five clients share one Adj-RIB-Out, of
+        // which each sees 1,000 entries.
+        assert_eq!(handles.len(), 2500);
         assert_eq!(rr.groups.len(), 1);
         assert!(rr.summaries().all(|s| s.prefixes_sent == 1000));
         assert_eq!(distinct_and_shared(&handles), 25);
@@ -2642,17 +2843,22 @@ mod tests {
 
     // Random update, withdraw, flush and reset sequences: each summary's
     // `prefixes_received`, a count kept where paths go in and out of the
-    // table, is what a walk of the table finds.
+    // table, is what a walk of the table finds. The selection, kept per
+    // dirty prefix and naming its winners, is the decision from scratch
+    // after every poll, and the poll's selection delta names every prefix
+    // whose decision moved: one kind of operation has a lower peer offer a
+    // prefix a higher peer's path wins, so the winner moves up in its slot.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         #[test]
         fn a_summary_counts_the_paths_a_table_walk_finds(
             kinds in proptest::collection::vec((0u8..3, proptest::prelude::any::<bool>()), 2..6),
-            ops in proptest::collection::vec((0u8..7, proptest::prelude::any::<u8>(), 0u8..3), 20..60),
+            ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u8>(), 0u8..3), 20..60),
         ) {
             let (mut engine, mut resolver, peers) = hub(&kinds);
             let mut now = SimTime(1000);
+            let mut decided = BTreeMap::new();
             let open = |engine: &mut BgpEngine, now, (peer, asn): (Ipv4Addr, AsNum)| {
                 engine.push_msg(now, peer, BgpMsg::Open(OpenMsg::new(asn, 90, peer)));
                 engine.push_msg(now, peer, BgpMsg::Keepalive);
@@ -2682,10 +2888,36 @@ mod tests {
                         }
                         engine.next_hops_moved([&Prefix::host(peer)]);
                     }
+                    // The lowest peer offers a prefix a higher one wins,
+                    // through the winner's next hop: shorter (k = 0, so it
+                    // wins and takes the old winner's place in the slot) or
+                    // as long as the winner's path.
+                    7 => {
+                        let (lowest, asn) = peers[0];
+                        let selected = engine.selected();
+                        let won = pool.iter().find_map(|p| {
+                            let s = selected.get(p)?;
+                            let higher = s.learned_from.is_some_and(|w| w > lowest);
+                            higher.then_some((*p, s.attrs.next_hop))
+                        });
+                        if let Some((prefix, next_hop)) = won {
+                            let first = if asn == AsNum(65000) { 65300 } else { asn.0 };
+                            let path: &[u32] = if k == 0 { &[first] } else { &[first, 64999] };
+                            engine.push_msg(now, lowest, announce(path, next_hop, vec![prefix]));
+                        }
+                    }
                     _ => engine.shutdown_session(peer, now),
                 }
                 now += SimDuration::from_millis(100);
                 let _ = engine.poll(now, &resolver);
+                let previous = std::mem::replace(&mut decided, engine.decide_all(&resolver));
+                proptest::prop_assert_eq!(engine.selected(), &decided);
+                let delta = engine.take_selection_delta();
+                for prefix in decided.keys().chain(previous.keys()) {
+                    if decided.get(prefix) != previous.get(prefix) {
+                        proptest::prop_assert!(delta.contains(prefix), "{} moved unreported", prefix);
+                    }
+                }
                 for summary in engine.summaries() {
                     let slots = engine.table.slots.iter().map(|(_, slot)| slot.paths.as_slice());
                     let walk = slots.filter(|paths| paths.iter().any(|p| p.from == summary.peer));

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use mfv_types::{AdminDistance, IfaceId, InternSet, Prefix, PrefixTrie, RouteProtocol};
 
-use crate::bgp::{NextHopResolver, SelectedRoute};
+use crate::bgp::{NextHopResolver, SelectedRef};
 
 /// How a route reaches its destination.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
@@ -397,22 +397,29 @@ impl GatewayMemo {
 /// A table's distinct next-hop sets, by id: each set and the number of
 /// entries naming it (`None`: a free id). A group left without a user keeps
 /// its id — the batch's memo may still name it — until `sweep` ends the
-/// batch. Linear scans: a table has a handful of groups.
-#[derive(Clone, Debug, Default)]
-struct Groups(Vec<Slot>);
+/// batch. Linear scans: a table has a handful of groups. The FIB's groups
+/// are resolved sets; a BGP engine's, its selection's ECMP next hops.
+#[derive(Clone, Debug)]
+pub(crate) struct Groups<T>(Vec<Group<T>>);
 
-type Slot = Option<(Arc<[FibNextHop]>, u32)>;
+type Group<T> = Option<(Arc<[T]>, u32)>;
+
+impl<T> Default for Groups<T> {
+    fn default() -> Self {
+        Groups(Vec::new())
+    }
+}
 
 /// A FIB entry as the table holds it: (next-hop group id, protocol).
 type Route = (u32, RouteProtocol);
 
 const HELD: &str = "an entry or the batch's memo names a held group";
 
-impl Groups {
+impl<T: PartialEq> Groups<T> {
     /// The id of the group holding `set`, made (without a user) if none does.
-    fn intern(&mut self, set: impl Borrow<[FibNextHop]> + Into<Arc<[FibNextHop]>>) -> u32 {
-        let (slots, wanted): (_, &[FibNextHop]) = (&mut self.0, set.borrow());
-        let holds = |slot: &Slot| matches!(slot, Some((held, _)) if **held == *wanted);
+    pub(crate) fn intern(&mut self, set: impl Borrow<[T]> + Into<Arc<[T]>>) -> u32 {
+        let (slots, wanted): (_, &[T]) = (&mut self.0, set.borrow());
+        let holds = |slot: &Group<T>| matches!(slot, Some((held, _)) if **held == *wanted);
         if let Some(id) = slots.iter().position(holds) {
             return id as u32;
         }
@@ -425,18 +432,18 @@ impl Groups {
         id as u32
     }
 
-    fn set(&self, id: u32) -> &Arc<[FibNextHop]> {
+    pub(crate) fn set(&self, id: u32) -> &Arc<[T]> {
         &self.0[id as usize].as_ref().expect(HELD).0
     }
 
     /// `by` entries more name `id` (one more or one less).
-    fn count(&mut self, id: u32, by: i32) {
+    pub(crate) fn count(&mut self, id: u32, by: i32) {
         let users = &mut self.0[id as usize].as_mut().expect(HELD).1;
         *users = users.checked_add_signed(by).expect("a user per entry");
     }
 
     /// Frees the groups without a user: the batch that could name them is over.
-    fn sweep(&mut self) {
+    pub(crate) fn sweep(&mut self) {
         for slot in &mut self.0 {
             if matches!(slot, Some((_, 0))) {
                 *slot = None;
@@ -483,7 +490,7 @@ impl Eq for FibRef<'_> {}
 pub struct Fib {
     /// Per prefix, its next-hop group's id and its protocol.
     trie: PrefixTrie<Route>,
-    groups: Groups,
+    groups: Groups<FibNextHop>,
 }
 
 impl Fib {
@@ -528,7 +535,7 @@ impl Fib {
     pub fn patch(
         &mut self,
         rib: &Rib,
-        selection: Option<&SelectedRoute>,
+        selection: Option<SelectedRef<'_>>,
         prefix: &Prefix,
         memo: &mut GatewayMemo,
         gateways: &mut Vec<Ipv4Addr>,
@@ -541,7 +548,7 @@ impl Fib {
             wins.then_some((proto, s))
         });
         let resolved = match (learned, route) {
-            (Some((proto, s)), _) => Some((proto, self.via_each(rib, &s.next_hops, memo))),
+            (Some((proto, s)), _) => Some((proto, self.via_each(rib, s.next_hops, memo))),
             (None, Some(route)) => {
                 let group = if let [NextHop::Via(gw)] = route.next_hops[..] {
                     let (looked_up, group) = self.via(rib, gw, memo);
@@ -648,6 +655,7 @@ impl Fib {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bgp::SelectedRoute;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -918,7 +926,8 @@ mod tests {
                 next_hops: gateways.into(),
             };
             let (mut fib, mut memo, mut looked_up) = (Fib::new(), GatewayMemo::default(), vec![]);
-            assert!(fib.patch(&rib, Some(&selected), &prefix, &mut memo, &mut looked_up));
+            let selection = Some(selected.view());
+            assert!(fib.patch(&rib, selection, &prefix, &mut memo, &mut looked_up));
 
             let mut reference = rib.clone();
             let vias = gateways.map(NextHop::Via).to_vec();
@@ -1151,7 +1160,7 @@ mod tests {
         for proto in [RouteProtocol::EbgpLearned, RouteProtocol::IbgpLearned] {
             let routes = selections
                 .iter()
-                .filter(|(_, s)| s.protocol() == Some(proto));
+                .filter(|(_, s)| s.view().protocol() == Some(proto));
             let routes = routes.map(|(prefix, s)| RibRoute {
                 next_hops: s.next_hops.iter().map(|gw| NextHop::Via(*gw)).collect(),
                 ..RibRoute::new(*prefix, proto, 0, NextHop::Discard)
@@ -1256,7 +1265,8 @@ mod tests {
                         }
                         let (mut memo, mut looked_up) = (GatewayMemo::default(), Vec::new());
                         for prefix in &batch {
-                            fib.patch(&rib, selections.get(prefix), prefix, &mut memo, &mut looked_up);
+                            let selection = selections.get(prefix).map(SelectedRoute::view);
+                            fib.patch(&rib, selection, prefix, &mut memo, &mut looked_up);
                         }
                         fib.finish(memo).for_each(drop);
                         let reference = reference(&rib, &selections);
