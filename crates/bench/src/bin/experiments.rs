@@ -16,17 +16,17 @@
 //! ```
 
 use std::collections::BTreeSet;
-use std::net::Ipv4Addr;
 
 use mfv_bench::*;
 use mfv_core::obs::alloc::{held_by, made, Accountant, Held};
 use mfv_core::obs::{Obs, WallTimer};
 use mfv_core::{
-    differential_reachability_with, extract_snapshot, observed_query, qualified_unreachable_pairs,
-    run_watch, scenarios, unreachable_pairs_with, Backend, ClassCache, Coverage, EmulationBackend,
-    ForwardingAnalysis, ModelBackend, Snapshot, WatchRunConfig,
+    differential_reachability_with, extract_snapshot, link_cut_contexts, observed_query,
+    qualified_unreachable_pairs, run_watch, scenarios, unreachable_pairs_with,
+    verify_link_cuts_detailed, Backend, ContextCost, Coverage, CutVerdict, EmulationBackend,
+    ForwardingAnalysis, ModelBackend, Snapshot, WatchRunConfig, PHASES,
 };
-use mfv_emulator::{ChaosPlan, Emulation};
+use mfv_emulator::ChaosPlan;
 use mfv_mgmt::{StreamFaultModel, WatchConfig};
 use mfv_types::{NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
@@ -1001,111 +1001,57 @@ fn chaos(opts: &Options) {
     );
 }
 
-/// Runs `f`; returns what it made, its wall nanoseconds and the
-/// allocations it made.
-fn timed<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
-    let (timer, before) = (WallTimer::start(), made());
-    let out = f();
-    (out, [timer.elapsed_nanos(), (made() - before) as u64])
-}
-
-/// `sweep [cols rows]`: the what-if sweep's fork path on an `isis_grid`
-/// (6 × 5 without any, `grid30_whatif`'s network), for every single-link
-/// cut, one context at a time and call by call, as
-/// `verify_link_cuts_detailed` makes it: each phase's median wall time and
-/// allocations over the contexts, and the median context's events, SPF runs
-/// and the reach entries their route passes merged. The baseline's class
-/// index is built before the first context, as the sweep's first diff
-/// builds it once.
+/// `sweep [cols rows]`: every single-link cut of an `isis_grid` (6 × 5,
+/// `grid30_whatif`'s network, without any), one context at a time, as the
+/// sweep records them: each phase's median wall time and allocations, and
+/// the median context's events, SPF runs and route-pass merges.
 fn sweep(opts: &Options) {
     banner("SWEEP", "what one what-if context costs, phase by phase");
     let (cols, rows) = opts.sweep_size();
     let snapshot = scenarios::isis_grid(cols, rows);
-    let backend = EmulationBackend::with_seed(1);
-    let (converged, meta) = backend.run(&snapshot).expect("grid boots");
-    assert!(meta.converged, "isis_grid({cols}, {rows})");
-    let extract =
-        |emu: Emulation, parent| extract_snapshot(emu, &backend.collector, parent, &mut Obs::new());
-    let cache = ClassCache::new();
-    let baseline = extract(converged.clone(), None);
-    let fa_baseline = ForwardingAnalysis::with_cache(&baseline.dataplane, &cache);
-    fa_baseline.warm();
-    // (SPF runs, route-pass reach entries) summed over the routers.
-    let spf = |emu: &Emulation| {
-        let routers = snapshot
-            .topology
-            .nodes
-            .iter()
-            .filter_map(|n| emu.router(&n.name));
-        routers.fold((0, 0), |(runs, merged), r| {
-            let isis = r.isis_engine().map_or(0, |i| i.prefix_evaluations());
-            (runs + r.spf_runs, merged + isis)
-        })
-    };
-    let base = spf(&converged);
-
-    // Each phase's, and the whole context's, wall nanoseconds and allocations.
-    const PHASES: &str =
-        "clone remove_wire run_until_converged extract analysis index walk context";
-    let mut phases: [[Vec<u64>; 2]; 8] = Default::default();
-    let (mut events, mut runs, mut merged) = (vec![], vec![], vec![]);
-    let mut read = vec![];
-    let mut findings = 0;
-    for link in snapshot.link_ids() {
-        let (mut fork, clone) = timed(|| converged.clone());
-        let ((), remove) = timed(|| fork.remove_wire(&link));
-        let (report, run) = timed(|| fork.run_until_converged());
-        assert!(report.verdict.is_converged(), "{link}");
-        events.push(fork.events_processed() - converged.events_processed());
-        let (spf_runs, spf_merged) = spf(&fork);
-        runs.push(spf_runs - base.0);
-        merged.push(spf_merged - base.1);
-        // The hand-over: extraction tears the fork down as it reads it,
-        // reading only the routers whose FIB moved off the baseline's.
-        let (after, extracted) = timed(|| extract(fork, Some(&baseline)));
-        read.push((after.dataplane.nodes.len() - after.kept) as u64);
-        let (fa, analysis) = timed(|| ForwardingAnalysis::derive(&after.dataplane, &fa_baseline));
-        // The first query builds the index; the diff then only walks it.
-        let (_, index) = timed(|| fa.fate_of(&link.a.0, Ipv4Addr::UNSPECIFIED));
-        let (found, walk) = timed(|| differential_reachability_with(&fa_baseline, &fa, None));
-        findings += found.len();
-        let laps = [clone, remove, run, extracted, analysis, index, walk];
-        let context = [0, 1].map(|i| laps.iter().map(|lap| lap[i]).sum());
-        for (phase, lap) in phases.iter_mut().zip(laps.into_iter().chain([context])) {
-            phase[0].push(lap[0]);
-            phase[1].push(lap[1]);
-        }
-    }
+    let mut backend = EmulationBackend::with_seed(1);
+    backend.threads = 1;
+    let contexts = link_cut_contexts(&snapshot, 1);
+    let report = verify_link_cuts_detailed(&snapshot, &backend, contexts, None).expect("boots");
+    let verdicts: Vec<&CutVerdict> = report.verdicts.iter().flatten().collect();
+    assert_eq!(verdicts.len(), report.costs.len(), "a context failed");
     let median = |mut v: Vec<u64>| {
         v.sort_unstable();
         v.get(v.len() / 2).copied().unwrap_or(0)
     };
     println!(
         "isis_grid({cols}, {rows}), seed 1: {} contexts, one at a time; baseline {} events\n",
-        phases[0][0].len(),
-        converged.events_processed()
+        verdicts.len(),
+        report.baseline_events
     );
     println!("phase                  median ms  allocations");
-    let row = |phase: &str, [ns, allocs]: [Vec<u64>; 2]| {
+    let row = |phase: &str, laps: Vec<(u64, u64)>| {
+        let (ns, allocs) = laps.into_iter().unzip();
         let (ms, allocs) = (median(ns) as f64 / 1e6, median(allocs));
         println!("{phase:<22} {ms:>9.3} {allocs:>12}");
     };
-    for (phase, laps) in PHASES.split(' ').zip(phases) {
-        row(phase, laps);
+    for (i, phase) in PHASES.split(' ').enumerate() {
+        let laps = report.costs.iter().map(|c| (c[i].nanos, c[i].allocs));
+        row(phase, laps.collect());
     }
+    let total = |c: &ContextCost| {
+        c.iter()
+            .fold((0, 0), |t, l| (t.0 + l.nanos, t.1 + l.allocs))
+    };
+    row("context", report.costs.iter().map(total).collect());
+    let per = |count: fn(&CutVerdict) -> u64| median(verdicts.iter().map(|v| count(v)).collect());
     println!(
         "\nper context (median): {} events, {} SPF runs, {} route-pass prefix evaluations",
-        median(events),
-        median(runs),
-        median(merged)
+        per(|v| v.events_after_fork),
+        per(|v| v.spf_runs),
+        per(|v| v.prefix_evaluations)
     );
-    println!(
-        "routers re-read per context (median): {} of {}",
-        median(read),
-        baseline.dataplane.nodes.len()
-    );
+    let read = per(|v| v.routers_read as u64);
+    let of = snapshot.topology.nodes.len();
+    println!("routers re-read per context (median): {read} of {of}");
+    let findings: usize = verdicts.iter().map(|v| v.findings.len()).sum();
     println!("findings over all contexts: {findings}");
-    let ((hits, misses), (shape_hits, shape_misses)) = (cache.stats(), cache.shape_stats());
+    let ((hits, misses), (shape_hits, shape_misses)) = (report.class_cache, report.shape_cache);
     println!(
         "class cache: node classes {hits} reused, {misses} built; \
          index shapes {shape_hits} reused, {shape_misses} built"

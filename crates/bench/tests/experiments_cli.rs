@@ -358,7 +358,8 @@ fn converge_grid_prints_spf_per_run_and_one_encoding_per_lsp() {
 
 #[test]
 fn sweep_replays_the_fork_path_phase_by_phase() {
-    // Seven single-link cuts of a six-router grid: each phase's median wall
+    // Seven single-link cuts of a six-router grid, as
+    // `verify_link_cuts_detailed` records them: each phase's median wall
     // time and allocations, the median context's work and the class cache's
     // reuse, which are exact.
     let stdout = assert_headlines(
@@ -376,10 +377,12 @@ fn sweep_replays_the_fork_path_phase_by_phase() {
             "class cache: node classes 47 reused, 1 built; index shapes 7 reused, 1 built",
         ],
     );
-    // A row per phase — the hand-over is `extract`: extraction tears the
-    // fork down as it reads it — and per context: its name, its median
-    // milliseconds and its median allocations, which every phase makes.
-    let phases = "clone remove_wire run_until_converged extract analysis index walk context";
+    // A row per phase of the sweep's own record — the hand-over is
+    // `extract`: extraction tears the fork down as it reads it; `diff`
+    // builds the context's class index on its first lookup — and per
+    // context: its name, its median milliseconds and its median
+    // allocations, which every phase makes.
+    let phases = "clone remove_wire run_until_converged extract analysis diff context";
     for phase in phases.split(' ') {
         let row = stdout.lines().find(|l| l.split(' ').next() == Some(phase));
         let row: Vec<&str> = row.expect(phase).split_whitespace().collect();

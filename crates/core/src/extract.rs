@@ -12,8 +12,9 @@
 //! which dumps each router's AFT and then tears the emulation down:
 //! [`extract_snapshot`] takes the network by value, keeps its up links and
 //! routers ([`Emulation::tear_down`]), and drops each router once its typed
-//! Get (AFT, addresses, `up`) is answered, before the answer becomes the
-//! node's dataplane entry. A router outweighs its entry, so the heap only
+//! read ([`DeviceState::read`], a Subscribe's first read) is answered,
+//! before the read's AFT, addresses and `up` become the node's dataplane
+//! entry. A router outweighs its entry, so the heap only
 //! falls: the peak is the emulation handed over. No state tree is built —
 //! JSON is for process boundaries — and ingesting cannot fail, so a node is
 //! in the dataplane exactly when its status is covered.
@@ -23,7 +24,7 @@ use std::sync::Arc;
 
 use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_emulator::Emulation;
-use mfv_mgmt::{add_covered_links, node_of, Collector, ExtractError, ForwardingState};
+use mfv_mgmt::{add_covered_links, Collector, DeviceState, ExtractError};
 use mfv_types::{ExtractionStatus, NodeId};
 use mfv_vrouter::{FibEpoch, VirtualRouter};
 
@@ -62,9 +63,9 @@ impl ExtractedSnapshot {
     }
 }
 
-/// One router's answer: its forwarding state, or the parent's node.
+/// One router's answer: its read, or the parent's node.
 enum Answer {
-    Read(ForwardingState),
+    Read(DeviceState),
     Kept(Arc<NodeDataplane>),
 }
 
@@ -96,14 +97,14 @@ pub fn extract_snapshot(
     let read = |router: &VirtualRouter| -> Result<_, ExtractError> {
         let answer = match parent.and_then(|p| p.node_at(router)) {
             Some(node) => Answer::Kept(Arc::clone(node)),
-            None => Answer::Read(ForwardingState::from_router(router)?),
+            None => Answer::Read(DeviceState::read(router, None)),
         };
         Ok((router.fib_epoch(), answer))
     };
     let report = collector.collect_each(routers, read, |node, (epoch, answer)| {
         epochs.insert(node.clone(), epoch);
         let state = match answer {
-            Answer::Read(got) => Arc::new(node_of(&got.aft, got.addresses, got.up)),
+            Answer::Read(read) => Arc::new(read.node()),
             Answer::Kept(shared) => {
                 kept += 1;
                 shared
@@ -130,7 +131,7 @@ pub fn extract_snapshot(
 mod tests {
     use std::sync::OnceLock;
 
-    use mfv_mgmt::{collect_afts, dataplane_from_afts, Aft, RpcFailureModel, Telemetry};
+    use mfv_mgmt::{collect_afts, dataplane_from_afts, node_of, Aft, RpcFailureModel, Telemetry};
     use mfv_types::{SimDuration, SimTime};
     use proptest::prelude::*;
 
@@ -146,8 +147,9 @@ mod tests {
     }
 
     /// What keeps the in-process shortcut faithful to the paper's gNMI dump:
-    /// for every router, the typed Get equals the JSON Get decoded, and the
-    /// AFT survives its wire form.
+    /// for every router, the node its typed read builds is the node its
+    /// render — the JSON Get — decodes to, its addresses are the router's,
+    /// and the AFT survives its wire form.
     #[test]
     fn typed_get_equals_the_json_get() {
         let mut routers = Vec::new();
@@ -168,13 +170,20 @@ mod tests {
         }
 
         for router in &routers {
-            let typed = ForwardingState::from_router(router).expect("typed Get");
+            let read = DeviceState::read(router, None);
+            let typed = read.node();
             let tree = Telemetry::from_router(router).expect("JSON Get");
-            assert_eq!(tree.aft().as_ref(), Some(&typed.aft), "{}", router.name);
-            assert_eq!(tree.addresses(), typed.addresses, "{}", router.name);
-            assert_eq!(tree.is_up(), typed.up, "{}", router.name);
-            let wire = typed.aft.to_json().expect("AFT serialises");
-            assert_eq!(Aft::from_json(&wire).expect("AFT parses"), typed.aft);
+            let aft = tree.aft().expect("AFT decodes");
+            let decoded = node_of(&aft, tree.addresses(), tree.is_up());
+            assert_eq!(typed.entries, decoded.entries, "{}", router.name);
+            assert_eq!(typed.addresses, decoded.addresses, "{}", router.name);
+            assert_eq!(typed.addresses, *router.addresses(), "{}", router.name);
+            assert_eq!(
+                (typed.up, decoded.up),
+                (router.is_running(), router.is_running())
+            );
+            let wire = aft.to_json().expect("AFT serialises");
+            assert_eq!(Aft::from_json(&wire).expect("AFT parses"), aft);
         }
     }
 

@@ -56,8 +56,8 @@ pub use extract::{extract_snapshot, ExtractedSnapshot};
 pub use snapshot::Snapshot;
 pub use watch::{run_watch, WatchReport, WatchRunConfig};
 pub use whatif::{
-    link_cut_context_count, link_cut_contexts, verify_link_cuts_detailed, CutVerdict, SweepError,
-    SweepReport,
+    link_cut_context_count, link_cut_contexts, verify_link_cuts_detailed, ContextCost, CutVerdict,
+    Lap, SweepError, SweepReport, PHASES,
 };
 
 // Re-export the observability sink so pipeline callers need only `mfv-core`.

@@ -8,8 +8,9 @@
 //! changed, extract against the baseline's snapshot (a router whose FIB
 //! the cut did not move keeps its baseline node, and its analysis its
 //! baseline view), and diff against the baseline (in parallel across OS
-//! threads). A cold boot of `snapshot.without_links(cuts)` converges to the
-//! same dataplane; the tests hold every fork to it.
+//! threads), each context recording what its phases cost. A cold boot of
+//! `snapshot.without_links(cuts)` converges to the same dataplane; the
+//! tests hold every fork to it.
 
 use mfv_emulator::pool::run_indexed;
 use mfv_emulator::Emulation;
@@ -63,7 +64,7 @@ pub fn link_cut_context_count(n_links: usize, k: usize) -> u128 {
     acc
 }
 
-/// The verdict for one cut context.
+/// The verdict for one cut context, exact for a seed at any fan-out width.
 #[derive(Clone, Debug)]
 pub struct CutVerdict {
     pub cuts: Vec<LinkId>,
@@ -73,6 +74,10 @@ pub struct CutVerdict {
     pub lost_reachability: usize,
     /// Work items the fork processed to re-converge after the cut.
     pub events_after_fork: u64,
+    /// SPF runs the fork's routers made to re-converge.
+    pub spf_runs: u64,
+    /// Reach entries those runs' route passes merged.
+    pub prefix_evaluations: u64,
     /// Routers whose FIB differs from the baseline's.
     pub fibs_moved: usize,
     /// Routers extraction read: those not at their baseline FIB epoch.
@@ -84,6 +89,22 @@ impl CutVerdict {
     pub fn survives(&self) -> bool {
         self.lost_reachability == 0
     }
+}
+
+/// A context's phases in the order it runs them, space-separated: the
+/// hand-over (extraction tears the fork down as it reads it), and the diff,
+/// whose first lookup builds the context's class index.
+pub const PHASES: &str = "clone remove_wire run_until_converged extract analysis diff";
+
+/// What one context cost, a [`Lap`] per phase of [`PHASES`].
+pub type ContextCost = [Lap; 6];
+
+/// One phase's wall nanoseconds and the allocations it made on the
+/// context's thread (0 unless the binary registers [`mfv_obs::alloc::Accountant`]).
+#[derive(Clone, Copy, Default, Debug)]
+pub struct Lap {
+    pub nanos: u64,
+    pub allocs: u64,
 }
 
 /// Why one context of a sweep failed. A failure is confined to its context;
@@ -113,6 +134,9 @@ impl std::error::Error for SweepError {}
 #[derive(Debug)]
 pub struct SweepReport {
     pub verdicts: Vec<Result<CutVerdict, SweepError>>,
+    /// What each context cost, in context order (zero for a failed one):
+    /// wall readings, beside the verdicts as `Obs::wall` is beside a dump.
+    pub costs: Vec<ContextCost>,
     /// `(hits, misses)` of node classes in the shared [`ClassCache`] across
     /// the baseline and every variant: a cut rarely moves a prefix.
     pub class_cache: (usize, usize),
@@ -130,7 +154,7 @@ pub struct SweepReport {
 /// extract over the management plane, diff against the baseline dataplane.
 /// Contexts fan out across `backend.threads` OS threads (`0` = the host's
 /// parallelism), as the paper proposes ("running emulation for each new
-/// context in parallel").
+/// context in parallel"); each times its own phases.
 ///
 /// The baseline [`ForwardingAnalysis`] is built once and shared by every
 /// context, and a [`ClassCache`] keyed on prefix layouts lets each variant
@@ -149,58 +173,90 @@ pub fn verify_link_cuts_detailed(
 
     // One context per job on the shared pool: results come back in
     // context order, and a panic is confined to its context.
-    let verdicts = run_indexed(backend.threads, contexts.len(), |i| {
+    let outcomes = run_indexed(backend.threads, contexts.len(), |i| {
         let cuts = contexts
             .get(i)
             .ok_or_else(|| BackendError(format!("no cut context {i}")))?;
-        let (after, events_after_fork) = cut_from_fork(&converged, &baseline, backend, cuts);
-        let fa_after = ForwardingAnalysis::derive(&after.dataplane, &fa_baseline);
-        let findings = differential_reachability_with(&fa_baseline, &fa_after, scope);
+        let (after, work, [clone, remove, run, extracted]) =
+            cut_from_fork(&converged, &baseline, backend, cuts);
+        let (fa_after, analysis) =
+            lap(|| ForwardingAnalysis::derive(&after.dataplane, &fa_baseline));
+        let (findings, diff) =
+            lap(|| differential_reachability_with(&fa_baseline, &fa_after, scope));
         let lost_reachability = deliverability_changes(&findings)
             .into_iter()
             .filter(|f| f.before.is_delivered())
             .count();
-        Ok(CutVerdict {
+        let [events_after_fork, spf_runs, prefix_evaluations] = work;
+        let verdict = CutVerdict {
             cuts: cuts.clone(),
             findings,
             lost_reachability,
             events_after_fork,
+            spf_runs,
+            prefix_evaluations,
             fibs_moved: fibs_moved(&fa_baseline, &fa_after),
             routers_read: after.dataplane.nodes.len() - after.kept,
+        };
+        Ok((verdict, [clone, remove, run, extracted, analysis, diff]))
+    });
+    let (verdicts, costs) = outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok(Ok((verdict, cost))) => (Ok(verdict), cost),
+            Ok(Err(e)) => (Err(SweepError::Backend(e)), ContextCost::default()),
+            Err(message) => (Err(SweepError::Panic(message)), ContextCost::default()),
         })
-    })
-    .into_iter()
-    .map(|outcome| match outcome {
-        Ok(verdict) => verdict.map_err(SweepError::Backend),
-        Err(message) => Err(SweepError::Panic(message)),
-    })
-    .collect();
+        .unzip();
 
     Ok(SweepReport {
         verdicts,
+        costs,
         class_cache: cache.stats(),
         shape_cache: cache.shape_stats(),
         baseline_events: converged.events_processed(),
     })
 }
 
-/// One cut context: a fork of the converged network with the cut wires
-/// taken out, re-converged. Returns its snapshot, extracted against
-/// `baseline`'s, and the work items that took; the fork — a whole network's
-/// state — is gone before the caller's analysis allocates.
+/// Runs one phase of a context and times it.
+fn lap<T>(phase: impl FnOnce() -> T) -> (T, Lap) {
+    let (timer, made) = (mfv_obs::WallTimer::start(), mfv_obs::alloc::made());
+    let out = phase();
+    let nanos = timer.elapsed_nanos();
+    let allocs = (mfv_obs::alloc::made() - made) as u64;
+    (out, Lap { nanos, allocs })
+}
+
+/// One cut context's first four phases: a fork of the converged network
+/// with the cut wires taken out, re-converged. Returns its snapshot,
+/// extracted against `baseline`'s, the [`work`] it added and the phases'
+/// laps; the fork — a whole network's state — is gone before the caller's
+/// analysis allocates.
 fn cut_from_fork(
     converged: &Emulation,
     baseline: &ExtractedSnapshot,
     backend: &EmulationBackend,
     cuts: &[LinkId],
-) -> (ExtractedSnapshot, u64) {
-    let mut fork = converged.clone();
-    for link in cuts {
-        fork.remove_wire(link);
-    }
-    fork.run_until_converged();
-    let events = fork.events_processed() - converged.events_processed();
-    (extract(fork, backend, Some(baseline)), events)
+) -> (ExtractedSnapshot, [u64; 3], [Lap; 4]) {
+    let (mut fork, clone) = lap(|| converged.clone());
+    let ((), remove) = lap(|| cuts.iter().for_each(|link| fork.remove_wire(link)));
+    let (_, run) = lap(|| fork.run_until_converged());
+    let [events, runs, merged] = work(&fork, baseline);
+    let [events0, runs0, merged0] = work(converged, baseline);
+    let added = [events - events0, runs - runs0, merged - merged0];
+    let (after, extracted) = lap(|| extract(fork, backend, Some(baseline)));
+    (after, added, [clone, remove, run, extracted])
+}
+
+/// The work `emu` has done: events processed, and over the routers of
+/// `baseline` the SPF runs and the reach entries their route passes merged.
+fn work(emu: &Emulation, baseline: &ExtractedSnapshot) -> [u64; 3] {
+    let routers = baseline.status.keys().filter_map(|name| emu.router(name));
+    let start = [emu.events_processed(), 0, 0];
+    routers.fold(start, |[events, runs, merged], r| {
+        let isis = r.isis_engine().map_or(0, |i| i.prefix_evaluations());
+        [events, runs + r.spf_runs, merged + isis]
+    })
 }
 
 /// The network as the management plane reports it (§4.1's extraction
@@ -244,7 +300,7 @@ mod tests {
                 .compute(&snapshot.without_links(cuts))
                 .unwrap()
                 .dataplane;
-            let (warm, _) = cut_from_fork(&converged, &baseline, &backend, cuts);
+            let (warm, ..) = cut_from_fork(&converged, &baseline, &backend, cuts);
             let warm = warm.dataplane;
             assert_eq!(
                 warm.digest(),
@@ -315,7 +371,14 @@ mod tests {
         let untouched = first.verdicts[0].as_ref().unwrap();
         assert!(untouched.cuts.is_empty() && untouched.findings.is_empty());
         assert_eq!((untouched.events_after_fork, untouched.fibs_moved), (0, 0));
-        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        assert_eq!((untouched.spf_runs, untouched.prefix_evaluations), (0, 0));
+        // Everything but the wall readings repeats.
+        let repeats = |r: &SweepReport| {
+            let counts = (r.baseline_events, r.class_cache, r.shape_cache);
+            format!("{:?}", (counts, &r.verdicts))
+        };
+        assert_eq!(repeats(&first), repeats(&second));
+        assert_eq!(first.costs.len(), contexts.len());
     }
 
     #[test]

@@ -25,33 +25,6 @@ pub struct Telemetry {
     root: Value,
 }
 
-/// The typed Get extraction makes: the leaves of the state tree a
-/// dataplane node is built from, read off the device with no tree between.
-/// Equal to what [`Telemetry::aft`], [`Telemetry::addresses`] and
-/// [`Telemetry::is_up`] decode from [`Telemetry::from_router`]'s tree; JSON
-/// is only how those cross a process boundary, and this one has none.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ForwardingState {
-    /// `/network-instances/network-instance/afts`.
-    pub aft: Aft,
-    /// The enabled, routed, addressed entries of `/interfaces/interface`.
-    pub addresses: std::collections::BTreeSet<std::net::Ipv4Addr>,
-    /// `/system/state/up`.
-    pub up: bool,
-}
-
-impl ForwardingState {
-    /// Reads the device. Cannot fail — nothing is serialised — but has the
-    /// shape of every Get the [`Collector`](crate::Collector) retries.
-    pub fn from_router(router: &VirtualRouter) -> Result<ForwardingState, ExtractError> {
-        Ok(ForwardingState {
-            aft: Aft::from_fib(router.fib()),
-            addresses: router.addresses().clone(),
-            up: router.is_running(),
-        })
-    }
-}
-
 /// Why a device's state could not be read.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ExtractError(pub String);
@@ -73,10 +46,12 @@ fn normalize(path: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every leaf of a device's state tree, typed: what a Subscribe device side
-/// compares between reads, and all [`Telemetry::from_state`] renders.
+/// Every leaf of a device's state tree, typed: what extraction builds a
+/// node from, what a Subscribe device side compares between reads, and all
+/// [`Telemetry::from_state`] renders. JSON is only how those cross a
+/// process boundary, and extraction has none.
 #[derive(Debug)]
-pub(crate) struct DeviceState {
+pub struct DeviceState {
     /// `/system/state`: hostname, software version, `up`.
     system: (String, String, bool),
     /// `/interfaces/interface`: name, enabled, address, and L3-ness as the
@@ -109,7 +84,7 @@ fn interfaces(
 impl DeviceState {
     /// Reads the device: no tree, nothing serialised. A FIB still at the
     /// epoch of `last` is not read again: its AFT is `last`'s.
-    pub(crate) fn read(router: &VirtualRouter, last: Option<&DeviceState>) -> DeviceState {
+    pub fn read(router: &VirtualRouter, last: Option<&DeviceState>) -> DeviceState {
         let aft = match last {
             Some(last) if last.fib_unmoved(router) => Arc::clone(&last.aft),
             _ => Arc::new(Aft::from_fib(router.fib())),
@@ -133,6 +108,15 @@ impl DeviceState {
             bgp_neighbors: bgp.into_iter().flat_map(|b| b.summaries()).collect(),
             isis_adjacencies: isis.into_iter().flat_map(|i| i.adjacencies()).collect(),
         }
+    }
+
+    /// The dataplane node the forwarding leaves build: the AFT, the
+    /// addresses of the enabled, L3, addressed interfaces (the set
+    /// [`Telemetry::addresses`] decodes and the router holds) and `up`.
+    pub fn node(&self) -> NodeDataplane {
+        let l3 = self.interfaces.iter().filter(|(_, on, _, l3)| *on && *l3);
+        let addresses = l3.filter_map(|(_, _, addr, _)| addr.map(|a| a.addr));
+        crate::node_of(&self.aft, addresses.collect(), self.system.2)
     }
 
     /// Reads the device again over this state, the one read before: `None`

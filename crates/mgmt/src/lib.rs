@@ -29,7 +29,7 @@ pub mod watch;
 
 pub use aft::{Aft, AftIpv4Entry, AftNextHop, AftNextHopGroup};
 pub use collect::{CollectionReport, Collector, RpcFailureModel};
-pub use gnmi::{apply, diff, ExtractError, ForwardingState, Telemetry, Update};
+pub use gnmi::{apply, diff, DeviceState, ExtractError, Telemetry, Update};
 pub use watch::{StreamFaultModel, TickReport, WatchConfig, WatchStats, Watcher};
 
 use mfv_dataplane::{Dataplane, NodeDataplane};

@@ -13,6 +13,7 @@
 //! parameterised differently reproduces, e.g., the "new software version
 //! introduced an incorrect route metric selection in iBGP" bug from §2.
 
+use std::cell::RefCell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -439,6 +440,17 @@ impl Winner {
     }
 }
 
+thread_local! {
+    /// [`Table::displaced`] buffers across decision runs: how many are in
+    /// use, the widest, and no more spares than in use (a table between
+    /// runs holds none); a new one starts as wide as the widest.
+    static SPARES: RefCell<(usize, usize, Vec<Displaced>)> =
+        const { RefCell::new((0, 0, Vec::new())) };
+}
+
+/// Displaced winners by prefix, in prefix order.
+type Displaced = Vec<(Prefix, Path)>;
+
 /// The engine's one table: a slot per prefix with a path or a selection,
 /// in an arena trie (a `BTreeMap` filled in the runs an UPDATE brings is
 /// half empty), and how many paths go through each next hop. An IGP move,
@@ -455,7 +467,7 @@ struct Table {
     /// Per prefix, the winner its peer replaced or withdrew since the last
     /// decision: the selection names it until the decision, which runs on
     /// every prefix here, names another.
-    displaced: BTreeMap<Prefix, Path>,
+    displaced: Displaced,
 }
 
 impl Table {
@@ -476,7 +488,7 @@ impl Table {
         let old = match old {
             Some(old) if named(&old) => {
                 let hop = old.attrs.next_hop;
-                self.displaced.insert(prefix, old);
+                self.displace(prefix, old);
                 Some(hop)
             }
             old => old.map(|old| old.attrs.next_hop),
@@ -493,6 +505,37 @@ impl Table {
             if *paths.get() == 0 {
                 paths.remove();
             }
+        }
+    }
+
+    /// Keeps `winner`, which its peer replaced or withdrew at `prefix`,
+    /// until the decision (a winner goes once: the selection names no later
+    /// path), in a buffer taken from the thread's spares.
+    fn displace(&mut self, prefix: Prefix, winner: Path) {
+        if self.displaced.capacity() == 0 {
+            self.displaced = SPARES.with_borrow_mut(|(lent, widest, spares)| {
+                *lent += 1;
+                spares.pop().unwrap_or_else(|| Vec::with_capacity(*widest))
+            });
+        }
+        let at = self.displaced.partition_point(|(p, _)| *p < prefix);
+        debug_assert!(self.displaced.get(at).is_none_or(|(p, _)| *p != prefix));
+        self.displaced.insert(at, (prefix, winner));
+    }
+
+    /// After a decision: the displaced winners go, and their buffer back
+    /// to the thread's spares unless they are as many as the buffers in use.
+    fn decided(&mut self) {
+        let mut spare = std::mem::take(&mut self.displaced);
+        if spare.capacity() > 0 {
+            spare.clear();
+            SPARES.with_borrow_mut(|(lent, widest, spares)| {
+                *lent = lent.saturating_sub(1);
+                *widest = (*widest).max(spare.capacity());
+                if spares.len() < *lent {
+                    spares.push(spare);
+                }
+            });
         }
     }
 
@@ -537,7 +580,7 @@ impl Table {
     /// orders the same paths the same way.
     fn renumber(&mut self) -> u32 {
         let held = self.slots.iter().flat_map(|(_, s)| s.paths.as_slice());
-        let held = held.chain(self.displaced.values());
+        let held = held.chain(self.displaced.iter().map(|(_, path)| path));
         let mut order: Vec<u32> = held.map(|p| p.arrival).collect();
         order.sort_unstable();
         let number = |i: usize| u32::try_from(i + 1).unwrap_or(u32::MAX);
@@ -554,7 +597,7 @@ impl Table {
                 won.arrival = renumbered(won.arrival);
             }
         }
-        for path in self.displaced.values_mut() {
+        for (_, path) in &mut self.displaced {
             path.arrival = renumbered(path.arrival);
         }
         number(order.len())
@@ -765,7 +808,9 @@ impl<'a> Selection<'a> {
             arrival => {
                 let named = |p: &&'a Path| p.arrival == arrival;
                 let path = slot.paths.as_slice().iter().find(named);
-                let path = path.or_else(|| self.0.displaced.get(prefix).filter(named))?;
+                let displaced = self.0.displaced.binary_search_by_key(prefix, |(p, _)| *p);
+                let displaced = displaced.ok().map(|at| &self.0.displaced[at].1);
+                let path = path.or_else(|| displaced.filter(named))?;
                 (&*path.attrs, Some(path.from))
             }
         };
@@ -1365,8 +1410,8 @@ impl BgpEngine {
             }
         }
         self.table.hop_sets.sweep();
-        debug_assert!(self.table.displaced.keys().all(|p| scope.contains(p)));
-        self.table.displaced.clear();
+        debug_assert!(self.table.displaced.iter().all(|(p, _)| scope.contains(p)));
+        self.table.decided();
     }
 
     /// The decision over every prefix with any candidate, from scratch:

@@ -51,6 +51,19 @@ const ROWS: &[Row] = &[
         plant: "let cold = backend.compute(&snapshot.without_links(cuts));",
     },
     Row {
+        files: "crates/bench/src/bin/*.rs",
+        rule: Absent("remove_wire(|::derive("),
+        why: "one what-if path: the experiments binary prints the sweep's own record and \
+              replays no fork",
+        plant: "fork.remove_wire(&link); let fa = ForwardingAnalysis::derive(&dp, &parent);",
+    },
+    Row {
+        files: "crates/*/src/*.rs",
+        rule: Absent("ForwardingState"),
+        why: "one read: extraction and the watch read a device through DeviceState::read",
+        plant: "pub struct ForwardingState { pub aft: Aft }",
+    },
+    Row {
         files: "crates/mgmt/src/*.rs crates/core/src/*.rs",
         rule: Absent("fib_version("),
         why: "one change epoch: extraction and the watch ask a router's FIB epoch, never its bare version",
@@ -185,7 +198,7 @@ const ROWS: &[Row] = &[
     Row {
         files: "crates/core/src/extract.rs",
         rule: Absent("Telemetry|serde_json|.aft("),
-        why: "one hand-over: extraction takes the typed Get, mfv_mgmt::ForwardingState",
+        why: "one hand-over: extraction takes the device's typed read, DeviceState::read",
         plant: "let tree: Telemetry = serde_json::from_str(&json)?; tree.aft();",
     },
     Row {
@@ -374,6 +387,7 @@ const REQUIRED: &[&str] = &[
     "crates/routing/src/bgp.rs::a_summary_counts_the_paths_a_table_walk_finds",
     "crates/emulator/src/inject.rs::a_router_gone_past_the_hold_time_gets_the_table_again",
     "crates/emulator/src/engine.rs::a_zero_route_feed_counts_as_drained_once_its_session_is_established",
+    "tests/work_ceiling.rs::a_context_records_what_its_fork_and_hand_over_cost",
 ];
 
 /// The files `glob` names. Tests run in the repository root.

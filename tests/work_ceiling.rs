@@ -24,13 +24,15 @@
 //! a device's state tree per sync and per change, not per read, decodes a
 //! mirror per change, not per evaluation, and allocates nothing in a tick
 //! where nothing moved. And an IS-IS frame costs one allocation, its own, on
-//! its way through the engine, router and shard. Heap costs are counted by
+//! its way through the engine, router and shard. And a what-if sweep records
+//! what each of its contexts cost, phase by phase. Heap costs are counted by
 //! the workspace's one counting allocator, `mfv_obs::alloc`.
 
 use std::collections::BTreeMap;
 
 use model_free_verification::core::{
-    extract_snapshot, scenarios, Backend, EmulationBackend, Snapshot,
+    extract_snapshot, link_cut_contexts, scenarios, verify_link_cuts_detailed, Backend,
+    EmulationBackend, Snapshot, PHASES,
 };
 use model_free_verification::emulator::{
     ChaosPlan, Cluster, ConvergenceVerdict, Emulation, EmulationConfig, ShardMode,
@@ -590,4 +592,32 @@ fn an_isis_frame_costs_one_allocation() {
         .counter("engine.events.deliver_isis");
     assert_eq!(delivered, 12_628);
     assert!(allocs <= 67_405, "{allocs} allocations to boot the grid");
+}
+
+#[test]
+fn a_context_records_what_its_fork_and_hand_over_cost() {
+    // The sweep's own record of its contexts, one at a time, counted on
+    // each context's thread: the six-router grid's seven single cuts. The
+    // median context's fork made 274 allocations, its re-convergence 182
+    // and its extraction 293 (257 when extraction read only the AFT,
+    // addresses and `up`, not the device's whole typed state); the
+    // ceilings are 5 % over those.
+    let snapshot = scenarios::isis_grid(3, 2);
+    let backend = EmulationBackend {
+        threads: 1,
+        ..EmulationBackend::with_seed(1)
+    };
+    let contexts = link_cut_contexts(&snapshot, 1);
+    let report = verify_link_cuts_detailed(&snapshot, &backend, contexts, None).expect("boots");
+    assert_eq!(report.costs.len(), 7);
+    let median = |phase: &str| {
+        let i = PHASES.split(' ').position(|p| p == phase).expect("a phase");
+        let mut allocs: Vec<u64> = report.costs.iter().map(|cost| cost[i].allocs).collect();
+        allocs.sort_unstable();
+        allocs[allocs.len() / 2]
+    };
+    let [clone, run, extract] = ["clone", "run_until_converged", "extract"].map(median);
+    assert!(clone <= 287, "{clone} allocations to fork the grid");
+    assert!(run <= 191, "{run} allocations to re-converge");
+    assert!(extract <= 307, "{extract} allocations to extract the fork");
 }
