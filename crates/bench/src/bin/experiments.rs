@@ -10,7 +10,7 @@
 //! cargo run --release -p mfv-bench --bin experiments -- converge 20 50 # and where its convergence time goes
 //! cargo run --release -p mfv-bench --bin experiments -- converge --grid 10 6 # the same for an isis_grid
 //! cargo run --release -p mfv-bench --bin experiments -- sweep 6 5 # what one what-if context costs, phase by phase
-//! cargo run --release -p mfv-bench --bin experiments -- watch 7 6 # what a chaos watch reads, renders and decodes
+//! cargo run --release -p mfv-bench --bin experiments -- watch 7 6 # what a chaos watch reads, streams and decodes
 //! cargo run --release -p mfv-bench --bin experiments -- watch 4 3 --seed 7 --journal v.txt # its verdict journal
 //! cargo run --release -p mfv-bench --bin experiments -- chaos --obs-json o.json --obs-exclude-wall # its obs dump, without wall times
 //! ```
@@ -834,10 +834,10 @@ fn write_out(path: Option<&String>, what: &str, text: &str) {
 /// `isis_grid` (7 × 6 without any) under the benchmark's faults — a link
 /// flap, a routing-process kill and a machine failure, over a stream that
 /// drops 10 % of batches and loses 2 % of sessions — with the device reads,
-/// renders and mirror decodes it made, and its loop's wall phases against
+/// batches and mirror decodes it made, and its loop's wall phases against
 /// the run. `--seed` seeds both the emulation and the stream.
 fn watch(opts: &Options) {
-    banner("WATCH", "what a watch run reads, renders and decodes");
+    banner("WATCH", "what a watch run reads, streams and decodes");
     let (cols, rows) = opts.grid_size();
     let seed = opts.seed.unwrap_or(1);
     let snapshot = scenarios::isis_grid(cols, rows);
@@ -887,7 +887,6 @@ fn watch(opts: &Options) {
         "watch.batches.heartbeats",
         "watch.device_reads",
         "watch.aft_reuses",
-        "watch.device_renders",
         "watch.mirror_decodes",
     ] {
         println!("{counter:<24} {:>8}", obs.metrics.counter(counter));

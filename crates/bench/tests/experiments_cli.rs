@@ -393,21 +393,21 @@ fn sweep_replays_the_fork_path_phase_by_phase() {
 }
 
 #[test]
-fn watch_renders_per_sync_and_change_and_decodes_per_mirror_change() {
+fn watch_reads_per_tick_and_decodes_per_mirror_change() {
     assert_headlines(
         &["watch", "4", "3"],
         &[
             "isis_grid(4, 3), 1.0min watched: 24 evaluations",
             // 12 initial syncs and 15 resyncs; 745 reads of which 30 found
-            // a change to stream: 57 renders. 705 reads found the FIB at
-            // the epoch last read and took that read's AFT. The client
-            // applied 25 of those batches: 52 decodes.
+            // a change to stream, as a batch of the leaf groups it moved;
+            // nothing is rendered. 705 reads found the FIB at the epoch
+            // last read and took that read's AFT. The client applied 25 of
+            // those batches: 52 decodes.
             "watch.syncs.initial            12",
             "watch.resyncs                  15",
             "watch.batches.emitted          30",
             "watch.device_reads            745",
             "watch.aft_reuses              705",
-            "watch.device_renders           57",
             "watch.mirror_decodes           52",
             "\nwatch.tick ",
             "\nwatch.evaluate ",

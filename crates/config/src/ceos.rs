@@ -167,7 +167,7 @@ impl<'a> Parser<'a> {
 
         match w.as_slice() {
             ["hostname", name] => {
-                self.cfg.hostname = name.to_string();
+                self.cfg.hostname = (*name).into();
                 self.recognized += 1;
             }
             ["ip", "routing"] => {
@@ -1237,7 +1237,7 @@ ip route 198.51.100.0/24 100.64.0.0 250
         let parsed = parse(text).unwrap();
         assert!(parsed.warnings.is_empty(), "{:?}", parsed.warnings);
         let cfg = parsed.config;
-        assert_eq!(cfg.hostname, "edge1");
+        assert_eq!(&*cfg.hostname, "edge1");
         assert_eq!(cfg.mgmt.daemons, vec!["TerminAttr"]);
         assert_eq!(cfg.mgmt.apis, vec!["gnmi"]);
         assert_eq!(cfg.mgmt.ssl_profiles, vec!["ACME"]);

@@ -491,7 +491,7 @@ fn session_sites(configs: &[DeviceConfig], ebgp_only: bool) -> Vec<(usize, usize
 fn hostname(configs: &[DeviceConfig], idx: usize) -> String {
     configs
         .get(idx)
-        .map(|c| c.hostname.clone())
+        .map(|c| c.hostname.to_string())
         .unwrap_or_default()
 }
 
@@ -620,7 +620,7 @@ pub fn inject_misconfig(
                         .iter()
                         .any(|i| i.addr.is_some_and(|a| isis_subnets.contains(&a.subnet())))
                 })
-                .map(|(_, c)| c.hostname.clone())
+                .map(|(_, c)| c.hostname.to_string())
                 .collect();
             if partners.is_empty() {
                 return Err(InjectError("victim has no IS-IS partner to observe".into()));
@@ -690,7 +690,7 @@ pub fn inject_misconfig(
                 .get(vi)
                 .and_then(|c| c.loopback_addr())
                 .ok_or_else(|| InjectError("victim lost its loopback".into()))?;
-            let everyone: Vec<String> = configs.iter().map(|c| c.hostname.clone()).collect();
+            let everyone: Vec<String> = configs.iter().map(|c| c.hostname.to_string()).collect();
             let Some(victim) = configs.get_mut(vi) else {
                 return Err(InjectError("candidate vanished".into()));
             };
@@ -1020,7 +1020,7 @@ mod tests {
             text
         );
         let cfg = parsed.config;
-        assert_eq!(cfg.hostname, "r1");
+        assert_eq!(&*cfg.hostname, "r1");
         let bgp = cfg.bgp.unwrap();
         assert_eq!(bgp.asn, AsNum(65001));
         assert_eq!(bgp.neighbors.len(), 2);
@@ -1125,7 +1125,7 @@ mod tests {
         // The victim's statement now carries an ASN nobody runs.
         let victim = configs
             .iter()
-            .find(|c| c.hostname == report.device)
+            .find(|c| *c.hostname == *report.device)
             .unwrap();
         let n = victim.bgp.as_ref().unwrap().neighbor(peer).unwrap();
         assert!(configs
@@ -1157,7 +1157,7 @@ mod tests {
         assert!(!report.expect_absent.is_empty());
         let victim = configs
             .iter()
-            .find(|c| c.hostname == report.device)
+            .find(|c| *c.hostname == *report.device)
             .unwrap();
         let pl = victim.prefix_lists.get("XVAL-IN").expect("injected list");
         let deny = pl.entries.first().unwrap();

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -417,7 +418,8 @@ pub struct MgmtConfig {
 /// A complete parsed device configuration.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct DeviceConfig {
-    pub hostname: String,
+    /// Shared, not copied, by whatever reads it (a device's typed state).
+    pub hostname: Arc<str>,
     pub vendor: Vendor,
     /// `ip routing` — L3 forwarding enabled (EOS default off, we default on).
     pub ip_routing: bool,
@@ -432,7 +434,7 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    pub fn new(hostname: impl Into<String>, vendor: Vendor) -> DeviceConfig {
+    pub fn new(hostname: impl Into<Arc<str>>, vendor: Vendor) -> DeviceConfig {
         DeviceConfig {
             hostname: hostname.into(),
             vendor,

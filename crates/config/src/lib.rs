@@ -52,7 +52,7 @@ mod tests {
             let cfg = spec.clone().vendor(vendor).build();
             let text = render(&cfg);
             let parsed = parse(vendor, &text).unwrap();
-            assert_eq!(parsed.config.hostname, "x");
+            assert_eq!(&*parsed.config.hostname, "x");
             assert_eq!(parsed.config.vendor, vendor);
         }
     }

@@ -279,7 +279,7 @@ fn lower_system(section: &Stmt, cfg: &mut DeviceConfig) -> usize {
     for st in &section.children {
         match st.word(0) {
             "host-name" => {
-                cfg.hostname = st.word(1).to_string();
+                cfg.hostname = st.word(1).into();
                 n += 1;
             }
             "services" => {
@@ -1479,7 +1479,7 @@ routing-options {
         let parsed = parse(SAMPLE).unwrap();
         assert!(parsed.warnings.is_empty(), "{:?}", parsed.warnings);
         let cfg = parsed.config;
-        assert_eq!(cfg.hostname, "r4");
+        assert_eq!(&*cfg.hostname, "r4");
         assert_eq!(cfg.vendor, Vendor::Vjunos);
         assert!(cfg.mgmt.apis.contains(&"ssh".to_string()));
         assert!(cfg.mgmt.apis.contains(&"grpc".to_string()));

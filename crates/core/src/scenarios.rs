@@ -327,7 +327,7 @@ pub fn conflint_base_configs() -> Vec<DeviceConfig> {
 pub fn conflint_base_topology(name: &str, configs: &[DeviceConfig]) -> Topology {
     let mut t = Topology::new(name);
     for cfg in configs {
-        t.add_node(NodeSpec::from_config(cfg.hostname.clone(), cfg));
+        t.add_node(NodeSpec::from_config(&*cfg.hostname, cfg));
     }
     t.add_link(("r1", "Ethernet1"), ("r2", "Ethernet1"));
     t.add_link(("r3", "Ethernet1"), ("r4", "Ethernet1"));

@@ -226,6 +226,6 @@ mod tests {
     fn node_config_parses_in_dialect() {
         let t = small_topo();
         let parsed = t.node(&"r1".into()).unwrap().parse_config().unwrap();
-        assert_eq!(parsed.config.hostname, "r1");
+        assert_eq!(&*parsed.config.hostname, "r1");
     }
 }

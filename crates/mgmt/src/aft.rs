@@ -14,7 +14,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
-use mfv_types::{Prefix, RouteProtocol};
+use mfv_types::{IfaceId, Prefix, RouteProtocol};
 
 /// One `ipv4-unicast` AFT entry.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -37,8 +37,8 @@ pub struct AftNextHopGroup {
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct AftNextHop {
     pub id: u64,
-    /// Egress interface name.
-    pub interface: String,
+    /// Egress interface name, shared with the FIB's next hop.
+    pub interface: IfaceId,
     /// Gateway address; absent for directly-attached destinations.
     pub ip_address: Option<Ipv4Addr>,
 }
@@ -79,7 +79,7 @@ impl Aft {
                             id,
                             AftNextHop {
                                 id,
-                                interface: nh.iface.to_string(),
+                                interface: nh.iface.clone(),
                                 ip_address: nh.via,
                             },
                         );
@@ -113,13 +113,13 @@ impl Aft {
             .map(|(gid, group)| {
                 let hops = group.next_hops.iter().filter_map(next_hop);
                 let set = hops.map(|nh| FibNextHop {
-                    iface: nh.interface.as_str().into(),
+                    iface: nh.interface.clone(),
                     via: nh.ip_address,
                 });
                 (*gid, set.collect())
             })
             .collect();
-        let empty: Arc<[FibNextHop]> = Arc::new([]);
+        let empty: Arc<[FibNextHop]> = Arc::default();
         self.ipv4_unicast.iter().map(move |e| FibEntry {
             prefix: e.prefix,
             proto: e.origin_protocol,
@@ -284,7 +284,7 @@ mod tests {
                         id,
                         AftNextHop {
                             id,
-                            interface: nh.iface.to_string(),
+                            interface: nh.iface.clone(),
                             ip_address: nh.via,
                         },
                     );

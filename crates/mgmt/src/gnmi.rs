@@ -46,67 +46,101 @@ fn normalize(path: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every leaf of a device's state tree, typed: what extraction builds a
-/// node from, what a Subscribe device side compares between reads, and all
-/// [`Telemetry::from_state`] renders. JSON is only how those cross a
-/// process boundary, and extraction has none.
-#[derive(Debug)]
+/// `/system/state`: hostname, software version, `up`.
+type System = (Arc<str>, Arc<str>, bool);
+
+/// An `/interfaces/interface` row: name, enabled, address, and L3-ness as
+/// the device resolves it (routed port or loopback).
+type Interface = (IfaceId, bool, Option<IfaceAddr>, bool);
+
+/// Every leaf of a device's state tree, typed, in five groups: what
+/// extraction builds a node from, what a Subscribe stream compares, carries
+/// and mirrors, and all [`Telemetry::from_state`] renders. JSON is only how
+/// those cross a process boundary, and neither extraction nor the watch
+/// has one. A group is shared, never copied, down to the router's strings.
+#[derive(Clone, Debug)]
 pub struct DeviceState {
-    /// `/system/state`: hostname, software version, `up`.
-    system: (String, String, bool),
-    /// `/interfaces/interface`: name, enabled, address, and L3-ness as the
-    /// device resolves it (routed port or loopback) — lets a Subscribe
-    /// consumer rebuild the node's address set from telemetry alone.
-    interfaces: Vec<(IfaceId, bool, Option<IfaceAddr>, bool)>,
+    system: System,
+    interfaces: Arc<[Interface]>,
     /// Shared with the read before when the FIB has not moved since.
     aft: Arc<Aft>,
     /// When the AFT was read; not a leaf.
     epoch: FibEpoch,
-    bgp_neighbors: Vec<NeighborSummary>,
-    isis_adjacencies: Vec<AdjacencyInfo>,
+    bgp_neighbors: Arc<[NeighborSummary]>,
+    isis_adjacencies: Arc<[AdjacencyInfo]>,
 }
 
-/// `router`'s `/interfaces/interface` leaves, read in place.
-fn interfaces(
-    router: &VirtualRouter,
-) -> impl Iterator<Item = (&IfaceId, bool, Option<IfaceAddr>, bool)> {
-    let interfaces = router.config().interfaces.iter();
-    interfaces.map(|i| {
-        (
-            &i.name,
-            !i.shutdown,
-            i.addr,
-            i.routed || i.name.is_loopback(),
-        )
+/// A [`DeviceState`]'s moved groups: one Subscribe batch; empty: a heartbeat.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct Delta {
+    system: Option<System>,
+    interfaces: Option<Arc<[Interface]>>,
+    aft: Option<Arc<Aft>>,
+    bgp_neighbors: Option<Arc<[NeighborSummary]>>,
+    isis_adjacencies: Option<Arc<[AdjacencyInfo]>>,
+}
+
+impl Delta {
+    pub(crate) fn is_empty(&self) -> bool {
+        *self == Delta::default()
+    }
+}
+
+/// `router`'s `/system/state` leaves.
+fn system(router: &VirtualRouter) -> System {
+    let hostname = Arc::clone(&router.config().hostname);
+    let version = Arc::clone(&router.profile().sw_version);
+    (hostname, version, router.is_running())
+}
+
+/// `router`'s `/interfaces/interface` leaves.
+fn interfaces(router: &VirtualRouter) -> impl Iterator<Item = Interface> + '_ {
+    router.config().interfaces.iter().map(|i| {
+        let l3 = i.routed || i.name.is_loopback();
+        (i.name.clone(), !i.shutdown, i.addr, l3)
     })
 }
 
+/// A list group as one shared slice; an absent protocol's is empty and
+/// allocates nothing.
+fn shared<T, I: Iterator<Item = T>>(items: Option<I>) -> Arc<[T]> {
+    items.map_or_else(Arc::default, Iterator::collect)
+}
+
+/// The list group `read` yields, where `group` does not hold it already;
+/// the comparison allocates nothing.
+fn moved<T, I>(group: &[T], read: impl Fn() -> Option<I>) -> Option<Arc<[T]>>
+where
+    T: Clone + PartialEq,
+    I: Iterator<Item = T>,
+{
+    let held = group.iter().cloned().eq(read().into_iter().flatten());
+    (!held).then(|| shared(read()))
+}
+
+/// `group` becomes the one a batch carries, if it carries one.
+fn take<T: Clone>(group: &mut T, moved: &Option<T>) {
+    if let Some(moved) = moved {
+        group.clone_from(moved);
+    }
+}
+
 impl DeviceState {
-    /// Reads the device: no tree, nothing serialised. A FIB still at the
-    /// epoch of `last` is not read again: its AFT is `last`'s.
+    /// Reads the device: no tree, nothing serialised, no string copied. A
+    /// FIB still at the epoch of `last` is not read again: its AFT is
+    /// `last`'s.
     pub fn read(router: &VirtualRouter, last: Option<&DeviceState>) -> DeviceState {
         let aft = match last {
             Some(last) if last.fib_unmoved(router) => Arc::clone(&last.aft),
             _ => Arc::new(Aft::from_fib(router.fib())),
         };
-        DeviceState::with_aft(router, aft)
-    }
-
-    fn with_aft(router: &VirtualRouter, aft: Arc<Aft>) -> DeviceState {
-        let (config, bgp, isis) = (router.config(), router.bgp_engine(), router.isis_engine());
-        let interfaces =
-            interfaces(router).map(|(name, on, addr, l3)| (name.clone(), on, addr, l3));
         DeviceState {
-            system: (
-                config.hostname.clone(),
-                router.profile().sw_version.clone(),
-                router.is_running(),
-            ),
-            interfaces: interfaces.collect(),
+            system: system(router),
+            interfaces: interfaces(router).collect(),
             aft,
             epoch: router.fib_epoch(),
-            bgp_neighbors: bgp.into_iter().flat_map(|b| b.summaries()).collect(),
-            isis_adjacencies: isis.into_iter().flat_map(|i| i.adjacencies()).collect(),
+            bgp_neighbors: shared(router.bgp_engine().map(|b| b.summaries())),
+            isis_adjacencies: shared(router.isis_engine().map(|i| i.adjacencies())),
         }
     }
 
@@ -119,35 +153,34 @@ impl DeviceState {
         crate::node_of(&self.aft, addresses.collect(), self.system.2)
     }
 
-    /// Reads the device again over this state, the one read before: `None`
-    /// where every leaf is what this state holds, else the new state. The
-    /// leaves are compared in place, so a read that finds nothing moved
-    /// allocates nothing unless the FIB's epoch moved; an AFT read at a new
-    /// epoch with the entries this state holds moves it to that epoch.
-    pub(crate) fn reread(&mut self, router: &VirtualRouter) -> Option<DeviceState> {
+    /// Reads the device again over this state, the one read before, and
+    /// moves this state to the read: the groups whose leaves moved, empty
+    /// where none did. The leaves are compared in place, so a read that
+    /// finds nothing moved allocates nothing unless the FIB's epoch moved;
+    /// an AFT read at a new epoch with the entries this state holds moves
+    /// only the epoch.
+    pub(crate) fn reread(&mut self, router: &VirtualRouter) -> Delta {
         let aft = (!self.fib_unmoved(router)).then(|| Aft::from_fib(router.fib()));
-        if aft.as_ref().is_none_or(|aft| *aft == *self.aft) && self.holds_leaves_of(router) {
-            self.epoch = router.fib_epoch();
-            return None;
-        }
-        let aft = aft.map_or_else(|| Arc::clone(&self.aft), Arc::new);
-        Some(DeviceState::with_aft(router, aft))
+        self.epoch = router.fib_epoch();
+        let (bgp, isis) = (router.bgp_engine(), router.isis_engine());
+        let delta = Delta {
+            system: Some(system(router)).filter(|s| *s != self.system),
+            interfaces: moved(&self.interfaces, || Some(interfaces(router))),
+            aft: aft.filter(|aft| *aft != *self.aft).map(Arc::new),
+            bgp_neighbors: moved(&self.bgp_neighbors, || bgp.map(|b| b.summaries())),
+            isis_adjacencies: moved(&self.isis_adjacencies, || isis.map(|i| i.adjacencies())),
+        };
+        self.update(&delta);
+        delta
     }
 
-    /// Whether every leaf but the AFT is `router`'s.
-    fn holds_leaves_of(&self, router: &VirtualRouter) -> bool {
-        let (config, bgp, isis) = (router.config(), router.bgp_engine(), router.isis_engine());
-        let (hostname, version, up) = &self.system;
-        let leaves = self.interfaces.iter();
-        *hostname == config.hostname
-            && *version == router.profile().sw_version
-            && *up == router.is_running()
-            && leaves
-                .map(|(name, on, addr, l3)| (name, *on, *addr, *l3))
-                .eq(interfaces(router))
-            && (bgp.into_iter().flat_map(|b| b.summaries())).eq(self.bgp_neighbors.iter().cloned())
-            && (isis.into_iter().flat_map(|i| i.adjacencies()))
-                .eq(self.isis_adjacencies.iter().cloned())
+    /// Takes the groups `delta` carries in place of this state's.
+    pub(crate) fn update(&mut self, delta: &Delta) {
+        take(&mut self.system, &delta.system);
+        take(&mut self.interfaces, &delta.interfaces);
+        take(&mut self.aft, &delta.aft);
+        take(&mut self.bgp_neighbors, &delta.bgp_neighbors);
+        take(&mut self.isis_adjacencies, &delta.isis_adjacencies);
     }
 
     /// Whether `router`'s FIB is still at the epoch this state's AFT was
@@ -244,12 +277,6 @@ impl Telemetry {
     pub fn aft(&self) -> Option<Aft> {
         let v = self.get("/network-instances/network-instance[name=default]/afts")?;
         serde::Deserialize::from_value(v).ok()
-    }
-
-    /// The dataplane node the tree's forwarding leaves decode to; `None`
-    /// without a decodable AFT.
-    pub(crate) fn node(&self) -> Option<NodeDataplane> {
-        Some(crate::node_of(&self.aft()?, self.addresses(), self.is_up()))
     }
 
     /// The whole tree, for debugging / archiving snapshots.
@@ -423,6 +450,22 @@ fn diff_value(old: &Value, new: &Value, path: String, out: &mut Vec<Update>) {
             path,
             value: Some(b.clone()),
         }),
+    }
+}
+
+#[cfg(test)]
+impl Delta {
+    /// Every group of `state`: what a device side that streams whole reads
+    /// sends.
+    pub(crate) fn whole(state: &DeviceState) -> Delta {
+        let state = state.clone();
+        Delta {
+            system: Some(state.system),
+            interfaces: Some(state.interfaces),
+            aft: Some(state.aft),
+            bgp_neighbors: Some(state.bgp_neighbors),
+            isis_adjacencies: Some(state.isis_adjacencies),
+        }
     }
 }
 
@@ -603,5 +646,105 @@ mod tests {
         let t = Telemetry::from_router(&router()).unwrap();
         let ifs = t.get("/interfaces/interface").unwrap().as_array().unwrap();
         assert_eq!(ifs.len(), 2); // Loopback0 + Ethernet1
+    }
+}
+
+#[cfg(test)]
+mod delta_tests {
+    use super::*;
+    use mfv_config::{IfaceSpec, RouterSpec};
+    use mfv_types::{AsNum, SimTime};
+    use mfv_vrouter::VendorProfile;
+    use proptest::prelude::*;
+    use std::net::Ipv4Addr;
+
+    fn router() -> VirtualRouter {
+        let spec = RouterSpec::new("r1", AsNum(65001), Ipv4Addr::new(2, 2, 2, 1))
+            .iface(IfaceSpec::new("Ethernet1", "100.64.0.0/31".parse().unwrap()).with_isis())
+            .iface(IfaceSpec::new("Ethernet2", "100.64.0.2/31".parse().unwrap()).with_isis())
+            .ebgp(Ipv4Addr::new(100, 64, 0, 1), AsNum(65002))
+            .network("2.2.2.1/32".parse().unwrap());
+        let mut r = VirtualRouter::new("r1".into(), VendorProfile::ceos(), spec.build());
+        r.poll(SimTime(100), &|| 0, &mut Vec::new());
+        r
+    }
+
+    /// What happens to the router between two reads.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// A link goes up or down.
+        Flap(usize, bool),
+        /// The routing process dies.
+        Kill,
+        /// An interface is shut or enabled by a config push.
+        Shut(usize, bool),
+        /// An interface is renumbered by a config push.
+        Renumber(usize, u8),
+        /// Time passes.
+        Wait,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..3, any::<bool>()).prop_map(|(i, up)| Op::Flap(i, up)),
+            Just(Op::Kill),
+            (0usize..3, any::<bool>()).prop_map(|(i, shut)| Op::Shut(i, shut)),
+            (0usize..3, 0u8..4).prop_map(|(i, n)| Op::Renumber(i, n)),
+            Just(Op::Wait),
+        ]
+    }
+
+    fn tree(t: &Telemetry) -> String {
+        serde_json::to_string(t.root()).unwrap()
+    }
+
+    // The typed delta of a read is the rendered trees' diff: empty exactly
+    // when the diff is, and the mirror it moves renders to the old tree
+    // with the diff applied, byte for byte.
+    proptest! {
+        #[test]
+        fn a_typed_delta_is_the_tree_diff(ops in proptest::collection::vec(op(), 1..24)) {
+            let mut r = router();
+            let mut state = DeviceState::read(&r, None);
+            for (step, op) in ops.into_iter().enumerate() {
+                let names: Vec<IfaceId> =
+                    r.config().interfaces.iter().map(|i| i.name.clone()).collect();
+                let mut cfg = r.config().clone();
+                match op {
+                    Op::Flap(i, up) => {
+                        if let Some(name) = names.get(i) {
+                            r.set_link(name, up);
+                        }
+                    }
+                    Op::Kill => r.inject_crash("test"),
+                    Op::Shut(i, shut) => {
+                        if let Some(iface) = cfg.interfaces.get_mut(i) {
+                            iface.shutdown = shut;
+                            r.apply_config(cfg);
+                        }
+                    }
+                    Op::Renumber(i, n) => {
+                        if let Some(iface) = cfg.interfaces.get_mut(i) {
+                            iface.addr = Some(format!("100.64.1.{}/31", 2 * n).parse().unwrap());
+                            r.apply_config(cfg);
+                        }
+                    }
+                    Op::Wait => {}
+                }
+                let now = SimTime(100 + 20_000 * (step as u64 + 1));
+                r.poll(now, &|| 0, &mut Vec::new());
+
+                let old = state.clone();
+                let old_tree = Telemetry::from_state(&old).unwrap();
+                let updates = diff(&old_tree, &Telemetry::from_router(&r).unwrap());
+                let delta = state.reread(&r);
+                prop_assert_eq!(delta.is_empty(), updates.is_empty(), "{:?}", updates);
+                let mut mirror = old;
+                mirror.update(&delta);
+                let mirrored = tree(&Telemetry::from_state(&mirror).unwrap());
+                prop_assert_eq!(&mirrored, &tree(&apply(&old_tree, &updates)));
+                prop_assert_eq!(&mirrored, &tree(&Telemetry::from_router(&r).unwrap()));
+            }
+        }
     }
 }

@@ -3,11 +3,11 @@
 //! One-shot extraction ([`crate::collect`]) answers "what is the network
 //! doing *now*"; continuous verification needs "tell me whenever it
 //! changes". This module models a per-node Subscribe session: the device
-//! side compares its typed state (`DeviceState`) with what it already
-//! streamed and, only when it changed, diffs the two rendered trees
-//! ([`crate::gnmi::diff`]) into sequence-numbered, sim-time-stamped update
-//! batches; the client side maintains a mirror by applying them
-//! ([`crate::gnmi::apply`]) and decodes its forwarding state once per change.
+//! side compares its typed state ([`DeviceState`]) with what it already
+//! streamed and, only when it changed, sends the leaf groups that moved as
+//! a sequence-numbered, sim-time-stamped batch; the client side keeps a
+//! typed mirror, takes each batch's groups in place of its own, and builds
+//! its forwarding state once per change. No tree is rendered.
 //!
 //! The stream is allowed to fail, and every failure mode is detected
 //! rather than silently corrupting the mirror:
@@ -47,7 +47,7 @@ use mfv_types::{ExtractionStatus, NodeId, SimDuration, SimTime};
 use mfv_vrouter::VirtualRouter;
 
 use crate::collect::{backoff_delay, node_key};
-use crate::gnmi::{apply, diff, DeviceState, Telemetry, Update};
+use crate::gnmi::{Delta, DeviceState};
 
 /// Simulated failure model for the Subscribe delivery path.
 ///
@@ -124,9 +124,6 @@ pub struct WatchStats {
     pub resyncs: u64,
     /// Resync attempts, including failed ones.
     pub resync_attempts: u64,
-    /// Device-side state reads that failed (router evicted or encode
-    /// error); the stream goes silent instead of emitting.
-    pub read_errors: u64,
 }
 
 /// What changed at the client during one [`Watcher::tick`].
@@ -147,7 +144,7 @@ struct Batch {
     stamped: SimTime,
     deliver_at: SimTime,
     /// Empty for heartbeats.
-    updates: Vec<Update>,
+    delta: Delta,
 }
 
 #[derive(Clone, Debug)]
@@ -172,10 +169,7 @@ struct Work {
     device_reads: u64,
     /// Reads that took the AFT of the last read, at the same FIB epoch.
     aft_reuses: u64,
-    /// States rendered to trees: a resync's snapshot, and a changed read
-    /// (diffed against its predecessor, rendered again as the base).
-    device_renders: u64,
-    /// Mirrors decoded to forwarding state: one per resync and applied delta.
+    /// Mirrors built into nodes: one per resync and applied delta.
     mirror_decodes: u64,
 }
 
@@ -193,10 +187,10 @@ struct NodeStream {
     /// Device side: is the client subscribed (false after session loss)?
     subscribed: bool,
     inflight: VecDeque<Batch>,
-    /// Client side: the reconstructed state tree.
-    mirror: Option<Telemetry>,
-    /// Client side: the mirror's dataplane node, decoded once per change
-    /// and shared with every dataplane built from the mirrors until then.
+    /// Client side: the reconstructed device state.
+    mirror: Option<DeviceState>,
+    /// Client side: the mirror's dataplane node, built once per change and
+    /// shared with every dataplane built from the mirrors until then.
     forwarding: Option<Arc<NodeDataplane>>,
     /// Client side: next expected sequence number.
     mirror_seq: u64,
@@ -205,8 +199,7 @@ struct NodeStream {
     /// Client side: last mirror content change (staleness age).
     last_applied: SimTime,
     state: StreamState,
-    /// Test/ops hook: drop the next N deliveries regardless of the fault
-    /// model.
+    /// Test/ops hook: drop the next N deliveries whatever the fault model.
     force_drop: u32,
 }
 
@@ -266,7 +259,7 @@ impl Watcher {
     }
 
     /// The client-side mirror for `node`, if it has ever synced.
-    pub fn mirror(&self, node: &NodeId) -> Option<&Telemetry> {
+    pub fn mirror(&self, node: &NodeId) -> Option<&DeviceState> {
         self.streams.get(node).and_then(|s| s.mirror.as_ref())
     }
 
@@ -408,14 +401,14 @@ impl Watcher {
             // In sequence: apply.
             s.mirror_seq = b.seq + 1;
             s.last_heard = now;
-            if b.updates.is_empty() {
+            if b.delta.is_empty() {
                 continue; // heartbeat
             }
-            let Some(m) = &s.mirror else {
+            let Some(mirror) = &mut s.mirror else {
                 continue;
             };
-            let mirror = apply(m, &b.updates);
-            self.set_mirror(s, mirror);
+            mirror.update(&b.delta);
+            self.decode(s);
             s.last_applied = now;
             report
                 .changed
@@ -458,19 +451,7 @@ impl Watcher {
         }
         let attempts = attempts + 1;
         self.stats.resync_attempts += 1;
-        let snapshot = router.and_then(|r| {
-            self.work.device_renders += 1;
-            self.count_read(r, s.device_last.as_ref());
-            let state = DeviceState::read(r, s.device_last.as_ref());
-            match Telemetry::from_state(&state) {
-                Ok(t) => Some((state, t)),
-                Err(_) => {
-                    self.stats.read_errors += 1;
-                    None
-                }
-            }
-        });
-        let Some((state, snapshot)) = snapshot else {
+        let Some(router) = router else {
             s.state = StreamState::Resyncing {
                 since,
                 attempts,
@@ -479,12 +460,14 @@ impl Watcher {
             };
             return;
         };
-        // Full-snapshot resync: the mirror jumps to the device's current
-        // head; the device restarts its diff base from the state it
-        // rendered, so the next delta applies cleanly. Sequence numbers
-        // continue — anything still in flight from before the outage is now
-        // behind `mirror_seq` and will be discarded as duplicate.
-        self.set_mirror(s, snapshot);
+        // Full-snapshot resync: the mirror and the device side's base jump
+        // to one read, sharing its groups. Sequence numbers continue —
+        // anything in flight from before the outage is now behind
+        // `mirror_seq` and will be discarded as duplicate.
+        self.count_read(router, s.device_last.as_ref());
+        let state = DeviceState::read(router, s.device_last.as_ref());
+        s.mirror = Some(state.clone());
+        self.decode(s);
         s.device_last = Some(state);
         s.mirror_seq = s.next_seq;
         s.subscribed = true;
@@ -526,19 +509,8 @@ impl Watcher {
             return;
         };
         self.count_read(router, Some(last));
-        // An unchanged state renders to the tree already streamed, which it
-        // rendered to once without error: nothing to render or diff.
-        let Some(current) = last.reread(router) else {
-            return self.emit(now, s, Vec::new());
-        };
-        self.work.device_renders += 1;
-        let (Ok(old), Ok(new)) = (Telemetry::from_state(last), Telemetry::from_state(&current))
-        else {
-            self.stats.read_errors += 1;
-            return;
-        };
-        s.device_last = Some(current);
-        self.emit(now, s, diff(&old, &new));
+        let delta = last.reread(router);
+        self.emit(now, s, delta);
     }
 
     /// Counts a typed read of `router` over `last`, the state read before,
@@ -548,10 +520,10 @@ impl Watcher {
         self.work.aft_reuses += u64::from(last.is_some_and(|last| last.fib_unmoved(router)));
     }
 
-    /// Queues `updates` as the next batch — or, if there are none, a
-    /// heartbeat once the cadence is due.
-    fn emit(&mut self, now: SimTime, s: &mut NodeStream, updates: Vec<Update>) {
-        if !updates.is_empty() {
+    /// Queues `delta` as the next batch — or, if it is empty, a heartbeat
+    /// once the cadence is due.
+    fn emit(&mut self, now: SimTime, s: &mut NodeStream, delta: Delta) {
+        if !delta.is_empty() {
             self.stats.batches_emitted += 1;
         } else if now.since(s.last_emit) >= HEARTBEAT_EVERY {
             self.stats.heartbeats_emitted += 1;
@@ -562,17 +534,16 @@ impl Watcher {
             seq: s.next_seq,
             stamped: now,
             deliver_at: now + DELIVERY_DELAY,
-            updates,
+            delta,
         });
         s.next_seq += 1;
         s.last_emit = now;
     }
 
-    /// The client's mirror moves to `mirror`, decoded once here.
-    fn set_mirror(&mut self, s: &mut NodeStream, mirror: Telemetry) {
+    /// The client's mirror moved: its dataplane node is built once here.
+    fn decode(&mut self, s: &mut NodeStream) {
         self.work.mirror_decodes += 1;
-        s.forwarding = mirror.node().map(Arc::new);
-        s.mirror = Some(mirror);
+        s.forwarding = s.mirror.as_ref().map(|m| Arc::new(m.node()));
     }
 
     /// Per-node extraction status as of `now` — feeds
@@ -638,10 +609,8 @@ impl Watcher {
         m.inc("watch.syncs.initial", self.stats.initial_syncs);
         m.inc("watch.resyncs", self.stats.resyncs);
         m.inc("watch.resync_attempts", self.stats.resync_attempts);
-        m.inc("watch.read_errors", self.stats.read_errors);
         m.inc("watch.device_reads", self.work.device_reads);
         m.inc("watch.aft_reuses", self.work.aft_reuses);
-        m.inc("watch.device_renders", self.work.device_renders);
         m.inc("watch.mirror_decodes", self.work.mirror_decodes);
         obs.journal.merge(self.journal.clone());
     }
@@ -650,6 +619,7 @@ impl Watcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gnmi::{apply, diff, Telemetry, Update};
     use mfv_config::{IfaceSpec, RouterSpec};
     use mfv_types::{AsNum, SimTime};
     use mfv_vrouter::VendorProfile;
@@ -672,8 +642,13 @@ mod tests {
             .collect()
     }
 
-    fn bytes(t: &Telemetry) -> String {
+    fn tree(t: &Telemetry) -> String {
         serde_json::to_string(t.root()).expect("telemetry serialises")
+    }
+
+    /// A state's tree, rendered and serialised.
+    fn bytes(state: &DeviceState) -> String {
+        tree(&Telemetry::from_state(state).expect("state renders"))
     }
 
     fn sec(s: u64) -> SimTime {
@@ -688,10 +663,10 @@ mod tests {
         let rep = w.tick(sec(1), vec![(node.clone(), Some(&r))]);
         assert!(rep.changed.contains_key(&node));
         assert_eq!(w.stats().initial_syncs, 1);
-        assert_eq!(bytes(w.mirror(&node).expect("mirror")), {
-            let t = Telemetry::from_router(&r).expect("read");
-            serde_json::to_string(t.root()).expect("ser")
-        });
+        assert_eq!(
+            bytes(w.mirror(&node).expect("mirror")),
+            tree(&Telemetry::from_router(&r).expect("read"))
+        );
         // Quiet for 19 s, past the 12 s silence bound: heartbeats every
         // HEARTBEAT_EVERY keep the stream alive.
         for t in 2..=20u64 {
@@ -729,10 +704,13 @@ mod tests {
         for t in 2..=3 {
             w.tick(sec(t), vec![(node.clone(), Some(&after))]);
         }
-        assert_eq!(w.mirror(&node).map(bytes), Some(bytes(&want)));
+        assert_eq!(w.mirror(&node).map(bytes), Some(tree(&want)));
         let dp = w.dataplane(sec(3), &Dataplane::new());
-        let entries = want.node().map(|n| n.entries);
-        assert_eq!(dp.nodes.get(&node).map(|n| n.entries.clone()), entries);
+        let entries = DeviceState::read(&after, None).node().entries;
+        assert_eq!(
+            dp.nodes.get(&node).map(|n| n.entries.clone()),
+            Some(entries)
+        );
         // Quiet from here: every read takes the AFT it already has.
         let reused = w.work.aft_reuses;
         w.tick(sec(4), vec![(node.clone(), Some(&after))]);
@@ -757,10 +735,7 @@ mod tests {
         let rep = w.tick(sec(3), vec![(node.clone(), Some(&r))]);
         assert_eq!(rep.changed.get(&node), Some(&sec(2)));
         let expected = Telemetry::from_router(&r).expect("read");
-        assert_eq!(
-            bytes(w.mirror(&node).expect("mirror")),
-            serde_json::to_string(expected.root()).expect("ser")
-        );
+        assert_eq!(bytes(w.mirror(&node).expect("mirror")), tree(&expected));
     }
 
     #[test]
@@ -796,7 +771,7 @@ mod tests {
         assert_eq!(w.stats().resyncs, 1);
         assert_eq!(rep.changed.get(&node), Some(&sec(5)));
         let expected = Telemetry::from_router(&r).expect("read");
-        assert_eq!(bytes(w.mirror(&node).expect("mirror")), bytes(&expected));
+        assert_eq!(bytes(w.mirror(&node).expect("mirror")), tree(&expected));
         assert_eq!(w.status(sec(6))[&node], ExtractionStatus::Fresh);
         let kinds: Vec<_> = journal(&w).into_iter().map(|(kind, _)| kind).collect();
         assert_eq!(kinds, ["watch.sync", "watch.gap", "watch.resync"]);
@@ -898,19 +873,30 @@ mod tests {
     }
 
     /// The device side this module had before it read typed state, kept as
-    /// the reference: every tick reads and renders the whole state tree,
-    /// diffs it against the tree last streamed (`trees`, per node) and emits
-    /// whatever differs. The client side is the watcher's own.
+    /// the reference: every tick reads the whole device afresh, renders it,
+    /// diffs the tree against the tree last streamed and, where they
+    /// differ, streams the whole read. Its client keeps a JSON mirror
+    /// beside the typed one, applying each in-sequence batch's tree diff.
+    #[derive(Default)]
+    struct FullReads {
+        /// Per node: the tree last streamed.
+        trees: BTreeMap<NodeId, Telemetry>,
+        /// Each batch's tree diff, by node and sequence number.
+        sent: BTreeMap<(NodeId, u64), Vec<Update>>,
+        mirrors: BTreeMap<NodeId, Telemetry>,
+    }
+
     impl Watcher {
         fn tick_full_reads(
             &mut self,
             now: SimTime,
             nodes: &[(NodeId, Option<&VirtualRouter>)],
-            trees: &mut BTreeMap<NodeId, Telemetry>,
+            full: &mut FullReads,
         ) -> TickReport {
             let mut report = TickReport::default();
             for (node, router) in nodes {
                 let mut s = self.streams.remove(node).unwrap_or_else(NodeStream::new);
+                let applied = s.mirror_seq;
                 self.deliver_due(now, node, &mut s, &mut report);
                 self.check_silence(now, node, &mut s);
                 let synced = self.stats.initial_syncs + self.stats.resyncs;
@@ -918,10 +904,18 @@ mod tests {
                 if self.stats.initial_syncs + self.stats.resyncs > synced {
                     // The device restarts its base from the snapshot the
                     // mirror jumped to.
-                    let snapshot = s.mirror.clone().expect("a resync sets the mirror");
-                    trees.insert(node.clone(), snapshot);
+                    let snapshot = s.mirror.as_ref().expect("a resync sets the mirror");
+                    let snapshot = Telemetry::from_state(snapshot).expect("renders");
+                    full.trees.insert(node.clone(), snapshot.clone());
+                    full.mirrors.insert(node.clone(), snapshot);
+                } else if let Some(mirror) = full.mirrors.get_mut(node) {
+                    for seq in applied..s.mirror_seq {
+                        if let Some(updates) = full.sent.get(&(node.clone(), seq)) {
+                            *mirror = apply(mirror, updates);
+                        }
+                    }
                 }
-                self.emit_full_read(now, *router, &mut s, trees.get_mut(node));
+                self.emit_full_read(now, *router, &mut s, full, node);
                 self.streams.insert(node.clone(), s);
             }
             report
@@ -932,7 +926,8 @@ mod tests {
             now: SimTime,
             router: Option<&VirtualRouter>,
             s: &mut NodeStream,
-            last: Option<&mut Telemetry>,
+            full: &mut FullReads,
+            node: &NodeId,
         ) {
             if !s.subscribed {
                 return;
@@ -940,21 +935,18 @@ mod tests {
             let Some(router) = router else {
                 return;
             };
-            let current = match Telemetry::from_router(router) {
-                Ok(t) => t,
-                Err(_) => {
-                    self.stats.read_errors += 1;
-                    return;
-                }
-            };
-            let Some(last) = last else {
+            let Some(last) = full.trees.get_mut(node) else {
                 return;
             };
+            let read = DeviceState::read(router, None);
+            let current = Telemetry::from_state(&read).expect("renders");
             let updates = diff(last, &current);
-            if !updates.is_empty() {
-                *last = current;
+            if updates.is_empty() {
+                return self.emit(now, s, Delta::default());
             }
-            self.emit(now, s, updates);
+            *last = current;
+            full.sent.insert((node.clone(), s.next_seq), updates);
+            self.emit(now, s, Delta::whole(&read));
         }
     }
 
@@ -973,7 +965,7 @@ mod tests {
             };
             let mut typed = Watcher::new(cfg.clone(), [n1.clone(), n2.clone()]);
             let mut full = Watcher::new(cfg, [n1.clone(), n2.clone()]);
-            let mut trees = BTreeMap::new();
+            let mut reference = FullReads::default();
             let period = 2 + seed % 5;
             for t in 1..=120u64 {
                 // r1's link flaps every `period` seconds, and r1 is evicted
@@ -986,20 +978,22 @@ mod tests {
                 let nodes = [(n1.clone(), live.then_some(&r1)), (n2.clone(), Some(&r2))];
                 let at = format!("seed {seed}, t={t}");
                 let a = typed.tick(sec(t), nodes.clone());
-                let b = full.tick_full_reads(sec(t), &nodes, &mut trees);
+                let b = full.tick_full_reads(sec(t), &nodes, &mut reference);
                 assert_eq!(a, b, "{at}");
                 assert_eq!(typed.stats(), full.stats(), "{at}");
                 for n in [&n1, &n2] {
                     let bytes_of = |w: &Watcher| w.mirror(n).map(bytes);
                     assert_eq!(bytes_of(&typed), bytes_of(&full), "{at}");
+                    let json = reference.mirrors.get(n).map(tree);
+                    assert_eq!(bytes_of(&typed), json, "{at}");
                 }
                 assert_eq!(typed.status(sec(t)), full.status(sec(t)), "{at}");
             }
             assert_eq!(journal(&typed), journal(&full), "seed {seed}");
             let (stats, work) = (typed.stats(), typed.work);
             assert!(stats.batches_emitted > 0 && stats.resyncs > 0, "{stats:?}");
-            // The reads that found nothing changed rendered nothing.
-            assert!(work.device_renders * 3 < work.device_reads, "{work:?}");
+            // The reads that found nothing changed streamed nothing.
+            assert!(stats.batches_emitted * 3 < work.device_reads, "{work:?}");
         }
     }
 }

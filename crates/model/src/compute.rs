@@ -541,7 +541,7 @@ mod tests {
 
     fn cfg(text: &str) -> (NodeId, DeviceConfig) {
         let (cfg, _) = parser::parse(text).unwrap();
-        (NodeId::from(cfg.hostname.as_str()), cfg)
+        (NodeId::from(&*cfg.hostname), cfg)
     }
 
     /// A clean 2-router IS-IS + eBGP setup the model handles correctly.

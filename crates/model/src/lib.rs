@@ -32,9 +32,9 @@ pub fn model_dataplane(
     for (name, text) in configs {
         let (mut cfg, mut report) = parser::parse(text)?;
         if cfg.hostname.is_empty() {
-            cfg.hostname = name.to_string();
+            cfg.hostname = name.as_str().into();
         }
-        report.hostname = cfg.hostname.clone();
+        report.hostname = cfg.hostname.to_string();
         parsed.push((name.clone(), cfg));
         reports.push(report);
     }

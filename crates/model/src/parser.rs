@@ -115,7 +115,7 @@ pub fn parse(text: &str) -> Result<(DeviceConfig, CoverageReport), ModelParseErr
         let w: Vec<&str> = l.words.iter().map(|s| s.as_str()).collect();
         match w.as_slice() {
             ["hostname", name] => {
-                cfg.hostname = name.to_string();
+                cfg.hostname = (*name).into();
                 report.recognized_lines += 1;
                 i += 1;
             }
@@ -363,7 +363,7 @@ pub fn parse(text: &str) -> Result<(DeviceConfig, CoverageReport), ModelParseErr
         }
     }
 
-    report.hostname = cfg.hostname.clone();
+    report.hostname = cfg.hostname.to_string();
     Ok((cfg, report))
 }
 
@@ -492,7 +492,7 @@ end
         let (cfg, report) = parse(text).unwrap();
         assert_eq!(report.unrecognized_count(), 0);
         assert_eq!(report.recognized_lines, report.total_lines);
-        assert_eq!(cfg.hostname, "r1");
+        assert_eq!(&*cfg.hostname, "r1");
         assert_eq!(cfg.bgp.unwrap().neighbors.len(), 1);
         assert_eq!(cfg.static_routes.len(), 1);
     }

@@ -274,6 +274,6 @@ mod vjunos_tests {
         let out = exec(&r, "show configuration");
         assert!(out.contains("host-name r9;"), "{out}");
         let parsed = mfv_config::vjunos::parse(&out).unwrap();
-        assert_eq!(parsed.config.hostname, "r9");
+        assert_eq!(&*parsed.config.hostname, "r9");
     }
 }

@@ -7,6 +7,8 @@
 //! [`VendorBugs`] additionally models injectable implementation defects used
 //! by the experiments (all default-off).
 
+use std::sync::Arc;
+
 use mfv_config::Vendor;
 use mfv_types::SimDuration;
 
@@ -34,7 +36,7 @@ pub struct VendorBugs {
 pub struct VendorProfile {
     pub vendor: Vendor,
     /// Software version string reported by the CLI.
-    pub sw_version: String,
+    pub sw_version: Arc<str>,
     /// Container boot time (KNE-style pod startup); per-vendor.
     pub boot_time: SimDuration,
     /// Crash-restart delay when the routing process dies.
@@ -51,7 +53,7 @@ impl VendorProfile {
     pub fn ceos() -> VendorProfile {
         VendorProfile {
             vendor: Vendor::Ceos,
-            sw_version: "4.34.0F".to_string(),
+            sw_version: "4.34.0F".into(),
             boot_time: SimDuration::from_secs(110),
             restart_delay: SimDuration::from_secs(45),
             bugs: VendorBugs::default(),
@@ -64,7 +66,7 @@ impl VendorProfile {
     pub fn vjunos() -> VendorProfile {
         VendorProfile {
             vendor: Vendor::Vjunos,
-            sw_version: "23.2R1".to_string(),
+            sw_version: "23.2R1".into(),
             boot_time: SimDuration::from_secs(170),
             restart_delay: SimDuration::from_secs(60),
             bugs: VendorBugs::default(),
@@ -86,7 +88,7 @@ impl VendorProfile {
         self.bugs = bugs;
         if bugs.ibgp_metric_bug {
             // A bug arrives with a software upgrade.
-            self.sw_version.push_str("-hotfix2");
+            self.sw_version = format!("{}-hotfix2", self.sw_version).into();
         }
         self
     }

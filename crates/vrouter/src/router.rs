@@ -478,7 +478,7 @@ impl VirtualRouter {
                 SystemId::from_ip(self.loopback().unwrap_or(Ipv4Addr::UNSPECIFIED))
             });
             let area = net_area_bytes(&isis_cfg.net)?;
-            let mut cfg = IsisEngineConfig::new(system_id, area, self.config.hostname.clone());
+            let mut cfg = IsisEngineConfig::new(system_id, area, &*self.config.hostname);
             for iface in &self.config.interfaces {
                 let Some(ii) = &iface.isis else { continue };
                 if ii.instance != isis_cfg.instance {

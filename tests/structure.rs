@@ -203,15 +203,11 @@ const ROWS: &[Row] = &[
     },
     Row {
         files: "crates/mgmt/src/watch.rs",
-        rule: Absent("Telemetry::from_router"),
-        why: "one render per change: a watch's device side reads a typed DeviceState",
-        plant: "let tree = Telemetry::from_router(router);",
-    },
-    Row {
-        files: "crates/mgmt/src/watch.rs > pub fn dataplane(",
-        rule: Absent(".aft("),
-        why: "one render per change: a stream decodes its mirror once per change",
-        plant: "pub fn dataplane(&self) -> Dataplane {\n    mirror.aft()\n}",
+        rule: Absent("Telemetry|serde_json|diff(|apply("),
+        why: "no render in the watch: a stream carries a DeviceState's leaf groups, and each \
+              mirror is a DeviceState",
+        plant: "let old = Telemetry::from_state(last)?; let batch = diff(&old, &new); \
+                let mirror = apply(&m, &batch); serde_json::to_string(&mirror)",
     },
     Row {
         files: "crates/mgmt/src/*.rs",
@@ -356,6 +352,7 @@ const REQUIRED: &[&str] = &[
     "crates/vrouter/tests/delta_oracle.rs::every_poll_leaves_tables_equal_to_a_rebuild_from_the_sources",
     "crates/core/src/extract.rs::typed_get_equals_the_json_get",
     "crates/mgmt/src/watch.rs::typed_reads_stream_what_full_reads_would",
+    "crates/mgmt/src/gnmi.rs::a_typed_delta_is_the_tree_diff",
     "crates/mgmt/tests/gnmi_roundtrip.rs::diff_is_canonical",
     "crates/verify/tests/proptests.rs::standing_pair_work_is_unchanged_on_a_fixed_delta_sequence",
     "crates/verify/tests/proptests.rs::one_pass_diff_is_the_pairwise_diff",

@@ -207,3 +207,65 @@ fn seq_gap_resyncs_one_node_without_reanalysis() {
     // Identical content + identical coverage: no verdict transitions.
     assert!(updates.is_empty(), "{updates:?}");
 }
+
+/// The watch's answer, pinned across rewrites of the stream: the verdict
+/// journal and the watcher's own journal (its gaps, session losses and
+/// syncs) of the run `experiments -- watch 4 3 --seed 7` makes, byte for
+/// byte. Regenerate with `MFV_UPDATE_FIXTURES=1 cargo test -q --test
+/// watch_determinism` — only for an intended change of what the watch sees.
+#[test]
+fn a_watch_run_matches_its_recorded_journals() {
+    let dir =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/watch_grid4x3_seed7");
+    let snapshot = scenarios::isis_grid(4, 3);
+    let nodes = &snapshot.topology.nodes;
+    let seed = 7;
+    let cfg = WatchRunConfig {
+        backend: EmulationBackend {
+            cluster_machines: 2,
+            seed,
+            ..Default::default()
+        },
+        watch: model_free_verification::mgmt::WatchConfig {
+            seed,
+            faults: StreamFaultModel {
+                drop_pct: 10,
+                session_loss_pct: 2,
+            },
+        },
+        chaos: ChaosPlan::new()
+            .link_flap(
+                snapshot.topology.links[0].id(),
+                SimTime(5_000),
+                SimDuration::from_secs(8),
+            )
+            .kill_routing(nodes[nodes.len() / 2].name.clone(), SimTime(20_000))
+            .fail_machine("node-1", SimTime(35_000)),
+        ..Default::default()
+    };
+    let mut obs = model_free_verification::obs::Obs::new();
+    let report = run_watch(&snapshot, &cfg, &mut obs).expect("watch runs");
+    let watcher: String = obs
+        .journal
+        .events()
+        .filter(|e| e.kind.starts_with("watch."))
+        .map(|e| format!("{} {} {}\n", e.at, e.kind, e.detail))
+        .collect();
+    let files = [
+        ("verdicts.journal", &report.journal_text),
+        ("watcher.journal", &watcher),
+    ];
+
+    if std::env::var_os("MFV_UPDATE_FIXTURES").is_some() {
+        std::fs::create_dir_all(&dir).expect("fixture dir");
+        for (name, text) in files {
+            std::fs::write(dir.join(name), text).expect("write journal fixture");
+        }
+        return;
+    }
+    for (name, text) in files {
+        let want = std::fs::read_to_string(dir.join(name))
+            .unwrap_or_else(|_| panic!("journal fixture {name}"));
+        assert_eq!(*text, want, "{name} diverged from the recorded run");
+    }
+}

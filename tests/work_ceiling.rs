@@ -45,6 +45,7 @@ use model_free_verification::routing::{Fib, NextHop, RibRoute};
 use model_free_verification::types::{
     IfaceId, NodeId, Prefix, RouteProtocol, SimDuration, SimTime,
 };
+use model_free_verification::vrouter::VirtualRouter;
 
 #[global_allocator]
 static ALLOC: Accountant = Accountant;
@@ -474,12 +475,11 @@ fn an_lsp_is_encoded_and_checksummed_once() {
 
 #[test]
 fn a_quiet_watch_renders_only_its_syncs() {
-    // Four routers watched for 30 s, a read per router per tick. Rendering
-    // and diffing every read made 124 trees; comparing typed state renders
-    // one per sync and per change, and the client decodes a mirror once per
-    // change it reports (a sync or an applied delta), not once per
-    // evaluation. A fault-free stream delivers each batch by the next tick,
-    // so no mirror changes twice in one tick.
+    // Four routers watched for 30 s, a read per router per tick. Nothing is
+    // rendered: a stream carries typed leaf groups, and the client builds
+    // a mirror's node once per change it reports (a sync or an applied
+    // delta), not once per evaluation. A fault-free stream delivers each
+    // batch by the next tick, so no mirror changes twice in one tick.
     let snapshot = scenarios::isis_line(4);
     let nodes = snapshot.topology.nodes.iter().map(|n| n.name.clone());
     let nodes: Vec<NodeId> = nodes.collect();
@@ -503,28 +503,60 @@ fn a_quiet_watch_renders_only_its_syncs() {
         let syncs = count("watch.syncs.initial") + count("watch.resyncs");
         let emitted = count("watch.batches.emitted");
         let reads = count("watch.device_reads");
-        let renders = count("watch.device_renders");
-        (
-            syncs,
-            emitted,
-            changes - syncs,
-            reads,
-            renders,
-            count("watch.mirror_decodes"),
-        )
+        let decodes = count("watch.mirror_decodes");
+        (syncs, emitted, changes - syncs, reads, decodes)
     };
 
-    let (syncs, emitted, deltas, reads, renders, decodes) = watch(ChaosPlan::new());
+    let (syncs, emitted, deltas, reads, decodes) = watch(ChaosPlan::new());
     assert_eq!((syncs, emitted, deltas), (4, 0, 0));
     assert_eq!(reads, syncs + 30 * 4);
-    assert_eq!((renders, decodes), (syncs, syncs));
+    assert_eq!(decodes, syncs + deltas);
 
     let link = snapshot.topology.links[1].id();
     let flap = ChaosPlan::new().link_flap(link, SimTime(5_000), SimDuration::from_secs(10));
-    let (syncs, emitted, deltas, _, renders, decodes) = watch(flap);
+    let (syncs, emitted, deltas, _, decodes) = watch(flap);
     assert!(emitted > 0 && deltas > 0, "the flap streamed nothing");
-    assert_eq!(renders, syncs + emitted);
     assert_eq!(decodes, syncs + deltas);
+}
+
+#[test]
+fn a_tick_that_streams_a_fib_move_allocates_only_what_moved() {
+    // Twelve routers watched until every stream is synced; then one router
+    // loses a link. The tick that reads its moved FIB streams the groups
+    // that moved, and the next delivers them and builds the mirror's node.
+    // Rendering both reads, diffing the trees, applying the diff to a copy
+    // of the mirror's tree and decoding the AFT out of it made 2,177
+    // allocations across those two ticks; the typed batch makes 24: the
+    // moved AFT and the node built from it.
+    let snapshot = scenarios::isis_grid(4, 3);
+    let nodes = snapshot.topology.nodes.iter().map(|n| n.name.clone());
+    let nodes: Vec<NodeId> = nodes.collect();
+    let (emu, meta) = EmulationBackend::with_seed(1)
+        .run(&snapshot)
+        .expect("grid boots");
+    assert!(meta.converged);
+    let start = emu.now();
+    let mut routers: Vec<VirtualRouter> = nodes
+        .iter()
+        .map(|n| emu.router(n).expect("a router").clone())
+        .collect();
+    let mut watcher = Watcher::new(WatchConfig::default(), nodes.iter().cloned());
+    let mut tick = |routers: &[VirtualRouter], t: u64| {
+        let now = start + SimDuration::from_secs(t);
+        let routers = nodes.iter().cloned().zip(routers.iter().map(Some));
+        let before = made();
+        let report = watcher.tick(now, routers);
+        (made() - before, report)
+    };
+    tick(&routers, 1);
+    let port = routers[0].config().interfaces[1].name.clone();
+    routers[0].set_link(&port, false);
+    routers[0].poll(start + SimDuration::from_secs(2), &|| 0, &mut Vec::new());
+    let (emitting, _) = tick(&routers, 2);
+    let (delivering, report) = tick(&routers, 3);
+    assert_eq!(report.changed.keys().collect::<Vec<_>>(), [&nodes[0]]);
+    let allocs = emitting + delivering;
+    assert!(allocs <= 40, "{allocs} allocations to stream one FIB move");
 }
 
 #[test]
